@@ -21,6 +21,7 @@ import (
 
 	"riptide/internal/experiments"
 	"riptide/internal/kernel"
+	"riptide/internal/perf"
 )
 
 func benchScale() experiments.Scale {
@@ -345,6 +346,89 @@ func BenchmarkAgentTick1M(b *testing.B) {
 		b.Skip("1M-destination series skipped in -short mode")
 	}
 	benchmarkAgentTickSeries(b, 1_000_000)
+}
+
+// membershipChurnSampler replays a table in which, every round, 1% of the
+// sockets report a new window and 0.1% have moved to a never-seen
+// destination — moves persist, unlike perf.ChurnSampler's, whose stream
+// never changes membership. It alternates two buffers (the one handed out
+// last round stays frozen) and catches the stale one up with last round's
+// changes instead of copying the table.
+type membershipChurnSampler struct {
+	bufs [2][]Observation
+	last []int // positions changed last round
+	tick int
+	next uint32 // next never-seen destination
+}
+
+func newMembershipChurnSampler(base []Observation) *membershipChurnSampler {
+	s := &membershipChurnSampler{next: 11 << 24}
+	s.bufs[0] = append([]Observation(nil), base...)
+	s.bufs[1] = append([]Observation(nil), base...)
+	return s
+}
+
+func (s *membershipChurnSampler) SampleConnections([]Observation) ([]Observation, error) {
+	out, prev := s.bufs[s.tick&1], s.bufs[(s.tick+1)&1]
+	for _, i := range s.last {
+		out[i] = prev[i]
+	}
+	s.last = s.last[:0]
+	s.tick++
+	n := len(out)
+	for j := 0; j < n/100; j++ {
+		i := (j*9973 + s.tick*31337) % n
+		out[i].Cwnd = 10 + (out[i].Cwnd+s.tick+j)%90
+		s.last = append(s.last, i)
+	}
+	for j := 0; j < n/1000; j++ {
+		i := (j*7919 + s.tick*104729) % n
+		out[i].Dst = netip.AddrFrom4([4]byte{byte(s.next >> 24), byte(s.next >> 16), byte(s.next >> 8), byte(s.next)})
+		s.next++
+		s.last = append(s.last, i)
+	}
+	return out, nil
+}
+
+// BenchmarkAgentTick100kMembershipChurn is the regime the delta-churn series
+// above never exercised: 100k destinations with 1% new windows and 0.1% moved
+// destinations per round, on a clock that advances one second per tick, so
+// every round also expires the routes that sockets moved away from one TTL
+// earlier. The warm-up runs past that TTL.
+func BenchmarkAgentTick100kMembershipChurn(b *testing.B) {
+	for _, shards := range []int{1, 8} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			var now time.Duration
+			agent, err := New(Config{
+				Sampler: newMembershipChurnSampler(perf.SyntheticObservations(100_000)),
+				Routes:  perf.NopBatchRoutes{},
+				Clock:   func() time.Duration { return now },
+				Shards:  shards,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer func() { _ = agent.Close() }()
+			tick := func() {
+				now += time.Second
+				if err := agent.Tick(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < int(DefaultTTL/time.Second)+5; i++ {
+				tick()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tick()
+			}
+			b.StopTimer()
+			if st := agent.Stats(); st.EntriesExpired == 0 {
+				b.Fatalf("no entry expired: %+v", st)
+			}
+		})
+	}
 }
 
 // TestShardedTickNotSlowerThanSerial is the bench-smoke gate for the

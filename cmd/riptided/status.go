@@ -175,7 +175,6 @@ func newStatusHandler(agent *core.Agent, retry *core.RetryingRouteProgrammer, fl
 // (latency histograms, retry counters, exec counters).
 func writeMetrics(w io.Writer, agent *core.Agent) {
 	s := agent.Stats()
-	entries := agent.Entries()
 	counters := []struct {
 		name, help string
 		value      uint64
@@ -197,10 +196,10 @@ func writeMetrics(w io.Writer, agent *core.Agent) {
 	for _, c := range counters {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.value)
 	}
-	fmt.Fprintf(w, "# HELP riptide_entries Learned destinations currently programmed\n# TYPE riptide_entries gauge\nriptide_entries %d\n", len(entries))
+	fmt.Fprintf(w, "# HELP riptide_entries Learned destinations currently programmed\n# TYPE riptide_entries gauge\nriptide_entries %d\n", agent.Len())
 	fmt.Fprintln(w, "# HELP riptide_entry_initcwnd Programmed initial window per destination")
 	fmt.Fprintln(w, "# TYPE riptide_entry_initcwnd gauge")
-	for _, e := range entries {
+	for _, e := range agent.Entries() {
 		fmt.Fprintf(w, "riptide_entry_initcwnd{prefix=%q} %d\n", e.Prefix, e.Window)
 	}
 	writeRegistryMetrics(w, agent.Metrics().Snapshot())

@@ -31,11 +31,12 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -689,7 +690,6 @@ type Agent struct {
 	cachePrev []cachedSample
 	cacheCur  []cachedSample
 	havePrev  bool
-	identTick bool // this round's stream is the same slice as last round's
 	// quiescentOK gates the stable-round fast path (planShardQuiescent):
 	// set when no per-destination visit can have side effects beyond the
 	// entry itself — no Governor, no Advisor, no shared History policy, no
@@ -703,6 +703,10 @@ type Agent struct {
 	mPlan    *metrics.Histogram
 	mCommit  *metrics.Histogram
 	mProgram *metrics.Histogram
+	// Rounds planned on the stable path and by a full rebuild: a daemon
+	// whose rebuild count keeps climbing has lost the O(change) tick.
+	mStable  *metrics.Counter
+	mRebuild *metrics.Counter
 }
 
 // New constructs an Agent.
@@ -722,6 +726,8 @@ func New(cfg Config) (*Agent, error) {
 		mPlan:     cfg.Metrics.Histogram("riptide_plan_duration"),
 		mCommit:   cfg.Metrics.Histogram("riptide_commit_duration"),
 		mProgram:  cfg.Metrics.Histogram("riptide_program_duration"),
+		mStable:   cfg.Metrics.Counter("riptide_tick_rounds_stable"),
+		mRebuild:  cfg.Metrics.Counter("riptide_tick_rounds_rebuild"),
 	}
 	var shared *lockedHistory
 	if sharedHistory {
@@ -732,11 +738,7 @@ func New(cfg Config) (*Agent, error) {
 		shared = &lockedHistory{inner: cfg.History}
 	}
 	for i := range a.shards {
-		sh := &shard{
-			idx:        int32(i),
-			states:     make(map[netip.Prefix]*destState),
-			nextExpiry: maxDuration,
-		}
+		sh := &shard{idx: int32(i), states: make(map[netip.Prefix]*destState)}
 		if sharedHistory {
 			sh.history = shared
 		}
@@ -804,7 +806,7 @@ func (a *Agent) clamp(w float64) int {
 // Entries returns a snapshot of all learned destinations, sorted by prefix
 // for determinism.
 func (a *Agent) Entries() []Entry {
-	out := make([]Entry, 0, a.entryCount())
+	out := make([]Entry, 0, a.Len())
 	for _, sh := range a.shards {
 		sh.mu.Lock()
 		for p, st := range sh.states {
@@ -823,15 +825,14 @@ func (a *Agent) Entries() []Entry {
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return lessPrefix(out[i].Prefix, out[j].Prefix)
-	})
+	slices.SortFunc(out, func(x, y Entry) int { return comparePrefix(x.Prefix, y.Prefix) })
 	return out
 }
 
-// entryCount sums the shards' entry counts (a sizing hint, not a consistent
-// cross-shard snapshot).
-func (a *Agent) entryCount() int {
+// Len returns the number of learned destinations — len(Entries()) — from
+// the shards' installed counters in O(shards); under a concurrent Tick it is
+// consistent per shard, not across shards.
+func (a *Agent) Len() int {
 	n := 0
 	for _, sh := range a.shards {
 		sh.mu.Lock()
@@ -841,13 +842,13 @@ func (a *Agent) entryCount() int {
 	return n
 }
 
-// lessPrefix orders prefixes by address then mask length, for deterministic
-// snapshots and programming order.
-func lessPrefix(a, b netip.Prefix) bool {
-	if a.Addr() != b.Addr() {
-		return a.Addr().Less(b.Addr())
+// comparePrefix orders prefixes by address then mask length, for
+// deterministic snapshots and programming order.
+func comparePrefix(a, b netip.Prefix) int {
+	if c := a.Addr().Compare(b.Addr()); c != 0 {
+		return c
 	}
-	return a.Bits() < b.Bits()
+	return cmp.Compare(a.Bits(), b.Bits())
 }
 
 // Lookup returns the currently programmed window for the destination, if
@@ -903,6 +904,7 @@ func (a *Agent) Close() error {
 			if st.installed {
 				targets = append(targets, dst)
 			}
+			st.dead = true
 		}
 		clear(sh.states)
 		if sh.aggs != nil {
@@ -910,16 +912,14 @@ func (a *Agent) Close() error {
 		}
 		sh.dirtyAggs = sh.dirtyAggs[:0]
 		sh.installed = 0
-		sh.gen++
-		sh.planValid = false
-		sh.nextExpiry = maxDuration
+		sh.deadlines = nil
 		sh.touched = sh.touched[:0]
 		sh.active = sh.active[:0]
 		sh.creditPending = false
 		sh.mu.Unlock()
 	}
 	a.digestReset()
-	sort.Slice(targets, func(i, j int) bool { return lessPrefix(targets[i], targets[j]) })
+	slices.SortFunc(targets, comparePrefix)
 
 	var firstErr error
 	if bp, ok := a.cfg.Routes.(BatchRouteProgrammer); ok && len(targets) > 0 {

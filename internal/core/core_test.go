@@ -470,6 +470,49 @@ func TestCloseWithdrawsRoutes(t *testing.T) {
 	}
 }
 
+// TestLenMatchesEntries pins the O(shards) count to the table it summarises,
+// after installs, a fleet merge, expiries and Close.
+func TestLenMatchesEntries(t *testing.T) {
+	obs := func(hosts ...byte) []Observation {
+		var out []Observation
+		for _, h := range hosts {
+			out = append(out, Observation{Dst: netip.AddrFrom4([4]byte{10, 0, 0, h}), Cwnd: 40})
+		}
+		return out
+	}
+	sampler := &fakeSampler{rounds: [][]Observation{obs(1, 2, 3, 4), obs(1, 2, 3, 4), obs(1, 2), obs(1, 2)}}
+	a, _, clock := newAgent(t, Config{Sampler: sampler, Shards: 4})
+	check := func(when string, want int) {
+		t.Helper()
+		if got, n := a.Len(), len(a.Entries()); got != n || got != want {
+			t.Errorf("%s: Len = %d, len(Entries()) = %d, want %d", when, got, n, want)
+		}
+	}
+	check("empty", 0)
+	_ = a.Tick()
+	check("installed", 4)
+	if _, err := a.MergeSnapshot([]SnapshotEntry{
+		{Prefix: pfx(t, "10.0.1.1/32"), Window: 30, Samples: 5},
+		{Prefix: pfx(t, "10.0.0.1/32"), Window: 30, Samples: 5}, // local entry wins
+	}, MergePolicy{}); err != nil {
+		t.Fatal(err)
+	}
+	check("merged", 5)
+	clock.Advance(60 * time.Second)
+	_ = a.Tick()
+	check("refreshed", 5)
+	clock.Advance(60 * time.Second)
+	_ = a.Tick() // the merged entry lapses; 3 and 4 were refreshed 60 s ago
+	check("merged entry expired", 4)
+	clock.Advance(60 * time.Second)
+	_ = a.Tick()
+	check("unobserved entries expired", 2)
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("closed", 0)
+}
+
 func TestStatsCounters(t *testing.T) {
 	d := dst(t, "10.0.0.1")
 	sampler := &fakeSampler{rounds: [][]Observation{{

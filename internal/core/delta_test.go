@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -30,6 +32,9 @@ type modeResult struct {
 	entries  []Entry
 	stats    Stats
 	tickErrs []string
+	// stable counts the rounds planned on the stable path; it is not part of
+	// the contract (the reference never takes that path).
+	stable uint64
 }
 
 // runModeSchedule drives one agent over the schedule with 30s tick spacing
@@ -37,7 +42,13 @@ type modeResult struct {
 // complete observable output.
 func runModeSchedule(t *testing.T, shards int, fullRescan bool, aggBits int, rounds [][]Observation) modeResult {
 	t.Helper()
-	routes := &recordingBatchRoutes{}
+	return runModeScheduleOn(t, &recordingBatchRoutes{}, nil, shards, fullRescan, aggBits, rounds)
+}
+
+// runModeScheduleOn is runModeSchedule over caller-built routes (failure
+// injection) and, when non-nil, a caller's last word on the Config.
+func runModeScheduleOn(t *testing.T, routes *recordingBatchRoutes, tweak func(*Config), shards int, fullRescan bool, aggBits int, rounds [][]Observation) modeResult {
+	t.Helper()
 	var now atomic.Int64
 	cfg := Config{
 		Sampler:    &playbackSampler{rounds: rounds},
@@ -46,6 +57,9 @@ func runModeSchedule(t *testing.T, shards int, fullRescan bool, aggBits int, rou
 		PrefixBits: 24,
 		Shards:     shards,
 		FullRescan: fullRescan,
+	}
+	if tweak != nil {
+		tweak(&cfg)
 	}
 	if aggBits > 0 {
 		cfg.AggregateBits = aggBits
@@ -63,7 +77,10 @@ func runModeSchedule(t *testing.T, shards int, fullRescan bool, aggBits int, rou
 			tickErrs = append(tickErrs, err.Error())
 		}
 	}
-	return modeResult{ops: routes.recorded(), entries: a.Entries(), stats: a.Stats(), tickErrs: tickErrs}
+	return modeResult{
+		ops: routes.recorded(), entries: a.Entries(), stats: a.Stats(), tickErrs: tickErrs,
+		stable: a.Metrics().Counter("riptide_tick_rounds_stable").Value(),
+	}
 }
 
 // compareModes diffs the delta run against the full-rescan reference.
@@ -244,6 +261,138 @@ func TestQuiescentTickMatchesFullRescan(t *testing.T) {
 	}
 }
 
+// membershipChurnRounds evolves a stream whose membership changes a little
+// every round — the regime the stable path's edits exist for. Every round
+// mixes in-place window changes with destination swaps to seen and
+// never-seen prefixes (so multi-member /24 groups gain and lose members
+// mid-span), validity flips, and destinations that lose their last member
+// and regain it before or after their TTL (three rounds at the harness's
+// 30 s spacing); the tail grows and shrinks; some rounds change nothing; one
+// mid-run round swaps a third of the stream, forcing a rebuild between two
+// stable runs. Routes left behind expire while the rounds around them stay
+// stable.
+func membershipChurnRounds(seed int64, roundCount, n int) [][]Observation {
+	r := rand.New(rand.NewSource(seed))
+	cur := make([]Observation, n)
+	for i := range cur {
+		cur[i] = Observation{
+			Dst:        netip.AddrFrom4([4]byte{10, byte(r.Intn(20)), byte(r.Intn(100)), byte(1 + r.Intn(4))}),
+			Cwnd:       10 + r.Intn(90),
+			RTT:        time.Duration(20+r.Intn(200)) * time.Millisecond,
+			BytesAcked: int64(r.Intn(100)) * 1500,
+		}
+	}
+	for i := 0; i < 3; i++ {
+		cur[i].Dst, cur[i].Cwnd = netip.AddrFrom4([4]byte{10, 250, byte(i), 1}), 12
+	}
+	freshN := 0
+	fresh := func() netip.Addr {
+		freshN++
+		return netip.AddrFrom4([4]byte{10, byte(100 + freshN/250), byte(freshN % 250), 1})
+	}
+	later := map[int][]func(){}
+	out := make([][]Observation, roundCount)
+	for round := range out {
+		for _, f := range later[round] {
+			f()
+		}
+		switch {
+		case round == 0 || round%9 == 0:
+			// Install round, and rounds where nothing moves.
+		case round == roundCount/2:
+			for i := range cur {
+				if r.Intn(3) == 0 {
+					cur[i].Dst = cur[r.Intn(len(cur))].Dst
+				}
+			}
+			// Sockets 0-2 each own a destination that went dirty last round
+			// (still converging, on the active list). It misses the rebuild
+			// and comes back one round later — by a join edit — with a far
+			// window it needs many more rounds to converge on.
+			for i := 0; i < 3; i++ {
+				i, home := i, cur[i].Dst
+				cur[i].Dst = fresh()
+				later[round+1] = append(later[round+1], func() { cur[i].Dst, cur[i].Cwnd = home, 97 })
+			}
+		default:
+			for j := 0; j < n/50; j++ {
+				cur[3+r.Intn(len(cur)-3)].Cwnd = 10 + r.Intn(90)
+			}
+			if round == roundCount/2-1 {
+				cur[0].Cwnd, cur[1].Cwnd, cur[2].Cwnd = 60, 70, 80
+			}
+			for j := 0; j < 4; j++ {
+				cur[r.Intn(len(cur))].Dst = cur[r.Intn(len(cur))].Dst
+			}
+			for j := 0; j < 3; j++ {
+				cur[r.Intn(len(cur))].Dst = fresh()
+			}
+			for j := 0; j < 2; j++ {
+				i, back := r.Intn(len(cur)), round+1+r.Intn(5)
+				cur[i].Cwnd = 0
+				later[back] = append(later[back], func() {
+					if i < len(cur) {
+						cur[i].Cwnd = 10 + i%90
+					}
+				})
+			}
+			for j := 0; j < 2; j++ {
+				// Away for one round (back before the TTL) or five (after).
+				i, back := r.Intn(len(cur)), round+1+4*r.Intn(2)
+				home := cur[i].Dst
+				cur[i].Dst = fresh()
+				later[back] = append(later[back], func() {
+					if i < len(cur) {
+						cur[i].Dst = home
+					}
+				})
+			}
+			switch round % 5 {
+			case 2:
+				cur = append(cur,
+					Observation{Dst: fresh(), Cwnd: 10 + r.Intn(90)},
+					Observation{Dst: cur[r.Intn(len(cur))].Dst, Cwnd: 10 + r.Intn(90)},
+					Observation{Dst: fresh(), Cwnd: 0})
+			case 4:
+				cur = cur[:len(cur)-2]
+			}
+		}
+		out[round] = append([]Observation(nil), cur...)
+	}
+	return out
+}
+
+// TestDeltaTickMatchesFullRescanMembershipChurn pins the stable path's
+// membership edits to the full-rescan reference over generated churn, with
+// failing installs and failing withdrawals mixed in: byte-identical route
+// programs, entries, stats and error text at every shard count — and the
+// rounds must really have been planned on the stable path.
+func TestDeltaTickMatchesFullRescanMembershipChurn(t *testing.T) {
+	newRoutes := func() *recordingBatchRoutes {
+		rt := &recordingBatchRoutes{}
+		rt.fail = func(p netip.Prefix) bool { return p.Addr().As4()[2]%23 == 7 }
+		rt.failClear = func(p netip.Prefix) bool { return p.Addr().As4()[2]%29 == 11 }
+		return rt
+	}
+	for seed := int64(1); seed <= 2; seed++ {
+		rounds := membershipChurnRounds(seed, 48, 1600)
+		for _, shards := range []int{1, 2, 4, 8} {
+			label := fmt.Sprintf("seed=%d/shards=%d", seed, shards)
+			full := runModeScheduleOn(t, newRoutes(), nil, shards, true, 0, rounds)
+			if full.stats.EntriesExpired == 0 || full.stats.RouteErrors == 0 || len(full.tickErrs) == 0 {
+				t.Fatalf("%s: reference saw no expiry or no failure: %+v", label, full.stats)
+			}
+			delta := runModeScheduleOn(t, newRoutes(), nil, shards, false, 0, rounds)
+			compareModes(t, label, full, delta)
+			// All but the install round, the mid-run mass swap and the odd
+			// compacting rebuild.
+			if least := uint64(len(rounds) - 6); delta.stable < least {
+				t.Errorf("%s: %d rounds on the stable path, want at least %d", label, delta.stable, least)
+			}
+		}
+	}
+}
+
 // TestStableRoundsEngageQuiescentPath guards the fast path against silent
 // rot: a positionally-stable schedule must actually be planned by
 // planShardQuiescent (observable as the shards' clean-round counters
@@ -293,6 +442,185 @@ func TestStableRoundsEngageQuiescentPath(t *testing.T) {
 	// subsequent rounds are positionally stable on every shard.
 	if want := uint64(8 * len(a.shards)); clean != want {
 		t.Fatalf("clean-round counters sum to %d, want %d: stable rounds fell back to full rebuilds", clean, want)
+	}
+}
+
+// nanOn13 is the average, except that a group holding a 13-segment window
+// has no finite value.
+type nanOn13 struct{ AverageCombiner }
+
+func (c nanOn13) Combine(obs []Observation) float64 {
+	for _, o := range obs {
+		if o.Cwnd == 13 {
+			return math.NaN()
+		}
+	}
+	return c.AverageCombiner.Combine(obs)
+}
+
+// TestDeltaTickMatchesFullRescanGroupedDrop covers state deletion under a
+// group that is still observed, on the stable path: a destination whose
+// Combine value turns NaN stops being refreshed and expires while its sockets
+// stay in the stream, and a route the programmer reports withdrawn
+// (ErrFallbackCleared) is dropped mid-round. A full rescan re-creates either
+// state from nothing on the next round; the stable path must too, without
+// leaving the path.
+func TestDeltaTickMatchesFullRescanGroupedDrop(t *testing.T) {
+	const n, roundCount = 400, 30
+	cur := make([]Observation, n)
+	for i := range cur {
+		cur[i] = Observation{Dst: netip.AddrFrom4([4]byte{10, 9, byte(i % 250), byte(1 + i/250)}), Cwnd: 20 + i%60, RTT: 30 * time.Millisecond}
+	}
+	rounds := make([][]Observation, roundCount)
+	for r := range rounds {
+		for j := 0; r > 0 && j < n/30; j++ {
+			cur[(r*53+j*17)%n].Cwnd = 20 + (r*7+j*11)%60
+		}
+		for i := 5; i < 8; i++ { // NaN for seven rounds: more than the three-round TTL
+			if r >= 8 && r < 15 {
+				cur[i].Cwnd = 13
+			} else if cur[i].Cwnd == 13 {
+				cur[i].Cwnd = 40
+			}
+		}
+		rounds[r] = append([]Observation(nil), cur...)
+	}
+	newRoutes := func() *recordingBatchRoutes {
+		rt := &recordingBatchRoutes{}
+		rt.failWith = func(op RouteOp) error {
+			if !op.Clear && op.Prefix.Addr().As4()[2]%7 == 0 && op.Window%4 == 1 {
+				return fmt.Errorf("budget spent: %w", ErrFallbackCleared)
+			}
+			return nil
+		}
+		return rt
+	}
+	for _, shards := range []int{1, 4} {
+		label := fmt.Sprintf("shards=%d", shards)
+		nan := func(c *Config) { c.Combiner = nanOn13{} }
+		full := runModeScheduleOn(t, newRoutes(), nan, shards, true, 0, rounds)
+		if st := full.stats; st.CombinerRejects == 0 || st.EntriesExpired == 0 || st.RoutesCleared <= st.EntriesExpired {
+			t.Fatalf("%s: reference saw no NaN expiry or no fallback clear: %+v", label, st)
+		}
+		delta := runModeScheduleOn(t, newRoutes(), nan, shards, false, 0, rounds)
+		compareModes(t, label, full, delta)
+		if delta.stable != roundCount-1 {
+			t.Errorf("%s: %d rounds on the stable path, want %d", label, delta.stable, roundCount-1)
+		}
+	}
+}
+
+// outageSampler fails the rounds down names and replays inner otherwise.
+type outageSampler struct {
+	inner ConnectionSampler
+	down  func(round int) bool
+	round int
+}
+
+func (s *outageSampler) SampleConnections(buf []Observation) ([]Observation, error) {
+	s.round++
+	if s.down(s.round - 1) {
+		return nil, errors.New("sampler down")
+	}
+	return s.inner.SampleConnections(buf)
+}
+
+// TestDeltaTickMatchesFullRescanSamplerOutage pins what happens to lazily
+// credited routes when the rounds that refresh them stop: through a one-round
+// outage nothing may expire, through an outage longer than the TTL (which
+// also opens the breaker) every route must — the credited ones included,
+// though no stable round is there to settle them — and the table must come
+// back identically afterwards.
+func TestDeltaTickMatchesFullRescanSamplerOutage(t *testing.T) {
+	const n, roundCount = 300, 24
+	cur := make([]Observation, n)
+	for i := range cur {
+		cur[i] = Observation{Dst: netip.AddrFrom4([4]byte{10, 8, byte(i % 250), byte(1 + i/250)}), Cwnd: 20 + i%60}
+	}
+	rounds := make([][]Observation, roundCount)
+	for r := range rounds {
+		for j := 0; r > 0 && j < 6; j++ {
+			cur[(r*53+j*17)%n].Cwnd = 20 + (r*7+j*11)%60
+		}
+		rounds[r] = append([]Observation(nil), cur...)
+	}
+	outage := func(c *Config) {
+		c.Sampler = &outageSampler{inner: c.Sampler, down: func(r int) bool { return r == 4 || (r >= 9 && r < 16) }}
+	}
+	for _, shards := range []int{1, 4} {
+		label := fmt.Sprintf("shards=%d", shards)
+		full := runModeScheduleOn(t, &recordingBatchRoutes{}, outage, shards, true, 0, rounds)
+		if st := full.stats; st.EntriesExpired < n/2 || st.BreakerOpens == 0 || len(full.entries) < n/2 {
+			t.Fatalf("%s: reference did not lose and regain its table: %+v", label, st)
+		}
+		delta := runModeScheduleOn(t, &recordingBatchRoutes{}, outage, shards, false, 0, rounds)
+		compareModes(t, label, full, delta)
+	}
+}
+
+// TestMembershipChurnStaysOnStablePath is the engagement guard for membership
+// edits: 2 000 sockets of which 0.1 % move to a never-seen destination every
+// round, run past one TTL so the routes left behind expire mid-run, must be
+// planned on the stable path on every shard after the install round —
+// equivalence alone would hold either way. The registry counters are what an
+// operator would read off a daemon that has fallen back to rebuilding.
+func TestMembershipChurnStaysOnStablePath(t *testing.T) {
+	const n, roundCount = 2000, 110
+	cur := make([]Observation, n)
+	for i := range cur {
+		cur[i] = Observation{
+			Dst:  netip.AddrFrom4([4]byte{10, 3, byte(i / 200), byte(1 + i%200)}),
+			Cwnd: 10 + i%90,
+			RTT:  50 * time.Millisecond,
+		}
+	}
+	rounds := make([][]Observation, roundCount)
+	for r := range rounds {
+		if r > 0 {
+			for j := 0; j < n/1000; j++ {
+				cur[(r*131+j*977)%n].Dst = netip.AddrFrom4([4]byte{10, 4, byte(r), byte(1 + j)})
+			}
+			for j := 0; j < n/100; j++ {
+				cur[(r*37+j*101)%n].Cwnd = 10 + (r*13+j)%90
+			}
+		}
+		rounds[r] = append([]Observation(nil), cur...)
+	}
+	var now atomic.Int64
+	a, err := New(Config{
+		Sampler: &playbackSampler{rounds: rounds},
+		Routes:  nopRoutes{},
+		Clock:   func() time.Duration { return time.Duration(now.Load()) },
+		Shards:  4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = a.Close() }()
+	for range rounds {
+		now.Add(int64(time.Second))
+		if err := a.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stable := a.Metrics().Counter("riptide_tick_rounds_stable").Value()
+	rebuild := a.Metrics().Counter("riptide_tick_rounds_rebuild").Value()
+	if stable != roundCount-1 || rebuild != 1 {
+		t.Errorf("rounds: %d stable, %d rebuilt; want %d and 1", stable, rebuild, roundCount-1)
+	}
+	for i, sh := range a.shards {
+		if sh.cleanRounds != roundCount-1 {
+			t.Errorf("shard %d: %d clean rounds, want %d", i, sh.cleanRounds, roundCount-1)
+		}
+	}
+	// Moved-away routes lapse one TTL (90 rounds) after their last refresh.
+	st := a.Stats()
+	if want := uint64((roundCount - 90) * n / 1000); st.EntriesExpired != want {
+		t.Errorf("EntriesExpired = %d, want %d", st.EntriesExpired, want)
+	}
+	// One route per socket, plus the routes left behind and not yet lapsed.
+	if got, want := a.Len(), n+(roundCount-1)*n/1000-int(st.EntriesExpired); got != want {
+		t.Errorf("Len = %d, want %d live routes", got, want)
 	}
 }
 

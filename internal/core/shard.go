@@ -1,9 +1,9 @@
 package core
 
 import (
-	"math"
 	"net/netip"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 )
@@ -34,9 +34,6 @@ const parallelThreshold = 256
 // clamp to it so their labels match the agent's effective configuration.
 const MaxDefaultShards = 16
 
-// maxDuration is the nextExpiry sentinel for "no live entry has a deadline".
-const maxDuration = time.Duration(math.MaxInt64)
-
 // defaultShards is the Config.Shards default: one shard per core, capped at
 // MaxDefaultShards.
 func defaultShards() int {
@@ -59,17 +56,10 @@ func defaultShards() int {
 // history map did.
 type destState struct {
 	entry
-	// installed marks that a route is programmed and the embedded entry
-	// fields are live; Lookup/Entries/snapshots ignore the state otherwise.
-	installed bool
-	// absorbed marks a child whose specific route was withdrawn in favour
-	// of an installed covering aggregate; the entry fields keep learning so
-	// a diverging window can split its specific route back out.
-	absorbed bool
 
-	// Inline smoothing state for the default per-shard EWMA path.
-	ewma    float64
-	hasEwma bool
+	// Inline smoothing state for the default per-shard EWMA path (valid
+	// while hasEwma).
+	ewma float64
 
 	// Plan-stage scratch (tickMu only): the tick sequence this state was
 	// last touched in, and its group's span in the shard arena.
@@ -77,18 +67,18 @@ type destState struct {
 	span groupSpan
 
 	// Delta-tick bookkeeping (tickMu only): the group size of the last
-	// planned round and the Combine value it produced. A group whose every
-	// observation is position-stable since last round and whose size
-	// matches prevN is provably identical to last round's, so its Combine
-	// call (and arena copy) is skipped and lastValue reused.
+	// planned round and (while hasLast) the Combine value it produced. A
+	// group whose every observation is position-stable since last round and
+	// whose size matches prevN is provably identical to last round's, so its
+	// Combine call (and arena copy) is skipped and lastValue reused.
 	prevN     int32
 	lastValue float64
-	hasLast   bool
 
 	// Quiescent fast-path bookkeeping (tickMu only; see planShardQuiescent).
-	// memberOff locates the group's member sample-indices in sh.memberIdx
-	// (valid while sh.planValid); dirtySeq dedups the group in a stable
-	// round's dirty list; inActive tracks membership in sh.active; cleanSeen
+	// memberOff/memberCap locate the group's member sample-indices in
+	// sh.memberIdx (prevN of the memberCap slots are in use while seq ==
+	// sh.fullSeq); dirtySeq dedups the group in a stable round's dirty
+	// list; inActive tracks membership in sh.active; cleanSeen
 	// is the sh.cleanRounds value up to which lazy TTL/sample credit has
 	// been folded into the entry fields; ewmaSeen is the same watermark for
 	// the smoothing state (advanced only by eager processing, replayed by
@@ -97,20 +87,41 @@ type destState struct {
 	// then the clean loop skips it entirely, and 0 means the horizon is
 	// unknown and must be recomputed on the next visit.
 	memberOff int32
+	memberCap int32
 	dirtySeq  uint64
 	cleanSeen uint64
 	ewmaSeen  uint64
 	wakeAt    uint64
-	inActive  bool
+
+	// due is the deadline of the state's live item in sh.deadlines, 0 when
+	// none is queued (shard mu; see noteExpiry).
+	due time.Duration
 
 	// Incremental-digest cache (shard mu): the FNV-1a state after hashing
-	// the destination's canonical CIDR text (computed once per slot — slab
-	// slots are never recarved for a different prefix, so the seed stays
-	// valid for the struct's lifetime) and the content hash currently
-	// folded into the agent's digest accumulator (meaningful while
+	// the destination's canonical CIDR text (computed once per slot, while
+	// digSeeded — slab slots are never recarved for a different prefix, so
+	// the seed stays valid for the struct's lifetime) and the content hash
+	// currently folded into the agent's digest accumulator (meaningful while
 	// installed; see internal/core/digest.go).
-	digSeed   uint64
-	digHash   uint64
+	digSeed uint64
+	digHash uint64
+
+	// The flags sit together so they pack into one word.
+	//
+	// installed marks that a route is programmed and the embedded entry
+	// fields are live; Lookup/Entries/snapshots ignore the state otherwise.
+	installed bool
+	// absorbed marks a child whose specific route was withdrawn in favour
+	// of an installed covering aggregate; the entry fields keep learning so
+	// a diverging window can split its specific route back out.
+	absorbed bool
+	// dead marks a state deleted from its shard (shard mu). Slab slots are
+	// never recarved, so a pointer held by the sample cache or the deadline
+	// queue stays readable and is validated against this mark alone.
+	dead      bool
+	hasEwma   bool
+	hasLast   bool
+	inActive  bool
 	digSeeded bool
 }
 
@@ -132,21 +143,11 @@ type shard struct {
 	// policy; the default EWMA smoothing is inlined in destState.
 	history HistoryPolicy
 
-	// gen invalidates cached *destState pointers in the agent's sample
-	// cache: bumped on every state deletion (and Close). Read during
-	// ingest without the shard lock — safe because every writer holds
-	// tickMu, which ingest also runs under.
-	gen uint64
-	// nextExpiry is a lazy lower bound on the earliest TTL deadline among
-	// installed/absorbed states; expiry scans are skipped while now is
-	// before it, making a no-op expiry round O(shards) instead of
-	// O(entries). maxDuration when no live state has a deadline.
-	nextExpiry time.Duration
-	// planValid marks that touched/span/arena scratch from the last
-	// grouping rebuild is still exact: no state has been deleted since.
-	// Combined with an identical sample stream it lets planShard skip the
-	// grouping passes outright (see planShard).
-	planValid bool
+	// deadlines is a min-heap of TTL deadlines in due order (mu), at most one
+	// live item per state: every installed or absorbed state has one unless
+	// it is a refreshed member of the retained grouping (expireDueLocked), so
+	// an expiry round costs O(due), not O(entries).
+	deadlines []expiryItem
 
 	// Aggregation state (Config.AggregateBits): covering prefix →
 	// membership; dirtyAggs queues parents whose membership or windows
@@ -171,27 +172,37 @@ type shard struct {
 	dissolves   []netip.Prefix
 	delta       tickDelta
 
-	// Quiescent fast-path state (a.quiescentOK configs only). memberIdx
-	// concatenates every touched group's member sample-indices in sample
-	// order, laid out by the last full rebuild (valid while planValid);
-	// active lists the touched states that still need per-round plan work —
-	// smoothing not yet at its fixed point, or install pending — and drains
-	// as states converge. cleanRounds counts stable rounds applied
-	// shard-wide since the agent started; refreshedAt is the time of the
-	// latest one; fullSeq is the tick sequence of the last full rebuild (a
-	// state with seq == fullSeq is covered by shard-level lazy credit).
-	// dirtyList and gather are per-round scratch. All tickMu-only except
-	// where materializeLocked runs under mu from readers.
+	// Quiescent fast-path state (a.quiescentOK configs only). memberIdx holds
+	// every touched group's member sample-indices in sample order, packed by
+	// the last full rebuild; stable rounds edit the spans in place and
+	// relocate a full one to the tail, and a tail past memberLimit makes the
+	// next round a (compacting) full rebuild. touched lists the grouping's
+	// states (plus, after edits, some that left). active lists those that
+	// still need per-round plan work — smoothing not yet at its fixed point,
+	// or install pending — and drains as states converge. cleanRounds counts
+	// stable rounds applied shard-wide since the agent started; refreshedAt
+	// is the time of the latest plan round of either kind; fullSeq is the
+	// tick sequence of the last full rebuild, which every state in the
+	// grouping carries in seq (0: no grouping). dirtyList and gather are
+	// per-round scratch. All tickMu-only except where materializeLocked runs
+	// under mu from readers.
 	memberIdx   []int32
+	memberLimit int
 	active      []plannedDest
 	dirtyList   []plannedDest
 	gather      []Observation
 	cleanRounds uint64
 	refreshedAt time.Duration
 	fullSeq     uint64
-	// creditPending marks that quiescent rounds ran since the last full
-	// rebuild, so the next full round bulk-materializes the covered set.
+	// creditPending marks that stable rounds ran since the covered set was
+	// last settled: lazy credit is outstanding.
 	creditPending bool
+}
+
+// grouped reports whether st is a member of the shard's retained grouping:
+// observed when it was last rebuilt or edited, with a live member span.
+func (sh *shard) grouped(st *destState) bool {
+	return sh.fullSeq != 0 && st.seq == sh.fullSeq
 }
 
 // newDestState carves a destState from the shard's slab.
@@ -217,23 +228,72 @@ func (sh *shard) newDestState() *destState {
 	return st
 }
 
-// noteExpiry lowers the shard's next-expiry bound to cover a refreshed or
-// newly installed deadline. Called at every expires-write site.
-func (sh *shard) noteExpiry(e time.Duration) {
-	if e < sh.nextExpiry {
-		sh.nextExpiry = e
+// expiryItem is one queued TTL deadline.
+type expiryItem struct {
+	due time.Duration
+	key netip.Prefix
+	st  *destState
+}
+
+// noteExpiry queues st's deadline unless an item due no later is already
+// queued; a superseded item is recognised by its mismatching due when it
+// pops. Called at a first install outside the retained grouping, a fleet
+// merge and every eager full-path refresh, and whenever a state stops being
+// refreshed as a member of the grouping. Deadlines are almost always written
+// in due order (now+TTL), so the sift is O(1).
+func (sh *shard) noteExpiry(key netip.Prefix, st *destState) {
+	if st.due != 0 && st.due <= st.expires {
+		return
 	}
+	st.due = st.expires
+	h := append(sh.deadlines, expiryItem{due: st.expires, key: key, st: st})
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p].due <= h[i].due {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+	sh.deadlines = h
+}
+
+// popDue removes and returns the earliest queued deadline if it is due.
+func (sh *shard) popDue(now time.Duration) (expiryItem, bool) {
+	h := sh.deadlines
+	if len(h) == 0 || h[0].due > now {
+		return expiryItem{}, false
+	}
+	top := h[0]
+	n := len(h) - 1
+	h[0], h[n] = h[n], expiryItem{}
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].due < h[c].due {
+			c++
+		}
+		if h[i].due <= h[c].due {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	sh.deadlines = h
+	return top, true
 }
 
 // cachedSample is the delta-tick sample cache entry for one observation
-// index: the route key and shard resolved last round, the resolved state
-// pointer, and the shard generation that validates it. invalid marks an
+// index: the route key and shard resolved last round and the resolved state
+// pointer, trusted until the state is marked dead. invalid marks an
 // observation the validation pass rejected, so its twin next round is
 // rejected without re-keying.
 type cachedSample struct {
 	key     netip.Prefix
 	st      *destState
-	gen     uint64
 	shard   int32
 	invalid bool
 }
@@ -270,7 +330,18 @@ type keyedObs struct {
 	key netip.Prefix
 	st  *destState
 	idx int32
+	// kind is set on stable rounds only (compareChunk): the observation
+	// changed in place, left st's group, or joins key's group.
+	kind obsKind
 }
+
+type obsKind uint8
+
+const (
+	obsDirty obsKind = iota
+	obsLeave
+	obsJoin
+)
 
 // tickDelta accumulates one shard's stat deltas during the plan stage; the
 // commit stage folds them into Stats under a.mu.
@@ -368,21 +439,36 @@ func (sh *shard) dropInstalled(a *Agent, dst netip.Prefix) bool {
 	return true
 }
 
-// dropState deletes a destination's state under the shard lock, bumping the
-// shard generation so cached sample pointers and retained grouping scratch
-// are invalidated, and updating aggregate membership. Callers maintain
-// sh.installed themselves. The struct's live flags are cleared so stale
-// pointers in retained scratch (touched, active) read it as dead until the
-// next full rebuild discards them.
+// dropState deletes a destination's state under the shard lock, marking the
+// struct dead — which is all that invalidates cached pointers to it — and
+// updating aggregate membership. Callers maintain sh.installed themselves.
+//
+// A state that still has members in the retained grouping is observed right
+// now: a full rescan would re-create it from nothing next round. It is reset
+// in place instead (an uninstalled state is invisible to every reader), so
+// its span, the sample cache and the other groups stay exact; it rejoins the
+// active list, where hasLast == false forces a fresh Combine.
 func (a *Agent) dropState(sh *shard, dst netip.Prefix) {
-	if st, ok := sh.states[dst]; ok {
-		st.installed = false
-		st.absorbed = false
-		st.inActive = false
+	st, ok := sh.states[dst]
+	if !ok {
+		return
 	}
+	if sh.grouped(st) {
+		*st = destState{
+			seq: st.seq, prevN: st.prevN, memberOff: st.memberOff, memberCap: st.memberCap,
+			dirtySeq: st.dirtySeq, inActive: st.inActive, cleanSeen: sh.cleanRounds, ewmaSeen: sh.cleanRounds,
+			digSeed: st.digSeed, digSeeded: st.digSeeded,
+		}
+		if !st.inActive {
+			st.inActive = true
+			sh.active = append(sh.active, plannedDest{key: dst, st: st})
+		}
+		return
+	}
+	st.installed = false
+	st.absorbed = false
+	st.dead = true
 	delete(sh.states, dst)
-	sh.gen++
-	sh.planValid = false
 	a.forgetHistory(sh, dst)
 	a.aggUnregister(sh, dst)
 }
@@ -435,10 +521,9 @@ func runParallel(n int, fn func(i int)) {
 // sees.
 //
 // In delta mode an observation byte-identical at the same index as last
-// round reuses its cached key/shard/state (the cached state pointer survives
-// only while the shard generation is unchanged); everything else takes the
-// full validation path and re-primes the cache. The governor sees every
-// valid observation either way.
+// round reuses its cached key/shard/state (unless the state has since been
+// marked dead); everything else takes the full validation path and re-primes
+// the cache. The governor sees every valid observation either way.
 func (a *Agent) ingestChunk(w int, obs []Observation) {
 	nShards := len(a.shards)
 	chunk := (len(obs) + a.ingestWorkers - 1) / a.ingestWorkers
@@ -457,7 +542,7 @@ func (a *Agent) ingestChunk(w int, obs []Observation) {
 			case c.invalid:
 				cache[i] = c
 				continue
-			case c.st != nil && c.gen == a.shards[c.shard].gen:
+			case c.st != nil && !c.st.dead:
 				cache[i] = c
 				if a.cfg.Guard != nil {
 					a.cfg.Guard.ObserveSample(c.key, *o)
@@ -501,7 +586,7 @@ func (a *Agent) ingestChunk(w int, obs []Observation) {
 // pass, and emit the shard's route plan, clears, and expiry candidates into
 // its scratch slices.
 //
-// Delta mode prunes the work three ways, always producing byte-identical
+// Delta mode prunes the work two ways, always producing byte-identical
 // output to a full rescan (enforced by TestDeltaTickMatchesFullRescan):
 //
 //   - an observation position-stable since last round arrives with its
@@ -509,11 +594,7 @@ func (a *Agent) ingestChunk(w int, obs []Observation) {
 //   - a group whose every member is stable and whose size is unchanged is
 //     provably identical to last round's, so the arena copy and Combine are
 //     skipped and the recorded Combine value reused — smoothing, clamping,
-//     review, and TTL refresh still run every round;
-//   - a sample stream that is literally the same slice as last round's,
-//     with no state deleted since the last rebuild (sh.planValid), skips
-//     passes 1 and 2 outright: the retained touched/span/arena scratch is
-//     still exact.
+//     review, and TTL refresh still run every round.
 func (a *Agent) planShard(si int, obs []Observation, now time.Duration) {
 	sh := a.shards[si]
 	nShards := len(a.shards)
@@ -526,113 +607,113 @@ func (a *Agent) planShard(si int, obs []Observation, now time.Duration) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
-	// A full round ending a quiescent run must fold the outstanding
-	// clean-round credit — entry fields and skipped smoothing advances —
-	// into the covered entries (last rebuild's touched set) before pass 3
-	// starts mutating them eagerly, and before pass 1 restamps their
-	// sequence numbers.
-	if sh.creditPending {
-		for _, td := range sh.touched {
-			a.materializeLocked(sh, td.st)
-			a.forwardEWMALocked(sh, td.st)
+	// A full round ending a stable run settles the covered entries before
+	// pass 3 starts mutating them eagerly, and before pass 1 regroups. The
+	// new grouping is built in the active list's array (which is rebuilt
+	// from it below), so the old one can be walked afterwards.
+	old := sh.touched
+	if a.quiescentOK {
+		if sh.creditPending {
+			a.settleCoveredLocked(sh)
 		}
-		sh.creditPending = false
+		sh.refreshedAt = now
+		sh.touched = sh.active
+	}
+	sh.touched = sh.touched[:0]
+
+	// Pass 1: resolve states and count groups. Replaying the worker-major
+	// buckets in worker order visits observations in original sample order,
+	// so first-encounter order (sh.touched) is deterministic for every shard
+	// and worker count. Observations that arrived without a cached state
+	// resolve through the map and mark their group dirty; newly resolved
+	// pointers are written back to the sample cache for the next round.
+	seq := a.tickSeq
+	cache := a.cacheCur
+	for w := 0; w < a.ingestWorkers; w++ {
+		bucket := a.buckets[w*nShards+si]
+		for j := range bucket {
+			ko := &bucket[j]
+			st := ko.st
+			fresh := st == nil
+			if fresh {
+				st = sh.states[ko.key]
+				if st == nil {
+					st = sh.newDestState()
+					sh.states[ko.key] = st
+					a.aggRegister(sh, ko.key, st)
+				}
+				if a.delta {
+					cache[ko.idx].st = st
+				}
+				ko.st = st
+			}
+			if st.seq != seq {
+				st.seq = seq
+				st.span = groupSpan{}
+				sh.touched = append(sh.touched, plannedDest{key: ko.key, st: st})
+			}
+			st.span.n++
+			if fresh {
+				st.span.dirty = true
+			}
+		}
 	}
 
-	if !(a.identTick && sh.planValid) {
-		sh.planValid = false
-		sh.touched = sh.touched[:0]
+	if a.quiescentOK {
+		sh.queueDeparted(old, seq)
+		sh.active = old
+	}
 
-		// Pass 1: resolve states and count groups. Replaying the
-		// worker-major buckets in worker order visits observations in
-		// original sample order, so first-encounter order (sh.touched) is
-		// deterministic for every shard and worker count. Observations
-		// that arrived without a cached state resolve through the map and
-		// mark their group dirty; newly resolved pointers are written back
-		// to the sample cache for the next round.
-		seq := a.tickSeq
-		cache := a.cacheCur
-		gen := sh.gen
-		for w := 0; w < a.ingestWorkers; w++ {
-			bucket := a.buckets[w*nShards+si]
-			for j := range bucket {
-				ko := &bucket[j]
-				st := ko.st
-				fresh := st == nil
-				if fresh {
-					st = sh.states[ko.key]
-					if st == nil {
-						st = sh.newDestState()
-						sh.states[ko.key] = st
-						a.aggRegister(sh, ko.key, st)
-					}
-					if a.delta {
-						cache[ko.idx].st = st
-						cache[ko.idx].gen = gen
-					}
-					ko.st = st
-				}
-				if st.seq != seq {
-					st.seq = seq
-					st.span = groupSpan{}
-					sh.touched = append(sh.touched, plannedDest{key: ko.key, st: st})
-				}
-				st.span.n++
-				if fresh {
-					st.span.dirty = true
-				}
-			}
-		}
-
-		// Pass 2: clean groups (fully stable, unchanged size, with a
-		// recorded Combine value) skip the arena; dirty groups get offsets
-		// and are filled in sample order. Quiescent-eligible configs also
-		// record every group's member sample-indices (memberIdx), so later
-		// stable rounds can re-Combine a dirtied group without any regroup.
-		off := int32(0)
-		moff := int32(0)
-		for _, td := range sh.touched {
-			sp := &td.st.span
-			if a.quiescentOK {
-				td.st.memberOff = moff
-				moff += sp.n
-			}
-			if !sp.dirty && td.st.hasLast && sp.n == td.st.prevN {
-				sp.off = cleanSpan
-				continue
-			}
-			sp.off = off
-			off += sp.n
-		}
-		if int(off) > len(sh.arena) {
-			sh.arena = make([]Observation, off)
-		}
-		if int(moff) > len(sh.memberIdx) {
-			sh.memberIdx = make([]int32, moff)
-		}
-		if off > 0 || moff > 0 {
-			arena, members := sh.arena, sh.memberIdx
-			for w := 0; w < a.ingestWorkers; w++ {
-				for _, ko := range a.buckets[w*nShards+si] {
-					sp := &ko.st.span
-					if moff > 0 {
-						members[ko.st.memberOff+sp.mfill] = ko.idx
-						sp.mfill++
-					}
-					if sp.off == cleanSpan {
-						continue
-					}
-					arena[sp.off+sp.fill] = obs[ko.idx]
-					sp.fill++
-				}
-			}
-		}
-		if a.delta {
-			sh.planValid = true
-		}
+	// Pass 2: clean groups (fully stable, unchanged size, with a recorded
+	// Combine value) skip the arena; dirty groups get offsets and are filled
+	// in sample order. Quiescent-eligible configs also record every group's
+	// member sample-indices (memberIdx, packed, with tail slack for the
+	// stable rounds' edits), so a later stable round can re-Combine or edit
+	// a group without any regroup.
+	off := int32(0)
+	moff := int32(0)
+	for _, td := range sh.touched {
+		sp := &td.st.span
 		if a.quiescentOK {
-			sh.fullSeq = seq
+			td.st.memberOff, td.st.memberCap = moff, sp.n
+			moff += sp.n
 		}
+		if !sp.dirty && td.st.hasLast && sp.n == td.st.prevN {
+			sp.off = cleanSpan
+			continue
+		}
+		sp.off = off
+		off += sp.n
+	}
+	if int(off) > len(sh.arena) {
+		sh.arena = make([]Observation, off)
+	}
+	if a.quiescentOK {
+		sh.memberLimit = int(moff) + int(moff)/memberSlackDiv + memberSlackMin
+		if sh.memberLimit > cap(sh.memberIdx) {
+			sh.memberIdx = make([]int32, moff, sh.memberLimit)
+		}
+		sh.memberIdx = sh.memberIdx[:moff]
+	}
+	if off > 0 || moff > 0 {
+		arena, members := sh.arena, sh.memberIdx
+		for w := 0; w < a.ingestWorkers; w++ {
+			for _, ko := range a.buckets[w*nShards+si] {
+				sp := &ko.st.span
+				if moff > 0 {
+					members[ko.st.memberOff+sp.mfill] = ko.idx
+					sp.mfill++
+				}
+				if sp.off == cleanSpan {
+					continue
+				}
+				arena[sp.off+sp.fill] = obs[ko.idx]
+				sp.fill++
+			}
+		}
+	}
+	if a.quiescentOK {
+		sh.fullSeq = seq
 	}
 
 	// Pass 3: per destination — combine (or reuse), smooth, clamp, review,
@@ -654,6 +735,9 @@ func (a *Agent) planShard(si int, obs []Observation, now time.Duration) {
 				// (an EWMA never recovers from a NaN).
 				st.hasLast = false
 				sh.delta.combinerRejects++
+				if st.installed {
+					sh.noteExpiry(td.key, st)
+				}
 				continue
 			}
 			st.lastValue = value
@@ -723,7 +807,9 @@ func (a *Agent) planShard(si int, obs []Observation, now time.Duration) {
 			// entry that was seeded from a fleet snapshot.
 			st.merged = false
 			st.mergedAge = 0
-			sh.noteExpiry(st.expires)
+			if !a.quiescentOK {
+				sh.noteExpiry(td.key, st)
+			}
 			if st.window != final {
 				sh.plan = append(sh.plan, programOp{dst: td.key, window: final, obs: n, st: st, shard: sh.idx})
 			}
@@ -739,7 +825,7 @@ func (a *Agent) planShard(si int, obs []Observation, now time.Duration) {
 			st.samples += uint64(n)
 			st.merged = false
 			st.mergedAge = 0
-			sh.noteExpiry(st.expires)
+			sh.noteExpiry(td.key, st)
 			parent, _ := a.aggKey(td.key)
 			agg := sh.aggs[parent]
 			if agg == nil || !agg.installed || absInt(final-agg.window) > a.cfg.AggregateTolerance {
@@ -747,7 +833,7 @@ func (a *Agent) planShard(si int, obs []Observation, now time.Duration) {
 			} else if pst := sh.states[parent]; pst != nil && pst.installed {
 				pst.expires = now + a.cfg.TTL
 				pst.updated = now
-				sh.noteExpiry(pst.expires)
+				sh.noteExpiry(parent, pst)
 			}
 		default:
 			// New destination: the entry is recorded in the program
@@ -769,57 +855,108 @@ func (a *Agent) planShard(si int, obs []Observation, now time.Duration) {
 	}
 
 	a.aggregatePass(sh, now)
+	sh.delta.expiredDropped += a.expireDueLocked(sh, now)
+}
 
-	if sh.nextExpiry <= now {
-		sh.delta.expiredDropped += a.sweepExpiredLocked(sh, now)
+// settleCoveredLocked folds the outstanding clean-round credit — entry fields
+// and skipped smoothing advances — into every covered entry. Afterwards
+// nothing is credited until the next stable round.
+func (a *Agent) settleCoveredLocked(sh *shard) {
+	for _, td := range sh.touched {
+		a.materializeLocked(sh, td.st)
+		a.forwardEWMALocked(sh, td.st)
+	}
+	sh.creditPending = false
+}
+
+// queueDeparted takes every state of the grouping old that the grouping
+// stamped seq no longer holds off the books: its active-list mark is cleared
+// and, if it has a route, its deadline queued — membership kept it out of
+// the queue (see expireDueLocked).
+func (sh *shard) queueDeparted(old []plannedDest, seq uint64) {
+	for _, td := range old {
+		if st := td.st; st.seq != seq {
+			st.inActive = false
+			if st.installed {
+				sh.noteExpiry(td.key, st)
+			}
+		}
 	}
 }
 
-// sweepExpiredLocked scans the shard for lapsed deadlines under its lock:
-// installed states queue a route withdrawal in sh.expired; absorbed states
-// have no route to withdraw and are dropped directly (the returned count
-// folds into EntriesExpired). The shard's next-expiry bound is recomputed;
-// queued withdrawals pin it at now so a failed clear retries next round.
-func (a *Agent) sweepExpiredLocked(sh *shard, now time.Duration) (dropped uint64) {
-	next := maxDuration
-	for dst, st := range sh.states {
-		// Outstanding quiescent rounds leave covered entries' deadlines
-		// stale; fold the credit in before judging them.
-		a.materializeLocked(sh, st)
+// expireDueLocked pops the deadlines that have come due, under the shard
+// lock: installed states queue a route withdrawal in sh.expired and stay
+// queued until the clear lands (a failed one retries next round); absorbed
+// states have no route to withdraw and are dropped directly (the returned
+// count folds into EntriesExpired). A state refreshed since it was queued is
+// re-queued at its current deadline.
+//
+// An installed member of the grouping with a finite Combine value is
+// refreshed — eagerly or by credit — in every plan round of either kind, so
+// it cannot lapse before refreshedAt+TTL and needs no item: one that pops is
+// let go, and whatever ends the membership queues the state again (leaving,
+// a rejected Combine, a regroup that misses it). Only when no plan round has
+// run for a whole TTL (sampler down) can members lapse; the grouping is then
+// disbanded, every member queued, and the next round rebuilds.
+func (a *Agent) expireDueLocked(sh *shard, now time.Duration) (dropped uint64) {
+	if sh.fullSeq != 0 && sh.refreshedAt+a.cfg.TTL <= now {
+		a.settleCoveredLocked(sh)
+		sh.queueDeparted(sh.touched, 0)
+		sh.fullSeq = 0
+	}
+	for it, ok := sh.popDue(now); ok; it, ok = sh.popDue(now) {
+		st := it.st
+		if st.dead || st.due != it.due {
+			continue
+		}
+		st.due = 0
 		switch {
-		case st.installed && st.expires <= now:
-			sh.expired = append(sh.expired, dst)
-		case st.absorbed && st.expires <= now:
-			a.dropState(sh, dst)
+		case !st.installed && !st.absorbed:
+		case st.installed && st.hasLast && sh.grouped(st):
+		case st.expires > now:
+			sh.noteExpiry(it.key, st)
+		case st.installed:
+			sh.expired = append(sh.expired, it.key)
+		default:
+			a.dropState(sh, it.key)
 			dropped++
-		case (st.installed || st.absorbed) && st.expires < next:
-			next = st.expires
 		}
 	}
-	if len(sh.expired) > 0 {
-		next = now
+	// A lapsed route stays queued until its clear lands — re-queued only now,
+	// or it would pop again at once.
+	for _, key := range sh.expired {
+		sh.noteExpiry(key, sh.states[key])
 	}
-	sh.nextExpiry = next
+	if h := sh.deadlines; cap(h) > 1024 && len(h) < cap(h)/4 {
+		// A burst has drained (a whole table installed in one round comes
+		// due in one round): give the memory back.
+		sh.deadlines = append(make([]expiryItem, 0, 2*len(h)), h...)
+	}
 	return dropped
 }
 
 // The quiescent fast path.
 //
-// A production sampler usually reports the same connection table round after
-// round, with only the congestion metrics moving. When the stream is
-// *positionally stable* — same length, same destination (and validity) at
-// every index — group membership is provably unchanged, so the whole
-// ingest/regroup machinery is redundant: the only real work is re-combining
-// the groups that contain a changed observation, and advancing smoothing
-// for states whose EWMA has not yet reached its fixed point.
+// A production sampler usually reports nearly the same connection table round
+// after round: congestion metrics move, and a few sockets open, close or
+// change peer. When the stream is *positionally stable* but for a small
+// share of such edits, the ingest/regroup machinery is redundant: the only
+// real work is moving the edited positions between groups, re-combining the
+// groups that contain a changed observation, and advancing smoothing for
+// states whose EWMA has not yet reached its fixed point.
 //
 // planShardQuiescent exploits that. It is used only for configurations
 // where a skipped per-destination visit is provably unobservable
 // (a.quiescentOK: no Governor, no Advisor, no shared History policy, no
 // prefix aggregation) and produces byte-identical output to a full rescan:
 //
-//   - dirty groups (any member changed this round) re-Combine from their
-//     member sample-indices recorded at the last full rebuild;
+//   - an edit (a position whose destination or validity changed, or that
+//     the stream's tail gained or lost) takes its sample index out of the
+//     old group's member span and inserts it, in sample order, into the new
+//     one's; a group that empties leaves the covered set with its credit
+//     settled and its deadline queued, one that appears joins it;
+//   - dirty groups (any member changed or edited this round) re-Combine from
+//     their member sample-indices;
 //   - clean states still converging (or with an install pending) advance
 //     through sh.active, and drop off it once smoothing reaches a bitwise
 //     fixed point with the programmed window — after which every further
@@ -827,15 +964,14 @@ func (a *Agent) sweepExpiredLocked(sh *shard, now time.Duration) (dropped uint64
 //   - the per-round TTL refresh and sample credit of converged states is
 //     applied lazily: sh.cleanRounds/refreshedAt record the rounds the
 //     shard sat quiescent, and materializeLocked folds the credit into the
-//     entry fields before anything reads them (Entries, snapshots, expiry
-//     sweeps, or the next full rebuild).
+//     entry fields before anything reads them (Entries, snapshots, leaving
+//     the covered set, or the next full rebuild).
 
 // materializeLocked folds outstanding quiescent-round credit into one
 // entry: the TTL refreshes and per-round sample counts the skipped visits
-// would have applied. Covered states are exactly last full rebuild's
-// touched set (seq == fullSeq); anything else — merged entries, dropped
-// states lingering in stale scratch — takes no credit. Called under the
-// state's shard lock (readers) or tickMu (plan stage).
+// would have applied. Covered states are the installed members of the
+// retained grouping (seq == fullSeq); anything else — merged entries, groups
+// that emptied — takes no credit. Called under the state's shard lock.
 func (a *Agent) materializeLocked(sh *shard, st *destState) {
 	if st.cleanSeen == sh.cleanRounds || st.seq != sh.fullSeq || !st.installed {
 		st.cleanSeen = sh.cleanRounds
@@ -845,37 +981,129 @@ func (a *Agent) materializeLocked(sh *shard, st *destState) {
 	st.expires = sh.refreshedAt + a.cfg.TTL
 	st.updated = sh.refreshedAt
 	st.cleanSeen = sh.cleanRounds
-	sh.noteExpiry(st.expires)
 }
 
+// A stable round may carry membership edits up to 1/editShareDiv of each
+// worker's chunk (plus editFloor, so small streams qualify); past that the
+// round is rebuilt — an edit costs a map operation and a span shift, a
+// rebuild a few linear passes. memberSlack* size the tail room a rebuild
+// leaves in memberIdx for relocated spans.
+const (
+	editShareDiv   = 8
+	editFloor      = 4
+	memberSlackDiv = 4
+	memberSlackMin = 64
+)
+
 // compareChunk is the stable-round detector: worker w compares its chunk of
-// the sample against last round's, routing changed observations (same
-// destination, still valid) to the per-shard dirty buckets. It reports
-// false — round not stable, fall back to the full ingest path — on any
-// membership change: a destination swap, a validity flip, or an observation
-// whose cached state is missing.
+// the sample against last round's and routes what changed to the per-shard
+// buckets — an observation that kept its destination and validity as dirty,
+// a membership edit as a leave from the cached group and/or a join to the
+// re-keyed one (whose cache entry it re-primes; the joined shard fills in
+// the state). The last worker also retires the positions a shorter stream
+// lost. It reports false — rebuild the round through the full ingest path —
+// once the chunk's edits exceed their share.
 func (a *Agent) compareChunk(w int, obs []Observation) bool {
 	nShards := len(a.shards)
 	chunk := (len(obs) + a.ingestWorkers - 1) / a.ingestWorkers
-	lo := w * chunk
-	hi := lo + chunk
-	if hi > len(obs) {
-		hi = len(obs)
+	lo := min(w*chunk, len(obs))
+	hi := min(lo+chunk, len(obs))
+	prev, cache := a.obsPrev, a.cachePrev
+	budget := (hi-lo)/editShareDiv + editFloor
+	route := func(s int32, ko keyedObs) {
+		b := &a.buckets[w*nShards+int(s)]
+		*b = append(*b, ko)
 	}
-	prev, prevCache := a.obsPrev, a.cachePrev
 	for i := lo; i < hi; i++ {
-		o := &obs[i]
-		if *o == prev[i] {
-			continue
+		o, c := &obs[i], &cache[i]
+		if i < len(prev) {
+			if *o == prev[i] {
+				continue
+			}
+			if !c.invalid {
+				if o.Dst == prev[i].Dst && o.Cwnd > 0 {
+					route(c.shard, keyedObs{key: c.key, st: c.st, idx: int32(i)})
+					continue
+				}
+				route(c.shard, keyedObs{key: c.key, st: c.st, idx: int32(i), kind: obsLeave})
+			}
 		}
-		c := &prevCache[i]
-		if c.invalid || c.st == nil || o.Dst != prev[i].Dst || o.Cwnd <= 0 {
+		if budget--; budget < 0 {
 			return false
 		}
-		b := &a.buckets[w*nShards+int(c.shard)]
-		*b = append(*b, keyedObs{key: c.key, st: c.st, idx: int32(i)})
+		*c = cachedSample{invalid: true}
+		if o.Cwnd <= 0 || !o.Dst.IsValid() {
+			continue
+		}
+		key, err := a.destKey(o.Dst)
+		if err != nil {
+			continue
+		}
+		*c = cachedSample{key: key, shard: int32(a.shardIndex(key))}
+		route(c.shard, keyedObs{key: key, idx: int32(i), kind: obsJoin})
+	}
+	if w == a.ingestWorkers-1 {
+		for i := len(obs); i < len(prev); i++ {
+			if budget--; budget < 0 {
+				return false
+			}
+			if c := &cache[i]; !c.invalid {
+				route(c.shard, keyedObs{key: c.key, st: c.st, idx: int32(i), kind: obsLeave})
+			}
+		}
 	}
 	return true
+}
+
+// leaveGroupLocked takes sample index idx out of st's member span. A group
+// that empties leaves the covered set: its credit is settled through the
+// previous round and its deadline queued, exactly where a full rescan — which
+// stops visiting it — leaves it.
+func (a *Agent) leaveGroupLocked(sh *shard, key netip.Prefix, st *destState, idx int32) {
+	span := sh.memberIdx[st.memberOff : st.memberOff+st.prevN]
+	j, _ := slices.BinarySearch(span, idx)
+	copy(span[j:], span[j+1:])
+	if st.prevN--; st.prevN > 0 {
+		return
+	}
+	a.materializeLocked(sh, st)
+	a.forwardEWMALocked(sh, st)
+	st.seq = 0
+	if st.installed {
+		sh.noteExpiry(key, st)
+	}
+}
+
+// joinGroupLocked resolves (or creates) key's state, backfills the sample
+// cache, and inserts sample index idx into the group's member span in sample
+// order. A group new to the grouping joins the covered set with no credit for
+// the rounds it sat out; a span without room moves to the tail of memberIdx.
+func (a *Agent) joinGroupLocked(sh *shard, key netip.Prefix, idx int32) *destState {
+	st := sh.states[key]
+	if st == nil {
+		st = sh.newDestState()
+		sh.states[key] = st
+	}
+	a.cachePrev[idx].st = st
+	if !sh.grouped(st) {
+		st.seq = sh.fullSeq
+		st.prevN, st.memberOff, st.memberCap = 0, 0, 0
+		st.cleanSeen, st.ewmaSeen = sh.cleanRounds, sh.cleanRounds
+		sh.touched = append(sh.touched, plannedDest{key: key, st: st})
+	}
+	if st.prevN == st.memberCap {
+		off := int32(len(sh.memberIdx))
+		st.memberCap = 2*st.prevN + 1
+		sh.memberIdx = append(sh.memberIdx, sh.memberIdx[st.memberOff:st.memberOff+st.prevN]...)
+		sh.memberIdx = append(sh.memberIdx, make([]int32, st.memberCap-st.prevN)...)
+		st.memberOff = off
+	}
+	st.prevN++
+	span := sh.memberIdx[st.memberOff : st.memberOff+st.prevN]
+	j, _ := slices.BinarySearch(span[:st.prevN-1], idx)
+	copy(span[j+1:], span[j:])
+	span[j] = idx
+	return st
 }
 
 // quiescentBody is pass 3 of the plan stage for one destination on the
@@ -898,7 +1126,7 @@ func (a *Agent) quiescentBody(sh *shard, key netip.Prefix, st *destState, value 
 	st.samples += uint64(n)
 	st.merged = false
 	st.mergedAge = 0
-	sh.noteExpiry(st.expires)
+	// No noteExpiry: st is covered, and whatever ends that queues it.
 	if st.window != final {
 		sh.plan = append(sh.plan, programOp{dst: key, window: final, obs: n, st: st, shard: sh.idx})
 		return false
@@ -965,10 +1193,10 @@ func (a *Agent) forwardEWMALocked(sh *shard, st *destState) {
 	}
 }
 
-// planShardQuiescent replaces planShard on a stable round: group membership
-// is unchanged since the last full rebuild, so only dirty groups and
-// not-yet-converged states are visited. Everything else is covered by the
-// shard-level clean-round credit.
+// planShardQuiescent replaces planShard on a stable round: the retained
+// grouping is exact once this round's edits are applied, so only edited and
+// dirty groups and not-yet-converged states are visited. Everything else is
+// covered by the shard-level clean-round credit.
 func (a *Agent) planShardQuiescent(si int, obs []Observation, now time.Duration) {
 	sh := a.shards[si]
 	nShards := len(a.shards)
@@ -983,20 +1211,27 @@ func (a *Agent) planShardQuiescent(si int, obs []Observation, now time.Duration)
 
 	seq := a.tickSeq
 
-	// Collect this round's dirty groups from the compare buckets, deduped
-	// by group, and settle their outstanding lazy credit before this
-	// round's counter bump — the current round is handled eagerly below,
-	// so it must not also be credited. Bucket replay order is original
-	// sample order, but no order dependence remains here: the commit stage
-	// sorts the merged plan.
+	// Apply this round's edits and collect its dirty groups from the compare
+	// buckets, deduped by group, settling their outstanding lazy credit
+	// before this round's counter bump — the current round is handled eagerly
+	// below, so it must not also be credited. Bucket replay order is original
+	// sample order, but no order dependence remains here: spans are kept
+	// sorted, and the commit stage sorts the merged plan.
 	sh.dirtyList = sh.dirtyList[:0]
 	for w := 0; w < a.ingestWorkers; w++ {
 		for _, ko := range a.buckets[w*nShards+si] {
-			if ko.st.dirtySeq != seq {
-				ko.st.dirtySeq = seq
-				a.materializeLocked(sh, ko.st)
-				a.forwardEWMALocked(sh, ko.st)
-				sh.dirtyList = append(sh.dirtyList, plannedDest{key: ko.key, st: ko.st})
+			st := ko.st
+			switch ko.kind {
+			case obsLeave:
+				a.leaveGroupLocked(sh, ko.key, st, ko.idx)
+			case obsJoin:
+				st = a.joinGroupLocked(sh, ko.key, ko.idx)
+			}
+			if st.dirtySeq != seq && sh.grouped(st) {
+				st.dirtySeq = seq
+				a.materializeLocked(sh, st)
+				a.forwardEWMALocked(sh, st)
+				sh.dirtyList = append(sh.dirtyList, plannedDest{key: ko.key, st: st})
 			}
 		}
 	}
@@ -1009,10 +1244,15 @@ func (a *Agent) planShardQuiescent(si int, obs []Observation, now time.Duration)
 	// kept on the list but handled below with their fresh Combine value. A
 	// state parked until a future flip round is skipped without a single
 	// write: every skipped round is a pure refresh, replayed by the lazy
-	// credit when it wakes (or is redirtied, swept, or read).
+	// credit when it wakes (or is redirtied, edited out, or read). A state
+	// whose group emptied is off the list for good.
 	kept := sh.active[:0]
 	for _, td := range sh.active {
 		st := td.st
+		if !sh.grouped(st) {
+			st.inActive = false
+			continue
+		}
 		if st.dirtySeq == seq {
 			kept = append(kept, td)
 			continue
@@ -1063,9 +1303,13 @@ func (a *Agent) planShardQuiescent(si int, obs []Observation, now time.Duration)
 
 	// Dirty groups: re-Combine from their member sample-indices and run the
 	// full per-destination treatment. A converged state going dirty rejoins
-	// the active list.
+	// the active list. (A group dirtied and then emptied by a later edit is
+	// no longer in the grouping.)
 	for _, td := range sh.dirtyList {
 		st := td.st
+		if !sh.grouped(st) {
+			continue
+		}
 		st.cleanSeen = sh.cleanRounds
 		st.ewmaSeen = sh.cleanRounds
 		a.recombineLocked(sh, td, obs, now)
@@ -1075,16 +1319,14 @@ func (a *Agent) planShardQuiescent(si int, obs []Observation, now time.Duration)
 		}
 	}
 
-	if sh.nextExpiry <= now {
-		sh.delta.expiredDropped += a.sweepExpiredLocked(sh, now)
-	}
+	sh.delta.expiredDropped += a.expireDueLocked(sh, now)
 }
 
-// recombineLocked gathers a group's member observations (positions recorded
-// at the last full rebuild, still exact on a stable round), re-runs Combine,
-// and applies the per-destination pass. It reports whether the combined
-// value was finite; a rejected value leaves the state exactly as the full
-// path would — no refresh, hasLast cleared, the reject counted.
+// recombineLocked gathers a group's member observations from its span,
+// re-runs Combine, and applies the per-destination pass. It reports whether
+// the combined value was finite; a rejected value leaves the state exactly
+// as the full path would — no refresh (so its deadline is queued), hasLast
+// cleared, the reject counted.
 func (a *Agent) recombineLocked(sh *shard, td plannedDest, obs []Observation, now time.Duration) bool {
 	st := td.st
 	st.wakeAt = 0 // the combined value may move: horizon void
@@ -1100,6 +1342,9 @@ func (a *Agent) recombineLocked(sh *shard, td plannedDest, obs []Observation, no
 	if !isFinite(value) {
 		st.hasLast = false
 		sh.delta.combinerRejects++
+		if st.installed {
+			sh.noteExpiry(td.key, st)
+		}
 		return false
 	}
 	st.lastValue = value

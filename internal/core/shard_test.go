@@ -51,6 +51,11 @@ type recordingRoutes struct {
 	mu   sync.Mutex
 	ops  []string
 	fail func(netip.Prefix) bool
+	// failClear fails withdrawals only, so an installed route's expiry can
+	// be made to retry.
+	failClear func(netip.Prefix) bool
+	// failWith (batched surface only) picks the error itself.
+	failWith func(RouteOp) error
 }
 
 func (r *recordingRoutes) SetInitCwnd(p netip.Prefix, w int) error {
@@ -67,7 +72,7 @@ func (r *recordingRoutes) SetInitCwnd(p netip.Prefix, w int) error {
 func (r *recordingRoutes) ClearInitCwnd(p netip.Prefix) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.fail != nil && r.fail(p) {
+	if (r.fail != nil && r.fail(p)) || (r.failClear != nil && r.failClear(p)) {
 		r.ops = append(r.ops, fmt.Sprintf("clear-fail %v", p))
 		return errors.New("injected clear failure")
 	}
@@ -99,17 +104,30 @@ func (r *recordingBatchRoutes) ProgramRoutes(ops []RouteOp) []error {
 		if op.Clear {
 			verb = "clear"
 		}
-		if r.fail != nil && r.fail(op.Prefix) {
+		if (r.fail != nil && r.fail(op.Prefix)) || (op.Clear && r.failClear != nil && r.failClear(op.Prefix)) {
 			verb += "-fail"
 			if errs == nil {
 				errs = make([]error, len(ops))
 			}
 			errs[i] = errors.New("injected batch failure")
+		} else if err := r.failWithOp(op); err != nil {
+			verb += "-fail"
+			if errs == nil {
+				errs = make([]error, len(ops))
+			}
+			errs[i] = err
 		}
 		s += fmt.Sprintf(" %s %v %d;", verb, op.Prefix, op.Window)
 	}
 	r.ops = append(r.ops, s)
 	return errs
+}
+
+func (r *recordingRoutes) failWithOp(op RouteOp) error {
+	if r.failWith == nil {
+		return nil
+	}
+	return r.failWith(op)
 }
 
 var (
@@ -410,7 +428,7 @@ func TestCloseClearsShardedRoutesSorted(t *testing.T) {
 			prefixes[i] = netip.MustParsePrefix(raw)
 		}
 		for i := 1; i < len(prefixes); i++ {
-			if !lessPrefix(prefixes[i-1], prefixes[i]) {
+			if comparePrefix(prefixes[i-1], prefixes[i]) >= 0 {
 				t.Errorf("shards=%d: close clears not sorted at %d: %v then %v",
 					shards, i, prefixes[i-1], prefixes[i])
 				break

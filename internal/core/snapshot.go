@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -150,7 +150,7 @@ func (a *Agent) ExportDelta(since uint64) ([]SnapshotEntry, uint64) {
 func (a *Agent) ExportDeltaAppend(buf []SnapshotEntry, since uint64) ([]SnapshotEntry, uint64) {
 	version := a.tableVer.Load()
 	now := a.cfg.Clock()
-	capHint := a.entryCount()
+	capHint := a.Len()
 	if since > 0 {
 		if last := int(a.lastDeltaLen.Load()); last < capHint {
 			capHint = last
@@ -211,7 +211,7 @@ func (a *Agent) ExportDeltaAppend(buf []SnapshotEntry, since uint64) ([]Snapshot
 	if since > 0 {
 		a.lastDeltaLen.Store(int64(len(out)))
 	}
-	sort.Slice(out, func(i, j int) bool { return lessPrefix(out[i].Prefix, out[j].Prefix) })
+	slices.SortFunc(out, func(x, y SnapshotEntry) int { return comparePrefix(x.Prefix, y.Prefix) })
 	return out, version
 }
 
@@ -269,6 +269,7 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 	a.mu.Unlock()
 	plan := make([]mergeOp, 0, len(entries))
 	planned := make(map[netip.Prefix]int, len(entries)) // index into plan
+	perShard := make([]int, len(a.shards))              // planned seeds, for deadline-queue room
 	for _, se := range entries {
 		if se.Quarantined {
 			// The source withdrew this destination after a loss
@@ -290,7 +291,8 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 			continue
 		}
 		key := se.Prefix.Masked()
-		sh := a.shardFor(key)
+		si := a.shardIndex(key)
+		sh := a.shards[si]
 		sh.mu.Lock()
 		st, ok := sh.states[key]
 		// An absorbed child counts as local: its covering aggregate route
@@ -338,9 +340,17 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 		}
 		planned[key] = len(plan)
 		plan = append(plan, op)
+		perShard[si]++
+	}
+	for si, n := range perShard {
+		// A warm start seeds a whole table at once: make room in one step.
+		sh := a.shards[si]
+		sh.mu.Lock()
+		sh.deadlines = slices.Grow(sh.deadlines, n)
+		sh.mu.Unlock()
 	}
 
-	sort.Slice(plan, func(i, j int) bool { return lessPrefix(plan[i].dst, plan[j].dst) })
+	slices.SortFunc(plan, func(x, y mergeOp) int { return comparePrefix(x.dst, y.dst) })
 
 	// Stage 2: program routes outside the locks — one batch call when the
 	// backend supports it.
@@ -407,7 +417,7 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 		} else {
 			a.digestFold(op.dst, st)
 		}
-		sh.noteExpiry(op.expires)
+		sh.noteExpiry(op.dst, st)
 		// Seed history so the first local observation blends with the
 		// fleet's estimate instead of starting from nothing.
 		a.smooth(sh, st, op.dst, float64(op.window))

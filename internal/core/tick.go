@@ -1,12 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"net/netip"
 	"slices"
-	"sort"
 	"time"
 )
 
@@ -118,29 +118,12 @@ func (a *Agent) Tick() error {
 	}
 	a.noteSampleSuccess()
 
-	// Delta setup: size this round's sample cache, and detect a stream
-	// that is literally last round's slice (a sampler with a fixed set
-	// returning its own backing array). Such a round can skip ingest
-	// entirely — and, per shard, the grouping passes (see planShard) —
-	// unless a governor needs to see every sample or a shard's retained
-	// scratch was invalidated.
-	identStream := false
+	// Delta setup: size this round's sample cache.
 	if a.delta {
 		if cap(a.cacheCur) < len(obs) {
 			a.cacheCur = make([]cachedSample, len(obs))
 		} else {
 			a.cacheCur = a.cacheCur[:cap(a.cacheCur)]
-		}
-		identStream = a.havePrev && len(obs) > 0 && len(obs) == len(a.obsPrev) && &obs[0] == &a.obsPrev[0]
-	}
-	a.identTick = identStream
-	skipIngest := identStream && a.cfg.Guard == nil
-	if skipIngest {
-		for _, sh := range a.shards {
-			if !sh.planValid {
-				skipIngest = false
-				break
-			}
 		}
 	}
 
@@ -152,75 +135,62 @@ func (a *Agent) Tick() error {
 	if nShards > 1 && len(obs) >= parallelThreshold {
 		workers = nShards
 	}
+	a.ingestWorkers = workers
+	for i := 0; i < workers*nShards; i++ {
+		a.buckets[i] = a.buckets[i][:0]
+	}
+	eachShard := func(fn func(s int)) {
+		if workers > 1 {
+			runParallel(nShards, fn)
+			return
+		}
+		for s := 0; s < nShards; s++ {
+			fn(s)
+		}
+	}
 
 	// Stable-round detection (the quiescent fast path): with an eligible
-	// config, a retained rebuild on every shard, and a stream of unchanged
-	// length, compare this round's sample against last round's. If every
-	// position kept its destination and validity, group membership is
-	// provably unchanged — ingest and regroup are skipped and each shard
-	// patches only its dirty groups and still-converging states. Any
-	// membership change falls back to the full path below, which resets the
-	// (possibly partially filled) buckets itself.
+	// config and a retained grouping with tail room left on every shard,
+	// compare this round's sample against last round's. Positions that kept
+	// their destination and validity need no ingest or regroup, and the few
+	// that did not are applied to the grouping as edits; each shard then
+	// patches only its edited and dirty groups and still-converging states.
+	// A round whose edited share is too large falls back to the full path
+	// below, which resets the (partially filled) buckets itself.
 	stable := false
-	if a.quiescentOK && a.havePrev && len(obs) > 0 && len(obs) == len(a.obsPrev) {
-		allValid := true
+	if a.quiescentOK && a.havePrev && len(obs) > 0 {
+		stable = true
 		for _, sh := range a.shards {
-			if !sh.planValid {
-				allValid = false
-				break
+			if sh.fullSeq == 0 || len(sh.memberIdx) > sh.memberLimit {
+				stable = false
 			}
 		}
-		if allValid {
-			a.ingestWorkers = workers
-			for i := 0; i < workers*nShards; i++ {
-				a.buckets[i] = a.buckets[i][:0]
+		// A stream that is literally last round's slice (a sampler with a
+		// fixed set returning its own backing array) has nothing to compare.
+		if stable && !(len(obs) == len(a.obsPrev) && &obs[0] == &a.obsPrev[0]) {
+			if n := max(len(obs), len(a.obsPrev)); len(a.cachePrev) < n {
+				a.cachePrev = append(a.cachePrev, make([]cachedSample, n-len(a.cachePrev))...)
 			}
-			switch {
-			case identStream:
-				stable = true
-			case workers > 1:
-				runParallel(workers, func(w int) { a.compareOK[w] = a.compareChunk(w, obs) })
-				stable = true
-				for w := 0; w < workers; w++ {
-					if !a.compareOK[w] {
-						stable = false
-						break
-					}
-				}
-			default:
-				stable = a.compareChunk(0, obs)
-			}
+			runParallel(workers, func(w int) { a.compareOK[w] = a.compareChunk(w, obs) })
+			stable = !slices.Contains(a.compareOK[:workers], false)
 		}
 	}
 
 	if stable {
-		if workers > 1 {
-			runParallel(nShards, func(s int) { a.planShardQuiescent(s, obs, now) })
-		} else {
-			for s := 0; s < nShards; s++ {
-				a.planShardQuiescent(s, obs, now)
-			}
-		}
+		a.mStable.Inc()
+		eachShard(func(s int) { a.planShardQuiescent(s, obs, now) })
 	} else {
-		if !skipIngest {
-			a.ingestWorkers = workers
-			for i := 0; i < workers*nShards; i++ {
-				a.buckets[i] = a.buckets[i][:0]
-			}
-			runParallel(workers, func(w int) { a.ingestChunk(w, obs) })
+		a.mRebuild.Inc()
+		for i := 0; i < workers*nShards; i++ {
+			a.buckets[i] = a.buckets[i][:0]
 		}
+		runParallel(workers, func(w int) { a.ingestChunk(w, obs) })
 		// The governor sees every valid sample above, then closes its
 		// round before any Review call.
 		if a.cfg.Guard != nil {
 			a.cfg.Guard.ObserveTick(now)
 		}
-		if workers > 1 {
-			runParallel(nShards, func(s int) { a.planShard(s, obs, now) })
-		} else {
-			for s := 0; s < nShards; s++ {
-				a.planShard(s, obs, now)
-			}
-		}
+		eachShard(func(s int) { a.planShard(s, obs, now) })
 	}
 	a.mPlan.Observe(time.Since(planStart))
 
@@ -268,10 +238,9 @@ func (a *Agent) Tick() error {
 	// in one round (a pass-3 split plus a dissolve reinstall), and an
 	// unstable sort must still order them deterministically.
 	planIdx := a.sortPlan(plan)
-	sort.Slice(guardClears, func(i, j int) bool { return lessPrefix(guardClears[i], guardClears[j]) })
-	sort.Slice(expired, func(i, j int) bool { return lessPrefix(expired[i], expired[j]) })
-	sort.Slice(absorbs, func(i, j int) bool { return lessPrefix(absorbs[i], absorbs[j]) })
-	sort.Slice(dissolves, func(i, j int) bool { return lessPrefix(dissolves[i], dissolves[j]) })
+	for _, list := range [][]netip.Prefix{guardClears, expired, absorbs, dissolves} {
+		slices.SortFunc(list, comparePrefix)
+	}
 
 	a.mu.Lock()
 	a.stats.Observations += uint64(len(obs))
@@ -294,9 +263,9 @@ func (a *Agent) Tick() error {
 	// never share a backing array: next round's sample appends into the
 	// retiring buffer (or fresh space) while obsPrev stays frozen.
 	if a.delta {
-		// A stable round never re-keys: positions are unchanged, so last
-		// round's cache stays authoritative and is not swapped out.
-		if !skipIngest && !stable {
+		// A stable round edits last round's cache in place; it stays
+		// authoritative and is not swapped out.
+		if !stable {
 			a.cachePrev, a.cacheCur = a.cacheCur, a.cachePrev
 		}
 		prevScratch := a.obsPrev
@@ -336,7 +305,7 @@ type planKey struct {
 	idx int32
 }
 
-// packOpKey encodes every field lessProgramOp consults — IPv4 address,
+// packOpKey encodes every field compareProgramOp consults — IPv4 address,
 // prefix length, window, split, aggregate — into one uint64 whose unsigned
 // order equals the comparator's. It refuses anything it cannot encode
 // exactly (IPv6 and 4-in-6 addresses, windows outside a byte); the caller
@@ -359,7 +328,7 @@ func packOpKey(op *programOp) (uint64, bool) {
 	return k, true
 }
 
-// sortPlan orders the merged plan by lessProgramOp without moving the ops.
+// sortPlan orders the merged plan by compareProgramOp without moving the ops.
 // An all-IPv4 plan — the overwhelmingly common case — gets its packed
 // 8-byte keys sorted and returned; the caller walks the plan through that
 // index order. Plans with anything unpackable are comparator-sorted in
@@ -379,7 +348,7 @@ func (a *Agent) sortPlan(plan []programOp) []planKey {
 	}
 	a.planKeys = keys
 	if !packed {
-		sort.Slice(plan, func(i, j int) bool { return lessProgramOp(plan[i], plan[j]) })
+		slices.SortFunc(plan, compareProgramOp)
 		return nil
 	}
 	if len(keys) < 128 {
@@ -439,19 +408,30 @@ func (a *Agent) radixSortPlanKeys(keys []planKey) []planKey {
 	return src
 }
 
-// lessProgramOp is the total order for the round's merged plan: prefix
+// compareProgramOp is the total order for the round's merged plan: prefix
 // first, then window, then the split/aggregate flags as tie-breakers.
-func lessProgramOp(a, b programOp) bool {
-	if a.dst != b.dst {
-		return lessPrefix(a.dst, b.dst)
+func compareProgramOp(a, b programOp) int {
+	if c := comparePrefix(a.dst, b.dst); c != 0 {
+		return c
 	}
-	if a.window != b.window {
-		return a.window < b.window
+	if c := cmp.Compare(a.window, b.window); c != 0 {
+		return c
 	}
 	if a.split != b.split {
-		return !a.split
+		return cmpBool(a.split, b.split)
 	}
-	return !a.aggregate && b.aggregate
+	return cmpBool(a.aggregate, b.aggregate)
+}
+
+// cmpBool orders false before true.
+func cmpBool(a, b bool) int {
+	switch {
+	case a == b:
+		return 0
+	case b:
+		return -1
+	}
+	return 1
 }
 
 // sameBacking reports whether two slices share a backing array (checked via
@@ -592,8 +572,12 @@ func (a *Agent) programPlan(plan []programOp, keys []planKey, now time.Duration)
 			a.digestRefold(op.dst, st)
 		} else {
 			a.digestFold(op.dst, st)
+			if !sh.grouped(st) {
+				// An installed state is queued already, a grouped one
+				// when it leaves the grouping.
+				sh.noteExpiry(op.dst, st)
+			}
 		}
-		sh.noteExpiry(st.expires)
 		if op.aggregate {
 			if agg := sh.aggs[op.dst]; agg != nil && !agg.installed {
 				agg.installed = true
@@ -765,26 +749,24 @@ func (a *Agent) clearTargets(targets []netip.Prefix, kind clearKind, now time.Du
 }
 
 // expirePass runs only the TTL-expiry portion of a round: collect lapsed
-// entries under the shard locks, withdraw their routes outside them. Shards
-// whose next-expiry bound has not been reached are skipped without touching
-// a single state, so a no-op expiry round costs O(shards).
+// entries under the shard locks, withdraw their routes outside them. Only
+// deadlines that have come due are looked at, so a no-op expiry round costs
+// O(shards).
 func (a *Agent) expirePass(now time.Duration) error {
 	expired := a.clearBuf[:0]
 	var dropped uint64
 	for _, sh := range a.shards {
 		sh.mu.Lock()
-		if sh.nextExpiry <= now {
-			sh.expired = sh.expired[:0]
-			dropped += a.sweepExpiredLocked(sh, now)
-			expired = append(expired, sh.expired...)
-		}
+		sh.expired = sh.expired[:0]
+		dropped += a.expireDueLocked(sh, now)
+		expired = append(expired, sh.expired...)
 		sh.mu.Unlock()
 	}
 	a.clearBuf = expired
 	if dropped > 0 {
 		a.countLocked(func(s *Stats) { s.EntriesExpired += dropped })
 	}
-	sort.Slice(expired, func(i, j int) bool { return lessPrefix(expired[i], expired[j]) })
+	slices.SortFunc(expired, comparePrefix)
 	return a.clearTargets(expired, clearKindExpired, now)
 }
 
