@@ -2,6 +2,9 @@
 # beyond the Go toolchain are required.
 
 GO ?= go
+# The repository root, so `make -f <path>/Makefile <target>` works from any
+# directory: the targets that run the module's commands go through `go -C`.
+ROOT := $(dir $(abspath $(lastword $(MAKEFILE_LIST))))
 
 .PHONY: all check build vet test test-short test-race race bench bench-json bench-serve report report-full fuzz fuzz-guard fuzz-gossip fuzz-netlink fuzz-scenario scenarios examples clean
 
@@ -45,13 +48,15 @@ bench-json:
 bench-serve:
 	$(GO) test -bench 'BenchmarkServe' -benchmem -run '^$$' ./internal/fleet/
 
-# Quick-scale markdown report to stdout.
+# Quick-scale markdown report to stdout. The operational sections come from
+# the scenario library embedded in the binary, so no path depends on the
+# caller's working directory.
 report:
-	$(GO) run ./cmd/riptide-bench -scale quick
+	$(GO) -C $(ROOT) run ./cmd/riptide-bench -scale quick
 
 # Full-scale report + plottable series CSVs, as committed under docs/.
 report-full:
-	$(GO) run ./cmd/riptide-bench -scale full -o docs/REPORT.md -series-dir docs/series
+	$(GO) -C $(ROOT) run ./cmd/riptide-bench -scale full -o docs/REPORT.md -series-dir docs/series
 
 fuzz:
 	$(GO) test -fuzz=FuzzParseSS -fuzztime=30s ./internal/linux
@@ -84,10 +89,11 @@ fuzz-scenario:
 	$(GO) test -fuzz=FuzzDecodeYAML -fuzztime=30s ./internal/scenario
 	$(GO) test -fuzz=FuzzParseScenario -fuzztime=30s ./internal/scenario
 
-# Validate and execute the committed scenario library.
+# Validate and execute every file of the committed scenario library through
+# the CLI (the same files `go test ./scenarios` asserts from the embed).
 scenarios:
-	$(GO) run ./cmd/riptide-sim validate scenarios/*.yaml
-	$(GO) run ./cmd/riptide-sim run scenarios/*.yaml
+	cd $(ROOT) && $(GO) run ./cmd/riptide-sim validate scenarios/*.yaml
+	cd $(ROOT) && $(GO) run ./cmd/riptide-sim run scenarios/*.yaml > /dev/null
 
 examples:
 	$(GO) run ./examples/quickstart

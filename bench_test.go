@@ -534,14 +534,13 @@ func BenchmarkExtensionAdvisorShift(b *testing.B) {
 }
 
 func benchmarkScenario(b *testing.B, name string) {
-	s := benchScale()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ScenarioImpact(name, s); err != nil {
+		if _, err := experiments.Scenario(name); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkScenarioFlashCrowd(b *testing.B)  { benchmarkScenario(b, "flashcrowd") }
-func BenchmarkScenarioDegradation(b *testing.B) { benchmarkScenario(b, "degradation") }
-func BenchmarkScenarioReboots(b *testing.B)     { benchmarkScenario(b, "reboots") }
+func BenchmarkScenarioFlashCrowd(b *testing.B)  { benchmarkScenario(b, "flash-crowd") }
+func BenchmarkScenarioDegradation(b *testing.B) { benchmarkScenario(b, "regional-degradation") }
+func BenchmarkScenarioReboots(b *testing.B)     { benchmarkScenario(b, "rolling-reboots") }

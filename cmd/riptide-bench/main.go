@@ -221,16 +221,25 @@ func report(w io.Writer, s experiments.Scale, seed int64, n int, seriesDir strin
 		{run: func() (experiments.Result, error) { return experiments.Headline(s) }},
 		{section: "Extensions (Section V)", run: func() (experiments.Result, error) { return experiments.ExtensionTrendReaction(seed) }},
 		{run: func() (experiments.Result, error) { return experiments.ExtensionAdvisorShift(seed) }},
-		{section: "Fleet sharing", run: func() (experiments.Result, error) { return experiments.FleetWarmStart(s) }},
-		{section: "Safety governor", run: func() (experiments.Result, error) { return experiments.GuardCapacityCut(seed) }},
 	}
-	for i, name := range experiments.ScenarioNames() {
-		name := name
-		j := job{run: func() (experiments.Result, error) { return experiments.ScenarioImpact(name, s) }}
-		if i == 0 {
-			j.section = "Operational scenarios"
+	// The operational experiments are the embedded scenario library: the
+	// report renders the same runs `go test ./scenarios` asserts.
+	for _, sec := range []struct {
+		section string
+		names   []string
+	}{
+		{"Fleet sharing", []string{"fleet-warm-start", "gossip-cold-region"}},
+		{"Safety governor", []string{"guard-capacity-cut"}},
+		{"Operational scenarios", []string{"flash-crowd", "regional-degradation", "rolling-reboots", "peer-partition"}},
+	} {
+		for i, name := range sec.names {
+			name := name
+			j := job{run: func() (experiments.Result, error) { return experiments.Scenario(name) }}
+			if i == 0 {
+				j.section = sec.section
+			}
+			jobs = append(jobs, j)
 		}
-		jobs = append(jobs, j)
 	}
 	ablations := []func(experiments.Scale) (experiments.Result, error){
 		experiments.AblationCombiners,

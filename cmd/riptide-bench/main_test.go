@@ -41,7 +41,9 @@ func TestReportQuick(t *testing.T) {
 		t.Errorf("series dir: %v entries, err=%v", len(entries), err)
 	}
 	text := sb.String()
-	for _, want := range []string{"FIG2", "FIG10", "FIG16", "ABLATION-TTL", "HEADLINE", "| Europe | 10 |"} {
+	for _, want := range []string{"FIG2", "FIG10", "FIG16", "ABLATION-TTL", "HEADLINE", "| Europe | 10 |",
+		"## Fleet sharing", "SCENARIO-FLEET-WARM-START", "## Safety governor", "SCENARIO-GUARD-CAPACITY-CUT",
+		"## Operational scenarios", "SCENARIO-ROLLING-REBOOTS", "| recovery_ticks |"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("report missing %q", want)
 		}

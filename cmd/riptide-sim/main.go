@@ -10,6 +10,7 @@
 //
 //	riptide-sim run scenarios/guard-capacity-cut.yaml
 //	riptide-sim validate scenarios/*.yaml
+//	riptide-sim -exp scenario-guard-capacity-cut   # the embedded copy, as a table
 package main
 
 import (
@@ -26,6 +27,7 @@ import (
 	"riptide/internal/scenario"
 	"riptide/internal/trace"
 	"riptide/internal/workload"
+	"riptide/scenarios"
 )
 
 func main() {
@@ -99,7 +101,7 @@ func runScenarios(paths []string, execute bool) error {
 func runExperiments(args []string) error {
 	fs := flag.NewFlagSet("riptide-sim", flag.ContinueOnError)
 	var (
-		exp      = fs.String("exp", "all", "experiment: table2|fig10|fig11|fig12|fig13|fig14|fig15|fig16|edge|headline|all")
+		exp      = fs.String("exp", "all", "experiment: table2|fig10|fig11|fig12|fig13|fig14|fig15|fig16|edge|headline|ext-*|scenario-<name>|all")
 		scale    = fs.String("scale", "quick", "scale preset: quick|full")
 		duration = fs.Duration("duration", 0, "override simulated measurement duration")
 		seed     = fs.Int64("seed", 1, "random seed")
@@ -168,14 +170,16 @@ func runExperiments(args []string) error {
 			return experiments.ExtensionAdvisorShift(*seed)
 		},
 	}
-	for _, name := range experiments.ScenarioNames() {
-		name := name
-		runners["scenario-"+name] = func() (experiments.Result, error) {
-			return experiments.ScenarioImpact(name, s)
-		}
-	}
 	order := []string{"table2", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "edge", "headline",
-		"ext-trend", "ext-advisor", "scenario-flashcrowd", "scenario-degradation", "scenario-reboots"}
+		"ext-trend", "ext-advisor"}
+	// The operational scenarios are the embedded YAML library; each carries
+	// its own fleet, seed and duration, so -scale/-seed/-duration do not
+	// apply. `riptide-sim run` gives the full JSON report.
+	for _, name := range scenarios.Names() {
+		name := name
+		runners["scenario-"+name] = func() (experiments.Result, error) { return experiments.Scenario(name) }
+		order = append(order, "scenario-"+name)
+	}
 
 	selected := order
 	if *exp != "all" {

@@ -94,10 +94,18 @@ func TestUnknownExperimentListsValidNames(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-	for _, want := range []string{"valid:", "fig10", "headline", "scenario-flashcrowd", "all"} {
+	for _, want := range []string{"valid:", "fig10", "headline", "scenario-flash-crowd", "all"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not list %q", err, want)
 		}
+	}
+}
+
+// TestRunEmbeddedScenario drives -exp scenario-<name>: the library is
+// embedded, so this works from the package directory (or any other).
+func TestRunEmbeddedScenario(t *testing.T) {
+	if err := run([]string{"-exp", "scenario-peer-partition"}); err != nil {
+		t.Fatal(err)
 	}
 }
 

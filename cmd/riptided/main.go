@@ -175,7 +175,7 @@ func run(args []string) error {
 		peerInterval     = fs.Duration("peer-interval", 30*time.Second, "how often to pull peer snapshots")
 		peerTimeout      = fs.Duration("peer-timeout", 5*time.Second, "timeout per peer snapshot request")
 		fleetMaxAge      = fs.Duration("fleet-max-age", 0, "reject snapshot entries older than this (0 = the TTL)")
-		gossipOn         = fs.Bool("gossip", false, "sync peers via the anti-entropy digest/delta ladder instead of full snapshot pulls (falls back per round when a peer lacks the gossip endpoints)")
+		gossipOn         = fs.Bool("gossip", true, "sync peers via the anti-entropy digest/delta ladder, falling back per round to a full snapshot pull when a peer lacks the gossip endpoints; -gossip=false pulls the full table every -peer-interval")
 		gossipInterval   = fs.Duration("gossip-interval", 0, "peer sync cadence when -gossip is on (0 = -peer-interval); digests are cheap, so this can be much shorter")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -8,10 +8,12 @@ import (
 	"riptide/internal/netsim"
 )
 
-// This file provides operational scenarios — scripted fault and traffic
-// events layered onto a running Cluster — so experiments can measure how
-// Riptide behaves through the incidents the paper's Section II motivates:
-// load shifts, path congestion, and state-destroying maintenance.
+// This file provides the fault and traffic events the scenario engine
+// (internal/scenario) layers onto a Cluster — the incidents the paper's
+// Section II motivates: load shifts, path congestion, and state-destroying
+// maintenance. Each fault type is plain data plus two methods: Validate checks
+// the parameters that need no cluster, Apply re-checks them, resolves the PoP
+// names and schedules the fault's events. Callers then drive Cluster.Run.
 
 // SetPoPPathLoss sets the random loss rate on every path into and out of
 // the named PoP, the blast radius of a regional network degradation.
@@ -198,19 +200,13 @@ func (c *Cluster) ScheduleAt(after time.Duration, fn func()) error {
 	return err
 }
 
-// Scenario is a scripted sequence of events applied to a cluster before it
-// runs. Apply installs the events; the caller then drives Cluster.Run.
-type Scenario interface {
-	// Name identifies the scenario in reports.
-	Name() string
-	// Apply schedules the scenario's events onto the cluster.
-	Apply(c *Cluster) error
-	// Window returns when the disruption is active, for phase-based
-	// analysis: [start, end) in simulated time from Apply.
-	Window() (start, end time.Duration)
-	// AffectedPoPs names the sites the disruption touches, so analyses
-	// can focus on traffic involving them.
-	AffectedPoPs() []string
+// checkPoP rejects a PoP name the cluster does not have; what names the fault
+// for the error.
+func (c *Cluster) checkPoP(what, name string) error {
+	if _, ok := c.byName[name]; !ok {
+		return fmt.Errorf("cdn: %s PoP %q unknown", what, name)
+	}
+	return nil
 }
 
 // FlashCrowd models a sudden burst of extra transfers from every PoP toward
@@ -226,20 +222,8 @@ type FlashCrowd struct {
 	SizeBytes int64
 }
 
-// Name implements Scenario.
-func (f FlashCrowd) Name() string { return "flash-crowd" }
-
-// Window implements Scenario.
-func (f FlashCrowd) Window() (time.Duration, time.Duration) { return f.At, f.At + f.For }
-
-// AffectedPoPs implements Scenario.
-func (f FlashCrowd) AffectedPoPs() []string { return []string{f.Target} }
-
-// Apply implements Scenario.
-func (f FlashCrowd) Apply(c *Cluster) error {
-	if _, ok := c.byName[f.Target]; !ok {
-		return fmt.Errorf("cdn: flash crowd target %q unknown", f.Target)
-	}
+// Validate checks the crowd's parameters.
+func (f FlashCrowd) Validate() error {
 	if f.RatePerPoP <= 0 || f.For <= 0 {
 		return fmt.Errorf("cdn: flash crowd needs positive rate and duration")
 	}
@@ -248,6 +232,17 @@ func (f FlashCrowd) Apply(c *Cluster) error {
 	}
 	if f.SizeBytes < 0 {
 		return fmt.Errorf("cdn: flash crowd size %d bytes must not be negative", f.SizeBytes)
+	}
+	return nil
+}
+
+// Apply schedules the crowd's transfers onto the cluster.
+func (f FlashCrowd) Apply(c *Cluster) error {
+	if err := f.Validate(); err != nil {
+		return err
+	}
+	if err := c.checkPoP("flash crowd target", f.Target); err != nil {
+		return err
 	}
 	size := f.SizeBytes
 	if size == 0 {
@@ -287,22 +282,21 @@ type RegionalDegradation struct {
 	BaselineLoss float64
 }
 
-// Name implements Scenario.
-func (d RegionalDegradation) Name() string { return "regional-degradation" }
-
-// Window implements Scenario.
-func (d RegionalDegradation) Window() (time.Duration, time.Duration) { return d.At, d.At + d.For }
-
-// AffectedPoPs implements Scenario.
-func (d RegionalDegradation) AffectedPoPs() []string { return []string{d.PoP} }
-
-// Apply implements Scenario.
-func (d RegionalDegradation) Apply(c *Cluster) error {
-	if _, ok := c.byName[d.PoP]; !ok {
-		return fmt.Errorf("cdn: degradation PoP %q unknown", d.PoP)
-	}
+// Validate checks the episode's parameters.
+func (d RegionalDegradation) Validate() error {
 	if d.For <= 0 || d.LossRate <= 0 || d.LossRate >= 1 {
 		return fmt.Errorf("cdn: degradation needs positive duration and loss in (0,1)")
+	}
+	return nil
+}
+
+// Apply schedules the loss increase and its restoration.
+func (d RegionalDegradation) Apply(c *Cluster) error {
+	if err := d.Validate(); err != nil {
+		return err
+	}
+	if err := c.checkPoP("degradation", d.PoP); err != nil {
+		return err
 	}
 	if err := c.ScheduleAt(d.At, func() {
 		_ = c.SetPoPPathLoss(d.PoP, d.LossRate)
@@ -323,35 +317,25 @@ type RollingReboots struct {
 	Start, Interval time.Duration
 }
 
-// Name implements Scenario.
-func (r RollingReboots) Name() string { return "rolling-reboots" }
-
-// Window implements Scenario.
-func (r RollingReboots) Window() (time.Duration, time.Duration) {
-	if len(r.PoPs) == 0 {
-		return r.Start, r.Start
-	}
-	return r.Start, r.Start + time.Duration(len(r.PoPs)-1)*r.Interval + r.Interval
-}
-
-// AffectedPoPs implements Scenario.
-func (r RollingReboots) AffectedPoPs() []string {
-	out := make([]string, len(r.PoPs))
-	copy(out, r.PoPs)
-	return out
-}
-
-// Apply implements Scenario.
-func (r RollingReboots) Apply(c *Cluster) error {
+// Validate checks the wave's parameters.
+func (r RollingReboots) Validate() error {
 	if len(r.PoPs) == 0 {
 		return fmt.Errorf("cdn: rolling reboots needs at least one PoP")
 	}
 	if r.Interval <= 0 {
 		return fmt.Errorf("cdn: rolling reboots needs a positive interval")
 	}
+	return nil
+}
+
+// Apply schedules one RebootPoP per listed PoP.
+func (r RollingReboots) Apply(c *Cluster) error {
+	if err := r.Validate(); err != nil {
+		return err
+	}
 	for i, name := range r.PoPs {
-		if _, ok := c.byName[name]; !ok {
-			return fmt.Errorf("cdn: reboot PoP %q unknown", name)
+		if err := c.checkPoP("reboot", name); err != nil {
+			return err
 		}
 		name := name
 		if err := c.ScheduleAt(r.Start+time.Duration(i)*r.Interval, func() {
@@ -380,20 +364,6 @@ type CapacityCut struct {
 	RestoreSegments int
 }
 
-// Name implements Scenario.
-func (cc CapacityCut) Name() string { return "capacity-cut" }
-
-// Window implements Scenario.
-func (cc CapacityCut) Window() (time.Duration, time.Duration) { return cc.At, cc.At + cc.For }
-
-// AffectedPoPs implements Scenario.
-func (cc CapacityCut) AffectedPoPs() []string {
-	if cc.From != "" {
-		return []string{cc.PoP, cc.From}
-	}
-	return []string{cc.PoP}
-}
-
 func (cc CapacityCut) set(c *Cluster, segments int) error {
 	if cc.From != "" {
 		return c.SetPoPPairCapacity(cc.From, cc.PoP, segments)
@@ -401,18 +371,10 @@ func (cc CapacityCut) set(c *Cluster, segments int) error {
 	return c.SetPoPPathCapacity(cc.PoP, segments)
 }
 
-// Apply implements Scenario.
-func (cc CapacityCut) Apply(c *Cluster) error {
-	if _, ok := c.byName[cc.PoP]; !ok {
-		return fmt.Errorf("cdn: capacity cut PoP %q unknown", cc.PoP)
-	}
-	if cc.From != "" {
-		if _, ok := c.byName[cc.From]; !ok {
-			return fmt.Errorf("cdn: capacity cut PoP %q unknown", cc.From)
-		}
-		if cc.From == cc.PoP {
-			return fmt.Errorf("cdn: capacity cut pair needs two distinct PoPs, got %q twice", cc.PoP)
-		}
+// Validate checks the cut's parameters.
+func (cc CapacityCut) Validate() error {
+	if cc.From == cc.PoP {
+		return fmt.Errorf("cdn: capacity cut pop and from must differ, got %q twice", cc.PoP)
 	}
 	if cc.At < 0 || cc.For < 0 {
 		return fmt.Errorf("cdn: capacity cut times must not be negative")
@@ -422,6 +384,22 @@ func (cc CapacityCut) Apply(c *Cluster) error {
 	}
 	if cc.RestoreSegments < 0 {
 		return fmt.Errorf("cdn: capacity restore %d segments/RTT must be >= 0", cc.RestoreSegments)
+	}
+	return nil
+}
+
+// Apply schedules the cut and, when For > 0, the restoration.
+func (cc CapacityCut) Apply(c *Cluster) error {
+	if err := cc.Validate(); err != nil {
+		return err
+	}
+	if err := c.checkPoP("capacity cut", cc.PoP); err != nil {
+		return err
+	}
+	if cc.From != "" {
+		if err := c.checkPoP("capacity cut", cc.From); err != nil {
+			return err
+		}
 	}
 	if err := c.ScheduleAt(cc.At, func() {
 		_ = cc.set(c, cc.Segments)
@@ -449,29 +427,28 @@ type PathFlap struct {
 	RTTScale float64
 }
 
-// Name implements Scenario.
-func (f PathFlap) Name() string { return "path-flap" }
-
-// Window implements Scenario.
-func (f PathFlap) Window() (time.Duration, time.Duration) { return f.At, f.At + f.For }
-
-// AffectedPoPs implements Scenario.
-func (f PathFlap) AffectedPoPs() []string { return []string{f.A, f.B} }
-
-// Apply implements Scenario.
-func (f PathFlap) Apply(c *Cluster) error {
-	base, err := c.BaselinePairRTT(f.A, f.B)
-	if err != nil {
-		return err
-	}
+// Validate checks the flap's parameters.
+func (f PathFlap) Validate() error {
 	if f.A == f.B {
-		return fmt.Errorf("cdn: path flap needs two distinct PoPs, got %q twice", f.A)
+		return fmt.Errorf("cdn: path flap a and b must differ, got %q twice", f.A)
 	}
 	if f.At < 0 || f.For <= 0 {
 		return fmt.Errorf("cdn: path flap needs a non-negative start and positive duration")
 	}
 	if f.RTTScale <= 0 {
 		return fmt.Errorf("cdn: path flap RTT scale %v must be positive", f.RTTScale)
+	}
+	return nil
+}
+
+// Apply schedules the detour and the snap back.
+func (f PathFlap) Apply(c *Cluster) error {
+	if err := f.Validate(); err != nil {
+		return err
+	}
+	base, err := c.BaselinePairRTT(f.A, f.B)
+	if err != nil {
+		return err
 	}
 	flapped := time.Duration(float64(base) * f.RTTScale)
 	if flapped <= 0 {
@@ -497,22 +474,24 @@ type PeerPartition struct {
 	At, For time.Duration
 }
 
-// Name implements Scenario.
-func (p PeerPartition) Name() string { return "peer-partition" }
-
-// Window implements Scenario.
-func (p PeerPartition) Window() (time.Duration, time.Duration) { return p.At, p.At + p.For }
-
-// AffectedPoPs implements Scenario.
-func (p PeerPartition) AffectedPoPs() []string { return []string{p.A, p.B} }
-
-// Apply implements Scenario.
-func (p PeerPartition) Apply(c *Cluster) error {
-	if _, _, err := c.pairHosts(p.A, p.B); err != nil {
-		return err
+// Validate checks the partition's parameters.
+func (p PeerPartition) Validate() error {
+	if p.A == p.B {
+		return fmt.Errorf("cdn: peer partition a and b must differ, got %q twice", p.A)
 	}
 	if p.At < 0 || p.For <= 0 {
 		return fmt.Errorf("cdn: peer partition needs a non-negative start and positive duration")
+	}
+	return nil
+}
+
+// Apply schedules the split and the heal.
+func (p PeerPartition) Apply(c *Cluster) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if _, _, err := c.pairHosts(p.A, p.B); err != nil {
+		return err
 	}
 	if err := c.ScheduleAt(p.At, func() {
 		_, _ = c.PartitionPoPs(p.A, p.B, true)
@@ -523,12 +502,3 @@ func (p PeerPartition) Apply(c *Cluster) error {
 		_, _ = c.PartitionPoPs(p.A, p.B, false)
 	})
 }
-
-var (
-	_ Scenario = FlashCrowd{}
-	_ Scenario = RegionalDegradation{}
-	_ Scenario = RollingReboots{}
-	_ Scenario = CapacityCut{}
-	_ Scenario = PathFlap{}
-	_ Scenario = PeerPartition{}
-)

@@ -49,9 +49,6 @@ func TestFlashCrowdScenario(t *testing.T) {
 		For:        time.Minute,
 		RatePerPoP: 2,
 	}
-	if s, e := crowd.Window(); s != time.Minute || e != 2*time.Minute {
-		t.Errorf("window = %v..%v", s, e)
-	}
 	before := c.Engine().Fired()
 	if err := crowd.Apply(c); err != nil {
 		t.Fatal(err)
@@ -154,9 +151,6 @@ func TestRollingRebootsScenario(t *testing.T) {
 		Start:    10 * time.Second,
 		Interval: 30 * time.Second,
 	}
-	if s, e := wave.Window(); s != 10*time.Second || e != 70*time.Second {
-		t.Errorf("window = %v..%v", s, e)
-	}
 	lhrBefore := c.Agent("lhr")
 	if err := wave.Apply(c); err != nil {
 		t.Fatal(err)
@@ -179,44 +173,6 @@ func TestRollingRebootsScenario(t *testing.T) {
 	}
 	if err := (RollingReboots{PoPs: []string{"nope"}, Interval: time.Second}).Apply(c); err == nil {
 		t.Error("unknown PoP accepted")
-	}
-}
-
-func TestScenarioMetadata(t *testing.T) {
-	crowd := FlashCrowd{Target: "lhr"}
-	if crowd.Name() != "flash-crowd" {
-		t.Errorf("name = %q", crowd.Name())
-	}
-	if got := crowd.AffectedPoPs(); len(got) != 1 || got[0] != "lhr" {
-		t.Errorf("affected = %v", got)
-	}
-
-	deg := RegionalDegradation{PoP: "nrt", At: time.Minute, For: time.Minute}
-	if deg.Name() != "regional-degradation" {
-		t.Errorf("name = %q", deg.Name())
-	}
-	if s, e := deg.Window(); s != time.Minute || e != 2*time.Minute {
-		t.Errorf("window = %v..%v", s, e)
-	}
-	if got := deg.AffectedPoPs(); len(got) != 1 || got[0] != "nrt" {
-		t.Errorf("affected = %v", got)
-	}
-
-	wave := RollingReboots{PoPs: []string{"a", "b"}, Interval: time.Second}
-	if wave.Name() != "rolling-reboots" {
-		t.Errorf("name = %q", wave.Name())
-	}
-	got := wave.AffectedPoPs()
-	if len(got) != 2 {
-		t.Fatalf("affected = %v", got)
-	}
-	got[0] = "mutated"
-	if wave.PoPs[0] != "a" {
-		t.Error("AffectedPoPs result aliases internal slice")
-	}
-	empty := RollingReboots{}
-	if s, e := empty.Window(); s != 0 || e != 0 {
-		t.Errorf("empty window = %v..%v", s, e)
 	}
 }
 

@@ -921,40 +921,59 @@ func (a *Agent) Close() error {
 	a.digestReset()
 	slices.SortFunc(targets, comparePrefix)
 
-	var firstErr error
-	if bp, ok := a.cfg.Routes.(BatchRouteProgrammer); ok && len(targets) > 0 {
-		ops := make([]RouteOp, len(targets))
-		for i, dst := range targets {
-			ops[i] = RouteOp{Prefix: dst, Clear: true}
-		}
-		errs := bp.ProgramRoutes(ops)
-		for i, dst := range targets {
-			var err error
-			if errs != nil {
-				err = errs[i]
-			}
-			if err != nil {
-				a.countLocked(func(s *Stats) { s.RouteErrors++ })
-				if firstErr == nil {
-					firstErr = fmt.Errorf("clear initcwnd %v: %w", dst, err)
-				}
-				continue
-			}
-			a.countLocked(func(s *Stats) { s.RoutesCleared++ })
-		}
-		return firstErr
+	ops := make([]RouteOp, len(targets))
+	for i, dst := range targets {
+		ops[i] = RouteOp{Prefix: dst, Clear: true}
 	}
-	for _, dst := range targets {
-		if err := a.cfg.Routes.ClearInitCwnd(dst); err != nil {
+	errs := a.applyOps(ops)
+	var firstErr error
+	for i, dst := range targets {
+		if errs != nil && errs[i] != nil {
 			a.countLocked(func(s *Stats) { s.RouteErrors++ })
 			if firstErr == nil {
-				firstErr = fmt.Errorf("clear initcwnd %v: %w", dst, err)
+				firstErr = fmt.Errorf("clear initcwnd %v: %w", dst, errs[i])
 			}
 			continue
 		}
 		a.countLocked(func(s *Stats) { s.RoutesCleared++ })
 	}
 	return firstErr
+}
+
+// applyOps sends ops to the route backend, in order: one ProgramRoutes call
+// when the backend batches, otherwise one SetInitCwnd/ClearInitCwnd per op.
+// Every backend call is timed into riptide_program_duration. The result
+// follows the BatchRouteProgrammer contract: nil when every op succeeded,
+// else one slot per op. Backend calls may block, so callers must not hold a
+// shard lock.
+func (a *Agent) applyOps(ops []RouteOp) []error {
+	if len(ops) == 0 {
+		return nil
+	}
+	if bp, ok := a.cfg.Routes.(BatchRouteProgrammer); ok {
+		start := time.Now()
+		errs := bp.ProgramRoutes(ops)
+		a.mProgram.Observe(time.Since(start))
+		return errs
+	}
+	var errs []error
+	for i, op := range ops {
+		start := time.Now()
+		var err error
+		if op.Clear {
+			err = a.cfg.Routes.ClearInitCwnd(op.Prefix)
+		} else {
+			err = a.cfg.Routes.SetInitCwnd(op.Prefix, op.Window)
+		}
+		a.mProgram.Observe(time.Since(start))
+		if err != nil {
+			if errs == nil {
+				errs = make([]error, len(ops))
+			}
+			errs[i] = err
+		}
+	}
+	return errs
 }
 
 // countLocked applies a counter mutation under the state lock.

@@ -352,30 +352,17 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 
 	slices.SortFunc(plan, func(x, y mergeOp) int { return comparePrefix(x.dst, y.dst) })
 
-	// Stage 2: program routes outside the locks — one batch call when the
-	// backend supports it.
-	bp, batch := a.cfg.Routes.(BatchRouteProgrammer)
-	var batchErrs []error
-	if batch && len(plan) > 0 {
-		ops := make([]RouteOp, len(plan))
-		for i, op := range plan {
-			ops[i] = RouteOp{Prefix: op.dst, Window: op.window}
-		}
-		progStart := time.Now()
-		batchErrs = bp.ProgramRoutes(ops)
-		a.mProgram.Observe(time.Since(progStart))
+	// Stage 2: program routes outside the locks.
+	ops := make([]RouteOp, len(plan))
+	for i, op := range plan {
+		ops[i] = RouteOp{Prefix: op.dst, Window: op.window}
 	}
+	errs := a.applyOps(ops)
 	var firstErr error
 	for i, op := range plan {
 		var err error
-		if batch {
-			if batchErrs != nil {
-				err = batchErrs[i]
-			}
-		} else {
-			progStart := time.Now()
-			err = a.cfg.Routes.SetInitCwnd(op.dst, op.window)
-			a.mProgram.Observe(time.Since(progStart))
+		if errs != nil {
+			err = errs[i]
 		}
 		if err != nil {
 			stats.Errors++

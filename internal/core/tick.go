@@ -454,26 +454,20 @@ func (a *Agent) programPlan(plan []programOp, keys []planKey, now time.Duration)
 		}
 		return &plan[i]
 	}
-	bp, batch := a.cfg.Routes.(BatchRouteProgrammer)
-	var batchErrs []error
-	if batch {
-		ops := a.opsBuf[:0]
-		for i := range plan {
-			op := opAt(i)
-			ops = append(ops, RouteOp{Prefix: op.dst, Window: op.window})
-		}
-		a.opsBuf = ops
-		progStart := time.Now()
-		batchErrs = bp.ProgramRoutes(ops)
-		a.mProgram.Observe(time.Since(progStart))
+	ops := a.opsBuf[:0]
+	for i := range plan {
+		op := opAt(i)
+		ops = append(ops, RouteOp{Prefix: op.dst, Window: op.window})
 	}
+	a.opsBuf = ops
+	errs := a.applyOps(ops)
 
 	var firstErr error
 	var set, routeErrs, cleared, formed, splits uint64
 	// The shard lock is held across runs of consecutive same-shard ops
 	// (with one shard, the whole plan) instead of being retaken per op.
-	// Nothing blocking happens while it is held: batch errors are already
-	// in hand, and the per-op SetInitCwnd path releases it first.
+	// Nothing blocking happens while it is held: the backend's results are
+	// already in hand.
 	var cur *shard
 	unlockCur := func() {
 		if cur != nil {
@@ -485,15 +479,8 @@ func (a *Agent) programPlan(plan []programOp, keys []planKey, now time.Duration)
 	for i := range plan {
 		op := opAt(i)
 		var err error
-		if batch {
-			if batchErrs != nil {
-				err = batchErrs[i]
-			}
-		} else {
-			unlockCur()
-			progStart := time.Now()
-			err = a.cfg.Routes.SetInitCwnd(op.dst, op.window)
-			a.mProgram.Observe(time.Since(progStart))
+		if errs != nil {
+			err = errs[i]
 		}
 
 		sh := a.shards[op.shard]
@@ -647,31 +634,19 @@ func (a *Agent) clearTargets(targets []netip.Prefix, kind clearKind, now time.Du
 		return nil
 	}
 
-	bp, batch := a.cfg.Routes.(BatchRouteProgrammer)
-	var batchErrs []error
-	if batch {
-		ops := make([]RouteOp, len(live))
-		for i, dst := range live {
-			ops[i] = RouteOp{Prefix: dst, Clear: true}
-		}
-		progStart := time.Now()
-		batchErrs = bp.ProgramRoutes(ops)
-		a.mProgram.Observe(time.Since(progStart))
+	ops := make([]RouteOp, len(live))
+	for i, dst := range live {
+		ops[i] = RouteOp{Prefix: dst, Clear: true}
 	}
+	errs := a.applyOps(ops)
 
 	var firstErr error
 	var expiredN, clearedN, guardClearedN, routeErrs uint64
 	var absorbedN, dissolvedN uint64
 	for i, dst := range live {
 		var err error
-		if batch {
-			if batchErrs != nil {
-				err = batchErrs[i]
-			}
-		} else {
-			progStart := time.Now()
-			err = a.cfg.Routes.ClearInitCwnd(dst)
-			a.mProgram.Observe(time.Since(progStart))
+		if errs != nil {
+			err = errs[i]
 		}
 		sh := a.shardFor(dst)
 		if err != nil {

@@ -47,6 +47,7 @@ func (sp *Spec) Run() (*Report, error) {
 			riptide: sp.Compare.Riptide,
 			guard:   sp.Compare.Guard,
 			gossip:  sp.Compare.Gossip,
+			sharing: sp.Compare.Sharing,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: control run: %w", sp.Name, err)
@@ -74,7 +75,7 @@ func (sp *Spec) phaseWindow() (time.Duration, time.Duration) {
 	}
 	start, end := time.Duration(-1), time.Duration(-1)
 	for _, ev := range sp.Events {
-		s, e := ev.Payload.window(ev.At, sp.Duration)
+		s, e := ev.window(sp.Duration)
 		if s == 0 && e == 0 {
 			continue
 		}
@@ -88,9 +89,6 @@ func (sp *Spec) phaseWindow() (time.Duration, time.Duration) {
 	if start < 0 {
 		return 0, sp.Duration
 	}
-	if end > sp.Duration {
-		end = sp.Duration
-	}
 	return start, end
 }
 
@@ -98,7 +96,7 @@ func (sp *Spec) phaseWindow() (time.Duration, time.Duration) {
 func (sp *Spec) affectedPoPs() map[string]bool {
 	out := make(map[string]bool)
 	for _, ev := range sp.Events {
-		for _, p := range ev.Payload.affected() {
+		for _, p := range ev.affected() {
 			out[p] = true
 		}
 	}
@@ -110,12 +108,16 @@ type runOverrides struct {
 	riptide *bool
 	guard   *bool
 	gossip  *bool
+	sharing *bool
 }
 
 // runState accumulates per-run observations that the event callbacks and the
 // metrics ticker write.
 type runState struct {
 	winStart, winEnd time.Duration
+	// tick is the fleet's agent update interval: the observer's period and
+	// the unit of the *_ticks metrics.
+	tick time.Duration
 
 	// Retransmit / probe-failure counters sampled at phase boundaries.
 	retransAtStart, retransAtEnd int64
@@ -131,12 +133,19 @@ type runState struct {
 	quarMax    int
 	quarSeen   bool
 	quarSeenAt time.Duration
-	// Route-recovery tracking (first tracked reboot event).
+	// Route-recovery tracking (the one tracked reboot event). routes counts
+	// the tracked scope's learned routes: the rebooted machine's own for a
+	// host_reboot, the fleet's for a rolling_reboots wave.
 	tracking     bool
 	rebootAt     time.Duration
+	routes       func() int
 	targetRoutes int
 	recovered    bool
 	recoveryTick int
+
+	// maxWindowAtStart is the largest learned initcwnd on the affected
+	// paths when the window opened (0 = none learned).
+	maxWindowAtStart int
 }
 
 func (sp *Spec) executeRun(ov runOverrides) (map[string]float64, error) {
@@ -202,12 +211,16 @@ func (sp *Spec) executeRun(ov runOverrides) (map[string]float64, error) {
 		return nil, err
 	}
 
-	st := &runState{guardOn: riptideOn && guardSpec != nil}
+	st := &runState{guardOn: riptideOn && guardSpec != nil, tick: fleet.Riptide.UpdateInterval}
+	if st.tick == 0 {
+		st.tick = core.DefaultUpdateInterval
+	}
 	st.winStart, st.winEnd = sp.phaseWindow()
 
+	sharingOn := riptideOn && (ov.sharing == nil || *ov.sharing)
 	gossipFull := ov.gossip != nil && !*ov.gossip
 	for _, ev := range sp.Events {
-		if err := applyEvent(c, ev, st, riptideOn, gossipFull, fleet.LossRate); err != nil {
+		if err := applyEvent(c, ev, st, sharingOn, gossipFull); err != nil {
 			return nil, fmt.Errorf("event at %v (%s): %w", ev.At, ev.Kind, err)
 		}
 	}
@@ -218,6 +231,7 @@ func (sp *Spec) executeRun(ov runOverrides) (map[string]float64, error) {
 		if err := c.ScheduleAt(st.winStart, func() {
 			st.retransAtStart = c.TotalRetransmits()
 			st.gossipAtStart = c.GossipStats().BytesOnWire
+			st.maxWindowAtStart = maxLearnedWindow(c, sp.affectedPoPs())
 			st.sawStart = true
 		}); err != nil {
 			return nil, err
@@ -233,10 +247,10 @@ func (sp *Spec) executeRun(ov runOverrides) (map[string]float64, error) {
 		}
 	}
 
-	// The 1 s observer drives quarantine and route-recovery bookkeeping.
-	// It is created after the cluster's own tickers, so at equal timestamps
-	// the agents have already ticked when it looks.
-	tick, err := eventsim.NewTicker(c.Engine(), time.Second, func(now time.Duration) {
+	// The observer drives quarantine and route-recovery bookkeeping at the
+	// agents' own cadence. It is created after the cluster's tickers, so at
+	// equal timestamps the agents have already ticked when it looks.
+	tick, err := eventsim.NewTicker(c.Engine(), st.tick, func(now time.Duration) {
 		if st.guardOn && !st.quarSeen {
 			if n := c.QuarantineCount(); n > 0 {
 				st.quarSeen = true
@@ -249,9 +263,9 @@ func (sp *Spec) executeRun(ov runOverrides) (map[string]float64, error) {
 			}
 		}
 		if st.tracking && !st.recovered && now >= st.rebootAt {
-			if c.TotalRoutes() >= st.targetRoutes {
+			if st.routes() >= st.targetRoutes {
 				st.recovered = true
-				st.recoveryTick = int((now - st.rebootAt) / time.Second)
+				st.recoveryTick = int((now - st.rebootAt) / st.tick)
 			}
 		}
 	})
@@ -269,17 +283,20 @@ func (sp *Spec) executeRun(ov runOverrides) (map[string]float64, error) {
 
 // applyEvent schedules one parsed event onto the cluster. Recovery-tracking
 // snapshots are scheduled before the event itself so the FIFO order at equal
-// timestamps reads the pre-reboot route count.
-func applyEvent(c *cdn.Cluster, ev Event, st *runState, riptideOn, gossipFull bool, baselineLoss float64) error {
+// timestamps reads the pre-reboot route count. sharingOn is false in runs
+// with nothing to share: a control without agents, or one comparing against
+// sharing.
+func applyEvent(c *cdn.Cluster, ev Event, st *runState, sharingOn, gossipFull bool) error {
 	switch p := ev.Payload.(type) {
-	case *CapacityCutEvent:
-		return cdn.CapacityCut{
-			PoP: p.PoP, From: p.From, At: ev.At, For: p.For,
-			Segments: p.Segments, RestoreSegments: p.RestoreSegments,
-		}.Apply(c)
 	case *HostRebootEvent:
 		if p.TrackRecovery > 0 {
-			if err := scheduleRecoverySnapshot(c, st, ev.At, p.TrackRecovery); err != nil {
+			own := func() int {
+				if a := c.AgentAt(p.PoP, p.Host); a != nil {
+					return a.Len()
+				}
+				return 0
+			}
+			if err := scheduleRecoverySnapshot(c, st, ev.At, p.TrackRecovery, own); err != nil {
 				return err
 			}
 		}
@@ -288,33 +305,19 @@ func applyEvent(c *cdn.Cluster, ev Event, st *runState, riptideOn, gossipFull bo
 		})
 	case *RollingRebootsEvent:
 		if p.TrackRecovery > 0 {
-			if err := scheduleRecoverySnapshot(c, st, ev.At, p.TrackRecovery); err != nil {
+			if err := scheduleRecoverySnapshot(c, st, ev.At, p.TrackRecovery, c.TotalRoutes); err != nil {
 				return err
 			}
 		}
-		return cdn.RollingReboots{PoPs: p.PoPs, Start: ev.At, Interval: p.Interval}.Apply(c)
-	case *FlashCrowdEvent:
-		return cdn.FlashCrowd{
-			Target: p.Target, At: ev.At, For: p.For,
-			RatePerPoP: p.RatePerPoP, SizeBytes: int64(p.SizeKB) * 1024,
-		}.Apply(c)
-	case *PathFlapEvent:
-		return cdn.PathFlap{A: p.A, B: p.B, At: ev.At, For: p.For, RTTScale: p.RTTScale}.Apply(c)
-	case *PeerPartitionEvent:
-		return cdn.PeerPartition{A: p.A, B: p.B, At: ev.At, For: p.For}.Apply(c)
-	case *DegradationEvent:
-		return cdn.RegionalDegradation{
-			PoP: p.PoP, At: ev.At, For: p.For,
-			LossRate: p.LossRate, BaselineLoss: baselineLoss,
-		}.Apply(c)
+		return p.RollingReboots.Apply(c)
 	case *FleetSharingEvent:
-		if !riptideOn {
-			return nil // a control run without agents has nothing to share
+		if !sharingOn {
+			return nil
 		}
 		return c.EnableFleetSharing(p.Interval, core.MergePolicy{})
 	case *GossipSharingEvent:
-		if !riptideOn {
-			return nil // a control run without agents has nothing to sync
+		if !sharingOn {
+			return nil
 		}
 		if p.SeedEntries > 0 {
 			if err := c.SeedWarmEntries(p.SeedEntries, core.MergePolicy{}); err != nil {
@@ -332,19 +335,50 @@ func applyEvent(c *cdn.Cluster, ev Event, st *runState, riptideOn, gossipFull bo
 		return nil
 	case *KnobEvent:
 		return c.ScheduleAt(ev.At, func() { applyKnob(c, p) })
+	case interface{ Apply(*cdn.Cluster) error }: // the cdn fault types
+		return p.Apply(c)
 	}
 	return fmt.Errorf("unhandled event kind %q", ev.Kind)
 }
 
-func scheduleRecoverySnapshot(c *cdn.Cluster, st *runState, at time.Duration, frac float64) error {
+func scheduleRecoverySnapshot(c *cdn.Cluster, st *runState, at time.Duration, frac float64, routes func() int) error {
 	if st.tracking {
 		return fmt.Errorf("track_recovery set on more than one event")
 	}
 	st.tracking = true
 	st.rebootAt = at
+	st.routes = routes
 	return c.ScheduleAt(at, func() {
-		st.targetRoutes = int(math.Ceil(frac * float64(c.TotalRoutes())))
+		st.targetRoutes = int(math.Ceil(frac * float64(routes())))
 	})
+}
+
+// maxLearnedWindow reports the largest initcwnd the fleet currently holds on
+// the affected paths: routes from an agent in one affected PoP to a machine
+// of another — or, when fewer than two PoPs are affected, routes with either
+// end in the blast radius. 0 means no such route is learned.
+func maxLearnedWindow(c *cdn.Cluster, affected map[string]bool) int {
+	highest := 0
+	for _, src := range c.PoPs() {
+		for _, dst := range c.PoPs() {
+			on := affected[src.Name] && affected[dst.Name]
+			if len(affected) < 2 {
+				on = len(affected) == 0 || affected[src.Name] || affected[dst.Name]
+			}
+			if !on || src.Name == dst.Name {
+				continue
+			}
+			hosts, _ := c.Hosts(dst.Name) // dst comes from c.PoPs()
+			for _, a := range c.Agents(src.Name) {
+				for _, h := range hosts {
+					if w, ok := a.Lookup(h.Addr()); ok && w > highest {
+						highest = w
+					}
+				}
+			}
+		}
+	}
+	return highest
 }
 
 func applyKnob(c *cdn.Cluster, k *KnobEvent) {
@@ -433,6 +467,9 @@ func (sp *Spec) collect(c *cdn.Cluster, st *runState) map[string]float64 {
 	m["probe_failures.total"] = fails["before"] + fails["during"] + fails["after"]
 
 	m["routes.end"] = float64(c.TotalRoutes())
+	if st.maxWindowAtStart > 0 {
+		m["initcwnd.max.before"] = float64(st.maxWindowAtStart)
+	}
 
 	// Gossip wire accounting, with bytes split by phase the same way as
 	// retransmits so assertions can price the steady state separately from
@@ -470,7 +507,7 @@ func (sp *Spec) collect(c *cdn.Cluster, st *runState) map[string]float64 {
 	if st.guardOn {
 		m["quarantines"] = float64(st.quarMax)
 		if st.quarSeen {
-			ticks := (st.quarSeenAt - st.winStart) / time.Second
+			ticks := (st.quarSeenAt - st.winStart) / st.tick
 			if ticks < 1 {
 				ticks = 1
 			}
@@ -478,11 +515,12 @@ func (sp *Spec) collect(c *cdn.Cluster, st *runState) map[string]float64 {
 		}
 	}
 	if st.tracking {
+		m["recovery_target"] = float64(st.targetRoutes)
 		if st.recovered {
 			m["recovery_ticks"] = float64(st.recoveryTick)
 		} else {
 			// Censored: recovery had not completed when the run ended.
-			m["recovery_ticks"] = float64((sp.Duration - st.rebootAt) / time.Second)
+			m["recovery_ticks"] = float64((sp.Duration - st.rebootAt) / st.tick)
 			m["recovery_censored"] = 1
 		}
 	}

@@ -154,3 +154,70 @@ assertions:
 		t.Errorf("explicit window ignored: during = %q", rep.Phases.During)
 	}
 }
+
+// coldReboot is a probe-paced cold recovery: no sharing, so the rebooted
+// machine re-learns a destination only when one of its own two-minute probe
+// rounds reaches it. How long that takes in simulated time does not depend on
+// the agents' cadence.
+const coldReboot = `
+name: tick-unit-test
+fleet:
+  pops: [lhr, fra, jfk, nrt]
+  hosts_per_pop: 2
+  seed: 3
+  riptide:
+    enabled: true
+    ttl: 10m
+  traffic:
+    probe_interval: 2m
+    probe_sizes_kb: [10]
+    idle_timeout: 1m
+duration: 20m
+events:
+  - at: 10m
+    host_reboot:
+      pop: lhr
+      host: 0
+      track_recovery: 0.9
+`
+
+// TestTickMetricsCountUpdateIntervals pins the unit of recovery_ticks: agent
+// update intervals, not seconds. The same incident observed by agents ticking
+// every 2 s takes the same simulated time and therefore half the ticks.
+func TestTickMetricsCountUpdateIntervals(t *testing.T) {
+	ticks := func(src string) float64 {
+		rep := runQuick(t, src)
+		for _, m := range rep.Runs[0].Metrics {
+			if m.Name == "recovery_ticks" {
+				return m.Value
+			}
+		}
+		t.Fatalf("no recovery_ticks in %+v", rep.Runs[0].Metrics)
+		return 0
+	}
+	at1s := ticks(coldReboot)
+	at2s := ticks(strings.Replace(coldReboot, "    ttl: 10m", "    ttl: 10m\n    update_interval: 2s", 1))
+	t.Logf("recovery_ticks: %v at 1s, %v at 2s", at1s, at2s)
+	if at1s < 60 {
+		t.Fatalf("cold recovery took %v ticks at 1s; the scenario is not probe-paced", at1s)
+	}
+	// Each run rounds up to its own tick grid, so allow one interval of slack.
+	if d := at1s - 2*at2s; d < -2 || d > 2 {
+		t.Errorf("recovery_ticks = %v at 1s and %v at 2s; want the second to be half the first", at1s, at2s)
+	}
+}
+
+// TestEngineSharingControl checks the sharing-off compare arm and the
+// host-scoped recovery count it exists for: with sharing the rebooted machine
+// is back within a few ticks, without it the same machine needs its own probe
+// rounds — a difference a fleet-wide route count (one machine of eight) never
+// showed.
+func TestEngineSharingControl(t *testing.T) {
+	src := strings.Replace(coldReboot, "events:\n", "compare:\n  sharing: false\nevents:\n  - at: 0s\n    enable_fleet_sharing:\n      interval: 5s\n", 1) +
+		"assertions:\n  - riptide.recovery_target >= 1\n  - riptide.recovery_target == control.recovery_target\n  - 4 * riptide.recovery_ticks <= control.recovery_ticks\n"
+	rep := runQuick(t, src)
+	if !rep.Pass {
+		b, _ := rep.Encode()
+		t.Fatalf("sharing-control assertions failed:\n%s", b)
+	}
+}

@@ -18,14 +18,14 @@ var eventKinds = []string{
 
 // parseEvents decodes and validates the event stream. Events must be listed
 // in non-decreasing At order so the file reads like the incident timeline it
-// is.
-func parseEvents(n *Node, pops map[string]bool, total time.Duration) ([]Event, error) {
+// is. baseLoss is the fleet's WAN loss rate, which a degradation restores.
+func parseEvents(n *Node, pops map[string]bool, total time.Duration, baseLoss float64) ([]Event, error) {
 	if n.Kind != SeqNode {
 		return nil, fmt.Errorf("line %d: events must be a sequence", n.Line)
 	}
 	var out []Event
 	for _, item := range n.Items {
-		ev, err := parseEvent(item, pops, total)
+		ev, err := parseEvent(item, pops, total, baseLoss)
 		if err != nil {
 			return nil, err
 		}
@@ -38,7 +38,7 @@ func parseEvents(n *Node, pops map[string]bool, total time.Duration) ([]Event, e
 	return out, nil
 }
 
-func parseEvent(n *Node, pops map[string]bool, total time.Duration) (Event, error) {
+func parseEvent(n *Node, pops map[string]bool, total time.Duration, baseLoss float64) (Event, error) {
 	var ev Event
 	if err := needMap(n, "event"); err != nil {
 		return ev, err
@@ -63,7 +63,7 @@ func parseEvent(n *Node, pops map[string]bool, total time.Duration) (Event, erro
 		if ev.Payload != nil {
 			return ev, fmt.Errorf("line %d: event has two kinds (%q and %q); one per entry", n.KeyLines[i], ev.Kind, key)
 		}
-		payload, err := parsePayload(key, n.Vals[i])
+		payload, err := parsePayload(key, n.Vals[i], at, baseLoss)
 		if err != nil {
 			return ev, err
 		}
@@ -73,438 +73,171 @@ func parseEvent(n *Node, pops map[string]bool, total time.Duration) (Event, erro
 	if ev.Payload == nil {
 		return ev, fmt.Errorf("line %d: event needs a kind (valid: %s)", n.Line, strings.Join(eventKinds, " "))
 	}
-	if err := ev.Payload.validate(pops, ev.At, total); err != nil {
+	if err := ev.validate(pops, total); err != nil {
 		return ev, fmt.Errorf("line %d: %s: %w", ev.Line, ev.Kind, err)
 	}
 	return ev, nil
 }
 
-func parsePayload(kind string, n *Node) (EventPayload, error) {
+// field binds one key of an event mapping to where its value is stored: a
+// *string, *[]string, *time.Duration, *int or *float64.
+type field struct {
+	key string
+	dst any
+}
+
+// decodeFields checks that n is a mapping holding only the listed keys and
+// stores every value present.
+func decodeFields(n *Node, kind string, fields ...field) error {
+	if err := needMap(n, kind); err != nil {
+		return err
+	}
+	keys := make([]string, len(fields))
+	for i, f := range fields {
+		keys[i] = f.key
+	}
+	if err := checkKeys(n, keys...); err != nil {
+		return err
+	}
+	for _, f := range fields {
+		v := n.Get(f.key)
+		if v == nil {
+			continue
+		}
+		var err error
+		switch dst := f.dst.(type) {
+		case *string:
+			*dst, err = v.Str()
+		case *[]string:
+			*dst, err = v.StrSeq()
+		case *time.Duration:
+			*dst, err = v.Duration()
+		case *float64:
+			*dst, err = v.Float()
+		case *int:
+			var iv int64
+			iv, err = v.Int()
+			*dst = int(iv)
+		default:
+			panic(fmt.Sprintf("scenario: field %q has unsupported type %T", f.key, f.dst))
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// parsePayload decodes one event body. The cdn fault types are filled in
+// directly, with the event's fire time as their At.
+func parsePayload(kind string, n *Node, at time.Duration, baseLoss float64) (any, error) {
 	switch kind {
 	case "capacity_cut":
-		return parseCapacityCut(n)
+		e := &cdn.CapacityCut{At: at}
+		return e, decodeFields(n, kind, field{"pop", &e.PoP}, field{"from", &e.From}, field{"for", &e.For},
+			field{"segments", &e.Segments}, field{"restore_segments", &e.RestoreSegments})
 	case "host_reboot":
-		return parseHostReboot(n)
+		e := &HostRebootEvent{}
+		return e, decodeFields(n, kind, field{"pop", &e.PoP}, field{"host", &e.Host}, field{"for", &e.For},
+			field{"track_recovery", &e.TrackRecovery})
 	case "rolling_reboots":
-		return parseRollingReboots(n)
+		e := &RollingRebootsEvent{RollingReboots: cdn.RollingReboots{Start: at}}
+		return e, decodeFields(n, kind, field{"pops", &e.PoPs}, field{"interval", &e.Interval},
+			field{"track_recovery", &e.TrackRecovery})
 	case "flash_crowd":
-		return parseFlashCrowd(n)
+		e := &cdn.FlashCrowd{At: at}
+		var sizeKB int
+		err := decodeFields(n, kind, field{"target", &e.Target}, field{"for", &e.For},
+			field{"rate_per_pop", &e.RatePerPoP}, field{"size_kb", &sizeKB})
+		e.SizeBytes = int64(sizeKB) * 1024
+		return e, err
 	case "path_flap":
-		return parsePathFlap(n)
+		e := &cdn.PathFlap{At: at}
+		return e, decodeFields(n, kind, field{"a", &e.A}, field{"b", &e.B}, field{"for", &e.For},
+			field{"rtt_scale", &e.RTTScale})
 	case "peer_partition":
-		return parsePeerPartition(n)
+		e := &cdn.PeerPartition{At: at}
+		return e, decodeFields(n, kind, field{"a", &e.A}, field{"b", &e.B}, field{"for", &e.For})
 	case "degradation":
-		return parseDegradation(n)
+		e := &cdn.RegionalDegradation{At: at, BaselineLoss: baseLoss}
+		return e, decodeFields(n, kind, field{"pop", &e.PoP}, field{"for", &e.For}, field{"loss_rate", &e.LossRate})
 	case "enable_fleet_sharing":
-		return parseFleetSharing(n)
+		e := &FleetSharingEvent{}
+		return e, decodeFields(n, kind, field{"interval", &e.Interval})
 	case "enable_gossip_sharing":
-		return parseGossipSharing(n)
+		e := &GossipSharingEvent{Mode: string(cdn.GossipLadder)}
+		return e, decodeFields(n, kind, field{"interval", &e.Interval}, field{"mode", &e.Mode},
+			field{"seed_entries", &e.SeedEntries})
 	case "set_knob":
-		return parseKnob(n)
+		e := &KnobEvent{}
+		return e, decodeFields(n, kind, field{"knob", &e.Knob}, field{"pop", &e.PoP}, field{"a", &e.A},
+			field{"b", &e.B}, field{"value", &e.Value})
 	}
 	return nil, fmt.Errorf("line %d: unknown event kind %q (valid: %s)", n.Line, kind, strings.Join(eventKinds, " "))
 }
 
-// Field helpers shared by the payload parsers.
-
-func getStr(n *Node, key string, dst *string) error {
-	if v := n.Get(key); v != nil {
-		s, err := v.Str()
-		if err != nil {
-			return err
+// validate checks the event's semantics: its own parameters, that every PoP
+// it names is in the fleet, and that its disruption ends inside the run.
+func (ev Event) validate(pops map[string]bool, total time.Duration) error {
+	var err error
+	switch p := ev.Payload.(type) {
+	case *HostRebootEvent:
+		switch {
+		case p.Host < 0:
+			err = fmt.Errorf("host index %d must not be negative", p.Host)
+		case p.For < 0:
+			err = fmt.Errorf("for %v must not be negative", p.For)
+		default:
+			err = checkFraction(p.TrackRecovery)
 		}
-		*dst = s
-	}
-	return nil
-}
-
-func getDur(n *Node, key string, dst *time.Duration) error {
-	if v := n.Get(key); v != nil {
-		d, err := v.Duration()
-		if err != nil {
-			return err
+	case *RollingRebootsEvent:
+		if err = p.RollingReboots.Validate(); err == nil {
+			err = checkFraction(p.TrackRecovery)
 		}
-		*dst = d
-	}
-	return nil
-}
-
-func getInt(n *Node, key string, dst *int) error {
-	if v := n.Get(key); v != nil {
-		iv, err := v.Int()
-		if err != nil {
-			return err
+	case *FleetSharingEvent:
+		err = checkSharing(p.Interval, ev.At)
+	case *GossipSharingEvent:
+		err = checkSharing(p.Interval, ev.At)
+		if m := cdn.GossipMode(p.Mode); err == nil && m != cdn.GossipLadder && m != cdn.GossipFull {
+			err = fmt.Errorf("mode %q unknown (valid: %s %s)", p.Mode, cdn.GossipFull, cdn.GossipLadder)
 		}
-		*dst = int(iv)
-	}
-	return nil
-}
-
-func getFloat(n *Node, key string, dst *float64) error {
-	if v := n.Get(key); v != nil {
-		f, err := v.Float()
-		if err != nil {
-			return err
+		if err == nil && p.SeedEntries < 0 {
+			err = fmt.Errorf("seed_entries %d must not be negative", p.SeedEntries)
 		}
-		*dst = f
+	case *KnobEvent:
+		err = p.validate()
+	case interface{ Validate() error }: // the cdn fault types
+		err = p.Validate()
 	}
-	return nil
-}
-
-func knownPoP(pops map[string]bool, name string) error {
-	if !pops[name] {
-		names := make([]string, 0, len(pops))
-		for p := range pops {
-			names = append(names, p)
-		}
-		sort.Strings(names)
-		return fmt.Errorf("unknown PoP %q (fleet: %s)", name, strings.Join(names, " "))
-	}
-	return nil
-}
-
-// capacity_cut
-
-func parseCapacityCut(n *Node) (EventPayload, error) {
-	if err := needMap(n, "capacity_cut"); err != nil {
-		return nil, err
-	}
-	if err := checkKeys(n, "pop", "from", "for", "segments", "restore_segments"); err != nil {
-		return nil, err
-	}
-	e := &CapacityCutEvent{}
-	for _, step := range []error{
-		getStr(n, "pop", &e.PoP), getStr(n, "from", &e.From),
-		getDur(n, "for", &e.For), getInt(n, "segments", &e.Segments),
-		getInt(n, "restore_segments", &e.RestoreSegments),
-	} {
-		if step != nil {
-			return nil, step
-		}
-	}
-	return e, nil
-}
-
-func (e *CapacityCutEvent) validate(pops map[string]bool, at, total time.Duration) error {
-	if err := knownPoP(pops, e.PoP); err != nil {
+	if err != nil {
 		return err
 	}
-	if e.From != "" {
-		if err := knownPoP(pops, e.From); err != nil {
-			return err
+	for _, name := range ev.affected() {
+		if !pops[name] {
+			names := make([]string, 0, len(pops))
+			for p := range pops {
+				names = append(names, p)
+			}
+			sort.Strings(names)
+			return fmt.Errorf("unknown PoP %q (fleet: %s)", name, strings.Join(names, " "))
 		}
-		if e.From == e.PoP {
-			return fmt.Errorf("pop and from must differ, got %q twice", e.PoP)
-		}
 	}
-	if e.Segments < 1 {
-		return fmt.Errorf("segments %d must be >= 1", e.Segments)
-	}
-	if e.RestoreSegments < 0 {
-		return fmt.Errorf("restore_segments %d must be >= 0", e.RestoreSegments)
-	}
-	if e.For < 0 {
-		return fmt.Errorf("for %v must not be negative", e.For)
+	if _, end := ev.window(total); end > total {
+		return fmt.Errorf("disruption lasts until %v, past the run end %v", end, total)
 	}
 	return nil
 }
 
-func (e *CapacityCutEvent) window(at, total time.Duration) (time.Duration, time.Duration) {
-	if e.For == 0 {
-		return at, total
-	}
-	return at, at + e.For
-}
-
-func (e *CapacityCutEvent) affected() []string {
-	if e.From != "" {
-		return []string{e.PoP, e.From}
-	}
-	return []string{e.PoP}
-}
-
-// host_reboot
-
-func parseHostReboot(n *Node) (EventPayload, error) {
-	if err := needMap(n, "host_reboot"); err != nil {
-		return nil, err
-	}
-	if err := checkKeys(n, "pop", "host", "for", "track_recovery"); err != nil {
-		return nil, err
-	}
-	e := &HostRebootEvent{}
-	for _, step := range []error{
-		getStr(n, "pop", &e.PoP), getInt(n, "host", &e.Host),
-		getDur(n, "for", &e.For), getFloat(n, "track_recovery", &e.TrackRecovery),
-	} {
-		if step != nil {
-			return nil, step
-		}
-	}
-	return e, nil
-}
-
-func (e *HostRebootEvent) validate(pops map[string]bool, at, total time.Duration) error {
-	if err := knownPoP(pops, e.PoP); err != nil {
-		return err
-	}
-	if e.Host < 0 {
-		return fmt.Errorf("host index %d must not be negative", e.Host)
-	}
-	if e.For < 0 {
-		return fmt.Errorf("for %v must not be negative", e.For)
-	}
-	if e.TrackRecovery < 0 || e.TrackRecovery > 1 {
-		return fmt.Errorf("track_recovery %v out of [0,1]", e.TrackRecovery)
+func checkFraction(track float64) error {
+	if track < 0 || track > 1 {
+		return fmt.Errorf("track_recovery %v out of [0,1]", track)
 	}
 	return nil
 }
 
-func (e *HostRebootEvent) window(at, total time.Duration) (time.Duration, time.Duration) {
-	if e.For == 0 {
-		return at, total
-	}
-	return at, at + e.For
-}
-
-func (e *HostRebootEvent) affected() []string { return []string{e.PoP} }
-
-// rolling_reboots
-
-func parseRollingReboots(n *Node) (EventPayload, error) {
-	if err := needMap(n, "rolling_reboots"); err != nil {
-		return nil, err
-	}
-	if err := checkKeys(n, "pops", "interval", "track_recovery"); err != nil {
-		return nil, err
-	}
-	e := &RollingRebootsEvent{}
-	if v := n.Get("pops"); v != nil {
-		var err error
-		if e.PoPs, err = v.StrSeq(); err != nil {
-			return nil, err
-		}
-	}
-	for _, step := range []error{
-		getDur(n, "interval", &e.Interval), getFloat(n, "track_recovery", &e.TrackRecovery),
-	} {
-		if step != nil {
-			return nil, step
-		}
-	}
-	return e, nil
-}
-
-func (e *RollingRebootsEvent) validate(pops map[string]bool, at, total time.Duration) error {
-	if len(e.PoPs) == 0 {
-		return fmt.Errorf("needs at least one PoP")
-	}
-	for _, p := range e.PoPs {
-		if err := knownPoP(pops, p); err != nil {
-			return err
-		}
-	}
-	if e.Interval <= 0 {
-		return fmt.Errorf("interval %v must be positive", e.Interval)
-	}
-	if e.TrackRecovery < 0 || e.TrackRecovery > 1 {
-		return fmt.Errorf("track_recovery %v out of [0,1]", e.TrackRecovery)
-	}
-	return nil
-}
-
-func (e *RollingRebootsEvent) window(at, total time.Duration) (time.Duration, time.Duration) {
-	return at, at + time.Duration(len(e.PoPs))*e.Interval
-}
-
-func (e *RollingRebootsEvent) affected() []string { return e.PoPs }
-
-// flash_crowd
-
-func parseFlashCrowd(n *Node) (EventPayload, error) {
-	if err := needMap(n, "flash_crowd"); err != nil {
-		return nil, err
-	}
-	if err := checkKeys(n, "target", "for", "rate_per_pop", "size_kb"); err != nil {
-		return nil, err
-	}
-	e := &FlashCrowdEvent{}
-	for _, step := range []error{
-		getStr(n, "target", &e.Target), getDur(n, "for", &e.For),
-		getFloat(n, "rate_per_pop", &e.RatePerPoP), getInt(n, "size_kb", &e.SizeKB),
-	} {
-		if step != nil {
-			return nil, step
-		}
-	}
-	return e, nil
-}
-
-func (e *FlashCrowdEvent) validate(pops map[string]bool, at, total time.Duration) error {
-	if err := knownPoP(pops, e.Target); err != nil {
-		return err
-	}
-	if e.For <= 0 || e.RatePerPoP <= 0 {
-		return fmt.Errorf("needs positive for and rate_per_pop")
-	}
-	if e.SizeKB < 0 {
-		return fmt.Errorf("size_kb %d must not be negative", e.SizeKB)
-	}
-	return nil
-}
-
-func (e *FlashCrowdEvent) window(at, total time.Duration) (time.Duration, time.Duration) {
-	return at, at + e.For
-}
-
-func (e *FlashCrowdEvent) affected() []string { return []string{e.Target} }
-
-// path_flap
-
-func parsePathFlap(n *Node) (EventPayload, error) {
-	if err := needMap(n, "path_flap"); err != nil {
-		return nil, err
-	}
-	if err := checkKeys(n, "a", "b", "for", "rtt_scale"); err != nil {
-		return nil, err
-	}
-	e := &PathFlapEvent{}
-	for _, step := range []error{
-		getStr(n, "a", &e.A), getStr(n, "b", &e.B),
-		getDur(n, "for", &e.For), getFloat(n, "rtt_scale", &e.RTTScale),
-	} {
-		if step != nil {
-			return nil, step
-		}
-	}
-	return e, nil
-}
-
-func (e *PathFlapEvent) validate(pops map[string]bool, at, total time.Duration) error {
-	if err := knownPoP(pops, e.A); err != nil {
-		return err
-	}
-	if err := knownPoP(pops, e.B); err != nil {
-		return err
-	}
-	if e.A == e.B {
-		return fmt.Errorf("a and b must differ, got %q twice", e.A)
-	}
-	if e.For <= 0 {
-		return fmt.Errorf("for %v must be positive", e.For)
-	}
-	if e.RTTScale <= 0 {
-		return fmt.Errorf("rtt_scale %v must be positive", e.RTTScale)
-	}
-	return nil
-}
-
-func (e *PathFlapEvent) window(at, total time.Duration) (time.Duration, time.Duration) {
-	return at, at + e.For
-}
-
-func (e *PathFlapEvent) affected() []string { return []string{e.A, e.B} }
-
-// peer_partition
-
-func parsePeerPartition(n *Node) (EventPayload, error) {
-	if err := needMap(n, "peer_partition"); err != nil {
-		return nil, err
-	}
-	if err := checkKeys(n, "a", "b", "for"); err != nil {
-		return nil, err
-	}
-	e := &PeerPartitionEvent{}
-	for _, step := range []error{
-		getStr(n, "a", &e.A), getStr(n, "b", &e.B), getDur(n, "for", &e.For),
-	} {
-		if step != nil {
-			return nil, step
-		}
-	}
-	return e, nil
-}
-
-func (e *PeerPartitionEvent) validate(pops map[string]bool, at, total time.Duration) error {
-	if err := knownPoP(pops, e.A); err != nil {
-		return err
-	}
-	if err := knownPoP(pops, e.B); err != nil {
-		return err
-	}
-	if e.A == e.B {
-		return fmt.Errorf("a and b must differ, got %q twice", e.A)
-	}
-	if e.For <= 0 {
-		return fmt.Errorf("for %v must be positive", e.For)
-	}
-	return nil
-}
-
-func (e *PeerPartitionEvent) window(at, total time.Duration) (time.Duration, time.Duration) {
-	return at, at + e.For
-}
-
-func (e *PeerPartitionEvent) affected() []string { return []string{e.A, e.B} }
-
-// degradation
-
-func parseDegradation(n *Node) (EventPayload, error) {
-	if err := needMap(n, "degradation"); err != nil {
-		return nil, err
-	}
-	if err := checkKeys(n, "pop", "for", "loss_rate"); err != nil {
-		return nil, err
-	}
-	e := &DegradationEvent{}
-	for _, step := range []error{
-		getStr(n, "pop", &e.PoP), getDur(n, "for", &e.For), getFloat(n, "loss_rate", &e.LossRate),
-	} {
-		if step != nil {
-			return nil, step
-		}
-	}
-	return e, nil
-}
-
-func (e *DegradationEvent) validate(pops map[string]bool, at, total time.Duration) error {
-	if err := knownPoP(pops, e.PoP); err != nil {
-		return err
-	}
-	if e.For <= 0 {
-		return fmt.Errorf("for %v must be positive", e.For)
-	}
-	if e.LossRate <= 0 || e.LossRate >= 1 {
-		return fmt.Errorf("loss_rate %v out of (0,1)", e.LossRate)
-	}
-	return nil
-}
-
-func (e *DegradationEvent) window(at, total time.Duration) (time.Duration, time.Duration) {
-	return at, at + e.For
-}
-
-func (e *DegradationEvent) affected() []string { return []string{e.PoP} }
-
-// enable_fleet_sharing
-
-func parseFleetSharing(n *Node) (EventPayload, error) {
-	if err := needMap(n, "enable_fleet_sharing"); err != nil {
-		return nil, err
-	}
-	if err := checkKeys(n, "interval"); err != nil {
-		return nil, err
-	}
-	e := &FleetSharingEvent{}
-	if err := getDur(n, "interval", &e.Interval); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-func (e *FleetSharingEvent) validate(pops map[string]bool, at, total time.Duration) error {
-	if e.Interval <= 0 {
-		return fmt.Errorf("interval %v must be positive", e.Interval)
+func checkSharing(interval, at time.Duration) error {
+	if interval <= 0 {
+		return fmt.Errorf("interval %v must be positive", interval)
 	}
 	if at != 0 {
 		return fmt.Errorf("must fire at 0s (sharing starts with the run)")
@@ -512,92 +245,13 @@ func (e *FleetSharingEvent) validate(pops map[string]bool, at, total time.Durati
 	return nil
 }
 
-func (e *FleetSharingEvent) window(at, total time.Duration) (time.Duration, time.Duration) {
-	return 0, 0 // not a disruption
-}
-
-func (e *FleetSharingEvent) affected() []string { return nil }
-
-// enable_gossip_sharing
-
-func parseGossipSharing(n *Node) (EventPayload, error) {
-	if err := needMap(n, "enable_gossip_sharing"); err != nil {
-		return nil, err
-	}
-	if err := checkKeys(n, "interval", "mode", "seed_entries"); err != nil {
-		return nil, err
-	}
-	e := &GossipSharingEvent{Mode: string(cdn.GossipLadder)}
-	for _, step := range []error{
-		getDur(n, "interval", &e.Interval), getStr(n, "mode", &e.Mode),
-		getInt(n, "seed_entries", &e.SeedEntries),
-	} {
-		if step != nil {
-			return nil, step
-		}
-	}
-	return e, nil
-}
-
-func (e *GossipSharingEvent) validate(pops map[string]bool, at, total time.Duration) error {
-	if e.Interval <= 0 {
-		return fmt.Errorf("interval %v must be positive", e.Interval)
-	}
-	if m := cdn.GossipMode(e.Mode); m != cdn.GossipLadder && m != cdn.GossipFull {
-		return fmt.Errorf("mode %q unknown (valid: %s %s)", e.Mode, cdn.GossipFull, cdn.GossipLadder)
-	}
-	if e.SeedEntries < 0 {
-		return fmt.Errorf("seed_entries %d must not be negative", e.SeedEntries)
-	}
-	if at != 0 {
-		return fmt.Errorf("must fire at 0s (gossip starts with the run)")
-	}
-	return nil
-}
-
-func (e *GossipSharingEvent) window(at, total time.Duration) (time.Duration, time.Duration) {
-	return 0, 0 // not a disruption
-}
-
-func (e *GossipSharingEvent) affected() []string { return nil }
-
-// set_knob
-
-func parseKnob(n *Node) (EventPayload, error) {
-	if err := needMap(n, "set_knob"); err != nil {
-		return nil, err
-	}
-	if err := checkKeys(n, "knob", "pop", "a", "b", "value"); err != nil {
-		return nil, err
-	}
-	e := &KnobEvent{}
-	for _, step := range []error{
-		getStr(n, "knob", &e.Knob), getStr(n, "pop", &e.PoP),
-		getStr(n, "a", &e.A), getStr(n, "b", &e.B), getFloat(n, "value", &e.Value),
-	} {
-		if step != nil {
-			return nil, step
-		}
-	}
-	return e, nil
-}
-
-func (e *KnobEvent) validate(pops map[string]bool, at, total time.Duration) error {
+func (e *KnobEvent) validate() error {
 	switch e.Knob {
 	case KnobPoPLoss, KnobPoPCapacity:
-		if err := knownPoP(pops, e.PoP); err != nil {
-			return err
-		}
 		if e.A != "" || e.B != "" {
 			return fmt.Errorf("knob %q takes pop, not a/b", e.Knob)
 		}
 	case KnobPairCapacity, KnobPairRTTMs:
-		if err := knownPoP(pops, e.A); err != nil {
-			return err
-		}
-		if err := knownPoP(pops, e.B); err != nil {
-			return err
-		}
 		if e.A == e.B {
 			return fmt.Errorf("a and b must differ, got %q twice", e.A)
 		}
@@ -625,13 +279,62 @@ func (e *KnobEvent) validate(pops map[string]bool, at, total time.Duration) erro
 	return nil
 }
 
-func (e *KnobEvent) window(at, total time.Duration) (time.Duration, time.Duration) {
-	return 0, 0 // raw knobs carry no implied window; use the window block
+// window reports the disruption window the event contributes to the
+// "during" phase ([0,0) = none; sharing and raw knobs imply no window). A
+// cut or reboot with no length lasts for the rest of the run; the other
+// kinds' Validate rejects a zero length.
+func (ev Event) window(total time.Duration) (start, end time.Duration) {
+	var length time.Duration
+	switch p := ev.Payload.(type) {
+	case *cdn.CapacityCut:
+		length = p.For
+	case *HostRebootEvent:
+		length = p.For
+	case *RollingRebootsEvent:
+		length = time.Duration(len(p.PoPs)) * p.Interval
+	case *cdn.FlashCrowd:
+		length = p.For
+	case *cdn.PathFlap:
+		length = p.For
+	case *cdn.PeerPartition:
+		length = p.For
+	case *cdn.RegionalDegradation:
+		length = p.For
+	default:
+		return 0, 0
+	}
+	if length == 0 {
+		return ev.At, total
+	}
+	return ev.At, ev.At + length
 }
 
-func (e *KnobEvent) affected() []string {
-	if e.PoP != "" {
-		return []string{e.PoP}
+// affected names the PoPs the event touches — its blast radius, which the
+// phase CDFs are filtered to.
+func (ev Event) affected() []string {
+	switch p := ev.Payload.(type) {
+	case *cdn.CapacityCut:
+		if p.From != "" {
+			return []string{p.PoP, p.From}
+		}
+		return []string{p.PoP}
+	case *HostRebootEvent:
+		return []string{p.PoP}
+	case *RollingRebootsEvent:
+		return p.PoPs
+	case *cdn.FlashCrowd:
+		return []string{p.Target}
+	case *cdn.PathFlap:
+		return []string{p.A, p.B}
+	case *cdn.PeerPartition:
+		return []string{p.A, p.B}
+	case *cdn.RegionalDegradation:
+		return []string{p.PoP}
+	case *KnobEvent:
+		if p.PoP != "" {
+			return []string{p.PoP}
+		}
+		return []string{p.A, p.B}
 	}
-	return []string{e.A, e.B}
+	return nil
 }

@@ -108,6 +108,10 @@ type CompareSpec struct {
 	// assertions can price the anti-entropy ladder against the legacy
 	// full-snapshot cost model.
 	Gossip *bool
+	// Sharing, when set false, drops the enable_fleet_sharing and
+	// enable_gossip_sharing events from the control run: the same fleet
+	// with every agent learning alone.
+	Sharing *bool
 }
 
 // ProbeFilter restricts the probe population feeding the phase CDFs.
@@ -127,36 +131,17 @@ type Event struct {
 	At time.Duration
 	// Kind names the event type.
 	Kind string
-	// Payload holds the kind-specific parameters.
-	Payload EventPayload
-}
-
-// EventPayload is the kind-specific part of an event.
-type EventPayload interface {
-	// validate checks semantics against the resolved PoP set. at is the
-	// event's fire time, total the run duration.
-	validate(pops map[string]bool, at, total time.Duration) error
-	// window reports the disruption window the event contributes to the
-	// "during" phase ([0,0) = none). total is the run duration, for
-	// open-ended events.
-	window(at, total time.Duration) (start, end time.Duration)
-	// affected names the PoPs the event touches (nil = none).
-	affected() []string
-}
-
-// CapacityCutEvent collapses path capacity around a PoP (or one pair).
-type CapacityCutEvent struct {
-	PoP             string
-	From            string
-	For             time.Duration
-	Segments        int
-	RestoreSegments int
+	// Payload holds the kind-specific parameters: a pointer to one of the
+	// cdn fault types (CapacityCut, FlashCrowd, PathFlap, PeerPartition,
+	// RegionalDegradation, each with At already set) or to one of the
+	// engine's own event types below.
+	Payload any
 }
 
 // HostRebootEvent reboots one machine of a PoP. For bounds the disruption
 // window for phase analysis (0 = rest of run). TrackRecovery, when > 0,
-// records how many 1 s ticks the fleet needs to regain that fraction of its
-// pre-reboot learned routes.
+// records how many agent ticks (update intervals) the rebooted machine needs
+// to regain that fraction of its own pre-reboot learned routes.
 type HostRebootEvent struct {
 	PoP           string
 	Host          int
@@ -164,39 +149,12 @@ type HostRebootEvent struct {
 	TrackRecovery float64
 }
 
-// RollingRebootsEvent reboots whole PoPs one after another.
+// RollingRebootsEvent reboots whole PoPs one after another. TrackRecovery,
+// when > 0, records how many agent ticks the fleet needs to regain that
+// fraction of its pre-wave learned routes.
 type RollingRebootsEvent struct {
-	PoPs          []string
-	Interval      time.Duration
+	cdn.RollingReboots
 	TrackRecovery float64
-}
-
-// FlashCrowdEvent mirrors cdn.FlashCrowd.
-type FlashCrowdEvent struct {
-	Target     string
-	For        time.Duration
-	RatePerPoP float64
-	SizeKB     int
-}
-
-// PathFlapEvent mirrors cdn.PathFlap.
-type PathFlapEvent struct {
-	A, B     string
-	For      time.Duration
-	RTTScale float64
-}
-
-// PeerPartitionEvent mirrors cdn.PeerPartition.
-type PeerPartitionEvent struct {
-	A, B string
-	For  time.Duration
-}
-
-// DegradationEvent mirrors cdn.RegionalDegradation.
-type DegradationEvent struct {
-	PoP      string
-	For      time.Duration
-	LossRate float64
 }
 
 // FleetSharingEvent enables periodic same-PoP snapshot exchange.
@@ -306,7 +264,7 @@ func Parse(src []byte) (*Spec, error) {
 		}
 	}
 	if n := root.Get("events"); n != nil {
-		if sp.Events, err = parseEvents(n, popSet, sp.Duration); err != nil {
+		if sp.Events, err = parseEvents(n, popSet, sp.Duration, sp.Fleet.LossRate); err != nil {
 			return nil, err
 		}
 	}
@@ -318,16 +276,21 @@ func Parse(src []byte) (*Spec, error) {
 	if sp.Compare != nil && sp.Compare.Guard != nil && !*sp.Compare.Guard && sp.Fleet.Riptide.Guard == nil {
 		return nil, fmt.Errorf("compare: guard: false needs fleet.riptide.guard configured")
 	}
-	if sp.Compare != nil && sp.Compare.Gossip != nil {
-		found := false
+	if c := sp.Compare; c != nil && (c.Gossip != nil || c.Sharing != nil) {
+		gossip, sharing := false, false
 		for _, ev := range sp.Events {
-			if _, ok := ev.Payload.(*GossipSharingEvent); ok {
-				found = true
-				break
+			switch ev.Payload.(type) {
+			case *GossipSharingEvent:
+				gossip, sharing = true, true
+			case *FleetSharingEvent:
+				sharing = true
 			}
 		}
-		if !found {
+		if c.Gossip != nil && !gossip {
 			return nil, fmt.Errorf("compare: gossip needs an enable_gossip_sharing event")
+		}
+		if c.Sharing != nil && !sharing {
+			return nil, fmt.Errorf("compare: sharing needs an enable_fleet_sharing or enable_gossip_sharing event")
 		}
 	}
 	return sp, nil
@@ -680,33 +643,24 @@ func parseCompare(n *Node) (*CompareSpec, error) {
 	if err := needMap(n, "compare"); err != nil {
 		return nil, err
 	}
-	if err := checkKeys(n, "riptide", "guard", "gossip"); err != nil {
+	if err := checkKeys(n, "riptide", "guard", "gossip", "sharing"); err != nil {
 		return nil, err
 	}
 	c := &CompareSpec{}
-	if v := n.Get("riptide"); v != nil {
-		b, err := v.Bool()
-		if err != nil {
-			return nil, err
+	for _, kv := range []struct {
+		key string
+		dst **bool
+	}{{"riptide", &c.Riptide}, {"guard", &c.Guard}, {"gossip", &c.Gossip}, {"sharing", &c.Sharing}} {
+		if v := n.Get(kv.key); v != nil {
+			b, err := v.Bool()
+			if err != nil {
+				return nil, err
+			}
+			*kv.dst = &b
 		}
-		c.Riptide = &b
 	}
-	if v := n.Get("guard"); v != nil {
-		b, err := v.Bool()
-		if err != nil {
-			return nil, err
-		}
-		c.Guard = &b
-	}
-	if v := n.Get("gossip"); v != nil {
-		b, err := v.Bool()
-		if err != nil {
-			return nil, err
-		}
-		c.Gossip = &b
-	}
-	if c.Riptide == nil && c.Guard == nil && c.Gossip == nil {
-		return nil, fmt.Errorf("line %d: compare block sets no knob (valid: gossip guard riptide)", n.Line)
+	if len(n.Keys) == 0 {
+		return nil, fmt.Errorf("line %d: compare block sets no knob (valid: gossip guard riptide sharing)", n.Line)
 	}
 	return c, nil
 }

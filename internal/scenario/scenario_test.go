@@ -1,9 +1,12 @@
 package scenario
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"riptide/internal/cdn"
 )
 
 const validScenario = `
@@ -69,8 +72,8 @@ func TestParseValidScenario(t *testing.T) {
 	if sp.Events[1].Kind != "capacity_cut" {
 		t.Errorf("event[1] kind = %q", sp.Events[1].Kind)
 	}
-	cc, ok := sp.Events[1].Payload.(*CapacityCutEvent)
-	if !ok || cc.PoP != "jfk" || cc.From != "lhr" || cc.Segments != 10 {
+	cc, ok := sp.Events[1].Payload.(*cdn.CapacityCut)
+	if !ok || cc.PoP != "jfk" || cc.From != "lhr" || cc.Segments != 10 || cc.At != 2*time.Minute {
 		t.Errorf("capacity cut payload = %+v", sp.Events[1].Payload)
 	}
 	if sp.Fleet.Riptide.Guard == nil || sp.Fleet.Riptide.Guard.MinSegments != 24 {
@@ -123,6 +126,8 @@ func TestParseRejections(t *testing.T) {
 		{"organic unknown pop", mutate(t, "      lhr: 2.0", "      syd: 2.0"), `unknown PoP "syd"`},
 		{"guard without riptide", mutate(t, "enabled: true", "enabled: false"), "guard needs riptide"},
 		{"compare without knob", mutate(t, "compare:\n  guard: false", "compare: {}"), "sets no knob"},
+		{"compare sharing without a sharing event", strings.Replace(mutate(t, "compare:\n  guard: false", "compare:\n  sharing: false"),
+			"  - at: 0s\n    enable_fleet_sharing:\n      interval: 5s\n", "", 1), "sharing needs"},
 		{"sharing not at zero", mutate(t, "  - at: 0s\n    enable_fleet_sharing:", "  - at: 0s\n    peer_partition: {a: lhr, b: fra, for: 10s}\n  - at: 1s\n    enable_fleet_sharing:"), "at 0s"},
 	}
 	for _, tc := range cases {
@@ -216,5 +221,52 @@ func TestAssertionMissingMetricSuggests(t *testing.T) {
 	}
 	if !strings.Contains(res.Detail, "riptide.probe_ms.p99.during") {
 		t.Errorf("detail %q does not suggest the close metric", res.Detail)
+	}
+}
+
+// TestEventRejectionsAreLineNumbered feeds every event kind an unknown PoP, a
+// negative duration and a disruption running past the end of the run. The
+// events parse straight into the cdn fault types, whose own Validate reports
+// the parameter errors; each must still come back naming the event's line
+// and kind.
+func TestEventRejectionsAreLineNumbered(t *testing.T) {
+	const doc = "name: t\nfleet:\n  pops: [lhr, fra, jfk]\nduration: 10m\nevents:\n  - at: %s\n    %s: {%s}\n"
+	cases := []struct {
+		kind, at, body, want string
+	}{
+		{"capacity_cut", "1m", "pop: xxx, from: lhr, for: 1m, segments: 10", `unknown PoP "xxx"`},
+		{"capacity_cut", "1m", "pop: jfk, from: lhr, for: -1m, segments: 10", "must not be negative"},
+		{"capacity_cut", "1m", "pop: jfk, from: lhr, for: 10m, segments: 10", "past the run end"},
+		{"host_reboot", "1m", "pop: xxx, host: 0", `unknown PoP "xxx"`},
+		{"host_reboot", "1m", "pop: lhr, host: 0, for: -1m", "must not be negative"},
+		{"host_reboot", "1m", "pop: lhr, host: 0, for: 10m", "past the run end"},
+		{"rolling_reboots", "1m", "pops: [lhr, xxx], interval: 1m", `unknown PoP "xxx"`},
+		{"rolling_reboots", "1m", "pops: [lhr, fra], interval: -1m", "positive interval"},
+		{"rolling_reboots", "1m", "pops: [lhr, fra], interval: 6m", "past the run end"},
+		{"flash_crowd", "1m", "target: xxx, for: 1m, rate_per_pop: 1", `unknown PoP "xxx"`},
+		{"flash_crowd", "1m", "target: fra, for: -1m, rate_per_pop: 1", "positive rate and duration"},
+		{"flash_crowd", "1m", "target: fra, for: 10m, rate_per_pop: 1", "past the run end"},
+		{"path_flap", "1m", "a: lhr, b: xxx, for: 1m, rtt_scale: 2", `unknown PoP "xxx"`},
+		{"path_flap", "1m", "a: lhr, b: jfk, for: -1m, rtt_scale: 2", "positive duration"},
+		{"path_flap", "1m", "a: lhr, b: jfk, for: 10m, rtt_scale: 2", "past the run end"},
+		{"peer_partition", "1m", "a: xxx, b: jfk, for: 1m", `unknown PoP "xxx"`},
+		{"peer_partition", "1m", "a: lhr, b: jfk, for: -1m", "positive duration"},
+		{"peer_partition", "1m", "a: lhr, b: jfk, for: 10m", "past the run end"},
+		{"degradation", "1m", "pop: xxx, for: 1m, loss_rate: 0.05", `unknown PoP "xxx"`},
+		{"degradation", "1m", "pop: jfk, for: -1m, loss_rate: 0.05", "positive duration"},
+		{"degradation", "1m", "pop: jfk, for: 10m, loss_rate: 0.05", "past the run end"},
+		{"set_knob", "1m", "knob: pop_loss, pop: xxx, value: 0.1", `unknown PoP "xxx"`},
+		{"enable_fleet_sharing", "0s", "interval: -5s", "must be positive"},
+		{"enable_gossip_sharing", "0s", "interval: -5s", "must be positive"},
+	}
+	for _, tc := range cases {
+		_, err := Parse([]byte(fmt.Sprintf(doc, tc.at, tc.kind, tc.body)))
+		if err == nil {
+			t.Errorf("%s {%s}: accepted", tc.kind, tc.body)
+			continue
+		}
+		if prefix := "line 6: " + tc.kind + ": "; !strings.HasPrefix(err.Error(), prefix) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s {%s}: error %q, want prefix %q and %q", tc.kind, tc.body, err, prefix, tc.want)
+		}
 	}
 }
