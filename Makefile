@@ -36,9 +36,8 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Machine-readable perf-trajectory snapshot (agent-tick scaling series —
-# full-rescan, delta-steady, and delta-churn modes — plus batched-vs-
-# individual route programming and the fleet-serving fan-in series) for
-# PR-over-PR comparison.
+# delta-steady and delta-churn modes — plus batched-vs-individual route
+# programming and the fleet-serving fan-in series) for PR-over-PR comparison.
 bench-json:
 	$(GO) run ./cmd/riptide-bench -perf-only -perf-json BENCH_10.json -perf-sizes 1000,10000,100000,1000000
 

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"riptide/internal/experiments"
+	"riptide/internal/guard"
 	"riptide/internal/kernel"
 	"riptide/internal/perf"
 )
@@ -281,11 +282,9 @@ func BenchmarkAgentTick(b *testing.B) {
 }
 
 // benchmarkAgentTickSeries is the hot-path scaling series: serial (one
-// shard) versus sharded planning, crossed with the tick's processing
-// modes — full rescan (every state replanned each round), delta steady
-// state (identical observation stream), and delta with ~1% window churn —
-// all over the batched route-programming surface at a fixed observed-table
-// size.
+// shard) versus sharded planning, crossed with a steady state (identical
+// observation stream) and ~1% window churn — all over the batched
+// route-programming surface at a fixed observed-table size.
 func benchmarkAgentTickSeries(b *testing.B, conns int) {
 	for _, sv := range []struct {
 		name   string
@@ -295,22 +294,19 @@ func benchmarkAgentTickSeries(b *testing.B, conns int) {
 		{"sharded", 8},
 	} {
 		for _, mode := range []struct {
-			name       string
-			fullRescan bool
-			churnFrac  int
+			name      string
+			churnFrac int
 		}{
-			{"full", true, 0},
-			{"delta-steady", false, 0},
-			{"delta-churn1pct", false, 100},
+			{"delta-steady", 0},
+			{"delta-churn1pct", 100},
 		} {
 			b.Run(sv.name+"/"+mode.name, func(b *testing.B) {
 				sampler, routes, clock := newModeBackend(conns, mode.churnFrac)
 				agent, err := New(Config{
-					Sampler:    sampler,
-					Routes:     routes,
-					Clock:      clock,
-					Shards:     sv.shards,
-					FullRescan: mode.fullRescan,
+					Sampler: sampler,
+					Routes:  routes,
+					Clock:   clock,
+					Shards:  sv.shards,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -338,9 +334,8 @@ func BenchmarkAgentTick10k(b *testing.B)  { benchmarkAgentTickSeries(b, 10_000) 
 func BenchmarkAgentTick100k(b *testing.B) { benchmarkAgentTickSeries(b, 100_000) }
 
 // BenchmarkAgentTick1M is the acceptance point for the delta tick: a
-// million-destination table at steady state and under churn. The full
-// rescan points at this size take hundreds of milliseconds each, so the
-// whole series sits behind -short.
+// million-destination table at steady state and under churn. Set-up alone
+// takes seconds at this size, so the series sits behind -short.
 func BenchmarkAgentTick1M(b *testing.B) {
 	if testing.Short() {
 		b.Skip("1M-destination series skipped in -short mode")
@@ -431,9 +426,70 @@ func BenchmarkAgentTick100kMembershipChurn(b *testing.B) {
 	}
 }
 
+// noAdvice is an Advisor with nothing to say.
+type noAdvice struct{}
+
+func (noAdvice) Advise(netip.Prefix) float64 { return 1 }
+
+// BenchmarkAgentTick100kHooks prices a tick under each hook a config can
+// install — an Advisor, the safety governor, a caller-supplied History — in
+// the working regime: 100k sockets, 1% new windows per round, one shard, one
+// second per round.
+func BenchmarkAgentTick100kHooks(b *testing.B) {
+	for _, hook := range []struct {
+		name    string
+		install func(cfg *Config) error
+	}{
+		{"advisor", func(cfg *Config) error {
+			cfg.Advisor = noAdvice{}
+			return nil
+		}},
+		{"guard", func(cfg *Config) error {
+			g, err := guard.New(guard.Config{Clock: cfg.Clock})
+			cfg.Guard = g
+			return err
+		}},
+		{"history", func(cfg *Config) error {
+			h, err := NewEWMAHistory(DefaultAlpha)
+			cfg.History = h
+			return err
+		}},
+	} {
+		b.Run(hook.name, func(b *testing.B) {
+			var now time.Duration
+			cfg := Config{
+				Sampler: perf.NewChurnSampler(perf.SyntheticObservations(100_000), 100),
+				Routes:  perf.NopBatchRoutes{},
+				Clock:   func() time.Duration { return now },
+				Shards:  1,
+			}
+			if err := hook.install(&cfg); err != nil {
+				b.Fatal(err)
+			}
+			agent, err := New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer func() { _ = agent.Close() }()
+			tick := func() {
+				now += time.Second
+				if err := agent.Tick(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			tick()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tick()
+			}
+		})
+	}
+}
+
 // TestShardedTickNotSlowerThanSerial is the bench-smoke gate for the
-// parallel plan stage: with real cores available, sharding the full-rescan
-// plan work across 8 shards must not lose to a single shard. On fewer than
+// parallel plan stage: with real cores available, sharding the plan work of
+// a 1%-churn round across 8 shards must not lose to a single shard. On fewer than
 // 4 cores the comparison measures lock traffic, not parallelism, so the
 // test skips — exactly the configuration the perf harness now refuses to
 // label "parallel".
@@ -447,13 +503,12 @@ func TestShardedTickNotSlowerThanSerial(t *testing.T) {
 	const conns = 100_000
 	tick := func(shards int) testing.BenchmarkResult {
 		return testing.Benchmark(func(b *testing.B) {
-			sampler, routes, clock := newModeBackend(conns, 0)
+			sampler, routes, clock := newModeBackend(conns, 100)
 			agent, err := New(Config{
-				Sampler:    sampler,
-				Routes:     routes,
-				Clock:      clock,
-				Shards:     shards,
-				FullRescan: true,
+				Sampler: sampler,
+				Routes:  routes,
+				Clock:   clock,
+				Shards:  shards,
 			})
 			if err != nil {
 				b.Fatal(err)

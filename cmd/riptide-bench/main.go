@@ -111,17 +111,8 @@ var prePRBaselines = []perf.Baseline{
 	{Name: "AgentTick/dest=10000/pre-shard", NsPerOp: 6980329, AllocsPerOp: 10142, BytesPerOp: 4309375},
 }
 
-// bench5Baselines carry the BENCH_5.json series forward: the full-rescan
-// agent before the delta tick landed. They were captured at GOMAXPROCS=1
-// (the harness bug this PR fixes), so the shards=8 points measure lock
-// striping, not parallelism.
+// bench5Baselines carry BENCH_5.json's route-programming comparison forward.
 var bench5Baselines = []perf.Baseline{
-	{Name: "BENCH_5/AgentTick/dest=1000/shards=1", NsPerOp: 151905.58, AllocsPerOp: 2, BytesPerOp: 72},
-	{Name: "BENCH_5/AgentTick/dest=1000/shards=8", NsPerOp: 232044.70, AllocsPerOp: 37, BytesPerOp: 920},
-	{Name: "BENCH_5/AgentTick/dest=10000/shards=1", NsPerOp: 1548143.70, AllocsPerOp: 2, BytesPerOp: 72},
-	{Name: "BENCH_5/AgentTick/dest=10000/shards=8", NsPerOp: 1709430.61, AllocsPerOp: 37, BytesPerOp: 920},
-	{Name: "BENCH_5/AgentTick/dest=100000/shards=1", NsPerOp: 34597534.875, AllocsPerOp: 2, BytesPerOp: 72},
-	{Name: "BENCH_5/AgentTick/dest=100000/shards=8", NsPerOp: 33247698.94, AllocsPerOp: 37, BytesPerOp: 920},
 	{Name: "BENCH_5/RouteProgram/ops=1024/mode=individual", NsPerOp: 99431.85},
 	{Name: "BENCH_5/RouteProgram/ops=1024/mode=batch", NsPerOp: 66711.08},
 }

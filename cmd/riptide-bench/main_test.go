@@ -86,12 +86,12 @@ func TestPerfSnapshotWritesJSON(t *testing.T) {
 	if snap.Schema != perf.SnapshotSchema {
 		t.Errorf("schema = %q", snap.Schema)
 	}
-	// 2 sizes x 6 series points + 2 route-programming modes
+	// 2 sizes x 4 series points + 2 route-programming modes
 	// + backend comparisons (2 sizes x 2 sampler backends + 2 route backends,
 	// exec points skipped when the host lacks cat/true)
 	// + the fleet-serving series (2 fixed sizes x (3 kinds x 2 modes + 304)).
-	if n := len(snap.Benchmarks); n < 32 || n > 34 {
-		t.Fatalf("benchmarks = %d, want 32..34", n)
+	if n := len(snap.Benchmarks); n < 28 || n > 30 {
+		t.Fatalf("benchmarks = %d, want 28..30", n)
 	}
 	var execBaselines, servingBaselines int
 	for _, b := range snap.Baselines {
@@ -111,14 +111,6 @@ func TestPerfSnapshotWritesJSON(t *testing.T) {
 	}
 	if snap.GOMAXPROCS < 1 {
 		t.Errorf("gomaxprocs = %d not stamped", snap.GOMAXPROCS)
-	}
-	// Single-core runs must not label a multi-shard series "parallel".
-	if snap.GOMAXPROCS == 1 {
-		for _, b := range snap.Benchmarks {
-			if strings.Contains(b.Name, "parallel") {
-				t.Errorf("%s labeled parallel at GOMAXPROCS=1", b.Name)
-			}
-		}
 	}
 	for _, b := range snap.Benchmarks {
 		if b.NsPerOp <= 0 || b.Iterations < 1 {

@@ -433,21 +433,11 @@ func (c *Cluster) RebootPoP(name string) (int, error) {
 		return 0, fmt.Errorf("cdn: unknown PoP %q", name)
 	}
 	closed := 0
-	for _, h := range hs {
-		closed += c.net.CloseConnsInvolving(h.Addr())
-		for _, r := range h.Routes() {
-			h.DelRoute(r.Prefix)
-		}
-		if slot, ok := c.agents[h.Addr()]; ok {
-			_ = slot.agent.Close()
-			fresh, gov, err := c.newAgentForHost(h)
-			if err != nil {
-				return closed, fmt.Errorf("cdn: restart agent for %s/%v: %w", name, h.Addr(), err)
-			}
-			slot.agent = fresh
-			slot.gov = gov
-			slot.instance = c.nextInstance(h.Addr())
-			c.dropGossipCursors(h.Addr())
+	for idx := range hs {
+		n, err := c.RebootHost(name, idx)
+		closed += n
+		if err != nil {
+			return closed, err
 		}
 	}
 	return closed, nil
@@ -759,7 +749,7 @@ func (c *Cluster) TotalRoutes() int {
 	for _, p := range c.pops {
 		for _, h := range c.hosts[p.Name] {
 			if slot, ok := c.agents[h.Addr()]; ok && slot.agent != nil {
-				n += len(slot.agent.Entries())
+				n += slot.agent.Len()
 			}
 		}
 	}

@@ -54,17 +54,6 @@ const (
 	DefaultPrefixBits     = 32               // per-host routes
 )
 
-// Adaptive prefix-aggregation defaults (Config.AggregateBits enables the
-// feature; these back the remaining knobs).
-const (
-	// DefaultAggregateMinChildren is the number of converged child routes a
-	// covering prefix needs before one broader route replaces them.
-	DefaultAggregateMinChildren = 4
-	// DefaultAggregateTolerance is the maximum spread, in segments, between
-	// child windows considered "converged" on a shared value.
-	DefaultAggregateTolerance = 2
-)
-
 // Circuit-breaker defaults: a production sampler (`ss` exec) that fails this
 // many ticks in a row is almost certainly wedged; degrading to expiry-only
 // ticks keeps the TTL safety net alive without hammering a broken substrate.
@@ -375,33 +364,6 @@ type Config struct {
 	// route plan is merged and sorted before programming, so the agent's
 	// output is identical for every shard count.
 	Shards int
-	// FullRescan disables the delta-tick fast path: every destination is
-	// re-keyed, re-grouped, and re-combined every round even when its
-	// observations are byte-identical to the previous tick's. The agent's
-	// output — route ops, entries, stats, error identity — is the same
-	// either way (enforced by test); benchmarks use it as the baseline and
-	// production agents leave it false.
-	FullRescan bool
-
-	// AggregateBits enables adaptive prefix aggregation when non-zero:
-	// once AggregateMinChildren children of one /AggregateBits covering
-	// prefix converge on windows within AggregateTolerance segments of
-	// each other, the agent installs a single broader route at the most
-	// conservative (minimum) child window and withdraws the children —
-	// longest-prefix-match makes the swap safe in either order, and a
-	// child whose learned window later diverges gets its specific route
-	// back (it shadows the aggregate). AggregateBits must be coarser than
-	// PrefixBits. Aggregate routes are never guard-reviewed themselves;
-	// their children are, and a veto or quarantine of an absorbed child
-	// forces the aggregate apart so the hold-back takes effect.
-	AggregateBits int
-	// AggregateMinChildren is the converged-children threshold; 0 means
-	// DefaultAggregateMinChildren, values below 2 are rejected.
-	AggregateMinChildren int
-	// AggregateTolerance is the allowed child-window spread in segments;
-	// 0 means DefaultAggregateTolerance, negative values are rejected.
-	AggregateTolerance int
-
 	// Combiner reduces a destination's observations; defaults to
 	// AverageCombiner. It may be called from several plan workers at
 	// once (on disjoint groups) and must not call back into the Agent.
@@ -486,26 +448,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.Shards < 1 || c.Shards > maxShards {
 		return fmt.Errorf("riptide/core: Shards %d out of range [1,%d]", c.Shards, maxShards)
-	}
-	if c.AggregateBits != 0 {
-		if c.AggregateBits < 1 || c.AggregateBits > 128 {
-			return fmt.Errorf("riptide/core: AggregateBits %d out of range [1,128]", c.AggregateBits)
-		}
-		if c.AggregateBits >= c.PrefixBits {
-			return fmt.Errorf("riptide/core: AggregateBits %d must be coarser than PrefixBits %d", c.AggregateBits, c.PrefixBits)
-		}
-		if c.AggregateMinChildren == 0 {
-			c.AggregateMinChildren = DefaultAggregateMinChildren
-		}
-		if c.AggregateMinChildren < 2 {
-			return fmt.Errorf("riptide/core: AggregateMinChildren %d must be >= 2", c.AggregateMinChildren)
-		}
-		if c.AggregateTolerance == 0 {
-			c.AggregateTolerance = DefaultAggregateTolerance
-		}
-		if c.AggregateTolerance < 0 {
-			return fmt.Errorf("riptide/core: AggregateTolerance %d must be >= 0", c.AggregateTolerance)
-		}
 	}
 	if c.Combiner == nil {
 		c.Combiner = AverageCombiner{}
@@ -601,18 +543,6 @@ type Stats struct {
 	// destination is skipped for the round so the garbage never reaches
 	// history state or a route program.
 	CombinerRejects uint64 `json:"combinerRejects"`
-	// AggregatesFormed counts covering routes installed after their
-	// children converged (Config.AggregateBits).
-	AggregatesFormed uint64 `json:"aggregatesFormed"`
-	// AggregatesDissolved counts covering routes withdrawn because their
-	// membership fell below the threshold or the guard forced them apart.
-	AggregatesDissolved uint64 `json:"aggregatesDissolved"`
-	// ChildrenAbsorbed counts specific child routes withdrawn in favour of
-	// an installed covering aggregate.
-	ChildrenAbsorbed uint64 `json:"childrenAbsorbed"`
-	// AggregateSplits counts absorbed children that got their specific
-	// route back because their learned window diverged from the aggregate.
-	AggregateSplits uint64 `json:"aggregateSplits"`
 }
 
 // Agent runs Algorithm 1. Create with New, drive with Tick (one poll round
@@ -673,30 +603,25 @@ type Agent struct {
 	ingestWorkers int
 	tickSeq       uint64 // plan-stage first-touch stamp, bumped per tick (tickMu)
 	planBuf       []programOp
-	planKeys      []planKey
-	planKeysTmp   []planKey
+	planKeys      []uint64
 	clearBuf      []netip.Prefix
 	opsBuf        []RouteOp
 
-	// Delta-tick state (tickMu only): the previous round's observation
-	// stream and its per-index sample cache. An observation that is
-	// byte-identical at the same index as last round reuses its cached
-	// route key, shard, and state pointer — no re-keying, no hashing, no
-	// map lookup — and a whole stream that is literally the same slice as
-	// last round's can skip the grouping passes outright (see planShard).
-	// Unused when Config.FullRescan is set.
-	delta     bool
+	// Last round's observation stream and its per-position sample cache
+	// (tickMu only; valid while havePrev): the route key, shard and state
+	// each position resolved to. A rebuild writes every position; a stable
+	// round edits the positions that changed (see the plan-stage invariants
+	// in shard.go). obsPrev and obsBuf never share a backing array.
 	obsPrev   []Observation
-	cachePrev []cachedSample
-	cacheCur  []cachedSample
+	cache     []cachedSample
 	havePrev  bool
-	// quiescentOK gates the stable-round fast path (planShardQuiescent):
-	// set when no per-destination visit can have side effects beyond the
-	// entry itself — no Governor, no Advisor, no shared History policy, no
-	// prefix aggregation — so skipping converged destinations is provably
-	// unobservable.
-	quiescentOK bool
-	compareOK   []bool // per-worker stable-round verdicts, reused scratch
+	compareOK []bool // per-worker stable-round verdicts, reused scratch
+	// canDrain is the one config predicate of the plan stage: with no hook
+	// installed (Guard, Advisor, caller-supplied History) a visit to a
+	// converged destination has no effect beyond its own entry, so the state
+	// may drain from its shard's active list and be credited lazily. Hook
+	// configs visit every group every round.
+	canDrain bool
 
 	mTick    *metrics.Histogram
 	mSample  *metrics.Histogram
@@ -717,7 +642,7 @@ func New(cfg Config) (*Agent, error) {
 	}
 	a := &Agent{
 		cfg:       cfg,
-		delta:     !cfg.FullRescan,
+		canDrain:  !sharedHistory && cfg.Guard == nil && cfg.Advisor == nil,
 		shards:    make([]*shard, cfg.Shards),
 		buckets:   make([][]keyedObs, cfg.Shards*cfg.Shards),
 		compareOK: make([]bool, cfg.Shards),
@@ -742,9 +667,6 @@ func New(cfg Config) (*Agent, error) {
 		if sharedHistory {
 			sh.history = shared
 		}
-		if cfg.AggregateBits > 0 {
-			sh.aggs = make(map[netip.Prefix]*aggState)
-		}
 		a.shards[i] = sh
 	}
 	if !sharedHistory {
@@ -757,8 +679,6 @@ func New(cfg Config) (*Agent, error) {
 		}
 		a.cfg.History = h
 	}
-	a.quiescentOK = a.delta && !sharedHistory && cfg.Guard == nil &&
-		cfg.Advisor == nil && cfg.AggregateBits == 0
 	return a, nil
 }
 
@@ -814,7 +734,7 @@ func (a *Agent) Entries() []Entry {
 				continue
 			}
 			// Converged entries carry lazily applied TTL/sample credit from
-			// quiescent rounds; fold it in before exposing the fields.
+			// stable rounds; fold it in before exposing the fields.
 			a.materializeLocked(sh, st)
 			out = append(out, Entry{
 				Prefix:       p,
@@ -852,9 +772,7 @@ func comparePrefix(a, b netip.Prefix) int {
 }
 
 // Lookup returns the currently programmed window for the destination, if
-// Riptide has learned one. A destination whose specific route was absorbed
-// into an installed covering aggregate resolves to the aggregate's window —
-// the same answer the kernel's longest-prefix match would give.
+// Riptide has learned one.
 func (a *Agent) Lookup(dst netip.Addr) (int, bool) {
 	key, err := a.destKey(dst)
 	if err != nil {
@@ -865,11 +783,6 @@ func (a *Agent) Lookup(dst netip.Addr) (int, bool) {
 	defer sh.mu.Unlock()
 	if st, ok := sh.states[key]; ok && st.installed {
 		return st.window, true
-	}
-	if parent, ok := a.aggKey(key); ok {
-		if pst, ok := sh.states[parent]; ok && pst.installed {
-			return pst.window, true
-		}
 	}
 	return 0, false
 }
@@ -907,10 +820,6 @@ func (a *Agent) Close() error {
 			st.dead = true
 		}
 		clear(sh.states)
-		if sh.aggs != nil {
-			clear(sh.aggs)
-		}
-		sh.dirtyAggs = sh.dirtyAggs[:0]
 		sh.installed = 0
 		sh.deadlines = nil
 		sh.touched = sh.touched[:0]

@@ -12,14 +12,14 @@ import (
 	"time"
 )
 
-// Tests for the delta-driven tick: for any observation stream, the delta
-// path (sample caching, clean-group reuse, identical-stream skip, next-expiry
-// gating) must produce byte-identical route programs, entries, stats, and
-// error text to a full rescan of the same stream.
+// Tests for the plan stage's one incremental mechanism: for any observation
+// stream, an agent that takes stable rounds wherever it can must produce
+// byte-identical route programs, entries, stats, and error text to one whose
+// every round is forced to rebuild.
 
 // fixedSampler returns the same backing slice every round — the shape that
-// triggers the delta tick's identical-stream fast path (perf.FixedSampler
-// cannot be imported here without a cycle).
+// lets a stable round skip the compare (perf.FixedSampler cannot be imported
+// here without a cycle).
 type fixedSampler []Observation
 
 func (s fixedSampler) SampleConnections([]Observation) ([]Observation, error) {
@@ -37,17 +37,26 @@ type modeResult struct {
 	stable uint64
 }
 
+// forceRebuild makes a's next round a rebuild: with no previous stream to
+// compare against, nothing of last round's grouping is reused.
+func forceRebuild(a *Agent) {
+	a.tickMu.Lock()
+	a.havePrev = false
+	a.tickMu.Unlock()
+}
+
 // runModeSchedule drives one agent over the schedule with 30s tick spacing
 // (so TTL expiry fires for destinations that churn out) and records its
-// complete observable output.
-func runModeSchedule(t *testing.T, shards int, fullRescan bool, aggBits int, rounds [][]Observation) modeResult {
+// complete observable output. rebuild forces every round to rebuild — the
+// reference.
+func runModeSchedule(t *testing.T, shards int, rebuild bool, rounds [][]Observation) modeResult {
 	t.Helper()
-	return runModeScheduleOn(t, &recordingBatchRoutes{}, nil, shards, fullRescan, aggBits, rounds)
+	return runModeScheduleOn(t, &recordingBatchRoutes{}, nil, shards, rebuild, rounds)
 }
 
 // runModeScheduleOn is runModeSchedule over caller-built routes (failure
 // injection) and, when non-nil, a caller's last word on the Config.
-func runModeScheduleOn(t *testing.T, routes *recordingBatchRoutes, tweak func(*Config), shards int, fullRescan bool, aggBits int, rounds [][]Observation) modeResult {
+func runModeScheduleOn(t *testing.T, routes *recordingBatchRoutes, tweak func(*Config), shards int, rebuild bool, rounds [][]Observation) modeResult {
 	t.Helper()
 	var now atomic.Int64
 	cfg := Config{
@@ -56,15 +65,9 @@ func runModeScheduleOn(t *testing.T, routes *recordingBatchRoutes, tweak func(*C
 		Clock:      func() time.Duration { return time.Duration(now.Load()) },
 		PrefixBits: 24,
 		Shards:     shards,
-		FullRescan: fullRescan,
 	}
 	if tweak != nil {
 		tweak(&cfg)
-	}
-	if aggBits > 0 {
-		cfg.AggregateBits = aggBits
-		cfg.AggregateMinChildren = 4
-		cfg.AggregateTolerance = 2
 	}
 	a, err := New(cfg)
 	if err != nil {
@@ -73,6 +76,9 @@ func runModeScheduleOn(t *testing.T, routes *recordingBatchRoutes, tweak func(*C
 	var tickErrs []string
 	for range rounds {
 		now.Add(int64(30 * time.Second))
+		if rebuild {
+			forceRebuild(a)
+		}
 		if err := a.Tick(); err != nil {
 			tickErrs = append(tickErrs, err.Error())
 		}
@@ -83,7 +89,7 @@ func runModeScheduleOn(t *testing.T, routes *recordingBatchRoutes, tweak func(*C
 	}
 }
 
-// compareModes diffs the delta run against the full-rescan reference.
+// compareModes diffs the normal run against the forced-rebuild reference.
 func compareModes(t *testing.T, label string, full, delta modeResult) {
 	t.Helper()
 	if !reflect.DeepEqual(delta.ops, full.ops) {
@@ -106,17 +112,17 @@ func compareModes(t *testing.T, label string, full, delta modeResult) {
 	}
 }
 
-// TestDeltaTickMatchesFullRescan drives the standard determinism schedule —
+// TestDeltaTickMatchesRebuild drives the standard determinism schedule —
 // churn, drifting windows, invalid samples, expiry — through both modes at
 // several shard counts and demands identical output.
-func TestDeltaTickMatchesFullRescan(t *testing.T) {
+func TestDeltaTickMatchesRebuild(t *testing.T) {
 	rounds := determinismRounds(6, 900)
 	for _, shards := range []int{1, 2, 4, 8} {
-		full := runModeSchedule(t, shards, true, 0, rounds)
+		full := runModeSchedule(t, shards, true, rounds)
 		if len(full.ops) == 0 || len(full.entries) == 0 {
-			t.Fatalf("full-rescan reference did nothing: %d ops, %d entries", len(full.ops), len(full.entries))
+			t.Fatalf("forced-rebuild reference did nothing: %d ops, %d entries", len(full.ops), len(full.entries))
 		}
-		delta := runModeSchedule(t, shards, false, 0, rounds)
+		delta := runModeSchedule(t, shards, false, rounds)
 		compareModes(t, fmt.Sprintf("shards=%d", shards), full, delta)
 	}
 }
@@ -158,29 +164,17 @@ func randomRounds(seed int64, roundCount, n int) [][]Observation {
 	return out
 }
 
-// TestDeltaTickMatchesFullRescanRandom repeats the equivalence check over
+// TestDeltaTickMatchesRebuildRandom repeats the equivalence check over
 // randomized streams and seeds; run with -race to also exercise the cache
 // backfill writes from parallel plan workers.
-func TestDeltaTickMatchesFullRescanRandom(t *testing.T) {
+func TestDeltaTickMatchesRebuildRandom(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rounds := randomRounds(seed, 8, 1200)
 		for _, shards := range []int{1, 4} {
-			full := runModeSchedule(t, shards, true, 0, rounds)
-			delta := runModeSchedule(t, shards, false, 0, rounds)
+			full := runModeSchedule(t, shards, true, rounds)
+			delta := runModeSchedule(t, shards, false, rounds)
 			compareModes(t, fmt.Sprintf("seed=%d/shards=%d", seed, shards), full, delta)
 		}
-	}
-}
-
-// TestDeltaTickMatchesFullRescanWithAggregation runs the equivalence check
-// with prefix aggregation enabled, so formation, absorption, splits, and
-// dissolution all happen identically in both modes.
-func TestDeltaTickMatchesFullRescanWithAggregation(t *testing.T) {
-	rounds := determinismRounds(6, 900)
-	for _, shards := range []int{1, 4} {
-		full := runModeSchedule(t, shards, true, 16, rounds)
-		delta := runModeSchedule(t, shards, false, 16, rounds)
-		compareModes(t, fmt.Sprintf("agg/shards=%d", shards), full, delta)
 	}
 }
 
@@ -242,20 +236,20 @@ func quiescentRounds(seed int64, roundCount, n int) [][]Observation {
 	return out
 }
 
-// TestQuiescentTickMatchesFullRescan pins the stable-round fast path to the
-// full-rescan reference over positionally-stable streams: byte-identical
+// TestQuiescentTickMatchesRebuild pins the stable-round fast path to the
+// forced-rebuild reference over positionally-stable streams: byte-identical
 // route programs, entries (lazy TTL/sample credit included), stats, and
 // errors across seeds and shard counts, through mid-run rebuilds, invalid
 // injections, freeze/park drains and re-dirties.
-func TestQuiescentTickMatchesFullRescan(t *testing.T) {
+func TestQuiescentTickMatchesRebuild(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rounds := quiescentRounds(seed, 42, 600)
 		for _, shards := range []int{1, 4, 8} {
-			full := runModeSchedule(t, shards, true, 0, rounds)
+			full := runModeSchedule(t, shards, true, rounds)
 			if len(full.ops) == 0 || len(full.entries) == 0 {
-				t.Fatalf("full-rescan reference did nothing: %d ops, %d entries", len(full.ops), len(full.entries))
+				t.Fatalf("forced-rebuild reference did nothing: %d ops, %d entries", len(full.ops), len(full.entries))
 			}
-			delta := runModeSchedule(t, shards, false, 0, rounds)
+			delta := runModeSchedule(t, shards, false, rounds)
 			compareModes(t, fmt.Sprintf("seed=%d/shards=%d", seed, shards), full, delta)
 		}
 	}
@@ -362,12 +356,12 @@ func membershipChurnRounds(seed int64, roundCount, n int) [][]Observation {
 	return out
 }
 
-// TestDeltaTickMatchesFullRescanMembershipChurn pins the stable path's
-// membership edits to the full-rescan reference over generated churn, with
+// TestDeltaTickMatchesRebuildMembershipChurn pins the stable path's
+// membership edits to the forced-rebuild reference over generated churn, with
 // failing installs and failing withdrawals mixed in: byte-identical route
 // programs, entries, stats and error text at every shard count — and the
 // rounds must really have been planned on the stable path.
-func TestDeltaTickMatchesFullRescanMembershipChurn(t *testing.T) {
+func TestDeltaTickMatchesRebuildMembershipChurn(t *testing.T) {
 	newRoutes := func() *recordingBatchRoutes {
 		rt := &recordingBatchRoutes{}
 		rt.fail = func(p netip.Prefix) bool { return p.Addr().As4()[2]%23 == 7 }
@@ -378,17 +372,80 @@ func TestDeltaTickMatchesFullRescanMembershipChurn(t *testing.T) {
 		rounds := membershipChurnRounds(seed, 48, 1600)
 		for _, shards := range []int{1, 2, 4, 8} {
 			label := fmt.Sprintf("seed=%d/shards=%d", seed, shards)
-			full := runModeScheduleOn(t, newRoutes(), nil, shards, true, 0, rounds)
+			full := runModeScheduleOn(t, newRoutes(), nil, shards, true, rounds)
 			if full.stats.EntriesExpired == 0 || full.stats.RouteErrors == 0 || len(full.tickErrs) == 0 {
 				t.Fatalf("%s: reference saw no expiry or no failure: %+v", label, full.stats)
 			}
-			delta := runModeScheduleOn(t, newRoutes(), nil, shards, false, 0, rounds)
+			delta := runModeScheduleOn(t, newRoutes(), nil, shards, false, rounds)
 			compareModes(t, label, full, delta)
 			// All but the install round, the mid-run mass swap and the odd
 			// compacting rebuild.
 			if least := uint64(len(rounds) - 6); delta.stable < least {
 				t.Errorf("%s: %d rounds on the stable path, want at least %d", label, delta.stable, least)
 			}
+		}
+	}
+}
+
+// withTraffic gives the sockets of one destination /24 in three moving
+// cumulative segment counters (the rest idle, so most positions still repeat
+// byte-identically between rounds) and one in eleven of those a 10 % loss
+// episode from round 5 to round 25 — what a loss-feedback governor needs to
+// throttle, quarantine, probe and recover destinations that stay observed.
+func withTraffic(rounds [][]Observation) [][]Observation {
+	for r, obs := range rounds {
+		for i := range obs {
+			o := &obs[i]
+			if !o.Dst.Is4() || o.Dst.As4()[2]%3 != 0 {
+				continue
+			}
+			o.SegsOut = int64(2000 * (r + 1))
+			if o.Dst.As4()[2]%11 == 3 {
+				o.Retrans = int64(200 * min(max(r-4, 0), 20))
+			}
+		}
+	}
+	return rounds
+}
+
+// stableVsRebuild runs the membership-churn schedule, with traffic counters,
+// failing installs and withdrawals that fail (some for good, some once), under
+// the hook install puts into the Config — once taking stable rounds, once with
+// every round forced to rebuild — and demands identical route programs,
+// entries, stats, error text and hook status (install's return value, probed
+// after the run) at every shard count, with the rounds really planned on the
+// stable path.
+func stableVsRebuild(t *testing.T, install func(*Config) (status func() any)) {
+	t.Helper()
+	newRoutes := func() *recordingBatchRoutes {
+		rt := &recordingBatchRoutes{}
+		failedOnce := map[netip.Prefix]bool{}
+		rt.fail = func(p netip.Prefix) bool { return p.Addr().As4()[2]%23 == 7 }
+		rt.failClear = func(p netip.Prefix) bool {
+			if p.Addr().As4()[2]%29 == 11 {
+				return true
+			}
+			first := !failedOnce[p]
+			failedOnce[p] = true
+			return first
+		}
+		return rt
+	}
+	rounds := withTraffic(membershipChurnRounds(1, 48, 1600))
+	for _, shards := range []int{1, 2, 4, 8} {
+		label := fmt.Sprintf("shards=%d", shards)
+		var fullStatus, deltaStatus func() any
+		full := runModeScheduleOn(t, newRoutes(), func(c *Config) { fullStatus = install(c) }, shards, true, rounds)
+		if full.stats.EntriesExpired == 0 || full.stats.RouteErrors == 0 || len(full.tickErrs) == 0 {
+			t.Fatalf("%s: reference saw no expiry or no failure: %+v", label, full.stats)
+		}
+		delta := runModeScheduleOn(t, newRoutes(), func(c *Config) { deltaStatus = install(c) }, shards, false, rounds)
+		compareModes(t, label, full, delta)
+		if want, got := fullStatus(), deltaStatus(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: hook status diverged:\n  delta %+v\n  full  %+v", label, got, want)
+		}
+		if least := uint64(len(rounds) - 6); delta.stable < least {
+			t.Errorf("%s: %d rounds on the stable path, want at least %d", label, delta.stable, least)
 		}
 	}
 }
@@ -458,14 +515,14 @@ func (c nanOn13) Combine(obs []Observation) float64 {
 	return c.AverageCombiner.Combine(obs)
 }
 
-// TestDeltaTickMatchesFullRescanGroupedDrop covers state deletion under a
+// TestDeltaTickMatchesRebuildGroupedDrop covers state deletion under a
 // group that is still observed, on the stable path: a destination whose
 // Combine value turns NaN stops being refreshed and expires while its sockets
 // stay in the stream, and a route the programmer reports withdrawn
-// (ErrFallbackCleared) is dropped mid-round. A full rescan re-creates either
-// state from nothing on the next round; the stable path must too, without
-// leaving the path.
-func TestDeltaTickMatchesFullRescanGroupedDrop(t *testing.T) {
+// (ErrFallbackCleared) is dropped mid-round. A rebuild re-creates either state
+// from nothing on the next round; the stable path must too, without leaving
+// the path.
+func TestDeltaTickMatchesRebuildGroupedDrop(t *testing.T) {
 	const n, roundCount = 400, 30
 	cur := make([]Observation, n)
 	for i := range cur {
@@ -498,11 +555,11 @@ func TestDeltaTickMatchesFullRescanGroupedDrop(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		label := fmt.Sprintf("shards=%d", shards)
 		nan := func(c *Config) { c.Combiner = nanOn13{} }
-		full := runModeScheduleOn(t, newRoutes(), nan, shards, true, 0, rounds)
+		full := runModeScheduleOn(t, newRoutes(), nan, shards, true, rounds)
 		if st := full.stats; st.CombinerRejects == 0 || st.EntriesExpired == 0 || st.RoutesCleared <= st.EntriesExpired {
 			t.Fatalf("%s: reference saw no NaN expiry or no fallback clear: %+v", label, st)
 		}
-		delta := runModeScheduleOn(t, newRoutes(), nan, shards, false, 0, rounds)
+		delta := runModeScheduleOn(t, newRoutes(), nan, shards, false, rounds)
 		compareModes(t, label, full, delta)
 		if delta.stable != roundCount-1 {
 			t.Errorf("%s: %d rounds on the stable path, want %d", label, delta.stable, roundCount-1)
@@ -525,13 +582,13 @@ func (s *outageSampler) SampleConnections(buf []Observation) ([]Observation, err
 	return s.inner.SampleConnections(buf)
 }
 
-// TestDeltaTickMatchesFullRescanSamplerOutage pins what happens to lazily
+// TestDeltaTickMatchesRebuildSamplerOutage pins what happens to lazily
 // credited routes when the rounds that refresh them stop: through a one-round
 // outage nothing may expire, through an outage longer than the TTL (which
 // also opens the breaker) every route must — the credited ones included,
 // though no stable round is there to settle them — and the table must come
 // back identically afterwards.
-func TestDeltaTickMatchesFullRescanSamplerOutage(t *testing.T) {
+func TestDeltaTickMatchesRebuildSamplerOutage(t *testing.T) {
 	const n, roundCount = 300, 24
 	cur := make([]Observation, n)
 	for i := range cur {
@@ -549,23 +606,25 @@ func TestDeltaTickMatchesFullRescanSamplerOutage(t *testing.T) {
 	}
 	for _, shards := range []int{1, 4} {
 		label := fmt.Sprintf("shards=%d", shards)
-		full := runModeScheduleOn(t, &recordingBatchRoutes{}, outage, shards, true, 0, rounds)
+		full := runModeScheduleOn(t, &recordingBatchRoutes{}, outage, shards, true, rounds)
 		if st := full.stats; st.EntriesExpired < n/2 || st.BreakerOpens == 0 || len(full.entries) < n/2 {
 			t.Fatalf("%s: reference did not lose and regain its table: %+v", label, st)
 		}
-		delta := runModeScheduleOn(t, &recordingBatchRoutes{}, outage, shards, false, 0, rounds)
+		delta := runModeScheduleOn(t, &recordingBatchRoutes{}, outage, shards, false, rounds)
 		compareModes(t, label, full, delta)
 	}
 }
 
-// TestMembershipChurnStaysOnStablePath is the engagement guard for membership
-// edits: 2 000 sockets of which 0.1 % move to a never-seen destination every
-// round, run past one TTL so the routes left behind expire mid-run, must be
-// planned on the stable path on every shard after the install round —
+// staysOnStablePath is the engagement guard for membership edits: 2 000
+// sockets of which 0.1 % move to a never-seen destination every round, run
+// past one TTL so the routes left behind expire mid-run, must be planned on
+// the stable path after the install round under the config tweak leaves —
 // equivalence alone would hold either way. The registry counters are what an
-// operator would read off a daemon that has fallen back to rebuilding.
-func TestMembershipChurnStaysOnStablePath(t *testing.T) {
-	const n, roundCount = 2000, 110
+// operator would read off a daemon that has fallen back to rebuilding. It
+// returns the agent and the schedule's dimensions for further checks.
+func staysOnStablePath(t *testing.T, tweak func(*Config)) (a *Agent, n, roundCount int) {
+	t.Helper()
+	n, roundCount = 2000, 110
 	cur := make([]Observation, n)
 	for i := range cur {
 		cur[i] = Observation{
@@ -587,16 +646,20 @@ func TestMembershipChurnStaysOnStablePath(t *testing.T) {
 		rounds[r] = append([]Observation(nil), cur...)
 	}
 	var now atomic.Int64
-	a, err := New(Config{
+	cfg := Config{
 		Sampler: &playbackSampler{rounds: rounds},
 		Routes:  nopRoutes{},
 		Clock:   func() time.Duration { return time.Duration(now.Load()) },
 		Shards:  4,
-	})
+	}
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = a.Close() }()
+	t.Cleanup(func() { _ = a.Close() })
 	for range rounds {
 		now.Add(int64(time.Second))
 		if err := a.Tick(); err != nil {
@@ -605,11 +668,16 @@ func TestMembershipChurnStaysOnStablePath(t *testing.T) {
 	}
 	stable := a.Metrics().Counter("riptide_tick_rounds_stable").Value()
 	rebuild := a.Metrics().Counter("riptide_tick_rounds_rebuild").Value()
-	if stable != roundCount-1 || rebuild != 1 {
+	if stable != uint64(roundCount-1) || rebuild != 1 {
 		t.Errorf("rounds: %d stable, %d rebuilt; want %d and 1", stable, rebuild, roundCount-1)
 	}
+	return a, n, roundCount
+}
+
+func TestMembershipChurnStaysOnStablePath(t *testing.T) {
+	a, n, roundCount := staysOnStablePath(t, nil)
 	for i, sh := range a.shards {
-		if sh.cleanRounds != roundCount-1 {
+		if sh.cleanRounds != uint64(roundCount-1) {
 			t.Errorf("shard %d: %d clean rounds, want %d", i, sh.cleanRounds, roundCount-1)
 		}
 	}

@@ -132,8 +132,8 @@ func (a *Agent) digestRefold(dst netip.Prefix, st *destState) {
 }
 
 // digestUnfold removes an installed entry's folded hash when its route is
-// withdrawn (expiry, guard clear, absorption, fallback clear). Called under
-// the owning shard's mu, before the state is dropped.
+// withdrawn (expiry, guard clear, fallback clear). Called under the owning
+// shard's mu, before the state is dropped.
 func (a *Agent) digestUnfold(st *destState) {
 	b := st.digSeed % DigestBuckets
 	a.digest.mu.Lock()

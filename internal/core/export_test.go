@@ -1,0 +1,8 @@
+package core
+
+// Harnesses for hooks_test.go, which lives outside the package because
+// internal/guard imports it.
+var (
+	StableVsRebuild   = stableVsRebuild
+	StaysOnStablePath = staysOnStablePath
+)

@@ -197,7 +197,7 @@ func TestGuardClearFailureRetriesNextRound(t *testing.T) {
 	p := pfx(t, "10.0.0.1/32")
 	gov := newScriptedGovernor()
 	sampler := &fakeSampler{rounds: [][]Observation{{{Dst: d, Cwnd: 50}}}}
-	a, routes, _ := newAgent(t, Config{Sampler: sampler, Guard: gov})
+	a, routes, clock := newAgent(t, Config{Sampler: sampler, Guard: gov})
 	if err := a.Tick(); err != nil {
 		t.Fatal(err)
 	}
@@ -209,6 +209,17 @@ func TestGuardClearFailureRetriesNextRound(t *testing.T) {
 	}
 	if _, ok := routes.set[p]; !ok {
 		t.Fatal("fake lost the route despite failed clear")
+	}
+
+	// The held route is not refreshed, so its TTL keeps running: once it
+	// lapses the expiry path retries the withdrawal as well.
+	before := a.Stats().RouteErrors
+	clock.Advance(DefaultTTL)
+	if err := a.Tick(); err == nil {
+		t.Fatal("clear failure swallowed")
+	}
+	if got := a.Stats().RouteErrors - before; got != 2 {
+		t.Errorf("withdrawal attempts on a lapsed held route = %d, want 2 (guard and expiry)", got)
 	}
 
 	routes.failClr = nil

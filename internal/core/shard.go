@@ -50,10 +50,9 @@ func defaultShards() int {
 // destState is everything the agent knows about one destination, in one map
 // slot: the committed route entry (valid while installed is true), the
 // inline EWMA smoothing state (used unless a caller supplied a History
-// policy), and the plan stage's per-tick grouping scratch. Smoothing state
+// policy), and the plan stage's grouping bookkeeping. Smoothing state
 // outlives the installed route on purpose — a destination whose program
-// keeps failing still accumulates history, exactly as the previous separate
-// history map did.
+// keeps failing still accumulates history.
 type destState struct {
 	entry
 
@@ -61,33 +60,24 @@ type destState struct {
 	// while hasEwma).
 	ewma float64
 
-	// Plan-stage scratch (tickMu only): the tick sequence this state was
-	// last touched in, and its group's span in the shard arena.
-	seq  uint64
-	span groupSpan
-
-	// Delta-tick bookkeeping (tickMu only): the group size of the last
-	// planned round and (while hasLast) the Combine value it produced. A
-	// group whose every observation is position-stable since last round and
-	// whose size matches prevN is provably identical to last round's, so its
-	// Combine call (and arena copy) is skipped and lastValue reused.
+	// Grouping bookkeeping (tickMu only; see the plan-stage invariants
+	// below). seq == sh.fullSeq marks a member of the shard's retained
+	// grouping, whose prevN sample indices sit in
+	// sh.memberIdx[memberOff:memberOff+prevN] (memberCap slots reserved);
+	// lastValue is the Combine value of the latest round that changed the
+	// group (valid while hasLast). dirtySeq dedups the group in a stable
+	// round's dirty list; inActive tracks membership in sh.active.
+	// cleanSeen is the sh.cleanRounds value up to which lazy TTL/sample
+	// credit has been folded into the entry fields; ewmaSeen is the same
+	// watermark for the smoothing state (replayed by forwardEWMALocked);
+	// wakeAt is the sh.cleanRounds value at which the state's next window
+	// flip is due (freezeHorizon's verdict) — until then the stable round
+	// skips it, and 0 means the horizon must be recomputed on the next visit.
+	seq       uint64
 	prevN     int32
-	lastValue float64
-
-	// Quiescent fast-path bookkeeping (tickMu only; see planShardQuiescent).
-	// memberOff/memberCap locate the group's member sample-indices in
-	// sh.memberIdx (prevN of the memberCap slots are in use while seq ==
-	// sh.fullSeq); dirtySeq dedups the group in a stable round's dirty
-	// list; inActive tracks membership in sh.active; cleanSeen
-	// is the sh.cleanRounds value up to which lazy TTL/sample credit has
-	// been folded into the entry fields; ewmaSeen is the same watermark for
-	// the smoothing state (advanced only by eager processing, replayed by
-	// forwardEWMALocked); wakeAt is the sh.cleanRounds value at which the
-	// state's next window flip is due (freezeHorizon's verdict) — until
-	// then the clean loop skips it entirely, and 0 means the horizon is
-	// unknown and must be recomputed on the next visit.
 	memberOff int32
 	memberCap int32
+	lastValue float64
 	dirtySeq  uint64
 	cleanSeen uint64
 	ewmaSeen  uint64
@@ -111,14 +101,13 @@ type destState struct {
 	// installed marks that a route is programmed and the embedded entry
 	// fields are live; Lookup/Entries/snapshots ignore the state otherwise.
 	installed bool
-	// absorbed marks a child whose specific route was withdrawn in favour
-	// of an installed covering aggregate; the entry fields keep learning so
-	// a diverging window can split its specific route back out.
-	absorbed bool
 	// dead marks a state deleted from its shard (shard mu). Slab slots are
 	// never recarved, so a pointer held by the sample cache or the deadline
 	// queue stays readable and is validated against this mark alone.
-	dead      bool
+	dead bool
+	// held marks an installed route the governor vetoed in the latest round:
+	// its withdrawal is pending and its TTL is not being refreshed.
+	held      bool
 	hasEwma   bool
 	hasLast   bool
 	inActive  bool
@@ -144,16 +133,10 @@ type shard struct {
 	history HistoryPolicy
 
 	// deadlines is a min-heap of TTL deadlines in due order (mu), at most one
-	// live item per state: every installed or absorbed state has one unless
-	// it is a refreshed member of the retained grouping (expireDueLocked), so
-	// an expiry round costs O(due), not O(entries).
+	// live item per state: every installed state has one unless it is a
+	// refreshed member of the retained grouping (expireDueLocked), so an
+	// expiry round costs O(due), not O(entries).
 	deadlines []expiryItem
-
-	// Aggregation state (Config.AggregateBits): covering prefix →
-	// membership; dirtyAggs queues parents whose membership or windows
-	// changed for the next aggregate pass. Guarded by mu like states.
-	aggs      map[netip.Prefix]*aggState
-	dirtyAggs []netip.Prefix
 
 	// slab backs destState allocation in insertion-order blocks, so the
 	// plan stage's pointer chasing walks mostly-sequential memory. Blocks
@@ -162,30 +145,25 @@ type shard struct {
 	slab    []destState
 	slabOff int
 
-	// Plan-stage scratch, reused across ticks (tickMu only).
-	touched     []plannedDest
-	arena       []Observation
+	// Per-round plan output, reused across ticks (tickMu only).
 	plan        []programOp
 	guardClears []netip.Prefix
 	expired     []netip.Prefix
-	absorbs     []netip.Prefix
-	dissolves   []netip.Prefix
 	delta       tickDelta
 
-	// Quiescent fast-path state (a.quiescentOK configs only). memberIdx holds
-	// every touched group's member sample-indices in sample order, packed by
-	// the last full rebuild; stable rounds edit the spans in place and
+	// The retained grouping (tickMu only, except where materializeLocked
+	// runs under mu from readers; see the plan-stage invariants below).
+	// memberIdx holds every group's member sample-indices in sample order,
+	// packed by the last rebuild; stable rounds edit the spans in place and
 	// relocate a full one to the tail, and a tail past memberLimit makes the
-	// next round a (compacting) full rebuild. touched lists the grouping's
-	// states (plus, after edits, some that left). active lists those that
-	// still need per-round plan work — smoothing not yet at its fixed point,
-	// or install pending — and drains as states converge. cleanRounds counts
-	// stable rounds applied shard-wide since the agent started; refreshedAt
-	// is the time of the latest plan round of either kind; fullSeq is the
-	// tick sequence of the last full rebuild, which every state in the
-	// grouping carries in seq (0: no grouping). dirtyList and gather are
-	// per-round scratch. All tickMu-only except where materializeLocked runs
-	// under mu from readers.
+	// next round a (compacting) rebuild. touched lists the grouping's states
+	// (plus, after edits, some that left). active lists those a stable round
+	// must visit and drains as states converge. cleanRounds counts stable
+	// rounds applied shard-wide since the agent started; refreshedAt is the
+	// time of the latest plan round of either kind; fullSeq is the tick
+	// sequence of the last rebuild, which every state in the grouping carries
+	// in seq (0: no grouping). dirtyList and gather are per-round scratch.
+	touched     []plannedDest
 	memberIdx   []int32
 	memberLimit int
 	active      []plannedDest
@@ -286,11 +264,10 @@ func (sh *shard) popDue(now time.Duration) (expiryItem, bool) {
 	return top, true
 }
 
-// cachedSample is the delta-tick sample cache entry for one observation
-// index: the route key and shard resolved last round and the resolved state
-// pointer, trusted until the state is marked dead. invalid marks an
-// observation the validation pass rejected, so its twin next round is
-// rejected without re-keying.
+// cachedSample is the sample cache entry for one observation index: the
+// route key, shard and state the position resolved to when it was last keyed.
+// invalid marks an observation the validation pass rejected, so its twin next
+// round is rejected without re-keying.
 type cachedSample struct {
 	key     netip.Prefix
 	st      *destState
@@ -305,27 +282,10 @@ type plannedDest struct {
 	st  *destState
 }
 
-// groupSpan locates one destination's observations inside the shard's arena.
-// off == cleanSpan marks a group proven identical to last round's: it is
-// never laid out in the arena and its Combine value is reused.
-type groupSpan struct {
-	off, n, fill int32
-	// mfill counts member indices recorded into sh.memberIdx during the
-	// rebuild's fill pass (quiescent-eligible configs only).
-	mfill int32
-	// dirty is set when any member observation was not position-stable
-	// since last round; only a fully stable group of unchanged size may
-	// skip the arena.
-	dirty bool
-}
-
-// cleanSpan is the groupSpan.off sentinel for skipped (clean) groups.
-const cleanSpan = int32(-1)
-
 // keyedObs is one valid observation routed to a shard: the destination's
-// route key plus the observation's index in the tick's sample slice. The
-// plan stage resolves st once per observation (the hot path's only map
-// lookup) and reuses the pointer for the arena fill pass.
+// route key plus the observation's index in the tick's sample slice. A
+// rebuild resolves st once per observation (its only map lookup) and reuses
+// the pointer for the fill pass.
 type keyedObs struct {
 	key netip.Prefix
 	st  *destState
@@ -351,9 +311,6 @@ type tickDelta struct {
 	guardCapped      uint64
 	guardVetoed      uint64
 	guardQuarantined uint64
-	// expiredDropped counts absorbed (route-less) states dropped by the
-	// expiry sweep; they fold into EntriesExpired without a clear op.
-	expiredDropped uint64
 }
 
 func (d *tickDelta) add(o tickDelta) {
@@ -362,20 +319,13 @@ func (d *tickDelta) add(o tickDelta) {
 	d.guardCapped += o.guardCapped
 	d.guardVetoed += o.guardVetoed
 	d.guardQuarantined += o.guardQuarantined
-	d.expiredDropped += o.expiredDropped
 }
 
 // shardIndex maps a route key to its stripe: FNV-1a over the canonical
-// 16-byte address plus the mask length. With aggregation enabled the hash
-// runs over the covering aggregate key instead, so a parent and all its
-// children land on one shard and the aggregate pass never crosses stripes
-// (at the cost of coarser load spreading).
+// 16-byte address plus the mask length.
 func (a *Agent) shardIndex(p netip.Prefix) int {
 	if len(a.shards) == 1 {
 		return 0
-	}
-	if parent, ok := a.aggKey(p); ok {
-		p = parent
 	}
 	const (
 		offset64 = 14695981039346656037
@@ -413,8 +363,8 @@ func (a *Agent) smooth(sh *shard, st *destState, key netip.Prefix, value float64
 }
 
 // forgetHistory drops a destination's smoothing state in a caller-supplied
-// policy; the inline EWMA state dies with its destState map slot, which
-// every caller deletes alongside this call.
+// policy; the inline EWMA state dies with its destState, which dropState
+// deletes or resets alongside this call.
 func (a *Agent) forgetHistory(sh *shard, key netip.Prefix) {
 	if sh.history != nil {
 		sh.history.Forget(key)
@@ -439,20 +389,21 @@ func (sh *shard) dropInstalled(a *Agent, dst netip.Prefix) bool {
 	return true
 }
 
-// dropState deletes a destination's state under the shard lock, marking the
-// struct dead — which is all that invalidates cached pointers to it — and
-// updating aggregate membership. Callers maintain sh.installed themselves.
+// dropState deletes a destination's state (and any external history) under
+// the shard lock, marking the struct dead — which is all that invalidates
+// cached pointers to it. Callers maintain sh.installed themselves.
 //
 // A state that still has members in the retained grouping is observed right
-// now: a full rescan would re-create it from nothing next round. It is reset
-// in place instead (an uninstalled state is invisible to every reader), so
-// its span, the sample cache and the other groups stay exact; it rejoins the
-// active list, where hasLast == false forces a fresh Combine.
+// now: it would be re-created from nothing next round. It is reset in place
+// instead (an uninstalled state is invisible to every reader), so its span,
+// the sample cache and the other groups stay exact; it rejoins the active
+// list, where hasLast == false forces a fresh Combine.
 func (a *Agent) dropState(sh *shard, dst netip.Prefix) {
 	st, ok := sh.states[dst]
 	if !ok {
 		return
 	}
+	a.forgetHistory(sh, dst)
 	if sh.grouped(st) {
 		*st = destState{
 			seq: st.seq, prevN: st.prevN, memberOff: st.memberOff, memberCap: st.memberCap,
@@ -466,11 +417,8 @@ func (a *Agent) dropState(sh *shard, dst netip.Prefix) {
 		return
 	}
 	st.installed = false
-	st.absorbed = false
 	st.dead = true
 	delete(sh.states, dst)
-	a.forgetHistory(sh, dst)
-	a.aggUnregister(sh, dst)
 }
 
 // lockedHistory serializes a caller-supplied HistoryPolicy that is shared
@@ -512,350 +460,196 @@ func runParallel(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// ingestChunk validates and routes worker w's contiguous chunk of the
-// sample slice: invalid observations are dropped, the rest get their route
-// key, are shown to the governor, and land in the worker's per-shard
-// buckets. Chunks are contiguous and buckets worker-major, so replaying
-// buckets in worker order during the plan stage reconstructs the original
-// sample order exactly — the shard count can never change what a Combiner
-// sees.
+// Plan-stage invariants.
 //
-// In delta mode an observation byte-identical at the same index as last
-// round reuses its cached key/shard/state (unless the state has since been
-// marked dead); everything else takes the full validation path and re-primes
-// the cache. The governor sees every valid observation either way.
+// The plan stage has one way to start over and one way to reuse last round's
+// work, and they produce the same route ops, entries, stats and errors for
+// every stream and every config (TestDeltaTickMatches*, TestQuiescent*,
+// TestStableRoundsMatchRebuild* pin that against an agent whose every round
+// rebuilds; oracle_test.go pins what both share against Algorithm 1).
+//
+//  (i) A rebuild (ingestChunk → planShard) keys every position of the stream
+//     from nothing and establishes, per shard: the grouping — every observed
+//     state stamped seq == fullSeq and listed in touched, in first-encounter
+//     order; each group's member span — its sample indices, ascending, packed
+//     into memberIdx with tail slack up to memberLimit; and the sample cache —
+//     a.cache[i] is position i's key, shard and state, or invalid. Every
+//     group is combined and planned, and every state starts on active. It
+//     runs when there is no previous stream or grouping, when a stable
+//     round's edits exceed their share (editShareDiv), and when relocated
+//     spans have used up the slack.
+//
+//  (ii) A stable round (compareChunk → planShardQuiescent) edits exactly the
+//     positions that differ from a.obsPrev: a position that kept its
+//     destination and validity marks its group dirty; one that did not leaves
+//     its cached group and/or joins its re-keyed one, keeping spans sorted
+//     (a full span moves to the tail), and its cache entry is re-primed. A
+//     group that empties leaves the grouping (seq = 0) with its credit settled
+//     and its deadline queued; a new one joins with no back credit. A state
+//     deleted while still grouped is reset in place (dropState), so spans
+//     and cached pointers — validated by destState.dead alone, slab slots
+//     are never recarved — stay exact. Dirty groups re-Combine from their
+//     spans; clean ones reuse lastValue. Both paths hand each visited
+//     destination to planDest, the one place its window is decided.
+//
+//  (iii) A state may leave active — drain — only under a.canDrain, once its
+//     route is installed and freezeHorizon proves its window can no longer
+//     move under lastValue (or park until the round it next will). What its
+//     skipped visits would have done is credited lazily from the shard's
+//     cleanRounds/refreshedAt: materializeLocked folds the TTL refreshes and
+//     sample counts into the entry fields (watermark cleanSeen) before
+//     Entries and snapshot exports read them; forwardEWMALocked replays the
+//     smoothing advances bit for bit (watermark ewmaSeen) before any eager
+//     smoothing; both run before the state is next planned, leaves the
+//     grouping, or a rebuild or a disbanding regroups (settleCoveredLocked).
+//     A member of the grouping that is installed, has a finite lastValue and
+//     is not held is refreshed — eagerly or by credit — in every plan round,
+//     so it cannot lapse before refreshedAt+TTL and carries no deadline item;
+//     whatever ends that (leaving, a rejected Combine, a veto, a regroup that
+//     misses it, a TTL with no plan round) queues one.
+//
+//  (iv) Hook configs (Guard, Advisor, caller-supplied History) never drain or
+//     park: every group is planned every round, so the governor reviews, the
+//     advisor is consulted and the history is updated exactly as on a
+//     rebuild, and no credit is ever outstanding for them.
+
+// A stable round may carry membership edits up to 1/editShareDiv of each
+// worker's chunk (plus editFloor, so small streams qualify); past that the
+// round is rebuilt — an edit costs a map operation and a span shift, a
+// rebuild a few linear passes. memberSlack* size the tail room a rebuild
+// leaves in memberIdx for relocated spans.
+const (
+	editShareDiv   = 8
+	editFloor      = 4
+	memberSlackDiv = 4
+	memberSlackMin = 64
+)
+
+// chunkOf returns worker w's contiguous share [lo, hi) of an n-long stream.
+// Chunks are contiguous and buckets worker-major, so replaying buckets in
+// worker order visits observations in original sample order — the shard
+// count can never change what a Combiner sees.
+func (a *Agent) chunkOf(w, n int) (lo, hi int) {
+	chunk := (n + a.ingestWorkers - 1) / a.ingestWorkers
+	lo = min(w*chunk, n)
+	return lo, min(lo+chunk, n)
+}
+
+// validKey returns o's route key, or false for an observation the round
+// ignores.
+func (a *Agent) validKey(o *Observation) (netip.Prefix, bool) {
+	if o.Cwnd <= 0 || !o.Dst.IsValid() {
+		return netip.Prefix{}, false
+	}
+	key, err := a.destKey(o.Dst)
+	return key, err == nil
+}
+
+// ingestChunk is the rebuild's first pass over worker w's chunk: every
+// observation is validated and keyed, shown to the governor, recorded in the
+// sample cache and routed to the worker's per-shard buckets.
 func (a *Agent) ingestChunk(w int, obs []Observation) {
 	nShards := len(a.shards)
-	chunk := (len(obs) + a.ingestWorkers - 1) / a.ingestWorkers
-	lo := w * chunk
-	hi := lo + chunk
-	if hi > len(obs) {
-		hi = len(obs)
-	}
-	prev, prevCache, cache := a.obsPrev, a.cachePrev, a.cacheCur
-	stable := a.delta && a.havePrev
+	lo, hi := a.chunkOf(w, len(obs))
 	for i := lo; i < hi; i++ {
-		o := &obs[i]
-		if stable && i < len(prev) && *o == prev[i] {
-			c := prevCache[i]
-			switch {
-			case c.invalid:
-				cache[i] = c
-				continue
-			case c.st != nil && !c.st.dead:
-				cache[i] = c
-				if a.cfg.Guard != nil {
-					a.cfg.Guard.ObserveSample(c.key, *o)
-				}
-				b := &a.buckets[w*nShards+int(c.shard)]
-				*b = append(*b, keyedObs{key: c.key, st: c.st, idx: int32(i)})
-				continue
-			}
-		}
-		if o.Cwnd <= 0 || !o.Dst.IsValid() {
-			if a.delta {
-				cache[i] = cachedSample{invalid: true}
-			}
-			continue
-		}
-		key, err := a.destKey(o.Dst)
-		if err != nil {
-			if a.delta {
-				cache[i] = cachedSample{invalid: true}
-			}
+		key, ok := a.validKey(&obs[i])
+		if !ok {
+			a.cache[i] = cachedSample{invalid: true}
 			continue
 		}
 		if a.cfg.Guard != nil {
-			a.cfg.Guard.ObserveSample(key, *o)
+			a.cfg.Guard.ObserveSample(key, obs[i])
 		}
 		s := a.shardIndex(key)
-		if a.delta {
-			// The state pointer and generation are filled in by the plan
-			// stage once the shard resolves (or creates) the state.
-			cache[i] = cachedSample{key: key, shard: int32(s)}
-		}
+		// The state pointer is filled in by planShard once the shard resolves
+		// (or creates) the state.
+		a.cache[i] = cachedSample{key: key, shard: int32(s)}
 		a.buckets[w*nShards+s] = append(a.buckets[w*nShards+s], keyedObs{key: key, idx: int32(i)})
 	}
 }
 
-// planShard runs the plan stage for one shard, under the shard lock: resolve
-// each routed observation to its destState (one map operation per dirty
-// observation — cached pointers cover the rest), lay the dirty groups out
-// contiguously in the arena preserving sample order, then combine, smooth,
-// clamp, let the governor review, refresh live entries, run the aggregate
-// pass, and emit the shard's route plan, clears, and expiry candidates into
-// its scratch slices.
-//
-// Delta mode prunes the work two ways, always producing byte-identical
-// output to a full rescan (enforced by TestDeltaTickMatchesFullRescan):
-//
-//   - an observation position-stable since last round arrives with its
-//     cached state pointer, skipping the map lookup (ingestChunk);
-//   - a group whose every member is stable and whose size is unchanged is
-//     provably identical to last round's, so the arena copy and Combine are
-//     skipped and the recorded Combine value reused — smoothing, clamping,
-//     review, and TTL refresh still run every round.
+// planShard rebuilds one shard's grouping from the routed observations, under
+// the shard lock, and plans every group: see invariant (i).
 func (a *Agent) planShard(si int, obs []Observation, now time.Duration) {
 	sh := a.shards[si]
 	nShards := len(a.shards)
 	sh.plan = sh.plan[:0]
 	sh.guardClears = sh.guardClears[:0]
 	sh.expired = sh.expired[:0]
-	sh.absorbs = sh.absorbs[:0]
-	sh.dissolves = sh.dissolves[:0]
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
-	// A full round ending a stable run settles the covered entries before
-	// pass 3 starts mutating them eagerly, and before pass 1 regroups. The
-	// new grouping is built in the active list's array (which is rebuilt
-	// from it below), so the old one can be walked afterwards.
+	// A rebuild ending a stable run settles the covered entries before it
+	// regroups. The new grouping is built in the active list's array (which
+	// is rebuilt from it below), so the old one can be walked afterwards.
 	old := sh.touched
-	if a.quiescentOK {
-		if sh.creditPending {
-			a.settleCoveredLocked(sh)
-		}
-		sh.refreshedAt = now
-		sh.touched = sh.active
+	if sh.creditPending {
+		a.settleCoveredLocked(sh)
 	}
-	sh.touched = sh.touched[:0]
+	sh.refreshedAt = now
+	sh.touched = sh.active[:0]
 
-	// Pass 1: resolve states and count groups. Replaying the worker-major
-	// buckets in worker order visits observations in original sample order,
-	// so first-encounter order (sh.touched) is deterministic for every shard
-	// and worker count. Observations that arrived without a cached state
-	// resolve through the map and mark their group dirty; newly resolved
-	// pointers are written back to the sample cache for the next round.
+	// Pass 1: resolve states (one map operation per observation) and count
+	// groups. Bucket replay visits observations in original sample order, so
+	// first-encounter order (sh.touched) is deterministic for every shard and
+	// worker count.
 	seq := a.tickSeq
-	cache := a.cacheCur
 	for w := 0; w < a.ingestWorkers; w++ {
 		bucket := a.buckets[w*nShards+si]
 		for j := range bucket {
 			ko := &bucket[j]
-			st := ko.st
-			fresh := st == nil
-			if fresh {
-				st = sh.states[ko.key]
-				if st == nil {
-					st = sh.newDestState()
-					sh.states[ko.key] = st
-					a.aggRegister(sh, ko.key, st)
-				}
-				if a.delta {
-					cache[ko.idx].st = st
-				}
-				ko.st = st
+			st := sh.states[ko.key]
+			if st == nil {
+				st = sh.newDestState()
+				sh.states[ko.key] = st
 			}
+			a.cache[ko.idx].st = st
+			ko.st = st
 			if st.seq != seq {
 				st.seq = seq
-				st.span = groupSpan{}
+				st.prevN = 0
 				sh.touched = append(sh.touched, plannedDest{key: ko.key, st: st})
 			}
-			st.span.n++
-			if fresh {
-				st.span.dirty = true
-			}
+			st.prevN++
 		}
 	}
+	sh.queueDeparted(old, seq)
+	sh.active = old
 
-	if a.quiescentOK {
-		sh.queueDeparted(old, seq)
-		sh.active = old
-	}
-
-	// Pass 2: clean groups (fully stable, unchanged size, with a recorded
-	// Combine value) skip the arena; dirty groups get offsets and are filled
-	// in sample order. Quiescent-eligible configs also record every group's
-	// member sample-indices (memberIdx, packed, with tail slack for the
-	// stable rounds' edits), so a later stable round can re-Combine or edit
-	// a group without any regroup.
-	off := int32(0)
+	// Pass 2: carve a span per group, packed in first-encounter order, and
+	// fill the spans in sample order (prevN counts the fill back up).
 	moff := int32(0)
 	for _, td := range sh.touched {
-		sp := &td.st.span
-		if a.quiescentOK {
-			td.st.memberOff, td.st.memberCap = moff, sp.n
-			moff += sp.n
-		}
-		if !sp.dirty && td.st.hasLast && sp.n == td.st.prevN {
-			sp.off = cleanSpan
-			continue
-		}
-		sp.off = off
-		off += sp.n
+		st := td.st
+		st.memberOff, st.memberCap = moff, st.prevN
+		moff += st.prevN
+		st.prevN = 0
 	}
-	if int(off) > len(sh.arena) {
-		sh.arena = make([]Observation, off)
+	sh.memberLimit = int(moff) + int(moff)/memberSlackDiv + memberSlackMin
+	if sh.memberLimit > cap(sh.memberIdx) {
+		sh.memberIdx = make([]int32, moff, sh.memberLimit)
 	}
-	if a.quiescentOK {
-		sh.memberLimit = int(moff) + int(moff)/memberSlackDiv + memberSlackMin
-		if sh.memberLimit > cap(sh.memberIdx) {
-			sh.memberIdx = make([]int32, moff, sh.memberLimit)
-		}
-		sh.memberIdx = sh.memberIdx[:moff]
-	}
-	if off > 0 || moff > 0 {
-		arena, members := sh.arena, sh.memberIdx
-		for w := 0; w < a.ingestWorkers; w++ {
-			for _, ko := range a.buckets[w*nShards+si] {
-				sp := &ko.st.span
-				if moff > 0 {
-					members[ko.st.memberOff+sp.mfill] = ko.idx
-					sp.mfill++
-				}
-				if sp.off == cleanSpan {
-					continue
-				}
-				arena[sp.off+sp.fill] = obs[ko.idx]
-				sp.fill++
-			}
+	sh.memberIdx = sh.memberIdx[:moff]
+	for w := 0; w < a.ingestWorkers; w++ {
+		for _, ko := range a.buckets[w*nShards+si] {
+			st := ko.st
+			sh.memberIdx[st.memberOff+st.prevN] = ko.idx
+			st.prevN++
 		}
 	}
-	if a.quiescentOK {
-		sh.fullSeq = seq
-	}
+	sh.fullSeq = seq
 
-	// Pass 3: per destination — combine (or reuse), smooth, clamp, review,
-	// refresh. This runs in full every round: smoothing must advance even
-	// on unchanged observations, and TTLs must refresh.
-	arena := sh.arena
+	// Pass 3: every group is new to this grouping — combine and plan it.
 	for _, td := range sh.touched {
 		st := td.st
-		sp := &st.span
-		var value float64
-		if sp.off == cleanSpan {
-			value = st.lastValue
-		} else {
-			value = a.cfg.Combiner.Combine(arena[sp.off : sp.off+sp.n])
-			st.prevN = sp.n
-			if !isFinite(value) {
-				// A custom Combiner produced NaN/±Inf: skip the round for
-				// this destination rather than folding garbage into history
-				// (an EWMA never recovers from a NaN).
-				st.hasLast = false
-				sh.delta.combinerRejects++
-				if st.installed {
-					sh.noteExpiry(td.key, st)
-				}
-				continue
-			}
-			st.lastValue = value
-			st.hasLast = true
-		}
-		smoothed := a.smooth(sh, st, td.key, value)
-		if a.cfg.Advisor != nil {
-			if m := a.cfg.Advisor.Advise(td.key); isFinite(m) {
-				smoothed *= m
-			} else {
-				sh.delta.advisorRejects++
-			}
-		}
-		final := a.clamp(smoothed)
-
-		if a.cfg.Guard != nil {
-			capped, action := a.cfg.Guard.Review(td.key, final)
-			switch action {
-			case GuardVeto, GuardQuarantine:
-				sh.delta.guardVetoed++
-				if action == GuardQuarantine {
-					sh.delta.guardQuarantined++
-				}
-				// An installed route for a held-back destination is
-				// withdrawn (outside the locks, in the program stage).
-				// The entry is only dropped once the clear succeeds, so
-				// a failed withdrawal retries next round.
-				if st.installed {
-					sh.guardClears = append(sh.guardClears, td.key)
-				} else if st.absorbed {
-					// A veto cannot carve a hole in the covering route
-					// that serves this child: drop the child's state and
-					// force the aggregate apart so the hold-back takes
-					// effect next round.
-					a.dropState(sh, td.key)
-					if parent, ok := a.aggKey(td.key); ok {
-						if agg := sh.aggs[parent]; agg != nil {
-							agg.force = true
-							a.aggMarkDirty(sh, parent, agg)
-						}
-					}
-				}
-				continue
-			case GuardCap:
-				if capped < final {
-					if capped < a.cfg.CMin {
-						capped = a.cfg.CMin
-					}
-					if capped < final {
-						final = capped
-						sh.delta.guardCapped++
-					}
-				}
-			}
-		}
-
-		n := int(sp.n)
-		switch {
-		case st.installed:
-			// The route is installed; fresh observations extend its
-			// life even if programming the new value fails later.
-			st.expires = now + a.cfg.TTL
-			st.updated = now
-			st.lastObs = n
-			st.samples += uint64(n)
-			// A local observation confirms (and from now on owns) an
-			// entry that was seeded from a fleet snapshot.
-			st.merged = false
-			st.mergedAge = 0
-			if !a.quiescentOK {
-				sh.noteExpiry(td.key, st)
-			}
-			if st.window != final {
-				sh.plan = append(sh.plan, programOp{dst: td.key, window: final, obs: n, st: st, shard: sh.idx})
-			}
-		case st.absorbed:
-			// Covered by an aggregate: keep learning in place, refresh the
-			// child's TTL and the covering route's, and split the specific
-			// route back out only when the learned window diverges from
-			// the aggregate (it shadows the broader route via LPM).
-			st.window = final
-			st.expires = now + a.cfg.TTL
-			st.updated = now
-			st.lastObs = n
-			st.samples += uint64(n)
-			st.merged = false
-			st.mergedAge = 0
-			sh.noteExpiry(td.key, st)
-			parent, _ := a.aggKey(td.key)
-			agg := sh.aggs[parent]
-			if agg == nil || !agg.installed || absInt(final-agg.window) > a.cfg.AggregateTolerance {
-				sh.plan = append(sh.plan, programOp{dst: td.key, window: final, obs: n, split: true, st: st, shard: sh.idx})
-			} else if pst := sh.states[parent]; pst != nil && pst.installed {
-				pst.expires = now + a.cfg.TTL
-				pst.updated = now
-				sh.noteExpiry(parent, pst)
-			}
-		default:
-			// New destination: the entry is recorded in the program
-			// stage, only once the route is actually installed.
-			sh.plan = append(sh.plan, programOp{dst: td.key, window: final, obs: n, st: st, shard: sh.idx})
-		}
+		st.inActive = true
+		st.cleanSeen, st.ewmaSeen = sh.cleanRounds, sh.cleanRounds
+		a.recombineLocked(sh, td, obs, now)
 	}
+	sh.active = append(sh.active[:0], sh.touched...)
 
-	// Rebuild the quiescent active list: after a full round every touched
-	// state starts active and drops off as it converges (planShardQuiescent).
-	if a.quiescentOK {
-		sh.active = append(sh.active[:0], sh.touched...)
-		for _, td := range sh.touched {
-			td.st.inActive = true
-			td.st.cleanSeen = sh.cleanRounds
-			td.st.ewmaSeen = sh.cleanRounds
-			td.st.wakeAt = 0
-		}
-	}
-
-	a.aggregatePass(sh, now)
-	sh.delta.expiredDropped += a.expireDueLocked(sh, now)
+	a.expireDueLocked(sh, now)
 }
 
 // settleCoveredLocked folds the outstanding clean-round credit — entry fields
@@ -872,7 +666,7 @@ func (a *Agent) settleCoveredLocked(sh *shard) {
 // queueDeparted takes every state of the grouping old that the grouping
 // stamped seq no longer holds off the books: its active-list mark is cleared
 // and, if it has a route, its deadline queued — membership kept it out of
-// the queue (see expireDueLocked).
+// the queue (invariant iii).
 func (sh *shard) queueDeparted(old []plannedDest, seq uint64) {
 	for _, td := range old {
 		if st := td.st; st.seq != seq {
@@ -885,20 +679,14 @@ func (sh *shard) queueDeparted(old []plannedDest, seq uint64) {
 }
 
 // expireDueLocked pops the deadlines that have come due, under the shard
-// lock: installed states queue a route withdrawal in sh.expired and stay
-// queued until the clear lands (a failed one retries next round); absorbed
-// states have no route to withdraw and are dropped directly (the returned
-// count folds into EntriesExpired). A state refreshed since it was queued is
-// re-queued at its current deadline.
-//
-// An installed member of the grouping with a finite Combine value is
-// refreshed — eagerly or by credit — in every plan round of either kind, so
-// it cannot lapse before refreshedAt+TTL and needs no item: one that pops is
-// let go, and whatever ends the membership queues the state again (leaving,
-// a rejected Combine, a regroup that misses it). Only when no plan round has
-// run for a whole TTL (sampler down) can members lapse; the grouping is then
-// disbanded, every member queued, and the next round rebuilds.
-func (a *Agent) expireDueLocked(sh *shard, now time.Duration) (dropped uint64) {
+// lock: a lapsed route queues a withdrawal in sh.expired and stays queued
+// until the clear lands (a failed one retries next round); a state refreshed
+// since it was queued is re-queued at its current deadline; a covered member
+// of the grouping (invariant iii) needs no item and is let go. Only when no
+// plan round has run for a whole TTL (sampler down) can covered members
+// lapse; the grouping is then disbanded, every member queued, and the next
+// round rebuilds.
+func (a *Agent) expireDueLocked(sh *shard, now time.Duration) {
 	if sh.fullSeq != 0 && sh.refreshedAt+a.cfg.TTL <= now {
 		a.settleCoveredLocked(sh)
 		sh.queueDeparted(sh.touched, 0)
@@ -911,15 +699,12 @@ func (a *Agent) expireDueLocked(sh *shard, now time.Duration) (dropped uint64) {
 		}
 		st.due = 0
 		switch {
-		case !st.installed && !st.absorbed:
-		case st.installed && st.hasLast && sh.grouped(st):
+		case !st.installed:
+		case st.hasLast && !st.held && sh.grouped(st):
 		case st.expires > now:
 			sh.noteExpiry(it.key, st)
-		case st.installed:
-			sh.expired = append(sh.expired, it.key)
 		default:
-			a.dropState(sh, it.key)
-			dropped++
+			sh.expired = append(sh.expired, it.key)
 		}
 	}
 	// A lapsed route stays queued until its clear lands — re-queued only now,
@@ -932,46 +717,13 @@ func (a *Agent) expireDueLocked(sh *shard, now time.Duration) (dropped uint64) {
 		// due in one round): give the memory back.
 		sh.deadlines = append(make([]expiryItem, 0, 2*len(h)), h...)
 	}
-	return dropped
 }
 
-// The quiescent fast path.
-//
-// A production sampler usually reports nearly the same connection table round
-// after round: congestion metrics move, and a few sockets open, close or
-// change peer. When the stream is *positionally stable* but for a small
-// share of such edits, the ingest/regroup machinery is redundant: the only
-// real work is moving the edited positions between groups, re-combining the
-// groups that contain a changed observation, and advancing smoothing for
-// states whose EWMA has not yet reached its fixed point.
-//
-// planShardQuiescent exploits that. It is used only for configurations
-// where a skipped per-destination visit is provably unobservable
-// (a.quiescentOK: no Governor, no Advisor, no shared History policy, no
-// prefix aggregation) and produces byte-identical output to a full rescan:
-//
-//   - an edit (a position whose destination or validity changed, or that
-//     the stream's tail gained or lost) takes its sample index out of the
-//     old group's member span and inserts it, in sample order, into the new
-//     one's; a group that empties leaves the covered set with its credit
-//     settled and its deadline queued, one that appears joins it;
-//   - dirty groups (any member changed or edited this round) re-Combine from
-//     their member sample-indices;
-//   - clean states still converging (or with an install pending) advance
-//     through sh.active, and drop off it once smoothing reaches a bitwise
-//     fixed point with the programmed window — after which every further
-//     round is a no-op for them by definition;
-//   - the per-round TTL refresh and sample credit of converged states is
-//     applied lazily: sh.cleanRounds/refreshedAt record the rounds the
-//     shard sat quiescent, and materializeLocked folds the credit into the
-//     entry fields before anything reads them (Entries, snapshots, leaving
-//     the covered set, or the next full rebuild).
-
-// materializeLocked folds outstanding quiescent-round credit into one
-// entry: the TTL refreshes and per-round sample counts the skipped visits
-// would have applied. Covered states are the installed members of the
-// retained grouping (seq == fullSeq); anything else — merged entries, groups
-// that emptied — takes no credit. Called under the state's shard lock.
+// materializeLocked folds outstanding stable-round credit into one entry:
+// the TTL refreshes and per-round sample counts the skipped visits would
+// have applied. Covered states are the installed members of the retained
+// grouping; anything else — merged entries, groups that emptied — takes no
+// credit. Called under the state's shard lock.
 func (a *Agent) materializeLocked(sh *shard, st *destState) {
 	if st.cleanSeen == sh.cleanRounds || st.seq != sh.fullSeq || !st.installed {
 		st.cleanSeen = sh.cleanRounds
@@ -983,32 +735,18 @@ func (a *Agent) materializeLocked(sh *shard, st *destState) {
 	st.cleanSeen = sh.cleanRounds
 }
 
-// A stable round may carry membership edits up to 1/editShareDiv of each
-// worker's chunk (plus editFloor, so small streams qualify); past that the
-// round is rebuilt — an edit costs a map operation and a span shift, a
-// rebuild a few linear passes. memberSlack* size the tail room a rebuild
-// leaves in memberIdx for relocated spans.
-const (
-	editShareDiv   = 8
-	editFloor      = 4
-	memberSlackDiv = 4
-	memberSlackMin = 64
-)
-
 // compareChunk is the stable-round detector: worker w compares its chunk of
 // the sample against last round's and routes what changed to the per-shard
 // buckets — an observation that kept its destination and validity as dirty,
 // a membership edit as a leave from the cached group and/or a join to the
 // re-keyed one (whose cache entry it re-primes; the joined shard fills in
 // the state). The last worker also retires the positions a shorter stream
-// lost. It reports false — rebuild the round through the full ingest path —
-// once the chunk's edits exceed their share.
+// lost. It reports false — rebuild the round — once the chunk's edits exceed
+// their share.
 func (a *Agent) compareChunk(w int, obs []Observation) bool {
 	nShards := len(a.shards)
-	chunk := (len(obs) + a.ingestWorkers - 1) / a.ingestWorkers
-	lo := min(w*chunk, len(obs))
-	hi := min(lo+chunk, len(obs))
-	prev, cache := a.obsPrev, a.cachePrev
+	lo, hi := a.chunkOf(w, len(obs))
+	prev, cache := a.obsPrev, a.cache
 	budget := (hi-lo)/editShareDiv + editFloor
 	route := func(s int32, ko keyedObs) {
 		b := &a.buckets[w*nShards+int(s)]
@@ -1031,12 +769,9 @@ func (a *Agent) compareChunk(w int, obs []Observation) bool {
 		if budget--; budget < 0 {
 			return false
 		}
-		*c = cachedSample{invalid: true}
-		if o.Cwnd <= 0 || !o.Dst.IsValid() {
-			continue
-		}
-		key, err := a.destKey(o.Dst)
-		if err != nil {
+		key, ok := a.validKey(o)
+		if !ok {
+			*c = cachedSample{invalid: true}
 			continue
 		}
 		*c = cachedSample{key: key, shard: int32(a.shardIndex(key))}
@@ -1055,9 +790,21 @@ func (a *Agent) compareChunk(w int, obs []Observation) bool {
 	return true
 }
 
+// observeChunk shows the governor worker w's chunk of a stable round: every
+// valid position under its cached key, which compareChunk has just brought up
+// to date.
+func (a *Agent) observeChunk(w int, obs []Observation) {
+	lo, hi := a.chunkOf(w, len(obs))
+	for i := lo; i < hi; i++ {
+		if c := &a.cache[i]; !c.invalid {
+			a.cfg.Guard.ObserveSample(c.key, obs[i])
+		}
+	}
+}
+
 // leaveGroupLocked takes sample index idx out of st's member span. A group
 // that empties leaves the covered set: its credit is settled through the
-// previous round and its deadline queued, exactly where a full rescan — which
+// previous round and its deadline queued, exactly where a rebuild — which
 // stops visiting it — leaves it.
 func (a *Agent) leaveGroupLocked(sh *shard, key netip.Prefix, st *destState, idx int32) {
 	span := sh.memberIdx[st.memberOff : st.memberOff+st.prevN]
@@ -1084,7 +831,7 @@ func (a *Agent) joinGroupLocked(sh *shard, key netip.Prefix, idx int32) *destSta
 		st = sh.newDestState()
 		sh.states[key] = st
 	}
-	a.cachePrev[idx].st = st
+	a.cache[idx].st = st
 	if !sh.grouped(st) {
 		st.seq = sh.fullSeq
 		st.prevN, st.memberOff, st.memberCap = 0, 0, 0
@@ -1106,32 +853,103 @@ func (a *Agent) joinGroupLocked(sh *shard, key netip.Prefix, idx int32) *destSta
 	return st
 }
 
-// quiescentBody is pass 3 of the plan stage for one destination on the
-// quiescent path — the same combine-result handling as planShard's loop,
-// minus the branches the a.quiescentOK gate rules out (guard, advisor,
-// aggregation). It reports whether the round was a steady refresh: the
-// route installed and its programmed window unchanged.
-func (a *Agent) quiescentBody(sh *shard, key netip.Prefix, st *destState, value float64, n int, now time.Duration) (steady bool) {
+// planDest decides one observed destination's window for the round from its
+// group's combined value — smooth, advise, clamp, review — then refreshes the
+// installed entry and plans a route op if the window moved (or the install is
+// still pending). Both plan paths call it for every group they visit. It
+// reports whether the round was a steady refresh: the route installed and its
+// programmed window unchanged.
+func (a *Agent) planDest(sh *shard, key netip.Prefix, st *destState, value float64, now time.Duration) (steady bool) {
+	n := int(st.prevN)
 	smoothed := a.smooth(sh, st, key, value)
+	if a.cfg.Advisor != nil {
+		if m := a.cfg.Advisor.Advise(key); isFinite(m) {
+			smoothed *= m
+		} else {
+			sh.delta.advisorRejects++
+		}
+	}
 	final := a.clamp(smoothed)
+
+	if a.cfg.Guard != nil {
+		capped, action := a.cfg.Guard.Review(key, final)
+		switch action {
+		case GuardVeto, GuardQuarantine:
+			sh.delta.guardVetoed++
+			if action == GuardQuarantine {
+				sh.delta.guardQuarantined++
+			}
+			// An installed route for a held-back destination is withdrawn
+			// (outside the locks, in the program stage). The entry is only
+			// dropped once the clear succeeds, so a failed withdrawal retries
+			// next round; meanwhile its TTL runs.
+			if st.installed {
+				sh.guardClears = append(sh.guardClears, key)
+				st.held = true
+				sh.noteExpiry(key, st)
+			}
+			return false
+		case GuardCap:
+			if capped = max(capped, a.cfg.CMin); capped < final {
+				final = capped
+				sh.delta.guardCapped++
+			}
+		}
+	}
+
 	if !st.installed {
-		// Install still pending (or the first program failed); replan every
-		// round, exactly like the full path's new-destination branch.
+		// New destination, or its first program keeps failing: replan every
+		// round. The entry is recorded in the program stage, only once the
+		// route is actually installed.
 		sh.plan = append(sh.plan, programOp{dst: key, window: final, obs: n, st: st, shard: sh.idx})
 		return false
 	}
+	// The route is installed; fresh observations extend its life even if
+	// programming the new value fails later, and confirm (from now on, own)
+	// an entry that was seeded from a fleet snapshot. No deadline is queued:
+	// st is covered (invariant iii).
 	st.expires = now + a.cfg.TTL
 	st.updated = now
 	st.lastObs = n
 	st.samples += uint64(n)
 	st.merged = false
 	st.mergedAge = 0
-	// No noteExpiry: st is covered, and whatever ends that queues it.
+	st.held = false
 	if st.window != final {
 		sh.plan = append(sh.plan, programOp{dst: key, window: final, obs: n, st: st, shard: sh.idx})
 		return false
 	}
 	return true
+}
+
+// recombineLocked gathers a group's member observations from its span,
+// re-runs Combine, and plans the destination. A non-finite value (a custom
+// Combiner gone wrong) skips the round for this destination rather than
+// folding garbage into history — an EWMA never recovers from a NaN: no
+// refresh (so its deadline is queued), hasLast cleared so every later round
+// combines again, the reject counted.
+func (a *Agent) recombineLocked(sh *shard, td plannedDest, obs []Observation, now time.Duration) {
+	st := td.st
+	st.wakeAt = 0 // the combined value may move: horizon void
+	if cap(sh.gather) < int(st.prevN) {
+		sh.gather = make([]Observation, 0, 2*st.prevN)
+	}
+	g := sh.gather[:0]
+	for _, idx := range sh.memberIdx[st.memberOff : st.memberOff+st.prevN] {
+		g = append(g, obs[idx])
+	}
+	value := a.cfg.Combiner.Combine(g)
+	if !isFinite(value) {
+		st.hasLast = false
+		sh.delta.combinerRejects++
+		if st.installed {
+			sh.noteExpiry(td.key, st)
+		}
+		return
+	}
+	st.lastValue = value
+	st.hasLast = true
+	a.planDest(sh, td.key, st, value, now)
 }
 
 // maxFreezeSim bounds freezeHorizon's trajectory walk. A float64 EWMA under
@@ -1172,11 +990,9 @@ func (a *Agent) freezeHorizon(st *destState) int32 {
 }
 
 // forwardEWMALocked replays the smoothing advances a drained state skipped:
-// each quiescent round the full path would have folded the unchanged
-// combined value into the EWMA with the exact expression smooth uses, so
-// iterating it here is bitwise identical. The walk stops early at the fixed
-// point. Must run before any eager smoothing of a previously drained state
-// (dirty rounds and the full rebuild ending a quiescent run).
+// each of those rounds planDest would have folded the unchanged combined
+// value into the EWMA with the exact expression smooth uses, so iterating it
+// here is bitwise identical. The walk stops early at the fixed point.
 func (a *Agent) forwardEWMALocked(sh *shard, st *destState) {
 	k := sh.cleanRounds - st.ewmaSeen
 	st.ewmaSeen = sh.cleanRounds
@@ -1193,18 +1009,16 @@ func (a *Agent) forwardEWMALocked(sh *shard, st *destState) {
 	}
 }
 
-// planShardQuiescent replaces planShard on a stable round: the retained
-// grouping is exact once this round's edits are applied, so only edited and
-// dirty groups and not-yet-converged states are visited. Everything else is
-// covered by the shard-level clean-round credit.
+// planShardQuiescent plans one shard's stable round, under the shard lock:
+// the retained grouping is exact once this round's edits are applied, so only
+// the states on the active list and the edited and dirty groups are visited
+// (invariants ii–iv).
 func (a *Agent) planShardQuiescent(si int, obs []Observation, now time.Duration) {
 	sh := a.shards[si]
 	nShards := len(a.shards)
 	sh.plan = sh.plan[:0]
 	sh.guardClears = sh.guardClears[:0]
 	sh.expired = sh.expired[:0]
-	sh.absorbs = sh.absorbs[:0]
-	sh.dissolves = sh.dissolves[:0]
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -1240,12 +1054,12 @@ func (a *Agent) planShardQuiescent(si int, obs []Observation, now time.Duration)
 	sh.refreshedAt = now
 	sh.creditPending = true
 
-	// Advance the still-active clean states. Groups dirtied this round are
-	// kept on the list but handled below with their fresh Combine value. A
-	// state parked until a future flip round is skipped without a single
-	// write: every skipped round is a pure refresh, replayed by the lazy
-	// credit when it wakes (or is redirtied, edited out, or read). A state
-	// whose group emptied is off the list for good.
+	// Visit the active clean states with their recorded Combine value. Groups
+	// dirtied this round are kept on the list but handled below with a fresh
+	// one. A state parked until a future flip round is skipped without a
+	// single write: every skipped round is a pure refresh, replayed by the
+	// lazy credit when it wakes (or is redirtied, edited out, or read). A
+	// state whose group emptied is off the list for good.
 	kept := sh.active[:0]
 	for _, td := range sh.active {
 		st := td.st
@@ -1253,65 +1067,52 @@ func (a *Agent) planShardQuiescent(si int, obs []Observation, now time.Duration)
 			st.inActive = false
 			continue
 		}
-		if st.dirtySeq == seq {
-			kept = append(kept, td)
-			continue
-		}
-		if st.wakeAt > sh.cleanRounds {
-			kept = append(kept, td)
-			continue
-		}
-		if !st.hasLast {
-			// The last Combine was rejected (NaN/±Inf); the full path
-			// re-combines — and re-rejects — such a group every round.
-			st.cleanSeen = sh.cleanRounds
-			st.ewmaSeen = sh.cleanRounds
-			a.recombineLocked(sh, td, obs, now)
+		if st.dirtySeq == seq || st.wakeAt > sh.cleanRounds {
 			kept = append(kept, td)
 			continue
 		}
 		// Settle any parked span first: credit and smoothing replay cover
 		// the rounds through the previous one, the current round is then
-		// handled eagerly by quiescentBody. The transient counter decrement
-		// scopes both helpers to that boundary; states visited last round
-		// have nothing to settle and skip the calls.
+		// handled eagerly. The transient counter decrement scopes both
+		// helpers to that boundary; states visited last round have nothing
+		// to settle and skip the calls.
 		if st.cleanSeen != sh.cleanRounds-1 || st.ewmaSeen != sh.cleanRounds-1 {
 			sh.cleanRounds--
 			a.materializeLocked(sh, st)
 			a.forwardEWMALocked(sh, st)
 			sh.cleanRounds++
 		}
-		st.cleanSeen = sh.cleanRounds
-		st.ewmaSeen = sh.cleanRounds
-		if a.quiescentBody(sh, td.key, st, st.lastValue, int(st.prevN), now) {
+		st.cleanSeen, st.ewmaSeen = sh.cleanRounds, sh.cleanRounds
+		if !st.hasLast {
+			// The last Combine was rejected (NaN/±Inf); a rebuild would
+			// combine — and reject — such a group again every round.
+			a.recombineLocked(sh, td, obs, now)
+			kept = append(kept, td)
+			continue
+		}
+		st.wakeAt = 0
+		if a.planDest(sh, td.key, st, st.lastValue, now) && a.canDrain {
 			k := a.freezeHorizon(st)
 			if k == 0 {
 				// Window frozen: drain from the active list entirely.
 				st.inActive = false
-				st.wakeAt = 0
 				continue
 			}
 			st.wakeAt = sh.cleanRounds + uint64(k)
-		} else {
-			// The window moved (or an install is pending): recompute the
-			// horizon on the next visit.
-			st.wakeAt = 0
 		}
 		kept = append(kept, td)
 	}
 	sh.active = kept
 
-	// Dirty groups: re-Combine from their member sample-indices and run the
-	// full per-destination treatment. A converged state going dirty rejoins
-	// the active list. (A group dirtied and then emptied by a later edit is
-	// no longer in the grouping.)
+	// Dirty groups: re-Combine from their member sample-indices. A converged
+	// state going dirty rejoins the active list. (A group dirtied and then
+	// emptied by a later edit is no longer in the grouping.)
 	for _, td := range sh.dirtyList {
 		st := td.st
 		if !sh.grouped(st) {
 			continue
 		}
-		st.cleanSeen = sh.cleanRounds
-		st.ewmaSeen = sh.cleanRounds
+		st.cleanSeen, st.ewmaSeen = sh.cleanRounds, sh.cleanRounds
 		a.recombineLocked(sh, td, obs, now)
 		if !st.inActive {
 			st.inActive = true
@@ -1319,36 +1120,5 @@ func (a *Agent) planShardQuiescent(si int, obs []Observation, now time.Duration)
 		}
 	}
 
-	sh.delta.expiredDropped += a.expireDueLocked(sh, now)
-}
-
-// recombineLocked gathers a group's member observations from its span,
-// re-runs Combine, and applies the per-destination pass. It reports whether
-// the combined value was finite; a rejected value leaves the state exactly
-// as the full path would — no refresh (so its deadline is queued), hasLast
-// cleared, the reject counted.
-func (a *Agent) recombineLocked(sh *shard, td plannedDest, obs []Observation, now time.Duration) bool {
-	st := td.st
-	st.wakeAt = 0 // the combined value may move: horizon void
-	n := int(st.prevN)
-	if cap(sh.gather) < n {
-		sh.gather = make([]Observation, 0, 2*n)
-	}
-	g := sh.gather[:0]
-	for _, idx := range sh.memberIdx[st.memberOff : st.memberOff+st.prevN] {
-		g = append(g, obs[idx])
-	}
-	value := a.cfg.Combiner.Combine(g)
-	if !isFinite(value) {
-		st.hasLast = false
-		sh.delta.combinerRejects++
-		if st.installed {
-			sh.noteExpiry(td.key, st)
-		}
-		return false
-	}
-	st.lastValue = value
-	st.hasLast = true
-	a.quiescentBody(sh, td.key, st, value, n, now)
-	return true
+	a.expireDueLocked(sh, now)
 }

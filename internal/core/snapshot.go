@@ -295,10 +295,7 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 		sh := a.shards[si]
 		sh.mu.Lock()
 		st, ok := sh.states[key]
-		// An absorbed child counts as local: its covering aggregate route
-		// serves it, and seeding a specific route under the aggregate would
-		// shadow the window the child is still learning.
-		exists := ok && (st.installed || st.absorbed)
+		exists := ok && st.installed
 		sh.mu.Unlock()
 		if exists {
 			stats.SkippedLocal++
@@ -382,7 +379,6 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 		if st == nil {
 			st = sh.newDestState()
 			sh.states[op.dst] = st
-			a.aggRegister(sh, op.dst, st)
 		}
 		wasInstalled := st.installed
 		if !wasInstalled {

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -14,11 +14,13 @@ import (
 //
 //	sample  — outside any lock: run the sampler (which may block for
 //	          seconds against a wedged `ss`) into a pooled buffer.
-//	plan    — fanned out over the state shards: validate and route each
-//	          observation to its shard (ingest), then per shard regroup,
-//	          combine, smooth, clamp, review, refresh TTLs, and emit the
-//	          shard's route plan. Workers touch disjoint shards, so the
-//	          only shared state is each shard's own lock.
+//	plan    — fanned out over the state shards: route what changed since
+//	          last round to its shard as edits to the retained grouping (a
+//	          stable round), or key and regroup the whole stream (a
+//	          rebuild); then per shard combine, smooth, clamp, review,
+//	          refresh TTLs, and emit the shard's route plan (shard.go).
+//	          Workers touch disjoint shards, so the only shared state is
+//	          each shard's own lock.
 //	commit  — a short global section: merge the per-shard plans, sort
 //	          them for deterministic programming order, and fold the
 //	          shards' stat deltas into Stats.
@@ -37,24 +39,17 @@ import (
 // their order, and first-error identity — is byte-identical for every shard
 // and worker count.
 
-// programOp is one planned route installation.
+// programOp is one planned route installation. A destination carries at
+// most one per round.
 type programOp struct {
 	dst    netip.Prefix
 	window int
 	obs    int // group size this round, recorded on success
 	// st and shard let the commit stage reach the destination's state
-	// without re-hashing and re-resolving the prefix. st may be nil
-	// (aggregate parent ops); the commit stage trusts it only while it is
-	// still the installed map occupant, falling back to the map otherwise.
-	// Plan ops never outlive their tick, so the pointer cannot go stale.
+	// without re-hashing and re-resolving the prefix. Plan ops never outlive
+	// their tick, so the pointer cannot go stale.
 	st    *destState
 	shard int32
-	// aggregate marks a covering-route installation planned by the
-	// aggregate pass; committing it marks the aggState installed.
-	aggregate bool
-	// split marks the reinstallation of an absorbed child whose window
-	// diverged from its aggregate; committing it counts AggregateSplits.
-	split bool
 }
 
 // clearKind distinguishes why a route withdrawal was planned, which decides
@@ -64,12 +59,6 @@ type clearKind int
 const (
 	clearKindExpired clearKind = iota
 	clearKindGuard
-	// clearKindAbsorb withdraws a child route now covered by an installed
-	// aggregate; the state is kept (marked absorbed), not dropped.
-	clearKindAbsorb
-	// clearKindDissolve withdraws a covering aggregate route after its
-	// members were reinstalled (or lapsed).
-	clearKindDissolve
 )
 
 // Tick executes one iteration of Algorithm 1: sample, group, combine,
@@ -118,17 +107,8 @@ func (a *Agent) Tick() error {
 	}
 	a.noteSampleSuccess()
 
-	// Delta setup: size this round's sample cache.
-	if a.delta {
-		if cap(a.cacheCur) < len(obs) {
-			a.cacheCur = make([]cachedSample, len(obs))
-		} else {
-			a.cacheCur = a.cacheCur[:cap(a.cacheCur)]
-		}
-	}
-
-	// Plan stage: route observations to shards, then plan each shard.
-	// Small rounds stay serial — goroutines cost more than they save.
+	// Plan stage. Small rounds stay serial — goroutines cost more than they
+	// save.
 	planStart := time.Now()
 	nShards := len(a.shards)
 	workers := 1
@@ -136,9 +116,12 @@ func (a *Agent) Tick() error {
 		workers = nShards
 	}
 	a.ingestWorkers = workers
-	for i := 0; i < workers*nShards; i++ {
-		a.buckets[i] = a.buckets[i][:0]
+	resetBuckets := func() {
+		for i := 0; i < workers*nShards; i++ {
+			a.buckets[i] = a.buckets[i][:0]
+		}
 	}
+	resetBuckets()
 	eachShard := func(fn func(s int)) {
 		if workers > 1 {
 			runParallel(nShards, fn)
@@ -148,48 +131,45 @@ func (a *Agent) Tick() error {
 			fn(s)
 		}
 	}
-
-	// Stable-round detection (the quiescent fast path): with an eligible
-	// config and a retained grouping with tail room left on every shard,
-	// compare this round's sample against last round's. Positions that kept
-	// their destination and validity need no ingest or regroup, and the few
-	// that did not are applied to the grouping as edits; each shard then
-	// patches only its edited and dirty groups and still-converging states.
-	// A round whose edited share is too large falls back to the full path
-	// below, which resets the (partially filled) buckets itself.
-	stable := false
-	if a.quiescentOK && a.havePrev && len(obs) > 0 {
-		stable = true
-		for _, sh := range a.shards {
-			if sh.fullSeq == 0 || len(sh.memberIdx) > sh.memberLimit {
-				stable = false
-			}
-		}
-		// A stream that is literally last round's slice (a sampler with a
-		// fixed set returning its own backing array) has nothing to compare.
-		if stable && !(len(obs) == len(a.obsPrev) && &obs[0] == &a.obsPrev[0]) {
-			if n := max(len(obs), len(a.obsPrev)); len(a.cachePrev) < n {
-				a.cachePrev = append(a.cachePrev, make([]cachedSample, n-len(a.cachePrev))...)
-			}
-			runParallel(workers, func(w int) { a.compareOK[w] = a.compareChunk(w, obs) })
-			stable = !slices.Contains(a.compareOK[:workers], false)
-		}
+	if n := max(len(obs), len(a.obsPrev)); len(a.cache) < n {
+		a.cache = append(a.cache, make([]cachedSample, n-len(a.cache))...)
 	}
 
+	// A round is stable when every shard still holds the grouping of last
+	// round's stream with tail room left, and this round's stream differs
+	// from it by a small share of positions: those are routed to the shards
+	// as edits and the grouping is patched. Anything else is a rebuild, which
+	// regroups from nothing (and resets the partially filled buckets).
+	stable := a.havePrev && len(obs) > 0
+	for _, sh := range a.shards {
+		if sh.fullSeq == 0 || len(sh.memberIdx) > sh.memberLimit {
+			stable = false
+		}
+	}
+	// A stream that is literally last round's slice (a sampler with a fixed
+	// set returning its own backing array) has nothing to compare.
+	if stable && !(len(obs) == len(a.obsPrev) && &obs[0] == &a.obsPrev[0]) {
+		runParallel(workers, func(w int) { a.compareOK[w] = a.compareChunk(w, obs) })
+		stable = !slices.Contains(a.compareOK[:workers], false)
+	}
 	if stable {
 		a.mStable.Inc()
-		eachShard(func(s int) { a.planShardQuiescent(s, obs, now) })
+		if a.cfg.Guard != nil {
+			runParallel(workers, func(w int) { a.observeChunk(w, obs) })
+		}
 	} else {
 		a.mRebuild.Inc()
-		for i := 0; i < workers*nShards; i++ {
-			a.buckets[i] = a.buckets[i][:0]
-		}
+		resetBuckets()
 		runParallel(workers, func(w int) { a.ingestChunk(w, obs) })
-		// The governor sees every valid sample above, then closes its
-		// round before any Review call.
-		if a.cfg.Guard != nil {
-			a.cfg.Guard.ObserveTick(now)
-		}
+	}
+	// The governor has seen every valid sample; it closes its round before
+	// any Review call.
+	if a.cfg.Guard != nil {
+		a.cfg.Guard.ObserveTick(now)
+	}
+	if stable {
+		eachShard(func(s int) { a.planShardQuiescent(s, obs, now) })
+	} else {
 		eachShard(func(s int) { a.planShard(s, obs, now) })
 	}
 	a.mPlan.Observe(time.Since(planStart))
@@ -199,8 +179,8 @@ func (a *Agent) Tick() error {
 	commitStart := time.Now()
 	var plan []programOp
 	if len(a.shards) == 1 {
-		// One shard: adopt its plan in place rather than copying ~150-byte
-		// ops through the merge buffer (the shard rebuilds it next round).
+		// One shard: adopt its plan in place rather than copying the ops
+		// through the merge buffer (the shard rebuilds it next round).
 		plan = a.shards[0].plan
 	} else {
 		plan = a.planBuf[:0]
@@ -220,27 +200,11 @@ func (a *Agent) Tick() error {
 	for _, sh := range a.shards {
 		clears = append(clears, sh.expired...)
 	}
-	absorbStart := len(clears)
-	for _, sh := range a.shards {
-		clears = append(clears, sh.absorbs...)
-	}
-	dissolveStart := len(clears)
-	for _, sh := range a.shards {
-		clears = append(clears, sh.dissolves...)
-	}
 	a.clearBuf = clears
-	guardClears := clears[:expiredStart]
-	expired := clears[expiredStart:absorbStart]
-	absorbs := clears[absorbStart:dissolveStart]
-	dissolves := clears[dissolveStart:]
-	// The plan comparator is total (dst, then window, then flags): the
-	// same destination can legitimately carry two byte-identical-dst ops
-	// in one round (a pass-3 split plus a dissolve reinstall), and an
-	// unstable sort must still order them deterministically.
+	guardClears, expired := clears[:expiredStart], clears[expiredStart:]
 	planIdx := a.sortPlan(plan)
-	for _, list := range [][]netip.Prefix{guardClears, expired, absorbs, dissolves} {
-		slices.SortFunc(list, comparePrefix)
-	}
+	slices.SortFunc(guardClears, comparePrefix)
+	slices.SortFunc(expired, comparePrefix)
 
 	a.mu.Lock()
 	a.stats.Observations += uint64(len(obs))
@@ -248,7 +212,6 @@ func (a *Agent) Tick() error {
 	a.stats.GuardCapped += delta.guardCapped
 	a.stats.GuardVetoed += delta.guardVetoed
 	a.stats.GuardQuarantined += delta.guardQuarantined
-	a.stats.EntriesExpired += delta.expiredDropped
 	a.mu.Unlock()
 	if delta.combinerRejects > 0 {
 		a.cfg.Metrics.Counter("riptide_combiner_rejects").Add(delta.combinerRejects)
@@ -258,37 +221,22 @@ func (a *Agent) Tick() error {
 	}
 	a.mCommit.Observe(time.Since(commitStart))
 
-	// Retain this round's stream as the next round's delta baseline. The
-	// sample buffer hand-off keeps the invariant that obsPrev and obsBuf
-	// never share a backing array: next round's sample appends into the
-	// retiring buffer (or fresh space) while obsPrev stays frozen.
-	if a.delta {
-		// A stable round edits last round's cache in place; it stays
-		// authoritative and is not swapped out.
-		if !stable {
-			a.cachePrev, a.cacheCur = a.cacheCur, a.cachePrev
-		}
-		prevScratch := a.obsPrev
-		a.obsPrev = obs
-		a.havePrev = true
-		if sameBacking(obs, prevScratch) {
-			a.obsBuf = nil
-		} else {
-			a.obsBuf = prevScratch[:0]
-		}
+	// Retain this round's stream as the next round's baseline. The sample
+	// buffer hand-off keeps the invariant that obsPrev and obsBuf never share
+	// a backing array: next round's sample appends into the retiring buffer
+	// (or fresh space) while obsPrev stays frozen.
+	prevScratch := a.obsPrev
+	a.obsPrev = obs
+	a.havePrev = true
+	if sameBacking(obs, prevScratch) {
+		a.obsBuf = nil
+	} else {
+		a.obsBuf = prevScratch[:0]
 	}
 
-	// Program stage, outside the locks. Sets run first, so dissolve
-	// reinstalls precede the covering-route withdrawal and absorb clears
-	// follow their aggregate's installation — LPM coverage never gaps.
+	// Program stage, outside the locks.
 	firstErr := a.programPlan(plan, planIdx, now)
-	if err := a.clearTargets(absorbs, clearKindAbsorb, now); err != nil && firstErr == nil {
-		firstErr = err
-	}
 	if err := a.clearTargets(guardClears, clearKindGuard, now); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	if err := a.clearTargets(dissolves, clearKindDissolve, now); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	if err := a.clearTargets(expired, clearKindExpired, now); err != nil && firstErr == nil {
@@ -297,141 +245,43 @@ func (a *Agent) Tick() error {
 	return firstErr
 }
 
-// planKey pairs a packed comparator key with the op's index in the
-// unsorted plan, so the commit sort can order 8-byte keys instead of
-// swapping 64-byte ops through a reflective comparator.
-type planKey struct {
-	key uint64
-	idx int32
-}
+// planIdxBits is the width of the plan index a packed key carries in its low
+// bits, below the 32 address bits and 6 prefix-length bits.
+const planIdxBits = 26
 
-// packOpKey encodes every field compareProgramOp consults — IPv4 address,
-// prefix length, window, split, aggregate — into one uint64 whose unsigned
-// order equals the comparator's. It refuses anything it cannot encode
-// exactly (IPv6 and 4-in-6 addresses, windows outside a byte); the caller
-// then falls back to the comparator sort.
-func packOpKey(op *programOp) (uint64, bool) {
+// packOpKey encodes an IPv4 destination — address, then prefix length — and
+// the op's index in the unsorted plan into one uint64 whose unsigned order
+// equals comparePrefix's. It refuses IPv6 and 4-in-6 addresses and indices
+// past planIdxBits; the caller then falls back to the comparator sort.
+func packOpKey(op *programOp, idx int) (uint64, bool) {
 	addr := op.dst.Addr()
-	if !addr.Is4() || op.window < 0 || op.window > 0xff {
+	if !addr.Is4() || idx >= 1<<planIdxBits {
 		return 0, false
 	}
 	b := addr.As4()
-	k := uint64(b[0])<<40 | uint64(b[1])<<32 | uint64(b[2])<<24 | uint64(b[3])<<16
-	k |= uint64(op.dst.Bits()) << 10
-	k |= uint64(op.window) << 2
-	if op.split {
-		k |= 2
-	}
-	if op.aggregate {
-		k |= 1
-	}
-	return k, true
+	return uint64(binary.BigEndian.Uint32(b[:]))<<32 | uint64(op.dst.Bits())<<planIdxBits | uint64(idx), true
 }
 
-// sortPlan orders the merged plan by compareProgramOp without moving the ops.
-// An all-IPv4 plan — the overwhelmingly common case — gets its packed
-// 8-byte keys sorted and returned; the caller walks the plan through that
-// index order. Plans with anything unpackable are comparator-sorted in
-// place and get a nil key slice. Key ties break on emission index, which
-// only matters for ops equal in every field the comparator sees (and
-// therefore interchangeable anyway).
-func (a *Agent) sortPlan(plan []programOp) []planKey {
+// sortPlan orders the merged plan by destination without moving the ops. An
+// all-IPv4 plan — the overwhelmingly common case — gets its packed 8-byte
+// keys sorted and returned, so the sort compares integers instead of swapping
+// 64-byte ops through a prefix comparator; the caller walks the plan through
+// the indices in the keys. Plans with anything unpackable are
+// comparator-sorted in place and get a nil key slice. Destinations are unique
+// within a plan, so the order is total either way.
+func (a *Agent) sortPlan(plan []programOp) []uint64 {
 	keys := a.planKeys[:0]
-	packed := true
 	for i := range plan {
-		k, ok := packOpKey(&plan[i])
+		k, ok := packOpKey(&plan[i], i)
 		if !ok {
-			packed = false
-			break
+			slices.SortFunc(plan, func(x, y programOp) int { return comparePrefix(x.dst, y.dst) })
+			return nil
 		}
-		keys = append(keys, planKey{key: k, idx: int32(i)})
+		keys = append(keys, k)
 	}
 	a.planKeys = keys
-	if !packed {
-		slices.SortFunc(plan, compareProgramOp)
-		return nil
-	}
-	if len(keys) < 128 {
-		slices.SortFunc(keys, func(x, y planKey) int {
-			switch {
-			case x.key < y.key:
-				return -1
-			case x.key > y.key:
-				return 1
-			default:
-				return int(x.idx - y.idx)
-			}
-		})
-		return keys
-	}
-	return a.radixSortPlanKeys(keys)
-}
-
-// radixSortPlanKeys stable-sorts keys by packed key ascending with LSD
-// counting passes over the 48 significant bits, one byte at a time. The
-// stability makes the emission-index tie-break implicit, so the order is
-// identical to the comparison sort above; passes whose digit is constant
-// across the whole plan (the top address bytes usually are) are skipped.
-func (a *Agent) radixSortPlanKeys(keys []planKey) []planKey {
-	tmp := a.planKeysTmp
-	if cap(tmp) < len(keys) {
-		tmp = make([]planKey, len(keys))
-	}
-	tmp = tmp[:len(keys)]
-	src, dst := keys, tmp
-	var count [256]int
-	for shift := uint(0); shift < 48; shift += 8 {
-		for i := range count {
-			count[i] = 0
-		}
-		for i := range src {
-			count[(src[i].key>>shift)&0xff]++
-		}
-		if count[(src[0].key>>shift)&0xff] == len(src) {
-			continue
-		}
-		sum := 0
-		for i := range count {
-			c := count[i]
-			count[i] = sum
-			sum += c
-		}
-		for i := range src {
-			d := (src[i].key >> shift) & 0xff
-			dst[count[d]] = src[i]
-			count[d]++
-		}
-		src, dst = dst, src
-	}
-	a.planKeys = src
-	a.planKeysTmp = dst
-	return src
-}
-
-// compareProgramOp is the total order for the round's merged plan: prefix
-// first, then window, then the split/aggregate flags as tie-breakers.
-func compareProgramOp(a, b programOp) int {
-	if c := comparePrefix(a.dst, b.dst); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.window, b.window); c != 0 {
-		return c
-	}
-	if a.split != b.split {
-		return cmpBool(a.split, b.split)
-	}
-	return cmpBool(a.aggregate, b.aggregate)
-}
-
-// cmpBool orders false before true.
-func cmpBool(a, b bool) int {
-	switch {
-	case a == b:
-		return 0
-	case b:
-		return -1
-	}
-	return 1
+	slices.Sort(keys)
+	return keys
 }
 
 // sameBacking reports whether two slices share a backing array (checked via
@@ -444,13 +294,13 @@ func sameBacking(a, b []Observation) bool {
 // the backend supports it — and commits each success into its shard. keys,
 // when non-nil, gives the sorted program order as indices into plan (which
 // then stays unsorted); a nil keys means plan itself is already ordered.
-func (a *Agent) programPlan(plan []programOp, keys []planKey, now time.Duration) error {
+func (a *Agent) programPlan(plan []programOp, keys []uint64, now time.Duration) error {
 	if len(plan) == 0 {
 		return nil
 	}
 	opAt := func(i int) *programOp {
 		if keys != nil {
-			return &plan[keys[i].idx]
+			return &plan[keys[i]&(1<<planIdxBits-1)]
 		}
 		return &plan[i]
 	}
@@ -463,7 +313,7 @@ func (a *Agent) programPlan(plan []programOp, keys []planKey, now time.Duration)
 	errs := a.applyOps(ops)
 
 	var firstErr error
-	var set, routeErrs, cleared, formed, splits uint64
+	var set, routeErrs, cleared uint64
 	// The shard lock is held across runs of consecutive same-shard ops
 	// (with one shard, the whole plan) instead of being retaken per op.
 	// Nothing blocking happens while it is held: the backend's results are
@@ -496,14 +346,6 @@ func (a *Agent) programPlan(plan []programOp, keys []planKey, now time.Duration)
 					cleared++
 				}
 				sh.mu.Unlock()
-			} else if op.aggregate {
-				// A failed covering-route install leaves the children in
-				// place; re-mark the parent so the formation retries.
-				sh.mu.Lock()
-				if agg := sh.aggs[op.dst]; agg != nil {
-					a.aggMarkDirty(sh, op.dst, agg)
-				}
-				sh.mu.Unlock()
 			}
 			if firstErr == nil {
 				firstErr = fmt.Errorf("set initcwnd %v=%d: %w", op.dst, op.window, err)
@@ -515,37 +357,18 @@ func (a *Agent) programPlan(plan []programOp, keys []planKey, now time.Duration)
 			sh.mu.Lock()
 			cur = sh
 		}
-		// The planned state pointer short-circuits the map for the common
-		// commit (a window change on an installed route). A state that lost
-		// its installed flag since planning (an ErrFallbackCleared drop of
-		// an earlier duplicate op) may no longer be the map occupant, so it
-		// re-resolves.
+		// Only members of the grouping are planned and nothing between plan
+		// and commit ends a membership, so the planned pointer is the map
+		// occupant and needs no deadline: whatever ends the membership queues
+		// one.
 		st := op.st
-		if st == nil || !st.installed {
-			st = sh.states[op.dst]
-			if st == nil {
-				st = sh.newDestState()
-				sh.states[op.dst] = st
-				a.aggRegister(sh, op.dst, st)
-			}
-		}
 		wasInstalled := st.installed
-		if !st.installed {
+		if !wasInstalled {
 			st.installed = true
 			sh.installed++
-			if st.absorbed {
-				// An absorbed child got its specific route back (window
-				// divergence, or a dissolve reinstall); its accumulated
-				// samples carry over.
-				st.absorbed = false
-				if op.split {
-					splits++
-				}
-			} else {
-				// New destination: the plan stage could not count its
-				// samples because no entry existed yet.
-				st.samples = uint64(op.obs)
-			}
+			// New destination: the plan stage could not count its samples
+			// because no entry existed yet.
+			st.samples = uint64(op.obs)
 		}
 		st.window = op.window
 		st.expires = now + a.cfg.TTL
@@ -559,24 +382,6 @@ func (a *Agent) programPlan(plan []programOp, keys []planKey, now time.Duration)
 			a.digestRefold(op.dst, st)
 		} else {
 			a.digestFold(op.dst, st)
-			if !sh.grouped(st) {
-				// An installed state is queued already, a grouped one
-				// when it leaves the grouping.
-				sh.noteExpiry(op.dst, st)
-			}
-		}
-		if op.aggregate {
-			if agg := sh.aggs[op.dst]; agg != nil && !agg.installed {
-				agg.installed = true
-				agg.window = op.window
-				formed++
-			}
-		} else if parent, ok := a.aggKey(op.dst); ok {
-			// A child install or window change can alter its aggregate's
-			// membership maths; queue the parent for re-evaluation.
-			if agg := sh.aggs[parent]; agg != nil {
-				a.aggMarkDirty(sh, parent, agg)
-			}
 		}
 		set++
 	}
@@ -585,8 +390,6 @@ func (a *Agent) programPlan(plan []programOp, keys []planKey, now time.Duration)
 	a.stats.RoutesSet += set
 	a.stats.RouteErrors += routeErrs
 	a.stats.RoutesCleared += cleared
-	a.stats.AggregatesFormed += formed
-	a.stats.AggregateSplits += splits
 	a.mu.Unlock()
 	return firstErr
 }
@@ -608,23 +411,7 @@ func (a *Agent) clearTargets(targets []netip.Prefix, kind clearKind, now time.Du
 		sh := a.shardFor(dst)
 		sh.mu.Lock()
 		st, ok := sh.states[dst]
-		var needed bool
-		switch kind {
-		case clearKindAbsorb:
-			// Withdraw the child only while its covering route is actually
-			// installed — a failed aggregate install must not strand the
-			// child without any route.
-			needed = ok && st.installed
-			if needed {
-				parent, pok := a.aggKey(dst)
-				agg := sh.aggs[parent]
-				needed = pok && agg != nil && agg.installed
-			}
-		case clearKindDissolve, clearKindGuard:
-			needed = ok && st.installed
-		default:
-			needed = ok && st.installed && st.expires <= now
-		}
+		needed := ok && st.installed && (kind == clearKindGuard || st.expires <= now)
 		sh.mu.Unlock()
 		if needed {
 			live = append(live, dst)
@@ -642,7 +429,6 @@ func (a *Agent) clearTargets(targets []netip.Prefix, kind clearKind, now time.Du
 
 	var firstErr error
 	var expiredN, clearedN, guardClearedN, routeErrs uint64
-	var absorbedN, dissolvedN uint64
 	for i, dst := range live {
 		var err error
 		if errs != nil {
@@ -651,57 +437,17 @@ func (a *Agent) clearTargets(targets []netip.Prefix, kind clearKind, now time.Du
 		sh := a.shardFor(dst)
 		if err != nil {
 			routeErrs++
-			if kind == clearKindAbsorb || kind == clearKindDissolve {
-				// Leave the route as-is and re-mark the aggregate so the
-				// next round re-derives (and retries) the decision.
-				key := dst
-				if kind == clearKindAbsorb {
-					if parent, ok := a.aggKey(dst); ok {
-						key = parent
-					}
-				}
-				sh.mu.Lock()
-				if agg := sh.aggs[key]; agg != nil {
-					a.aggMarkDirty(sh, key, agg)
-				}
-				sh.mu.Unlock()
-			}
 			if firstErr == nil {
-				switch kind {
-				case clearKindGuard:
+				if kind == clearKindGuard {
 					firstErr = fmt.Errorf("guard clear initcwnd %v: %w", dst, err)
-				case clearKindAbsorb:
-					firstErr = fmt.Errorf("absorb clear initcwnd %v: %w", dst, err)
-				case clearKindDissolve:
-					firstErr = fmt.Errorf("dissolve clear initcwnd %v: %w", dst, err)
-				default:
+				} else {
 					firstErr = fmt.Errorf("clear initcwnd %v: %w", dst, err)
 				}
 			}
 			continue
 		}
 		sh.mu.Lock()
-		if kind == clearKindAbsorb {
-			// The covering route now serves this child; keep the state so
-			// it goes on sampling and refreshing, but stop counting it as
-			// an installed route.
-			if st := sh.states[dst]; st != nil && st.installed {
-				a.digestUnfold(st)
-				st.installed = false
-				st.absorbed = true
-				sh.installed--
-				absorbedN++
-				// The child leaves the exported table (only specific
-				// installed entries are shared); move the version so
-				// delta peers notice.
-				a.bumpVersion()
-			}
-		} else {
-			sh.dropInstalled(a, dst)
-			if kind == clearKindDissolve {
-				dissolvedN++
-			}
-		}
+		sh.dropInstalled(a, dst)
 		sh.mu.Unlock()
 		clearedN++
 		switch kind {
@@ -717,8 +463,6 @@ func (a *Agent) clearTargets(targets []netip.Prefix, kind clearKind, now time.Du
 	a.stats.EntriesExpired += expiredN
 	a.stats.GuardCleared += guardClearedN
 	a.stats.RouteErrors += routeErrs
-	a.stats.ChildrenAbsorbed += absorbedN
-	a.stats.AggregatesDissolved += dissolvedN
 	a.mu.Unlock()
 	return firstErr
 }
@@ -729,18 +473,14 @@ func (a *Agent) clearTargets(targets []netip.Prefix, kind clearKind, now time.Du
 // O(shards).
 func (a *Agent) expirePass(now time.Duration) error {
 	expired := a.clearBuf[:0]
-	var dropped uint64
 	for _, sh := range a.shards {
 		sh.mu.Lock()
 		sh.expired = sh.expired[:0]
-		dropped += a.expireDueLocked(sh, now)
+		a.expireDueLocked(sh, now)
 		expired = append(expired, sh.expired...)
 		sh.mu.Unlock()
 	}
 	a.clearBuf = expired
-	if dropped > 0 {
-		a.countLocked(func(s *Stats) { s.EntriesExpired += dropped })
-	}
 	slices.SortFunc(expired, comparePrefix)
 	return a.clearTargets(expired, clearKindExpired, now)
 }

@@ -215,73 +215,3 @@ func TestIncrementalDigestMatchesRescan(t *testing.T) {
 		})
 	}
 }
-
-// TestIncrementalDigestMatchesRescanAggregation covers the aggregation
-// commit kinds — child absorption into a covering route, split-back on
-// window divergence, and dissolve via expiry — which withdraw and install
-// routes through their own plan paths.
-func TestIncrementalDigestMatchesRescanAggregation(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			var clockMu sync.Mutex
-			now := time.Duration(0)
-			sampler := &stubSampler{}
-			a, err := core.New(core.Config{
-				Sampler:       sampler,
-				Routes:        newMemRoutes(),
-				Shards:        shards,
-				TTL:           time.Minute,
-				AggregateBits: 24,
-				Clock: func() time.Duration {
-					clockMu.Lock()
-					defer clockMu.Unlock()
-					return now
-				},
-			})
-			if err != nil {
-				t.Fatalf("core.New: %v", err)
-			}
-			defer a.Close()
-			feed := func(observations []core.Observation) {
-				sampler.mu.Lock()
-				sampler.obs = observations
-				sampler.mu.Unlock()
-				if err := a.Tick(); err != nil {
-					t.Fatalf("Tick: %v", err)
-				}
-			}
-
-			// Eight same-window children of one /24: the covering route
-			// forms and absorbs them (absorption withdraws child routes).
-			converged := make([]core.Observation, 0, 8)
-			for i := 0; i < 8; i++ {
-				converged = append(converged, obs(t, fmt.Sprintf("10.9.9.%d", i+1), 24))
-			}
-			for round := 0; round < 4; round++ {
-				clockMu.Lock()
-				now += time.Second
-				clockMu.Unlock()
-				feed(append([]core.Observation(nil), converged...))
-				requireDigestMatch(t, a, fmt.Sprintf("aggregate-round-%d", round))
-			}
-
-			// One child diverges hard: its specific route splits back out.
-			diverged := append([]core.Observation(nil), converged...)
-			diverged[0] = obs(t, "10.9.9.1", 90)
-			clockMu.Lock()
-			now += time.Second
-			clockMu.Unlock()
-			feed(diverged)
-			requireDigestMatch(t, a, "aggregate-split")
-
-			// Expire everything: absorbed children and the covering route go
-			// together.
-			clockMu.Lock()
-			now += 3 * time.Minute
-			clockMu.Unlock()
-			feed(nil)
-			requireDigestMatch(t, a, "aggregate-expiry")
-		})
-	}
-}

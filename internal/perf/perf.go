@@ -138,23 +138,21 @@ var (
 // isolates the sample/plan/commit pipeline the benchmarks target. With
 // batch true the route sink exposes the batched programming surface.
 func NewTickAgent(conns, shards int, batch bool) (*core.Agent, error) {
-	return newTickAgent(StaticSampler(SyntheticObservations(conns)), shards, batch, false)
+	return newTickAgent(StaticSampler(SyntheticObservations(conns)), shards, batch)
 }
 
-// newTickAgent is the measurement-agent constructor behind the series:
-// any sampler, optional batch surface, and optional full-rescan mode (the
-// pre-delta baseline the delta series are compared against).
-func newTickAgent(sampler core.ConnectionSampler, shards int, batch, fullRescan bool) (*core.Agent, error) {
+// newTickAgent is the measurement-agent constructor behind the series: any
+// sampler, optional batch surface.
+func newTickAgent(sampler core.ConnectionSampler, shards int, batch bool) (*core.Agent, error) {
 	var routes core.RouteProgrammer = NopRoutes{}
 	if batch {
 		routes = NopBatchRoutes{}
 	}
 	return core.New(core.Config{
-		Sampler:    sampler,
-		Routes:     routes,
-		Clock:      func() time.Duration { return 0 },
-		Shards:     shards,
-		FullRescan: fullRescan,
+		Sampler: sampler,
+		Routes:  routes,
+		Clock:   func() time.Duration { return 0 },
+		Shards:  shards,
 	})
 }
 
@@ -230,28 +228,19 @@ func Measure(name string, minTime time.Duration, fn func() error) (Benchmark, er
 	}
 }
 
-// multiShards returns the multi-shard count worth tracking on this machine
-// — GOMAXPROCS clamped to the agent's documented default-shard cap (the
-// unclamped value used to make the label and the effective shard count
-// diverge on >16-core hosts) — plus the honest label for its series: a
-// multi-shard run only counts as "parallel" when more than one core is
-// actually available; at GOMAXPROCS=1 the same configuration is merely
-// lock-striped and must not be sold as a parallelism measurement.
-func multiShards() (shards int, label string) {
-	shards = 8
+// multiShards returns the multi-shard count worth tracking on this machine:
+// GOMAXPROCS clamped to the agent's documented default-shard cap, or 8
+// lock stripes on a single core.
+func multiShards() int {
 	if p := runtime.GOMAXPROCS(0); p > 1 {
-		shards = p
-		if shards > core.MaxDefaultShards {
-			shards = core.MaxDefaultShards
-		}
-		return shards, "parallel"
+		return min(p, core.MaxDefaultShards)
 	}
-	return shards, "striped"
+	return 8
 }
 
 // measureTick runs one agent-tick series point and stamps its dimensions.
-func measureTick(name string, size, shards int, mode string, minTime time.Duration, sampler core.ConnectionSampler, fullRescan bool) (Benchmark, error) {
-	agent, err := newTickAgent(sampler, shards, true, fullRescan)
+func measureTick(name string, size, shards int, mode string, minTime time.Duration, sampler core.ConnectionSampler) (Benchmark, error) {
+	agent, err := newTickAgent(sampler, shards, true)
 	if err != nil {
 		return Benchmark{}, err
 	}
@@ -268,45 +257,37 @@ func measureTick(name string, size, shards int, mode string, minTime time.Durati
 
 // Collect measures the agent-tick scaling series at the given observed-table
 // sizes plus the batched-vs-individual route programming comparison, and
-// returns the snapshot. Each size gets six points: the serial full-rescan
-// baseline, the multi-shard full rescan (labeled parallel or striped per
-// the host), and the delta steady state (identical stream, ingest skipped)
-// and delta under ~1% churn at both shards=1 and the multi-shard count —
-// the serial delta points are the like-for-like comparison against the
-// serial full-rescan baseline on single-core hosts, where multi-shard runs
-// pay striping overhead without any parallel payoff. minTime bounds each
-// measured batch, not the whole run.
+// returns the snapshot. Each size gets four points: the steady state
+// (identical stream, compare skipped) and ~1% window churn, at shards=1 and
+// at the multi-shard count — on single-core hosts the multi-shard runs pay
+// striping overhead without any parallel payoff. minTime bounds each measured
+// batch, not the whole run.
 func Collect(sizes []int, minTime time.Duration) (Snapshot, error) {
 	snap := Snapshot{
 		Schema:     SnapshotSchema,
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
-	multi, multiLabel := multiShards()
+	multi := multiShards()
 	for _, size := range sizes {
 		base := SyntheticObservations(size)
 		points := []struct {
-			name       string
-			shards     int
-			mode       string
-			sampler    core.ConnectionSampler
-			fullRescan bool
+			name    string
+			shards  int
+			mode    string
+			sampler core.ConnectionSampler
 		}{
-			{fmt.Sprintf("AgentTick/dest=%d/shards=1/mode=full", size),
-				1, "full", StaticSampler(base), true},
-			{fmt.Sprintf("AgentTick/dest=%d/shards=%d/mode=full/%s", size, multi, multiLabel),
-				multi, "full/" + multiLabel, StaticSampler(base), true},
 			{fmt.Sprintf("AgentTick/dest=%d/shards=1/mode=delta/steady", size),
-				1, "delta/steady", FixedSampler(base), false},
+				1, "delta/steady", FixedSampler(base)},
 			{fmt.Sprintf("AgentTick/dest=%d/shards=1/mode=delta/churn=1%%", size),
-				1, "delta/churn=1%", NewChurnSampler(base, 100), false},
+				1, "delta/churn=1%", NewChurnSampler(base, 100)},
 			{fmt.Sprintf("AgentTick/dest=%d/shards=%d/mode=delta/steady", size, multi),
-				multi, "delta/steady", FixedSampler(base), false},
+				multi, "delta/steady", FixedSampler(base)},
 			{fmt.Sprintf("AgentTick/dest=%d/shards=%d/mode=delta/churn=1%%", size, multi),
-				multi, "delta/churn=1%", NewChurnSampler(base, 100), false},
+				multi, "delta/churn=1%", NewChurnSampler(base, 100)},
 		}
 		for _, pt := range points {
-			b, err := measureTick(pt.name, size, pt.shards, pt.mode, minTime, pt.sampler, pt.fullRescan)
+			b, err := measureTick(pt.name, size, pt.shards, pt.mode, minTime, pt.sampler)
 			if err != nil {
 				return Snapshot{}, err
 			}
