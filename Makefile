@@ -43,9 +43,11 @@ bench-json:
 
 # The fleet-serving benchmarks alone: what one gossip GET costs the serving
 # agent, converged (cache hit) vs churning (rebuild per request) vs the 304
-# revalidation path.
+# revalidation path vs a churn round's ?since= pull (BenchmarkServeDeltaSince),
+# and the delta codec both ends of that pull run.
 bench-serve:
 	$(GO) test -bench 'BenchmarkServe' -benchmem -run '^$$' ./internal/fleet/
+	$(GO) test -bench 'Benchmark(Append|Decode)Delta' -benchmem -run '^$$' ./internal/gossip/
 
 # Quick-scale markdown report to stdout. The operational sections come from
 # the scenario library embedded in the binary, so no path depends on the
@@ -70,7 +72,8 @@ fuzz-guard:
 
 # Fuzz the gossip wire decoders: arbitrary digest/delta payloads (the
 # bytes a fleet peer hands us) must never panic, and whatever decodes must
-# re-encode to an equivalent message.
+# re-encode to an equivalent message. FuzzDecodeDelta is also the differential
+# for the delta scanner: what it accepts, json.Unmarshal decodes identically.
 fuzz-gossip:
 	$(GO) test -fuzz=FuzzDecodeDigest -fuzztime=30s ./internal/gossip
 	$(GO) test -fuzz=FuzzDecodeDelta -fuzztime=30s ./internal/gossip

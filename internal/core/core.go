@@ -479,7 +479,9 @@ type entry struct {
 	// program or a fleet merge). Delta exports send only entries whose
 	// version is newer than the peer's last-seen table version, so it is
 	// stamped only when the exported content actually changes — TTL
-	// refreshes and lazy sample credit do not touch it.
+	// refreshes and lazy sample credit do not touch it. A state that is not
+	// installed carries version 0; the shard's export log holds one live
+	// ref per stamped version (exportRef).
 	version uint64
 	// merged marks an entry seeded from a fleet snapshot that has not yet
 	// been confirmed by a local observation; local observations always
@@ -586,10 +588,6 @@ type Agent struct {
 	// XOR-patched at every commit that changes exported content, so
 	// serving a gossip digest does zero table work (see digest.go).
 	digest digestAccum
-
-	// lastDeltaLen remembers the previous versioned delta's entry count —
-	// the capacity hint for the next ExportDeltaAppend(since > 0) scan.
-	lastDeltaLen atomic.Int64
 
 	// Sampler circuit-breaker state; touched only under tickMu.
 	sampleFailures int
@@ -822,6 +820,7 @@ func (a *Agent) Close() error {
 		clear(sh.states)
 		sh.installed = 0
 		sh.deadlines = nil
+		sh.log, sh.logStale = nil, 0
 		sh.touched = sh.touched[:0]
 		sh.active = sh.active[:0]
 		sh.creditPending = false

@@ -44,7 +44,7 @@ const (
 // canonical CIDR text — both the bucket selector (seed % DigestBuckets) and
 // the resumable front half of the entry hash. It is bit-identical to
 // hash/fnv's New64a over the same bytes.
-func digestPrefixSeed(prefix string) uint64 {
+func digestPrefixSeed[T string | []byte](prefix T) uint64 {
 	h := fnvOffset64
 	for i := 0; i < len(prefix); i++ {
 		h ^= uint64(prefix[i])
@@ -80,6 +80,18 @@ func DigestBucketOf(prefix string) int {
 	return int(digestPrefixSeed(prefix) % DigestBuckets)
 }
 
+// digestSeedOf is digestPrefixSeed over p's CIDR text, rendered into a stack
+// buffer (the longest form, an IPv6 /128, is 43 bytes).
+func digestSeedOf(p netip.Prefix) uint64 {
+	var buf [48]byte
+	return digestPrefixSeed(p.AppendTo(buf[:0]))
+}
+
+// DigestBucketOfPrefix is DigestBucketOf(p.String()) without the string.
+func DigestBucketOfPrefix(p netip.Prefix) int {
+	return int(digestSeedOf(p) % DigestBuckets)
+}
+
 // DigestEntryHash hashes one exported entry's durable content (prefix,
 // window, quarantine flag). gossip.Compute folds exactly this value into
 // DigestBucketOf(prefix)'s bucket; the incremental accumulator folds it at
@@ -103,7 +115,7 @@ type digestAccum struct {
 // lifetime and later refolds hash only the window digits.
 func (a *Agent) digestFold(dst netip.Prefix, st *destState) {
 	if !st.digSeeded {
-		st.digSeed = digestPrefixSeed(dst.String())
+		st.digSeed = digestSeedOf(dst)
 		st.digSeeded = true
 	}
 	h := digestFinish(st.digSeed, st.window, false)
@@ -120,7 +132,7 @@ func (a *Agent) digestFold(dst netip.Prefix, st *destState) {
 // half-removed. Called under the owning shard's mu.
 func (a *Agent) digestRefold(dst netip.Prefix, st *destState) {
 	if !st.digSeeded {
-		st.digSeed = digestPrefixSeed(dst.String())
+		st.digSeed = digestSeedOf(dst)
 		st.digSeeded = true
 	}
 	h := digestFinish(st.digSeed, st.window, false)
@@ -187,7 +199,7 @@ func (a *Agent) foldQuarantines(buckets []uint64) int {
 		if exists {
 			continue
 		}
-		seed := digestPrefixSeed(key.String())
+		seed := digestSeedOf(key)
 		buckets[seed%DigestBuckets] ^= digestFinish(seed, 0, true)
 		n++
 	}
@@ -216,7 +228,7 @@ func (a *Agent) ContentToken() (version uint64, markers uint64) {
 		if exists {
 			continue
 		}
-		seed := digestPrefixSeed(key.String())
+		seed := digestSeedOf(key)
 		markers ^= digestFinish(seed, 0, true)
 	}
 	return version, markers

@@ -4,6 +4,7 @@ import (
 	"net/netip"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 	"time"
 )
@@ -138,6 +139,13 @@ type shard struct {
 	// expiry round costs O(due), not O(entries).
 	deadlines []expiryItem
 
+	// log lists the shard's installed states in table-version order (mu; see
+	// exportRef), so a delta export walks only the refs past its cursor.
+	// logStale counts the refs whose state has since been re-stamped or
+	// withdrawn.
+	log      []exportRef
+	logStale int
+
 	// slab backs destState allocation in insertion-order blocks, so the
 	// plan stage's pointer chasing walks mostly-sequential memory. Blocks
 	// are never reallocated, keeping state pointers stable; slots of
@@ -204,6 +212,75 @@ func (sh *shard) newDestState() *destState {
 	st.ewmaSeen = sh.cleanRounds
 	st.wakeAt = 0
 	return st
+}
+
+// exportRef is one entry of a shard's export log: the table version a commit
+// stamped on a state. Both stamp sites — programPlan and the merge commit —
+// run under tickMu, which orders the agent-wide version counter, and append
+// under the shard lock, so a shard's log ascends by version. A ref is live
+// iff its state is installed, not dead and still carries that version; every
+// installed state has exactly one live ref, so the live refs ARE the exported
+// table, oldest commit first.
+type exportRef struct {
+	version uint64
+	key     netip.Prefix
+	st      *destState
+}
+
+// live needs one load: a state carries a non-zero version exactly while it is
+// installed (dropState zeroes it), and slab slots are never recarved.
+func (r *exportRef) live() bool {
+	return r.st.version == r.version
+}
+
+// logAfter returns the index of the first ref stamped after version v. It
+// gallops back from the tail before it bisects: a peer's cursor is almost
+// always a round or two old, and that end of the log was just written.
+func (sh *shard) logAfter(v uint64) int {
+	log := sh.log
+	lo, hi := 0, len(log) // log[hi:] is stamped after v, log[:lo] is not
+	for step := 1; hi > 0; step *= 2 {
+		p := max(hi-step, 0)
+		if log[p].version <= v {
+			lo = p + 1
+			break
+		}
+		hi = p
+	}
+	return lo + sort.Search(hi-lo, func(i int) bool { return log[lo+i].version > v })
+}
+
+// logStamp appends the ref for the version just stamped on st, under the
+// shard lock; superseded says st already had a live ref, which the new stamp
+// made stale.
+func (sh *shard) logStamp(key netip.Prefix, st *destState, superseded bool) {
+	if superseded {
+		sh.logStaleRef()
+	}
+	sh.log = append(sh.log, exportRef{version: st.version, key: key, st: st})
+}
+
+// logStaleRef counts one ref gone stale and compacts the log in place once
+// the stale refs pass half the live ones: the walk then covers at most three
+// refs per stale-making commit since the last one, and the log (with the
+// deleted states its stale refs pin) stays within 3/2 of the table. A log
+// that drained (a whole table expired) gives its array back.
+func (sh *shard) logStaleRef() {
+	sh.logStale++
+	if sh.logStale <= (len(sh.log)-sh.logStale)/2 {
+		return
+	}
+	live := sh.log[:0]
+	for _, r := range sh.log {
+		if r.live() {
+			live = append(live, r)
+		}
+	}
+	clear(sh.log[len(live):]) // stale refs pin their states' slab blocks
+	if cap(live) > 1024 && len(live) < cap(live)/4 {
+		live = append(make([]exportRef, 0, 2*len(live)), live...)
+	}
+	sh.log, sh.logStale = live, 0
 }
 
 // expiryItem is one queued TTL deadline.
@@ -385,6 +462,7 @@ func (sh *shard) dropInstalled(a *Agent, dst netip.Prefix) bool {
 	sh.installed--
 	a.digestUnfold(st)
 	a.dropState(sh, dst)
+	sh.logStaleRef()
 	a.bumpVersion()
 	return true
 }
@@ -417,6 +495,7 @@ func (a *Agent) dropState(sh *shard, dst netip.Prefix) {
 		return
 	}
 	st.installed = false
+	st.version = 0
 	st.dead = true
 	delete(sh.states, dst)
 }

@@ -133,46 +133,45 @@ func (a *Agent) ExportSnapshot() []SnapshotEntry {
 // plus every current quarantine marker (markers are unversioned and cheap),
 // sorted by prefix, together with the table version the delta is current
 // through. since 0 returns the full table. The version is read before the
-// scan, so an entry committed mid-scan may be included yet not covered by
+// walk, so an entry committed mid-walk may be included yet not covered by
 // the returned version — the peer simply re-receives it on its next delta;
 // nothing is ever skipped.
 func (a *Agent) ExportDelta(since uint64) ([]SnapshotEntry, uint64) {
 	return a.ExportDeltaAppend(nil, since)
 }
 
-// ExportDeltaAppend is ExportDelta appending into buf (which may be nil),
-// returning the extended slice. Servers that answer deltas in a loop pass a
-// pooled buffer so steady-state serves do no append regrowth. The full-table
-// path is sized by the live entry count; the since>0 path by the previous
-// delta's length — deltas against a moving cursor are usually the same
-// handful of changed entries round over round, so the last answer is the
-// best available estimate of the next.
+// ExportDeltaAppend is ExportDelta appending into buf[:0] (buf may be nil),
+// returning the extended slice — never nil. Servers that answer deltas in a
+// loop pass a pooled buffer so steady-state serves do no append regrowth.
+//
+// The cost is O(delta): each shard's export log is in version order, so the
+// entries past the cursor are the live refs of its tail, found by binary
+// search.
 func (a *Agent) ExportDeltaAppend(buf []SnapshotEntry, since uint64) ([]SnapshotEntry, uint64) {
 	version := a.tableVer.Load()
 	now := a.cfg.Clock()
-	capHint := a.Len()
-	if since > 0 {
-		if last := int(a.lastDeltaLen.Load()); last < capHint {
-			capHint = last
-		}
-	}
 	out := buf[:0]
-	if cap(out) < capHint {
-		out = make([]SnapshotEntry, 0, capHint)
+	if out == nil {
+		out = []SnapshotEntry{}
 	}
 	for _, sh := range a.shards {
 		sh.mu.Lock()
-		for p, st := range sh.states {
-			if !st.installed || st.version <= since {
+		// Versions start at 1, so since 0 walks the whole log.
+		tail := sh.log[sh.logAfter(since):]
+		out = slices.Grow(out, min(len(tail), sh.installed))
+		for i := range tail {
+			r := &tail[i]
+			if !r.live() {
 				continue
 			}
+			st := r.st
 			a.materializeLocked(sh, st)
 			age := now - st.updated
 			if age < 0 {
 				age = 0
 			}
 			out = append(out, SnapshotEntry{
-				Prefix:  p,
+				Prefix:  r.key,
 				Window:  st.window,
 				Samples: st.samples,
 				Age:     age + st.mergedAge,
@@ -207,9 +206,6 @@ func (a *Agent) ExportDeltaAppend(buf []SnapshotEntry, since uint64) ([]Snapshot
 				Quarantined: true,
 			})
 		}
-	}
-	if since > 0 {
-		a.lastDeltaLen.Store(int64(len(out)))
 	}
 	slices.SortFunc(out, func(x, y SnapshotEntry) int { return comparePrefix(x.Prefix, y.Prefix) })
 	return out, version
@@ -268,8 +264,7 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 	}
 	a.mu.Unlock()
 	plan := make([]mergeOp, 0, len(entries))
-	planned := make(map[netip.Prefix]int, len(entries)) // index into plan
-	perShard := make([]int, len(a.shards))              // planned seeds, for deadline-queue room
+	perShard := make([]int, len(a.shards)) // planned seeds, for deadline-queue and export-log room
 	for _, se := range entries {
 		if se.Quarantined {
 			// The source withdrew this destination after a loss
@@ -320,23 +315,13 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 				}
 			}
 		}
-		op := mergeOp{
+		plan = append(plan, mergeOp{
 			dst:     key,
 			window:  window,
 			samples: se.Samples,
 			age:     se.Age,
 			expires: now + remaining,
-		}
-		if i, dup := planned[key]; dup {
-			// Two remote entries for one prefix (e.g. a snapshot
-			// merged from several peers): keep the fresher one.
-			if op.age < plan[i].age {
-				plan[i] = op
-			}
-			continue
-		}
-		planned[key] = len(plan)
-		plan = append(plan, op)
+		})
 		perShard[si]++
 	}
 	for si, n := range perShard {
@@ -344,10 +329,26 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 		sh := a.shards[si]
 		sh.mu.Lock()
 		sh.deadlines = slices.Grow(sh.deadlines, n)
+		sh.log = slices.Grow(sh.log, n)
 		sh.mu.Unlock()
 	}
 
-	slices.SortFunc(plan, func(x, y mergeOp) int { return comparePrefix(x.dst, y.dst) })
+	// Program order is prefix order. Two remote entries for one prefix (e.g.
+	// a snapshot merged from several peers) land next to each other, in
+	// payload order: the fresher one is kept, the earlier one on a tie.
+	slices.SortStableFunc(plan, func(x, y mergeOp) int { return comparePrefix(x.dst, y.dst) })
+	n := 0
+	for _, op := range plan {
+		if n > 0 && plan[n-1].dst == op.dst {
+			if op.age < plan[n-1].age {
+				plan[n-1] = op
+			}
+			continue
+		}
+		plan[n] = op
+		n++
+	}
+	plan = plan[:n]
 
 	// Stage 2: program routes outside the locks.
 	ops := make([]RouteOp, len(plan))
@@ -395,6 +396,7 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 			mergedAge: op.age,
 			version:   a.bumpVersion(),
 		}
+		sh.logStamp(op.dst, st, wasInstalled)
 		if wasInstalled {
 			a.digestRefold(op.dst, st)
 		} else {

@@ -200,20 +200,53 @@ func TestMergeSnapshotAgeAccumulatesAcrossHops(t *testing.T) {
 	}
 }
 
+// TestMergeSnapshotDuplicatePrefixKeepsFresher: of several remote entries for
+// one prefix the smallest age wins whatever the payload order, the earlier
+// entry wins a tie, and the duplicates need not be adjacent in the payload.
 func TestMergeSnapshotDuplicatePrefixKeepsFresher(t *testing.T) {
-	a, routes, _ := newAgent(t, Config{TTL: 90 * time.Second})
-	stats, err := a.MergeSnapshot([]SnapshotEntry{
-		{Prefix: pfx(t, "10.9.0.1/32"), Window: 40, Samples: 5, Age: 60 * time.Second},
-		{Prefix: pfx(t, "10.9.0.1/32"), Window: 70, Samples: 5, Age: 0},
-	}, MergePolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Merged != 1 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	if got := routes.set[pfx(t, "10.9.0.1/32")]; got != 70 {
-		t.Errorf("window = %d, want the fresher 70", got)
+	dup, other := pfx(t, "10.9.0.1/32"), pfx(t, "10.8.0.1/32")
+	for _, tc := range []struct {
+		name    string
+		entries []SnapshotEntry
+		want    int
+	}{
+		{"older first", []SnapshotEntry{
+			{Prefix: dup, Window: 40, Samples: 5, Age: 60 * time.Second},
+			{Prefix: dup, Window: 70, Samples: 5, Age: 0},
+		}, 70},
+		{"fresher first", []SnapshotEntry{
+			{Prefix: dup, Window: 70, Samples: 5, Age: 0},
+			{Prefix: dup, Window: 40, Samples: 5, Age: 60 * time.Second},
+		}, 70},
+		{"tie keeps the first", []SnapshotEntry{
+			{Prefix: dup, Window: 33, Samples: 5, Age: time.Second},
+			{Prefix: dup, Window: 66, Samples: 5, Age: time.Second},
+		}, 33},
+		{"apart in the payload", []SnapshotEntry{
+			{Prefix: dup, Window: 40, Samples: 5, Age: 2 * time.Second},
+			{Prefix: other, Window: 20, Samples: 5},
+			{Prefix: dup, Window: 70, Samples: 5, Age: time.Second},
+			{Prefix: netip.PrefixFrom(dup.Addr(), 24), Window: 50, Samples: 5}, // 10.9.0.0/24: another key
+			{Prefix: dup, Window: 55, Samples: 5, Age: 2 * time.Second},
+		}, 69}, // 70 discounted by one second of age
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, routes, _ := newAgent(t, Config{TTL: 90 * time.Second})
+			distinct := map[netip.Prefix]bool{}
+			for _, e := range tc.entries {
+				distinct[e.Prefix.Masked()] = true
+			}
+			stats, err := a.MergeSnapshot(tc.entries, MergePolicy{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Merged != len(distinct) || routes.setOps != len(distinct) || a.Len() != len(distinct) {
+				t.Fatalf("stats = %+v, %d route sets, %d entries; want %d of each", stats, routes.setOps, a.Len(), len(distinct))
+			}
+			if got := routes.set[dup]; got != tc.want {
+				t.Errorf("window = %d, want %d", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -312,6 +312,14 @@ func (a *Agent) programPlan(plan []programOp, keys []uint64, now time.Duration) 
 	a.opsBuf = ops
 	errs := a.applyOps(ops)
 
+	// Every planned op that installs appends one export-log ref: make the
+	// room in one step, so a cold table does not double its way up.
+	for _, sh := range a.shards {
+		sh.mu.Lock()
+		sh.log = slices.Grow(sh.log, len(sh.plan))
+		sh.mu.Unlock()
+	}
+
 	var firstErr error
 	var set, routeErrs, cleared uint64
 	// The shard lock is held across runs of consecutive same-shard ops
@@ -378,6 +386,7 @@ func (a *Agent) programPlan(plan []programOp, keys []uint64, now time.Duration) 
 		st.mergedAge = 0
 		st.programs++
 		st.version = a.bumpVersion()
+		sh.logStamp(op.dst, st, wasInstalled)
 		if wasInstalled {
 			a.digestRefold(op.dst, st)
 		} else {

@@ -110,6 +110,18 @@ func Encode(s Snapshot) ([]byte, error) {
 	return json.Marshal(s)
 }
 
+// appendSnapshot appends the wire form of s carrying entries in place of
+// s.Entries: exactly Encode(s) with s.Entries = gossip.FromCore(entries),
+// the entry array written by the encoder the delta bodies use.
+func appendSnapshot(dst []byte, s Snapshot, entries []core.SnapshotEntry) ([]byte, error) {
+	s.Entries = nil
+	head, err := Encode(s)
+	if err != nil {
+		return dst, err
+	}
+	return gossip.SpliceEntries(dst, head, entries), nil
+}
+
 // Decode parses a wire snapshot, rejecting unknown versions.
 func Decode(data []byte) (Snapshot, error) {
 	var s Snapshot

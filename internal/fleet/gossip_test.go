@@ -339,8 +339,9 @@ func TestReadBodyCapsDecompressedSize(t *testing.T) {
 		Header: http.Header{"Content-Encoding": []string{"gzip"}},
 		Body:   io.NopCloser(bytes.NewReader(buf.Bytes())),
 	}
-	if _, _, err := readBody(resp, 1<<20); err == nil {
-		t.Fatal("readBody accepted a 4 MiB decompression against a 1 MiB cap")
+	var br bodyReader
+	if _, _, err := br.read(resp, 1<<20); err == nil {
+		t.Fatal("bodyReader accepted a 4 MiB decompression against a 1 MiB cap")
 	}
 
 	// Within the cap it round-trips.
@@ -352,7 +353,7 @@ func TestReadBodyCapsDecompressedSize(t *testing.T) {
 		Header: http.Header{"Content-Encoding": []string{"gzip"}},
 		Body:   io.NopCloser(bytes.NewReader(small.Bytes())),
 	}
-	data, wire, err := readBody(resp, 1<<20)
+	data, wire, err := br.read(resp, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,6 +362,68 @@ func TestReadBodyCapsDecompressedSize(t *testing.T) {
 	}
 	if wire != int64(small.Len()) {
 		t.Fatalf("wire bytes = %d, want %d", wire, small.Len())
+	}
+}
+
+// TestReadBodyReusesScratchWithoutLeaking: a puller reads every response into
+// the buffer earlier ones grew. A short body after a long one — gzipped or
+// plain, including an empty one — must come back exact, with nothing of the
+// long body's tail behind it and its own wire-byte count. The array is shared
+// within a round and across rounds of similar size; a round that read far
+// less than it holds releases it (a full pull must not pin a table-sized
+// buffer under every delta after it).
+func TestReadBodyReusesScratchWithoutLeaking(t *testing.T) {
+	response := func(body []byte, compress bool) (*http.Response, int64) {
+		resp := &http.Response{Header: http.Header{}}
+		if compress {
+			var buf bytes.Buffer
+			zw := gzip.NewWriter(&buf)
+			zw.Write(body)
+			zw.Close()
+			resp.Header.Set("Content-Encoding", "gzip")
+			body = buf.Bytes()
+		}
+		resp.Body = io.NopCloser(bytes.NewReader(body))
+		return resp, int64(len(body))
+	}
+	type body struct {
+		data     []byte
+		compress bool
+	}
+	long := bytes.Repeat([]byte(`{"prefix":"203.0.113.7/32","window":42},`), 20000)
+	digest, empty := []byte(`{"version":1,"buckets":[]}`), []byte(nil)
+	var br bodyReader
+	for i, round := range []struct {
+		bodies []body
+		keeps  bool // the array outlives the round's trim
+	}{
+		{[]body{{digest, true}, {long, true}}, true},
+		{[]body{{digest, true}, {long[:len(long)-41], true}}, true}, // a digest before each delta must not cost the buffer
+		{[]body{{long, false}, {empty, true}, {digest, false}}, true},
+		{[]body{{digest, true}, {[]byte(`{"small":"delta"}`), true}}, false},
+		{[]body{{empty, false}, {digest, true}}, true},
+	} {
+		array := cap(br.buf)
+		for j, b := range round.bodies {
+			resp, wire := response(b.data, b.compress)
+			data, n, err := br.read(resp, 1<<20)
+			if err != nil {
+				t.Fatalf("round %d read %d: %v", i, j, err)
+			}
+			if !bytes.Equal(data, b.data) {
+				t.Fatalf("round %d read %d: got %d bytes %.40q, want %d bytes %.40q", i, j, len(data), data, len(b.data), b.data)
+			}
+			if n != wire {
+				t.Fatalf("round %d read %d: wire bytes = %d, want %d", i, j, n, wire)
+			}
+		}
+		if i > 0 && array >= len(long) && cap(br.buf) != array {
+			t.Fatalf("round %d: array of %d bytes replaced by one of %d mid-round", i, array, cap(br.buf))
+		}
+		br.trim()
+		if kept := cap(br.buf) > 0; kept != round.keeps {
+			t.Fatalf("round %d: %d-byte array kept = %v, want %v", i, cap(br.buf), kept, round.keeps)
+		}
 	}
 }
 

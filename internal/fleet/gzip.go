@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bufio"
 	"bytes"
 	"compress/gzip"
 	"fmt"
@@ -69,9 +70,10 @@ func gzipBytes(body []byte) ([]byte, error) {
 	return out, nil
 }
 
-// writeJSON writes data (plus a trailing newline) as application/json,
-// gzip-compressed when the client accepts it, and returns the bytes that
-// went on the wire. Compression scratch comes from the pools above.
+// writeJSON writes data (a JSON body, trailing newline included) as
+// application/json, gzip-compressed when the client accepts it, and returns
+// the bytes that went on the wire. Compression scratch comes from the pools
+// above.
 func writeJSON(w http.ResponseWriter, r *http.Request, data []byte) int {
 	w.Header().Set("Content-Type", "application/json")
 	if acceptsGzip(r) {
@@ -80,7 +82,6 @@ func writeJSON(w http.ResponseWriter, r *http.Request, data []byte) int {
 		zw := gzipWriterPool.Get().(*gzip.Writer)
 		zw.Reset(buf)
 		zw.Write(data)
-		zw.Write([]byte{'\n'})
 		err := zw.Close()
 		gzipWriterPool.Put(zw)
 		if err == nil {
@@ -92,8 +93,7 @@ func writeJSON(w http.ResponseWriter, r *http.Request, data []byte) int {
 		gzipBufPool.Put(buf)
 	}
 	n, _ := w.Write(data)
-	m, _ := w.Write([]byte{'\n'})
-	return n + m
+	return n
 }
 
 // countingReader counts the raw (wire) bytes read through it.
@@ -108,22 +108,62 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// readBody reads an HTTP response body, transparently decompressing a gzip
+// keepScratch returns buf for its next use unless it holds several times what
+// this use filled: a full-table export or pull — first contact, a restart —
+// grows a table-sized array that the deltas of every later round would pin
+// without ever needing it.
+func keepScratch[T any](buf []T) []T {
+	if cap(buf) > 4*len(buf)+1024 {
+		return nil
+	}
+	return buf
+}
+
+// bodyReader is one puller's response-reading scratch: pulls run one at a
+// time, so a response is read into the buffer earlier ones grew (a churn
+// round's delta is about as large as the last one) through one gzip.Reader,
+// Reset per response. peak is the largest body since the last trim.
+type bodyReader struct {
+	buf  []byte
+	peak int
+	br   *bufio.Reader
+	zr   *gzip.Reader
+}
+
+// trim ends a pull round: the buffer stays for the next one unless it is
+// several times larger than anything this round read into it.
+func (b *bodyReader) trim() {
+	b.buf = keepScratch(b.buf[:b.peak])
+	b.peak = 0
+}
+
+// read reads an HTTP response body, transparently decompressing a gzip
 // Content-Encoding, enforcing `limit` on the decompressed size, and
 // reporting how many bytes actually crossed the wire (the compressed count
-// when gzipped).
-func readBody(resp *http.Response, limit int64) (data []byte, wireBytes int64, err error) {
+// when gzipped). data aliases the scratch: it is valid until the next read.
+func (b *bodyReader) read(resp *http.Response, limit int64) (data []byte, wireBytes int64, err error) {
 	cr := &countingReader{r: io.LimitReader(resp.Body, limit)}
 	var r io.Reader = cr
 	if strings.EqualFold(resp.Header.Get("Content-Encoding"), "gzip") {
-		zr, zerr := gzip.NewReader(cr)
-		if zerr != nil {
-			return nil, cr.n, fmt.Errorf("gzip response: %w", zerr)
+		if b.zr == nil {
+			// gzip.Reader wraps anything that is not a flate.Reader in a new
+			// bufio.Reader on every Reset; handing it ours avoids that.
+			b.br = bufio.NewReader(cr)
+			b.zr, err = gzip.NewReader(b.br)
+		} else {
+			b.br.Reset(cr)
+			err = b.zr.Reset(b.br)
 		}
-		defer zr.Close()
-		r = zr
+		if err != nil {
+			return nil, cr.n, fmt.Errorf("gzip response: %w", err)
+		}
+		defer b.zr.Close()
+		r = b.zr
 	}
-	data, err = io.ReadAll(io.LimitReader(r, limit+1))
+	buf := bytes.NewBuffer(b.buf[:0])
+	_, err = buf.ReadFrom(io.LimitReader(r, limit+1))
+	data = buf.Bytes()
+	b.buf, b.peak = data, max(b.peak, len(data))
 	if err != nil {
 		return nil, cr.n, err
 	}

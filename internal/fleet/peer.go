@@ -178,6 +178,10 @@ type Puller struct {
 
 	mu    sync.Mutex
 	peers []*peerState
+
+	// roundMu serializes pull rounds, which share the read scratch.
+	roundMu sync.Mutex
+	body    bodyReader
 }
 
 // NewPuller validates the config and returns a Puller.
@@ -265,6 +269,9 @@ func (p *Puller) Run(ctx context.Context) {
 // PullOnce attempts one pull round: every peer whose backoff has lapsed is
 // fetched and merged. It returns the number of entries merged this round.
 func (p *Puller) PullOnce(ctx context.Context) int {
+	p.roundMu.Lock()
+	defer p.roundMu.Unlock()
+	defer p.body.trim()
 	now := p.cfg.Now()
 
 	p.mu.Lock()
@@ -516,7 +523,9 @@ func (p *Puller) merge(entries []core.SnapshotEntry, from string) core.MergeStat
 }
 
 // fetch GETs a fleet endpoint, advertising gzip and enforcing the
-// decompressed-size cap, and reports the payload plus wire bytes moved.
+// decompressed-size cap, and reports the payload plus wire bytes moved. The
+// payload aliases the puller's read scratch: decode it before the next fetch
+// (every decoder here copies what it keeps).
 func (p *Puller) fetch(ctx context.Context, url string) ([]byte, int64, error) {
 	data, n, _, _, err := p.fetchCond(ctx, url, "")
 	return data, n, err
@@ -535,7 +544,7 @@ func (p *Puller) fetchCond(ctx context.Context, url, etag string) (data []byte, 
 	}
 	// Setting the header explicitly (rather than letting net/http add it)
 	// disables the transport's transparent decompression, so the
-	// decompressed-size cap in readBody sees every byte.
+	// decompressed-size cap in bodyReader.read sees every byte.
 	req.Header.Set("Accept-Encoding", "gzip")
 	if etag != "" {
 		req.Header.Set("If-None-Match", etag)
@@ -554,7 +563,7 @@ func (p *Puller) fetchCond(ctx context.Context, url, etag string) (data []byte, 
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return nil, 0, "", false, fmt.Errorf("status %s", resp.Status)
 	}
-	data, wireBytes, err = readBody(resp, maxSnapshotBytes)
+	data, wireBytes, err = p.body.read(resp, maxSnapshotBytes)
 	return data, wireBytes, respETag, false, err
 }
 

@@ -93,11 +93,10 @@ type Server struct {
 	etagStr  string
 	etagOK   bool
 
-	// Encode scratch reused across misses (mu): the exported core entries
-	// and their wire conversions, so steady-churn serving re-encodes into
-	// the same backing arrays instead of growing fresh ones per request.
+	// Export scratch reused across encodes (mu), so steady-churn serving
+	// exports into the same backing array instead of growing a fresh one
+	// per request. Bodies are rendered straight from it.
 	coreBuf []core.SnapshotEntry
-	wireBuf []gossip.Entry
 }
 
 // NewServer builds a Server for one agent. source labels exported
@@ -188,7 +187,7 @@ func (s *Server) SnapshotHandler() http.Handler {
 
 // DeltaHandler serves GET /fleet/delta: the full-table form from the cache,
 // versioned deltas and bucket resyncs encoded per request (they are
-// request-shaped, rare, and answered with pooled scratch).
+// request-shaped and answered with pooled scratch).
 func (s *Server) DeltaHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
@@ -209,7 +208,7 @@ func (s *Server) DeltaHandler() http.Handler {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			s.serveBuckets(w, r, buckets)
+			s.serveUncached(w, r, 0, buckets) // a bucket resync
 			return
 		}
 		var since uint64
@@ -302,41 +301,27 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, kind int) {
 // bytes under a stale token — the next request re-reads the token,
 // mismatches, and rebuilds; never serves stale.
 func (s *Server) fillLocked(kind int, version, markers uint64, etag string) error {
-	var data []byte
+	var plain []byte
 	var err error
 	switch kind {
 	case kindDigest:
-		data, err = gossip.EncodeDigest(gossip.TableDigest(s.agent, s.source, s.instance))
+		plain, err = gossip.EncodeDigest(gossip.TableDigest(s.agent, s.source, s.instance))
 	case kindDelta:
-		entries, ver := s.agent.ExportDeltaAppend(s.coreBuf[:0], 0)
-		s.coreBuf = entries
-		s.wireBuf = gossip.AppendFromCore(s.wireBuf[:0], entries)
-		data, err = gossip.EncodeDelta(gossip.Delta{
-			Version:      gossip.WireVersion,
-			Source:       s.source,
-			Instance:     s.instance,
-			TableVersion: ver,
-			Full:         true,
-			Entries:      s.wireBuf,
-		})
+		plain, err = s.deltaLocked(nil, 0, nil)
 	case kindSnapshot:
-		entries, ver := s.agent.ExportDeltaAppend(s.coreBuf[:0], 0)
-		s.coreBuf = entries
-		s.wireBuf = gossip.AppendFromCore(s.wireBuf[:0], entries)
-		data, err = Encode(Snapshot{
+		entries, ver := s.agent.ExportDeltaAppend(s.coreBuf, 0)
+		s.coreBuf = keepScratch(entries)
+		plain, err = appendSnapshot(make([]byte, 0, bodySizeHint(len(entries))), Snapshot{
 			Version:         Version,
 			Source:          s.source,
 			Instance:        s.instance,
 			TableVersion:    ver,
 			CreatedUnixNano: s.now().UnixNano(),
-			Entries:         s.wireBuf,
-		})
+		}, entries)
 	}
 	if err != nil {
 		return err
 	}
-	plain := make([]byte, 0, len(data)+1)
-	plain = append(plain, data...)
 	plain = append(plain, '\n')
 	gz, err := gzipBytes(plain)
 	if err != nil {
@@ -355,56 +340,76 @@ func (s *Server) fillLocked(kind int, version, markers uint64, etag string) erro
 	return nil
 }
 
-// serveSince answers a versioned delta (since > 0) with pooled scratch.
-func (s *Server) serveSince(w http.ResponseWriter, r *http.Request, since uint64) {
-	s.mu.Lock()
-	if since > s.agent.TableVersion() {
-		// The cursor is from a previous life of this agent (or a peer
-		// confusion); it cannot be interpreted. Send everything.
-		s.mu.Unlock()
-		s.serveCached(w, r, kindDelta)
-		return
+// bodySizeHint is the capacity an encode of n entries starts from: an IPv4
+// entry runs ≈85 bytes, so the usual body is one allocation.
+func bodySizeHint(n int) int { return 256 + 96*n }
+
+// deltaLocked exports the entries committed after since (0: the whole table)
+// into the pooled scratch, keeps those in the given digest buckets when
+// buckets is non-nil, and appends the delta's wire form to dst. An unfiltered
+// whole table is marked full. Under mu.
+func (s *Server) deltaLocked(dst []byte, since uint64, buckets []int) ([]byte, error) {
+	entries, ver := s.agent.ExportDeltaAppend(s.coreBuf, since)
+	s.coreBuf = keepScratch(entries)
+	if buckets != nil {
+		var want [gossip.NumBuckets]bool
+		for _, b := range buckets {
+			want[b] = true
+		}
+		kept := entries[:0]
+		for _, e := range entries {
+			if want[core.DigestBucketOfPrefix(e.Prefix)] {
+				kept = append(kept, e)
+			}
+		}
+		if entries = kept; len(kept) == 0 {
+			entries = nil // a resync that selects nothing has always said null
+		}
 	}
-	entries, ver := s.agent.ExportDeltaAppend(s.coreBuf[:0], since)
-	s.coreBuf = entries
-	s.wireBuf = gossip.AppendFromCore(s.wireBuf[:0], entries)
-	data, err := gossip.EncodeDelta(gossip.Delta{
+	if hint := bodySizeHint(len(entries)); cap(dst) < hint {
+		dst = make([]byte, 0, hint)
+	}
+	return gossip.AppendDelta(dst, gossip.Delta{
 		Version:      gossip.WireVersion,
 		Source:       s.source,
 		Instance:     s.instance,
 		TableVersion: ver,
 		Since:        since,
-		Entries:      s.wireBuf,
-	})
-	s.mu.Unlock()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	n := writeJSON(w, r, data)
-	s.counter("riptide_gossip_bytes_sent").Add(uint64(n))
+		Full:         since == 0 && buckets == nil,
+	}, entries)
 }
 
-// serveBuckets answers a bucket resync with pooled scratch.
-func (s *Server) serveBuckets(w http.ResponseWriter, r *http.Request, buckets []int) {
+// bodyPool recycles the plain bodies of the per-request (uncached) kinds:
+// they live only until writeJSON has put them on the wire.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// serveSince answers a versioned delta (since > 0).
+func (s *Server) serveSince(w http.ResponseWriter, r *http.Request, since uint64) {
+	if since > s.agent.TableVersion() {
+		// The cursor is from a previous life of this agent (or a peer
+		// confusion); it cannot be interpreted. Send everything.
+		s.serveCached(w, r, kindDelta)
+		return
+	}
+	s.serveUncached(w, r, since, nil)
+}
+
+// serveUncached encodes one request-shaped delta — under mu, which guards
+// the export scratch — and writes it outside the lock.
+func (s *Server) serveUncached(w http.ResponseWriter, r *http.Request, since uint64, buckets []int) {
+	buf := bodyPool.Get().(*[]byte)
 	s.mu.Lock()
-	entries, ver := s.agent.ExportDeltaAppend(s.coreBuf[:0], 0)
-	s.coreBuf = entries
-	s.wireBuf = gossip.AppendFromCore(s.wireBuf[:0], entries)
-	data, err := gossip.EncodeDelta(gossip.Delta{
-		Version:      gossip.WireVersion,
-		Source:       s.source,
-		Instance:     s.instance,
-		TableVersion: ver,
-		Entries:      gossip.FilterBuckets(s.wireBuf, buckets),
-	})
+	data, err := s.deltaLocked((*buf)[:0], since, buckets)
 	s.mu.Unlock()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	data = append(data, '\n')
 	n := writeJSON(w, r, data)
 	s.counter("riptide_gossip_bytes_sent").Add(uint64(n))
+	*buf = data
+	bodyPool.Put(buf)
 }
 
 func (s *Server) counter(name string) *metrics.Counter {

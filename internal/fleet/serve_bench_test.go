@@ -209,3 +209,65 @@ func TestServeConvergedHitAllocs(t *testing.T) {
 		t.Errorf("304 path: %.1f allocs/op, want <= 6", allocs)
 	}
 }
+
+// sinceFixture returns a delta handler over an n-entry table and a request
+// for the entries committed after a cursor that has missed the last k.
+func sinceFixture(tb testing.TB, a *core.Agent, k int) (http.Handler, *http.Request) {
+	tb.Helper()
+	cursor := a.TableVersion()
+	late := make([]core.SnapshotEntry, k)
+	for i := range late {
+		late[i] = core.SnapshotEntry{
+			Prefix:  netip.PrefixFrom(netip.AddrFrom4([4]byte{172, 16, byte(i / 250), byte(1 + i%250)}), 32),
+			Window:  10 + i%90,
+			Samples: 50,
+		}
+	}
+	if st, err := a.MergeSnapshot(late, core.MergePolicy{}); err != nil || st.Merged != k {
+		tb.Fatalf("MergeSnapshot = %+v, %v", st, err)
+	}
+	req := benchRequest(DeltaPath)
+	req.URL.RawQuery = fmt.Sprintf("since=%d&instance=boot-1", cursor)
+	s := NewServer(a, "bench", "boot-1", func() time.Time { return time.Unix(1, 0) })
+	return s.DeltaHandler(), req
+}
+
+// BenchmarkServeDeltaSince is a churn round's pull: a 100k table of which 1 %
+// was stamped after the puller's cursor. The cost is the delta's — export
+// walk, encode, gzip — not the table's.
+func BenchmarkServeDeltaSince(b *testing.B) {
+	h, req := sinceFixture(b, benchAgent(b, 100000), 1000)
+	w := &benchResponseWriter{}
+	h.ServeHTTP(w, req) // warm the pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.code = 0
+		h.ServeHTTP(w, req)
+		if w.code != 0 && w.code != http.StatusOK {
+			b.Fatalf("status %d", w.code)
+		}
+	}
+}
+
+// TestServeSinceAllocs: a ?since= serve allocates a fixed handful of objects
+// (query parsing, header slices, the message header) beyond its pooled body —
+// nothing per entry, so the count does not scale with the delta's size. The
+// bound leaves room for the pools' random drops under -race; one allocation
+// per entry would read 4000.
+func TestServeSinceAllocs(t *testing.T) {
+	var allocs [2]float64
+	for i, k := range []int{8, 4000} {
+		a, _, _ := newTestAgent(t, []core.Observation{obs(t, "192.0.2.1", 40)})
+		h, req := sinceFixture(t, a, k)
+		w := &benchResponseWriter{}
+		h.ServeHTTP(w, req) // size the pooled export, body and gzip buffers
+		allocs[i] = testing.AllocsPerRun(100, func() { h.ServeHTTP(w, req) })
+		if w.n == 0 || w.code != 0 {
+			t.Fatalf("delta of %d: status %d, %d bytes", k, w.code, w.n)
+		}
+	}
+	if allocs[0] > 40 || allocs[1] > 40 {
+		t.Errorf("?since= serve: %.1f allocs for 8 entries, %.1f for 4000; want a constant handful", allocs[0], allocs[1])
+	}
+}

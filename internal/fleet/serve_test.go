@@ -137,6 +137,67 @@ func TestServeCacheByteIdentical(t *testing.T) {
 	}
 }
 
+// TestServeUncachedByteIdentical pins the request-shaped bodies — versioned
+// deltas and bucket resyncs, rendered straight from the agent's export —
+// byte-for-byte against json.Marshal of the same message built entry by
+// entry, plain and gzipped.
+func TestServeUncachedByteIdentical(t *testing.T) {
+	a, _, _ := newTestAgent(t, []core.Observation{
+		obs(t, "192.0.2.1", 40),
+		obs(t, "198.51.100.7", 80),
+		obs(t, "2001:db8::9", 24),
+	})
+	cursor := a.TableVersion()
+	seed := make([]core.SnapshotEntry, 40)
+	for i := range seed {
+		seed[i] = core.SnapshotEntry{
+			Prefix: netip.MustParsePrefix(fmt.Sprintf("198.18.%d.0/24", i)),
+			Window: 16 + i, Samples: uint64(3 + i), Age: time.Duration(i) * time.Second,
+		}
+	}
+	if _, err := a.MergeSnapshot(seed, core.MergePolicy{}); err != nil {
+		t.Fatalf("MergeSnapshot: %v", err)
+	}
+	h := NewServer(a, "host <a>", "boot-1", nil).DeltaHandler()
+
+	full := gossippkg.TableDelta(a, "host <a>", "boot-1", 0)
+	var empty []int // buckets no entry falls in
+	for b := 0; b < gossippkg.NumBuckets && len(empty) < 2; b++ {
+		if len(gossippkg.FilterBuckets(full.Entries, []int{b})) == 0 {
+			empty = append(empty, b)
+		}
+	}
+	cases := map[string]gossippkg.Delta{
+		fmt.Sprintf("?since=%d&instance=boot-1", cursor):  gossippkg.TableDelta(a, "host <a>", "boot-1", cursor),
+		fmt.Sprintf("?since=%d", a.TableVersion()):        gossippkg.TableDelta(a, "host <a>", "boot-1", a.TableVersion()),
+		"?buckets=0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15":  gossippkg.TableBuckets(a, "host <a>", "boot-1", []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}),
+		"?buckets=" + bucketList(empty):                   gossippkg.TableBuckets(a, "host <a>", "boot-1", empty),
+		fmt.Sprintf("?since=%d", a.TableVersion()+100000): full, // unusable cursor: everything
+	}
+	for query, d := range cases {
+		want, err := gossippkg.EncodeDelta(d)
+		if err != nil {
+			t.Fatalf("EncodeDelta: %v", err)
+		}
+		want = append(want, '\n')
+		if got := serveGet(h, DeltaPath+query, "").Body.Bytes(); !bytes.Equal(got, want) {
+			t.Errorf("%s:\n got %s\nwant %s", query, got, want)
+		}
+		req := httptest.NewRequest(http.MethodGet, DeltaPath+query, nil)
+		req.Header.Set("Accept-Encoding", "gzip")
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		var br bodyReader
+		got, _, err := br.read(w.Result(), 1<<20)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s gzipped: %v\n got %s\nwant %s", query, err, got, want)
+		}
+	}
+	if len(cases) != 5 || len(empty) != 2 {
+		t.Fatalf("fixture collapsed: %d cases, empty buckets %v", len(cases), empty)
+	}
+}
+
 // TestServeNotModified covers the revalidation flow: a response's ETag
 // replayed as If-None-Match earns 304 with no body; a table change retires
 // the validator and the next conditional request gets a full body with a

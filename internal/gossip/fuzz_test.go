@@ -1,6 +1,8 @@
 package gossip
 
 import (
+	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -28,7 +30,10 @@ func FuzzDecodeDigest(f *testing.F) {
 	})
 }
 
-// FuzzDecodeDelta: same contract for the delta decoder.
+// FuzzDecodeDelta: same contract for the delta decoder, and a differential
+// for its fast path: whatever scanDelta accepts, json.Unmarshal accepts too
+// and decodes to the identical Delta. The seeds sit on both sides of the
+// scanner's accept set, so the decline path is walked as well.
 func FuzzDecodeDelta(f *testing.F) {
 	if seed, err := EncodeDelta(Delta{
 		Version:      WireVersion,
@@ -39,12 +44,55 @@ func FuzzDecodeDelta(f *testing.F) {
 		Entries:      entriesFuzz(5),
 	}); err == nil {
 		f.Add(seed)
+		f.Add(append(seed, '\n'))
+		f.Add(append([]byte(" "), seed...))
+		f.Add(append(seed, '0'))
 	}
-	f.Add([]byte(`{"version": 1, "entries": [{"prefix": "not-a-prefix", "window": -4}]}`))
-	f.Add([]byte(`{"version": 1,`))
-	f.Add([]byte(`0`))
-	f.Add([]byte(``))
+	if seed, err := AppendDelta(nil, Delta{Version: WireVersion, Instance: "i", TableVersion: 3, Full: true}, codecEntries()); err == nil {
+		f.Add(seed)
+	}
+	for _, seed := range []string{
+		`{"version": 1, "entries": [{"prefix": "not-a-prefix", "window": -4}]}`,
+		`{"version": 1,`,
+		`0`,
+		``,
+		`{"version":1,"tableVersion":0,"entries":null}`,
+		`{"version":1,"tableVersion":0,"entries":[]}` + " \t\r\n",
+		`{"version":1,"tableVersion":0,"entries":[ ]}`,
+		`{"tableVersion":0,"version":1,"entries":[]}`,
+		`{"version":1,"version":2,"tableVersion":0,"entries":[]}`,
+		`{"version":1,"tableVersion":0,"entries":[],"extra":true}`,
+		`{"Version":1,"TABLEVERSION":5,"entries":[]}`,
+		`{"version":1,"source":"a\u0041\n","tableVersion":0,"entries":[]}`,
+		`{"version":1,"source":"caf\u00e9 \xff","tableVersion":0,"entries":[]}`,
+		`{"version":1e2,"tableVersion":0,"entries":[]}`,
+		`{"version":1,"tableVersion":-0,"entries":[]}`,
+		`{"version":1,"tableVersion":01,"entries":[]}`,
+		`{"version":1,"tableVersion":1.0,"entries":[]}`,
+		`{"version":1,"tableVersion":18446744073709551615,"entries":[]}`,
+		`{"version":1,"tableVersion":18446744073709551616,"entries":[]}`,
+		`{"version":1,"tableVersion":99999999999999999999,"entries":[]}`,
+		`{"version":1,"tableVersion":0,"since":0,"full":false,"entries":[]}`,
+		`{"version":1,"tableVersion":0,"entries":[{"prefix":"::/0","window":-0,"samples":0,"ageNanos":0}]}`,
+		`{"version":1,"tableVersion":0,"entries":[{"prefix":"::/0","window":-9223372036854775808,"samples":0,"ageNanos":-9223372036854775809}]}`,
+		`{"version":1,"tableVersion":0,"entries":[{"prefix":"::/0","window":1,"samples":-1,"ageNanos":0}]}`,
+		`{"version":1,"tableVersion":0,"entries":[{"prefix":"::/0","window":1,"samples":1,"ageNanos":0,"modVersion":2,"quarantined":true}]}`,
+		`{"version":1,"tableVersion":0,"entries":[{"prefix":"::/0","window":1,"samples":1,"ageNanos":0,"quarantined":false}]}`,
+		`{"version":1,"tableVersion":0,"entries":[{"prefix":"::/0","window":1,"samples":1,"ageNanos":0},]}`,
+		`{"version":1,"tableVersion":0,"entries":[{"prefix":"::/0","window":1,"samples":1,"ageNanos":0}]}}`,
+	} {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if fast, ok := scanDelta(data); ok {
+			var ref Delta
+			if err := json.Unmarshal(data, &ref); err != nil {
+				t.Fatalf("scanner accepted what json.Unmarshal rejects (%v): %q", err, data)
+			}
+			if !reflect.DeepEqual(fast, ref) {
+				t.Fatalf("scanner and json.Unmarshal disagree on %q:\n scanner %+v\n json    %+v", data, fast, ref)
+			}
+		}
 		d, err := DecodeDelta(data)
 		if err != nil {
 			return

@@ -72,17 +72,13 @@ type Entry struct {
 	ModVersion uint64 `json:"modVersion,omitempty"`
 }
 
-// FromCore converts exported agent entries to wire entries.
+// FromCore converts exported agent entries to wire entries. Serving paths
+// never build this slice: AppendEntries writes the same JSON straight from
+// the export.
 func FromCore(entries []core.SnapshotEntry) []Entry {
-	return AppendFromCore(make([]Entry, 0, len(entries)), entries)
-}
-
-// AppendFromCore is FromCore appending into dst (which may be nil) — the
-// pooled-buffer form hot serving paths use to avoid re-allocating the wire
-// slice on every encode.
-func AppendFromCore(dst []Entry, entries []core.SnapshotEntry) []Entry {
+	out := make([]Entry, 0, len(entries))
 	for _, se := range entries {
-		dst = append(dst, Entry{
+		out = append(out, Entry{
 			Prefix:      se.Prefix.String(),
 			Window:      se.Window,
 			Samples:     se.Samples,
@@ -91,7 +87,7 @@ func AppendFromCore(dst []Entry, entries []core.SnapshotEntry) []Entry {
 			ModVersion:  se.Version,
 		})
 	}
-	return dst
+	return out
 }
 
 // ToCore converts wire entries to the form core.Agent.MergeSnapshot
@@ -285,11 +281,16 @@ func EncodeDelta(d Delta) ([]byte, error) {
 	return json.Marshal(d)
 }
 
-// DecodeDelta parses a wire delta, rejecting unknown versions.
+// DecodeDelta parses a wire delta, rejecting unknown versions. Messages in
+// the form this package writes take the scanner in codec.go; anything else
+// json.Unmarshal accepts decodes through it, exactly as before.
 func DecodeDelta(data []byte) (Delta, error) {
-	var d Delta
-	if err := json.Unmarshal(data, &d); err != nil {
-		return Delta{}, fmt.Errorf("riptide/gossip: decode delta: %w", err)
+	d, ok := scanDelta(data)
+	if !ok {
+		d = Delta{}
+		if err := json.Unmarshal(data, &d); err != nil {
+			return Delta{}, fmt.Errorf("riptide/gossip: decode delta: %w", err)
+		}
 	}
 	if d.Version != WireVersion {
 		return Delta{}, fmt.Errorf("riptide/gossip: delta version %d, want %d", d.Version, WireVersion)
