@@ -552,3 +552,50 @@ func TestRebootControlClusterNoAgents(t *testing.T) {
 	}
 	c.Stop()
 }
+
+// TestPoolSweeperDropsEmptyPools checks the sweeper's bookkeeping: the order
+// list names exactly the pools in the map, and once every pooled connection
+// has idled out the sweeper holds nothing to walk.
+func TestPoolSweeperDropsEmptyPools(t *testing.T) {
+	c, err := NewCluster(Config{
+		PoPs: smallTopology(),
+		Seed: 1,
+		Traffic: TrafficOptions{
+			ProbeInterval:          10 * time.Minute,
+			IdleTimeout:            time.Minute,
+			CloseAfterTransferProb: 0.1,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	checkOrder := func() {
+		t.Helper()
+		seen := make(map[poolKey]bool)
+		for _, key := range c.poolOrder {
+			if _, ok := c.pools[key]; !ok || seen[key] {
+				t.Fatalf("poolOrder entry %v is duplicated or has no pool", key)
+			}
+			seen[key] = true
+		}
+		if len(seen) != len(c.pools) {
+			t.Fatalf("poolOrder names %d pools, the map holds %d", len(seen), len(c.pools))
+		}
+	}
+	c.Run(10*time.Minute + 30*time.Second) // one probe round, connections pooled
+	checkOrder()
+	if len(c.pools) == 0 || c.net.OpenConns() == 0 {
+		t.Fatalf("after the probe round: %d pools, %d open connections, want some", len(c.pools), c.net.OpenConns())
+	}
+	c.Run(2 * time.Minute) // every pooled connection is past the idle timeout
+	checkOrder()
+	if len(c.pools) != 0 || c.net.OpenConns() != 0 {
+		t.Errorf("after the idle timeout: %d pools and %d open connections remain", len(c.pools), c.net.OpenConns())
+	}
+	c.Run(8 * time.Minute) // 20m30s: the second probe round has re-created pools
+	checkOrder()
+	if len(c.pools) == 0 {
+		t.Error("no pool re-created by the second probe round")
+	}
+}

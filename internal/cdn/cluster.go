@@ -212,6 +212,9 @@ type Cluster struct {
 	instanceSeq   int
 
 	pools map[poolKey][]*pooledConn
+	// poolOrder lists the keys of pools in the order they were created, the
+	// order the sweeper walks them in.
+	poolOrder []poolKey
 
 	probes      []ProbeRecord
 	probeFailed []ProbeFailure
@@ -557,10 +560,15 @@ func (c *Cluster) scheduleOrganic(src PoP, srcHost *kernel.Host, rate float64) {
 	})
 }
 
-// startPoolSweeper closes pooled connections idle beyond IdleTimeout.
+// startPoolSweeper closes pooled connections idle beyond IdleTimeout and
+// drops the pools that empty, so a sweep walks the pairs that hold a pool now,
+// not every pair ever used. It walks them in the order the pools were created:
+// map order would make the close order differ between runs of one seed.
 func (c *Cluster) startPoolSweeper() {
 	tk, err := eventsim.NewTicker(c.engine, 30*time.Second, func(now time.Duration) {
-		for key, pool := range c.pools {
+		live := c.poolOrder[:0]
+		for _, key := range c.poolOrder {
+			pool := c.pools[key]
 			kept := pool[:0]
 			for _, pc := range pool {
 				if now-pc.idleFrom >= c.cfg.Traffic.IdleTimeout {
@@ -569,8 +577,14 @@ func (c *Cluster) startPoolSweeper() {
 				}
 				kept = append(kept, pc)
 			}
+			if len(kept) == 0 {
+				delete(c.pools, key)
+				continue
+			}
 			c.pools[key] = kept
+			live = append(live, key)
 		}
+		c.poolOrder = live
 	})
 	if err != nil {
 		panic(err)
@@ -608,7 +622,11 @@ func (c *Cluster) releaseConn(conn *netsim.Conn) {
 		return
 	}
 	key := poolKey{conn.Src(), conn.Dst()}
-	c.pools[key] = append(c.pools[key], &pooledConn{conn: conn, idleFrom: c.engine.Now()})
+	pool, ok := c.pools[key]
+	if !ok {
+		c.poolOrder = append(c.poolOrder, key)
+	}
+	c.pools[key] = append(pool, &pooledConn{conn: conn, idleFrom: c.engine.Now()})
 }
 
 // StartCwndSampling begins periodic `ss`-style sampling of every host's

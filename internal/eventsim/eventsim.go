@@ -6,7 +6,6 @@
 package eventsim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"time"
@@ -22,15 +21,22 @@ type Event struct {
 	at        time.Duration
 	seq       uint64
 	fn        func()
+	queued    bool // in the engine's queue, fired or reaped when it leaves
 	cancelled bool
-	fired     bool
-	index     int // heap index, -1 once popped
+}
+
+// NewEvent returns an unscheduled event that runs fn every time it fires.
+// It serves callers that fire one callback over and over with at most one
+// firing pending — a connection's RTT rounds, a ticker — which arm it with
+// Engine.Reschedule instead of allocating an event and a closure per firing.
+func NewEvent(fn func()) *Event {
+	return &Event{fn: fn}
 }
 
 // Cancel prevents the event from firing. It reports whether the event was
 // still pending.
 func (ev *Event) Cancel() bool {
-	if ev == nil || ev.cancelled || ev.fired {
+	if ev == nil || !ev.queued || ev.cancelled {
 		return false
 	}
 	ev.cancelled = true
@@ -40,36 +46,61 @@ func (ev *Event) Cancel() bool {
 // Time returns the simulated time the event is (or was) scheduled for.
 func (ev *Event) Time() time.Duration { return ev.at }
 
+// before orders events by time, FIFO among simultaneous ones.
+func (ev *Event) before(other *Event) bool {
+	if ev.at != other.at {
+		return ev.at < other.at
+	}
+	return ev.seq < other.seq
+}
+
+// eventQueue is a binary min-heap on (at, seq). The order is total, so the
+// pop sequence does not depend on the heap's shape.
 type eventQueue []*Event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (q *eventQueue) push(ev *Event) {
+	h := append(*q, ev)
+	*q = h
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
 	}
-	return q[i].seq < q[j].seq // FIFO among simultaneous events
+	h[i] = ev
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	ev, ok := x.(*Event)
-	if !ok {
-		panic(fmt.Sprintf("eventsim: pushed %T onto event queue", x))
+
+// pop removes and returns the earliest event. The queue must not be empty.
+func (q *eventQueue) pop() *Event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	h = h[:n]
+	*q = h
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && h[r].before(h[child]) {
+			child = r
+		}
+		if !h[child].before(last) {
+			break
+		}
+		h[i] = h[child]
+		i = child
 	}
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
-	return ev
+	if n > 0 {
+		h[i] = last
+	}
+	return top
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable;
@@ -108,10 +139,25 @@ func (e *Engine) Schedule(delay time.Duration, fn func()) (*Event, error) {
 	if fn == nil {
 		return nil, errors.New("eventsim: nil callback")
 	}
-	ev := &Event{at: e.now + delay, seq: e.seq, fn: fn}
-	e.seq++
-	heap.Push(&e.queue, ev)
+	ev := &Event{fn: fn}
+	e.Reschedule(ev, delay)
 	return ev, nil
+}
+
+// Reschedule queues ev to fire after delay, taking the next sequence number
+// exactly as Schedule does. ev must not be pending and delay must not be
+// negative: both are bugs in the caller, and Reschedule panics on them.
+func (e *Engine) Reschedule(ev *Event, delay time.Duration) {
+	if delay < 0 {
+		panic(ErrNegativeDelay)
+	}
+	if ev.queued {
+		panic("eventsim: rescheduled an event that is still queued")
+	}
+	ev.at, ev.seq = e.now+delay, e.seq
+	ev.queued, ev.cancelled = true, false
+	e.seq++
+	e.queue.push(ev)
 }
 
 // MustSchedule is Schedule for static non-negative delays; it panics on
@@ -136,14 +182,14 @@ func (e *Engine) step(limit time.Duration, bounded bool) bool {
 		if bounded && next.at > limit {
 			return false
 		}
-		heap.Pop(&e.queue)
+		e.queue.pop()
+		next.queued = false
 		if next.cancelled {
 			continue
 		}
 		if next.at > e.now {
 			e.now = next.at
 		}
-		next.fired = true
 		e.fired++
 		next.fn()
 		return true
@@ -176,7 +222,7 @@ type Ticker struct {
 	engine   *Engine
 	interval time.Duration
 	fn       func(now time.Duration)
-	pending  *Event
+	ev       *Event // the one tick event, re-armed after every firing
 	stopped  bool
 }
 
@@ -192,20 +238,16 @@ func NewTicker(engine *Engine, interval time.Duration, fn func(now time.Duration
 		return nil, errors.New("eventsim: nil ticker callback")
 	}
 	t := &Ticker{engine: engine, interval: interval, fn: fn}
-	t.arm()
+	t.ev = NewEvent(t.tick)
+	engine.Reschedule(t.ev, interval)
 	return t, nil
 }
 
-func (t *Ticker) arm() {
-	t.pending = t.engine.MustSchedule(t.interval, func() {
-		if t.stopped {
-			return
-		}
-		t.fn(t.engine.Now())
-		if !t.stopped {
-			t.arm()
-		}
-	})
+func (t *Ticker) tick() {
+	t.fn(t.engine.Now())
+	if !t.stopped {
+		t.engine.Reschedule(t.ev, t.interval)
+	}
 }
 
 // Stop halts future ticks. Safe to call multiple times.
@@ -214,7 +256,5 @@ func (t *Ticker) Stop() {
 		return
 	}
 	t.stopped = true
-	if t.pending != nil {
-		t.pending.Cancel()
-	}
+	t.ev.Cancel()
 }

@@ -13,9 +13,10 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -76,9 +77,16 @@ type Snapshotter interface {
 type Host struct {
 	addr netip.Addr
 
-	mu        sync.Mutex
-	routes    map[netip.Prefix]Route
-	conns     map[uint64]Snapshotter
+	mu     sync.Mutex
+	routes map[netip.Prefix]Route
+	// lens4[b] / lens6[b] count the installed IPv4 / IPv6 routes of prefix
+	// length b, so Lookup probes the map once per installed length instead
+	// of testing every route (a simulated host carries ≈30 /32 routes).
+	lens4 [33]int
+	lens6 [129]int
+	// conns is ordered by id: ids are handed out ascending under mu, so
+	// Register appends and the table is always in `ss` output order.
+	conns     []connRef
 	nextConn  uint64
 	defaultIW int
 }
@@ -92,7 +100,6 @@ func NewHost(addr netip.Addr) (*Host, error) {
 	return &Host{
 		addr:      addr,
 		routes:    make(map[netip.Prefix]Route),
-		conns:     make(map[uint64]Snapshotter),
 		defaultIW: DefaultInitCwnd,
 	}, nil
 }
@@ -122,12 +129,36 @@ func (h *Host) AddRoute(r Route) error {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.routes[r.Prefix.Masked()] = Route{
-		Prefix:   r.Prefix.Masked(),
-		InitCwnd: r.InitCwnd,
-		Proto:    r.Proto,
-	}
+	h.setRouteLocked(r)
 	return nil
+}
+
+// lenCount returns the per-length route counter key belongs to.
+func (h *Host) lenCount(key netip.Prefix) *int {
+	if key.Addr().Is4() {
+		return &h.lens4[key.Bits()]
+	}
+	return &h.lens6[key.Bits()]
+}
+
+// setRouteLocked installs or replaces the route for r's masked prefix.
+func (h *Host) setRouteLocked(r Route) {
+	key := r.Prefix.Masked()
+	if _, ok := h.routes[key]; !ok {
+		*h.lenCount(key)++
+	}
+	h.routes[key] = Route{Prefix: key, InitCwnd: r.InitCwnd, Proto: r.Proto}
+}
+
+// delRouteLocked removes the route for prefix, reporting whether one existed.
+func (h *Host) delRouteLocked(prefix netip.Prefix) bool {
+	key := prefix.Masked()
+	if _, ok := h.routes[key]; !ok {
+		return false
+	}
+	delete(h.routes, key)
+	*h.lenCount(key)--
+	return true
 }
 
 // DelRoute removes the route for prefix, like `ip route del`. It reports
@@ -135,10 +166,7 @@ func (h *Host) AddRoute(r Route) error {
 func (h *Host) DelRoute(prefix netip.Prefix) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	key := prefix.Masked()
-	_, ok := h.routes[key]
-	delete(h.routes, key)
-	return ok
+	return h.delRouteLocked(prefix)
 }
 
 // RouteUpdate is one element of a batched routing-table edit: install Route
@@ -164,12 +192,11 @@ func (h *Host) ApplyRoutes(updates []RouteUpdate) []error {
 		case !u.Route.Prefix.IsValid():
 			err = fmt.Errorf("kernel: invalid route prefix")
 		case u.Delete:
-			delete(h.routes, u.Route.Prefix.Masked())
+			h.delRouteLocked(u.Route.Prefix)
 		case u.Route.InitCwnd < 0:
 			err = fmt.Errorf("kernel: route initcwnd %d must be >= 0", u.Route.InitCwnd)
 		default:
-			key := u.Route.Prefix.Masked()
-			h.routes[key] = Route{Prefix: key, InitCwnd: u.Route.InitCwnd, Proto: u.Route.Proto}
+			h.setRouteLocked(u.Route)
 		}
 		if err != nil {
 			if errs == nil {
@@ -189,11 +216,11 @@ func (h *Host) Routes() []Route {
 	for _, r := range h.routes {
 		out = append(out, r)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Prefix.Bits() != out[j].Prefix.Bits() {
-			return out[i].Prefix.Bits() > out[j].Prefix.Bits()
+	slices.SortFunc(out, func(a, b Route) int {
+		if a.Prefix.Bits() != b.Prefix.Bits() {
+			return b.Prefix.Bits() - a.Prefix.Bits()
 		}
-		return out[i].Prefix.Addr().Less(out[j].Prefix.Addr())
+		return a.Prefix.Addr().Compare(b.Prefix.Addr())
 	})
 	return out
 }
@@ -209,32 +236,44 @@ func (h *Host) RouteCount() int {
 func (h *Host) Lookup(dst netip.Addr) (Route, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	best := Route{}
-	found := false
-	for _, r := range h.routes {
-		if !r.Prefix.Contains(dst) {
+	return h.lookupLocked(dst)
+}
+
+// lookupLocked is the longest-prefix match: one map probe per installed
+// prefix length of dst's family, longest first. Like netip.Prefix.Contains,
+// an IPv4 address matches only IPv4 routes, an IPv4-mapped IPv6 address only
+// IPv6 routes, and a zoned or zero address nothing.
+func (h *Host) lookupLocked(dst netip.Addr) (Route, bool) {
+	if !dst.IsValid() || dst.Zone() != "" {
+		return Route{}, false
+	}
+	lens := h.lens6[:]
+	if dst.Is4() {
+		lens = h.lens4[:]
+	}
+	for bits := len(lens) - 1; bits >= 0; bits-- {
+		if lens[bits] == 0 {
 			continue
 		}
-		if !found || r.Prefix.Bits() > best.Prefix.Bits() {
-			best = r
-			found = true
+		// bits is within dst's family, so Prefix cannot fail.
+		key, _ := dst.Prefix(bits)
+		if r, ok := h.routes[key]; ok {
+			return r, true
 		}
 	}
-	return best, found
+	return Route{}, false
 }
 
 // InitCwndFor resolves the initial congestion window a new connection to dst
 // will start with: the longest-prefix-match route's initcwnd if it sets one,
 // otherwise the kernel default.
 func (h *Host) InitCwndFor(dst netip.Addr) int {
-	r, ok := h.Lookup(dst)
 	h.mu.Lock()
-	def := h.defaultIW
-	h.mu.Unlock()
-	if !ok || r.InitCwnd == 0 {
-		return def
+	defer h.mu.Unlock()
+	if r, ok := h.lookupLocked(dst); ok && r.InitCwnd != 0 {
+		return r.InitCwnd
 	}
-	return r.InitCwnd
+	return h.defaultIW
 }
 
 // Register adds a live connection to the host's connection table and
@@ -247,9 +286,8 @@ func (h *Host) Register(s Snapshotter) (uint64, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.nextConn++
-	id := h.nextConn
-	h.conns[id] = s
-	return id, nil
+	h.conns = append(h.conns, connRef{id: h.nextConn, s: s})
+	return h.nextConn, nil
 }
 
 // Unregister removes a connection from the table. It reports whether the id
@@ -257,17 +295,24 @@ func (h *Host) Register(s Snapshotter) (uint64, error) {
 func (h *Host) Unregister(id uint64) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	_, ok := h.conns[id]
-	delete(h.conns, id)
+	i, ok := slices.BinarySearchFunc(h.conns, id, func(ref connRef, id uint64) int {
+		return cmp.Compare(ref.id, id)
+	})
+	if ok {
+		h.conns = slices.Delete(h.conns, i, i+1)
+	}
 	return ok
 }
 
-// connRef pairs a connection id with its snapshotter while the host lock is
-// released for the Snapshot calls.
+// connRef is one row of the connection table.
 type connRef struct {
 	id uint64
 	s  Snapshotter
 }
+
+// refScratch pools the copies of the connection table AppendConnections
+// snapshots from once the host lock is released.
+var refScratch = sync.Pool{New: func() any { return new([]connRef) }}
 
 // Connections snapshots every established connection, like `ss -tin`.
 // Results are sorted by id for determinism.
@@ -277,23 +322,24 @@ func (h *Host) Connections() []ConnSnapshot {
 
 // AppendConnections is Connections into a caller-provided buffer: snapshots
 // are appended to buf and the grown slice returned, so a sampling loop that
-// reuses its buffer allocates only the transient id/snapshotter references.
-// Snapshot calls happen outside the host lock, preserving the package's
+// reuses its buffer does not allocate. The table is copied under the host
+// lock and the Snapshot calls happen outside it, preserving the package's
 // lock discipline (connection state locks never nest inside the host's).
 func (h *Host) AppendConnections(buf []ConnSnapshot) []ConnSnapshot {
+	scratch := refScratch.Get().(*[]connRef)
 	h.mu.Lock()
-	refs := make([]connRef, 0, len(h.conns))
-	for id, s := range h.conns {
-		refs = append(refs, connRef{id: id, s: s})
-	}
+	refs := append((*scratch)[:0], h.conns...)
 	h.mu.Unlock()
-	sort.Slice(refs, func(i, j int) bool { return refs[i].id < refs[j].id })
 
-	for _, ref := range refs {
-		snap := ref.s.Snapshot()
-		snap.ID = ref.id
-		buf = append(buf, snap)
+	n := len(buf)
+	buf = slices.Grow(buf, len(refs))[:n+len(refs)]
+	for i, ref := range refs {
+		buf[n+i] = ref.s.Snapshot()
+		buf[n+i].ID = ref.id
 	}
+	clear(refs) // do not keep closed connections reachable from the pool
+	*scratch = refs
+	refScratch.Put(scratch)
 	return buf
 }
 

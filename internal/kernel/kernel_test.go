@@ -1,7 +1,11 @@
 package kernel
 
 import (
+	"math/rand"
 	"net/netip"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -316,34 +320,212 @@ func TestConnectionsDeterministicOrder(t *testing.T) {
 	}
 }
 
-// Property: lookup always returns the longest matching prefix among those
-// installed.
-func TestLookupLongestMatchProperty(t *testing.T) {
-	f := func(octet uint8, bitsRaw [4]uint8) bool {
-		h, err := NewHost(netip.MustParseAddr("10.0.0.1"))
-		if err != nil {
-			return false
+// linearLookup is the route lookup Host had before it indexed routes by
+// prefix length — test every route, keep the longest match — kept here as the
+// reference the indexed lookup is checked against.
+func linearLookup(routes map[netip.Prefix]Route, dst netip.Addr) (Route, bool) {
+	best, found := Route{}, false
+	for _, r := range routes {
+		if r.Prefix.Contains(dst) && (!found || r.Prefix.Bits() > best.Prefix.Bits()) {
+			best, found = r, true
 		}
-		dst := netip.AddrFrom4([4]byte{10, 20, 30, octet})
-		longest := -1
-		for _, br := range bitsRaw {
-			bits := int(br) % 33
-			p, err := dst.Prefix(bits)
-			if err != nil {
-				return false
-			}
-			if err := h.AddRoute(Route{Prefix: p, InitCwnd: bits + 1}); err != nil {
-				return false
-			}
-			if bits > longest {
-				longest = bits
-			}
-		}
-		r, ok := h.Lookup(dst)
-		return ok && r.Prefix.Bits() == longest
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	return best, found
+}
+
+// Property: after any sequence of AddRoute / DelRoute / ApplyRoutes edits
+// over a mixed IPv4/IPv6 route set — defaults (/0), overlapping siblings,
+// replaced routes, routes whose zero initcwnd shadows a broader override,
+// deletes of absent prefixes — Lookup and InitCwndFor agree with a linear
+// scan of a model table for IPv4, IPv6, IPv4-mapped, zoned and zero addresses.
+func TestLookupLongestMatchProperty(t *testing.T) {
+	bases := []netip.Addr{
+		netip.MustParseAddr("10.20.30.40"),
+		netip.MustParseAddr("10.20.30.41"), // sibling under every prefix up to /31
+		netip.MustParseAddr("10.20.200.1"),
+		netip.MustParseAddr("192.0.2.7"),
+		netip.MustParseAddr("2001:db8::1"),
+		netip.MustParseAddr("2001:db8::2"),
+		netip.MustParseAddr("2001:db8:ffff::9"),
+		netip.MustParseAddr("::ffff:10.20.30.40"),
+	}
+	probes := append([]netip.Addr{
+		{},
+		netip.MustParseAddr("10.20.31.1"),
+		netip.MustParseAddr("172.16.0.1"),
+		netip.MustParseAddr("2001:db9::1"),
+		netip.MustParseAddr("fe80::1%eth0"),
+		netip.MustParseAddr("2001:db8::1%eth0"),
+	}, bases...)
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h := newHost(t)
+		model := make(map[netip.Prefix]Route)
+		randomRoute := func() Route {
+			base := bases[rng.Intn(len(bases))]
+			bits := rng.Intn(base.BitLen() + 1)
+			if rng.Intn(4) == 0 {
+				bits = []int{0, base.BitLen(), base.BitLen() - 8}[rng.Intn(3)]
+			}
+			// Unmasked on purpose: the host must mask it.
+			return Route{Prefix: netip.PrefixFrom(base, bits), InitCwnd: rng.Intn(4) * 20, Proto: "static"}
+		}
+		for step := 0; step < 300; step++ {
+			switch r := randomRoute(); rng.Intn(4) {
+			case 0:
+				if err := h.AddRoute(r); err != nil {
+					t.Fatal(err)
+				}
+				model[r.Prefix.Masked()] = Route{Prefix: r.Prefix.Masked(), InitCwnd: r.InitCwnd, Proto: r.Proto}
+			case 1:
+				_, want := model[r.Prefix.Masked()]
+				if got := h.DelRoute(r.Prefix); got != want {
+					t.Fatalf("seed %d step %d: DelRoute(%v) = %v, want %v", seed, step, r.Prefix, got, want)
+				}
+				delete(model, r.Prefix.Masked())
+			default:
+				batch := make([]RouteUpdate, 1+rng.Intn(6))
+				for i := range batch {
+					u := RouteUpdate{Route: randomRoute(), Delete: rng.Intn(3) == 0}
+					batch[i] = u
+					if key := u.Route.Prefix.Masked(); u.Delete {
+						delete(model, key)
+					} else {
+						model[key] = Route{Prefix: key, InitCwnd: u.Route.InitCwnd, Proto: u.Route.Proto}
+					}
+				}
+				if errs := h.ApplyRoutes(batch); errs != nil {
+					t.Fatalf("seed %d step %d: ApplyRoutes: %v", seed, step, errs)
+				}
+			}
+			if h.RouteCount() != len(model) {
+				t.Fatalf("seed %d step %d: RouteCount = %d, model has %d", seed, step, h.RouteCount(), len(model))
+			}
+			for _, dst := range probes {
+				want, wantOK := linearLookup(model, dst)
+				got, ok := h.Lookup(dst)
+				if ok != wantOK || got != want {
+					t.Fatalf("seed %d step %d: Lookup(%v) = %+v %v, linear scan says %+v %v", seed, step, dst, got, ok, want, wantOK)
+				}
+				wantIW := DefaultInitCwnd
+				if wantOK && want.InitCwnd != 0 {
+					wantIW = want.InitCwnd
+				}
+				if iw := h.InitCwndFor(dst); iw != wantIW {
+					t.Fatalf("seed %d step %d: InitCwndFor(%v) = %d, want %d", seed, step, dst, iw, wantIW)
+				}
+			}
+		}
+		// Emptying the table must leave no length marked as installed.
+		for key := range model {
+			h.DelRoute(key)
+		}
+		if h.lens4 != [33]int{} || h.lens6 != [129]int{} {
+			t.Fatalf("seed %d: per-length counts not zero on an empty table: %v %v", seed, h.lens4, h.lens6)
+		}
+	}
+}
+
+// TestConnTableDifferential drives random Register / Unregister (live,
+// repeated and never-issued ids) / AppendConnections interleavings and checks
+// every result against the table Host had before it kept connections in id
+// order: a map, copied out and sorted on every read.
+func TestConnTableDifferential(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h := newHost(t)
+		model := make(map[uint64]*fakeConn)
+		var issued []uint64
+		var buf []ConnSnapshot
+		for step := 0; step < 2000; step++ {
+			switch op := rng.Intn(10); {
+			case op < 4:
+				c := &fakeConn{snap: ConnSnapshot{Cwnd: rng.Intn(1000), BytesAcked: int64(step)}}
+				id, err := h.Register(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, dup := model[id]; dup || (len(issued) > 0 && id <= issued[len(issued)-1]) {
+					t.Fatalf("seed %d step %d: id %d reused or not ascending", seed, step, id)
+				}
+				model[id] = c
+				issued = append(issued, id)
+			case op < 8:
+				id := uint64(rng.Intn(len(issued) + 3)) // 0 and ids past the last are never issued
+				if len(issued) > 0 && rng.Intn(2) == 0 {
+					id = issued[rng.Intn(len(issued))] // live or already unregistered
+				}
+				_, want := model[id]
+				if got := h.Unregister(id); got != want {
+					t.Fatalf("seed %d step %d: Unregister(%d) = %v, want %v", seed, step, id, got, want)
+				}
+				delete(model, id)
+			default:
+				var want []ConnSnapshot
+				for id, c := range model {
+					snap := c.snap
+					snap.ID = id
+					want = append(want, snap)
+				}
+				sort.Slice(want, func(i, j int) bool { return want[i].ID < want[j].ID })
+				buf = h.AppendConnections(buf[:0])
+				if !slices.Equal(buf, want) {
+					t.Fatalf("seed %d step %d: AppendConnections = %v, want %v", seed, step, buf, want)
+				}
+			}
+			if h.ConnCount() != len(model) {
+				t.Fatalf("seed %d step %d: ConnCount = %d, want %d", seed, step, h.ConnCount(), len(model))
+			}
+		}
+	}
+}
+
+// TestAppendConnectionsConcurrentRegister samples the table from several
+// goroutines while others open and close connections. Run under -race it
+// checks the scratch pool and the ordered table are safe to share; in any
+// mode every sample must be id-ordered and hold no connection twice.
+func TestAppendConnectionsConcurrentRegister(t *testing.T) {
+	h := newHost(t)
+	for i := 0; i < 25; i++ {
+		if _, err := h.Register(&fakeConn{snap: ConnSnapshot{Cwnd: i}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				id, err := h.Register(&fakeConn{snap: ConnSnapshot{Cwnd: i}})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !h.Unregister(id) {
+					t.Errorf("Unregister(%d) = false for a live id", id)
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			var buf []ConnSnapshot
+			for i := 0; i < 500; i++ {
+				buf = h.AppendConnections(buf[:0])
+				if len(buf) < 25 {
+					t.Errorf("sample holds %d connections, the 25 permanent ones are missing", len(buf))
+				}
+				for j := 1; j < len(buf); j++ {
+					if buf[j-1].ID >= buf[j].ID {
+						t.Errorf("sample not strictly id-ordered: %d then %d", buf[j-1].ID, buf[j].ID)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if h.ConnCount() != 25 {
+		t.Errorf("ConnCount = %d, want 25", h.ConnCount())
 	}
 }
 
@@ -511,5 +693,57 @@ func TestAggregationShadowingTransitions(t *testing.T) {
 	}
 	if got := h.InitCwndFor(sibling); got != DefaultInitCwnd {
 		t.Errorf("sibling after dissolve: InitCwndFor = %d, want default %d", got, DefaultInitCwnd)
+	}
+}
+
+// The benchmarks below run at the sizes measured on the sim-34pop workload:
+// ≈25 connections per agent tick and 29-33 routes per host.
+
+var benchSink int
+
+func BenchmarkHostAppendConnections(b *testing.B) {
+	h, err := NewHost(netip.MustParseAddr("10.0.0.1"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 25; i++ {
+		snap := ConnSnapshot{Dst: netip.AddrFrom4([4]byte{10, 0, byte(i), 1}), Cwnd: 10 + i}
+		if _, err := h.Register(&fakeConn{snap: snap}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	buf := h.AppendConnections(make([]ConnSnapshot, 0, 32)) // warms the scratch pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = h.AppendConnections(buf[:0])
+	}
+	benchSink = len(buf)
+}
+
+func BenchmarkHostLookup(b *testing.B) {
+	h, err := NewHost(netip.MustParseAddr("10.0.0.1"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dsts := make([]netip.Addr, 0, 34)
+	for i := 0; i < 32; i++ {
+		dst := netip.AddrFrom4([4]byte{10, 0, byte(i), 1})
+		dsts = append(dsts, dst)
+		if err := h.AddRoute(Route{Prefix: netip.PrefixFrom(dst, 32), InitCwnd: 40, Proto: "static"}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, p := range []string{"10.0.40.0/24", "0.0.0.0/0"} {
+		if err := h.AddRoute(Route{Prefix: netip.MustParsePrefix(p), InitCwnd: 20}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// One destination per /32, one under the /24 only, one under the default only.
+	dsts = append(dsts, netip.MustParseAddr("10.0.40.9"), netip.MustParseAddr("10.9.9.9"))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += h.InitCwndFor(dsts[i%len(dsts)])
 	}
 }

@@ -16,11 +16,13 @@
 package netsim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"time"
 
 	"riptide/internal/eventsim"
@@ -343,6 +345,7 @@ type Conn struct {
 	win      *tcpsim.Window
 	path     *path
 	opened   time.Duration
+	serial   uint64 // network-wide open order
 
 	queue      []*transfer
 	sending    bool
@@ -357,6 +360,13 @@ type Conn struct {
 	// lastActive is the last simulated time the connection sent or
 	// received; it drives RFC 2861 idle-restart.
 	lastActive time.Duration
+
+	// The round in flight. A connection sends one transfer at a time, one
+	// round per RTT, so it owns a single event (bound to roundDone) and
+	// re-arms it every round instead of allocating a closure and an event.
+	roundEv   *eventsim.Event
+	roundSent int64 // segments the round sent
+	roundLost int64 // of those, segments the path dropped
 }
 
 var _ kernel.Snapshotter = (*Conn)(nil)
@@ -395,12 +405,14 @@ func (n *Network) Open(src, dst netip.Addr) (*Conn, error) {
 		opened:     n.engine.Now(),
 		lastActive: n.engine.Now(),
 	}
+	c.roundEv = eventsim.NewEvent(c.roundDone)
 	id, err := srcHost.Register(c)
 	if err != nil {
 		return nil, err
 	}
 	c.id = id
 	n.opened++
+	c.serial = n.opened
 	n.conns[c] = struct{}{}
 	return c, nil
 }
@@ -413,28 +425,33 @@ func (n *Network) OpenConns() int { return len(n.conns) }
 // Section II-A: a reboot loses the local state and the remote ends'
 // connections to that node alike). It returns how many connections closed.
 func (n *Network) CloseConnsInvolving(addr netip.Addr) int {
-	closed := 0
+	return n.closeConns(func(c *Conn) bool { return c.src == addr || c.dst == addr })
+}
+
+// closeConns closes every live connection doomed selects, in the order they
+// were opened (not in map order, so that a Close which one day schedules or
+// draws something cannot make a seed irreproducible), and returns the count.
+func (n *Network) closeConns(doomed func(*Conn) bool) int {
+	var victims []*Conn
 	for c := range n.conns {
-		if c.src == addr || c.dst == addr {
-			c.Close()
-			closed++
+		if doomed(c) {
+			victims = append(victims, c)
 		}
 	}
-	return closed
+	slices.SortFunc(victims, func(a, b *Conn) int { return cmp.Compare(a.serial, b.serial) })
+	for _, c := range victims {
+		c.Close()
+	}
+	return len(victims)
 }
 
 // CloseConnsBetween force-closes every connection between a and b, in either
 // direction — the flows a peer partition kills outright. It returns how many
 // connections closed.
 func (n *Network) CloseConnsBetween(a, b netip.Addr) int {
-	closed := 0
-	for c := range n.conns {
-		if (c.src == a && c.dst == b) || (c.src == b && c.dst == a) {
-			c.Close()
-			closed++
-		}
-	}
-	return closed
+	return n.closeConns(func(c *Conn) bool {
+		return (c.src == a && c.dst == b) || (c.src == b && c.dst == a)
+	})
 }
 
 // Snapshot implements kernel.Snapshotter: the `ss -i` view of this
@@ -522,7 +539,7 @@ func (c *Conn) startNext() {
 	t := c.queue[0]
 	t.started = c.network.engine.Now()
 	c.maybeIdleRestart()
-	c.round(t)
+	c.round()
 }
 
 // maybeIdleRestart applies RFC 2861 congestion-window validation: when the
@@ -548,16 +565,16 @@ func (c *Conn) maybeIdleRestart() {
 	c.win.RestartAfterIdle(restart)
 }
 
-// round sends one window's worth of segments and schedules the ACK handling
-// one RTT later.
-func (c *Conn) round(t *transfer) {
+// round sends one window's worth of the head transfer's segments and arms
+// the round event to handle the ACKs one RTT later.
+func (c *Conn) round() {
 	if c.closed {
 		c.sending = false
 		return
 	}
 	send := int64(c.win.Cwnd())
-	if send > t.remaining {
-		send = t.remaining
+	if remaining := c.queue[0].remaining; send > remaining {
+		send = remaining
 	}
 	// Account the burst against the path's per-RTT load window.
 	p := c.path
@@ -574,44 +591,51 @@ func (c *Conn) round(t *transfer) {
 			}
 		}
 	}
-	rtt := p.roundRTT(c.network.rng)
-	c.network.engine.MustSchedule(rtt, func() {
-		p.load -= int(send)
-		if c.closed {
-			c.sending = false
-			return
-		}
-		now := c.network.engine.Now()
-		c.lastActive = now
-		delivered := send - lost
-		t.remaining -= delivered
-		t.rounds++
-		t.retrans += lost
-		c.retrans += lost
-		c.network.retransmitted += lost
-		c.lastLost = lost
-		c.bytesAcked += delivered * int64(c.network.mss)
-		if lost > 0 {
-			c.win.Loss(now)
-		} else {
-			c.win.Ack(int(delivered), now)
-		}
-		if t.remaining > 0 {
-			c.round(t)
-			return
-		}
-		// Transfer complete.
-		c.queue = c.queue[1:]
-		c.network.completed++
-		if t.done != nil {
-			t.done(TransferResult{
-				Bytes:       t.total * int64(c.network.mss),
-				Elapsed:     now - t.started,
-				Rounds:      t.rounds,
-				Retransmits: t.retrans,
-				InitCwnd:    c.win.InitCwnd(),
-			})
-		}
-		c.startNext()
-	})
+	c.roundSent, c.roundLost = send, lost
+	c.network.engine.Reschedule(c.roundEv, p.roundRTT(c.network.rng))
+}
+
+// roundDone is the round event's callback: the burst leaves the path and the
+// window reacts to what was delivered. It fires once per round, also after a
+// Close (to release the path load), and then does nothing else.
+func (c *Conn) roundDone() {
+	send, lost := c.roundSent, c.roundLost
+	c.path.load -= int(send)
+	if c.closed {
+		c.sending = false
+		return
+	}
+	t := c.queue[0]
+	now := c.network.engine.Now()
+	c.lastActive = now
+	delivered := send - lost
+	t.remaining -= delivered
+	t.rounds++
+	t.retrans += lost
+	c.retrans += lost
+	c.network.retransmitted += lost
+	c.lastLost = lost
+	c.bytesAcked += delivered * int64(c.network.mss)
+	if lost > 0 {
+		c.win.Loss(now)
+	} else {
+		c.win.Ack(int(delivered), now)
+	}
+	if t.remaining > 0 {
+		c.round()
+		return
+	}
+	// Transfer complete.
+	c.queue = c.queue[1:]
+	c.network.completed++
+	if t.done != nil {
+		t.done(TransferResult{
+			Bytes:       t.total * int64(c.network.mss),
+			Elapsed:     now - t.started,
+			Rounds:      t.rounds,
+			Retransmits: t.retrans,
+			InitCwnd:    c.win.InitCwnd(),
+		})
+	}
+	c.startNext()
 }

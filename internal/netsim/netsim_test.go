@@ -765,3 +765,88 @@ func TestRetransmittedCounterMatchesTransferResults(t *testing.T) {
 		t.Fatalf("network counter %d != sum of transfer results %d", n.Retransmitted(), total)
 	}
 }
+
+// TestRoundEventFiresOncePerRound pins the connection's single reused round
+// event: every round of every queued transfer is exactly one engine event,
+// and after Close the round in flight fires once more — to take its burst off
+// the path — and then nothing on the connection ever fires or completes.
+func TestRoundEventFiresOncePerRound(t *testing.T) {
+	n := twoHosts(t, PathConfig{RTT: 50 * time.Millisecond, LossRate: 0.05, CapacitySegments: 1000})
+	e := n.Engine()
+	conn, err := n.Open(hostA, hostB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := 0
+	for i := 0; i < 4; i++ {
+		if err := conn.Transfer(200_000, func(r TransferResult) { rounds += r.Rounds }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Run()
+	if rounds == 0 || uint64(rounds) != e.Fired() {
+		t.Fatalf("%d rounds over 4 transfers but %d events fired", rounds, e.Fired())
+	}
+	if conn.path.load != 0 || e.Pending() != 0 {
+		t.Fatalf("idle connection left load %d on the path and %d events pending", conn.path.load, e.Pending())
+	}
+
+	completed := 0
+	for i := 0; i < 3; i++ {
+		if err := conn.Transfer(1<<20, func(TransferResult) { completed++ }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.RunUntil(e.Now() + 120*time.Millisecond) // two rounds done, the third in flight
+	if conn.path.load == 0 || e.Pending() != 1 {
+		t.Fatalf("mid-transfer: load %d, %d events pending, want a burst in flight and 1", conn.path.load, e.Pending())
+	}
+	conn.Close()
+	before := e.Fired()
+	e.Run()
+	if got := e.Fired() - before; got != 1 {
+		t.Errorf("%d events fired after Close, want only the round in flight", got)
+	}
+	if conn.path.load != 0 {
+		t.Errorf("closed connection left load %d on the path", conn.path.load)
+	}
+	if completed != 0 || conn.sending {
+		t.Errorf("after Close: %d transfers completed, sending = %v", completed, conn.sending)
+	}
+}
+
+// BenchmarkConnTransferRounds is one RTT round of a long transfer per op, on
+// the sim-34pop loss rate: the loss draws, the window update and the re-armed
+// round event. It must not allocate.
+func BenchmarkConnTransferRounds(b *testing.B) {
+	e := eventsim.NewEngine()
+	n, err := NewNetwork(Config{Engine: e, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, a := range []netip.Addr{hostA, hostB} {
+		if _, err := n.AddHost(a); err != nil {
+			b.Fatal(err)
+		}
+	}
+	const rtt = 100 * time.Millisecond
+	if err := n.SetBidiPath(hostA, hostB, PathConfig{RTT: rtt, LossRate: 0.002}); err != nil {
+		b.Fatal(err)
+	}
+	conn, err := n.Open(hostA, hostB)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := conn.Transfer(1<<50, nil); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.RunUntil(e.Now() + rtt) // exactly the one pending round
+	}
+	b.StopTimer()
+	if e.Fired() != uint64(b.N) {
+		b.Fatalf("%d events fired for %d rounds", e.Fired(), b.N)
+	}
+}
