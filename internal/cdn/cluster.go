@@ -1,8 +1,10 @@
 package cdn
 
 import (
+	"compress/gzip"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/netip"
 	"time"
@@ -206,9 +208,12 @@ type Cluster struct {
 	tickers []*eventsim.Ticker
 
 	// Gossip sharing state (EnableGossipSharing): per-edge sync cursors,
-	// cumulative wire accounting, and the boot-identity counter.
+	// cumulative wire accounting, the one gzip writer accountWire sizes
+	// every message with (its compressor is allocated at the first), and
+	// the boot-identity counter.
 	gossipCursors map[gossipPair]gossipCursor
 	gossipStats   GossipStats
+	wireGzip      *gzip.Writer
 	instanceSeq   int
 
 	pools map[poolKey][]*pooledConn
@@ -294,6 +299,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		pools:  make(map[poolKey][]*pooledConn),
 
 		gossipCursors: make(map[gossipPair]gossipCursor),
+		wireGzip:      gzip.NewWriter(io.Discard),
 	}
 
 	for _, p := range cfg.PoPs {

@@ -1,8 +1,6 @@
 package cdn
 
 import (
-	"bytes"
-	"compress/gzip"
 	"fmt"
 	"net/netip"
 	"time"
@@ -237,16 +235,24 @@ func (c *Cluster) accountDelta(d gossip.Delta) {
 }
 
 // accountWire counts one encoded message at its gzip-compressed size, the
-// transfer encoding riptided's fleet endpoints negotiate.
+// transfer encoding riptided's fleet endpoints negotiate. Nothing reads the
+// compressed bytes, so one writer (≈800 KB of state, far more than a message)
+// serves every message, Reset onto a counter each time.
 func (c *Cluster) accountWire(data []byte, err error) {
 	if err != nil {
 		return // encoding our own structs cannot fail; keep the stats honest
 	}
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	_, _ = zw.Write(data)
-	_ = zw.Close()
-	c.gossipStats.BytesOnWire += int64(buf.Len())
+	c.wireGzip.Reset((*byteCounter)(&c.gossipStats.BytesOnWire))
+	_, _ = c.wireGzip.Write(data)
+	_ = c.wireGzip.Close()
+}
+
+// byteCounter is an io.Writer that only counts what it is given.
+type byteCounter int64
+
+func (n *byteCounter) Write(p []byte) (int, error) {
+	*n += byteCounter(len(p))
+	return len(p), nil
 }
 
 // mergeDelta folds a delta into the receiving agent. The simulated kernel

@@ -1,10 +1,13 @@
 package cdn
 
 import (
+	"bytes"
+	"compress/gzip"
 	"testing"
 	"time"
 
 	"riptide/internal/core"
+	"riptide/internal/gossip"
 )
 
 func newGossipCluster(t *testing.T, mode GossipMode) *Cluster {
@@ -144,5 +147,51 @@ func TestGossipSeedsRebootedHost(t *testing.T) {
 	// divergent buckets instead of re-pulling whole tables.
 	if got := c.GossipStats().BucketRounds; got <= preBuckets {
 		t.Errorf("bucket rounds %d -> %d: restart did not trigger a bucket resync", preBuckets, got)
+	}
+}
+
+// TestGossipBytesOnWireMatchesFreshWriters pins the shared gzip writer:
+// BytesOnWire after a gossip run must equal the sum of what a fresh writer
+// per message would have produced, so a writer that carries dictionary or
+// header state across Reset fails. The run is driven edge by edge so the
+// test can see each message: a ladder pass (every edge a first contact: a
+// small digest, then the peer's full table) and a full-table pass over
+// tables the first pass has grown.
+func TestGossipBytesOnWireMatchesFreshWriters(t *testing.T) {
+	c := newGossipCluster(t, "")
+	defer c.Stop()
+	if err := c.SeedWarmEntries(50, core.MergePolicy{}); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(2 * time.Minute) // probes: every machine learns a different table
+
+	var want, messages int64
+	fresh := func(data []byte, err error) { // what accountWire charged before it shared a writer
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		zw := gzip.NewWriter(&buf)
+		_, _ = zw.Write(data)
+		_ = zw.Close()
+		want += int64(buf.Len())
+		messages++
+	}
+	for _, mode := range []GossipMode{GossipLadder, GossipFull} {
+		for _, pr := range c.gossipPairs() {
+			peer, src := c.agents[pr.peer], pr.peer.String()
+			if mode == GossipLadder {
+				fresh(gossip.EncodeDigest(gossip.TableDigest(peer.agent, src, peer.instance)))
+			}
+			fresh(gossip.EncodeDelta(gossip.TableDelta(peer.agent, src, peer.instance, 0)))
+			c.gossipExchange(pr, core.MergePolicy{}, mode)
+		}
+	}
+	gs := c.GossipStats()
+	if gs.FullRounds != gs.Rounds || gs.EntriesMoved == 0 {
+		t.Fatalf("stats = %+v: every exchange should have shipped a full table", gs)
+	}
+	if gs.BytesOnWire != want {
+		t.Fatalf("BytesOnWire = %d over %d messages, fresh writers sum to %d", gs.BytesOnWire, messages, want)
 	}
 }

@@ -2,6 +2,7 @@ package netlink
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -43,7 +44,12 @@ func truncations(data []byte) [][]byte {
 // FuzzParseInetDiagMsg exercises the sock_diag dump decoder with arbitrary
 // byte streams: it must never panic, and every observation it does produce
 // must carry a valid destination, a positive window, and non-negative
-// telemetry — the same invariants the ss text parser is fuzzed for.
+// telemetry — the same invariants the ss text parser is fuzzed for. It is
+// also a differential over the decoder's in-place hazards: each input is
+// decoded into nil, into a poisoned buffer with spare capacity, and into a
+// poisoned buffer that is full (so the growth path runs mid-datagram); all
+// three must equal what the by-value reference decoder produces, and the
+// elements the buffers already held must come back untouched.
 func FuzzParseInetDiagMsg(f *testing.F) {
 	seed := diagDumpSeed()
 	f.Add(seed)
@@ -68,7 +74,24 @@ func FuzzParseInetDiagMsg(f *testing.F) {
 	ne.PutUint32(lying, uint32(len(lying)+100))
 	f.Add(lying)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		obs, _, err := ParseDiagDump(nil, data, 0)
+		obs, done, err := ParseDiagDump(nil, data, 0)
+		want, wantDone, wantErr := refParseDiagDump(data)
+		if done != wantDone || (err != nil) != (wantErr != nil) {
+			t.Fatalf("walk diverged from reference: done %v err %v, want done %v err %v", done, err, wantDone, wantErr)
+		}
+		if !slices.Equal(obs, want) {
+			t.Fatalf("decode into nil diverged from reference:\n got %+v\nwant %+v", obs, want)
+		}
+		const held = 3
+		for _, c := range []int{held + 64, held} {
+			got, _, _ := ParseDiagDump(poisoned(held, c), data, 0)
+			if !slices.Equal(got[:held], poisoned(held, held)) {
+				t.Fatalf("cap %d: held elements were touched: %+v", c, got[:held])
+			}
+			if !slices.Equal(got[held:], want) {
+				t.Fatalf("cap %d: decode into a poisoned buffer diverged from reference:\n got %+v\nwant %+v", c, got[held:], want)
+			}
+		}
 		if err != nil {
 			return // NLMSG_ERROR decoding is a legitimate outcome
 		}

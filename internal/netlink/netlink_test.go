@@ -320,6 +320,20 @@ func TestApplyTCPInfoTruncated(t *testing.T) {
 	if o.Retrans != 0 || o.BytesAcked != 0 || o.SegsOut != 0 {
 		t.Fatalf("fields beyond payload must stay zero: %+v", o)
 	}
+	// The same payload through the dump decoder, into a pooled slot that
+	// still holds an old observation: "stay zero" must hold there too, with
+	// spare capacity (c 4) and on the growth path (c 0).
+	data := encodeDiagMsgRaw(nil, [4]byte{10, 0, 0, 1}, tcpEstablished, full[:tcpiSndCwndOff+4])
+	want := core.Observation{Dst: netip.MustParseAddr("10.0.0.1"), Cwnd: 55, RTT: 2 * time.Millisecond}
+	for _, c := range []int{4, 0} {
+		obs, _, err := ParseDiagDump(poisoned(0, c), data, 0)
+		if err != nil || len(obs) != 1 {
+			t.Fatalf("cap %d: got %d observations, err %v", c, len(obs), err)
+		}
+		if obs[0] != want { // Retrans, BytesAcked, SegsOut, LossEvents all zero
+			t.Fatalf("cap %d: stale fields survived the decode:\n got %+v\nwant %+v", c, obs[0], want)
+		}
+	}
 }
 
 func TestProbeBackendHelper(t *testing.T) {

@@ -26,8 +26,9 @@ type SamplerConfig struct {
 
 // Sampler implements core.ConnectionSampler over NETLINK_SOCK_DIAG: one
 // INET_DIAG dump per address family per tick, decoded straight out of the
-// receive buffer into the agent's pooled observation buffer. No fork, no
-// exec, no text; steady-state sampling allocates nothing.
+// receive buffer into the agent's pooled observation buffer — each socket is
+// written once, into its slot (see ParseDiagDump). No fork, no exec, no text;
+// steady-state sampling allocates nothing.
 //
 // The netlink socket persists across ticks and is re-dialed on the tick
 // after any conversation error, so a transiently wedged dump cannot poison

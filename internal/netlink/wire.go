@@ -236,17 +236,19 @@ func applyTCPInfo(o *core.Observation, ti []byte) {
 	}
 }
 
-// parseInetDiagMsg decodes one SOCK_DIAG_BY_FAMILY message payload into an
-// Observation. Mirrors the ss text parser's acceptance rules: established
-// sockets with a positive congestion window only.
-func parseInetDiagMsg(msg []byte) (core.Observation, bool) {
-	var o core.Observation
-	if len(msg) < diagMsgLen {
-		return o, false
+// parseInetDiagMsg decodes one SOCK_DIAG_BY_FAMILY message payload into *o,
+// a slot of the caller's pooled buffer that still holds the observation of
+// two rounds ago: the slot is zeroed before any field is decoded, so fields
+// beyond a truncated tcp_info (and LossEvents, which the wire does not carry)
+// read zero. Reports false when the message is rejected, possibly after a
+// partial decode — the caller must then drop the slot. Mirrors the ss text
+// parser's acceptance rules: established sockets with a positive congestion
+// window only.
+func parseInetDiagMsg(o *core.Observation, msg []byte) bool {
+	if len(msg) < diagMsgLen || msg[1] != tcpEstablished {
+		return false
 	}
-	if msg[1] != tcpEstablished {
-		return o, false
-	}
+	*o = core.Observation{}
 	switch msg[0] {
 	case afInet:
 		o.Dst = netip.AddrFrom4([4]byte(msg[24:28]))
@@ -256,7 +258,7 @@ func parseInetDiagMsg(msg []byte) (core.Observation, bool) {
 		// backends must key destinations identically.
 		o.Dst = netip.AddrFrom16([16]byte(msg[24:40]))
 	default:
-		return o, false
+		return false
 	}
 	attrs := msg[diagMsgLen:]
 	for off := 0; off+4 <= len(attrs); {
@@ -266,22 +268,22 @@ func parseInetDiagMsg(msg []byte) (core.Observation, bool) {
 			break // malformed attribute: stop walking, keep what we have
 		}
 		if typ == inetDiagInfo {
-			applyTCPInfo(&o, attrs[off+4:off+alen])
+			applyTCPInfo(o, attrs[off+4:off+alen])
 		}
 		off += nlaAlign(alen)
 	}
-	if o.Cwnd <= 0 {
-		return o, false
-	}
-	return o, true
+	return o.Cwnd > 0
 }
 
 // ParseDiagDump walks one received sock_diag datagram, appending decoded
-// observations to obs. done reports that the dump's NLMSG_DONE marker was
-// seen. Messages whose sequence number differs from seq are skipped (stale
-// responses from an aborted previous dump); seq 0 accepts any. Malformed
-// input never panics: unparsable messages and attributes are skipped, a
-// truncated tail ends the walk.
+// observations to obs. Each message is decoded in place: obs is extended by
+// one (a re-slice while capacity lasts, an appended zero value when it does
+// not), the decoder writes that slot, and a rejected message shrinks obs
+// back — elements below the starting length are never touched. done reports
+// that the dump's NLMSG_DONE marker was seen. Messages whose sequence number
+// differs from seq are skipped (stale responses from an aborted previous
+// dump); seq 0 accepts any. Malformed input never panics: unparsable messages
+// and attributes are skipped, a truncated tail ends the walk.
 func ParseDiagDump(obs []core.Observation, data []byte, seq uint32) (_ []core.Observation, done bool, err error) {
 	for len(data) >= nlHdrLen {
 		mlen := int(ne.Uint32(data))
@@ -311,8 +313,14 @@ func ParseDiagDump(obs []core.Observation, data []byte, seq uint32) (_ []core.Ob
 				return obs, true, fmt.Errorf("netlink: sock_diag dump: %w", e)
 			}
 		case sockDiagByFamily:
-			if o, ok := parseInetDiagMsg(payload); ok {
-				obs = append(obs, o)
+			n := len(obs)
+			if n < cap(obs) {
+				obs = obs[:n+1]
+			} else {
+				obs = append(obs, core.Observation{})
+			}
+			if !parseInetDiagMsg(&obs[n], payload) {
+				obs = obs[:n]
 			}
 		}
 	}
