@@ -46,7 +46,7 @@ bench-json:
 # revalidation path vs a churn round's ?since= pull (BenchmarkServeDeltaSince),
 # and the delta codec both ends of that pull run.
 bench-serve:
-	$(GO) test -bench 'BenchmarkServe' -benchmem -run '^$$' ./internal/fleet/
+	$(GO) test -bench 'BenchmarkServe|BenchmarkPullDeltaRound' -benchmem -run '^$$' ./internal/fleet/
 	$(GO) test -bench 'Benchmark(Append|Decode)Delta' -benchmem -run '^$$' ./internal/gossip/
 
 # Quick-scale markdown report to stdout. The operational sections come from

@@ -210,7 +210,9 @@ type Cluster struct {
 	// Gossip sharing state (EnableGossipSharing): per-edge sync cursors,
 	// cumulative wire accounting, the one gzip writer accountWire sizes
 	// every message with (its compressor is allocated at the first), and
-	// the boot-identity counter.
+	// the boot-identity counter. The writer stays at the default level —
+	// scenario reports are byte-pinned per seed — while the daemon's fleet
+	// endpoints deflate at BestSpeed, ≈10 % larger (DESIGN.md).
 	gossipCursors map[gossipPair]gossipCursor
 	gossipStats   GossipStats
 	wireGzip      *gzip.Writer

@@ -603,7 +603,13 @@ type Agent struct {
 	planBuf       []programOp
 	planKeys      []uint64
 	clearBuf      []netip.Prefix
-	opsBuf        []RouteOp
+	opsBuf        Scratch[RouteOp]
+
+	// MergeSnapshot's plan and route batch (tickMu). Not the tick's opsBuf:
+	// a merge and a tick differ in size by orders of magnitude, and
+	// alternating them through one Scratch would drop it every time.
+	mergePlan Scratch[mergeOp]
+	mergeOps  Scratch[RouteOp]
 
 	// Last round's observation stream and its per-position sample cache
 	// (tickMu only; valid while havePrev): the route key, shard and state

@@ -263,7 +263,7 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 		return stats, ErrClosed
 	}
 	a.mu.Unlock()
-	plan := make([]mergeOp, 0, len(entries))
+	plan := a.mergePlan.Take(len(entries))
 	perShard := make([]int, len(a.shards)) // planned seeds, for deadline-queue and export-log room
 	for _, se := range entries {
 		if se.Quarantined {
@@ -351,11 +351,12 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 	plan = plan[:n]
 
 	// Stage 2: program routes outside the locks.
-	ops := make([]RouteOp, len(plan))
-	for i, op := range plan {
-		ops[i] = RouteOp{Prefix: op.dst, Window: op.window}
+	ops := a.mergeOps.Take(len(plan))
+	for _, op := range plan {
+		ops = append(ops, RouteOp{Prefix: op.dst, Window: op.window})
 	}
 	errs := a.applyOps(ops)
+	a.mergeOps.Keep(ops, len(ops))
 	var firstErr error
 	for i, op := range plan {
 		var err error
@@ -410,6 +411,7 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 		a.countLocked(func(s *Stats) { s.RoutesSet++ })
 		stats.Merged++
 	}
+	a.mergePlan.Keep(plan, len(entries))
 
 	a.countLocked(func(s *Stats) {
 		s.FleetMerged += uint64(stats.Merged)

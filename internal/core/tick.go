@@ -304,13 +304,13 @@ func (a *Agent) programPlan(plan []programOp, keys []uint64, now time.Duration) 
 		}
 		return &plan[i]
 	}
-	ops := a.opsBuf[:0]
+	ops := a.opsBuf.Take(len(plan))
 	for i := range plan {
 		op := opAt(i)
 		ops = append(ops, RouteOp{Prefix: op.dst, Window: op.window})
 	}
-	a.opsBuf = ops
 	errs := a.applyOps(ops)
+	a.opsBuf.Keep(ops, len(ops))
 
 	// Every planned op that installs appends one export-log ref: make the
 	// room in one step, so a cold table does not double its way up.

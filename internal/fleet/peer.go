@@ -15,6 +15,7 @@ import (
 
 	"riptide/internal/core"
 	"riptide/internal/gossip"
+	"riptide/internal/metrics"
 )
 
 // SnapshotPath is the URL path riptided serves its fleet snapshot on.
@@ -179,9 +180,17 @@ type Puller struct {
 	mu    sync.Mutex
 	peers []*peerState
 
-	// roundMu serializes pull rounds, which share the read scratch.
+	// roundMu serializes pull rounds, which share the read scratch and the
+	// slice deltas are decoded into for the merge.
 	roundMu sync.Mutex
 	body    bodyReader
+	entries core.Scratch[core.SnapshotEntry]
+
+	// decodeFallback counts delta bodies the scanner declined and
+	// encoding/json decoded at ten times the cost: a peer that always takes
+	// that path is worth knowing about. Registered at construction, so it
+	// reads 0 rather than being absent.
+	decodeFallback *metrics.Counter
 }
 
 // NewPuller validates the config and returns a Puller.
@@ -219,7 +228,7 @@ func NewPuller(cfg PullerConfig) (*Puller, error) {
 	if cfg.randFloat == nil {
 		cfg.randFloat = rand.Float64
 	}
-	p := &Puller{cfg: cfg}
+	p := &Puller{cfg: cfg, decodeFallback: cfg.Agent.Metrics().Counter("riptide_gossip_decode_fallback")}
 	for _, raw := range cfg.Peers {
 		u := NormalizePeerURL(raw)
 		if u == "" {
@@ -480,7 +489,13 @@ func (p *Puller) pullGossip(ctx context.Context, base string, cursor peerCursor)
 	if err != nil {
 		return core.MergeStats{}, round, cursor, err
 	}
-	delta, err := gossip.DecodeDelta(data)
+	// A delta or a bucket resync decodes straight into the merge's input, on
+	// the slice the last round of that size left; a full table keeps its text
+	// for the digest below and converts once.
+	delta, entries, scanned, err := gossip.DecodeDeltaAppend(p.entries.Take(0), data)
+	if !scanned {
+		p.decodeFallback.Inc()
+	}
 	if err != nil {
 		return core.MergeStats{}, round, cursor, err
 	}
@@ -488,8 +503,12 @@ func (p *Puller) pullGossip(ctx context.Context, base string, cursor peerCursor)
 		// The peer judged our cursor unusable (instance mismatch raced
 		// between the two requests, version compacted, ...).
 		mode = ModeFull
+		entries = gossip.ToCore(delta.Entries)
 	}
-	stats := p.merge(gossip.ToCore(delta.Entries), deltaURL)
+	stats := p.merge(entries, deltaURL)
+	if !delta.Full {
+		p.entries.Keep(entries, len(entries))
+	}
 	round.mode = mode
 
 	// The ETag travels with the digest it validated: if the table moved

@@ -1,0 +1,286 @@
+package fleet
+
+import (
+	"bytes"
+	"compress/gzip"
+	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"riptide/internal/core"
+	gossippkg "riptide/internal/gossip"
+)
+
+// TestAcceptsGzipHonoursWeights: a coding listed with the weight zero is
+// refused (RFC 9110 §12.5.3), not accepted because its name matched.
+func TestAcceptsGzipHonoursWeights(t *testing.T) {
+	for _, tc := range []struct {
+		header string
+		want   bool
+	}{
+		{"gzip", true},
+		{"gzip;q=0", false},
+		{"gzip; q=0.5", true},
+		{"identity, gzip;q=0", false},
+		{"br, gzip", true},
+		{"", false},
+		{"gzip;q=0.0", false},
+		{"gzip ; Q=0.000 ", false},
+		{"gzip;q=1", true},
+		{"gzip;q=0.001", true},
+		{"gzip;q=zero", true}, // a weight that does not parse refuses nothing
+		{"br;q=0, gzip", true},
+		{"x-gzip;q=0, deflate", false},
+	} {
+		r := httptest.NewRequest(http.MethodGet, DeltaPath, nil)
+		if tc.header != "" {
+			r.Header.Set("Accept-Encoding", tc.header)
+		}
+		if got := acceptsGzip(r); got != tc.want {
+			t.Errorf("Accept-Encoding %q: acceptsGzip = %v, want %v", tc.header, got, tc.want)
+		}
+	}
+	for _, header := range []string{"", "gzip"} {
+		r := httptest.NewRequest(http.MethodGet, DeltaPath, nil)
+		r.Header["Accept-Encoding"] = []string{header}
+		if allocs := testing.AllocsPerRun(100, func() { acceptsGzip(r) }); allocs != 0 {
+			t.Errorf("Accept-Encoding %q: the fast path allocates %.0f times", header, allocs)
+		}
+	}
+
+	// End to end: the refusing client gets a body it can read.
+	a, _, _ := newTestAgent(t, []core.Observation{obs(t, "192.0.2.1", 40)})
+	req := httptest.NewRequest(http.MethodGet, DeltaPath+"?buckets=0,1,2,3", nil)
+	req.Header.Set("Accept-Encoding", "identity, gzip;q=0")
+	w := httptest.NewRecorder()
+	DeltaHandler(a, "host-a", "boot-1").ServeHTTP(w, req)
+	if enc := w.Header().Get("Content-Encoding"); enc != "" || !bytes.HasPrefix(w.Body.Bytes(), []byte(`{"version":`)) {
+		t.Fatalf("client refusing gzip got Content-Encoding %q, body %.20q", enc, w.Body.Bytes())
+	}
+}
+
+// reply is one scripted answer of the delta endpoint.
+type reply struct {
+	body []byte
+	gzip bool // sent with Content-Encoding: gzip (body already compressed)
+}
+
+// scriptedPeer is a fleet peer that answers from a script: the digest moves
+// every round (so the puller always goes on to the delta endpoint), the delta
+// endpoint serves the next reply, and there is no legacy snapshot to fall back
+// to — a round whose gossip rung fails, fails.
+type scriptedPeer struct {
+	t       *testing.T
+	rounds  int
+	replies []reply
+}
+
+func (s *scriptedPeer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	switch r.URL.Path {
+	case DigestPath:
+		s.rounds++
+		buckets := make([]uint64, gossippkg.NumBuckets)
+		buckets[0] = uint64(s.rounds)
+		body, err := gossippkg.EncodeDigest(gossippkg.Digest{
+			Version: gossippkg.WireVersion, Instance: "boot-1", TableVersion: uint64(100 + s.rounds), Count: 1, Buckets: buckets,
+		})
+		if err != nil {
+			s.t.Error(err)
+		}
+		w.Write(body)
+	case DeltaPath:
+		if len(s.replies) == 0 {
+			s.t.Error("scripted peer asked for more replies than the script holds")
+			http.Error(w, "script exhausted", http.StatusInternalServerError)
+			return
+		}
+		next := s.replies[0]
+		s.replies = s.replies[1:]
+		if next.gzip {
+			w.Header().Set("Content-Encoding", "gzip")
+		}
+		w.Write(next.body)
+	default:
+		http.NotFound(w, r)
+	}
+}
+
+func gzipped(t *testing.T, body []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	zw.Write(body)
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// wireDelta renders a ?since= reply (or, with full, a whole table) in the
+// canonical form.
+func wireDelta(t *testing.T, tableVersion uint64, full bool, entries []gossippkg.Entry) []byte {
+	t.Helper()
+	d := gossippkg.Delta{Version: gossippkg.WireVersion, Instance: "boot-1", TableVersion: tableVersion, Full: full, Entries: entries}
+	if !full {
+		d.Since = 1
+	}
+	body, err := gossippkg.EncodeDelta(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(body, '\n')
+}
+
+func hostEntries(net byte, n int, window int) []gossippkg.Entry {
+	out := make([]gossippkg.Entry, n)
+	for i := range out {
+		out[i] = gossippkg.Entry{Prefix: fmt.Sprintf("10.%d.%d.%d/32", net, i/250, 1+i%250), Window: window, Samples: 5, ModVersion: uint64(i + 2)}
+	}
+	return out
+}
+
+// runScript pulls once per reply against a scripted peer and returns the
+// agent, its puller and how many rounds failed.
+func runScript(t *testing.T, replies []reply) (a *core.Agent, p *Puller, failed int) {
+	t.Helper()
+	a, _, _ = newTestAgent(t, nil)
+	srv := httptest.NewServer(&scriptedPeer{t: t, replies: replies})
+	t.Cleanup(srv.Close)
+	now := time.Unix(1, 0)
+	p, err := NewPuller(PullerConfig{
+		Agent: a, Peers: []string{srv.URL}, Gossip: true, Jitter: -1,
+		Now: func() time.Time { now = now.Add(time.Hour); return now }, // every backoff has lapsed by the next round
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range replies {
+		p.PullOnce(context.Background())
+		if !p.Health()[0].Healthy {
+			failed++
+		}
+	}
+	return a, p, failed
+}
+
+// fleetCounts is what the merges of a puller's life did to its agent.
+func fleetCounts(a *core.Agent) [4]uint64 {
+	s := a.Stats()
+	return [4]uint64{s.FleetMerged, s.FleetSkippedLocal, s.FleetSkippedStale, s.FleetSkippedQuarantined}
+}
+
+// TestPullerFaultsNeverMergeStaleScratch: ?since= replies are decoded into a
+// slice the puller keeps from round to round, so every way a round can go
+// wrong between two good ones is a chance to merge the wrong round's entries.
+// After each fault the next good pull must leave the agent — entries and
+// merge counts — exactly where a fresh puller ends up that only ever saw the
+// replies that merge. first is sized to be kept (a second use of its size) and
+// to hold more entries than anything after it, so whatever a later round
+// fails to overwrite or truncate is a real entry of an earlier round.
+func TestPullerFaultsNeverMergeStaleScratch(t *testing.T) {
+	contact := reply{body: wireDelta(t, 1, true, hostEntries(1, 1, 30))}
+	firstEntries := append(hostEntries(2, 1500, 40), gossippkg.Entry{Prefix: "10.9.9.9/32", Quarantined: true})
+	first := reply{body: gzipped(t, wireDelta(t, 50, false, firstEntries)), gzip: true}
+	// The second good reply overlaps the first (skipped local), adds new
+	// destinations, and carries a marker and an unparsable prefix.
+	secondEntries := append(hostEntries(2, 20, 41), hostEntries(3, 30, 50)...)
+	secondEntries = append(secondEntries,
+		gossippkg.Entry{Prefix: "10.9.9.8/32", Quarantined: true},
+		gossippkg.Entry{Prefix: "010.0.0.1/32", Window: 20, Samples: 5})
+	second := reply{body: wireDelta(t, 60, false, secondEntries)}
+
+	// A valid delta the scanner gives up on after it has already decoded
+	// entries — a marker among them, which a merge counts once per copy.
+	spaced := wireDelta(t, 55, false, append([]gossippkg.Entry{{Prefix: "10.9.9.7/32", Quarantined: true}}, hostEntries(4, 40, 60)...))
+	canonical := reply{body: spaced}
+	cut := bytes.LastIndex(spaced, []byte(`{"prefix"`))
+	declined := reply{body: append(append(append([]byte(nil), spaced[:cut]...), ' '), spaced[cut:]...)}
+
+	// A good delta padded with the whitespace JSON allows, to one byte past
+	// what the puller will read: only the cap stands between it and a merge.
+	overCap := wireDelta(t, 56, false, hostEntries(5, 10, 70))
+	overCap = append(overCap, bytes.Repeat([]byte{' '}, maxSnapshotBytes+1-len(overCap))...)
+	gz := first.body
+
+	for _, tc := range []struct {
+		name   string
+		fault  reply
+		merges *reply // what a puller that saw no fault is given in its place; nil: nothing
+		fails  bool
+	}{
+		{name: "gzip truncated mid-stream", fault: reply{body: gz[:len(gz)/2], gzip: true}, fails: true},
+		{name: "body cut mid-entry", fault: reply{body: second.body[:len(second.body)/2]}, fails: true},
+		{name: "body one byte over the cap", fault: reply{body: gzipped(t, overCap), gzip: true}, fails: true},
+		{name: "body the scanner declines", fault: declined, merges: &canonical},
+		{name: "full reply to a since request", fault: reply{body: wireDelta(t, 57, true, hostEntries(6, 25, 80))},
+			merges: &reply{body: wireDelta(t, 57, true, hostEntries(6, 25, 80))}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// first twice: the second use of a size is the one that keeps
+			// the slice for the rounds after it.
+			got, p, failed := runScript(t, []reply{contact, first, first, tc.fault, second})
+			clean := []reply{contact, first, first}
+			if tc.merges != nil {
+				clean = append(clean, *tc.merges)
+			}
+			want, _, cleanFailed := runScript(t, append(clean, second))
+			if (failed == 1) != tc.fails || failed > 1 || cleanFailed != 0 {
+				t.Fatalf("%d rounds failed with the fault (fault fails its round: %v), %d without", failed, tc.fails, cleanFailed)
+			}
+			if h := p.Health()[0]; h.Mode != ModeDelta || h.DeltaPulls < 3 {
+				t.Fatalf("last round: %+v, want a delta round after at least two others", h)
+			}
+			if g, w := fleetCounts(got), fleetCounts(want); g != w {
+				t.Errorf("merge counts (merged, local, stale, quarantined) = %v, a puller that never saw the fault has %v", g, w)
+			}
+			if g, w := got.Entries(), want.Entries(); !reflect.DeepEqual(g, w) {
+				t.Errorf("agent holds %d entries, a puller that never saw the fault holds %d", len(g), len(w))
+			}
+			if n := got.Len(); n != 1+1500+30 && tc.merges == nil {
+				t.Errorf("agent holds %d entries, the good replies carry %d", n, 1+1500+30)
+			}
+		})
+	}
+}
+
+// TestPullerCountsDecodeFallbacks: a delta body that is valid JSON but not in
+// the canonical form costs encoding/json — ten times the scanner — every
+// round, and nothing showed it. It merges to the same table, and the counter
+// says so; canonical bodies leave it at zero, where it is from the start.
+func TestPullerCountsDecodeFallbacks(t *testing.T) {
+	contact := reply{body: wireDelta(t, 1, true, hostEntries(1, 1, 30))}
+	entries := append(hostEntries(2, 50, 40), gossippkg.Entry{Prefix: "2001:db8::1/128", Window: 33, Samples: 2})
+	canonical := wireDelta(t, 50, false, entries)
+	formatted := strings.NewReplacer(`{"prefix"`, "\n  { \"prefix\"", `,"window":`, `, "window": `).Replace(string(canonical))
+	if formatted == string(canonical) {
+		t.Fatal("fixture did not reformat")
+	}
+
+	const name = "riptide_gossip_decode_fallback"
+	fast, _, failed := runScript(t, []reply{contact})
+	if v, ok := fast.Metrics().Snapshot().Counters[name]; !ok || v != 0 || failed != 0 {
+		t.Fatalf("%s = %d (present %v) before any delta, want 0 and present", name, v, ok)
+	}
+	fast, _, _ = runScript(t, []reply{contact, {body: canonical}})
+	slow, _, failed := runScript(t, []reply{contact, {body: []byte(formatted)}})
+	if failed != 0 {
+		t.Fatal("the formatted body failed to pull")
+	}
+	if v := fast.Metrics().Snapshot().Counters[name]; v != 0 {
+		t.Errorf("%s = %d after a canonical body, want 0", name, v)
+	}
+	if v := slow.Metrics().Snapshot().Counters[name]; v != 1 {
+		t.Errorf("%s = %d after one formatted body, want 1", name, v)
+	}
+	if g, w := slow.Entries(), fast.Entries(); !reflect.DeepEqual(g, w) || len(g) != 52 {
+		t.Errorf("formatted body merged to %d entries, canonical to %d, want the same 52", len(g), len(w))
+	}
+	if g, w := fleetCounts(slow), fleetCounts(fast); g != w {
+		t.Errorf("merge counts %v after the formatted body, %v after the canonical one", g, w)
+	}
+}

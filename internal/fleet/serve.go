@@ -96,7 +96,7 @@ type Server struct {
 	// Export scratch reused across encodes (mu), so steady-churn serving
 	// exports into the same backing array instead of growing a fresh one
 	// per request. Bodies are rendered straight from it.
-	coreBuf []core.SnapshotEntry
+	coreBuf core.Scratch[core.SnapshotEntry]
 }
 
 // NewServer builds a Server for one agent. source labels exported
@@ -309,8 +309,8 @@ func (s *Server) fillLocked(kind int, version, markers uint64, etag string) erro
 	case kindDelta:
 		plain, err = s.deltaLocked(nil, 0, nil)
 	case kindSnapshot:
-		entries, ver := s.agent.ExportDeltaAppend(s.coreBuf, 0)
-		s.coreBuf = keepScratch(entries)
+		entries, ver := s.agent.ExportDeltaAppend(s.coreBuf.Take(0), 0)
+		defer s.coreBuf.Keep(entries, len(entries))
 		plain, err = appendSnapshot(make([]byte, 0, bodySizeHint(len(entries))), Snapshot{
 			Version:         Version,
 			Source:          s.source,
@@ -349,8 +349,8 @@ func bodySizeHint(n int) int { return 256 + 96*n }
 // buckets is non-nil, and appends the delta's wire form to dst. An unfiltered
 // whole table is marked full. Under mu.
 func (s *Server) deltaLocked(dst []byte, since uint64, buckets []int) ([]byte, error) {
-	entries, ver := s.agent.ExportDeltaAppend(s.coreBuf, since)
-	s.coreBuf = keepScratch(entries)
+	entries, ver := s.agent.ExportDeltaAppend(s.coreBuf.Take(0), since)
+	defer s.coreBuf.Keep(entries, len(entries))
 	if buckets != nil {
 		var want [gossip.NumBuckets]bool
 		for _, b := range buckets {

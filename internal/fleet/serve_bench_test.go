@@ -1,14 +1,20 @@
 package fleet
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/netip"
 	"net/url"
+	"runtime"
 	"testing"
 	"time"
 
 	"riptide/internal/core"
+	gossippkg "riptide/internal/gossip"
 )
 
 // benchResponseWriter discards the body and keeps one header map alive
@@ -35,7 +41,7 @@ func (w *benchResponseWriter) Write(p []byte) (int, error) {
 func (w *benchResponseWriter) WriteHeader(code int) { w.code = code }
 
 // benchAgent builds an agent holding n merged entries over no-op backends.
-func benchAgent(b *testing.B, n int) *core.Agent {
+func benchAgent(b testing.TB, n int) *core.Agent {
 	b.Helper()
 	a, err := core.New(core.Config{
 		Sampler: &stubSampler{},
@@ -210,9 +216,9 @@ func TestServeConvergedHitAllocs(t *testing.T) {
 	}
 }
 
-// sinceFixture returns a delta handler over an n-entry table and a request
-// for the entries committed after a cursor that has missed the last k.
-func sinceFixture(tb testing.TB, a *core.Agent, k int) (http.Handler, *http.Request) {
+// stampLate merges k new entries into a and returns the table version before
+// them: the cursor of a puller that has missed exactly those k.
+func stampLate(tb testing.TB, a *core.Agent, k int) uint64 {
 	tb.Helper()
 	cursor := a.TableVersion()
 	late := make([]core.SnapshotEntry, k)
@@ -226,10 +232,147 @@ func sinceFixture(tb testing.TB, a *core.Agent, k int) (http.Handler, *http.Requ
 	if st, err := a.MergeSnapshot(late, core.MergePolicy{}); err != nil || st.Merged != k {
 		tb.Fatalf("MergeSnapshot = %+v, %v", st, err)
 	}
+	return cursor
+}
+
+// sinceFixture returns a delta handler over an n-entry table and a request
+// for the entries committed after a cursor that has missed the last k.
+func sinceFixture(tb testing.TB, a *core.Agent, k int) (http.Handler, *http.Request) {
+	tb.Helper()
+	cursor := stampLate(tb, a, k)
 	req := benchRequest(DeltaPath)
 	req.URL.RawQuery = fmt.Sprintf("since=%d&instance=boot-1", cursor)
 	s := NewServer(a, "bench", "boot-1", func() time.Time { return time.Unix(1, 0) })
 	return s.DeltaHandler(), req
+}
+
+// handlerTransport answers a puller's requests by calling the handler in
+// process — no sockets, one response buffer reused across requests (pulls run
+// one at a time and read a body out before asking again) — so what a round
+// costs is the fleet code's, not a test server's.
+type handlerTransport struct {
+	h    http.Handler
+	hdr  http.Header
+	body bytes.Buffer
+	code int
+}
+
+func (w *handlerTransport) Header() http.Header         { return w.hdr }
+func (w *handlerTransport) Write(p []byte) (int, error) { return w.body.Write(p) }
+func (w *handlerTransport) WriteHeader(code int)        { w.code = code }
+
+func (w *handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if w.hdr == nil {
+		w.hdr = make(http.Header, 4)
+	}
+	clear(w.hdr)
+	w.body.Reset()
+	w.code = http.StatusOK
+	w.h.ServeHTTP(w, req)
+	return &http.Response{
+		StatusCode: w.code,
+		Status:     http.StatusText(w.code),
+		Header:     w.hdr,
+		Body:       io.NopCloser(bytes.NewReader(w.body.Bytes())),
+		Request:    req,
+	}, nil
+}
+
+// pullDeltaFixture is a churn round's peer leg, repeatable: a server whose
+// table moved by k entries past the puller's cursor, and a puller that has
+// already merged those k — so every round after the first is digest, ?since=,
+// decode, and a merge that skips every entry as local. rewind puts the cursor
+// back where the round found it.
+func pullDeltaFixture(tb testing.TB, src *core.Agent, k int) (p *Puller, rewind func()) {
+	tb.Helper()
+	stale := gossippkg.TableDigest(src, "bench", "boot-1")
+	cursor := stampLate(tb, src, k)
+	s := NewServer(src, "bench", "boot-1", func() time.Time { return time.Unix(1, 0) })
+	mux := http.NewServeMux()
+	mux.Handle(DigestPath, s.DigestHandler())
+	mux.Handle(DeltaPath, s.DeltaHandler())
+	p, err := NewPuller(PullerConfig{
+		Agent:  benchAgent(tb, 0),
+		Peers:  []string{"http://peer.test"},
+		Gossip: true,
+		Jitter: -1,
+		Client: &http.Client{Transport: &handlerTransport{h: mux}},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rewind = func() {
+		p.peers[0].cursor = peerCursor{instance: "boot-1", version: cursor, digest: &stale}
+	}
+	rewind()
+	if merged := p.PullOnce(context.Background()); merged != k {
+		tb.Fatalf("first round merged %d of %d (%+v)", merged, k, p.Health()[0])
+	}
+	return p, rewind
+}
+
+// pullDeltaRound runs one rewound round and checks it was the delta round
+// the fixture promises, with nothing left to merge.
+func pullDeltaRound(tb testing.TB, p *Puller, rewind func()) {
+	rewind()
+	if merged := p.PullOnce(context.Background()); merged != 0 {
+		tb.Fatalf("warmed round merged %d entries", merged)
+	}
+	if h := p.peers[0].health; h.Mode != ModeDelta || !h.Healthy {
+		tb.Fatalf("warmed round: %+v", h)
+	}
+}
+
+// BenchmarkPullDeltaRound is the whole peer leg of a churn round in one
+// process, beside BenchmarkServeDeltaSince's serving half: a 100k-entry
+// server table, a 7k-entry ?since= body, a warmed puller. KB/round is what the
+// leg allocates on both sides; wire-B/round is the gzipped digest and delta.
+func BenchmarkPullDeltaRound(b *testing.B) {
+	p, rewind := pullDeltaFixture(b, benchAgent(b, 100000), 7000)
+	pullDeltaRound(b, p, rewind) // the second round of a size is the one that keeps its scratch
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pullDeltaRound(b, p, rewind)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/1024/float64(b.N), "KB/round")
+	b.ReportMetric(float64(p.peers[0].health.LastBytes), "wire-B/round")
+}
+
+// TestPullDeltaRoundAllocs: a warmed ?since= round — pull, gunzip, decode into
+// the kept slice, merge with every entry skipped as local — allocates the
+// fixed objects of two HTTP exchanges plus inflate's link tables (one per
+// deflate block of the body: ≈80 for 640 KB, stdlib's), and nothing per
+// entry: a string per prefix would read 7000 more. Its bytes do not hold a
+// table-shaped temporary either — the smallest of those, 7000 merge-form
+// entries, is 390 KB. Bytes are the cheapest of several rounds, because a
+// sync.Pool emptied by a GC (or, under -race, at random) re-buys a gzip writer.
+func TestPullDeltaRoundAllocs(t *testing.T) {
+	var allocs, kb [2]float64
+	for i, k := range []int{8, 7000} {
+		p, rewind := pullDeltaFixture(t, benchAgent(t, 1000), k)
+		pullDeltaRound(t, p, rewind)
+		allocs[i] = testing.AllocsPerRun(20, func() { pullDeltaRound(t, p, rewind) })
+		kb[i] = math.Inf(1)
+		for run := 0; run < 10; run++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			pullDeltaRound(t, p, rewind)
+			runtime.ReadMemStats(&after)
+			kb[i] = min(kb[i], float64(after.TotalAlloc-before.TotalAlloc)/1024)
+		}
+	}
+	t.Logf("warmed ?since= round: %.0f allocs, %.0f KB for 8 entries; %.0f allocs, %.0f KB for 7000", allocs[0], kb[0], allocs[1], kb[1])
+	if allocs[1] > allocs[0]+200 {
+		t.Errorf("?since= round: %.0f allocs for 8 entries, %.0f for 7000; want nothing per entry", allocs[0], allocs[1])
+	}
+	if kb[1] > kb[0]+150 {
+		t.Errorf("?since= round: %.0f KB for 8 entries, %.0f KB for 7000; want no table-shaped temporary", kb[0], kb[1])
+	}
 }
 
 // BenchmarkServeDeltaSince is a churn round's pull: a 100k table of which 1 %

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/netip"
+	"slices"
 	"strconv"
 
 	"riptide/internal/core"
@@ -22,7 +23,10 @@ import (
 // TestAppendDeltaMatchesMarshal pins the writer byte-for-byte against
 // json.Marshal; FuzzDecodeDelta pins the reader against json.Unmarshal:
 // whatever scanDelta accepts, Unmarshal accepts with an equal result, and
-// whatever it declines goes through Unmarshal as before.
+// whatever it declines goes through Unmarshal as before. The reader has two
+// sinks behind one entry loop — wire entries, or the merge's input directly
+// (DecodeDeltaAppend) — and the same fuzz target pins the second to ToCore
+// of the first.
 
 // AppendEntries appends the JSON array json.Marshal renders for
 // FromCore(entries) — `null` for a nil slice — without building the wire
@@ -144,32 +148,80 @@ func (s *scanner) int() (int64, bool) {
 	return int64(v), true
 }
 
-// str consumes a string whose bytes need no unescaping or UTF-8 repair:
-// ASCII from space up, no backslash.
-func (s *scanner) str() (string, bool) {
+// str consumes a string whose bytes need no unescaping or UTF-8 repair —
+// ASCII from space up, no backslash — and returns them, aliasing the input.
+func (s *scanner) str() ([]byte, bool) {
 	if !s.lit(`"`) {
-		return "", false
+		return nil, false
 	}
 	b := s.b
 	for i := s.i; i < len(b); i++ {
 		c := b[i]
 		if c == '"' {
-			text := string(b[s.i:i])
+			text := b[s.i:i]
 			s.i = i + 1
 			return text, true
 		}
 		if c-' ' >= 0x80-' ' || c == '\\' { // below space, or past ASCII
-			return "", false
+			return nil, false
 		}
 	}
-	return "", false
+	return nil, false
+}
+
+// parsePrefix is what ToCore makes of a wire prefix, from its bytes: the
+// canonical IPv4 form — every prefix an IPv4 fleet sends — is read in place,
+// anything else goes to netip.ParsePrefix, and what that rejects is the
+// invalid prefix the merge skips.
+func parsePrefix(b []byte) netip.Prefix {
+	if p, ok := ipv4Prefix(b); ok {
+		return p
+	}
+	p, err := netip.ParsePrefix(string(b))
+	if err != nil {
+		return netip.Prefix{}
+	}
+	return p
+}
+
+// ipv4Prefix reads a.b.c.d/n as netip.ParsePrefix does, declining whatever
+// is not exactly that: five decimal fields of one to three digits, none with
+// a leading zero, octets to 255 and the length to 32.
+func ipv4Prefix(b []byte) (netip.Prefix, bool) {
+	var f [5]int
+	i := 0
+	for k := range f {
+		start := i
+		for ; i < len(b) && i-start < 3 && b[i]-'0' <= 9; i++ {
+			f[k] = f[k]*10 + int(b[i]-'0')
+		}
+		if i == start || i-start > 1 && b[start] == '0' {
+			return netip.Prefix{}, false
+		}
+		if k == 4 {
+			break
+		}
+		if f[k] > 255 || i == len(b) || b[i] != ".../"[k] {
+			return netip.Prefix{}, false
+		}
+		i++
+	}
+	if f[4] > 32 || i != len(b) {
+		return netip.Prefix{}, false
+	}
+	return netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(f[0]), byte(f[1]), byte(f[2]), byte(f[3])}), f[4]), true
 }
 
 // scanDelta decodes a delta in the canonical form json.Marshal writes: keys
 // in declaration order, omitempty fields absent or present, no whitespace
 // except after the closing brace, integers and strings as the scanner's
 // methods take them. ok is false for everything else, valid or not.
-func scanDelta(data []byte) (d Delta, ok bool) {
+//
+// The entries go to the sink chosen once the header is read: d.Entries, or —
+// when merge is given and the message is not a full table — merge form
+// appended to *merge, d.Entries staying nil. A declined message may leave
+// entries appended; the caller truncates.
+func scanDelta(data []byte, merge *[]core.SnapshotEntry) (d Delta, ok bool) {
 	s := scanner{b: data}
 	if !s.lit(`{"version":`) {
 		return Delta{}, false
@@ -179,15 +231,18 @@ func scanDelta(data []byte) (d Delta, ok bool) {
 		return Delta{}, false
 	}
 	d.Version = int(version)
+	var text []byte
 	if s.lit(`,"source":`) {
-		if d.Source, ok = s.str(); !ok {
+		if text, ok = s.str(); !ok {
 			return Delta{}, false
 		}
+		d.Source = string(text)
 	}
 	if s.lit(`,"instance":`) {
-		if d.Instance, ok = s.str(); !ok {
+		if text, ok = s.str(); !ok {
 			return Delta{}, false
 		}
+		d.Instance = string(text)
 	}
 	if !s.lit(`,"tableVersion":`) {
 		return Delta{}, false
@@ -201,23 +256,33 @@ func scanDelta(data []byte) (d Delta, ok bool) {
 		}
 	}
 	d.Full = s.lit(`,"full":true`)
+	if d.Full {
+		// A full table is kept as text: its receiver recomputes the digest.
+		merge = nil
+	}
 	switch {
 	case !s.lit(`,"entries":`):
 		return Delta{}, false
 	case s.lit(`null`):
 	case s.lit(`[]`):
-		d.Entries = []Entry{}
+		if merge == nil {
+			d.Entries = []Entry{}
+		}
 	case s.lit(`[`):
 		// Sized for the usual body in one allocation: an IPv4 host route
 		// with a mod version runs 80 to 90 bytes.
-		d.Entries = make([]Entry, 0, len(data)/80+1)
+		if hint := len(data)/80 + 1; merge == nil {
+			d.Entries = make([]Entry, 0, hint)
+		} else {
+			*merge = slices.Grow(*merge, hint)
+		}
 		for {
 			var e Entry
 			var window, age int64
 			if !s.lit(`{"prefix":`) {
 				return Delta{}, false
 			}
-			if e.Prefix, ok = s.str(); !ok || !s.lit(`,"window":`) {
+			if text, ok = s.str(); !ok || !s.lit(`,"window":`) {
 				return Delta{}, false
 			}
 			if window, ok = s.int(); !ok || int64(int(window)) != window || !s.lit(`,"samples":`) {
@@ -239,7 +304,12 @@ func scanDelta(data []byte) (d Delta, ok bool) {
 			if !s.lit(`}`) {
 				return Delta{}, false
 			}
-			d.Entries = append(d.Entries, e)
+			if merge == nil {
+				e.Prefix = string(text)
+				d.Entries = append(d.Entries, e)
+			} else {
+				*merge = append(*merge, e.toCore(parsePrefix(text)))
+			}
 			if s.lit(`]`) {
 				break
 			}

@@ -66,12 +66,31 @@ func TestAppendDeltaMatchesMarshal(t *testing.T) {
 			}
 			// What AppendDelta writes is the form the scanner takes — unless
 			// the header strings needed escaping — and decodes to the message.
-			d, ok := scanDelta(wantBytes)
+			d, ok := scanDelta(wantBytes, nil)
 			if plain := h.Source == "" || h.Source == "host-a"; ok != plain {
 				t.Errorf("source %q, %s entries: scanner accepted = %v, want %v", h.Source, name, ok, plain)
 			}
 			if ok && !reflect.DeepEqual(d, want) {
 				t.Errorf("source %q, %s entries: scanned\n %+v\nwant\n %+v", h.Source, name, d, want)
+			}
+			// The merge sink holds the export itself again (a full table
+			// stays text), through the scanner and through encoding/json.
+			held := codecEntries()[:2]
+			d, merged, scanned, err := DecodeDeltaAppend(held, wantBytes)
+			if err != nil || scanned != ok {
+				t.Fatalf("source %q, %s entries: DecodeDeltaAppend scanned = %v, %v", h.Source, name, scanned, err)
+			}
+			wantMerged := append(codecEntries()[:2], entries...)
+			if h.Full {
+				wantMerged = wantMerged[:2]
+				if !reflect.DeepEqual(d, want) {
+					t.Errorf("source %q, %s entries: full table decoded to\n %+v\nwant\n %+v", h.Source, name, d, want)
+				}
+			} else if d.Entries != nil {
+				t.Errorf("source %q, %s entries: merge sink also filled d.Entries", h.Source, name)
+			}
+			if !reflect.DeepEqual(merged, wantMerged) {
+				t.Errorf("source %q, %s entries: merge form\n %+v\nwant\n %+v", h.Source, name, merged, wantMerged)
 			}
 		}
 	}
@@ -110,6 +129,27 @@ func BenchmarkAppendDelta(b *testing.B) {
 		if buf, err = AppendDelta(buf[:0], benchHeader, entries); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDecodeDeltaAppend is the puller's decode: the same body into a
+// kept merge-form slice.
+func BenchmarkDecodeDeltaAppend(b *testing.B) {
+	data, err := AppendDelta(nil, benchHeader, benchEntries())
+	if err != nil {
+		b.Fatal(err)
+	}
+	data = append(data, '\n')
+	var kept []core.SnapshotEntry
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, entries, _, err := DecodeDeltaAppend(kept[:0], data)
+		if err != nil || len(entries) != 7000 {
+			b.Fatalf("decoded %d entries, %v", len(entries), err)
+		}
+		kept = entries
 	}
 }
 

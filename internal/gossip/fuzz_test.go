@@ -2,8 +2,11 @@ package gossip
 
 import (
 	"encoding/json"
+	"net/netip"
 	"reflect"
 	"testing"
+
+	"riptide/internal/core"
 )
 
 // FuzzDecodeDigest: the digest decoder must reject or accept arbitrary
@@ -34,6 +37,12 @@ func FuzzDecodeDigest(f *testing.F) {
 // for its fast path: whatever scanDelta accepts, json.Unmarshal accepts too
 // and decodes to the identical Delta. The seeds sit on both sides of the
 // scanner's accept set, so the decline path is walked as well.
+//
+// The merge sink rides the same target: DecodeDeltaAppend into nil, into a
+// poisoned slice with spare capacity and into one at exact capacity must each
+// hold ToCore(DecodeDelta(data).Entries) past what the slice already held,
+// accept, decline and fail exactly where DecodeDelta does, and leave the held
+// elements alone — a decline half-way through the entries included.
 func FuzzDecodeDelta(f *testing.F) {
 	if seed, err := EncodeDelta(Delta{
 		Version:      WireVersion,
@@ -80,11 +89,25 @@ func FuzzDecodeDelta(f *testing.F) {
 		`{"version":1,"tableVersion":0,"entries":[{"prefix":"::/0","window":1,"samples":1,"ageNanos":0,"quarantined":false}]}`,
 		`{"version":1,"tableVersion":0,"entries":[{"prefix":"::/0","window":1,"samples":1,"ageNanos":0},]}`,
 		`{"version":1,"tableVersion":0,"entries":[{"prefix":"::/0","window":1,"samples":1,"ageNanos":0}]}}`,
+		// Two good entries, then one the scanner declines: the sink has
+		// entries to take back.
+		`{"version":1,"tableVersion":9,"since":3,"entries":[{"prefix":"10.0.0.1/32","window":10,"samples":1,"ageNanos":0},{"prefix":"10.0.0.2/32","window":11,"samples":1,"ageNanos":0},{"prefix":"10.0.0.3/32","window":12,"samples":1,"ageNanos":0 }]}`,
+		`{"version":1,"tableVersion":9,"since":3,"entries":[{"prefix":"10.0.0.1/32","window":10,"samples":1,"ageNanos":0},{"prefix":"10.0.0.2/32","window":11,"samples":1,"ageNanos":`,
+		`{"version":2,"tableVersion":9,"since":3,"entries":[{"prefix":"10.0.0.1/32","window":10,"samples":1,"ageNanos":0}]}`,
 	} {
 		f.Add([]byte(seed))
 	}
+	// Prefixes on both sides of the in-place IPv4 reader.
+	for _, prefix := range []string{
+		"010.0.0.1/32", "10.0.0.1/033", "10.0.0.1/33", "1.2.3.4", "1.2.3.4/", "1.2.3/24", "1.2.3.4.5/32",
+		"::ffff:1.2.3.4/128", "fe80::1%eth0/64", "256.0.0.1/32", "1.2.3.999/32", "1.2.3.4/032", "1.2.3.4/0",
+		"0.0.0.0/0", "255.255.255.255/32", "00.0.0.0/8", "1.2.3.4/32 ", "1..3.4/32", "1.2.3.4//32", "",
+	} {
+		f.Add([]byte(`{"version":1,"tableVersion":7,"since":2,"entries":[{"prefix":"` + prefix + `","window":10,"samples":1,"ageNanos":5,"modVersion":6}]}`))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if fast, ok := scanDelta(data); ok {
+		fast, scanned := scanDelta(data, nil)
+		if scanned {
 			var ref Delta
 			if err := json.Unmarshal(data, &ref); err != nil {
 				t.Fatalf("scanner accepted what json.Unmarshal rejects (%v): %q", err, data)
@@ -94,6 +117,7 @@ func FuzzDecodeDelta(f *testing.F) {
 			}
 		}
 		d, err := DecodeDelta(data)
+		checkMergeSink(t, data, d, scanned, err)
 		if err != nil {
 			return
 		}
@@ -104,6 +128,54 @@ func FuzzDecodeDelta(f *testing.F) {
 		// malformed prefixes surface as invalid (the merge skips them).
 		_ = ToCore(d.Entries)
 	})
+}
+
+// checkMergeSink holds DecodeDeltaAppend to DecodeDelta's result for the
+// same bytes (d, scanned, err), over the three shapes of destination.
+func checkMergeSink(t *testing.T, data []byte, d Delta, scanned bool, err error) {
+	poison := []core.SnapshotEntry{
+		{Prefix: netip.MustParsePrefix("2001:db8::/32"), Window: 91, Samples: 92, Age: 93, Quarantined: true, Version: 94},
+		{Prefix: netip.MustParsePrefix("2001:db8:1::7/128"), Window: 95, Samples: 96, Age: 97, Version: 98},
+	}
+	want := ToCore(d.Entries) // nothing on error: DecodeDelta returns the zero Delta
+	if d.Full {
+		want = nil
+	}
+	for _, dst := range [][]core.SnapshotEntry{
+		nil,
+		append(make([]core.SnapshotEntry, 0, 2+len(want)+8), poison...),
+		append(make([]core.SnapshotEntry, 0, 2), poison...),
+	} {
+		// Poison the spare capacity too: the sink must write every field.
+		spare := dst[len(dst):cap(dst)]
+		for i := range spare {
+			spare[i] = poison[i%2]
+		}
+		held := len(dst)
+		got, merged, gotScanned, gotErr := DecodeDeltaAppend(dst, data)
+		if (gotErr != nil) != (err != nil) || gotScanned != scanned {
+			t.Fatalf("DecodeDeltaAppend(%d held) scanned=%v err=%v, DecodeDelta scanned=%v err=%v: %q", held, gotScanned, gotErr, scanned, err, data)
+		}
+		for i := range merged[:held] {
+			if merged[i] != poison[i] {
+				t.Fatalf("held element %d rewritten: %+v", i, merged[i])
+			}
+		}
+		if merged = merged[held:]; len(merged) != len(want) {
+			t.Fatalf("merge sink (%d held) appended %d entries, ToCore(DecodeDelta) has %d: %q", held, len(merged), len(want), data)
+		}
+		for i := range want {
+			if merged[i] != want[i] {
+				t.Fatalf("merge sink (%d held) entry %d is %+v, ToCore(DecodeDelta) says %+v: %q", held, i, merged[i], want[i], data)
+			}
+		}
+		if !d.Full {
+			d.Entries = nil
+		}
+		if !reflect.DeepEqual(got, d) {
+			t.Fatalf("DecodeDeltaAppend returned %+v, want %+v", got, d)
+		}
+	}
 }
 
 func entriesFuzz(n int) []Entry {

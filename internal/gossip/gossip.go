@@ -95,22 +95,30 @@ func FromCore(entries []core.SnapshotEntry) []Entry {
 // invalid prefixes, which the merge counts as skipped-stale — one malformed
 // entry never poisons the rest of a payload.
 func ToCore(entries []Entry) []core.SnapshotEntry {
-	out := make([]core.SnapshotEntry, 0, len(entries))
+	return appendCore(make([]core.SnapshotEntry, 0, len(entries)), entries)
+}
+
+func appendCore(dst []core.SnapshotEntry, entries []Entry) []core.SnapshotEntry {
 	for _, e := range entries {
 		p, err := netip.ParsePrefix(e.Prefix)
 		if err != nil {
 			p = netip.Prefix{} // invalid; MergeSnapshot skips it
 		}
-		out = append(out, core.SnapshotEntry{
-			Prefix:      p,
-			Window:      e.Window,
-			Samples:     e.Samples,
-			Age:         time.Duration(e.AgeNanos),
-			Quarantined: e.Quarantined,
-			Version:     e.ModVersion,
-		})
+		dst = append(dst, e.toCore(p))
 	}
-	return out
+	return dst
+}
+
+// toCore is the entry in merge form, under its parsed prefix.
+func (e Entry) toCore(p netip.Prefix) core.SnapshotEntry {
+	return core.SnapshotEntry{
+		Prefix:      p,
+		Window:      e.Window,
+		Samples:     e.Samples,
+		Age:         time.Duration(e.AgeNanos),
+		Quarantined: e.Quarantined,
+		Version:     e.ModVersion,
+	}
 }
 
 // BucketOf maps a prefix (CIDR text form) to its digest bucket.
@@ -285,17 +293,49 @@ func EncodeDelta(d Delta) ([]byte, error) {
 // the form this package writes take the scanner in codec.go; anything else
 // json.Unmarshal accepts decodes through it, exactly as before.
 func DecodeDelta(data []byte) (Delta, error) {
-	d, ok := scanDelta(data)
-	if !ok {
+	d, _, err := decodeDelta(data, nil)
+	return d, err
+}
+
+// DecodeDeltaAppend is DecodeDelta for a receiver that merges what it gets.
+// The entries of a versioned delta or a bucket resync are decoded straight
+// to merge form and appended to dst — what ToCore(d.Entries) would hold — and
+// d.Entries stays nil; dst is grown once, to the body's size, never from
+// nothing by append. A full table comes back in d.Entries as DecodeDelta
+// returns it (its receiver recomputes the digest from the text) and dst is
+// returned as given, which it also is on error. scanned is false when the
+// body was not in this package's canonical form and took encoding/json.
+func DecodeDeltaAppend(dst []core.SnapshotEntry, data []byte) (d Delta, entries []core.SnapshotEntry, scanned bool, err error) {
+	d, scanned, err = decodeDelta(data, &dst)
+	return d, dst, scanned, err
+}
+
+// decodeDelta decodes into d.Entries, or with merge given into *merge as
+// DecodeDeltaAppend describes.
+func decodeDelta(data []byte, merge *[]core.SnapshotEntry) (d Delta, scanned bool, err error) {
+	var held int
+	if merge != nil {
+		held = len(*merge)
+	}
+	if d, scanned = scanDelta(data, merge); !scanned {
 		d = Delta{}
-		if err := json.Unmarshal(data, &d); err != nil {
-			return Delta{}, fmt.Errorf("riptide/gossip: decode delta: %w", err)
+		if err = json.Unmarshal(data, &d); err != nil {
+			err = fmt.Errorf("riptide/gossip: decode delta: %w", err)
 		}
 	}
-	if d.Version != WireVersion {
-		return Delta{}, fmt.Errorf("riptide/gossip: delta version %d, want %d", d.Version, WireVersion)
+	if err == nil && d.Version != WireVersion {
+		err = fmt.Errorf("riptide/gossip: delta version %d, want %d", d.Version, WireVersion)
 	}
-	return d, nil
+	if merge != nil && (err != nil || !scanned) {
+		*merge = (*merge)[:held] // drop what a declined or refused scan had appended
+	}
+	if err != nil {
+		return Delta{}, scanned, err
+	}
+	if merge != nil && !scanned && !d.Full {
+		*merge, d.Entries = appendCore(*merge, d.Entries), nil
+	}
+	return d, scanned, nil
 }
 
 // TableDigest returns an agent's current digest from its incrementally

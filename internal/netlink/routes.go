@@ -140,35 +140,48 @@ func (r *Routes) ProgramRoutes(ops []core.RouteOp) []error {
 		}
 		errs[i] = err
 	}
+	// A batch with no rejected op — every batch an agent plans — is programmed
+	// where it lies: valid is ops and validIdx nil. From the first rejection on
+	// the valid ops are copied out, valid[k] being ops[validIdx[k]].
+	valid, validIdx := ops, []int(nil)
+	reject := func(i int, err error) {
+		if validIdx == nil {
+			valid = append(make([]core.RouteOp, 0, len(ops)-1), ops[:i]...)
+			validIdx = make([]int, i, len(ops)-1)
+			for k := range validIdx {
+				validIdx[k] = k
+			}
+		}
+		fail(i, err)
+	}
 	// Validation mirrors linux.Routes.ProgramRoutes.
-	valid := make([]core.RouteOp, 0, len(ops))
-	validIdx := make([]int, 0, len(ops))
 	for i, op := range ops {
 		switch {
 		case !op.Prefix.IsValid():
-			fail(i, errors.New("netlink: invalid prefix"))
+			reject(i, errors.New("netlink: invalid prefix"))
 		case !op.Clear && op.Window < 1:
-			fail(i, fmt.Errorf("netlink: initcwnd %d must be >= 1", op.Window))
-		default:
+			reject(i, fmt.Errorf("netlink: initcwnd %d must be >= 1", op.Window))
+		case validIdx != nil:
 			valid = append(valid, op)
 			validIdx = append(validIdx, i)
 		}
 	}
-	for start := 0; start < len(valid); start += r.cfg.BatchSize {
-		end := start + r.cfg.BatchSize
-		if end > len(valid) {
-			end = len(valid)
+	at := func(k int) int {
+		if validIdx == nil {
+			return k
 		}
-		if err := r.programChunk(valid[start:end], validIdx[start:end], fail); err != nil {
+		return validIdx[k]
+	}
+	for start := 0; start < len(valid); start += r.cfg.BatchSize {
+		end := min(start+r.cfg.BatchSize, len(valid))
+		err := r.programChunk(valid[start:end], func(k int, err error) { fail(at(start+k), err) })
+		if err != nil {
 			// The conversation itself broke: every op not yet acked in this
 			// and later chunks failed with it.
-			for _, i := range validIdx[start:end] {
-				if errs == nil || errs[i] == nil {
+			for k := start; k < len(valid); k++ {
+				if i := at(k); k >= end || errs == nil || errs[i] == nil {
 					fail(i, err)
 				}
-			}
-			for _, i := range validIdx[end:] {
-				fail(i, err)
 			}
 			r.closeConn()
 			return errs
@@ -178,8 +191,9 @@ func (r *Routes) ProgramRoutes(ops []core.RouteOp) []error {
 }
 
 // programChunk sends one chunk and collects its acks. Per-op kernel errors
-// go through fail; a returned error means the conversation broke.
-func (r *Routes) programChunk(chunk []core.RouteOp, idx []int, fail func(int, error)) error {
+// go through fail under the op's position in the chunk; a returned error
+// means the conversation broke.
+func (r *Routes) programChunk(chunk []core.RouteOp, fail func(int, error)) error {
 	if r.conn == nil {
 		c, err := r.cfg.Dial(ProtoRoute)
 		if err != nil {
@@ -246,7 +260,7 @@ func (r *Routes) programChunk(chunk []core.RouteOp, idx []int, fail func(int, er
 			r.acked[k] = true
 			remaining--
 			if e := decodeAckErrno(payload); e != 0 {
-				fail(idx[k], fmt.Errorf("netlink: route op %s: %w", opString(chunk[k]), e))
+				fail(k, fmt.Errorf("netlink: route op %s: %w", opString(chunk[k]), e))
 			}
 		}
 	}
