@@ -599,3 +599,35 @@ func TestPoolSweeperDropsEmptyPools(t *testing.T) {
 		t.Error("no pool re-created by the second probe round")
 	}
 }
+
+// TestStopCancelsOrganicTraffic: Stop cancels every periodic activity,
+// organic arrivals included. Once the transfers in flight at Stop drain the
+// queue is empty — Engine().Run() returns — and no connection was opened
+// after Stop, so no organic transfer started.
+func TestStopCancelsOrganicTraffic(t *testing.T) {
+	pops := smallTopology()[:3]
+	c, err := NewCluster(Config{
+		PoPs:     pops,
+		Seed:     3,
+		LossRate: 0.001,
+		Riptide:  RiptideOptions{Enabled: true},
+		Traffic: TrafficOptions{
+			ProbeInterval: time.Minute,
+			OrganicRates:  map[string]float64{pops[0].Name: 4, pops[1].Name: 1, pops[2].Name: 2},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Run(5 * time.Minute)
+	c.Stop()
+	opened, fired := c.net.Opened(), c.Engine().Fired()
+	c.Run(10 * time.Minute)
+	if n := c.Engine().Pending(); n != 0 {
+		t.Fatalf("10 simulated minutes after Stop %d events are still queued (%d fired since Stop)", n, c.Engine().Fired()-fired)
+	}
+	c.Engine().Run()
+	if n := c.net.Opened() - opened; n != 0 {
+		t.Errorf("%d connections opened after Stop", n)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"time"
 
 	"riptide/internal/core"
@@ -206,6 +207,10 @@ type Cluster struct {
 	hosts   map[string][]*kernel.Host // per PoP, in machine order
 	agents  map[netip.Addr]*agentSlot
 	tickers []*eventsim.Ticker
+	// organic holds each machine's background-traffic source, so Stop can
+	// cancel its pending arrival; stopped records that Stop ran.
+	organic []*organicSource
+	stopped bool
 
 	// Gossip sharing state (EnableGossipSharing): per-edge sync cursors,
 	// cumulative wire accounting, the one gzip writer accountWire sizes
@@ -218,7 +223,7 @@ type Cluster struct {
 	wireGzip      *gzip.Writer
 	instanceSeq   int
 
-	pools map[poolKey][]*pooledConn
+	pools map[poolKey][]pooledConn
 	// poolOrder lists the keys of pools in the order they were created, the
 	// order the sweeper walks them in.
 	poolOrder []poolKey
@@ -298,7 +303,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		byName: make(map[string]PoP, len(cfg.PoPs)),
 		hosts:  make(map[string][]*kernel.Host, len(cfg.PoPs)),
 		agents: make(map[netip.Addr]*agentSlot),
-		pools:  make(map[poolKey][]*pooledConn),
+		pools:  make(map[poolKey][]pooledConn),
 
 		gossipCursors: make(map[gossipPair]gossipCursor),
 		wireGzip:      gzip.NewWriter(io.Discard),
@@ -468,9 +473,9 @@ func (c *Cluster) startProbes() {
 					if src.Name == dst.Name {
 						continue
 					}
-					dstHost := c.pickHost(dst)
+					dstHost := c.pickHost(dst.Name)
 					for _, size := range c.cfg.Traffic.ProbeSizes {
-						c.sendProbe(src, srcHost, dst, dstHost, size)
+						c.sendProbe(src.Name, dst.Name, srcHost.Addr(), dstHost.Addr(), size)
 					}
 				}
 			}
@@ -483,36 +488,37 @@ func (c *Cluster) startProbes() {
 	c.tickers = append(c.tickers, tk)
 }
 
-// pickHost selects a machine of the destination PoP, uniformly — the
+// pickHost selects a machine of the named destination PoP, uniformly — the
 // paper's front-end load balancing.
-func (c *Cluster) pickHost(p PoP) *kernel.Host {
-	hs := c.hosts[p.Name]
+func (c *Cluster) pickHost(pop string) *kernel.Host {
+	hs := c.hosts[pop]
 	if len(hs) == 1 {
 		return hs[0]
 	}
 	return hs[c.rng.Intn(len(hs))]
 }
 
-// sendProbe transfers size bytes from srcHost to dstHost and records the
-// result.
-func (c *Cluster) sendProbe(src PoP, srcHost *kernel.Host, dst PoP, dstHost *kernel.Host, size int) {
-	conn, fresh, err := c.grabConn(srcHost.Addr(), dstHost.Addr())
+// sendProbe transfers size bytes from machine srcHost of PoP src to machine
+// dstHost of PoP dst and records the result. The completion closure holds
+// names and addresses only: it is allocated once per probe.
+func (c *Cluster) sendProbe(src, dst string, srcHost, dstHost netip.Addr, size int) {
+	conn, fresh, err := c.grabConn(srcHost, dstHost)
 	if err != nil {
 		c.probeFailed = append(c.probeFailed, ProbeFailure{
-			Src: src.Name, Dst: dst.Name, At: c.engine.Now(),
+			Src: src, Dst: dst, At: c.engine.Now(),
 		})
 		return
 	}
-	rtt, _ := c.net.PathRTT(srcHost.Addr(), dstHost.Addr())
+	rtt, _ := c.net.PathRTT(srcHost, dstHost)
 	err = conn.Transfer(int64(size), func(r netsim.TransferResult) {
 		// A probe is a request/response exchange: one RTT to deliver the
 		// GET, then the data rounds. Both the Riptide and control groups
 		// pay the request round, as in the paper's measurement.
 		c.probes = append(c.probes, ProbeRecord{
-			Src:       src.Name,
-			Dst:       dst.Name,
-			SrcHost:   srcHost.Addr(),
-			DstHost:   dstHost.Addr(),
+			Src:       src,
+			Dst:       dst,
+			SrcHost:   srcHost,
+			DstHost:   dstHost,
 			SizeBytes: size,
 			RTT:       rtt,
 			Bucket:    BucketFor(rtt),
@@ -538,34 +544,51 @@ func (c *Cluster) startOrganic() {
 			continue
 		}
 		for _, h := range c.hosts[src.Name] {
-			// Poisson process per machine: exponential gaps with
-			// mean 1/rate, destination chosen uniformly.
-			c.scheduleOrganic(src, h, rate)
+			o := &organicSource{c: c, src: src.Name, host: h.Addr(), rate: rate}
+			o.ev = eventsim.NewEvent(o.arrive)
+			c.organic = append(c.organic, o)
+			o.arm()
 		}
 	}
 }
 
-func (c *Cluster) scheduleOrganic(src PoP, srcHost *kernel.Host, rate float64) {
-	gap := time.Duration(c.rng.ExpFloat64() / rate * float64(time.Second))
+// organicSource is one machine's background traffic: a Poisson process with
+// exponential gaps of mean 1/rate, each arrival a transfer to a uniformly
+// chosen PoP. It owns one event, re-armed after every arrival.
+type organicSource struct {
+	c    *Cluster
+	src  string
+	host netip.Addr
+	rate float64
+	ev   *eventsim.Event
+}
+
+// arm draws the gap to the next arrival and queues it.
+func (o *organicSource) arm() {
+	gap := time.Duration(o.c.rng.ExpFloat64() / o.rate * float64(time.Second))
 	if gap < time.Millisecond {
 		gap = time.Millisecond
 	}
-	c.engine.MustSchedule(gap, func() {
-		dst := c.pops[c.rng.Intn(len(c.pops))]
-		if dst.Name != src.Name {
-			dstHost := c.pickHost(dst)
-			size := int64(c.cfg.Traffic.OrganicSizes.Sample(c.rng))
-			if conn, _, err := c.grabConn(srcHost.Addr(), dstHost.Addr()); err == nil {
-				err = conn.Transfer(size, func(netsim.TransferResult) {
-					c.releaseConn(conn)
-				})
-				if err != nil {
-					conn.Close()
-				}
+	o.c.engine.Reschedule(o.ev, gap)
+}
+
+// arrive starts one transfer, then draws the next gap: the draw follows the
+// arrival's own draws, as it always has, so every seed replays unchanged.
+func (o *organicSource) arrive() {
+	c := o.c
+	if dst := c.pops[c.rng.Intn(len(c.pops))].Name; dst != o.src {
+		dstHost := c.pickHost(dst)
+		size := int64(c.cfg.Traffic.OrganicSizes.Sample(c.rng))
+		if conn, _, err := c.grabConn(o.host, dstHost.Addr()); err == nil {
+			err = conn.Transfer(size, func(netsim.TransferResult) {
+				c.releaseConn(conn)
+			})
+			if err != nil {
+				conn.Close()
 			}
 		}
-		c.scheduleOrganic(src, srcHost, rate)
-	})
+	}
+	o.arm()
 }
 
 // startPoolSweeper closes pooled connections idle beyond IdleTimeout and
@@ -634,7 +657,7 @@ func (c *Cluster) releaseConn(conn *netsim.Conn) {
 	if !ok {
 		c.poolOrder = append(c.poolOrder, key)
 	}
-	c.pools[key] = append(pool, &pooledConn{conn: conn, idleFrom: c.engine.Now()})
+	c.pools[key] = append(pool, pooledConn{conn: conn, idleFrom: c.engine.Now()})
 }
 
 // StartCwndSampling begins periodic `ss`-style sampling of every host's
@@ -671,14 +694,36 @@ func (c *Cluster) StartCwndSampling(interval time.Duration) error {
 
 // Run advances the simulation by d.
 func (c *Cluster) Run(d time.Duration) {
+	c.reserveProbes(c.engine.Now() + d)
 	c.engine.RunUntil(c.engine.Now() + d)
 }
 
-// Stop cancels all periodic activity (probes, agents, samplers, sweepers)
-// and shuts the agents down, withdrawing their routes.
+// reserveProbes sizes the probe records once for every probe the schedule
+// can complete by until: each probe tick (one per ProbeInterval since the
+// cluster was built at time zero) sends every size from every machine to
+// every other PoP. Appending instead would copy the records ~5 times over as
+// the slice grows.
+func (c *Cluster) reserveProbes(until time.Duration) {
+	if c.stopped {
+		return
+	}
+	ticks := int(until / c.cfg.Traffic.ProbeInterval)
+	perTick := len(c.pops) * c.cfg.HostsPerPoP * (len(c.pops) - 1) * len(c.cfg.Traffic.ProbeSizes)
+	if need := ticks*perTick - len(c.probes); need > 0 {
+		c.probes = slices.Grow(c.probes, need)
+	}
+}
+
+// Stop cancels all periodic activity (probes, organic traffic, agents,
+// samplers, sweepers) and shuts the agents down, withdrawing their routes.
+// Transfers already in flight still complete.
 func (c *Cluster) Stop() {
+	c.stopped = true
 	for _, tk := range c.tickers {
 		tk.Stop()
+	}
+	for _, o := range c.organic {
+		o.ev.Cancel()
 	}
 	for _, slot := range c.agents {
 		if slot.agent != nil {

@@ -1,6 +1,9 @@
 package cdn
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -14,47 +17,98 @@ type simOutcome struct {
 	retrans int64  // TotalRetransmits()
 }
 
+// pinConfig is the sim-34pop configuration (bench/sim.go) for one seed.
+func pinConfig(seed int64) Config {
+	busy := map[string]bool{"lhr": true, "fra": true, "jfk": true, "lax": true, "nrt": true}
+	pops := DefaultTopology()
+	organic := make(map[string]float64, len(pops))
+	for _, p := range pops {
+		organic[p.Name] = 1
+		if busy[p.Name] {
+			organic[p.Name] = 4
+		}
+	}
+	return Config{
+		PoPs:     pops,
+		Seed:     seed,
+		LossRate: 0.002,
+		Riptide:  RiptideOptions{Enabled: true},
+		Traffic: TrafficOptions{
+			ProbeInterval: 4 * time.Minute,
+			IdleTimeout:   2 * time.Minute,
+			OrganicRates:  organic,
+		},
+	}
+}
+
+// probeDigest is an FNV-64a hash over every field of every record, in record
+// order: two runs digest equal only if each probe matches field for field.
+func probeDigest(records []ProbeRecord) uint64 {
+	h := fnv.New64a()
+	var buf []byte
+	str := func(s string) {
+		buf = binary.AppendUvarint(buf, uint64(len(s)))
+		buf = append(buf, s...)
+	}
+	num := func(v int64) { buf = binary.LittleEndian.AppendUint64(buf, uint64(v)) }
+	for _, r := range records {
+		buf = buf[:0]
+		str(r.Src)
+		str(r.Dst)
+		buf = r.SrcHost.AppendTo(buf)
+		buf = r.DstHost.AppendTo(buf)
+		num(int64(r.SizeBytes))
+		num(int64(r.RTT))
+		num(int64(r.Bucket))
+		num(int64(r.Elapsed))
+		num(int64(r.Rounds))
+		num(int64(r.InitCwnd))
+		if r.FreshConn {
+			buf = append(buf, 1)
+		} else {
+			buf = append(buf, 0)
+		}
+		num(int64(r.At))
+		h.Write(buf)
+	}
+	return h.Sum64()
+}
+
 // TestSim34PoPOutcomePin runs the configuration bench/sim.go drives as the
 // sim-34pop workload (DefaultTopology, loss 0.002, five busy PoPs at 4/s and
 // the rest at 1/s, probes every 4 m, idle timeout 2 m) for five simulated
 // minutes and compares the counts with constants recorded before PR 16
 // replaced the connection table, the route lookup and the event queue. A
 // substrate change that reorders events, draws from an RNG in a different
-// order or drops a tick moves at least one of them.
+// order or drops a tick moves at least one of them. The digest covers every
+// field of every probe record, so a change that shifts one probe's Elapsed or
+// InitCwnd without moving a count fails too; its constants were recorded
+// before the probe records were pre-sized and organic sources re-armed one
+// event each.
 func TestSim34PoPOutcomePin(t *testing.T) {
 	want := map[int64]simOutcome{
 		1: {fired: 84082, ticks: 10200, probes: 3366, routes: 1122, retrans: 4989},
 		2: {fired: 96574, ticks: 10200, probes: 3366, routes: 1122, retrans: 5584},
 		3: {fired: 91290, ticks: 10200, probes: 3366, routes: 1122, retrans: 5588},
 	}
-	busy := map[string]bool{"lhr": true, "fra": true, "jfk": true, "lax": true, "nrt": true}
+	wantDigest := map[int64]uint64{
+		1: 0xbaf12af20d564761,
+		2: 0x16bcc3f27c50da2f,
+		3: 0x53b2a6a5958a1e55,
+	}
 	for seed := int64(1); seed <= 3; seed++ {
-		pops := DefaultTopology()
-		organic := make(map[string]float64, len(pops))
-		for _, p := range pops {
-			organic[p.Name] = 1
-			if busy[p.Name] {
-				organic[p.Name] = 4
-			}
-		}
-		c, err := NewCluster(Config{
-			PoPs:     pops,
-			Seed:     seed,
-			LossRate: 0.002,
-			Riptide:  RiptideOptions{Enabled: true},
-			Traffic: TrafficOptions{
-				ProbeInterval: 4 * time.Minute,
-				IdleTimeout:   2 * time.Minute,
-				OrganicRates:  organic,
-			},
-		})
+		c, err := NewCluster(pinConfig(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
 		c.Run(5 * time.Minute)
+		records := c.ProbeRecords()
+		if d := probeDigest(records); d != wantDigest[seed] {
+			t.Errorf("seed %d: probe digest %#x, want %#x", seed, d, wantDigest[seed])
+		}
 		got := simOutcome{
 			fired:   c.Engine().Fired(),
-			probes:  len(c.ProbeRecords()),
+			probes:  len(records),
 			routes:  c.TotalRoutes(),
 			retrans: c.TotalRetransmits(),
 		}
@@ -68,4 +122,27 @@ func TestSim34PoPOutcomePin(t *testing.T) {
 			t.Errorf("seed %d: outcome %+v, want %+v", seed, got, want[seed])
 		}
 	}
+}
+
+// BenchmarkSimCluster5Min builds and runs the outcome pin's configuration
+// (seed 1) for five simulated minutes per iteration, reporting what a run
+// allocates and how many events it fires.
+func BenchmarkSimCluster5Min(b *testing.B) {
+	b.ReportAllocs()
+	var events uint64
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	for i := 0; i < b.N; i++ {
+		c, err := NewCluster(pinConfig(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.Run(5 * time.Minute)
+		events += c.Engine().Fired()
+		c.Stop()
+	}
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(ms.TotalAlloc-before)/float64(b.N)/(1<<20), "MB/run")
+	b.ReportMetric(float64(events)/float64(b.N), "events/run")
 }

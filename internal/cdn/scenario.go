@@ -175,8 +175,8 @@ func (c *Cluster) InjectTransfer(srcPoP, dstPoP string, bytes int64, done func(n
 	if src.Name == dst.Name {
 		return fmt.Errorf("cdn: transfer within PoP %q", srcPoP)
 	}
-	srcHost := c.pickHost(src)
-	dstHost := c.pickHost(dst)
+	srcHost := c.pickHost(src.Name)
+	dstHost := c.pickHost(dst.Name)
 	conn, _, err := c.grabConn(srcHost.Addr(), dstHost.Addr())
 	if err != nil {
 		return err

@@ -620,6 +620,14 @@ type Agent struct {
 	cache     []cachedSample
 	havePrev  bool
 	compareOK []bool // per-worker stable-round verdicts, reused scratch
+	// The round's stream and clock reading as the stage workers see them
+	// (tickMu): set before the plan stage, cleared before the program stage.
+	// The workers are bound once in New, so handing them to runParallel
+	// allocates no closure per round.
+	tickObs                     []Observation
+	tickNow                     time.Duration
+	compareW, observeW, ingestW func(w int)
+	planQuiescentS, planS       func(s int)
 	// canDrain is the one config predicate of the plan stage: with no hook
 	// installed (Guard, Advisor, caller-supplied History) a visit to a
 	// converged destination has no effect beyond its own entry, so the state
@@ -658,6 +666,11 @@ func New(cfg Config) (*Agent, error) {
 		mStable:   cfg.Metrics.Counter("riptide_tick_rounds_stable"),
 		mRebuild:  cfg.Metrics.Counter("riptide_tick_rounds_rebuild"),
 	}
+	a.compareW = func(w int) { a.compareOK[w] = a.compareChunk(w, a.tickObs) }
+	a.observeW = func(w int) { a.observeChunk(w, a.tickObs) }
+	a.ingestW = func(w int) { a.ingestChunk(w, a.tickObs) }
+	a.planQuiescentS = func(s int) { a.planShardQuiescent(s, a.tickObs, a.tickNow) }
+	a.planS = func(s int) { a.planShard(s, a.tickObs, a.tickNow) }
 	var shared *lockedHistory
 	if sharedHistory {
 		// A caller-supplied policy is one instance shared by every shard;

@@ -522,7 +522,9 @@ func (l *lockedHistory) Forget(dst netip.Prefix) {
 	l.inner.Forget(dst)
 }
 
-// runParallel runs fn(0..n-1), inline when n == 1.
+// runParallel runs fn(0..n-1), inline when n == 1. A call costs the WaitGroup
+// and one closure per goroutine; passing i as a go-statement argument would
+// add a second wrapper per goroutine.
 func runParallel(n int, fn func(i int)) {
 	if n == 1 {
 		fn(0)
@@ -531,10 +533,10 @@ func runParallel(n int, fn func(i int)) {
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for i := 0; i < n; i++ {
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			fn(i)
-		}(i)
+		}()
 	}
 	wg.Wait()
 }

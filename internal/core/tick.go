@@ -131,6 +131,7 @@ func (a *Agent) Tick() error {
 			fn(s)
 		}
 	}
+	a.tickObs, a.tickNow = obs, now
 	if n := max(len(obs), len(a.obsPrev)); len(a.cache) < n {
 		a.cache = append(a.cache, make([]cachedSample, n-len(a.cache))...)
 	}
@@ -149,18 +150,18 @@ func (a *Agent) Tick() error {
 	// A stream that is literally last round's slice (a sampler with a fixed
 	// set returning its own backing array) has nothing to compare.
 	if stable && !(len(obs) == len(a.obsPrev) && &obs[0] == &a.obsPrev[0]) {
-		runParallel(workers, func(w int) { a.compareOK[w] = a.compareChunk(w, obs) })
+		runParallel(workers, a.compareW)
 		stable = !slices.Contains(a.compareOK[:workers], false)
 	}
 	if stable {
 		a.mStable.Inc()
 		if a.cfg.Guard != nil {
-			runParallel(workers, func(w int) { a.observeChunk(w, obs) })
+			runParallel(workers, a.observeW)
 		}
 	} else {
 		a.mRebuild.Inc()
 		resetBuckets()
-		runParallel(workers, func(w int) { a.ingestChunk(w, obs) })
+		runParallel(workers, a.ingestW)
 	}
 	// The governor has seen every valid sample; it closes its round before
 	// any Review call.
@@ -168,10 +169,11 @@ func (a *Agent) Tick() error {
 		a.cfg.Guard.ObserveTick(now)
 	}
 	if stable {
-		eachShard(func(s int) { a.planShardQuiescent(s, obs, now) })
+		eachShard(a.planQuiescentS)
 	} else {
-		eachShard(func(s int) { a.planShard(s, obs, now) })
+		eachShard(a.planS)
 	}
+	a.tickObs = nil
 	a.mPlan.Observe(time.Since(planStart))
 
 	// Commit stage: merge the per-shard plans deterministically and fold

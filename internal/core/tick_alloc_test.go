@@ -1,0 +1,100 @@
+package core
+
+import (
+	"net/netip"
+	"testing"
+	"time"
+)
+
+// editSampler is a fixed connection set that edits a few windows in place
+// before each round and appends the whole set into the agent's buffer, like
+// a host whose connections are long-lived.
+type editSampler struct {
+	set   []Observation
+	edits int // positions whose Cwnd moves each round
+	round int
+}
+
+func newEditSampler(n, edits int) *editSampler {
+	s := &editSampler{set: make([]Observation, n), edits: edits}
+	for i := range s.set {
+		s.set[i] = Observation{
+			Dst:  netip.AddrFrom4([4]byte{10, byte(i / 250), byte(i % 250 / 5), byte(1 + i%5)}),
+			Cwnd: 10 + i%90,
+			RTT:  time.Duration(20+i%200) * time.Millisecond,
+		}
+	}
+	return s
+}
+
+func (s *editSampler) SampleConnections(buf []Observation) ([]Observation, error) {
+	for i := 0; i < s.edits; i++ {
+		o := &s.set[(s.round*s.edits*7+i*37)%len(s.set)]
+		o.Cwnd = 10 + (o.Cwnd+23)%90
+	}
+	s.round++
+	return append(buf, s.set...), nil
+}
+
+// batchNop takes every batch without allocating.
+type batchNop struct {
+	nopRoutes
+	ops int
+}
+
+func (b *batchNop) ProgramRoutes(ops []RouteOp) []error {
+	b.ops += len(ops)
+	return nil
+}
+
+// TestStableTickAllocs: once warm, a round whose connection set is stable —
+// a few windows edited in place, or nothing changed at all — allocates
+// nothing on a one-shard agent. Its stage workers are bound once in New, so
+// no per-round closure reaches the heap. A sharded agent past the parallel
+// threshold allocates only what starting runParallel's goroutines costs.
+func TestStableTickAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		shards, conns int
+		edits         int
+		// max is the allocation bound per round: 0 serially; with workers,
+		// each runParallel call (compare, plan) allocates its WaitGroup and
+		// one closure per goroutine.
+		max float64
+	}{
+		{"stable", 1, 200, 3, 0},
+		{"quiescent", 1, 200, 0, 0},
+		{"sharded stable", 4, 600, 3, 2 * (4 + 1)},
+		{"sharded quiescent", 4, 600, 0, 2 * (4 + 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := &fakeClock{}
+			s := newEditSampler(tc.conns, tc.edits)
+			routes := &batchNop{}
+			a, err := New(Config{Sampler: s, Routes: routes, Clock: clock.fn(), Shards: tc.shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tick := func() {
+				clock.Advance(time.Second)
+				if err := a.Tick(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 50; i++ {
+				tick()
+			}
+			stable, programmed := a.mStable.Value(), routes.ops
+			allocs := testing.AllocsPerRun(20, tick)
+			if got := a.mStable.Value() - stable; got != 21 {
+				t.Fatalf("%d of 21 rounds were stable", got)
+			}
+			if tc.edits > 0 && routes.ops == programmed {
+				t.Fatalf("in-place edits programmed no route")
+			}
+			if allocs > tc.max {
+				t.Fatalf("a warm stable round allocates %.1f times, want at most %.0f", allocs, tc.max)
+			}
+		})
+	}
+}
