@@ -6,12 +6,12 @@ GO ?= go
 # directory: the targets that run the module's commands go through `go -C`.
 ROOT := $(dir $(abspath $(lastword $(MAKEFILE_LIST))))
 
-.PHONY: all check build vet test test-short test-race race bench bench-json bench-serve report report-full fuzz fuzz-guard fuzz-gossip fuzz-netlink fuzz-scenario scenarios examples clean
+.PHONY: all check build vet test test-short test-race race bench bench-serve report report-full fuzz fuzz-guard fuzz-gossip fuzz-netlink fuzz-scenario scenarios examples clean
 
 all: check
 
 # Default gate: compile, vet, full test suite, and a race pass over the
-# packages with real concurrency (the agent loop and the ss/ip backends).
+# packages with real concurrency (the agent loop and the netlink backend).
 check: build vet test test-race
 
 build:
@@ -27,19 +27,13 @@ test-short:
 	$(GO) test -short ./...
 
 test-race:
-	$(GO) test -race ./internal/core/... ./internal/guard/... ./internal/linux/... ./internal/netlink/... ./internal/fleet/... ./internal/gossip/...
+	$(GO) test -race ./internal/core/... ./internal/guard/... ./internal/netlink/... ./internal/fleet/... ./internal/gossip/...
 
 race:
 	$(GO) test -race ./internal/core ./internal/kernel .
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Machine-readable perf-trajectory snapshot (agent-tick scaling series —
-# delta-steady and delta-churn modes — plus batched-vs-individual route
-# programming and the fleet-serving fan-in series) for PR-over-PR comparison.
-bench-json:
-	$(GO) run ./cmd/riptide-bench -perf-only -perf-json BENCH_10.json -perf-sizes 1000,10000,100000,1000000
 
 # The fleet-serving benchmarks alone: what one gossip GET costs the serving
 # agent, converged (cache hit) vs churning (rebuild per request) vs the 304
@@ -60,8 +54,6 @@ report-full:
 	$(GO) -C $(ROOT) run ./cmd/riptide-bench -scale full -o docs/REPORT.md -series-dir docs/series
 
 fuzz:
-	$(GO) test -fuzz=FuzzParseSS -fuzztime=30s ./internal/linux
-	$(GO) test -fuzz=FuzzParseIPRouteShow -fuzztime=30s ./internal/linux
 	$(GO) test -fuzz=FuzzReadProbes -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz=FuzzReadCwndSamples -fuzztime=30s ./internal/trace
 

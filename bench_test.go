@@ -22,7 +22,6 @@ import (
 	"riptide/internal/experiments"
 	"riptide/internal/guard"
 	"riptide/internal/kernel"
-	"riptide/internal/perf"
 )
 
 func benchScale() experiments.Scale {
@@ -265,7 +264,7 @@ func BenchmarkAblationUpdateInterval(b *testing.B) {
 // comparable across PRs.
 func BenchmarkAgentTick(b *testing.B) {
 	const conns = 1000
-	sampler, routes, clock := newSyntheticBackend(conns, false)
+	sampler, routes, clock := newSyntheticBackend(conns)
 	agent, err := New(Config{Sampler: sampler, Routes: routes, Clock: clock})
 	if err != nil {
 		b.Fatal(err)
@@ -345,7 +344,7 @@ func BenchmarkAgentTick1M(b *testing.B) {
 
 // membershipChurnSampler replays a table in which, every round, 1% of the
 // sockets report a new window and 0.1% have moved to a never-seen
-// destination — moves persist, unlike perf.ChurnSampler's, whose stream
+// destination — moves persist, unlike churnSampler's, whose stream
 // never changes membership. It alternates two buffers (the one handed out
 // last round stays frozen) and catches the stale one up with last round's
 // changes instead of copying the table.
@@ -395,8 +394,8 @@ func BenchmarkAgentTick100kMembershipChurn(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			var now time.Duration
 			agent, err := New(Config{
-				Sampler: newMembershipChurnSampler(perf.SyntheticObservations(100_000)),
-				Routes:  perf.NopBatchRoutes{},
+				Sampler: newMembershipChurnSampler(syntheticObservations(100_000)),
+				Routes:  nopBatchRoutes{},
 				Clock:   func() time.Duration { return now },
 				Shards:  shards,
 			})
@@ -458,8 +457,8 @@ func BenchmarkAgentTick100kHooks(b *testing.B) {
 		b.Run(hook.name, func(b *testing.B) {
 			var now time.Duration
 			cfg := Config{
-				Sampler: perf.NewChurnSampler(perf.SyntheticObservations(100_000), 100),
-				Routes:  perf.NopBatchRoutes{},
+				Sampler: newChurnSampler(syntheticObservations(100_000), 100),
+				Routes:  nopBatchRoutes{},
 				Clock:   func() time.Duration { return now },
 				Shards:  1,
 			}
@@ -489,10 +488,9 @@ func BenchmarkAgentTick100kHooks(b *testing.B) {
 
 // TestShardedTickNotSlowerThanSerial is the bench-smoke gate for the
 // parallel plan stage: with real cores available, sharding the plan work of
-// a 1%-churn round across 8 shards must not lose to a single shard. On fewer than
-// 4 cores the comparison measures lock traffic, not parallelism, so the
-// test skips — exactly the configuration the perf harness now refuses to
-// label "parallel".
+// a 1%-churn round across 8 shards must not lose to a single shard. On fewer
+// than 4 cores the comparison measures lock traffic, not parallelism, so the
+// test skips.
 func TestShardedTickNotSlowerThanSerial(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 4 {
 		t.Skipf("GOMAXPROCS=%d: parallel plan stage needs >=4 cores to beat serial", runtime.GOMAXPROCS(0))

@@ -10,14 +10,11 @@
 //	riptide-bench -scale quick -o report.md
 //	riptide-bench -scale full -series-dir series/   # also dump plottable CSVs
 //
-// With -perf-json the tool also (or, with -perf-only, exclusively) runs the
-// agent hot-path perf harness and writes a machine-readable snapshot:
-//
-//	riptide-bench -perf-only -perf-json BENCH_5.json
+// Performance lives elsewhere: `go run ./bench` is the end-to-end ledger and
+// `go test -bench` the per-package micro-benchmarks.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -31,7 +28,6 @@ import (
 	"time"
 
 	"riptide/internal/experiments"
-	"riptide/internal/perf"
 )
 
 func main() {
@@ -43,29 +39,16 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("riptide-bench", flag.ContinueOnError)
 	var (
-		scale      = fs.String("scale", "quick", "scale preset: quick|full")
-		out        = fs.String("o", "", "output file (default stdout)")
-		seed       = fs.Int64("seed", 1, "random seed")
-		n          = fs.Int("n", 200000, "model sample count")
-		seriesDir  = fs.String("series-dir", "", "also write each figure's curve data as CSV into this directory")
-		workers    = fs.Int("workers", 0, "concurrent experiments (default: CPU count)")
-		perfJSON   = fs.String("perf-json", "", "write the agent hot-path perf snapshot (BENCH_<n>.json) to this file")
-		perfOnly   = fs.Bool("perf-only", false, "run only the perf harness (requires -perf-json)")
-		perfSizes  = fs.String("perf-sizes", "1000,10000,100000", "comma-separated observed-table sizes for the perf series")
-		perfTime   = fs.Duration("perf-time", 300*time.Millisecond, "minimum measured time per perf series point")
-		gomaxprocs = fs.Int("gomaxprocs", 0, "pin runtime.GOMAXPROCS for the run (0 = host core count)")
+		scale     = fs.String("scale", "quick", "scale preset: quick|full")
+		out       = fs.String("o", "", "output file (default stdout)")
+		seed      = fs.Int64("seed", 1, "random seed")
+		n         = fs.Int("n", 200000, "model sample count")
+		seriesDir = fs.String("series-dir", "", "also write each figure's curve data as CSV into this directory")
+		workers   = fs.Int("workers", 0, "concurrent experiments (default: CPU count)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// Perf snapshots are only comparable when their parallelism is an
-	// explicit, recorded choice. BENCH_5 silently inherited GOMAXPROCS=1
-	// from its environment and mismeasured the shard fan-out; pin to the
-	// host's core count unless the caller overrides.
-	if *gomaxprocs <= 0 {
-		*gomaxprocs = runtime.NumCPU()
-	}
-	runtime.GOMAXPROCS(*gomaxprocs)
 
 	var s experiments.Scale
 	switch *scale {
@@ -78,18 +61,6 @@ func run(args []string) error {
 	}
 	s.Seed = *seed
 
-	if *perfOnly && *perfJSON == "" {
-		return fmt.Errorf("-perf-only requires -perf-json")
-	}
-	if *perfJSON != "" {
-		if err := writePerfSnapshot(*perfJSON, *perfSizes, *perfTime); err != nil {
-			return err
-		}
-		if *perfOnly {
-			return nil
-		}
-	}
-
 	w := io.Writer(os.Stdout)
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -100,79 +71,6 @@ func run(args []string) error {
 		w = f
 	}
 	return report(w, s, *seed, *n, *seriesDir, *workers)
-}
-
-// prePRBaselines are the BenchmarkAgentTick figures measured at commit
-// 72995e6, before the sharded single-map hot path landed, on the same
-// single-CPU machine class that produced BENCH_5.json. Embedding them makes
-// each snapshot carry its own point of comparison for the trajectory.
-var prePRBaselines = []perf.Baseline{
-	{Name: "AgentTick/dest=1000/pre-shard", NsPerOp: 515779, AllocsPerOp: 1027},
-	{Name: "AgentTick/dest=10000/pre-shard", NsPerOp: 6980329, AllocsPerOp: 10142, BytesPerOp: 4309375},
-}
-
-// bench5Baselines carry BENCH_5.json's route-programming comparison forward.
-var bench5Baselines = []perf.Baseline{
-	{Name: "BENCH_5/RouteProgram/ops=1024/mode=individual", NsPerOp: 99431.85},
-	{Name: "BENCH_5/RouteProgram/ops=1024/mode=batch", NsPerOp: 66711.08},
-}
-
-// writePerfSnapshot runs the perf harness over the requested observed-table
-// sizes and writes the JSON snapshot to path.
-func writePerfSnapshot(path, sizesCSV string, minTime time.Duration) error {
-	var sizes []int
-	for _, field := range strings.Split(sizesCSV, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		n, err := strconv.Atoi(field)
-		if err != nil || n < 1 {
-			return fmt.Errorf("bad -perf-sizes entry %q", field)
-		}
-		sizes = append(sizes, n)
-	}
-	if len(sizes) == 0 {
-		return fmt.Errorf("-perf-sizes is empty")
-	}
-	snap, err := perf.Collect(sizes, minTime)
-	if err != nil {
-		return err
-	}
-	// The backend head-to-head runs at the two sizes that bound a production
-	// host; the exec points double as embedded baselines so the snapshot
-	// records what the netlink backend displaced.
-	backends, err := perf.CollectBackends([]int{1000, 10000}, minTime)
-	if err != nil {
-		return err
-	}
-	snap.Benchmarks = append(snap.Benchmarks, backends...)
-	// The fleet-serving fan-in series at the sizes that bound a converged
-	// region (1k) and a worst-case warm fleet (100k); the uncached
-	// per-request encodes ride along as live-measured baselines.
-	serving, servingBaselines, err := perf.CollectServing([]int{1000, 100000}, minTime)
-	if err != nil {
-		return err
-	}
-	snap.Benchmarks = append(snap.Benchmarks, serving...)
-	snap.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
-	snap.Baselines = append(append([]perf.Baseline(nil), prePRBaselines...), bench5Baselines...)
-	snap.Baselines = append(snap.Baselines, servingBaselines...)
-	for _, b := range backends {
-		if strings.Contains(b.Name, "backend=exec") {
-			snap.Baselines = append(snap.Baselines, perf.Baseline{
-				Name:        "exec-baseline/" + b.Name,
-				NsPerOp:     b.NsPerOp,
-				AllocsPerOp: b.AllocsPerOp,
-				BytesPerOp:  b.BytesPerOp,
-			})
-		}
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // job is one experiment with its position in the report.

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"net/netip"
-	"os/exec"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -167,11 +166,9 @@ func TestWarmStartAgesEntriesByDowntime(t *testing.T) {
 }
 
 // TestRunWritesSnapshotOnShutdown drives the real daemon (dry-run routes,
-// real ss) and checks the final snapshot lands on disk at exit.
+// real netlink sampling) and checks the final snapshot lands on disk at exit.
 func TestRunWritesSnapshotOnShutdown(t *testing.T) {
-	if _, err := exec.LookPath("ss"); err != nil {
-		t.Skipf("ss not available: %v", err)
-	}
+	requireNetlink(t)
 	path := filepath.Join(t.TempDir(), "snapshot.json")
 	err := run([]string{"-dry-run", "-run-for", "150ms", "-interval", "20ms",
 		"-snapshot-file", path, "-snapshot-interval", "1h"})
@@ -186,9 +183,7 @@ func TestRunWritesSnapshotOnShutdown(t *testing.T) {
 // TestRunWithDeadPeerExits: a configured peer that is down must not stall
 // the daemon or its shutdown.
 func TestRunWithDeadPeerExits(t *testing.T) {
-	if _, err := exec.LookPath("ss"); err != nil {
-		t.Skipf("ss not available: %v", err)
-	}
+	requireNetlink(t)
 	err := run([]string{"-dry-run", "-run-for", "150ms", "-interval", "20ms",
 		"-peers", "127.0.0.1:1", "-peer-interval", "50ms", "-peer-timeout", "100ms"})
 	if err != nil {

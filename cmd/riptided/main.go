@@ -3,10 +3,11 @@
 // per-destination congestion windows, and programs per-route initcwnd
 // overrides, exactly as described in the paper's Section III.
 //
-// The kernel is spoken to through a selectable backend (-backend): netlink
-// (NETLINK_SOCK_DIAG dumps and rtnetlink route batches, no fork/exec on
-// the hot path), exec (`ss -tin` / `ip route` commands), or auto (the
-// default: probe netlink, fall back to exec).
+// It speaks to the kernel over netlink: NETLINK_SOCK_DIAG dumps to read each
+// socket's cwnd, and rtnetlink route batches to write initcwnd — the
+// interfaces behind the `ss -tin` and `ip route` commands the paper's
+// deployment ran. Both are probed at startup, so a host that lacks them, or
+// a process without CAP_NET_ADMIN, fails before the first tick.
 //
 // Run with -dry-run to print the route changes instead of applying them
 // (sampling still reads the real kernel). Stopping the daemon
@@ -30,7 +31,6 @@ import (
 	"riptide/internal/core"
 	"riptide/internal/fleet"
 	"riptide/internal/guard"
-	"riptide/internal/linux"
 	"riptide/internal/metrics"
 	"riptide/internal/netlink"
 )
@@ -56,86 +56,6 @@ func (d dryRunRoutes) ClearInitCwnd(prefix netip.Prefix) error {
 	return nil
 }
 
-// backend bundles one host-backend selection: how riptided samples the
-// connection table and programs routes.
-type backend struct {
-	name      string
-	sampler   core.ConnectionSampler
-	routes    riptide.RouteProgrammer // nil in dry-run
-	reconcile func() (int, error)     // nil in dry-run
-	close     func()                  // nil when nothing to release
-}
-
-// buildBackend constructs the selected host backend. "netlink" talks the
-// kernel wire protocols directly (no fork/exec on the hot path), "exec"
-// shells out to ss/ip, and "auto" probes netlink — interface present and
-// privileges sufficient — falling back to exec with a logged reason.
-func buildBackend(kind string, reg *metrics.Registry, rcfg linux.RoutesConfig, dryRun bool, logf func(string, ...any)) (*backend, error) {
-	switch kind {
-	case "netlink":
-		return buildNetlinkBackend(rcfg, dryRun)
-	case "exec":
-		return buildExecBackend(reg, rcfg, dryRun)
-	case "auto":
-		be, err := buildNetlinkBackend(rcfg, dryRun)
-		if err == nil {
-			return be, nil
-		}
-		logf("backend auto: netlink unavailable (%v), falling back to exec", err)
-		return buildExecBackend(reg, rcfg, dryRun)
-	default:
-		return nil, fmt.Errorf("unknown backend %q (want netlink, exec, or auto)", kind)
-	}
-}
-
-func buildNetlinkBackend(rcfg linux.RoutesConfig, dryRun bool) (*backend, error) {
-	s, err := netlink.NewSampler(netlink.SamplerConfig{})
-	if err != nil {
-		return nil, err
-	}
-	if err := core.ProbeBackend(s); err != nil {
-		_ = s.Close()
-		return nil, fmt.Errorf("netlink sampler probe: %w", err)
-	}
-	be := &backend{name: "netlink", sampler: s, close: func() { _ = s.Close() }}
-	if dryRun {
-		return be, nil
-	}
-	r, err := netlink.NewRoutes(netlink.RoutesConfig{RoutesConfig: rcfg})
-	if err != nil {
-		_ = s.Close()
-		return nil, err
-	}
-	if err := core.ProbeBackend(r); err != nil {
-		_ = s.Close()
-		_ = r.Close()
-		return nil, fmt.Errorf("netlink routes probe: %w", err)
-	}
-	be.routes = r
-	be.reconcile = r.Reconcile
-	be.close = func() { _ = s.Close(); _ = r.Close() }
-	return be, nil
-}
-
-func buildExecBackend(reg *metrics.Registry, rcfg linux.RoutesConfig, dryRun bool) (*backend, error) {
-	runner := linux.ExecRunner{Metrics: reg}
-	sampler, err := linux.NewSampler(runner)
-	if err != nil {
-		return nil, err
-	}
-	be := &backend{name: "exec", sampler: sampler}
-	if dryRun {
-		return be, nil
-	}
-	ipRoutes, err := linux.NewRoutes(runner, rcfg)
-	if err != nil {
-		return nil, err
-	}
-	be.routes = ipRoutes
-	be.reconcile = ipRoutes.Reconcile
-	return be, nil
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("riptided", flag.ContinueOnError)
 	var (
@@ -149,21 +69,20 @@ func run(args []string) error {
 		prefixBits = fs.Int("prefix-bits", 32, "destination granularity (32=per host, 24=per /24)")
 		shards     = fs.Int("shards", 0, "lock-striped state shards for the agent hot path (0 = GOMAXPROCS, capped at 16)")
 		initRwnd   = fs.Bool("initrwnd", false, "also set initrwnd on programmed routes")
-		backendSel = fs.String("backend", "auto", "host backend: netlink (speak NETLINK_SOCK_DIAG/rtnetlink directly), exec (shell out to ss/ip), auto (probe netlink, fall back to exec)")
-		dryRun     = fs.Bool("dry-run", false, "print ip commands instead of executing them")
+		dryRun     = fs.Bool("dry-run", false, "print route changes (as ip route commands) instead of applying them")
 		combiner   = fs.String("combiner", "average", "combiner: average|max|traffic-weighted")
 		verbose    = fs.Bool("v", false, "log each tick's learned entries")
 		statusAddr = fs.String("status", "", "serve /status, /metrics, /metrics.json, /healthz on this address (e.g. 127.0.0.1:9090)")
 		reconcile  = fs.Bool("reconcile", true, "withdraw leftover riptide routes from a previous run at startup")
 		runFor     = fs.Duration("run-for", 0, "exit after this long instead of waiting for a signal (diagnostics)")
 
-		routeAttempts = fs.Int("route-attempts", core.DefaultRetryAttempts, "attempts per ip-route operation (1 disables retries)")
+		routeAttempts = fs.Int("route-attempts", core.DefaultRetryAttempts, "attempts per route operation (1 disables retries)")
 		retryBase     = fs.Duration("retry-base", core.DefaultRetryBaseDelay, "backoff before the first route retry (doubles per retry)")
 		retryMax      = fs.Duration("retry-max", core.DefaultRetryMaxDelay, "backoff cap for route retries")
 		failureBudget = fs.Int("route-failure-budget", core.DefaultRetryFailureBudget, "consecutive per-destination programming failures before falling back to clearing the route (negative disables)")
 
-		breakerThreshold = fs.Int("breaker-threshold", core.DefaultBreakerThreshold, "consecutive ss failures that open the sampler circuit breaker (negative disables)")
-		breakerCooldown  = fs.Duration("breaker-cooldown", core.DefaultBreakerCooldown, "how long the open breaker degrades ticks to expiry-only before probing ss again")
+		breakerThreshold = fs.Int("breaker-threshold", core.DefaultBreakerThreshold, "consecutive sampling failures that open the sampler circuit breaker (negative disables)")
+		breakerCooldown  = fs.Duration("breaker-cooldown", core.DefaultBreakerCooldown, "how long the open breaker degrades ticks to expiry-only before sampling again")
 
 		guardOn       = fs.Bool("guard", false, "enable the loss-feedback safety governor (throttles, then quarantines, destinations whose loss regresses under the programmed window)")
 		guardHoldback = fs.Float64("guard-holdback", guard.DefaultHoldback, "fraction of destinations held back at the kernel default as the governor's canary baseline")
@@ -207,28 +126,39 @@ func run(args []string) error {
 		return fmt.Errorf("unknown combiner %q", *combiner)
 	}
 
-	// One registry spans the agent, the retry decorator, and the exec
-	// runner, so /metrics and /metrics.json show the whole pipeline.
+	// One registry spans the agent and the retry decorator, so /metrics and
+	// /metrics.json show the whole pipeline.
 	reg := metrics.NewRegistry()
 
-	be, err := buildBackend(*backendSel, reg, linux.RoutesConfig{
-		Device:      *device,
-		Gateway:     *gateway,
-		SetInitRwnd: *initRwnd,
-	}, *dryRun, logger.Printf)
+	sampler, err := netlink.NewSampler(netlink.SamplerConfig{})
 	if err != nil {
 		return err
 	}
-	sampler := be.sampler
+	defer sampler.Close()
+	if err := sampler.Probe(); err != nil {
+		return fmt.Errorf("netlink sampler probe: %w", err)
+	}
 	var routes riptide.RouteProgrammer
 	if *dryRun {
 		routes = dryRunRoutes{out: logger}
 	} else {
+		nl, err := netlink.NewRoutes(netlink.RoutesConfig{
+			Device:      *device,
+			Gateway:     *gateway,
+			SetInitRwnd: *initRwnd,
+		})
+		if err != nil {
+			return err
+		}
+		defer nl.Close()
+		if err := nl.Probe(); err != nil {
+			return fmt.Errorf("netlink routes probe: %w", err)
+		}
 		if *reconcile {
 			// A previous incarnation may have died without
 			// withdrawing its routes; stale aggressive windows must
 			// not outlive their observations (Section III-C).
-			removed, err := be.reconcile()
+			removed, err := nl.Reconcile()
 			if err != nil {
 				logger.Printf("reconcile: %v", err)
 			}
@@ -236,11 +166,11 @@ func run(args []string) error {
 				logger.Printf("reconcile: withdrew %d stale riptide route(s)", removed)
 			}
 		}
-		routes = be.routes
+		routes = nl
 	}
 
 	// The retry decorator sits between the agent and the backend: bounded
-	// backoff for transient ip failures, and a conservative fall-back to
+	// backoff for transient route failures, and a conservative fall-back to
 	// clearing the route when a destination keeps failing.
 	retry, err := core.NewRetryingRouteProgrammer(routes, core.RetryPolicy{
 		MaxAttempts:   *routeAttempts,
@@ -372,8 +302,8 @@ func run(args []string) error {
 		}()
 	}
 
-	logger.Printf("started: backend=%s i_u=%v ttl=%v alpha=%v window=[%d,%d] combiner=%s shards=%d dry-run=%v guard=%v gossip=%v",
-		be.name, *interval, *ttl, *alpha, *cmin, *cmax, *combiner, agent.Shards(), *dryRun, *guardOn, *gossipOn)
+	logger.Printf("started: i_u=%v ttl=%v alpha=%v window=[%d,%d] combiner=%s shards=%d dry-run=%v guard=%v gossip=%v",
+		*interval, *ttl, *alpha, *cmin, *cmax, *combiner, agent.Shards(), *dryRun, *guardOn, *gossipOn)
 
 	if *verbose {
 		go func() {
@@ -401,9 +331,6 @@ func run(args []string) error {
 		<-persistDone
 	}
 	err = agent.Close()
-	if be.close != nil {
-		be.close()
-	}
 	s := agent.Stats()
 	rs := retry.Stats()
 	logger.Printf("stopped: ticks=%d observations=%d routes-set=%d routes-cleared=%d retries=%d fallbacks=%d degraded-ticks=%d",

@@ -2,9 +2,10 @@ package main
 
 import (
 	"net/netip"
-	"os/exec"
 	"strings"
 	"testing"
+
+	"riptide/internal/netlink"
 )
 
 func TestRunUnknownCombiner(t *testing.T) {
@@ -19,23 +20,26 @@ func TestRunBadFlag(t *testing.T) {
 	}
 }
 
-func TestRunUnknownBackend(t *testing.T) {
-	err := run([]string{"-backend", "quantum"})
-	if err == nil || !strings.Contains(err.Error(), "unknown backend") {
-		t.Errorf("unknown backend accepted: %v", err)
+// TestRunRejectsBackendFlag: netlink is the only kernel backend, so there
+// is no -backend flag, not even one accepting a single value.
+func TestRunRejectsBackendFlag(t *testing.T) {
+	err := run([]string{"-backend", "netlink", "-dry-run"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("-backend accepted: %v", err)
 	}
 }
 
-func TestRunNetlinkBackendDryRun(t *testing.T) {
-	// Exercises the netlink sampler against the real kernel where possible;
-	// on hosts without NETLINK_SOCK_DIAG access the probe failure is the
-	// expected outcome and equally covers the selection path.
-	err := run([]string{"-backend", "netlink", "-dry-run", "-run-for", "120ms", "-interval", "20ms"})
-	if err != nil && !strings.Contains(err.Error(), "probe") {
-		t.Fatalf("netlink dry-run daemon: %v", err)
+// requireNetlink skips a daemon-run test on hosts where the startup probe
+// would fail: no NETLINK_SOCK_DIAG, or a sandbox that denies it.
+func requireNetlink(t *testing.T) {
+	t.Helper()
+	s, err := netlink.NewSampler(netlink.SamplerConfig{})
+	if err == nil {
+		err = s.Probe()
+		_ = s.Close()
 	}
 	if err != nil {
-		t.Skipf("netlink unavailable here: %v", err)
+		t.Skipf("netlink sampling unavailable here: %v", err)
 	}
 }
 
@@ -68,10 +72,21 @@ func TestDryRunRoutesPrintInsteadOfExecute(t *testing.T) {
 	}
 }
 
-func TestRunDryRunForDuration(t *testing.T) {
-	if _, err := exec.LookPath("ss"); err != nil {
-		t.Skipf("ss not available: %v", err)
+func TestRunNetlinkBackendDryRun(t *testing.T) {
+	// The daemon reaches the kernel only through netlink: on hosts without
+	// NETLINK_SOCK_DIAG access a dry run must stop at the startup probe, and
+	// anywhere else it must run to completion.
+	err := run([]string{"-dry-run", "-run-for", "120ms", "-interval", "20ms"})
+	if err != nil && !strings.Contains(err.Error(), "probe") {
+		t.Fatalf("netlink dry-run daemon: %v", err)
 	}
+	if err != nil {
+		t.Skipf("netlink unavailable here: %v", err)
+	}
+}
+
+func TestRunDryRunForDuration(t *testing.T) {
+	requireNetlink(t)
 	err := run([]string{"-dry-run", "-run-for", "120ms", "-interval", "20ms", "-v"})
 	if err != nil {
 		t.Fatalf("dry-run daemon: %v", err)
@@ -79,9 +94,7 @@ func TestRunDryRunForDuration(t *testing.T) {
 }
 
 func TestRunWithStatusServer(t *testing.T) {
-	if _, err := exec.LookPath("ss"); err != nil {
-		t.Skipf("ss not available: %v", err)
-	}
+	requireNetlink(t)
 	err := run([]string{"-dry-run", "-run-for", "150ms", "-interval", "20ms",
 		"-status", "127.0.0.1:0"})
 	if err != nil {

@@ -172,7 +172,7 @@ func newStatusHandler(agent *core.Agent, retry *core.RetryingRouteProgrammer, fl
 
 // writeMetrics renders the agent's counters and gauges in Prometheus text
 // exposition format, followed by everything in the shared metrics registry
-// (latency histograms, retry counters, exec counters).
+// (latency histograms, retry counters).
 func writeMetrics(w io.Writer, agent *core.Agent) {
 	s := agent.Stats()
 	counters := []struct {
@@ -184,8 +184,8 @@ func writeMetrics(w io.Writer, agent *core.Agent) {
 		{"riptide_routes_set_total", "initcwnd routes programmed", s.RoutesSet},
 		{"riptide_routes_cleared_total", "initcwnd routes withdrawn", s.RoutesCleared},
 		{"riptide_entries_expired_total", "Learned entries dropped by TTL", s.EntriesExpired},
-		{"riptide_sample_errors_total", "Failed ss invocations", s.SampleErrors},
-		{"riptide_route_errors_total", "Failed ip route invocations", s.RouteErrors},
+		{"riptide_sample_errors_total", "Failed connection-table samples", s.SampleErrors},
+		{"riptide_route_errors_total", "Failed route programming operations", s.RouteErrors},
 		{"riptide_degraded_ticks_total", "Expiry-only ticks while the sampler breaker was open", s.DegradedTicks},
 		{"riptide_breaker_opens_total", "Sampler circuit-breaker open transitions", s.BreakerOpens},
 		{"riptide_guard_capped_total", "Route programs whose window the governor reduced", s.GuardCapped},

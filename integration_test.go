@@ -1,69 +1,44 @@
 package riptide
 
 import (
-	"fmt"
 	"net/netip"
-	"strings"
 	"testing"
 	"time"
 
 	"riptide/internal/core"
-	"riptide/internal/kernel"
-	"riptide/internal/linux"
+	"riptide/internal/netlink"
 )
 
-// scriptedRunner plays back a sequence of `ss -tin` outputs and records
-// every `ip` invocation, emulating a live Linux host across agent ticks.
-type scriptedRunner struct {
-	ssOutputs []string
-	ssCalls   int
-	ipCalls   []string
+// roundSampler serves one socket table per tick through a netlink.Sampler
+// over a fresh MemConn (a MemConn encodes its dump once, so a changed table
+// needs a new one), repeating the last table once the script runs out.
+type roundSampler struct {
+	rounds [][]Observation
+	n      int
 }
 
-func (s *scriptedRunner) Run(name string, args ...string) ([]byte, error) {
-	switch name {
-	case "ss":
-		idx := s.ssCalls
-		if idx >= len(s.ssOutputs) {
-			idx = len(s.ssOutputs) - 1
-		}
-		s.ssCalls++
-		return []byte(s.ssOutputs[idx]), nil
-	case "ip":
-		s.ipCalls = append(s.ipCalls, strings.Join(args, " "))
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("unexpected command %q", name)
-	}
-}
-
-// ssOutput renders a plausible `ss -tin` listing for the given per-peer
-// windows.
-func ssOutput(cwnds map[string]int) string {
-	var b strings.Builder
-	b.WriteString("State  Recv-Q Send-Q Local Address:Port  Peer Address:Port\n")
-	for peer, cwnd := range cwnds {
-		fmt.Fprintf(&b, "ESTAB  0      0      10.0.0.5:43210      %s:443\n", peer)
-		fmt.Fprintf(&b, "\t cubic rto:204 rtt:120.5/10 mss:1448 cwnd:%d bytes_acked:987654\n", cwnd)
-	}
-	return b.String()
-}
-
-// TestLinuxBackendEndToEnd drives the full production code path — ss parse,
-// Algorithm 1, ip route programming, TTL expiry, shutdown cleanup — against
-// scripted command output, no root required.
-func TestLinuxBackendEndToEnd(t *testing.T) {
-	runner := &scriptedRunner{ssOutputs: []string{
-		// Two rounds of healthy connections to 10.0.0.127, then silence.
-		ssOutput(map[string]int{"10.0.0.127": 60}),
-		ssOutput(map[string]int{"10.0.0.127": 100}),
-		ssOutput(nil),
-	}}
-	sampler, err := linux.NewSampler(runner)
+func (r *roundSampler) SampleConnections(buf []Observation) ([]Observation, error) {
+	mem := &netlink.MemConn{Sockets: r.rounds[min(r.n, len(r.rounds)-1)]}
+	r.n++
+	s, err := netlink.NewSampler(netlink.SamplerConfig{Dial: mem.Dialer()})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	routes, err := linux.NewRoutes(runner, linux.RoutesConfig{Device: "eth0", Gateway: "10.0.0.1"})
+	return s.SampleConnections(buf)
+}
+
+// TestLinuxBackendEndToEnd drives the full production code path — sock_diag
+// decode, Algorithm 1, rtnetlink route programming, TTL expiry, shutdown
+// cleanup — against an in-memory kernel, no root required.
+func TestLinuxBackendEndToEnd(t *testing.T) {
+	dst := netip.MustParseAddr("10.0.0.127")
+	sock := func(cwnd int) []Observation {
+		return []Observation{{Dst: dst, Cwnd: cwnd, RTT: 120 * time.Millisecond, BytesAcked: 987654}}
+	}
+	// Two rounds of healthy connections to 10.0.0.127, then silence.
+	sampler := &roundSampler{rounds: [][]Observation{sock(60), sock(100), nil}}
+	kernel := &netlink.MemConn{}
+	routes, err := netlink.NewRoutes(netlink.RoutesConfig{Dial: kernel.Dialer(), DeviceIndex: 2, Gateway: "10.0.0.1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,16 +52,20 @@ func TestLinuxBackendEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	host := netip.PrefixFrom(dst, 32)
+	gw := netip.MustParseAddr("10.0.0.1")
+	const rtprotStatic = 4 // RTPROT_STATIC, the `proto static` of `ip route`
 
 	// Tick 1: learns 60, programs the Figure-8-style route.
 	if err := agent.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if len(runner.ipCalls) != 1 || !strings.Contains(runner.ipCalls[0], "initcwnd 60") {
-		t.Fatalf("ip calls after tick 1 = %v", runner.ipCalls)
+	if len(kernel.Routes) != 1 {
+		t.Fatalf("route messages after tick 1 = %+v", kernel.Routes)
 	}
-	if !strings.Contains(runner.ipCalls[0], "route replace 10.0.0.127/32 dev eth0 proto static") {
-		t.Errorf("route command = %q", runner.ipCalls[0])
+	if rt := kernel.Routes[0]; rt.Del || rt.Prefix != host || rt.InitCwnd != 60 ||
+		rt.OIF != 2 || rt.Gateway != gw || rt.Proto != rtprotStatic {
+		t.Errorf("route after tick 1 = %+v", rt)
 	}
 
 	// Tick 2: EWMA folds the new 100 in: 0.75*60 + 0.25*100 = 70.
@@ -94,8 +73,8 @@ func TestLinuxBackendEndToEnd(t *testing.T) {
 	if err := agent.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if len(runner.ipCalls) != 2 || !strings.Contains(runner.ipCalls[1], "initcwnd 70") {
-		t.Fatalf("ip calls after tick 2 = %v", runner.ipCalls)
+	if len(kernel.Routes) != 2 || kernel.Routes[1].InitCwnd != 70 {
+		t.Fatalf("route messages after tick 2 = %+v", kernel.Routes)
 	}
 
 	// Connections vanish; before the TTL nothing changes.
@@ -103,61 +82,27 @@ func TestLinuxBackendEndToEnd(t *testing.T) {
 	if err := agent.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if len(runner.ipCalls) != 2 {
-		t.Fatalf("route touched before TTL: %v", runner.ipCalls)
+	if len(kernel.Routes) != 2 {
+		t.Fatalf("route touched before TTL: %+v", kernel.Routes)
 	}
 
-	// Past the TTL the route is withdrawn, restoring the default.
+	// Past the TTL the route is withdrawn, restoring the default. The
+	// delete carries the install's interface and gateway.
 	now += 40 * time.Second
 	if err := agent.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if len(runner.ipCalls) != 3 || runner.ipCalls[2] != "route del 10.0.0.127/32 dev eth0 proto static via 10.0.0.1" {
-		t.Fatalf("ip calls after expiry = %v", runner.ipCalls)
+	if len(kernel.Routes) != 3 {
+		t.Fatalf("route messages after expiry = %+v", kernel.Routes)
+	}
+	if rt := kernel.Routes[2]; !rt.Del || rt.Prefix != host || rt.OIF != 2 || rt.Gateway != gw {
+		t.Fatalf("withdrawal = %+v", rt)
 	}
 
 	if err := agent.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(runner.ipCalls) != 3 {
-		t.Errorf("Close touched already-clean state: %v", runner.ipCalls)
-	}
-}
-
-// TestSimKernelRoutesRoundTripThroughLinuxParser proves the two backends
-// describe the same world: routes programmed into the simulated kernel
-// render as iproute2 text that the production parser reads back verbatim.
-func TestSimKernelRoutesRoundTripThroughLinuxParser(t *testing.T) {
-	h, err := kernel.NewHost(netip.MustParseAddr("10.0.0.5"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []kernel.Route{
-		{Prefix: netip.MustParsePrefix("10.0.0.127/32"), InitCwnd: 80, Proto: "static"},
-		{Prefix: netip.MustParsePrefix("10.9.0.0/16"), InitCwnd: 40, Proto: "static"},
-	}
-	for _, r := range want {
-		if err := h.AddRoute(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rendered := kernel.FormatRoutes(h.Routes())
-	parsed := linux.ParseIPRouteShow([]byte(rendered))
-	if len(parsed) != len(want) {
-		t.Fatalf("parsed %d routes from %q", len(parsed), rendered)
-	}
-	byPrefix := map[netip.Prefix]linux.InstalledRoute{}
-	for _, r := range parsed {
-		byPrefix[r.Prefix] = r
-	}
-	for _, w := range want {
-		got, ok := byPrefix[w.Prefix]
-		if !ok {
-			t.Errorf("route %v missing after round trip", w.Prefix)
-			continue
-		}
-		if got.InitCwnd != w.InitCwnd || got.Proto != w.Proto {
-			t.Errorf("route %v = %+v, want initcwnd %d proto %s", w.Prefix, got, w.InitCwnd, w.Proto)
-		}
+	if len(kernel.Routes) != 3 {
+		t.Errorf("Close touched already-clean state: %+v", kernel.Routes)
 	}
 }

@@ -21,13 +21,14 @@
 // fallback the paper prescribes when Riptide has no information.
 //
 // The agent is backend-agnostic: internal/netsim + internal/kernel provide a
-// simulated backend, internal/linux a real one built on ss(8) and ip(8).
+// simulated backend, internal/netlink the real Linux one (the sock_diag and
+// rtnetlink interfaces that ss(8) and ip(8) wrap).
 //
 // Each poll round runs as a three-stage pipeline (see tick.go) so backend
 // I/O never blocks readers; RetryingRouteProgrammer (retry.go) adds bounded
 // backoff and a conservative clear-the-route fallback around flaky route
 // substrates, and a sampler circuit breaker degrades to expiry-only rounds
-// when `ss` keeps failing.
+// when sampling keeps failing.
 package core
 
 import (
@@ -54,9 +55,10 @@ const (
 	DefaultPrefixBits     = 32               // per-host routes
 )
 
-// Circuit-breaker defaults: a production sampler (`ss` exec) that fails this
-// many ticks in a row is almost certainly wedged; degrading to expiry-only
-// ticks keeps the TTL safety net alive without hammering a broken substrate.
+// Circuit-breaker defaults: a production sampler (a sock_diag dump) that
+// fails this many ticks in a row is almost certainly wedged; degrading to
+// expiry-only ticks keeps the TTL safety net alive without hammering a
+// broken substrate.
 const (
 	DefaultBreakerThreshold = 5
 	DefaultBreakerCooldown  = 30 * time.Second
@@ -134,7 +136,7 @@ type RouteOp struct {
 
 // BatchRouteProgrammer is an optional extension of RouteProgrammer for
 // backends that can apply a whole route set in one operation — the simulated
-// kernel under a single lock acquisition, or `ip -batch` with one exec for
+// kernel under a single lock acquisition, or one rtnetlink message batch for
 // the entire tick. The agent prefers this path whenever the configured
 // programmer implements it.
 //
@@ -147,24 +149,6 @@ type RouteOp struct {
 type BatchRouteProgrammer interface {
 	RouteProgrammer
 	ProgramRoutes(ops []RouteOp) []error
-}
-
-// Prober is an optional extension of ConnectionSampler and RouteProgrammer:
-// backends that can cheaply verify they will work on this host — right
-// kernel interface present, sufficient privileges — implement it, and the
-// daemon's backend auto-selection calls it at startup instead of discovering
-// a broken backend on the first tick. Probe must not mutate host state.
-type Prober interface {
-	Probe() error
-}
-
-// ProbeBackend probes v when it implements Prober and reports the result;
-// backends without a probe pass trivially.
-func ProbeBackend(v any) error {
-	if p, ok := v.(Prober); ok {
-		return p.Probe()
-	}
-	return nil
 }
 
 // Combiner reduces one destination's observations to a single window value.
@@ -396,7 +380,7 @@ type Config struct {
 	// Metrics receives the agent's counters and latency histograms
 	// (sample/program/tick durations). Nil means a private registry,
 	// retrievable via Agent.Metrics; deployments share one registry
-	// across the agent, the retry decorator, and the exec runner.
+	// across the agent and the retry decorator.
 	Metrics *metrics.Registry
 }
 

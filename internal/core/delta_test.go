@@ -18,8 +18,7 @@ import (
 // every round is forced to rebuild.
 
 // fixedSampler returns the same backing slice every round — the shape that
-// lets a stable round skip the compare (perf.FixedSampler cannot be imported
-// here without a cycle).
+// lets a stable round skip the compare.
 type fixedSampler []Observation
 
 func (s fixedSampler) SampleConnections([]Observation) ([]Observation, error) {

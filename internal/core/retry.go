@@ -87,7 +87,7 @@ type RetryStats struct {
 // agent can drop the entry.
 //
 // It is safe for concurrent use and implements RouteProgrammer, so it nests
-// between the agent and any backend (linux ip(8), the simulated kernel, or
+// between the agent and any backend (netlink, the simulated kernel, or
 // another decorator).
 type RetryingRouteProgrammer struct {
 	inner  RouteProgrammer
@@ -262,8 +262,8 @@ func (r *RetryingRouteProgrammer) SetInitCwnd(prefix netip.Prefix, cwnd int) err
 }
 
 // ProgramRoutes implements BatchRouteProgrammer. When the wrapped programmer
-// has a batch path, the whole set goes through it first — one `ip -batch`
-// exec or one kernel lock acquisition for the common all-success round —
+// has a batch path, the whole set goes through it first — one netlink batch
+// or one kernel lock acquisition for the common all-success round —
 // and only the members it reports failed (which, for a backend that cannot
 // attribute batch failures, may be all of them) are re-driven individually
 // through the full retry/budget/fallback machinery. Without an inner batch

@@ -393,8 +393,9 @@ func TestAgentDropsEntryOnFallbackCleared(t *testing.T) {
 }
 
 // batchInner wraps fakeRoutes with a scripted batch surface: members listed
-// in batchFail are reported failed by the batch (like an unattributable
-// `ip -batch` exit), members in setFail also fail the individual re-drive.
+// in batchFail are reported failed by the batch (like a backend that cannot
+// attribute a batch failure), members in setFail also fail the individual
+// re-drive.
 type batchInner struct {
 	*fakeRoutes
 	batchCalls int

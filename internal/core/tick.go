@@ -13,7 +13,7 @@ import (
 // This file implements the agent's poll round as a four-stage pipeline:
 //
 //	sample  — outside any lock: run the sampler (which may block for
-//	          seconds against a wedged `ss`) into a pooled buffer.
+//	          seconds against a wedged kernel dump) into a pooled buffer.
 //	plan    — fanned out over the state shards: route what changed since
 //	          last round to its shard as edits to the retained grouping (a
 //	          stable round), or key and regroup the whole stream (a
@@ -25,8 +25,8 @@ import (
 //	          them for deterministic programming order, and fold the
 //	          shards' stat deltas into Stats.
 //	program — outside the locks again: apply the whole plan through the
-//	          BatchRouteProgrammer when the backend offers one (a single
-//	          `ip -batch` exec / one kernel lock acquisition), falling
+//	          BatchRouteProgrammer when the backend offers one (one
+//	          netlink batch / one kernel lock acquisition), falling
 //	          back to per-op SetInitCwnd / ClearInitCwnd calls. Each
 //	          shard lock is re-taken only to record results. An entry is
 //	          recorded only after its route is actually installed, so a

@@ -17,8 +17,6 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -348,24 +346,4 @@ func (h *Host) ConnCount() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return len(h.conns)
-}
-
-// FormatRoutes renders routes in iproute2's `ip route show` syntax, so the
-// simulated kernel's state can be inspected with the same tooling (and
-// parsers) as a real host's.
-func FormatRoutes(routes []Route) string {
-	var b strings.Builder
-	for _, r := range routes {
-		b.WriteString(r.Prefix.String())
-		if r.Proto != "" {
-			b.WriteString(" proto ")
-			b.WriteString(r.Proto)
-		}
-		if r.InitCwnd > 0 {
-			b.WriteString(" initcwnd ")
-			b.WriteString(strconv.Itoa(r.InitCwnd))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -32,7 +32,7 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // DefaultBuckets are the histogram upper bounds used when none are given:
 // 500µs to 10s in roughly exponential steps, spanning in-memory sim ticks up
-// to a hung 5s ExecRunner timeout.
+// to a kernel conversation hung until its 3s socket timeout.
 var DefaultBuckets = []time.Duration{
 	500 * time.Microsecond,
 	1 * time.Millisecond,

@@ -151,20 +151,10 @@ func TestParseDiagDumpRejectsShrinkBack(t *testing.T) {
 // BenchmarkParseDiagDump decodes one full IPv4 dump at the bench rig's
 // steady-100k size, encoded once exactly as MemConn serves it (≈32 KiB
 // datagrams), into a reused buffer — the decode leg of a steady-state sample
-// without the fixture's copy-out. (The sockets are perf.SyntheticObservations'
-// shape; perf imports this package, so it cannot be imported here.)
+// without the fixture's copy-out.
 func BenchmarkParseDiagDump(b *testing.B) {
 	const parseDumpSockets = 100_000
-	socks := make([]core.Observation, parseDumpSockets)
-	for i := range socks {
-		socks[i] = core.Observation{
-			Dst:        netip.AddrFrom4([4]byte{10, byte(i / 62500), byte(i / 250 % 250), byte(1 + i%250)}),
-			Cwnd:       10 + i%90,
-			RTT:        time.Duration(20+i%200) * time.Millisecond,
-			BytesAcked: int64(i) * 1500,
-		}
-	}
-	mem := &MemConn{Sockets: socks}
+	mem := &MemConn{Sockets: syntheticSockets(parseDumpSockets)}
 	mem.ensureDumps()
 	datagrams := mem.dumps[afInet]
 	buf := make([]core.Observation, 0, parseDumpSockets)

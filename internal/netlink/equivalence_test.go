@@ -1,7 +1,6 @@
 package netlink
 
 import (
-	"fmt"
 	"net/netip"
 	"reflect"
 	"sort"
@@ -9,12 +8,11 @@ import (
 	"time"
 
 	"riptide/internal/core"
-	"riptide/internal/linux"
 )
 
-// equivalenceFixture is the socket set both backends observe, as rounds of
+// equivalenceFixture is the socket set both decoders observe, as rounds of
 // samples. v4 sockets precede v6 because the netlink sampler dumps per
-// family (IPv4 then IPv6) while the exec sampler takes the text in file
+// family (IPv4 then IPv6) while the ss oracle takes the text in file
 // order — same ordering in the fixture means same observation order, which
 // matters because the combiner folds observations in order. RTTs are whole
 // milliseconds so the ss decimal rendering round-trips exactly; each round
@@ -41,14 +39,11 @@ func equivalenceFixture() [][]core.Observation {
 	return [][]core.Observation{base, moved, moved}
 }
 
-// ssRunner serves canned `ss -tin` text to the exec sampler.
-type ssRunner struct{ out []byte }
+// ssSampler samples by parsing canned `ss -tin` text with the oracle.
+type ssSampler struct{ out []byte }
 
-func (r *ssRunner) Run(name string, args ...string) ([]byte, error) {
-	if name != "ss" {
-		return nil, fmt.Errorf("unexpected command %q", name)
-	}
-	return r.out, nil
+func (s ssSampler) SampleConnections(buf []core.Observation) ([]core.Observation, error) {
+	return append(buf, ParseSS(s.out)...), nil
 }
 
 // swapSampler lets the test hand the agent a different sampler each round.
@@ -83,14 +78,15 @@ func (p *planRecorder) ProgramRoutes(ops []core.RouteOp) []error {
 }
 
 // TestBackendEquivalence drives two complete agents — one sampling through
-// the exec backend's text parser, one through the netlink binary decoder —
-// over the same socket set and requires byte-identical outcomes: the same
-// observations, the same committed route plans, the same learned tables.
+// the `ss -tin` text oracle (ss_test.go), one through the netlink binary
+// decoder — over the same socket set and requires byte-identical outcomes:
+// the same observations, the same committed route plans, the same learned
+// tables.
 func TestBackendEquivalence(t *testing.T) {
 	rounds := equivalenceFixture()
 
-	execSwap, nlSwap := &swapSampler{}, &swapSampler{}
-	execRec, nlRec := &planRecorder{}, &planRecorder{}
+	ssSwap, nlSwap := &swapSampler{}, &swapSampler{}
+	ssRec, nlRec := &planRecorder{}, &planRecorder{}
 	newAgent := func(s core.ConnectionSampler, r *planRecorder) *core.Agent {
 		agent, err := core.New(core.Config{
 			Sampler: s,
@@ -103,14 +99,11 @@ func TestBackendEquivalence(t *testing.T) {
 		}
 		return agent
 	}
-	execAgent := newAgent(execSwap, execRec)
+	ssAgent := newAgent(ssSwap, ssRec)
 	nlAgent := newAgent(nlSwap, nlRec)
 
 	for round, socks := range rounds {
-		execSampler, err := linux.NewSampler(&ssRunner{out: linux.RenderSS(socks)})
-		if err != nil {
-			t.Fatalf("round %d: linux.NewSampler: %v", round, err)
-		}
+		ssText := ssSampler{out: RenderSS(socks)}
 		mem := &MemConn{Sockets: socks}
 		nlSampler, err := NewSampler(SamplerConfig{Dial: mem.Dialer()})
 		if err != nil {
@@ -119,43 +112,43 @@ func TestBackendEquivalence(t *testing.T) {
 
 		// The samplers themselves must agree before the agents run: same
 		// observations, same order, every field.
-		fromText, err := execSampler.SampleConnections(nil)
+		fromText, err := ssText.SampleConnections(nil)
 		if err != nil {
-			t.Fatalf("round %d: exec sample: %v", round, err)
+			t.Fatalf("round %d: ss sample: %v", round, err)
 		}
 		fromWire, err := nlSampler.SampleConnections(nil)
 		if err != nil {
 			t.Fatalf("round %d: netlink sample: %v", round, err)
 		}
 		if !reflect.DeepEqual(fromText, fromWire) {
-			t.Fatalf("round %d: observation streams diverge:\n exec %+v\n  netlink %+v", round, fromText, fromWire)
+			t.Fatalf("round %d: observation streams diverge:\n ss      %+v\n netlink %+v", round, fromText, fromWire)
 		}
 
-		execSwap.inner, nlSwap.inner = execSampler, nlSampler
-		if err := execAgent.Tick(); err != nil {
-			t.Fatalf("round %d: exec tick: %v", round, err)
+		ssSwap.inner, nlSwap.inner = ssText, nlSampler
+		if err := ssAgent.Tick(); err != nil {
+			t.Fatalf("round %d: ss tick: %v", round, err)
 		}
 		if err := nlAgent.Tick(); err != nil {
 			t.Fatalf("round %d: netlink tick: %v", round, err)
 		}
 	}
 
-	if !reflect.DeepEqual(execRec.batches, nlRec.batches) {
-		t.Fatalf("committed plans diverge:\n exec    %+v\n netlink %+v", execRec.batches, nlRec.batches)
+	if !reflect.DeepEqual(ssRec.batches, nlRec.batches) {
+		t.Fatalf("committed plans diverge:\n ss      %+v\n netlink %+v", ssRec.batches, nlRec.batches)
 	}
-	if len(execRec.batches) == 0 {
+	if len(ssRec.batches) == 0 {
 		t.Fatal("fixture produced no route plans; the equivalence check is vacuous")
 	}
-	execEntries, nlEntries := execAgent.Entries(), nlAgent.Entries()
+	ssEntries, nlEntries := ssAgent.Entries(), nlAgent.Entries()
 	sortEntries := func(es []core.Entry) {
 		sort.Slice(es, func(i, j int) bool { return es[i].Prefix.String() < es[j].Prefix.String() })
 	}
-	sortEntries(execEntries)
+	sortEntries(ssEntries)
 	sortEntries(nlEntries)
-	if !reflect.DeepEqual(execEntries, nlEntries) {
-		t.Fatalf("learned tables diverge:\n exec    %+v\n netlink %+v", execEntries, nlEntries)
+	if !reflect.DeepEqual(ssEntries, nlEntries) {
+		t.Fatalf("learned tables diverge:\n ss      %+v\n netlink %+v", ssEntries, nlEntries)
 	}
-	if len(execEntries) == 0 {
+	if len(ssEntries) == 0 {
 		t.Fatal("fixture produced no learned entries")
 	}
 }

@@ -120,10 +120,7 @@ func newMemRoutes(t *testing.T, mem *MemConn, cfg RoutesConfig) *Routes {
 
 func TestRoutesProgramRecordsWire(t *testing.T) {
 	mem := &MemConn{}
-	cfg := RoutesConfig{DeviceIndex: 3}
-	cfg.Gateway = "10.0.0.1"
-	cfg.SetInitRwnd = true
-	r := newMemRoutes(t, mem, cfg)
+	r := newMemRoutes(t, mem, RoutesConfig{DeviceIndex: 3, Gateway: "10.0.0.1", SetInitRwnd: true})
 
 	ops := []core.RouteOp{
 		{Prefix: netip.MustParsePrefix("10.9.8.0/24"), Window: 40},
@@ -155,6 +152,34 @@ func TestRoutesProgramRecordsWire(t *testing.T) {
 	}
 	if del.Scope != rtScopeNowhere {
 		t.Fatalf("delete must use the wildcard scope, got %d", del.Scope)
+	}
+}
+
+func TestRoutesDeleteMirrorsSetSelectors(t *testing.T) {
+	// On a multi-interface host the delete must carry the install's gateway
+	// and interface, or RTM_DELROUTE can miss Riptide's route — or remove a
+	// same-prefix route on another interface.
+	mem := &MemConn{}
+	r := newMemRoutes(t, mem, RoutesConfig{DeviceIndex: 3, Gateway: "10.0.0.1"})
+	p := netip.MustParsePrefix("10.0.0.127/32")
+	if err := r.SetInitCwnd(p, 80); err != nil {
+		t.Fatalf("SetInitCwnd: %v", err)
+	}
+	if err := r.ClearInitCwnd(p); err != nil {
+		t.Fatalf("ClearInitCwnd: %v", err)
+	}
+	if len(mem.Routes) != 2 {
+		t.Fatalf("recorded %d routes, want 2", len(mem.Routes))
+	}
+	set, del := mem.Routes[0], mem.Routes[1]
+	if !del.Del || del.Prefix != p {
+		t.Fatalf("delete decoded wrong: %+v", del)
+	}
+	if del.Gateway != netip.MustParseAddr("10.0.0.1") || del.OIF != 3 {
+		t.Fatalf("delete selectors = gw %v oif %d, want gw 10.0.0.1 oif 3", del.Gateway, del.OIF)
+	}
+	if del.Gateway != set.Gateway || del.OIF != set.OIF {
+		t.Fatalf("delete selectors = gw %v oif %d, want the install's gw %v oif %d", del.Gateway, del.OIF, set.Gateway, set.OIF)
 	}
 }
 
@@ -249,7 +274,7 @@ func TestRoutesListAndReconcile(t *testing.T) {
 	if len(mine) != 1 || mine[0].Prefix != mem.InstalledRoutes[0].Prefix {
 		t.Fatalf("want only the proto-static initcwnd route, got %+v", mine)
 	}
-	if mine[0].InitCwnd != 40 || mine[0].Proto != "static" || mine[0].Gateway != "10.0.0.1" {
+	if mine[0].InitCwnd != 40 || mine[0].Proto != rtprotStatic || mine[0].Gateway != netip.MustParseAddr("10.0.0.1") {
 		t.Fatalf("installed-route fields wrong: %+v", mine[0])
 	}
 	removed, err := r.Reconcile()
@@ -261,6 +286,90 @@ func TestRoutesListAndReconcile(t *testing.T) {
 	}
 	if len(mem.Routes) != 1 || !mem.Routes[0].Del || mem.Routes[0].Prefix != mine[0].Prefix {
 		t.Fatalf("reconcile should withdraw exactly the stale route: %+v", mem.Routes)
+	}
+}
+
+// mixedRouteTable is a main table holding Riptide's routes — proto static
+// with an initcwnd metric, v4 host and prefix routes and a v6 prefix — among
+// routes Riptide must leave alone: a DHCP default, a kernel link route, and a
+// static route without initcwnd.
+func mixedRouteTable() []RecordedRoute {
+	return []RecordedRoute{
+		{Prefix: netip.MustParsePrefix("0.0.0.0/0"), Proto: 16 /* dhcp */, Gateway: netip.MustParseAddr("10.0.0.1"), OIF: 2},
+		{Prefix: netip.MustParsePrefix("10.0.0.0/24"), Proto: 2 /* kernel */, Scope: rtScopeLink, OIF: 2},
+		{Prefix: netip.MustParsePrefix("10.0.0.127/32"), Proto: rtprotStatic, InitCwnd: 80, Gateway: netip.MustParseAddr("10.0.0.1"), OIF: 2},
+		{Prefix: netip.MustParsePrefix("10.1.0.0/16"), Proto: rtprotStatic, InitCwnd: 50, OIF: 2},
+		{Prefix: netip.MustParsePrefix("192.168.9.9/32"), Proto: rtprotStatic, Gateway: netip.MustParseAddr("10.0.0.1"), OIF: 2},
+		{Prefix: netip.MustParsePrefix("2001:db8::/32"), Proto: rtprotStatic, InitCwnd: 40, OIF: 2},
+	}
+}
+
+func TestRoutesListRiptideRoutes(t *testing.T) {
+	r := newMemRoutes(t, &MemConn{InstalledRoutes: mixedRouteTable()}, RoutesConfig{})
+	mine, err := r.ListRiptideRoutes()
+	if err != nil {
+		t.Fatalf("ListRiptideRoutes: %v", err)
+	}
+	// static + initcwnd: 10.0.0.127/32, 10.1.0.0/16, 2001:db8::/32.
+	want := map[netip.Prefix]int{
+		netip.MustParsePrefix("10.0.0.127/32"): 80,
+		netip.MustParsePrefix("10.1.0.0/16"):   50,
+		netip.MustParsePrefix("2001:db8::/32"): 40,
+	}
+	if len(mine) != len(want) {
+		t.Fatalf("riptide routes = %+v, want %d", mine, len(want))
+	}
+	for _, rt := range mine {
+		if w, ok := want[rt.Prefix]; !ok || rt.InitCwnd != w {
+			t.Errorf("listed %v initcwnd %d, want one of %v", rt.Prefix, rt.InitCwnd, want)
+		}
+	}
+}
+
+func TestRoutesReconcileRemovesStaleRoutes(t *testing.T) {
+	mem := &MemConn{InstalledRoutes: mixedRouteTable()}
+	r := newMemRoutes(t, mem, RoutesConfig{})
+	removed, err := r.Reconcile()
+	if err != nil {
+		t.Fatalf("Reconcile: %v", err)
+	}
+	if removed != 3 {
+		t.Errorf("removed = %d, want 3", removed)
+	}
+	dels := 0
+	for _, rt := range mem.Routes {
+		if rt.Del {
+			dels++
+		}
+	}
+	if dels != 3 || len(mem.Routes) != 3 {
+		t.Errorf("route messages = %+v, want 3 deletes and nothing else", mem.Routes)
+	}
+}
+
+// TestRoutesReconcilePartialFailure: one stale route the kernel refuses to
+// withdraw must not stop the others, and the error names the refused prefix.
+func TestRoutesReconcilePartialFailure(t *testing.T) {
+	stuck := netip.MustParsePrefix("10.4.0.0/24")
+	mem := &MemConn{
+		AckErrno: func(rt RecordedRoute, parsed bool) Errno {
+			if rt.Prefix == stuck {
+				return EPERM
+			}
+			return 0
+		},
+	}
+	for _, p := range []string{"10.3.0.0/24", "10.4.0.0/24", "10.5.0.0/24"} {
+		mem.InstalledRoutes = append(mem.InstalledRoutes,
+			RecordedRoute{Prefix: netip.MustParsePrefix(p), Proto: rtprotStatic, InitCwnd: 40})
+	}
+	r := newMemRoutes(t, mem, RoutesConfig{})
+	removed, err := r.Reconcile()
+	if removed != 2 {
+		t.Errorf("removed %d, want 2 (the others must still be withdrawn)", removed)
+	}
+	if !errors.Is(err, EPERM) || !strings.Contains(err.Error(), stuck.String()) {
+		t.Errorf("Reconcile error = %v, want EPERM naming %v", err, stuck)
 	}
 }
 
@@ -283,9 +392,7 @@ func TestNewRoutesRejectsBadConfig(t *testing.T) {
 	if _, err := NewRoutes(RoutesConfig{Dial: (&MemConn{}).Dialer(), BatchSize: -1}); err == nil {
 		t.Fatal("negative batch size must be rejected")
 	}
-	cfg := RoutesConfig{Dial: (&MemConn{}).Dialer()}
-	cfg.Gateway = "not-an-ip"
-	if _, err := NewRoutes(cfg); err == nil {
+	if _, err := NewRoutes(RoutesConfig{Dial: (&MemConn{}).Dialer(), Gateway: "not-an-ip"}); err == nil {
 		t.Fatal("unparsable gateway must be rejected")
 	}
 }
@@ -336,13 +443,14 @@ func TestApplyTCPInfoTruncated(t *testing.T) {
 	}
 }
 
-func TestProbeBackendHelper(t *testing.T) {
-	s := newMemSampler(t, &MemConn{}, SamplerConfig{})
-	if err := core.ProbeBackend(s); err != nil {
+func TestSamplerProbe(t *testing.T) {
+	mem := &MemConn{}
+	s := newMemSampler(t, mem, SamplerConfig{})
+	if err := s.Probe(); err != nil {
 		t.Fatalf("sampler probe over MemConn: %v", err)
 	}
-	// A value without a Probe method passes trivially.
-	if err := core.ProbeBackend(struct{}{}); err != nil {
-		t.Fatalf("probeless value must pass: %v", err)
+	mem.RecvErr = EPERM
+	if err := s.Probe(); !errors.Is(err, EPERM) {
+		t.Fatalf("probe of an unreadable dump must fail with the errno, got %v", err)
 	}
 }

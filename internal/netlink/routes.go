@@ -7,7 +7,6 @@ import (
 	"net/netip"
 
 	"riptide/internal/core"
-	"riptide/internal/linux"
 )
 
 // DefaultBatchSize is the number of route messages packed into one sendto.
@@ -15,15 +14,20 @@ import (
 // under the default netlink socket buffers.
 const DefaultBatchSize = 128
 
-// RoutesConfig configures the netlink route programmer. The embedded
-// linux.RoutesConfig carries the route-command semantics shared with the
-// exec backend — Device, Gateway, SetInitRwnd — so the two backends program
-// byte-equivalent routes from one configuration.
+// RoutesConfig configures the netlink route programmer.
 type RoutesConfig struct {
-	linux.RoutesConfig
+	// Device is the outgoing interface (`dev eth0`). Optional.
+	Device string
+	// Gateway is the next hop (`via 10.0.0.1`). Optional, but most
+	// deployments need it: the route Riptide adds must otherwise mirror
+	// the default route (paper Section III-C).
+	Gateway string
+	// SetInitRwnd, when true, also sets initrwnd so the receive window
+	// can absorb the initial burst (paper Section III-C).
+	SetInitRwnd bool
 
-	// DeviceIndex is the outgoing interface index; 0 means resolve
-	// RoutesConfig.Device by name at construction (when Device is set).
+	// DeviceIndex is the outgoing interface index; 0 means resolve Device
+	// by name at construction (when Device is set).
 	DeviceIndex int
 	// Dial opens the NETLINK_ROUTE conversation; nil means the platform
 	// Dial.
@@ -123,12 +127,13 @@ func firstError(errs []error) error {
 }
 
 // ProgramRoutes implements core.BatchRouteProgrammer. Ops are validated up
-// front with the same rules as the exec backend, encoded into one buffer
-// per batch-size chunk, sent with one syscall, and acked individually: the
-// kernel answers every NLM_F_ACK message with an NLMSG_ERROR whose sequence
-// number identifies the op, so failures are attributed natively instead of
-// through the retry decorator's re-drive. Returns nil when everything
-// succeeded, otherwise a slice of exactly len(ops) per-op errors.
+// front (a valid prefix, and a window of at least 1 unless clearing),
+// encoded into one buffer per batch-size chunk, sent with one syscall, and
+// acked individually: the kernel answers every NLM_F_ACK message with an
+// NLMSG_ERROR whose sequence number identifies the op, so failures are
+// attributed natively instead of through the retry decorator's re-drive.
+// Returns nil when everything succeeded, otherwise a slice of exactly
+// len(ops) per-op errors.
 func (r *Routes) ProgramRoutes(ops []core.RouteOp) []error {
 	if len(ops) == 0 {
 		return nil
@@ -154,7 +159,6 @@ func (r *Routes) ProgramRoutes(ops []core.RouteOp) []error {
 		}
 		fail(i, err)
 	}
-	// Validation mirrors linux.Routes.ProgramRoutes.
 	for i, op := range ops {
 		switch {
 		case !op.Prefix.IsValid():
@@ -277,8 +281,8 @@ func opString(op core.RouteOp) string {
 
 // ListRiptideRoutes returns the installed routes a Riptide agent owns —
 // main-table proto-static routes carrying an initcwnd metric — decoded from
-// an RTM_GETROUTE dump. The netlink analog of linux.Routes.ListRiptideRoutes.
-func (r *Routes) ListRiptideRoutes() ([]linux.InstalledRoute, error) {
+// an RTM_GETROUTE dump.
+func (r *Routes) ListRiptideRoutes() ([]RecordedRoute, error) {
 	if r.conn == nil {
 		c, err := r.cfg.Dial(ProtoRoute)
 		if err != nil {
@@ -319,30 +323,19 @@ func (r *Routes) ListRiptideRoutes() ([]linux.InstalledRoute, error) {
 			return nil, errors.New("netlink: empty datagram mid-dump")
 		}
 	}
-	var mine []linux.InstalledRoute
+	var mine []RecordedRoute
 	for _, rt := range r.listBuf {
 		if rt.Proto == rtprotStatic && rt.InitCwnd > 0 && rt.Table == rtTableMain {
-			mine = append(mine, linux.InstalledRoute{
-				Prefix:   rt.Prefix,
-				InitCwnd: rt.InitCwnd,
-				Proto:    "static",
-				Gateway:  gatewayString(rt.Gateway),
-			})
+			mine = append(mine, rt)
 		}
 	}
 	return mine, nil
 }
 
-func gatewayString(gw netip.Addr) string {
-	if !gw.IsValid() {
-		return ""
-	}
-	return gw.String()
-}
-
 // Reconcile removes every leftover Riptide route from a previous
-// incarnation (the netlink analog of linux.Routes.Reconcile), withdrawing
-// them in one batch.
+// incarnation, withdrawing them in one batch. A restarting agent calls it
+// before its first Tick so stale aggressive windows from before a crash or
+// reboot cannot outlive the observations that justified them.
 func (r *Routes) Reconcile() (removed int, err error) {
 	stale, err := r.ListRiptideRoutes()
 	if err != nil {
@@ -373,11 +366,12 @@ func (r *Routes) Reconcile() (removed int, err error) {
 	return removed, firstErr
 }
 
-// Probe implements core.Prober: it sends a deliberately invalid
-// RTM_NEWROUTE (see appendProbeReq) and inspects the ack. The kernel checks
-// CAP_NET_ADMIN before validating the route, so EINVAL proves this process
-// may program routes while EPERM/EACCES means it may not — nothing is
-// mutated either way.
+// Probe reports whether this process may program routes, so a daemon can
+// fail at startup instead of on its first tick. It sends a deliberately
+// invalid RTM_NEWROUTE (see appendProbeReq) and inspects the ack. The
+// kernel checks CAP_NET_ADMIN before validating the route, so EINVAL proves
+// this process may program routes while EPERM/EACCES means it may not —
+// nothing is mutated either way.
 func (r *Routes) Probe() error {
 	if r.conn == nil {
 		c, err := r.cfg.Dial(ProtoRoute)

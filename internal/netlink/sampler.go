@@ -65,8 +65,7 @@ var _ core.ConnectionSampler = (*Sampler)(nil)
 
 // SampleConnections implements core.ConnectionSampler: observations are
 // appended to buf per the pooled-buffer contract. On any conversation error
-// the socket is closed (to be re-dialed next call) and nil, err returned,
-// matching the exec sampler's behavior.
+// the socket is closed (to be re-dialed next call) and nil, err returned.
 func (s *Sampler) SampleConnections(buf []core.Observation) ([]core.Observation, error) {
 	obs := buf
 	for _, family := range s.cfg.Families {
@@ -119,8 +118,8 @@ func (s *Sampler) dump(family uint8, obs []core.Observation) ([]core.Observation
 	}
 }
 
-// Probe implements core.Prober: one throwaway dump proves the kernel
-// supports NETLINK_SOCK_DIAG and this process may read it.
+// Probe runs one throwaway dump, proving the kernel supports
+// NETLINK_SOCK_DIAG and this process may read it.
 func (s *Sampler) Probe() error {
 	_, err := s.SampleConnections(nil)
 	return err

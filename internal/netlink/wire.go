@@ -1,20 +1,20 @@
-// Package netlink is the netlink-native Linux backend for the Riptide
-// agent: it implements core.ConnectionSampler and core.BatchRouteProgrammer
-// by speaking the kernel's wire protocols directly — NETLINK_SOCK_DIAG
+// Package netlink is the Linux backend for the Riptide agent: it
+// implements core.ConnectionSampler and core.BatchRouteProgrammer by
+// speaking the kernel's wire protocols directly — NETLINK_SOCK_DIAG
 // (INET_DIAG dump requests carrying tcp_info attributes) for the connection
 // table, and NETLINK_ROUTE (RTM_NEWROUTE / RTM_DELROUTE with RTAX_INITCWND
-// under RTA_METRICS) for route programming — removing fork/exec and text
-// parsing from the agent hot path entirely. `ss -tin` and `ip route` render
-// exactly the kernel state this package reads and writes in binary.
+// under RTA_METRICS) for route programming — with no fork/exec and no text
+// parsing on the agent hot path. `ss -tin` and `ip route`, the tools the
+// paper's deployment used, are clients of these same interfaces: they
+// render exactly the kernel state this package reads and writes in binary.
 //
 // The package splits at the syscall boundary: everything above Conn — the
 // wire codec, Sampler, Routes, and the MemConn in-memory kernel — is
 // portable Go that builds and tests on every GOOS, while Dial
 // (conn_linux.go) is the only Linux-gated file; the non-Linux stub returns
-// errors.ErrUnsupported so backend auto-selection (riptided -backend auto)
-// falls back to the exec backend. Wire constants are Linux ABI values
-// written out literally, not syscall-package constants, for the same
-// reason: syscall.AF_INET6 is 30 on darwin but the wire value is always 10.
+// errors.ErrUnsupported. Wire constants are Linux ABI values written out
+// literally, not syscall-package constants, for the same reason:
+// syscall.AF_INET6 is 30 on darwin but the wire value is always 10.
 //
 // Encoding and decoding are hand-rolled over pooled buffers in the
 // kernel's native byte order (netlink is a host-endian protocol): a
@@ -133,7 +133,7 @@ func nlaAlign(n int) int { return (n + 3) &^ 3 }
 // syscall package assigns those numbers different meanings.
 type Errno int32
 
-// Linux errno values the backend selection logic distinguishes.
+// Linux errno values the probes and tests distinguish.
 const (
 	EPERM  Errno = 1
 	ENOENT Errno = 2
@@ -483,7 +483,7 @@ func ParseRouteDump(routes []RecordedRoute, data []byte, seq uint32) (_ []Record
 }
 
 // routeWire is the resolved per-programmer route-command shape: the netlink
-// rendering of the exec backend's `dev ... via ... initrwnd` selectors.
+// rendering of `ip route`'s `dev ... via ... initrwnd` selectors.
 type routeWire struct {
 	gw       netip.Addr // invalid when unset
 	oif      uint32
@@ -492,7 +492,7 @@ type routeWire struct {
 }
 
 // appendRouteReq appends one RTM_NEWROUTE (replace) or RTM_DELROUTE request
-// for op, mirroring linux.Routes.SetCommand / DelCommand semantics:
+// for op, mirroring `ip route replace` / `ip route del`:
 // replace-style installs (NLM_F_CREATE|NLM_F_REPLACE), proto static, the
 // configured dev/via selectors on both install and delete, and
 // RTAX_INITCWND (plus RTAX_INITRWND when configured) on installs only.

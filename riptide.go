@@ -24,7 +24,7 @@ import (
 	"time"
 
 	"riptide/internal/core"
-	"riptide/internal/linux"
+	"riptide/internal/netlink"
 )
 
 // Re-exported core types: the agent's full configuration surface.
@@ -40,7 +40,7 @@ type (
 	// RouteProgrammer applies initcwnd overrides (the `ip route` step).
 	RouteProgrammer = core.RouteProgrammer
 	// BatchRouteProgrammer is the optional batched route-programming
-	// extension (one `ip -batch` exec per tick).
+	// extension (one netlink message batch per tick).
 	BatchRouteProgrammer = core.BatchRouteProgrammer
 	// RouteOp is one element of a batched route-programming request.
 	RouteOp = core.RouteOp
@@ -148,7 +148,7 @@ func NewTrendHistory(alpha, collapseFraction float64) (*TrendHistory, error) {
 	return core.NewTrendHistory(alpha, collapseFraction)
 }
 
-// LinuxOptions configures a production agent backed by ss(8) and ip(8).
+// LinuxOptions configures a production agent on the local Linux kernel.
 type LinuxOptions struct {
 	// Device is the outgoing interface for programmed routes ("eth0").
 	Device string
@@ -158,8 +158,6 @@ type LinuxOptions struct {
 	// SetInitRwnd also raises initrwnd on programmed routes so receivers
 	// accept the initial burst (paper Section III-C).
 	SetInitRwnd bool
-	// CommandTimeout bounds each ss/ip invocation (default 5s).
-	CommandTimeout time.Duration
 
 	// UpdateInterval, TTL, Alpha, CMax, CMin, PrefixBits, and Shards
 	// override the paper defaults when non-zero.
@@ -171,16 +169,18 @@ type LinuxOptions struct {
 	Shards         int
 }
 
-// NewLinuxAgent builds an Agent wired to the local machine's ss and ip
-// utilities — the deployment described in the paper. It requires the
-// CAP_NET_ADMIN capability (or root) at Tick time, not at construction.
+// NewLinuxAgent builds an Agent wired to the local kernel over netlink:
+// sock_diag dumps read each connection's cwnd and rtnetlink writes initcwnd,
+// the interfaces behind the `ss` and `ip` commands of the paper's
+// deployment. Construction resolves a named Device to its interface index
+// but dials no netlink socket; the first Tick does, and programming routes
+// requires the CAP_NET_ADMIN capability (or root).
 func NewLinuxAgent(opts LinuxOptions) (*Agent, error) {
-	runner := linux.ExecRunner{Timeout: opts.CommandTimeout}
-	sampler, err := linux.NewSampler(runner)
+	sampler, err := netlink.NewSampler(netlink.SamplerConfig{})
 	if err != nil {
 		return nil, err
 	}
-	routes, err := linux.NewRoutes(runner, linux.RoutesConfig{
+	routes, err := netlink.NewRoutes(netlink.RoutesConfig{
 		Device:      opts.Device,
 		Gateway:     opts.Gateway,
 		SetInitRwnd: opts.SetInitRwnd,
