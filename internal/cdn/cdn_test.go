@@ -1,11 +1,15 @@
 package cdn
 
 import (
+	"net/netip"
 	"sort"
 	"testing"
 	"time"
 
+	"riptide/internal/core"
+	"riptide/internal/eventsim"
 	"riptide/internal/kernel"
+	"riptide/internal/netsim"
 	"riptide/internal/stats"
 )
 
@@ -629,5 +633,47 @@ func TestStopCancelsOrganicTraffic(t *testing.T) {
 	c.Engine().Run()
 	if n := c.net.Opened() - opened; n != 0 {
 		t.Errorf("%d connections opened after Stop", n)
+	}
+}
+
+// TestHostSamplerSteadyDoesNotAllocate: sampling a host whose 25 connections
+// stay open, into a buffer the caller reuses, allocates nothing — the
+// snapshot buffer is the sampler's own and each connection writes its slot
+// in place.
+func TestHostSamplerSteadyDoesNotAllocate(t *testing.T) {
+	engine := eventsim.NewEngine()
+	net, err := netsim.NewNetwork(netsim.Config{Engine: engine, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, dst := netip.MustParseAddr("10.1.0.1"), netip.MustParseAddr("10.2.0.1")
+	h, err := net.AddHost(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.AddHost(dst); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.SetBidiPath(src, dst, netsim.PathConfig{RTT: 80 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 25; i++ {
+		if _, err := net.Open(src, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := NewHostSampler(h)
+	var buf []core.Observation
+	sample := func() {
+		if buf, err = s.SampleConnections(buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sample()
+	if allocs := testing.AllocsPerRun(100, sample); allocs != 0 {
+		t.Errorf("a steady 25-connection sample allocates %.0f times, want 0", allocs)
+	}
+	if len(buf) != 25 || buf[24].Dst != dst || buf[24].Cwnd != kernel.DefaultInitCwnd {
+		t.Errorf("sampled %d observations, last %+v", len(buf), buf[len(buf)-1])
 	}
 }

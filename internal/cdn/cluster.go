@@ -20,17 +20,23 @@ import (
 
 // hostSampler adapts a simulated kernel's connection table to the agent's
 // ConnectionSampler — the `ss` of the simulated world. The snapshot buffer
-// is reused across ticks, so a steady connection set samples without
-// allocating.
+// is reused across ticks and each connection writes its slot in place, so a
+// steady connection set samples without allocating and each snapshot is
+// read where it was written.
 type hostSampler struct {
 	host  *kernel.Host
 	snaps []kernel.ConnSnapshot
 }
 
+// NewHostSampler returns the sampler of a simulated machine's connection
+// table, for an agent driving that machine.
+func NewHostSampler(h *kernel.Host) core.ConnectionSampler { return &hostSampler{host: h} }
+
 // SampleConnections implements core.ConnectionSampler.
 func (s *hostSampler) SampleConnections(buf []core.Observation) ([]core.Observation, error) {
 	s.snaps = s.host.AppendConnections(s.snaps[:0])
-	for _, c := range s.snaps {
+	for i := range s.snaps {
+		c := &s.snaps[i]
 		buf = append(buf, core.Observation{
 			Dst:        c.Dst,
 			Cwnd:       c.Cwnd,
@@ -52,6 +58,10 @@ type hostRoutes struct {
 	host    *kernel.Host
 	updates []kernel.RouteUpdate
 }
+
+// NewHostRoutes returns the route programmer of a simulated machine's route
+// table, for an agent driving that machine.
+func NewHostRoutes(h *kernel.Host) core.BatchRouteProgrammer { return &hostRoutes{host: h} }
 
 // SetInitCwnd implements core.RouteProgrammer.
 func (r *hostRoutes) SetInitCwnd(prefix netip.Prefix, cwnd int) error {
@@ -76,11 +86,6 @@ func (r *hostRoutes) ProgramRoutes(ops []core.RouteOp) []error {
 	}
 	return r.host.ApplyRoutes(r.updates)
 }
-
-var (
-	_ core.ConnectionSampler    = (*hostSampler)(nil)
-	_ core.BatchRouteProgrammer = (*hostRoutes)(nil)
-)
 
 // RiptideOptions tunes the per-host agents.
 type RiptideOptions struct {
@@ -390,8 +395,8 @@ func (c *Cluster) newAgentForHost(h *kernel.Host) (*core.Agent, *guard.Governor,
 	}
 	agent, err := core.New(core.Config{
 		Guard:          gov,
-		Sampler:        &hostSampler{host: h},
-		Routes:         &hostRoutes{host: h},
+		Sampler:        NewHostSampler(h),
+		Routes:         NewHostRoutes(h),
 		Clock:          c.engine.Now,
 		UpdateInterval: r.UpdateInterval,
 		TTL:            r.TTL,

@@ -67,6 +67,9 @@ const (
 // error. While the sampler circuit breaker is open, Tick degrades to an
 // expiry-only pass and returns nil; the degradation is visible in Stats.
 func (a *Agent) Tick() error {
+	// The stage histograms are chained: each stage ends at the clock read
+	// that starts the next, so a round reads the wall clock five times. The
+	// sample stage's span opens at the tick's start.
 	start := time.Now()
 	a.tickMu.Lock()
 	defer a.tickMu.Unlock()
@@ -90,9 +93,9 @@ func (a *Agent) Tick() error {
 		a.countLocked(func(s *Stats) { s.DegradedTicks++ })
 		return a.expirePass(now)
 	}
-	sampleStart := time.Now()
 	obs, err := a.cfg.Sampler.SampleConnections(a.obsBuf[:0])
-	a.mSample.Observe(time.Since(sampleStart))
+	planStart := time.Now()
+	a.mSample.Observe(planStart.Sub(start))
 	if err != nil {
 		a.noteSampleFailure(now)
 		// Expire stale entries even when sampling fails, so a dead
@@ -109,7 +112,6 @@ func (a *Agent) Tick() error {
 
 	// Plan stage. Small rounds stay serial — goroutines cost more than they
 	// save.
-	planStart := time.Now()
 	nShards := len(a.shards)
 	workers := 1
 	if nShards > 1 && len(obs) >= parallelThreshold {
@@ -174,11 +176,11 @@ func (a *Agent) Tick() error {
 		eachShard(a.planS)
 	}
 	a.tickObs = nil
-	a.mPlan.Observe(time.Since(planStart))
+	commitStart := time.Now()
+	a.mPlan.Observe(commitStart.Sub(planStart))
 
 	// Commit stage: merge the per-shard plans deterministically and fold
 	// the stat deltas — the only remaining global critical section.
-	commitStart := time.Now()
 	var plan []programOp
 	if len(a.shards) == 1 {
 		// One shard: adopt its plan in place rather than copying the ops

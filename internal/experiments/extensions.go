@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"time"
 
+	"riptide/internal/cdn"
 	"riptide/internal/core"
 	"riptide/internal/eventsim"
 	"riptide/internal/kernel"
@@ -25,33 +26,6 @@ type twoHostRig struct {
 	agent  *core.Agent
 	src    netip.Addr
 	dst    netip.Addr
-}
-
-type rigSampler struct {
-	host  *kernel.Host
-	snaps []kernel.ConnSnapshot
-}
-
-func (s *rigSampler) SampleConnections(buf []core.Observation) ([]core.Observation, error) {
-	s.snaps = s.host.AppendConnections(s.snaps[:0])
-	for _, c := range s.snaps {
-		buf = append(buf, core.Observation{
-			Dst: c.Dst, Cwnd: c.Cwnd, RTT: c.RTT, BytesAcked: c.BytesAcked,
-			Retrans: c.Retrans, Lost: c.Lost, SegsOut: c.SegsOut, LossEvents: c.LossEvents,
-		})
-	}
-	return buf, nil
-}
-
-type rigRoutes struct{ host *kernel.Host }
-
-func (r rigRoutes) SetInitCwnd(p netip.Prefix, cwnd int) error {
-	return r.host.AddRoute(kernel.Route{Prefix: p, InitCwnd: cwnd, Proto: "static"})
-}
-
-func (r rigRoutes) ClearInitCwnd(p netip.Prefix) error {
-	r.host.DelRoute(p)
-	return nil
 }
 
 // newTwoHostRig wires a sender with a Riptide agent (using the supplied
@@ -81,8 +55,8 @@ func newTwoHostRig(seed int64, history core.HistoryPolicy, advisor core.Advisor,
 		return nil, err
 	}
 	agent, err := core.New(core.Config{
-		Sampler: &rigSampler{host: host},
-		Routes:  rigRoutes{host: host},
+		Sampler: cdn.NewHostSampler(host),
+		Routes:  cdn.NewHostRoutes(host),
 		Clock:   engine.Now,
 		History: history,
 		Advisor: advisor,

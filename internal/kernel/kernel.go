@@ -66,7 +66,10 @@ type ConnSnapshot struct {
 // Snapshotter supplies the current state of a live connection. internal/netsim
 // connections implement this; the Host never reaches into protocol state.
 type Snapshotter interface {
-	Snapshot() ConnSnapshot
+	// SnapshotTo writes every field of the connection's snapshot into the
+	// caller's slot, so a table sample fills its buffer in place instead of
+	// copying each snapshot out through a return value.
+	SnapshotTo(*ConnSnapshot)
 }
 
 // Host simulates one machine's kernel networking state. Host is safe for
@@ -319,10 +322,11 @@ func (h *Host) Connections() []ConnSnapshot {
 }
 
 // AppendConnections is Connections into a caller-provided buffer: snapshots
-// are appended to buf and the grown slice returned, so a sampling loop that
-// reuses its buffer does not allocate. The table is copied under the host
-// lock and the Snapshot calls happen outside it, preserving the package's
-// lock discipline (connection state locks never nest inside the host's).
+// are written in place into slots appended to buf and the grown slice
+// returned, so a sampling loop that reuses its buffer neither allocates nor
+// copies a snapshot twice. The table is copied under the host lock and the
+// SnapshotTo calls happen outside it, preserving the package's lock
+// discipline (connection state locks never nest inside the host's).
 func (h *Host) AppendConnections(buf []ConnSnapshot) []ConnSnapshot {
 	scratch := refScratch.Get().(*[]connRef)
 	h.mu.Lock()
@@ -332,8 +336,9 @@ func (h *Host) AppendConnections(buf []ConnSnapshot) []ConnSnapshot {
 	n := len(buf)
 	buf = slices.Grow(buf, len(refs))[:n+len(refs)]
 	for i, ref := range refs {
-		buf[n+i] = ref.s.Snapshot()
-		buf[n+i].ID = ref.id
+		slot := &buf[n+i]
+		ref.s.SnapshotTo(slot)
+		slot.ID = ref.id
 	}
 	clear(refs) // do not keep closed connections reachable from the pool
 	*scratch = refs

@@ -40,7 +40,7 @@ func newHost(t *testing.T) *Host {
 
 type fakeConn struct{ snap ConnSnapshot }
 
-func (f *fakeConn) Snapshot() ConnSnapshot { return f.snap }
+func (f *fakeConn) SnapshotTo(s *ConnSnapshot) { *s = f.snap }
 
 func TestNewHostValidation(t *testing.T) {
 	if _, err := NewHost(netip.Addr{}); err == nil {
