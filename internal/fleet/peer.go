@@ -499,6 +499,12 @@ func (p *Puller) pullGossip(ctx context.Context, base string, cursor peerCursor)
 	if err != nil {
 		return core.MergeStats{}, round, cursor, err
 	}
+	if mode == ModeDelta && !delta.Full && delta.Since != cursor.version {
+		// The delta was computed against some other cursor. Adopting its
+		// table version would skip, for good, whatever changed between ours
+		// and the one it answers.
+		return core.MergeStats{}, round, cursor, fmt.Errorf("delta since %d does not echo the cursor %d", delta.Since, cursor.version)
+	}
 	if delta.Full {
 		// The peer judged our cursor unusable (instance mismatch raced
 		// between the two requests, version compacted, ...).

@@ -2,12 +2,12 @@ package fleet
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -66,9 +66,20 @@ func TestAcceptsGzipHonoursWeights(t *testing.T) {
 
 // reply is one scripted answer of the delta endpoint.
 type reply struct {
+	// body is the plain reply. Where it carries echoSince, the peer writes the
+	// request's own since instead, as a server echoes the cursor it computed
+	// the delta against.
 	body []byte
-	gzip bool // sent with Content-Encoding: gzip (body already compressed)
+	gzip bool // compressed on the way out and sent with Content-Encoding: gzip
+	half bool // only the first half of the bytes that would go out is sent
+	// hangUp declares the whole body's Content-Length, sends half of it and
+	// drops the connection; otherwise the length is that of what is sent.
+	hangUp bool
 }
+
+// echoSince is the since a ?since= reply of a script carries until the peer
+// serves it; see reply.body.
+const echoSince = 1<<53 - 1
 
 // scriptedPeer is a fleet peer that answers from a script: the digest moves
 // every round (so the puller always goes on to the delta endpoint), the delta
@@ -78,6 +89,24 @@ type scriptedPeer struct {
 	t       *testing.T
 	rounds  int
 	replies []reply
+}
+
+// wire is what the peer sends for next, answering a request for since.
+func (s *scriptedPeer) wire(next reply, since string) []byte {
+	body := next.body
+	if since != "" {
+		body = bytes.Replace(body, []byte(`"since":`+strconv.FormatUint(echoSince, 10)), []byte(`"since":`+since), 1)
+	}
+	if next.gzip {
+		var err error
+		if body, err = gzipBytes(body); err != nil {
+			s.t.Error(err)
+		}
+	}
+	if next.half {
+		body = body[:len(body)/2]
+	}
+	return body
 }
 
 func (s *scriptedPeer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -101,34 +130,55 @@ func (s *scriptedPeer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		next := s.replies[0]
 		s.replies = s.replies[1:]
+		body := s.wire(next, r.URL.Query().Get("since"))
+		if next.hangUp {
+			s.hangUp(w, next, body)
+			return
+		}
 		if next.gzip {
 			w.Header().Set("Content-Encoding", "gzip")
 		}
-		w.Write(next.body)
+		w.Write(body)
 	default:
 		http.NotFound(w, r)
 	}
 }
 
-func gzipped(t *testing.T, body []byte) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	zw.Write(body)
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
+// hangUp writes the response by hand on the hijacked connection: headers
+// declaring all of the unsent body's length, the first part of sent, then a
+// close — a peer that dies mid-body.
+func (s *scriptedPeer) hangUp(w http.ResponseWriter, next reply, sent []byte) {
+	whole := s.wire(reply{body: next.body, gzip: next.gzip}, "")
+	conn, rw, err := w.(http.Hijacker).Hijack()
+	if err != nil {
+		s.t.Error(err)
+		return
 	}
-	return buf.Bytes()
+	defer conn.Close()
+	fmt.Fprintf(rw, "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n", len(whole))
+	if next.gzip {
+		rw.WriteString("Content-Encoding: gzip\r\n")
+	}
+	rw.WriteString("\r\n")
+	rw.Write(sent)
+	rw.Flush()
 }
 
-// wireDelta renders a ?since= reply (or, with full, a whole table) in the
-// canonical form.
+// wireDelta renders a ?since= reply echoing the request (or, with full, a
+// whole table) in the canonical form.
 func wireDelta(t *testing.T, tableVersion uint64, full bool, entries []gossippkg.Entry) []byte {
 	t.Helper()
-	d := gossippkg.Delta{Version: gossippkg.WireVersion, Instance: "boot-1", TableVersion: tableVersion, Full: full, Entries: entries}
-	if !full {
-		d.Since = 1
+	if full {
+		return wireSince(t, tableVersion, 0, entries)
 	}
+	return wireSince(t, tableVersion, echoSince, entries)
+}
+
+// wireSince renders a reply with the given since in the canonical form; a zero
+// since is a whole table.
+func wireSince(t *testing.T, tableVersion, since uint64, entries []gossippkg.Entry) []byte {
+	t.Helper()
+	d := gossippkg.Delta{Version: gossippkg.WireVersion, Instance: "boot-1", TableVersion: tableVersion, Since: since, Full: since == 0, Entries: entries}
 	body, err := gossippkg.EncodeDelta(d)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +235,7 @@ func fleetCounts(a *core.Agent) [4]uint64 {
 func TestPullerFaultsNeverMergeStaleScratch(t *testing.T) {
 	contact := reply{body: wireDelta(t, 1, true, hostEntries(1, 1, 30))}
 	firstEntries := append(hostEntries(2, 1500, 40), gossippkg.Entry{Prefix: "10.9.9.9/32", Quarantined: true})
-	first := reply{body: gzipped(t, wireDelta(t, 50, false, firstEntries)), gzip: true}
+	first := reply{body: wireDelta(t, 50, false, firstEntries), gzip: true}
 	// The second good reply overlaps the first (skipped local), adds new
 	// destinations, and carries a marker and an unparsable prefix.
 	secondEntries := append(hostEntries(2, 20, 41), hostEntries(3, 30, 50)...)
@@ -203,9 +253,10 @@ func TestPullerFaultsNeverMergeStaleScratch(t *testing.T) {
 
 	// A good delta padded with the whitespace JSON allows, to one byte past
 	// what the puller will read: only the cap stands between it and a merge.
-	overCap := wireDelta(t, 56, false, hostEntries(5, 10, 70))
+	// Its since is written out (first's table version, the cursor every fault
+	// meets), so the peer's echo cannot change its length.
+	overCap := wireSince(t, 56, 50, hostEntries(5, 10, 70))
 	overCap = append(overCap, bytes.Repeat([]byte{' '}, maxSnapshotBytes+1-len(overCap))...)
-	gz := first.body
 
 	for _, tc := range []struct {
 		name   string
@@ -213,12 +264,16 @@ func TestPullerFaultsNeverMergeStaleScratch(t *testing.T) {
 		merges *reply // what a puller that saw no fault is given in its place; nil: nothing
 		fails  bool
 	}{
-		{name: "gzip truncated mid-stream", fault: reply{body: gz[:len(gz)/2], gzip: true}, fails: true},
-		{name: "body cut mid-entry", fault: reply{body: second.body[:len(second.body)/2]}, fails: true},
-		{name: "body one byte over the cap", fault: reply{body: gzipped(t, overCap), gzip: true}, fails: true},
+		{name: "gzip truncated mid-stream", fault: reply{body: first.body, gzip: true, half: true}, fails: true},
+		{name: "body cut mid-entry", fault: reply{body: second.body, half: true}, fails: true},
+		{name: "peer hangs up mid-body", fault: reply{body: second.body, half: true, hangUp: true}, fails: true},
+		{name: "body one byte over the cap", fault: reply{body: overCap, gzip: true}, fails: true},
 		{name: "body the scanner declines", fault: declined, merges: &canonical},
 		{name: "full reply to a since request", fault: reply{body: wireDelta(t, 57, true, hostEntries(6, 25, 80))},
 			merges: &reply{body: wireDelta(t, 57, true, hostEntries(6, 25, 80))}},
+		// A delta computed against a cursor ahead of the puller's: adopting its
+		// table version would skip the entries between the two for good.
+		{name: "since that does not echo the cursor", fault: reply{body: wireSince(t, 58, 55, hostEntries(7, 5, 90))}, fails: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// first twice: the second use of a size is the one that keeps
