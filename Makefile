@@ -84,10 +84,15 @@ fuzz-scenario:
 	$(GO) test -fuzz=FuzzParseScenario -fuzztime=30s ./internal/scenario
 
 # Validate and execute every file of the committed scenario library through
-# the CLI (the same files `go test ./scenarios` asserts from the embed).
+# the CLI (the same files `go test ./scenarios` asserts from the embed), twice:
+# the two JSON reports must be byte-identical.
 scenarios:
 	cd $(ROOT) && $(GO) run ./cmd/riptide-sim validate scenarios/*.yaml
-	cd $(ROOT) && $(GO) run ./cmd/riptide-sim run scenarios/*.yaml > /dev/null
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && cd $(ROOT) && \
+	$(GO) build -o "$$tmp/riptide-sim" ./cmd/riptide-sim && \
+	"$$tmp/riptide-sim" run scenarios/*.yaml > "$$tmp/first.json" && \
+	"$$tmp/riptide-sim" run scenarios/*.yaml > "$$tmp/second.json" && \
+	cmp "$$tmp/first.json" "$$tmp/second.json"
 
 examples:
 	$(GO) run ./examples/quickstart

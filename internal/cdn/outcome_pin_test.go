@@ -82,19 +82,23 @@ func probeDigest(records []ProbeRecord) uint64 {
 // substrate change that reorders events, draws from an RNG in a different
 // order or drops a tick moves at least one of them. The digest covers every
 // field of every probe record, so a change that shifts one probe's Elapsed or
-// InitCwnd without moving a count fails too; its constants were recorded
-// before the probe records were pre-sized and organic sources re-armed one
-// event each.
+// InitCwnd without moving a count fails too.
+//
+// The constants were re-recorded when netsim's loss draw became a per-path
+// geometric gap counter: each segment still sees the same Bernoulli(p) law,
+// but the RNG is drawn once per lost segment instead of once per segment
+// sent, so every seed's realisation moved (fired, retrans and the digests;
+// ticks, probes and routes did not).
 func TestSim34PoPOutcomePin(t *testing.T) {
 	want := map[int64]simOutcome{
-		1: {fired: 84082, ticks: 10200, probes: 3366, routes: 1122, retrans: 4989},
-		2: {fired: 96574, ticks: 10200, probes: 3366, routes: 1122, retrans: 5584},
-		3: {fired: 91290, ticks: 10200, probes: 3366, routes: 1122, retrans: 5588},
+		1: {fired: 87936, ticks: 10200, probes: 3366, routes: 1122, retrans: 5237},
+		2: {fired: 105407, ticks: 10200, probes: 3366, routes: 1122, retrans: 5430},
+		3: {fired: 88454, ticks: 10200, probes: 3366, routes: 1122, retrans: 5439},
 	}
 	wantDigest := map[int64]uint64{
-		1: 0xbaf12af20d564761,
-		2: 0x16bcc3f27c50da2f,
-		3: 0x53b2a6a5958a1e55,
+		1: 0x979d8135c56b79e0,
+		2: 0x41dc7b12083b25a5,
+		3: 0x4b0a32b04b773890,
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		c, err := NewCluster(pinConfig(seed))
