@@ -128,6 +128,37 @@ func TestSim34PoPOutcomePin(t *testing.T) {
 	}
 }
 
+// TestSim34PoPTicksStayStable: a simulated agent's tick compares this
+// round's sample with last round's position by position, and falls back to a
+// full rebuild when more positions changed than its edit budget allows. The
+// simulated kernel closes a connection by moving the table's last row into
+// the hole, so a close changes one position, not every position after it.
+// Over five minutes of the sim-34pop configuration at most 5 % of all ticks
+// may rebuild; a table that shifted every later row on a close rebuilt more
+// than a fifth of them.
+func TestSim34PoPTicksStayStable(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		c, err := NewCluster(pinConfig(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Run(5 * time.Minute)
+		var ticks, rebuilds uint64
+		for _, p := range c.PoPs() {
+			for _, a := range c.Agents(p.Name) {
+				ticks += a.Stats().Ticks
+				rebuilds += a.Metrics().Counter("riptide_tick_rounds_rebuild").Value()
+			}
+		}
+		c.Stop()
+		share := float64(rebuilds) / float64(ticks)
+		t.Logf("seed %d: %d of %d ticks rebuilt (%.1f %%)", seed, rebuilds, ticks, 100*share)
+		if ticks == 0 || share > 0.05 {
+			t.Errorf("seed %d: %d of %d ticks rebuilt (%.1f %%), want at most 5 %%", seed, rebuilds, ticks, 100*share)
+		}
+	}
+}
+
 // BenchmarkSimCluster5Min builds and runs the outcome pin's configuration
 // (seed 1) for five simulated minutes per iteration, reporting what a run
 // allocates and how many events it fires.

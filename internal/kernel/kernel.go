@@ -13,7 +13,6 @@
 package kernel
 
 import (
-	"cmp"
 	"fmt"
 	"net/netip"
 	"slices"
@@ -85,8 +84,9 @@ type Host struct {
 	// of testing every route (a simulated host carries ≈30 /32 routes).
 	lens4 [33]int
 	lens6 [129]int
-	// conns is ordered by id: ids are handed out ascending under mu, so
-	// Register appends and the table is always in `ss` output order.
+	// conns is in slot order: Register appends, Unregister moves the last
+	// row into the hole. A row keeps its position while its connection
+	// lives, unless it is the last row and an earlier one closes.
 	conns     []connRef
 	nextConn  uint64
 	defaultIW int
@@ -292,17 +292,22 @@ func (h *Host) Register(s Snapshotter) (uint64, error) {
 }
 
 // Unregister removes a connection from the table. It reports whether the id
-// was present.
+// was present. The table's last row moves into the hole, so every other row
+// keeps its position: a dump is in slot order, and a close shifts no row but
+// the one that fills the gap.
 func (h *Host) Unregister(id uint64) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	i, ok := slices.BinarySearchFunc(h.conns, id, func(ref connRef, id uint64) int {
-		return cmp.Compare(ref.id, id)
-	})
-	if ok {
-		h.conns = slices.Delete(h.conns, i, i+1)
+	for i := range h.conns {
+		if h.conns[i].id == id {
+			last := len(h.conns) - 1
+			h.conns[i] = h.conns[last]
+			h.conns[last] = connRef{} // do not keep the closed connection reachable
+			h.conns = h.conns[:last]
+			return true
+		}
 	}
-	return ok
+	return false
 }
 
 // connRef is one row of the connection table.
@@ -316,7 +321,8 @@ type connRef struct {
 var refScratch = sync.Pool{New: func() any { return new([]connRef) }}
 
 // Connections snapshots every established connection, like `ss -tin`.
-// Results are sorted by id for determinism.
+// Results are in slot order (see Unregister), which is deterministic for a
+// given sequence of Register and Unregister calls.
 func (h *Host) Connections() []ConnSnapshot {
 	return h.AppendConnections(nil)
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"net/netip"
 	"slices"
-	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -305,17 +304,60 @@ func TestRegisterUnregister(t *testing.T) {
 	}
 }
 
+// TestConnectionsDeterministicOrder: a dump lists the rows in slot order —
+// registration order until something closes — so two dumps of an unchanged
+// table agree row for row.
 func TestConnectionsDeterministicOrder(t *testing.T) {
 	h := newHost(t)
+	var ids []uint64
 	for i := 0; i < 10; i++ {
-		if _, err := h.Register(&fakeConn{snap: ConnSnapshot{Cwnd: i}}); err != nil {
+		id, err := h.Register(&fakeConn{snap: ConnSnapshot{Cwnd: i}})
+		if err != nil {
 			t.Fatal(err)
 		}
+		ids = append(ids, id)
 	}
 	snaps := h.Connections()
-	for i := 1; i < len(snaps); i++ {
-		if snaps[i].ID <= snaps[i-1].ID {
-			t.Fatalf("Connections not sorted by id: %v", snaps)
+	for i, s := range snaps {
+		if s.ID != ids[i] || s.Cwnd != i {
+			t.Fatalf("row %d = id %d cwnd %d, want id %d cwnd %d (registration order)", i, s.ID, s.Cwnd, ids[i], i)
+		}
+	}
+	if again := h.Connections(); !slices.Equal(again, snaps) {
+		t.Errorf("a second dump of the same table = %v, want %v", again, snaps)
+	}
+}
+
+// TestUnregisterSlotOrder: closing the connection in row k moves the last
+// row into row k and leaves every other row where it was, so the agent's
+// positional compare sees one changed position and one leave instead of a
+// shift of every row after k.
+func TestUnregisterSlotOrder(t *testing.T) {
+	const n = 12
+	for k := 0; k < n; k++ {
+		h := newHost(t)
+		for i := 0; i < n; i++ {
+			if _, err := h.Register(&fakeConn{snap: ConnSnapshot{Cwnd: i}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := h.Connections()
+		if !h.Unregister(before[k].ID) {
+			t.Fatalf("Unregister(row %d) = false", k)
+		}
+		after := h.Connections()
+		if len(after) != n-1 {
+			t.Fatalf("k=%d: %d rows after one close, want %d", k, len(after), n-1)
+		}
+		for i := range after {
+			switch {
+			case i == k:
+				if after[i] != before[n-1] {
+					t.Errorf("k=%d: row %d = %+v, want the last row %+v moved into the hole", k, i, after[i], before[n-1])
+				}
+			case after[i] != before[i]:
+				t.Errorf("k=%d: row %d moved: %+v, was %+v", k, i, after[i], before[i])
+			}
 		}
 	}
 }
@@ -428,13 +470,17 @@ func TestLookupLongestMatchProperty(t *testing.T) {
 
 // TestConnTableDifferential drives random Register / Unregister (live,
 // repeated and never-issued ids) / AppendConnections interleavings and checks
-// every result against the table Host had before it kept connections in id
-// order: a map, copied out and sorted on every read.
+// every result against a reference table: a slice of rows in slot order,
+// where a close moves the last row into the hole.
 func TestConnTableDifferential(t *testing.T) {
+	type row struct {
+		id uint64
+		c  *fakeConn
+	}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		h := newHost(t)
-		model := make(map[uint64]*fakeConn)
+		var model []row
 		var issued []uint64
 		var buf []ConnSnapshot
 		for step := 0; step < 2000; step++ {
@@ -445,29 +491,31 @@ func TestConnTableDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, dup := model[id]; dup || (len(issued) > 0 && id <= issued[len(issued)-1]) {
+				if len(issued) > 0 && id <= issued[len(issued)-1] {
 					t.Fatalf("seed %d step %d: id %d reused or not ascending", seed, step, id)
 				}
-				model[id] = c
+				model = append(model, row{id, c})
 				issued = append(issued, id)
 			case op < 8:
 				id := uint64(rng.Intn(len(issued) + 3)) // 0 and ids past the last are never issued
 				if len(issued) > 0 && rng.Intn(2) == 0 {
 					id = issued[rng.Intn(len(issued))] // live or already unregistered
 				}
-				_, want := model[id]
-				if got := h.Unregister(id); got != want {
-					t.Fatalf("seed %d step %d: Unregister(%d) = %v, want %v", seed, step, id, got, want)
+				i := slices.IndexFunc(model, func(r row) bool { return r.id == id })
+				if got := h.Unregister(id); got != (i >= 0) {
+					t.Fatalf("seed %d step %d: Unregister(%d) = %v, want %v", seed, step, id, got, i >= 0)
 				}
-				delete(model, id)
+				if i >= 0 {
+					model[i] = model[len(model)-1]
+					model = model[:len(model)-1]
+				}
 			default:
 				var want []ConnSnapshot
-				for id, c := range model {
-					snap := c.snap
-					snap.ID = id
+				for _, r := range model {
+					snap := r.c.snap
+					snap.ID = r.id
 					want = append(want, snap)
 				}
-				sort.Slice(want, func(i, j int) bool { return want[i].ID < want[j].ID })
 				buf = h.AppendConnections(buf[:0])
 				if !slices.Equal(buf, want) {
 					t.Fatalf("seed %d step %d: AppendConnections = %v, want %v", seed, step, buf, want)
@@ -480,10 +528,33 @@ func TestConnTableDifferential(t *testing.T) {
 	}
 }
 
+// TestUnregisterClearsVacatedSlot: the row a close vacates at the tail of
+// the table's backing array holds no reference to a connection, so a closed
+// connection is not kept reachable by the table.
+func TestUnregisterClearsVacatedSlot(t *testing.T) {
+	h := newHost(t)
+	var ids []uint64
+	for i := 0; i < 4; i++ {
+		id, err := h.Register(&fakeConn{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	h.Unregister(ids[1])
+	h.Unregister(ids[3])
+	for i, ref := range h.conns[len(h.conns):cap(h.conns)] {
+		if ref != (connRef{}) {
+			t.Errorf("vacated slot %d still holds %+v", len(h.conns)+i, ref)
+		}
+	}
+}
+
 // TestAppendConnectionsConcurrentRegister samples the table from several
 // goroutines while others open and close connections. Run under -race it
-// checks the scratch pool and the ordered table are safe to share; in any
-// mode every sample must be id-ordered and hold no connection twice.
+// checks the scratch pool and the table are safe to share; in any mode every
+// sample must hold no connection twice and keep the 25 permanent connections
+// in their registration slots, since only rows after them ever close.
 func TestAppendConnectionsConcurrentRegister(t *testing.T) {
 	h := newHost(t)
 	for i := 0; i < 25; i++ {
@@ -514,11 +585,19 @@ func TestAppendConnectionsConcurrentRegister(t *testing.T) {
 				buf = h.AppendConnections(buf[:0])
 				if len(buf) < 25 {
 					t.Errorf("sample holds %d connections, the 25 permanent ones are missing", len(buf))
+					continue
 				}
-				for j := 1; j < len(buf); j++ {
-					if buf[j-1].ID >= buf[j].ID {
-						t.Errorf("sample not strictly id-ordered: %d then %d", buf[j-1].ID, buf[j].ID)
+				for j := 0; j < 25; j++ {
+					if buf[j].ID != uint64(j+1) {
+						t.Errorf("slot %d holds id %d, want permanent id %d", j, buf[j].ID, j+1)
 					}
+				}
+				seen := make(map[uint64]bool, len(buf))
+				for _, s := range buf {
+					if seen[s.ID] {
+						t.Errorf("sample holds id %d twice", s.ID)
+					}
+					seen[s.ID] = true
 				}
 			}
 		}()
@@ -625,9 +704,9 @@ func TestAppendConnectionsReusesCallerBuffer(t *testing.T) {
 	if &out[0] != &buf[0:1][0] {
 		t.Error("AppendConnections reallocated despite sufficient capacity")
 	}
-	for i := 1; i < len(out); i++ {
-		if out[i-1].ID >= out[i].ID {
-			t.Errorf("snapshots not sorted by id: %v >= %v", out[i-1].ID, out[i].ID)
+	for i, s := range out {
+		if s.Cwnd != 10+i {
+			t.Errorf("slot %d holds cwnd %d, want %d (slot order is registration order)", i, s.Cwnd, 10+i)
 		}
 	}
 	// Appending after existing elements preserves them.
