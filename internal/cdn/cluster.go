@@ -21,8 +21,9 @@ import (
 // hostSampler adapts a simulated kernel's connection table to the agent's
 // ConnectionSampler — the `ss` of the simulated world. The snapshot buffer
 // is reused across ticks and each connection writes its slot in place, so a
-// steady connection set samples without allocating and each snapshot is
-// read where it was written.
+// steady connection set samples without allocating; each observation is
+// written field by field into its slot of the caller's buffer rather than
+// copied in as a composite literal.
 type hostSampler struct {
 	host  *kernel.Host
 	snaps []kernel.ConnSnapshot
@@ -35,18 +36,18 @@ func NewHostSampler(h *kernel.Host) core.ConnectionSampler { return &hostSampler
 // SampleConnections implements core.ConnectionSampler.
 func (s *hostSampler) SampleConnections(buf []core.Observation) ([]core.Observation, error) {
 	s.snaps = s.host.AppendConnections(s.snaps[:0])
+	n := len(buf)
+	buf = slices.Grow(buf, len(s.snaps))[:n+len(s.snaps)]
 	for i := range s.snaps {
-		c := &s.snaps[i]
-		buf = append(buf, core.Observation{
-			Dst:        c.Dst,
-			Cwnd:       c.Cwnd,
-			RTT:        c.RTT,
-			BytesAcked: c.BytesAcked,
-			Retrans:    c.Retrans,
-			Lost:       c.Lost,
-			SegsOut:    c.SegsOut,
-			LossEvents: c.LossEvents,
-		})
+		c, o := &s.snaps[i], &buf[n+i]
+		o.Dst = c.Dst
+		o.Cwnd = c.Cwnd
+		o.RTT = c.RTT
+		o.BytesAcked = c.BytesAcked
+		o.Retrans = c.Retrans
+		o.Lost = c.Lost
+		o.SegsOut = c.SegsOut
+		o.LossEvents = c.LossEvents
 	}
 	return buf, nil
 }
