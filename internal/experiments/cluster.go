@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"riptide/internal/cdn"
@@ -567,8 +569,18 @@ func edgeCasesFromRuns(runs probeRuns) (Result, error) {
 		Title:  "Per-destination min/max 100KB probe change (riptide vs default)",
 		Header: []string{"src", "dst", "min change %", "max change %"},
 	}
+	// One row per (src, dst) pair, in pair order: ranging over the map
+	// would list the rows in a different order on every run.
+	keys := make([]key, 0, len(cMin))
+	for k := range cMin {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst))
+	})
 	var minWithin5, minTotal int
-	for k, cm := range cMin {
+	for _, k := range keys {
+		cm := cMin[k]
 		rm, ok := rMin[k]
 		if !ok || cm == 0 {
 			continue

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"riptide/internal/cdn"
 	"riptide/internal/stats"
@@ -236,6 +239,51 @@ func TestEdgeCasesQuick(t *testing.T) {
 	}
 	if len(r.Tables) != 1 || len(r.Tables[0].Rows) == 0 {
 		t.Fatalf("tables = %+v", r.Tables)
+	}
+}
+
+// TestEdgeCasesRowOrder: the §IV-D table has one row per (src, dst) pair
+// with probes in both runs. Its rows must come out sorted by (src, dst) and
+// identical from call to call; ranging over the per-pair map gave a
+// different order on every run.
+func TestEdgeCasesRowOrder(t *testing.T) {
+	const size = 100 * 1024
+	var runs probeRuns
+	rng := rand.New(rand.NewSource(1))
+	dsts := []string{"ams", "atl", "bom", "cdg", "dfw", "fra", "gru", "hkg", "iad", "lax", "mad", "nrt", "ord", "sea"}
+	for _, src := range senderPoPs {
+		for _, dst := range dsts {
+			for i := 0; i < 3; i++ {
+				rec := func() cdn.ProbeRecord {
+					return cdn.ProbeRecord{Src: src, Dst: dst, SizeBytes: size, Elapsed: time.Duration(50+rng.Intn(400)) * time.Millisecond}
+				}
+				runs.control = append(runs.control, rec())
+				runs.riptide = append(runs.riptide, rec())
+			}
+		}
+	}
+	rng.Shuffle(len(runs.control), func(i, j int) { runs.control[i], runs.control[j] = runs.control[j], runs.control[i] })
+	first, err := edgeCasesFromRuns(runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := first.Tables[0].Rows
+	if want := len(senderPoPs) * len(dsts); len(rows) != want {
+		t.Fatalf("%d rows, want one per pair: %d", len(rows), want)
+	}
+	for i := 1; i < len(rows); i++ {
+		if a, b := rows[i-1], rows[i]; a[0] > b[0] || (a[0] == b[0] && a[1] >= b[1]) {
+			t.Errorf("row %d (%s→%s) is not after row %d (%s→%s)", i, b[0], b[1], i-1, a[0], a[1])
+		}
+	}
+	for call := 0; call < 5; call++ {
+		again, err := edgeCasesFromRuns(runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again, first) {
+			t.Fatalf("call %d gave a different result:\n%v\nwant\n%v", call+2, again.Tables[0].Rows, rows)
+		}
 	}
 }
 
