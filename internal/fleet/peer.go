@@ -499,11 +499,17 @@ func (p *Puller) pullGossip(ctx context.Context, base string, cursor peerCursor)
 	if err != nil {
 		return core.MergeStats{}, round, cursor, err
 	}
-	if mode == ModeDelta && !delta.Full && delta.Since != cursor.version {
-		// The delta was computed against some other cursor. Adopting its
-		// table version would skip, for good, whatever changed between ours
-		// and the one it answers.
-		return core.MergeStats{}, round, cursor, fmt.Errorf("delta since %d does not echo the cursor %d", delta.Since, cursor.version)
+	if mode == ModeDelta && !delta.Full {
+		// A delta answers one cursor of one table. Adopting the table
+		// version of a delta computed against some other cursor, or of
+		// another boot's table, would skip for good whatever changed
+		// between ours and the one it answers.
+		switch {
+		case delta.Since != cursor.version:
+			return core.MergeStats{}, round, cursor, fmt.Errorf("delta since %d does not echo the cursor %d", delta.Since, cursor.version)
+		case delta.Instance != cursor.instance:
+			return core.MergeStats{}, round, cursor, fmt.Errorf("delta from instance %q answers a cursor on instance %q", delta.Instance, cursor.instance)
+		}
 	}
 	if delta.Full {
 		// The peer judged our cursor unusable (instance mismatch raced

@@ -174,11 +174,17 @@ func wireDelta(t *testing.T, tableVersion uint64, full bool, entries []gossippkg
 	return wireSince(t, tableVersion, echoSince, entries)
 }
 
-// wireSince renders a reply with the given since in the canonical form; a zero
-// since is a whole table.
+// wireSince renders a reply of the scripted peer's instance with the given
+// since in the canonical form; a zero since is a whole table.
 func wireSince(t *testing.T, tableVersion, since uint64, entries []gossippkg.Entry) []byte {
 	t.Helper()
-	d := gossippkg.Delta{Version: gossippkg.WireVersion, Instance: "boot-1", TableVersion: tableVersion, Since: since, Full: since == 0, Entries: entries}
+	return wireFrom(t, "boot-1", tableVersion, since, entries)
+}
+
+// wireFrom is wireSince for a reply that names the given instance.
+func wireFrom(t *testing.T, instance string, tableVersion, since uint64, entries []gossippkg.Entry) []byte {
+	t.Helper()
+	d := gossippkg.Delta{Version: gossippkg.WireVersion, Instance: instance, TableVersion: tableVersion, Since: since, Full: since == 0, Entries: entries}
 	body, err := gossippkg.EncodeDelta(d)
 	if err != nil {
 		t.Fatal(err)
@@ -274,6 +280,10 @@ func TestPullerFaultsNeverMergeStaleScratch(t *testing.T) {
 		// A delta computed against a cursor ahead of the puller's: adopting its
 		// table version would skip the entries between the two for good.
 		{name: "since that does not echo the cursor", fault: reply{body: wireSince(t, 58, 55, hostEntries(7, 5, 90))}, fails: true},
+		// A delta that echoes the cursor but names another boot of the peer:
+		// its table version counts another table, so adopting it would
+		// skip the entries of ours that it never listed.
+		{name: "since reply from another instance", fault: reply{body: wireFrom(t, "boot-2", 59, echoSince, hostEntries(8, 5, 95))}, fails: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// first twice: the second use of a size is the one that keeps
