@@ -11,9 +11,11 @@ package riptide
 
 import (
 	"fmt"
+	"math/rand"
 	"net/netip"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -421,6 +423,80 @@ func BenchmarkAgentTick100kMembershipChurn(b *testing.B) {
 			if st := agent.Stats(); st.EntriesExpired == 0 {
 				b.Fatalf("no entry expired: %+v", st)
 			}
+		})
+	}
+}
+
+// dumpShiftSampler replays a table in which, every round, one socket closes
+// and one opens. With shift, each lands at a random position and the rows
+// after it move, as they do in a real INET_DIAG dump, which walks the
+// kernel's hash chains; without it, the new socket takes the closed one's
+// position and nothing else moves. The new socket goes to a never-seen
+// destination.
+type dumpShiftSampler struct {
+	rows  []Observation
+	rng   *rand.Rand
+	shift bool
+	next  uint32 // next never-seen destination
+}
+
+func (s *dumpShiftSampler) SampleConnections(buf []Observation) ([]Observation, error) {
+	opened := Observation{
+		Dst:  netip.AddrFrom4([4]byte{byte(s.next >> 24), byte(s.next >> 16), byte(s.next >> 8), byte(s.next)}),
+		Cwnd: 10 + int(s.next%90),
+		RTT:  50 * time.Millisecond,
+	}
+	s.next++
+	closed := s.rng.Intn(len(s.rows))
+	if s.shift {
+		s.rows = slices.Delete(s.rows, closed, closed+1)
+		s.rows = slices.Insert(s.rows, s.rng.Intn(len(s.rows)+1), opened)
+	} else {
+		s.rows[closed] = opened
+	}
+	return append(buf, s.rows...), nil
+}
+
+// BenchmarkAgentTick100kDumpShift measures how often the agent's positional
+// compare gives up on a 100k-socket table when one socket closes and one
+// opens per round. The ledger's churn-100k never moves a row (its kernel
+// rewrites a socket's destination in place, the in-place case here); a real
+// dump shifts every row after an open or a close, and each shifted row reads
+// as a leave plus a join. rebuilds/round is the share of rounds that fell
+// back to a full rebuild.
+func BenchmarkAgentTick100kDumpShift(b *testing.B) {
+	for _, shift := range []bool{true, false} {
+		name := "shift"
+		if !shift {
+			name = "in-place"
+		}
+		b.Run(name, func(b *testing.B) {
+			var now time.Duration
+			agent, err := New(Config{
+				Sampler: &dumpShiftSampler{rows: syntheticObservations(100_000), rng: rand.New(rand.NewSource(1)), shift: shift, next: 11 << 24},
+				Routes:  nopBatchRoutes{},
+				Clock:   func() time.Duration { return now },
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer func() { _ = agent.Close() }()
+			tick := func() {
+				now += time.Second
+				if err := agent.Tick(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			tick()
+			rebuilds := agent.Metrics().Counter("riptide_tick_rounds_rebuild")
+			before := rebuilds.Value()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tick()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(rebuilds.Value()-before)/float64(b.N), "rebuilds/round")
 		})
 	}
 }
