@@ -35,10 +35,11 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# The fleet-serving benchmarks alone: what one gossip GET costs the serving
-# agent, converged (cache hit) vs churning (rebuild per request) vs the 304
-# revalidation path vs a churn round's ?since= pull (BenchmarkServeDeltaSince),
-# and the delta codec both ends of that pull run.
+# The fleet-serving benchmarks alone: what one sync GET costs the serving
+# agent — a converged peer's 304 (BenchmarkServeNotModified), the cached full
+# table (hit) vs churning (rebuild per request), a churn round's ?since= pull
+# (BenchmarkServeDeltaSince) and that round end to end (BenchmarkPullDeltaRound)
+# — and the delta codec both ends of that pull run.
 bench-serve:
 	$(GO) test -bench 'BenchmarkServe|BenchmarkPullDeltaRound' -benchmem -run '^$$' ./internal/fleet/
 	$(GO) test -bench 'Benchmark(Append|Decode)Delta' -benchmem -run '^$$' ./internal/gossip/
@@ -62,10 +63,12 @@ fuzz:
 fuzz-guard:
 	$(GO) test -fuzz=FuzzGovernorObserve -fuzztime=30s ./internal/guard
 
-# Fuzz the gossip wire decoders: arbitrary digest/delta payloads (the
-# bytes a fleet peer hands us) must never panic, and whatever decodes must
-# re-encode to an equivalent message. FuzzDecodeDelta is also the differential
-# for the delta scanner: what it accepts, json.Unmarshal decodes identically.
+# Fuzz the gossip wire decoders: arbitrary delta payloads (the bytes a fleet
+# peer hands us) must never panic, and whatever decodes must re-encode to an
+# equivalent message. FuzzDecodeDelta is also the differential for the delta
+# scanner: what it accepts, json.Unmarshal decodes identically.
+# FuzzDecodeDigest covers the retired digest decoder, which stays only while
+# bench/rig.go names it.
 fuzz-gossip:
 	$(GO) test -fuzz=FuzzDecodeDigest -fuzztime=30s ./internal/gossip
 	$(GO) test -fuzz=FuzzDecodeDelta -fuzztime=30s ./internal/gossip

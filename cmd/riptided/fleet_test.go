@@ -3,9 +3,12 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http/httptest"
 	"net/netip"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -177,6 +180,48 @@ func TestRunWritesSnapshotOnShutdown(t *testing.T) {
 	}
 	if _, _, err := fleet.Load(path, time.Now()); err != nil {
 		t.Fatalf("final snapshot unreadable: %v", err)
+	}
+}
+
+// TestRunStartsColdFromRetiredSnapshot: a snapshot file in a retired wire
+// version (golden bytes a v2 build wrote) is logged, not merged, and the
+// daemon runs cold — then replaces the file with a current one at exit.
+func TestRunStartsColdFromRetiredSnapshot(t *testing.T) {
+	requireNetlink(t)
+	path := filepath.Join(t.TempDir(), "snapshot.json")
+	v2 := `{"version":2,"source":"old","createdUnixNano":1700000000000000000,` +
+		`"entries":[{"prefix":"192.0.2.1/32","window":40,"samples":9,"ageNanos":1000000000}]}`
+	if err := os.WriteFile(path, []byte(v2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	logged := make(chan string)
+	go func() {
+		out, _ := io.ReadAll(r)
+		logged <- string(out)
+	}()
+	err = run([]string{"-dry-run", "-run-for", "150ms", "-interval", "20ms",
+		"-snapshot-file", path, "-snapshot-interval", "1h"})
+	os.Stderr = stderr
+	w.Close()
+	out := <-logged
+	if err != nil {
+		t.Fatalf("daemon with a v2 snapshot file: %v", err)
+	}
+	if !strings.Contains(out, "warm start: riptide/fleet: snapshot version 2, want 3 (starting cold)") {
+		t.Errorf("log does not report the cold start:\n%s", out)
+	}
+	if strings.Contains(out, "192.0.2.1") {
+		t.Errorf("the v2 snapshot's entry reached the routes:\n%s", out)
+	}
+	if snap, _, err := fleet.Load(path, time.Now()); err != nil || snap.Version != fleet.Version {
+		t.Fatalf("snapshot file after the run: %+v, %v; want a current one", snap, err)
 	}
 }
 

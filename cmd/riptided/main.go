@@ -90,12 +90,10 @@ func run(args []string) error {
 
 		snapshotFile     = fs.String("snapshot-file", "", "persist the learned table to this file (periodic + on shutdown) and warm-start from it on boot")
 		snapshotInterval = fs.Duration("snapshot-interval", time.Minute, "how often to persist the snapshot file")
-		peerSpec         = fs.String("peers", "", "comma-separated fleet peers (host:port or URL) to pull snapshots from")
-		peerInterval     = fs.Duration("peer-interval", 30*time.Second, "how often to pull peer snapshots")
-		peerTimeout      = fs.Duration("peer-timeout", 5*time.Second, "timeout per peer snapshot request")
-		fleetMaxAge      = fs.Duration("fleet-max-age", 0, "reject snapshot entries older than this (0 = the TTL)")
-		gossipOn         = fs.Bool("gossip", true, "sync peers via the anti-entropy digest/delta ladder, falling back per round to a full snapshot pull when a peer lacks the gossip endpoints; -gossip=false pulls the full table every -peer-interval")
-		gossipInterval   = fs.Duration("gossip-interval", 0, "peer sync cadence when -gossip is on (0 = -peer-interval); digests are cheap, so this can be much shorter")
+		peerSpec         = fs.String("peers", "", "comma-separated fleet peers (host:port or base URL) to pull table deltas from")
+		peerInterval     = fs.Duration("peer-interval", 30*time.Second, "how often to pull each peer: one conditional ?since= request, a header-only 304 when nothing changed")
+		peerTimeout      = fs.Duration("peer-timeout", 5*time.Second, "timeout per peer request")
+		fleetMaxAge      = fs.Duration("fleet-max-age", 0, "reject fleet entries older than this (0 = the TTL)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -230,16 +228,16 @@ func run(args []string) error {
 	}
 
 	// Fleet sharing: warm-start from the on-disk snapshot before the first
-	// sampler tick, then keep persisting, and pull peer snapshots in the
+	// sampler tick, then keep persisting, and pull peer deltas in the
 	// background. All of it is optional and advisory — fleet trouble never
 	// touches the local learn/program loop.
 	source, _ := os.Hostname()
 	// The instance identity is fresh per boot: peers use it to notice a
-	// restart (version counter reset) and resync divergent digest buckets
-	// instead of trusting a stale delta cursor.
+	// restart (version counter reset) and pull the full table instead of
+	// trusting a stale delta cursor.
 	instance := fmt.Sprintf("%s-%d", source, time.Now().UnixNano())
 	fl := &fleetState{Source: source, Instance: instance}
-	// One shared response-cache server backs all three fleet endpoints, so
+	// One shared response-cache server backs both fleet endpoints, so
 	// a converged fleet's identical GETs are answered from one encoded body
 	// (or a 304) instead of a fresh table export each.
 	fl.Server = fleet.NewServer(agent, source, instance, nil)
@@ -259,17 +257,12 @@ func run(args []string) error {
 		}
 	}
 	if *peerSpec != "" {
-		pullEvery := *peerInterval
-		if *gossipOn && *gossipInterval > 0 {
-			pullEvery = *gossipInterval
-		}
 		fl.Puller, err = fleet.NewPuller(fleet.PullerConfig{
 			Agent:    agent,
 			Peers:    strings.Split(*peerSpec, ","),
-			Interval: pullEvery,
+			Interval: *peerInterval,
 			Timeout:  *peerTimeout,
 			Policy:   core.MergePolicy{MaxAge: *fleetMaxAge},
-			Gossip:   *gossipOn,
 			Logf:     logger.Printf,
 		})
 		if err != nil {
@@ -302,8 +295,8 @@ func run(args []string) error {
 		}()
 	}
 
-	logger.Printf("started: i_u=%v ttl=%v alpha=%v window=[%d,%d] combiner=%s shards=%d dry-run=%v guard=%v gossip=%v",
-		*interval, *ttl, *alpha, *cmin, *cmax, *combiner, agent.Shards(), *dryRun, *guardOn, *gossipOn)
+	logger.Printf("started: i_u=%v ttl=%v alpha=%v window=[%d,%d] combiner=%s shards=%d dry-run=%v guard=%v",
+		*interval, *ttl, *alpha, *cmin, *cmax, *combiner, agent.Shards(), *dryRun, *guardOn)
 
 	if *verbose {
 		go func() {

@@ -114,7 +114,6 @@ func newStatusHandler(agent *core.Agent, retry *core.RetryingRouteProgrammer, fl
 	}
 	mux := http.NewServeMux()
 	mux.Handle(fleet.SnapshotPath, srv.SnapshotHandler())
-	mux.Handle(fleet.DigestPath, srv.DigestHandler())
 	mux.Handle(fleet.DeltaPath, srv.DeltaHandler())
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {

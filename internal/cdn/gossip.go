@@ -14,32 +14,29 @@ import (
 type GossipMode string
 
 const (
-	// GossipLadder syncs via the anti-entropy ladder: a fixed-size digest
-	// every round, a versioned delta (or divergent-bucket pull after a peer
-	// restart) only when the digest shows divergence.
+	// GossipLadder syncs the way riptided's puller does: one conditional
+	// ?since= request per round, answered 304 while the receiver's ETag
+	// still names the peer's table, with a delta when its cursor is usable,
+	// and with the full table otherwise.
 	GossipLadder GossipMode = "ladder"
 	// GossipFull is the control arm: every round ships the peer's whole
-	// table, the cost model of riptided's legacy full-snapshot pulls.
+	// table, the cost of a puller that never keeps a cursor.
 	GossipFull GossipMode = "full"
 )
 
 // GossipStats aggregates the wire cost of fleet gossip across the cluster.
 // Rounds counts (receiver, peer) exchanges; exactly one of the per-mode
-// counters increments per round. BytesOnWire is the gzip-compressed size of
-// everything exchanged — the number the anti-entropy ladder exists to
-// shrink.
+// counters (NotModifiedRounds, DeltaRounds, FullRounds) increments per
+// round. BytesOnWire is the gzip-compressed size of everything exchanged —
+// the number conditional deltas exist to shrink.
 type GossipStats struct {
 	Rounds       int64
-	DigestRounds int64
 	DeltaRounds  int64
-	BucketRounds int64
 	FullRounds   int64
 	BytesOnWire  int64
 	EntriesMoved int64
-	// NotModifiedRounds counts the digest rounds where the receiver's
-	// validator (its cursor's instance+version+content) matched server-side
-	// and the exchange was an HTTP 304 — headers only, not even the digest
-	// body. Always a subset of DigestRounds.
+	// NotModifiedRounds counts the rounds whose validator (the ETag of the
+	// receiver's last answer) still matched: an HTTP 304, headers only.
 	NotModifiedRounds int64
 }
 
@@ -54,11 +51,10 @@ const notModifiedWireBytes = 120
 type gossipPair struct{ receiver, peer netip.Addr }
 
 // gossipCursor is what a receiver remembers about one peer between rounds:
-// the peer's boot identity, its table version, and its last served digest.
+// its cursor and the ETag of the peer's last answer.
 type gossipCursor struct {
-	instance string
-	version  uint64
-	digest   gossip.Digest
+	gossip.Cursor
+	etag string
 }
 
 // EnableGossipSharing starts periodic anti-entropy table sync over a
@@ -67,7 +63,7 @@ type gossipCursor struct {
 // fleet's table without waiting for its own probes. Unlike
 // EnableFleetSharing (same-PoP full-table merges with no cost model), every
 // exchange here is encoded to its real gzip wire size and accounted in
-// GossipStats, and GossipLadder spends only a fixed-size digest per round on
+// GossipStats, and GossipLadder spends only a 304's headers per round on
 // converged peers. Call before Run; requires Riptide to be enabled.
 func (c *Cluster) EnableGossipSharing(interval time.Duration, policy core.MergePolicy, mode GossipMode) error {
 	if interval <= 0 {
@@ -98,9 +94,9 @@ func (c *Cluster) GossipStats() GossipStats { return c.gossipStats }
 // SeedWarmEntries pre-populates every agent's table with n synthetic warm
 // destinations, modeling a long-lived back-office fleet whose accumulated
 // table dwarfs what a short simulation's own probes can learn. The table
-// size is what the anti-entropy ladder's byte economics hinge on: a digest
-// is O(1) in table size while a full snapshot is O(n), so a freshly
-// started toy fleet understates the ladder's advantage badly. Call before
+// size is what conditional deltas' byte economics hinge on: a 304 is O(1)
+// in table size while a full table is O(n), so a freshly started toy fleet
+// understates their advantage badly. Call before
 // Run; requires Riptide to be enabled.
 func (c *Cluster) SeedWarmEntries(n int, policy core.MergePolicy) error {
 	if n <= 0 {
@@ -158,10 +154,10 @@ func (c *Cluster) gossipPairs() []gossipPair {
 	return out
 }
 
-// gossipExchange runs one receiver<-peer sync round, walking the ladder in
-// GossipLadder mode and shipping the full table in GossipFull mode. Entries
-// merged here are stamped by the receiver's own version counter, so they
-// ride the receiver's next delta to its peers — epidemic dissemination.
+// gossipExchange runs one receiver<-peer sync round: the conditional
+// ?since= request in GossipLadder mode, the full table in GossipFull mode.
+// Entries merged here are stamped by the receiver's own version counter, so
+// they ride the receiver's next delta to its peers — epidemic dissemination.
 func (c *Cluster) gossipExchange(pr gossipPair, policy core.MergePolicy, mode GossipMode) {
 	recv, ok := c.agents[pr.receiver]
 	peer, ok2 := c.agents[pr.peer]
@@ -172,60 +168,33 @@ func (c *Cluster) gossipExchange(pr gossipPair, policy core.MergePolicy, mode Go
 	c.gossipStats.Rounds++
 
 	if mode == GossipFull {
-		delta := gossip.TableDelta(peer.agent, src, peer.instance, 0)
+		delta := gossip.TableDelta(peer.agent, src, peer.instance, gossip.Cursor{})
 		c.gossipStats.FullRounds++
 		c.accountDelta(delta)
 		c.mergeDelta(recv.agent, delta, policy)
 		return
 	}
 
-	d := gossip.TableDigest(peer.agent, src, peer.instance)
-	cur, haveCur := c.gossipCursors[pr]
-	if haveCur && cur.instance == d.Instance && cur.version == d.TableVersion &&
-		gossip.ContentEqual(d, cur.digest) {
-		// The receiver's validator (cursor instance+version, which is what
-		// riptided's ETag encodes) matches server-side: the exchange is an
-		// HTTP 304 and not even the digest body crosses the wire.
-		c.gossipStats.DigestRounds++
+	// The token is read before the export, as riptided's server does.
+	version, markers := peer.agent.ContentToken()
+	etag := gossip.ETag(peer.instance, version, markers)
+	cur := c.gossipCursors[pr]
+	if cur.etag == etag {
+		// The receiver's validator still names the peer's table: the
+		// exchange is an HTTP 304 and no body crosses the wire.
 		c.gossipStats.NotModifiedRounds++
 		c.gossipStats.BytesOnWire += notModifiedWireBytes
 		return
 	}
-	c.accountWire(gossip.EncodeDigest(d))
-	if haveCur && gossip.ContentEqual(d, cur.digest) {
-		// Converged content under a moved counter (or across an instance
-		// change): the validator missed, so the digest body was served —
-		// and it was the whole round's traffic. The cursor fast-forwards.
-		c.gossipStats.DigestRounds++
-		c.gossipCursors[pr] = gossipCursor{instance: d.Instance, version: d.TableVersion, digest: d}
-		return
-	}
-
-	var delta gossip.Delta
-	switch {
-	case haveCur && cur.instance == d.Instance && cur.version > 0:
-		// Same boot: pull only entries committed since our cursor.
-		delta = gossip.TableDelta(peer.agent, src, peer.instance, cur.version)
-		if delta.Full {
-			c.gossipStats.FullRounds++
-		} else {
-			c.gossipStats.DeltaRounds++
-		}
-	case haveCur:
-		// Peer restarted (version counter reset): pull only the buckets
-		// whose content hash diverged from what we remember.
-		delta = gossip.TableBuckets(peer.agent, src, peer.instance, gossip.DiffBuckets(d, cur.digest))
-		c.gossipStats.BucketRounds++
-	default:
-		// First contact: full table.
-		delta = gossip.TableDelta(peer.agent, src, peer.instance, 0)
+	delta := gossip.TableDelta(peer.agent, src, peer.instance, cur.Cursor)
+	if delta.Full {
 		c.gossipStats.FullRounds++
+	} else {
+		c.gossipStats.DeltaRounds++
 	}
 	c.accountDelta(delta)
 	c.mergeDelta(recv.agent, delta, policy)
-	// The exchange is synchronous in simulated time, so the served digest
-	// exactly describes the state the delta brought us to.
-	c.gossipCursors[pr] = gossipCursor{instance: d.Instance, version: d.TableVersion, digest: d}
+	c.gossipCursors[pr] = gossipCursor{gossip.Cursor{Instance: delta.Instance, Version: delta.TableVersion}, etag}
 }
 
 // accountDelta adds a delta's gzip wire size and entry count to the stats.
@@ -266,8 +235,8 @@ func (c *Cluster) mergeDelta(a *core.Agent, d gossip.Delta, policy core.MergePol
 }
 
 // nextInstance mints a fresh gossip boot identity for a machine. Instances
-// must change across reboots — peers use the change to fall back from their
-// stale delta cursor to a bucket resync.
+// must change across reboots — peers use the change to tell that their
+// cursor names a table that is gone, and pull the full one.
 func (c *Cluster) nextInstance(addr netip.Addr) string {
 	c.instanceSeq++
 	return fmt.Sprintf("%v#%d", addr, c.instanceSeq)
@@ -275,7 +244,7 @@ func (c *Cluster) nextInstance(addr netip.Addr) string {
 
 // dropGossipCursors forgets everything a rebooted receiver remembered about
 // its peers. Its merged table is gone with the old agent; keeping the
-// cursors would let a matching digest read as "converged" and skip the
+// cursors would let a matching ETag read as "converged" and skip the
 // re-merge forever.
 func (c *Cluster) dropGossipCursors(receiver netip.Addr) {
 	for pr := range c.gossipCursors {

@@ -54,9 +54,9 @@ func TestEnableGossipSharingValidation(t *testing.T) {
 	}
 }
 
-// TestGossipLadderConverges: with ladder gossip on, agents hold entries
+// TestGossipLadderConverges: with conditional gossip on, agents hold entries
 // beyond their own observations (cross-PoP dissemination works), and once
-// the fleet is converged the rounds are overwhelmingly digest-only.
+// the fleet is converged the rounds are overwhelmingly 304s.
 func TestGossipLadderConverges(t *testing.T) {
 	c := newGossipCluster(t, GossipLadder)
 	defer c.Stop()
@@ -69,27 +69,27 @@ func TestGossipLadderConverges(t *testing.T) {
 	if gs.Rounds == 0 || gs.BytesOnWire == 0 {
 		t.Fatalf("stats = %+v, want accounted rounds and bytes", gs)
 	}
-	if gs.DigestRounds == 0 {
-		t.Fatalf("stats = %+v: the ladder never had a digest-only round", gs)
+	if gs.NotModifiedRounds == 0 {
+		t.Fatalf("stats = %+v: no round was ever a 304", gs)
 	}
 	if gs.FullRounds == 0 {
 		t.Fatalf("stats = %+v: first contact should have been a full round", gs)
 	}
-	if got := gs.DigestRounds + gs.DeltaRounds + gs.BucketRounds + gs.FullRounds; got != gs.Rounds {
+	if got := gs.NotModifiedRounds + gs.DeltaRounds + gs.FullRounds; got != gs.Rounds {
 		t.Fatalf("per-mode rounds sum to %d, total says %d", got, gs.Rounds)
 	}
 	// Probes refresh entries constantly, but refreshes do not bump versions:
 	// converged edges must dominate between real table changes.
-	if gs.DigestRounds < gs.Rounds/2 {
-		t.Errorf("stats = %+v: digest-only rounds are not the steady state", gs)
+	if gs.NotModifiedRounds < gs.Rounds/2 {
+		t.Errorf("stats = %+v: 304 rounds are not the steady state", gs)
 	}
 }
 
 // TestGossipLadderBeatsFullOnBytes is the cost claim: same fleet, same
-// schedule, the ladder moves far fewer bytes than full-table rounds. The
-// fleets carry a realistically sized warm table (a long-lived back-office
-// fleet accumulates hundreds of destinations) — that is the regime the
-// ladder is built for: digests are O(1) in table size, full snapshots are
+// schedule, conditional deltas move far fewer bytes than full-table rounds.
+// The fleets carry a realistically sized warm table (a long-lived
+// back-office fleet accumulates hundreds of destinations) — that is the
+// regime deltas are built for: a 304 is O(1) in table size, a full table is
 // O(n), and on a freshly started toy table the two costs are comparable.
 func TestGossipLadderBeatsFullOnBytes(t *testing.T) {
 	ladder := newGossipCluster(t, GossipLadder)
@@ -120,7 +120,8 @@ func TestGossipLadderBeatsFullOnBytes(t *testing.T) {
 // TestGossipSeedsRebootedHost: a rebooted machine regains entries from
 // gossip within a couple of intervals, and its peers' restart detection
 // (instance change + cursor drop) keeps the edges flowing rather than
-// reading stale cursors as "converged".
+// reading stale cursors as "converged": each peer's cursor on the old boot
+// is unusable, so it pulls the new boot's whole table.
 func TestGossipSeedsRebootedHost(t *testing.T) {
 	c := newGossipCluster(t, GossipLadder)
 	defer c.Stop()
@@ -129,7 +130,7 @@ func TestGossipSeedsRebootedHost(t *testing.T) {
 	if got := len(c.AgentAt("lhr", 0).Entries()); got == 0 {
 		t.Fatal("no steady-state entries")
 	}
-	preBuckets := c.GossipStats().BucketRounds
+	preFull := c.GossipStats().FullRounds
 	if _, err := c.RebootHost("lhr", 0); err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +144,10 @@ func TestGossipSeedsRebootedHost(t *testing.T) {
 	if s := agent.Stats(); s.FleetMerged == 0 {
 		t.Errorf("stats = %+v, want FleetMerged > 0", s)
 	}
-	// Peers of the rebooted machine saw its instance change and resynced
-	// divergent buckets instead of re-pulling whole tables.
-	if got := c.GossipStats().BucketRounds; got <= preBuckets {
-		t.Errorf("bucket rounds %d -> %d: restart did not trigger a bucket resync", preBuckets, got)
+	// The rebooted machine pulled every peer afresh, and its peers saw its
+	// instance change: both directions of each edge resynced in full.
+	if got := c.GossipStats().FullRounds; got <= preFull {
+		t.Errorf("full rounds %d -> %d: the restart did not trigger a resync", preFull, got)
 	}
 }
 
@@ -154,9 +155,9 @@ func TestGossipSeedsRebootedHost(t *testing.T) {
 // BytesOnWire after a gossip run must equal the sum of what a fresh writer
 // per message would have produced, so a writer that carries dictionary or
 // header state across Reset fails. The run is driven edge by edge so the
-// test can see each message: a ladder pass (every edge a first contact: a
-// small digest, then the peer's full table) and a full-table pass over
-// tables the first pass has grown.
+// test can see each message: a conditional pass (every edge a first
+// contact: the peer's full table) and a full-table pass over tables the
+// first pass has grown.
 func TestGossipBytesOnWireMatchesFreshWriters(t *testing.T) {
 	c := newGossipCluster(t, "")
 	defer c.Stop()
@@ -180,10 +181,7 @@ func TestGossipBytesOnWireMatchesFreshWriters(t *testing.T) {
 	for _, mode := range []GossipMode{GossipLadder, GossipFull} {
 		for _, pr := range c.gossipPairs() {
 			peer, src := c.agents[pr.peer], pr.peer.String()
-			if mode == GossipLadder {
-				fresh(gossip.EncodeDigest(gossip.TableDigest(peer.agent, src, peer.instance)))
-			}
-			fresh(gossip.EncodeDelta(gossip.TableDelta(peer.agent, src, peer.instance, 0)))
+			fresh(gossip.EncodeDelta(gossip.TableDelta(peer.agent, src, peer.instance, gossip.Cursor{})))
 			c.gossipExchange(pr, core.MergePolicy{}, mode)
 		}
 	}

@@ -568,11 +568,6 @@ type Agent struct {
 	// (the entry is re-sent on the next delta, never lost).
 	tableVer atomic.Uint64
 
-	// digest is the incrementally maintained content digest: bucket hashes
-	// XOR-patched at every commit that changes exported content, so
-	// serving a gossip digest does zero table work (see digest.go).
-	digest digestAccum
-
 	// Sampler circuit-breaker state; touched only under tickMu.
 	sampleFailures int
 	breakerOpen    bool
@@ -829,7 +824,6 @@ func (a *Agent) Close() error {
 		sh.creditPending = false
 		sh.mu.Unlock()
 	}
-	a.digestReset()
 	slices.SortFunc(targets, comparePrefix)
 
 	ops := make([]RouteOp, len(targets))

@@ -88,15 +88,6 @@ type destState struct {
 	// none is queued (shard mu; see noteExpiry).
 	due time.Duration
 
-	// Incremental-digest cache (shard mu): the FNV-1a state after hashing
-	// the destination's canonical CIDR text (computed once per slot, while
-	// digSeeded — slab slots are never recarved for a different prefix, so
-	// the seed stays valid for the struct's lifetime) and the content hash
-	// currently folded into the agent's digest accumulator (meaningful while
-	// installed; see internal/core/digest.go).
-	digSeed uint64
-	digHash uint64
-
 	// The flags sit together so they pack into one word.
 	//
 	// installed marks that a route is programmed and the embedded entry
@@ -108,11 +99,10 @@ type destState struct {
 	dead bool
 	// held marks an installed route the governor vetoed in the latest round:
 	// its withdrawal is pending and its TTL is not being refreshed.
-	held      bool
-	hasEwma   bool
-	hasLast   bool
-	inActive  bool
-	digSeeded bool
+	held     bool
+	hasEwma  bool
+	hasLast  bool
+	inActive bool
 }
 
 // shard is one lock stripe of the agent's per-destination state, plus the
@@ -398,12 +388,9 @@ func (d *tickDelta) add(o tickDelta) {
 	d.guardQuarantined += o.guardQuarantined
 }
 
-// shardIndex maps a route key to its stripe: FNV-1a over the canonical
-// 16-byte address plus the mask length.
-func (a *Agent) shardIndex(p netip.Prefix) int {
-	if len(a.shards) == 1 {
-		return 0
-	}
+// prefixHash is FNV-1a over a route key's canonical 16-byte address plus
+// its mask length: the shard selector, and the marker fold of ContentToken.
+func prefixHash(p netip.Prefix) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -416,7 +403,15 @@ func (a *Agent) shardIndex(p netip.Prefix) int {
 	}
 	h ^= uint64(uint8(p.Bits()))
 	h *= prime64
-	return int(h % uint64(len(a.shards)))
+	return h
+}
+
+// shardIndex maps a route key to its stripe.
+func (a *Agent) shardIndex(p netip.Prefix) int {
+	if len(a.shards) == 1 {
+		return 0
+	}
+	return int(prefixHash(p) % uint64(len(a.shards)))
 }
 
 func (a *Agent) shardFor(p netip.Prefix) *shard {
@@ -451,7 +446,7 @@ func (a *Agent) forgetHistory(sh *shard, key netip.Prefix) {
 // dropInstalled removes dst's state (and any external history) after its
 // route was withdrawn, under the shard lock. It reports whether a live
 // entry existed. A successful drop bumps the table version: the entry
-// vanishes from exports, so peers comparing digests see the change even
+// vanishes from exports, so peers revalidating by version see the change even
 // though no entry carries the new version (fleet sharing has no tombstones —
 // receivers age the entry out via its TTL).
 func (sh *shard) dropInstalled(a *Agent, dst netip.Prefix) bool {
@@ -460,7 +455,6 @@ func (sh *shard) dropInstalled(a *Agent, dst netip.Prefix) bool {
 		return false
 	}
 	sh.installed--
-	a.digestUnfold(st)
 	a.dropState(sh, dst)
 	sh.logStaleRef()
 	a.bumpVersion()
@@ -486,7 +480,6 @@ func (a *Agent) dropState(sh *shard, dst netip.Prefix) {
 		*st = destState{
 			seq: st.seq, prevN: st.prevN, memberOff: st.memberOff, memberCap: st.memberCap,
 			dirtySeq: st.dirtySeq, inActive: st.inActive, cleanSeen: sh.cleanRounds, ewmaSeen: sh.cleanRounds,
-			digSeed: st.digSeed, digSeeded: st.digSeeded,
 		}
 		if !st.inActive {
 			st.inActive = true

@@ -119,6 +119,35 @@ func (a *Agent) bumpVersion() uint64 {
 	return a.tableVer.Add(1)
 }
 
+// ContentToken returns a cheap revalidation token for fleet responses: the
+// table version plus an order-independent XOR fold of the current quarantine
+// markers' prefix hashes. A peer's view of this agent's export is current
+// exactly while the token is unchanged — the version covers every
+// entry-table commit, the marker fold covers governor transitions that move
+// no version (a quarantine lapsing into probing). Cost is O(markers), zero
+// for agents without a governor.
+func (a *Agent) ContentToken() (version uint64, markers uint64) {
+	version = a.tableVer.Load()
+	if a.cfg.Guard == nil {
+		return version, 0
+	}
+	for _, q := range a.cfg.Guard.Quarantines() {
+		key := q.Prefix.Masked()
+		h := prefixHash(key)
+		sh := a.shards[h%uint64(len(a.shards))]
+		sh.mu.Lock()
+		st, ok := sh.states[key]
+		exists := ok && st.installed
+		sh.mu.Unlock()
+		if !exists {
+			// A prefix with an installed entry is not exported as a
+			// marker: the overlap means the quarantine already recovered.
+			markers ^= h
+		}
+	}
+	return version, markers
+}
+
 // ExportSnapshot returns the agent's learned table as fleet snapshot
 // entries, sorted by prefix. Ages are measured against the agent's clock; an
 // entry that was itself merged from a peer exports its local age plus the
@@ -398,11 +427,6 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 			version:   a.bumpVersion(),
 		}
 		sh.logStamp(op.dst, st, wasInstalled)
-		if wasInstalled {
-			a.digestRefold(op.dst, st)
-		} else {
-			a.digestFold(op.dst, st)
-		}
 		sh.noteExpiry(op.dst, st)
 		// Seed history so the first local observation blends with the
 		// fleet's estimate instead of starting from nothing.

@@ -391,11 +391,6 @@ func (a *Agent) programPlan(plan []programOp, keys []uint64, now time.Duration) 
 		st.programs++
 		st.version = a.bumpVersion()
 		sh.logStamp(op.dst, st, wasInstalled)
-		if wasInstalled {
-			a.digestRefold(op.dst, st)
-		} else {
-			a.digestFold(op.dst, st)
-		}
 		set++
 	}
 	unlockCur()

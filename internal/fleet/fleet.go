@@ -1,7 +1,7 @@
 // Package fleet lets riptide agents share learned initcwnd state: a
 // versioned JSON snapshot format, atomic on-disk persistence for restart
-// warm-starts, and an HTTP peer-exchange layer (serve your snapshot, pull
-// your peers').
+// warm-starts, and an HTTP peer-exchange layer (serve your table's deltas,
+// pull your peers').
 //
 // Sharing is strictly advisory. A snapshot entry carries a relative age, not
 // a timestamp, so it survives machines with different wall clocks and the
@@ -21,22 +21,16 @@ import (
 	"riptide/internal/gossip"
 )
 
-// Version is the current snapshot wire-format version. Version 2 added
-// quarantine markers (Entry.Quarantined); version 3 added gossip versioning
-// (Snapshot.TableVersion, Snapshot.Instance, Entry.ModVersion) so a full
-// snapshot can seed a delta cursor. Decoders accept v1 and v2 snapshots —
-// every older field keeps its meaning, absent markers mean the source
-// predates the governor, and absent versions mean the source cannot serve
-// deltas — and reject anything newer rather than guessing at field
-// semantics.
+// Version is the snapshot wire-format version. Version 2 added quarantine
+// markers (Entry.Quarantined); version 3 added table versioning
+// (Snapshot.TableVersion, Snapshot.Instance, Entry.ModVersion). Decode
+// accepts version 3 only: every build since the fleet gained deltas writes
+// it, and a daemon whose persisted file fails to decode starts cold.
 const Version = 3
 
-// minVersion is the oldest wire format Decode still accepts.
-const minVersion = 1
-
 // Entry is one learned destination on the wire. It is the same entry the
-// gossip digest/delta formats carry, so full snapshots and deltas merge
-// through identical code paths.
+// gossip delta format carries, so full snapshots and deltas merge through
+// identical code paths.
 type Entry = gossip.Entry
 
 // Snapshot is the versioned wire format exchanged between agents and
@@ -53,8 +47,7 @@ type Snapshot struct {
 	// the producer's own restart.
 	Instance string `json:"instance,omitempty"`
 	// TableVersion is the producer's monotone table version the snapshot
-	// is current through (wire v3); a gossip-aware puller seeds its delta
-	// cursor from it so the round after a full pull is already a delta.
+	// is current through (wire v3).
 	TableVersion uint64 `json:"tableVersion,omitempty"`
 	// CreatedUnixNano is the producer's wall-clock time at export. It is
 	// used only by the producer itself (load-and-age across a restart);
@@ -122,14 +115,15 @@ func appendSnapshot(dst []byte, s Snapshot, entries []core.SnapshotEntry) ([]byt
 	return gossip.SpliceEntries(dst, head, entries), nil
 }
 
-// Decode parses a wire snapshot, rejecting unknown versions.
+// Decode parses a wire snapshot, rejecting every version but the current
+// one with an error that names it.
 func Decode(data []byte) (Snapshot, error) {
 	var s Snapshot
 	if err := json.Unmarshal(data, &s); err != nil {
 		return Snapshot{}, fmt.Errorf("riptide/fleet: decode snapshot: %w", err)
 	}
-	if s.Version < minVersion || s.Version > Version {
-		return Snapshot{}, fmt.Errorf("riptide/fleet: snapshot version %d, want %d..%d", s.Version, minVersion, Version)
+	if s.Version != Version {
+		return Snapshot{}, fmt.Errorf("riptide/fleet: snapshot version %d, want %d", s.Version, Version)
 	}
 	return s, nil
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"net/netip"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -192,10 +193,10 @@ func TestEncodeRejectsWrongVersion(t *testing.T) {
 	}
 }
 
-// TestDecodeAcceptsV1Snapshots: the v2 bump (quarantine markers) must not
-// orphan fleets mid-upgrade — a v1 snapshot from an older agent decodes and
-// merges exactly as before, with no entry treated as quarantined.
-func TestDecodeAcceptsV1Snapshots(t *testing.T) {
+// TestDecodeRejectsV1Snapshots: a v1 snapshot — golden bytes an agent from
+// before the governor wrote — is refused with an error that names its
+// version, never read as a current table.
+func TestDecodeRejectsV1Snapshots(t *testing.T) {
 	v1 := `{
 		"version": 1,
 		"source": "old-agent",
@@ -205,22 +206,11 @@ func TestDecodeAcceptsV1Snapshots(t *testing.T) {
 		]
 	}`
 	snap, err := Decode([]byte(v1))
-	if err != nil {
-		t.Fatalf("Decode(v1): %v", err)
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("Decode(v1) = %+v, %v; want an error naming version 1", snap, err)
 	}
-	if snap.Version != 1 || snap.Source != "old-agent" {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	entries := snap.CoreEntries()
-	if len(entries) != 1 {
-		t.Fatalf("entries = %d, want 1", len(entries))
-	}
-	e := entries[0]
-	if e.Quarantined {
-		t.Error("v1 entry decoded as quarantined")
-	}
-	if e.Window != 40 || e.Samples != 9 || e.Age != time.Second {
-		t.Errorf("entry = %+v", e)
+	if len(snap.Entries) != 0 {
+		t.Fatalf("rejected snapshot still returned %d entries", len(snap.Entries))
 	}
 }
 
@@ -323,19 +313,33 @@ func TestAgedBy(t *testing.T) {
 
 func TestNormalizePeerURL(t *testing.T) {
 	cases := []struct{ in, want string }{
-		{"10.0.0.2:7600", "http://10.0.0.2:7600/fleet/snapshot"},
-		{"peer-b:7600", "http://peer-b:7600/fleet/snapshot"},
-		{"http://peer-b:7600", "http://peer-b:7600/fleet/snapshot"},
-		{"http://peer-b:7600/", "http://peer-b:7600/fleet/snapshot"},
-		{"http://peer-b:7600/custom/path", "http://peer-b:7600/custom/path"},
-		{"https://peer-b", "https://peer-b/fleet/snapshot"},
-		{"  peer-b:1 ", "http://peer-b:1/fleet/snapshot"},
+		{"10.0.0.2:7600", "http://10.0.0.2:7600"},
+		{"peer-b:7600", "http://peer-b:7600"},
+		{"http://peer-b:7600", "http://peer-b:7600"},
+		{"http://peer-b:7600/", "http://peer-b:7600"},
+		{"https://peer-b", "https://peer-b"},
+		{"  peer-b:1 ", "http://peer-b:1"},
+		// The form this function used to return stays accepted.
+		{"http://peer-b:7600/fleet/snapshot", "http://peer-b:7600"},
+		{"peer-b:7600/fleet/snapshot", "http://peer-b:7600"},
 		{"", ""},
 		{"   ", ""},
 	}
 	for _, c := range cases {
-		if got := NormalizePeerURL(c.in); got != c.want {
-			t.Errorf("NormalizePeerURL(%q) = %q, want %q", c.in, got, c.want)
+		if got, err := NormalizePeerURL(c.in); err != nil || got != c.want {
+			t.Errorf("NormalizePeerURL(%q) = %q, %v; want %q", c.in, got, err, c.want)
+		}
+	}
+	// A path the protocol cannot serve is an error naming the peer, not a
+	// peer silently never pulled.
+	for _, in := range []string{
+		"http://peer-b:7600/custom/path",
+		"http://peer-b:7600/fleet/delta",
+		"http://peer-b:7600/fleet/snapshot/",
+		"peer-b:7600/fleet",
+	} {
+		if got, err := NormalizePeerURL(in); err == nil || !strings.Contains(err.Error(), in) {
+			t.Errorf("NormalizePeerURL(%q) = %q, %v; want an error naming the peer", in, got, err)
 		}
 	}
 }

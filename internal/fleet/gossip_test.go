@@ -11,37 +11,42 @@ import (
 	"net/netip"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"riptide/internal/core"
-	gossippkg "riptide/internal/gossip"
 )
 
-// gossipServer mounts the full v3 endpoint set for one agent, the way
+// fleetMux mounts the fleet endpoints of one agent on one Server, the way
 // riptided does.
-func gossipServer(a *core.Agent, source, instance string) *httptest.Server {
+func fleetMux(a *core.Agent, source, instance string) *http.ServeMux {
+	s := NewServer(a, source, instance, func() time.Time { return time.Unix(1, 0) })
 	mux := http.NewServeMux()
-	mux.Handle(SnapshotPath, Handler(a, source, instance, func() time.Time { return time.Unix(1, 0) }))
-	mux.Handle(DigestPath, DigestHandler(a, source, instance))
-	mux.Handle(DeltaPath, DeltaHandler(a, source, instance))
-	return httptest.NewServer(mux)
+	mux.Handle(SnapshotPath, s.SnapshotHandler())
+	mux.Handle(DeltaPath, s.DeltaHandler())
+	return mux
+}
+
+// gossipServer serves fleetMux over HTTP.
+func gossipServer(a *core.Agent, source, instance string) *httptest.Server {
+	return httptest.NewServer(fleetMux(a, source, instance))
 }
 
 func newGossipPuller(t *testing.T, dst *core.Agent, peer string) *Puller {
 	t.Helper()
-	p, err := NewPuller(PullerConfig{Agent: dst, Peers: []string{peer}, Gossip: true})
+	p, err := NewPuller(PullerConfig{Agent: dst, Peers: []string{peer}})
 	if err != nil {
 		t.Fatalf("NewPuller: %v", err)
 	}
 	return p
 }
 
-// TestGossipConvergedRoundIsDigestOnly is the O(1) acceptance criterion:
-// once two peers are in sync, a gossip round exchanges only the digest — no
-// entries move, the round's bytes stay fixed-size, and the metrics
-// distinguish the digest-only round from delta and full transfers.
-func TestGossipConvergedRoundIsDigestOnly(t *testing.T) {
+// TestGossipConvergedRoundIsNotModified is the O(1) acceptance criterion:
+// once two peers are in sync, a round is one conditional request answered
+// 304 — no entries and no body move — and the metrics distinguish it from
+// delta and full transfers.
+func TestGossipConvergedRoundIsNotModified(t *testing.T) {
 	src, _, _ := newTestAgent(t, []core.Observation{
 		obs(t, "192.0.2.1", 40),
 		obs(t, "198.51.100.7", 80),
@@ -57,44 +62,31 @@ func TestGossipConvergedRoundIsDigestOnly(t *testing.T) {
 		t.Fatalf("round 1 merged %d, want 2", merged)
 	}
 	h := p.Health()[0]
-	if h.Mode != ModeFull || h.FullPulls != 1 {
+	if h.Mode != ModeFull || h.FullPulls != 1 || h.LastBytes == 0 {
 		t.Fatalf("round 1 health = %+v, want a full transfer", h)
 	}
 	if dstRoutes.count() != 2 {
 		t.Fatalf("routes = %d, want 2", dstRoutes.count())
 	}
-	fullBytes := h.LastBytes
 
-	// Round 2: converged — digest only.
-	if merged := p.PullOnce(context.Background()); merged != 0 {
-		t.Fatalf("round 2 merged %d, want 0", merged)
+	// Rounds 2..5: converged — 304s, headers only, every time.
+	for i := 0; i < 4; i++ {
+		if merged := p.PullOnce(context.Background()); merged != 0 {
+			t.Fatalf("round %d merged %d, want 0", i+2, merged)
+		}
 	}
 	h = p.Health()[0]
-	if h.Mode != ModeDigest || h.DigestHits != 1 || h.FullPulls != 1 {
-		t.Fatalf("round 2 health = %+v, want a digest hit", h)
+	if h.Mode != ModeNotModified || h.NotModified != 4 || h.FullPulls != 1 || h.DeltaPulls != 0 {
+		t.Fatalf("steady state health = %+v, want 4 not-modified rounds after the full one", h)
 	}
-	if h.DeltaPulls != 0 || h.SnapshotPulls != 0 {
-		t.Fatalf("round 2 health = %+v: converged round used a transfer mode", h)
-	}
-	if h.LastBytes >= fullBytes {
-		t.Fatalf("digest round moved %d bytes, full moved %d — no saving", h.LastBytes, fullBytes)
-	}
-	digestBytes := h.LastBytes
-
-	// Rounds 3..5: still converged — the cost does not grow with rounds
-	// or with table size (it is the fixed digest, every time).
-	for i := 0; i < 3; i++ {
-		p.PullOnce(context.Background())
-	}
-	h = p.Health()[0]
-	if h.DigestHits != 4 || h.LastBytes != digestBytes {
-		t.Fatalf("steady state health = %+v, want 4 digest hits at %d bytes each", h, digestBytes)
+	if h.LastBytes != 0 {
+		t.Fatalf("a 304 round moved %d body bytes, want 0", h.LastBytes)
 	}
 
 	// The client-side metrics expose the same distinction.
 	m := dst.Metrics().Snapshot().Counters
-	if m["riptide_gossip_rounds_digest"] != 4 || m["riptide_gossip_rounds_full"] != 1 {
-		t.Fatalf("metrics = %v, want 4 digest rounds and 1 full", m)
+	if m["riptide_gossip_rounds_not_modified"] != 4 || m["riptide_gossip_rounds_full"] != 1 {
+		t.Fatalf("metrics = %v, want 4 not-modified rounds and 1 full", m)
 	}
 	if m["riptide_gossip_bytes_received"] == 0 {
 		t.Fatal("no gossip bytes accounted")
@@ -114,7 +106,7 @@ func TestGossipDeltaRoundCarriesOnlyChanges(t *testing.T) {
 	dst, dstRoutes, _ := newTestAgent(t, nil)
 	p := newGossipPuller(t, dst, srv.URL)
 	p.PullOnce(context.Background()) // full
-	p.PullOnce(context.Background()) // digest
+	p.PullOnce(context.Background()) // 304
 
 	// The source learns a new destination.
 	if _, err := src.MergeSnapshot([]core.SnapshotEntry{{
@@ -136,17 +128,18 @@ func TestGossipDeltaRoundCarriesOnlyChanges(t *testing.T) {
 
 	// And the round after is converged again.
 	p.PullOnce(context.Background())
-	if h := p.Health()[0]; h.Mode != ModeDigest {
-		t.Fatalf("post-delta round = %+v, want digest", h)
+	if h := p.Health()[0]; h.Mode != ModeNotModified {
+		t.Fatalf("post-delta round = %+v, want not modified", h)
 	}
 }
 
-// TestGossipRestartBucketResync: when the peer restarts (new instance,
-// version counter reset) the puller does not re-fetch the whole table — it
-// diffs the remembered digest and fetches only the divergent buckets. The
-// restart is driven through one server whose agent and instance are
-// swappable behind a stable URL.
-func TestGossipRestartBucketResync(t *testing.T) {
+// TestGossipRestartResyncsFull: when the peer restarts (new instance,
+// version counter reset) the puller's cursor names a table that no longer
+// exists, so the peer answers it with its whole new table; the round after
+// is a ?since= on the new instance, answered 304. The restart is driven
+// through one server whose agent and instance are swappable behind a stable
+// URL.
+func TestGossipRestartResyncsFull(t *testing.T) {
 	observations := []core.Observation{}
 	for i := 0; i < 40; i++ {
 		observations = append(observations, obs(t, fmt.Sprintf("10.9.%d.1", i), 20+i))
@@ -154,19 +147,13 @@ func TestGossipRestartBucketResync(t *testing.T) {
 	src1, _, _ := newTestAgent(t, observations)
 
 	var current http.Handler
+	var queries []string
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		queries = append(queries, r.URL.RawQuery)
 		current.ServeHTTP(w, r)
 	}))
 	defer srv.Close()
-
-	mount := func(a *core.Agent, instance string) http.Handler {
-		mux := http.NewServeMux()
-		mux.Handle(SnapshotPath, Handler(a, "host-a", instance, nil))
-		mux.Handle(DigestPath, DigestHandler(a, "host-a", instance))
-		mux.Handle(DeltaPath, DeltaHandler(a, "host-a", instance))
-		return mux
-	}
-	current = mount(src1, "boot-1")
+	current = fleetMux(src1, "host-a", "boot-1")
 
 	dst, dstRoutes, _ := newTestAgent(t, nil)
 	p := newGossipPuller(t, dst, srv.URL)
@@ -174,33 +161,34 @@ func TestGossipRestartBucketResync(t *testing.T) {
 	if dstRoutes.count() != 40 {
 		t.Fatalf("routes = %d, want 40", dstRoutes.count())
 	}
-	fullBytes := p.Health()[0].LastBytes
 
-	// Restart: same content except one destination, new instance.
+	// Restart: same content except one destination, new instance, and a
+	// version counter that restarted from zero.
 	observations[7] = obs(t, "10.9.7.1", 55)
 	src2, _, _ := newTestAgent(t, observations)
-	current = mount(src2, "boot-2")
+	current = fleetMux(src2, "host-a", "boot-2")
 
 	p.PullOnce(context.Background())
 	h := p.Health()[0]
-	if h.Mode != ModeBuckets || h.BucketPulls != 1 {
-		t.Fatalf("post-restart round = %+v, want a bucket resync", h)
-	}
-	if h.LastBytes >= fullBytes {
-		t.Fatalf("bucket resync moved %d bytes, full moved %d — no narrowing", h.LastBytes, fullBytes)
+	if h.Mode != ModeFull || h.FullPulls != 2 || !h.Healthy {
+		t.Fatalf("post-restart round = %+v, want a full resync", h)
 	}
 
 	// Next round: converged against the new instance.
 	p.PullOnce(context.Background())
-	if h := p.Health()[0]; h.Mode != ModeDigest {
-		t.Fatalf("post-resync round = %+v, want digest", h)
+	if h := p.Health()[0]; h.Mode != ModeNotModified {
+		t.Fatalf("post-resync round = %+v, want not modified", h)
+	}
+	want := fmt.Sprintf("since=%d&instance=boot-2", src2.TableVersion())
+	if len(queries) != 3 || !strings.HasPrefix(queries[1], "since=") || queries[2] != want {
+		t.Fatalf("queries = %q, want a ?since= on boot-1 then %q", queries, want)
 	}
 }
 
-// TestGossipConvergenceEquivalence is the tentpole acceptance criterion: a
-// receiver syncing via the digest→delta ladder converges to a byte-identical
-// exported table to a receiver syncing via full snapshots, across a
-// multi-round schedule with source churn between rounds.
+// TestGossipConvergenceEquivalence: a receiver syncing via ?since= deltas
+// converges to a byte-identical exported table to a receiver pulling the
+// full table every round, across a multi-round schedule with source churn
+// between rounds.
 func TestGossipConvergenceEquivalence(t *testing.T) {
 	observations := []core.Observation{}
 	for i := 0; i < 25; i++ {
@@ -213,9 +201,10 @@ func TestGossipConvergenceEquivalence(t *testing.T) {
 	viaGossip, _, _ := newTestAgent(t, nil)
 	viaFull, _, _ := newTestAgent(t, nil)
 	gp := newGossipPuller(t, viaGossip, srv.URL)
-	fp, err := NewPuller(PullerConfig{Agent: viaFull, Peers: []string{srv.URL}, Gossip: false})
-	if err != nil {
-		t.Fatal(err)
+	// A puller with no cursor pulls the full table: a new one every round
+	// is the full-sync control.
+	fullPull := func() {
+		newGossipPuller(t, viaFull, srv.URL).PullOnce(context.Background())
 	}
 
 	churn := func(round int) {
@@ -230,12 +219,12 @@ func TestGossipConvergenceEquivalence(t *testing.T) {
 	}
 	for round := 1; round <= 5; round++ {
 		gp.PullOnce(context.Background())
-		fp.PullOnce(context.Background())
+		fullPull()
 		churn(round)
 	}
 	// One final settle round after the last churn.
 	gp.PullOnce(context.Background())
-	fp.PullOnce(context.Background())
+	fullPull()
 
 	normalize := func(a *core.Agent) []core.SnapshotEntry {
 		entries := a.ExportSnapshot()
@@ -255,15 +244,15 @@ func TestGossipConvergenceEquivalence(t *testing.T) {
 	if len(g) != 30 {
 		t.Fatalf("converged table has %d entries, want 30", len(g))
 	}
-	// Sanity: the gossip receiver actually used the cheap rungs.
+	// Sanity: the gossip receiver actually used deltas.
 	h := gp.Health()[0]
 	if h.DeltaPulls == 0 {
 		t.Fatalf("gossip receiver never used a delta: %+v", h)
 	}
 }
 
-// TestSnapshotHandlerServesGzip: the legacy endpoint satisfies the gzip
-// satellite — compressed when asked, identity otherwise, same payload.
+// TestSnapshotHandlerServesGzip: the operator's snapshot endpoint is
+// compressed when asked, identity otherwise, with the same payload.
 func TestSnapshotHandlerServesGzip(t *testing.T) {
 	observations := []core.Observation{}
 	for i := 0; i < 50; i++ {
@@ -392,17 +381,17 @@ func TestReadBodyReusesScratchWithoutLeaking(t *testing.T) {
 		compress bool
 	}
 	long := bytes.Repeat([]byte(`{"prefix":"203.0.113.7/32","window":42},`), 20000)
-	digest, empty := []byte(`{"version":1,"buckets":[]}`), []byte(nil)
+	small, empty := []byte(`{"version":1,"entries":[]}`), []byte(nil)
 	var br bodyReader
 	for i, round := range []struct {
 		bodies []body
 		keeps  bool // the array outlives the round's trim
 	}{
-		{[]body{{digest, true}, {long, true}}, false},
-		{[]body{{digest, true}, {long[:len(long)-41], true}}, true}, // a digest before each delta must not cost the buffer
-		{[]body{{long, false}, {empty, true}, {digest, false}}, true},
-		{[]body{{digest, true}, {[]byte(`{"small":"delta"}`), true}}, false},
-		{[]body{{empty, false}, {digest, true}}, true},
+		{[]body{{small, true}, {long, true}}, false},
+		{[]body{{small, true}, {long[:len(long)-41], true}}, true}, // another peer's small body before the delta must not cost the buffer
+		{[]body{{long, false}, {empty, true}, {small, false}}, true},
+		{[]body{{small, true}, {[]byte(`{"small":"delta"}`), true}}, false},
+		{[]body{{empty, false}, {small, true}}, true},
 	} {
 		array := cap(br.buf)
 		for j, b := range round.bodies {
@@ -483,9 +472,7 @@ func TestGossipEndpointsRejectBadRequests(t *testing.T) {
 
 	for _, bad := range []string{
 		DeltaPath + "?since=not-a-number",
-		DeltaPath + "?buckets=1,frog",
-		DeltaPath + "?buckets=-1",
-		DeltaPath + "?buckets=9999",
+		DeltaPath + "?since=-1&instance=boot-1",
 	} {
 		resp, err := http.Get(srv.URL + bad)
 		if err != nil {
@@ -497,8 +484,8 @@ func TestGossipEndpointsRejectBadRequests(t *testing.T) {
 		}
 	}
 
-	// POSTs are refused on all three.
-	for _, path := range []string{SnapshotPath, DigestPath, DeltaPath} {
+	// POSTs are refused on both.
+	for _, path := range []string{SnapshotPath, DeltaPath} {
 		resp, err := http.Post(srv.URL+path, "application/json", nil)
 		if err != nil {
 			t.Fatal(err)
@@ -509,17 +496,10 @@ func TestGossipEndpointsRejectBadRequests(t *testing.T) {
 		}
 	}
 
-	// A digest round-trips through the real endpoint.
-	resp, err := http.Get(srv.URL + DigestPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gossippkg.DecodeDigest(bytes.TrimSpace(data)); err != nil {
-		t.Fatalf("served digest does not decode: %v", err)
+	// The retired digest endpoint answers 404 where it is still mounted.
+	w := httptest.NewRecorder()
+	NewServer(a, "host-a", "boot-1", nil).DigestHandler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, DigestPath, nil))
+	if w.Code != http.StatusNotFound {
+		t.Errorf("GET %s = %d, want 404", DigestPath, w.Code)
 	}
 }

@@ -18,65 +18,53 @@ import (
 	"riptide/internal/metrics"
 )
 
-// SnapshotPath is the URL path riptided serves its fleet snapshot on.
-const SnapshotPath = "/fleet/snapshot"
-
 // maxSnapshotBytes bounds how much of a peer's response the puller will
 // read — decompressed, when the response is gzipped — so a misbehaving peer
 // cannot balloon this agent's memory. 10k entries are well under 1 MiB;
 // 16 MiB leaves generous headroom.
 const maxSnapshotBytes = 16 << 20
 
-// Round modes: how one successful pull round synced, cheapest first.
+// Round modes: how one successful pull round synced.
 const (
-	// ModeDigest: the digest matched — the peers are converged and the
-	// round moved no entries at all.
-	ModeDigest = "digest"
-	// ModeDelta: entries committed since the last round were fetched.
+	// ModeNotModified: the peer answered 304 to the round's If-None-Match —
+	// nothing changed since the cursor, and only headers crossed the wire.
+	ModeNotModified = "not_modified"
+	// ModeDelta: the entries committed after the cursor were fetched.
 	ModeDelta = "delta"
-	// ModeBuckets: the peer restarted; only divergent digest buckets were
-	// fetched.
-	ModeBuckets = "buckets"
-	// ModeFull: the whole table came over the gossip delta endpoint.
+	// ModeFull: the whole table was fetched (first contact, or a cursor
+	// the peer could not use).
 	ModeFull = "full"
-	// ModeSnapshot: the whole table came over the legacy snapshot
-	// endpoint (gossip disabled, or the peer predates it).
-	ModeSnapshot = "snapshot"
 )
 
-// Handler serves the agent's current snapshot as JSON on GET, gzipped when
-// the client accepts it. now supplies the CreatedUnixNano stamp; nil means
-// time.Now. instance stamps the snapshot with this agent run's identity so
-// gossip-aware pullers can seed their delta cursors from a full pull; pass
-// "" for none (persisted snapshots never carry one).
-func Handler(agent *core.Agent, source, instance string, now func() time.Time) http.Handler {
-	return NewServer(agent, source, instance, now).SnapshotHandler()
-}
-
-// NormalizePeerURL turns a peer spec from the -peers flag into a snapshot
-// URL: a bare host:port gets the http scheme and the snapshot path; a URL
-// with an explicit path is used as given.
-func NormalizePeerURL(peer string) string {
+// NormalizePeerURL turns a peer spec from the -peers flag into the peer's
+// base URL (scheme://host[:port]): a bare host:port gets the http scheme,
+// and a path of "/" or of SnapshotPath is stripped, so peer lists written
+// as snapshot URLs keep working. Any other path is an error: the puller
+// derives the delta endpoint from the base, and a custom path would leave
+// it nowhere to pull from. A blank spec returns "".
+func NormalizePeerURL(peer string) (string, error) {
 	p := strings.TrimSpace(peer)
 	if p == "" {
-		return ""
+		return "", nil
 	}
 	if !strings.Contains(p, "://") {
 		p = "http://" + p
 	}
-	// Split off scheme://host and check whether a path was given.
 	rest := p[strings.Index(p, "://")+3:]
-	if i := strings.IndexByte(rest, '/'); i < 0 {
-		p += SnapshotPath
-	} else if rest[i:] == "/" {
-		p = p[:len(p)-1] + SnapshotPath
+	i := strings.IndexByte(rest, '/')
+	if i < 0 {
+		return p, nil
 	}
-	return p
+	switch rest[i:] {
+	case "/", SnapshotPath:
+		return p[:len(p)-len(rest)+i], nil
+	}
+	return "", fmt.Errorf("riptide/fleet: peer %q: path %q is not served by the fleet protocol (give host:port or a base URL)", peer, rest[i:])
 }
 
 // PeerHealth is the observable state of one peer, exposed via /status.
 type PeerHealth struct {
-	// URL is the peer's snapshot URL.
+	// URL is the peer's base URL.
 	URL string `json:"url"`
 	// Healthy is true when the most recent pull succeeded.
 	Healthy bool `json:"healthy"`
@@ -95,47 +83,42 @@ type PeerHealth struct {
 	// on the wire (compressed size when gzipped).
 	LastBytes int64 `json:"lastBytes,omitempty"`
 	// Mode is how the most recent successful round synced: one of the
-	// Mode* constants ("digest", "delta", "buckets", "full", "snapshot").
+	// Mode* constants ("not_modified", "delta", "full").
 	Mode string `json:"mode,omitempty"`
 	// Per-mode round counts over the puller's lifetime.
-	DigestHits    uint64 `json:"digestHits,omitempty"`
-	DeltaPulls    uint64 `json:"deltaPulls,omitempty"`
-	BucketPulls   uint64 `json:"bucketPulls,omitempty"`
-	FullPulls     uint64 `json:"fullPulls,omitempty"`
-	SnapshotPulls uint64 `json:"snapshotPulls,omitempty"`
-	// NotModified counts digest rounds answered 304 — the cheapest form of
-	// DigestHits, where not even the digest body crossed the wire.
 	NotModified uint64 `json:"notModified,omitempty"`
+	DeltaPulls  uint64 `json:"deltaPulls,omitempty"`
+	FullPulls   uint64 `json:"fullPulls,omitempty"`
+	// DigestHits and BucketPulls counted rounds of the retired digest
+	// ladder; they stay 0.
+	//
+	// Deprecated: they stay only for bench/rig.go.
+	DigestHits  uint64 `json:"-"`
+	BucketPulls uint64 `json:"-"`
 }
 
-// peerCursor is the gossip sync position against one peer: which instance
-// of the peer it refers to, the table version synced through, and the
-// digest of the peer's content as of the last sync.
+// peerCursor is the sync position against one peer: the gossip cursor, the
+// validator from the peer's last answer (replayed as If-None-Match), and the
+// request URL, built once per cursor change rather than once per round.
 type peerCursor struct {
-	instance string
-	version  uint64
-	digest   *gossip.Digest
-	// etag is the validator from the peer's last digest response, replayed
-	// as If-None-Match so a converged peer can answer 304 with no body.
+	gossip.Cursor
 	etag string
+	url  string
 }
 
-// peerState is a peer plus its backoff bookkeeping and gossip cursor.
+// peerState is a peer plus its backoff bookkeeping and cursor.
 type peerState struct {
 	health      PeerHealth
 	nextAttempt time.Time // zero means eligible immediately
-	// gossipBase is the peer's scheme://host root for the digest/delta
-	// endpoints, derived from the snapshot URL; empty when the peer spec
-	// used a custom path (legacy-only peer).
-	gossipBase string
-	cursor     peerCursor
+	cursor      peerCursor
 }
 
 // PullerConfig configures a Puller.
 type PullerConfig struct {
 	// Agent receives merged snapshots; required.
 	Agent *core.Agent
-	// Peers are the snapshot URLs to pull (pass through NormalizePeerURL).
+	// Peers are the peer specs to pull: host:port or a base URL (see
+	// NormalizePeerURL).
 	Peers []string
 	// Interval between pull rounds. 0 means 30 seconds.
 	Interval time.Duration
@@ -153,10 +136,10 @@ type PullerConfig struct {
 	Now func() time.Time
 	// Logf, if set, receives pull errors; pulling continues regardless.
 	Logf func(format string, args ...any)
-	// Gossip enables the digest→delta→full sync ladder against peers
-	// whose spec uses the standard snapshot path. Peers that cannot answer
-	// the gossip endpoints (pre-gossip builds, custom-path specs) are
-	// pulled as legacy full snapshots either way.
+	// Gossip is ignored: every peer is pulled with the one conditional
+	// ?since= request.
+	//
+	// Deprecated: it stays only for bench/rig.go.
 	Gossip bool
 	// Jitter is the fraction of each retry backoff randomly subtracted so
 	// a healed partition does not synchronize the whole fleet's retries
@@ -169,7 +152,7 @@ type PullerConfig struct {
 	randFloat func() float64
 }
 
-// Puller periodically fetches snapshots from fleet peers and merges them
+// Puller periodically fetches table deltas from fleet peers and merges them
 // into the local agent. Each peer fails independently: a down peer backs
 // off exponentially (up to MaxBackoff) while the others keep being pulled,
 // and the agent's own tick loop is never involved — peer trouble degrades
@@ -230,21 +213,17 @@ func NewPuller(cfg PullerConfig) (*Puller, error) {
 	}
 	p := &Puller{cfg: cfg, decodeFallback: cfg.Agent.Metrics().Counter("riptide_gossip_decode_fallback")}
 	for _, raw := range cfg.Peers {
-		u := NormalizePeerURL(raw)
-		if u == "" {
+		base, err := NormalizePeerURL(raw)
+		if err != nil {
+			return nil, err
+		}
+		if base == "" {
 			continue
 		}
 		p.peers = append(p.peers, &peerState{
-			health:     PeerHealth{URL: u},
-			gossipBase: strings.TrimSuffix(u, SnapshotPath),
+			health: PeerHealth{URL: base},
+			cursor: advance(peerCursor{}, base, gossip.Cursor{}, ""),
 		})
-	}
-	for _, ps := range p.peers {
-		if ps.gossipBase == ps.health.URL {
-			// The spec carried a custom path: there is nowhere sensible
-			// to derive the gossip endpoints from.
-			ps.gossipBase = ""
-		}
 	}
 	return p, nil
 }
@@ -320,19 +299,12 @@ func (p *Puller) PullOnce(ctx context.Context) int {
 		ps.health.LastBytes = round.bytes
 		ps.health.Mode = round.mode
 		switch round.mode {
-		case ModeDigest:
-			ps.health.DigestHits++
+		case ModeNotModified:
+			ps.health.NotModified++
 		case ModeDelta:
 			ps.health.DeltaPulls++
-		case ModeBuckets:
-			ps.health.BucketPulls++
 		case ModeFull:
 			ps.health.FullPulls++
-		case ModeSnapshot:
-			ps.health.SnapshotPulls++
-		}
-		if round.notModified {
-			ps.health.NotModified++
 		}
 		ps.cursor = cursor
 		ps.nextAttempt = time.Time{}
@@ -341,9 +313,6 @@ func (p *Puller) PullOnce(ctx context.Context) int {
 		m.Counter("riptide_peer_pulls").Inc()
 		m.Counter("riptide_gossip_bytes_received").Add(uint64(round.bytes))
 		m.Counter("riptide_gossip_rounds_" + round.mode).Inc()
-		if round.notModified {
-			m.Counter("riptide_gossip_not_modified").Inc()
-		}
 		merged += stats.Merged
 	}
 	return merged
@@ -380,118 +349,31 @@ func (p *Puller) jittered(d time.Duration) time.Duration {
 type roundResult struct {
 	mode  string
 	bytes int64
-	// notModified marks a digest round that was answered 304 — converged,
-	// with only headers on the wire.
-	notModified bool
 }
 
-// pullPeer syncs from one peer, walking the gossip ladder when enabled and
-// falling back to the legacy full snapshot whenever a gossip rung cannot be
-// climbed (the peer predates gossip, restarted mid-round, or returned
-// something unusable). The returned cursor is the caller's to store on
-// success; pullPeer itself never mutates ps.
+// pullPeer runs one round against a peer: the conditional request its cursor
+// calls for, then the merge of whatever came back. The returned cursor is the
+// caller's to store on success; pullPeer itself never mutates ps.
 func (p *Puller) pullPeer(ctx context.Context, ps *peerState) (core.MergeStats, roundResult, peerCursor, error) {
 	p.mu.Lock()
-	base := ps.gossipBase
 	cursor := ps.cursor
-	snapURL := ps.health.URL
+	base := ps.health.URL
 	p.mu.Unlock()
 
 	var round roundResult
-	if p.cfg.Gossip && base != "" {
-		stats, gossipRound, next, err := p.pullGossip(ctx, base, cursor)
-		round.bytes += gossipRound.bytes
-		if err == nil {
-			round.mode = gossipRound.mode
-			round.notModified = gossipRound.notModified
-			return stats, round, next, nil
-		}
-		if ctx.Err() != nil {
-			return core.MergeStats{}, round, cursor, err
-		}
-		// The gossip rungs are an optimization; the snapshot endpoint is
-		// the protocol floor. Any gossip failure falls through to it
-		// within the same round (counting the bytes already spent).
-		if p.cfg.Logf != nil {
-			p.cfg.Logf("fleet: gossip %s: %v (falling back to full snapshot)", base, err)
-		}
-	}
-
-	data, n, err := p.fetch(ctx, snapURL)
-	round.bytes += n
-	if err != nil {
-		return core.MergeStats{}, round, cursor, err
-	}
-	snap, err := Decode(data)
-	if err != nil {
-		return core.MergeStats{}, round, cursor, err
-	}
-	stats := p.merge(snap.CoreEntries(), snapURL)
-	round.mode = ModeSnapshot
-	next := peerCursor{}
-	if snap.Instance != "" {
-		// A v3 snapshot seeds the gossip cursor: the next round can open
-		// with a digest compare and a delta instead of another full pull.
-		digest := gossip.Compute(snap.Entries, snap.Source, snap.Instance, snap.TableVersion)
-		next = peerCursor{instance: snap.Instance, version: snap.TableVersion, digest: &digest}
-	}
-	return stats, round, next, nil
-}
-
-// pullGossip walks the ladder: digest first, then whichever of
-// delta/buckets/full the digest says is needed.
-func (p *Puller) pullGossip(ctx context.Context, base string, cursor peerCursor) (core.MergeStats, roundResult, peerCursor, error) {
-	var round roundResult
-	data, n, respETag, notModified, err := p.fetchCond(ctx, base+DigestPath, cursor.etag)
-	round.bytes += n
+	data, n, etag, notModified, err := p.fetch(ctx, cursor.url, cursor.etag)
+	round.bytes = n
 	if err != nil {
 		return core.MergeStats{}, round, cursor, err
 	}
 	if notModified {
-		// The validator matched: the peer's content is exactly what the
-		// cursor already describes, and only headers crossed the wire. The
-		// cursor stands as-is.
-		round.mode = ModeDigest
-		round.notModified = true
+		// The validator matched: the peer's table is exactly what the
+		// cursor already describes. The cursor stands as-is.
+		round.mode = ModeNotModified
 		return core.MergeStats{}, round, cursor, nil
 	}
-	d, err := gossip.DecodeDigest(data)
-	if err != nil {
-		return core.MergeStats{}, round, cursor, err
-	}
-
-	if cursor.digest != nil && gossip.ContentEqual(d, *cursor.digest) {
-		// Converged: the round cost one digest, no entries moved. The
-		// cursor fast-forwards even across an instance change — identical
-		// content needs nothing fetched, whatever the counter says.
-		round.mode = ModeDigest
-		return core.MergeStats{}, round, peerCursor{instance: d.Instance, version: d.TableVersion, digest: &d, etag: respETag}, nil
-	}
-
-	deltaURL := base + DeltaPath
-	mode := ModeFull
-	switch {
-	case d.Instance != "" && d.Instance == cursor.instance && cursor.version > 0:
-		// Same instance, known position: ask only for what changed.
-		deltaURL += "?since=" + strconv.FormatUint(cursor.version, 10) +
-			"&instance=" + url.QueryEscape(cursor.instance)
-		mode = ModeDelta
-	case cursor.digest != nil:
-		// The peer restarted (or first contact carried a digest from a
-		// persisted snapshot): fetch only the buckets that diverge from
-		// what we remember of its content.
-		diff := gossip.DiffBuckets(*cursor.digest, d)
-		deltaURL += "?buckets=" + bucketList(diff)
-		mode = ModeBuckets
-	}
-	data, n, err = p.fetch(ctx, deltaURL)
-	round.bytes += n
-	if err != nil {
-		return core.MergeStats{}, round, cursor, err
-	}
-	// A delta or a bucket resync decodes straight into the merge's input, on
-	// the slice the last round of that size left; a full table keeps its text
-	// for the digest below and converts once.
+	// The entries decode straight into the merge's input, on the slice the
+	// last round of that size left.
 	delta, entries, scanned, err := gossip.DecodeDeltaAppend(p.entries.Take(0), data)
 	if !scanned {
 		p.decodeFallback.Inc()
@@ -499,47 +381,39 @@ func (p *Puller) pullGossip(ctx context.Context, base string, cursor peerCursor)
 	if err != nil {
 		return core.MergeStats{}, round, cursor, err
 	}
-	if mode == ModeDelta && !delta.Full {
+	round.mode = ModeFull
+	if !delta.Full {
 		// A delta answers one cursor of one table. Adopting the table
 		// version of a delta computed against some other cursor, or of
 		// another boot's table, would skip for good whatever changed
 		// between ours and the one it answers.
 		switch {
-		case delta.Since != cursor.version:
-			return core.MergeStats{}, round, cursor, fmt.Errorf("delta since %d does not echo the cursor %d", delta.Since, cursor.version)
-		case delta.Instance != cursor.instance:
-			return core.MergeStats{}, round, cursor, fmt.Errorf("delta from instance %q answers a cursor on instance %q", delta.Instance, cursor.instance)
+		case delta.Since != cursor.Version:
+			return core.MergeStats{}, round, cursor, fmt.Errorf("delta since %d does not echo the cursor %d", delta.Since, cursor.Version)
+		case !cursor.Usable(delta.Instance, delta.TableVersion):
+			return core.MergeStats{}, round, cursor, fmt.Errorf("delta from instance %q at version %d cannot answer a cursor on instance %q at %d",
+				delta.Instance, delta.TableVersion, cursor.Instance, cursor.Version)
+		}
+		round.mode = ModeDelta
+	}
+	stats := p.merge(entries, base)
+	p.entries.Keep(entries, len(entries))
+	return stats, round, advance(cursor, base, gossip.Cursor{Instance: delta.Instance, Version: delta.TableVersion}, etag), nil
+}
+
+// advance moves a peer cursor to next, armed with the answer's validator
+// (none when the peer sent no ETag: the next round is unconditional). The
+// request URL is rebuilt only when the cursor moved, and carries ?since= only
+// for a cursor a peer could use.
+func advance(cur peerCursor, base string, next gossip.Cursor, etag string) peerCursor {
+	if next != cur.Cursor || cur.url == "" {
+		cur.url = base + DeltaPath
+		if next.Usable(next.Instance, next.Version) {
+			cur.url += "?since=" + strconv.FormatUint(next.Version, 10) + "&instance=" + url.QueryEscape(next.Instance)
 		}
 	}
-	if delta.Full {
-		// The peer judged our cursor unusable (instance mismatch raced
-		// between the two requests, version compacted, ...).
-		mode = ModeFull
-		entries = gossip.ToCore(delta.Entries)
-	}
-	stats := p.merge(entries, deltaURL)
-	if !delta.Full {
-		p.entries.Keep(entries, len(entries))
-	}
-	round.mode = mode
-
-	// The ETag travels with the digest it validated: if the table moved
-	// between the digest and delta fetches it is already stale, and the
-	// mismatch next round just costs one digest body — never correctness.
-	next := peerCursor{instance: delta.Instance, version: delta.TableVersion, etag: respETag}
-	if mode == ModeFull {
-		// A full table is complete knowledge: recompute the digest from
-		// it rather than trusting the pre-transfer digest (the table may
-		// have moved between the two requests; being conservative here
-		// only costs a delta next round, never correctness).
-		digest := gossip.Compute(delta.Entries, delta.Source, delta.Instance, delta.TableVersion)
-		next.digest = &digest
-	} else {
-		// Deltas and bucket fetches do not reveal the whole table; the
-		// served digest is the best content summary available.
-		next.digest = &d
-	}
-	return stats, round, next, nil
+	cur.Cursor, cur.etag = next, etag
+	return cur
 }
 
 // merge folds received entries into the agent, logging (not failing) route
@@ -554,19 +428,13 @@ func (p *Puller) merge(entries []core.SnapshotEntry, from string) core.MergeStat
 }
 
 // fetch GETs a fleet endpoint, advertising gzip and enforcing the
-// decompressed-size cap, and reports the payload plus wire bytes moved. The
+// decompressed-size cap, and reports the payload plus wire bytes moved. A
+// non-empty etag is sent as If-None-Match, and a 304 answer to it comes back
+// as notModified with no payload; a 304 to a request that named no validator
+// is an error. The response's ETag is returned to arm the next round. The
 // payload aliases the puller's read scratch: decode it before the next fetch
 // (every decoder here copies what it keeps).
-func (p *Puller) fetch(ctx context.Context, url string) ([]byte, int64, error) {
-	data, n, _, _, err := p.fetchCond(ctx, url, "")
-	return data, n, err
-}
-
-// fetchCond is fetch plus conditional-request support: a non-empty etag is
-// sent as If-None-Match, and a 304 answer comes back as notModified=true
-// with no payload. The response's own ETag (when present) is returned so
-// the caller can arm the next round's validator.
-func (p *Puller) fetchCond(ctx context.Context, url, etag string) (data []byte, wireBytes int64, respETag string, notModified bool, err error) {
+func (p *Puller) fetch(ctx context.Context, url, etag string) (data []byte, wireBytes int64, respETag string, notModified bool, err error) {
 	reqCtx, cancel := context.WithTimeout(ctx, p.cfg.Timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, url, nil)
@@ -596,17 +464,4 @@ func (p *Puller) fetchCond(ctx context.Context, url, etag string) (data []byte, 
 	}
 	data, wireBytes, err = p.body.read(resp, maxSnapshotBytes)
 	return data, wireBytes, respETag, false, err
-}
-
-// bucketList renders bucket indices as the comma-separated form the delta
-// endpoint parses.
-func bucketList(buckets []int) string {
-	var b strings.Builder
-	for i, idx := range buckets {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(idx))
-	}
-	return b.String()
 }

@@ -2,8 +2,10 @@ package fleet
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,7 +14,7 @@ import (
 
 func TestHandlerServesSnapshot(t *testing.T) {
 	a, _, _ := newTestAgent(t, []core.Observation{obs(t, "192.0.2.1", 40)})
-	srv := httptest.NewServer(Handler(a, "host-a", "", func() time.Time { return time.Unix(1700000000, 0) }))
+	srv := httptest.NewServer(NewServer(a, "host-a", "", func() time.Time { return time.Unix(1700000000, 0) }).SnapshotHandler())
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL)
@@ -39,7 +41,7 @@ func TestHandlerServesSnapshot(t *testing.T) {
 
 func TestHandlerRejectsNonGET(t *testing.T) {
 	a, _, _ := newTestAgent(t, nil)
-	srv := httptest.NewServer(Handler(a, "", "", nil))
+	srv := httptest.NewServer(NewServer(a, "", "", nil).SnapshotHandler())
 	defer srv.Close()
 	resp, err := http.Post(srv.URL, "application/json", nil)
 	if err != nil {
@@ -56,7 +58,7 @@ func TestPullerMergesFromPeer(t *testing.T) {
 		obs(t, "192.0.2.1", 40),
 		obs(t, "198.51.100.7", 80),
 	})
-	srv := httptest.NewServer(Handler(src, "host-a", "", nil))
+	srv := gossipServer(src, "host-a", "boot-1")
 	defer srv.Close()
 
 	dst, dstRoutes, _ := newTestAgent(t, nil)
@@ -221,5 +223,20 @@ func TestNewPullerValidation(t *testing.T) {
 	}
 	if h := p.Health(); len(h) != 1 {
 		t.Fatalf("peers = %+v, want 1", h)
+	}
+	// The three accepted spellings of one peer pull the same base; a
+	// custom path is refused with the peer named, not kept unpullable.
+	p, err = NewPuller(PullerConfig{Agent: a, Peers: []string{"peer:1", "http://peer:2/", "http://peer:3/fleet/snapshot"}})
+	if err != nil {
+		t.Fatalf("NewPuller: %v", err)
+	}
+	for i, h := range p.Health() {
+		if want := fmt.Sprintf("http://peer:%d", i+1); h.URL != want {
+			t.Errorf("peer %d URL = %q, want %q", i, h.URL, want)
+		}
+	}
+	if _, err := NewPuller(PullerConfig{Agent: a, Peers: []string{"peer:1", "http://peer:2/custom/path"}}); err == nil ||
+		!strings.Contains(err.Error(), "http://peer:2/custom/path") {
+		t.Fatalf("NewPuller with a custom-path peer: %v, want an error naming it", err)
 	}
 }

@@ -55,10 +55,10 @@ func TestAcceptsGzipHonoursWeights(t *testing.T) {
 
 	// End to end: the refusing client gets a body it can read.
 	a, _, _ := newTestAgent(t, []core.Observation{obs(t, "192.0.2.1", 40)})
-	req := httptest.NewRequest(http.MethodGet, DeltaPath+"?buckets=0,1,2,3", nil)
+	req := httptest.NewRequest(http.MethodGet, DeltaPath, nil)
 	req.Header.Set("Accept-Encoding", "identity, gzip;q=0")
 	w := httptest.NewRecorder()
-	DeltaHandler(a, "host-a", "boot-1").ServeHTTP(w, req)
+	NewServer(a, "host-a", "boot-1", nil).DeltaHandler().ServeHTTP(w, req)
 	if enc := w.Header().Get("Content-Encoding"); enc != "" || !bytes.HasPrefix(w.Body.Bytes(), []byte(`{"version":`)) {
 		t.Fatalf("client refusing gzip got Content-Encoding %q, body %.20q", enc, w.Body.Bytes())
 	}
@@ -70,8 +70,11 @@ type reply struct {
 	// request's own since instead, as a server echoes the cursor it computed
 	// the delta against.
 	body []byte
-	gzip bool // compressed on the way out and sent with Content-Encoding: gzip
-	half bool // only the first half of the bytes that would go out is sent
+	etag string // sent as the ETag header when set
+	// notModified answers 304 with no body, whatever the request asked.
+	notModified bool
+	gzip        bool // compressed on the way out and sent with Content-Encoding: gzip
+	half        bool // only the first half of the bytes that would go out is sent
 	// hangUp declares the whole body's Content-Length, sends half of it and
 	// drops the connection; otherwise the length is that of what is sent.
 	hangUp bool
@@ -81,14 +84,18 @@ type reply struct {
 // serves it; see reply.body.
 const echoSince = 1<<53 - 1
 
-// scriptedPeer is a fleet peer that answers from a script: the digest moves
-// every round (so the puller always goes on to the delta endpoint), the delta
-// endpoint serves the next reply, and there is no legacy snapshot to fall back
-// to — a round whose gossip rung fails, fails.
+// request is what the scripted peer saw of one request.
+type request struct {
+	query       string
+	ifNoneMatch string
+}
+
+// scriptedPeer is a fleet peer whose delta endpoint serves the next reply of
+// a script to every request, and records the requests.
 type scriptedPeer struct {
-	t       *testing.T
-	rounds  int
-	replies []reply
+	t        *testing.T
+	replies  []reply
+	requests []request
 }
 
 // wire is what the peer sends for next, answering a request for since.
@@ -110,39 +117,38 @@ func (s *scriptedPeer) wire(next reply, since string) []byte {
 }
 
 func (s *scriptedPeer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch r.URL.Path {
-	case DigestPath:
-		s.rounds++
-		buckets := make([]uint64, gossippkg.NumBuckets)
-		buckets[0] = uint64(s.rounds)
-		body, err := gossippkg.EncodeDigest(gossippkg.Digest{
-			Version: gossippkg.WireVersion, Instance: "boot-1", TableVersion: uint64(100 + s.rounds), Count: 1, Buckets: buckets,
-		})
-		if err != nil {
-			s.t.Error(err)
-		}
-		w.Write(body)
-	case DeltaPath:
-		if len(s.replies) == 0 {
-			s.t.Error("scripted peer asked for more replies than the script holds")
-			http.Error(w, "script exhausted", http.StatusInternalServerError)
-			return
-		}
-		next := s.replies[0]
-		s.replies = s.replies[1:]
-		body := s.wire(next, r.URL.Query().Get("since"))
-		if next.hangUp {
-			s.hangUp(w, next, body)
-			return
-		}
-		if next.gzip {
-			w.Header().Set("Content-Encoding", "gzip")
-		}
-		w.Write(body)
-	default:
+	if r.URL.Path != DeltaPath {
 		http.NotFound(w, r)
+		return
 	}
+	s.requests = append(s.requests, request{r.URL.RawQuery, r.Header.Get("If-None-Match")})
+	if len(s.replies) == 0 {
+		s.t.Error("scripted peer asked for more replies than the script holds")
+		http.Error(w, "script exhausted", http.StatusInternalServerError)
+		return
+	}
+	next := s.replies[0]
+	s.replies = s.replies[1:]
+	if next.etag != "" {
+		w.Header().Set("ETag", next.etag)
+	}
+	if next.notModified {
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
+	body := s.wire(next, r.URL.Query().Get("since"))
+	if next.hangUp {
+		s.hangUp(w, next, body)
+		return
+	}
+	if next.gzip {
+		w.Header().Set("Content-Encoding", "gzip")
+	}
+	w.Write(body)
 }
+
+// last is the most recent request the peer saw.
+func (s *scriptedPeer) last() request { return s.requests[len(s.requests)-1] }
 
 // hangUp writes the response by hand on the hijacked connection: headers
 // declaring all of the unsent body's length, the first part of sent, then a
@@ -201,15 +207,16 @@ func hostEntries(net byte, n int, window int) []gossippkg.Entry {
 }
 
 // runScript pulls once per reply against a scripted peer and returns the
-// agent, its puller and how many rounds failed.
-func runScript(t *testing.T, replies []reply) (a *core.Agent, p *Puller, failed int) {
+// agent, its puller, the peer and how many rounds failed.
+func runScript(t *testing.T, replies []reply) (a *core.Agent, p *Puller, peer *scriptedPeer, failed int) {
 	t.Helper()
 	a, _, _ = newTestAgent(t, nil)
-	srv := httptest.NewServer(&scriptedPeer{t: t, replies: replies})
+	peer = &scriptedPeer{t: t, replies: replies}
+	srv := httptest.NewServer(peer)
 	t.Cleanup(srv.Close)
 	now := time.Unix(1, 0)
 	p, err := NewPuller(PullerConfig{
-		Agent: a, Peers: []string{srv.URL}, Gossip: true, Jitter: -1,
+		Agent: a, Peers: []string{srv.URL}, Jitter: -1,
 		Now: func() time.Time { now = now.Add(time.Hour); return now }, // every backoff has lapsed by the next round
 	})
 	if err != nil {
@@ -221,7 +228,7 @@ func runScript(t *testing.T, replies []reply) (a *core.Agent, p *Puller, failed 
 			failed++
 		}
 	}
-	return a, p, failed
+	return a, p, peer, failed
 }
 
 // fleetCounts is what the merges of a puller's life did to its agent.
@@ -264,11 +271,22 @@ func TestPullerFaultsNeverMergeStaleScratch(t *testing.T) {
 	overCap := wireSince(t, 56, 50, hostEntries(5, 10, 70))
 	overCap = append(overCap, bytes.Repeat([]byte{' '}, maxSnapshotBytes+1-len(overCap))...)
 
+	// first again, with a validator: the round after it is conditional.
+	firstTagged := first
+	firstTagged.etag = `"boot-1/50"`
+	// A full table from another boot of the peer, and the delta its next
+	// round is answered with.
+	reboot := reply{body: wireFrom(t, "boot-2", 57, 0, hostEntries(6, 25, 80))}
+	secondReboot := reply{body: wireFrom(t, "boot-2", 60, echoSince, secondEntries)}
+
 	for _, tc := range []struct {
 		name   string
+		lead   *reply // the round before the fault; nil: first
 		fault  reply
 		merges *reply // what a puller that saw no fault is given in its place; nil: nothing
+		after  *reply // the round after the fault; nil: second
 		fails  bool
+		check  func(t *testing.T, peer *scriptedPeer)
 	}{
 		{name: "gzip truncated mid-stream", fault: reply{body: first.body, gzip: true, half: true}, fails: true},
 		{name: "body cut mid-entry", fault: reply{body: second.body, half: true}, fails: true},
@@ -284,16 +302,53 @@ func TestPullerFaultsNeverMergeStaleScratch(t *testing.T) {
 		// its table version counts another table, so adopting it would
 		// skip the entries of ours that it never listed.
 		{name: "since reply from another instance", fault: reply{body: wireFrom(t, "boot-2", 59, echoSince, hostEntries(8, 5, 95))}, fails: true},
+		// A 304 says "what you named is current"; a request that named
+		// nothing cannot be answered with one. The round fails and the
+		// cursor stays where first left it.
+		{name: "304 to a request with no validator", fault: reply{notModified: true, etag: `"boot-1/50"`}, fails: true,
+			check: func(t *testing.T, peer *scriptedPeer) {
+				if r := peer.requests[3]; r.ifNoneMatch != "" {
+					t.Errorf("the faulted round sent If-None-Match %q", r.ifNoneMatch)
+				}
+				if r := peer.last(); r.query != "since=50&instance=boot-1" {
+					t.Errorf("round after the 304: ?%s, want the cursor first left", r.query)
+				}
+			}},
+		// A good answer with no validator merges, and the round after it
+		// cannot be conditional.
+		{name: "200 with no ETag", lead: &firstTagged, fault: canonical, merges: &canonical,
+			check: func(t *testing.T, peer *scriptedPeer) {
+				if r := peer.requests[3]; r.ifNoneMatch != firstTagged.etag {
+					t.Errorf("round after a tagged answer sent If-None-Match %q, want %q", r.ifNoneMatch, firstTagged.etag)
+				}
+				if r := peer.last(); r.ifNoneMatch != "" || r.query != "since=55&instance=boot-1" {
+					t.Errorf("round after an untagged answer: ?%s If-None-Match %q, want an unconditional ?since=55", r.query, r.ifNoneMatch)
+				}
+			}},
+		// The peer rebooted: its full table is adopted, cursor and all.
+		{name: "full reply from a new instance", fault: reboot, merges: &reboot, after: &secondReboot,
+			check: func(t *testing.T, peer *scriptedPeer) {
+				if r := peer.last(); r.query != "since=57&instance=boot-2" {
+					t.Errorf("round after the reboot: ?%s, want a ?since= on the new instance", r.query)
+				}
+			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// first twice: the second use of a size is the one that keeps
-			// the slice for the rounds after it.
-			got, p, failed := runScript(t, []reply{contact, first, first, tc.fault, second})
-			clean := []reply{contact, first, first}
+			// first twice (lead is first's size): the second use of a size
+			// is the one that keeps the slice for the rounds after it.
+			lead, after := first, second
+			if tc.lead != nil {
+				lead = *tc.lead
+			}
+			if tc.after != nil {
+				after = *tc.after
+			}
+			got, p, peer, failed := runScript(t, []reply{contact, first, lead, tc.fault, after})
+			clean := []reply{contact, first, lead}
 			if tc.merges != nil {
 				clean = append(clean, *tc.merges)
 			}
-			want, _, cleanFailed := runScript(t, append(clean, second))
+			want, _, _, cleanFailed := runScript(t, append(clean, after))
 			if (failed == 1) != tc.fails || failed > 1 || cleanFailed != 0 {
 				t.Fatalf("%d rounds failed with the fault (fault fails its round: %v), %d without", failed, tc.fails, cleanFailed)
 			}
@@ -308,6 +363,9 @@ func TestPullerFaultsNeverMergeStaleScratch(t *testing.T) {
 			}
 			if n := got.Len(); n != 1+1500+30 && tc.merges == nil {
 				t.Errorf("agent holds %d entries, the good replies carry %d", n, 1+1500+30)
+			}
+			if tc.check != nil {
+				tc.check(t, peer)
 			}
 		})
 	}
@@ -327,12 +385,12 @@ func TestPullerCountsDecodeFallbacks(t *testing.T) {
 	}
 
 	const name = "riptide_gossip_decode_fallback"
-	fast, _, failed := runScript(t, []reply{contact})
+	fast, _, _, failed := runScript(t, []reply{contact})
 	if v, ok := fast.Metrics().Snapshot().Counters[name]; !ok || v != 0 || failed != 0 {
 		t.Fatalf("%s = %d (present %v) before any delta, want 0 and present", name, v, ok)
 	}
-	fast, _, _ = runScript(t, []reply{contact, {body: canonical}})
-	slow, _, failed := runScript(t, []reply{contact, {body: []byte(formatted)}})
+	fast, _, _, _ = runScript(t, []reply{contact, {body: canonical}})
+	slow, _, _, failed := runScript(t, []reply{contact, {body: []byte(formatted)}})
 	if failed != 0 {
 		t.Fatal("the formatted body failed to pull")
 	}

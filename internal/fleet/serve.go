@@ -13,16 +13,33 @@ import (
 	"riptide/internal/metrics"
 )
 
-// Encode-once serving. A converged fleet asks every peer the same question
-// every interval — "what is your digest?" — and before this file every
-// answer re-scanned the table, re-encoded JSON, and re-gzipped identical
-// bytes. Server caches the encoded (and gzipped) digest, full-delta, and
-// full-snapshot bodies keyed by the agent's content token (table version +
-// quarantine-marker fold) under this run's instance, so serving N converged
-// peers costs one encode per table change, not N per interval. On top of
-// the cache sits HTTP revalidation: responses carry a strong ETag derived
-// from the same token, and a request presenting it via If-None-Match gets
-// 304 Not Modified — converged peers exchange headers only, no body at all.
+// The fleet endpoints riptided mounts on its status address.
+const (
+	// DeltaPath serves the one sync request:
+	//
+	//	GET /fleet/delta?since=<version>&instance=<id>   If-None-Match: <etag>
+	//
+	// answered 304 while the ETag still names the table, with the entries
+	// committed after <version> when the cursor is usable against this run
+	// (gossip.Cursor.Usable), and with the full table otherwise (no cursor,
+	// another instance's, or one ahead of the table).
+	DeltaPath = "/fleet/delta"
+	// SnapshotPath serves the whole table in the persisted-file format, for
+	// operators; pullers do not use it.
+	SnapshotPath = "/fleet/snapshot"
+	// DigestPath was the retired content-digest endpoint.
+	//
+	// Deprecated: nothing serves it; it stays only for bench/rig.go.
+	DigestPath = "/fleet/digest"
+)
+
+// Encode-once serving. Server caches the encoded (and gzipped) full-table
+// delta and snapshot bodies keyed by the agent's content token (table version
+// + quarantine-marker fold) under this run's instance, so serving N peers
+// costs one encode per table change, not N per interval. On top of the cache
+// sits HTTP revalidation: responses carry a strong ETag derived from the same
+// token (gossip.ETag), and a request presenting it via If-None-Match gets 304
+// Not Modified — converged peers exchange headers only.
 
 // ServeStats counts what the response cache did, for /status.
 type ServeStats struct {
@@ -36,11 +53,10 @@ type ServeStats struct {
 }
 
 // Cache slots, one encoded body retained per kind — the cache's memory
-// bound is three plain+gzipped encodings of the table, regardless of peer
+// bound is two plain+gzipped encodings of the table, regardless of peer
 // count or request rate.
 const (
-	kindDigest = iota
-	kindDelta
+	kindDelta = iota
 	kindSnapshot
 	numKinds
 )
@@ -51,23 +67,20 @@ type cachedBody struct {
 	valid    bool
 	version  uint64
 	markers  uint64
-	etag     string
 	filledAt time.Time
 	plain    []byte
 	gz       []byte
 }
 
-// Server serves the three fleet endpoints (digest, delta, snapshot) for one
-// agent with version-keyed response caching. Construct with NewServer and
-// mount the *Handler methods; the free functions DigestHandler /
-// DeltaHandler / Handler remain as single-endpoint conveniences.
+// Server serves the fleet endpoints (delta, snapshot) for one agent with
+// version-keyed response caching. Construct with NewServer and mount the
+// *Handler methods.
 //
-// Correctness note: entry-bearing bodies (delta, snapshot) embed per-entry
-// ages measured at encode time, and ages keep growing while the version
-// stands still. Cached bodies are therefore reused only while younger than
-// a quarter of the agent's TTL — bounded staleness, invisible at gossip
-// cadence, and the conservative merge policy discounts by age anyway.
-// Digest bodies hash no ages and are reused until the content token moves.
+// Correctness note: cached bodies embed per-entry ages measured at encode
+// time, and ages keep growing while the version stands still. Cached bodies
+// are therefore reused only while younger than a quarter of the agent's TTL —
+// bounded staleness, invisible at gossip cadence, and the conservative merge
+// policy discounts by age anyway.
 type Server struct {
 	agent  *core.Agent
 	source string
@@ -142,18 +155,6 @@ func (s *Server) Remint(instance string) {
 	s.mu.Unlock()
 }
 
-// etagFor renders the content token as a strong ETag. The documented shape
-// is "<instance>/<version>"; a non-zero quarantine-marker fold appends a
-// third segment so governor transitions that move no table version still
-// invalidate (ETags are opaque to clients, so the extension is safe).
-func etagFor(instance string, version, markers uint64) string {
-	e := `"` + instance + `/` + strconv.FormatUint(version, 10)
-	if markers != 0 {
-		e += `/` + strconv.FormatUint(markers, 16)
-	}
-	return e + `"`
-}
-
 // etagMatch reports whether an If-None-Match header names etag (exact
 // entity-tag match over the comma-separated list, plus the * wildcard).
 func etagMatch(header, etag string) bool {
@@ -171,104 +172,94 @@ func etagMatch(header, etag string) bool {
 	return false
 }
 
-// DigestHandler serves GET /fleet/digest from the cache.
+// DigestHandler answers 404: the content digest is retired.
+//
+// Deprecated: it stays only for bench/rig.go, which still mounts it.
 func (s *Server) DigestHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.serveCached(w, r, kindDigest)
-	})
+	return http.NotFoundHandler()
 }
 
 // SnapshotHandler serves GET /fleet/snapshot from the cache.
 func (s *Server) SnapshotHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.serveCached(w, r, kindSnapshot)
+		if version, markers, etag, ok := s.revalidate(w, r); ok {
+			s.serveCached(w, r, kindSnapshot, version, markers, etag)
+		}
 	})
 }
 
-// DeltaHandler serves GET /fleet/delta: the full-table form from the cache,
-// versioned deltas and bucket resyncs encoded per request (they are
-// request-shaped and answered with pooled scratch).
+// DeltaHandler serves GET /fleet/delta (see DeltaPath): a 304 decided before
+// the query is parsed, a versioned delta encoded per request (pooled
+// scratch), or the full table from the cache.
 func (s *Server) DeltaHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		version, markers, etag, ok := s.revalidate(w, r)
+		if !ok {
 			return
 		}
-		if r.URL.RawQuery == "" {
-			// The common converged-fleet request; skip query parsing (which
-			// allocates) on the hot path.
-			s.serveCached(w, r, kindDelta)
-			return
-		}
-		q := r.URL.Query()
-		if bs := q.Get("buckets"); bs != "" {
-			buckets, err := parseBuckets(bs)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
+		var cursor gossip.Cursor
+		if r.URL.RawQuery != "" {
+			q := r.URL.Query()
+			if str := q.Get("since"); str != "" {
+				v, err := strconv.ParseUint(str, 10, 64)
+				if err != nil {
+					http.Error(w, "bad since "+strconv.Quote(str), http.StatusBadRequest)
+					return
+				}
+				cursor = gossip.Cursor{Instance: q.Get("instance"), Version: v}
 			}
-			s.serveUncached(w, r, 0, buckets) // a bucket resync
+		}
+		if cursor.Usable(s.Instance(), version) {
+			s.serveSince(w, r, cursor.Version, etag)
 			return
 		}
-		var since uint64
-		if str := q.Get("since"); str != "" {
-			v, err := strconv.ParseUint(str, 10, 64)
-			if err != nil {
-				http.Error(w, "bad since "+strconv.Quote(str), http.StatusBadRequest)
-				return
-			}
-			since = v
-		}
-		if want := q.Get("instance"); want != "" && want != s.Instance() {
-			// The cursor belongs to a previous life of this agent; its
-			// versions are meaningless now. Serve everything.
-			since = 0
-		}
-		if since == 0 {
-			// The full-table delta is identical for every asker at a given
-			// content token: cache-eligible.
-			s.serveCached(w, r, kindDelta)
-			return
-		}
-		s.serveSince(w, r, since)
+		// The full table is identical for every asker at a given content
+		// token: cache-eligible.
+		s.serveCached(w, r, kindDelta, version, markers, etag)
 	})
 }
 
-// serveCached answers one of the cache-eligible kinds: 304 on a matching
-// If-None-Match (before any table work), the cached body when the content
-// token still matches, a rebuild otherwise.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, kind int) {
+// revalidate refuses anything but GET, reads the content token and answers
+// 304 when the request's If-None-Match names it — before any table work.
+// Otherwise it returns the token and its ETag, and ok is true: the caller
+// writes the body.
+func (s *Server) revalidate(w http.ResponseWriter, r *http.Request) (version, markers uint64, etag string, ok bool) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
+		return 0, 0, "", false
 	}
-	version, markers := s.agent.ContentToken()
-
+	version, markers = s.agent.ContentToken()
 	s.mu.Lock()
 	if !s.etagOK || s.etagVer != version || s.etagMark != markers {
-		s.etagStr = etagFor(s.instance, version, markers)
+		s.etagStr = gossip.ETag(s.instance, version, markers)
 		s.etagVer, s.etagMark, s.etagOK = version, markers, true
 	}
-	etag := s.etagStr
+	etag = s.etagStr
+	s.mu.Unlock()
 	if etagMatch(r.Header.Get("If-None-Match"), etag) {
-		s.mu.Unlock()
 		s.notModified.Add(1)
 		s.counter("riptide_fleet_serve_not_modified").Inc()
 		w.Header().Set("ETag", etag)
 		w.WriteHeader(http.StatusNotModified)
-		return
+		return 0, 0, "", false
 	}
+	return version, markers, etag, true
+}
+
+// serveCached answers one of the cache-eligible kinds at the given token:
+// the cached body when it was built at that token, a rebuild otherwise.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, kind int, version, markers uint64, etag string) {
+	s.mu.Lock()
 	b := &s.bodies[kind]
 	fresh := b.valid && b.version == version && b.markers == markers
-	if fresh && kind != kindDigest && s.now().Sub(b.filledAt) > s.maxAge {
+	if fresh && s.now().Sub(b.filledAt) > s.maxAge {
 		// Entry ages have drifted too far from the cached stamp; re-encode
 		// even though the version stands still.
 		fresh = false
 	}
 	if !fresh {
-		if err := s.fillLocked(kind, version, markers, etag); err != nil {
+		if err := s.fillLocked(kind, version, markers); err != nil {
 			s.mu.Unlock()
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -300,14 +291,12 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, kind int) {
 // the export below, so a commit racing the rebuild can only store current
 // bytes under a stale token — the next request re-reads the token,
 // mismatches, and rebuilds; never serves stale.
-func (s *Server) fillLocked(kind int, version, markers uint64, etag string) error {
+func (s *Server) fillLocked(kind int, version, markers uint64) error {
 	var plain []byte
 	var err error
 	switch kind {
-	case kindDigest:
-		plain, err = gossip.EncodeDigest(gossip.TableDigest(s.agent, s.source, s.instance))
 	case kindDelta:
-		plain, err = s.deltaLocked(nil, 0, nil)
+		plain, err = s.deltaLocked(nil, 0)
 	case kindSnapshot:
 		entries, ver := s.agent.ExportDeltaAppend(s.coreBuf.Take(0), 0)
 		defer s.coreBuf.Keep(entries, len(entries))
@@ -332,7 +321,6 @@ func (s *Server) fillLocked(kind int, version, markers uint64, etag string) erro
 		valid:    true,
 		version:  version,
 		markers:  markers,
-		etag:     etag,
 		filledAt: s.now(),
 		plain:    plain,
 		gz:       gz,
@@ -344,28 +332,12 @@ func (s *Server) fillLocked(kind int, version, markers uint64, etag string) erro
 // entry runs ≈85 bytes, so the usual body is one allocation.
 func bodySizeHint(n int) int { return 256 + 96*n }
 
-// deltaLocked exports the entries committed after since (0: the whole table)
-// into the pooled scratch, keeps those in the given digest buckets when
-// buckets is non-nil, and appends the delta's wire form to dst. An unfiltered
-// whole table is marked full. Under mu.
-func (s *Server) deltaLocked(dst []byte, since uint64, buckets []int) ([]byte, error) {
+// deltaLocked exports the entries committed after since (0: the whole table,
+// marked full) into the pooled scratch and appends the delta's wire form to
+// dst. Under mu.
+func (s *Server) deltaLocked(dst []byte, since uint64) ([]byte, error) {
 	entries, ver := s.agent.ExportDeltaAppend(s.coreBuf.Take(0), since)
 	defer s.coreBuf.Keep(entries, len(entries))
-	if buckets != nil {
-		var want [gossip.NumBuckets]bool
-		for _, b := range buckets {
-			want[b] = true
-		}
-		kept := entries[:0]
-		for _, e := range entries {
-			if want[core.DigestBucketOfPrefix(e.Prefix)] {
-				kept = append(kept, e)
-			}
-		}
-		if entries = kept; len(kept) == 0 {
-			entries = nil // a resync that selects nothing has always said null
-		}
-	}
 	if hint := bodySizeHint(len(entries)); cap(dst) < hint {
 		dst = make([]byte, 0, hint)
 	}
@@ -375,37 +347,28 @@ func (s *Server) deltaLocked(dst []byte, since uint64, buckets []int) ([]byte, e
 		Instance:     s.instance,
 		TableVersion: ver,
 		Since:        since,
-		Full:         since == 0 && buckets == nil,
+		Full:         since == 0,
 	}, entries)
 }
 
-// bodyPool recycles the plain bodies of the per-request (uncached) kinds:
-// they live only until writeJSON has put them on the wire.
+// bodyPool recycles the plain bodies of versioned deltas: they live only
+// until writeJSON has put them on the wire.
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// serveSince answers a versioned delta (since > 0).
-func (s *Server) serveSince(w http.ResponseWriter, r *http.Request, since uint64) {
-	if since > s.agent.TableVersion() {
-		// The cursor is from a previous life of this agent (or a peer
-		// confusion); it cannot be interpreted. Send everything.
-		s.serveCached(w, r, kindDelta)
-		return
-	}
-	s.serveUncached(w, r, since, nil)
-}
-
-// serveUncached encodes one request-shaped delta — under mu, which guards
-// the export scratch — and writes it outside the lock.
-func (s *Server) serveUncached(w http.ResponseWriter, r *http.Request, since uint64, buckets []int) {
+// serveSince encodes one versioned delta — under mu, which guards the export
+// scratch — and writes it outside the lock with the ETag of the token read
+// before the export, so the peer's next round revalidates conservatively.
+func (s *Server) serveSince(w http.ResponseWriter, r *http.Request, since uint64, etag string) {
 	buf := bodyPool.Get().(*[]byte)
 	s.mu.Lock()
-	data, err := s.deltaLocked((*buf)[:0], since, buckets)
+	data, err := s.deltaLocked((*buf)[:0], since)
 	s.mu.Unlock()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	data = append(data, '\n')
+	w.Header().Set("ETag", etag)
 	n := writeJSON(w, r, data)
 	s.counter("riptide_gossip_bytes_sent").Add(uint64(n))
 	*buf = data

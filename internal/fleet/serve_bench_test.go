@@ -81,13 +81,8 @@ func benchRequest(path string) *http.Request {
 func benchServe(b *testing.B, kindPath string, entries int, churn bool) {
 	a := benchAgent(b, entries)
 	s := NewServer(a, "bench", "boot-1", func() time.Time { return time.Unix(1, 0) })
-	var h http.Handler
-	switch kindPath {
-	case DigestPath:
-		h = s.DigestHandler()
-	case DeltaPath:
-		h = s.DeltaHandler()
-	case SnapshotPath:
+	h := s.DeltaHandler()
+	if kindPath == SnapshotPath {
 		h = s.SnapshotHandler()
 	}
 	req := benchRequest(kindPath)
@@ -104,18 +99,6 @@ func benchServe(b *testing.B, kindPath string, entries int, churn bool) {
 		if w.code != 0 && w.code != http.StatusOK {
 			b.Fatalf("status %d", w.code)
 		}
-	}
-}
-
-func BenchmarkServeDigestConverged(b *testing.B) {
-	for _, n := range []int{1000, 100000} {
-		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) { benchServe(b, DigestPath, n, false) })
-	}
-}
-
-func BenchmarkServeDigestChurning(b *testing.B) {
-	for _, n := range []int{1000, 100000} {
-		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) { benchServe(b, DigestPath, n, true) })
 	}
 }
 
@@ -143,16 +126,28 @@ func BenchmarkServeSnapshotChurning(b *testing.B) {
 	}
 }
 
+// notModifiedRequest is a converged peer's round against s: a ?since= at
+// the current version, presenting the ETag the last answer carried.
+func notModifiedRequest(tb testing.TB, s *Server) *http.Request {
+	req := benchRequest(DeltaPath)
+	req.URL.RawQuery = fmt.Sprintf("since=%d&instance=%s", s.agent.TableVersion(), s.Instance())
+	w := &benchResponseWriter{}
+	s.DeltaHandler().ServeHTTP(w, req)
+	if w.code != 0 && w.code != http.StatusOK {
+		tb.Fatalf("status %d", w.code)
+	}
+	req.Header.Set("If-None-Match", w.Header().Get("ETag"))
+	return req
+}
+
 // BenchmarkServeNotModified measures the 304 path: a converged peer
 // presenting a matching validator costs header work only.
 func BenchmarkServeNotModified(b *testing.B) {
 	a := benchAgent(b, 100000)
 	s := NewServer(a, "bench", "boot-1", func() time.Time { return time.Unix(1, 0) })
-	h := s.DigestHandler()
-	req := benchRequest(DigestPath)
+	h := s.DeltaHandler()
+	req := notModifiedRequest(b, s)
 	w := &benchResponseWriter{}
-	h.ServeHTTP(w, req)
-	req.Header.Set("If-None-Match", w.Header().Get("ETag"))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -186,7 +181,6 @@ func TestServeConvergedHitAllocs(t *testing.T) {
 		h    http.Handler
 		path string
 	}{
-		{"digest", s.DigestHandler(), DigestPath},
 		{"delta", s.DeltaHandler(), DeltaPath},
 		{"snapshot", s.SnapshotHandler(), SnapshotPath},
 	} {
@@ -203,14 +197,17 @@ func TestServeConvergedHitAllocs(t *testing.T) {
 		}
 	}
 
-	// The 304 path is cheaper still.
-	req := benchRequest(DigestPath)
+	// The 304 path — a converged peer's ?since= round — is cheaper still:
+	// it is answered before the query is parsed.
+	req := notModifiedRequest(t, s)
 	w := &benchResponseWriter{}
-	s.DigestHandler().ServeHTTP(w, req)
-	req.Header.Set("If-None-Match", w.Header().Get("ETag"))
+	h := s.DeltaHandler()
 	allocs := testing.AllocsPerRun(200, func() {
-		s.DigestHandler().ServeHTTP(w, req)
+		h.ServeHTTP(w, req)
 	})
+	if w.code != http.StatusNotModified {
+		t.Fatalf("304 path: status %d", w.code)
+	}
 	if allocs > 6 {
 		t.Errorf("304 path: %.1f allocs/op, want <= 6", allocs)
 	}
@@ -280,29 +277,27 @@ func (w *handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) 
 
 // pullDeltaFixture is a churn round's peer leg, repeatable: a server whose
 // table moved by k entries past the puller's cursor, and a puller that has
-// already merged those k — so every round after the first is digest, ?since=,
-// decode, and a merge that skips every entry as local. rewind puts the cursor
-// back where the round found it.
+// already merged those k — so every round after the first is one ?since=
+// request, decode, and a merge that skips every entry as local. rewind puts
+// the cursor back where the round found it.
 func pullDeltaFixture(tb testing.TB, src *core.Agent, k int) (p *Puller, rewind func()) {
 	tb.Helper()
-	stale := gossippkg.TableDigest(src, "bench", "boot-1")
 	cursor := stampLate(tb, src, k)
 	s := NewServer(src, "bench", "boot-1", func() time.Time { return time.Unix(1, 0) })
 	mux := http.NewServeMux()
-	mux.Handle(DigestPath, s.DigestHandler())
 	mux.Handle(DeltaPath, s.DeltaHandler())
 	p, err := NewPuller(PullerConfig{
 		Agent:  benchAgent(tb, 0),
 		Peers:  []string{"http://peer.test"},
-		Gossip: true,
 		Jitter: -1,
 		Client: &http.Client{Transport: &handlerTransport{h: mux}},
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
+	rewound := advance(peerCursor{}, "http://peer.test", gossippkg.Cursor{Instance: "boot-1", Version: cursor}, "")
 	rewind = func() {
-		p.peers[0].cursor = peerCursor{instance: "boot-1", version: cursor, digest: &stale}
+		p.peers[0].cursor = rewound
 	}
 	rewind()
 	if merged := p.PullOnce(context.Background()); merged != k {
@@ -326,7 +321,7 @@ func pullDeltaRound(tb testing.TB, p *Puller, rewind func()) {
 // BenchmarkPullDeltaRound is the whole peer leg of a churn round in one
 // process, beside BenchmarkServeDeltaSince's serving half: a 100k-entry
 // server table, a 7k-entry ?since= body, a warmed puller. KB/round is what the
-// leg allocates on both sides; wire-B/round is the gzipped digest and delta.
+// leg allocates on both sides; wire-B/round is the gzipped delta.
 func BenchmarkPullDeltaRound(b *testing.B) {
 	p, rewind := pullDeltaFixture(b, benchAgent(b, 100000), 7000)
 	pullDeltaRound(b, p, rewind) // the second round of a size is the one that keeps its scratch
@@ -345,7 +340,7 @@ func BenchmarkPullDeltaRound(b *testing.B) {
 
 // TestPullDeltaRoundAllocs: a warmed ?since= round — pull, gunzip, decode into
 // the kept slice, merge with every entry skipped as local — allocates the
-// fixed objects of two HTTP exchanges plus inflate's link tables (one per
+// fixed objects of one HTTP exchange plus inflate's link tables (one per
 // deflate block of the body: ≈80 for 640 KB, stdlib's), and nothing per
 // entry: a string per prefix would read 7000 more. Its bytes do not hold a
 // table-shaped temporary either — the smallest of those, 7000 merge-form

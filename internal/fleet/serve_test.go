@@ -29,15 +29,11 @@ func serveGet(h http.Handler, target, ifNoneMatch string) *httptest.ResponseReco
 	return w
 }
 
-// uncachedBodies renders the three kinds the way the pre-cache handlers
+// uncachedBodies renders the two cached kinds the way the pre-cache handlers
 // did — a fresh export and encode per call — for byte-identity comparison.
-func uncachedBodies(t *testing.T, a *core.Agent, source, instance string, created time.Time) (digest, delta, snapshot []byte) {
+func uncachedBodies(t *testing.T, a *core.Agent, source, instance string, created time.Time) (delta, snapshot []byte) {
 	t.Helper()
-	dg, err := gossippkg.EncodeDigest(gossippkg.TableDigest(a, source, instance))
-	if err != nil {
-		t.Fatalf("EncodeDigest: %v", err)
-	}
-	dl, err := gossippkg.EncodeDelta(gossippkg.TableDelta(a, source, instance, 0))
+	dl, err := gossippkg.EncodeDelta(gossippkg.TableDelta(a, source, instance, gossippkg.Cursor{}))
 	if err != nil {
 		t.Fatalf("EncodeDelta: %v", err)
 	}
@@ -48,7 +44,7 @@ func uncachedBodies(t *testing.T, a *core.Agent, source, instance string, create
 		t.Fatalf("Encode: %v", err)
 	}
 	nl := []byte{'\n'}
-	return append(dg, nl...), append(dl, nl...), append(sn, nl...)
+	return append(dl, nl...), append(sn, nl...)
 }
 
 // TestServeCacheByteIdentical pins the cached bodies byte-for-byte against
@@ -63,16 +59,14 @@ func TestServeCacheByteIdentical(t *testing.T) {
 	created := time.Unix(1700000000, 0)
 	s := NewServer(a, "host-a", "boot-1", func() time.Time { return created })
 	handlers := map[string]http.Handler{
-		DigestPath:   s.DigestHandler(),
 		DeltaPath:    s.DeltaHandler(),
 		SnapshotPath: s.SnapshotHandler(),
 	}
 
 	check := func(stage string) {
 		t.Helper()
-		wantDigest, wantDelta, wantSnap := uncachedBodies(t, a, "host-a", "boot-1", created)
+		wantDelta, wantSnap := uncachedBodies(t, a, "host-a", "boot-1", created)
 		for path, want := range map[string][]byte{
-			DigestPath:   wantDigest,
 			DeltaPath:    wantDelta,
 			SnapshotPath: wantSnap,
 		} {
@@ -99,7 +93,7 @@ func TestServeCacheByteIdentical(t *testing.T) {
 	// decode (we cannot pin bytes mid-race, but nothing may tear).
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for _, path := range []string{DigestPath, DeltaPath, SnapshotPath} {
+	for _, path := range []string{DeltaPath, SnapshotPath} {
 		path := path
 		wg.Add(1)
 		go func() {
@@ -138,9 +132,9 @@ func TestServeCacheByteIdentical(t *testing.T) {
 }
 
 // TestServeUncachedByteIdentical pins the request-shaped bodies — versioned
-// deltas and bucket resyncs, rendered straight from the agent's export —
-// byte-for-byte against json.Marshal of the same message built entry by
-// entry, plain and gzipped.
+// deltas rendered straight from the agent's export, and the full table every
+// unusable cursor gets — byte-for-byte against json.Marshal of the same
+// message built entry by entry, plain and gzipped.
 func TestServeUncachedByteIdentical(t *testing.T) {
 	a, _, _ := newTestAgent(t, []core.Observation{
 		obs(t, "192.0.2.1", 40),
@@ -160,19 +154,14 @@ func TestServeUncachedByteIdentical(t *testing.T) {
 	}
 	h := NewServer(a, "host <a>", "boot-1", nil).DeltaHandler()
 
-	full := gossippkg.TableDelta(a, "host <a>", "boot-1", 0)
-	var empty []int // buckets no entry falls in
-	for b := 0; b < gossippkg.NumBuckets && len(empty) < 2; b++ {
-		if len(gossippkg.FilterBuckets(full.Entries, []int{b})) == 0 {
-			empty = append(empty, b)
-		}
-	}
+	full := gossippkg.TableDelta(a, "host <a>", "boot-1", gossippkg.Cursor{})
+	now := a.TableVersion()
 	cases := map[string]gossippkg.Delta{
-		fmt.Sprintf("?since=%d&instance=boot-1", cursor):  gossippkg.TableDelta(a, "host <a>", "boot-1", cursor),
-		fmt.Sprintf("?since=%d", a.TableVersion()):        gossippkg.TableDelta(a, "host <a>", "boot-1", a.TableVersion()),
-		"?buckets=0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15":  gossippkg.TableBuckets(a, "host <a>", "boot-1", []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}),
-		"?buckets=" + bucketList(empty):                   gossippkg.TableBuckets(a, "host <a>", "boot-1", empty),
-		fmt.Sprintf("?since=%d", a.TableVersion()+100000): full, // unusable cursor: everything
+		fmt.Sprintf("?since=%d&instance=boot-1", cursor):     gossippkg.TableDelta(a, "host <a>", "boot-1", gossippkg.Cursor{Instance: "boot-1", Version: cursor}),
+		fmt.Sprintf("?since=%d&instance=boot-1", now):        gossippkg.TableDelta(a, "host <a>", "boot-1", gossippkg.Cursor{Instance: "boot-1", Version: now}),
+		fmt.Sprintf("?since=%d", cursor):                     full, // no instance to check the cursor against
+		fmt.Sprintf("?since=%d&instance=boot-0", cursor):     full, // another boot's cursor
+		fmt.Sprintf("?since=%d&instance=boot-1", now+100000): full, // ahead of the table
 	}
 	for query, d := range cases {
 		want, err := gossippkg.EncodeDelta(d)
@@ -193,8 +182,8 @@ func TestServeUncachedByteIdentical(t *testing.T) {
 			t.Errorf("%s gzipped: %v\n got %s\nwant %s", query, err, got, want)
 		}
 	}
-	if len(cases) != 5 || len(empty) != 2 {
-		t.Fatalf("fixture collapsed: %d cases, empty buckets %v", len(cases), empty)
+	if len(cases) != 5 || cursor == now {
+		t.Fatalf("fixture collapsed: %d cases, cursor %d of %d", len(cases), cursor, now)
 	}
 }
 
@@ -205,9 +194,9 @@ func TestServeUncachedByteIdentical(t *testing.T) {
 func TestServeNotModified(t *testing.T) {
 	a, _, _ := newTestAgent(t, []core.Observation{obs(t, "192.0.2.1", 40)})
 	s := NewServer(a, "host-a", "boot-1", nil)
-	h := s.DigestHandler()
+	h := s.DeltaHandler()
 
-	w := serveGet(h, DigestPath, "")
+	w := serveGet(h, DeltaPath, "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("unconditional GET: status %d", w.Code)
 	}
@@ -216,7 +205,7 @@ func TestServeNotModified(t *testing.T) {
 		t.Fatalf("ETag = %q, want \"boot-1/<version>\" form", etag)
 	}
 
-	w = serveGet(h, DigestPath, etag)
+	w = serveGet(h, DeltaPath+"?since=1&instance=boot-1", etag)
 	if w.Code != http.StatusNotModified {
 		t.Fatalf("conditional GET: status %d, want 304", w.Code)
 	}
@@ -237,9 +226,12 @@ func TestServeNotModified(t *testing.T) {
 	if _, err := a.MergeSnapshot(seed, core.MergePolicy{}); err != nil {
 		t.Fatalf("MergeSnapshot: %v", err)
 	}
-	w = serveGet(h, DigestPath, etag)
+	w = serveGet(h, DeltaPath+"?since=1&instance=boot-1", etag)
 	if w.Code != http.StatusOK {
 		t.Fatalf("post-commit conditional GET: status %d, want 200", w.Code)
+	}
+	if d, err := gossippkg.DecodeDelta(w.Body.Bytes()); err != nil || d.Full || len(d.Entries) != 1 {
+		t.Fatalf("post-commit conditional GET: %+v, %v; want the one new entry", d, err)
 	}
 	if w.Body.Len() == 0 {
 		t.Fatal("post-commit conditional GET: empty body")
@@ -250,7 +242,7 @@ func TestServeNotModified(t *testing.T) {
 	// A matching validator earns 304 even before any body is cached for
 	// the new version — revalidation never requires a rebuild.
 	s2 := NewServer(a, "host-a", "boot-1", nil)
-	w = serveGet(s2.DigestHandler(), DigestPath, w.Header().Get("ETag"))
+	w = serveGet(s2.DeltaHandler(), DeltaPath, w.Header().Get("ETag"))
 	if w.Code != http.StatusNotModified {
 		t.Fatalf("cold-cache conditional GET: status %d, want 304", w.Code)
 	}
@@ -265,15 +257,15 @@ func TestServeNotModified(t *testing.T) {
 func TestServeRemintDropsCache(t *testing.T) {
 	a, _, _ := newTestAgent(t, []core.Observation{obs(t, "192.0.2.1", 40)})
 	s := NewServer(a, "host-a", "boot-1", nil)
-	h := s.DigestHandler()
+	h := s.DeltaHandler()
 
-	w := serveGet(h, DigestPath, "")
+	w := serveGet(h, DeltaPath, "")
 	oldETag := w.Header().Get("ETag")
 	oldBody := append([]byte(nil), w.Body.Bytes()...)
 
 	s.Remint("boot-2")
 
-	w = serveGet(h, DigestPath, oldETag)
+	w = serveGet(h, DeltaPath, oldETag)
 	if w.Code != http.StatusOK {
 		t.Fatalf("post-remint conditional GET: status %d, want 200 (old validator must not match)", w.Code)
 	}
@@ -293,7 +285,7 @@ func TestServeRemintDropsCache(t *testing.T) {
 }
 
 // TestServePlainPeerGetsFullBody: a peer that never sends If-None-Match
-// (pre-gossip builds, curl) gets complete bodies on every request — the
+// (curl, a first-contact puller) gets complete bodies on every request — the
 // cache is invisible to it.
 func TestServePlainPeerGetsFullBody(t *testing.T) {
 	a, _, _ := newTestAgent(t, []core.Observation{
@@ -303,7 +295,7 @@ func TestServePlainPeerGetsFullBody(t *testing.T) {
 	srv := gossipServer(a, "host-a", "boot-1")
 	defer srv.Close()
 
-	for _, path := range []string{DigestPath, DeltaPath, SnapshotPath} {
+	for _, path := range []string{DeltaPath, SnapshotPath} {
 		for round := 0; round < 3; round++ {
 			resp, err := http.Get(srv.URL + path)
 			if err != nil {
@@ -326,8 +318,7 @@ func TestServePlainPeerGetsFullBody(t *testing.T) {
 
 // TestServeEntryBodyFreshnessBound: cached delta/snapshot bodies embed ages
 // measured at encode time, so they are re-encoded once they age past TTL/4
-// even at a constant table version. The digest hashes no ages and stays
-// cached.
+// even at a constant table version, and reused until then.
 func TestServeEntryBodyFreshnessBound(t *testing.T) {
 	clk := &simClock{}
 	routes := newMemRoutes()
@@ -357,56 +348,22 @@ func TestServeEntryBodyFreshnessBound(t *testing.T) {
 		now = now.Add(d)
 		mu.Unlock()
 	}
-	dh, sh := s.DigestHandler(), s.SnapshotHandler()
+	dh, sh := s.DeltaHandler(), s.SnapshotHandler()
 
 	serveGet(sh, SnapshotPath, "")
-	serveGet(dh, DigestPath, "")
+	serveGet(dh, DeltaPath, "")
+	advance(15 * time.Second) // at TTL/4: still fresh
 	serveGet(sh, SnapshotPath, "")
-	serveGet(dh, DigestPath, "")
+	serveGet(dh, DeltaPath, "")
 	if st := s.Stats(); st.Misses != 2 || st.Hits != 2 {
 		t.Fatalf("warm stats = %+v, want 2 misses + 2 hits", st)
 	}
 
-	advance(16 * time.Second) // past TTL/4, version unchanged
+	advance(time.Second) // past TTL/4, version unchanged
 	serveGet(sh, SnapshotPath, "")
-	serveGet(dh, DigestPath, "")
-	st := s.Stats()
-	if st.Misses != 3 {
-		t.Fatalf("aged stats = %+v, want the snapshot re-encoded (3 misses)", st)
-	}
-	if st.Hits != 3 {
-		t.Fatalf("aged stats = %+v, want the digest still cached (3 hits)", st)
-	}
-}
-
-// TestParseBucketsDedupesAndCaps: repeated indices collapse and oversized
-// lists are rejected outright, closing the response-amplification lever
-// where "0,0,0,..." multiplied the filtered payload per mention.
-func TestParseBucketsDedupesAndCaps(t *testing.T) {
-	got, err := parseBuckets("3,1,3,1,3")
-	if err != nil {
-		t.Fatalf("parseBuckets: %v", err)
-	}
-	if len(got) != 2 || got[0] != 3 || got[1] != 1 {
-		t.Fatalf("parseBuckets = %v, want [3 1]", got)
-	}
-
-	huge := strings.TrimSuffix(strings.Repeat("0,", gossippkg.NumBuckets+1), ",")
-	if _, err := parseBuckets(huge); err == nil {
-		t.Fatalf("parseBuckets accepted a %d-entry list", gossippkg.NumBuckets+1)
-	}
-
-	// The full valid range still parses.
-	all := make([]string, gossippkg.NumBuckets)
-	for i := range all {
-		all[i] = fmt.Sprint(i)
-	}
-	got, err = parseBuckets(strings.Join(all, ","))
-	if err != nil {
-		t.Fatalf("parseBuckets(all): %v", err)
-	}
-	if len(got) != gossippkg.NumBuckets {
-		t.Fatalf("parseBuckets(all) = %d entries, want %d", len(got), gossippkg.NumBuckets)
+	serveGet(dh, DeltaPath, "")
+	if st := s.Stats(); st.Misses != 4 || st.Hits != 2 {
+		t.Fatalf("aged stats = %+v, want both bodies re-encoded (4 misses)", st)
 	}
 }
 
@@ -425,8 +382,7 @@ func TestPullerNotModifiedRound(t *testing.T) {
 	p := newGossipPuller(t, dst, srv.URL)
 	ctx := context.Background()
 
-	// Round 1: first contact, full transfer (the digest response arms the
-	// validator).
+	// Round 1: first contact, full transfer (its ETag arms the validator).
 	if merged := p.PullOnce(ctx); merged != 2 {
 		t.Fatalf("round 1 merged %d, want 2", merged)
 	}
@@ -436,14 +392,14 @@ func TestPullerNotModifiedRound(t *testing.T) {
 		t.Fatalf("round 2 merged %d, want 0", merged)
 	}
 	h := p.Health()[0]
-	if h.Mode != ModeDigest || h.NotModified != 1 {
-		t.Fatalf("round 2 health = %+v, want a 304 digest round", h)
+	if h.Mode != ModeNotModified || h.NotModified != 1 {
+		t.Fatalf("round 2 health = %+v, want a 304 round", h)
 	}
 	if h.LastBytes != 0 {
 		t.Fatalf("round 2 moved %d body bytes, want 0 (headers only)", h.LastBytes)
 	}
-	if m := dst.Metrics().Snapshot().Counters; m["riptide_gossip_not_modified"] != 1 {
-		t.Fatalf("metrics = %v, want riptide_gossip_not_modified=1", m)
+	if m := dst.Metrics().Snapshot().Counters; m["riptide_gossip_rounds_not_modified"] != 1 {
+		t.Fatalf("metrics = %v, want riptide_gossip_rounds_not_modified=1", m)
 	}
 
 	// The source learns a new destination: the validator stops matching

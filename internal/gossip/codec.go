@@ -217,10 +217,9 @@ func ipv4Prefix(b []byte) (netip.Prefix, bool) {
 // except after the closing brace, integers and strings as the scanner's
 // methods take them. ok is false for everything else, valid or not.
 //
-// The entries go to the sink chosen once the header is read: d.Entries, or —
-// when merge is given and the message is not a full table — merge form
-// appended to *merge, d.Entries staying nil. A declined message may leave
-// entries appended; the caller truncates.
+// The entries go to d.Entries or, when merge is given, in merge form to
+// *merge, d.Entries staying nil. A declined message may leave entries
+// appended; the caller truncates.
 func scanDelta(data []byte, merge *[]core.SnapshotEntry) (d Delta, ok bool) {
 	s := scanner{b: data}
 	if !s.lit(`{"version":`) {
@@ -256,10 +255,6 @@ func scanDelta(data []byte, merge *[]core.SnapshotEntry) (d Delta, ok bool) {
 		}
 	}
 	d.Full = s.lit(`,"full":true`)
-	if d.Full {
-		// A full table is kept as text: its receiver recomputes the digest.
-		merge = nil
-	}
 	switch {
 	case !s.lit(`,"entries":`):
 		return Delta{}, false

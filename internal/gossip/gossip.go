@@ -1,51 +1,29 @@
-// Package gossip implements the anti-entropy layer of fleet sharing: a
-// compact per-bucket table digest so converged peers exchange O(1) bytes, a
-// versioned delta format so divergent peers transfer only what changed, and
-// the shared wire Entry both ride on (the same entry the full-snapshot
-// format uses — internal/fleet aliases it).
+// Package gossip implements the wire of fleet sharing: the shared wire
+// Entry (the same entry the full-snapshot format uses — internal/fleet
+// aliases it), a versioned delta format so peers transfer only what changed,
+// and the two rules every party to the sync applies — when a cursor can be
+// answered with a delta (Cursor.Usable) and how a table's state is named for
+// HTTP revalidation (ETag).
 //
-// The sync ladder a puller walks each round, cheapest rung first:
-//
-//  1. digest — fetch the peer's Digest. If the buckets match the digest
-//     remembered from the last sync, the peer has nothing new: the round
-//     cost one small fixed-size message.
-//  2. delta — same peer instance as last time: fetch entries committed
-//     after the table version seen last round (`since`).
-//  3. buckets — the peer restarted (instance changed, version counter
-//     reset) but a digest from its previous life is remembered: fetch only
-//     the buckets whose hashes diverge.
-//  4. full — first contact, or the peer cannot answer the above: fetch the
-//     whole table (the delta endpoint with Full set, or the legacy
-//     /fleet/snapshot for pre-gossip peers).
-//
-// Digests are deterministic and order-independent: each entry hashes its
-// durable content (prefix, window, quarantined — NOT samples, age, or mod
-// version, which churn every round without changing what a peer would
-// learn), and a bucket's hash is the XOR of its entries' hashes. Two tables
-// with the same durable content produce the same digest regardless of entry
-// order, merge history, or which instance computed it.
+// A puller makes one conditional request per peer per round:
+// GET /fleet/delta?since=V&instance=I with If-None-Match. The server answers
+// 304 while the ETag still names its table, a delta when the cursor is
+// usable, and the full table otherwise. docs/gossip.md has the details.
 package gossip
 
 import (
 	"encoding/json"
 	"fmt"
 	"net/netip"
+	"strconv"
 	"time"
 
 	"riptide/internal/core"
 )
 
-// WireVersion is the digest/delta wire-format version. Decoders reject
-// anything else rather than guessing at field semantics.
+// WireVersion is the delta wire-format version. Decoders reject anything
+// else rather than guessing at field semantics.
 const WireVersion = 1
-
-// NumBuckets is the fixed digest width. 64 buckets keep the digest near
-// half a kilobyte of JSON while still isolating a single changed entry to
-// 1/64th of the table on a post-restart resync. Changing it is a wire
-// format change (digests of different widths never compare equal). The
-// value is canonical in internal/core, which maintains the same bucket
-// hashes incrementally at each commit (core.DigestBuckets).
-const NumBuckets = core.DigestBuckets
 
 // Entry is one learned destination on the wire. It is shared with the
 // full-snapshot format (fleet.Entry is an alias), so a delta entry and a
@@ -121,126 +99,41 @@ func (e Entry) toCore(p netip.Prefix) core.SnapshotEntry {
 	}
 }
 
-// BucketOf maps a prefix (CIDR text form) to its digest bucket.
-func BucketOf(prefix string) int {
-	return core.DigestBucketOf(prefix)
-}
+// digestBuckets is the width of the retired content digest.
+const digestBuckets = 64
 
-// entryHash hashes an entry's durable content: the fields a peer would
-// actually learn from it. Samples, age, and mod version are deliberately
-// excluded — they change every round (sample counts grow, ages tick, the
-// version counter resets across restarts) and including any of them would
-// make two content-identical tables digest differently, defeating the
-// converged-peers-pay-O(1) property. The implementation is canonical in
-// internal/core so the agent's incremental accumulator and this full
-// recompute can never drift apart.
-func entryHash(e Entry) uint64 {
-	return core.DigestEntryHash(e.Prefix, e.Window, e.Quarantined)
-}
-
-// Digest is the compact table summary exchanged before any entries move.
+// Digest is the retired content digest, a table summary of 64 XOR-folded
+// bucket hashes that pullers fetched before any entries moved.
+//
+// Deprecated: nothing serves or reads digests; the type stays only for
+// bench/rig.go.
 type Digest struct {
-	// Version is the digest/delta wire-format version (WireVersion).
-	Version int `json:"version"`
-	// Source identifies the producing agent; informational.
-	Source string `json:"source,omitempty"`
-	// Instance identifies one run of the producing agent. A restart picks
-	// a new instance, telling peers the table version counter reset and
-	// their `since` cursors are meaningless (rung 3 of the ladder).
-	Instance string `json:"instance,omitempty"`
-	// TableVersion is the producer's table version when the digest was
-	// computed. A peer whose digest matches fast-forwards its cursor here.
-	TableVersion uint64 `json:"tableVersion"`
-	// Count is the number of entries folded into the digest.
-	Count int `json:"count"`
-	// Buckets holds the NumBuckets XOR-folded entry hashes.
-	Buckets []uint64 `json:"buckets"`
-}
-
-// Compute builds the digest of a table.
-func Compute(entries []Entry, source, instance string, tableVersion uint64) Digest {
-	buckets := make([]uint64, NumBuckets)
-	for _, e := range entries {
-		buckets[BucketOf(e.Prefix)] ^= entryHash(e)
-	}
-	return Digest{
-		Version:      WireVersion,
-		Source:       source,
-		Instance:     instance,
-		TableVersion: tableVersion,
-		Count:        len(entries),
-		Buckets:      buckets,
-	}
-}
-
-// ContentEqual reports whether two digests summarize identical durable
-// content. Table version and instance are ignored: a version can move
-// without content changing (an entry cleared and re-learned identically),
-// and content equality is what decides whether any bytes need to move.
-func ContentEqual(a, b Digest) bool {
-	if a.Count != b.Count || len(a.Buckets) != len(b.Buckets) {
-		return false
-	}
-	for i := range a.Buckets {
-		if a.Buckets[i] != b.Buckets[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// DiffBuckets returns the bucket indices whose hashes differ, in order.
-// Digests of different widths (a future wire format) are wholly
-// incomparable: every bucket is returned.
-func DiffBuckets(a, b Digest) []int {
-	if len(a.Buckets) != len(b.Buckets) {
-		all := make([]int, len(b.Buckets))
-		for i := range all {
-			all[i] = i
-		}
-		return all
-	}
-	var diff []int
-	for i := range a.Buckets {
-		if a.Buckets[i] != b.Buckets[i] {
-			diff = append(diff, i)
-		}
-	}
-	return diff
-}
-
-// FilterBuckets returns the entries falling in the given buckets, preserving
-// order. A nil or empty bucket set selects nothing.
-func FilterBuckets(entries []Entry, buckets []int) []Entry {
-	if len(buckets) == 0 {
-		return nil
-	}
-	want := make(map[int]bool, len(buckets))
-	for _, b := range buckets {
-		want[b] = true
-	}
-	var out []Entry
-	for _, e := range entries {
-		if want[BucketOf(e.Prefix)] {
-			out = append(out, e)
-		}
-	}
-	return out
+	Version      int      `json:"version"`
+	Source       string   `json:"source,omitempty"`
+	Instance     string   `json:"instance,omitempty"`
+	TableVersion uint64   `json:"tableVersion"`
+	Count        int      `json:"count"`
+	Buckets      []uint64 `json:"buckets"`
 }
 
 // EncodeDigest serializes a digest.
+//
+// Deprecated: it stays only for FuzzDecodeDigest's round trip while
+// bench/rig.go still names DecodeDigest.
 func EncodeDigest(d Digest) ([]byte, error) {
 	if d.Version != WireVersion {
 		return nil, fmt.Errorf("riptide/gossip: encode digest version %d, want %d", d.Version, WireVersion)
 	}
-	if len(d.Buckets) != NumBuckets {
-		return nil, fmt.Errorf("riptide/gossip: encode digest with %d buckets, want %d", len(d.Buckets), NumBuckets)
+	if len(d.Buckets) != digestBuckets {
+		return nil, fmt.Errorf("riptide/gossip: encode digest with %d buckets, want %d", len(d.Buckets), digestBuckets)
 	}
 	return json.Marshal(d)
 }
 
 // DecodeDigest parses a wire digest, rejecting unknown versions and
 // malformed bucket arrays.
+//
+// Deprecated: nothing serves digests; it stays only for bench/rig.go.
 func DecodeDigest(data []byte) (Digest, error) {
 	var d Digest
 	if err := json.Unmarshal(data, &d); err != nil {
@@ -249,8 +142,8 @@ func DecodeDigest(data []byte) (Digest, error) {
 	if d.Version != WireVersion {
 		return Digest{}, fmt.Errorf("riptide/gossip: digest version %d, want %d", d.Version, WireVersion)
 	}
-	if len(d.Buckets) != NumBuckets {
-		return Digest{}, fmt.Errorf("riptide/gossip: digest has %d buckets, want %d", len(d.Buckets), NumBuckets)
+	if len(d.Buckets) != digestBuckets {
+		return Digest{}, fmt.Errorf("riptide/gossip: digest has %d buckets, want %d", len(d.Buckets), digestBuckets)
 	}
 	if d.Count < 0 {
 		return Digest{}, fmt.Errorf("riptide/gossip: digest count %d is negative", d.Count)
@@ -258,26 +151,56 @@ func DecodeDigest(data []byte) (Digest, error) {
 	return d, nil
 }
 
-// Delta is the entry-bearing response: a versioned delta, a bucket resync,
-// or a full table, distinguished by Full and the request that produced it.
+// Cursor is a puller's sync position against one peer: the peer instance
+// (boot) it was taken on and the table version it is current through.
+type Cursor struct {
+	Instance string
+	Version  uint64
+}
+
+// Usable reports whether a table of the given instance, now at version, can
+// answer a delta since c. A cursor from another boot counts another table,
+// and one ahead of the table's version cannot have come from it; either is
+// answered with the full table. So is the zero cursor (first contact).
+func (c Cursor) Usable(instance string, version uint64) bool {
+	return c.Version > 0 && c.Instance != "" && c.Instance == instance && c.Version <= version
+}
+
+// ETag renders a table's content token (core.Agent.ContentToken) as the
+// strong entity tag of the delta endpoint: "<instance>/<version>", plus a
+// third segment for a non-zero quarantine-marker fold, so governor
+// transitions that move no table version still invalidate. A peer that
+// presents it as If-None-Match is answered 304 while it is current.
+func ETag(instance string, version, markers uint64) string {
+	e := `"` + instance + `/` + strconv.FormatUint(version, 10)
+	if markers != 0 {
+		e += `/` + strconv.FormatUint(markers, 16)
+	}
+	return e + `"`
+}
+
+// Delta is the entry-bearing response: a versioned delta or a full table,
+// distinguished by Full.
 type Delta struct {
-	// Version is the digest/delta wire-format version (WireVersion).
+	// Version is the delta wire-format version (WireVersion).
 	Version int `json:"version"`
 	// Source identifies the producing agent; informational.
 	Source string `json:"source,omitempty"`
-	// Instance identifies one run of the producing agent (see Digest).
+	// Instance identifies one run of the producing agent. A restart picks a
+	// new instance, telling peers the table version counter reset and their
+	// cursors are meaningless.
 	Instance string `json:"instance,omitempty"`
 	// TableVersion is the table version the payload is current through;
 	// the receiver's next `since` cursor.
 	TableVersion uint64 `json:"tableVersion"`
 	// Since echoes the request cursor a versioned delta was computed
-	// against; 0 for full tables and bucket resyncs.
+	// against; 0 for full tables.
 	Since uint64 `json:"since,omitempty"`
-	// Full marks a complete table (the request's cursor was unusable, the
-	// instance changed, or the peer asked for everything).
+	// Full marks a complete table (the request carried no cursor, or one
+	// the table could not use).
 	Full bool `json:"full,omitempty"`
-	// Entries holds the changed (or requested, or complete) entries plus
-	// every current quarantine marker, sorted by prefix.
+	// Entries holds the changed (or all) entries plus every current
+	// quarantine marker, sorted by prefix.
 	Entries []Entry `json:"entries"`
 }
 
@@ -297,14 +220,12 @@ func DecodeDelta(data []byte) (Delta, error) {
 	return d, err
 }
 
-// DecodeDeltaAppend is DecodeDelta for a receiver that merges what it gets.
-// The entries of a versioned delta or a bucket resync are decoded straight
-// to merge form and appended to dst — what ToCore(d.Entries) would hold — and
-// d.Entries stays nil; dst is grown once, to the body's size, never from
-// nothing by append. A full table comes back in d.Entries as DecodeDelta
-// returns it (its receiver recomputes the digest from the text) and dst is
-// returned as given, which it also is on error. scanned is false when the
-// body was not in this package's canonical form and took encoding/json.
+// DecodeDeltaAppend is DecodeDelta for a receiver that merges what it gets:
+// the entries are decoded straight to merge form and appended to dst — what
+// ToCore(d.Entries) would hold — and d.Entries stays nil; dst is grown once,
+// to the body's size, never from nothing by append. On error dst is returned
+// as given. scanned is false when the body was not in this package's
+// canonical form and took encoding/json.
 func DecodeDeltaAppend(dst []core.SnapshotEntry, data []byte) (d Delta, entries []core.SnapshotEntry, scanned bool, err error) {
 	d, scanned, err = decodeDelta(data, &dst)
 	return d, dst, scanned, err
@@ -332,40 +253,19 @@ func decodeDelta(data []byte, merge *[]core.SnapshotEntry) (d Delta, scanned boo
 	if err != nil {
 		return Delta{}, scanned, err
 	}
-	if merge != nil && !scanned && !d.Full {
+	if merge != nil && !scanned {
 		*merge, d.Entries = appendCore(*merge, d.Entries), nil
 	}
 	return d, scanned, nil
 }
 
-// TableDigest returns an agent's current digest from its incrementally
-// maintained bucket hashes — O(1) table work, no export scan (the agent
-// XOR-patches the affected bucket at every committing mutation; see
-// core.Agent.ContentDigest). The table version is read before the buckets,
-// so a commit racing the read can only make the version conservative (the
-// affected entry is re-sent, never skipped). TestIncrementalDigestMatchesRescan
-// pins this byte-identical to the full rescan
-// Compute(FromCore(ExportDelta(0))) across every commit kind.
-func TableDigest(a *core.Agent, source, instance string) Digest {
-	version, count, buckets := a.ContentDigest()
-	return Digest{
-		Version:      WireVersion,
-		Source:       source,
-		Instance:     instance,
-		TableVersion: version,
-		Count:        count,
-		Buckets:      buckets,
-	}
-}
-
-// TableDelta exports an agent's entries committed after `since` as a wire
-// delta. since 0 exports the full table with Full set — the same payload a
-// first-contact peer or an unusable cursor gets.
-func TableDelta(a *core.Agent, source, instance string, since uint64) Delta {
-	if since > a.TableVersion() {
-		// The cursor is from a previous life of this agent (or a peer
-		// confusion); it cannot be interpreted. Send everything.
-		since = 0
+// TableDelta exports an agent's entries committed after the cursor as a wire
+// delta, or its whole table with Full set when the cursor is not usable
+// against instance (Cursor.Usable) — the answer the delta endpoint gives.
+func TableDelta(a *core.Agent, source, instance string, cursor Cursor) Delta {
+	var since uint64
+	if cursor.Usable(instance, a.TableVersion()) {
+		since = cursor.Version
 	}
 	entries, version := a.ExportDelta(since)
 	return Delta{
@@ -376,22 +276,5 @@ func TableDelta(a *core.Agent, source, instance string, since uint64) Delta {
 		Since:        since,
 		Full:         since == 0,
 		Entries:      FromCore(entries),
-	}
-}
-
-// TableBuckets exports the full-table entries falling in the given buckets
-// as a wire delta for a post-restart resync. Quarantine markers are content
-// like any entry: they bucket by prefix, so a divergent marker shows up in
-// its bucket's diff and is fetched with it.
-func TableBuckets(a *core.Agent, source, instance string, buckets []int) Delta {
-	entries, version := a.ExportDelta(0)
-	wire := FromCore(entries)
-	kept := FilterBuckets(wire, buckets)
-	return Delta{
-		Version:      WireVersion,
-		Source:       source,
-		Instance:     instance,
-		TableVersion: version,
-		Entries:      kept,
 	}
 }

@@ -1,8 +1,8 @@
 package gossip
 
 import (
-	"math/rand"
 	"net/netip"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -84,85 +84,17 @@ func entries(n int) []Entry {
 	return out
 }
 
-// TestDigestOrderIndependent: the digest is a pure function of the entry
-// set — shuffling the slice, or differing sample counts / ages / mod
-// versions, must not change it.
-func TestDigestOrderIndependent(t *testing.T) {
-	base := entries(200)
-	d1 := Compute(base, "a", "i1", 7)
-
-	shuffled := append([]Entry(nil), base...)
-	rand.New(rand.NewSource(42)).Shuffle(len(shuffled), func(i, j int) {
-		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-	})
-	churned := make([]Entry, len(shuffled))
-	copy(churned, shuffled)
-	for i := range churned {
-		churned[i].Samples += 1000
-		churned[i].AgeNanos += int64(time.Minute)
-		churned[i].ModVersion += 99
+// digestFixture is a well-formed digest body's message.
+func digestFixture() Digest {
+	buckets := make([]uint64, digestBuckets)
+	for i := range buckets {
+		buckets[i] = uint64(i) * 0x9e3779b97f4a7c15
 	}
-	d2 := Compute(churned, "b", "i2", 900)
-	if !ContentEqual(d1, d2) {
-		t.Fatal("digest changed under shuffle + samples/age/version churn")
-	}
-
-	// Durable content changes do move it: a window change...
-	mod := append([]Entry(nil), base...)
-	mod[17].Window++
-	if ContentEqual(d1, Compute(mod, "a", "i1", 7)) {
-		t.Fatal("window change not reflected in digest")
-	}
-	// ...a quarantine flip...
-	mod = append([]Entry(nil), base...)
-	mod[17].Quarantined = true
-	if ContentEqual(d1, Compute(mod, "a", "i1", 7)) {
-		t.Fatal("quarantine flip not reflected in digest")
-	}
-	// ...and a removed entry.
-	if ContentEqual(d1, Compute(base[1:], "a", "i1", 7)) {
-		t.Fatal("removed entry not reflected in digest")
-	}
-}
-
-func TestDiffBucketsIsolatesChange(t *testing.T) {
-	base := entries(300)
-	d1 := Compute(base, "", "", 0)
-
-	mod := append([]Entry(nil), base...)
-	mod[123].Window += 5
-	d2 := Compute(mod, "", "", 0)
-
-	diff := DiffBuckets(d1, d2)
-	if len(diff) != 1 {
-		t.Fatalf("diff = %v, want exactly one bucket", diff)
-	}
-	if want := BucketOf(base[123].Prefix); diff[0] != want {
-		t.Fatalf("diff bucket %d, want %d", diff[0], want)
-	}
-
-	// Fetching the divergent bucket returns the changed entry.
-	got := FilterBuckets(mod, diff)
-	found := false
-	for _, e := range got {
-		if e.Prefix == mod[123].Prefix && e.Window == mod[123].Window {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("FilterBuckets(%v) = %d entries, changed entry missing", diff, len(got))
-	}
-	if len(got) >= len(mod) {
-		t.Fatalf("bucket fetch returned %d of %d entries — no narrowing", len(got), len(mod))
-	}
-
-	if d := DiffBuckets(d1, d1); len(d) != 0 {
-		t.Fatalf("self-diff = %v, want empty", d)
-	}
+	return Digest{Version: WireVersion, Source: "host-a", Instance: "inst-1", TableVersion: 42, Count: 10, Buckets: buckets}
 }
 
 func TestDigestRoundTrip(t *testing.T) {
-	d := Compute(entries(10), "host-a", "inst-1", 42)
+	d := digestFixture()
 	data, err := EncodeDigest(d)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +103,7 @@ func TestDigestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ContentEqual(d, got) || got.Instance != "inst-1" || got.TableVersion != 42 || got.Source != "host-a" {
+	if !reflect.DeepEqual(d, got) {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
 }
@@ -182,8 +114,8 @@ func TestDecodeDigestRejectsBadInput(t *testing.T) {
 		"zero version":   `{"buckets": []}`,
 		"future version": `{"version": 2, "buckets": []}`,
 		"short buckets":  `{"version": 1, "buckets": [1, 2, 3]}`,
-		"long buckets":   `{"version": 1, "count": 1, "buckets": [` + longBuckets(NumBuckets+1) + `]}`,
-		"negative count": `{"version": 1, "count": -1, "buckets": [` + longBuckets(NumBuckets) + `]}`,
+		"long buckets":   `{"version": 1, "count": 1, "buckets": [` + longBuckets(digestBuckets+1) + `]}`,
+		"negative count": `{"version": 1, "count": -1, "buckets": [` + longBuckets(digestBuckets) + `]}`,
 		"wrong type":     `[1, 2]`,
 	}
 	for name, data := range cases {
@@ -257,13 +189,13 @@ func TestTableDeltaSince(t *testing.T) {
 		t.Fatal("table version did not advance on first programs")
 	}
 
-	full := TableDelta(a, "src", "inst", 0)
+	full := TableDelta(a, "src", "inst", Cursor{})
 	if !full.Full || len(full.Entries) != 2 || full.TableVersion != v1 {
 		t.Fatalf("full delta = %+v", full)
 	}
 
 	// Nothing changed: a delta from v1 is empty.
-	empty := TableDelta(a, "src", "inst", v1)
+	empty := TableDelta(a, "src", "inst", Cursor{"inst", v1})
 	if empty.Full || len(empty.Entries) != 0 || empty.Since != v1 {
 		t.Fatalf("empty delta = %+v", empty)
 	}
@@ -277,7 +209,7 @@ func TestTableDeltaSince(t *testing.T) {
 	}}, core.MergePolicy{MaxAge: time.Hour}); err != nil {
 		t.Fatal(err)
 	}
-	delta := TableDelta(a, "src", "inst", v1)
+	delta := TableDelta(a, "src", "inst", Cursor{"inst", v1})
 	if delta.Full || len(delta.Entries) != 1 || delta.Entries[0].Prefix != "198.51.100.9/32" {
 		t.Fatalf("delta = %+v, want just 198.51.100.9/32", delta)
 	}
@@ -285,29 +217,44 @@ func TestTableDeltaSince(t *testing.T) {
 		t.Fatalf("delta version %d did not advance past %d", delta.TableVersion, v1)
 	}
 
-	// A cursor from the future (a previous life of this agent) cannot be
-	// interpreted: serve the full table.
-	reset := TableDelta(a, "src", "inst", delta.TableVersion+1000)
-	if !reset.Full || len(reset.Entries) != 3 {
-		t.Fatalf("future-cursor delta = %+v, want full table", reset)
+	// A cursor from the future (a previous life of this agent) or from
+	// another instance cannot be interpreted: serve the full table.
+	for _, c := range []Cursor{{"inst", delta.TableVersion + 1000}, {"inst-0", v1}, {"", v1}} {
+		if reset := TableDelta(a, "src", "inst", c); !reset.Full || reset.Since != 0 || len(reset.Entries) != 3 {
+			t.Fatalf("delta since %+v = %+v, want the full table", c, reset)
+		}
 	}
 }
 
-// TestTableDigestMatchesWireContent: the digest an agent serves equals the
-// digest computed over the entries it would serve — the invariant the
-// puller's converged-detection depends on.
-func TestTableDigestMatchesWireContent(t *testing.T) {
-	a := newTestAgent(t, []core.Observation{
-		obs(t, "192.0.2.1", 40),
-		obs(t, "198.51.100.7", 80),
-	})
-	d := TableDigest(a, "src", "inst")
-	full := TableDelta(a, "src", "inst", 0)
-	recomputed := Compute(full.Entries, "src", "inst", full.TableVersion)
-	if !ContentEqual(d, recomputed) {
-		t.Fatal("served digest does not match served content")
+// TestCursorUsable pins the one rule of when a cursor earns a delta.
+func TestCursorUsable(t *testing.T) {
+	for _, tc := range []struct {
+		c        Cursor
+		instance string
+		version  uint64
+		want     bool
+	}{
+		{Cursor{"boot-1", 5}, "boot-1", 5, true},
+		{Cursor{"boot-1", 5}, "boot-1", 9, true},
+		{Cursor{"boot-1", 6}, "boot-1", 5, false}, // ahead of the table
+		{Cursor{"boot-1", 5}, "boot-2", 9, false}, // another boot
+		{Cursor{"", 5}, "", 9, false},             // no instance to check
+		{Cursor{"boot-1", 0}, "boot-1", 9, false}, // first contact
+		{Cursor{}, "boot-1", 9, false},
+	} {
+		if got := tc.c.Usable(tc.instance, tc.version); got != tc.want {
+			t.Errorf("%+v.Usable(%q, %d) = %v, want %v", tc.c, tc.instance, tc.version, got, tc.want)
+		}
 	}
-	if d.Count != 2 {
-		t.Fatalf("digest count = %d, want 2", d.Count)
+}
+
+// TestETag pins the entity-tag shape: instance and version, and the marker
+// fold only when there is one.
+func TestETag(t *testing.T) {
+	if got := ETag("boot-1", 42, 0); got != `"boot-1/42"` {
+		t.Errorf("ETag = %s", got)
+	}
+	if got := ETag("boot-1", 42, 0xbeef); got != `"boot-1/42/beef"` {
+		t.Errorf("ETag with markers = %s", got)
 	}
 }

@@ -1,7 +1,6 @@
 package gossip
 
 import (
-	"bytes"
 	"fmt"
 	"net/netip"
 	"sync"
@@ -14,8 +13,8 @@ import (
 // scriptedGovernor is a Governor test double whose quarantine set is driven
 // by the test: Review quarantines exactly the scripted prefixes, and
 // Quarantines reports them as markers. Lifting a prefix out of the set
-// models the time-based quarantine→probing transition, which changes digest
-// content without any agent commit.
+// models the time-based quarantine→probing transition, which changes the
+// export without any agent commit.
 type scriptedGovernor struct {
 	mu          sync.Mutex
 	quarantined map[netip.Prefix]bool
@@ -57,43 +56,46 @@ func (g *scriptedGovernor) Quarantines() []core.Quarantine {
 	return out
 }
 
-// requireDigestMatch pins the incremental digest (TableDigest, fed by the
-// agent's per-commit XOR patches) byte-identical to the full rescan
-// (Compute over ExportDelta(0)) — encoded bytes and all.
-func requireDigestMatch(t *testing.T, a *core.Agent, stage string) {
-	t.Helper()
-	got := TableDigest(a, "src", "inst")
-	entries, version := a.ExportDelta(0)
-	want := Compute(FromCore(entries), "src", "inst", version)
-	gb, err := EncodeDigest(got)
-	if err != nil {
-		t.Fatalf("%s: encode incremental digest: %v", stage, err)
-	}
-	wb, err := EncodeDigest(want)
-	if err != nil {
-		t.Fatalf("%s: encode rescan digest: %v", stage, err)
-	}
-	if !bytes.Equal(gb, wb) {
-		if got.Count != want.Count {
-			t.Fatalf("%s: incremental count %d, rescan count %d", stage, got.Count, want.Count)
-		}
-		for i := range want.Buckets {
-			if got.Buckets[i] != want.Buckets[i] {
-				t.Fatalf("%s: bucket %d incremental %#x, rescan %#x", stage, i, got.Buckets[i], want.Buckets[i])
-			}
-		}
-		t.Fatalf("%s: digests differ:\n  incremental %s\n  rescan      %s", stage, gb, wb)
-	}
+// tokenTracker follows an agent's ETag from stage to stage of a script in
+// which every stage changes what the agent exports.
+type tokenTracker struct {
+	a    *core.Agent
+	last string
 }
 
-// TestIncrementalDigestMatchesRescan drives every commit kind that can move
-// digest content — tick route programs (install + window change), fleet
+// moved requires the ETag to differ from the previous stage's — a peer
+// holding the old one must not be told 304 — and to be stable while the
+// agent stands still.
+func (tt *tokenTracker) moved(t *testing.T, stage string) {
+	t.Helper()
+	version, markers := tt.a.ContentToken()
+	etag := ETag("inst", version, markers)
+	if etag == tt.last {
+		t.Fatalf("%s: the export changed but the ETag stayed %s", stage, etag)
+	}
+	if v, m := tt.a.ContentToken(); v != version || m != markers {
+		t.Fatalf("%s: token %d/%#x then %d/%#x with nothing committed", stage, version, markers, v, m)
+	}
+	exported, _ := tt.a.ExportDelta(0)
+	hasMarker := false
+	for _, e := range exported {
+		hasMarker = hasMarker || e.Quarantined
+	}
+	if hasMarker != (markers != 0) {
+		t.Fatalf("%s: marker fold %#x with a marker exported: %v", stage, markers, hasMarker)
+	}
+	tt.last = etag
+}
+
+// TestContentTokenTracksEveryCommit drives every change that can move an
+// agent's export — tick route programs (install + window change), fleet
 // merge seeds, TTL expiry, and guard quarantine transitions (both the
 // route-clearing onset and the commit-free recovery) — at shard counts
-// 1/2/4/8, comparing the incremental digest against a full rescan after
-// each, with a concurrent digest reader racing the churn (run under -race
-// in CI's race-stress step).
-func TestIncrementalDigestMatchesRescan(t *testing.T) {
+// 1/2/4/8, and requires the ETag built from ContentToken to move at each,
+// with a concurrent reader racing the churn (run under -race in CI's
+// race-stress step). A change the ETag missed would be answered 304 and
+// never reach a peer.
+func TestContentTokenTracksEveryCommit(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -134,8 +136,8 @@ func TestIncrementalDigestMatchesRescan(t *testing.T) {
 				return fmt.Sprintf("10.1.%d.%d", i/250, i%250+1)
 			}
 
-			// A reader hammers the incremental digest throughout, so -race
-			// exercises the accumulator against every patch site.
+			// A reader hammers the token throughout, so -race exercises it
+			// against every commit site.
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
 			wg.Add(1)
@@ -146,7 +148,7 @@ func TestIncrementalDigestMatchesRescan(t *testing.T) {
 					case <-stop:
 						return
 					default:
-						_ = TableDigest(a, "src", "inst")
+						_, _ = a.ContentToken()
 					}
 				}
 			}()
@@ -156,8 +158,10 @@ func TestIncrementalDigestMatchesRescan(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				install = append(install, obs(t, dst(i), 12+i%30))
 			}
+			tt := &tokenTracker{a: a}
+			tt.moved(t, "empty")
 			feed(install)
-			requireDigestMatch(t, a, "program-install")
+			tt.moved(t, "program-install")
 
 			// Commit kind: tick route programs (window changes on installed
 			// routes; the EWMA moves, so a subset reprograms).
@@ -167,7 +171,7 @@ func TestIncrementalDigestMatchesRescan(t *testing.T) {
 			}
 			advance(time.Second)
 			feed(changed)
-			requireDigestMatch(t, a, "program-change")
+			tt.moved(t, "program-change")
 
 			// Commit kind: fleet merge seeds (prefixes this agent has not
 			// observed itself).
@@ -181,7 +185,7 @@ func TestIncrementalDigestMatchesRescan(t *testing.T) {
 			if _, err := a.MergeSnapshot(seeds, core.MergePolicy{}); err != nil {
 				t.Fatalf("MergeSnapshot: %v", err)
 			}
-			requireDigestMatch(t, a, "merge-seed")
+			tt.moved(t, "merge-seed")
 
 			// Commit kind: quarantine onset — the governor's verdict clears
 			// the installed route and a marker appears in exports.
@@ -189,17 +193,17 @@ func TestIncrementalDigestMatchesRescan(t *testing.T) {
 			gov.set(qKey, true)
 			advance(time.Second)
 			feed([]core.Observation{obs(t, dst(3), 40)})
-			requireDigestMatch(t, a, "quarantine-onset")
+			tt.moved(t, "quarantine-onset")
 
 			// Governor-clock transition: the quarantine lapses with no agent
-			// commit at all; only the read-time marker overlay can see it.
+			// commit at all; only the token's marker fold can see it.
 			gov.set(qKey, false)
-			requireDigestMatch(t, a, "quarantine-recovery")
+			tt.moved(t, "quarantine-recovery")
 
 			// Commit kind: TTL expiry (nothing refreshed for a full TTL).
 			advance(2 * time.Minute)
 			feed(nil)
-			requireDigestMatch(t, a, "expiry")
+			tt.moved(t, "expiry")
 
 			// Re-install after the wipe, racing the reader the whole way.
 			reinstall := make([]core.Observation, 0, 120)
@@ -207,11 +211,10 @@ func TestIncrementalDigestMatchesRescan(t *testing.T) {
 				reinstall = append(reinstall, obs(t, dst(i), 8+i%20))
 			}
 			feed(reinstall)
-			requireDigestMatch(t, a, "reinstall")
+			tt.moved(t, "reinstall")
 
 			close(stop)
 			wg.Wait()
-			requireDigestMatch(t, a, "quiesced")
 		})
 	}
 }

@@ -496,9 +496,7 @@ func (sp *Spec) collect(c *cdn.Cluster, st *runState) map[string]float64 {
 		m["gossip.bytes.after"] = float64(gs.BytesOnWire - gAtEnd)
 		m["gossip.bytes.total"] = float64(gs.BytesOnWire)
 		m["gossip.rounds.total"] = float64(gs.Rounds)
-		m["gossip.rounds.digest"] = float64(gs.DigestRounds)
 		m["gossip.rounds.delta"] = float64(gs.DeltaRounds)
-		m["gossip.rounds.buckets"] = float64(gs.BucketRounds)
 		m["gossip.rounds.full"] = float64(gs.FullRounds)
 		m["gossip.rounds.not_modified"] = float64(gs.NotModifiedRounds)
 		m["gossip.entries_moved"] = float64(gs.EntriesMoved)

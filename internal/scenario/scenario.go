@@ -105,8 +105,7 @@ type CompareSpec struct {
 	Guard *bool
 	// Gossip, when set false, downgrades the control run's gossip mode to
 	// "full" — same sync schedule, whole tables every round — so the
-	// assertions can price the anti-entropy ladder against the legacy
-	// full-snapshot cost model.
+	// assertions can price conditional deltas against whole-table sync.
 	Gossip *bool
 	// Sharing, when set false, drops the enable_fleet_sharing and
 	// enable_gossip_sharing events from the control run: the same fleet
@@ -163,9 +162,9 @@ type FleetSharingEvent struct {
 }
 
 // GossipSharingEvent enables cross-PoP anti-entropy table sync with full
-// wire-cost accounting (cdn.EnableGossipSharing). Mode is "ladder"
-// (digest/delta anti-entropy) or "full" (every round ships whole tables —
-// the legacy cost model). SeedEntries, when > 0, pre-populates every
+// wire-cost accounting (cdn.EnableGossipSharing). Mode is "ladder" (one
+// conditional ?since= request per round: a 304, a delta or the full table)
+// or "full" (every round ships whole tables). SeedEntries, when > 0, pre-populates every
 // agent's table with that many synthetic warm destinations, modeling a
 // long-lived back-office fleet whose table size a short run cannot grow.
 type GossipSharingEvent struct {
