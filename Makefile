@@ -11,7 +11,8 @@ ROOT := $(dir $(abspath $(lastword $(MAKEFILE_LIST))))
 all: check
 
 # Default gate: compile, vet, full test suite, and a race pass over the
-# packages with real concurrency (the agent loop and the netlink backend).
+# packages with real concurrency (the agent, the netlink backend, the fleet
+# wire, and the daemon that runs them together).
 check: build vet test test-race
 
 build:
@@ -27,7 +28,7 @@ test-short:
 	$(GO) test -short ./...
 
 test-race:
-	$(GO) test -race ./internal/core/... ./internal/guard/... ./internal/netlink/... ./internal/fleet/... ./internal/gossip/...
+	$(GO) test -race ./internal/core/... ./internal/guard/... ./internal/netlink/... ./internal/fleet/... ./internal/gossip/... ./internal/daemon/... ./cmd/riptided/...
 
 race:
 	$(GO) test -race ./internal/core ./internal/kernel .

@@ -1,145 +1,106 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
-	"io"
 	"net/http/httptest"
 	"net/netip"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"riptide/internal/core"
+	"riptide/internal/daemon"
 	"riptide/internal/fleet"
 )
 
-// countingSampler records how many times it was asked to sample.
-type countingSampler struct {
-	mu    sync.Mutex
-	calls int
-	obs   []core.Observation
+// programmed returns the windows a kernel's route messages left installed.
+func programmed(k *kernel) map[netip.Prefix]int {
+	set := make(map[netip.Prefix]int)
+	for _, rt := range k.route.Routes {
+		if rt.Del {
+			delete(set, rt.Prefix)
+		} else {
+			set[rt.Prefix] = rt.InitCwnd
+		}
+	}
+	return set
 }
 
-func (s *countingSampler) SampleConnections(buf []core.Observation) ([]core.Observation, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.calls++
-	return append(buf, s.obs...), nil
-}
-
-func (s *countingSampler) count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.calls
-}
-
-// recordingRoutes tracks the currently programmed routes.
-type recordingRoutes struct {
-	mu  sync.Mutex
-	set map[netip.Prefix]int
-}
-
-func newRecordingRoutes() *recordingRoutes {
-	return &recordingRoutes{set: make(map[netip.Prefix]int)}
-}
-
-func (r *recordingRoutes) SetInitCwnd(p netip.Prefix, cwnd int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.set[p] = cwnd
-	return nil
-}
-
-func (r *recordingRoutes) ClearInitCwnd(p netip.Prefix) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.set, p)
-	return nil
-}
-
-func (r *recordingRoutes) get(p netip.Prefix) (int, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	w, ok := r.set[p]
-	return w, ok
+// startAt runs riptided over k on a wall clock frozen at now, with a tick an
+// hour away, and returns once it has started: whatever it programmed by
+// then, it programmed before the first tick.
+func startAt(t *testing.T, k *kernel, now time.Time, args ...string) (*daemon.Daemon, *logSink, func() error) {
+	t.Helper()
+	logs := &logSink{}
+	cfg := config(t, k, logs, append([]string{"-interval", "1h"}, args...)...)
+	cfg.Now = func() time.Time { return now }
+	d := mustNew(t, cfg)
+	stop := start(t, d)
+	waitFor(t, "the started line", func() bool { return strings.Contains(logs.String(), "started:") })
+	return d, logs, stop
 }
 
 // TestWarmStartProgramsRoutesBeforeFirstTick is the restart acceptance
 // test: an agent learns routes and persists a snapshot; a second agent
 // (the restarted daemon) warm-starts from the file and has the routes
-// programmed though its sampler has never run.
+// programmed though it has never ticked.
 func TestWarmStartProgramsRoutesBeforeFirstTick(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "snapshot.json")
 
 	// First incarnation: learn two destinations, persist, "crash".
-	first, err := core.New(core.Config{
-		Sampler: &countingSampler{obs: []core.Observation{
-			{Dst: netip.MustParseAddr("192.0.2.1"), Cwnd: 40},
-			{Dst: netip.MustParseAddr("198.51.100.7"), Cwnd: 80},
-		}},
-		Routes: newRecordingRoutes(),
-		Clock:  func() time.Duration { return 0 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := first.Tick(); err != nil {
+	first := newDaemon(t, newKernel(
+		core.Observation{Dst: netip.MustParseAddr("192.0.2.1"), Cwnd: 40},
+		core.Observation{Dst: netip.MustParseAddr("198.51.100.7"), Cwnd: 80}), &logSink{})
+	if err := first.Agent.Tick(); err != nil {
 		t.Fatal(err)
 	}
 	saved := time.Unix(1700000000, 0)
-	if err := fleet.Save(path, fleet.FromAgent(first, "host-a", saved)); err != nil {
+	if err := fleet.Save(path, fleet.FromAgent(first.Agent, "host-a", saved)); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
 
 	// Restarted incarnation, 10 seconds later.
-	sampler := &countingSampler{}
-	routes := newRecordingRoutes()
-	second, err := core.New(core.Config{
-		Sampler: sampler,
-		Routes:  routes,
-		Clock:   func() time.Duration { return 0 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := warmStart(second, path, 0, saved.Add(10*time.Second))
-	if err != nil {
-		t.Fatalf("warmStart: %v", err)
-	}
-	if stats.Merged != 2 {
-		t.Fatalf("merged %d entries, want 2 (stats %+v)", stats.Merged, stats)
+	k := newKernel()
+	d, logs, stop := startAt(t, k, saved.Add(10*time.Second), "-snapshot-file", path)
+	if !strings.Contains(logs.String(), "warm start: merged 2 entries") {
+		t.Fatalf("log does not report the warm start:\n%s", logs)
 	}
 
-	// The routes are back and the sampler has not been consulted: the warm
-	// start happened strictly before the first tick. The windows carry the
-	// 10s staleness discount (half-life MaxAge/2 = 45s): the excess over
-	// CMin=10 is scaled by 2^(-10/45) ≈ 0.857, so 40 → 36 and 80 → 70.
-	if sampler.count() != 0 {
-		t.Fatalf("sampler ran %d times during warm start", sampler.count())
+	// The routes are back and no tick has run: the warm start happened
+	// strictly before the first tick. The windows carry the 10s staleness
+	// discount (half-life MaxAge/2 = 45s): the excess over CMin=10 is
+	// scaled by 2^(-10/45) ≈ 0.857, so 40 → 36 and 80 → 70.
+	if n := d.Agent.Stats().Ticks; n != 0 {
+		t.Fatalf("%d ticks ran during warm start", n)
 	}
-	if w, ok := routes.get(netip.MustParsePrefix("192.0.2.1/32")); !ok || w != 36 {
+	routes := programmed(k)
+	if w, ok := routes[netip.MustParsePrefix("192.0.2.1/32")]; !ok || w != 36 {
 		t.Fatalf("route 192.0.2.1/32 = %d,%v; want 36,true", w, ok)
 	}
-	if w, ok := routes.get(netip.MustParsePrefix("198.51.100.7/32")); !ok || w != 70 {
+	if w, ok := routes[netip.MustParsePrefix("198.51.100.7/32")]; !ok || w != 70 {
 		t.Fatalf("route 198.51.100.7/32 = %d,%v; want 70,true", w, ok)
 	}
-	if w, ok := second.Lookup(netip.MustParseAddr("192.0.2.1")); !ok || w != 36 {
+	if w, ok := d.Agent.Lookup(netip.MustParseAddr("192.0.2.1")); !ok || w != 36 {
 		t.Fatalf("Lookup = %d,%v; want 36,true", w, ok)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestWarmStartMissingFileIsCold(t *testing.T) {
-	agent := newTestAgent(t)
-	stats, err := warmStart(agent, filepath.Join(t.TempDir(), "nope.json"), 0, time.Now())
-	if err != nil {
-		t.Fatalf("warmStart on missing file: %v", err)
+	k := newKernel()
+	d, logs, stop := startAt(t, k, time.Now(), "-snapshot-file", filepath.Join(t.TempDir(), "nope.json"))
+	if strings.Contains(logs.String(), "warm start") {
+		t.Errorf("missing snapshot file logged a warm start:\n%s", logs)
 	}
-	if stats.Merged != 0 {
-		t.Fatalf("stats = %+v, want nothing merged", stats)
+	if n := d.Agent.Len(); n != 0 {
+		t.Fatalf("%d entries after a cold start, want none", n)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -148,33 +109,35 @@ func TestWarmStartMissingFileIsCold(t *testing.T) {
 // rejected rather than resurrected.
 func TestWarmStartAgesEntriesByDowntime(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "snapshot.json")
-	first := newTestAgent(t)
-	if err := first.Tick(); err != nil {
+	first := newTestDaemon(t)
+	if err := first.Agent.Tick(); err != nil {
 		t.Fatal(err)
 	}
 	saved := time.Unix(1700000000, 0)
-	if err := fleet.Save(path, fleet.FromAgent(first, "host-a", saved)); err != nil {
+	if err := fleet.Save(path, fleet.FromAgent(first.Agent, "host-a", saved)); err != nil {
 		t.Fatal(err)
 	}
 
-	second := newTestAgent(t)
 	// Restart two hours later: far beyond the default 90s TTL.
-	stats, err := warmStart(second, path, 0, saved.Add(2*time.Hour))
-	if err != nil {
-		t.Fatalf("warmStart: %v", err)
+	k := newKernel()
+	_, logs, stop := startAt(t, k, saved.Add(2*time.Hour), "-snapshot-file", path)
+	if err := stop(); err != nil {
+		t.Fatal(err)
 	}
-	if stats.Merged != 0 || stats.SkippedStale != 1 {
-		t.Fatalf("stats = %+v, want everything skipped as stale", stats)
+	if !strings.Contains(logs.String(), "warm start: merged 0 entries, skipped 1 stale") {
+		t.Fatalf("log does not report everything skipped as stale:\n%s", logs)
+	}
+	if len(k.route.Routes) != 0 {
+		t.Fatalf("stale entries reached the kernel: %+v", k.route.Routes)
 	}
 }
 
-// TestRunWritesSnapshotOnShutdown drives the real daemon (dry-run routes,
-// real netlink sampling) and checks the final snapshot lands on disk at exit.
+// TestRunWritesSnapshotOnShutdown checks the final snapshot lands on disk
+// at exit.
 func TestRunWritesSnapshotOnShutdown(t *testing.T) {
-	requireNetlink(t)
 	path := filepath.Join(t.TempDir(), "snapshot.json")
-	err := run([]string{"-dry-run", "-run-for", "150ms", "-interval", "20ms",
-		"-snapshot-file", path, "-snapshot-interval", "1h"})
+	_, err := runFor(t, newKernel(), 150*time.Millisecond, "-dry-run", "-interval", "20ms",
+		"-snapshot-file", path, "-snapshot-interval", "1h")
 	if err != nil {
 		t.Fatalf("daemon: %v", err)
 	}
@@ -187,7 +150,6 @@ func TestRunWritesSnapshotOnShutdown(t *testing.T) {
 // version (golden bytes a v2 build wrote) is logged, not merged, and the
 // daemon runs cold — then replaces the file with a current one at exit.
 func TestRunStartsColdFromRetiredSnapshot(t *testing.T) {
-	requireNetlink(t)
 	path := filepath.Join(t.TempDir(), "snapshot.json")
 	v2 := `{"version":2,"source":"old","createdUnixNano":1700000000000000000,` +
 		`"entries":[{"prefix":"192.0.2.1/32","window":40,"samples":9,"ageNanos":1000000000}]}`
@@ -195,22 +157,8 @@ func TestRunStartsColdFromRetiredSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stderr := os.Stderr
-	os.Stderr = w
-	logged := make(chan string)
-	go func() {
-		out, _ := io.ReadAll(r)
-		logged <- string(out)
-	}()
-	err = run([]string{"-dry-run", "-run-for", "150ms", "-interval", "20ms",
-		"-snapshot-file", path, "-snapshot-interval", "1h"})
-	os.Stderr = stderr
-	w.Close()
-	out := <-logged
+	out, err := runFor(t, newKernel(), 150*time.Millisecond, "-dry-run", "-interval", "20ms",
+		"-snapshot-file", path, "-snapshot-interval", "1h")
 	if err != nil {
 		t.Fatalf("daemon with a v2 snapshot file: %v", err)
 	}
@@ -228,22 +176,20 @@ func TestRunStartsColdFromRetiredSnapshot(t *testing.T) {
 // TestRunWithDeadPeerExits: a configured peer that is down must not stall
 // the daemon or its shutdown.
 func TestRunWithDeadPeerExits(t *testing.T) {
-	requireNetlink(t)
-	err := run([]string{"-dry-run", "-run-for", "150ms", "-interval", "20ms",
-		"-peers", "127.0.0.1:1", "-peer-interval", "50ms", "-peer-timeout", "100ms"})
+	_, err := runFor(t, newKernel(), 150*time.Millisecond, "-dry-run", "-interval", "20ms",
+		"-peers", "127.0.0.1:1", "-peer-interval", "50ms", "-peer-timeout", "100ms")
 	if err != nil {
 		t.Fatalf("daemon with dead peer: %v", err)
 	}
 }
 
 func TestStatusServesFleetSnapshot(t *testing.T) {
-	agent := newTestAgent(t)
-	if err := agent.Tick(); err != nil {
+	d := newTestDaemon(t)
+	if err := d.Agent.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	h := newStatusHandler(agent, nil, &fleetState{Source: "host-a"}, nil)
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/fleet/snapshot", nil))
+	d.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/fleet/snapshot", nil))
 	if rec.Code != 200 {
 		t.Fatalf("code = %d", rec.Code)
 	}
@@ -251,46 +197,46 @@ func TestStatusServesFleetSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if snap.Source != "host-a" || len(snap.Entries) != 1 {
+	host, _ := os.Hostname()
+	if snap.Source != host || len(snap.Entries) != 1 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 }
 
 func TestStatusIncludesPeerHealth(t *testing.T) {
-	agent := newTestAgent(t)
-	puller, err := fleet.NewPuller(fleet.PullerConfig{
-		Agent:   agent,
-		Peers:   []string{"127.0.0.1:1"}, // nothing listens here
-		Timeout: time.Second,
+	logs := &logSink{}
+	// Nothing listens on port 1: the boot pull fails.
+	d := newDaemon(t, newKernel(), logs, "-dry-run", "-peers", "127.0.0.1:1", "-peer-timeout", "1s")
+	stop := start(t, d)
+	h := d.Handler()
+	var payload daemon.StatusPayload
+	waitFor(t, "a failed pull", func() bool {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/status", nil))
+		if err := json.Unmarshal(rec.Body.Bytes(), &payload); err != nil {
+			t.Fatal(err)
+		}
+		return payload.Fleet != nil && len(payload.Fleet.Peers) == 1 && payload.Fleet.Peers[0].Failures > 0
 	})
-	if err != nil {
+	if err := stop(); err != nil {
 		t.Fatal(err)
 	}
-	puller.PullOnce(context.Background())
-
-	h := newStatusHandler(agent, nil, &fleetState{Source: "host-a", Puller: puller}, nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/status", nil))
-	var payload statusPayload
-	if err := json.Unmarshal(rec.Body.Bytes(), &payload); err != nil {
-		t.Fatal(err)
-	}
-	if payload.Fleet == nil || payload.Fleet.Source != "host-a" {
+	host, _ := os.Hostname()
+	if payload.Fleet == nil || payload.Fleet.Source != host {
 		t.Fatalf("fleet section = %+v", payload.Fleet)
 	}
 	if len(payload.Fleet.Peers) != 1 || payload.Fleet.Peers[0].Healthy {
 		t.Fatalf("peers = %+v, want one unhealthy peer", payload.Fleet.Peers)
 	}
 
-	// Without fleet wiring the section is omitted.
-	h = newStatusHandler(agent, nil, nil, nil)
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/status", nil))
+	// Without peers the section is omitted.
+	rec := httptest.NewRecorder()
+	newTestDaemon(t).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/status", nil))
 	var bare map[string]json.RawMessage
 	if err := json.Unmarshal(rec.Body.Bytes(), &bare); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := bare["fleet"]; ok {
-		t.Error("fleet key present without fleet wiring")
+		t.Error("fleet key present without peers")
 	}
 }

@@ -2,54 +2,37 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http/httptest"
 	"net/netip"
 	"strings"
 	"testing"
-	"time"
 
 	"riptide/internal/core"
-	"riptide/internal/guard"
+	"riptide/internal/daemon"
+	"riptide/internal/netlink"
 )
 
-type staticSampler []core.Observation
-
-func (s staticSampler) SampleConnections(buf []core.Observation) ([]core.Observation, error) {
-	return append(buf, s...), nil
-}
-
-type nopRoutes struct{}
-
-func (nopRoutes) SetInitCwnd(netip.Prefix, int) error { return nil }
-func (nopRoutes) ClearInitCwnd(netip.Prefix) error    { return nil }
-
-func newTestAgent(t *testing.T) *core.Agent {
+// newTestDaemon is riptided with the given flags over a kernel holding one
+// connection to 10.0.0.7 at cwnd 64.
+func newTestDaemon(t *testing.T, args ...string) *daemon.Daemon {
 	t.Helper()
-	agent, err := core.New(core.Config{
-		Sampler: staticSampler{{Dst: netip.MustParseAddr("10.0.0.7"), Cwnd: 64}},
-		Routes:  nopRoutes{},
-		Clock:   func() time.Duration { return 0 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return agent
+	k := newKernel(core.Observation{Dst: netip.MustParseAddr("10.0.0.7"), Cwnd: 64, SegsOut: 100})
+	return newDaemon(t, k, &logSink{}, args...)
 }
 
 func TestStatusEndpoint(t *testing.T) {
-	agent := newTestAgent(t)
-	if err := agent.Tick(); err != nil {
+	d := newTestDaemon(t)
+	if err := d.Agent.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	h := newStatusHandler(agent, nil, nil, nil)
+	h := d.Handler()
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/status", nil))
 	if rec.Code != 200 {
 		t.Fatalf("status code = %d", rec.Code)
 	}
-	var payload statusPayload
+	var payload daemon.StatusPayload
 	if err := json.Unmarshal(rec.Body.Bytes(), &payload); err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +45,7 @@ func TestStatusEndpoint(t *testing.T) {
 }
 
 func TestStatusMethodNotAllowed(t *testing.T) {
-	h := newStatusHandler(newTestAgent(t), nil, nil, nil)
+	h := newTestDaemon(t).Handler()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("POST", "/status", nil))
 	if rec.Code != 405 {
@@ -71,8 +54,8 @@ func TestStatusMethodNotAllowed(t *testing.T) {
 }
 
 func TestHealthzBeforeAndAfterTick(t *testing.T) {
-	agent := newTestAgent(t)
-	h := newStatusHandler(agent, nil, nil, nil)
+	d := newTestDaemon(t)
+	h := d.Handler()
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
@@ -80,7 +63,7 @@ func TestHealthzBeforeAndAfterTick(t *testing.T) {
 		t.Errorf("pre-tick healthz = %d, want 503", rec.Code)
 	}
 
-	if err := agent.Tick(); err != nil {
+	if err := d.Agent.Tick(); err != nil {
 		t.Fatal(err)
 	}
 	rec = httptest.NewRecorder()
@@ -91,7 +74,7 @@ func TestHealthzBeforeAndAfterTick(t *testing.T) {
 }
 
 func TestStatusEmptyEntriesIsArray(t *testing.T) {
-	h := newStatusHandler(newTestAgent(t), nil, nil, nil)
+	h := newTestDaemon(t).Handler()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/status", nil))
 	body := rec.Body.String()
@@ -101,13 +84,12 @@ func TestStatusEmptyEntriesIsArray(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	agent := newTestAgent(t)
-	if err := agent.Tick(); err != nil {
+	d := newTestDaemon(t)
+	if err := d.Agent.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	h := newStatusHandler(agent, nil, nil, nil)
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	d.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Code != 200 {
 		t.Fatalf("code = %d", rec.Code)
 	}
@@ -132,23 +114,27 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestMetricsJSONEndpoint(t *testing.T) {
-	agent := newTestAgent(t)
-	retry, err := core.NewRetryingRouteProgrammer(failOnceRoutes(), core.RetryPolicy{
-		Sleep:   func(time.Duration) {},
-		Metrics: agent.Metrics(),
-	})
-	if err != nil {
-		t.Fatal(err)
+	// The kernel refuses the first two programs of 10.0.0.7: the tick's
+	// route batch, then the decorator's first try of the route on its own.
+	// One retry lands it.
+	k := newKernel(core.Observation{Dst: netip.MustParseAddr("10.0.0.7"), Cwnd: 64})
+	refusals := 2
+	k.route.AckErrno = func(rt netlink.RecordedRoute, parsed bool) netlink.Errno {
+		if !parsed {
+			return netlink.EINVAL
+		}
+		if !rt.Del && refusals > 0 {
+			refusals--
+			return netlink.EEXIST
+		}
+		return 0
 	}
-	// Exercise one retried operation so the counters are non-zero.
-	if err := retry.SetInitCwnd(netip.MustParsePrefix("10.0.0.7/32"), 64); err != nil {
-		t.Fatal(err)
-	}
-	if err := agent.Tick(); err != nil {
+	d := newDaemon(t, k, &logSink{}, "-retry-base", "1ms")
+	if err := d.Agent.Tick(); err != nil {
 		t.Fatal(err)
 	}
 
-	h := newStatusHandler(agent, retry, nil, nil)
+	h := d.Handler()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics.json", nil))
 	if rec.Code != 200 {
@@ -157,14 +143,14 @@ func TestMetricsJSONEndpoint(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 		t.Errorf("content type = %q", ct)
 	}
-	var payload metricsPayload
+	var payload daemon.MetricsPayload
 	if err := json.Unmarshal(rec.Body.Bytes(), &payload); err != nil {
 		t.Fatal(err)
 	}
 	if payload.Stats.Ticks != 1 {
 		t.Errorf("stats = %+v", payload.Stats)
 	}
-	if payload.Retry == nil || payload.Retry.Retries != 1 || payload.Retry.Attempts != 2 {
+	if payload.Retry.Retries != 1 || payload.Retry.Attempts != 3 {
 		t.Errorf("retry stats = %+v", payload.Retry)
 	}
 	if got := payload.Metrics.Counters["riptide_route_retries"]; got != 1 {
@@ -185,36 +171,15 @@ func TestMetricsJSONEndpoint(t *testing.T) {
 	}
 }
 
-// retryOnceRoutes fails the first SetInitCwnd, then succeeds.
-type retryOnceRoutes struct {
-	tried bool
-}
-
-func failOnceRoutes() *retryOnceRoutes { return &retryOnceRoutes{} }
-
-func (r *retryOnceRoutes) SetInitCwnd(netip.Prefix, int) error {
-	if !r.tried {
-		r.tried = true
-		return errors.New("transient")
-	}
-	return nil
-}
-
-func (r *retryOnceRoutes) ClearInitCwnd(netip.Prefix) error { return nil }
-
 func TestStatusIncludesGuardSection(t *testing.T) {
-	agent := newTestAgent(t)
-	gov, err := guard.New(guard.Config{Clock: func() time.Duration { return 0 }})
-	if err != nil {
+	d := newTestDaemon(t, "-guard")
+	if err := d.Agent.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	gov.ObserveSample(netip.MustParsePrefix("10.0.0.7/32"), core.Observation{SegsOut: 100})
-	gov.ObserveTick(time.Second)
 
-	h := newStatusHandler(agent, nil, nil, gov)
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/status", nil))
-	var payload statusPayload
+	d.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/status", nil))
+	var payload daemon.StatusPayload
 	if err := json.Unmarshal(rec.Body.Bytes(), &payload); err != nil {
 		t.Fatal(err)
 	}
@@ -226,22 +191,20 @@ func TestStatusIncludesGuardSection(t *testing.T) {
 	}
 
 	// Without the governor the section is omitted entirely.
-	h = newStatusHandler(agent, nil, nil, nil)
 	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/status", nil))
+	newTestDaemon(t).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/status", nil))
 	if strings.Contains(rec.Body.String(), `"guard"`) {
 		t.Errorf("guard key present without governor: %s", rec.Body.String())
 	}
 }
 
 func TestMetricsIncludeGuardCounters(t *testing.T) {
-	agent := newTestAgent(t)
-	if err := agent.Tick(); err != nil {
+	d := newTestDaemon(t)
+	if err := d.Agent.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	h := newStatusHandler(agent, nil, nil, nil)
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	d.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
 	for _, want := range []string{
 		"riptide_guard_capped_total 0",
@@ -255,28 +218,21 @@ func TestMetricsIncludeGuardCounters(t *testing.T) {
 	}
 }
 
+// TestStatusIncludesRetryStats: riptided always programs routes through the
+// retry decorator, so /status always carries its counters.
 func TestStatusIncludesRetryStats(t *testing.T) {
-	agent := newTestAgent(t)
-	retry, err := core.NewRetryingRouteProgrammer(nopRoutes{}, core.RetryPolicy{})
-	if err != nil {
+	d := newTestDaemon(t)
+	if err := d.Agent.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	h := newStatusHandler(agent, retry, nil, nil)
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/status", nil))
-	var payload statusPayload
+	d.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/status", nil))
+	var payload map[string]json.RawMessage
 	if err := json.Unmarshal(rec.Body.Bytes(), &payload); err != nil {
 		t.Fatal(err)
 	}
-	if payload.Retry == nil {
-		t.Error("retry stats missing from /status when the decorator is wired")
-	}
-
-	// Without the decorator the field is omitted entirely.
-	h = newStatusHandler(agent, nil, nil, nil)
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/status", nil))
-	if strings.Contains(rec.Body.String(), `"retry"`) {
-		t.Errorf("retry key present without decorator: %s", rec.Body.String())
+	var retry core.RetryStats
+	if err := json.Unmarshal(payload["retry"], &retry); err != nil || retry.Attempts != 1 {
+		t.Errorf("retry stats = %s (%v), want the decorator's one attempt", payload["retry"], err)
 	}
 }

@@ -1,57 +1,85 @@
 package riptide
 
 import (
+	"net"
 	"net/netip"
 	"testing"
 	"time"
 
-	"riptide/internal/core"
+	"riptide/internal/daemon"
 	"riptide/internal/netlink"
 )
 
-// roundSampler serves one socket table per tick through a netlink.Sampler
-// over a fresh MemConn (a MemConn encodes its dump once, so a changed table
-// needs a new one), repeating the last table once the script runs out.
-type roundSampler struct {
+// loopback returns the host's loopback interface, a device every host has,
+// for the routes to name.
+func loopback(t *testing.T) net.Interface {
+	t.Helper()
+	ifaces, err := net.Interfaces()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ifi := range ifaces {
+		if ifi.Flags&net.FlagLoopback != 0 {
+			return ifi
+		}
+	}
+	t.Fatal("no loopback interface")
+	return net.Interface{}
+}
+
+// roundConn is a sock_diag socket serving one socket table per tick: each
+// AF_INET dump request, the first of a sample's two, moves on to the next
+// table through a fresh MemConn (a MemConn encodes its dump once), and the
+// last table repeats once the script runs out.
+type roundConn struct {
 	rounds [][]Observation
 	n      int
+	cur    *netlink.MemConn
 }
 
-func (r *roundSampler) SampleConnections(buf []Observation) ([]Observation, error) {
-	mem := &netlink.MemConn{Sockets: r.rounds[min(r.n, len(r.rounds)-1)]}
-	r.n++
-	s, err := netlink.NewSampler(netlink.SamplerConfig{Dial: mem.Dialer()})
-	if err != nil {
-		return nil, err
+func (r *roundConn) Send(req []byte) error {
+	const afInet, familyOffset = 2, 16 // sdiag_family follows the nlmsghdr
+	if req[familyOffset] == afInet {
+		r.cur = &netlink.MemConn{Sockets: r.rounds[min(r.n, len(r.rounds)-1)]}
+		r.n++
 	}
-	return s.SampleConnections(buf)
+	return r.cur.Send(req)
 }
 
-// TestLinuxBackendEndToEnd drives the full production code path — sock_diag
-// decode, Algorithm 1, rtnetlink route programming, TTL expiry, shutdown
-// cleanup — against an in-memory kernel, no root required.
+func (r *roundConn) Receive(p []byte) (int, error) { return r.cur.Receive(p) }
+func (r *roundConn) Close() error                  { return nil }
+
+// TestLinuxBackendEndToEnd drives the agent riptided and NewLinuxAgent
+// assemble — sock_diag decode, Algorithm 1, the retry decorator, rtnetlink
+// route programming, TTL expiry, shutdown cleanup — against an in-memory
+// kernel, no root required.
 func TestLinuxBackendEndToEnd(t *testing.T) {
 	dst := netip.MustParseAddr("10.0.0.127")
 	sock := func(cwnd int) []Observation {
 		return []Observation{{Dst: dst, Cwnd: cwnd, RTT: 120 * time.Millisecond, BytesAcked: 987654}}
 	}
 	// Two rounds of healthy connections to 10.0.0.127, then silence.
-	sampler := &roundSampler{rounds: [][]Observation{sock(60), sock(100), nil}}
+	sockDiag := &roundConn{rounds: [][]Observation{sock(60), sock(100), nil}}
 	kernel := &netlink.MemConn{}
-	routes, err := netlink.NewRoutes(netlink.RoutesConfig{Dial: kernel.Dialer(), DeviceIndex: 2, Gateway: "10.0.0.1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var now time.Duration
-	agent, err := core.New(core.Config{
-		Sampler: sampler,
-		Routes:  routes,
-		Clock:   func() time.Duration { return now },
-		TTL:     90 * time.Second,
+	lo := loopback(t)
+	now := time.Unix(1700000000, 0)
+	d, err := daemon.New(daemon.Config{
+		Device:   lo.Name,
+		Gateway:  "10.0.0.1",
+		TTL:      90 * time.Second,
+		Combiner: "average",
+		Dial: func(proto int) (netlink.Conn, error) {
+			if proto == netlink.ProtoSockDiag {
+				return sockDiag, nil
+			}
+			return kernel.Dialer()(proto)
+		},
+		Now: func() time.Time { return now },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	agent := d.Agent
 	host := netip.PrefixFrom(dst, 32)
 	gw := netip.MustParseAddr("10.0.0.1")
 	const rtprotStatic = 4 // RTPROT_STATIC, the `proto static` of `ip route`
@@ -64,12 +92,12 @@ func TestLinuxBackendEndToEnd(t *testing.T) {
 		t.Fatalf("route messages after tick 1 = %+v", kernel.Routes)
 	}
 	if rt := kernel.Routes[0]; rt.Del || rt.Prefix != host || rt.InitCwnd != 60 ||
-		rt.OIF != 2 || rt.Gateway != gw || rt.Proto != rtprotStatic {
+		rt.OIF != lo.Index || rt.Gateway != gw || rt.Proto != rtprotStatic {
 		t.Errorf("route after tick 1 = %+v", rt)
 	}
 
 	// Tick 2: EWMA folds the new 100 in: 0.75*60 + 0.25*100 = 70.
-	now += time.Second
+	now = now.Add(time.Second)
 	if err := agent.Tick(); err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +106,7 @@ func TestLinuxBackendEndToEnd(t *testing.T) {
 	}
 
 	// Connections vanish; before the TTL nothing changes.
-	now += 60 * time.Second
+	now = now.Add(60 * time.Second)
 	if err := agent.Tick(); err != nil {
 		t.Fatal(err)
 	}
@@ -88,14 +116,14 @@ func TestLinuxBackendEndToEnd(t *testing.T) {
 
 	// Past the TTL the route is withdrawn, restoring the default. The
 	// delete carries the install's interface and gateway.
-	now += 40 * time.Second
+	now = now.Add(40 * time.Second)
 	if err := agent.Tick(); err != nil {
 		t.Fatal(err)
 	}
 	if len(kernel.Routes) != 3 {
 		t.Fatalf("route messages after expiry = %+v", kernel.Routes)
 	}
-	if rt := kernel.Routes[2]; !rt.Del || rt.Prefix != host || rt.OIF != 2 || rt.Gateway != gw {
+	if rt := kernel.Routes[2]; !rt.Del || rt.Prefix != host || rt.OIF != lo.Index || rt.Gateway != gw {
 		t.Fatalf("withdrawal = %+v", rt)
 	}
 

@@ -24,7 +24,7 @@ import (
 	"time"
 
 	"riptide/internal/core"
-	"riptide/internal/netlink"
+	"riptide/internal/daemon"
 )
 
 // Re-exported core types: the agent's full configuration surface.
@@ -169,38 +169,32 @@ type LinuxOptions struct {
 	Shards         int
 }
 
-// NewLinuxAgent builds an Agent wired to the local kernel over netlink:
-// sock_diag dumps read each connection's cwnd and rtnetlink writes initcwnd,
-// the interfaces behind the `ss` and `ip` commands of the paper's
-// deployment. Construction resolves a named Device to its interface index
-// but dials no netlink socket; the first Tick does, and programming routes
-// requires the CAP_NET_ADMIN capability (or root).
+// NewLinuxAgent builds the agent riptided runs (internal/daemon), wired to
+// the local kernel over netlink: sock_diag dumps read each connection's cwnd
+// and rtnetlink writes initcwnd, the interfaces behind the `ss` and `ip`
+// commands of the paper's deployment, with routes programmed through the
+// same retry decorator (bounded backoff, then a fall-back to clearing a
+// destination that keeps failing). Construction resolves a named Device to
+// its interface index but dials no netlink socket; the first Tick does, and
+// programming routes requires the CAP_NET_ADMIN capability (or root).
 func NewLinuxAgent(opts LinuxOptions) (*Agent, error) {
-	sampler, err := netlink.NewSampler(netlink.SamplerConfig{})
-	if err != nil {
-		return nil, err
-	}
-	routes, err := netlink.NewRoutes(netlink.RoutesConfig{
-		Device:      opts.Device,
-		Gateway:     opts.Gateway,
-		SetInitRwnd: opts.SetInitRwnd,
+	d, err := daemon.New(daemon.Config{
+		Device:     opts.Device,
+		Gateway:    opts.Gateway,
+		InitRwnd:   opts.SetInitRwnd,
+		Interval:   opts.UpdateInterval,
+		TTL:        opts.TTL,
+		Alpha:      opts.Alpha,
+		CMax:       opts.CMax,
+		CMin:       opts.CMin,
+		PrefixBits: opts.PrefixBits,
+		Shards:     opts.Shards,
+		Combiner:   "average",
 	})
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	return core.New(core.Config{
-		Sampler:        sampler,
-		Routes:         routes,
-		Clock:          func() time.Duration { return time.Since(start) },
-		UpdateInterval: opts.UpdateInterval,
-		TTL:            opts.TTL,
-		Alpha:          opts.Alpha,
-		CMax:           opts.CMax,
-		CMin:           opts.CMin,
-		PrefixBits:     opts.PrefixBits,
-		Shards:         opts.Shards,
-	})
+	return d.Agent, nil
 }
 
 // Run drives the agent's poll loop every UpdateInterval until ctx is done,
@@ -208,21 +202,12 @@ func NewLinuxAgent(opts LinuxOptions) (*Agent, error) {
 // onError when provided (a failing tick does not stop the loop); the final
 // Close error, if any, is returned.
 func Run(ctx context.Context, agent *Agent, onError ...func(error)) error {
-	ticker := time.NewTicker(agent.Config().UpdateInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return agent.Close()
-		case <-ticker.C:
-			if err := agent.Tick(); err != nil {
-				if err == ErrClosed {
-					return nil
-				}
-				for _, f := range onError {
-					f(err)
-				}
+	daemon.Loop(ctx, agent, func(err error) {
+		for _, f := range onError {
+			if err != nil {
+				f(err)
 			}
 		}
-	}
+	})
+	return agent.Close()
 }
