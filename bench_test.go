@@ -262,7 +262,7 @@ func BenchmarkAblationUpdateInterval(b *testing.B) {
 // BenchmarkAgentTick measures the cost of one Riptide poll round over a
 // synthetic 1000-connection observed table — the agent's steady-state
 // overhead on a busy production host. Kept at its historical shape
-// (default shard count, per-op route programming) so the series stays
+// (default scan width, per-op route programming) so the series stays
 // comparable across PRs.
 func BenchmarkAgentTick(b *testing.B) {
 	const conns = 1000
@@ -282,17 +282,17 @@ func BenchmarkAgentTick(b *testing.B) {
 	b.ReportMetric(float64(conns), "conns/tick")
 }
 
-// benchmarkAgentTickSeries is the hot-path scaling series: serial (one
-// shard) versus sharded planning, crossed with a steady state (identical
+// benchmarkAgentTickSeries is the hot-path scaling series: socket scans on
+// one processor versus fanned out over every processor, crossed with a steady state (identical
 // observation stream) and ~1% window churn — all over the batched
 // route-programming surface at a fixed observed-table size.
 func benchmarkAgentTickSeries(b *testing.B, conns int) {
 	for _, sv := range []struct {
-		name   string
-		shards int
+		name  string
+		procs int // GOMAXPROCS for the run, which the scan width follows; 0 leaves it
 	}{
 		{"serial", 1},
-		{"sharded", 8},
+		{"parallel", 0},
 	} {
 		for _, mode := range []struct {
 			name      string
@@ -302,12 +302,14 @@ func benchmarkAgentTickSeries(b *testing.B, conns int) {
 			{"delta-churn1pct", 100},
 		} {
 			b.Run(sv.name+"/"+mode.name, func(b *testing.B) {
+				if sv.procs > 0 {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(sv.procs))
+				}
 				sampler, routes, clock := newModeBackend(conns, mode.churnFrac)
 				agent, err := New(Config{
 					Sampler: sampler,
 					Routes:  routes,
 					Clock:   clock,
-					Shards:  sv.shards,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -390,16 +392,17 @@ func (s *membershipChurnSampler) SampleConnections([]Observation) ([]Observation
 // above never exercised: 100k destinations with 1% new windows and 0.1% moved
 // destinations per round, on a clock that advances one second per tick, so
 // every round also expires the routes that sockets moved away from one TTL
-// earlier. The warm-up runs past that TTL.
+// earlier. The warm-up runs past that TTL. It runs on one processor and on
+// all of them, which the agent's scan width follows.
 func BenchmarkAgentTick100kMembershipChurn(b *testing.B) {
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			var now time.Duration
 			agent, err := New(Config{
 				Sampler: newMembershipChurnSampler(syntheticObservations(100_000)),
 				Routes:  nopBatchRoutes{},
 				Clock:   func() time.Duration { return now },
-				Shards:  shards,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -508,8 +511,8 @@ func (noAdvice) Advise(netip.Prefix) float64 { return 1 }
 
 // BenchmarkAgentTick100kHooks prices a tick under each hook a config can
 // install — an Advisor, the safety governor, a caller-supplied History — in
-// the working regime: 100k sockets, 1% new windows per round, one shard, one
-// second per round.
+// the working regime: 100k sockets, 1% new windows per round, one second
+// per round.
 func BenchmarkAgentTick100kHooks(b *testing.B) {
 	for _, hook := range []struct {
 		name    string
@@ -536,7 +539,6 @@ func BenchmarkAgentTick100kHooks(b *testing.B) {
 				Sampler: newChurnSampler(syntheticObservations(100_000), 100),
 				Routes:  nopBatchRoutes{},
 				Clock:   func() time.Duration { return now },
-				Shards:  1,
 			}
 			if err := hook.install(&cfg); err != nil {
 				b.Fatal(err)
@@ -562,28 +564,26 @@ func BenchmarkAgentTick100kHooks(b *testing.B) {
 	}
 }
 
-// TestShardedTickNotSlowerThanSerial is the bench-smoke gate for the
-// parallel plan stage: with real cores available, sharding the plan work of
-// a 1%-churn round across 8 shards must not lose to a single shard. On fewer
-// than 4 cores the comparison measures lock traffic, not parallelism, so the
+// TestParallelScanNotSlowerThanSerial is the bench-smoke gate for the
+// parallel socket scan: with real cores available, a 1%-churn round over
+// 100k sockets at GOMAXPROCS=N — whose scans fan out over min(N, 16)
+// workers — must not lose to the same round at GOMAXPROCS=1. On fewer than 4
+// cores the comparison measures goroutine hand-off, not parallelism, so the
 // test skips.
-func TestShardedTickNotSlowerThanSerial(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 4 {
-		t.Skipf("GOMAXPROCS=%d: parallel plan stage needs >=4 cores to beat serial", runtime.GOMAXPROCS(0))
+func TestParallelScanNotSlowerThanSerial(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	if procs < 4 {
+		t.Skipf("GOMAXPROCS=%d: the parallel scan needs >=4 cores to beat serial", procs)
 	}
 	if testing.Short() {
 		t.Skip("bench smoke skipped in -short mode")
 	}
 	const conns = 100_000
-	tick := func(shards int) testing.BenchmarkResult {
+	tick := func(n int) testing.BenchmarkResult {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
 		return testing.Benchmark(func(b *testing.B) {
 			sampler, routes, clock := newModeBackend(conns, 100)
-			agent, err := New(Config{
-				Sampler: sampler,
-				Routes:  routes,
-				Clock:   clock,
-				Shards:  shards,
-			})
+			agent, err := New(Config{Sampler: sampler, Routes: routes, Clock: clock})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -600,10 +600,10 @@ func TestShardedTickNotSlowerThanSerial(t *testing.T) {
 		})
 	}
 	serial := tick(1)
-	sharded := tick(8)
-	if sharded.NsPerOp() > serial.NsPerOp() {
-		t.Errorf("shards=8 tick %v slower than shards=1 %v at GOMAXPROCS=%d",
-			time.Duration(sharded.NsPerOp()), time.Duration(serial.NsPerOp()), runtime.GOMAXPROCS(0))
+	parallel := tick(procs)
+	if parallel.NsPerOp() > serial.NsPerOp() {
+		t.Errorf("GOMAXPROCS=%d tick %v slower than GOMAXPROCS=1 %v",
+			procs, time.Duration(parallel.NsPerOp()), time.Duration(serial.NsPerOp()))
 	}
 }
 

@@ -47,7 +47,6 @@ func flags(cfg *daemon.Config, runFor *time.Duration) *flag.FlagSet {
 	fs.IntVar(&cfg.CMax, "cmax", core.DefaultCMax, "maximum programmed initcwnd")
 	fs.IntVar(&cfg.CMin, "cmin", core.DefaultCMin, "minimum programmed initcwnd")
 	fs.IntVar(&cfg.PrefixBits, "prefix-bits", 32, "destination granularity (32=per host, 24=per /24)")
-	fs.IntVar(&cfg.Shards, "shards", 0, "lock-striped state shards for the agent hot path (0 = GOMAXPROCS, capped at 16)")
 	fs.BoolVar(&cfg.InitRwnd, "initrwnd", false, "also set initrwnd on programmed routes")
 	fs.BoolVar(&cfg.DryRun, "dry-run", false, "print route changes (as ip route commands) instead of applying them")
 	fs.StringVar(&cfg.Combiner, "combiner", "average", "combiner: average|max|traffic-weighted")

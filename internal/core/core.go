@@ -32,12 +32,10 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"net/netip"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -341,21 +339,18 @@ type Config struct {
 	// routes, smaller values aggregate whole prefixes (the paper's
 	// "Destinations as Routes" discussion).
 	PrefixBits int
-	// Shards is the number of lock-striped shards the per-destination
-	// state (entries + history) is split across, and the width of the
-	// worker pool that fans out the ingest and plan stages of Tick. 0
-	// means min(GOMAXPROCS, 16); 1 disables intra-tick parallelism. The
-	// route plan is merged and sorted before programming, so the agent's
-	// output is identical for every shard count.
+	// Shards is ignored.
+	//
+	// Deprecated: the agent keeps one destination table; its stream scans
+	// fan out over min(GOMAXPROCS, 16) workers on their own.
 	Shards int
 	// Combiner reduces a destination's observations; defaults to
-	// AverageCombiner. It may be called from several plan workers at
-	// once (on disjoint groups) and must not call back into the Agent.
+	// AverageCombiner. It must not call back into the Agent.
 	Combiner Combiner
-	// History smooths across rounds. Nil means one private
-	// EWMAHistory(Alpha) per state shard; a caller-supplied policy is
-	// shared by every shard behind an internal lock, and must not call
-	// back into the Agent.
+	// History smooths across rounds. Nil means the inline per-destination
+	// EWMA(Alpha); a caller-supplied policy is called only from the
+	// goroutine running Tick, Close or MergeSnapshot, one at a time, and
+	// must not call back into the Agent.
 	History HistoryPolicy
 	// Advisor optionally damps programmed windows with system-level
 	// knowledge, e.g. an imminent load-balancing shift (Section V). Nil
@@ -427,12 +422,6 @@ func (c *Config) applyDefaults() error {
 	if c.PrefixBits < 1 || c.PrefixBits > 128 {
 		return fmt.Errorf("riptide/core: PrefixBits %d out of range [1,128]", c.PrefixBits)
 	}
-	if c.Shards == 0 {
-		c.Shards = defaultShards()
-	}
-	if c.Shards < 1 || c.Shards > maxShards {
-		return fmt.Errorf("riptide/core: Shards %d out of range [1,%d]", c.Shards, maxShards)
-	}
 	if c.Combiner == nil {
 		c.Combiner = AverageCombiner{}
 	}
@@ -464,7 +453,7 @@ type entry struct {
 	// version is newer than the peer's last-seen table version, so it is
 	// stamped only when the exported content actually changes — TTL
 	// refreshes and lazy sample credit do not touch it. A state that is not
-	// installed carries version 0; the shard's export log holds one live
+	// installed carries version 0; the table's export log holds one live
 	// ref per stamped version (exportRef).
 	version uint64
 	// merged marks an entry seeded from a fleet snapshot that has not yet
@@ -539,31 +528,32 @@ type Stats struct {
 // Stats — only synchronize on the in-memory state, so they return promptly
 // even while a Tick is blocked inside a slow sampler or route programmer.
 //
-// Per-destination state is lock-striped across Config.Shards shards keyed by
-// prefix hash; readers lock one shard at a time, so Entries and
-// ExportSnapshot taken during a concurrent Tick are consistent per shard but
-// not across shards (the same guarantee the TTL machinery already tolerates
-// for fleet snapshots).
+// Per-destination state lives in one table behind one lock, which a mutator
+// holds for a whole plan or commit stage, so Entries and ExportSnapshot taken
+// during a concurrent Tick each see one consistent table.
 type Agent struct {
 	cfg Config
 
 	// tickMu serializes the mutating paths (Tick, Close, MergeSnapshot)
 	// end to end, including backend I/O, so their plan/commit stages
-	// cannot interleave. Each shard's mu guards that shard's entry map
-	// and history; a.mu guards only the counters and the closed flag.
-	// No shard or state lock is ever held across a Sampler or
-	// RouteProgrammer call.
+	// cannot interleave. tab.mu guards the destination table; a.mu guards
+	// only the counters and the closed flag. Neither is ever held across a
+	// Sampler or RouteProgrammer call.
 	tickMu sync.Mutex
 	mu     sync.Mutex
 
-	shards []*shard
+	tab    destTable
 	closed bool
 	stats  Stats
+
+	// history is the caller-supplied smoothing policy, nil for the inline
+	// EWMA. Only tickMu holders call it.
+	history HistoryPolicy
 
 	// tableVer is the monotone table version: bumped on every commit that
 	// changes exported content (route programs, fleet merges, withdrawals)
 	// and never on refresh-only paths. Atomic so exports can read it
-	// without tickMu; it is read BEFORE an export scans the shards, so a
+	// without tickMu; it is read BEFORE an export walks the table, so a
 	// concurrent commit can only make the reported version conservative
 	// (the entry is re-sent on the next delta, never lost).
 	tableVer atomic.Uint64
@@ -576,13 +566,14 @@ type Agent struct {
 	// Per-tick scratch, reused across rounds to keep the steady-state
 	// hot path allocation-free. Touched only under tickMu.
 	obsBuf        []Observation
-	buckets       [][]keyedObs // worker-major: buckets[w*len(shards)+s]
-	ingestWorkers int
-	tickSeq       uint64 // plan-stage first-touch stamp, bumped per tick (tickMu)
-	planBuf       []programOp
-	planKeys      []uint64
-	clearBuf      []netip.Prefix
+	buckets       [][]keyedObs // one per scan worker
+	ingestWorkers int          // this round's scan width
+	tickSeq       uint64       // plan-stage first-touch stamp, bumped per tick (tickMu)
 	opsBuf        Scratch[RouteOp]
+	sortKeys      []uint64 // packed keys of the prefix-order sorts under tickMu
+	// scanWorkers pins the scan width for tests; 0 means scanWidth's
+	// default.
+	scanWorkers int
 
 	// MergeSnapshot's plan and route batch (tickMu). Not the tick's opsBuf:
 	// a merge and a tick differ in size by orders of magnitude, and
@@ -591,26 +582,23 @@ type Agent struct {
 	mergeOps  Scratch[RouteOp]
 
 	// Last round's observation stream and its per-position sample cache
-	// (tickMu only; valid while havePrev): the route key, shard and state
-	// each position resolved to. A rebuild writes every position; a stable
-	// round edits the positions that changed (see the plan-stage invariants
-	// in shard.go). obsPrev and obsBuf never share a backing array.
+	// (tickMu only; valid while havePrev): the route key and state each
+	// position resolved to. A rebuild writes every position; a stable round
+	// edits the positions that changed (see the plan-stage invariants in
+	// table.go). obsPrev and obsBuf never share a backing array.
 	obsPrev   []Observation
 	cache     []cachedSample
 	havePrev  bool
 	compareOK []bool // per-worker stable-round verdicts, reused scratch
-	// The round's stream and clock reading as the stage workers see them
-	// (tickMu): set before the plan stage, cleared before the program stage.
-	// The workers are bound once in New, so handing them to runParallel
-	// allocates no closure per round.
+	// The round's stream as the scan workers see it (tickMu): set before the
+	// scans, cleared after. The workers are bound once in New, so handing
+	// them to runParallel allocates no closure per round.
 	tickObs                     []Observation
-	tickNow                     time.Duration
 	compareW, observeW, ingestW func(w int)
-	planQuiescentS, planS       func(s int)
 	// canDrain is the one config predicate of the plan stage: with no hook
 	// installed (Guard, Advisor, caller-supplied History) a visit to a
 	// converged destination has no effect beyond its own entry, so the state
-	// may drain from its shard's active list and be credited lazily. Hook
+	// may drain from the active list and be credited lazily. Hook
 	// configs visit every group every round.
 	canDrain bool
 
@@ -627,16 +615,17 @@ type Agent struct {
 
 // New constructs an Agent.
 func New(cfg Config) (*Agent, error) {
-	sharedHistory := cfg.History != nil
+	history := cfg.History
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
 	a := &Agent{
 		cfg:       cfg,
-		canDrain:  !sharedHistory && cfg.Guard == nil && cfg.Advisor == nil,
-		shards:    make([]*shard, cfg.Shards),
-		buckets:   make([][]keyedObs, cfg.Shards*cfg.Shards),
-		compareOK: make([]bool, cfg.Shards),
+		tab:       destTable{states: make(map[netip.Prefix]*destState)},
+		history:   history,
+		canDrain:  history == nil && cfg.Guard == nil && cfg.Advisor == nil,
+		buckets:   make([][]keyedObs, maxScanWorkers),
+		compareOK: make([]bool, maxScanWorkers),
 		mTick:     cfg.Metrics.Histogram("riptide_tick_duration"),
 		mSample:   cfg.Metrics.Histogram("riptide_sample_duration"),
 		mPlan:     cfg.Metrics.Histogram("riptide_plan_duration"),
@@ -648,24 +637,7 @@ func New(cfg Config) (*Agent, error) {
 	a.compareW = func(w int) { a.compareOK[w] = a.compareChunk(w, a.tickObs) }
 	a.observeW = func(w int) { a.observeChunk(w, a.tickObs) }
 	a.ingestW = func(w int) { a.ingestChunk(w, a.tickObs) }
-	a.planQuiescentS = func(s int) { a.planShardQuiescent(s, a.tickObs, a.tickNow) }
-	a.planS = func(s int) { a.planShard(s, a.tickObs, a.tickNow) }
-	var shared *lockedHistory
-	if sharedHistory {
-		// A caller-supplied policy is one instance shared by every shard;
-		// the wrapper serializes the shards' plan-stage updates. Updates
-		// are keyed per prefix, so their cross-shard order cannot change
-		// any smoothed value.
-		shared = &lockedHistory{inner: cfg.History}
-	}
-	for i := range a.shards {
-		sh := &shard{idx: int32(i), states: make(map[netip.Prefix]*destState)}
-		if sharedHistory {
-			sh.history = shared
-		}
-		a.shards[i] = sh
-	}
-	if !sharedHistory {
+	if history == nil {
 		// The default smoothing is the inline per-destination EWMA
 		// (bit-identical to EWMAHistory); expose a detached instance
 		// through Config() for introspection.
@@ -677,9 +649,6 @@ func New(cfg Config) (*Agent, error) {
 	}
 	return a, nil
 }
-
-// Shards returns the number of lock-striped state shards the agent runs.
-func (a *Agent) Shards() int { return len(a.shards) }
 
 // Config returns the agent's effective (defaulted) configuration.
 func (a *Agent) Config() Config { return a.cfg }
@@ -722,49 +691,34 @@ func (a *Agent) clamp(w float64) int {
 // Entries returns a snapshot of all learned destinations, sorted by prefix
 // for determinism.
 func (a *Agent) Entries() []Entry {
-	out := make([]Entry, 0, a.Len())
-	for _, sh := range a.shards {
-		sh.mu.Lock()
-		for p, st := range sh.states {
-			if !st.installed {
-				continue
-			}
-			// Converged entries carry lazily applied TTL/sample credit from
-			// stable rounds; fold it in before exposing the fields.
-			a.materializeLocked(sh, st)
-			out = append(out, Entry{
-				Prefix:       p,
-				Window:       st.window,
-				ExpiresAt:    st.expires,
-				Observations: st.lastObs,
-			})
+	tb := &a.tab
+	tb.mu.Lock()
+	out := make([]Entry, 0, tb.installed)
+	for p, st := range tb.states {
+		if !st.installed {
+			continue
 		}
-		sh.mu.Unlock()
+		// Converged entries carry lazily applied TTL/sample credit from
+		// stable rounds; fold it in before exposing the fields.
+		a.materializeLocked(st)
+		out = append(out, Entry{
+			Prefix:       p,
+			Window:       st.window,
+			ExpiresAt:    st.expires,
+			Observations: st.lastObs,
+		})
 	}
-	slices.SortFunc(out, func(x, y Entry) int { return comparePrefix(x.Prefix, y.Prefix) })
+	tb.mu.Unlock()
+	sortByPrefixPooled(out, func(e *Entry) netip.Prefix { return e.Prefix })
 	return out
 }
 
-// Len returns the number of learned destinations — len(Entries()) — from
-// the shards' installed counters in O(shards); under a concurrent Tick it is
-// consistent per shard, not across shards.
+// Len returns the number of learned destinations — len(Entries()) — in
+// O(1), from the table's installed counter.
 func (a *Agent) Len() int {
-	n := 0
-	for _, sh := range a.shards {
-		sh.mu.Lock()
-		n += sh.installed
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// comparePrefix orders prefixes by address then mask length, for
-// deterministic snapshots and programming order.
-func comparePrefix(a, b netip.Prefix) int {
-	if c := a.Addr().Compare(b.Addr()); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Bits(), b.Bits())
+	a.tab.mu.Lock()
+	defer a.tab.mu.Unlock()
+	return a.tab.installed
 }
 
 // Lookup returns the currently programmed window for the destination, if
@@ -774,10 +728,9 @@ func (a *Agent) Lookup(dst netip.Addr) (int, bool) {
 	if err != nil {
 		return 0, false
 	}
-	sh := a.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if st, ok := sh.states[key]; ok && st.installed {
+	a.tab.mu.Lock()
+	defer a.tab.mu.Unlock()
+	if st, ok := a.tab.states[key]; ok && st.installed {
 		return st.window, true
 	}
 	return 0, false
@@ -807,24 +760,23 @@ func (a *Agent) Close() error {
 	a.mu.Unlock()
 
 	var targets []netip.Prefix
-	for _, sh := range a.shards {
-		sh.mu.Lock()
-		for dst, st := range sh.states {
-			if st.installed {
-				targets = append(targets, dst)
-			}
-			st.dead = true
+	tb := &a.tab
+	tb.mu.Lock()
+	for dst, st := range tb.states {
+		if st.installed {
+			targets = append(targets, dst)
 		}
-		clear(sh.states)
-		sh.installed = 0
-		sh.deadlines = nil
-		sh.log, sh.logStale = nil, 0
-		sh.touched = sh.touched[:0]
-		sh.active = sh.active[:0]
-		sh.creditPending = false
-		sh.mu.Unlock()
+		st.dead = true
 	}
-	slices.SortFunc(targets, comparePrefix)
+	clear(tb.states)
+	tb.installed = 0
+	tb.deadlines = nil
+	tb.log, tb.logStale = nil, 0
+	tb.touched = tb.touched[:0]
+	tb.active = tb.active[:0]
+	tb.creditPending = false
+	tb.mu.Unlock()
+	sortPrefixes(targets, &a.sortKeys)
 
 	ops := make([]RouteOp, len(targets))
 	for i, dst := range targets {
@@ -849,8 +801,8 @@ func (a *Agent) Close() error {
 // when the backend batches, otherwise one SetInitCwnd/ClearInitCwnd per op.
 // Every backend call is timed into riptide_program_duration. The result
 // follows the BatchRouteProgrammer contract: nil when every op succeeded,
-// else one slot per op. Backend calls may block, so callers must not hold a
-// shard lock.
+// else one slot per op. Backend calls may block, so callers must not hold the
+// table lock.
 func (a *Agent) applyOps(ops []RouteOp) []error {
 	if len(ops) == 0 {
 		return nil

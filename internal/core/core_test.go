@@ -470,7 +470,7 @@ func TestCloseWithdrawsRoutes(t *testing.T) {
 	}
 }
 
-// TestLenMatchesEntries pins the O(shards) count to the table it summarises,
+// TestLenMatchesEntries pins the O(1) count to the table it summarises,
 // after installs, a fleet merge, expiries and Close.
 func TestLenMatchesEntries(t *testing.T) {
 	obs := func(hosts ...byte) []Observation {
@@ -481,7 +481,7 @@ func TestLenMatchesEntries(t *testing.T) {
 		return out
 	}
 	sampler := &fakeSampler{rounds: [][]Observation{obs(1, 2, 3, 4), obs(1, 2, 3, 4), obs(1, 2), obs(1, 2)}}
-	a, _, clock := newAgent(t, Config{Sampler: sampler, Shards: 4})
+	a, _, clock := newAgent(t, Config{Sampler: sampler})
 	check := func(when string, want int) {
 		t.Helper()
 		if got, n := a.Len(), len(a.Entries()); got != n || got != want {

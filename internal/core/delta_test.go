@@ -48,14 +48,15 @@ func forceRebuild(a *Agent) {
 // (so TTL expiry fires for destinations that churn out) and records its
 // complete observable output. rebuild forces every round to rebuild — the
 // reference.
-func runModeSchedule(t *testing.T, shards int, rebuild bool, rounds [][]Observation) modeResult {
+func runModeSchedule(t *testing.T, workers int, rebuild bool, rounds [][]Observation) modeResult {
 	t.Helper()
-	return runModeScheduleOn(t, &recordingBatchRoutes{}, nil, shards, rebuild, rounds)
+	return runModeScheduleOn(t, &recordingBatchRoutes{}, nil, workers, rebuild, rounds)
 }
 
 // runModeScheduleOn is runModeSchedule over caller-built routes (failure
-// injection) and, when non-nil, a caller's last word on the Config.
-func runModeScheduleOn(t *testing.T, routes *recordingBatchRoutes, tweak func(*Config), shards int, rebuild bool, rounds [][]Observation) modeResult {
+// injection) and, when non-nil, a caller's last word on the Config, with its
+// scans fanned out over the given number of workers.
+func runModeScheduleOn(t *testing.T, routes *recordingBatchRoutes, tweak func(*Config), workers int, rebuild bool, rounds [][]Observation) modeResult {
 	t.Helper()
 	var now atomic.Int64
 	cfg := Config{
@@ -63,7 +64,6 @@ func runModeScheduleOn(t *testing.T, routes *recordingBatchRoutes, tweak func(*C
 		Routes:     routes,
 		Clock:      func() time.Duration { return time.Duration(now.Load()) },
 		PrefixBits: 24,
-		Shards:     shards,
 	}
 	if tweak != nil {
 		tweak(&cfg)
@@ -72,6 +72,7 @@ func runModeScheduleOn(t *testing.T, routes *recordingBatchRoutes, tweak func(*C
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.scanWorkers = workers
 	var tickErrs []string
 	for range rounds {
 		now.Add(int64(30 * time.Second))
@@ -113,16 +114,16 @@ func compareModes(t *testing.T, label string, full, delta modeResult) {
 
 // TestDeltaTickMatchesRebuild drives the standard determinism schedule —
 // churn, drifting windows, invalid samples, expiry — through both modes at
-// several shard counts and demands identical output.
+// several scan widths and demands identical output.
 func TestDeltaTickMatchesRebuild(t *testing.T) {
 	rounds := determinismRounds(6, 900)
-	for _, shards := range []int{1, 2, 4, 8} {
-		full := runModeSchedule(t, shards, true, rounds)
+	for _, workers := range []int{1, 2, 4, 8} {
+		full := runModeSchedule(t, workers, true, rounds)
 		if len(full.ops) == 0 || len(full.entries) == 0 {
 			t.Fatalf("forced-rebuild reference did nothing: %d ops, %d entries", len(full.ops), len(full.entries))
 		}
-		delta := runModeSchedule(t, shards, false, rounds)
-		compareModes(t, fmt.Sprintf("shards=%d", shards), full, delta)
+		delta := runModeSchedule(t, workers, false, rounds)
+		compareModes(t, fmt.Sprintf("workers=%d", workers), full, delta)
 	}
 }
 
@@ -169,16 +170,16 @@ func randomRounds(seed int64, roundCount, n int) [][]Observation {
 func TestDeltaTickMatchesRebuildRandom(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rounds := randomRounds(seed, 8, 1200)
-		for _, shards := range []int{1, 4} {
-			full := runModeSchedule(t, shards, true, rounds)
-			delta := runModeSchedule(t, shards, false, rounds)
-			compareModes(t, fmt.Sprintf("seed=%d/shards=%d", seed, shards), full, delta)
+		for _, workers := range []int{1, 4} {
+			full := runModeSchedule(t, workers, true, rounds)
+			delta := runModeSchedule(t, workers, false, rounds)
+			compareModes(t, fmt.Sprintf("seed=%d/workers=%d", seed, workers), full, delta)
 		}
 	}
 }
 
 // quiescentRounds evolves a stream whose membership and positions stay
-// fixed — the shape the stable-round fast path (planShardQuiescent) is
+// fixed — the shape the stable-round fast path (planStable) is
 // built for. Most rounds mutate a few windows in place (some with large
 // swings, some with one-segment nudges, so freeze horizons of every length
 // occur); some rounds change nothing at all; a handful shuffle membership
@@ -238,18 +239,18 @@ func quiescentRounds(seed int64, roundCount, n int) [][]Observation {
 // TestQuiescentTickMatchesRebuild pins the stable-round fast path to the
 // forced-rebuild reference over positionally-stable streams: byte-identical
 // route programs, entries (lazy TTL/sample credit included), stats, and
-// errors across seeds and shard counts, through mid-run rebuilds, invalid
+// errors across seeds and scan widths, through mid-run rebuilds, invalid
 // injections, freeze/park drains and re-dirties.
 func TestQuiescentTickMatchesRebuild(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rounds := quiescentRounds(seed, 42, 600)
-		for _, shards := range []int{1, 4, 8} {
-			full := runModeSchedule(t, shards, true, rounds)
+		for _, workers := range []int{1, 4, 8} {
+			full := runModeSchedule(t, workers, true, rounds)
 			if len(full.ops) == 0 || len(full.entries) == 0 {
 				t.Fatalf("forced-rebuild reference did nothing: %d ops, %d entries", len(full.ops), len(full.entries))
 			}
-			delta := runModeSchedule(t, shards, false, rounds)
-			compareModes(t, fmt.Sprintf("seed=%d/shards=%d", seed, shards), full, delta)
+			delta := runModeSchedule(t, workers, false, rounds)
+			compareModes(t, fmt.Sprintf("seed=%d/workers=%d", seed, workers), full, delta)
 		}
 	}
 }
@@ -358,7 +359,7 @@ func membershipChurnRounds(seed int64, roundCount, n int) [][]Observation {
 // TestDeltaTickMatchesRebuildMembershipChurn pins the stable path's
 // membership edits to the forced-rebuild reference over generated churn, with
 // failing installs and failing withdrawals mixed in: byte-identical route
-// programs, entries, stats and error text at every shard count — and the
+// programs, entries, stats and error text at every scan width — and the
 // rounds must really have been planned on the stable path.
 func TestDeltaTickMatchesRebuildMembershipChurn(t *testing.T) {
 	newRoutes := func() *recordingBatchRoutes {
@@ -369,13 +370,13 @@ func TestDeltaTickMatchesRebuildMembershipChurn(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 2; seed++ {
 		rounds := membershipChurnRounds(seed, 48, 1600)
-		for _, shards := range []int{1, 2, 4, 8} {
-			label := fmt.Sprintf("seed=%d/shards=%d", seed, shards)
-			full := runModeScheduleOn(t, newRoutes(), nil, shards, true, rounds)
+		for _, workers := range []int{1, 2, 4, 8} {
+			label := fmt.Sprintf("seed=%d/workers=%d", seed, workers)
+			full := runModeScheduleOn(t, newRoutes(), nil, workers, true, rounds)
 			if full.stats.EntriesExpired == 0 || full.stats.RouteErrors == 0 || len(full.tickErrs) == 0 {
 				t.Fatalf("%s: reference saw no expiry or no failure: %+v", label, full.stats)
 			}
-			delta := runModeScheduleOn(t, newRoutes(), nil, shards, false, rounds)
+			delta := runModeScheduleOn(t, newRoutes(), nil, workers, false, rounds)
 			compareModes(t, label, full, delta)
 			// All but the install round, the mid-run mass swap and the odd
 			// compacting rebuild.
@@ -412,7 +413,7 @@ func withTraffic(rounds [][]Observation) [][]Observation {
 // the hook install puts into the Config — once taking stable rounds, once with
 // every round forced to rebuild — and demands identical route programs,
 // entries, stats, error text and hook status (install's return value, probed
-// after the run) at every shard count, with the rounds really planned on the
+// after the run) at every scan width, with the rounds really planned on the
 // stable path.
 func stableVsRebuild(t *testing.T, install func(*Config) (status func() any)) {
 	t.Helper()
@@ -431,14 +432,14 @@ func stableVsRebuild(t *testing.T, install func(*Config) (status func() any)) {
 		return rt
 	}
 	rounds := withTraffic(membershipChurnRounds(1, 48, 1600))
-	for _, shards := range []int{1, 2, 4, 8} {
-		label := fmt.Sprintf("shards=%d", shards)
+	for _, workers := range []int{1, 2, 4, 8} {
+		label := fmt.Sprintf("workers=%d", workers)
 		var fullStatus, deltaStatus func() any
-		full := runModeScheduleOn(t, newRoutes(), func(c *Config) { fullStatus = install(c) }, shards, true, rounds)
+		full := runModeScheduleOn(t, newRoutes(), func(c *Config) { fullStatus = install(c) }, workers, true, rounds)
 		if full.stats.EntriesExpired == 0 || full.stats.RouteErrors == 0 || len(full.tickErrs) == 0 {
 			t.Fatalf("%s: reference saw no expiry or no failure: %+v", label, full.stats)
 		}
-		delta := runModeScheduleOn(t, newRoutes(), func(c *Config) { deltaStatus = install(c) }, shards, false, rounds)
+		delta := runModeScheduleOn(t, newRoutes(), func(c *Config) { deltaStatus = install(c) }, workers, false, rounds)
 		compareModes(t, label, full, delta)
 		if want, got := fullStatus(), deltaStatus(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: hook status diverged:\n  delta %+v\n  full  %+v", label, got, want)
@@ -451,8 +452,7 @@ func stableVsRebuild(t *testing.T, install func(*Config) (status func() any)) {
 
 // TestStableRoundsEngageQuiescentPath guards the fast path against silent
 // rot: a positionally-stable schedule must actually be planned by
-// planShardQuiescent (observable as the shards' clean-round counters
-// advancing), not fall back to full rebuilds — equivalence alone would hold
+// planStable (observable as the table's clean-round counter advancing), not fall back to full rebuilds — equivalence alone would hold
 // either way.
 func TestStableRoundsEngageQuiescentPath(t *testing.T) {
 	base := make([]Observation, 400)
@@ -478,11 +478,11 @@ func TestStableRoundsEngageQuiescentPath(t *testing.T) {
 		Sampler: &playbackSampler{rounds: rounds},
 		Routes:  nopRoutes{},
 		Clock:   func() time.Duration { return time.Duration(now.Load()) },
-		Shards:  4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.scanWorkers = 4
 	defer func() { _ = a.Close() }()
 	for range rounds {
 		now.Add(int64(time.Second))
@@ -490,14 +490,9 @@ func TestStableRoundsEngageQuiescentPath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var clean uint64
-	for _, sh := range a.shards {
-		clean += sh.cleanRounds
-	}
-	// Round 0 installs, round 1 is the first with a previous stream; all 8
-	// subsequent rounds are positionally stable on every shard.
-	if want := uint64(8 * len(a.shards)); clean != want {
-		t.Fatalf("clean-round counters sum to %d, want %d: stable rounds fell back to full rebuilds", clean, want)
+	// Round 0 installs; all 8 subsequent rounds are positionally stable.
+	if clean, want := a.tab.cleanRounds, uint64(8); clean != want {
+		t.Fatalf("clean-round counter is %d, want %d: stable rounds fell back to full rebuilds", clean, want)
 	}
 }
 
@@ -551,14 +546,14 @@ func TestDeltaTickMatchesRebuildGroupedDrop(t *testing.T) {
 		}
 		return rt
 	}
-	for _, shards := range []int{1, 4} {
-		label := fmt.Sprintf("shards=%d", shards)
+	for _, workers := range []int{1, 4} {
+		label := fmt.Sprintf("workers=%d", workers)
 		nan := func(c *Config) { c.Combiner = nanOn13{} }
-		full := runModeScheduleOn(t, newRoutes(), nan, shards, true, rounds)
+		full := runModeScheduleOn(t, newRoutes(), nan, workers, true, rounds)
 		if st := full.stats; st.CombinerRejects == 0 || st.EntriesExpired == 0 || st.RoutesCleared <= st.EntriesExpired {
 			t.Fatalf("%s: reference saw no NaN expiry or no fallback clear: %+v", label, st)
 		}
-		delta := runModeScheduleOn(t, newRoutes(), nan, shards, false, rounds)
+		delta := runModeScheduleOn(t, newRoutes(), nan, workers, false, rounds)
 		compareModes(t, label, full, delta)
 		if delta.stable != roundCount-1 {
 			t.Errorf("%s: %d rounds on the stable path, want %d", label, delta.stable, roundCount-1)
@@ -603,13 +598,13 @@ func TestDeltaTickMatchesRebuildSamplerOutage(t *testing.T) {
 	outage := func(c *Config) {
 		c.Sampler = &outageSampler{inner: c.Sampler, down: func(r int) bool { return r == 4 || (r >= 9 && r < 16) }}
 	}
-	for _, shards := range []int{1, 4} {
-		label := fmt.Sprintf("shards=%d", shards)
-		full := runModeScheduleOn(t, &recordingBatchRoutes{}, outage, shards, true, rounds)
+	for _, workers := range []int{1, 4} {
+		label := fmt.Sprintf("workers=%d", workers)
+		full := runModeScheduleOn(t, &recordingBatchRoutes{}, outage, workers, true, rounds)
 		if st := full.stats; st.EntriesExpired < n/2 || st.BreakerOpens == 0 || len(full.entries) < n/2 {
 			t.Fatalf("%s: reference did not lose and regain its table: %+v", label, st)
 		}
-		delta := runModeScheduleOn(t, &recordingBatchRoutes{}, outage, shards, false, rounds)
+		delta := runModeScheduleOn(t, &recordingBatchRoutes{}, outage, workers, false, rounds)
 		compareModes(t, label, full, delta)
 	}
 }
@@ -649,7 +644,6 @@ func staysOnStablePath(t *testing.T, tweak func(*Config)) (a *Agent, n, roundCou
 		Sampler: &playbackSampler{rounds: rounds},
 		Routes:  nopRoutes{},
 		Clock:   func() time.Duration { return time.Duration(now.Load()) },
-		Shards:  4,
 	}
 	if tweak != nil {
 		tweak(&cfg)
@@ -658,6 +652,7 @@ func staysOnStablePath(t *testing.T, tweak func(*Config)) (a *Agent, n, roundCou
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.scanWorkers = 4
 	t.Cleanup(func() { _ = a.Close() })
 	for range rounds {
 		now.Add(int64(time.Second))
@@ -675,10 +670,8 @@ func staysOnStablePath(t *testing.T, tweak func(*Config)) (a *Agent, n, roundCou
 
 func TestMembershipChurnStaysOnStablePath(t *testing.T) {
 	a, n, roundCount := staysOnStablePath(t, nil)
-	for i, sh := range a.shards {
-		if sh.cleanRounds != uint64(roundCount-1) {
-			t.Errorf("shard %d: %d clean rounds, want %d", i, sh.cleanRounds, roundCount-1)
-		}
+	if a.tab.cleanRounds != uint64(roundCount-1) {
+		t.Errorf("%d clean rounds, want %d", a.tab.cleanRounds, roundCount-1)
 	}
 	// Moved-away routes lapse one TTL (90 rounds) after their last refresh.
 	st := a.Stats()
@@ -710,11 +703,11 @@ func TestIdentStreamRefreshesTTL(t *testing.T) {
 		Sampler: fixedSampler(obs),
 		Routes:  routes,
 		Clock:   func() time.Duration { return time.Duration(now.Load()) },
-		Shards:  4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.scanWorkers = 4
 	defer func() { _ = a.Close() }()
 	// 10 ticks spaced at half the default 90s TTL: every destination is
 	// re-observed each round, so nothing may expire.
@@ -742,7 +735,7 @@ func TestIdentStreamRefreshesTTL(t *testing.T) {
 
 // TestExpiryFiresUnderDelta verifies the next-expiry index does not sit on
 // lapsed TTLs: a destination that stops being observed is withdrawn once its
-// TTL passes, even though later rounds never mark its shard dirty.
+// TTL passes, even though later rounds never mark its group dirty.
 func TestExpiryFiresUnderDelta(t *testing.T) {
 	keep := Observation{Dst: netip.MustParseAddr("10.1.0.1"), Cwnd: 30, RTT: 40 * time.Millisecond}
 	gone := Observation{Dst: netip.MustParseAddr("10.2.0.1"), Cwnd: 30, RTT: 40 * time.Millisecond}
@@ -793,8 +786,8 @@ func TestExpiryFiresUnderDelta(t *testing.T) {
 }
 
 // BenchmarkExpirePassNoop is the regression guard for the next-expiry index:
-// an expiry round where no TTL can have fired must cost O(shards), not a
-// scan of every state under the shard locks.
+// an expiry round where no TTL can have fired must cost O(1), not a scan of
+// every state under the table lock.
 func BenchmarkExpirePassNoop(b *testing.B) {
 	const conns = 100_000
 	obs := make([]Observation, conns)
@@ -809,7 +802,6 @@ func BenchmarkExpirePassNoop(b *testing.B) {
 		Sampler: fixedSampler(obs),
 		Routes:  nopRoutes{},
 		Clock:   func() time.Duration { return 0 },
-		Shards:  8,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -10,33 +10,32 @@ import (
 	"time"
 )
 
-// rescanDelta is the delta export as it was before the per-shard export log:
-// range every state of every shard and keep the installed ones stamped after
-// the cursor. It is the reference the log walk is pinned against.
+// rescanDelta is the delta export as it was before the export log: range
+// every state of the table and keep the installed ones stamped after the
+// cursor. It is the reference the log walk is pinned against.
 func rescanDelta(a *Agent, since uint64) []SnapshotEntry {
 	now := a.cfg.Clock()
 	var out []SnapshotEntry
-	for _, sh := range a.shards {
-		sh.mu.Lock()
-		for p, st := range sh.states {
-			if !st.installed || st.version <= since {
-				continue
-			}
-			a.materializeLocked(sh, st)
-			age := now - st.updated
-			if age < 0 {
-				age = 0
-			}
-			out = append(out, SnapshotEntry{
-				Prefix:  p,
-				Window:  st.window,
-				Samples: st.samples,
-				Age:     age + st.mergedAge,
-				Version: st.version,
-			})
+	tb := &a.tab
+	tb.mu.Lock()
+	for p, st := range tb.states {
+		if !st.installed || st.version <= since {
+			continue
 		}
-		sh.mu.Unlock()
+		a.materializeLocked(st)
+		age := now - st.updated
+		if age < 0 {
+			age = 0
+		}
+		out = append(out, SnapshotEntry{
+			Prefix:  p,
+			Window:  st.window,
+			Samples: st.samples,
+			Age:     age + st.mergedAge,
+			Version: st.version,
+		})
 	}
+	tb.mu.Unlock()
 	slices.SortFunc(out, func(x, y SnapshotEntry) int { return comparePrefix(x.Prefix, y.Prefix) })
 	return out
 }
@@ -60,35 +59,34 @@ func checkExportLog(t *testing.T, a *Agent, stage string, cursors ...uint64) {
 				stage, since, cur, len(got), len(want), i, got[i:min(i+1, len(got))], want[i:min(i+1, len(want))])
 		}
 	}
-	for si, sh := range a.shards {
-		sh.mu.Lock()
-		live := 0
-		for i := range sh.log {
-			if i > 0 && sh.log[i-1].version >= sh.log[i].version {
-				t.Errorf("%s: shard %d log out of order at %d: %d then %d", stage, si, i, sh.log[i-1].version, sh.log[i].version)
-			}
-			if r := &sh.log[i]; r.live() {
-				live++
-				if !r.st.installed || r.st.dead || r.st.version != r.version || sh.states[r.key] != r.st {
-					t.Errorf("%s: shard %d live ref %v@%d is not the installed state", stage, si, r.key, r.version)
-				}
+	tb := &a.tab
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
+	live := 0
+	for i := range tb.log {
+		if i > 0 && tb.log[i-1].version >= tb.log[i].version {
+			t.Errorf("%s: log out of order at %d: %d then %d", stage, i, tb.log[i-1].version, tb.log[i].version)
+		}
+		if r := &tb.log[i]; r.live() {
+			live++
+			if !r.st.installed || r.st.dead || r.st.version != r.version || tb.states[r.key] != r.st {
+				t.Errorf("%s: live ref %v@%d is not the installed state", stage, r.key, r.version)
 			}
 		}
-		if live != sh.installed || sh.logStale != len(sh.log)-live {
-			t.Errorf("%s: shard %d log holds %d refs, %d live, %d counted stale; %d states installed",
-				stage, si, len(sh.log), live, sh.logStale, sh.installed)
-		}
-		sh.mu.Unlock()
+	}
+	if live != tb.installed || tb.logStale != len(tb.log)-live {
+		t.Errorf("%s: log holds %d refs, %d live, %d counted stale; %d states installed",
+			stage, len(tb.log), live, tb.logStale, tb.installed)
 	}
 }
 
 // TestExportLogMatchesRescan drives every kind of commit that stamps, restamps
 // or withdraws an entry and pins the version-ordered log walk to the full
 // rescan after each, across a forced compaction, with readers exporting
-// throughout (run under -race in CI's stress step).
+// throughout (run under -race in CI's stress step), at scan widths 1/2/4/8.
 func TestExportLogMatchesRescan(t *testing.T) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+	for _, workers := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			const n = 320
 			var now atomic.Int64
 			sampler := &fakeSampler{}
@@ -104,7 +102,6 @@ func TestExportLogMatchesRescan(t *testing.T) {
 			a, err := New(Config{
 				Sampler: sampler,
 				Routes:  routes,
-				Shards:  shards,
 				Guard:   gov,
 				TTL:     10 * time.Second,
 				Clock:   func() time.Duration { return time.Duration(now.Load()) },
@@ -112,6 +109,7 @@ func TestExportLogMatchesRescan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			a.scanWorkers = workers
 			defer a.Close()
 
 			stream := make([]Observation, n)
@@ -185,10 +183,9 @@ func TestExportLogMatchesRescan(t *testing.T) {
 			// state is reset in place (dropState's grouped branch) and, once
 			// the veto lifts, reinstalled under a new version.
 			stateOf := func(p netip.Prefix) *destState {
-				sh := a.shardFor(p)
-				sh.mu.Lock()
-				defer sh.mu.Unlock()
-				return sh.states[p]
+				a.tab.mu.Lock()
+				defer a.tab.mu.Unlock()
+				return a.tab.states[p]
 			}
 			vetoed := stateOf(key(5))
 			gov.set(key(5), GuardVeto, 0)
@@ -225,26 +222,26 @@ func TestExportLogMatchesRescan(t *testing.T) {
 				t.Fatalf("after expiry: %d entries, want %d; unobserved %v present: %v", a.Len(), len(stream), gone[0].Dst, ok)
 			}
 
-			// Restamp the whole table until every shard has compacted.
-			compacted := make([]bool, shards)
-			prevLen := make([]int, shards)
-			for r := 0; !slices.Contains(compacted, false); r++ {
+			// Restamp the whole table until the log has compacted: it then
+			// holds fewer refs than last round's plus one per stamp since.
+			// (Nothing is withdrawn meanwhile, so every version is a stamp.)
+			prevLen := 0
+			for r := 0; ; r++ {
 				if r == 40 {
-					t.Fatalf("no compaction on every shard after %d restamp rounds: %v", r, compacted)
+					t.Fatalf("no compaction after %d restamp rounds", r)
 				}
 				for i := range stream {
 					stream[i].Cwnd = 15 + 80*(r%2)
 				}
 				before := a.TableVersion()
 				round(fmt.Sprintf("restamp round %d", r), false, before)
-				for si, sh := range a.shards {
-					sh.mu.Lock()
-					if len(sh.log) < prevLen[si] || sh.installed == 0 {
-						compacted[si] = true
-					}
-					prevLen[si] = len(sh.log)
-					sh.mu.Unlock()
+				a.tab.mu.Lock()
+				n := len(a.tab.log)
+				a.tab.mu.Unlock()
+				if r > 0 && n < prevLen+int(a.TableVersion()-before) {
+					break
 				}
+				prevLen = n
 			}
 		})
 	}

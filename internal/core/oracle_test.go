@@ -156,7 +156,7 @@ func (r *oracleRoutes) ProgramRoutes(ops []RouteOp) []error {
 // TTL, tail growth and shrink — over a backend with failing installs and
 // failing withdrawals, and demands the same route ops every round, the same
 // table (prefix, window, group size, expiry, samples) and the same counters,
-// for every built-in combiner and shard count. The agent takes stable rounds
+// for every built-in combiner and scan width. The agent takes stable rounds
 // and rebuilds as the stream dictates; the oracle knows neither.
 func TestAgentMatchesAlgorithm1Oracle(t *testing.T) {
 	fails := func(op RouteOp) bool {
@@ -165,8 +165,8 @@ func TestAgentMatchesAlgorithm1Oracle(t *testing.T) {
 	}
 	for i, combiner := range []Combiner{AverageCombiner{}, MaxCombiner{}, TrafficWeightedCombiner{}} {
 		rounds := membershipChurnRounds(int64(1+i), 48, 1600)
-		for _, shards := range []int{1, 2, 4, 8} {
-			label := fmt.Sprintf("%s/shards=%d", combiner.Name(), shards)
+		for _, workers := range []int{1, 2, 4, 8} {
+			label := fmt.Sprintf("%s/workers=%d", combiner.Name(), workers)
 			var now atomic.Int64
 			routes := &oracleRoutes{fails: fails}
 			a, err := New(Config{
@@ -174,12 +174,12 @@ func TestAgentMatchesAlgorithm1Oracle(t *testing.T) {
 				Routes:     routes,
 				Clock:      func() time.Duration { return time.Duration(now.Load()) },
 				PrefixBits: 24,
-				Shards:     shards,
 				Combiner:   combiner,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			a.scanWorkers = workers
 			cfg := a.Config()
 			ref := &oracle{
 				prefixBits: cfg.PrefixBits, cmin: cfg.CMin, cmax: cfg.CMax, alpha: cfg.Alpha, ttl: cfg.TTL,

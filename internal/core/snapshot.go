@@ -13,9 +13,9 @@ import (
 // merging a remote snapshot into this agent's state.
 //
 // Merge follows the same lock discipline as Tick: the plan is computed with
-// no backend I/O under shard locks taken one at a time, routes are programmed
-// outside any lock (batched when the backend supports it), and each accepted
-// entry commits under its shard lock only after its route actually installed.
+// no backend I/O under the table lock, routes are programmed outside any lock
+// (batched when the backend supports it), and each accepted entry commits
+// under the table lock only after its route actually installed.
 // tickMu serializes the whole merge against Tick and Close, so a merge can
 // never interleave with a poll round's stages.
 //
@@ -131,18 +131,15 @@ func (a *Agent) ContentToken() (version uint64, markers uint64) {
 	if a.cfg.Guard == nil {
 		return version, 0
 	}
-	for _, q := range a.cfg.Guard.Quarantines() {
+	quarantines := a.cfg.Guard.Quarantines()
+	a.tab.mu.Lock()
+	defer a.tab.mu.Unlock()
+	for _, q := range quarantines {
 		key := q.Prefix.Masked()
-		h := prefixHash(key)
-		sh := a.shards[h%uint64(len(a.shards))]
-		sh.mu.Lock()
-		st, ok := sh.states[key]
-		exists := ok && st.installed
-		sh.mu.Unlock()
-		if !exists {
+		if st, ok := a.tab.states[key]; !ok || !st.installed {
 			// A prefix with an installed entry is not exported as a
 			// marker: the overlap means the quarantine already recovered.
-			markers ^= h
+			markers ^= prefixHash(key)
 		}
 	}
 	return version, markers
@@ -173,9 +170,8 @@ func (a *Agent) ExportDelta(since uint64) ([]SnapshotEntry, uint64) {
 // returning the extended slice — never nil. Servers that answer deltas in a
 // loop pass a pooled buffer so steady-state serves do no append regrowth.
 //
-// The cost is O(delta): each shard's export log is in version order, so the
-// entries past the cursor are the live refs of its tail, found by binary
-// search.
+// The cost is O(delta): the export log is in version order, so the entries
+// past the cursor are the live refs of its tail, found by binary search.
 func (a *Agent) ExportDeltaAppend(buf []SnapshotEntry, since uint64) ([]SnapshotEntry, uint64) {
 	version := a.tableVer.Load()
 	now := a.cfg.Clock()
@@ -183,60 +179,53 @@ func (a *Agent) ExportDeltaAppend(buf []SnapshotEntry, since uint64) ([]Snapshot
 	if out == nil {
 		out = []SnapshotEntry{}
 	}
-	for _, sh := range a.shards {
-		sh.mu.Lock()
-		// Versions start at 1, so since 0 walks the whole log.
-		tail := sh.log[sh.logAfter(since):]
-		out = slices.Grow(out, min(len(tail), sh.installed))
-		for i := range tail {
-			r := &tail[i]
-			if !r.live() {
-				continue
-			}
-			st := r.st
-			a.materializeLocked(sh, st)
-			age := now - st.updated
-			if age < 0 {
-				age = 0
-			}
-			out = append(out, SnapshotEntry{
-				Prefix:  r.key,
-				Window:  st.window,
-				Samples: st.samples,
-				Age:     age + st.mergedAge,
-				Version: st.version,
-			})
+	tb := &a.tab
+	tb.mu.Lock()
+	// Versions start at 1, so since 0 walks the whole log.
+	tail := tb.log[tb.logAfter(since):]
+	out = slices.Grow(out, min(len(tail), tb.installed))
+	for i := range tail {
+		r := &tail[i]
+		if !r.live() {
+			continue
 		}
-		sh.mu.Unlock()
+		st := r.st
+		a.materializeLocked(st)
+		age := now - st.updated
+		if age < 0 {
+			age = 0
+		}
+		out = append(out, SnapshotEntry{
+			Prefix:  r.key,
+			Window:  st.window,
+			Samples: st.samples,
+			Age:     age + st.mergedAge,
+			Version: st.version,
+		})
 	}
+	tb.mu.Unlock()
 	if a.cfg.Guard != nil {
 		// Quarantine markers ride along so peers do not warm-start a
 		// route this agent just withdrew for safety. A prefix with a
 		// live entry is not marked — the governor only quarantines
 		// after its route was cleared, so overlap means the quarantine
 		// already recovered.
-		for _, q := range a.cfg.Guard.Quarantines() {
+		quarantines := a.cfg.Guard.Quarantines()
+		tb.mu.Lock()
+		for _, q := range quarantines {
 			key := q.Prefix.Masked()
-			sh := a.shardFor(key)
-			sh.mu.Lock()
-			st, ok := sh.states[key]
-			exists := ok && st.installed
-			sh.mu.Unlock()
-			if exists {
+			if st, ok := tb.states[key]; ok && st.installed {
 				continue
-			}
-			age := q.Age
-			if age < 0 {
-				age = 0
 			}
 			out = append(out, SnapshotEntry{
 				Prefix:      key,
-				Age:         age,
+				Age:         max(q.Age, 0),
 				Quarantined: true,
 			})
 		}
+		tb.mu.Unlock()
 	}
-	slices.SortFunc(out, func(x, y SnapshotEntry) int { return comparePrefix(x.Prefix, y.Prefix) })
+	sortByPrefixPooled(out, func(e *SnapshotEntry) netip.Prefix { return e.Prefix })
 	return out, version
 }
 
@@ -283,9 +272,9 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 
 	now := a.cfg.Clock()
 
-	// Stage 1: plan. tickMu keeps Tick and Close out, so the per-shard
-	// existence checks stay valid until the commit stage; no backend I/O
-	// happens while any shard lock is held.
+	// Stage 1: plan. tickMu keeps Tick and Close out, so the existence
+	// checks stay valid until the commit stage; neither backend I/O nor the
+	// governor runs while the table lock is held.
 	a.mu.Lock()
 	if a.closed {
 		a.mu.Unlock()
@@ -293,7 +282,8 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 	}
 	a.mu.Unlock()
 	plan := a.mergePlan.Take(len(entries))
-	perShard := make([]int, len(a.shards)) // planned seeds, for deadline-queue and export-log room
+	tb := &a.tab
+	tb.mu.Lock()
 	for _, se := range entries {
 		if se.Quarantined {
 			// The source withdrew this destination after a loss
@@ -315,57 +305,44 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 			continue
 		}
 		key := se.Prefix.Masked()
-		si := a.shardIndex(key)
-		sh := a.shards[si]
-		sh.mu.Lock()
-		st, ok := sh.states[key]
-		exists := ok && st.installed
-		sh.mu.Unlock()
-		if exists {
+		if st, ok := tb.states[key]; ok && st.installed {
 			stats.SkippedLocal++
 			continue
 		}
-		window := a.discountWindow(se.Window, se.Age, policy.StalenessHalfLife)
-		if a.cfg.Guard != nil {
-			// A quarantined destination has no local entry (its route
-			// was cleared), so the local-entry check above cannot
-			// protect it; ask the governor before seeding.
-			capped, action := a.cfg.Guard.Review(key, window)
+		plan = append(plan, mergeOp{
+			dst:     key,
+			window:  a.discountWindow(se.Window, se.Age, policy.StalenessHalfLife),
+			samples: se.Samples,
+			age:     se.Age,
+			expires: now + remaining,
+		})
+	}
+	tb.mu.Unlock()
+	if a.cfg.Guard != nil {
+		// A quarantined destination has no local entry (its route was
+		// cleared), so the local-entry check above cannot protect it; ask
+		// the governor before seeding.
+		kept := plan[:0]
+		for _, op := range plan {
+			capped, action := a.cfg.Guard.Review(op.dst, op.window)
 			switch action {
 			case GuardVeto, GuardQuarantine:
 				stats.SkippedQuarantined++
 				continue
 			case GuardCap:
-				if capped < window {
-					window = capped
-					if window < a.cfg.CMin {
-						window = a.cfg.CMin
-					}
+				if capped < op.window {
+					op.window = max(capped, a.cfg.CMin)
 				}
 			}
+			kept = append(kept, op)
 		}
-		plan = append(plan, mergeOp{
-			dst:     key,
-			window:  window,
-			samples: se.Samples,
-			age:     se.Age,
-			expires: now + remaining,
-		})
-		perShard[si]++
-	}
-	for si, n := range perShard {
-		// A warm start seeds a whole table at once: make room in one step.
-		sh := a.shards[si]
-		sh.mu.Lock()
-		sh.deadlines = slices.Grow(sh.deadlines, n)
-		sh.log = slices.Grow(sh.log, n)
-		sh.mu.Unlock()
+		plan = kept
 	}
 
 	// Program order is prefix order. Two remote entries for one prefix (e.g.
 	// a snapshot merged from several peers) land next to each other, in
 	// payload order: the fresher one is kept, the earlier one on a tie.
-	slices.SortStableFunc(plan, func(x, y mergeOp) int { return comparePrefix(x.dst, y.dst) })
+	sortByPrefix(plan, &a.sortKeys, func(op *mergeOp) netip.Prefix { return op.dst })
 	n := 0
 	for _, op := range plan {
 		if n > 0 && plan[n-1].dst == op.dst {
@@ -386,35 +363,32 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 	}
 	errs := a.applyOps(ops)
 	a.mergeOps.Keep(ops, len(ops))
+
+	// Stage 3: commit under the table lock, only what actually installed.
+	// tickMu is held, so no Tick interleaved and the planned absence of a
+	// local entry still holds.
 	var firstErr error
+	tb.mu.Lock()
+	// A warm start seeds a whole table at once: make room in one step.
+	tb.deadlines = slices.Grow(tb.deadlines, len(plan))
+	tb.log = slices.Grow(tb.log, len(plan))
 	for i, op := range plan {
-		var err error
-		if errs != nil {
-			err = errs[i]
-		}
-		if err != nil {
+		if errs != nil && errs[i] != nil {
 			stats.Errors++
-			a.countLocked(func(s *Stats) { s.RouteErrors++ })
 			if firstErr == nil {
-				firstErr = fmt.Errorf("merge initcwnd %v=%d: %w", op.dst, op.window, err)
+				firstErr = fmt.Errorf("merge initcwnd %v=%d: %w", op.dst, op.window, errs[i])
 			}
 			continue
 		}
-
-		// Stage 3: commit under the shard lock, only after the route
-		// actually installed. tickMu is held, so no Tick interleaved
-		// and the planned absence of a local entry still holds.
-		sh := a.shardFor(op.dst)
-		sh.mu.Lock()
-		st := sh.states[op.dst]
+		st := tb.states[op.dst]
 		if st == nil {
-			st = sh.newDestState()
-			sh.states[op.dst] = st
+			st = tb.newDestState()
+			tb.states[op.dst] = st
 		}
 		wasInstalled := st.installed
 		if !wasInstalled {
 			st.installed = true
-			sh.installed++
+			tb.installed++
 		}
 		st.entry = entry{
 			window:    op.window,
@@ -426,18 +400,19 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 			mergedAge: op.age,
 			version:   a.bumpVersion(),
 		}
-		sh.logStamp(op.dst, st, wasInstalled)
-		sh.noteExpiry(op.dst, st)
+		tb.logStamp(op.dst, st, wasInstalled)
+		tb.noteExpiry(op.dst, st)
 		// Seed history so the first local observation blends with the
 		// fleet's estimate instead of starting from nothing.
-		a.smooth(sh, st, op.dst, float64(op.window))
-		sh.mu.Unlock()
-		a.countLocked(func(s *Stats) { s.RoutesSet++ })
+		a.smooth(st, op.dst, float64(op.window))
 		stats.Merged++
 	}
+	tb.mu.Unlock()
 	a.mergePlan.Keep(plan, len(entries))
 
 	a.countLocked(func(s *Stats) {
+		s.RoutesSet += uint64(stats.Merged)
+		s.RouteErrors += uint64(stats.Errors)
 		s.FleetMerged += uint64(stats.Merged)
 		s.FleetSkippedLocal += uint64(stats.SkippedLocal)
 		s.FleetSkippedStale += uint64(stats.SkippedStale)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -14,30 +13,29 @@ import (
 //
 //	sample  — outside any lock: run the sampler (which may block for
 //	          seconds against a wedged kernel dump) into a pooled buffer.
-//	plan    — fanned out over the state shards: route what changed since
-//	          last round to its shard as edits to the retained grouping (a
-//	          stable round), or key and regroup the whole stream (a
-//	          rebuild); then per shard combine, smooth, clamp, review,
-//	          refresh TTLs, and emit the shard's route plan (shard.go).
-//	          Workers touch disjoint shards, so the only shared state is
-//	          each shard's own lock.
-//	commit  — a short global section: merge the per-shard plans, sort
-//	          them for deterministic programming order, and fold the
-//	          shards' stat deltas into Stats.
-//	program — outside the locks again: apply the whole plan through the
+//	plan    — scan the stream for what changed since last round (a stable
+//	          round) or key all of it (a rebuild), fanned out over
+//	          contiguous chunks with one bucket per worker; then, serially
+//	          under the table lock, apply the buckets to the retained
+//	          grouping, combine, smooth, clamp, review, refresh TTLs, and
+//	          emit the round's route plan (table.go).
+//	commit  — sort the plan and the withdrawal lists by prefix for
+//	          deterministic programming order, and fold the plan's stat
+//	          deltas into Stats.
+//	program — outside the lock again: apply the whole plan through the
 //	          BatchRouteProgrammer when the backend offers one (one
 //	          netlink batch / one kernel lock acquisition), falling
-//	          back to per-op SetInitCwnd / ClearInitCwnd calls. Each
-//	          shard lock is re-taken only to record results. An entry is
+//	          back to per-op SetInitCwnd / ClearInitCwnd calls. The table
+//	          lock is re-taken only to record results. An entry is
 //	          recorded only after its route is actually installed, so a
 //	          failed first program leaves no phantom entry.
 //
 // tickMu serializes whole rounds (and Close) so the stages of two mutators
-// cannot interleave; no shard lock is held across a backend call, so Lookup,
-// Entries, and Stats return promptly even mid-round. The merged plan is
-// sorted by prefix before programming, so the agent's output — route ops,
-// their order, and first-error identity — is byte-identical for every shard
-// and worker count.
+// cannot interleave; the table lock is never held across a backend call, so
+// Lookup, Entries, and Stats wait at most one plan stage, even mid-round.
+// The plan is sorted by prefix before programming, so the agent's output —
+// route ops, their order, and first-error identity — is byte-identical for
+// every scan width.
 
 // programOp is one planned route installation. A destination carries at
 // most one per round.
@@ -45,11 +43,10 @@ type programOp struct {
 	dst    netip.Prefix
 	window int
 	obs    int // group size this round, recorded on success
-	// st and shard let the commit stage reach the destination's state
-	// without re-hashing and re-resolving the prefix. Plan ops never outlive
-	// their tick, so the pointer cannot go stale.
-	st    *destState
-	shard int32
+	// st lets the commit stage reach the destination's state without
+	// re-resolving the prefix. Plan ops never outlive their tick, so the
+	// pointer cannot go stale.
+	st *destState
 }
 
 // clearKind distinguishes why a route withdrawal was planned, which decides
@@ -110,45 +107,33 @@ func (a *Agent) Tick() error {
 	}
 	a.noteSampleSuccess()
 
-	// Plan stage. Small rounds stay serial — goroutines cost more than they
-	// save.
-	nShards := len(a.shards)
+	// Plan stage. The scans fan out over contiguous chunks of the stream;
+	// small rounds scan inline — goroutines cost more than they save.
 	workers := 1
-	if nShards > 1 && len(obs) >= parallelThreshold {
-		workers = nShards
+	if len(obs) >= parallelThreshold {
+		workers = a.scanWidth()
 	}
 	a.ingestWorkers = workers
 	resetBuckets := func() {
-		for i := 0; i < workers*nShards; i++ {
-			a.buckets[i] = a.buckets[i][:0]
+		for w := range a.buckets[:workers] {
+			a.buckets[w] = a.buckets[w][:0]
 		}
 	}
 	resetBuckets()
-	eachShard := func(fn func(s int)) {
-		if workers > 1 {
-			runParallel(nShards, fn)
-			return
-		}
-		for s := 0; s < nShards; s++ {
-			fn(s)
-		}
-	}
-	a.tickObs, a.tickNow = obs, now
+	a.tickObs = obs
 	if n := max(len(obs), len(a.obsPrev)); len(a.cache) < n {
 		a.cache = append(a.cache, make([]cachedSample, n-len(a.cache))...)
 	}
+	tb := &a.tab
+	tb.plan, tb.guardClears, tb.expired = tb.plan[:0], tb.guardClears[:0], tb.expired[:0]
 
-	// A round is stable when every shard still holds the grouping of last
+	// A round is stable when the table still holds the grouping of last
 	// round's stream with tail room left, and this round's stream differs
-	// from it by a small share of positions: those are routed to the shards
-	// as edits and the grouping is patched. Anything else is a rebuild, which
-	// regroups from nothing (and resets the partially filled buckets).
-	stable := a.havePrev && len(obs) > 0
-	for _, sh := range a.shards {
-		if sh.fullSeq == 0 || len(sh.memberIdx) > sh.memberLimit {
-			stable = false
-		}
-	}
+	// from it by a small share of positions: those are bucketed as edits and
+	// the grouping is patched. Anything else is a rebuild, which regroups
+	// from nothing (and resets the partially filled buckets). Only tickMu
+	// writes the grouping, so it is read here without the table lock.
+	stable := a.havePrev && len(obs) > 0 && tb.fullSeq != 0 && len(tb.memberIdx) <= tb.memberLimit
 	// A stream that is literally last round's slice (a sampler with a fixed
 	// set returning its own backing array) has nothing to compare.
 	if stable && !(len(obs) == len(a.obsPrev) && &obs[0] == &a.obsPrev[0]) {
@@ -165,50 +150,27 @@ func (a *Agent) Tick() error {
 		resetBuckets()
 		runParallel(workers, a.ingestW)
 	}
+	a.tickObs = nil
 	// The governor has seen every valid sample; it closes its round before
 	// any Review call.
 	if a.cfg.Guard != nil {
 		a.cfg.Guard.ObserveTick(now)
 	}
 	if stable {
-		eachShard(a.planQuiescentS)
+		a.planStable(obs, now)
 	} else {
-		eachShard(a.planS)
+		a.planRebuild(obs, now)
 	}
-	a.tickObs = nil
 	commitStart := time.Now()
 	a.mPlan.Observe(commitStart.Sub(planStart))
 
-	// Commit stage: merge the per-shard plans deterministically and fold
-	// the stat deltas — the only remaining global critical section.
-	var plan []programOp
-	if len(a.shards) == 1 {
-		// One shard: adopt its plan in place rather than copying the ops
-		// through the merge buffer (the shard rebuilds it next round).
-		plan = a.shards[0].plan
-	} else {
-		plan = a.planBuf[:0]
-		for _, sh := range a.shards {
-			plan = append(plan, sh.plan...)
-		}
-		a.planBuf = plan
-	}
-	clears := a.clearBuf[:0]
-	var delta tickDelta
-	for _, sh := range a.shards {
-		clears = append(clears, sh.guardClears...)
-		delta.add(sh.delta)
-		sh.delta = tickDelta{}
-	}
-	expiredStart := len(clears)
-	for _, sh := range a.shards {
-		clears = append(clears, sh.expired...)
-	}
-	a.clearBuf = clears
-	guardClears, expired := clears[:expiredStart], clears[expiredStart:]
-	planIdx := a.sortPlan(plan)
-	slices.SortFunc(guardClears, comparePrefix)
-	slices.SortFunc(expired, comparePrefix)
+	// Commit stage: order the plan and the withdrawals, fold the stat deltas.
+	plan, guardClears, expired := tb.plan, tb.guardClears, tb.expired
+	delta := tb.delta
+	tb.delta = tickDelta{}
+	sortByPrefix(plan, &a.sortKeys, func(op *programOp) netip.Prefix { return op.dst })
+	sortPrefixes(guardClears, &a.sortKeys)
+	sortPrefixes(expired, &a.sortKeys)
 
 	a.mu.Lock()
 	a.stats.Observations += uint64(len(obs))
@@ -239,7 +201,7 @@ func (a *Agent) Tick() error {
 	}
 
 	// Program stage, outside the locks.
-	firstErr := a.programPlan(plan, planIdx, now)
+	firstErr := a.programPlan(plan, now)
 	if err := a.clearTargets(guardClears, clearKindGuard, now); err != nil && firstErr == nil {
 		firstErr = err
 	}
@@ -249,125 +211,50 @@ func (a *Agent) Tick() error {
 	return firstErr
 }
 
-// planIdxBits is the width of the plan index a packed key carries in its low
-// bits, below the 32 address bits and 6 prefix-length bits.
-const planIdxBits = 26
-
-// packOpKey encodes an IPv4 destination — address, then prefix length — and
-// the op's index in the unsorted plan into one uint64 whose unsigned order
-// equals comparePrefix's. It refuses IPv6 and 4-in-6 addresses and indices
-// past planIdxBits; the caller then falls back to the comparator sort.
-func packOpKey(op *programOp, idx int) (uint64, bool) {
-	addr := op.dst.Addr()
-	if !addr.Is4() || idx >= 1<<planIdxBits {
-		return 0, false
-	}
-	b := addr.As4()
-	return uint64(binary.BigEndian.Uint32(b[:]))<<32 | uint64(op.dst.Bits())<<planIdxBits | uint64(idx), true
-}
-
-// sortPlan orders the merged plan by destination without moving the ops. An
-// all-IPv4 plan — the overwhelmingly common case — gets its packed 8-byte
-// keys sorted and returned, so the sort compares integers instead of swapping
-// 64-byte ops through a prefix comparator; the caller walks the plan through
-// the indices in the keys. Plans with anything unpackable are
-// comparator-sorted in place and get a nil key slice. Destinations are unique
-// within a plan, so the order is total either way.
-func (a *Agent) sortPlan(plan []programOp) []uint64 {
-	keys := a.planKeys[:0]
-	for i := range plan {
-		k, ok := packOpKey(&plan[i], i)
-		if !ok {
-			slices.SortFunc(plan, func(x, y programOp) int { return comparePrefix(x.dst, y.dst) })
-			return nil
-		}
-		keys = append(keys, k)
-	}
-	a.planKeys = keys
-	slices.Sort(keys)
-	return keys
-}
-
 // sameBacking reports whether two slices share a backing array (checked via
 // their first element at full capacity).
 func sameBacking(a, b []Observation) bool {
 	return cap(a) > 0 && cap(b) > 0 && &a[:cap(a)][0] == &b[:cap(b)][0]
 }
 
-// programPlan installs the round's route plan — through one batch call when
-// the backend supports it — and commits each success into its shard. keys,
-// when non-nil, gives the sorted program order as indices into plan (which
-// then stays unsorted); a nil keys means plan itself is already ordered.
-func (a *Agent) programPlan(plan []programOp, keys []uint64, now time.Duration) error {
+// programPlan installs the round's route plan, in plan order — through one
+// batch call when the backend supports it — and commits each success into
+// the table.
+func (a *Agent) programPlan(plan []programOp, now time.Duration) error {
 	if len(plan) == 0 {
 		return nil
 	}
-	opAt := func(i int) *programOp {
-		if keys != nil {
-			return &plan[keys[i]&(1<<planIdxBits-1)]
-		}
-		return &plan[i]
-	}
 	ops := a.opsBuf.Take(len(plan))
 	for i := range plan {
-		op := opAt(i)
-		ops = append(ops, RouteOp{Prefix: op.dst, Window: op.window})
+		ops = append(ops, RouteOp{Prefix: plan[i].dst, Window: plan[i].window})
 	}
 	errs := a.applyOps(ops)
 	a.opsBuf.Keep(ops, len(ops))
 
-	// Every planned op that installs appends one export-log ref: make the
-	// room in one step, so a cold table does not double its way up.
-	for _, sh := range a.shards {
-		sh.mu.Lock()
-		sh.log = slices.Grow(sh.log, len(sh.plan))
-		sh.mu.Unlock()
-	}
-
 	var firstErr error
 	var set, routeErrs, cleared uint64
-	// The shard lock is held across runs of consecutive same-shard ops
-	// (with one shard, the whole plan) instead of being retaken per op.
-	// Nothing blocking happens while it is held: the backend's results are
-	// already in hand.
-	var cur *shard
-	unlockCur := func() {
-		if cur != nil {
-			cur.mu.Unlock()
-			cur = nil
-		}
-	}
-	defer unlockCur()
+	// Nothing blocking happens while the table lock is held: the backend's
+	// results are already in hand.
+	tb := &a.tab
+	tb.mu.Lock()
+	// Every planned op that installs appends one export-log ref: make the
+	// room in one step, so a cold table does not double its way up.
+	tb.log = slices.Grow(tb.log, len(plan))
 	for i := range plan {
-		op := opAt(i)
-		var err error
-		if errs != nil {
-			err = errs[i]
-		}
-
-		sh := a.shards[op.shard]
-		if err != nil {
-			unlockCur()
+		op := &plan[i]
+		if errs != nil && errs[i] != nil {
+			err := errs[i]
 			routeErrs++
-			if errors.Is(err, ErrFallbackCleared) {
-				// The retry decorator gave up and withdrew the route;
-				// drop our entry so Lookup reports the kernel default
-				// rather than a window that is no longer installed.
-				sh.mu.Lock()
-				if sh.dropInstalled(a, op.dst) {
-					cleared++
-				}
-				sh.mu.Unlock()
+			// The retry decorator gave up and withdrew the route: drop our
+			// entry so Lookup reports the kernel default rather than a
+			// window that is no longer installed.
+			if errors.Is(err, ErrFallbackCleared) && a.dropInstalled(op.dst) {
+				cleared++
 			}
 			if firstErr == nil {
 				firstErr = fmt.Errorf("set initcwnd %v=%d: %w", op.dst, op.window, err)
 			}
 			continue
-		}
-		if sh != cur {
-			unlockCur()
-			sh.mu.Lock()
-			cur = sh
 		}
 		// Only members of the grouping are planned and nothing between plan
 		// and commit ends a membership, so the planned pointer is the map
@@ -377,7 +264,7 @@ func (a *Agent) programPlan(plan []programOp, keys []uint64, now time.Duration) 
 		wasInstalled := st.installed
 		if !wasInstalled {
 			st.installed = true
-			sh.installed++
+			tb.installed++
 			// New destination: the plan stage could not count its samples
 			// because no entry existed yet.
 			st.samples = uint64(op.obs)
@@ -390,10 +277,10 @@ func (a *Agent) programPlan(plan []programOp, keys []uint64, now time.Duration) 
 		st.mergedAge = 0
 		st.programs++
 		st.version = a.bumpVersion()
-		sh.logStamp(op.dst, st, wasInstalled)
+		tb.logStamp(op.dst, st, wasInstalled)
 		set++
 	}
-	unlockCur()
+	tb.mu.Unlock()
 	a.mu.Lock()
 	a.stats.RoutesSet += set
 	a.stats.RouteErrors += routeErrs
@@ -405,7 +292,7 @@ func (a *Agent) programPlan(plan []programOp, keys []uint64, now time.Duration) 
 // clearTargets withdraws the given routes and, for each success, removes
 // the entry and forgets its history. A failed withdrawal keeps the entry so
 // the next round retries it. Expired targets re-check their deadline under
-// the shard lock, so a destination re-observed between collection and
+// the table lock, so a destination re-observed between collection and
 // withdrawal is skipped; guard targets are withdrawn as long as the entry
 // still exists (the governor's verdict already decided the round).
 func (a *Agent) clearTargets(targets []netip.Prefix, kind clearKind, now time.Duration) error {
@@ -413,18 +300,16 @@ func (a *Agent) clearTargets(targets []netip.Prefix, kind clearKind, now time.Du
 		return nil
 	}
 	// Re-check which targets still need clearing; filtering in place is
-	// safe because targets aliases the agent's scratch for this round.
+	// safe because targets aliases the table's scratch for this round.
+	tb := &a.tab
 	live := targets[:0]
+	tb.mu.Lock()
 	for _, dst := range targets {
-		sh := a.shardFor(dst)
-		sh.mu.Lock()
-		st, ok := sh.states[dst]
-		needed := ok && st.installed && (kind == clearKindGuard || st.expires <= now)
-		sh.mu.Unlock()
-		if needed {
+		if st, ok := tb.states[dst]; ok && st.installed && (kind == clearKindGuard || st.expires <= now) {
 			live = append(live, dst)
 		}
 	}
+	tb.mu.Unlock()
 	if len(live) == 0 {
 		return nil
 	}
@@ -436,61 +321,51 @@ func (a *Agent) clearTargets(targets []netip.Prefix, kind clearKind, now time.Du
 	errs := a.applyOps(ops)
 
 	var firstErr error
-	var expiredN, clearedN, guardClearedN, routeErrs uint64
+	var clearedN, routeErrs uint64
+	tb.mu.Lock()
 	for i, dst := range live {
-		var err error
-		if errs != nil {
-			err = errs[i]
-		}
-		sh := a.shardFor(dst)
-		if err != nil {
+		if errs != nil && errs[i] != nil {
 			routeErrs++
 			if firstErr == nil {
 				if kind == clearKindGuard {
-					firstErr = fmt.Errorf("guard clear initcwnd %v: %w", dst, err)
+					firstErr = fmt.Errorf("guard clear initcwnd %v: %w", dst, errs[i])
 				} else {
-					firstErr = fmt.Errorf("clear initcwnd %v: %w", dst, err)
+					firstErr = fmt.Errorf("clear initcwnd %v: %w", dst, errs[i])
 				}
 			}
 			continue
 		}
-		sh.mu.Lock()
-		sh.dropInstalled(a, dst)
-		sh.mu.Unlock()
+		a.dropInstalled(dst)
 		clearedN++
-		switch kind {
-		case clearKindGuard:
-			guardClearedN++
-			a.cfg.Metrics.Counter("riptide_guard_clears").Inc()
-		case clearKindExpired:
-			expiredN++
-		}
 	}
+	tb.mu.Unlock()
 	a.mu.Lock()
 	a.stats.RoutesCleared += clearedN
-	a.stats.EntriesExpired += expiredN
-	a.stats.GuardCleared += guardClearedN
+	if kind == clearKindGuard {
+		a.stats.GuardCleared += clearedN
+	} else {
+		a.stats.EntriesExpired += clearedN
+	}
 	a.stats.RouteErrors += routeErrs
 	a.mu.Unlock()
+	if kind == clearKindGuard && clearedN > 0 {
+		a.cfg.Metrics.Counter("riptide_guard_clears").Add(clearedN)
+	}
 	return firstErr
 }
 
 // expirePass runs only the TTL-expiry portion of a round: collect lapsed
-// entries under the shard locks, withdraw their routes outside them. Only
+// entries under the table lock, withdraw their routes outside it. Only
 // deadlines that have come due are looked at, so a no-op expiry round costs
-// O(shards).
+// O(1).
 func (a *Agent) expirePass(now time.Duration) error {
-	expired := a.clearBuf[:0]
-	for _, sh := range a.shards {
-		sh.mu.Lock()
-		sh.expired = sh.expired[:0]
-		a.expireDueLocked(sh, now)
-		expired = append(expired, sh.expired...)
-		sh.mu.Unlock()
-	}
-	a.clearBuf = expired
-	slices.SortFunc(expired, comparePrefix)
-	return a.clearTargets(expired, clearKindExpired, now)
+	tb := &a.tab
+	tb.mu.Lock()
+	tb.expired = tb.expired[:0]
+	a.expireDueLocked(now)
+	tb.mu.Unlock()
+	sortPrefixes(tb.expired, &a.sortKeys)
+	return a.clearTargets(tb.expired, clearKindExpired, now)
 }
 
 // breakerBlocks reports whether the sampler circuit breaker suppresses

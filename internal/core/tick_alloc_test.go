@@ -49,32 +49,34 @@ func (b *batchNop) ProgramRoutes(ops []RouteOp) []error {
 
 // TestStableTickAllocs: once warm, a round whose connection set is stable —
 // a few windows edited in place, or nothing changed at all — allocates
-// nothing on a one-shard agent. Its stage workers are bound once in New, so
-// no per-round closure reaches the heap. A sharded agent past the parallel
-// threshold allocates only what starting runParallel's goroutines costs.
+// nothing when it scans on one worker. Its stage workers are bound once in
+// New, so no per-round closure reaches the heap. A round past the parallel
+// threshold scanning on several workers allocates only what starting
+// runParallel's goroutines costs.
 func TestStableTickAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name          string
-		shards, conns int
-		edits         int
+		name           string
+		workers, conns int
+		edits          int
 		// max is the allocation bound per round: 0 serially; with workers,
-		// each runParallel call (compare, plan) allocates its WaitGroup and
+		// the compare scan's runParallel call allocates its WaitGroup and
 		// one closure per goroutine.
 		max float64
 	}{
 		{"stable", 1, 200, 3, 0},
 		{"quiescent", 1, 200, 0, 0},
-		{"sharded stable", 4, 600, 3, 2 * (4 + 1)},
-		{"sharded quiescent", 4, 600, 0, 2 * (4 + 1)},
+		{"parallel stable", 4, 600, 3, 4 + 1},
+		{"parallel quiescent", 4, 600, 0, 4 + 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			clock := &fakeClock{}
 			s := newEditSampler(tc.conns, tc.edits)
 			routes := &batchNop{}
-			a, err := New(Config{Sampler: s, Routes: routes, Clock: clock.fn(), Shards: tc.shards})
+			a, err := New(Config{Sampler: s, Routes: routes, Clock: clock.fn()})
 			if err != nil {
 				t.Fatal(err)
 			}
+			a.scanWorkers = tc.workers
 			tick := func() {
 				clock.Advance(time.Second)
 				if err := a.Tick(); err != nil {

@@ -37,7 +37,6 @@ type Config struct {
 	Alpha      float64       // -alpha: EWMA weight on the historical value
 	CMax, CMin int           // -cmax, -cmin: the programmed window's bounds
 	PrefixBits int           // -prefix-bits: destination granularity
-	Shards     int           // -shards: agent state shards
 	InitRwnd   bool          // -initrwnd: also set initrwnd on routes
 	DryRun     bool          // -dry-run: log route changes instead of applying them
 	Combiner   string        // -combiner: average|max|traffic-weighted
@@ -156,7 +155,6 @@ func New(cfg Config) (*Daemon, error) {
 		CMax:             cfg.CMax,
 		CMin:             cfg.CMin,
 		PrefixBits:       cfg.PrefixBits,
-		Shards:           cfg.Shards,
 		Combiner:         comb,
 		BreakerThreshold: cfg.BreakerThreshold,
 		BreakerCooldown:  cfg.BreakerCooldown,
@@ -314,8 +312,8 @@ func (d *Daemon) Run(ctx context.Context) error {
 	})
 
 	acfg := d.Agent.Config()
-	logf("started: i_u=%v ttl=%v alpha=%v window=[%d,%d] combiner=%s shards=%d dry-run=%v guard=%v",
-		acfg.UpdateInterval, acfg.TTL, acfg.Alpha, acfg.CMin, acfg.CMax, d.cfg.Combiner, d.Agent.Shards(), d.cfg.DryRun, d.cfg.Guard)
+	logf("started: i_u=%v ttl=%v alpha=%v window=[%d,%d] combiner=%s dry-run=%v guard=%v",
+		acfg.UpdateInterval, acfg.TTL, acfg.Alpha, acfg.CMin, acfg.CMax, d.cfg.Combiner, d.cfg.DryRun, d.cfg.Guard)
 
 	ticks := 0
 	Loop(ctx, d.Agent, func(err error) {

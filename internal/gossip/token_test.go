@@ -3,6 +3,7 @@ package gossip
 import (
 	"fmt"
 	"net/netip"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -90,15 +91,16 @@ func (tt *tokenTracker) moved(t *testing.T, stage string) {
 // TestContentTokenTracksEveryCommit drives every change that can move an
 // agent's export — tick route programs (install + window change), fleet
 // merge seeds, TTL expiry, and guard quarantine transitions (both the
-// route-clearing onset and the commit-free recovery) — at shard counts
-// 1/2/4/8, and requires the ETag built from ContentToken to move at each,
+// route-clearing onset and the commit-free recovery) — with the agent's
+// socket scans fanned out over 1/2/4/8 workers (its width follows
+// GOMAXPROCS), and requires the ETag built from ContentToken to move at each,
 // with a concurrent reader racing the churn (run under -race in CI's
 // race-stress step). A change the ETag missed would be answered 304 and
 // never reach a peer.
 func TestContentTokenTracksEveryCommit(t *testing.T) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+	for _, workers := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			var clockMu sync.Mutex
 			now := time.Duration(0)
 			sampler := &stubSampler{}
@@ -106,7 +108,6 @@ func TestContentTokenTracksEveryCommit(t *testing.T) {
 			a, err := core.New(core.Config{
 				Sampler: sampler,
 				Routes:  newMemRoutes(),
-				Shards:  shards,
 				Guard:   gov,
 				TTL:     time.Minute,
 				Clock: func() time.Duration {

@@ -92,7 +92,6 @@ func TestBackendEquivalence(t *testing.T) {
 			Sampler: s,
 			Routes:  r,
 			Clock:   func() time.Duration { return 0 },
-			Shards:  4,
 		})
 		if err != nil {
 			t.Fatalf("core.New: %v", err)

@@ -46,6 +46,10 @@ type MemConn struct {
 	// exercise conversation-failure paths.
 	SendErr error
 	RecvErr error
+	// InterruptDumps flags the next n dump requests (sock_diag or route)
+	// interrupted: their NLMSG_DONE carries NLM_F_DUMP_INTR, as a kernel
+	// marks a dump whose table changed while it was walked.
+	InterruptDumps int
 
 	// dumps caches the encoded per-family sock_diag response datagrams
 	// (sequence fields zero, patched at Receive).
@@ -102,13 +106,13 @@ func (m *MemConn) Send(req []byte) error {
 			m.dumpSeq = seq
 			m.ensureDumps()
 			m.pending = append(m.pending, m.dumps[payload[0]]...)
-			m.pending = append(m.pending, m.doneMsg)
+			m.pending = append(m.pending, m.dumpDone())
 		case rtmGetRoute:
 			if flags&nlmFDump == 0 {
 				return fmt.Errorf("memconn: unsupported RTM_GETROUTE request (flags %#x)", flags)
 			}
 			m.dumpSeq = seq
-			m.pending = append(m.pending, m.encodeRouteDump(), m.doneDatagram())
+			m.pending = append(m.pending, m.encodeRouteDump(), m.dumpDone())
 		case rtmNewRoute, rtmDelRoute:
 			rt, ok := parseRouteMsg(payload)
 			rt.Del = typ == rtmDelRoute
@@ -207,15 +211,22 @@ func (m *MemConn) ensureDumps() {
 		}
 		m.dumps[family] = datagrams
 	}
-	m.doneMsg = m.doneDatagram()
 }
 
-// doneDatagram encodes a standalone NLMSG_DONE datagram (seq 0, patched at
-// Receive).
-func (m *MemConn) doneDatagram() []byte {
-	d := make([]byte, nlHdrLen+4)
-	putNlHdr(d, len(d), nlmsgDone, nlmFMulti, 0)
-	return d
+// dumpDone returns the standalone NLMSG_DONE datagram that ends a dump (seq
+// 0, patched at Receive), flagged NLM_F_DUMP_INTR while InterruptDumps lasts.
+func (m *MemConn) dumpDone() []byte {
+	if m.InterruptDumps > 0 {
+		m.InterruptDumps--
+		d := make([]byte, nlHdrLen+4)
+		putNlHdr(d, len(d), nlmsgDone, nlmFMulti|nlmFDumpIntr, 0)
+		return d
+	}
+	if m.doneMsg == nil {
+		m.doneMsg = make([]byte, nlHdrLen+4)
+		putNlHdr(m.doneMsg, len(m.doneMsg), nlmsgDone, nlmFMulti, 0)
+	}
+	return m.doneMsg
 }
 
 // encodeRouteDump renders InstalledRoutes as one RTM_NEWROUTE-per-route dump

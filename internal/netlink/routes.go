@@ -335,9 +335,14 @@ func (r *Routes) ListRiptideRoutes() ([]RecordedRoute, error) {
 // Reconcile removes every leftover Riptide route from a previous
 // incarnation, withdrawing them in one batch. A restarting agent calls it
 // before its first Tick so stale aggressive windows from before a crash or
-// reboot cannot outlive the observations that justified them.
+// reboot cannot outlive the observations that justified them. A listing the
+// kernel flags interrupted may have skipped routes, so it is taken once more;
+// a second interrupted listing is an error, and nothing is withdrawn.
 func (r *Routes) Reconcile() (removed int, err error) {
 	stale, err := r.ListRiptideRoutes()
+	if errors.Is(err, ErrDumpInterrupted) {
+		stale, err = r.ListRiptideRoutes()
+	}
 	if err != nil {
 		return 0, err
 	}

@@ -25,6 +25,7 @@ package netlink
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"net/netip"
@@ -65,14 +66,15 @@ const (
 	rtmGetRoute = 26
 
 	// nlmsghdr flags
-	nlmFRequest = 0x1
-	nlmFMulti   = 0x2
-	nlmFAck     = 0x4
-	nlmFRoot    = 0x100
-	nlmFMatch   = 0x200
-	nlmFDump    = nlmFRoot | nlmFMatch
-	nlmFReplace = 0x100
-	nlmFCreate  = 0x400
+	nlmFRequest  = 0x1
+	nlmFMulti    = 0x2
+	nlmFAck      = 0x4
+	nlmFDumpIntr = 0x10
+	nlmFRoot     = 0x100
+	nlmFMatch    = 0x200
+	nlmFDump     = nlmFRoot | nlmFMatch
+	nlmFReplace  = 0x100
+	nlmFCreate   = 0x400
 
 	// inet_diag request extensions and attributes
 	inetDiagInfo = 2 // INET_DIAG_INFO: struct tcp_info payload
@@ -275,6 +277,12 @@ func parseInetDiagMsg(o *core.Observation, msg []byte) bool {
 	return o.Cwnd > 0
 }
 
+// ErrDumpInterrupted fails a dump the kernel flagged NLM_F_DUMP_INTR: the
+// table changed while it was walked, so the dump may have skipped or
+// repeated entries. A sampler that passed such a dump on would make the
+// agent treat the skipped sockets as closed.
+var ErrDumpInterrupted = errors.New("netlink: dump interrupted by a concurrent change (NLM_F_DUMP_INTR)")
+
 // ParseDiagDump walks one received sock_diag datagram, appending decoded
 // observations to obs. Each message is decoded in place: obs is extended by
 // one (a re-slice while capacity lasts, an appended zero value when it does
@@ -282,12 +290,14 @@ func parseInetDiagMsg(o *core.Observation, msg []byte) bool {
 // back — elements below the starting length are never touched. done reports
 // that the dump's NLMSG_DONE marker was seen. Messages whose sequence number
 // differs from seq are skipped (stale responses from an aborted previous
-// dump); seq 0 accepts any. Malformed input never panics: unparsable messages
-// and attributes are skipped, a truncated tail ends the walk.
+// dump); seq 0 accepts any. A message of the dump flagged NLM_F_DUMP_INTR
+// fails it with ErrDumpInterrupted. Malformed input never panics: unparsable
+// messages and attributes are skipped, a truncated tail ends the walk.
 func ParseDiagDump(obs []core.Observation, data []byte, seq uint32) (_ []core.Observation, done bool, err error) {
 	for len(data) >= nlHdrLen {
 		mlen := int(ne.Uint32(data))
 		typ := ne.Uint16(data[4:])
+		flags := ne.Uint16(data[6:])
 		mseq := ne.Uint32(data[8:])
 		if mlen < nlHdrLen || mlen > len(data) {
 			break // truncated or malformed: end of usable datagram
@@ -301,6 +311,9 @@ func ParseDiagDump(obs []core.Observation, data []byte, seq uint32) (_ []core.Ob
 		}
 		if seq != 0 && mseq != seq {
 			continue
+		}
+		if flags&nlmFDumpIntr != 0 {
+			return obs, true, ErrDumpInterrupted
 		}
 		switch typ {
 		case nlmsgDone:
@@ -444,11 +457,13 @@ func parseRouteMsg(payload []byte) (RecordedRoute, bool) {
 
 // ParseRouteDump walks one RTM_GETROUTE dump response datagram, appending
 // decoded routes. done reports the NLMSG_DONE marker. Same tolerance rules
-// as ParseDiagDump; seq 0 accepts any sequence number.
+// as ParseDiagDump, NLM_F_DUMP_INTR included; seq 0 accepts any sequence
+// number.
 func ParseRouteDump(routes []RecordedRoute, data []byte, seq uint32) (_ []RecordedRoute, done bool, err error) {
 	for len(data) >= nlHdrLen {
 		mlen := int(ne.Uint32(data))
 		typ := ne.Uint16(data[4:])
+		flags := ne.Uint16(data[6:])
 		mseq := ne.Uint32(data[8:])
 		if mlen < nlHdrLen || mlen > len(data) {
 			break
@@ -462,6 +477,9 @@ func ParseRouteDump(routes []RecordedRoute, data []byte, seq uint32) (_ []Record
 		}
 		if seq != 0 && mseq != seq {
 			continue
+		}
+		if flags&nlmFDumpIntr != 0 {
+			return routes, true, ErrDumpInterrupted
 		}
 		switch typ {
 		case nlmsgDone:

@@ -159,14 +159,15 @@ type LinuxOptions struct {
 	// accept the initial burst (paper Section III-C).
 	SetInitRwnd bool
 
-	// UpdateInterval, TTL, Alpha, CMax, CMin, PrefixBits, and Shards
-	// override the paper defaults when non-zero.
+	// UpdateInterval, TTL, Alpha, CMax, CMin and PrefixBits override the
+	// paper defaults when non-zero. The agent sizes its own concurrency:
+	// one destination table, with its per-round socket scans fanned out
+	// over min(GOMAXPROCS, 16) workers.
 	UpdateInterval time.Duration
 	TTL            time.Duration
 	Alpha          float64
 	CMax, CMin     int
 	PrefixBits     int
-	Shards         int
 }
 
 // NewLinuxAgent builds the agent riptided runs (internal/daemon), wired to
@@ -188,7 +189,6 @@ func NewLinuxAgent(opts LinuxOptions) (*Agent, error) {
 		CMax:       opts.CMax,
 		CMin:       opts.CMin,
 		PrefixBits: opts.PrefixBits,
-		Shards:     opts.Shards,
 		Combiner:   "average",
 	})
 	if err != nil {
