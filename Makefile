@@ -6,7 +6,7 @@ GO ?= go
 # directory: the targets that run the module's commands go through `go -C`.
 ROOT := $(dir $(abspath $(lastword $(MAKEFILE_LIST))))
 
-.PHONY: all check build vet test test-short test-race race bench bench-serve report report-full fuzz fuzz-guard fuzz-gossip fuzz-netlink fuzz-scenario scenarios examples clean
+.PHONY: all check build vet test test-short test-race race bench bench-serve report report-check fuzz fuzz-guard fuzz-gossip fuzz-netlink fuzz-scenario scenarios examples clean
 
 all: check
 
@@ -45,15 +45,22 @@ bench-serve:
 	$(GO) test -bench 'BenchmarkServe|BenchmarkPullDeltaRound' -benchmem -run '^$$' ./internal/fleet/
 	$(GO) test -bench 'Benchmark(Append|Decode)Delta' -benchmem -run '^$$' ./internal/gossip/
 
-# Quick-scale markdown report to stdout. The operational sections come from
-# the scenario library embedded in the binary, so no path depends on the
-# caller's working directory.
+# The markdown report + plottable series CSVs, as committed under docs/. The
+# cluster figures and every operational section come from the scenario
+# library embedded in the binary, so no path depends on the caller's working
+# directory.
 report:
-	$(GO) -C $(ROOT) run ./cmd/riptide-bench -scale quick
+	$(GO) -C $(ROOT) run ./cmd/riptide-bench -o docs/REPORT.md -series-dir docs/series
 
-# Full-scale report + plottable series CSVs, as committed under docs/.
-report-full:
-	$(GO) -C $(ROOT) run ./cmd/riptide-bench -scale full -o docs/REPORT.md -series-dir docs/series
+# Regenerate the report into a temporary directory and require it to match
+# the committed docs/REPORT.md and docs/series/*.csv byte for byte (the same
+# CSV files, each with the same bytes).
+report-check:
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && cd $(ROOT) && \
+	$(GO) run ./cmd/riptide-bench -o "$$tmp/REPORT.md" -series-dir "$$tmp/series" && \
+	cmp "$$tmp/REPORT.md" docs/REPORT.md && \
+	test "$$(ls "$$tmp/series")" = "$$(ls docs/series)" && \
+	for f in docs/series/*.csv; do cmp "$$tmp/series/$${f##*/}" "$$f" || exit 1; done
 
 fuzz:
 	$(GO) test -fuzz=FuzzReadProbes -fuzztime=30s ./internal/trace
@@ -87,15 +94,18 @@ fuzz-scenario:
 	$(GO) test -fuzz=FuzzDecodeYAML -fuzztime=30s ./internal/scenario
 	$(GO) test -fuzz=FuzzParseScenario -fuzztime=30s ./internal/scenario
 
-# Validate and execute every file of the committed scenario library through
-# the CLI (the same files `go test ./scenarios` asserts from the embed), twice:
-# the two JSON reports must be byte-identical.
+# Validate every file of the committed scenario library, then execute the
+# operational ones through the CLI twice: the two JSON reports must be
+# byte-identical (`go test ./scenarios` asserts the same files from the
+# embed). The paper's full-scale files (paper-*.yaml) execute in
+# report-check, which fails on a failed assertion and on any moved byte.
 scenarios:
 	cd $(ROOT) && $(GO) run ./cmd/riptide-sim validate scenarios/*.yaml
 	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && cd $(ROOT) && \
+	ops=$$(ls scenarios/*.yaml | grep -v '^scenarios/paper-') && \
 	$(GO) build -o "$$tmp/riptide-sim" ./cmd/riptide-sim && \
-	"$$tmp/riptide-sim" run scenarios/*.yaml > "$$tmp/first.json" && \
-	"$$tmp/riptide-sim" run scenarios/*.yaml > "$$tmp/second.json" && \
+	"$$tmp/riptide-sim" run $$ops > "$$tmp/first.json" && \
+	"$$tmp/riptide-sim" run $$ops > "$$tmp/second.json" && \
 	cmp "$$tmp/first.json" "$$tmp/second.json"
 
 examples:

@@ -1,19 +1,15 @@
-// Benchmark harness: one testing.B per table and figure in the paper's
-// evaluation, plus the design-choice ablations from DESIGN.md. Each
-// benchmark regenerates its artefact end to end and reports the headline
-// metric the paper reads off it via b.ReportMetric, so `go test -bench=.`
-// doubles as the reproduction report.
-//
-// Set RIPTIDE_BENCH_SCALE=full to run the full 34-PoP topology at the
-// DefaultScale measurement length; the default quick scale keeps the whole
-// suite in the low tens of seconds.
+// Benchmark harness: the paper's model figures (each reporting the headline
+// metric the paper reads off it via b.ReportMetric), the agent's tick and
+// route-programming costs, the Section V extensions and the operational
+// scenarios. The cluster figures and ablations are scenario files
+// (scenarios/paper-*.yaml) that `make report-check` regenerates; the
+// simulator's cost is the ledger's sim-34pop workload (`go run ./bench`).
 package riptide
 
 import (
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"os"
 	"runtime"
 	"slices"
 	"strconv"
@@ -25,13 +21,6 @@ import (
 	"riptide/internal/guard"
 	"riptide/internal/kernel"
 )
-
-func benchScale() experiments.Scale {
-	if os.Getenv("RIPTIDE_BENCH_SCALE") == "full" {
-		return experiments.DefaultScale()
-	}
-	return experiments.QuickScale()
-}
 
 // noteMetric extracts the first number following a marker substring in a
 // note, so benchmarks can re-report the experiment's headline figure.
@@ -117,144 +106,6 @@ func BenchmarkTable2PoPCensus(b *testing.B) {
 		r := experiments.Table2Census(nil)
 		if len(r.Tables) != 1 {
 			b.Fatal("census produced no table")
-		}
-	}
-}
-
-func BenchmarkFig10CwndByCmax(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig10CwndByCmax(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if v, ok := noteMetric(r.Notes, "c_max=100 "); ok && i == b.N-1 {
-			b.ReportMetric(v, "median-cwnd@cmax100")
-		}
-	}
-}
-
-func BenchmarkFig11TrafficProfile(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig11TrafficProfiles(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchmarkProbeCompletion(b *testing.B, fig int) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.ProbeCompletionFigure(fig, s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if v, ok := noteMetric(r.Notes, "buckets improved"); ok {
-			_ = v // presence-checked; per-bucket gains are in the notes
-		}
-		if i == b.N-1 {
-			improved, total := bucketsImproved(r.Notes)
-			if total > 0 {
-				b.ReportMetric(float64(improved), "buckets-improved")
-			}
-		}
-	}
-}
-
-func bucketsImproved(notes []string) (improved, total int) {
-	for _, n := range notes {
-		var i, t int
-		if _, err := fmt.Sscanf(n, "%d/%d RTT buckets improved", &i, &t); err == nil {
-			return i, t
-		}
-	}
-	return 0, 0
-}
-
-func BenchmarkFig12Probe10K(b *testing.B)  { benchmarkProbeCompletion(b, 12) }
-func BenchmarkFig13Probe50K(b *testing.B)  { benchmarkProbeCompletion(b, 13) }
-func BenchmarkFig14Probe100K(b *testing.B) { benchmarkProbeCompletion(b, 14) }
-
-func benchmarkGainByPercentile(b *testing.B, fig int) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.GainByPercentileFigure(fig, s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if v, ok := noteMetric(r.Notes, "peak percentile gain "); ok && i == b.N-1 {
-			b.ReportMetric(v, "%peak-gain")
-		}
-	}
-}
-
-func BenchmarkFig15GainByPercentile50K(b *testing.B)  { benchmarkGainByPercentile(b, 15) }
-func BenchmarkFig16GainByPercentile100K(b *testing.B) { benchmarkGainByPercentile(b, 16) }
-
-func BenchmarkEdgeCases(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.EdgeCases(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHeadlineCwndIncrease(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Headline(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if v, ok := noteMetric(r.Notes, "riptide "); ok && i == b.N-1 {
-			b.ReportMetric(v, "median-cwnd-riptide")
-		}
-	}
-}
-
-func BenchmarkAblationCombiners(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationCombiners(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationHistory(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationHistory(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationGranularity(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationGranularity(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationTTL(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationTTL(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationUpdateInterval(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationUpdateInterval(s); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

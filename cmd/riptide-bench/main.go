@@ -4,11 +4,12 @@
 // markdown report with the paper-vs-measured comparison. EXPERIMENTS.md and
 // docs/REPORT.md are generated from this tool's output.
 //
-// Independent experiments run concurrently across CPU cores; output order
-// stays deterministic.
+// Independent experiments run concurrently, GOMAXPROCS at a time; output
+// order stays deterministic, and so do the bytes: the report carries no
+// timestamp, so `make report-check` can compare it with docs/REPORT.md.
 //
-//	riptide-bench -scale quick -o report.md
-//	riptide-bench -scale full -series-dir series/   # also dump plottable CSVs
+//	riptide-bench -o report.md
+//	riptide-bench -series-dir series/   # also dump plottable CSVs
 //
 // Performance lives elsewhere: `go run ./bench` is the end-to-end ledger and
 // `go test -bench` the per-package micro-benchmarks.
@@ -25,9 +26,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"riptide/internal/experiments"
+	"riptide/internal/scenario"
+	"riptide/scenarios"
 )
 
 func main() {
@@ -39,27 +41,13 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("riptide-bench", flag.ContinueOnError)
 	var (
-		scale     = fs.String("scale", "quick", "scale preset: quick|full")
 		out       = fs.String("o", "", "output file (default stdout)")
-		seed      = fs.Int64("seed", 1, "random seed")
-		n         = fs.Int("n", 200000, "model sample count")
+		seed      = fs.Int64("seed", 1, "random seed (the model figures, the extensions and the paper's scenario files)")
 		seriesDir = fs.String("series-dir", "", "also write each figure's curve data as CSV into this directory")
-		workers   = fs.Int("workers", 0, "concurrent experiments (default: CPU count)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	var s experiments.Scale
-	switch *scale {
-	case "quick":
-		s = experiments.QuickScale()
-	case "full":
-		s = experiments.DefaultScale()
-	default:
-		return fmt.Errorf("unknown scale %q", *scale)
-	}
-	s.Seed = *seed
 
 	w := io.Writer(os.Stdout)
 	if *out != "" {
@@ -70,91 +58,106 @@ func run(args []string) error {
 		defer f.Close()
 		w = f
 	}
-	return report(w, s, *seed, *n, *seriesDir, *workers)
+	return report(w, scenarios.Load, *seed, modelSamples, *seriesDir)
 }
 
-// job is one experiment with its position in the report.
-type job struct {
-	section string
-	run     func() (experiments.Result, error)
-	// expand marks runners that return multiple results (ProbeSuite).
-	expand func() ([]experiments.Result, error)
-}
+// modelSamples is the sample count of the model figures (Figures 2 and 3).
+// Like the cluster figures' scale, it is fixed, so the report regenerates
+// byte for byte.
+const modelSamples = 200000
 
-// outcome carries a finished job's results in report order.
-type outcome struct {
-	section string
-	results []experiments.Result
-	err     error
-}
-
-func report(w io.Writer, s experiments.Scale, seed int64, n int, seriesDir string, workers int) error {
-	popCount := len(s.PoPs)
-	if popCount == 0 {
-		popCount = 34 // full topology resolved inside the experiments
-	}
-	fmt.Fprintf(w, "# Riptide reproduction report\n\ngenerated %s, scale: %d PoPs, %v measurement, seed %d\n\n",
-		time.Now().UTC().Format(time.RFC3339), popCount, s.Duration, seed)
-
-	jobs := []job{
-		{section: "Model figures", run: func() (experiments.Result, error) { return experiments.Fig2FileSizes(seed, n) }},
-		{run: func() (experiments.Result, error) { return experiments.Fig3RTTsCDF(seed, n) }},
-		{run: experiments.Fig4TheoreticalGain},
-		{run: func() (experiments.Result, error) { return experiments.Fig5RTTDistribution(nil) }},
-		{run: func() (experiments.Result, error) { return experiments.Fig6TransferTime(nil) }},
-		{section: "Cluster evaluation", run: func() (experiments.Result, error) { return experiments.Table2Census(nil), nil }},
-		{run: func() (experiments.Result, error) { return experiments.Fig10CwndByCmax(s) }},
-		{run: func() (experiments.Result, error) { return experiments.Fig11TrafficProfiles(s) }},
-		// Figures 12-16 and the edge cases share one cluster pair.
-		{expand: func() ([]experiments.Result, error) { return experiments.ProbeSuite(s) }},
-		{run: func() (experiments.Result, error) { return experiments.Headline(s) }},
-		{section: "Extensions (Section V)", run: func() (experiments.Result, error) { return experiments.ExtensionTrendReaction(seed) }},
-		{run: func() (experiments.Result, error) { return experiments.ExtensionAdvisorShift(seed) }},
-	}
+// sections lays the report out: each section's results, by ID, in order.
+var sections = []struct {
+	title string
+	ids   []string
+}{
+	{"Model figures", []string{"fig2", "fig3", "fig4", "fig5", "fig6"}},
+	{"Cluster evaluation", []string{"table2", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "edge", "headline"}},
+	{"Extensions (Section V)", []string{"ext-trend", "ext-advisor"}},
 	// The operational experiments are the embedded scenario library: the
 	// report renders the same runs `go test ./scenarios` asserts.
-	for _, sec := range []struct {
-		section string
-		names   []string
-	}{
-		{"Fleet sharing", []string{"fleet-warm-start", "gossip-cold-region"}},
-		{"Safety governor", []string{"guard-capacity-cut"}},
-		{"Operational scenarios", []string{"flash-crowd", "regional-degradation", "rolling-reboots", "peer-partition"}},
-	} {
-		for i, name := range sec.names {
-			name := name
-			j := job{run: func() (experiments.Result, error) { return experiments.Scenario(name) }}
-			if i == 0 {
-				j.section = sec.section
+	{"Fleet sharing", []string{"scenario-fleet-warm-start", "scenario-gossip-cold-region"}},
+	{"Safety governor", []string{"scenario-guard-capacity-cut"}},
+	{"Operational scenarios", []string{"scenario-flash-crowd", "scenario-regional-degradation",
+		"scenario-rolling-reboots", "scenario-peer-partition"}},
+	{"Ablations", []string{"ablation-combiners", "ablation-history", "ablation-granularity", "ablation-ttl", "ablation-interval"}},
+}
+
+// job computes one or more of the report's results.
+type job func() ([]experiments.Result, error)
+
+func one(f func() (experiments.Result, error)) job {
+	return func() ([]experiments.Result, error) {
+		r, err := f()
+		return []experiments.Result{r}, err
+	}
+}
+
+// report runs every experiment and writes the markdown report. load reads a
+// paper scenario file by name (the embedded library, or small stand-ins in
+// tests); seed replaces the seed each of those files carries; n is the model
+// figures' sample count.
+func report(w io.Writer, load func(string) (*scenario.Spec, error), seed int64, n int, seriesDir string) error {
+	var jobs []job
+	var header string
+	// The paper's files go first, last file first: the ablations' fourteen
+	// runs are the longest job, so a worker starts on them at once.
+	for i := len(experiments.PaperFiles) - 1; i >= 0; i-- {
+		sp, err := load(experiments.PaperFiles[i].Name)
+		if err != nil {
+			return err
+		}
+		sp.Fleet.Seed = seed
+		// The header names the scale of the file that measures a plain
+		// hour; the cwnd-sampling files run 17 s past it.
+		if sp.Name == "paper-ablations" {
+			pops, err := sp.Fleet.ResolvePoPs()
+			if err != nil {
+				return err
 			}
-			jobs = append(jobs, j)
+			measured := sp.Duration
+			if sp.Window != nil {
+				measured -= sp.Window.Start
+			}
+			header = fmt.Sprintf("scale: %d PoPs, %v measurement, seed %d", len(pops), measured, seed)
 		}
+		jobs = append(jobs, func() ([]experiments.Result, error) { return experiments.Paper(sp) })
 	}
-	ablations := []func(experiments.Scale) (experiments.Result, error){
-		experiments.AblationCombiners,
-		experiments.AblationHistory,
-		experiments.AblationGranularity,
-		experiments.AblationTTL,
-		experiments.AblationUpdateInterval,
-	}
-	for i, runFn := range ablations {
-		runFn := runFn
-		j := job{run: func() (experiments.Result, error) { return runFn(s) }}
-		if i == 0 {
-			j.section = "Ablations"
+	jobs = append(jobs,
+		one(func() (experiments.Result, error) { return experiments.Fig2FileSizes(seed, n) }),
+		one(func() (experiments.Result, error) { return experiments.Fig3RTTsCDF(seed, n) }),
+		one(experiments.Fig4TheoreticalGain),
+		one(func() (experiments.Result, error) { return experiments.Fig5RTTDistribution(nil) }),
+		one(func() (experiments.Result, error) { return experiments.Fig6TransferTime(nil) }),
+		one(func() (experiments.Result, error) { return experiments.Table2Census(nil), nil }),
+		one(func() (experiments.Result, error) { return experiments.ExtensionTrendReaction(seed) }),
+		one(func() (experiments.Result, error) { return experiments.ExtensionAdvisorShift(seed) }),
+	)
+	for _, sec := range sections {
+		for _, id := range sec.ids {
+			if name, ok := strings.CutPrefix(id, "scenario-"); ok {
+				jobs = append(jobs, one(func() (experiments.Result, error) { return experiments.Scenario(name) }))
+			}
 		}
-		jobs = append(jobs, j)
 	}
 
-	outcomes := executeJobs(jobs, workers)
-	for _, o := range outcomes {
+	results := make(map[string]experiments.Result)
+	for _, o := range executeJobs(jobs) {
 		if o.err != nil {
 			return o.err
 		}
-		if o.section != "" {
-			fmt.Fprintf(w, "## %s\n\n", o.section)
-		}
 		for _, res := range o.results {
+			results[res.ID] = res
+		}
+	}
+	fmt.Fprintf(w, "# Riptide reproduction report\n\n%s\n\n", header)
+	for _, sec := range sections {
+		fmt.Fprintf(w, "## %s\n\n", sec.title)
+		for _, id := range sec.ids {
+			res, ok := results[id]
+			if !ok {
+				return fmt.Errorf("riptide-bench: no experiment produced %q", id)
+			}
 			emit(w, res)
 			if seriesDir != "" {
 				if err := writeSeries(seriesDir, res); err != nil {
@@ -166,14 +169,16 @@ func report(w io.Writer, s experiments.Scale, seed int64, n int, seriesDir strin
 	return nil
 }
 
-// executeJobs runs all jobs through a bounded worker pool, preserving order.
-func executeJobs(jobs []job, workers int) []outcome {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+// outcome carries a finished job's results.
+type outcome struct {
+	results []experiments.Result
+	err     error
+}
+
+// executeJobs runs all jobs through a GOMAXPROCS-wide worker pool,
+// preserving order.
+func executeJobs(jobs []job) []outcome {
+	workers := min(runtime.GOMAXPROCS(0), len(jobs))
 	outcomes := make([]outcome, len(jobs))
 	indexes := make(chan int)
 	var wg sync.WaitGroup
@@ -182,15 +187,8 @@ func executeJobs(jobs []job, workers int) []outcome {
 		go func() {
 			defer wg.Done()
 			for i := range indexes {
-				j := jobs[i]
-				o := outcome{section: j.section}
-				if j.expand != nil {
-					o.results, o.err = j.expand()
-				} else {
-					var res experiments.Result
-					res, o.err = j.run()
-					o.results = []experiments.Result{res}
-				}
+				var o outcome
+				o.results, o.err = jobs[i]()
 				outcomes[i] = o
 			}
 		}()

@@ -1,16 +1,22 @@
 // Command riptide-sim regenerates the paper's cluster-evaluation artefacts
-// (Table II and Figures 10–16, plus the Section IV-D edge cases and the
-// headline abstract numbers) by simulating the 34-PoP CDN with and without
-// Riptide.
+// (Table II, Figures 10–16, the Section IV-D edge cases, the headline
+// abstract numbers and the Section III-B ablations) by running the paper's
+// scenario files (scenarios/paper-*.yaml) on the simulated 34-PoP CDN, and
+// runs the Section V extension experiments.
 //
-//	riptide-sim -exp all -scale quick
-//	riptide-sim -exp fig10 -duration 30m -seed 3
+//	riptide-sim -exp all
+//	riptide-sim -exp fig10 -seed 3
 //
 // It also executes declarative YAML scenarios (see docs/scenarios.md):
 //
 //	riptide-sim run scenarios/guard-capacity-cut.yaml
 //	riptide-sim validate scenarios/*.yaml
 //	riptide-sim -exp scenario-guard-capacity-cut   # the embedded copy, as a table
+//
+// and exports the raw measurements of one scenario file's main run as CSV
+// for offline analysis (riptide-replay):
+//
+//	riptide-sim -probes-csv probes.csv -cwnd-csv cwnd.csv scenarios/paper-busy-pop.yaml
 package main
 
 import (
@@ -18,11 +24,11 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
-	"riptide/internal/cdn"
 	"riptide/internal/experiments"
 	"riptide/internal/scenario"
 	"riptide/internal/trace"
@@ -31,12 +37,14 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], scenarios.Load); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(args []string) error {
+// run dispatches the subcommands. load reads a paper scenario file by name:
+// the embedded library, or small stand-ins in tests.
+func run(args []string, load func(string) (*scenario.Spec, error)) error {
 	if len(args) > 0 {
 		switch args[0] {
 		case "run":
@@ -45,7 +53,7 @@ func run(args []string) error {
 			return runScenarios(args[1:], false)
 		}
 	}
-	return runExperiments(args)
+	return runExperiments(args, load)
 }
 
 // runScenarios parses (and with execute set, runs) each scenario file. The
@@ -75,7 +83,7 @@ func runScenarios(paths []string, execute bool) error {
 			continue
 		}
 		start := time.Now()
-		rep, err := sp.Run()
+		rep, err := sp.Run(nil)
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
@@ -98,41 +106,26 @@ func runScenarios(paths []string, execute bool) error {
 	return nil
 }
 
-func runExperiments(args []string) error {
+func runExperiments(args []string, load func(string) (*scenario.Spec, error)) error {
 	fs := flag.NewFlagSet("riptide-sim", flag.ContinueOnError)
 	var (
-		exp      = fs.String("exp", "all", "experiment: table2|fig10|fig11|fig12|fig13|fig14|fig15|fig16|edge|headline|ext-*|scenario-<name>|all")
-		scale    = fs.String("scale", "quick", "scale preset: quick|full")
-		duration = fs.Duration("duration", 0, "override simulated measurement duration")
-		seed     = fs.Int64("seed", 1, "random seed")
-		loss     = fs.Float64("loss", 0, "override WAN random loss rate")
+		exp  = fs.String("exp", "all", "experiment: table2|fig10|...|fig16|edge|headline|ablation-*|ext-*|scenario-<name>|all")
+		seed = fs.Int64("seed", 1, "random seed of the extensions; when given, it also replaces the seed of the scenario files run")
 
-		probesCSV  = fs.String("probes-csv", "", "export mode: write probe records to this CSV and exit")
-		cwndCSV    = fs.String("cwnd-csv", "", "export mode: write cwnd samples to this CSV and exit")
-		exportRipt = fs.Bool("export-riptide", true, "export mode: run with Riptide enabled")
-		hosts      = fs.Int("hosts", 1, "export mode: machines per PoP")
-		sizesCSV   = fs.String("sizes-csv", "", "export mode: replace the synthetic organic size mix with sizes from this CSV")
+		probesCSV = fs.String("probes-csv", "", "export mode: write the scenario file's probe records to this CSV and exit")
+		cwndCSV   = fs.String("cwnd-csv", "", "export mode: write the scenario file's cwnd samples to this CSV and exit")
+		sizesCSV  = fs.String("sizes-csv", "", "export mode: replace the organic size mix with sizes from this CSV")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	var s experiments.Scale
-	switch *scale {
-	case "quick":
-		s = experiments.QuickScale()
-	case "full":
-		s = experiments.DefaultScale()
-	default:
-		return fmt.Errorf("unknown scale %q (want quick|full)", *scale)
+	seeded := func(sp *scenario.Spec) {
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "seed" {
+				sp.Fleet.Seed = *seed
+			}
+		})
 	}
-	if *duration != 0 {
-		s.Duration = *duration
-	}
-	if *loss != 0 {
-		s.LossRate = *loss
-	}
-	s.Seed = *seed
 
 	if *probesCSV != "" || *cwndCSV != "" {
 		var sizes workload.Sampler
@@ -147,121 +140,130 @@ func runExperiments(args []string) error {
 				return err
 			}
 		}
-		return exportRun(s, *exportRipt, *hosts, *probesCSV, *cwndCSV, sizes)
-	}
-
-	runners := map[string]func() (experiments.Result, error){
-		"table2": func() (experiments.Result, error) { return experiments.Table2Census(nil), nil },
-		"fig10":  func() (experiments.Result, error) { return experiments.Fig10CwndByCmax(s) },
-		"fig11":  func() (experiments.Result, error) { return experiments.Fig11TrafficProfiles(s) },
-		"fig12":  func() (experiments.Result, error) { return experiments.ProbeCompletionFigure(12, s) },
-		"fig13":  func() (experiments.Result, error) { return experiments.ProbeCompletionFigure(13, s) },
-		"fig14":  func() (experiments.Result, error) { return experiments.ProbeCompletionFigure(14, s) },
-		"fig15":  func() (experiments.Result, error) { return experiments.GainByPercentileFigure(15, s) },
-		"fig16":  func() (experiments.Result, error) { return experiments.GainByPercentileFigure(16, s) },
-		"edge":   func() (experiments.Result, error) { return experiments.EdgeCases(s) },
-		"headline": func() (experiments.Result, error) {
-			return experiments.Headline(s)
-		},
-		"ext-trend": func() (experiments.Result, error) {
-			return experiments.ExtensionTrendReaction(*seed)
-		},
-		"ext-advisor": func() (experiments.Result, error) {
-			return experiments.ExtensionAdvisorShift(*seed)
-		},
-	}
-	order := []string{"table2", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "edge", "headline",
-		"ext-trend", "ext-advisor"}
-	// The operational scenarios are the embedded YAML library; each carries
-	// its own fleet, seed and duration, so -scale/-seed/-duration do not
-	// apply. `riptide-sim run` gives the full JSON report.
-	for _, name := range scenarios.Names() {
-		name := name
-		runners["scenario-"+name] = func() (experiments.Result, error) { return experiments.Scenario(name) }
-		order = append(order, "scenario-"+name)
-	}
-
-	selected := order
-	if *exp != "all" {
-		if _, ok := runners[*exp]; !ok {
-			valid := make([]string, 0, len(runners)+1)
-			for name := range runners {
-				valid = append(valid, name)
-			}
-			valid = append(valid, "all")
-			sort.Strings(valid)
-			return fmt.Errorf("unknown experiment %q (valid: %s)", *exp, strings.Join(valid, " "))
+		if fs.NArg() != 1 {
+			return fmt.Errorf("export mode runs one scenario file, e.g. scenarios/paper-busy-pop.yaml; got %d", fs.NArg())
 		}
-		selected = []string{*exp}
-	}
-	for _, name := range selected {
-		start := time.Now()
-		res, err := runners[name]()
+		src, err := os.ReadFile(fs.Arg(0))
 		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		if err := experiments.Render(os.Stdout, res); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "%s finished in %v\n", name, time.Since(start).Round(time.Millisecond))
+		sp, err := scenario.Parse(src)
+		if err != nil {
+			return fmt.Errorf("%s: %w", fs.Arg(0), err)
+		}
+		seeded(sp)
+		sp.Fleet.Traffic.OrganicSizes = sizes
+		return exportRun(sp, *probesCSV, *cwndCSV)
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q (scenario files go to run, validate or export mode)", fs.Arg(0))
+	}
+
+	// Each group computes its results in one go: a paper file's runs feed
+	// every figure it backs, so -exp all runs each file once.
+	type group struct {
+		ids []string
+		run func() ([]experiments.Result, error)
+	}
+	one := func(id string, f func() (experiments.Result, error)) group {
+		return group{[]string{id}, func() ([]experiments.Result, error) {
+			r, err := f()
+			return []experiments.Result{r}, err
+		}}
+	}
+	groups := []group{one("table2", func() (experiments.Result, error) { return experiments.Table2Census(nil), nil })}
+	for _, pf := range experiments.PaperFiles {
+		groups = append(groups, group{pf.IDs, func() ([]experiments.Result, error) {
+			sp, err := load(pf.Name)
+			if err != nil {
+				return nil, err
+			}
+			seeded(sp)
+			return experiments.Paper(sp)
+		}})
+	}
+	groups = append(groups,
+		one("ext-trend", func() (experiments.Result, error) { return experiments.ExtensionTrendReaction(*seed) }),
+		one("ext-advisor", func() (experiments.Result, error) { return experiments.ExtensionAdvisorShift(*seed) }))
+	// The operational scenarios are the embedded YAML library; each carries
+	// its own fleet, seed and duration. `riptide-sim run` gives the full JSON
+	// report. The paper's files are rendered as the figures above.
+	for _, name := range scenarios.Names() {
+		if !slices.ContainsFunc(experiments.PaperFiles, func(pf experiments.PaperFile) bool { return pf.Name == name }) {
+			groups = append(groups, one("scenario-"+name, func() (experiments.Result, error) { return experiments.Scenario(name) }))
+		}
+	}
+
+	var valid []string
+	for _, g := range groups {
+		valid = append(valid, g.ids...)
+	}
+	if *exp != "all" && !slices.Contains(valid, *exp) {
+		valid = append(valid, "all")
+		sort.Strings(valid)
+		return fmt.Errorf("unknown experiment %q (valid: %s)", *exp, strings.Join(valid, " "))
+	}
+	for _, g := range groups {
+		if *exp != "all" && !slices.Contains(g.ids, *exp) {
+			continue
+		}
+		start := time.Now()
+		results, err := g.run()
+		if err != nil {
+			return fmt.Errorf("%s: %w", strings.Join(g.ids, ","), err)
+		}
+		for _, res := range results {
+			if *exp != "all" && res.ID != *exp {
+				continue
+			}
+			if err := experiments.Render(os.Stdout, res); err != nil {
+				return err
+			}
+		}
+		fmt.Fprintf(os.Stderr, "%s finished in %v\n", strings.Join(g.ids, ","), time.Since(start).Round(time.Millisecond))
 	}
 	return nil
 }
 
-// exportRun executes one cluster at the given scale and writes its raw
-// measurement records as CSV for external analysis/plotting.
-func exportRun(s experiments.Scale, riptideEnabled bool, hosts int, probesPath, cwndPath string, sizes workload.Sampler) error {
-	cluster, err := cdn.NewCluster(cdn.Config{
-		PoPs:        s.PoPs,
-		HostsPerPoP: hosts,
-		Seed:        s.Seed,
-		LossRate:    s.LossRate,
-		Riptide:     cdn.RiptideOptions{Enabled: riptideEnabled},
-		Traffic: cdn.TrafficOptions{
-			ProbeInterval: 4 * time.Minute,
-			IdleTimeout:   90 * time.Second,
-			OrganicSizes:  sizes,
-		},
+// exportRun executes a scenario file's main run alone — no compare arms, no
+// assertions — and writes its raw measurement records as CSV for external
+// analysis and plotting.
+func exportRun(sp *scenario.Spec, probesPath, cwndPath string) error {
+	sampled := slices.ContainsFunc(sp.Events, func(ev scenario.Event) bool {
+		_, ok := ev.Payload.(*scenario.CwndSamplingEvent)
+		return ok
 	})
-	if err != nil {
+	if cwndPath != "" && !sampled {
+		return fmt.Errorf("%s has no start_cwnd_sampling event to export cwnd samples from", sp.Name)
+	}
+	sp.Arms, sp.Assertions = nil, nil
+	var rec scenario.Records
+	if _, err := sp.Run(func(_ string, r scenario.Records) { rec = r }); err != nil {
 		return err
 	}
-	cluster.Run(s.WarmUp)
-	if cwndPath != "" {
-		if err := cluster.StartCwndSampling(time.Minute); err != nil {
-			return err
+	for _, out := range []struct {
+		path, what string
+		n          int
+		write      func(*os.File) error
+	}{
+		{probesPath, "probe records", len(rec.Probes), func(f *os.File) error { return trace.WriteProbes(f, rec.Probes) }},
+		{cwndPath, "cwnd samples", len(rec.Cwnd), func(f *os.File) error { return trace.WriteCwndSamples(f, rec.Cwnd) }},
+	} {
+		if out.path == "" {
+			continue
 		}
-	}
-	cluster.Run(s.Duration)
-	cluster.Stop()
-
-	if probesPath != "" {
-		f, err := os.Create(probesPath)
+		f, err := os.Create(out.path)
 		if err != nil {
 			return err
 		}
-		if err := trace.WriteProbes(f, cluster.ProbeRecords()); err != nil {
+		if err := out.write(f); err != nil {
 			f.Close()
 			return err
 		}
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote %d probe records to %s\n", len(cluster.ProbeRecords()), probesPath)
-	}
-	if cwndPath != "" {
-		f, err := os.Create(cwndPath)
-		if err != nil {
-			return err
-		}
-		if err := trace.WriteCwndSamples(f, cluster.CwndSamples()); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d cwnd samples to %s\n", len(cluster.CwndSamples()), cwndPath)
+		fmt.Fprintf(os.Stderr, "wrote %d %s to %s\n", out.n, out.what, out.path)
 	}
 	return nil
 }

@@ -1,36 +1,92 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"riptide/internal/scenario"
+	"riptide/scenarios"
 )
 
+// quickBusyPoP stands in for scenarios/paper-busy-pop.yaml at test size:
+// three PoPs and minutes of simulated time instead of 34 and an hour.
+const quickBusyPoP = `name: paper-busy-pop
+fleet:
+  pops: [lhr, fra, akl]
+  seed: 1
+  riptide:
+    enabled: true
+  traffic:
+    probe_interval: 1m
+    idle_timeout: 30s
+    organic:
+      lhr: 6
+duration: 6m
+window:
+  start: 1m
+  end: 6m
+events:
+  - at: 1m17s
+    start_cwnd_sampling:
+      pops: [lhr, akl]
+`
+
+// quickLoad is run's paper-file loader in tests: the busy-PoP stand-in, and
+// an error for any file a test should not reach.
+func quickLoad(name string) (*scenario.Spec, error) {
+	if name != "paper-busy-pop" {
+		return nil, fmt.Errorf("no test stand-in for %s", name)
+	}
+	return scenario.Parse([]byte(quickBusyPoP))
+}
+
+// writeQuick writes the busy-PoP stand-in where export mode can read it.
+func writeQuick(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "quick.yaml")
+	if err := os.WriteFile(path, []byte(quickBusyPoP), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 func TestRunTable2(t *testing.T) {
-	if err := run([]string{"-exp", "table2"}); err != nil {
+	if err := run([]string{"-exp", "table2"}, quickLoad); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-exp", "fig99"}); err == nil {
+	if err := run([]string{"-exp", "fig99"}, quickLoad); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
 
+// TestRunUnknownScale: there is one scale, the scenario files', so -scale
+// (like -duration, -loss and -hosts) is no longer a flag.
 func TestRunUnknownScale(t *testing.T) {
-	if err := run([]string{"-scale", "galactic"}); err == nil {
-		t.Error("unknown scale accepted")
+	for _, flag := range []string{"-scale", "-duration", "-loss", "-hosts", "-export-riptide"} {
+		err := run([]string{flag, "1"}, quickLoad)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+flag) {
+			t.Errorf("%s: err = %v, want an undefined-flag error", flag, err)
+		}
 	}
 }
 
+// TestRunSingleFigureQuick runs one paper figure through the loader, with
+// -seed replacing the file's seed.
 func TestRunSingleFigureQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster run in -short mode")
 	}
-	if err := run([]string{"-exp", "fig11", "-scale", "quick", "-duration", "10m"}); err != nil {
+	if err := run([]string{"-exp", "fig11", "-seed", "2"}, quickLoad); err != nil {
 		t.Fatal(err)
+	}
+	if err := run([]string{"-exp", "fig10"}, quickLoad); err == nil || !strings.Contains(err.Error(), "paper-cmax") {
+		t.Errorf("fig10 did not load paper-cmax: %v", err)
 	}
 }
 
@@ -41,8 +97,7 @@ func TestExportMode(t *testing.T) {
 	dir := t.TempDir()
 	probes := filepath.Join(dir, "probes.csv")
 	cwnd := filepath.Join(dir, "cwnd.csv")
-	err := run([]string{"-scale", "quick", "-duration", "6m",
-		"-probes-csv", probes, "-cwnd-csv", cwnd})
+	err := run([]string{"-probes-csv", probes, "-cwnd-csv", cwnd, writeQuick(t)}, quickLoad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +122,25 @@ func TestExportWithSizesCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	probes := filepath.Join(dir, "probes.csv")
-	err := run([]string{"-scale", "quick", "-duration", "6m",
-		"-probes-csv", probes, "-sizes-csv", sizes})
+	err := run([]string{"-probes-csv", probes, "-sizes-csv", sizes, writeQuick(t)}, quickLoad)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(probes); err != nil {
 		t.Fatal(err)
+	}
+	// Export mode needs exactly one scenario file, and cwnd samples need
+	// the file's sampler.
+	if err := run([]string{"-probes-csv", probes}, quickLoad); err == nil {
+		t.Error("export without a scenario file accepted")
+	}
+	noSampler := filepath.Join(dir, "nosampler.yaml")
+	if err := os.WriteFile(noSampler, []byte("name: x\nfleet:\n  pops: [lhr, fra]\nduration: 1m\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-cwnd-csv", filepath.Join(dir, "c.csv"), noSampler}, quickLoad); err == nil ||
+		!strings.Contains(err.Error(), "start_cwnd_sampling") {
+		t.Errorf("cwnd export from a file without a sampler: %v", err)
 	}
 }
 
@@ -83,28 +150,33 @@ func TestExportWithBadSizesCSV(t *testing.T) {
 	if err := os.WriteFile(sizes, []byte("garbage\nmore garbage\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err := run([]string{"-probes-csv", filepath.Join(dir, "p.csv"), "-sizes-csv", sizes})
+	err := run([]string{"-probes-csv", filepath.Join(dir, "p.csv"), "-sizes-csv", sizes, writeQuick(t)}, quickLoad)
 	if err == nil {
 		t.Error("bad sizes csv accepted")
 	}
 }
 
 func TestUnknownExperimentListsValidNames(t *testing.T) {
-	err := run([]string{"-exp", "fig99"})
+	err := run([]string{"-exp", "fig99"}, quickLoad)
 	if err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-	for _, want := range []string{"valid:", "fig10", "headline", "scenario-flash-crowd", "all"} {
+	for _, want := range []string{"valid:", "fig10", "headline", "ablation-ttl", "scenario-flash-crowd", "all"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not list %q", err, want)
 		}
+	}
+	// The paper's files are listed as the figures they back, not as
+	// scenario tables.
+	if strings.Contains(err.Error(), "scenario-paper-") {
+		t.Errorf("error %q lists a paper file as a scenario", err)
 	}
 }
 
 // TestRunEmbeddedScenario drives -exp scenario-<name>: the library is
 // embedded, so this works from the package directory (or any other).
 func TestRunEmbeddedScenario(t *testing.T) {
-	if err := run([]string{"-exp", "scenario-peer-partition"}); err != nil {
+	if err := run([]string{"-exp", "scenario-peer-partition"}, scenarios.Load); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -115,7 +187,7 @@ func TestValidateSubcommand(t *testing.T) {
 	if err := os.WriteFile(good, []byte("name: ok\nfleet:\n  pops: [lhr, fra]\nduration: 1m\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"validate", good}); err != nil {
+	if err := run([]string{"validate", good}, quickLoad); err != nil {
 		t.Fatalf("valid scenario rejected: %v", err)
 	}
 
@@ -123,7 +195,7 @@ func TestValidateSubcommand(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("name: broken\nfleet:\n  pops: [lhr, atlantis]\nduration: 1m\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err := run([]string{"validate", bad})
+	err := run([]string{"validate", bad}, quickLoad)
 	if err == nil {
 		t.Fatal("malformed scenario accepted")
 	}
@@ -135,7 +207,7 @@ func TestValidateSubcommand(t *testing.T) {
 	if err := os.WriteFile(misindented, []byte("name: x\nfleet:\n  pops: [lhr, fra]\n bad: 1\nduration: 1m\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err = run([]string{"validate", misindented})
+	err = run([]string{"validate", misindented}, quickLoad)
 	if err == nil {
 		t.Fatal("misindented scenario accepted")
 	}
@@ -143,7 +215,7 @@ func TestValidateSubcommand(t *testing.T) {
 		t.Errorf("error %q does not carry the line number", err)
 	}
 
-	if err := run([]string{"validate"}); err == nil {
+	if err := run([]string{"validate"}, quickLoad); err == nil {
 		t.Error("validate without a file accepted")
 	}
 }
@@ -171,7 +243,7 @@ assertions:
 	if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"run", file}); err != nil {
+	if err := run([]string{"run", file}, quickLoad); err != nil {
 		t.Fatal(err)
 	}
 
@@ -180,7 +252,7 @@ assertions:
 		"riptide.routes.end > 0", "riptide.routes.end < 0", 1)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"run", failing}); err == nil {
+	if err := run([]string{"run", failing}, quickLoad); err == nil {
 		t.Error("failed assertions did not fail the command")
 	}
 }

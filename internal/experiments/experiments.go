@@ -4,8 +4,10 @@
 // benchmark harness regenerates.
 //
 // Figures 2–6 come from the paper's closed-form transfer model over the
-// published distributions; Figure 10 onward come from full cluster
-// simulations (internal/cdn) run once with Riptide and once as a control.
+// published distributions. Figure 10 onward and the ablations are scenario
+// files (scenarios/paper-*.yaml) that the scenario engine runs; this package
+// only turns their runs' records into the figures (paper.go). The Section V
+// extensions build a two-host rig of their own (extensions.go).
 package experiments
 
 import (

@@ -147,101 +147,6 @@ func TestTable2Census(t *testing.T) {
 	}
 }
 
-func TestFig10CwndByCmaxQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster sweep in -short mode")
-	}
-	r, err := Fig10CwndByCmax(QuickScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Series) != 1+len(CmaxSweep) {
-		t.Fatalf("series = %d, want control + %d sweeps", len(r.Series), len(CmaxSweep))
-	}
-	if len(r.Notes) < 3 {
-		t.Fatalf("notes = %v", r.Notes)
-	}
-}
-
-func TestFig11TrafficProfilesQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster run in -short mode")
-	}
-	r, err := Fig11TrafficProfiles(QuickScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Series) != 2 {
-		t.Fatalf("series = %d", len(r.Series))
-	}
-}
-
-func TestProbeCompletionFiguresQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster run in -short mode")
-	}
-	if _, err := ProbeCompletionFigure(9, QuickScale()); err == nil {
-		t.Error("bogus figure accepted")
-	}
-	runs, err := runProbePair(QuickScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for fig, size := range probeSizeForFigure {
-		r, err := probeCompletionFromRuns(fig, size, runs)
-		if err != nil {
-			t.Fatalf("fig%d: %v", fig, err)
-		}
-		if len(r.Series) == 0 {
-			t.Errorf("fig%d: no series", fig)
-		}
-	}
-}
-
-func TestGainByPercentileQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster run in -short mode")
-	}
-	if _, err := GainByPercentileFigure(3, QuickScale()); err == nil {
-		t.Error("bogus figure accepted")
-	}
-	runs, err := runProbePair(QuickScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for fig, size := range map[int]int{15: 50 * 1024, 16: 100 * 1024} {
-		r, err := gainByPercentileFromRuns(fig, size, runs)
-		if err != nil {
-			t.Fatalf("fig%d: %v", fig, err)
-		}
-		if len(r.Series) != 2 {
-			t.Errorf("fig%d series = %d, want 2 senders", fig, len(r.Series))
-		}
-		for _, s := range r.Series {
-			if len(s.Points) != 19 {
-				t.Errorf("fig%d %s points = %d, want 19 (5%% steps)", fig, s.Label, len(s.Points))
-			}
-		}
-	}
-}
-
-func TestEdgeCasesQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster run in -short mode")
-	}
-	runs, err := runProbePair(QuickScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := edgeCasesFromRuns(runs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Tables) != 1 || len(r.Tables[0].Rows) == 0 {
-		t.Fatalf("tables = %+v", r.Tables)
-	}
-}
-
 // TestEdgeCasesRowOrder: the §IV-D table has one row per (src, dst) pair
 // with probes in both runs. Its rows must come out sorted by (src, dst) and
 // identical from call to call; ranging over the per-pair map gave a
@@ -287,19 +192,6 @@ func TestEdgeCasesRowOrder(t *testing.T) {
 	}
 }
 
-func TestHeadlineQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster run in -short mode")
-	}
-	r, err := Headline(QuickScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Notes) < 2 {
-		t.Fatalf("notes = %v", r.Notes)
-	}
-}
-
 func TestRender(t *testing.T) {
 	r := Result{
 		ID:    "test",
@@ -324,48 +216,5 @@ func TestRender(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestScaleDefaults(t *testing.T) {
-	s := Scale{}.withDefaults()
-	if s.Duration == 0 || s.LossRate == 0 || s.WarmUp == 0 || len(s.PoPs) != 34 {
-		t.Errorf("defaults = %+v", s)
-	}
-	q := QuickScale()
-	if len(q.PoPs) != 6 {
-		t.Errorf("quick scale PoPs = %d", len(q.PoPs))
-	}
-}
-
-func TestProbeSuiteQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster run in -short mode")
-	}
-	results, err := ProbeSuite(QuickScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantIDs := []string{"fig12", "fig13", "fig14", "fig15", "fig16", "edge"}
-	if len(results) != len(wantIDs) {
-		t.Fatalf("results = %d, want %d", len(results), len(wantIDs))
-	}
-	for i, want := range wantIDs {
-		if results[i].ID != want {
-			t.Errorf("result %d = %s, want %s (order must be deterministic)", i, results[i].ID, want)
-		}
-	}
-}
-
-func TestEdgeCasesEntryPoint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster run in -short mode")
-	}
-	r, err := EdgeCases(QuickScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.ID != "edge" || len(r.Tables) != 1 {
-		t.Fatalf("result = %+v", r)
 	}
 }

@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -19,7 +19,7 @@ func Scenario(name string) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	rep, err := sp.Run()
+	rep, err := sp.Run(nil)
 	if err != nil {
 		return Result{}, err
 	}
@@ -44,18 +44,15 @@ func Scenario(name string) (Result, error) {
 			values[run.Name+"."+m.Name] = m.Value
 		}
 	}
-	seen := make(map[string]bool)
 	var rows []string
 	for _, a := range sp.Assertions {
 		for _, qualified := range a.Metrics() {
 			_, metric, _ := strings.Cut(qualified, ".")
-			if !seen[metric] {
-				seen[metric] = true
-				rows = append(rows, metric)
-			}
+			rows = append(rows, metric)
 		}
 	}
-	sort.Strings(rows)
+	slices.Sort(rows)
+	rows = slices.Compact(rows)
 	tbl := Table{
 		Title: fmt.Sprintf("Asserted metrics, seed %d, %s simulated (before %s, during %s, after %s)",
 			rep.Seed, rep.Duration, rep.Phases.Before, rep.Phases.During, rep.Phases.After),

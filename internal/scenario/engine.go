@@ -3,6 +3,8 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 	"time"
 
 	"riptide/internal/cdn"
@@ -13,10 +15,31 @@ import (
 	"riptide/internal/workload"
 )
 
-// Run executes the scenario: the main run, the control run when a compare
-// block is present, and the assertions over both runs' metrics. The report
-// is deterministic — the same spec and seed always produce the same bytes.
-func (sp *Spec) Run() (*Report, error) {
+// Records is one run's raw measurements, handed to Run's caller for the
+// analyses the report's flat metrics cannot express; none of it is in the
+// report.
+type Records struct {
+	Probes []cdn.ProbeRecord
+	// Cwnd holds the start_cwnd_sampling sampler's observations (nil
+	// without that event).
+	Cwnd []cdn.CwndSample
+	// RoutesSet counts the routes every agent of the fleet programmed over
+	// the run.
+	RoutesSet uint64
+}
+
+// simSlots bounds the runs simulating at once across the process, whichever
+// Run started them: each holds a whole cluster in memory and a core busy.
+var simSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
+
+// Run executes the scenario: the main run and each compare arm, and the
+// assertions over all runs' metrics. The runs share nothing, so they
+// simulate concurrently, up to GOMAXPROCS at once in the process; the report
+// lists them main run first, then the arms in file order, and is
+// deterministic — the same spec and seed always produce the same bytes.
+// keep, when not nil, receives each run's records as it finishes, one call
+// at a time.
+func (sp *Spec) Run(keep func(run string, rec Records)) (*Report, error) {
 	rep := &Report{
 		Schema:      ReportSchema,
 		Scenario:    sp.Name,
@@ -31,28 +54,34 @@ func (sp *Spec) Run() (*Report, error) {
 		After:  phaseSpan(end, sp.Duration),
 	}
 
-	metrics := make(map[string]float64)
-	mainName := "riptide"
-	if !sp.Fleet.Riptide.Enabled {
-		mainName = "control"
-	}
-	mainMetrics, err := sp.executeRun(runOverrides{})
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %s run: %w", sp.Name, mainName, err)
-	}
-	rep.Runs = append(rep.Runs, RunReport{Name: mainName, Metrics: sortMetrics(mainName, mainMetrics, metrics)})
-
-	if sp.Compare != nil {
-		ctl, err := sp.executeRun(runOverrides{
-			riptide: sp.Compare.Riptide,
-			guard:   sp.Compare.Guard,
-			gossip:  sp.Compare.Gossip,
-			sharing: sp.Compare.Sharing,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: control run: %w", sp.Name, err)
+	arms := append([]Arm{sp.mainRun()}, sp.Arms...)
+	runMetrics := make([]map[string]float64, len(arms))
+	errs := make([]error, len(arms))
+	var mu sync.Mutex
+	keepOne := keep // keep, one call at a time
+	if keep != nil {
+		keepOne = func(run string, rec Records) {
+			mu.Lock()
+			defer mu.Unlock()
+			keep(run, rec)
 		}
-		rep.Runs = append(rep.Runs, RunReport{Name: "control", Metrics: sortMetrics("control", ctl, metrics)})
+	}
+	var wg sync.WaitGroup
+	for i, arm := range arms {
+		wg.Add(1)
+		simSlots <- struct{}{}
+		go func() {
+			defer func() { <-simSlots; wg.Done() }()
+			runMetrics[i], errs[i] = sp.executeRun(arm, keepOne)
+		}()
+	}
+	wg.Wait()
+	metrics := make(map[string]float64)
+	for i, arm := range arms {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("scenario %s: %s run: %w", sp.Name, arm.Name, errs[i])
+		}
+		rep.Runs = append(rep.Runs, RunReport{Name: arm.Name, Metrics: sortMetrics(arm.Name, runMetrics[i], metrics)})
 	}
 
 	rep.Pass = true
@@ -103,14 +132,6 @@ func (sp *Spec) affectedPoPs() map[string]bool {
 	return out
 }
 
-// runOverrides derives the control run from the main spec.
-type runOverrides struct {
-	riptide *bool
-	guard   *bool
-	gossip  *bool
-	sharing *bool
-}
-
 // runState accumulates per-run observations that the event callbacks and the
 // metrics ticker write.
 type runState struct {
@@ -146,18 +167,14 @@ type runState struct {
 	// maxWindowAtStart is the largest learned initcwnd on the affected
 	// paths when the window opened (0 = none learned).
 	maxWindowAtStart int
+
+	// sampling is the start_cwnd_sampling event, when the run has one.
+	sampling *CwndSamplingEvent
 }
 
-func (sp *Spec) executeRun(ov runOverrides) (map[string]float64, error) {
-	fleet := sp.Fleet
-	riptideOn := fleet.Riptide.Enabled
-	if ov.riptide != nil {
-		riptideOn = *ov.riptide
-	}
-	guardSpec := fleet.Riptide.Guard
-	if ov.guard != nil && !*ov.guard {
-		guardSpec = nil
-	}
+func (sp *Spec) executeRun(arm Arm, keep func(string, Records)) (map[string]float64, error) {
+	fleet, r := sp.Fleet, arm.Riptide
+	riptideOn, guardSpec := r.Enabled, r.Guard
 	pops, err := fleet.ResolvePoPs()
 	if err != nil {
 		return nil, err
@@ -172,12 +189,12 @@ func (sp *Spec) executeRun(ov runOverrides) (map[string]float64, error) {
 		CapacitySegments: fleet.CapacitySegments,
 		Riptide: cdn.RiptideOptions{
 			Enabled:        riptideOn,
-			CMax:           fleet.Riptide.CMax,
-			CMin:           fleet.Riptide.CMin,
-			Alpha:          fleet.Riptide.Alpha,
-			UpdateInterval: fleet.Riptide.UpdateInterval,
-			TTL:            fleet.Riptide.TTL,
-			PrefixBits:     fleet.Riptide.PrefixBits,
+			CMax:           r.CMax,
+			CMin:           r.CMin,
+			Alpha:          r.Alpha,
+			UpdateInterval: r.UpdateInterval,
+			TTL:            r.TTL,
+			PrefixBits:     r.PrefixBits,
 		},
 		Traffic: cdn.TrafficOptions{
 			ProbeInterval:          fleet.Traffic.ProbeInterval,
@@ -193,6 +210,17 @@ func (sp *Spec) executeRun(ov runOverrides) (map[string]float64, error) {
 			QuarantineTTL:   guardSpec.QuarantineTTL,
 		}
 	}
+	switch r.Combiner {
+	case "average":
+		cfg.Riptide.Combiner = core.AverageCombiner{}
+	case "max":
+		cfg.Riptide.Combiner = core.MaxCombiner{}
+	case "traffic-weighted":
+		cfg.Riptide.Combiner = core.TrafficWeightedCombiner{}
+	}
+	if r.History == "none" {
+		cfg.Riptide.History = core.NoHistory{}
+	}
 	for _, kb := range fleet.Traffic.ProbeSizesKB {
 		cfg.Traffic.ProbeSizes = append(cfg.Traffic.ProbeSizes, kb*1024)
 	}
@@ -205,22 +233,24 @@ func (sp *Spec) executeRun(ov runOverrides) (map[string]float64, error) {
 	if fleet.Traffic.OrganicSizeKB > 0 {
 		cfg.Traffic.OrganicSizes = workload.Constant(fleet.Traffic.OrganicSizeKB * 1024)
 	}
+	if fleet.Traffic.OrganicSizes != nil {
+		cfg.Traffic.OrganicSizes = fleet.Traffic.OrganicSizes
+	}
 
 	c, err := cdn.NewCluster(cfg)
 	if err != nil {
 		return nil, err
 	}
 
-	st := &runState{guardOn: riptideOn && guardSpec != nil, tick: fleet.Riptide.UpdateInterval}
+	st := &runState{guardOn: riptideOn && guardSpec != nil, tick: r.UpdateInterval}
 	if st.tick == 0 {
 		st.tick = core.DefaultUpdateInterval
 	}
 	st.winStart, st.winEnd = sp.phaseWindow()
 
-	sharingOn := riptideOn && (ov.sharing == nil || *ov.sharing)
-	gossipFull := ov.gossip != nil && !*ov.gossip
+	sharingOn := riptideOn && !arm.NoSharing
 	for _, ev := range sp.Events {
-		if err := applyEvent(c, ev, st, sharingOn, gossipFull); err != nil {
+		if err := applyEvent(c, ev, st, sharingOn, arm.GossipFull); err != nil {
 			return nil, fmt.Errorf("event at %v (%s): %w", ev.At, ev.Kind, err)
 		}
 	}
@@ -277,7 +307,19 @@ func (sp *Spec) executeRun(ov runOverrides) (map[string]float64, error) {
 	c.Run(sp.Duration)
 
 	metrics := sp.collect(c, st)
+	var rec Records
+	if keep != nil {
+		for _, p := range pops {
+			for _, a := range c.Agents(p.Name) {
+				rec.RoutesSet += a.Stats().RoutesSet
+			}
+		}
+	}
 	c.Stop()
+	if keep != nil {
+		rec.Probes, rec.Cwnd = c.ProbeRecords(), c.CwndSamples()
+		keep(arm.Name, rec)
+	}
 	return metrics, nil
 }
 
@@ -335,6 +377,10 @@ func applyEvent(c *cdn.Cluster, ev Event, st *runState, sharingOn, gossipFull bo
 		return nil
 	case *KnobEvent:
 		return c.ScheduleAt(ev.At, func() { applyKnob(c, p) })
+	case *CwndSamplingEvent:
+		st.sampling = p
+		// A positive interval is the sampler's only failure.
+		return c.ScheduleAt(ev.At, func() { _ = c.StartCwndSampling(cwndSampleInterval) })
 	case interface{ Apply(*cdn.Cluster) error }: // the cdn fault types
 		return p.Apply(c)
 	}
@@ -467,6 +513,9 @@ func (sp *Spec) collect(c *cdn.Cluster, st *runState) map[string]float64 {
 	m["probe_failures.total"] = fails["before"] + fails["during"] + fails["after"]
 
 	m["routes.end"] = float64(c.TotalRoutes())
+	if st.sampling != nil {
+		collectCwnd(m, c.CwndSamples(), st.sampling.PoPs)
+	}
 	if st.maxWindowAtStart > 0 {
 		m["initcwnd.max.before"] = float64(st.maxWindowAtStart)
 	}
@@ -523,6 +572,35 @@ func (sp *Spec) collect(c *cdn.Cluster, st *runState) map[string]float64 {
 		}
 	}
 	return m
+}
+
+// collectCwnd summarises the sampled windows of connections opened after
+// sampling began (the population the paper's Section IV-B1 counts): their
+// count and median over the fleet, and the median of each named source PoP.
+func collectCwnd(m map[string]float64, samples []cdn.CwndSample, pops []string) {
+	all := stats.NewCDF(len(samples))
+	byPoP := make(map[string]*stats.CDF, len(pops))
+	for _, p := range pops {
+		byPoP[p] = stats.NewCDF(0)
+	}
+	for _, s := range samples {
+		if !s.OpenedAfterStart {
+			continue
+		}
+		all.Add(float64(s.Cwnd))
+		if cdf, ok := byPoP[s.Src]; ok {
+			cdf.Add(float64(s.Cwnd))
+		}
+	}
+	m["cwnd.samples"] = float64(all.Len())
+	if all.Len() > 0 {
+		m["cwnd.p50"] = all.MustPercentile(50)
+	}
+	for p, cdf := range byPoP {
+		if cdf.Len() > 0 {
+			m["cwnd.p50."+p] = cdf.MustPercentile(50)
+		}
+	}
 }
 
 func (sp *Spec) phaseOf(at time.Duration) string {

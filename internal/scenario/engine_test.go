@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 )
 
 // quickScenario is small enough to execute in tests: four PoPs, a partition
@@ -21,7 +22,8 @@ fleet:
     probe_sizes_kb: [50]
 duration: 4m
 compare:
-  riptide: false
+  control:
+    enabled: false
 events:
   - at: 90s
     peer_partition:
@@ -41,7 +43,7 @@ func runQuick(t *testing.T, src string) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sp.Run()
+	rep, err := sp.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +215,115 @@ func TestTickMetricsCountUpdateIntervals(t *testing.T) {
 // rounds — a difference a fleet-wide route count (one machine of eight) never
 // showed.
 func TestEngineSharingControl(t *testing.T) {
-	src := strings.Replace(coldReboot, "events:\n", "compare:\n  sharing: false\nevents:\n  - at: 0s\n    enable_fleet_sharing:\n      interval: 5s\n", 1) +
+	src := strings.Replace(coldReboot, "events:\n", "compare:\n  control: {sharing: false}\nevents:\n  - at: 0s\n    enable_fleet_sharing:\n      interval: 5s\n", 1) +
 		"assertions:\n  - riptide.recovery_target >= 1\n  - riptide.recovery_target == control.recovery_target\n  - 4 * riptide.recovery_ticks <= control.recovery_ticks\n"
 	rep := runQuick(t, src)
 	if !rep.Pass {
 		b, _ := rep.Encode()
 		t.Fatalf("sharing-control assertions failed:\n%s", b)
+	}
+}
+
+// armsScenario compares three patched arms against the main run and samples
+// windows from the second minute on.
+const armsScenario = `
+name: arms-test
+fleet:
+  pops: [lhr, fra, jfk]
+  seed: 5
+  riptide:
+    enabled: true
+  traffic:
+    probe_interval: 20s
+    probe_sizes_kb: [50]
+    organic:
+      lhr: 2
+      fra: 0.5
+      jfk: 0.5
+duration: 3m
+window: {start: 1m, end: 3m}
+compare:
+  control:
+    enabled: false
+  cmax_20:
+    cmax: 20
+  max_nohist:
+    combiner: max
+    history: none
+events:
+  - at: 1m
+    start_cwnd_sampling:
+      pops: [lhr]
+assertions:
+  - riptide.cwnd.p50 > control.cwnd.p50
+`
+
+// TestEngineArmsAndRecords runs a multi-arm compare block: the runs come out
+// main first and then in file order, each arm's patch reaches its agents, and
+// the records handed to the caller are the ones the metrics summarise.
+func TestEngineArmsAndRecords(t *testing.T) {
+	sp, err := Parse([]byte(armsScenario))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := map[string]Records{}
+	rep, err := sp.Run(func(run string, rec Records) { recs[run] = rec })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	metric := map[string]float64{}
+	for _, r := range rep.Runs {
+		names = append(names, r.Name)
+		for _, m := range r.Metrics {
+			metric[r.Name+"."+m.Name] = m.Value
+		}
+	}
+	if got := strings.Join(names, ","); got != "riptide,control,cmax_20,max_nohist" || len(recs) != 4 {
+		t.Fatalf("runs = %s, records for %d", got, len(recs))
+	}
+	if !rep.Pass {
+		b, _ := rep.Encode()
+		t.Fatalf("assertions failed:\n%s", b)
+	}
+	maxInit := func(run string) int {
+		highest := 0
+		for _, p := range recs[run].Probes {
+			highest = max(highest, p.InitCwnd)
+		}
+		return highest
+	}
+	if maxInit("cmax_20") > 20 || maxInit("riptide") <= 20 || maxInit("control") > 10 {
+		t.Errorf("probe initcwnd maxima: riptide %d, cmax_20 %d, control %d; the arm patches did not reach the agents",
+			maxInit("riptide"), maxInit("cmax_20"), maxInit("control"))
+	}
+	if recs["control"].RoutesSet != 0 || recs["riptide"].RoutesSet == 0 {
+		t.Errorf("routes set: control %d, riptide %d", recs["control"].RoutesSet, recs["riptide"].RoutesSet)
+	}
+	if recs["max_nohist"].RoutesSet == recs["riptide"].RoutesSet {
+		t.Errorf("max/no-history arm programmed exactly as many routes (%d) as the default", recs["riptide"].RoutesSet)
+	}
+	for run, rec := range recs {
+		if got, want := float64(len(rec.Probes)), metric[run+".probes.total"]; got != want {
+			t.Errorf("%s: %v probe records, probes.total %v", run, got, want)
+		}
+		after := 0
+		for _, s := range rec.Cwnd {
+			if s.At < time.Minute+20*time.Second {
+				t.Fatalf("%s: cwnd sample at %v, before the sampler's first tick", run, s.At)
+			}
+			if s.OpenedAfterStart {
+				after++
+			}
+		}
+		if after == 0 || float64(after) != metric[run+".cwnd.samples"] {
+			t.Errorf("%s: %d samples opened after start, cwnd.samples %v", run, after, metric[run+".cwnd.samples"])
+		}
+		if _, ok := metric[run+".cwnd.p50.lhr"]; !ok {
+			t.Errorf("%s: no cwnd.p50.lhr", run)
+		}
+		if _, ok := metric[run+".cwnd.p50.fra"]; ok {
+			t.Errorf("%s: cwnd.p50.fra reported for a PoP the event does not name", run)
+		}
 	}
 }

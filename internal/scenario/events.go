@@ -24,6 +24,7 @@ func parseEvents(n *Node, pops map[string]bool, total time.Duration, baseLoss fl
 		return nil, fmt.Errorf("line %d: events must be a sequence", n.Line)
 	}
 	var out []Event
+	sampling := false
 	for _, item := range n.Items {
 		ev, err := parseEvent(item, pops, total, baseLoss)
 		if err != nil {
@@ -32,6 +33,12 @@ func parseEvents(n *Node, pops map[string]bool, total time.Duration, baseLoss fl
 		if len(out) > 0 && ev.At < out[len(out)-1].At {
 			return nil, fmt.Errorf("line %d: event at %v listed after one at %v (events must be in time order)",
 				ev.Line, ev.At, out[len(out)-1].At)
+		}
+		if _, ok := ev.Payload.(*CwndSamplingEvent); ok {
+			if sampling {
+				return nil, fmt.Errorf("line %d: start_cwnd_sampling listed twice (one sampler per run)", ev.Line)
+			}
+			sampling = true
 		}
 		out = append(out, ev)
 	}
@@ -79,15 +86,16 @@ func parseEvent(n *Node, pops map[string]bool, total time.Duration, baseLoss flo
 	return ev, nil
 }
 
-// field binds one key of an event mapping to where its value is stored: a
-// *string, *[]string, *time.Duration, *int or *float64.
+// field binds one key of a mapping to where its value is stored: a *string,
+// *[]string, *time.Duration, *bool, *int, *int64 or *float64, or a **Node
+// that keeps a nested block for its own decoder.
 type field struct {
 	key string
 	dst any
 }
 
 // decodeFields checks that n is a mapping holding only the listed keys and
-// stores every value present.
+// stores every value present. Range checks are the caller's, after decoding.
 func decodeFields(n *Node, kind string, fields ...field) error {
 	if err := needMap(n, kind); err != nil {
 		return err
@@ -114,10 +122,16 @@ func decodeFields(n *Node, kind string, fields ...field) error {
 			*dst, err = v.Duration()
 		case *float64:
 			*dst, err = v.Float()
+		case *bool:
+			*dst, err = v.Bool()
 		case *int:
 			var iv int64
 			iv, err = v.Int()
 			*dst = int(iv)
+		case *int64:
+			*dst, err = v.Int()
+		case **Node:
+			*dst = v
 		default:
 			panic(fmt.Sprintf("scenario: field %q has unsupported type %T", f.key, f.dst))
 		}
@@ -168,6 +182,9 @@ func parsePayload(kind string, n *Node, at time.Duration, baseLoss float64) (any
 		e := &GossipSharingEvent{Mode: string(cdn.GossipLadder)}
 		return e, decodeFields(n, kind, field{"interval", &e.Interval}, field{"mode", &e.Mode},
 			field{"seed_entries", &e.SeedEntries})
+	case "start_cwnd_sampling":
+		e := &CwndSamplingEvent{}
+		return e, decodeFields(n, kind, field{"pops", &e.PoPs})
 	case "set_knob":
 		e := &KnobEvent{}
 		return e, decodeFields(n, kind, field{"knob", &e.Knob}, field{"pop", &e.PoP}, field{"a", &e.A},
@@ -206,6 +223,12 @@ func (ev Event) validate(pops map[string]bool, total time.Duration) error {
 		}
 	case *KnobEvent:
 		err = p.validate()
+	case *CwndSamplingEvent:
+		for _, name := range p.PoPs {
+			if !pops[name] && err == nil {
+				err = fmt.Errorf("unknown PoP %q", name)
+			}
+		}
 	case interface{ Validate() error }: // the cdn fault types
 		err = p.Validate()
 	}

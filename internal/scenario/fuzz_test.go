@@ -80,6 +80,7 @@ func walk(t *testing.T, n *Node, depth int) {
 func FuzzParseScenario(f *testing.F) {
 	f.Add([]byte(validScenario))
 	f.Add([]byte(quickScenario))
+	f.Add([]byte(armsScenario))
 	f.Add([]byte("name: x\nfleet:\n  pops: [lhr, fra]\nduration: 1m"))
 	f.Add([]byte("name: x\nfleet: {}\nduration: -1s"))
 	f.Add([]byte("name: x\nfleet:\n  regions: [asia]\nduration: 1m\nassertions:\n  - riptide.a / riptide.b <= 1"))

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"riptide/internal/cdn"
+	"riptide/internal/workload"
 )
 
 // Spec is a fully parsed and validated scenario file.
@@ -19,10 +20,12 @@ type Spec struct {
 	Fleet FleetSpec
 	// Duration is the total simulated run length.
 	Duration time.Duration
-	// Window, when set, overrides the event-derived "during" phase.
+	// Window, when set, overrides the event-derived "during" phase; the
+	// paper's files use its start as the warm-up their figures skip.
 	Window *Window
-	// Compare, when set, adds a control run differing in the named knobs.
-	Compare *CompareSpec
+	// Arms are the compare block's runs, in file order, each the main fleet
+	// with a patch applied.
+	Arms []Arm
 	// Events is the timed incident stream, in non-decreasing At order.
 	Events []Event
 	// ProbeFilter restricts which probes feed the phase CDFs.
@@ -61,6 +64,10 @@ type RiptideSpec struct {
 	UpdateInterval time.Duration
 	TTL            time.Duration
 	PrefixBits     int
+	// Combiner names the per-destination combiner ("average", "max" or
+	// "traffic-weighted"); History the history policy ("ewma" or "none").
+	// Empty keeps the paper's average and EWMA.
+	Combiner, History string
 	// Guard, when set, gives every agent a safety governor.
 	Guard *GuardSpec
 }
@@ -90,6 +97,10 @@ type TrafficSpec struct {
 	// OrganicSizeKB fixes organic object sizes; 0 keeps the paper's
 	// Figure 2 mix.
 	OrganicSizeKB float64
+	// OrganicSizes, when set, draws organic object sizes and overrides
+	// OrganicSizeKB. No file key sets it: it is for callers that load a
+	// size mix from elsewhere (riptide-sim -sizes-csv).
+	OrganicSizes workload.Sampler
 }
 
 // Window bounds the "during" phase for before/during/after analysis.
@@ -97,20 +108,21 @@ type Window struct {
 	Start, End time.Duration
 }
 
-// CompareSpec derives the control run from the main run.
-type CompareSpec struct {
-	// Riptide, when set, overrides RiptideSpec.Enabled in the control run.
-	Riptide *bool
-	// Guard, when set false, strips the safety governor in the control run.
-	Guard *bool
-	// Gossip, when set false, downgrades the control run's gossip mode to
+// Arm is one named comparison run of a compare block: the main fleet with
+// the arm's keys applied.
+type Arm struct {
+	Name string
+	// Riptide is fleet.riptide with the arm's riptide keys applied; its
+	// guard: false clears Guard.
+	Riptide RiptideSpec
+	// GossipFull (gossip: false) downgrades the run's gossip mode to
 	// "full" — same sync schedule, whole tables every round — so the
 	// assertions can price conditional deltas against whole-table sync.
-	Gossip *bool
-	// Sharing, when set false, drops the enable_fleet_sharing and
-	// enable_gossip_sharing events from the control run: the same fleet
-	// with every agent learning alone.
-	Sharing *bool
+	GossipFull bool
+	// NoSharing (sharing: false) drops the enable_fleet_sharing and
+	// enable_gossip_sharing events from the run: the same fleet with every
+	// agent learning alone.
+	NoSharing bool
 }
 
 // ProbeFilter restricts the probe population feeding the phase CDFs.
@@ -173,6 +185,19 @@ type GossipSharingEvent struct {
 	SeedEntries int
 }
 
+// CwndSamplingEvent starts the `ss`-style window sampler of every machine
+// (cdn.Cluster.StartCwndSampling) at the paper's Section IV-B1 cadence,
+// cwndSampleInterval; the paper counts only connections opened after
+// sampling began. PoPs names source PoPs whose windows get a metric of
+// their own.
+type CwndSamplingEvent struct {
+	PoPs []string
+}
+
+// cwndSampleInterval is the cwnd sampler's cadence: the paper samples each
+// minute.
+const cwndSampleInterval = time.Minute
+
 // Raw knob names for KnobEvent.
 const (
 	KnobPoPLoss      = "pop_loss"
@@ -197,55 +222,40 @@ func Parse(src []byte) (*Spec, error) {
 	if err != nil {
 		return nil, err
 	}
+	sp := &Spec{}
+	var fleet, window, compare, filter, events, assertions *Node
 	if root.Kind != MapNode {
 		return nil, fmt.Errorf("line %d: scenario document must be a mapping", root.Line)
 	}
-	if err := checkKeys(root, "name", "description", "fleet", "duration", "window", "compare", "events", "probe_filter", "assertions"); err != nil {
+	if err := decodeFields(root, "scenario", field{"name", &sp.Name}, field{"description", &sp.Description},
+		field{"fleet", &fleet}, field{"duration", &sp.Duration}, field{"window", &window}, field{"compare", &compare},
+		field{"events", &events}, field{"probe_filter", &filter}, field{"assertions", &assertions}); err != nil {
 		return nil, err
 	}
-	sp := &Spec{}
-	if n := root.Get("name"); n != nil {
-		if sp.Name, err = n.Str(); err != nil {
-			return nil, err
-		}
-	}
-	if sp.Name == "" {
+	switch {
+	case sp.Name == "":
 		return nil, fmt.Errorf("line %d: scenario needs a name", root.Line)
-	}
-	if n := root.Get("description"); n != nil {
-		if sp.Description, err = n.Str(); err != nil {
-			return nil, err
-		}
-	}
-	fleetNode := root.Get("fleet")
-	if fleetNode == nil {
+	case fleet == nil:
 		return nil, fmt.Errorf("line %d: scenario needs a fleet block", root.Line)
-	}
-	if err := parseFleet(fleetNode, &sp.Fleet); err != nil {
-		return nil, err
-	}
-	durNode := root.Get("duration")
-	if durNode == nil {
+	case root.Get("duration") == nil:
 		return nil, fmt.Errorf("line %d: scenario needs a duration", root.Line)
+	case sp.Duration <= 0:
+		return nil, fmt.Errorf("line %d: duration %v must be positive", root.Get("duration").Line, sp.Duration)
 	}
-	if sp.Duration, err = durNode.Duration(); err != nil {
+	if err := parseFleet(fleet, &sp.Fleet); err != nil {
 		return nil, err
 	}
-	if sp.Duration <= 0 {
-		return nil, fmt.Errorf("line %d: duration %v must be positive", durNode.Line, sp.Duration)
-	}
-	if n := root.Get("window"); n != nil {
-		if sp.Window, err = parseWindow(n, sp.Duration); err != nil {
+	if window != nil {
+		if sp.Window, err = parseWindow(window, sp.Duration); err != nil {
 			return nil, err
 		}
 	}
-	if n := root.Get("compare"); n != nil {
-		if sp.Compare, err = parseCompare(n); err != nil {
+	if filter != nil {
+		if err := decodeFields(filter, "probe_filter", field{"size_kb", &sp.ProbeFilter.SizeKB},
+			field{"fresh_only", &sp.ProbeFilter.FreshOnly}); err != nil {
 			return nil, err
 		}
-	}
-	if n := root.Get("probe_filter"); n != nil {
-		if err := parseProbeFilter(n, &sp.ProbeFilter); err != nil {
+		if err := rangeErr(filter, "size_kb", sp.ProbeFilter.SizeKB >= 0, "size_kb %d must not be negative", sp.ProbeFilter.SizeKB); err != nil {
 			return nil, err
 		}
 	}
@@ -262,37 +272,32 @@ func Parse(src []byte) (*Spec, error) {
 			return nil, fmt.Errorf("fleet: organic rate for unknown PoP %q", o.PoP)
 		}
 	}
-	if n := root.Get("events"); n != nil {
-		if sp.Events, err = parseEvents(n, popSet, sp.Duration, sp.Fleet.LossRate); err != nil {
+	if events != nil {
+		if sp.Events, err = parseEvents(events, popSet, sp.Duration, sp.Fleet.LossRate); err != nil {
 			return nil, err
 		}
 	}
-	if n := root.Get("assertions"); n != nil {
-		if sp.Assertions, err = parseAssertions(n); err != nil {
+	if assertions != nil {
+		if sp.Assertions, err = parseAssertions(assertions); err != nil {
 			return nil, err
 		}
 	}
-	if sp.Compare != nil && sp.Compare.Guard != nil && !*sp.Compare.Guard && sp.Fleet.Riptide.Guard == nil {
-		return nil, fmt.Errorf("compare: guard: false needs fleet.riptide.guard configured")
-	}
-	if c := sp.Compare; c != nil && (c.Gossip != nil || c.Sharing != nil) {
-		gossip, sharing := false, false
-		for _, ev := range sp.Events {
-			switch ev.Payload.(type) {
-			case *GossipSharingEvent:
-				gossip, sharing = true, true
-			case *FleetSharingEvent:
-				sharing = true
-			}
-		}
-		if c.Gossip != nil && !gossip {
-			return nil, fmt.Errorf("compare: gossip needs an enable_gossip_sharing event")
-		}
-		if c.Sharing != nil && !sharing {
-			return nil, fmt.Errorf("compare: sharing needs an enable_fleet_sharing or enable_gossip_sharing event")
+	if compare != nil {
+		if sp.Arms, err = parseCompare(compare, sp); err != nil {
+			return nil, err
 		}
 	}
 	return sp, nil
+}
+
+// mainRun is the run the fleet block itself describes, named "riptide", or
+// "control" when the fleet has riptide disabled.
+func (sp *Spec) mainRun() Arm {
+	name := "riptide"
+	if !sp.Fleet.Riptide.Enabled {
+		name = "control"
+	}
+	return Arm{Name: name, Riptide: sp.Fleet.Riptide}
 }
 
 // ResolvePoPs returns the scenario's deployment, in default-topology order.
@@ -387,180 +392,113 @@ func needMap(n *Node, what string) error {
 	return nil
 }
 
-func parseFleet(n *Node, f *FleetSpec) error {
-	if err := needMap(n, "fleet"); err != nil {
-		return err
+// rangeErr is the post-decode range check of one key: nil when ok holds or
+// n does not set key, else the message prefixed with the key's line.
+func rangeErr(n *Node, key string, ok bool, format string, args ...any) error {
+	v := n.Get(key)
+	if ok || v == nil {
+		return nil
 	}
-	if err := checkKeys(n, "pops", "regions", "hosts_per_pop", "seed", "loss_rate", "rtt_jitter", "capacity_segments", "riptide", "traffic"); err != nil {
-		return err
-	}
-	var err error
-	if v := n.Get("pops"); v != nil {
-		if f.PoPs, err = v.StrSeq(); err != nil {
-			return err
-		}
-	}
-	if v := n.Get("regions"); v != nil {
-		if f.Regions, err = v.StrSeq(); err != nil {
-			return err
-		}
-	}
-	if v := n.Get("hosts_per_pop"); v != nil {
-		iv, err := v.Int()
+	return fmt.Errorf("line %d: "+format, append([]any{v.Line}, args...)...)
+}
+
+// firstErr returns the first non-nil error.
+func firstErr(errs ...error) error {
+	for _, err := range errs {
 		if err != nil {
-			return err
-		}
-		if iv < 1 || iv > 200 {
-			return fmt.Errorf("line %d: hosts_per_pop %d out of [1,200]", v.Line, iv)
-		}
-		f.HostsPerPoP = int(iv)
-	}
-	if v := n.Get("seed"); v != nil {
-		if f.Seed, err = v.Int(); err != nil {
-			return err
-		}
-	}
-	if v := n.Get("loss_rate"); v != nil {
-		if f.LossRate, err = v.Float(); err != nil {
-			return err
-		}
-		if f.LossRate < 0 || f.LossRate >= 1 {
-			return fmt.Errorf("line %d: loss_rate %v out of [0,1)", v.Line, f.LossRate)
-		}
-	}
-	if v := n.Get("rtt_jitter"); v != nil {
-		if f.RTTJitter, err = v.Float(); err != nil {
-			return err
-		}
-		if f.RTTJitter < 0 {
-			return fmt.Errorf("line %d: rtt_jitter %v must not be negative", v.Line, f.RTTJitter)
-		}
-	}
-	if v := n.Get("capacity_segments"); v != nil {
-		iv, err := v.Int()
-		if err != nil {
-			return err
-		}
-		if iv < 0 {
-			return fmt.Errorf("line %d: capacity_segments %d must not be negative", v.Line, iv)
-		}
-		f.CapacitySegments = int(iv)
-	}
-	if v := n.Get("riptide"); v != nil {
-		if err := parseRiptide(v, &f.Riptide); err != nil {
-			return err
-		}
-	}
-	if v := n.Get("traffic"); v != nil {
-		if err := parseTraffic(v, &f.Traffic); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+func parseFleet(n *Node, f *FleetSpec) error {
+	var riptide, traffic *Node
+	if err := decodeFields(n, "fleet", field{"pops", &f.PoPs}, field{"regions", &f.Regions},
+		field{"hosts_per_pop", &f.HostsPerPoP}, field{"seed", &f.Seed}, field{"loss_rate", &f.LossRate},
+		field{"rtt_jitter", &f.RTTJitter}, field{"capacity_segments", &f.CapacitySegments},
+		field{"riptide", &riptide}, field{"traffic", &traffic}); err != nil {
+		return err
+	}
+	if err := firstErr(
+		rangeErr(n, "hosts_per_pop", f.HostsPerPoP >= 1 && f.HostsPerPoP <= 200, "hosts_per_pop %d out of [1,200]", f.HostsPerPoP),
+		rangeErr(n, "loss_rate", f.LossRate >= 0 && f.LossRate < 1, "loss_rate %v out of [0,1)", f.LossRate),
+		rangeErr(n, "rtt_jitter", f.RTTJitter >= 0, "rtt_jitter %v must not be negative", f.RTTJitter),
+		rangeErr(n, "capacity_segments", f.CapacitySegments >= 0, "capacity_segments %d must not be negative", f.CapacitySegments),
+	); err != nil {
+		return err
+	}
+	if riptide != nil {
+		if err := parseRiptide(riptide, &f.Riptide); err != nil {
+			return err
+		}
+	}
+	if traffic != nil {
+		return parseTraffic(traffic, &f.Traffic)
+	}
+	return nil
+}
+
+// riptideFields binds the keys a riptide block and a compare arm share.
+func riptideFields(r *RiptideSpec) []field {
+	return []field{{"enabled", &r.Enabled}, {"cmax", &r.CMax}, {"cmin", &r.CMin}, {"alpha", &r.Alpha},
+		{"update_interval", &r.UpdateInterval}, {"ttl", &r.TTL}, {"prefix_bits", &r.PrefixBits},
+		{"combiner", &r.Combiner}, {"history", &r.History}}
+}
+
+// checkRiptide range-checks the riptideFields keys n sets.
+func checkRiptide(n *Node, r *RiptideSpec) error {
+	return firstErr(
+		rangeErr(n, "cmax", r.CMax >= 0, "cmax %d must not be negative", r.CMax),
+		rangeErr(n, "cmin", r.CMin >= 0, "cmin %d must not be negative", r.CMin),
+		rangeErr(n, "prefix_bits", r.PrefixBits >= 0, "prefix_bits %d must not be negative", r.PrefixBits),
+		rangeErr(n, "combiner", r.Combiner == "average" || r.Combiner == "max" || r.Combiner == "traffic-weighted",
+			"combiner %q unknown (valid: average max traffic-weighted)", r.Combiner),
+		rangeErr(n, "history", r.History == "ewma" || r.History == "none", "history %q unknown (valid: ewma none)", r.History),
+	)
+}
+
 func parseRiptide(n *Node, r *RiptideSpec) error {
-	if err := needMap(n, "riptide"); err != nil {
+	var guard *Node
+	if err := decodeFields(n, "riptide", append(riptideFields(r), field{"guard", &guard})...); err != nil {
 		return err
 	}
-	if err := checkKeys(n, "enabled", "cmax", "cmin", "alpha", "update_interval", "ttl", "prefix_bits", "guard"); err != nil {
+	if err := checkRiptide(n, r); err != nil || guard == nil {
 		return err
 	}
-	var err error
-	if v := n.Get("enabled"); v != nil {
-		if r.Enabled, err = v.Bool(); err != nil {
-			return err
-		}
+	g := &GuardSpec{}
+	if err := decodeFields(guard, "guard", field{"holdback", &g.Holdback}, field{"min_segments", &g.MinSegments},
+		field{"hysteresis_ticks", &g.HysteresisTicks}, field{"quarantine_ttl", &g.QuarantineTTL}); err != nil {
+		return err
 	}
-	for _, kv := range []struct {
-		key string
-		dst *int
-	}{{"cmax", &r.CMax}, {"cmin", &r.CMin}, {"prefix_bits", &r.PrefixBits}} {
-		if v := n.Get(kv.key); v != nil {
-			iv, err := v.Int()
-			if err != nil {
-				return err
-			}
-			if iv < 0 {
-				return fmt.Errorf("line %d: %s %d must not be negative", v.Line, kv.key, iv)
-			}
-			*kv.dst = int(iv)
-		}
+	if !r.Enabled {
+		return fmt.Errorf("line %d: guard needs riptide enabled", guard.Line)
 	}
-	if v := n.Get("alpha"); v != nil {
-		if r.Alpha, err = v.Float(); err != nil {
-			return err
-		}
-	}
-	if v := n.Get("update_interval"); v != nil {
-		if r.UpdateInterval, err = v.Duration(); err != nil {
-			return err
-		}
-	}
-	if v := n.Get("ttl"); v != nil {
-		if r.TTL, err = v.Duration(); err != nil {
-			return err
-		}
-	}
-	if v := n.Get("guard"); v != nil {
-		g := &GuardSpec{}
-		if err := needMap(v, "guard"); err != nil {
-			return err
-		}
-		if err := checkKeys(v, "holdback", "min_segments", "hysteresis_ticks", "quarantine_ttl"); err != nil {
-			return err
-		}
-		if w := v.Get("holdback"); w != nil {
-			if g.Holdback, err = w.Float(); err != nil {
-				return err
-			}
-		}
-		if w := v.Get("min_segments"); w != nil {
-			if g.MinSegments, err = w.Int(); err != nil {
-				return err
-			}
-		}
-		if w := v.Get("hysteresis_ticks"); w != nil {
-			iv, err := w.Int()
-			if err != nil {
-				return err
-			}
-			g.HysteresisTicks = int(iv)
-		}
-		if w := v.Get("quarantine_ttl"); w != nil {
-			if g.QuarantineTTL, err = w.Duration(); err != nil {
-				return err
-			}
-		}
-		if !r.Enabled {
-			return fmt.Errorf("line %d: guard needs riptide enabled", v.Line)
-		}
-		r.Guard = g
-	}
+	r.Guard = g
 	return nil
 }
 
 func parseTraffic(n *Node, t *TrafficSpec) error {
-	if err := needMap(n, "traffic"); err != nil {
+	var sizes, organic *Node
+	if err := decodeFields(n, "traffic", field{"probe_interval", &t.ProbeInterval}, field{"probe_sizes_kb", &sizes},
+		field{"close_after_transfer_prob", &t.CloseAfterTransferProb}, field{"idle_timeout", &t.IdleTimeout},
+		field{"organic", &organic}, field{"organic_size_kb", &t.OrganicSizeKB}); err != nil {
 		return err
 	}
-	if err := checkKeys(n, "probe_interval", "probe_sizes_kb", "close_after_transfer_prob", "idle_timeout", "organic", "organic_size_kb"); err != nil {
+	if err := firstErr(
+		rangeErr(n, "probe_interval", t.ProbeInterval > 0, "probe_interval %v must be positive", t.ProbeInterval),
+		rangeErr(n, "close_after_transfer_prob", t.CloseAfterTransferProb >= 0 && t.CloseAfterTransferProb <= 1,
+			"close_after_transfer_prob %v out of [0,1]", t.CloseAfterTransferProb),
+		rangeErr(n, "idle_timeout", t.IdleTimeout > 0, "idle_timeout %v must be positive", t.IdleTimeout),
+		rangeErr(n, "organic_size_kb", t.OrganicSizeKB > 0, "organic_size_kb %v must be positive", t.OrganicSizeKB),
+	); err != nil {
 		return err
 	}
-	var err error
-	if v := n.Get("probe_interval"); v != nil {
-		if t.ProbeInterval, err = v.Duration(); err != nil {
-			return err
+	if sizes != nil {
+		if sizes.Kind != SeqNode {
+			return fmt.Errorf("line %d: probe_sizes_kb must be a sequence", sizes.Line)
 		}
-		if t.ProbeInterval <= 0 {
-			return fmt.Errorf("line %d: probe_interval %v must be positive", v.Line, t.ProbeInterval)
-		}
-	}
-	if v := n.Get("probe_sizes_kb"); v != nil {
-		if v.Kind != SeqNode {
-			return fmt.Errorf("line %d: probe_sizes_kb must be a sequence", v.Line)
-		}
-		for _, it := range v.Items {
+		for _, it := range sizes.Items {
 			iv, err := it.Int()
 			if err != nil {
 				return err
@@ -571,66 +509,32 @@ func parseTraffic(n *Node, t *TrafficSpec) error {
 			t.ProbeSizesKB = append(t.ProbeSizesKB, int(iv))
 		}
 	}
-	if v := n.Get("close_after_transfer_prob"); v != nil {
-		if t.CloseAfterTransferProb, err = v.Float(); err != nil {
-			return err
-		}
-		if t.CloseAfterTransferProb < 0 || t.CloseAfterTransferProb > 1 {
-			return fmt.Errorf("line %d: close_after_transfer_prob %v out of [0,1]", v.Line, t.CloseAfterTransferProb)
-		}
+	if organic == nil {
+		return nil
 	}
-	if v := n.Get("idle_timeout"); v != nil {
-		if t.IdleTimeout, err = v.Duration(); err != nil {
-			return err
-		}
-		if t.IdleTimeout <= 0 {
-			return fmt.Errorf("line %d: idle_timeout %v must be positive", v.Line, t.IdleTimeout)
-		}
+	if err := needMap(organic, "organic"); err != nil {
+		return err
 	}
-	if v := n.Get("organic"); v != nil {
-		if err := needMap(v, "organic"); err != nil {
+	for i, pop := range organic.Keys {
+		rate, err := organic.Vals[i].Float()
+		if err != nil {
 			return err
 		}
-		for i, pop := range v.Keys {
-			rate, err := v.Vals[i].Float()
-			if err != nil {
-				return err
-			}
-			if rate <= 0 {
-				return fmt.Errorf("line %d: organic rate %v for %q must be positive", v.KeyLines[i], rate, pop)
-			}
-			t.Organic = append(t.Organic, OrganicRate{PoP: pop, Rate: rate})
+		if rate <= 0 {
+			return fmt.Errorf("line %d: organic rate %v for %q must be positive", organic.KeyLines[i], rate, pop)
 		}
-	}
-	if v := n.Get("organic_size_kb"); v != nil {
-		if t.OrganicSizeKB, err = v.Float(); err != nil {
-			return err
-		}
-		if t.OrganicSizeKB <= 0 {
-			return fmt.Errorf("line %d: organic_size_kb %v must be positive", v.Line, t.OrganicSizeKB)
-		}
+		t.Organic = append(t.Organic, OrganicRate{PoP: pop, Rate: rate})
 	}
 	return nil
 }
 
 func parseWindow(n *Node, total time.Duration) (*Window, error) {
-	if err := needMap(n, "window"); err != nil {
-		return nil, err
-	}
-	if err := checkKeys(n, "start", "end"); err != nil {
-		return nil, err
-	}
 	w := &Window{}
-	var err error
-	startNode, endNode := n.Get("start"), n.Get("end")
-	if startNode == nil || endNode == nil {
+	if err := decodeFields(n, "window", field{"start", &w.Start}, field{"end", &w.End}); err != nil {
+		return nil, err
+	}
+	if n.Get("start") == nil || n.Get("end") == nil {
 		return nil, fmt.Errorf("line %d: window needs start and end", n.Line)
-	}
-	if w.Start, err = startNode.Duration(); err != nil {
-		return nil, err
-	}
-	if w.End, err = endNode.Duration(); err != nil {
-		return nil, err
 	}
 	if w.Start < 0 || w.End <= w.Start || w.End > total {
 		return nil, fmt.Errorf("line %d: window [%v, %v) must satisfy 0 <= start < end <= duration", n.Line, w.Start, w.End)
@@ -638,54 +542,59 @@ func parseWindow(n *Node, total time.Duration) (*Window, error) {
 	return w, nil
 }
 
-func parseCompare(n *Node) (*CompareSpec, error) {
+// parseCompare decodes the compare block: one arm per key, each a patch of
+// the main fleet's riptide block plus the guard/gossip/sharing toggles. The
+// arm's name addresses its metrics in assertions, so it must be a metric
+// name segment and must differ from the main run's.
+func parseCompare(n *Node, sp *Spec) ([]Arm, error) {
 	if err := needMap(n, "compare"); err != nil {
 		return nil, err
 	}
-	if err := checkKeys(n, "riptide", "guard", "gossip", "sharing"); err != nil {
-		return nil, err
-	}
-	c := &CompareSpec{}
-	for _, kv := range []struct {
-		key string
-		dst **bool
-	}{{"riptide", &c.Riptide}, {"guard", &c.Guard}, {"gossip", &c.Gossip}, {"sharing", &c.Sharing}} {
-		if v := n.Get(kv.key); v != nil {
-			b, err := v.Bool()
-			if err != nil {
-				return nil, err
-			}
-			*kv.dst = &b
-		}
-	}
 	if len(n.Keys) == 0 {
-		return nil, fmt.Errorf("line %d: compare block sets no knob (valid: gossip guard riptide sharing)", n.Line)
+		return nil, fmt.Errorf("line %d: compare block names no arm", n.Line)
 	}
-	return c, nil
-}
-
-func parseProbeFilter(n *Node, f *ProbeFilter) error {
-	if err := needMap(n, "probe_filter"); err != nil {
-		return err
-	}
-	if err := checkKeys(n, "size_kb", "fresh_only"); err != nil {
-		return err
-	}
-	var err error
-	if v := n.Get("size_kb"); v != nil {
-		iv, err := v.Int()
-		if err != nil {
-			return err
-		}
-		if iv < 0 {
-			return fmt.Errorf("line %d: size_kb %d must not be negative", v.Line, iv)
-		}
-		f.SizeKB = int(iv)
-	}
-	if v := n.Get("fresh_only"); v != nil {
-		if f.FreshOnly, err = v.Bool(); err != nil {
-			return err
+	gossipEvent, sharingEvent := false, false
+	for _, ev := range sp.Events {
+		switch ev.Payload.(type) {
+		case *GossipSharingEvent:
+			gossipEvent, sharingEvent = true, true
+		case *FleetSharingEvent:
+			sharingEvent = true
 		}
 	}
-	return nil
+	arms := make([]Arm, 0, len(n.Keys))
+	for i, name := range n.Keys {
+		v, line := n.Vals[i], n.KeyLines[i]
+		if strings.Trim(name, "abcdefghijklmnopqrstuvwxyz0123456789_") != "" {
+			return nil, fmt.Errorf("line %d: arm name %q must be lower-case letters, digits and underscores", line, name)
+		}
+		if name == sp.mainRun().Name {
+			return nil, fmt.Errorf("line %d: arm %q has the main run's name", line, name)
+		}
+		arm := Arm{Name: name, Riptide: sp.Fleet.Riptide}
+		guard, gossip, sharing := true, true, true
+		fields := append(riptideFields(&arm.Riptide), field{"guard", &guard}, field{"gossip", &gossip}, field{"sharing", &sharing})
+		if err := decodeFields(v, "arm "+name, fields...); err != nil {
+			return nil, err
+		}
+		if err := checkRiptide(v, &arm.Riptide); err != nil {
+			return nil, err
+		}
+		switch {
+		case len(v.Keys) == 0:
+			return nil, fmt.Errorf("line %d: arm %s sets no knob", line, name)
+		case v.Get("guard") != nil && sp.Fleet.Riptide.Guard == nil:
+			return nil, fmt.Errorf("line %d: arm %s: guard needs fleet.riptide.guard configured", line, name)
+		case v.Get("gossip") != nil && !gossipEvent:
+			return nil, fmt.Errorf("line %d: arm %s: gossip needs an enable_gossip_sharing event", line, name)
+		case v.Get("sharing") != nil && !sharingEvent:
+			return nil, fmt.Errorf("line %d: arm %s: sharing needs an enable_fleet_sharing or enable_gossip_sharing event", line, name)
+		}
+		if !guard {
+			arm.Riptide.Guard = nil
+		}
+		arm.GossipFull, arm.NoSharing = !gossip, !sharing
+		arms = append(arms, arm)
+	}
+	return arms, nil
 }

@@ -32,7 +32,8 @@ fleet:
       lhr: 2.0
 duration: 6m
 compare:
-  guard: false
+  control:
+    guard: false
 events:
   - at: 0s
     enable_fleet_sharing:
@@ -82,8 +83,9 @@ func TestParseValidScenario(t *testing.T) {
 	if len(sp.Assertions) != 3 {
 		t.Fatalf("assertions = %d", len(sp.Assertions))
 	}
-	if sp.Compare == nil || sp.Compare.Guard == nil || *sp.Compare.Guard {
-		t.Errorf("compare = %+v", sp.Compare)
+	if len(sp.Arms) != 1 || sp.Arms[0].Name != "control" || sp.Arms[0].Riptide.Guard != nil ||
+		!sp.Arms[0].Riptide.Enabled || sp.Arms[0].Riptide.CMax != 100 {
+		t.Errorf("arms = %+v", sp.Arms)
 	}
 	// The during window is the union of the cut and the crowd.
 	start, end := sp.phaseWindow()
@@ -125,9 +127,23 @@ func TestParseRejections(t *testing.T) {
 		{"unqualified metric", mutate(t, "riptide.quarantines >= 1", "quarantines >= 1"), "run-qualified"},
 		{"organic unknown pop", mutate(t, "      lhr: 2.0", "      syd: 2.0"), `unknown PoP "syd"`},
 		{"guard without riptide", mutate(t, "enabled: true", "enabled: false"), "guard needs riptide"},
-		{"compare without knob", mutate(t, "compare:\n  guard: false", "compare: {}"), "sets no knob"},
-		{"compare sharing without a sharing event", strings.Replace(mutate(t, "compare:\n  guard: false", "compare:\n  sharing: false"),
+		{"compare without arms", mutate(t, "compare:\n  control:\n    guard: false", "compare: {}"), "names no arm"},
+		{"arm without knob", mutate(t, "  control:\n    guard: false", "  control: {}"), "sets no knob"},
+		{"arm with an unknown knob", mutate(t, "    guard: false", "    guard: false\n    cmaxx: 50"), `unknown key "cmaxx"`},
+		{"arm with a bad knob value", mutate(t, "    guard: false", "    combiner: median"), `combiner "median" unknown`},
+		{"duplicate arm name", mutate(t, "    guard: false", "    guard: false\n  control:\n    cmax: 50"), `duplicate key "control"`},
+		{"arm named like the main run", mutate(t, "  control:\n    guard: false", "  riptide:\n    cmax: 50"), "main run's name"},
+		{"arm name not a metric segment", mutate(t, "  control:\n    guard: false", "  c-max.50:\n    cmax: 50"), "lower-case letters"},
+		{"old knob-only compare form", mutate(t, "  control:\n    guard: false", "  guard: false"), "arm guard must be a mapping"},
+		{"guard patch without fleet guard", strings.Replace(mutate(t, "    guard:\n      min_segments: 24\n      hysteresis_ticks: 2\n      quarantine_ttl: 10m\n", ""),
+			"  - riptide.quarantines >= 1\n", "", 1), "guard needs fleet.riptide.guard"},
+		{"compare sharing without a sharing event", strings.Replace(mutate(t, "    guard: false", "    sharing: false"),
 			"  - at: 0s\n    enable_fleet_sharing:\n      interval: 5s\n", "", 1), "sharing needs"},
+		{"compare gossip without a gossip event", mutate(t, "    guard: false", "    gossip: false"), "gossip needs"},
+		{"two cwnd samplers", mutate(t, "  - at: 2m\n    capacity_cut:", "  - at: 1m\n    start_cwnd_sampling: {}\n  - at: 1m\n    start_cwnd_sampling: {}\n  - at: 2m\n    capacity_cut:"), "listed twice"},
+		{"cwnd sampler on an unknown PoP", mutate(t, "  - at: 2m\n    capacity_cut:", "  - at: 1m\n    start_cwnd_sampling: {pops: [syd]}\n  - at: 2m\n    capacity_cut:"), `unknown PoP "syd"`},
+		{"cwnd sampler with its own cadence", mutate(t, "  - at: 2m\n    capacity_cut:", "  - at: 1m\n    start_cwnd_sampling: {interval: 30s}\n  - at: 2m\n    capacity_cut:"), `unknown key "interval"`},
+		{"unknown history", mutate(t, "    cmax: 100", "    cmax: 100\n    history: fifo"), `history "fifo" unknown`},
 		{"sharing not at zero", mutate(t, "  - at: 0s\n    enable_fleet_sharing:", "  - at: 0s\n    peer_partition: {a: lhr, b: fra, for: 10s}\n  - at: 1s\n    enable_fleet_sharing:"), "at 0s"},
 	}
 	for _, tc := range cases {

@@ -1,5 +1,6 @@
-// Package scenarios is the committed scenario library: every operational
-// experiment the repository asserts, one YAML file each (format:
+// Package scenarios is the committed scenario library: every simulated-fleet
+// experiment the repository asserts — the operational incidents and the
+// paper's cluster evaluation (paper-*.yaml) — one YAML file each (format:
 // docs/scenarios.md). The files are embedded, so the tests, riptide-sim,
 // riptide-bench and the root benchmarks all run the same definitions from
 // any working directory.

@@ -14,7 +14,7 @@ func run(src []byte) (*scenario.Report, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	rep, err := sp.Run()
+	rep, err := sp.Run(nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -22,14 +22,17 @@ func run(src []byte) (*scenario.Report, []byte, error) {
 	return rep, enc, err
 }
 
-// TestScenarioLibrary runs every committed scenario: each must pass its own
-// assertions, and two runs must encode to the same bytes.
+// TestScenarioLibrary runs every committed operational scenario: each must
+// pass its own assertions, and two runs must encode to the same bytes. The
+// paper's files (paper-*.yaml) simulate the full 34-PoP mesh for an hour per
+// run, 21 runs in all; here they are only parsed, and `make scenarios` and
+// `make report-check` run them.
 func TestScenarioLibrary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster simulations in -short mode")
 	}
 	names := Names()
-	if len(names) < 7 {
+	if len(names) < 10 {
 		t.Fatalf("library lists %v; the embed pattern lost files", names)
 	}
 	for _, name := range names {
@@ -39,6 +42,16 @@ func TestScenarioLibrary(t *testing.T) {
 			src, err := Source(name)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if strings.HasPrefix(name, "paper-") {
+				sp, err := scenario.Parse(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sp.Name != name {
+					t.Errorf("scenarios/%s.yaml is named %q", name, sp.Name)
+				}
+				return
 			}
 			// The repeat run goes alongside the first: the slowest scenario
 			// takes seconds, and the two share nothing.
