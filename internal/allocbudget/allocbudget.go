@@ -1,0 +1,59 @@
+// Package allocbudget is test support for the allocation budgets of the bulk
+// paths: a path that sizes what it builds from the counts it holds allocates
+// little more than it keeps, while one that grows its buffers by append from
+// nil allocates several times over on the way.
+package allocbudget
+
+import (
+	"runtime"
+	"runtime/debug"
+	"testing"
+)
+
+// Check runs f once, between forced collections, and fails t unless the
+// bytes f allocated (the runtime.MemStats.TotalAlloc delta) stay within
+// ratio times the bytes it left live (the HeapAlloc delta). What f builds
+// must stay reachable from what it captures. Under the race detector, whose
+// runtime allocates on its own, Check skips the test.
+func Check(t testing.TB, ratio float64, f func()) {
+	t.Helper()
+	if raceEnabled() {
+		t.Skip("allocation budgets are not measured under the race detector")
+	}
+	// Two collections empty the sync.Pools (the first moves their contents
+	// to a victim cache, the second drops it), so pooled scratch counts as
+	// neither kept nor freed.
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(f) // and what it captured, through the collections
+	allocated := after.TotalAlloc - before.TotalAlloc
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if retained <= 0 {
+		t.Fatalf("allocated %d bytes and kept none", allocated)
+	}
+	got := float64(allocated) / float64(retained)
+	t.Logf("allocated %d bytes, kept %d: %.2f×", allocated, retained, got)
+	if got > ratio {
+		t.Errorf("allocated %d bytes to keep %d: %.2f×, budget %.2f×", allocated, retained, got, ratio)
+	}
+}
+
+// raceEnabled reports whether the binary was built with -race.
+func raceEnabled() bool {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range info.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}

@@ -571,6 +571,10 @@ type Agent struct {
 	tickSeq       uint64       // plan-stage first-touch stamp, bumped per tick (tickMu)
 	opsBuf        Scratch[RouteOp]
 	sortKeys      []uint64 // packed keys of the prefix-order sorts under tickMu
+	// clearOps is the withdrawal batch (guard clears, expiries). Not opsBuf:
+	// a round's withdrawals and its installs differ in size, and alternating
+	// them through one Scratch would drop it every time.
+	clearOps Scratch[RouteOp]
 	// scanWorkers pins the scan width for tests; 0 means scanWidth's
 	// default.
 	scanWorkers int
@@ -759,9 +763,9 @@ func (a *Agent) Close() error {
 	a.closed = true
 	a.mu.Unlock()
 
-	var targets []netip.Prefix
 	tb := &a.tab
 	tb.mu.Lock()
+	targets := make([]netip.Prefix, 0, tb.installed)
 	for dst, st := range tb.states {
 		if st.installed {
 			targets = append(targets, dst)
@@ -784,16 +788,21 @@ func (a *Agent) Close() error {
 	}
 	errs := a.applyOps(ops)
 	var firstErr error
+	var cleared, routeErrs uint64
 	for i, dst := range targets {
 		if errs != nil && errs[i] != nil {
-			a.countLocked(func(s *Stats) { s.RouteErrors++ })
+			routeErrs++
 			if firstErr == nil {
 				firstErr = fmt.Errorf("clear initcwnd %v: %w", dst, errs[i])
 			}
 			continue
 		}
-		a.countLocked(func(s *Stats) { s.RoutesCleared++ })
+		cleared++
 	}
+	a.countLocked(func(s *Stats) {
+		s.RoutesCleared += cleared
+		s.RouteErrors += routeErrs
+	})
 	return firstErr
 }
 

@@ -34,7 +34,7 @@ func sortByPrefix[T any](s []T, scratch *[]uint64, prefix func(*T) netip.Prefix)
 	if len(s) < 2 {
 		return
 	}
-	keys, ok := packPrefixKeys((*scratch)[:0], s, prefix)
+	keys, ok := packPrefixKeys(slices.Grow((*scratch)[:0], len(s)), s, prefix)
 	*scratch = keys
 	if !ok {
 		slices.SortStableFunc(s, func(x, y T) int { return comparePrefix(prefix(&x), prefix(&y)) })

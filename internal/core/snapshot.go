@@ -251,6 +251,9 @@ type mergeOp struct {
 	samples uint64
 	age     time.Duration
 	expires time.Duration
+	// st is the destination's uninstalled state, nil when it has none: the
+	// plan's one map lookup, carried to the commit as programOp.st is.
+	st *destState
 }
 
 // MergeSnapshot folds remote snapshot entries into the agent: entries for
@@ -305,7 +308,8 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 			continue
 		}
 		key := se.Prefix.Masked()
-		if st, ok := tb.states[key]; ok && st.installed {
+		st := tb.states[key]
+		if st != nil && st.installed {
 			stats.SkippedLocal++
 			continue
 		}
@@ -315,6 +319,7 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 			samples: se.Samples,
 			age:     se.Age,
 			expires: now + remaining,
+			st:      st,
 		})
 	}
 	tb.mu.Unlock()
@@ -365,11 +370,15 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 	a.mergeOps.Keep(ops, len(ops))
 
 	// Stage 3: commit under the table lock, only what actually installed.
-	// tickMu is held, so no Tick interleaved and the planned absence of a
-	// local entry still holds.
+	// tickMu is held, so no Tick interleaved: the planned absence of a local
+	// entry still holds, and so does every planned state pointer (only
+	// tickMu holders delete states).
 	var firstErr error
 	tb.mu.Lock()
 	// A warm start seeds a whole table at once: make room in one step.
+	if len(tb.states) == 0 {
+		tb.states = make(map[netip.Prefix]*destState, len(plan))
+	}
 	tb.deadlines = slices.Grow(tb.deadlines, len(plan))
 	tb.log = slices.Grow(tb.log, len(plan))
 	for i, op := range plan {
@@ -380,7 +389,7 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 			}
 			continue
 		}
-		st := tb.states[op.dst]
+		st := op.st
 		if st == nil {
 			st = tb.newDestState()
 			tb.states[op.dst] = st
@@ -408,6 +417,8 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 		stats.Merged++
 	}
 	tb.mu.Unlock()
+	// The kept array must not pin states a later round deletes.
+	clear(plan[:cap(plan)])
 	a.mergePlan.Keep(plan, len(entries))
 
 	a.countLocked(func(s *Stats) {

@@ -568,7 +568,8 @@ func (a *Agent) validKey(o *Observation) (netip.Prefix, bool) {
 // sample cache and appended to the worker's bucket.
 func (a *Agent) ingestChunk(w int, obs []Observation) {
 	lo, hi := a.chunkOf(w, len(obs))
-	bucket := a.buckets[w]
+	// Every observation of the chunk may be valid: room for all of them.
+	bucket := slices.Grow(a.buckets[w], hi-lo)
 	for i := lo; i < hi; i++ {
 		key, ok := a.validKey(&obs[i])
 		if !ok {
@@ -608,6 +609,7 @@ func (a *Agent) planRebuild(obs []Observation, now time.Duration) {
 	// first-encounter order (tb.touched) is the same for every scan width.
 	seq := a.tickSeq
 	buckets := a.buckets[:a.ingestWorkers]
+	unrouted := 0 // groups with no installed route: each plans an install
 	for _, bucket := range buckets {
 		for j := range bucket {
 			ko := &bucket[j]
@@ -621,13 +623,27 @@ func (a *Agent) planRebuild(obs []Observation, now time.Duration) {
 			if st.seq != seq {
 				st.seq = seq
 				st.prevN = 0
+				if len(tb.touched) == cap(tb.touched) {
+					// The grouping outlives the round, and the observation
+					// count only bounds its size (many sockets may share a
+					// destination), so it doubles rather than reserve that:
+					// about twice its final size allocated in all, where
+					// append's 1.25× ladder allocates about five times.
+					tb.touched = append(make([]plannedDest, 0, max(2*cap(tb.touched), 1)), tb.touched...)
+				}
 				tb.touched = append(tb.touched, plannedDest{key: ko.key, st: st})
+				if !st.installed {
+					unrouted++
+				}
 			}
 			st.prevN++
 		}
 	}
 	tb.queueDeparted(old, seq)
 	tb.active = old
+	// A group plans at most one op, and one with no route plans its
+	// install: on a cold table, one op for every group.
+	tb.plan = slices.Grow(tb.plan, unrouted)
 
 	// Pass 2: carve a span per group, packed in first-encounter order, and
 	// fill the spans in sample order (prevN counts the fill back up).

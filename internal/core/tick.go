@@ -314,11 +314,12 @@ func (a *Agent) clearTargets(targets []netip.Prefix, kind clearKind, now time.Du
 		return nil
 	}
 
-	ops := make([]RouteOp, len(live))
-	for i, dst := range live {
-		ops[i] = RouteOp{Prefix: dst, Clear: true}
+	ops := a.clearOps.Take(len(live))
+	for _, dst := range live {
+		ops = append(ops, RouteOp{Prefix: dst, Clear: true})
 	}
 	errs := a.applyOps(ops)
+	a.clearOps.Keep(ops, len(ops))
 
 	var firstErr error
 	var clearedN, routeErrs uint64

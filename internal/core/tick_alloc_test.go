@@ -4,6 +4,8 @@ import (
 	"net/netip"
 	"testing"
 	"time"
+
+	"riptide/internal/allocbudget"
 )
 
 // editSampler is a fixed connection set that edits a few windows in place
@@ -99,4 +101,53 @@ func TestStableTickAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// warmStartDests is the destination count of the warm-start budgets: large
+// enough that append's 1.25× ladder, not its doubling below 256 elements,
+// decides what a path grown from nil allocates.
+const warmStartDests = 20000
+
+// TestWarmStartAllocs: the two bulk paths of an agent's warm start size what
+// they build from counts they already hold, so each allocates within a small
+// multiple of the table it leaves: a first Tick over fresh destinations (scan
+// buckets by chunk, the plan by group count, the grouping by doubling), and a
+// merge into an empty agent (the map by the deduplicated plan, one map
+// lookup per entry).
+func TestWarmStartAllocs(t *testing.T) {
+	t.Run("first tick", func(t *testing.T) {
+		clock := &fakeClock{}
+		a, err := New(Config{Sampler: newEditSampler(warmStartDests, 0), Routes: &batchNop{}, Clock: clock.fn()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocbudget.Check(t, 1.5, func() {
+			if err := a.Tick(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n := a.Len(); n != warmStartDests {
+			t.Fatalf("first tick learned %d destinations, want %d", n, warmStartDests)
+		}
+	})
+	t.Run("merge into an empty agent", func(t *testing.T) {
+		entries := make([]SnapshotEntry, warmStartDests)
+		for i := range entries {
+			addr := netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})
+			entries[i] = SnapshotEntry{Prefix: netip.PrefixFrom(addr, 32), Window: 10 + i%90, Samples: 5, Age: time.Second}
+		}
+		clock := &fakeClock{}
+		a, err := New(Config{Sampler: &fakeSampler{}, Routes: &batchNop{}, Clock: clock.fn()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocbudget.Check(t, 1.5, func() {
+			if _, err := a.MergeSnapshot(entries, MergePolicy{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n := a.Len(); n != warmStartDests {
+			t.Fatalf("merge seeded %d destinations, want %d", n, warmStartDests)
+		}
+	})
 }

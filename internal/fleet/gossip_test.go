@@ -393,7 +393,7 @@ func TestReadBodyReusesScratchWithoutLeaking(t *testing.T) {
 		{[]body{{small, true}, {[]byte(`{"small":"delta"}`), true}}, false},
 		{[]body{{empty, false}, {small, true}}, true},
 	} {
-		array := cap(br.buf)
+		array := cap(br.plain.buf)
 		for j, b := range round.bodies {
 			resp, wire := response(b.data, b.compress)
 			data, n, err := br.read(resp, 1<<20)
@@ -407,12 +407,12 @@ func TestReadBodyReusesScratchWithoutLeaking(t *testing.T) {
 				t.Fatalf("round %d read %d: wire bytes = %d, want %d", i, j, n, wire)
 			}
 		}
-		if i > 0 && array >= len(long) && cap(br.buf) != array {
-			t.Fatalf("round %d: array of %d bytes replaced by one of %d mid-round", i, array, cap(br.buf))
+		if i > 0 && array >= len(long) && cap(br.plain.buf) != array {
+			t.Fatalf("round %d: array of %d bytes replaced by one of %d mid-round", i, array, cap(br.plain.buf))
 		}
 		br.trim()
-		if kept := cap(br.buf) > 0; kept != round.keeps {
-			t.Fatalf("round %d: %d-byte array kept = %v, want %v", i, cap(br.buf), kept, round.keeps)
+		if kept := cap(br.plain.buf) > 0; kept != round.keeps {
+			t.Fatalf("round %d: %d-byte array kept = %v, want %v", i, cap(br.plain.buf), kept, round.keeps)
 		}
 	}
 }

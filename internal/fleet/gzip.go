@@ -1,9 +1,9 @@
 package fleet
 
 import (
-	"bufio"
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net/http"
@@ -113,79 +113,132 @@ func writeJSON(w http.ResponseWriter, r *http.Request, data []byte) int {
 		gzipWriterPool.Put(zw)
 		if err == nil {
 			w.Header().Set("Content-Encoding", "gzip")
-			n, _ := w.Write(buf.Bytes())
+			n := writeBody(w, buf.Bytes())
 			gzipBufPool.Put(buf)
 			return n
 		}
 		gzipBufPool.Put(buf)
 	}
-	n, _ := w.Write(data)
+	return writeBody(w, data)
+}
+
+// writeBody writes a 200's whole body under its Content-Length, which lets
+// the puller read it into one buffer of that size (bodyReader.read).
+func writeBody(w http.ResponseWriter, body []byte) int {
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	n, _ := w.Write(body)
 	return n
 }
 
-// countingReader counts the raw (wire) bytes read through it.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
+// maxDeflateRatio bounds how far deflate can expand its input: one symbol
+// of at least two bits (a length code and a distance code of one bit each)
+// yields at most 258 bytes.
+const maxDeflateRatio = 258 * 8 / 2
 
 // bodyReader is one puller's response-reading scratch: pulls run one at a
-// time, so a response is read into the buffer earlier ones grew (a churn
+// time, so a response is read into the buffers earlier ones grew (a churn
 // round's delta is about as large as the last one) through one gzip.Reader,
-// Reset per response. peak is the largest body since the last trim.
+// Reset per response.
 type bodyReader struct {
+	wire  roundBuf // the body as it crossed the wire, when gzipped
+	plain roundBuf // the decoded body
+	// src serves wire to zr. A bytes.Reader is a flate.Reader, so the gzip
+	// reader reads it directly, with no bufio.Reader of its own per Reset.
+	src bytes.Reader
+	zr  *gzip.Reader
+}
+
+// roundBuf is one buffer of a bodyReader: reused from read to read within a
+// pull round, and kept from round to round under core.Scratch's rule on the
+// largest read of the round (peak).
+type roundBuf struct {
 	buf  []byte
 	peak int
 	kept core.Scratch[byte]
-	br   *bufio.Reader
-	zr   *gzip.Reader
 }
 
-// trim ends a pull round, whose size is the largest body it read: the
-// buffer serves the next round if the retention rule keeps it.
+func (r *roundBuf) use(data []byte) {
+	r.buf, r.peak = data, max(r.peak, len(data))
+}
+
+func (r *roundBuf) trim() {
+	r.kept.Keep(r.buf, r.peak)
+	r.buf, r.peak = r.kept.Take(0), 0
+}
+
+// trim ends a pull round: each buffer serves the next round if the retention
+// rule keeps it.
 func (b *bodyReader) trim() {
-	b.kept.Keep(b.buf, b.peak)
-	b.buf, b.peak = b.kept.Take(0), 0
+	b.wire.trim()
+	b.plain.trim()
 }
 
 // read reads an HTTP response body, transparently decompressing a gzip
-// Content-Encoding, enforcing `limit` on the decompressed size, and
-// reporting how many bytes actually crossed the wire (the compressed count
-// when gzipped). data aliases the scratch: it is valid until the next read.
+// Content-Encoding, enforcing `limit` on both the wire and the decompressed
+// size, and reporting how many bytes actually crossed the wire (the
+// compressed count when gzipped). A gzipped body is read whole first, so its
+// trailer's ISIZE (RFC 1952) can size the decoded one. data aliases the
+// scratch: it is valid until the next read.
 func (b *bodyReader) read(resp *http.Response, limit int64) (data []byte, wireBytes int64, err error) {
-	cr := &countingReader{r: io.LimitReader(resp.Body, limit)}
-	var r io.Reader = cr
-	if strings.EqualFold(resp.Header.Get("Content-Encoding"), "gzip") {
-		if b.zr == nil {
-			// gzip.Reader wraps anything that is not a flate.Reader in a new
-			// bufio.Reader on every Reset; handing it ours avoids that.
-			b.br = bufio.NewReader(cr)
-			b.zr, err = gzip.NewReader(b.br)
-		} else {
-			b.br.Reset(cr)
-			err = b.zr.Reset(b.br)
-		}
-		if err != nil {
-			return nil, cr.n, fmt.Errorf("gzip response: %w", err)
-		}
-		defer b.zr.Close()
-		r = b.zr
+	gzipped := strings.EqualFold(resp.Header.Get("Content-Encoding"), "gzip")
+	dst := &b.plain
+	if gzipped {
+		dst = &b.wire
 	}
-	buf := bytes.NewBuffer(b.buf[:0])
-	_, err = buf.ReadFrom(io.LimitReader(r, limit+1))
-	data = buf.Bytes()
-	b.buf, b.peak = data, max(b.peak, len(data))
+	raw, err := readSized(dst.buf[:0], io.LimitReader(resp.Body, limit), resp.ContentLength, limit)
+	dst.use(raw)
+	wireBytes = int64(len(raw))
 	if err != nil {
-		return nil, cr.n, err
+		return nil, wireBytes, err
+	}
+	if !gzipped {
+		return raw, wireBytes, nil
+	}
+	b.src.Reset(raw)
+	if b.zr == nil {
+		b.zr, err = gzip.NewReader(&b.src)
+	} else {
+		err = b.zr.Reset(&b.src)
+	}
+	if err != nil {
+		return nil, wireBytes, fmt.Errorf("gzip response: %w", err)
+	}
+	// ISIZE, the decoded size mod 2^32 in the last four bytes (the reader
+	// has parsed a 10-byte header), is the peer's claim: a hint, bounded by
+	// what deflate can expand the body to. The gzip reader checks it against
+	// the stream, and the limit holds whatever it says.
+	size := min(int64(binary.LittleEndian.Uint32(raw[len(raw)-4:])), maxDeflateRatio*wireBytes)
+	data, err = readSized(b.plain.buf[:0], b.zr, size, limit+1)
+	b.plain.use(data)
+	if err != nil {
+		return nil, wireBytes, err
 	}
 	if int64(len(data)) > limit {
-		return nil, cr.n, fmt.Errorf("response exceeds %d decompressed bytes", limit)
+		return nil, wireBytes, fmt.Errorf("response exceeds %d decompressed bytes", limit)
 	}
-	return data, cr.n, nil
+	return data, wireBytes, nil
+}
+
+// readSized reads r into buf's array (buf is empty) until EOF, or until limit
+// bytes are in. A size ≥ 0 is the expected length: the array gets room for it
+// and one byte more, so the EOF after an exact size is read without growing.
+// Past it, or with no size, the array doubles.
+func readSized(buf []byte, r io.Reader, size, limit int64) ([]byte, error) {
+	if n := min(size+1, limit); size >= 0 && int64(cap(buf)) < n {
+		buf = make([]byte, 0, n)
+	}
+	for int64(len(buf)) < limit {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(max(2*int64(cap(buf)), 512), limit)), buf...)
+		}
+		n, err := r.Read(buf[len(buf):min(int64(cap(buf)), limit)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }

@@ -3,12 +3,15 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/netip"
 	"strings"
 	"testing"
 	"time"
 
+	"riptide/internal/allocbudget"
 	"riptide/internal/core"
 )
 
@@ -37,6 +40,64 @@ func TestHandlerServesSnapshot(t *testing.T) {
 	if len(snap.Entries) != 1 || snap.Entries[0].Prefix != "192.0.2.1/32" || snap.Source != "host-a" {
 		t.Fatalf("snapshot = %+v", snap)
 	}
+}
+
+// batchRoutes takes every route op without allocating.
+type batchRoutes struct{}
+
+func (batchRoutes) SetInitCwnd(netip.Prefix, int) error      { return nil }
+func (batchRoutes) ClearInitCwnd(netip.Prefix) error         { return nil }
+func (batchRoutes) ProgramRoutes(ops []core.RouteOp) []error { return nil }
+
+// TestFirstPullAllocs: a warm start's first full pull sizes what it builds
+// from counts it already holds — the gzipped body from its Content-Length,
+// the decoded body from the gzip trailer's ISIZE, the merged table from the
+// deduplicated plan — so it allocates within a small multiple of the table it
+// leaves. Read through bytes.Buffer, the decoded body alone allocated about
+// four times its size.
+func TestFirstPullAllocs(t *testing.T) {
+	const n = 20_000
+	socks := make([]core.Observation, n)
+	for i := range socks {
+		socks[i] = core.Observation{Dst: netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}), Cwnd: 10 + i%90, RTT: 20 * time.Millisecond}
+	}
+	src, _, _ := newTestAgent(t, socks)
+	srv := gossipServer(src, "host-a", "boot-1")
+	defer srv.Close()
+
+	// Fill the server's cached body and open the keep-alive connection the
+	// pull reuses: neither is the puller's cost. Every 200 states its length.
+	client := &http.Client{}
+	for _, enc := range []string{"gzip", ""} {
+		req, err := http.NewRequest(http.MethodGet, srv.URL+DeltaPath, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Accept-Encoding", enc)
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(body)) {
+			t.Fatalf("Accept-Encoding %q: status %d, Content-Length %d for %d bytes (%v)", enc, resp.StatusCode, resp.ContentLength, len(body), err)
+		}
+	}
+
+	dst, err := core.New(core.Config{Sampler: &stubSampler{}, Routes: batchRoutes{}, Clock: (&simClock{}).Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPuller(PullerConfig{Agent: dst, Peers: []string{srv.URL}, Client: client})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocbudget.Check(t, 2.1, func() {
+		if merged := p.PullOnce(context.Background()); merged != n {
+			t.Fatalf("first pull merged %d entries, want %d (%+v)", merged, n, p.Health())
+		}
+	})
 }
 
 func TestHandlerRejectsNonGET(t *testing.T) {

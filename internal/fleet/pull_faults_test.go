@@ -3,10 +3,13 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -74,10 +77,16 @@ type reply struct {
 	// notModified answers 304 with no body, whatever the request asked.
 	notModified bool
 	gzip        bool // compressed on the way out and sent with Content-Encoding: gzip
-	half        bool // only the first half of the bytes that would go out is sent
+	// isize, when set, overwrites the gzip trailer's ISIZE (the decoded
+	// length mod 2^32, RFC 1952) with a lie.
+	isize uint32
+	half  bool // only the first half of the bytes that would go out is sent
 	// hangUp declares the whole body's Content-Length, sends half of it and
 	// drops the connection; otherwise the length is that of what is sent.
 	hangUp bool
+	// chunked sends the body with no Content-Length, as a peer that streams
+	// it; otherwise the length is declared, as fleet.Server declares it.
+	chunked bool
 }
 
 // echoSince is the since a ?since= reply of a script carries until the peer
@@ -108,6 +117,9 @@ func (s *scriptedPeer) wire(next reply, since string) []byte {
 		var err error
 		if body, err = gzipBytes(body); err != nil {
 			s.t.Error(err)
+		}
+		if next.isize != 0 {
+			binary.LittleEndian.PutUint32(body[len(body)-4:], next.isize)
 		}
 	}
 	if next.half {
@@ -143,6 +155,9 @@ func (s *scriptedPeer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	if next.gzip {
 		w.Header().Set("Content-Encoding", "gzip")
+	}
+	if !next.chunked {
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	}
 	w.Write(body)
 }
@@ -268,8 +283,15 @@ func TestPullerFaultsNeverMergeStaleScratch(t *testing.T) {
 	// what the puller will read: only the cap stands between it and a merge.
 	// Its since is written out (first's table version, the cursor every fault
 	// meets), so the peer's echo cannot change its length.
-	overCap := wireSince(t, 56, 50, hostEntries(5, 10, 70))
-	overCap = append(overCap, bytes.Repeat([]byte{' '}, maxSnapshotBytes+1-len(overCap))...)
+	// Compressed, it is a gzip bomb; the same padded to exactly the cap must
+	// merge as its unpadded form does.
+	capped := wireSince(t, 56, 50, hostEntries(5, 10, 70))
+	overCap := append(append([]byte(nil), capped...), bytes.Repeat([]byte{' '}, maxSnapshotBytes+1-len(capped))...)
+	atCap := overCap[:maxSnapshotBytes]
+	// A gzipped delta whose trailer lies about its decoded length: the gzip
+	// reader checks ISIZE, so either lie fails the round, as it did when the
+	// body was decoded as a stream.
+	lies := func(isize uint32) reply { return reply{body: canonical.body, gzip: true, isize: isize} }
 
 	// first again, with a validator: the round after it is conditional.
 	firstTagged := first
@@ -292,6 +314,11 @@ func TestPullerFaultsNeverMergeStaleScratch(t *testing.T) {
 		{name: "body cut mid-entry", fault: reply{body: second.body, half: true}, fails: true},
 		{name: "peer hangs up mid-body", fault: reply{body: second.body, half: true, hangUp: true}, fails: true},
 		{name: "body one byte over the cap", fault: reply{body: overCap, gzip: true}, fails: true},
+		{name: "streamed body one byte over the cap", fault: reply{body: overCap, gzip: true, chunked: true}, fails: true},
+		{name: "gzip bomb at the cap", fault: reply{body: atCap, gzip: true}, merges: &reply{body: capped}},
+		{name: "streamed gzip bomb at the cap", fault: reply{body: atCap, gzip: true, chunked: true}, merges: &reply{body: capped}},
+		{name: "ISIZE lying low", fault: lies(1), fails: true},
+		{name: "ISIZE lying high", fault: lies(1<<32 - 1), fails: true},
 		{name: "body the scanner declines", fault: declined, merges: &canonical},
 		{name: "full reply to a since request", fault: reply{body: wireDelta(t, 57, true, hostEntries(6, 25, 80))},
 			merges: &reply{body: wireDelta(t, 57, true, hostEntries(6, 25, 80))}},
@@ -369,6 +396,28 @@ func TestPullerFaultsNeverMergeStaleScratch(t *testing.T) {
 			}
 		})
 	}
+
+	// The high lie sizes nothing by itself: a few-KB body cannot inflate to
+	// 4 GiB, and no body may pass the cap.
+	t.Run("ISIZE lying high allocates within the cap", func(t *testing.T) {
+		wire := (&scriptedPeer{t: t}).wire(lies(1<<32-1), "")
+		resp := &http.Response{
+			Header:        http.Header{"Content-Encoding": []string{"gzip"}},
+			ContentLength: int64(len(wire)),
+			Body:          io.NopCloser(bytes.NewReader(wire)),
+		}
+		var br bodyReader
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := br.read(resp, maxSnapshotBytes)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatal("a body whose trailer lies about its length decoded")
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > maxSnapshotBytes {
+			t.Errorf("reading a %d-byte body allocated %d bytes, past the %d-byte cap", len(wire), n, maxSnapshotBytes)
+		}
+	})
 }
 
 // TestPullerCountsDecodeFallbacks: a delta body that is valid JSON but not in

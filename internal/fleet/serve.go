@@ -280,9 +280,9 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, kind int, v
 	var n int
 	if gz != nil && acceptsGzip(r) {
 		w.Header().Set("Content-Encoding", "gzip")
-		n, _ = w.Write(gz)
+		n = writeBody(w, gz)
 	} else {
-		n, _ = w.Write(plain)
+		n = writeBody(w, plain)
 	}
 	s.counter("riptide_gossip_bytes_sent").Add(uint64(n))
 }

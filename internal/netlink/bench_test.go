@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"riptide/internal/allocbudget"
 	"riptide/internal/core"
 )
 
@@ -91,5 +92,31 @@ func TestSamplerSteadyStateAllocatesNothing(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("a %d-socket sample into a reused buffer allocates %.0f times, want 0", benchSockets, allocs)
+	}
+}
+
+// TestFirstDumpAllocs: a first dump — a fresh agent, a rebooted box — fills a
+// nil buffer, which doubles as it fills: about twice what it keeps in all.
+// append's 1.25× ladder allocated about five times the final buffer.
+func TestFirstDumpAllocs(t *testing.T) {
+	const n = 20_000
+	mem := &MemConn{Sockets: syntheticSockets(n)}
+	s, err := NewSampler(SamplerConfig{Dial: mem.Dialer()})
+	if err != nil {
+		t.Fatalf("NewSampler: %v", err)
+	}
+	// The MemConn encodes its dump datagrams on the first request: not the
+	// sampler's cost.
+	if _, err := s.SampleConnections(nil); err != nil {
+		t.Fatalf("sample: %v", err)
+	}
+	var obs []core.Observation
+	allocbudget.Check(t, 2.5, func() {
+		if obs, err = s.SampleConnections(nil); err != nil {
+			t.Fatalf("sample: %v", err)
+		}
+	})
+	if len(obs) != n {
+		t.Fatalf("sampled %d of %d sockets", len(obs), n)
 	}
 }

@@ -285,8 +285,8 @@ var ErrDumpInterrupted = errors.New("netlink: dump interrupted by a concurrent c
 
 // ParseDiagDump walks one received sock_diag datagram, appending decoded
 // observations to obs. Each message is decoded in place: obs is extended by
-// one (a re-slice while capacity lasts, an appended zero value when it does
-// not), the decoder writes that slot, and a rejected message shrinks obs
+// one (a re-slice while capacity lasts; a full obs first doubles its
+// capacity), the decoder writes that slot, and a rejected message shrinks obs
 // back — elements below the starting length are never touched. done reports
 // that the dump's NLMSG_DONE marker was seen. Messages whose sequence number
 // differs from seq are skipped (stale responses from an aborted previous
@@ -327,11 +327,13 @@ func ParseDiagDump(obs []core.Observation, data []byte, seq uint32) (_ []core.Ob
 			}
 		case sockDiagByFamily:
 			n := len(obs)
-			if n < cap(obs) {
-				obs = obs[:n+1]
-			} else {
-				obs = append(obs, core.Observation{})
+			if n == cap(obs) {
+				// A first dump fills a nil buffer. Doubling reaches its size
+				// allocating about twice what it keeps; append's 1.25× ladder
+				// for large slices allocates about five times.
+				obs = append(make([]core.Observation, 0, max(2*n, 64)), obs...)
 			}
+			obs = obs[:n+1]
 			if !parseInetDiagMsg(&obs[n], payload) {
 				obs = obs[:n]
 			}

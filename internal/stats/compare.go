@@ -30,14 +30,26 @@ func KolmogorovSmirnov(a, b *CDF) (KSResult, error) {
 	}
 	as, bs := a.Samples(), b.Samples()
 
-	// Walk both sorted sample sets, tracking the max CDF gap.
+	// Walk both sorted sample sets, tracking the max CDF gap. The gap is
+	// taken only once every copy of a value, in both samples, is behind the
+	// pointers: the CDFs step there, and a gap measured inside a run of ties
+	// is no gap between them.
 	var d float64
 	i, j := 0, 0
 	na, nb := float64(len(as)), float64(len(bs))
 	for i < len(as) && j < len(bs) {
+		var v float64
 		if as[i] <= bs[j] {
+			v = as[i]
 			i++
 		} else {
+			v = bs[j]
+			j++
+		}
+		for i < len(as) && as[i] == v {
+			i++
+		}
+		for j < len(bs) && bs[j] == v {
 			j++
 		}
 		gap := math.Abs(float64(i)/na - float64(j)/nb)

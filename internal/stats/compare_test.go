@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -26,6 +27,37 @@ func TestKSIdenticalDistributions(t *testing.T) {
 	}
 	if res.PValue < 0.05 {
 		t.Errorf("p = %v for same-distribution samples, want not significant", res.PValue)
+	}
+}
+
+// TestKSTiedSamples: samples that tie heavily — probe times in whole RTTs —
+// compare by their CDFs, which step only where the values change. Two
+// identical samples of four values 21 times each read D = 0, not the 0.25
+// (p = 0.011) of a gap measured inside a run of ties.
+func TestKSTiedSamples(t *testing.T) {
+	var tied []float64
+	for _, v := range []float64{100, 200, 300, 400} {
+		for k := 0; k < 21; k++ {
+			tied = append(tied, v)
+		}
+	}
+	res, err := KolmogorovSmirnov(FromSamples(tied), FromSamples(tied))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Statistic != 0 || res.PValue != 1 {
+		t.Errorf("identical tied samples: D = %v, p = %v, want 0 and 1", res.Statistic, res.PValue)
+	}
+	// One value moved: the CDFs differ by one sample in 84 between 100 and
+	// 200, nowhere else.
+	moved := append([]float64(nil), tied...)
+	moved[20] = 150
+	res, err = KolmogorovSmirnov(FromSamples(tied), FromSamples(moved))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 1.0 / 84; math.Abs(res.Statistic-want) > 1e-12 {
+		t.Errorf("one tied value moved: D = %v, want %v", res.Statistic, want)
 	}
 }
 
