@@ -17,9 +17,7 @@ import (
 // runtime allocates on its own, Check skips the test.
 func Check(t testing.TB, ratio float64, f func()) {
 	t.Helper()
-	if raceEnabled() {
-		t.Skip("allocation budgets are not measured under the race detector")
-	}
+	SkipUnderRace(t)
 	// Two collections empty the sync.Pools (the first moves their contents
 	// to a victim cache, the second drops it), so pooled scratch counts as
 	// neither kept nor freed.
@@ -41,6 +39,16 @@ func Check(t testing.TB, ratio float64, f func()) {
 	t.Logf("allocated %d bytes, kept %d: %.2f×", allocated, retained, got)
 	if got > ratio {
 		t.Errorf("allocated %d bytes to keep %d: %.2f×, budget %.2f×", allocated, retained, got, ratio)
+	}
+}
+
+// SkipUnderRace skips t when the binary was built with -race: the race
+// detector's runtime allocates on its own, so no heap figure means anything
+// there.
+func SkipUnderRace(t testing.TB) {
+	t.Helper()
+	if raceEnabled() {
+		t.Skip("heap figures are not measured under the race detector")
 	}
 }
 

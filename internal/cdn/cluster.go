@@ -1,17 +1,17 @@
 package cdn
 
 import (
-	"compress/gzip"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
+	"net/http"
 	"net/netip"
 	"slices"
 	"time"
 
 	"riptide/internal/core"
 	"riptide/internal/eventsim"
+	"riptide/internal/fleet"
 	"riptide/internal/guard"
 	"riptide/internal/kernel"
 	"riptide/internal/netsim"
@@ -218,16 +218,10 @@ type Cluster struct {
 	organic []*organicSource
 	stopped bool
 
-	// Gossip sharing state (EnableGossipSharing): per-edge sync cursors,
-	// cumulative wire accounting, the one gzip writer accountWire sizes
-	// every message with (its compressor is allocated at the first), and
-	// the boot-identity counter. The writer stays at the default level —
-	// scenario reports are byte-pinned per seed — while the daemon's fleet
-	// endpoints deflate at BestSpeed, ≈10 % larger (DESIGN.md).
-	gossipCursors map[gossipPair]gossipCursor
-	gossipStats   GossipStats
-	wireGzip      *gzip.Writer
-	instanceSeq   int
+	// sharing is the fleet exchange, nil until EnableGossipSharing;
+	// instanceSeq numbers the boot identities its servers are scoped to.
+	sharing     *sharing
+	instanceSeq int
 
 	pools map[poolKey][]pooledConn
 	// poolOrder lists the keys of pools in the order they were created, the
@@ -242,13 +236,14 @@ type Cluster struct {
 
 // agentSlot indirects agent access so a PoP reboot can swap in a fresh
 // agent while the per-host ticker keeps firing. gov is the agent's safety
-// governor when RiptideOptions.Guard is set (nil otherwise); it is rebuilt
-// together with the agent on reboot. instance is the gossip boot identity,
-// reminted on reboot so peers notice the version-counter reset.
+// governor when RiptideOptions.Guard is set (nil otherwise); serve and puller
+// are its fleet server's delta handler and its puller once gossip sharing is
+// on (nil before). All of them are rebuilt together with the agent on reboot.
 type agentSlot struct {
-	agent    *core.Agent
-	gov      *guard.Governor
-	instance string
+	agent  *core.Agent
+	gov    *guard.Governor
+	serve  http.Handler
+	puller *fleet.Puller
 }
 
 type poolKey struct{ src, dst netip.Addr }
@@ -310,9 +305,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		hosts:  make(map[string][]*kernel.Host, len(cfg.PoPs)),
 		agents: make(map[netip.Addr]*agentSlot),
 		pools:  make(map[poolKey][]pooledConn),
-
-		gossipCursors: make(map[gossipPair]gossipCursor),
-		wireGzip:      gzip.NewWriter(io.Discard),
 	}
 
 	for _, p := range cfg.PoPs {
@@ -424,7 +416,7 @@ func (c *Cluster) startRiptide() error {
 			if err != nil {
 				return fmt.Errorf("cdn: riptide agent for %s/%v: %w", p.Name, h.Addr(), err)
 			}
-			slot := &agentSlot{agent: agent, gov: gov, instance: c.nextInstance(h.Addr())}
+			slot := &agentSlot{agent: agent, gov: gov}
 			c.agents[h.Addr()] = slot
 			interval := agent.Config().UpdateInterval
 			tk, err := eventsim.NewTicker(c.engine, interval, func(time.Duration) {
@@ -460,6 +452,41 @@ func (c *Cluster) RebootPoP(name string) (int, error) {
 		closed += n
 		if err != nil {
 			return closed, err
+		}
+	}
+	return closed, nil
+}
+
+// RebootHost simulates a single-machine maintenance reboot: machine idx of
+// the named PoP loses all its connections (both ends), its kernel route
+// table, and its Riptide agent's learned state, while the PoP's other
+// machines keep running — the scenario fleet sharing exists to absorb. It
+// returns the number of connections that died.
+func (c *Cluster) RebootHost(name string, idx int) (int, error) {
+	hs, ok := c.hosts[name]
+	if !ok {
+		return 0, fmt.Errorf("cdn: unknown PoP %q", name)
+	}
+	if idx < 0 || idx >= len(hs) {
+		return 0, fmt.Errorf("cdn: PoP %s has no machine %d", name, idx)
+	}
+	h := hs[idx]
+	closed := c.net.CloseConnsInvolving(h.Addr())
+	for _, r := range h.Routes() {
+		h.DelRoute(r.Prefix)
+	}
+	if slot, ok := c.agents[h.Addr()]; ok {
+		_ = slot.agent.Close()
+		fresh, gov, err := c.newAgentForHost(h)
+		if err != nil {
+			return closed, fmt.Errorf("cdn: restart agent for %s[%d]: %w", name, idx, err)
+		}
+		slot.agent = fresh
+		slot.gov = gov
+		if c.sharing != nil {
+			if err := c.startExchange(h.Addr()); err != nil {
+				return closed, err
+			}
 		}
 	}
 	return closed, nil
@@ -775,6 +802,20 @@ func (c *Cluster) Agent(name string) *core.Agent {
 		return nil
 	}
 	slot, ok := c.agents[hs[0].Addr()]
+	if !ok {
+		return nil
+	}
+	return slot.agent
+}
+
+// AgentAt returns the Riptide agent of machine idx of the named PoP (nil
+// when Riptide is disabled or the index is out of range).
+func (c *Cluster) AgentAt(name string, idx int) *core.Agent {
+	hs := c.hosts[name]
+	if idx < 0 || idx >= len(hs) {
+		return nil
+	}
+	slot, ok := c.agents[hs[idx].Addr()]
 	if !ok {
 		return nil
 	}

@@ -1,6 +1,7 @@
 package cdn
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -24,28 +25,11 @@ func newFleetCluster(t *testing.T, share bool) *Cluster {
 		t.Fatal(err)
 	}
 	if share {
-		if err := c.EnableFleetSharing(5*time.Second, core.MergePolicy{}); err != nil {
+		if err := c.EnableGossipSharing(5*time.Second, core.MergePolicy{}, GossipLadder, GossipPeersPoP); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return c
-}
-
-func TestEnableFleetSharingValidation(t *testing.T) {
-	c := newFleetCluster(t, false)
-	defer c.Stop()
-	if err := c.EnableFleetSharing(0, core.MergePolicy{}); err == nil {
-		t.Error("zero interval accepted")
-	}
-
-	noRiptide, err := NewCluster(Config{PoPs: smallTopology(), Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer noRiptide.Stop()
-	if err := noRiptide.EnableFleetSharing(5*time.Second, core.MergePolicy{}); err == nil {
-		t.Error("fleet sharing without riptide accepted")
-	}
 }
 
 func TestRebootHostValidation(t *testing.T) {
@@ -99,6 +83,35 @@ func TestRebootHostWipesOneMachine(t *testing.T) {
 	}
 }
 
+// TestGossipPeersPoPPullsOnlySiblings: with the pop peer set, each machine
+// pulls its PoP's other machines and nothing else, once per interval.
+func TestGossipPeersPoPPullsOnlySiblings(t *testing.T) {
+	c := newFleetCluster(t, true)
+	defer c.Stop()
+	c.Run(time.Minute)
+	for _, p := range c.PoPs() {
+		hs, _ := c.Hosts(p.Name)
+		for i, h := range hs {
+			var want []string
+			for j, sib := range hs {
+				if j != i {
+					want = append(want, "http://"+sib.Addr().String())
+				}
+			}
+			var got []string
+			for _, ph := range c.agents[h.Addr()].puller.Health() {
+				got = append(got, ph.URL)
+				if ph.Pulls != 12 || !ph.Healthy {
+					t.Errorf("%s[%d] <- %s: %+v, want 12 healthy pulls in a minute", p.Name, i, ph.URL, ph)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s[%d] pulls %v, want its siblings %v", p.Name, i, got, want)
+			}
+		}
+	}
+}
+
 // TestFleetSharingSeedsSibling: with sharing on, a rebooted machine regains
 // entries from its sibling within a couple of exchange intervals — far
 // before the next probe round could have re-taught it.
@@ -128,8 +141,8 @@ func TestFleetSharingSeedsSibling(t *testing.T) {
 }
 
 // TestFleetSharingLocalWins: merged hints never displace locally observed
-// entries — after a full probe round, the sibling's repeated snapshots must
-// not overwrite what the agent sees itself.
+// entries — after a full probe round, what the sibling ships must not
+// overwrite what the agent sees itself.
 func TestFleetSharingLocalWins(t *testing.T) {
 	c := newFleetCluster(t, true)
 	defer c.Stop()

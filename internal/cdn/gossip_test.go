@@ -1,13 +1,12 @@
 package cdn
 
 import (
-	"bytes"
-	"compress/gzip"
+	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
 	"riptide/internal/core"
-	"riptide/internal/gossip"
 )
 
 func newGossipCluster(t *testing.T, mode GossipMode) *Cluster {
@@ -27,7 +26,7 @@ func newGossipCluster(t *testing.T, mode GossipMode) *Cluster {
 		t.Fatal(err)
 	}
 	if mode != "" {
-		if err := c.EnableGossipSharing(5*time.Second, core.MergePolicy{}, mode); err != nil {
+		if err := c.EnableGossipSharing(5*time.Second, core.MergePolicy{}, mode, GossipPeersAll); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -37,11 +36,20 @@ func newGossipCluster(t *testing.T, mode GossipMode) *Cluster {
 func TestEnableGossipSharingValidation(t *testing.T) {
 	c := newGossipCluster(t, "")
 	defer c.Stop()
-	if err := c.EnableGossipSharing(0, core.MergePolicy{}, GossipLadder); err == nil {
+	if err := c.EnableGossipSharing(0, core.MergePolicy{}, GossipLadder, GossipPeersAll); err == nil {
 		t.Error("zero interval accepted")
 	}
-	if err := c.EnableGossipSharing(5*time.Second, core.MergePolicy{}, "telepathy"); err == nil {
+	if err := c.EnableGossipSharing(5*time.Second, core.MergePolicy{}, "telepathy", GossipPeersAll); err == nil {
 		t.Error("unknown mode accepted")
+	}
+	if err := c.EnableGossipSharing(5*time.Second, core.MergePolicy{}, GossipLadder, "everyone"); err == nil {
+		t.Error("unknown peer set accepted")
+	}
+	if err := c.EnableGossipSharing(5*time.Second, core.MergePolicy{}, GossipLadder, GossipPeersPoP); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.EnableGossipSharing(5*time.Second, core.MergePolicy{}, GossipLadder, GossipPeersAll); err == nil {
+		t.Error("second enable accepted")
 	}
 
 	noRiptide, err := NewCluster(Config{PoPs: smallTopology(), Seed: 1})
@@ -49,7 +57,7 @@ func TestEnableGossipSharingValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer noRiptide.Stop()
-	if err := noRiptide.EnableGossipSharing(5*time.Second, core.MergePolicy{}, GossipLadder); err == nil {
+	if err := noRiptide.EnableGossipSharing(5*time.Second, core.MergePolicy{}, GossipLadder, GossipPeersAll); err == nil {
 		t.Error("gossip sharing without riptide accepted")
 	}
 }
@@ -86,11 +94,13 @@ func TestGossipLadderConverges(t *testing.T) {
 }
 
 // TestGossipLadderBeatsFullOnBytes is the cost claim: same fleet, same
-// schedule, conditional deltas move far fewer bytes than full-table rounds.
-// The fleets carry a realistically sized warm table (a long-lived
-// back-office fleet accumulates hundreds of destinations) — that is the
-// regime deltas are built for: a 304 is O(1) in table size, a full table is
-// O(n), and on a freshly started toy table the two costs are comparable.
+// schedule, conditional deltas end in the same tables as full-table rounds
+// (every machine holds the same prefixes at the same windows) and move far
+// fewer bytes. The fleets carry a realistically sized warm table (a
+// long-lived back-office fleet accumulates hundreds of destinations) — that
+// is the regime deltas are built for: a 304 is O(1) in table size, a full
+// table is O(n), and on a freshly started toy table the two costs are
+// comparable.
 func TestGossipLadderBeatsFullOnBytes(t *testing.T) {
 	ladder := newGossipCluster(t, GossipLadder)
 	defer ladder.Stop()
@@ -104,17 +114,37 @@ func TestGossipLadderBeatsFullOnBytes(t *testing.T) {
 	ladder.Run(5 * time.Minute)
 	full.Run(5 * time.Minute)
 
-	lb, fb := ladder.GossipStats().BytesOnWire, full.GossipStats().BytesOnWire
-	if lb == 0 || fb == 0 {
-		t.Fatalf("bytes ladder=%d full=%d, want both accounted", lb, fb)
+	type route struct {
+		prefix netip.Prefix
+		window int
 	}
-	if lb*2 >= fb {
-		t.Errorf("ladder moved %d bytes vs full %d — expected well under half", lb, fb)
+	routes := func(a *core.Agent) []route {
+		var out []route
+		for _, e := range a.Entries() {
+			out = append(out, route{e.Prefix, e.Window})
+		}
+		return out
 	}
-	if ladder.GossipStats().EntriesMoved >= full.GossipStats().EntriesMoved {
-		t.Errorf("ladder moved %d entries vs full %d — deltas should carry less",
-			ladder.GossipStats().EntriesMoved, full.GossipStats().EntriesMoved)
+	for _, p := range ladder.PoPs() {
+		l, f := ladder.Agents(p.Name), full.Agents(p.Name)
+		for i := range l {
+			if lr, fr := routes(l[i]), routes(f[i]); !slices.Equal(lr, fr) {
+				t.Errorf("%s[%d]: ladder holds %d routes, full %d, and they differ", p.Name, i, len(lr), len(fr))
+			}
+		}
 	}
+
+	ls, fs := ladder.GossipStats(), full.GossipStats()
+	if ls.Rounds != fs.Rounds || fs.FullRounds != fs.Rounds {
+		t.Errorf("rounds ladder=%+v full=%+v: want the same schedule, every control round full", ls, fs)
+	}
+	if ls.BytesOnWire == 0 || fs.BytesOnWire == 0 {
+		t.Fatalf("bytes ladder=%d full=%d, want both accounted", ls.BytesOnWire, fs.BytesOnWire)
+	}
+	if ls.BytesOnWire*2 >= fs.BytesOnWire {
+		t.Errorf("ladder moved %d bytes vs full %d — expected well under half", ls.BytesOnWire, fs.BytesOnWire)
+	}
+	t.Logf("%d rounds each; ladder %d B, full %d B", ls.Rounds, ls.BytesOnWire, fs.BytesOnWire)
 }
 
 // TestGossipSeedsRebootedHost: a rebooted machine regains entries from
@@ -151,45 +181,69 @@ func TestGossipSeedsRebootedHost(t *testing.T) {
 	}
 }
 
-// TestGossipBytesOnWireMatchesFreshWriters pins the shared gzip writer:
-// BytesOnWire after a gossip run must equal the sum of what a fresh writer
-// per message would have produced, so a writer that carries dictionary or
-// header state across Reset fails. The run is driven edge by edge so the
-// test can see each message: a conditional pass (every edge a first
-// contact: the peer's full table) and a full-table pass over tables the
-// first pass has grown.
-func TestGossipBytesOnWireMatchesFreshWriters(t *testing.T) {
-	c := newGossipCluster(t, "")
+// TestGossipPartitionFailsCrossEdges: a peer partition reaches the fleet
+// exchange. While lhr and nrt are split, exactly the edges between them fail,
+// and each backs off on simulated time: the puller's interval doubled per
+// failure, capped at its MaxBackoff (8× the interval). Once the partition
+// heals, every edge is healthy again within MaxBackoff plus one interval.
+func TestGossipPartitionFailsCrossEdges(t *testing.T) {
+	const interval, maxBackoff = 5 * time.Second, 40 * time.Second
+	c := newGossipCluster(t, GossipLadder)
 	defer c.Stop()
-	if err := c.SeedWarmEntries(50, core.MergePolicy{}); err != nil {
+	split, heal := 62*time.Second, 242*time.Second
+	if err := (PeerPartition{A: "lhr", B: "nrt", At: split, For: heal - split}).Apply(c); err != nil {
 		t.Fatal(err)
 	}
-	c.Run(2 * time.Minute) // probes: every machine learns a different table
+	type edge struct {
+		receiver netip.Addr
+		peer     string
+	}
+	cross := make(map[edge]bool)
+	lhr, _ := c.Hosts("lhr")
+	nrt, _ := c.Hosts("nrt")
+	for i := range lhr {
+		cross[edge{lhr[i].Addr(), "http://" + nrt[i].Addr().String()}] = true
+		cross[edge{nrt[i].Addr(), "http://" + lhr[i].Addr().String()}] = true
+	}
 
-	var want, messages int64
-	fresh := func(data []byte, err error) { // what accountWire charged before it shared a writer
-		if err != nil {
-			t.Fatal(err)
+	failures := make(map[edge]int)
+	failedAt := make(map[edge][]time.Duration)
+	var unhealthy []edge
+	for c.Engine().Now()+interval <= heal+maxBackoff+interval {
+		c.Run(interval)
+		now := c.Engine().Now()
+		unhealthy = unhealthy[:0]
+		for addr, slot := range c.agents {
+			for _, h := range slot.puller.Health() {
+				e := edge{addr, h.URL}
+				if h.Failures > failures[e] {
+					failedAt[e] = append(failedAt[e], now)
+				}
+				failures[e] = h.Failures
+				if !h.Healthy {
+					unhealthy = append(unhealthy, e)
+				}
+				if !cross[e] && !h.Healthy {
+					t.Fatalf("%v -> %s failed at %v: %s", addr, h.URL, now, h.LastError)
+				}
+			}
 		}
-		var buf bytes.Buffer
-		zw := gzip.NewWriter(&buf)
-		_, _ = zw.Write(data)
-		_ = zw.Close()
-		want += int64(buf.Len())
-		messages++
 	}
-	for _, mode := range []GossipMode{GossipLadder, GossipFull} {
-		for _, pr := range c.gossipPairs() {
-			peer, src := c.agents[pr.peer], pr.peer.String()
-			fresh(gossip.EncodeDelta(gossip.TableDelta(peer.agent, src, peer.instance, gossip.Cursor{})))
-			c.gossipExchange(pr, core.MergePolicy{}, mode)
+	if len(unhealthy) > 0 {
+		t.Errorf("edges %v still failing %v after the heal", unhealthy, c.Engine().Now()-heal)
+	}
+	if len(failedAt) != len(cross) {
+		t.Fatalf("%d edges failed, want the %d crossing the partition", len(failedAt), len(cross))
+	}
+	for e, at := range failedAt {
+		if at[0] <= split || at[0] > split+interval || at[len(at)-1] >= heal {
+			t.Errorf("%v -> %s failed at %v, want from the first round after %v until before %v", e.receiver, e.peer, at, split, heal)
 		}
-	}
-	gs := c.GossipStats()
-	if gs.FullRounds != gs.Rounds || gs.EntriesMoved == 0 {
-		t.Fatalf("stats = %+v: every exchange should have shipped a full table", gs)
-	}
-	if gs.BytesOnWire != want {
-		t.Fatalf("BytesOnWire = %d over %d messages, fresh writers sum to %d", gs.BytesOnWire, messages, want)
+		for i := 1; i < len(at); i++ {
+			if want := min(interval<<(i-1), maxBackoff); at[i]-at[i-1] != want {
+				t.Errorf("%v -> %s failed at %v: retry %d after %v, want %v", e.receiver, e.peer, at, i, at[i]-at[i-1], want)
+				break
+			}
+		}
 	}
 }

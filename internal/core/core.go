@@ -529,7 +529,7 @@ type Stats struct {
 // even while a Tick is blocked inside a slow sampler or route programmer.
 //
 // Per-destination state lives in one table behind one lock, which a mutator
-// holds for a whole plan or commit stage, so Entries and ExportSnapshot taken
+// holds for a whole plan or commit stage, so Entries and ExportDelta taken
 // during a concurrent Tick each see one consistent table.
 type Agent struct {
 	cfg Config
@@ -772,15 +772,16 @@ func (a *Agent) Close() error {
 		}
 		st.dead = true
 	}
-	clear(tb.states)
-	tb.installed = 0
-	tb.deadlines = nil
-	tb.log, tb.logStale = nil, 0
-	tb.touched = tb.touched[:0]
-	tb.active = tb.active[:0]
-	tb.creditPending = false
+	tb.release()
 	tb.mu.Unlock()
 	sortPrefixes(targets, &a.sortKeys)
+	// A closed agent may stay reachable (a server or a puller still holds
+	// it): drop every per-round buffer, since some hold state pointers that
+	// would pin the whole table. Every mutating path checks closed first.
+	a.obsBuf, a.obsPrev, a.cache, a.havePrev = nil, nil, nil, false
+	a.buckets, a.compareOK, a.sortKeys = nil, nil, nil
+	a.opsBuf, a.clearOps = Scratch[RouteOp]{}, Scratch[RouteOp]{}
+	a.mergePlan, a.mergeOps = Scratch[mergeOp]{}, Scratch[RouteOp]{}
 
 	ops := make([]RouteOp, len(targets))
 	for i, dst := range targets {

@@ -310,7 +310,7 @@ func TestExportSnapshotCarriesQuarantineMarkers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap := a.ExportSnapshot()
+	snap, _ := a.ExportDelta(0)
 	if len(snap) != 2 {
 		t.Fatalf("snapshot entries = %d, want 2 (live + marker)", len(snap))
 	}

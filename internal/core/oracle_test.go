@@ -197,7 +197,8 @@ func TestAgentMatchesAlgorithm1Oracle(t *testing.T) {
 				if r%5 != 4 && r != len(rounds)-1 {
 					continue // leave lazily credited entries unread most rounds
 				}
-				entries, exported := a.Entries(), a.ExportSnapshot()
+				entries := a.Entries()
+				exported, _ := a.ExportDelta(0)
 				if len(entries) != len(ref.table) || len(exported) != len(entries) {
 					t.Fatalf("%s: round %d: %d entries, %d exported, oracle has %d", label, r, len(entries), len(exported), len(ref.table))
 				}

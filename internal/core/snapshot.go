@@ -145,23 +145,16 @@ func (a *Agent) ContentToken() (version uint64, markers uint64) {
 	return version, markers
 }
 
-// ExportSnapshot returns the agent's learned table as fleet snapshot
-// entries, sorted by prefix. Ages are measured against the agent's clock; an
-// entry that was itself merged from a peer exports its local age plus the
-// age it carried when merged, so staleness accumulates across hops instead
-// of resetting.
-func (a *Agent) ExportSnapshot() []SnapshotEntry {
-	entries, _ := a.ExportDelta(0)
-	return entries
-}
-
 // ExportDelta returns the entries committed after table version `since`,
 // plus every current quarantine marker (markers are unversioned and cheap),
 // sorted by prefix, together with the table version the delta is current
 // through. since 0 returns the full table. The version is read before the
 // walk, so an entry committed mid-walk may be included yet not covered by
 // the returned version — the peer simply re-receives it on its next delta;
-// nothing is ever skipped.
+// nothing is ever skipped. Ages are measured against the agent's clock; an
+// entry that was itself merged from a peer exports its local age plus the
+// age it carried when merged, so staleness accumulates across hops instead
+// of resetting.
 func (a *Agent) ExportDelta(since uint64) ([]SnapshotEntry, uint64) {
 	return a.ExportDeltaAppend(nil, since)
 }

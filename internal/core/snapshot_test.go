@@ -27,7 +27,7 @@ func TestExportSnapshotAges(t *testing.T) {
 	})
 
 	clock.Advance(7 * time.Second)
-	snap := a.ExportSnapshot()
+	snap, _ := a.ExportDelta(0)
 	if len(snap) != 2 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
@@ -180,7 +180,7 @@ func TestMergeSnapshotLocalObservationConfirmsMergedEntry(t *testing.T) {
 	if _, ok := a.Lookup(dst(t, "10.0.0.1")); !ok {
 		t.Fatal("locally confirmed entry expired with merged entry's TTL")
 	}
-	snap := a.ExportSnapshot()
+	snap, _ := a.ExportDelta(0)
 	if len(snap) != 1 || snap[0].Age != 60*time.Second {
 		t.Errorf("snapshot = %+v, want local age 60s (merged age cleared)", snap)
 	}
@@ -194,7 +194,7 @@ func TestMergeSnapshotAgeAccumulatesAcrossHops(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock.Advance(10 * time.Second)
-	snap := a.ExportSnapshot()
+	snap, _ := a.ExportDelta(0)
 	if len(snap) != 1 || snap[0].Age != 40*time.Second {
 		t.Errorf("re-exported age = %+v, want 30s inherited + 10s local", snap)
 	}

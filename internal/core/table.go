@@ -103,7 +103,7 @@ type destState struct {
 
 // destTable is the agent's per-destination state plus the scratch the plan
 // stage reuses across ticks. mu guards states against concurrent readers
-// (Lookup, Entries, ExportSnapshot) and cross-tick mutators; the scratch
+// (Lookup, Entries, ExportDelta) and cross-tick mutators; the scratch
 // slices are touched only under tickMu.
 type destTable struct {
 	mu     sync.Mutex
@@ -162,6 +162,21 @@ type destTable struct {
 	// creditPending marks that stable rounds ran since the covered set was
 	// last settled: lazy credit is outstanding.
 	creditPending bool
+}
+
+// release drops the whole table, its storage included: the states and
+// their slab, the export log, the deadline heap, the retained grouping and
+// the per-round plan output. Readers of a released table see an empty one.
+// Under mu and tickMu (Close).
+func (tb *destTable) release() {
+	tb.states, tb.installed = nil, 0
+	tb.deadlines = nil
+	tb.log, tb.logStale = nil, 0
+	tb.slab, tb.slabOff = nil, 0
+	tb.plan, tb.guardClears, tb.expired = nil, nil, nil
+	tb.touched, tb.memberIdx, tb.memberLimit = nil, nil, 0
+	tb.active, tb.dirtyList, tb.gather = nil, nil, nil
+	tb.fullSeq, tb.creditPending = 0, false
 }
 
 // grouped reports whether st is a member of the retained grouping: observed

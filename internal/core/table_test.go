@@ -370,7 +370,7 @@ func TestAgentConcurrentAccess(t *testing.T) {
 			}
 		}()
 	}
-	spin(func() { _ = a.ExportSnapshot() })
+	spin(func() { _, _ = a.ExportDelta(0) })
 	spin(func() {
 		if _, err := a.MergeSnapshot(remote, MergePolicy{}); err != nil {
 			t.Errorf("merge: %v", err)

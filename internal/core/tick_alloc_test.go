@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -150,4 +152,56 @@ func TestWarmStartAllocs(t *testing.T) {
 			t.Fatalf("merge seeded %d destinations, want %d", n, warmStartDests)
 		}
 	})
+}
+
+// TestCloseReleasesTable: a closed agent that stays reachable (a fleet
+// server or puller still holding it) keeps under a tenth of the heap its
+// table held. Close drops the states, their slab and every per-round buffer
+// that points into them, and a closed agent still reads as an empty one.
+func TestCloseReleasesTable(t *testing.T) {
+	allocbudget.SkipUnderRace(t)
+	live := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	clock := &fakeClock{}
+	a, err := New(Config{Sampler: newEditSampler(warmStartDests, 200), Routes: &batchNop{}, Clock: clock.fn()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := live()
+	// A rebuild, then stable rounds with edits: every per-round buffer is
+	// in use.
+	for i := 0; i < 3; i++ {
+		if err := a.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		clock.Advance(time.Second)
+	}
+	if n := a.Len(); n != warmStartDests {
+		t.Fatalf("agent learned %d destinations, want %d", n, warmStartDests)
+	}
+	held := live() - base
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	kept := live() - base
+	t.Logf("table held %d bytes; closed agent keeps %d", held, kept)
+	if kept*10 >= held {
+		t.Errorf("closed agent keeps %d of the %d bytes its table held", kept, held)
+	}
+
+	if n := len(a.Entries()); n != 0 || a.Len() != 0 {
+		t.Errorf("closed agent lists %d entries, Len %d", n, a.Len())
+	}
+	if got, _ := a.ExportDeltaAppend(nil, 0); len(got) != 0 {
+		t.Errorf("closed agent exports %d entries", len(got))
+	}
+	if err := a.Tick(); !errors.Is(err, ErrClosed) {
+		t.Errorf("Tick after Close = %v, want ErrClosed", err)
+	}
+	runtime.KeepAlive(a)
 }

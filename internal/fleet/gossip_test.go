@@ -227,7 +227,7 @@ func TestGossipConvergenceEquivalence(t *testing.T) {
 	fullPull()
 
 	normalize := func(a *core.Agent) []core.SnapshotEntry {
-		entries := a.ExportSnapshot()
+		entries, _ := a.ExportDelta(0)
 		for i := range entries {
 			// Versions and ages are receiver-local bookkeeping (stamped at
 			// merge time); the learned content is what must match.

@@ -84,19 +84,23 @@ type cachedBody struct {
 type Server struct {
 	agent  *core.Agent
 	source string
-	now    func() time.Time
-	maxAge time.Duration
+	// instance is this run's identity. A server is bound to one agent for
+	// its life, so an embedding that reboots its agent in-process builds a
+	// new server under a new instance: the new life's ETags never validate
+	// against the old life's, and no cached body outlives its table.
+	instance string
+	now      func() time.Time
+	maxAge   time.Duration
 
 	hits        atomic.Uint64
 	misses      atomic.Uint64
 	notModified atomic.Uint64
 
-	// mu guards the instance identity, the cache slots, and the pooled
-	// encode scratch. Miss-path rebuilds run under it, so concurrent
-	// requests for the same cold body encode once, not once each.
-	mu       sync.Mutex
-	instance string
-	bodies   [numKinds]cachedBody
+	// mu guards the cache slots and the pooled encode scratch. Miss-path
+	// rebuilds run under it, so concurrent requests for the same cold body
+	// encode once, not once each.
+	mu     sync.Mutex
+	bodies [numKinds]cachedBody
 
 	// Rendered ETag for the current content token, so converged-round
 	// requests (the overwhelming majority) reuse one string instead of
@@ -136,24 +140,8 @@ func (s *Server) Stats() ServeStats {
 	}
 }
 
-// Instance returns the identity ETags are currently scoped to.
-func (s *Server) Instance() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.instance
-}
-
-// Remint replaces the server's instance identity and drops every cached
-// body. An embedding that reboots its agent in-process (simulators, tests)
-// must remint: the new life's ETags must not validate against the old
-// life's, and a cached body would resurrect withdrawn knowledge.
-func (s *Server) Remint(instance string) {
-	s.mu.Lock()
-	s.instance = instance
-	s.bodies = [numKinds]cachedBody{}
-	s.etagOK = false
-	s.mu.Unlock()
-}
+// Instance returns the identity ETags are scoped to.
+func (s *Server) Instance() string { return s.instance }
 
 // etagMatch reports whether an If-None-Match header names etag (exact
 // entity-tag match over the comma-separated list, plus the * wildcard).

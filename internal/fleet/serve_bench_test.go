@@ -74,13 +74,17 @@ func benchRequest(path string) *http.Request {
 	}
 }
 
-// benchServe measures one serving kind. churn forces a full cache
-// invalidation before every request (the upper bound where the table moves
+// benchServe measures one serving kind. churn forces a body rebuild on
+// every request (the upper bound where the table moves
 // between every pair of requests); without it every request after the first
 // is a cache hit — the converged-fleet steady state.
 func benchServe(b *testing.B, kindPath string, entries int, churn bool) {
 	a := benchAgent(b, entries)
 	s := NewServer(a, "bench", "boot-1", func() time.Time { return time.Unix(1, 0) })
+	if churn {
+		// Every cached body is older than a negative bound.
+		s.maxAge = -1
+	}
 	h := s.DeltaHandler()
 	if kindPath == SnapshotPath {
 		h = s.SnapshotHandler()
@@ -91,9 +95,6 @@ func benchServe(b *testing.B, kindPath string, entries int, churn bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if churn {
-			s.Remint("boot-1")
-		}
 		w.code = 0
 		h.ServeHTTP(w, req)
 		if w.code != 0 && w.code != http.StatusOK {

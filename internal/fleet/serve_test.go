@@ -251,36 +251,31 @@ func TestServeNotModified(t *testing.T) {
 	}
 }
 
-// TestServeRemintDropsCache: after an in-process agent reboot the server is
-// reminted; the old life's validators must stop matching and the cache must
-// not serve the old life's bodies.
+// TestServeRemintDropsCache: a server for the agent's next life (an
+// in-process reboot builds one under a new instance) must not validate the
+// old life's ETag, and builds its own body rather than reusing the old one.
 func TestServeRemintDropsCache(t *testing.T) {
 	a, _, _ := newTestAgent(t, []core.Observation{obs(t, "192.0.2.1", 40)})
 	s := NewServer(a, "host-a", "boot-1", nil)
-	h := s.DeltaHandler()
 
-	w := serveGet(h, DeltaPath, "")
+	w := serveGet(s.DeltaHandler(), DeltaPath, "")
 	oldETag := w.Header().Get("ETag")
 	oldBody := append([]byte(nil), w.Body.Bytes()...)
 
-	s.Remint("boot-2")
-
-	w = serveGet(h, DeltaPath, oldETag)
+	s2 := NewServer(a, "host-a", "boot-2", nil)
+	w = serveGet(s2.DeltaHandler(), DeltaPath, oldETag)
 	if w.Code != http.StatusOK {
-		t.Fatalf("post-remint conditional GET: status %d, want 200 (old validator must not match)", w.Code)
+		t.Fatalf("new instance, old ETag: status %d, want 200 (old validator must not match)", w.Code)
 	}
 	newETag := w.Header().Get("ETag")
-	if newETag == oldETag {
-		t.Fatalf("ETag survived remint: %q", newETag)
-	}
-	if !strings.HasPrefix(newETag, `"boot-2/`) {
-		t.Fatalf("post-remint ETag = %q, want boot-2 scope", newETag)
+	if newETag == oldETag || !strings.HasPrefix(newETag, `"boot-2/`) {
+		t.Fatalf("new instance ETag = %q, want boot-2 scope", newETag)
 	}
 	if bytes.Equal(w.Body.Bytes(), oldBody) {
-		t.Fatal("post-remint body identical to old life's (instance field must differ)")
+		t.Fatal("new instance body identical to old life's (instance field must differ)")
 	}
-	if st := s.Stats(); st.Misses != 2 {
-		t.Fatalf("stats = %+v, want 2 misses (remint dropped the cache)", st)
+	if st := s2.Stats(); st.Misses != 1 {
+		t.Fatalf("stats = %+v, want 1 miss (the new server built its own body)", st)
 	}
 }
 

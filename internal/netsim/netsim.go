@@ -348,6 +348,14 @@ func (n *Network) SetPathBlocked(src, dst netip.Addr, blocked bool) error {
 	return nil
 }
 
+// PathBlocked reports whether the path src -> dst is administratively down
+// (SetPathBlocked). Two hosts with no path between them, such as machines of
+// one PoP, are never blocked.
+func (n *Network) PathBlocked(src, dst netip.Addr) bool {
+	p, ok := n.paths[pathKey{src, dst}]
+	return ok && p.blocked
+}
+
 // PathRTT reports the configured RTT from src to dst.
 func (n *Network) PathRTT(src, dst netip.Addr) (time.Duration, error) {
 	p, ok := n.paths[pathKey{src, dst}]

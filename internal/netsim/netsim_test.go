@@ -695,6 +695,9 @@ func TestSetPathBlockedPartition(t *testing.T) {
 	if _, err := n.Open(hostA, hostB); err == nil {
 		t.Fatal("open over a blocked path succeeded")
 	}
+	if !n.PathBlocked(hostA, hostB) || n.PathBlocked(hostB, hostA) {
+		t.Fatal("PathBlocked does not report exactly the blocked direction")
+	}
 	// The reverse direction is untouched.
 	if c, err := n.Open(hostB, hostA); err != nil {
 		t.Fatalf("reverse open failed: %v", err)
@@ -722,8 +725,14 @@ func TestSetPathBlockedPartition(t *testing.T) {
 	if !done {
 		t.Fatal("transfer did not complete after unblocking")
 	}
+	if n.PathBlocked(hostA, hostB) {
+		t.Fatal("PathBlocked still reports an unblocked path")
+	}
 	if err := n.SetPathBlocked(hostA, netip.MustParseAddr("10.9.9.9"), true); err == nil {
 		t.Error("unknown path accepted")
+	}
+	if n.PathBlocked(hostA, netip.MustParseAddr("10.9.9.9")) {
+		t.Error("a pair with no path reads as blocked")
 	}
 }
 

@@ -352,11 +352,6 @@ func applyEvent(c *cdn.Cluster, ev Event, st *runState, sharingOn, gossipFull bo
 			}
 		}
 		return p.RollingReboots.Apply(c)
-	case *FleetSharingEvent:
-		if !sharingOn {
-			return nil
-		}
-		return c.EnableFleetSharing(p.Interval, core.MergePolicy{})
 	case *GossipSharingEvent:
 		if !sharingOn {
 			return nil
@@ -370,7 +365,7 @@ func applyEvent(c *cdn.Cluster, ev Event, st *runState, sharingOn, gossipFull bo
 		if gossipFull {
 			mode = cdn.GossipFull
 		}
-		if err := c.EnableGossipSharing(p.Interval, core.MergePolicy{}, mode); err != nil {
+		if err := c.EnableGossipSharing(p.Interval, core.MergePolicy{}, mode, cdn.GossipPeers(p.Peers)); err != nil {
 			return err
 		}
 		st.gossipOn = true
@@ -548,7 +543,6 @@ func (sp *Spec) collect(c *cdn.Cluster, st *runState) map[string]float64 {
 		m["gossip.rounds.delta"] = float64(gs.DeltaRounds)
 		m["gossip.rounds.full"] = float64(gs.FullRounds)
 		m["gossip.rounds.not_modified"] = float64(gs.NotModifiedRounds)
-		m["gossip.entries_moved"] = float64(gs.EntriesMoved)
 	}
 
 	if st.guardOn {

@@ -103,8 +103,9 @@ fleet:
 duration: 4m
 events:
   - at: 0s
-    enable_fleet_sharing:
+    enable_gossip_sharing:
       interval: 5s
+      peers: pop
   - at: 1m59s
     host_reboot:
       pop: lhr
@@ -215,7 +216,7 @@ func TestTickMetricsCountUpdateIntervals(t *testing.T) {
 // rounds — a difference a fleet-wide route count (one machine of eight) never
 // showed.
 func TestEngineSharingControl(t *testing.T) {
-	src := strings.Replace(coldReboot, "events:\n", "compare:\n  control: {sharing: false}\nevents:\n  - at: 0s\n    enable_fleet_sharing:\n      interval: 5s\n", 1) +
+	src := strings.Replace(coldReboot, "events:\n", "compare:\n  control: {sharing: false}\nevents:\n  - at: 0s\n    enable_gossip_sharing:\n      interval: 5s\n      peers: pop\n", 1) +
 		"assertions:\n  - riptide.recovery_target >= 1\n  - riptide.recovery_target == control.recovery_target\n  - 4 * riptide.recovery_ticks <= control.recovery_ticks\n"
 	rep := runQuick(t, src)
 	if !rep.Pass {

@@ -11,7 +11,7 @@ import (
 
 // eventKinds names every supported event, for error messages.
 var eventKinds = []string{
-	"capacity_cut", "degradation", "enable_fleet_sharing", "enable_gossip_sharing",
+	"capacity_cut", "degradation", "enable_gossip_sharing",
 	"flash_crowd", "host_reboot", "path_flap", "peer_partition", "rolling_reboots",
 	"set_knob",
 }
@@ -175,13 +175,10 @@ func parsePayload(kind string, n *Node, at time.Duration, baseLoss float64) (any
 	case "degradation":
 		e := &cdn.RegionalDegradation{At: at, BaselineLoss: baseLoss}
 		return e, decodeFields(n, kind, field{"pop", &e.PoP}, field{"for", &e.For}, field{"loss_rate", &e.LossRate})
-	case "enable_fleet_sharing":
-		e := &FleetSharingEvent{}
-		return e, decodeFields(n, kind, field{"interval", &e.Interval})
 	case "enable_gossip_sharing":
-		e := &GossipSharingEvent{Mode: string(cdn.GossipLadder)}
+		e := &GossipSharingEvent{Mode: string(cdn.GossipLadder), Peers: string(cdn.GossipPeersAll)}
 		return e, decodeFields(n, kind, field{"interval", &e.Interval}, field{"mode", &e.Mode},
-			field{"seed_entries", &e.SeedEntries})
+			field{"peers", &e.Peers}, field{"seed_entries", &e.SeedEntries})
 	case "start_cwnd_sampling":
 		e := &CwndSamplingEvent{}
 		return e, decodeFields(n, kind, field{"pops", &e.PoPs})
@@ -211,12 +208,13 @@ func (ev Event) validate(pops map[string]bool, total time.Duration) error {
 		if err = p.RollingReboots.Validate(); err == nil {
 			err = checkFraction(p.TrackRecovery)
 		}
-	case *FleetSharingEvent:
-		err = checkSharing(p.Interval, ev.At)
 	case *GossipSharingEvent:
 		err = checkSharing(p.Interval, ev.At)
 		if m := cdn.GossipMode(p.Mode); err == nil && m != cdn.GossipLadder && m != cdn.GossipFull {
 			err = fmt.Errorf("mode %q unknown (valid: %s %s)", p.Mode, cdn.GossipFull, cdn.GossipLadder)
+		}
+		if ps := cdn.GossipPeers(p.Peers); err == nil && ps != cdn.GossipPeersAll && ps != cdn.GossipPeersPoP {
+			err = fmt.Errorf("peers %q unknown (valid: %s %s)", p.Peers, cdn.GossipPeersAll, cdn.GossipPeersPoP)
 		}
 		if err == nil && p.SeedEntries < 0 {
 			err = fmt.Errorf("seed_entries %d must not be negative", p.SeedEntries)

@@ -119,9 +119,8 @@ type Arm struct {
 	// "full" — same sync schedule, whole tables every round — so the
 	// assertions can price conditional deltas against whole-table sync.
 	GossipFull bool
-	// NoSharing (sharing: false) drops the enable_fleet_sharing and
-	// enable_gossip_sharing events from the run: the same fleet with every
-	// agent learning alone.
+	// NoSharing (sharing: false) drops the enable_gossip_sharing event from
+	// the run: the same fleet with every agent learning alone.
 	NoSharing bool
 }
 
@@ -168,20 +167,18 @@ type RollingRebootsEvent struct {
 	TrackRecovery float64
 }
 
-// FleetSharingEvent enables periodic same-PoP snapshot exchange.
-type FleetSharingEvent struct {
-	Interval time.Duration
-}
-
-// GossipSharingEvent enables cross-PoP anti-entropy table sync with full
-// wire-cost accounting (cdn.EnableGossipSharing). Mode is "ladder" (one
-// conditional ?since= request per round: a 304, a delta or the full table)
-// or "full" (every round ships whole tables). SeedEntries, when > 0, pre-populates every
-// agent's table with that many synthetic warm destinations, modeling a
+// GossipSharingEvent starts fleet sharing: every machine runs riptided's
+// fleet server and puller over a simulated wire (cdn.EnableGossipSharing).
+// Mode is "ladder" (one conditional ?since= request per round: a 304, a delta
+// or the full table) or "full" (every round ships whole tables). Peers is
+// "all" (the PoP's other machines plus one machine of every other PoP) or
+// "pop" (the PoP's other machines only). SeedEntries, when > 0, pre-populates
+// every agent's table with that many synthetic warm destinations, modeling a
 // long-lived back-office fleet whose table size a short run cannot grow.
 type GossipSharingEvent struct {
 	Interval    time.Duration
 	Mode        string
+	Peers       string
 	SeedEntries int
 }
 
@@ -553,13 +550,10 @@ func parseCompare(n *Node, sp *Spec) ([]Arm, error) {
 	if len(n.Keys) == 0 {
 		return nil, fmt.Errorf("line %d: compare block names no arm", n.Line)
 	}
-	gossipEvent, sharingEvent := false, false
+	gossipEvent := false
 	for _, ev := range sp.Events {
-		switch ev.Payload.(type) {
-		case *GossipSharingEvent:
-			gossipEvent, sharingEvent = true, true
-		case *FleetSharingEvent:
-			sharingEvent = true
+		if _, ok := ev.Payload.(*GossipSharingEvent); ok {
+			gossipEvent = true
 		}
 	}
 	arms := make([]Arm, 0, len(n.Keys))
@@ -587,8 +581,8 @@ func parseCompare(n *Node, sp *Spec) ([]Arm, error) {
 			return nil, fmt.Errorf("line %d: arm %s: guard needs fleet.riptide.guard configured", line, name)
 		case v.Get("gossip") != nil && !gossipEvent:
 			return nil, fmt.Errorf("line %d: arm %s: gossip needs an enable_gossip_sharing event", line, name)
-		case v.Get("sharing") != nil && !sharingEvent:
-			return nil, fmt.Errorf("line %d: arm %s: sharing needs an enable_fleet_sharing or enable_gossip_sharing event", line, name)
+		case v.Get("sharing") != nil && !gossipEvent:
+			return nil, fmt.Errorf("line %d: arm %s: sharing needs an enable_gossip_sharing event", line, name)
 		}
 		if !guard {
 			arm.Riptide.Guard = nil

@@ -36,8 +36,9 @@ compare:
     guard: false
 events:
   - at: 0s
-    enable_fleet_sharing:
+    enable_gossip_sharing:
       interval: 5s
+      peers: pop
   - at: 2m
     capacity_cut:
       pop: jfk
@@ -56,6 +57,9 @@ assertions:
   - riptide.probe_ms.p99.during / riptide.probe_ms.p99.before <= 10
 `
 
+// sharingEvent is validScenario's enable_gossip_sharing event.
+const sharingEvent = "  - at: 0s\n    enable_gossip_sharing:\n      interval: 5s\n      peers: pop\n"
+
 func TestParseValidScenario(t *testing.T) {
 	sp, err := Parse([]byte(validScenario))
 	if err != nil {
@@ -72,6 +76,9 @@ func TestParseValidScenario(t *testing.T) {
 	}
 	if sp.Events[1].Kind != "capacity_cut" {
 		t.Errorf("event[1] kind = %q", sp.Events[1].Kind)
+	}
+	if gs, ok := sp.Events[0].Payload.(*GossipSharingEvent); !ok || gs.Peers != "pop" || gs.Mode != "ladder" {
+		t.Errorf("gossip sharing payload = %+v", sp.Events[0].Payload)
 	}
 	cc, ok := sp.Events[1].Payload.(*cdn.CapacityCut)
 	if !ok || cc.PoP != "jfk" || cc.From != "lhr" || cc.Segments != 10 || cc.At != 2*time.Minute {
@@ -137,14 +144,14 @@ func TestParseRejections(t *testing.T) {
 		{"old knob-only compare form", mutate(t, "  control:\n    guard: false", "  guard: false"), "arm guard must be a mapping"},
 		{"guard patch without fleet guard", strings.Replace(mutate(t, "    guard:\n      min_segments: 24\n      hysteresis_ticks: 2\n      quarantine_ttl: 10m\n", ""),
 			"  - riptide.quarantines >= 1\n", "", 1), "guard needs fleet.riptide.guard"},
-		{"compare sharing without a sharing event", strings.Replace(mutate(t, "    guard: false", "    sharing: false"),
-			"  - at: 0s\n    enable_fleet_sharing:\n      interval: 5s\n", "", 1), "sharing needs"},
-		{"compare gossip without a gossip event", mutate(t, "    guard: false", "    gossip: false"), "gossip needs"},
+		{"compare sharing without a sharing event", strings.Replace(mutate(t, "    guard: false", "    sharing: false"), sharingEvent, "", 1), "sharing needs"},
+		{"compare gossip without a gossip event", strings.Replace(mutate(t, "    guard: false", "    gossip: false"), sharingEvent, "", 1), "gossip needs"},
+		{"unknown gossip peer set", mutate(t, "      peers: pop", "      peers: region"), `peers "region" unknown`},
 		{"two cwnd samplers", mutate(t, "  - at: 2m\n    capacity_cut:", "  - at: 1m\n    start_cwnd_sampling: {}\n  - at: 1m\n    start_cwnd_sampling: {}\n  - at: 2m\n    capacity_cut:"), "listed twice"},
 		{"cwnd sampler on an unknown PoP", mutate(t, "  - at: 2m\n    capacity_cut:", "  - at: 1m\n    start_cwnd_sampling: {pops: [syd]}\n  - at: 2m\n    capacity_cut:"), `unknown PoP "syd"`},
 		{"cwnd sampler with its own cadence", mutate(t, "  - at: 2m\n    capacity_cut:", "  - at: 1m\n    start_cwnd_sampling: {interval: 30s}\n  - at: 2m\n    capacity_cut:"), `unknown key "interval"`},
 		{"unknown history", mutate(t, "    cmax: 100", "    cmax: 100\n    history: fifo"), `history "fifo" unknown`},
-		{"sharing not at zero", mutate(t, "  - at: 0s\n    enable_fleet_sharing:", "  - at: 0s\n    peer_partition: {a: lhr, b: fra, for: 10s}\n  - at: 1s\n    enable_fleet_sharing:"), "at 0s"},
+		{"sharing not at zero", mutate(t, "  - at: 0s\n    enable_gossip_sharing:", "  - at: 0s\n    peer_partition: {a: lhr, b: fra, for: 10s}\n  - at: 1s\n    enable_gossip_sharing:"), "at 0s"},
 	}
 	for _, tc := range cases {
 		_, err := Parse([]byte(tc.src))
@@ -272,8 +279,8 @@ func TestEventRejectionsAreLineNumbered(t *testing.T) {
 		{"degradation", "1m", "pop: jfk, for: -1m, loss_rate: 0.05", "positive duration"},
 		{"degradation", "1m", "pop: jfk, for: 10m, loss_rate: 0.05", "past the run end"},
 		{"set_knob", "1m", "knob: pop_loss, pop: xxx, value: 0.1", `unknown PoP "xxx"`},
-		{"enable_fleet_sharing", "0s", "interval: -5s", "must be positive"},
 		{"enable_gossip_sharing", "0s", "interval: -5s", "must be positive"},
+		{"enable_gossip_sharing", "0s", "interval: 5s, peers: region", `peers "region" unknown`},
 	}
 	for _, tc := range cases {
 		_, err := Parse([]byte(fmt.Sprintf(doc, tc.at, tc.kind, tc.body)))
