@@ -111,15 +111,11 @@ func report(w io.Writer, load func(string) (*scenario.Spec, error), seed int64, 
 		// The header names the scale of the file that measures a plain
 		// hour; the cwnd-sampling files run 17 s past it.
 		if sp.Name == "paper-ablations" {
-			pops, err := sp.Fleet.ResolvePoPs()
-			if err != nil {
-				return err
-			}
 			measured := sp.Duration
 			if sp.Window != nil {
 				measured -= sp.Window.Start
 			}
-			header = fmt.Sprintf("scale: %d PoPs, %v measurement, seed %d", len(pops), measured, seed)
+			header = fmt.Sprintf("scale: %d PoPs, %v measurement, seed %d", len(sp.Fleet.PoPs), measured, seed)
 		}
 		jobs = append(jobs, func() ([]experiments.Result, error) { return experiments.Paper(sp) })
 	}

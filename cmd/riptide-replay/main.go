@@ -4,8 +4,12 @@
 // cwnd CSV. It also compares two probe CSVs (control vs riptide) with a
 // Kolmogorov–Smirnov test and percentile gains.
 //
-//	riptide-sim -scale full -export-riptide=false -probes-csv control.csv
-//	riptide-sim -scale full -export-riptide=true  -probes-csv riptide.csv
+// riptide-sim's export mode writes the main run of one scenario file, so a
+// control and a riptide CSV come from two files that differ only in
+// fleet.riptide.enabled:
+//
+//	riptide-sim -probes-csv control.csv scenarios/<control>.yaml
+//	riptide-sim -probes-csv riptide.csv scenarios/<file>.yaml
 //	riptide-replay -probes riptide.csv -baseline control.csv
 package main
 

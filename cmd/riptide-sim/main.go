@@ -152,7 +152,9 @@ func runExperiments(args []string, load func(string) (*scenario.Spec, error)) er
 			return fmt.Errorf("%s: %w", fs.Arg(0), err)
 		}
 		seeded(sp)
-		sp.Fleet.Traffic.OrganicSizes = sizes
+		if sizes != nil {
+			sp.Fleet.Traffic.OrganicSizes = sizes
+		}
 		return exportRun(sp, *probesCSV, *cwndCSV)
 	}
 	if fs.NArg() > 0 {

@@ -211,11 +211,20 @@ func (TrafficWeightedCombiner) Combine(obs []Observation) float64 {
 	return weighted / total
 }
 
-var (
-	_ Combiner = AverageCombiner{}
-	_ Combiner = MaxCombiner{}
-	_ Combiner = TrafficWeightedCombiner{}
-)
+// combiners is the one table of combiner names: riptided's -combiner flag
+// and a scenario file's combiner key both resolve through CombinerByName.
+var combiners = []Combiner{AverageCombiner{}, MaxCombiner{}, TrafficWeightedCombiner{}}
+
+// CombinerByName returns the shipped combiner whose Name is name, and false
+// when none is.
+func CombinerByName(name string) (Combiner, bool) {
+	for _, c := range combiners {
+		if c.Name() == name {
+			return c, true
+		}
+	}
+	return nil, false
+}
 
 // HistoryPolicy folds each round's combined value into per-destination
 // history. Implementations must be safe to call from a single goroutine.

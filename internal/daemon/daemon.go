@@ -94,13 +94,8 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
-	var comb core.Combiner
-	for _, c := range []core.Combiner{core.AverageCombiner{}, core.MaxCombiner{}, core.TrafficWeightedCombiner{}} {
-		if c.Name() == cfg.Combiner {
-			comb = c
-		}
-	}
-	if comb == nil {
+	comb, ok := core.CombinerByName(cfg.Combiner)
+	if !ok {
 		return nil, fmt.Errorf("unknown combiner %q", cfg.Combiner)
 	}
 

@@ -181,7 +181,7 @@ func busyPoPFigure(runs map[string]scenario.Records, sp *scenario.Spec, _ time.D
 			continue
 		}
 		for _, pop := range s.PoPs {
-			if slices.ContainsFunc(sp.Fleet.Traffic.Organic, func(o scenario.OrganicRate) bool { return o.PoP == pop }) {
+			if _, busy := sp.Fleet.Traffic.OrganicRates[pop]; busy {
 				busyName = pop
 			} else {
 				quietName = pop

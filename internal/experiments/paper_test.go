@@ -433,10 +433,7 @@ func TestScaleDefaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pops, err := sp.Fleet.ResolvePoPs()
-		if err != nil {
-			t.Fatal(err)
-		}
+		pops := sp.Fleet.PoPs
 		tr := sp.Fleet.Traffic
 		if len(pops) != 34 || sp.Fleet.Seed != 1 || sp.Fleet.LossRate != 0.002 || tr.ProbeInterval != 4*time.Minute ||
 			sp.Window == nil || sp.Window.Start != 5*time.Minute || sp.Window.End != sp.Duration {
@@ -459,11 +456,11 @@ func TestScaleDefaults(t *testing.T) {
 		// baseline — but in Figure 11's file, where lhr alone does.
 		var busy []string
 		baseline := 0
-		for _, o := range tr.Organic {
-			if o.Rate == 1 {
+		for _, p := range pops {
+			if rate, ok := tr.OrganicRates[p.Name]; rate == 1 {
 				baseline++
-			} else {
-				busy = append(busy, fmt.Sprintf("%s:%v", o.PoP, o.Rate))
+			} else if ok {
+				busy = append(busy, fmt.Sprintf("%s:%v", p.Name, rate))
 			}
 		}
 		got, want := fmt.Sprintf("%v + %d at 1", busy, baseline), "[lhr:4 fra:4 jfk:4 lax:4 nrt:4] + 29 at 1"

@@ -10,9 +10,7 @@ import (
 	"riptide/internal/cdn"
 	"riptide/internal/core"
 	"riptide/internal/eventsim"
-	"riptide/internal/guard"
 	"riptide/internal/stats"
-	"riptide/internal/workload"
 )
 
 // Records is one run's raw measurements, handed to Run's caller for the
@@ -172,83 +170,28 @@ type runState struct {
 	sampling *CwndSamplingEvent
 }
 
+// cluster builds arm's simulated fleet: the fleet block's config with the
+// arm's riptide options.
+func (sp *Spec) cluster(arm Arm) (*cdn.Cluster, error) {
+	cfg := sp.Fleet
+	cfg.Riptide = arm.Riptide
+	return cdn.NewCluster(cfg)
+}
+
 func (sp *Spec) executeRun(arm Arm, keep func(string, Records)) (map[string]float64, error) {
-	fleet, r := sp.Fleet, arm.Riptide
-	riptideOn, guardSpec := r.Enabled, r.Guard
-	pops, err := fleet.ResolvePoPs()
+	c, err := sp.cluster(arm)
 	if err != nil {
 		return nil, err
 	}
 
-	cfg := cdn.Config{
-		PoPs:             pops,
-		HostsPerPoP:      fleet.HostsPerPoP,
-		Seed:             fleet.Seed,
-		LossRate:         fleet.LossRate,
-		RTTJitter:        fleet.RTTJitter,
-		CapacitySegments: fleet.CapacitySegments,
-		Riptide: cdn.RiptideOptions{
-			Enabled:        riptideOn,
-			CMax:           r.CMax,
-			CMin:           r.CMin,
-			Alpha:          r.Alpha,
-			UpdateInterval: r.UpdateInterval,
-			TTL:            r.TTL,
-			PrefixBits:     r.PrefixBits,
-		},
-		Traffic: cdn.TrafficOptions{
-			ProbeInterval:          fleet.Traffic.ProbeInterval,
-			CloseAfterTransferProb: fleet.Traffic.CloseAfterTransferProb,
-			IdleTimeout:            fleet.Traffic.IdleTimeout,
-		},
-	}
-	if riptideOn && guardSpec != nil {
-		cfg.Riptide.Guard = &guard.Config{
-			Holdback:        guardSpec.Holdback,
-			MinSegments:     guardSpec.MinSegments,
-			HysteresisTicks: guardSpec.HysteresisTicks,
-			QuarantineTTL:   guardSpec.QuarantineTTL,
-		}
-	}
-	switch r.Combiner {
-	case "average":
-		cfg.Riptide.Combiner = core.AverageCombiner{}
-	case "max":
-		cfg.Riptide.Combiner = core.MaxCombiner{}
-	case "traffic-weighted":
-		cfg.Riptide.Combiner = core.TrafficWeightedCombiner{}
-	}
-	if r.History == "none" {
-		cfg.Riptide.History = core.NoHistory{}
-	}
-	for _, kb := range fleet.Traffic.ProbeSizesKB {
-		cfg.Traffic.ProbeSizes = append(cfg.Traffic.ProbeSizes, kb*1024)
-	}
-	if len(fleet.Traffic.Organic) > 0 {
-		cfg.Traffic.OrganicRates = make(map[string]float64, len(fleet.Traffic.Organic))
-		for _, o := range fleet.Traffic.Organic {
-			cfg.Traffic.OrganicRates[o.PoP] = o.Rate
-		}
-	}
-	if fleet.Traffic.OrganicSizeKB > 0 {
-		cfg.Traffic.OrganicSizes = workload.Constant(fleet.Traffic.OrganicSizeKB * 1024)
-	}
-	if fleet.Traffic.OrganicSizes != nil {
-		cfg.Traffic.OrganicSizes = fleet.Traffic.OrganicSizes
-	}
-
-	c, err := cdn.NewCluster(cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	st := &runState{guardOn: riptideOn && guardSpec != nil, tick: r.UpdateInterval}
+	r := arm.Riptide
+	st := &runState{guardOn: r.Enabled && r.Guard != nil, tick: r.UpdateInterval}
 	if st.tick == 0 {
 		st.tick = core.DefaultUpdateInterval
 	}
 	st.winStart, st.winEnd = sp.phaseWindow()
 
-	sharingOn := riptideOn && !arm.NoSharing
+	sharingOn := r.Enabled && !arm.NoSharing
 	for _, ev := range sp.Events {
 		if err := applyEvent(c, ev, st, sharingOn, arm.GossipFull); err != nil {
 			return nil, fmt.Errorf("event at %v (%s): %w", ev.At, ev.Kind, err)
@@ -309,7 +252,7 @@ func (sp *Spec) executeRun(arm Arm, keep func(string, Records)) (map[string]floa
 	metrics := sp.collect(c, st)
 	var rec Records
 	if keep != nil {
-		for _, p := range pops {
+		for _, p := range c.PoPs() {
 			for _, a := range c.Agents(p.Name) {
 				rec.RoutesSet += a.Stats().RoutesSet
 			}

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"riptide/internal/guard"
 )
 
 // quickScenario is small enough to execute in tests: four PoPs, a partition
@@ -325,6 +327,103 @@ func TestEngineArmsAndRecords(t *testing.T) {
 		}
 		if _, ok := metric[run+".cwnd.p50.fra"]; ok {
 			t.Errorf("%s: cwnd.p50.fra reported for a PoP the event does not name", run)
+		}
+	}
+}
+
+// TestFleetKeysReachAgents sets every fleet.riptide key, and every arm key,
+// to a value other than its default, builds each run's cluster, and reads
+// the knobs back from every agent: a key the decoder drops shows here.
+func TestFleetKeysReachAgents(t *testing.T) {
+	const src = `name: knobs
+fleet:
+  pops: [lhr, fra]
+  hosts_per_pop: 2
+  riptide:
+    enabled: true
+    cmax: 120
+    cmin: 4
+    alpha: 0.3
+    update_interval: 2s
+    ttl: 45s
+    prefix_bits: 24
+    combiner: max
+    history: none
+    guard:
+      holdback: 0.1
+      min_segments: 30
+      hysteresis_ticks: 3
+      quarantine_ttl: 7m
+duration: 1m
+compare:
+  tuned:
+    cmax: 80
+    cmin: 6
+    alpha: 0.7
+    update_interval: 3s
+    ttl: 2m
+    prefix_bits: 16
+    combiner: traffic-weighted
+    history: ewma
+    guard: false
+`
+	// guarded holds the four guard keys (guard.Config also holds a Clock,
+	// which makes it incomparable).
+	type guarded struct {
+		holdback    float64
+		minSegments int64
+		hysteresis  int
+		quarantine  time.Duration
+	}
+	type knobs struct {
+		cmax, cmin int
+		alpha      float64
+		iu, ttl    time.Duration
+		bits       int
+		combiner   string
+		history    string
+		guard      guarded
+	}
+	want := map[string]knobs{
+		"riptide": {120, 4, 0.3, 2 * time.Second, 45 * time.Second, 24, "max", "none",
+			guarded{0.1, 30, 3, 7 * time.Minute}},
+		"tuned": {80, 6, 0.7, 3 * time.Second, 2 * time.Minute, 16, "traffic-weighted", "ewma", guarded{}},
+	}
+	sp, err := Parse([]byte(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// history: ewma leaves the policy nil, so the agent runs its inline
+	// EWMA (and reports a detached EWMAHistory through Config).
+	if h := sp.Arms[0].Riptide.History; h != nil {
+		t.Errorf("history: ewma decoded to %T, want nil", h)
+	}
+	for _, arm := range append([]Arm{sp.mainRun()}, sp.Arms...) {
+		c, err := sp.cluster(arm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agents := 0
+		for _, p := range c.PoPs() {
+			for _, a := range c.Agents(p.Name) {
+				agents++
+				cfg := a.Config()
+				got := knobs{cfg.CMax, cfg.CMin, cfg.Alpha, cfg.UpdateInterval, cfg.TTL, cfg.PrefixBits,
+					cfg.Combiner.Name(), cfg.History.Name(), guarded{}}
+				if g, ok := cfg.Guard.(*guard.Governor); ok {
+					gc := g.Config()
+					got.guard = guarded{gc.Holdback, gc.MinSegments, gc.HysteresisTicks, gc.QuarantineTTL}
+				} else if cfg.Guard != nil {
+					t.Errorf("%s: governor %T", arm.Name, cfg.Guard)
+				}
+				if got != want[arm.Name] {
+					t.Errorf("%s agent %s: knobs %+v, want %+v", arm.Name, p.Name, got, want[arm.Name])
+				}
+			}
+		}
+		c.Stop()
+		if agents != 4 {
+			t.Errorf("%s: %d agents, want 2 PoPs x 2 hosts", arm.Name, agents)
 		}
 	}
 }

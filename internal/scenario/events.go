@@ -7,13 +7,14 @@ import (
 	"time"
 
 	"riptide/internal/cdn"
+	"riptide/internal/core"
 )
 
 // eventKinds names every supported event, for error messages.
 var eventKinds = []string{
 	"capacity_cut", "degradation", "enable_gossip_sharing",
 	"flash_crowd", "host_reboot", "path_flap", "peer_partition", "rolling_reboots",
-	"set_knob",
+	"set_knob", "start_cwnd_sampling",
 }
 
 // parseEvents decodes and validates the event stream. Events must be listed
@@ -87,7 +88,8 @@ func parseEvent(n *Node, pops map[string]bool, total time.Duration, baseLoss flo
 }
 
 // field binds one key of a mapping to where its value is stored: a *string,
-// *[]string, *time.Duration, *bool, *int, *int64 or *float64, or a **Node
+// *[]string, *time.Duration, *bool, *int, *int64 or *float64, a
+// *core.Combiner or *core.HistoryPolicy that the value names, or a **Node
 // that keeps a nested block for its own decoder.
 type field struct {
 	key string
@@ -130,6 +132,29 @@ func decodeFields(n *Node, kind string, fields ...field) error {
 			*dst = int(iv)
 		case *int64:
 			*dst, err = v.Int()
+		case *core.Combiner:
+			var name string
+			if name, err = v.Str(); err != nil {
+				break
+			}
+			c, ok := core.CombinerByName(name)
+			if !ok {
+				err = fmt.Errorf("line %d: %s %q unknown (valid: average max traffic-weighted)", v.Line, f.key, name)
+			}
+			*dst = c
+		case *core.HistoryPolicy:
+			var name string
+			if name, err = v.Str(); err != nil {
+				break
+			}
+			switch name {
+			case "ewma": // nil: the agent's inline EWMA
+				*dst = nil
+			case "none":
+				*dst = core.NoHistory{}
+			default:
+				err = fmt.Errorf("line %d: %s %q unknown (valid: ewma none)", v.Line, f.key, name)
+			}
 		case **Node:
 			*dst = v
 		default:

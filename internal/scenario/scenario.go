@@ -2,11 +2,13 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"riptide/internal/cdn"
+	"riptide/internal/guard"
 	"riptide/internal/workload"
 )
 
@@ -16,8 +18,12 @@ type Spec struct {
 	Name string
 	// Description is free-form operator documentation.
 	Description string
-	// Fleet defines the simulated deployment.
-	Fleet FleetSpec
+	// Fleet is the simulated deployment, decoded straight into the config
+	// the cluster is built from: the fleet block's pops and regions resolved
+	// to PoPs in default-topology order, its riptide block the main run's
+	// Riptide, its traffic block Traffic (organic_size_kb as a constant
+	// OrganicSizes, which riptide-sim -sizes-csv replaces).
+	Fleet cdn.Config
 	// Duration is the total simulated run length.
 	Duration time.Duration
 	// Window, when set, overrides the event-derived "during" phase; the
@@ -34,75 +40,6 @@ type Spec struct {
 	Assertions []Assertion
 }
 
-// FleetSpec selects the deployment and its knobs.
-type FleetSpec struct {
-	// PoPs names a subset of the 34-PoP default topology; empty (together
-	// with Regions) means the full deployment.
-	PoPs []string
-	// Regions selects whole continents by name (europe, north-america,
-	// south-america, asia, oceania); unioned with PoPs.
-	Regions []string
-	// HostsPerPoP is machines per PoP (default 1).
-	HostsPerPoP int
-	// Seed drives all randomness.
-	Seed int64
-	// LossRate / RTTJitter / CapacitySegments mirror cdn.Config.
-	LossRate         float64
-	RTTJitter        float64
-	CapacitySegments int
-	// Riptide configures the per-host agents.
-	Riptide RiptideSpec
-	// Traffic shapes probes and organic load.
-	Traffic TrafficSpec
-}
-
-// RiptideSpec mirrors cdn.RiptideOptions.
-type RiptideSpec struct {
-	Enabled        bool
-	CMax, CMin     int
-	Alpha          float64
-	UpdateInterval time.Duration
-	TTL            time.Duration
-	PrefixBits     int
-	// Combiner names the per-destination combiner ("average", "max" or
-	// "traffic-weighted"); History the history policy ("ewma" or "none").
-	// Empty keeps the paper's average and EWMA.
-	Combiner, History string
-	// Guard, when set, gives every agent a safety governor.
-	Guard *GuardSpec
-}
-
-// GuardSpec mirrors the guard.Config knobs a scenario may set.
-type GuardSpec struct {
-	Holdback        float64
-	MinSegments     int64
-	HysteresisTicks int
-	QuarantineTTL   time.Duration
-}
-
-// OrganicRate is one PoP's background-traffic rate, kept as an ordered list
-// so runs never depend on map iteration order.
-type OrganicRate struct {
-	PoP  string
-	Rate float64
-}
-
-// TrafficSpec mirrors cdn.TrafficOptions.
-type TrafficSpec struct {
-	ProbeInterval          time.Duration
-	ProbeSizesKB           []int
-	CloseAfterTransferProb float64
-	IdleTimeout            time.Duration
-	Organic                []OrganicRate
-	// OrganicSizeKB fixes organic object sizes; 0 keeps the paper's
-	// Figure 2 mix.
-	OrganicSizeKB float64
-	// OrganicSizes, when set, draws organic object sizes and overrides
-	// OrganicSizeKB. No file key sets it: it is for callers that load a
-	// size mix from elsewhere (riptide-sim -sizes-csv).
-	OrganicSizes workload.Sampler
-}
-
 // Window bounds the "during" phase for before/during/after analysis.
 type Window struct {
 	Start, End time.Duration
@@ -114,7 +51,7 @@ type Arm struct {
 	Name string
 	// Riptide is fleet.riptide with the arm's riptide keys applied; its
 	// guard: false clears Guard.
-	Riptide RiptideSpec
+	Riptide cdn.RiptideOptions
 	// GossipFull (gossip: false) downgrades the run's gossip mode to
 	// "full" — same sync schedule, whole tables every round — so the
 	// assertions can price conditional deltas against whole-table sync.
@@ -256,19 +193,7 @@ func Parse(src []byte) (*Spec, error) {
 			return nil, err
 		}
 	}
-	pops, err := sp.Fleet.ResolvePoPs()
-	if err != nil {
-		return nil, err
-	}
-	popSet := make(map[string]bool, len(pops))
-	for _, p := range pops {
-		popSet[p.Name] = true
-	}
-	for _, o := range sp.Fleet.Traffic.Organic {
-		if !popSet[o.PoP] {
-			return nil, fmt.Errorf("fleet: organic rate for unknown PoP %q", o.PoP)
-		}
-	}
+	popSet := popNameSet(sp.Fleet.PoPs)
 	if events != nil {
 		if sp.Events, err = parseEvents(events, popSet, sp.Duration, sp.Fleet.LossRate); err != nil {
 			return nil, err
@@ -297,27 +222,22 @@ func (sp *Spec) mainRun() Arm {
 	return Arm{Name: name, Riptide: sp.Fleet.Riptide}
 }
 
-// ResolvePoPs returns the scenario's deployment, in default-topology order.
-func (f *FleetSpec) ResolvePoPs() ([]cdn.PoP, error) {
+// resolvePoPs returns the fleet block's deployment, in default-topology
+// order: the named PoPs and every PoP of the named regions, or the whole
+// default topology when the block names neither.
+func resolvePoPs(names, regions []string) ([]cdn.PoP, error) {
 	all := cdn.DefaultTopology()
-	if len(f.PoPs) == 0 && len(f.Regions) == 0 {
+	if len(names) == 0 && len(regions) == 0 {
 		return all, nil
 	}
 	want := make(map[string]bool)
-	for _, name := range f.PoPs {
-		found := false
-		for _, p := range all {
-			if p.Name == name {
-				found = true
-				break
-			}
-		}
-		if !found {
+	for _, name := range names {
+		if !slices.ContainsFunc(all, func(p cdn.PoP) bool { return p.Name == name }) {
 			return nil, fmt.Errorf("fleet: unknown PoP %q (valid: %s)", name, popNames(all))
 		}
 		want[name] = true
 	}
-	for _, region := range f.Regions {
+	for _, region := range regions {
 		cont, err := continentByName(region)
 		if err != nil {
 			return nil, err
@@ -338,6 +258,15 @@ func (f *FleetSpec) ResolvePoPs() ([]cdn.PoP, error) {
 		return nil, fmt.Errorf("fleet: needs at least two PoPs, selected %d", len(out))
 	}
 	return out, nil
+}
+
+// popNameSet is the set of pops' names.
+func popNameSet(pops []cdn.PoP) map[string]bool {
+	set := make(map[string]bool, len(pops))
+	for _, p := range pops {
+		set[p.Name] = true
+	}
+	return set
 }
 
 func popNames(pops []cdn.PoP) string {
@@ -409,9 +338,10 @@ func firstErr(errs ...error) error {
 	return nil
 }
 
-func parseFleet(n *Node, f *FleetSpec) error {
+func parseFleet(n *Node, f *cdn.Config) error {
+	var pops, regions []string
 	var riptide, traffic *Node
-	if err := decodeFields(n, "fleet", field{"pops", &f.PoPs}, field{"regions", &f.Regions},
+	if err := decodeFields(n, "fleet", field{"pops", &pops}, field{"regions", &regions},
 		field{"hosts_per_pop", &f.HostsPerPoP}, field{"seed", &f.Seed}, field{"loss_rate", &f.LossRate},
 		field{"rtt_jitter", &f.RTTJitter}, field{"capacity_segments", &f.CapacitySegments},
 		field{"riptide", &riptide}, field{"traffic", &traffic}); err != nil {
@@ -425,61 +355,65 @@ func parseFleet(n *Node, f *FleetSpec) error {
 	); err != nil {
 		return err
 	}
+	var err error
+	if f.PoPs, err = resolvePoPs(pops, regions); err != nil {
+		return err
+	}
 	if riptide != nil {
 		if err := parseRiptide(riptide, &f.Riptide); err != nil {
 			return err
 		}
 	}
 	if traffic != nil {
-		return parseTraffic(traffic, &f.Traffic)
+		return parseTraffic(traffic, &f.Traffic, popNameSet(f.PoPs))
 	}
 	return nil
 }
 
 // riptideFields binds the keys a riptide block and a compare arm share.
-func riptideFields(r *RiptideSpec) []field {
+func riptideFields(r *cdn.RiptideOptions) []field {
 	return []field{{"enabled", &r.Enabled}, {"cmax", &r.CMax}, {"cmin", &r.CMin}, {"alpha", &r.Alpha},
 		{"update_interval", &r.UpdateInterval}, {"ttl", &r.TTL}, {"prefix_bits", &r.PrefixBits},
 		{"combiner", &r.Combiner}, {"history", &r.History}}
 }
 
 // checkRiptide range-checks the riptideFields keys n sets.
-func checkRiptide(n *Node, r *RiptideSpec) error {
+func checkRiptide(n *Node, r *cdn.RiptideOptions) error {
 	return firstErr(
 		rangeErr(n, "cmax", r.CMax >= 0, "cmax %d must not be negative", r.CMax),
 		rangeErr(n, "cmin", r.CMin >= 0, "cmin %d must not be negative", r.CMin),
 		rangeErr(n, "prefix_bits", r.PrefixBits >= 0, "prefix_bits %d must not be negative", r.PrefixBits),
-		rangeErr(n, "combiner", r.Combiner == "average" || r.Combiner == "max" || r.Combiner == "traffic-weighted",
-			"combiner %q unknown (valid: average max traffic-weighted)", r.Combiner),
-		rangeErr(n, "history", r.History == "ewma" || r.History == "none", "history %q unknown (valid: ewma none)", r.History),
 	)
 }
 
-func parseRiptide(n *Node, r *RiptideSpec) error {
-	var guard *Node
-	if err := decodeFields(n, "riptide", append(riptideFields(r), field{"guard", &guard})...); err != nil {
+func parseRiptide(n *Node, r *cdn.RiptideOptions) error {
+	var guardNode *Node
+	if err := decodeFields(n, "riptide", append(riptideFields(r), field{"guard", &guardNode})...); err != nil {
 		return err
 	}
-	if err := checkRiptide(n, r); err != nil || guard == nil {
+	if err := checkRiptide(n, r); err != nil || guardNode == nil {
 		return err
 	}
-	g := &GuardSpec{}
-	if err := decodeFields(guard, "guard", field{"holdback", &g.Holdback}, field{"min_segments", &g.MinSegments},
+	g := &guard.Config{}
+	if err := decodeFields(guardNode, "guard", field{"holdback", &g.Holdback}, field{"min_segments", &g.MinSegments},
 		field{"hysteresis_ticks", &g.HysteresisTicks}, field{"quarantine_ttl", &g.QuarantineTTL}); err != nil {
 		return err
 	}
 	if !r.Enabled {
-		return fmt.Errorf("line %d: guard needs riptide enabled", guard.Line)
+		return fmt.Errorf("line %d: guard needs riptide enabled", guardNode.Line)
 	}
 	r.Guard = g
 	return nil
 }
 
-func parseTraffic(n *Node, t *TrafficSpec) error {
+// parseTraffic decodes the traffic block; pops is the fleet, which the
+// organic rates must name.
+func parseTraffic(n *Node, t *cdn.TrafficOptions, pops map[string]bool) error {
 	var sizes, organic *Node
+	var organicKB float64
 	if err := decodeFields(n, "traffic", field{"probe_interval", &t.ProbeInterval}, field{"probe_sizes_kb", &sizes},
 		field{"close_after_transfer_prob", &t.CloseAfterTransferProb}, field{"idle_timeout", &t.IdleTimeout},
-		field{"organic", &organic}, field{"organic_size_kb", &t.OrganicSizeKB}); err != nil {
+		field{"organic", &organic}, field{"organic_size_kb", &organicKB}); err != nil {
 		return err
 	}
 	if err := firstErr(
@@ -487,9 +421,12 @@ func parseTraffic(n *Node, t *TrafficSpec) error {
 		rangeErr(n, "close_after_transfer_prob", t.CloseAfterTransferProb >= 0 && t.CloseAfterTransferProb <= 1,
 			"close_after_transfer_prob %v out of [0,1]", t.CloseAfterTransferProb),
 		rangeErr(n, "idle_timeout", t.IdleTimeout > 0, "idle_timeout %v must be positive", t.IdleTimeout),
-		rangeErr(n, "organic_size_kb", t.OrganicSizeKB > 0, "organic_size_kb %v must be positive", t.OrganicSizeKB),
+		rangeErr(n, "organic_size_kb", organicKB > 0, "organic_size_kb %v must be positive", organicKB),
 	); err != nil {
 		return err
+	}
+	if organicKB > 0 {
+		t.OrganicSizes = workload.Constant(organicKB * 1024)
 	}
 	if sizes != nil {
 		if sizes.Kind != SeqNode {
@@ -503,7 +440,7 @@ func parseTraffic(n *Node, t *TrafficSpec) error {
 			if iv < 1 {
 				return fmt.Errorf("line %d: probe size %d KB must be >= 1", it.Line, iv)
 			}
-			t.ProbeSizesKB = append(t.ProbeSizesKB, int(iv))
+			t.ProbeSizes = append(t.ProbeSizes, int(iv)*1024)
 		}
 	}
 	if organic == nil {
@@ -512,6 +449,7 @@ func parseTraffic(n *Node, t *TrafficSpec) error {
 	if err := needMap(organic, "organic"); err != nil {
 		return err
 	}
+	t.OrganicRates = make(map[string]float64, len(organic.Keys))
 	for i, pop := range organic.Keys {
 		rate, err := organic.Vals[i].Float()
 		if err != nil {
@@ -520,7 +458,10 @@ func parseTraffic(n *Node, t *TrafficSpec) error {
 		if rate <= 0 {
 			return fmt.Errorf("line %d: organic rate %v for %q must be positive", organic.KeyLines[i], rate, pop)
 		}
-		t.Organic = append(t.Organic, OrganicRate{PoP: pop, Rate: rate})
+		if !pops[pop] {
+			return fmt.Errorf("fleet: organic rate for unknown PoP %q", pop)
+		}
+		t.OrganicRates[pop] = rate
 	}
 	return nil
 }

@@ -99,9 +99,8 @@ func TestParseValidScenario(t *testing.T) {
 	if start != 2*time.Minute || end != 4*time.Minute {
 		t.Errorf("window = [%v, %v)", start, end)
 	}
-	pops, err := sp.Fleet.ResolvePoPs()
-	if err != nil || len(pops) != 4 {
-		t.Errorf("pops = %v, %v", pops, err)
+	if len(sp.Fleet.PoPs) != 4 {
+		t.Errorf("pops = %v", sp.Fleet.PoPs)
 	}
 }
 
@@ -127,6 +126,9 @@ func TestParseRejections(t *testing.T) {
 		{"event out of order", mutate(t, "  - at: 3m\n    flash_crowd:", "  - at: 1m\n    flash_crowd:"), "time order"},
 		{"event after end", mutate(t, "at: 3m", "at: 3h"), "outside the run"},
 		{"unknown event kind", mutate(t, "flash_crowd:", "flashcrowd:"), "unknown event kind"},
+		{"unknown event kind lists every kind", mutate(t, "flash_crowd:", "flashcrowd:"), "set_knob start_cwnd_sampling)"},
+		{"event without a kind", mutate(t, "  - at: 3m\n", "  - at: 3m\n  - at: 3m\n"), "start_cwnd_sampling)"},
+		{"key starting like a document marker", mutate(t, "description: parse-layer exercise", "description: parse-layer exercise\n---x: 2"), `line 4: unknown key "---x"`},
 		{"two kinds in one event", mutate(t, "    flash_crowd:", "    degradation: {pop: lhr, for: 1s, loss_rate: 0.1}\n    flash_crowd:"), "two kinds"},
 		{"cut self pair", mutate(t, "from: lhr", "from: jfk"), "must differ"},
 		{"cut zero segments", mutate(t, "segments: 10", "segments: 0"), ">= 1"},
@@ -178,23 +180,23 @@ func TestParseErrorsAreLineNumbered(t *testing.T) {
 }
 
 func TestRegionSelection(t *testing.T) {
-	f := FleetSpec{Regions: []string{"oceania"}}
-	pops, err := f.ResolvePoPs()
+	parse := func(fleet string) (*Spec, error) {
+		return Parse([]byte("name: x\nfleet: {" + fleet + "}\nduration: 1m\n"))
+	}
+	sp, err := parse("regions: [oceania]")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pops) != 3 {
-		t.Errorf("oceania = %d PoPs, want 3", len(pops))
+	if len(sp.Fleet.PoPs) != 3 {
+		t.Errorf("oceania = %d PoPs, want 3", len(sp.Fleet.PoPs))
 	}
-	f = FleetSpec{Regions: []string{"atlantis"}}
-	if _, err := f.ResolvePoPs(); err == nil || !strings.Contains(err.Error(), "unknown region") {
+	if _, err := parse("regions: [atlantis]"); err == nil || !strings.Contains(err.Error(), "unknown region") {
 		t.Errorf("atlantis: %v", err)
 	}
-	// PoPs and regions union without duplicates.
-	f = FleetSpec{PoPs: []string{"syd", "lhr"}, Regions: []string{"oceania"}}
-	pops, err = f.ResolvePoPs()
-	if err != nil || len(pops) != 4 {
-		t.Errorf("union = %v, %v", pops, err)
+	// PoPs and regions union without duplicates, in topology order.
+	sp, err = parse("pops: [syd, lhr], regions: [oceania]")
+	if err != nil || len(sp.Fleet.PoPs) != 4 || sp.Fleet.PoPs[0].Name != "lhr" {
+		t.Errorf("union = %v, %v", sp, err)
 	}
 }
 

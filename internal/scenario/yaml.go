@@ -102,9 +102,6 @@ func splitLines(src string) ([]yamlLine, error) {
 	var out []yamlLine
 	for i, raw := range strings.Split(src, "\n") {
 		num := i + 1
-		if strings.HasPrefix(raw, "---") || strings.HasPrefix(raw, "...") {
-			continue // document markers are tolerated and ignored
-		}
 		indent := 0
 		for indent < len(raw) && raw[indent] == ' ' {
 			indent++

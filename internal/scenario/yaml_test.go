@@ -83,6 +83,8 @@ func TestDecodeYAMLErrorsCarryLines(t *testing.T) {
 		{"seq in map", "a: 1\n- b", "line 2"},
 		{"dedent too far", "a:\n    b: 1\n  c: 2", "line 3"},
 		{"empty", "", "empty"},
+		{"document marker", "a: 1\n---\nb: 2", "line 2"},
+		{"document end marker", "a: 1\n...\n", "line 2"},
 	}
 	for _, tc := range cases {
 		_, err := DecodeYAML([]byte(tc.src))
