@@ -1,7 +1,8 @@
 // Package allocbudget is test support for the allocation budgets of the bulk
-// paths: a path that sizes what it builds from the counts it holds allocates
+// paths — a path that sizes what it builds from the counts it holds allocates
 // little more than it keeps, while one that grows its buffers by append from
-// nil allocates several times over on the way.
+// nil allocates several times over on the way — and for the retained-heap
+// budgets of what the agent keeps between rounds (Mark).
 package allocbudget
 
 import (
@@ -18,17 +19,9 @@ import (
 func Check(t testing.TB, ratio float64, f func()) {
 	t.Helper()
 	SkipUnderRace(t)
-	// Two collections empty the sync.Pools (the first moves their contents
-	// to a victim cache, the second drops it), so pooled scratch counts as
-	// neither kept nor freed.
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.GC()
-	runtime.ReadMemStats(&before)
+	before := collect()
 	f()
-	runtime.GC()
-	runtime.GC()
-	runtime.ReadMemStats(&after)
+	after := collect()
 	runtime.KeepAlive(f) // and what it captured, through the collections
 	allocated := after.TotalAlloc - before.TotalAlloc
 	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
@@ -40,6 +33,36 @@ func Check(t testing.TB, ratio float64, f func()) {
 	if got > ratio {
 		t.Errorf("allocated %d bytes to keep %d: %.2f×, budget %.2f×", allocated, retained, got, ratio)
 	}
+}
+
+// Heap is a reading of the live heap that later readings are measured
+// against.
+type Heap struct{ base int64 }
+
+// Mark skips t under the race detector, then reads the live heap after
+// forced collections: what exists now is the baseline.
+func Mark(t testing.TB) Heap {
+	t.Helper()
+	SkipUnderRace(t)
+	return Heap{base: int64(collect().HeapAlloc)}
+}
+
+// Retained returns the bytes live now beyond the baseline (the HeapAlloc
+// delta after forced collections). What the caller measures must stay
+// reachable through the call (runtime.KeepAlive).
+func (h Heap) Retained() int64 {
+	return int64(collect().HeapAlloc) - h.base
+}
+
+// collect forces two collections and reads the memory statistics. Two empty
+// the sync.Pools (the first moves their contents to a victim cache, the
+// second drops it), so pooled scratch counts as neither kept nor freed.
+func collect() runtime.MemStats {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms
 }
 
 // SkipUnderRace skips t when the binary was built with -race: the race

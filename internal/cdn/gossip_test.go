@@ -184,8 +184,11 @@ func TestGossipSeedsRebootedHost(t *testing.T) {
 // TestGossipPartitionFailsCrossEdges: a peer partition reaches the fleet
 // exchange. While lhr and nrt are split, exactly the edges between them fail,
 // and each backs off on simulated time: the puller's interval doubled per
-// failure, capped at its MaxBackoff (8× the interval). Once the partition
-// heals, every edge is healthy again within MaxBackoff plus one interval.
+// failure, capped at its MaxBackoff (8× the interval). So each crossing edge's
+// lifetime failure count is exactly the pulls that schedule puts inside the
+// split, every other edge's is zero, and the cluster's gossip accounting
+// carries their sum. Once the partition heals, every edge is healthy again
+// within MaxBackoff plus one interval.
 func TestGossipPartitionFailsCrossEdges(t *testing.T) {
 	const interval, maxBackoff = 5 * time.Second, 40 * time.Second
 	c := newGossipCluster(t, GossipLadder)
@@ -205,45 +208,38 @@ func TestGossipPartitionFailsCrossEdges(t *testing.T) {
 		cross[edge{lhr[i].Addr(), "http://" + nrt[i].Addr().String()}] = true
 		cross[edge{nrt[i].Addr(), "http://" + lhr[i].Addr().String()}] = true
 	}
+	// Pulls run every interval; a crossing edge first fails at the first
+	// one after the split and retries after each backoff until the heal.
+	perEdge := 0
+	for at, i := (split/interval+1)*interval, 0; at < heal; i++ {
+		perEdge++
+		at += min(interval<<i, maxBackoff)
+	}
 
-	failures := make(map[edge]int)
-	failedAt := make(map[edge][]time.Duration)
-	var unhealthy []edge
-	for c.Engine().Now()+interval <= heal+maxBackoff+interval {
-		c.Run(interval)
-		now := c.Engine().Now()
-		unhealthy = unhealthy[:0]
-		for addr, slot := range c.agents {
-			for _, h := range slot.puller.Health() {
-				e := edge{addr, h.URL}
-				if h.Failures > failures[e] {
-					failedAt[e] = append(failedAt[e], now)
-				}
-				failures[e] = h.Failures
-				if !h.Healthy {
-					unhealthy = append(unhealthy, e)
-				}
-				if !cross[e] && !h.Healthy {
-					t.Fatalf("%v -> %s failed at %v: %s", addr, h.URL, now, h.LastError)
-				}
+	c.Run(heal + maxBackoff + interval)
+	var total uint64
+	edges := 0
+	for addr, slot := range c.agents {
+		for _, h := range slot.puller.Health() {
+			e := edge{addr, h.URL}
+			want := uint64(0)
+			if cross[e] {
+				want = uint64(perEdge)
+				edges++
 			}
-		}
-	}
-	if len(unhealthy) > 0 {
-		t.Errorf("edges %v still failing %v after the heal", unhealthy, c.Engine().Now()-heal)
-	}
-	if len(failedAt) != len(cross) {
-		t.Fatalf("%d edges failed, want the %d crossing the partition", len(failedAt), len(cross))
-	}
-	for e, at := range failedAt {
-		if at[0] <= split || at[0] > split+interval || at[len(at)-1] >= heal {
-			t.Errorf("%v -> %s failed at %v, want from the first round after %v until before %v", e.receiver, e.peer, at, split, heal)
-		}
-		for i := 1; i < len(at); i++ {
-			if want := min(interval<<(i-1), maxBackoff); at[i]-at[i-1] != want {
-				t.Errorf("%v -> %s failed at %v: retry %d after %v, want %v", e.receiver, e.peer, at, i, at[i]-at[i-1], want)
-				break
+			if h.FailedPulls != want {
+				t.Errorf("%v -> %s failed %d pulls, want %d (last error %q)", addr, h.URL, h.FailedPulls, want, h.LastError)
 			}
+			if !h.Healthy {
+				t.Errorf("%v -> %s still failing %v after the heal: %s", addr, h.URL, c.Engine().Now()-heal, h.LastError)
+			}
+			total += h.FailedPulls
 		}
+	}
+	if edges != len(cross) {
+		t.Fatalf("%d crossing edges pulled, want %d", edges, len(cross))
+	}
+	if got := c.GossipStats().FailedRounds; got != int64(total) || total != uint64(perEdge*len(cross)) {
+		t.Errorf("gossip stats count %d failed rounds, the pullers %d; want %d", got, total, perEdge*len(cross))
 	}
 }

@@ -57,12 +57,16 @@ type GossipStats struct {
 	// NotModifiedRounds counts the rounds whose validator (the ETag of the
 	// receiver's last answer) still matched: an HTTP 304, headers only.
 	NotModifiedRounds int64
+	// FailedRounds counts the pulls that failed (a partitioned edge, a
+	// down peer); they are not among Rounds.
+	FailedRounds int64
 }
 
 // add folds one puller's per-peer counts into s.
 func (s *GossipStats) add(health []fleet.PeerHealth) {
 	for _, h := range health {
 		s.Rounds += int64(h.Pulls)
+		s.FailedRounds += int64(h.FailedPulls)
 		s.NotModifiedRounds += int64(h.NotModified)
 		s.DeltaRounds += int64(h.DeltaPulls)
 		s.FullRounds += int64(h.FullPulls)

@@ -1,0 +1,174 @@
+package core
+
+import (
+	"fmt"
+	"net/netip"
+	"runtime"
+	"testing"
+	"time"
+	"unsafe"
+
+	"riptide/internal/allocbudget"
+)
+
+// tableBytes is the heap an n-destination table needs between rounds when
+// every destination has one socket: per destination, its state, its map
+// slot, its export-log ref, its grouping entry and member index, and its
+// position in the sample cache and in both observation streams. A quiet
+// round reads nothing else.
+func tableBytes(n int) int64 {
+	per := unsafe.Sizeof(destState{}) +
+		unsafe.Sizeof(netip.Prefix{}) + unsafe.Sizeof((*destState)(nil)) +
+		unsafe.Sizeof(exportRef{}) +
+		unsafe.Sizeof(plannedDest{}) + unsafe.Sizeof(int32(0)) +
+		unsafe.Sizeof(cachedSample{}) +
+		2*unsafe.Sizeof(Observation{})
+	return int64(n) * int64(per)
+}
+
+// TestQuietTicksGiveBackWarmStart: a warm start's first tick keeps what it
+// built (TestWarmStartAllocs), and the quiet rounds after it give back every
+// array they use far less of — the round's plan, its sort keys, the spare
+// active list — so a converged agent holds little more than its table needs.
+func TestQuietTicksGiveBackWarmStart(t *testing.T) {
+	clock := &fakeClock{}
+	a, err := New(Config{Sampler: newEditSampler(warmStartDests, 0), Routes: &batchNop{}, Clock: clock.fn()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := allocbudget.Mark(t)
+	for i := 0; i < 11; i++ {
+		if err := a.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		clock.Advance(time.Second)
+	}
+	if n := a.Len(); n != warmStartDests {
+		t.Fatalf("agent learned %d destinations, want %d", n, warmStartDests)
+	}
+	if got := a.mStable.Value(); got != 10 {
+		t.Fatalf("%d of the 10 quiet rounds were stable", got)
+	}
+	kept, need := heap.Retained(), tableBytes(warmStartDests)
+	ratio := float64(kept) / float64(need)
+	t.Logf("after 10 quiet ticks the agent keeps %d bytes, %.2f× the %d its table needs", kept, ratio, need)
+	if ratio > 1.3 {
+		t.Errorf("a converged agent keeps %d bytes, %.2f× the %d its table needs: want at most 1.3×", kept, ratio, need)
+	}
+	runtime.KeepAlive(a)
+}
+
+// TestMassExpiryGivesBackTable: when every merged entry expires at once, the
+// rounds after the withdrawal give back what the table held — the map Go
+// never shrinks, the slab block, the expiry list and its sort keys — and
+// the agent keeps under a tenth of it.
+func TestMassExpiryGivesBackTable(t *testing.T) {
+	entries := make([]SnapshotEntry, warmStartDests)
+	for i := range entries {
+		addr := netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})
+		entries[i] = SnapshotEntry{Prefix: netip.PrefixFrom(addr, 32), Window: 10 + i%90, Samples: 5, Age: time.Second}
+	}
+	clock := &fakeClock{}
+	routes := &batchNop{}
+	a, err := New(Config{Sampler: &fakeSampler{}, Routes: routes, Clock: clock.fn()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := allocbudget.Mark(t)
+	if st, err := a.MergeSnapshot(entries, MergePolicy{}); err != nil || st.Merged != len(entries) {
+		t.Fatalf("merge: %+v, %v", st, err)
+	}
+	held := heap.Retained()
+	clock.Advance(DefaultTTL)
+	for i := 0; i < 3; i++ {
+		if err := a.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		clock.Advance(time.Second)
+	}
+	if n, s := a.Len(), a.Stats(); n != 0 || s.EntriesExpired != uint64(len(entries)) {
+		t.Fatalf("after the TTL: %d entries left, %d expired", n, s.EntriesExpired)
+	}
+	kept := heap.Retained()
+	t.Logf("table held %d bytes; after the mass expiry the agent keeps %d", held, kept)
+	if kept*10 >= held {
+		t.Errorf("after %d entries expired the agent keeps %d of the %d bytes its table held", len(entries), kept, held)
+	}
+	// The drained agent still learns: the table grows back from nothing.
+	if st, err := a.MergeSnapshot(entries[:100], MergePolicy{}); err != nil || st.Merged != 100 || a.Len() != 100 {
+		t.Fatalf("merge after the drain: %+v, %v, %d entries", st, err, a.Len())
+	}
+	runtime.KeepAlive(entries)
+	runtime.KeepAlive(a)
+}
+
+// shrinkRounds is one 20 000-socket round followed by rounds of 200 sockets
+// to a fixed subset of its destinations, a few of whose windows move each
+// round: a spike that subsides.
+func shrinkRounds(rounds int) [][]Observation {
+	const spike, calm = 20000, 200
+	out := make([][]Observation, rounds)
+	for r := range out {
+		n := calm
+		if r == 0 {
+			n = spike
+		}
+		obs := make([]Observation, n)
+		for i := range obs {
+			j, cwnd := i, 10+i%90
+			if r > 0 {
+				j = i * 97 % spike
+				if i%16 == r%16 {
+					cwnd += 3 * r
+				}
+			}
+			obs[i] = Observation{Dst: netip.AddrFrom4([4]byte{10, byte(j >> 8), byte(j), 1}), Cwnd: cwnd}
+		}
+		out[r] = obs
+	}
+	return out
+}
+
+// TestShrinkingStreamGivesBackBuffers: the position-keyed buffers — both
+// observation streams and the sample cache — follow the socket count down.
+// After a 20 000-socket round, rounds of 200 sockets give back the bulk of
+// them, and the output stays identical to an agent that rebuilds every
+// round, across the shrink.
+func TestShrinkingStreamGivesBackBuffers(t *testing.T) {
+	rounds := shrinkRounds(8)
+	for _, workers := range []int{1, 2} {
+		full := runModeSchedule(t, workers, true, rounds)
+		delta := runModeSchedule(t, workers, false, rounds)
+		if delta.stable == 0 {
+			t.Fatalf("workers=%d: no round after the shrink was stable", workers)
+		}
+		compareModes(t, fmt.Sprintf("workers=%d", workers), full, delta)
+	}
+
+	var now time.Duration
+	a, err := New(Config{Sampler: &playbackSampler{rounds: rounds}, Routes: &batchNop{}, Clock: func() time.Duration { return now }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := allocbudget.Mark(t)
+	tick := func() {
+		now += time.Second
+		if err := a.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tick()
+	held := heap.Retained()
+	for range rounds[1:] {
+		tick()
+	}
+	kept := heap.Retained()
+	// After the spike's round the agent holds one 20 000-position stream and
+	// the cache over it; the sampler's next buffer is not drawn yet.
+	buffers := int64(len(rounds[0])) * int64(unsafe.Sizeof(Observation{})+unsafe.Sizeof(cachedSample{}))
+	t.Logf("after the spike the agent holds %d bytes, after the calm rounds %d; the spike's position-keyed buffers are %d", held, kept, buffers)
+	if fell := held - kept; fell < buffers*9/10 {
+		t.Errorf("retained heap fell by %d bytes after the spike subsided, want at least 90%% of the %d its position-keyed buffers took", fell, buffers)
+	}
+	runtime.KeepAlive(a)
+}

@@ -409,6 +409,7 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 		a.smooth(st, op.dst, float64(op.window))
 		stats.Merged++
 	}
+	tb.peak = max(tb.peak, len(tb.states))
 	tb.mu.Unlock()
 	// The kept array must not pin states a later round deletes.
 	clear(plan[:cap(plan)])

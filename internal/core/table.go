@@ -108,6 +108,9 @@ type destState struct {
 type destTable struct {
 	mu     sync.Mutex
 	states map[netip.Prefix]*destState
+	// peak is the most states the map has held since it was built (tickMu):
+	// Go never shrinks a map, so its storage is sized by peak, not by len.
+	peak int
 	// installed counts states with a live route, maintained at every
 	// commit/withdraw site — a sizing hint for Entries and snapshots.
 	installed int
@@ -145,15 +148,19 @@ type destTable struct {
 	// relocate a full one to the tail, and a tail past memberLimit makes the
 	// next round a (compacting) rebuild. touched lists the grouping's states
 	// (plus, after edits, some that left). active lists those a stable round
-	// must visit and drains as states converge. cleanRounds counts stable
-	// rounds applied since the agent started; refreshedAt is the time of the
-	// latest plan round of either kind; fullSeq is the tick sequence of the
-	// last rebuild, which every state in the grouping carries in seq (0: no
-	// grouping). dirtyList and gather are per-round scratch.
+	// must visit and drains as states converge; right after a rebuild, when
+	// every state of the grouping is active, it is empty and allActive says
+	// the first allActive states of touched stand for it, so the grouping is
+	// never held twice. cleanRounds counts stable rounds applied since the
+	// agent started; refreshedAt is the time of the latest plan round of
+	// either kind; fullSeq is the tick sequence of the last rebuild, which
+	// every state in the grouping carries in seq (0: no grouping). dirtyList
+	// and gather are per-round scratch.
 	touched     []plannedDest
 	memberIdx   []int32
 	memberLimit int
 	active      []plannedDest
+	allActive   int
 	dirtyList   []plannedDest
 	gather      []Observation
 	cleanRounds uint64
@@ -169,14 +176,51 @@ type destTable struct {
 // the per-round plan output. Readers of a released table see an empty one.
 // Under mu and tickMu (Close).
 func (tb *destTable) release() {
-	tb.states, tb.installed = nil, 0
+	tb.states, tb.installed, tb.peak = nil, 0, 0
 	tb.deadlines = nil
 	tb.log, tb.logStale = nil, 0
 	tb.slab, tb.slabOff = nil, 0
 	tb.plan, tb.guardClears, tb.expired = nil, nil, nil
 	tb.touched, tb.memberIdx, tb.memberLimit = nil, nil, 0
-	tb.active, tb.dirtyList, tb.gather = nil, nil, nil
+	tb.active, tb.allActive, tb.dirtyList, tb.gather = nil, 0, nil, nil
 	tb.fullSeq, tb.creditPending = 0, false
+}
+
+// giveBack ends a round (tickMu): every round-reused array whose length is
+// what the round used of it is given back under the retention rule (fit),
+// and a table map that fell far below its peak is rebuilt at its size, with
+// a fresh slab — the current block holds the states that drained.
+func (a *Agent) giveBack() {
+	for w := range a.buckets {
+		a.buckets[w] = fit(a.buckets[w])
+	}
+	tb := &a.tab
+	// The sort keys served the round's longest sort.
+	sorted := max(len(tb.plan), len(tb.guardClears), len(tb.expired))
+	a.sortKeys = fit(a.sortKeys[:min(sorted, cap(a.sortKeys))])
+	tb.plan, tb.guardClears, tb.expired = fit(tb.plan), fit(tb.guardClears), fit(tb.expired)
+	tb.dirtyList = fit(tb.dirtyList)
+	tb.touched, tb.memberIdx = fit(tb.touched), fit(tb.memberIdx)
+	if tb.allActive == 0 {
+		// After a rebuild the list's use is the grouping, which touched
+		// holds: the next round compacts it into this array.
+		tb.active = fit(tb.active)
+	}
+
+	// Only tickMu holders write the map, so its size reads without the
+	// table lock; replacing it takes the lock.
+	n := len(tb.states)
+	tb.peak = max(tb.peak, n)
+	if farLess(n, tb.peak) {
+		states := make(map[netip.Prefix]*destState, n)
+		for p, st := range tb.states {
+			states[p] = st
+		}
+		tb.mu.Lock()
+		tb.states, tb.peak = states, n
+		tb.slab, tb.slabOff = nil, 0
+		tb.mu.Unlock()
+	}
 }
 
 // grouped reports whether st is a member of the retained grouping: observed
@@ -258,7 +302,8 @@ func (tb *destTable) logStamp(key netip.Prefix, st *destState, superseded bool) 
 // the stale refs pass half the live ones: the walk then covers at most three
 // refs per stale-making commit since the last one, and the log (with the
 // deleted states its stale refs pin) stays within 3/2 of the table. A log
-// that drained (a whole table expired) gives its array back.
+// that compacts far below its array (a whole table expired) gives the array
+// back under the retention rule.
 func (tb *destTable) logStaleRef() {
 	tb.logStale++
 	if tb.logStale <= (len(tb.log)-tb.logStale)/2 {
@@ -271,10 +316,7 @@ func (tb *destTable) logStaleRef() {
 		}
 	}
 	clear(tb.log[len(live):]) // stale refs pin their states' slab blocks
-	if cap(live) > 1024 && len(live) < cap(live)/4 {
-		live = append(make([]exportRef, 0, 2*len(live)), live...)
-	}
-	tb.log, tb.logStale = live, 0
+	tb.log, tb.logStale = fit(live), 0
 }
 
 // expiryItem is one queued TTL deadline.
@@ -352,16 +394,15 @@ type plannedDest struct {
 	st  *destState
 }
 
-// keyedObs is one valid observation a scan worker put in its bucket: the
-// destination's route key plus the observation's index in the tick's sample
-// slice. A rebuild resolves st once per observation (its only map lookup)
-// and reuses the pointer for the fill pass.
+// keyedObs is one edit a stable round's compare scan put in its worker's
+// bucket: the observation's index in the tick's sample slice, the route key
+// and state of the group it concerns (st is nil for a join, whose state the
+// plan resolves), and whether the observation changed in place, left st's
+// group, or joins key's group.
 type keyedObs struct {
-	key netip.Prefix
-	st  *destState
-	idx int32
-	// kind is set on stable rounds only (compareChunk): the observation
-	// changed in place, left st's group, or joins key's group.
+	key  netip.Prefix
+	st   *destState
+	idx  int32
 	kind obsKind
 }
 
@@ -545,9 +586,10 @@ func runParallel(n int, fn func(i int)) {
 //     rebuild, and no credit is ever outstanding for them.
 //
 // The scans are the only parallel part: each worker reads its contiguous
-// chunk of the stream and appends to its own bucket, and the serial plan
-// replays the buckets in worker order — original sample order — so the scan
-// width can never change what the plan sees.
+// chunk of the stream and keys it into the sample cache (a rebuild) or
+// appends its edits to its own bucket (a stable round), and the serial plan
+// reads the cache, or replays the buckets in worker order — original sample
+// order in both — so the scan width can never change what the plan sees.
 
 // A stable round may carry membership edits up to 1/editShareDiv of each
 // worker's chunk (plus editFloor, so small streams qualify); past that the
@@ -579,12 +621,10 @@ func (a *Agent) validKey(o *Observation) (netip.Prefix, bool) {
 }
 
 // ingestChunk is the rebuild's first pass over worker w's chunk: every
-// observation is validated and keyed, shown to the governor, recorded in the
-// sample cache and appended to the worker's bucket.
+// observation is validated and keyed, shown to the governor and recorded in
+// the sample cache, which is all the plan reads of it.
 func (a *Agent) ingestChunk(w int, obs []Observation) {
 	lo, hi := a.chunkOf(w, len(obs))
-	// Every observation of the chunk may be valid: room for all of them.
-	bucket := slices.Grow(a.buckets[w], hi-lo)
 	for i := lo; i < hi; i++ {
 		key, ok := a.validKey(&obs[i])
 		if !ok {
@@ -597,9 +637,7 @@ func (a *Agent) ingestChunk(w int, obs []Observation) {
 		// The state pointer is filled in by planRebuild once the table
 		// resolves (or creates) the state.
 		a.cache[i] = cachedSample{key: key}
-		bucket = append(bucket, keyedObs{key: key, idx: int32(i)})
 	}
-	a.buckets[w] = bucket
 }
 
 // planRebuild rebuilds the grouping from the scanned observations, under the
@@ -610,87 +648,97 @@ func (a *Agent) planRebuild(obs []Observation, now time.Duration) {
 	defer tb.mu.Unlock()
 
 	// A rebuild ending a stable run settles the covered entries before it
-	// regroups. The new grouping is built in the active list's array (which
-	// is rebuilt from it below), so the old one can be walked afterwards.
-	old := tb.touched
+	// regroups.
 	if tb.creditPending {
 		a.settleCoveredLocked()
 	}
 	tb.refreshedAt = now
-	tb.touched = tb.active[:0]
 
-	// Pass 1: resolve states (one map operation per observation) and count
-	// groups. Bucket replay visits observations in original sample order, so
-	// first-encounter order (tb.touched) is the same for every scan width.
+	// Pass 1: resolve states (one map operation per observation), count each
+	// group's members and mark it uncarved.
 	seq := a.tickSeq
-	buckets := a.buckets[:a.ingestWorkers]
+	cache := a.cache[:len(obs)]
 	unrouted := 0 // groups with no installed route: each plans an install
-	for _, bucket := range buckets {
-		for j := range bucket {
-			ko := &bucket[j]
-			st := tb.states[ko.key]
-			if st == nil {
-				st = tb.newDestState()
-				tb.states[ko.key] = st
-			}
-			a.cache[ko.idx].st = st
-			ko.st = st
-			if st.seq != seq {
-				st.seq = seq
-				st.prevN = 0
-				if len(tb.touched) == cap(tb.touched) {
-					// The grouping outlives the round, and the observation
-					// count only bounds its size (many sockets may share a
-					// destination), so it doubles rather than reserve that:
-					// about twice its final size allocated in all, where
-					// append's 1.25× ladder allocates about five times.
-					tb.touched = append(make([]plannedDest, 0, max(2*cap(tb.touched), 1)), tb.touched...)
-				}
-				tb.touched = append(tb.touched, plannedDest{key: ko.key, st: st})
-				if !st.installed {
-					unrouted++
-				}
-			}
-			st.prevN++
+	for i := range cache {
+		c := &cache[i]
+		if c.invalid {
+			continue
 		}
+		st := tb.states[c.key]
+		if st == nil {
+			st = tb.newDestState()
+			tb.states[c.key] = st
+		}
+		c.st = st
+		if st.seq != seq {
+			st.seq = seq
+			st.prevN, st.memberCap = 0, -1
+			if !st.installed {
+				unrouted++
+			}
+		}
+		st.prevN++
 	}
+	// The old grouping is let go before the new one is written over it.
+	old := tb.touched
 	tb.queueDeparted(old, seq)
-	tb.active = old
 	// A group plans at most one op, and one with no route plans its
 	// install: on a cold table, one op for every group.
 	tb.plan = slices.Grow(tb.plan, unrouted)
 
-	// Pass 2: carve a span per group, packed in first-encounter order, and
-	// fill the spans in sample order (prevN counts the fill back up).
+	// Pass 2: list the groups in first-encounter order — the sample cache is
+	// in original sample order, so that order is the same for every scan
+	// width — and carve each a span of memberIdx, packed in that order.
+	tb.touched = old[:0]
 	moff := int32(0)
-	for _, td := range tb.touched {
-		st := td.st
+	for i := range cache {
+		c := &cache[i]
+		if c.invalid || c.st.memberCap >= 0 {
+			continue
+		}
+		st := c.st
 		st.memberOff, st.memberCap = moff, st.prevN
 		moff += st.prevN
 		st.prevN = 0
+		if len(tb.touched) == cap(tb.touched) {
+			// The grouping outlives the round, and the observation count
+			// only bounds its size (many sockets may share a destination),
+			// so it doubles rather than reserve that: about twice its final
+			// size allocated in all, where append's 1.25× ladder allocates
+			// about five times.
+			tb.touched = append(make([]plannedDest, 0, max(2*cap(tb.touched), 1)), tb.touched...)
+		}
+		tb.touched = append(tb.touched, plannedDest{key: c.key, st: st})
+	}
+	if n := len(tb.touched); n < len(old) {
+		clear(old[n:]) // departed states would pin their slab blocks
 	}
 	tb.memberLimit = int(moff) + int(moff)/memberSlackDiv + memberSlackMin
 	if tb.memberLimit > cap(tb.memberIdx) {
 		tb.memberIdx = make([]int32, moff, tb.memberLimit)
 	}
+	// Pass 3: fill the spans in sample order (prevN counts the fill back up).
 	tb.memberIdx = tb.memberIdx[:moff]
-	for _, bucket := range buckets {
-		for _, ko := range bucket {
-			st := ko.st
-			tb.memberIdx[st.memberOff+st.prevN] = ko.idx
+	for i := range cache {
+		if c := &cache[i]; !c.invalid {
+			st := c.st
+			tb.memberIdx[st.memberOff+st.prevN] = int32(i)
 			st.prevN++
 		}
 	}
 	tb.fullSeq = seq
 
-	// Pass 3: every group is new to this grouping — combine and plan it.
+	// Pass 4: every group is new to this grouping — combine and plan it. All
+	// of them start on the active list, which the grouping stands for until
+	// the next stable round compacts it.
 	for _, td := range tb.touched {
 		st := td.st
 		st.inActive = true
 		st.cleanSeen, st.ewmaSeen = tb.cleanRounds, tb.cleanRounds
 		a.recombineLocked(td, obs, now)
 	}
-	tb.active = append(tb.active[:0], tb.touched...)
+	clear(tb.active)
+	tb.active, tb.allActive = tb.active[:0], len(tb.touched)
 
 	a.expireDueLocked(now)
 }
@@ -757,11 +805,9 @@ func (a *Agent) expireDueLocked(now time.Duration) {
 	for _, key := range tb.expired {
 		tb.noteExpiry(key, tb.states[key])
 	}
-	if h := tb.deadlines; cap(h) > 1024 && len(h) < cap(h)/4 {
-		// A burst has drained (a whole table installed in one round comes
-		// due in one round): give the memory back.
-		tb.deadlines = append(make([]expiryItem, 0, 2*len(h)), h...)
-	}
+	// A burst that drained (a whole table installed in one round comes due
+	// in one round) gives its array back under the retention rule.
+	tb.deadlines = fit(tb.deadlines)
 }
 
 // materializeLocked folds outstanding stable-round credit into one entry:
@@ -1101,9 +1147,15 @@ func (a *Agent) planStable(obs []Observation, now time.Duration) {
 	// one. A state parked until a future flip round is skipped without a
 	// single write: every skipped round is a pure refresh, replayed by the
 	// lazy credit when it wakes (or is redirtied, edited out, or read). A
-	// state whose group emptied is off the list for good.
+	// state whose group emptied is off the list for good. The first round
+	// after a rebuild reads the grouping the rebuild left (allActive) and
+	// compacts it into the list's own array, which holds only what stays.
+	list := tb.active
+	if tb.allActive > 0 {
+		list, tb.allActive = tb.touched[:tb.allActive], 0
+	}
 	kept := tb.active[:0]
-	for _, td := range tb.active {
+	for _, td := range list {
 		st := td.st
 		if !tb.grouped(st) {
 			st.inActive = false

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/netip"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -98,7 +99,8 @@ func (r *recordingBatchRoutes) ProgramRoutes(ops []RouteOp) []error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var errs []error
-	s := "batch:"
+	var s strings.Builder
+	s.WriteString("batch:")
 	for i, op := range ops {
 		verb := "set"
 		if op.Clear {
@@ -117,9 +119,9 @@ func (r *recordingBatchRoutes) ProgramRoutes(ops []RouteOp) []error {
 			}
 			errs[i] = err
 		}
-		s += fmt.Sprintf(" %s %v %d;", verb, op.Prefix, op.Window)
+		fmt.Fprintf(&s, " %s %v %d;", verb, op.Prefix, op.Window)
 	}
-	r.ops = append(r.ops, s)
+	r.ops = append(r.ops, s.String())
 	return errs
 }
 

@@ -79,6 +79,8 @@ func (a *Agent) Tick() error {
 	}
 	a.stats.Ticks++
 	a.mu.Unlock()
+	// Whichever way the round ends, what it used far less of goes back.
+	defer a.giveBack()
 	// The plan stage stamps destStates with this sequence to detect "first
 	// touch this tick" without clearing per-tick fields across the table.
 	a.tickSeq++
@@ -114,8 +116,10 @@ func (a *Agent) Tick() error {
 		workers = a.scanWidth()
 	}
 	a.ingestWorkers = workers
+	// Buckets past this round's width count as unused: the round's end
+	// gives them back.
 	resetBuckets := func() {
-		for w := range a.buckets[:workers] {
+		for w := range a.buckets {
 			a.buckets[w] = a.buckets[w][:0]
 		}
 	}
@@ -190,14 +194,17 @@ func (a *Agent) Tick() error {
 	// Retain this round's stream as the next round's baseline. The sample
 	// buffer hand-off keeps the invariant that obsPrev and obsBuf never share
 	// a backing array: next round's sample appends into the retiring buffer
-	// (or fresh space) while obsPrev stays frozen.
+	// (or fresh space) while obsPrev stays frozen. The position-keyed
+	// buffers follow the socket count down under the retention rule: the
+	// cache is needed for this stream's positions only.
 	prevScratch := a.obsPrev
-	a.obsPrev = obs
+	a.obsPrev = fit(obs)
+	a.cache = fit(a.cache[:len(obs)])
 	a.havePrev = true
 	if sameBacking(obs, prevScratch) {
 		a.obsBuf = nil
 	} else {
-		a.obsBuf = prevScratch[:0]
+		a.obsBuf = fit(prevScratch)[:0]
 	}
 
 	// Program stage, outside the locks.

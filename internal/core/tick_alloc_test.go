@@ -159,20 +159,12 @@ func TestWarmStartAllocs(t *testing.T) {
 // table held. Close drops the states, their slab and every per-round buffer
 // that points into them, and a closed agent still reads as an empty one.
 func TestCloseReleasesTable(t *testing.T) {
-	allocbudget.SkipUnderRace(t)
-	live := func() int64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
-	}
 	clock := &fakeClock{}
 	a, err := New(Config{Sampler: newEditSampler(warmStartDests, 200), Routes: &batchNop{}, Clock: clock.fn()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := live()
+	heap := allocbudget.Mark(t)
 	// A rebuild, then stable rounds with edits: every per-round buffer is
 	// in use.
 	for i := 0; i < 3; i++ {
@@ -184,11 +176,11 @@ func TestCloseReleasesTable(t *testing.T) {
 	if n := a.Len(); n != warmStartDests {
 		t.Fatalf("agent learned %d destinations, want %d", n, warmStartDests)
 	}
-	held := live() - base
+	held := heap.Retained()
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	kept := live() - base
+	kept := heap.Retained()
 	t.Logf("table held %d bytes; closed agent keeps %d", held, kept)
 	if kept*10 >= held {
 		t.Errorf("closed agent keeps %d of the %d bytes its table held", kept, held)

@@ -122,6 +122,20 @@ func writeJSON(w http.ResponseWriter, r *http.Request, data []byte) int {
 	return writeBody(w, data)
 }
 
+// writeGunzipped writes a 200 whose body is gz decoded, size bytes under its
+// Content-Length, for a client that refuses gzip, and returns the bytes
+// written.
+func writeGunzipped(w http.ResponseWriter, gz []byte, size int) int {
+	zr, err := gzip.NewReader(bytes.NewReader(gz))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return 0
+	}
+	w.Header().Set("Content-Length", strconv.Itoa(size))
+	n, _ := io.Copy(w, zr)
+	return int(n)
+}
+
 // writeBody writes a 200's whole body under its Content-Length, which lets
 // the puller read it into one buffer of that size (bodyReader.read).
 func writeBody(w http.ResponseWriter, body []byte) int {

@@ -70,6 +70,9 @@ type PeerHealth struct {
 	Healthy bool `json:"healthy"`
 	// Failures counts consecutive failed pulls; reset on success.
 	Failures int `json:"failures"`
+	// FailedPulls counts every failed pull over the puller's lifetime; it is
+	// never reset, so it says what an outage or a partition cost.
+	FailedPulls uint64 `json:"failedPulls"`
 	// LastError describes the most recent failure, empty when healthy.
 	LastError string `json:"lastError,omitempty"`
 	// Pulls and Merged count successful pulls and entries merged from this
@@ -281,6 +284,7 @@ func (p *Puller) PullOnce(ctx context.Context) int {
 		if err != nil {
 			ps.health.Healthy = false
 			ps.health.Failures++
+			ps.health.FailedPulls++
 			ps.health.LastError = err.Error()
 			ps.nextAttempt = p.cfg.Now().Add(p.jittered(p.backoff(ps.health.Failures)))
 			p.mu.Unlock()

@@ -33,10 +33,12 @@ const (
 	DigestPath = "/fleet/digest"
 )
 
-// Encode-once serving. Server caches the encoded (and gzipped) full-table
-// delta and snapshot bodies keyed by the agent's content token (table version
+// Encode-once serving. Server caches the encoded full-table delta and
+// snapshot bodies, gzipped, keyed by the agent's content token (table version
 // + quarantine-marker fold) under this run's instance, so serving N peers
-// costs one encode per table change, not N per interval. On top of the cache
+// costs one encode per table change, not N per interval. Only the gzipped
+// form is kept: pullers always ask for it, and the rare client that refuses
+// gzip (an operator's curl) gets it decoded on the way out. On top of the cache
 // sits HTTP revalidation: responses carry a strong ETag derived from the same
 // token (gossip.ETag), and a request presenting it via If-None-Match gets 304
 // Not Modified — converged peers exchange headers only.
@@ -53,23 +55,25 @@ type ServeStats struct {
 }
 
 // Cache slots, one encoded body retained per kind — the cache's memory
-// bound is two plain+gzipped encodings of the table, regardless of peer
-// count or request rate.
+// bound is two gzipped encodings of the table, regardless of peer count or
+// request rate.
 const (
 	kindDelta = iota
 	kindSnapshot
 	numKinds
 )
 
-// cachedBody is one encoded response: the JSON body (with trailing
-// newline), its gzipped form, and the content token it was built at.
+// cachedBody is one encoded response, built at a content token: the JSON
+// body (with trailing newline) gzipped, and its size decoded. plain holds the
+// body itself only when compressing it failed.
 type cachedBody struct {
 	valid    bool
 	version  uint64
 	markers  uint64
 	filledAt time.Time
-	plain    []byte
 	gz       []byte
+	size     int
+	plain    []byte
 }
 
 // Server serves the fleet endpoints (delta, snapshot) for one agent with
@@ -260,17 +264,20 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, kind int, v
 	}
 	// Cached slices are immutable once published (rebuilds replace them),
 	// so the writes below safely run outside mu.
-	plain, gz := b.plain, b.gz
+	body := *b
 	s.mu.Unlock()
 
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("ETag", etag)
 	var n int
-	if gz != nil && acceptsGzip(r) {
+	switch {
+	case body.gz == nil:
+		n = writeBody(w, body.plain)
+	case acceptsGzip(r):
 		w.Header().Set("Content-Encoding", "gzip")
-		n = writeBody(w, gz)
-	} else {
-		n = writeBody(w, plain)
+		n = writeBody(w, body.gz)
+	default:
+		n = writeGunzipped(w, body.gz, body.size)
 	}
 	s.counter("riptide_gossip_bytes_sent").Add(uint64(n))
 }
@@ -300,19 +307,12 @@ func (s *Server) fillLocked(kind int, version, markers uint64) error {
 		return err
 	}
 	plain = append(plain, '\n')
-	gz, err := gzipBytes(plain)
-	if err != nil {
+	b := cachedBody{valid: true, version: version, markers: markers, filledAt: s.now(), size: len(plain)}
+	if b.gz, err = gzipBytes(plain); err != nil {
 		// Compression is an optimization; serve plain only.
-		gz = nil
+		b.gz, b.plain = nil, plain
 	}
-	s.bodies[kind] = cachedBody{
-		valid:    true,
-		version:  version,
-		markers:  markers,
-		filledAt: s.now(),
-		plain:    plain,
-		gz:       gz,
-	}
+	s.bodies[kind] = b
 	return nil
 }
 

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"fmt"
 	"io"
@@ -308,6 +309,68 @@ func TestServePlainPeerGetsFullBody(t *testing.T) {
 				t.Fatalf("%s round %d: empty body for unconditional request", path, round)
 			}
 		}
+	}
+}
+
+// TestServeCachesGzipOnly: a cached full body is kept gzipped alone, and a
+// client that refuses gzip gets exactly the bytes the gzipped body decodes
+// to, under the same ETag, for both cached kinds.
+func TestServeCachesGzipOnly(t *testing.T) {
+	a, _, _ := newTestAgent(t, []core.Observation{
+		obs(t, "192.0.2.1", 40),
+		obs(t, "198.51.100.7", 80),
+		obs(t, "203.0.113.9", 24),
+	})
+	s := NewServer(a, "host-a", "boot-1", nil)
+	for kind, h := range map[int]http.Handler{kindDelta: s.DeltaHandler(), kindSnapshot: s.SnapshotHandler()} {
+		get := func(encoding string) *httptest.ResponseRecorder {
+			req := httptest.NewRequest(http.MethodGet, "/", nil)
+			if encoding != "" {
+				req.Header.Set("Accept-Encoding", encoding)
+			}
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, req)
+			if w.Code != http.StatusOK {
+				t.Fatalf("kind %d, Accept-Encoding %q: status %d", kind, encoding, w.Code)
+			}
+			return w
+		}
+		zipped := get("gzip")
+		if zipped.Header().Get("Content-Encoding") != "gzip" {
+			t.Fatalf("kind %d: a gzip client got Content-Encoding %q", kind, zipped.Header().Get("Content-Encoding"))
+		}
+		zr, err := gzip.NewReader(zipped.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := io.ReadAll(zr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, encoding := range []string{"", "gzip;q=0", "identity"} {
+			plain := get(encoding)
+			if ce := plain.Header().Get("Content-Encoding"); ce != "" {
+				t.Errorf("kind %d, Accept-Encoding %q: Content-Encoding %q", kind, encoding, ce)
+			}
+			if got := plain.Body.Bytes(); !bytes.Equal(got, want) {
+				t.Errorf("kind %d, Accept-Encoding %q: plain body differs from the gzipped one decoded:\n got %s\nwant %s", kind, encoding, got, want)
+			}
+			if cl := plain.Header().Get("Content-Length"); cl != fmt.Sprint(len(want)) {
+				t.Errorf("kind %d, Accept-Encoding %q: Content-Length %s for %d bytes", kind, encoding, cl, len(want))
+			}
+			if e, z := plain.Header().Get("ETag"), zipped.Header().Get("ETag"); e != z || e == "" {
+				t.Errorf("kind %d, Accept-Encoding %q: ETag %q, the gzipped body's %q", kind, encoding, e, z)
+			}
+		}
+		s.mu.Lock()
+		b := s.bodies[kind]
+		s.mu.Unlock()
+		if !b.valid || b.gz == nil || b.plain != nil {
+			t.Errorf("kind %d: cache slot valid %v, %d gzipped bytes, %d plain bytes: want the gzipped body alone", kind, b.valid, len(b.gz), len(b.plain))
+		}
+	}
+	if st := s.Stats(); st.Misses != 2 || st.Hits != 6 {
+		t.Errorf("stats = %+v: want one fill per kind, every other request a hit", st)
 	}
 }
 
