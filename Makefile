@@ -6,7 +6,7 @@ GO ?= go
 # directory: the targets that run the module's commands go through `go -C`.
 ROOT := $(dir $(abspath $(lastword $(MAKEFILE_LIST))))
 
-.PHONY: all check build vet test test-short test-race race bench bench-serve report report-check fuzz fuzz-guard fuzz-gossip fuzz-netlink fuzz-scenario scenarios examples clean
+.PHONY: all check build vet test test-short test-race race bench bench-serve report report-check fuzz-guard fuzz-gossip fuzz-netlink fuzz-scenario scenarios clean
 
 all: check
 
@@ -62,10 +62,6 @@ report-check:
 	test "$$(ls "$$tmp/series")" = "$$(ls docs/series)" && \
 	for f in docs/series/*.csv; do cmp "$$tmp/series/$${f##*/}" "$$f" || exit 1; done
 
-fuzz:
-	$(GO) test -fuzz=FuzzReadProbes -fuzztime=30s ./internal/trace
-	$(GO) test -fuzz=FuzzReadCwndSamples -fuzztime=30s ./internal/trace
-
 # Fuzz the governor's telemetry intake: arbitrary (including adversarial)
 # counter values must never panic it or corrupt its state invariants.
 fuzz-guard:
@@ -107,12 +103,6 @@ scenarios:
 	"$$tmp/riptide-sim" run $$ops > "$$tmp/first.json" && \
 	"$$tmp/riptide-sim" run $$ops > "$$tmp/second.json" && \
 	cmp "$$tmp/first.json" "$$tmp/second.json"
-
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/cdnprobes
-	$(GO) run ./examples/trafficshift
-	$(GO) run ./examples/loadbalancer
 
 clean:
 	$(GO) clean ./...

@@ -497,22 +497,6 @@ func BenchmarkBatchProgram(b *testing.B) {
 	})
 }
 
-func BenchmarkExtensionTrendReaction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ExtensionTrendReaction(int64(i) + 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExtensionAdvisorShift(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ExtensionAdvisorShift(int64(i) + 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func benchmarkScenario(b *testing.B, name string) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Scenario(name); err != nil {

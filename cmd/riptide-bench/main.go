@@ -10,6 +10,7 @@
 //
 //	riptide-bench -o report.md
 //	riptide-bench -series-dir series/   # also dump plottable CSVs
+//	riptide-bench -fig 3 -seed 7        # one model figure (1–6) alone, as text
 //
 // Performance lives elsewhere: `go run ./bench` is the end-to-end ledger and
 // `go test -bench` the per-package micro-benchmarks.
@@ -42,11 +43,15 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("riptide-bench", flag.ContinueOnError)
 	var (
 		out       = fs.String("o", "", "output file (default stdout)")
-		seed      = fs.Int64("seed", 1, "random seed (the model figures, the extensions and the paper's scenario files)")
+		seed      = fs.Int64("seed", 1, "random seed (the model figures and the paper's scenario files)")
 		seriesDir = fs.String("series-dir", "", "also write each figure's curve data as CSV into this directory")
+		fig       = fs.String("fig", "", "write model figure 1–6 alone, as text, instead of the report")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *fig != "" && *seriesDir != "" {
+		return fmt.Errorf("-fig writes one figure as text; -series-dir belongs to the report")
 	}
 
 	w := io.Writer(os.Stdout)
@@ -58,6 +63,13 @@ func run(args []string) error {
 		defer f.Close()
 		w = f
 	}
+	if *fig != "" {
+		res, err := modelFigure(*fig, *seed, modelSamples)
+		if err != nil {
+			return err
+		}
+		return experiments.Render(w, res)
+	}
 	return report(w, scenarios.Load, *seed, modelSamples, *seriesDir)
 }
 
@@ -66,6 +78,26 @@ func run(args []string) error {
 // byte for byte.
 const modelSamples = 200000
 
+// modelFigure computes model figure fig ("1" to "6"); seed and n, the sample
+// count, feed Figures 2 and 3.
+func modelFigure(fig string, seed int64, n int) (experiments.Result, error) {
+	switch fig {
+	case "1":
+		return experiments.Fig1Timeline()
+	case "2":
+		return experiments.Fig2FileSizes(seed, n)
+	case "3":
+		return experiments.Fig3RTTsCDF(seed, n)
+	case "4":
+		return experiments.Fig4TheoreticalGain()
+	case "5":
+		return experiments.Fig5RTTDistribution(nil)
+	case "6":
+		return experiments.Fig6TransferTime(nil)
+	}
+	return experiments.Result{}, fmt.Errorf("unknown figure %q (want 1..6)", fig)
+}
+
 // sections lays the report out: each section's results, by ID, in order.
 var sections = []struct {
 	title string
@@ -73,9 +105,10 @@ var sections = []struct {
 }{
 	{"Model figures", []string{"fig2", "fig3", "fig4", "fig5", "fig6"}},
 	{"Cluster evaluation", []string{"table2", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "edge", "headline"}},
-	{"Extensions (Section V)", []string{"ext-trend", "ext-advisor"}},
-	// The operational experiments are the embedded scenario library: the
-	// report renders the same runs `go test ./scenarios` asserts.
+	// The Section V extensions and the operational experiments are the
+	// embedded scenario library: the report renders the same runs `go test
+	// ./scenarios` asserts.
+	{"Extensions (Section V)", []string{"scenario-ext-trend", "scenario-ext-advisor"}},
 	{"Fleet sharing", []string{"scenario-fleet-warm-start", "scenario-gossip-cold-region"}},
 	{"Safety governor", []string{"scenario-guard-capacity-cut"}},
 	{"Operational scenarios", []string{"scenario-flash-crowd", "scenario-regional-degradation",
@@ -119,16 +152,10 @@ func report(w io.Writer, load func(string) (*scenario.Spec, error), seed int64, 
 		}
 		jobs = append(jobs, func() ([]experiments.Result, error) { return experiments.Paper(sp) })
 	}
-	jobs = append(jobs,
-		one(func() (experiments.Result, error) { return experiments.Fig2FileSizes(seed, n) }),
-		one(func() (experiments.Result, error) { return experiments.Fig3RTTsCDF(seed, n) }),
-		one(experiments.Fig4TheoreticalGain),
-		one(func() (experiments.Result, error) { return experiments.Fig5RTTDistribution(nil) }),
-		one(func() (experiments.Result, error) { return experiments.Fig6TransferTime(nil) }),
-		one(func() (experiments.Result, error) { return experiments.Table2Census(nil), nil }),
-		one(func() (experiments.Result, error) { return experiments.ExtensionTrendReaction(seed) }),
-		one(func() (experiments.Result, error) { return experiments.ExtensionAdvisorShift(seed) }),
-	)
+	for _, fig := range []string{"2", "3", "4", "5", "6"} {
+		jobs = append(jobs, one(func() (experiments.Result, error) { return modelFigure(fig, seed, n) }))
+	}
+	jobs = append(jobs, one(func() (experiments.Result, error) { return experiments.Table2Census(nil), nil }))
 	for _, sec := range sections {
 		for _, id := range sec.ids {
 			if name, ok := strings.CutPrefix(id, "scenario-"); ok {

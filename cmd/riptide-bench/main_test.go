@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"riptide/internal/experiments"
 	"riptide/internal/scenario"
 )
 
@@ -82,6 +83,63 @@ func TestRunUnknownScale(t *testing.T) {
 func TestRunBadFlag(t *testing.T) {
 	if err := run([]string{"-zzz"}); err == nil {
 		t.Error("bad flag accepted")
+	}
+}
+
+// TestRunBadFlags: the figure mode takes no flags of its own beyond -fig,
+// so the sample count the old standalone figure tool took (-n) is refused.
+func TestRunBadFlags(t *testing.T) {
+	for _, args := range [][]string{{"-definitely-not-a-flag"}, {"-fig", "3", "-n", "5000"}} {
+		if err := run(args); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
+}
+
+// TestRunAllFigures writes each model figure alone, as text.
+func TestRunAllFigures(t *testing.T) {
+	for _, fig := range []string{"1", "2", "3", "4", "5", "6"} {
+		out := filepath.Join(t.TempDir(), "fig.txt")
+		if err := run([]string{"-fig", fig, "-o", out}); err != nil {
+			t.Errorf("fig %s: %v", fig, err)
+			continue
+		}
+		text, err := os.ReadFile(out)
+		if err != nil || !strings.HasPrefix(string(text), "== fig"+fig+": ") {
+			t.Errorf("fig %s wrote %q (err %v)", fig, text, err)
+		}
+	}
+}
+
+// TestRunSingleFigure: -fig writes exactly experiments.Render of the figure
+// at the report's sample count and the given seed.
+func TestRunSingleFigure(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "fig3.txt")
+	if err := run([]string{"-fig", "3", "-seed", "3", "-o", out}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := experiments.Fig3RTTsCDF(3, modelSamples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	if err := experiments.Render(&want, res); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want.String() {
+		t.Errorf("-fig 3 -seed 3 wrote:\n%s\nwant:\n%s", got, want.String())
+	}
+}
+
+func TestRunUnknownFigure(t *testing.T) {
+	for _, args := range [][]string{{"-fig", "99"}, {"-fig", "all"}, {"-fig", "2", "-series-dir", t.TempDir()}} {
+		if err := run(args); err == nil {
+			t.Errorf("%v accepted", args)
+		}
 	}
 }
 

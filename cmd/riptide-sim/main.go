@@ -1,20 +1,20 @@
 // Command riptide-sim regenerates the paper's cluster-evaluation artefacts
 // (Table II, Figures 10–16, the Section IV-D edge cases, the headline
 // abstract numbers and the Section III-B ablations) by running the paper's
-// scenario files (scenarios/paper-*.yaml) on the simulated 34-PoP CDN, and
-// runs the Section V extension experiments.
+// scenario files (scenarios/paper-*.yaml) on the simulated 34-PoP CDN.
 //
 //	riptide-sim -exp all
 //	riptide-sim -exp fig10 -seed 3
 //
-// It also executes declarative YAML scenarios (see docs/scenarios.md):
+// It also executes declarative YAML scenarios (see docs/scenarios.md), the
+// Section V extensions (scenarios/ext-*.yaml) among them:
 //
 //	riptide-sim run scenarios/guard-capacity-cut.yaml
 //	riptide-sim validate scenarios/*.yaml
-//	riptide-sim -exp scenario-guard-capacity-cut   # the embedded copy, as a table
+//	riptide-sim -exp scenario-ext-trend -seed 3   # the embedded copy, as a table, on seed 3
 //
 // and exports the raw measurements of one scenario file's main run as CSV
-// for offline analysis (riptide-replay):
+// for offline analysis:
 //
 //	riptide-sim -probes-csv probes.csv -cwnd-csv cwnd.csv scenarios/paper-busy-pop.yaml
 package main
@@ -109,8 +109,8 @@ func runScenarios(paths []string, execute bool) error {
 func runExperiments(args []string, load func(string) (*scenario.Spec, error)) error {
 	fs := flag.NewFlagSet("riptide-sim", flag.ContinueOnError)
 	var (
-		exp  = fs.String("exp", "all", "experiment: table2|fig10|...|fig16|edge|headline|ablation-*|ext-*|scenario-<name>|all")
-		seed = fs.Int64("seed", 1, "random seed of the extensions; when given, it also replaces the seed of the scenario files run")
+		exp  = fs.String("exp", "all", "experiment: table2|fig10|...|fig16|edge|headline|ablation-*|scenario-<name>|all")
+		seed = fs.Int64("seed", 1, "when given, replaces the seed of every scenario file run and of an exported file")
 
 		probesCSV = fs.String("probes-csv", "", "export mode: write the scenario file's probe records to this CSV and exit")
 		cwndCSV   = fs.String("cwnd-csv", "", "export mode: write the scenario file's cwnd samples to this CSV and exit")
@@ -184,15 +184,21 @@ func runExperiments(args []string, load func(string) (*scenario.Spec, error)) er
 			return experiments.Paper(sp)
 		}})
 	}
-	groups = append(groups,
-		one("ext-trend", func() (experiments.Result, error) { return experiments.ExtensionTrendReaction(*seed) }),
-		one("ext-advisor", func() (experiments.Result, error) { return experiments.ExtensionAdvisorShift(*seed) }))
-	// The operational scenarios are the embedded YAML library; each carries
-	// its own fleet, seed and duration. `riptide-sim run` gives the full JSON
-	// report. The paper's files are rendered as the figures above.
+	// The Section V extensions and the operational scenarios are the
+	// embedded YAML library; each carries its own fleet, seed (which -seed
+	// replaces) and duration.
+	// `riptide-sim run` gives the full JSON report. The paper's files are
+	// rendered as the figures above.
 	for _, name := range scenarios.Names() {
 		if !slices.ContainsFunc(experiments.PaperFiles, func(pf experiments.PaperFile) bool { return pf.Name == name }) {
-			groups = append(groups, one("scenario-"+name, func() (experiments.Result, error) { return experiments.Scenario(name) }))
+			groups = append(groups, one("scenario-"+name, func() (experiments.Result, error) {
+				sp, err := scenarios.Load(name)
+				if err != nil {
+					return experiments.Result{}, err
+				}
+				seeded(sp)
+				return experiments.RunScenario(sp)
+			}))
 		}
 	}
 

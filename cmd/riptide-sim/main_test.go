@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -179,6 +180,50 @@ func TestRunEmbeddedScenario(t *testing.T) {
 	if err := run([]string{"-exp", "scenario-peer-partition"}, scenarios.Load); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRunEmbeddedScenarioSeed: -seed replaces a library scenario's own seed
+// (peer-partition carries 11), so the Section V extensions rerun on any seed.
+func TestRunEmbeddedScenarioSeed(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "seed 11,"},
+		{[]string{"-seed", "12"}, "seed 12,"},
+	} {
+		out := stdoutOf(t, func() error {
+			return run(append([]string{"-exp", "scenario-peer-partition"}, tc.args...), scenarios.Load)
+		})
+		if !strings.Contains(out, tc.want) {
+			t.Errorf("%v: output lacks %q:\n%s", tc.args, tc.want, out)
+		}
+	}
+}
+
+// stdoutOf returns what f writes to os.Stdout.
+func stdoutOf(t *testing.T, f func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	read := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		read <- b
+	}()
+	err = f()
+	os.Stdout = stdout
+	w.Close()
+	out := <-read
+	r.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }
 
 func TestValidateSubcommand(t *testing.T) {

@@ -8,14 +8,17 @@ import (
 	"riptide"
 )
 
-// exampleSampler stands in for `ss -tin` output.
-type exampleSampler struct{}
+// exampleSampler stands in for `ss -tin`: each call returns the next round's
+// connections, then none once the rounds run out.
+type exampleSampler struct{ rounds [][]riptide.Observation }
 
-func (exampleSampler) SampleConnections(buf []riptide.Observation) ([]riptide.Observation, error) {
-	return append(buf,
-		riptide.Observation{Dst: netip.MustParseAddr("10.0.0.127"), Cwnd: 60},
-		riptide.Observation{Dst: netip.MustParseAddr("10.0.0.127"), Cwnd: 100},
-	), nil
+func (s *exampleSampler) SampleConnections(buf []riptide.Observation) ([]riptide.Observation, error) {
+	if len(s.rounds) == 0 {
+		return buf, nil
+	}
+	round := s.rounds[0]
+	s.rounds = s.rounds[1:]
+	return append(buf, round...), nil
 }
 
 // exampleRoutes stands in for `ip route` programming.
@@ -31,29 +34,40 @@ func (exampleRoutes) ClearInitCwnd(p netip.Prefix) error {
 	return nil
 }
 
-// Example runs one Algorithm-1 round: two observed connections to the same
-// destination average to a programmed initial window of 80, the paper's
-// Figure 7 example.
+// Example runs Algorithm 1 round by round. Two observed connections to the
+// same destination average to a programmed initial window of 80, the
+// paper's Figure 7 example; a lone sagging window of 40 next round moves it
+// only to 70 through the EWMA history (alpha 0.75); and once no connection
+// has been seen for the TTL, the route reverts to the kernel default.
 func Example() {
+	dst := netip.MustParseAddr("10.0.0.127")
+	var clock time.Duration
 	agent, err := riptide.New(riptide.Config{
-		Sampler: exampleSampler{},
-		Routes:  exampleRoutes{},
-		Clock:   func() time.Duration { return 0 },
+		Sampler: &exampleSampler{rounds: [][]riptide.Observation{
+			{{Dst: dst, Cwnd: 60}, {Dst: dst, Cwnd: 100}},
+			{{Dst: dst, Cwnd: 40}},
+		}},
+		Routes: exampleRoutes{},
+		Clock:  func() time.Duration { return clock },
 	})
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	if err := agent.Tick(); err != nil {
-		fmt.Println(err)
-		return
+	defer agent.Close()
+	for _, at := range []time.Duration{0, time.Second, time.Second + riptide.DefaultTTL} {
+		clock = at
+		if err := agent.Tick(); err != nil {
+			fmt.Println(err)
+			return
+		}
 	}
-	if err := agent.Close(); err != nil {
-		fmt.Println(err)
-	}
+	fmt.Println(agent.Len(), "entries")
 	// Output:
 	// set 10.0.0.127/32 initcwnd 80
+	// set 10.0.0.127/32 initcwnd 70
 	// clear 10.0.0.127/32
+	// 0 entries
 }
 
 // ExampleNewTrendHistory shows the Section V trend policy snapping down on a
@@ -74,21 +88,39 @@ func ExampleNewTrendHistory() {
 	// 20
 }
 
-// ExampleNewLoadBalanceAdvisor shows damping windows ahead of a traffic
-// shift.
+// ExampleNewLoadBalanceAdvisor shows an orchestrator damping a destination's
+// programmed window ahead of a traffic shift onto it, and lifting the damping
+// once the shift is complete.
 func ExampleNewLoadBalanceAdvisor() {
+	dst := netip.MustParseAddr("10.0.0.127")
+	steady := make([][]riptide.Observation, 3)
+	for i := range steady {
+		steady[i] = []riptide.Observation{{Dst: dst, Cwnd: 80}}
+	}
 	advisor := riptide.NewLoadBalanceAdvisor()
-	dst := netip.MustParsePrefix("10.0.0.0/24")
-	fmt.Println(advisor.Advise(dst))
-	if err := advisor.ExpectShift(dst, 0.25); err != nil {
+	agent, err := riptide.New(riptide.Config{
+		Sampler: &exampleSampler{rounds: steady},
+		Routes:  exampleRoutes{},
+		Clock:   func() time.Duration { return 0 },
+		Advisor: advisor,
+	})
+	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Println(advisor.Advise(dst))
-	advisor.ShiftComplete(dst)
-	fmt.Println(advisor.Advise(dst))
+	prefix := netip.PrefixFrom(dst, 32)
+	_ = agent.Tick()
+	if err := advisor.ExpectShift(prefix, 0.25); err != nil {
+		fmt.Println(err)
+		return
+	}
+	_ = agent.Tick()
+	advisor.ShiftComplete(prefix)
+	_ = agent.Tick()
+	_ = agent.Close()
 	// Output:
-	// 1
-	// 0.25
-	// 1
+	// set 10.0.0.127/32 initcwnd 80
+	// set 10.0.0.127/32 initcwnd 20
+	// set 10.0.0.127/32 initcwnd 80
+	// clear 10.0.0.127/32
 }

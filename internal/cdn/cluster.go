@@ -1,6 +1,7 @@
 package cdn
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -103,9 +104,14 @@ type RiptideOptions struct {
 	TTL time.Duration
 	// PrefixBits is route granularity (32 = per host, 24 = per PoP).
 	PrefixBits int
-	// Combiner / History override the paper defaults for ablations.
+	// Combiner overrides the paper's average for ablations.
 	Combiner core.Combiner
-	History  core.HistoryPolicy
+	// History names the history policy (core.HistoryByName, with Alpha);
+	// empty is the paper's EWMA. Every agent builds its own.
+	History string
+	// Advised names the PoPs whose agents get a core.LoadBalanceAdvisor,
+	// which a ShiftWarning warns; other agents run without one.
+	Advised []string
 	// Guard, when set, gives every host's agent a closed-loop safety
 	// governor built from this configuration (the Clock field is
 	// overridden with the simulation clock). A host reboot rebuilds the
@@ -239,11 +245,15 @@ type Cluster struct {
 // governor when RiptideOptions.Guard is set (nil otherwise); serve and puller
 // are its fleet server's delta handler and its puller once gossip sharing is
 // on (nil before). All of them are rebuilt together with the agent on reboot.
+// advisor is the machine's advisor when its PoP is advised (nil otherwise):
+// it carries the orchestrator's warnings, not learned state, so the rebooted
+// agent keeps it.
 type agentSlot struct {
-	agent  *core.Agent
-	gov    *guard.Governor
-	serve  http.Handler
-	puller *fleet.Puller
+	agent   *core.Agent
+	gov     *guard.Governor
+	serve   http.Handler
+	puller  *fleet.Puller
+	advisor *core.LoadBalanceAdvisor
 }
 
 type poolKey struct{ src, dst netip.Addr }
@@ -371,15 +381,25 @@ func hostAddr(p PoP, i int) (netip.Addr, error) {
 }
 
 // newAgentForHost builds a Riptide agent bound to one simulated machine,
-// returning the agent and its governor (nil when guarding is off).
-func (c *Cluster) newAgentForHost(h *kernel.Host) (*core.Agent, *guard.Governor, error) {
+// returning the agent and its governor (nil when guarding is off). advisor
+// is the machine's advisor, nil when its PoP is not advised.
+func (c *Cluster) newAgentForHost(h *kernel.Host, advisor *core.LoadBalanceAdvisor) (*core.Agent, *guard.Governor, error) {
 	r := c.cfg.Riptide
+	hist, err := core.HistoryByName(cmp.Or(r.History, "ewma"), r.Alpha)
+	if err != nil {
+		return nil, nil, fmt.Errorf("cdn: %w", err)
+	}
+	// A nil *LoadBalanceAdvisor must stay a nil Advisor: an agent with any
+	// Advisor visits every destination every round.
+	var adv core.Advisor
+	if advisor != nil {
+		adv = advisor
+	}
 	var g *guard.Governor
 	var gov core.Governor
 	if r.Guard != nil {
 		gcfg := *r.Guard
 		gcfg.Clock = c.engine.Now
-		var err error
 		g, err = guard.New(gcfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("cdn: guard for %v: %w", h.Addr(), err)
@@ -398,7 +418,8 @@ func (c *Cluster) newAgentForHost(h *kernel.Host) (*core.Agent, *guard.Governor,
 		CMin:           r.CMin,
 		PrefixBits:     r.PrefixBits,
 		Combiner:       r.Combiner,
-		History:        r.History,
+		History:        hist,
+		Advisor:        adv,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -411,12 +432,17 @@ func (c *Cluster) startRiptide() error {
 	// ordering at equal timestamps, and map iteration would make runs
 	// irreproducible across identical seeds.
 	for _, p := range c.pops {
+		advised := slices.Contains(c.cfg.Riptide.Advised, p.Name)
 		for _, h := range c.hosts[p.Name] {
-			agent, gov, err := c.newAgentForHost(h)
+			var advisor *core.LoadBalanceAdvisor
+			if advised {
+				advisor = core.NewLoadBalanceAdvisor()
+			}
+			agent, gov, err := c.newAgentForHost(h, advisor)
 			if err != nil {
 				return fmt.Errorf("cdn: riptide agent for %s/%v: %w", p.Name, h.Addr(), err)
 			}
-			slot := &agentSlot{agent: agent, gov: gov}
+			slot := &agentSlot{agent: agent, gov: gov, advisor: advisor}
 			c.agents[h.Addr()] = slot
 			interval := agent.Config().UpdateInterval
 			tk, err := eventsim.NewTicker(c.engine, interval, func(time.Duration) {
@@ -477,7 +503,7 @@ func (c *Cluster) RebootHost(name string, idx int) (int, error) {
 	}
 	if slot, ok := c.agents[h.Addr()]; ok {
 		_ = slot.agent.Close()
-		fresh, gov, err := c.newAgentForHost(h)
+		fresh, gov, err := c.newAgentForHost(h, slot.advisor)
 		if err != nil {
 			return closed, fmt.Errorf("cdn: restart agent for %s[%d]: %w", name, idx, err)
 		}

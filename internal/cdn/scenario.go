@@ -2,6 +2,8 @@ package cdn
 
 import (
 	"fmt"
+	"net/netip"
+	"slices"
 	"time"
 
 	"riptide/internal/kernel"
@@ -266,6 +268,71 @@ func (f FlashCrowd) Apply(c *Cluster) error {
 		}
 	}
 	return nil
+}
+
+// ShiftWarning is a load balancer's notice that traffic is about to shift
+// onto one PoP (the paper's Section V advisor): at At, every agent of the
+// listed PoPs damps its windows toward the machines of To by Factor,
+// through its core.LoadBalanceAdvisor. The listed PoPs must be in
+// RiptideOptions.Advised; in a fleet without agents the warning does
+// nothing.
+type ShiftWarning struct {
+	// PoPs are the warned PoPs, whose agents damp.
+	PoPs []string
+	// To is the PoP about to absorb the shifted traffic.
+	To string
+	// At is when the warning arrives.
+	At time.Duration
+	// Factor multiplies the learned windows toward To, in (0, 1].
+	Factor float64
+}
+
+// Validate checks the warning's parameters.
+func (w ShiftWarning) Validate() error {
+	if len(w.PoPs) == 0 {
+		return fmt.Errorf("cdn: shift warning names no PoP to warn")
+	}
+	if slices.Contains(w.PoPs, w.To) {
+		return fmt.Errorf("cdn: shift warning warns %q about itself", w.To)
+	}
+	if w.At < 0 {
+		return fmt.Errorf("cdn: shift warning time %v must not be negative", w.At)
+	}
+	if !(w.Factor > 0 && w.Factor <= 1) {
+		return fmt.Errorf("cdn: shift warning factor %v out of (0,1]", w.Factor)
+	}
+	return nil
+}
+
+// Apply schedules the warning: each warned agent's advisor expects the shift
+// onto To's /24, the prefix every machine of To is addressed in.
+func (w ShiftWarning) Apply(c *Cluster) error {
+	if err := w.Validate(); err != nil {
+		return err
+	}
+	to, ok := c.byName[w.To]
+	if !ok {
+		return fmt.Errorf("cdn: shift warning PoP %q unknown", w.To)
+	}
+	for _, name := range w.PoPs {
+		if err := c.checkPoP("shift warning", name); err != nil {
+			return err
+		}
+		if c.cfg.Riptide.Enabled && !slices.Contains(c.cfg.Riptide.Advised, name) {
+			return fmt.Errorf("cdn: shift warning PoP %q is not advised", name)
+		}
+	}
+	dst := netip.PrefixFrom(to.Addr, 24).Masked()
+	return c.ScheduleAt(w.At, func() {
+		for _, name := range w.PoPs {
+			for _, h := range c.hosts[name] {
+				if slot, ok := c.agents[h.Addr()]; ok {
+					// Validate checked the factor, ExpectShift's only failure.
+					_ = slot.advisor.ExpectShift(dst, w.Factor)
+				}
+			}
+		}
+	})
 }
 
 // RegionalDegradation raises loss on every path touching one PoP for a

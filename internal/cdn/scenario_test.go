@@ -176,6 +176,65 @@ func TestRollingRebootsScenario(t *testing.T) {
 	}
 }
 
+// TestShiftWarningScenario: a shift warning damps the warned PoP's learned
+// windows toward the target PoP and nothing else, and only the advised PoPs'
+// agents carry an advisor.
+func TestShiftWarningScenario(t *testing.T) {
+	c, err := NewCluster(Config{
+		PoPs:    smallTopology(),
+		Seed:    47,
+		Riptide: RiptideOptions{Enabled: true, Advised: []string{"jfk"}},
+		Traffic: TrafficOptions{
+			ProbeInterval: 20 * time.Second,
+			OrganicRates:  map[string]float64{"lhr": 4, "jfk": 4},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	for _, p := range c.PoPs() {
+		if advised := c.Agent(p.Name).Config().Advisor != nil; advised != (p.Name == "jfk") {
+			t.Errorf("%s agent has an advisor: %v", p.Name, advised)
+		}
+	}
+	lhr, _ := c.Host("lhr")
+	jfk, _ := c.Host("jfk")
+	fra, _ := c.Host("fra")
+	c.Run(2 * time.Minute)
+	full, ok := c.Agent("jfk").Lookup(lhr.Addr())
+	if !ok || full <= 20 {
+		t.Fatalf("jfk learned window toward lhr = %d, %v; want a jump-started one", full, ok)
+	}
+	if err := (ShiftWarning{PoPs: []string{"jfk"}, To: "lhr", At: time.Second, Factor: 0.25}).Apply(c); err != nil {
+		t.Fatal(err)
+	}
+	fraBefore, _ := c.Agent("jfk").Lookup(fra.Addr())
+	lhrBefore, _ := c.Agent("lhr").Lookup(jfk.Addr())
+	c.Run(5 * time.Second)
+	// The advisor multiplies the smoothed window before the c_max clamp, so
+	// a window clamped at c_max drops to a quarter of what it smooths to.
+	if w, _ := c.Agent("jfk").Lookup(lhr.Addr()); w*3 > full*2 {
+		t.Errorf("warned jfk programs %d toward lhr, want well under its %d before the warning", w, full)
+	}
+	if w, _ := c.Agent("jfk").Lookup(fra.Addr()); w*3 <= fraBefore*2 {
+		t.Errorf("jfk's window toward fra fell from %d to %d; the warning names lhr", fraBefore, w)
+	}
+	if w, _ := c.Agent("lhr").Lookup(jfk.Addr()); w*3 <= lhrBefore*2 {
+		t.Errorf("unwarned lhr's window toward jfk fell from %d to %d; only jfk was warned", lhrBefore, w)
+	}
+
+	if err := (ShiftWarning{PoPs: []string{"lhr"}, To: "jfk", Factor: 0.5}).Apply(c); err == nil {
+		t.Error("warning to a PoP without advisors accepted")
+	}
+	if err := (ShiftWarning{PoPs: []string{"jfk"}, To: "nope", Factor: 0.5}).Apply(c); err == nil {
+		t.Error("unknown target PoP accepted")
+	}
+	if err := (ShiftWarning{PoPs: []string{"jfk"}, To: "lhr", Factor: 0}).Apply(c); err == nil {
+		t.Error("zero factor accepted")
+	}
+}
+
 func TestRTTBucketString(t *testing.T) {
 	if BucketClose.String() != "<50ms" || BucketVeryFar.String() != ">150ms" {
 		t.Error("bucket names wrong")

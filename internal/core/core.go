@@ -323,6 +323,31 @@ var (
 	_ HistoryPolicy = (*WindowedHistory)(nil)
 )
 
+// HistoryByName builds the history policy a scenario file's history key
+// names, with alpha as Config.Alpha (0 means DefaultAlpha): "ewma" is nil,
+// the agent's inline EWMA; "none" is NoHistory; "trend" is a TrendHistory
+// collapsing at TrendCollapse. It fails on any other name, and on an alpha
+// the policy rejects. Each call builds a fresh policy, since a stateful one
+// serves one agent.
+func HistoryByName(name string, alpha float64) (HistoryPolicy, error) {
+	switch name {
+	case "ewma":
+		return nil, nil
+	case "none":
+		return NoHistory{}, nil
+	case "trend":
+		if alpha == 0 {
+			alpha = DefaultAlpha
+		}
+		h, err := NewTrendHistory(alpha, TrendCollapse)
+		if err != nil {
+			return nil, err // not a nil *TrendHistory in a non-nil interface
+		}
+		return h, nil
+	}
+	return nil, fmt.Errorf("riptide/core: history %q unknown (valid: ewma none trend)", name)
+}
+
 // Config configures an Agent. Sampler and Routes are required; everything
 // else has paper defaults.
 type Config struct {

@@ -78,6 +78,10 @@ func (a *LoadBalanceAdvisor) Advise(dst netip.Prefix) float64 {
 
 var _ Advisor = (*LoadBalanceAdvisor)(nil)
 
+// TrendCollapse is the collapse fraction of the trend policy a scenario
+// file names (HistoryByName): any halving of the observed windows snaps.
+const TrendCollapse = 0.5
+
 // TrendHistory wraps an EWMA with collapse detection: when the combined
 // observation falls below CollapseFraction of the running average, the
 // history snaps down to the new value immediately instead of gliding — the

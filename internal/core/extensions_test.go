@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"net/netip"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -108,6 +110,50 @@ func TestTrendHistoryValidation(t *testing.T) {
 	for _, bad := range []float64{0, 1, -0.1} {
 		if _, err := NewTrendHistory(0.75, bad); err == nil {
 			t.Errorf("collapse fraction %v accepted", bad)
+		}
+	}
+}
+
+// TestHistoryByName pins the scenario file's history values: "ewma" must
+// stay the nil policy, the agent's inline EWMA, which is what keeps the
+// plan stage's drain path open (canDrain).
+func TestHistoryByName(t *testing.T) {
+	ewma, err := HistoryByName("ewma", 0.9)
+	if ewma != nil || err != nil {
+		t.Errorf("ewma = %T, %v; want nil, nil", ewma, err)
+	}
+	if a, _, _ := newAgent(t, Config{History: ewma}); !a.canDrain {
+		t.Error("an agent given the ewma policy lost the drain path")
+	}
+	if h, err := HistoryByName("none", 0.9); h != (NoHistory{}) || err != nil {
+		t.Errorf("none = %#v, %v; want NoHistory{}, nil", h, err)
+	}
+	var trends []*TrendHistory
+	for _, alpha := range []float64{0.9, 0.9, 0} {
+		h, err := HistoryByName("trend", alpha)
+		th, ok := h.(*TrendHistory)
+		if err != nil || !ok {
+			t.Fatalf("trend(%v) = %T, %v; want *TrendHistory", alpha, h, err)
+		}
+		if want := cmp.Or(alpha, DefaultAlpha); th.alpha != want || th.collapseFraction != TrendCollapse {
+			t.Errorf("trend(%v): alpha %v, collapse %v; want %v, %v", alpha, th.alpha, th.collapseFraction, want, TrendCollapse)
+		}
+		trends = append(trends, th)
+	}
+	if trends[0] == trends[1] {
+		t.Error("two trend calls share one policy")
+	}
+	for _, tc := range []struct {
+		name  string
+		alpha float64
+		want  string
+	}{
+		{"", 0.9, `history "" unknown`},
+		{"fifo", 0.9, `history "fifo" unknown`},
+		{"trend", 1.5, "alpha 1.5 out of range"},
+	} {
+		if h, err := HistoryByName(tc.name, tc.alpha); h != nil || err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q (alpha %v) = %T, %v; want an error naming %q", tc.name, tc.alpha, h, err, tc.want)
 		}
 	}
 }

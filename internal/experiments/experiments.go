@@ -3,16 +3,18 @@
 // points and/or tables of rows) that the cmd/ tools render as text and the
 // benchmark harness regenerates.
 //
-// Figures 2–6 come from the paper's closed-form transfer model over the
+// Figures 1–6 come from the paper's closed-form transfer model over the
 // published distributions. Figure 10 onward and the ablations are scenario
 // files (scenarios/paper-*.yaml) that the scenario engine runs; this package
 // only turns their runs' records into the figures (paper.go). The Section V
-// extensions build a two-host rig of their own (extensions.go).
+// extensions and the operational experiments are scenario files too, which
+// Scenario renders.
 package experiments
 
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"riptide/internal/cdn"
 	"riptide/internal/model"
@@ -50,6 +52,21 @@ var InitCwnds = []int{10, 25, 50, 100}
 
 // curvePoints is the resolution of rendered CDFs.
 const curvePoints = 60
+
+// Fig1Timeline renders the paper's Figure 1 illustration: a file one
+// segment larger than the initial window needs a whole extra round trip.
+func Fig1Timeline() (Result, error) {
+	const fileBytes = 11 * workload.DefaultMSS // one segment over IW10
+	timeline, err := model.RenderTimeline(fileBytes, 125*time.Millisecond, workload.DefaultMSS, 10, 11)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{
+		ID:    "fig1",
+		Title: "A file larger than the initial congestion window needs an extra RTT",
+		Notes: []string{timeline},
+	}, nil
+}
 
 // Fig2FileSizes reproduces Figure 2: the CDF of object sizes in a
 // production CDN, with the headline statistic that ~54% of files exceed the

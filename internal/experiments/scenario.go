@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"riptide/internal/scenario"
 	"riptide/scenarios"
 )
 
@@ -19,13 +20,19 @@ func Scenario(name string) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	return RunScenario(sp)
+}
+
+// RunScenario is Scenario for a spec already loaded, which lets a caller
+// change it first (riptide-sim -seed replaces its seed).
+func RunScenario(sp *scenario.Spec) (Result, error) {
 	rep, err := sp.Run(nil)
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{ID: "scenario-" + name, Title: rep.Description}
+	res := Result{ID: "scenario-" + sp.Name, Title: rep.Description}
 	if res.Title == "" {
-		res.Title = name
+		res.Title = sp.Name
 	}
 	for _, a := range rep.Assertions {
 		verdict := "holds"
@@ -71,7 +78,7 @@ func Scenario(name string) (Result, error) {
 	}
 	res.Tables = []Table{tbl}
 	if !rep.Pass {
-		return res, fmt.Errorf("experiments: scenario %s failed its assertions: %s", name, strings.Join(res.Notes, "; "))
+		return res, fmt.Errorf("experiments: scenario %s failed its assertions: %s", sp.Name, strings.Join(res.Notes, "; "))
 	}
 	return res, nil
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -57,23 +58,47 @@ func refusedByWeight(params string) bool {
 	return false
 }
 
-// Gzip scratch pools: fleet endpoints compress every response a peer asks
-// gzipped, and a converged fleet asks every interval — allocating a fresh
-// 800KB-state gzip.Writer (plus an output buffer) per response is pure
-// churn. Writers are Reset between uses; buffers hand their bytes to the
-// caller via copy so the pool never aliases live data.
+// Gzip scratch: fleet endpoints compress every response a peer asks gzipped,
+// and a converged fleet asks every interval. A BestSpeed gzip.Writer builds a
+// ≈1.2 MB compressor on its first write, so the idle writers are kept in
+// gzipWriters, at most one per processor, which no garbage collection empties
+// (a sync.Pool drops its items at every other one, and a serve after that
+// re-buys the compressor). Output buffers, a fraction of that, stay in a
+// sync.Pool; they hand their bytes to the caller by copy, so no pool aliases
+// live data.
 //
 // The level is BestSpeed. On a churn round's 640 KB delta the default level
 // spends 5.3 ms to save 6 KB over BestSpeed's 1.7 ms (DESIGN.md has the
 // table), and the box that pays it is a production host answering every peer
 // every interval.
 var (
-	gzipWriterPool = sync.Pool{New: func() any {
-		zw, _ := gzip.NewWriterLevel(io.Discard, gzip.BestSpeed) // the level is valid
-		return zw
-	}}
+	// One idle writer per processor: as many serves can compress at once.
+	gzipWriters = make(chan *gzip.Writer, runtime.GOMAXPROCS(0))
 	gzipBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 )
+
+// gzipTo compresses data into buf with an idle writer, or a new one when
+// every kept writer is busy, and keeps the writer afterwards if the list
+// has room.
+func gzipTo(buf *bytes.Buffer, data []byte) error {
+	var zw *gzip.Writer
+	select {
+	case zw = <-gzipWriters:
+		zw.Reset(buf)
+	default:
+		zw, _ = gzip.NewWriterLevel(buf, gzip.BestSpeed) // the level is valid
+	}
+	_, err := zw.Write(data)
+	if cerr := zw.Close(); err == nil {
+		err = cerr
+	}
+	zw.Reset(io.Discard) // an idle writer holds no caller's buffer
+	select {
+	case gzipWriters <- zw:
+	default:
+	}
+	return err
+}
 
 // gzipBytes compresses body into a freshly allocated slice using pooled
 // compression scratch. Used to fill response caches, where the output is
@@ -81,18 +106,11 @@ var (
 func gzipBytes(body []byte) ([]byte, error) {
 	buf := gzipBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	zw := gzipWriterPool.Get().(*gzip.Writer)
-	zw.Reset(buf)
-	_, werr := zw.Write(body)
-	cerr := zw.Close()
-	gzipWriterPool.Put(zw)
-	if werr == nil {
-		werr = cerr
-	}
+	err := gzipTo(buf, body)
 	out := append([]byte(nil), buf.Bytes()...)
 	gzipBufPool.Put(buf)
-	if werr != nil {
-		return nil, werr
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -106,18 +124,11 @@ func writeJSON(w http.ResponseWriter, r *http.Request, data []byte) int {
 	if acceptsGzip(r) {
 		buf := gzipBufPool.Get().(*bytes.Buffer)
 		buf.Reset()
-		zw := gzipWriterPool.Get().(*gzip.Writer)
-		zw.Reset(buf)
-		zw.Write(data)
-		err := zw.Close()
-		gzipWriterPool.Put(zw)
-		if err == nil {
+		defer gzipBufPool.Put(buf)
+		if gzipTo(buf, data) == nil {
 			w.Header().Set("Content-Encoding", "gzip")
-			n := writeBody(w, buf.Bytes())
-			gzipBufPool.Put(buf)
-			return n
+			return writeBody(w, buf.Bytes())
 		}
-		gzipBufPool.Put(buf)
 	}
 	return writeBody(w, data)
 }

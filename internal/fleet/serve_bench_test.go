@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"fmt"
 	"io"
@@ -10,9 +11,11 @@ import (
 	"net/netip"
 	"net/url"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
+	"riptide/internal/allocbudget"
 	"riptide/internal/core"
 	gossippkg "riptide/internal/gossip"
 )
@@ -346,7 +349,8 @@ func BenchmarkPullDeltaRound(b *testing.B) {
 // entry: a string per prefix would read 7000 more. Its bytes do not hold a
 // table-shaped temporary either — the smallest of those, 7000 merge-form
 // entries, is 390 KB. Bytes are the cheapest of several rounds, because a
-// sync.Pool emptied by a GC (or, under -race, at random) re-buys a gzip writer.
+// sync.Pool emptied by a GC (or, under -race, at random) re-buys an output
+// buffer.
 func TestPullDeltaRoundAllocs(t *testing.T) {
 	var allocs, kb [2]float64
 	for i, k := range []int{8, 7000} {
@@ -369,6 +373,101 @@ func TestPullDeltaRoundAllocs(t *testing.T) {
 	if kb[1] > kb[0]+150 {
 		t.Errorf("?since= round: %.0f KB for 8 entries, %.0f KB for 7000; want no table-shaped temporary", kb[0], kb[1])
 	}
+}
+
+// TestServeKeepsGzipWriterAcrossGC: the compressor a gzipped serve uses
+// outlives garbage collections. It serves 20 small ?since= deltas with the
+// heap collected between each one (twice, which empties any sync.Pool), and
+// no serve may allocate half of what one BestSpeed gzip.Writer costs: a
+// serve that re-buys its compressor allocates all of it, ≈1.2 MB.
+func TestServeKeepsGzipWriterAcrossGC(t *testing.T) {
+	allocbudget.SkipUnderRace(t)
+	compressor := allocatedBy(newCompressor)
+	a, _, _ := newTestAgent(t, []core.Observation{obs(t, "192.0.2.1", 40)})
+	h, req := sinceFixture(t, a, 8)
+	w := &benchResponseWriter{}
+	h.ServeHTTP(w, req)
+	for i := 0; i < 20; i++ {
+		if got := allocatedBy(func() { h.ServeHTTP(w, req) }); got >= compressor/2 {
+			t.Fatalf("serve %d after a collection allocated %d bytes; a new compressor is %d", i, got, compressor)
+		}
+		if w.n == 0 || w.code != 0 || w.h.Get("Content-Encoding") != "gzip" {
+			t.Fatalf("serve %d: status %d, %d bytes, encoding %q", i, w.code, w.n, w.h.Get("Content-Encoding"))
+		}
+	}
+}
+
+// TestGzipWritersRetainedUnderFanIn prices the kept writers on a host that
+// answers many peers at once: after rounds of 4×GOMAXPROCS concurrent
+// ?since= serves, the free list holds at most GOMAXPROCS writers, and the
+// heap a collection leaves is under one compressor more than those it keeps.
+func TestGzipWritersRetainedUnderFanIn(t *testing.T) {
+	allocbudget.SkipUnderRace(t)
+	compressor := allocatedBy(newCompressor)
+	a, _, _ := newTestAgent(t, []core.Observation{obs(t, "192.0.2.1", 40)})
+	h, req := sinceFixture(t, a, 8)
+	peers := 4 * runtime.GOMAXPROCS(0)
+	reqs := make([]*http.Request, peers)
+	for i := range reqs {
+		reqs[i] = req.Clone(context.Background())
+	}
+	// Start with no writer kept, so what is kept below is this test's.
+	for len(gzipWriters) > 0 {
+		<-gzipWriters
+	}
+	before := heapAfterGC()
+	for round := 0; round < 5; round++ {
+		var start, done sync.WaitGroup
+		start.Add(1)
+		for _, r := range reqs {
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				start.Wait()
+				h.ServeHTTP(&benchResponseWriter{}, r)
+			}()
+		}
+		start.Done()
+		done.Wait()
+	}
+	kept, retained := len(gzipWriters), int64(heapAfterGC())-int64(before)
+	t.Logf("%d concurrent serves: %d writers kept, %d bytes retained; one compressor is %d", peers, kept, retained, compressor)
+	if kept < 1 || kept > runtime.GOMAXPROCS(0) {
+		t.Errorf("%d writers kept, want 1..GOMAXPROCS (%d)", kept, runtime.GOMAXPROCS(0))
+	}
+	if retained >= int64(kept+1)*int64(compressor) {
+		t.Errorf("retained %d bytes with %d writers kept; a compressor is %d", retained, kept, compressor)
+	}
+}
+
+// newCompressor builds a BestSpeed gzip.Writer the way a serve first does:
+// the compressor is allocated on the first write.
+func newCompressor() {
+	zw, _ := gzip.NewWriterLevel(io.Discard, gzip.BestSpeed)
+	zw.Write([]byte{0})
+	zw.Close()
+}
+
+// allocatedBy returns the bytes f allocates, measured from a heap that two
+// collections have emptied of every sync.Pool's items.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// heapAfterGC returns the live heap once two collections have emptied every
+// sync.Pool.
+func heapAfterGC() uint64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }
 
 // BenchmarkServeDeltaSince is a churn round's pull: a 100k table of which 1 %

@@ -171,10 +171,16 @@ type runState struct {
 }
 
 // cluster builds arm's simulated fleet: the fleet block's config with the
-// arm's riptide options.
+// arm's riptide options, and an advisor on the agents of every PoP an
+// expect_shift event warns.
 func (sp *Spec) cluster(arm Arm) (*cdn.Cluster, error) {
 	cfg := sp.Fleet
 	cfg.Riptide = arm.Riptide
+	for _, ev := range sp.Events {
+		if w, ok := ev.Payload.(*cdn.ShiftWarning); ok {
+			cfg.Riptide.Advised = append(cfg.Riptide.Advised, w.PoPs...)
+		}
+	}
 	return cdn.NewCluster(cfg)
 }
 

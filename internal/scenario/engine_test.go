@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"riptide/internal/core"
 	"riptide/internal/guard"
 )
 
@@ -366,6 +367,8 @@ compare:
     combiner: traffic-weighted
     history: ewma
     guard: false
+  trend:
+    history: trend
 `
 	// guarded holds the four guard keys (guard.Config also holds a Clock,
 	// which makes it incomparable).
@@ -388,16 +391,15 @@ compare:
 		"riptide": {120, 4, 0.3, 2 * time.Second, 45 * time.Second, 24, "max", "none",
 			guarded{0.1, 30, 3, 7 * time.Minute}},
 		"tuned": {80, 6, 0.7, 3 * time.Second, 2 * time.Minute, 16, "traffic-weighted", "ewma", guarded{}},
+		"trend": {120, 4, 0.3, 2 * time.Second, 45 * time.Second, 24, "max", "trend",
+			guarded{0.1, 30, 3, 7 * time.Minute}},
 	}
 	sp, err := Parse([]byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// history: ewma leaves the policy nil, so the agent runs its inline
-	// EWMA (and reports a detached EWMAHistory through Config).
-	if h := sp.Arms[0].Riptide.History; h != nil {
-		t.Errorf("history: ewma decoded to %T, want nil", h)
-	}
+	// A stateful history policy serves one agent: no two agents share one.
+	policies := make(map[core.HistoryPolicy]bool)
 	for _, arm := range append([]Arm{sp.mainRun()}, sp.Arms...) {
 		c, err := sp.cluster(arm)
 		if err != nil {
@@ -415,6 +417,12 @@ compare:
 					got.guard = guarded{gc.Holdback, gc.MinSegments, gc.HysteresisTicks, gc.QuarantineTTL}
 				} else if cfg.Guard != nil {
 					t.Errorf("%s: governor %T", arm.Name, cfg.Guard)
+				}
+				if h, ok := cfg.History.(*core.TrendHistory); ok {
+					if policies[h] {
+						t.Errorf("%s agent %s shares its trend history", arm.Name, p.Name)
+					}
+					policies[h] = true
 				}
 				if got != want[arm.Name] {
 					t.Errorf("%s agent %s: knobs %+v, want %+v", arm.Name, p.Name, got, want[arm.Name])

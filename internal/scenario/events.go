@@ -12,7 +12,7 @@ import (
 
 // eventKinds names every supported event, for error messages.
 var eventKinds = []string{
-	"capacity_cut", "degradation", "enable_gossip_sharing",
+	"capacity_cut", "degradation", "enable_gossip_sharing", "expect_shift",
 	"flash_crowd", "host_reboot", "path_flap", "peer_partition", "rolling_reboots",
 	"set_knob", "start_cwnd_sampling",
 }
@@ -89,8 +89,8 @@ func parseEvent(n *Node, pops map[string]bool, total time.Duration, baseLoss flo
 
 // field binds one key of a mapping to where its value is stored: a *string,
 // *[]string, *time.Duration, *bool, *int, *int64 or *float64, a
-// *core.Combiner or *core.HistoryPolicy that the value names, or a **Node
-// that keeps a nested block for its own decoder.
+// *core.Combiner that the value names, or a **Node that keeps a nested block
+// for its own decoder.
 type field struct {
 	key string
 	dst any
@@ -142,19 +142,6 @@ func decodeFields(n *Node, kind string, fields ...field) error {
 				err = fmt.Errorf("line %d: %s %q unknown (valid: average max traffic-weighted)", v.Line, f.key, name)
 			}
 			*dst = c
-		case *core.HistoryPolicy:
-			var name string
-			if name, err = v.Str(); err != nil {
-				break
-			}
-			switch name {
-			case "ewma": // nil: the agent's inline EWMA
-				*dst = nil
-			case "none":
-				*dst = core.NoHistory{}
-			default:
-				err = fmt.Errorf("line %d: %s %q unknown (valid: ewma none)", v.Line, f.key, name)
-			}
 		case **Node:
 			*dst = v
 		default:
@@ -204,6 +191,9 @@ func parsePayload(kind string, n *Node, at time.Duration, baseLoss float64) (any
 		e := &GossipSharingEvent{Mode: string(cdn.GossipLadder), Peers: string(cdn.GossipPeersAll)}
 		return e, decodeFields(n, kind, field{"interval", &e.Interval}, field{"mode", &e.Mode},
 			field{"peers", &e.Peers}, field{"seed_entries", &e.SeedEntries})
+	case "expect_shift":
+		e := &cdn.ShiftWarning{At: at}
+		return e, decodeFields(n, kind, field{"pops", &e.PoPs}, field{"to", &e.To}, field{"factor", &e.Factor})
 	case "start_cwnd_sampling":
 		e := &CwndSamplingEvent{}
 		return e, decodeFields(n, kind, field{"pops", &e.PoPs})
@@ -250,6 +240,14 @@ func (ev Event) validate(pops map[string]bool, total time.Duration) error {
 		for _, name := range p.PoPs {
 			if !pops[name] && err == nil {
 				err = fmt.Errorf("unknown PoP %q", name)
+			}
+		}
+	case *cdn.ShiftWarning:
+		if err = p.Validate(); err == nil {
+			for _, name := range append([]string{p.To}, p.PoPs...) {
+				if !pops[name] && err == nil {
+					err = fmt.Errorf("unknown PoP %q", name)
+				}
 			}
 		}
 	case interface{ Validate() error }: // the cdn fault types

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"riptide/internal/cdn"
+	"riptide/internal/core"
 	"riptide/internal/guard"
 	"riptide/internal/workload"
 )
@@ -379,10 +380,13 @@ func riptideFields(r *cdn.RiptideOptions) []field {
 
 // checkRiptide range-checks the riptideFields keys n sets.
 func checkRiptide(n *Node, r *cdn.RiptideOptions) error {
+	_, histErr := core.HistoryByName(r.History, 0)
 	return firstErr(
 		rangeErr(n, "cmax", r.CMax >= 0, "cmax %d must not be negative", r.CMax),
 		rangeErr(n, "cmin", r.CMin >= 0, "cmin %d must not be negative", r.CMin),
+		rangeErr(n, "alpha", r.Alpha >= 0 && r.Alpha <= 1, "alpha %v out of range [0,1]", r.Alpha),
 		rangeErr(n, "prefix_bits", r.PrefixBits >= 0, "prefix_bits %d must not be negative", r.PrefixBits),
+		rangeErr(n, "history", histErr == nil, "history %q unknown (valid: ewma none trend)", r.History),
 	)
 }
 

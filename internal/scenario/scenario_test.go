@@ -153,6 +153,14 @@ func TestParseRejections(t *testing.T) {
 		{"cwnd sampler on an unknown PoP", mutate(t, "  - at: 2m\n    capacity_cut:", "  - at: 1m\n    start_cwnd_sampling: {pops: [syd]}\n  - at: 2m\n    capacity_cut:"), `unknown PoP "syd"`},
 		{"cwnd sampler with its own cadence", mutate(t, "  - at: 2m\n    capacity_cut:", "  - at: 1m\n    start_cwnd_sampling: {interval: 30s}\n  - at: 2m\n    capacity_cut:"), `unknown key "interval"`},
 		{"unknown history", mutate(t, "    cmax: 100", "    cmax: 100\n    history: fifo"), `history "fifo" unknown`},
+		{"trend history with alpha past 1", mutate(t, "    cmax: 100", "    cmax: 100\n    history: trend\n    alpha: 1.5"), "alpha 1.5 out of range [0,1]"},
+		{"unknown history lists every policy", mutate(t, "    cmax: 100", "    cmax: 100\n    history: fifo"), "(valid: ewma none trend)"},
+		{"shift warning damping past 1", mutate(t, "  - at: 2m\n    capacity_cut:", "  - at: 1m\n    expect_shift: {pops: [lhr], to: jfk, factor: 1.5}\n  - at: 2m\n    capacity_cut:"), "factor 1.5 out of (0,1]"},
+		{"shift warning without damping", mutate(t, "  - at: 2m\n    capacity_cut:", "  - at: 1m\n    expect_shift: {pops: [lhr], to: jfk}\n  - at: 2m\n    capacity_cut:"), "factor 0 out of (0,1]"},
+		{"shift warning onto an unknown PoP", mutate(t, "  - at: 2m\n    capacity_cut:", "  - at: 1m\n    expect_shift: {pops: [lhr], to: syd, factor: 0.5}\n  - at: 2m\n    capacity_cut:"), `unknown PoP "syd"`},
+		{"shift warning to an unknown PoP", mutate(t, "  - at: 2m\n    capacity_cut:", "  - at: 1m\n    expect_shift: {pops: [syd], to: jfk, factor: 0.5}\n  - at: 2m\n    capacity_cut:"), `unknown PoP "syd"`},
+		{"shift warning about itself", mutate(t, "  - at: 2m\n    capacity_cut:", "  - at: 1m\n    expect_shift: {pops: [lhr, jfk], to: jfk, factor: 0.5}\n  - at: 2m\n    capacity_cut:"), `warns "jfk" about itself`},
+		{"shift warning to nobody", mutate(t, "  - at: 2m\n    capacity_cut:", "  - at: 1m\n    expect_shift: {to: jfk, factor: 0.5}\n  - at: 2m\n    capacity_cut:"), "names no PoP"},
 		{"sharing not at zero", mutate(t, "  - at: 0s\n    enable_gossip_sharing:", "  - at: 0s\n    peer_partition: {a: lhr, b: fra, for: 10s}\n  - at: 1s\n    enable_gossip_sharing:"), "at 0s"},
 	}
 	for _, tc := range cases {

@@ -1,7 +1,7 @@
-// Package trace serializes the reproduction's measurement records — probe
+// Package trace exports the reproduction's measurement records — probe
 // completions and congestion-window samples — as CSV for external analysis
-// (plotting the paper's figures with any tool), and loads them back for
-// offline re-analysis.
+// (plotting the paper's figures with any tool). It writes only: the report
+// does the statistics (KS tests, bootstrap intervals) in process.
 package trace
 
 import (
@@ -10,7 +10,6 @@ import (
 	"io"
 	"net/netip"
 	"strconv"
-	"time"
 
 	"riptide/internal/cdn"
 )
@@ -50,88 +49,6 @@ func WriteProbes(w io.Writer, records []cdn.ProbeRecord) error {
 	return cw.Error()
 }
 
-// ReadProbes parses CSV written by WriteProbes. The bucket column is
-// recomputed from the RTT, so hand-edited files stay consistent.
-func ReadProbes(r io.Reader) ([]cdn.ProbeRecord, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("trace: read csv: %w", err)
-	}
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	if len(rows[0]) != len(probeHeader) || rows[0][0] != "src" {
-		return nil, fmt.Errorf("trace: unexpected header %v", rows[0])
-	}
-	records := make([]cdn.ProbeRecord, 0, len(rows)-1)
-	for i, row := range rows[1:] {
-		rec, err := parseProbeRow(row)
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d: %w", i+2, err)
-		}
-		records = append(records, rec)
-	}
-	return records, nil
-}
-
-func parseProbeRow(row []string) (cdn.ProbeRecord, error) {
-	if len(row) != len(probeHeader) {
-		return cdn.ProbeRecord{}, fmt.Errorf("want %d columns, got %d", len(probeHeader), len(row))
-	}
-	srcHost, err := parseAddr(row[2])
-	if err != nil {
-		return cdn.ProbeRecord{}, fmt.Errorf("src_host: %w", err)
-	}
-	dstHost, err := parseAddr(row[3])
-	if err != nil {
-		return cdn.ProbeRecord{}, fmt.Errorf("dst_host: %w", err)
-	}
-	size, err := strconv.Atoi(row[4])
-	if err != nil {
-		return cdn.ProbeRecord{}, fmt.Errorf("size: %w", err)
-	}
-	rttMs, err := strconv.ParseInt(row[5], 10, 64)
-	if err != nil {
-		return cdn.ProbeRecord{}, fmt.Errorf("rtt: %w", err)
-	}
-	elapsedMs, err := strconv.ParseInt(row[7], 10, 64)
-	if err != nil {
-		return cdn.ProbeRecord{}, fmt.Errorf("elapsed: %w", err)
-	}
-	rounds, err := strconv.Atoi(row[8])
-	if err != nil {
-		return cdn.ProbeRecord{}, fmt.Errorf("rounds: %w", err)
-	}
-	initCwnd, err := strconv.Atoi(row[9])
-	if err != nil {
-		return cdn.ProbeRecord{}, fmt.Errorf("initcwnd: %w", err)
-	}
-	fresh, err := strconv.ParseBool(row[10])
-	if err != nil {
-		return cdn.ProbeRecord{}, fmt.Errorf("fresh: %w", err)
-	}
-	atMs, err := strconv.ParseInt(row[11], 10, 64)
-	if err != nil {
-		return cdn.ProbeRecord{}, fmt.Errorf("at: %w", err)
-	}
-	rtt := time.Duration(rttMs) * time.Millisecond
-	return cdn.ProbeRecord{
-		Src:       row[0],
-		Dst:       row[1],
-		SrcHost:   srcHost,
-		DstHost:   dstHost,
-		SizeBytes: size,
-		RTT:       rtt,
-		Bucket:    cdn.BucketFor(rtt),
-		Elapsed:   time.Duration(elapsedMs) * time.Millisecond,
-		Rounds:    rounds,
-		InitCwnd:  initCwnd,
-		FreshConn: fresh,
-		At:        time.Duration(atMs) * time.Millisecond,
-	}, nil
-}
-
 // addrString renders an address, using "" for the zero value so files stay
 // readable when host detail is absent.
 func addrString(a netip.Addr) string {
@@ -139,14 +56,6 @@ func addrString(a netip.Addr) string {
 		return ""
 	}
 	return a.String()
-}
-
-// parseAddr is the inverse of addrString.
-func parseAddr(s string) (netip.Addr, error) {
-	if s == "" {
-		return netip.Addr{}, nil
-	}
-	return netip.ParseAddr(s)
 }
 
 // cwndHeader is the CSV schema for window samples.
@@ -173,50 +82,4 @@ func WriteCwndSamples(w io.Writer, samples []cdn.CwndSample) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCwndSamples parses CSV written by WriteCwndSamples.
-func ReadCwndSamples(r io.Reader) ([]cdn.CwndSample, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("trace: read csv: %w", err)
-	}
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	if len(rows[0]) != len(cwndHeader) || rows[0][3] != "cwnd" {
-		return nil, fmt.Errorf("trace: unexpected header %v", rows[0])
-	}
-	samples := make([]cdn.CwndSample, 0, len(rows)-1)
-	for i, row := range rows[1:] {
-		if len(row) != len(cwndHeader) {
-			return nil, fmt.Errorf("trace: row %d: want %d columns, got %d", i+2, len(cwndHeader), len(row))
-		}
-		host, err := parseAddr(row[1])
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d host: %w", i+2, err)
-		}
-		cwnd, err := strconv.Atoi(row[3])
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d cwnd: %w", i+2, err)
-		}
-		opened, err := strconv.ParseBool(row[4])
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d opened: %w", i+2, err)
-		}
-		atMs, err := strconv.ParseInt(row[5], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d at: %w", i+2, err)
-		}
-		samples = append(samples, cdn.CwndSample{
-			Src:              row[0],
-			Host:             host,
-			Dst:              row[2],
-			Cwnd:             cwnd,
-			OpenedAfterStart: opened,
-			At:               time.Duration(atMs) * time.Millisecond,
-		})
-	}
-	return samples, nil
 }

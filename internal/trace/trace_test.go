@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"net/netip"
-	"strings"
 	"testing"
 	"time"
 
@@ -29,117 +28,81 @@ func sampleProbes() []cdn.ProbeRecord {
 	}
 }
 
-func TestProbeRoundTrip(t *testing.T) {
+const probeHeaderLine = "src,dst,src_host,dst_host,size_bytes,rtt_ms,bucket,elapsed_ms,rounds,initcwnd,fresh_conn,at_ms\n"
+
+// TestWriteProbes pins the probe CSV byte for byte: the header, one column
+// per field in header order, durations in whole milliseconds, the bucket's
+// name, and an empty cell for an unset host address.
+func TestWriteProbes(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteProbes(&buf, sampleProbes()); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadProbes(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sampleProbes()
-	if len(got) != len(want) {
-		t.Fatalf("got %d records, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("record %d = %+v, want %+v", i, got[i], want[i])
-		}
+	want := probeHeaderLine +
+		"lhr,jfk,10.1.0.1,10.11.0.2,51200,80," + cdn.BucketMedium.String() + ",320,4,80,true,300000\n" +
+		"jfk,nrt,,,102400,190," + cdn.BucketVeryFar.String() + ",380,2,100,false,360000\n"
+	if got := buf.String(); got != want {
+		t.Errorf("probe CSV:\n%s\nwant:\n%s", got, want)
 	}
 }
 
+// TestWriteProbesQuoting pins CSV escaping: PoP labels with commas, quotes
+// and newlines are quoted, with inner quotes doubled, so any CSV reader gets
+// the labels back.
+func TestWriteProbesQuoting(t *testing.T) {
+	recs := []cdn.ProbeRecord{{
+		Src: `lhr, "west"`, Dst: "jfk\nannex",
+		RTT: 10 * time.Millisecond, Bucket: cdn.BucketFor(10 * time.Millisecond),
+		At: time.Second,
+	}}
+	var buf bytes.Buffer
+	if err := WriteProbes(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	want := probeHeaderLine +
+		`"lhr, ""west""","jfk` + "\n" + `annex",,,0,10,` + recs[0].Bucket.String() + ",0,0,0,false,1000\n"
+	if got := buf.String(); got != want {
+		t.Errorf("quoted probe CSV:\n%q\nwant:\n%q", got, want)
+	}
+}
+
+// TestWriteProbesEmpty: no records is the header alone.
 func TestWriteProbesEmpty(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteProbes(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 1 || !strings.HasPrefix(lines[0], "src,") {
-		t.Errorf("empty export = %q", buf.String())
-	}
-	got, err := ReadProbes(strings.NewReader(buf.String()))
-	if err != nil || len(got) != 0 {
-		t.Errorf("round trip of empty export = %v, %v", got, err)
+	if got := buf.String(); got != probeHeaderLine {
+		t.Errorf("empty export = %q, want the header alone", got)
 	}
 }
 
-func TestReadProbesEmptyInput(t *testing.T) {
-	got, err := ReadProbes(strings.NewReader(""))
-	if err != nil || got != nil {
-		t.Errorf("empty input = %v, %v", got, err)
-	}
-}
-
-func TestReadProbesBadHeader(t *testing.T) {
-	if _, err := ReadProbes(strings.NewReader("a,b,c\n")); err == nil {
-		t.Error("bad header accepted")
-	}
-}
-
-func TestReadProbesBadRow(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteProbes(&buf, sampleProbes()[:1]); err != nil {
-		t.Fatal(err)
-	}
-	corrupted := strings.Replace(buf.String(), "51200", "not-a-number", 1)
-	if _, err := ReadProbes(strings.NewReader(corrupted)); err == nil {
-		t.Error("corrupted row accepted")
-	}
-}
-
-func TestReadProbesRecomputesBucket(t *testing.T) {
-	var buf bytes.Buffer
-	recs := sampleProbes()[:1]
-	recs[0].Bucket = cdn.BucketVeryFar // wrong on purpose; RTT says medium
-	if err := WriteProbes(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadProbes(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].Bucket != cdn.BucketMedium {
-		t.Errorf("bucket = %v, want recomputed medium", got[0].Bucket)
-	}
-}
-
-func sampleCwnd() []cdn.CwndSample {
-	return []cdn.CwndSample{
+// TestWriteCwndSamples pins the window CSV byte for byte, an empty slice
+// included.
+func TestWriteCwndSamples(t *testing.T) {
+	const header = "src,host,dst,cwnd,opened_after_start,at_ms\n"
+	samples := []cdn.CwndSample{
 		{Src: "lhr", Host: netip.MustParseAddr("10.1.0.1"), Dst: "10.11.0.1", Cwnd: 100, OpenedAfterStart: true, At: 3 * time.Minute},
 		{Src: "gru", Dst: "10.1.0.1", Cwnd: 12, OpenedAfterStart: false, At: 4 * time.Minute},
+		{Src: "a,b", Dst: `"x"`, Cwnd: 10, At: time.Millisecond},
 	}
-}
-
-func TestCwndRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteCwndSamples(&buf, sampleCwnd()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCwndSamples(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sampleCwnd()
-	if len(got) != len(want) {
-		t.Fatalf("got %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("sample %d = %+v, want %+v", i, got[i], want[i])
+	for _, tc := range []struct {
+		name    string
+		samples []cdn.CwndSample
+		want    string
+	}{
+		{"samples", samples, header +
+			"lhr,10.1.0.1,10.11.0.1,100,true,180000\n" +
+			"gru,,10.1.0.1,12,false,240000\n" +
+			`"a,b",,"""x""",10,false,1` + "\n"},
+		{"empty", nil, header},
+	} {
+		var buf bytes.Buffer
+		if err := WriteCwndSamples(&buf, tc.samples); err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-func TestReadCwndBadInput(t *testing.T) {
-	if _, err := ReadCwndSamples(strings.NewReader("x,y\n")); err == nil {
-		t.Error("bad header accepted")
-	}
-	if _, err := ReadCwndSamples(strings.NewReader("src,host,dst,cwnd,opened_after_start,at_ms\nlhr,10.1.0.1,x,NaN,true,1\n")); err == nil {
-		t.Error("bad cwnd accepted")
-	}
-	got, err := ReadCwndSamples(strings.NewReader(""))
-	if err != nil || got != nil {
-		t.Errorf("empty input = %v, %v", got, err)
+		if got := buf.String(); got != tc.want {
+			t.Errorf("%s: cwnd CSV:\n%q\nwant:\n%q", tc.name, got, tc.want)
+		}
 	}
 }
