@@ -68,9 +68,9 @@ fuzz-guard:
 	$(GO) test -fuzz=FuzzGovernorObserve -fuzztime=30s ./internal/guard
 
 # Fuzz the gossip wire decoders: arbitrary delta payloads (the bytes a fleet
-# peer hands us) must never panic, and whatever decodes must re-encode to an
-# equivalent message. FuzzDecodeDelta is also the differential for the delta
-# scanner: what it accepts, json.Unmarshal decodes identically.
+# peer hands us) must never panic. The binary delta wire is canonical, so
+# whatever FuzzDecodeDelta's decoder accepts must re-encode to the same bytes,
+# and its merge-form sink must hold ToCore of the wire entries.
 # FuzzDecodeDigest covers the retired digest decoder, which stays only while
 # bench/rig.go names it.
 fuzz-gossip:

@@ -1,6 +1,7 @@
 package cdn
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -212,10 +213,10 @@ func TestShiftWarningScenario(t *testing.T) {
 	fraBefore, _ := c.Agent("jfk").Lookup(fra.Addr())
 	lhrBefore, _ := c.Agent("lhr").Lookup(jfk.Addr())
 	c.Run(5 * time.Second)
-	// The advisor multiplies the smoothed window before the c_max clamp, so
-	// a window clamped at c_max drops to a quarter of what it smooths to.
-	if w, _ := c.Agent("jfk").Lookup(lhr.Addr()); w*3 > full*2 {
-		t.Errorf("warned jfk programs %d toward lhr, want well under its %d before the warning", w, full)
+	// The advisor damps the programmed window, clamp included: a quarter of
+	// the window before the warning.
+	if w, _ := c.Agent("jfk").Lookup(lhr.Addr()); w != int(math.Round(float64(full)*0.25)) {
+		t.Errorf("warned jfk programs %d toward lhr, want a quarter of its %d before the warning", w, full)
 	}
 	if w, _ := c.Agent("jfk").Lookup(fra.Addr()); w*3 <= fraBefore*2 {
 		t.Errorf("jfk's window toward fra fell from %d to %d; the warning names lhr", fraBefore, w)

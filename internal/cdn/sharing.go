@@ -47,7 +47,7 @@ const (
 // per round. They are the pullers' own counts (fleet.PeerHealth), a rebooted
 // machine's retired puller included. BytesOnWire is the response body bytes
 // the simulated wire carried: what riptided counts as
-// riptide_gossip_bytes_received — gzip at the server's level, nothing for a
+// riptide_gossip_bytes_received — the binary delta wire, nothing for a
 // 304 — and the number conditional deltas exist to shrink.
 type GossipStats struct {
 	Rounds      int64

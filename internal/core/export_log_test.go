@@ -10,10 +10,10 @@ import (
 	"time"
 )
 
-// rescanDelta is the delta export as it was before the export log: range
+// deltaByRescan is the delta export as it was before the export log: range
 // every state of the table and keep the installed ones stamped after the
 // cursor. It is the reference the log walk is pinned against.
-func rescanDelta(a *Agent, since uint64) []SnapshotEntry {
+func deltaByRescan(a *Agent, since uint64) []SnapshotEntry {
 	now := a.cfg.Clock()
 	var out []SnapshotEntry
 	tb := &a.tab
@@ -49,7 +49,7 @@ func checkExportLog(t *testing.T, a *Agent, stage string, cursors ...uint64) {
 	cur := a.TableVersion()
 	for _, since := range append(cursors, 0, cur/2, cur, cur+1) {
 		got, _ := a.ExportDelta(since)
-		want := rescanDelta(a, since)
+		want := deltaByRescan(a, since)
 		if !slices.Equal(got, want) {
 			i := 0
 			for i < len(got) && i < len(want) && got[i] == want[i] {

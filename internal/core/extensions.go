@@ -21,8 +21,8 @@ import (
 // Advisor supplies a system-level damping factor for a destination's
 // programmed window. Implementations must be safe for concurrent use.
 type Advisor interface {
-	// Advise returns a multiplier in (0, 1] applied to the window before
-	// clamping. Returning 1 means no adjustment.
+	// Advise returns a multiplier in (0, 1] applied to the clamped window,
+	// which is then clamped again. Returning 1 means no adjustment.
 	Advise(dst netip.Prefix) float64
 }
 

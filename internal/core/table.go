@@ -944,7 +944,7 @@ func (a *Agent) joinGroupLocked(key netip.Prefix, idx int32) *destState {
 }
 
 // planDest decides one observed destination's window for the round from its
-// group's combined value — smooth, advise, clamp, review — then refreshes the
+// group's combined value — smooth, clamp, advise, review — then refreshes the
 // installed entry and plans a route op if the window moved (or the install is
 // still pending). Both plan paths call it for every group they visit. It
 // reports whether the round was a steady refresh: the route installed and its
@@ -952,15 +952,18 @@ func (a *Agent) joinGroupLocked(key netip.Prefix, idx int32) *destState {
 func (a *Agent) planDest(key netip.Prefix, st *destState, value float64, now time.Duration) (steady bool) {
 	tb := &a.tab
 	n := int(st.prevN)
-	smoothed := a.smooth(st, key, value)
+	final := a.clamp(a.smooth(st, key, value))
 	if a.cfg.Advisor != nil {
+		// The factor damps the window the destination would be programmed
+		// with, so it applies past the c_max clamp: 0.25 of a window held at
+		// c_max is a quarter of c_max, not a quarter of a smoothed value far
+		// above it. The damped window is clamped again, to c_min.
 		if m := a.cfg.Advisor.Advise(key); isFinite(m) {
-			smoothed *= m
+			final = a.clamp(float64(final) * m)
 		} else {
 			tb.delta.advisorRejects++
 		}
 	}
-	final := a.clamp(smoothed)
 
 	if a.cfg.Guard != nil {
 		capped, action := a.cfg.Guard.Review(key, final)

@@ -15,6 +15,8 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"net/netip"
+	"strconv"
 	"time"
 
 	"riptide/internal/core"
@@ -105,14 +107,59 @@ func Encode(s Snapshot) ([]byte, error) {
 
 // appendSnapshot appends the wire form of s carrying entries in place of
 // s.Entries: exactly Encode(s) with s.Entries = gossip.FromCore(entries),
-// the entry array written by the encoder the delta bodies use.
+// the entry array written straight from the export.
 func appendSnapshot(dst []byte, s Snapshot, entries []core.SnapshotEntry) ([]byte, error) {
 	s.Entries = nil
 	head, err := Encode(s)
 	if err != nil {
 		return dst, err
 	}
-	return gossip.SpliceEntries(dst, head, entries), nil
+	// head ends in the null of the nil entries field, and its brace.
+	const tail = "null}"
+	dst = append(dst, head[:len(head)-len(tail)]...)
+	dst = appendEntries(dst, entries)
+	return append(dst, '}'), nil
+}
+
+// appendEntries appends the JSON array json.Marshal renders for
+// gossip.FromCore(entries) — `null` for a nil slice — without building the
+// wire entries or a string per prefix. The snapshot is the table's one JSON
+// form (the delta wire is binary), and it holds every entry, so it is worth
+// writing without reflection.
+func appendEntries(dst []byte, entries []core.SnapshotEntry) []byte {
+	if entries == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i := range entries {
+		e := &entries[i]
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"prefix":"`...)
+		if e.Prefix.IsValid() {
+			// CIDR text is digits, hex letters, '.', ':' and '/': nothing
+			// JSON or HTML escaping touches.
+			dst = e.Prefix.AppendTo(dst)
+		} else {
+			dst = append(dst, netip.Prefix{}.String()...)
+		}
+		dst = append(dst, `","window":`...)
+		dst = strconv.AppendInt(dst, int64(e.Window), 10)
+		dst = append(dst, `,"samples":`...)
+		dst = strconv.AppendUint(dst, e.Samples, 10)
+		dst = append(dst, `,"ageNanos":`...)
+		dst = strconv.AppendInt(dst, int64(e.Age), 10)
+		if e.Quarantined {
+			dst = append(dst, `,"quarantined":true`...)
+		}
+		if e.Version != 0 {
+			dst = append(dst, `,"modVersion":`...)
+			dst = strconv.AppendUint(dst, e.Version, 10)
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, ']')
 }
 
 // Decode parses a wire snapshot, rejecting every version but the current

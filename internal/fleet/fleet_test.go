@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"bytes"
+	"math"
 	"net/netip"
 	"strings"
 	"sync"
@@ -8,6 +10,7 @@ import (
 	"time"
 
 	"riptide/internal/core"
+	"riptide/internal/gossip"
 )
 
 // stubSampler returns its observations once, then nothing: one poll round's
@@ -256,6 +259,53 @@ func TestQuarantineMarkerRoundTrip(t *testing.T) {
 	}
 	if w, ok := routes.get(pfx(t, "192.0.2.1/32")); !ok || w != 40 {
 		t.Errorf("healthy entry = %d,%v; want 40,true", w, ok)
+	}
+}
+
+// TestAppendSnapshotMatchesEncode pins appendSnapshot, which writes the
+// entry array straight from the export, byte-for-byte against Encode of the
+// same snapshot with its entries converted by gossip.FromCore, over header
+// strings JSON escapes and every entry-shaped corner: both families, non-host
+// masks, 4-in-6, an invalid prefix, quarantine markers, unversioned entries,
+// negative fields and the integer extremes.
+func TestAppendSnapshotMatchesEncode(t *testing.T) {
+	corners := []core.SnapshotEntry{
+		{Prefix: netip.MustParsePrefix("203.0.113.7/32"), Window: 42, Samples: 1234, Age: 3 * time.Second, Version: 17},
+		{Prefix: netip.MustParsePrefix("10.0.0.0/8"), Window: 10, Samples: 1, Version: 1},
+		{Prefix: netip.MustParsePrefix("2001:db8::1/128"), Window: 64, Samples: 9, Age: time.Nanosecond, Version: math.MaxUint64},
+		{Prefix: netip.MustParsePrefix("2001:db8:aa00::/40"), Window: 11, Samples: math.MaxUint64, Age: math.MaxInt64, Version: 2},
+		{Prefix: netip.MustParsePrefix("::ffff:192.0.2.1/128"), Window: 12, Samples: 3, Version: 3},
+		{Prefix: netip.MustParsePrefix("::/0"), Window: math.MaxInt64, Age: math.MinInt64},
+		{Prefix: netip.MustParsePrefix("198.51.100.9/32"), Age: 5 * time.Second, Quarantined: true},
+		{Prefix: netip.MustParsePrefix("198.51.100.0/24"), Window: -4, Age: -time.Second, Quarantined: true, Version: 8},
+		{Window: 30, Samples: 2, Version: 4}, // zero Prefix
+	}
+	for _, head := range []Snapshot{
+		{Version: Version},
+		{Version: Version, Source: "host-a", Instance: "boot-1", TableVersion: math.MaxUint64, CreatedUnixNano: -1},
+		{Version: Version, Source: "a\"b\\c\n\t\x00\x1f", Instance: "<script>&amp;</script>  ", TableVersion: 1},
+		{Version: Version, Source: "hôte-日本", Instance: "bad-utf8-\xff\xfe", CreatedUnixNano: 1700000000},
+	} {
+		for _, entries := range [][]core.SnapshotEntry{nil, {}, corners[:1], corners} {
+			want := head
+			if entries != nil {
+				want.Entries = gossip.FromCore(entries)
+			}
+			wantBytes, err := Encode(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := appendSnapshot([]byte("kept:"), head, entries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, append([]byte("kept:"), wantBytes...)) {
+				t.Errorf("source %q, %d entries:\n got %s\nwant kept:%s", head.Source, len(entries), got, wantBytes)
+			}
+		}
+	}
+	if _, err := appendSnapshot(nil, Snapshot{Version: Version + 1}, nil); err == nil {
+		t.Error("appendSnapshot encoded an unknown snapshot version")
 	}
 }
 

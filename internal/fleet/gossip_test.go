@@ -312,9 +312,10 @@ func TestSnapshotHandlerServesGzip(t *testing.T) {
 	}
 }
 
-// TestReadBodyCapsDecompressedSize: a tiny compressed body expanding past
-// the cap is rejected — the decompressed-size bound, not just the wire
-// bound, protects the puller.
+// TestReadBodyCapsDecompressedSize: the cap holds on every byte that reaches
+// a decoder. A compressed body is refused outright, whatever it would expand
+// to — a tiny gzip stream inflating past the cap included — and a plain one
+// one byte over the cap is refused while one at the cap reads back whole.
 func TestReadBodyCapsDecompressedSize(t *testing.T) {
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
@@ -323,65 +324,57 @@ func TestReadBodyCapsDecompressedSize(t *testing.T) {
 		zw.Write(chunk)
 	}
 	zw.Close()
-
-	resp := &http.Response{
-		Header: http.Header{"Content-Encoding": []string{"gzip"}},
-		Body:   io.NopCloser(bytes.NewReader(buf.Bytes())),
-	}
 	var br bodyReader
-	if _, _, err := br.read(resp, 1<<20); err == nil {
-		t.Fatal("bodyReader accepted a 4 MiB decompression against a 1 MiB cap")
+	for _, enc := range []string{"gzip", "x-gzip", "deflate", "br"} {
+		resp := &http.Response{
+			Header: http.Header{"Content-Encoding": []string{enc}},
+			Body:   io.NopCloser(bytes.NewReader(buf.Bytes())),
+		}
+		if _, err := br.read(resp, 1<<20); err == nil || !strings.Contains(err.Error(), enc) {
+			t.Fatalf("Content-Encoding %s: read err = %v, want a refusal naming it", enc, err)
+		}
 	}
 
-	// Within the cap it round-trips.
-	var small bytes.Buffer
-	zw = gzip.NewWriter(&small)
-	zw.Write([]byte(`{"ok":true}`))
-	zw.Close()
-	resp = &http.Response{
-		Header: http.Header{"Content-Encoding": []string{"gzip"}},
-		Body:   io.NopCloser(bytes.NewReader(small.Bytes())),
+	const limit = 1 << 10
+	body := bytes.Repeat([]byte{'b'}, limit+1)
+	for _, size := range []int64{-1, limit + 1} { // streamed, and declared
+		resp := &http.Response{Header: http.Header{}, ContentLength: size, Body: io.NopCloser(bytes.NewReader(body))}
+		if _, err := br.read(resp, limit); err == nil {
+			t.Fatalf("Content-Length %d: a body one byte over the %d-byte cap read", size, limit)
+		}
 	}
-	data, wire, err := br.read(resp, 1<<20)
-	if err != nil {
-		t.Fatal(err)
+	resp := &http.Response{
+		Header:        http.Header{"Content-Encoding": []string{"identity"}},
+		ContentLength: limit,
+		Body:          io.NopCloser(bytes.NewReader(body[:limit])),
 	}
-	if string(data) != `{"ok":true}` {
-		t.Fatalf("data = %q", data)
-	}
-	if wire != int64(small.Len()) {
-		t.Fatalf("wire bytes = %d, want %d", wire, small.Len())
+	if data, err := br.read(resp, limit); err != nil || !bytes.Equal(data, body[:limit]) {
+		t.Fatalf("a body at the cap: %d bytes, %v", len(data), err)
 	}
 }
 
 // TestReadBodyReusesScratchWithoutLeaking: a puller reads every response into
-// the buffer earlier ones grew. A short body after a long one — gzipped or
-// plain, including an empty one — must come back exact, with nothing of the
-// long body's tail behind it and its own wire-byte count. The array is shared
-// within a round and, by core.Scratch's rule, across rounds of similar size:
-// the first large round is a jump and frees what it grew (a full pull must
-// not pin a table-sized buffer under every delta after it), the second one of
-// that size keeps it, a round that read far less releases it.
+// the buffer earlier ones grew. A short body after a long one, including an
+// empty one, must come back exact, with nothing of the long body's tail
+// behind it. The array is shared within a round and, by core.Scratch's rule,
+// across rounds of similar size: the first large round is a jump and frees
+// what it grew (a full pull must not pin a table-sized buffer under every
+// delta after it), the second one of that size keeps it, a round that read
+// far less releases it.
 func TestReadBodyReusesScratchWithoutLeaking(t *testing.T) {
-	response := func(body []byte, compress bool) (*http.Response, int64) {
-		resp := &http.Response{Header: http.Header{}}
-		if compress {
-			var buf bytes.Buffer
-			zw := gzip.NewWriter(&buf)
-			zw.Write(body)
-			zw.Close()
-			resp.Header.Set("Content-Encoding", "gzip")
-			body = buf.Bytes()
+	response := func(body []byte, declared bool) *http.Response {
+		resp := &http.Response{Header: http.Header{}, ContentLength: -1, Body: io.NopCloser(bytes.NewReader(body))}
+		if declared {
+			resp.ContentLength = int64(len(body))
 		}
-		resp.Body = io.NopCloser(bytes.NewReader(body))
-		return resp, int64(len(body))
+		return resp
 	}
 	type body struct {
 		data     []byte
-		compress bool
+		declared bool // sent under its Content-Length, as fleet.Server sends
 	}
-	long := bytes.Repeat([]byte(`{"prefix":"203.0.113.7/32","window":42},`), 20000)
-	small, empty := []byte(`{"version":1,"entries":[]}`), []byte(nil)
+	long := bytes.Repeat([]byte("RPTD\x02\x09\x00\x14\x00\x00\x00"), 40000)
+	small, empty := []byte("RPTD\x02\x00\x00\x00\x00\x00\x00"), []byte(nil)
 	var br bodyReader
 	for i, round := range []struct {
 		bodies []body
@@ -390,29 +383,25 @@ func TestReadBodyReusesScratchWithoutLeaking(t *testing.T) {
 		{[]body{{small, true}, {long, true}}, false},
 		{[]body{{small, true}, {long[:len(long)-41], true}}, true}, // another peer's small body before the delta must not cost the buffer
 		{[]body{{long, false}, {empty, true}, {small, false}}, true},
-		{[]body{{small, true}, {[]byte(`{"small":"delta"}`), true}}, false},
+		{[]body{{small, true}, {[]byte("small delta"), true}}, false},
 		{[]body{{empty, false}, {small, true}}, true},
 	} {
-		array := cap(br.plain.buf)
+		array := cap(br.buf)
 		for j, b := range round.bodies {
-			resp, wire := response(b.data, b.compress)
-			data, n, err := br.read(resp, 1<<20)
+			data, err := br.read(response(b.data, b.declared), 1<<20)
 			if err != nil {
 				t.Fatalf("round %d read %d: %v", i, j, err)
 			}
 			if !bytes.Equal(data, b.data) {
 				t.Fatalf("round %d read %d: got %d bytes %.40q, want %d bytes %.40q", i, j, len(data), data, len(b.data), b.data)
 			}
-			if n != wire {
-				t.Fatalf("round %d read %d: wire bytes = %d, want %d", i, j, n, wire)
-			}
 		}
-		if i > 0 && array >= len(long) && cap(br.plain.buf) != array {
-			t.Fatalf("round %d: array of %d bytes replaced by one of %d mid-round", i, array, cap(br.plain.buf))
+		if i > 0 && array >= len(long) && cap(br.buf) != array {
+			t.Fatalf("round %d: array of %d bytes replaced by one of %d mid-round", i, array, cap(br.buf))
 		}
 		br.trim()
-		if kept := cap(br.plain.buf) > 0; kept != round.keeps {
-			t.Fatalf("round %d: %d-byte array kept = %v, want %v", i, cap(br.plain.buf), kept, round.keeps)
+		if kept := cap(br.buf) > 0; kept != round.keeps {
+			t.Fatalf("round %d: %d-byte array kept = %v, want %v", i, cap(br.buf), kept, round.keeps)
 		}
 	}
 }

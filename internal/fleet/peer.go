@@ -15,13 +15,12 @@ import (
 
 	"riptide/internal/core"
 	"riptide/internal/gossip"
-	"riptide/internal/metrics"
 )
 
 // maxSnapshotBytes bounds how much of a peer's response the puller will
-// read — decompressed, when the response is gzipped — so a misbehaving peer
-// cannot balloon this agent's memory. 10k entries are well under 1 MiB;
-// 16 MiB leaves generous headroom.
+// read, so a misbehaving peer cannot balloon this agent's memory. A
+// 100k-entry table is under 1 MiB on the delta wire; 16 MiB leaves generous
+// headroom.
 const maxSnapshotBytes = 16 << 20
 
 // Round modes: how one successful pull round synced.
@@ -82,8 +81,8 @@ type PeerHealth struct {
 	// LastSuccessUnixNano is the wall-clock time of the most recent
 	// successful pull; 0 before the first.
 	LastSuccessUnixNano int64 `json:"lastSuccessUnixNano,omitempty"`
-	// LastBytes is how many bytes the most recent successful round moved
-	// on the wire (compressed size when gzipped).
+	// LastBytes is how many body bytes the most recent successful round
+	// moved on the wire.
 	LastBytes int64 `json:"lastBytes,omitempty"`
 	// Mode is how the most recent successful round synced: one of the
 	// Mode* constants ("not_modified", "delta", "full").
@@ -171,12 +170,6 @@ type Puller struct {
 	roundMu sync.Mutex
 	body    bodyReader
 	entries core.Scratch[core.SnapshotEntry]
-
-	// decodeFallback counts delta bodies the scanner declined and
-	// encoding/json decoded at ten times the cost: a peer that always takes
-	// that path is worth knowing about. Registered at construction, so it
-	// reads 0 rather than being absent.
-	decodeFallback *metrics.Counter
 }
 
 // NewPuller validates the config and returns a Puller.
@@ -214,7 +207,7 @@ func NewPuller(cfg PullerConfig) (*Puller, error) {
 	if cfg.randFloat == nil {
 		cfg.randFloat = rand.Float64
 	}
-	p := &Puller{cfg: cfg, decodeFallback: cfg.Agent.Metrics().Counter("riptide_gossip_decode_fallback")}
+	p := &Puller{cfg: cfg}
 	for _, raw := range cfg.Peers {
 		base, err := NormalizePeerURL(raw)
 		if err != nil {
@@ -378,10 +371,7 @@ func (p *Puller) pullPeer(ctx context.Context, ps *peerState) (core.MergeStats, 
 	}
 	// The entries decode straight into the merge's input, on the slice the
 	// last round of that size left.
-	delta, entries, scanned, err := gossip.DecodeDeltaAppend(p.entries.Take(0), data)
-	if !scanned {
-		p.decodeFallback.Inc()
-	}
+	delta, entries, err := gossip.DecodeDeltaAppend(p.entries.Take(0), data)
 	if err != nil {
 		return core.MergeStats{}, round, cursor, err
 	}
@@ -431,13 +421,13 @@ func (p *Puller) merge(entries []core.SnapshotEntry, from string) core.MergeStat
 	return stats
 }
 
-// fetch GETs a fleet endpoint, advertising gzip and enforcing the
-// decompressed-size cap, and reports the payload plus wire bytes moved. A
-// non-empty etag is sent as If-None-Match, and a 304 answer to it comes back
-// as notModified with no payload; a 304 to a request that named no validator
-// is an error. The response's ETag is returned to arm the next round. The
-// payload aliases the puller's read scratch: decode it before the next fetch
-// (every decoder here copies what it keeps).
+// fetch GETs a fleet endpoint, asking for no content coding and enforcing
+// the size cap, and reports the payload plus wire bytes moved. A non-empty
+// etag is sent as If-None-Match, and a 304 answer to it comes back as
+// notModified with no payload; a 304 to a request that named no validator,
+// or one naming another ETag, is an error. The response's ETag is returned
+// to arm the next round. The payload aliases the puller's read scratch:
+// decode it before the next fetch (every decoder here copies what it keeps).
 func (p *Puller) fetch(ctx context.Context, url, etag string) (data []byte, wireBytes int64, respETag string, notModified bool, err error) {
 	reqCtx, cancel := context.WithTimeout(ctx, p.cfg.Timeout)
 	defer cancel()
@@ -445,10 +435,10 @@ func (p *Puller) fetch(ctx context.Context, url, etag string) (data []byte, wire
 	if err != nil {
 		return nil, 0, "", false, err
 	}
-	// Setting the header explicitly (rather than letting net/http add it)
-	// disables the transport's transparent decompression, so the
-	// decompressed-size cap in bodyReader.read sees every byte.
-	req.Header.Set("Accept-Encoding", "gzip")
+	// The delta wire is never compressed. Naming identity keeps net/http
+	// from asking for gzip on its own (and decompressing behind the size
+	// cap) and an old-wire peer from compressing its JSON.
+	req.Header.Set("Accept-Encoding", "identity")
 	if etag != "" {
 		req.Header.Set("If-None-Match", etag)
 	}
@@ -460,12 +450,78 @@ func (p *Puller) fetch(ctx context.Context, url, etag string) (data []byte, wire
 	respETag = resp.Header.Get("ETag")
 	if etag != "" && resp.StatusCode == http.StatusNotModified {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		if respETag != "" && respETag != etag {
+			// It answers some other validator, and says nothing about
+			// the table ours names.
+			return nil, 0, "", false, fmt.Errorf("304 names ETag %s, the request named %s", respETag, etag)
+		}
 		return nil, 0, respETag, true, nil
 	}
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return nil, 0, "", false, fmt.Errorf("status %s", resp.Status)
 	}
-	data, wireBytes, err = p.body.read(resp, maxSnapshotBytes)
-	return data, wireBytes, respETag, false, err
+	data, err = p.body.read(resp, maxSnapshotBytes)
+	return data, int64(len(data)), respETag, false, err
+}
+
+// bodyReader is one puller's response-reading scratch: pulls run one at a
+// time, so a response is read into the buffer earlier ones grew (a churn
+// round's delta is about as large as the last one), and the buffer is kept
+// from round to round under core.Scratch's rule on the largest read of the
+// round (peak).
+type bodyReader struct {
+	buf  []byte
+	peak int
+	kept core.Scratch[byte]
+}
+
+// trim ends a pull round: the buffer serves the next round if the retention
+// rule keeps it.
+func (b *bodyReader) trim() {
+	b.kept.Keep(b.buf, b.peak)
+	b.buf, b.peak = b.kept.Take(0), 0
+}
+
+// read reads an HTTP response body of at most limit bytes. A body under a
+// content coding is refused: nothing a fleet server sends is compressed, so
+// one is a peer on the old wire (or a broken one), and decoding it would
+// only hide that. data aliases the scratch: it is valid until the next read.
+func (b *bodyReader) read(resp *http.Response, limit int64) (data []byte, err error) {
+	if enc := resp.Header.Get("Content-Encoding"); enc != "" && !strings.EqualFold(enc, "identity") {
+		return nil, fmt.Errorf("response has Content-Encoding %q: delta wire version %d is not compressed", enc, gossip.WireVersion)
+	}
+	data, err = readSized(b.buf[:0], io.LimitReader(resp.Body, limit+1), resp.ContentLength, limit+1)
+	b.buf, b.peak = data, max(b.peak, len(data))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(data)) > limit {
+		return nil, fmt.Errorf("response exceeds %d bytes", limit)
+	}
+	return data, nil
+}
+
+// readSized reads r into buf's array (buf is empty) until EOF, or until limit
+// bytes are in. A size ≥ 0 is the expected length: the array gets room for it
+// and one byte more, so the EOF after an exact size is read without growing.
+// Past it, or with no size, the array doubles.
+func readSized(buf []byte, r io.Reader, size, limit int64) ([]byte, error) {
+	if n := min(size+1, limit); size >= 0 && int64(cap(buf)) < n {
+		buf = make([]byte, 0, n)
+	}
+	for int64(len(buf)) < limit {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(max(2*int64(cap(buf)), 512), limit)), buf...)
+		}
+		n, err := r.Read(buf[len(buf):min(int64(cap(buf)), limit)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }

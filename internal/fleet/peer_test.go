@@ -50,11 +50,11 @@ func (batchRoutes) ClearInitCwnd(netip.Prefix) error         { return nil }
 func (batchRoutes) ProgramRoutes(ops []core.RouteOp) []error { return nil }
 
 // TestFirstPullAllocs: a warm start's first full pull sizes what it builds
-// from counts it already holds — the gzipped body from its Content-Length,
-// the decoded body from the gzip trailer's ISIZE, the merged table from the
+// from counts it already holds — the body from its Content-Length, the
+// decoded entries from the body's entry count, the merged table from the
 // deduplicated plan — so it allocates within a small multiple of the table it
-// leaves. Read through bytes.Buffer, the decoded body alone allocated about
-// four times its size.
+// leaves. Read through bytes.Buffer, a body alone allocated about four times
+// its size.
 func TestFirstPullAllocs(t *testing.T) {
 	const n = 20_000
 	socks := make([]core.Observation, n)
@@ -66,9 +66,10 @@ func TestFirstPullAllocs(t *testing.T) {
 	defer srv.Close()
 
 	// Fill the server's cached body and open the keep-alive connection the
-	// pull reuses: neither is the puller's cost. Every 200 states its length.
+	// pull reuses: neither is the puller's cost. Every 200 states its length,
+	// whatever the client accepts.
 	client := &http.Client{}
-	for _, enc := range []string{"gzip", ""} {
+	for _, enc := range []string{"gzip", "identity"} {
 		req, err := http.NewRequest(http.MethodGet, srv.URL+DeltaPath, nil)
 		if err != nil {
 			t.Fatal(err)

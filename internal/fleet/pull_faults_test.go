@@ -8,8 +8,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/netip"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -56,12 +58,12 @@ func TestAcceptsGzipHonoursWeights(t *testing.T) {
 		}
 	}
 
-	// End to end: the refusing client gets a body it can read.
+	// End to end: the refusing client gets a snapshot it can read.
 	a, _, _ := newTestAgent(t, []core.Observation{obs(t, "192.0.2.1", 40)})
-	req := httptest.NewRequest(http.MethodGet, DeltaPath, nil)
+	req := httptest.NewRequest(http.MethodGet, SnapshotPath, nil)
 	req.Header.Set("Accept-Encoding", "identity, gzip;q=0")
 	w := httptest.NewRecorder()
-	NewServer(a, "host-a", "boot-1", nil).DeltaHandler().ServeHTTP(w, req)
+	NewServer(a, "host-a", "boot-1", nil).SnapshotHandler().ServeHTTP(w, req)
 	if enc := w.Header().Get("Content-Encoding"); enc != "" || !bytes.HasPrefix(w.Body.Bytes(), []byte(`{"version":`)) {
 		t.Fatalf("client refusing gzip got Content-Encoding %q, body %.20q", enc, w.Body.Bytes())
 	}
@@ -69,11 +71,14 @@ func TestAcceptsGzipHonoursWeights(t *testing.T) {
 
 // reply is one scripted answer of the delta endpoint.
 type reply struct {
-	// body is the plain reply. Where it carries echoSince, the peer writes the
-	// request's own since instead, as a server echoes the cursor it computed
-	// the delta against.
+	// body is the reply's bytes, unless delta is set.
 	body []byte
-	etag string // sent as the ETag header when set
+	// delta, when set, is encoded as the peer answers. With echo its Since
+	// is the request's own since, as a server echoes the cursor it computed
+	// the delta against.
+	delta *gossippkg.Delta
+	echo  bool
+	etag  string // sent as the ETag header when set
 	// notModified answers 304 with no body, whatever the request asked.
 	notModified bool
 	gzip        bool // compressed on the way out and sent with Content-Encoding: gzip
@@ -88,10 +93,6 @@ type reply struct {
 	// it; otherwise the length is declared, as fleet.Server declares it.
 	chunked bool
 }
-
-// echoSince is the since a ?since= reply of a script carries until the peer
-// serves it; see reply.body.
-const echoSince = 1<<53 - 1
 
 // request is what the scripted peer saw of one request.
 type request struct {
@@ -110,8 +111,15 @@ type scriptedPeer struct {
 // wire is what the peer sends for next, answering a request for since.
 func (s *scriptedPeer) wire(next reply, since string) []byte {
 	body := next.body
-	if since != "" {
-		body = bytes.Replace(body, []byte(`"since":`+strconv.FormatUint(echoSince, 10)), []byte(`"since":`+since), 1)
+	if next.delta != nil {
+		d := *next.delta
+		if next.echo {
+			d.Since, _ = strconv.ParseUint(since, 10, 64)
+		}
+		var err error
+		if body, err = gossippkg.EncodeDelta(d); err != nil {
+			s.t.Error(err)
+		}
 	}
 	if next.gzip {
 		var err error
@@ -148,9 +156,10 @@ func (s *scriptedPeer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	body := s.wire(next, r.URL.Query().Get("since"))
+	since := r.URL.Query().Get("since")
+	body := s.wire(next, since)
 	if next.hangUp {
-		s.hangUp(w, next, body)
+		s.hangUp(w, next, since, body)
 		return
 	}
 	if next.gzip {
@@ -162,14 +171,12 @@ func (s *scriptedPeer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Write(body)
 }
 
-// last is the most recent request the peer saw.
-func (s *scriptedPeer) last() request { return s.requests[len(s.requests)-1] }
-
 // hangUp writes the response by hand on the hijacked connection: headers
 // declaring all of the unsent body's length, the first part of sent, then a
 // close — a peer that dies mid-body.
-func (s *scriptedPeer) hangUp(w http.ResponseWriter, next reply, sent []byte) {
-	whole := s.wire(reply{body: next.body, gzip: next.gzip}, "")
+func (s *scriptedPeer) hangUp(w http.ResponseWriter, next reply, since string, sent []byte) {
+	next.half = false
+	whole := s.wire(next, since)
 	conn, rw, err := w.(http.Hijacker).Hijack()
 	if err != nil {
 		s.t.Error(err)
@@ -185,48 +192,70 @@ func (s *scriptedPeer) hangUp(w http.ResponseWriter, next reply, sent []byte) {
 	rw.Flush()
 }
 
-// wireDelta renders a ?since= reply echoing the request (or, with full, a
-// whole table) in the canonical form.
-func wireDelta(t *testing.T, tableVersion uint64, full bool, entries []gossippkg.Entry) []byte {
-	t.Helper()
-	if full {
-		return wireSince(t, tableVersion, 0, entries)
-	}
-	return wireSince(t, tableVersion, echoSince, entries)
+// wireDelta is a ?since= reply of the scripted peer's instance echoing the
+// request or, with full, a whole table.
+func wireDelta(tableVersion uint64, full bool, entries []gossippkg.Entry) reply {
+	return wireFrom("boot-1", tableVersion, 0, full, entries)
 }
 
-// wireSince renders a reply of the scripted peer's instance with the given
-// since in the canonical form; a zero since is a whole table.
-func wireSince(t *testing.T, tableVersion, since uint64, entries []gossippkg.Entry) []byte {
-	t.Helper()
-	return wireFrom(t, "boot-1", tableVersion, since, entries)
+// wireSince is a reply of the scripted peer's instance whose since is
+// written out, not echoed; a zero since is a whole table.
+func wireSince(tableVersion, since uint64, entries []gossippkg.Entry) reply {
+	return wireFrom("boot-1", tableVersion, since, since == 0, entries)
 }
 
-// wireFrom is wireSince for a reply that names the given instance.
-func wireFrom(t *testing.T, instance string, tableVersion, since uint64, entries []gossippkg.Entry) []byte {
+// wireFrom is a reply that names the given instance: a whole table with
+// full, else a delta since the given version, or echoing the request's when
+// since is 0.
+func wireFrom(instance string, tableVersion, since uint64, full bool, entries []gossippkg.Entry) reply {
+	d := gossippkg.Delta{Version: gossippkg.WireVersion, Instance: instance, TableVersion: tableVersion, Since: since, Full: full, Entries: entries}
+	return reply{delta: &d, echo: !full && since == 0}
+}
+
+// encoded is r with its delta encoded into body once and for all, echoing
+// nothing: the bytes a fault bends.
+func encoded(t *testing.T, r reply) []byte {
 	t.Helper()
-	d := gossippkg.Delta{Version: gossippkg.WireVersion, Instance: instance, TableVersion: tableVersion, Since: since, Full: since == 0, Entries: entries}
-	body, err := gossippkg.EncodeDelta(d)
+	body, err := gossippkg.EncodeDelta(*r.delta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(body, '\n')
+	return body
 }
 
+// hostEntries are n host routes of 10.net/16 with ages of one to five
+// seconds, so an age a merge launders is seen.
 func hostEntries(net byte, n int, window int) []gossippkg.Entry {
 	out := make([]gossippkg.Entry, n)
 	for i := range out {
-		out[i] = gossippkg.Entry{Prefix: fmt.Sprintf("10.%d.%d.%d/32", net, i/250, 1+i%250), Window: window, Samples: 5, ModVersion: uint64(i + 2)}
+		out[i] = gossippkg.Entry{
+			Prefix:     fmt.Sprintf("10.%d.%d.%d/32", net, i/250, 1+i%250),
+			Window:     window,
+			Samples:    5,
+			AgeNanos:   int64(1+i%5) * int64(time.Second),
+			ModVersion: uint64(i + 2),
+		}
 	}
 	return out
 }
 
-// runScript pulls once per reply against a scripted peer and returns the
-// agent, its puller, the peer and how many rounds failed.
-func runScript(t *testing.T, replies []reply) (a *core.Agent, p *Puller, peer *scriptedPeer, failed int) {
+// scriptRun is what pulling once per reply against a scripted peer left.
+type scriptRun struct {
+	agent  *core.Agent
+	puller *Puller
+	peer   *scriptedPeer
+	// health is the peer's health after each round.
+	health []PeerHealth
+	failed int
+}
+
+// runScript pulls once per reply against a scripted peer. After every round
+// it holds the agent to the merge's age invariant: an entry's age is what it
+// inherited from the wire, and no later pull makes it younger.
+func runScript(t *testing.T, replies []reply) scriptRun {
 	t.Helper()
-	a, _, _ = newTestAgent(t, nil)
-	peer = &scriptedPeer{t: t, replies: replies}
+	a, _, _ := newTestAgent(t, nil)
+	peer := &scriptedPeer{t: t, replies: replies}
 	srv := httptest.NewServer(peer)
 	t.Cleanup(srv.Close)
 	now := time.Unix(1, 0)
@@ -237,13 +266,60 @@ func runScript(t *testing.T, replies []reply) (a *core.Agent, p *Puller, peer *s
 	if err != nil {
 		t.Fatal(err)
 	}
-	for range replies {
+	run := scriptRun{agent: a, puller: p, peer: peer}
+	ages := map[netip.Prefix]time.Duration{}
+	for i := range replies {
 		p.PullOnce(context.Background())
-		if !p.Health()[0].Healthy {
-			failed++
+		h := p.Health()[0]
+		run.health = append(run.health, h)
+		if !h.Healthy {
+			run.failed++
+		}
+		exported, _ := a.ExportDelta(0)
+		for _, e := range exported {
+			if was, ok := ages[e.Prefix]; ok && e.Age < was {
+				t.Fatalf("round %d: %v is %v old, %v before it: a pull laundered its age", i, e.Prefix, e.Age, was)
+			}
+			ages[e.Prefix] = e.Age
 		}
 	}
-	return a, p, peer, failed
+	return run
+}
+
+// last is the most recent request the peer saw.
+func (s *scriptedPeer) last() request { return s.requests[len(s.requests)-1] }
+
+// checkFault holds a scripted run whose fourth round met a fault to a run
+// of the replies that merge. A fault that fails its round (fails says what
+// its error reads) shows in the peer's health and leaves the cursor where it
+// was; mergesNothing says the fault's run holds the good replies' entries
+// alone.
+func checkFault(t *testing.T, run, clean scriptRun, fails string, mergesNothing bool) {
+	t.Helper()
+	if want := min(len(fails), 1); run.failed != want || clean.failed != 0 {
+		t.Fatalf("%d rounds failed with the fault (want %d), %d without: %+v", run.failed, want, clean.failed, run.health[3])
+	}
+	if fails != "" {
+		if h := run.health[3]; h.Healthy || h.FailedPulls != 1 || !strings.Contains(h.LastError, fails) {
+			t.Errorf("faulted round left health %+v, want a failure saying %q", h, fails)
+		}
+		if f, next := run.peer.requests[3], run.peer.requests[4]; f != next {
+			t.Errorf("the round after the fault asked ?%s If-None-Match %q, the faulted round ?%s %q: the cursor moved",
+				next.query, next.ifNoneMatch, f.query, f.ifNoneMatch)
+		}
+	}
+	if h := run.health[4]; h.Mode != ModeDelta || h.DeltaPulls < 3 {
+		t.Fatalf("last round: %+v, want a delta round after at least two others", h)
+	}
+	if g, w := fleetCounts(run.agent), fleetCounts(clean.agent); g != w {
+		t.Errorf("merge counts (merged, local, stale, quarantined) = %v, a puller that never saw the fault has %v", g, w)
+	}
+	if g, w := run.agent.Entries(), clean.agent.Entries(); !reflect.DeepEqual(g, w) {
+		t.Errorf("agent holds %d entries, a puller that never saw the fault holds %d", len(g), len(w))
+	}
+	if n := run.agent.Len(); n != 1+1500+30 && mergesNothing {
+		t.Errorf("agent holds %d entries, the good replies carry %d", n, 1+1500+30)
+	}
 }
 
 // fleetCounts is what the merges of a puller's life did to its agent.
@@ -257,49 +333,63 @@ func fleetCounts(a *core.Agent) [4]uint64 {
 // wrong between two good ones is a chance to merge the wrong round's entries.
 // After each fault the next good pull must leave the agent — entries and
 // merge counts — exactly where a fresh puller ends up that only ever saw the
-// replies that merge. first is sized to be kept (a second use of its size) and
-// to hold more entries than anything after it, so whatever a later round
-// fails to overwrite or truncate is a real entry of an earlier round.
+// replies that merge. A fault that fails its round must also show in the
+// peer's health and leave the cursor where it was: the round after it asks
+// exactly what the faulted one asked. first is sized to be kept (a second use
+// of its size) and to hold more entries than anything after it, so whatever
+// a later round fails to overwrite or truncate is a real entry of an earlier
+// round.
 func TestPullerFaultsNeverMergeStaleScratch(t *testing.T) {
-	contact := reply{body: wireDelta(t, 1, true, hostEntries(1, 1, 30))}
-	firstEntries := append(hostEntries(2, 1500, 40), gossippkg.Entry{Prefix: "10.9.9.9/32", Quarantined: true})
-	first := reply{body: wireDelta(t, 50, false, firstEntries), gzip: true}
+	contact := wireDelta(1, true, hostEntries(1, 1, 30))
+	first := wireDelta(50, false, append(hostEntries(2, 1500, 40), gossippkg.Entry{Prefix: "10.9.9.9/32", Quarantined: true}))
 	// The second good reply overlaps the first (skipped local), adds new
 	// destinations, and carries a marker and an unparsable prefix.
 	secondEntries := append(hostEntries(2, 20, 41), hostEntries(3, 30, 50)...)
 	secondEntries = append(secondEntries,
 		gossippkg.Entry{Prefix: "10.9.9.8/32", Quarantined: true},
 		gossippkg.Entry{Prefix: "010.0.0.1/32", Window: 20, Samples: 5})
-	second := reply{body: wireDelta(t, 60, false, secondEntries)}
+	second := wireDelta(60, false, secondEntries)
 
-	// A valid delta the scanner gives up on after it has already decoded
-	// entries — a marker among them, which a merge counts once per copy.
-	spaced := wireDelta(t, 55, false, append([]gossippkg.Entry{{Prefix: "10.9.9.7/32", Quarantined: true}}, hostEntries(4, 40, 60)...))
-	canonical := reply{body: spaced}
-	cut := bytes.LastIndex(spaced, []byte(`{"prefix"`))
-	declined := reply{body: append(append(append([]byte(nil), spaced[:cut]...), ' '), spaced[cut:]...)}
+	// A good delta with a marker, which a merge counts once per copy.
+	canonical := wireDelta(55, false, append([]gossippkg.Entry{{Prefix: "10.9.9.7/32", Quarantined: true}}, hostEntries(4, 40, 60)...))
+	// Its bytes as the fault rounds meet them: a since written out as first's
+	// table version, the cursor every fault meets.
+	sinceFirst := encoded(t, wireSince(55, 50, canonical.delta.Entries))
 
-	// A good delta padded with the whitespace JSON allows, to one byte past
-	// what the puller will read: only the cap stands between it and a merge.
-	// Its since is written out (first's table version, the cursor every fault
-	// meets), so the peer's echo cannot change its length.
-	// Compressed, it is a gzip bomb; the same padded to exactly the cap must
-	// merge as its unpadded form does.
-	capped := wireSince(t, 56, 50, hostEntries(5, 10, 70))
-	overCap := append(append([]byte(nil), capped...), bytes.Repeat([]byte{' '}, maxSnapshotBytes+1-len(capped))...)
-	atCap := overCap[:maxSnapshotBytes]
-	// A gzipped delta whose trailer lies about its decoded length: the gzip
-	// reader checks ISIZE, so either lie fails the round, as it did when the
-	// body was decoded as a stream.
-	lies := func(isize uint32) reply { return reply{body: canonical.body, gzip: true, isize: isize} }
+	// A good delta whose source name pads it to exactly the cap, and the same
+	// one byte longer: only the cap stands between the second and a merge.
+	// Compressed, each is a gzip bomb.
+	padded := func(size int) []byte {
+		d := *wireSince(56, 50, hostEntries(5, 10, 70)).delta
+		body := encoded(t, reply{delta: &d})
+		for len(body) != size { // the source's length varint grows with it
+			d.Source = strings.Repeat("s", len(d.Source)+size-len(body))
+			body = encoded(t, reply{delta: &d})
+		}
+		return body
+	}
+	atCap, overCap := padded(maxSnapshotBytes), padded(maxSnapshotBytes+1)
+	// A gzipped delta whose trailer lies about its decoded length.
+	lies := func(isize uint32) reply { return reply{body: sinceFirst, gzip: true, isize: isize} }
+	// A header that claims more entries than its body holds: the count's
+	// one byte (its last, a table of none) replaced by a count of 2^40.
+	noEntries := encoded(t, wireSince(57, 50, nil))
+	tooMany := binary.AppendUvarint(slices.Clone(noEntries[:len(noEntries)-1]), 1<<40)
+	tooMany = append(tooMany, sinceFirst[len(noEntries):]...)
+	// The wire version byte follows the magic.
+	future := slices.Clone(sinceFirst)
+	future[4] = gossippkg.WireVersion + 1
+
+	// A whole table where a delta was asked for.
+	fullTable := wireDelta(57, true, hostEntries(6, 25, 80))
 
 	// first again, with a validator: the round after it is conditional.
 	firstTagged := first
 	firstTagged.etag = `"boot-1/50"`
 	// A full table from another boot of the peer, and the delta its next
 	// round is answered with.
-	reboot := reply{body: wireFrom(t, "boot-2", 57, 0, hostEntries(6, 25, 80))}
-	secondReboot := reply{body: wireFrom(t, "boot-2", 60, echoSince, secondEntries)}
+	reboot := wireFrom("boot-2", 57, 0, true, hostEntries(6, 25, 80))
+	secondReboot := wireFrom("boot-2", 60, 0, false, secondEntries)
 
 	for _, tc := range []struct {
 		name   string
@@ -307,38 +397,55 @@ func TestPullerFaultsNeverMergeStaleScratch(t *testing.T) {
 		fault  reply
 		merges *reply // what a puller that saw no fault is given in its place; nil: nothing
 		after  *reply // the round after the fault; nil: second
-		fails  bool
+		fails  string // what the failed round's error says; "": the round succeeds
 		check  func(t *testing.T, peer *scriptedPeer)
 	}{
-		{name: "gzip truncated mid-stream", fault: reply{body: first.body, gzip: true, half: true}, fails: true},
-		{name: "body cut mid-entry", fault: reply{body: second.body, half: true}, fails: true},
-		{name: "peer hangs up mid-body", fault: reply{body: second.body, half: true, hangUp: true}, fails: true},
-		{name: "body one byte over the cap", fault: reply{body: overCap, gzip: true}, fails: true},
-		{name: "streamed body one byte over the cap", fault: reply{body: overCap, gzip: true, chunked: true}, fails: true},
-		{name: "gzip bomb at the cap", fault: reply{body: atCap, gzip: true}, merges: &reply{body: capped}},
-		{name: "streamed gzip bomb at the cap", fault: reply{body: atCap, gzip: true, chunked: true}, merges: &reply{body: capped}},
-		{name: "ISIZE lying low", fault: lies(1), fails: true},
-		{name: "ISIZE lying high", fault: lies(1<<32 - 1), fails: true},
-		{name: "body the scanner declines", fault: declined, merges: &canonical},
-		{name: "full reply to a since request", fault: reply{body: wireDelta(t, 57, true, hostEntries(6, 25, 80))},
-			merges: &reply{body: wireDelta(t, 57, true, hostEntries(6, 25, 80))}},
+		{name: "body cut mid-entry", fault: reply{body: encoded(t, wireSince(60, 50, secondEntries)), half: true}, fails: "riptide/gossip"},
+		{name: "peer hangs up mid-body", fault: reply{body: sinceFirst, half: true, hangUp: true}, fails: "EOF"},
+		{name: "body one byte over the cap", fault: reply{body: overCap}, fails: "exceeds"},
+		{name: "streamed body one byte over the cap", fault: reply{body: overCap, chunked: true}, fails: "exceeds"},
+		{name: "body at the cap", fault: reply{body: atCap}, merges: &reply{body: atCap}},
+		// A body under a content coding is a peer on the old wire, which
+		// gzipped its JSON, or a broken one: refused before it is read,
+		// whatever it would inflate to.
+		{name: "gzip truncated mid-stream", fault: reply{delta: first.delta, echo: true, gzip: true, half: true}, fails: "gzip"},
+		{name: "gzip bomb at the cap", fault: reply{body: atCap, gzip: true}, fails: "gzip"},
+		{name: "streamed gzip bomb at the cap", fault: reply{body: atCap, gzip: true, chunked: true}, fails: "gzip"},
+		{name: "ISIZE lying low", fault: lies(1), fails: "gzip"},
+		{name: "ISIZE lying high", fault: lies(1<<32 - 1), fails: "gzip"},
+		// A peer that has not been upgraded answers in the JSON of wire
+		// version 1; the error says so.
+		{name: "JSON body from a peer on wire version 1", fault: reply{body: []byte(`{"version":1,"instance":"boot-1","tableVersion":55,"since":50,"entries":[` +
+			`{"prefix":"10.4.0.1/32","window":60,"samples":5,"ageNanos":1000000000,"modVersion":2}]}` + "\n")}, fails: "wire version 1"},
+		{name: "unknown wire version", fault: reply{body: future}, fails: "wire version 3"},
+		{name: "entry count past what the body holds", fault: reply{body: tooMany}, fails: "claims 1099511627776 entries"},
+		{name: "trailing bytes", fault: reply{body: append(slices.Clone(sinceFirst), 0)}, fails: "follow"},
+		{name: "full reply to a since request", fault: fullTable, merges: &fullTable},
 		// A delta computed against a cursor ahead of the puller's: adopting its
 		// table version would skip the entries between the two for good.
-		{name: "since that does not echo the cursor", fault: reply{body: wireSince(t, 58, 55, hostEntries(7, 5, 90))}, fails: true},
+		{name: "since that does not echo the cursor", fault: wireSince(58, 55, hostEntries(7, 5, 90)), fails: "does not echo"},
 		// A delta that echoes the cursor but names another boot of the peer:
 		// its table version counts another table, so adopting it would
 		// skip the entries of ours that it never listed.
-		{name: "since reply from another instance", fault: reply{body: wireFrom(t, "boot-2", 59, echoSince, hostEntries(8, 5, 95))}, fails: true},
+		{name: "since reply from another instance", fault: wireFrom("boot-2", 59, 0, false, hostEntries(8, 5, 95)), fails: "cannot answer"},
+		// A delta that echoes the cursor from a table behind it: no table
+		// the cursor came from can be at that version.
+		{name: "since newer than the peer's own table version", fault: wireFrom("boot-1", 45, 0, false, hostEntries(8, 5, 95)), fails: "cannot answer"},
 		// A 304 says "what you named is current"; a request that named
-		// nothing cannot be answered with one. The round fails and the
-		// cursor stays where first left it.
-		{name: "304 to a request with no validator", fault: reply{notModified: true, etag: `"boot-1/50"`}, fails: true,
+		// nothing cannot be answered with one.
+		{name: "304 to a request with no validator", fault: reply{notModified: true, etag: `"boot-1/50"`}, fails: "304",
 			check: func(t *testing.T, peer *scriptedPeer) {
 				if r := peer.requests[3]; r.ifNoneMatch != "" {
 					t.Errorf("the faulted round sent If-None-Match %q", r.ifNoneMatch)
 				}
-				if r := peer.last(); r.query != "since=50&instance=boot-1" {
-					t.Errorf("round after the 304: ?%s, want the cursor first left", r.query)
+			}},
+		// A 304 whose ETag is not the one the request named answers some
+		// other validator — a stale cache in the way, or a broken peer —
+		// and says nothing about the table the cursor describes.
+		{name: "304 answering a stale ETag", lead: &firstTagged, fault: reply{notModified: true, etag: `"boot-1/55"`}, fails: "304",
+			check: func(t *testing.T, peer *scriptedPeer) {
+				if r := peer.requests[3]; r.ifNoneMatch != firstTagged.etag {
+					t.Errorf("the faulted round sent If-None-Match %q, want %q", r.ifNoneMatch, firstTagged.etag)
 				}
 			}},
 		// A good answer with no validator merges, and the round after it
@@ -370,35 +477,47 @@ func TestPullerFaultsNeverMergeStaleScratch(t *testing.T) {
 			if tc.after != nil {
 				after = *tc.after
 			}
-			got, p, peer, failed := runScript(t, []reply{contact, first, lead, tc.fault, after})
 			clean := []reply{contact, first, lead}
 			if tc.merges != nil {
 				clean = append(clean, *tc.merges)
 			}
-			want, _, _, cleanFailed := runScript(t, append(clean, after))
-			if (failed == 1) != tc.fails || failed > 1 || cleanFailed != 0 {
-				t.Fatalf("%d rounds failed with the fault (fault fails its round: %v), %d without", failed, tc.fails, cleanFailed)
-			}
-			if h := p.Health()[0]; h.Mode != ModeDelta || h.DeltaPulls < 3 {
-				t.Fatalf("last round: %+v, want a delta round after at least two others", h)
-			}
-			if g, w := fleetCounts(got), fleetCounts(want); g != w {
-				t.Errorf("merge counts (merged, local, stale, quarantined) = %v, a puller that never saw the fault has %v", g, w)
-			}
-			if g, w := got.Entries(), want.Entries(); !reflect.DeepEqual(g, w) {
-				t.Errorf("agent holds %d entries, a puller that never saw the fault holds %d", len(g), len(w))
-			}
-			if n := got.Len(); n != 1+1500+30 && tc.merges == nil {
-				t.Errorf("agent holds %d entries, the good replies carry %d", n, 1+1500+30)
-			}
+			run := runScript(t, []reply{contact, first, lead, tc.fault, after})
+			checkFault(t, run, runScript(t, append(clean, after)), tc.fails, tc.merges == nil)
 			if tc.check != nil {
-				tc.check(t, peer)
+				tc.check(t, run.peer)
 			}
 		})
 	}
 
-	// The high lie sizes nothing by itself: a few-KB body cannot inflate to
-	// 4 GiB, and no body may pass the cap.
+	// Every prefix of a good body is a body cut short, and each must fail on
+	// its own, merging nothing and moving no cursor; the good body after
+	// them all merges as if none had come.
+	t.Run("body cut at every byte offset", func(t *testing.T) {
+		whole := encoded(t, wireSince(60, 50, secondEntries))
+		script := []reply{contact, first, first}
+		for cut := range len(whole) {
+			script = append(script, reply{body: whole[:cut]})
+		}
+		run := runScript(t, append(script, second))
+		want := runScript(t, []reply{contact, first, first, second})
+		if run.failed != len(whole) || want.failed != 0 {
+			t.Fatalf("%d rounds failed for %d cut bodies (%d without them)", run.failed, len(whole), want.failed)
+		}
+		for i, r := range run.peer.requests[3 : 3+len(whole)+1] {
+			if r != run.peer.requests[3] {
+				t.Fatalf("round %d after the cuts began asked ?%s If-None-Match %q, the first cut's round ?%s", i, r.query, r.ifNoneMatch, run.peer.requests[3].query)
+			}
+		}
+		if g, w := fleetCounts(run.agent), fleetCounts(want.agent); g != w {
+			t.Errorf("merge counts = %v after the cuts, %v without", g, w)
+		}
+		if g, w := run.agent.Entries(), want.agent.Entries(); !reflect.DeepEqual(g, w) {
+			t.Errorf("agent holds %d entries after the cuts, %d without", len(g), len(w))
+		}
+	})
+
+	// A compressed body sizes nothing: the puller refuses it before
+	// reading, whatever its trailer claims.
 	t.Run("ISIZE lying high allocates within the cap", func(t *testing.T) {
 		wire := (&scriptedPeer{t: t}).wire(lies(1<<32-1), "")
 		resp := &http.Response{
@@ -409,50 +528,13 @@ func TestPullerFaultsNeverMergeStaleScratch(t *testing.T) {
 		var br bodyReader
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, _, err := br.read(resp, maxSnapshotBytes)
+		_, err := br.read(resp, maxSnapshotBytes)
 		runtime.ReadMemStats(&after)
 		if err == nil {
-			t.Fatal("a body whose trailer lies about its length decoded")
+			t.Fatal("a gzipped body was read")
 		}
 		if n := after.TotalAlloc - before.TotalAlloc; n > maxSnapshotBytes {
 			t.Errorf("reading a %d-byte body allocated %d bytes, past the %d-byte cap", len(wire), n, maxSnapshotBytes)
 		}
 	})
-}
-
-// TestPullerCountsDecodeFallbacks: a delta body that is valid JSON but not in
-// the canonical form costs encoding/json — ten times the scanner — every
-// round, and nothing showed it. It merges to the same table, and the counter
-// says so; canonical bodies leave it at zero, where it is from the start.
-func TestPullerCountsDecodeFallbacks(t *testing.T) {
-	contact := reply{body: wireDelta(t, 1, true, hostEntries(1, 1, 30))}
-	entries := append(hostEntries(2, 50, 40), gossippkg.Entry{Prefix: "2001:db8::1/128", Window: 33, Samples: 2})
-	canonical := wireDelta(t, 50, false, entries)
-	formatted := strings.NewReplacer(`{"prefix"`, "\n  { \"prefix\"", `,"window":`, `, "window": `).Replace(string(canonical))
-	if formatted == string(canonical) {
-		t.Fatal("fixture did not reformat")
-	}
-
-	const name = "riptide_gossip_decode_fallback"
-	fast, _, _, failed := runScript(t, []reply{contact})
-	if v, ok := fast.Metrics().Snapshot().Counters[name]; !ok || v != 0 || failed != 0 {
-		t.Fatalf("%s = %d (present %v) before any delta, want 0 and present", name, v, ok)
-	}
-	fast, _, _, _ = runScript(t, []reply{contact, {body: canonical}})
-	slow, _, _, failed := runScript(t, []reply{contact, {body: []byte(formatted)}})
-	if failed != 0 {
-		t.Fatal("the formatted body failed to pull")
-	}
-	if v := fast.Metrics().Snapshot().Counters[name]; v != 0 {
-		t.Errorf("%s = %d after a canonical body, want 0", name, v)
-	}
-	if v := slow.Metrics().Snapshot().Counters[name]; v != 1 {
-		t.Errorf("%s = %d after one formatted body, want 1", name, v)
-	}
-	if g, w := slow.Entries(), fast.Entries(); !reflect.DeepEqual(g, w) || len(g) != 52 {
-		t.Errorf("formatted body merged to %d entries, canonical to %d, want the same 52", len(g), len(w))
-	}
-	if g, w := fleetCounts(slow), fleetCounts(fast); g != w {
-		t.Errorf("merge counts %v after the formatted body, %v after the canonical one", g, w)
-	}
 }

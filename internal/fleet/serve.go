@@ -34,38 +34,39 @@ const (
 )
 
 // Encode-once serving. Server caches the encoded full-table delta and
-// snapshot bodies, gzipped, keyed by the agent's content token (table version
-// + quarantine-marker fold) under this run's instance, so serving N peers
-// costs one encode per table change, not N per interval. Only the gzipped
-// form is kept: pullers always ask for it, and the rare client that refuses
-// gzip (an operator's curl) gets it decoded on the way out. On top of the cache
-// sits HTTP revalidation: responses carry a strong ETag derived from the same
-// token (gossip.ETag), and a request presenting it via If-None-Match gets 304
-// Not Modified — converged peers exchange headers only.
+// snapshot bodies, keyed by the agent's content token (table version +
+// quarantine-marker fold) under this run's instance, so serving N peers costs
+// one encode per table change, not N per interval. The delta body is binary
+// and sent as it is; the snapshot's JSON is kept gzipped alone, and the rare
+// client that refuses gzip (an operator's curl) gets it decoded on the way
+// out. On top of the cache sits HTTP revalidation: responses carry a strong
+// ETag derived from the same token (gossip.ETag), and a request presenting it
+// via If-None-Match gets 304 Not Modified — converged peers exchange headers
+// only.
 
 // ServeStats counts what the response cache did, for /status.
 type ServeStats struct {
 	// Hits served a cached body without touching the agent's table.
 	Hits uint64 `json:"hits"`
-	// Misses rebuilt (encoded + gzipped) a body because the table moved,
-	// the cache was cold, or an entry-bearing body aged out.
+	// Misses rebuilt a body because the table moved, the cache was cold, or
+	// an entry-bearing body aged out.
 	Misses uint64 `json:"misses"`
 	// NotModified answered 304 to a matching If-None-Match — no body.
 	NotModified uint64 `json:"notModified"`
 }
 
 // Cache slots, one encoded body retained per kind — the cache's memory
-// bound is two gzipped encodings of the table, regardless of peer count or
-// request rate.
+// bound is one binary and one gzipped encoding of the table, regardless of
+// peer count or request rate.
 const (
 	kindDelta = iota
 	kindSnapshot
 	numKinds
 )
 
-// cachedBody is one encoded response, built at a content token: the JSON
-// body (with trailing newline) gzipped, and its size decoded. plain holds the
-// body itself only when compressing it failed.
+// cachedBody is one encoded response, built at a content token. A delta body
+// is plain. A snapshot body — JSON with a trailing newline — is gz, gzipped,
+// and size bytes decoded; it is plain only when compressing it failed.
 type cachedBody struct {
 	valid    bool
 	version  uint64
@@ -202,7 +203,7 @@ func (s *Server) DeltaHandler() http.Handler {
 			}
 		}
 		if cursor.Usable(s.Instance(), version) {
-			s.serveSince(w, r, cursor.Version, etag)
+			s.serveSince(w, cursor.Version, etag)
 			return
 		}
 		// The full table is identical for every asker at a given content
@@ -267,7 +268,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, kind int, v
 	body := *b
 	s.mu.Unlock()
 
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", contentType[kind])
 	w.Header().Set("ETag", etag)
 	var n int
 	switch {
@@ -287,27 +288,37 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, kind int, v
 // bytes under a stale token — the next request re-reads the token,
 // mismatches, and rebuilds; never serves stale.
 func (s *Server) fillLocked(kind int, version, markers uint64) error {
-	var plain []byte
-	var err error
-	switch kind {
-	case kindDelta:
-		plain, err = s.deltaLocked(nil, 0)
-	case kindSnapshot:
-		entries, ver := s.agent.ExportDeltaAppend(s.coreBuf.Take(0), 0)
-		defer s.coreBuf.Keep(entries, len(entries))
-		plain, err = appendSnapshot(make([]byte, 0, bodySizeHint(len(entries))), Snapshot{
-			Version:         Version,
-			Source:          s.source,
-			Instance:        s.instance,
-			TableVersion:    ver,
-			CreatedUnixNano: s.now().UnixNano(),
-		}, entries)
+	b := cachedBody{valid: true, version: version, markers: markers, filledAt: s.now()}
+	if kind == kindDelta {
+		// Encoded into pooled scratch and kept at its exact size: the
+		// encode's capacity hint is generous, and the cache holds the body
+		// until the table moves.
+		buf := bodyPool.Get().(*[]byte)
+		plain, err := s.deltaLocked((*buf)[:0], 0)
+		if err != nil {
+			return err
+		}
+		b.plain = append([]byte(nil), plain...)
+		*buf = plain
+		bodyPool.Put(buf)
+		s.bodies[kind] = b
+		return nil
 	}
+	entries, ver := s.agent.ExportDeltaAppend(s.coreBuf.Take(0), 0)
+	defer s.coreBuf.Keep(entries, len(entries))
+	// An IPv4 entry runs ≈85 bytes of JSON: the usual body is one allocation.
+	plain, err := appendSnapshot(make([]byte, 0, 256+96*len(entries)), Snapshot{
+		Version:         Version,
+		Source:          s.source,
+		Instance:        s.instance,
+		TableVersion:    ver,
+		CreatedUnixNano: s.now().UnixNano(),
+	}, entries)
 	if err != nil {
 		return err
 	}
 	plain = append(plain, '\n')
-	b := cachedBody{valid: true, version: version, markers: markers, filledAt: s.now(), size: len(plain)}
+	b.size = len(plain)
 	if b.gz, err = gzipBytes(plain); err != nil {
 		// Compression is an optimization; serve plain only.
 		b.gz, b.plain = nil, plain
@@ -316,9 +327,12 @@ func (s *Server) fillLocked(kind int, version, markers uint64) error {
 	return nil
 }
 
-// bodySizeHint is the capacity an encode of n entries starts from: an IPv4
-// entry runs ≈85 bytes, so the usual body is one allocation.
-func bodySizeHint(n int) int { return 256 + 96*n }
+// contentType is each kind's media type: the delta wire is binary
+// (gossip.AppendDelta), the snapshot JSON.
+var contentType = [numKinds]string{
+	kindDelta:    "application/octet-stream",
+	kindSnapshot: "application/json",
+}
 
 // deltaLocked exports the entries committed after since (0: the whole table,
 // marked full) into the pooled scratch and appends the delta's wire form to
@@ -326,7 +340,9 @@ func bodySizeHint(n int) int { return 256 + 96*n }
 func (s *Server) deltaLocked(dst []byte, since uint64) ([]byte, error) {
 	entries, ver := s.agent.ExportDeltaAppend(s.coreBuf.Take(0), since)
 	defer s.coreBuf.Keep(entries, len(entries))
-	if hint := bodySizeHint(len(entries)); cap(dst) < hint {
+	// An IPv4 host route runs 6 to 12 bytes: the usual body is one
+	// allocation.
+	if hint := 64 + 16*len(entries); cap(dst) < hint {
 		dst = make([]byte, 0, hint)
 	}
 	return gossip.AppendDelta(dst, gossip.Delta{
@@ -339,14 +355,14 @@ func (s *Server) deltaLocked(dst []byte, since uint64) ([]byte, error) {
 	}, entries)
 }
 
-// bodyPool recycles the plain bodies of versioned deltas: they live only
-// until writeJSON has put them on the wire.
+// bodyPool recycles the bodies of versioned deltas: they live only until
+// they are on the wire.
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // serveSince encodes one versioned delta — under mu, which guards the export
 // scratch — and writes it outside the lock with the ETag of the token read
 // before the export, so the peer's next round revalidates conservatively.
-func (s *Server) serveSince(w http.ResponseWriter, r *http.Request, since uint64, etag string) {
+func (s *Server) serveSince(w http.ResponseWriter, since uint64, etag string) {
 	buf := bodyPool.Get().(*[]byte)
 	s.mu.Lock()
 	data, err := s.deltaLocked((*buf)[:0], since)
@@ -355,9 +371,9 @@ func (s *Server) serveSince(w http.ResponseWriter, r *http.Request, since uint64
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	data = append(data, '\n')
+	w.Header().Set("Content-Type", contentType[kindDelta])
 	w.Header().Set("ETag", etag)
-	n := writeJSON(w, r, data)
+	n := writeBody(w, data)
 	s.counter("riptide_gossip_bytes_sent").Add(uint64(n))
 	*buf = data
 	bodyPool.Put(buf)

@@ -12,6 +12,7 @@ import (
 	"net/url"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -325,7 +326,7 @@ func pullDeltaRound(tb testing.TB, p *Puller, rewind func()) {
 // BenchmarkPullDeltaRound is the whole peer leg of a churn round in one
 // process, beside BenchmarkServeDeltaSince's serving half: a 100k-entry
 // server table, a 7k-entry ?since= body, a warmed puller. KB/round is what the
-// leg allocates on both sides; wire-B/round is the gzipped delta.
+// leg allocates on both sides; wire-B/round is the delta's body.
 func BenchmarkPullDeltaRound(b *testing.B) {
 	p, rewind := pullDeltaFixture(b, benchAgent(b, 100000), 7000)
 	pullDeltaRound(b, p, rewind) // the second round of a size is the one that keeps its scratch
@@ -342,11 +343,10 @@ func BenchmarkPullDeltaRound(b *testing.B) {
 	b.ReportMetric(float64(p.peers[0].health.LastBytes), "wire-B/round")
 }
 
-// TestPullDeltaRoundAllocs: a warmed ?since= round — pull, gunzip, decode into
-// the kept slice, merge with every entry skipped as local — allocates the
-// fixed objects of one HTTP exchange plus inflate's link tables (one per
-// deflate block of the body: ≈80 for 640 KB, stdlib's), and nothing per
-// entry: a string per prefix would read 7000 more. Its bytes do not hold a
+// TestPullDeltaRoundAllocs: a warmed ?since= round — pull, decode into the
+// kept slice, merge with every entry skipped as local — allocates the fixed
+// objects of one HTTP exchange, and nothing per entry: a string per prefix
+// would read 7000 more. Its bytes do not hold a
 // table-shaped temporary either — the smallest of those, 7000 merge-form
 // entries, is 390 KB. Bytes are the cheapest of several rounds, because a
 // sync.Pool emptied by a GC (or, under -race, at random) re-buys an output
@@ -375,16 +375,25 @@ func TestPullDeltaRoundAllocs(t *testing.T) {
 	}
 }
 
+// rebuildingSnapshot is the snapshot endpoint of a server whose clock passes
+// the cache's freshness bound between any two requests, so every serve
+// rebuilds, and compresses, the body.
+func rebuildingSnapshot(a *core.Agent) (http.Handler, *http.Request) {
+	var hours atomic.Int64
+	s := NewServer(a, "bench", "boot-1", func() time.Time { return time.Unix(0, 0).Add(time.Duration(hours.Add(1)) * time.Hour) })
+	return s.SnapshotHandler(), benchRequest(SnapshotPath)
+}
+
 // TestServeKeepsGzipWriterAcrossGC: the compressor a gzipped serve uses
-// outlives garbage collections. It serves 20 small ?since= deltas with the
-// heap collected between each one (twice, which empties any sync.Pool), and
-// no serve may allocate half of what one BestSpeed gzip.Writer costs: a
-// serve that re-buys its compressor allocates all of it, ≈1.2 MB.
+// outlives garbage collections. It serves 20 rebuilt snapshots with the heap
+// collected between each one (twice, which empties any sync.Pool), and no
+// serve may allocate half of what one BestSpeed gzip.Writer costs: a serve
+// that re-buys its compressor allocates all of it, ≈1.2 MB.
 func TestServeKeepsGzipWriterAcrossGC(t *testing.T) {
 	allocbudget.SkipUnderRace(t)
 	compressor := allocatedBy(newCompressor)
 	a, _, _ := newTestAgent(t, []core.Observation{obs(t, "192.0.2.1", 40)})
-	h, req := sinceFixture(t, a, 8)
+	h, req := rebuildingSnapshot(a)
 	w := &benchResponseWriter{}
 	h.ServeHTTP(w, req)
 	for i := 0; i < 20; i++ {
@@ -398,14 +407,14 @@ func TestServeKeepsGzipWriterAcrossGC(t *testing.T) {
 }
 
 // TestGzipWritersRetainedUnderFanIn prices the kept writers on a host that
-// answers many peers at once: after rounds of 4×GOMAXPROCS concurrent
-// ?since= serves, the free list holds at most GOMAXPROCS writers, and the
+// answers many clients at once: after rounds of 4×GOMAXPROCS concurrent
+// rebuilt snapshots, the free list holds at most GOMAXPROCS writers, and the
 // heap a collection leaves is under one compressor more than those it keeps.
 func TestGzipWritersRetainedUnderFanIn(t *testing.T) {
 	allocbudget.SkipUnderRace(t)
 	compressor := allocatedBy(newCompressor)
 	a, _, _ := newTestAgent(t, []core.Observation{obs(t, "192.0.2.1", 40)})
-	h, req := sinceFixture(t, a, 8)
+	h, req := rebuildingSnapshot(a)
 	peers := 4 * runtime.GOMAXPROCS(0)
 	reqs := make([]*http.Request, peers)
 	for i := range reqs {
@@ -472,7 +481,7 @@ func heapAfterGC() uint64 {
 
 // BenchmarkServeDeltaSince is a churn round's pull: a 100k table of which 1 %
 // was stamped after the puller's cursor. The cost is the delta's — export
-// walk, encode, gzip — not the table's.
+// walk and encode — not the table's.
 func BenchmarkServeDeltaSince(b *testing.B) {
 	h, req := sinceFixture(b, benchAgent(b, 100000), 1000)
 	w := &benchResponseWriter{}
@@ -499,7 +508,7 @@ func TestServeSinceAllocs(t *testing.T) {
 		a, _, _ := newTestAgent(t, []core.Observation{obs(t, "192.0.2.1", 40)})
 		h, req := sinceFixture(t, a, k)
 		w := &benchResponseWriter{}
-		h.ServeHTTP(w, req) // size the pooled export, body and gzip buffers
+		h.ServeHTTP(w, req) // size the pooled export and body buffers
 		allocs[i] = testing.AllocsPerRun(100, func() { h.ServeHTTP(w, req) })
 		if w.n == 0 || w.code != 0 {
 			t.Fatalf("delta of %d: status %d, %d bytes", k, w.code, w.n)

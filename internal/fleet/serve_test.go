@@ -44,8 +44,7 @@ func uncachedBodies(t *testing.T, a *core.Agent, source, instance string, create
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	nl := []byte{'\n'}
-	return append(dl, nl...), append(sn, nl...)
+	return dl, append(sn, '\n')
 }
 
 // TestServeCacheByteIdentical pins the cached bodies byte-for-byte against
@@ -134,8 +133,9 @@ func TestServeCacheByteIdentical(t *testing.T) {
 
 // TestServeUncachedByteIdentical pins the request-shaped bodies — versioned
 // deltas rendered straight from the agent's export, and the full table every
-// unusable cursor gets — byte-for-byte against json.Marshal of the same
-// message built entry by entry, plain and gzipped.
+// unusable cursor gets — byte-for-byte against EncodeDelta of the same
+// message built entry by entry, and sent as they are to a client that asks
+// for gzip too.
 func TestServeUncachedByteIdentical(t *testing.T) {
 	a, _, _ := newTestAgent(t, []core.Observation{
 		obs(t, "192.0.2.1", 40),
@@ -169,18 +169,15 @@ func TestServeUncachedByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("EncodeDelta: %v", err)
 		}
-		want = append(want, '\n')
 		if got := serveGet(h, DeltaPath+query, "").Body.Bytes(); !bytes.Equal(got, want) {
-			t.Errorf("%s:\n got %s\nwant %s", query, got, want)
+			t.Errorf("%s:\n got %x\nwant %x", query, got, want)
 		}
 		req := httptest.NewRequest(http.MethodGet, DeltaPath+query, nil)
 		req.Header.Set("Accept-Encoding", "gzip")
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, req)
-		var br bodyReader
-		got, _, err := br.read(w.Result(), 1<<20)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Errorf("%s gzipped: %v\n got %s\nwant %s", query, err, got, want)
+		if enc := w.Header().Get("Content-Encoding"); enc != "" || !bytes.Equal(w.Body.Bytes(), want) {
+			t.Errorf("%s, gzip accepted: Content-Encoding %q\n got %x\nwant %x", query, enc, w.Body.Bytes(), want)
 		}
 	}
 	if len(cases) != 5 || cursor == now {
@@ -312,9 +309,10 @@ func TestServePlainPeerGetsFullBody(t *testing.T) {
 	}
 }
 
-// TestServeCachesGzipOnly: a cached full body is kept gzipped alone, and a
+// TestServeCachesGzipOnly: a cached snapshot is kept gzipped alone, and a
 // client that refuses gzip gets exactly the bytes the gzipped body decodes
-// to, under the same ETag, for both cached kinds.
+// to, under the same ETag. The cached full delta is the binary body alone,
+// and every client gets it as it is, never under a Content-Encoding.
 func TestServeCachesGzipOnly(t *testing.T) {
 	a, _, _ := newTestAgent(t, []core.Observation{
 		obs(t, "192.0.2.1", 40),
@@ -336,24 +334,29 @@ func TestServeCachesGzipOnly(t *testing.T) {
 			return w
 		}
 		zipped := get("gzip")
-		if zipped.Header().Get("Content-Encoding") != "gzip" {
-			t.Fatalf("kind %d: a gzip client got Content-Encoding %q", kind, zipped.Header().Get("Content-Encoding"))
+		want := zipped.Body.Bytes()
+		if kind == kindSnapshot {
+			if zipped.Header().Get("Content-Encoding") != "gzip" {
+				t.Fatalf("snapshot: a gzip client got Content-Encoding %q", zipped.Header().Get("Content-Encoding"))
+			}
+			zr, err := gzip.NewReader(zipped.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, err = io.ReadAll(zr); err != nil {
+				t.Fatal(err)
+			}
 		}
-		zr, err := gzip.NewReader(zipped.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := io.ReadAll(zr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, encoding := range []string{"", "gzip;q=0", "identity"} {
+		for _, encoding := range []string{"gzip", "", "gzip;q=0", "identity"} {
 			plain := get(encoding)
+			if kind == kindSnapshot && encoding == "gzip" {
+				continue
+			}
 			if ce := plain.Header().Get("Content-Encoding"); ce != "" {
 				t.Errorf("kind %d, Accept-Encoding %q: Content-Encoding %q", kind, encoding, ce)
 			}
 			if got := plain.Body.Bytes(); !bytes.Equal(got, want) {
-				t.Errorf("kind %d, Accept-Encoding %q: plain body differs from the gzipped one decoded:\n got %s\nwant %s", kind, encoding, got, want)
+				t.Errorf("kind %d, Accept-Encoding %q: plain body differs from the gzipped one decoded:\n got %q\nwant %q", kind, encoding, got, want)
 			}
 			if cl := plain.Header().Get("Content-Length"); cl != fmt.Sprint(len(want)) {
 				t.Errorf("kind %d, Accept-Encoding %q: Content-Length %s for %d bytes", kind, encoding, cl, len(want))
@@ -365,11 +368,14 @@ func TestServeCachesGzipOnly(t *testing.T) {
 		s.mu.Lock()
 		b := s.bodies[kind]
 		s.mu.Unlock()
-		if !b.valid || b.gz == nil || b.plain != nil {
-			t.Errorf("kind %d: cache slot valid %v, %d gzipped bytes, %d plain bytes: want the gzipped body alone", kind, b.valid, len(b.gz), len(b.plain))
+		if kind == kindSnapshot && (!b.valid || b.gz == nil || b.plain != nil) {
+			t.Errorf("snapshot: cache slot valid %v, %d gzipped bytes, %d plain bytes: want the gzipped body alone", b.valid, len(b.gz), len(b.plain))
+		}
+		if kind == kindDelta && (!b.valid || b.gz != nil || !bytes.Equal(b.plain, want)) {
+			t.Errorf("delta: cache slot valid %v, %d gzipped bytes, %d plain bytes: want the binary body alone", b.valid, len(b.gz), len(b.plain))
 		}
 	}
-	if st := s.Stats(); st.Misses != 2 || st.Hits != 6 {
+	if st := s.Stats(); st.Misses != 2 || st.Hits != 8 {
 		t.Errorf("stats = %+v: want one fill per kind, every other request a hit", st)
 	}
 }

@@ -1,327 +1,389 @@
 package gossip
 
 import (
-	"bytes"
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"net/netip"
 	"slices"
-	"strconv"
+	"time"
 
 	"riptide/internal/core"
 )
 
-// A faster writer and reader for the entry-bearing wire messages. The wire
-// format is whatever encoding/json makes of Delta (and fleet.Snapshot):
-// json.Marshal defines the bytes, json.Unmarshal the accept set. This file
-// only produces and consumes that same canonical form without reflection —
-// the entry array is where the bytes are (≈85 per entry, thousands per
-// churn-round delta), so the writer renders it straight from the agent's
-// export and the reader scans it, while message headers stay with
-// encoding/json on the way out (a dozen fields once per message).
+// The delta wire (version 2): one binary message per GET /fleet/delta,
+// versioned deltas and the full table alike, sent uncompressed. Integers are
+// varints (encoding/binary's), signed ones zigzag-coded; "prev" values start
+// at zero and advance entry by entry.
 //
-// TestAppendDeltaMatchesMarshal pins the writer byte-for-byte against
-// json.Marshal; FuzzDecodeDelta pins the reader against json.Unmarshal:
-// whatever scanDelta accepts, Unmarshal accepts with an equal result, and
-// whatever it declines goes through Unmarshal as before. The reader has two
-// sinks behind one entry loop — wire entries, or the merge's input directly
-// (DecodeDeltaAppend) — and the same fuzz target pins the second to ToCore
-// of the first.
+//	header:
+//	  magic        "RPTD"
+//	  version      uvarint           WireVersion
+//	  flags        byte              bit 0: full; no other bit is set
+//	  source       uvarint len, bytes
+//	  instance     uvarint len, bytes
+//	  tableVersion uvarint
+//	  since        uvarint
+//	  count        uvarint           the entries that follow, to the end
+//	entry:
+//	  tag          byte              bits 0-1 family (0 invalid, 1 IPv4,
+//	                                 2 IPv6), bit 2 quarantined, bit 3 host
+//	                                 (the family's full length); no other bit
+//	  bits         byte              a valid prefix that is not a host route
+//	  address      IPv4: uvarint zigzag(int32(addr - prev IPv4 addr))
+//	               IPv6: two of uvarint zigzag(int64(half - prev half)),
+//	                     the high then the low 64 bits
+//	  window       uvarint zigzag
+//	  samples      uvarint
+//	  age          uvarint zigzag, nanoseconds
+//	  version      uvarint zigzag(int64(version - prev version))
+//
+// Entries keep the export's prefix order, so neighbouring addresses are
+// close and a churn delta's versions repeat: a host route's address delta
+// and its version delta are a byte each. The encoding is canonical — every
+// varint minimal, every flag a known bit, nothing after the last entry — so
+// a body that decodes re-encodes to the same bytes (FuzzDecodeDelta).
 
-// AppendEntries appends the JSON array json.Marshal renders for
-// FromCore(entries) — `null` for a nil slice — without building the wire
-// entries or a string per prefix.
-func AppendEntries(dst []byte, entries []core.SnapshotEntry) []byte {
-	if entries == nil {
-		return append(dst, "null"...)
-	}
-	dst = append(dst, '[')
-	for i := range entries {
-		e := &entries[i]
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, `{"prefix":"`...)
-		if e.Prefix.IsValid() {
-			// CIDR text is digits, hex letters, '.', ':' and '/': nothing
-			// JSON or HTML escaping touches.
-			dst = e.Prefix.AppendTo(dst)
-		} else {
-			dst = append(dst, netip.Prefix{}.String()...)
-		}
-		dst = append(dst, `","window":`...)
-		dst = strconv.AppendInt(dst, int64(e.Window), 10)
-		dst = append(dst, `,"samples":`...)
-		dst = strconv.AppendUint(dst, e.Samples, 10)
-		dst = append(dst, `,"ageNanos":`...)
-		dst = strconv.AppendInt(dst, int64(e.Age), 10)
-		if e.Quarantined {
-			dst = append(dst, `,"quarantined":true`...)
-		}
-		if e.Version != 0 {
-			dst = append(dst, `,"modVersion":`...)
-			dst = strconv.AppendUint(dst, e.Version, 10)
-		}
-		dst = append(dst, '}')
-	}
-	return append(dst, ']')
-}
+// magic opens every delta body. A JSON body, the wire of version 1, opens
+// with '{' instead.
+const magic = "RPTD"
 
-// SpliceEntries appends head — the json.Marshal of a message whose last
-// field is `"entries"` holding a nil slice — with the array for entries in
-// place of the null.
-func SpliceEntries(dst, head []byte, entries []core.SnapshotEntry) []byte {
-	const tail = "null}"
-	if !bytes.HasSuffix(head, []byte(tail)) {
-		panic("riptide/gossip: SpliceEntries: head does not end in a null entries field")
-	}
-	dst = append(dst, head[:len(head)-len(tail)]...)
-	dst = AppendEntries(dst, entries)
-	return append(dst, '}')
-}
+const (
+	flagFull = 1 << 0
+
+	tagFamily      = 3 << 0
+	tagQuarantined = 1 << 2
+	tagHost        = 1 << 3
+
+	familyInvalid = 0
+	familyIPv4    = 1
+	familyIPv6    = 2
+)
+
+// minEntryBytes is the smallest entry on the wire — an invalid prefix: a tag
+// and four one-byte varints. A count the rest of the body cannot hold at
+// that size is refused before anything is allocated for it.
+const minEntryBytes = 5
 
 // AppendDelta appends the wire form of d carrying entries in place of
-// d.Entries: exactly json.Marshal(d) with d.Entries = FromCore(entries).
+// d.Entries, in the order given.
 func AppendDelta(dst []byte, d Delta, entries []core.SnapshotEntry) ([]byte, error) {
 	if d.Version != WireVersion {
 		return dst, fmt.Errorf("riptide/gossip: encode delta version %d, want %d", d.Version, WireVersion)
 	}
-	d.Entries = nil
-	head, err := json.Marshal(d)
-	if err != nil {
-		return dst, err
+	dst = append(dst, magic...)
+	dst = binary.AppendUvarint(dst, uint64(d.Version))
+	var flags byte
+	if d.Full {
+		flags |= flagFull
 	}
-	return SpliceEntries(dst, head, entries), nil
+	dst = append(dst, flags)
+	dst = binary.AppendUvarint(dst, uint64(len(d.Source)))
+	dst = append(dst, d.Source...)
+	dst = binary.AppendUvarint(dst, uint64(len(d.Instance)))
+	dst = append(dst, d.Instance...)
+	dst = binary.AppendUvarint(dst, d.TableVersion)
+	dst = binary.AppendUvarint(dst, d.Since)
+	dst = binary.AppendUvarint(dst, uint64(len(entries)))
+	var prev prevFields
+	for i := range entries {
+		dst = prev.appendEntry(dst, &entries[i])
+	}
+	return dst, nil
 }
 
-// scanner walks one wire message left to right. Every method reports false
-// to decline — the caller then hands the whole message to encoding/json.
-type scanner struct {
+// prevFields is what an entry is coded against: the fields of the entries
+// before it.
+type prevFields struct {
+	v4      uint32
+	hi, lo  uint64
+	version uint64
+}
+
+func (p *prevFields) appendEntry(dst []byte, e *core.SnapshotEntry) []byte {
+	var tag byte
+	if e.Quarantined {
+		tag |= tagQuarantined
+	}
+	addr, bits := e.Prefix.Addr(), e.Prefix.Bits()
+	switch {
+	case !e.Prefix.IsValid():
+		dst = append(dst, tag|familyInvalid)
+	case addr.Is4():
+		if bits == 32 {
+			dst = append(dst, tag|familyIPv4|tagHost)
+		} else {
+			dst = append(dst, tag|familyIPv4, byte(bits))
+		}
+		a4 := addr.As4()
+		v := binary.BigEndian.Uint32(a4[:])
+		dst = binary.AppendUvarint(dst, uint64(zigzag32(int32(v-p.v4))))
+		p.v4 = v
+	default:
+		if bits == 128 {
+			dst = append(dst, tag|familyIPv6|tagHost)
+		} else {
+			dst = append(dst, tag|familyIPv6, byte(bits))
+		}
+		a16 := addr.As16()
+		hi, lo := binary.BigEndian.Uint64(a16[:8]), binary.BigEndian.Uint64(a16[8:])
+		dst = binary.AppendUvarint(dst, zigzag64(int64(hi-p.hi)))
+		dst = binary.AppendUvarint(dst, zigzag64(int64(lo-p.lo)))
+		p.hi, p.lo = hi, lo
+	}
+	dst = binary.AppendUvarint(dst, zigzag64(int64(e.Window)))
+	dst = binary.AppendUvarint(dst, e.Samples)
+	dst = binary.AppendUvarint(dst, zigzag64(int64(e.Age)))
+	dst = binary.AppendUvarint(dst, zigzag64(int64(e.Version-p.version)))
+	p.version = e.Version
+	return dst
+}
+
+// EncodeDelta serializes a delta. Entry prefixes are parsed as ToCore
+// parses them: one that does not parse goes on the wire as an invalid
+// prefix.
+func EncodeDelta(d Delta) ([]byte, error) {
+	return AppendDelta(nil, d, ToCore(d.Entries))
+}
+
+// DecodeDelta parses a wire delta, rejecting unknown versions, JSON bodies of
+// wire version 1 among them, with an error that names the version.
+func DecodeDelta(data []byte) (Delta, error) {
+	d, _, err := decodeDelta(data, nil, false)
+	return d, err
+}
+
+// DecodeDeltaAppend is DecodeDelta for a receiver that merges what it gets:
+// the entries are decoded straight to merge form and appended to dst — what
+// ToCore(d.Entries) would hold — and d.Entries stays nil. dst is grown once,
+// to the body's entry count, and no entry allocates. On error dst is
+// returned as given.
+func DecodeDeltaAppend(dst []core.SnapshotEntry, data []byte) (Delta, []core.SnapshotEntry, error) {
+	held := len(dst)
+	d, dst, err := decodeDelta(data, dst, true)
+	if err != nil {
+		return Delta{}, dst[:held], err
+	}
+	return d, dst, nil
+}
+
+// errTruncated is a body that ends inside a field, or holds a varint that
+// is not minimal: either way, not a body AppendDelta wrote.
+var errTruncated = errors.New("riptide/gossip: delta body is truncated, or a varint in it is not minimal")
+
+// decodeDelta decodes into d.Entries or, with merge set, onto out as
+// DecodeDeltaAppend describes; on error out may hold a partial decode, which
+// the caller drops.
+func decodeDelta(data []byte, out []core.SnapshotEntry, merge bool) (d Delta, _ []core.SnapshotEntry, err error) {
+	r := reader{b: data}
+	if err := r.header(&d); err != nil {
+		return Delta{}, out, err
+	}
+	count, ok := r.uvarint()
+	if !ok {
+		return Delta{}, out, errTruncated
+	}
+	if rest := uint64(len(r.b) - r.i); count > rest/minEntryBytes {
+		return Delta{}, out, fmt.Errorf("riptide/gossip: delta claims %d entries, the %d bytes after its header hold at most %d",
+			count, rest, rest/minEntryBytes)
+	}
+	n := int(count)
+	if merge {
+		out = slices.Grow(out, n)
+	} else {
+		d.Entries = make([]Entry, 0, n)
+	}
+	var prev prevFields
+	for range n {
+		var e core.SnapshotEntry
+		if err := r.entry(&e, &prev); err != nil {
+			return Delta{}, out, err
+		}
+		if merge {
+			out = append(out, e)
+		} else {
+			d.Entries = append(d.Entries, fromCore(e))
+		}
+	}
+	if r.i != len(r.b) {
+		return Delta{}, out, fmt.Errorf("riptide/gossip: %d bytes follow the delta's last entry", len(r.b)-r.i)
+	}
+	return d, out, nil
+}
+
+// reader walks one delta body. Its methods report false at the end of the
+// body or on a varint that is not minimal, so that what decodes is exactly
+// what AppendDelta writes.
+type reader struct {
 	b []byte
 	i int
 }
 
-// lit consumes s if the input continues with it.
-func (s *scanner) lit(lit string) bool {
-	if rest := s.b[s.i:]; len(rest) >= len(lit) && string(rest[:len(lit)]) == lit {
-		s.i += len(lit)
-		return true
+func (r *reader) byte() (byte, bool) {
+	if r.i >= len(r.b) {
+		return 0, false
 	}
-	return false
+	c := r.b[r.i]
+	r.i++
+	return c, true
 }
 
-// uint consumes a canonical non-negative integer — "0" or digits with no
-// leading zero — that fits 64 bits. Fractions and exponents end the digits
-// early and fail the literal the caller expects next.
-func (s *scanner) uint() (uint64, bool) {
-	b, i := s.b, s.i // locals: the loop runs per digit of the body
-	var v uint64
-	for ; i < len(b); i++ {
-		c := b[i] - '0'
-		if c > 9 {
-			break
-		}
-		v = v*10 + uint64(c) // cannot wrap below 20 digits
+func (r *reader) uvarint() (uint64, bool) {
+	if r.i < len(r.b) && r.b[r.i] < 0x80 { // the usual one-byte value
+		v := r.b[r.i]
+		r.i++
+		return uint64(v), true
 	}
-	digits := b[s.i:i]
-	s.i = i
-	switch n := len(digits); {
-	case n == 0, n > 20, n > 1 && digits[0] == '0':
+	v, n := binary.Uvarint(r.b[r.i:])
+	if n <= 0 || r.b[r.i+n-1] == 0 { // truncated, past 64 bits, or overlong
 		return 0, false
-	case n == 20:
-		v, err := strconv.ParseUint(string(digits), 10, 64)
-		return v, err == nil
 	}
+	r.i += n
 	return v, true
 }
 
-// int consumes a canonical integer that fits 64 bits; "-0" is declined.
-func (s *scanner) int() (int64, bool) {
-	neg := s.lit("-")
-	v, ok := s.uint()
-	switch {
-	case !ok, neg && (v == 0 || v > 1<<63), !neg && v > 1<<63-1:
-		return 0, false
-	case neg:
-		return -int64(v), true
-	}
-	return int64(v), true
+func (r *reader) varint() (int64, bool) {
+	u, ok := r.uvarint()
+	return unzigzag64(u), ok
 }
 
-// str consumes a string whose bytes need no unescaping or UTF-8 repair —
-// ASCII from space up, no backslash — and returns them, aliasing the input.
-func (s *scanner) str() ([]byte, bool) {
-	if !s.lit(`"`) {
-		return nil, false
+func (r *reader) str() (string, bool) {
+	n, ok := r.uvarint()
+	if !ok || n > uint64(len(r.b)-r.i) {
+		return "", false
 	}
-	b := s.b
-	for i := s.i; i < len(b); i++ {
-		c := b[i]
-		if c == '"' {
-			text := b[s.i:i]
-			s.i = i + 1
-			return text, true
+	s := string(r.b[r.i : r.i+int(n)])
+	r.i += int(n)
+	return s, true
+}
+
+// header reads everything before the entry count.
+func (r *reader) header(d *Delta) error {
+	if len(r.b) < len(magic) || string(r.b[:len(magic)]) != magic {
+		if i := skipSpace(r.b); i < len(r.b) && r.b[i] == '{' {
+			return fmt.Errorf("riptide/gossip: delta body is JSON, wire version 1; this build reads wire version %d (the peer needs upgrading)", WireVersion)
 		}
-		if c-' ' >= 0x80-' ' || c == '\\' { // below space, or past ASCII
-			return nil, false
+		return fmt.Errorf("riptide/gossip: delta body does not open with %q (wire version %d)", magic, WireVersion)
+	}
+	r.i = len(magic)
+	version, ok := r.uvarint()
+	if !ok {
+		return errTruncated
+	}
+	if version != WireVersion {
+		return fmt.Errorf("riptide/gossip: delta wire version %d, want %d", version, WireVersion)
+	}
+	d.Version = WireVersion
+	flags, ok := r.byte()
+	if !ok {
+		return errTruncated
+	}
+	if flags&^flagFull != 0 {
+		return fmt.Errorf("riptide/gossip: delta flags %#x carry unknown bits", flags)
+	}
+	d.Full = flags&flagFull != 0
+	if d.Source, ok = r.str(); !ok {
+		return errTruncated
+	}
+	if d.Instance, ok = r.str(); !ok {
+		return errTruncated
+	}
+	if d.TableVersion, ok = r.uvarint(); !ok {
+		return errTruncated
+	}
+	if d.Since, ok = r.uvarint(); !ok {
+		return errTruncated
+	}
+	return nil
+}
+
+// entry reads one entry into e, coded against prev.
+func (r *reader) entry(e *core.SnapshotEntry, prev *prevFields) error {
+	tag, ok := r.byte()
+	if !ok {
+		return errTruncated
+	}
+	if tag&^(tagFamily|tagQuarantined|tagHost) != 0 {
+		return fmt.Errorf("riptide/gossip: entry tag %#x carries unknown bits", tag)
+	}
+	e.Quarantined = tag&tagQuarantined != 0
+	family, host := tag&tagFamily, tag&tagHost != 0
+	full := 0
+	switch family {
+	case familyInvalid:
+		if host {
+			return fmt.Errorf("riptide/gossip: entry tag %#x marks an invalid prefix a host route", tag)
 		}
+	case familyIPv4:
+		full = 32
+	case familyIPv6:
+		full = 128
+	default:
+		return fmt.Errorf("riptide/gossip: entry tag %#x names no address family", tag)
 	}
-	return nil, false
+	bits := full
+	if family != familyInvalid && !host {
+		b, ok := r.byte()
+		if !ok {
+			return errTruncated
+		}
+		if int(b) >= full {
+			return fmt.Errorf("riptide/gossip: entry prefix length %d is not below the family's %d", b, full)
+		}
+		bits = int(b)
+	}
+	switch family {
+	case familyIPv4:
+		u, ok := r.uvarint()
+		if !ok {
+			return errTruncated
+		}
+		if u > math.MaxUint32 {
+			return fmt.Errorf("riptide/gossip: IPv4 address delta %#x does not fit 32 bits", u)
+		}
+		prev.v4 += uint32(unzigzag32(uint32(u)))
+		var a [4]byte
+		binary.BigEndian.PutUint32(a[:], prev.v4)
+		e.Prefix = netip.PrefixFrom(netip.AddrFrom4(a), bits)
+	case familyIPv6:
+		dhi, ok1 := r.varint()
+		dlo, ok2 := r.varint()
+		if !ok1 || !ok2 {
+			return errTruncated
+		}
+		prev.hi += uint64(dhi)
+		prev.lo += uint64(dlo)
+		var a [16]byte
+		binary.BigEndian.PutUint64(a[:8], prev.hi)
+		binary.BigEndian.PutUint64(a[8:], prev.lo)
+		e.Prefix = netip.PrefixFrom(netip.AddrFrom16(a), bits)
+	}
+	window, ok1 := r.varint()
+	samples, ok2 := r.uvarint()
+	age, ok3 := r.varint()
+	dv, ok4 := r.varint()
+	if !ok1 || !ok2 || !ok3 || !ok4 {
+		return errTruncated
+	}
+	if int64(int(window)) != window {
+		return fmt.Errorf("riptide/gossip: entry window %d overflows int", window)
+	}
+	prev.version += uint64(dv)
+	e.Window, e.Samples, e.Age, e.Version = int(window), samples, time.Duration(age), prev.version
+	return nil
 }
 
-// parsePrefix is what ToCore makes of a wire prefix, from its bytes: the
-// canonical IPv4 form — every prefix an IPv4 fleet sends — is read in place,
-// anything else goes to netip.ParsePrefix, and what that rejects is the
-// invalid prefix the merge skips.
-func parsePrefix(b []byte) netip.Prefix {
-	if p, ok := ipv4Prefix(b); ok {
-		return p
-	}
-	p, err := netip.ParsePrefix(string(b))
-	if err != nil {
-		return netip.Prefix{}
-	}
-	return p
-}
-
-// ipv4Prefix reads a.b.c.d/n as netip.ParsePrefix does, declining whatever
-// is not exactly that: five decimal fields of one to three digits, none with
-// a leading zero, octets to 255 and the length to 32.
-func ipv4Prefix(b []byte) (netip.Prefix, bool) {
-	var f [5]int
+// skipSpace is the index of the first byte of b that is not JSON whitespace.
+func skipSpace(b []byte) int {
 	i := 0
-	for k := range f {
-		start := i
-		for ; i < len(b) && i-start < 3 && b[i]-'0' <= 9; i++ {
-			f[k] = f[k]*10 + int(b[i]-'0')
-		}
-		if i == start || i-start > 1 && b[start] == '0' {
-			return netip.Prefix{}, false
-		}
-		if k == 4 {
-			break
-		}
-		if f[k] > 255 || i == len(b) || b[i] != ".../"[k] {
-			return netip.Prefix{}, false
-		}
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
 		i++
 	}
-	if f[4] > 32 || i != len(b) {
-		return netip.Prefix{}, false
-	}
-	return netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(f[0]), byte(f[1]), byte(f[2]), byte(f[3])}), f[4]), true
+	return i
 }
 
-// scanDelta decodes a delta in the canonical form json.Marshal writes: keys
-// in declaration order, omitempty fields absent or present, no whitespace
-// except after the closing brace, integers and strings as the scanner's
-// methods take them. ok is false for everything else, valid or not.
-//
-// The entries go to d.Entries or, when merge is given, in merge form to
-// *merge, d.Entries staying nil. A declined message may leave entries
-// appended; the caller truncates.
-func scanDelta(data []byte, merge *[]core.SnapshotEntry) (d Delta, ok bool) {
-	s := scanner{b: data}
-	if !s.lit(`{"version":`) {
-		return Delta{}, false
-	}
-	version, ok := s.int()
-	if !ok || int64(int(version)) != version {
-		return Delta{}, false
-	}
-	d.Version = int(version)
-	var text []byte
-	if s.lit(`,"source":`) {
-		if text, ok = s.str(); !ok {
-			return Delta{}, false
-		}
-		d.Source = string(text)
-	}
-	if s.lit(`,"instance":`) {
-		if text, ok = s.str(); !ok {
-			return Delta{}, false
-		}
-		d.Instance = string(text)
-	}
-	if !s.lit(`,"tableVersion":`) {
-		return Delta{}, false
-	}
-	if d.TableVersion, ok = s.uint(); !ok {
-		return Delta{}, false
-	}
-	if s.lit(`,"since":`) {
-		if d.Since, ok = s.uint(); !ok {
-			return Delta{}, false
-		}
-	}
-	d.Full = s.lit(`,"full":true`)
-	switch {
-	case !s.lit(`,"entries":`):
-		return Delta{}, false
-	case s.lit(`null`):
-	case s.lit(`[]`):
-		if merge == nil {
-			d.Entries = []Entry{}
-		}
-	case s.lit(`[`):
-		// Sized for the usual body in one allocation: an IPv4 host route
-		// with a mod version runs 80 to 90 bytes.
-		if hint := len(data)/80 + 1; merge == nil {
-			d.Entries = make([]Entry, 0, hint)
-		} else {
-			*merge = slices.Grow(*merge, hint)
-		}
-		for {
-			var e Entry
-			var window, age int64
-			if !s.lit(`{"prefix":`) {
-				return Delta{}, false
-			}
-			if text, ok = s.str(); !ok || !s.lit(`,"window":`) {
-				return Delta{}, false
-			}
-			if window, ok = s.int(); !ok || int64(int(window)) != window || !s.lit(`,"samples":`) {
-				return Delta{}, false
-			}
-			if e.Samples, ok = s.uint(); !ok || !s.lit(`,"ageNanos":`) {
-				return Delta{}, false
-			}
-			if age, ok = s.int(); !ok {
-				return Delta{}, false
-			}
-			e.Window, e.AgeNanos = int(window), age
-			e.Quarantined = s.lit(`,"quarantined":true`)
-			if s.lit(`,"modVersion":`) {
-				if e.ModVersion, ok = s.uint(); !ok {
-					return Delta{}, false
-				}
-			}
-			if !s.lit(`}`) {
-				return Delta{}, false
-			}
-			if merge == nil {
-				e.Prefix = string(text)
-				d.Entries = append(d.Entries, e)
-			} else {
-				*merge = append(*merge, e.toCore(parsePrefix(text)))
-			}
-			if s.lit(`]`) {
-				break
-			}
-			if !s.lit(`,`) {
-				return Delta{}, false
-			}
-		}
-	default:
-		return Delta{}, false
-	}
-	if !s.lit(`}`) {
-		return Delta{}, false
-	}
-	for _, c := range data[s.i:] {
-		if c != ' ' && c != '\t' && c != '\r' && c != '\n' {
-			return Delta{}, false
-		}
-	}
-	return d, true
-}
+func zigzag64(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
+func unzigzag64(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+func zigzag32(v int32) uint32   { return uint32(v<<1) ^ uint32(v>>31) }
+func unzigzag32(u uint32) int32 { return int32(u>>1) ^ -int32(u&1) }

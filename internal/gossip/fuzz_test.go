@@ -1,10 +1,14 @@
 package gossip
 
 import (
-	"encoding/json"
+	"bytes"
+	"encoding/binary"
+	"math"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
+	"time"
 
 	"riptide/internal/core"
 )
@@ -33,106 +37,105 @@ func FuzzDecodeDigest(f *testing.F) {
 	})
 }
 
-// FuzzDecodeDelta: same contract for the delta decoder, and a differential
-// for its fast path: whatever scanDelta accepts, json.Unmarshal accepts too
-// and decodes to the identical Delta. The seeds sit on both sides of the
-// scanner's accept set, so the decline path is walked as well.
+// FuzzDecodeDelta: same contract for the delta decoder, held tighter, since
+// the wire is canonical: whatever it accepts re-encodes to the very same
+// bytes. The seeds are bodies AppendDelta wrote, the same bodies cut short,
+// padded, or with one header or entry field bent, and the JSON bodies of wire
+// version 1, which must all fail.
 //
 // The merge sink rides the same target: DecodeDeltaAppend into nil, into a
 // poisoned slice with spare capacity and into one at exact capacity must each
 // hold ToCore(DecodeDelta(data).Entries) past what the slice already held,
-// accept, decline and fail exactly where DecodeDelta does, and leave the held
-// elements alone — a decline half-way through the entries included.
+// accept and fail exactly where DecodeDelta does, and leave the held elements
+// alone — a failure half-way through the entries included.
 func FuzzDecodeDelta(f *testing.F) {
-	if seed, err := EncodeDelta(Delta{
-		Version:      WireVersion,
-		Source:       "host",
-		Instance:     "inst",
-		TableVersion: 9,
-		Since:        3,
-		Entries:      entriesFuzz(5),
-	}); err == nil {
-		f.Add(seed)
-		f.Add(append(seed, '\n'))
-		f.Add(append([]byte(" "), seed...))
-		f.Add(append(seed, '0'))
+	ipv6 := []core.SnapshotEntry{
+		{Prefix: netip.MustParsePrefix("2001:db8::1/128"), Window: 20, Samples: 3, Age: time.Second, Version: 9},
+		{Prefix: netip.MustParsePrefix("2001:db8::2/128"), Window: 21, Samples: 3, Age: time.Second, Version: 9},
+		{Prefix: netip.MustParsePrefix("::ffff:10.0.0.1/120"), Window: 22, Version: 8},
 	}
-	if seed, err := AppendDelta(nil, Delta{Version: WireVersion, Instance: "i", TableVersion: 3, Full: true}, codecEntries()); err == nil {
-		f.Add(seed)
+	for _, seed := range []struct {
+		d       Delta
+		entries []core.SnapshotEntry
+	}{
+		{Delta{Version: WireVersion, Source: "host", Instance: "inst", TableVersion: 9, Since: 3}, ToCore(entriesFuzz(5))},
+		{Delta{Version: WireVersion, Instance: "i", TableVersion: 3, Full: true}, codecEntries()},
+		{Delta{Version: WireVersion, TableVersion: 7, Since: 2}, ipv6},
+		{Delta{Version: WireVersion}, nil},
+	} {
+		body, err := AppendDelta(nil, seed.d, seed.entries)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+		for _, cut := range []int{1, 4, 5, 6, len(body) / 2, len(body) - 1} {
+			f.Add(body[:min(cut, len(body))])
+		}
+		f.Add(append(slices.Clone(body), 0)) // a byte past the last entry
+		f.Add(append([]byte(" "), body...))  // a byte before the magic
+		for _, bend := range []struct {
+			at  int
+			val byte
+		}{
+			{4, WireVersion + 1},  // unknown wire version
+			{4, 1},                // the JSON wire's version in a binary header
+			{5, 2},                // an unknown flag
+			{len(body) - 1, 0x80}, // the last varint left open
+		} {
+			bent := slices.Clone(body)
+			bent[bend.at] = bend.val
+			f.Add(bent)
+		}
 	}
+	// Headers that claim more entries than follow: the decoder must refuse
+	// them before it sizes anything.
+	head := []byte(magic + "\x02\x00\x00\x00\x09\x00")
+	for _, count := range []uint64{1, 1 << 20, 1 << 62, math.MaxUint64} {
+		f.Add(binary.AppendUvarint(slices.Clone(head), count))
+	}
+	// Canonical varints only: an overlong zero, an overlong table version,
+	// and an 11-byte varint.
+	f.Add([]byte(magic + "\x82\x00\x00\x00\x00\x00\x00\x00"))
+	f.Add([]byte(magic + "\x02\x00\x00\x00\x89\x00\x00\x00"))
+	f.Add([]byte(magic + "\x02\x00\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01\x00\x00"))
+	// Entry tags: every family and flag bit once, and an IPv4 address delta
+	// past 32 bits.
+	for _, entry := range []string{
+		"\x00\x00\x00\x00\x00", "\x04\x00\x00\x00\x00", "\x08\x00\x00\x00\x00", "\x03\x00\x00\x00\x00\x00",
+		"\x10\x00\x00\x00\x00", "\x09\x02\x02\x00\x02\x00", "\x01\x20\x02\x02\x00\x02\x00", "\x01\x1f\x02\x02\x00\x02\x00",
+		"\x0a\x00\x02\x14\x00\x00\x00", "\x02\x80\x00\x00\x14\x00\x00\x00", "\x09\xff\xff\xff\xff\x1f\x14\x00\x00\x00",
+	} {
+		f.Add([]byte(magic + "\x02\x00\x00\x00\x09\x00\x01" + entry))
+	}
+	// The JSON wire of version 1, which a peer that has not been upgraded
+	// sends: never decoded, whatever its form.
 	for _, seed := range []string{
-		`{"version": 1, "entries": [{"prefix": "not-a-prefix", "window": -4}]}`,
+		`{"version":1,"tableVersion":0,"entries":null}`,
+		`{"version":1,"tableVersion":9,"since":3,"entries":[{"prefix":"10.0.0.1/32","window":10,"samples":1,"ageNanos":0}]}` + "\n",
+		` {"version":2,"tableVersion":0,"entries":[]}`,
 		`{"version": 1,`,
 		`0`,
 		``,
-		`{"version":1,"tableVersion":0,"entries":null}`,
-		`{"version":1,"tableVersion":0,"entries":[]}` + " \t\r\n",
-		`{"version":1,"tableVersion":0,"entries":[ ]}`,
-		`{"tableVersion":0,"version":1,"entries":[]}`,
-		`{"version":1,"version":2,"tableVersion":0,"entries":[]}`,
-		`{"version":1,"tableVersion":0,"entries":[],"extra":true}`,
-		`{"Version":1,"TABLEVERSION":5,"entries":[]}`,
-		`{"version":1,"source":"a\u0041\n","tableVersion":0,"entries":[]}`,
-		`{"version":1,"source":"caf\u00e9 \xff","tableVersion":0,"entries":[]}`,
-		`{"version":1e2,"tableVersion":0,"entries":[]}`,
-		`{"version":1,"tableVersion":-0,"entries":[]}`,
-		`{"version":1,"tableVersion":01,"entries":[]}`,
-		`{"version":1,"tableVersion":1.0,"entries":[]}`,
-		`{"version":1,"tableVersion":18446744073709551615,"entries":[]}`,
-		`{"version":1,"tableVersion":18446744073709551616,"entries":[]}`,
-		`{"version":1,"tableVersion":99999999999999999999,"entries":[]}`,
-		`{"version":1,"tableVersion":0,"since":0,"full":false,"entries":[]}`,
-		`{"version":1,"tableVersion":0,"entries":[{"prefix":"::/0","window":-0,"samples":0,"ageNanos":0}]}`,
-		`{"version":1,"tableVersion":0,"entries":[{"prefix":"::/0","window":-9223372036854775808,"samples":0,"ageNanos":-9223372036854775809}]}`,
-		`{"version":1,"tableVersion":0,"entries":[{"prefix":"::/0","window":1,"samples":-1,"ageNanos":0}]}`,
-		`{"version":1,"tableVersion":0,"entries":[{"prefix":"::/0","window":1,"samples":1,"ageNanos":0,"modVersion":2,"quarantined":true}]}`,
-		`{"version":1,"tableVersion":0,"entries":[{"prefix":"::/0","window":1,"samples":1,"ageNanos":0,"quarantined":false}]}`,
-		`{"version":1,"tableVersion":0,"entries":[{"prefix":"::/0","window":1,"samples":1,"ageNanos":0},]}`,
-		`{"version":1,"tableVersion":0,"entries":[{"prefix":"::/0","window":1,"samples":1,"ageNanos":0}]}}`,
-		// Two good entries, then one the scanner declines: the sink has
-		// entries to take back.
-		`{"version":1,"tableVersion":9,"since":3,"entries":[{"prefix":"10.0.0.1/32","window":10,"samples":1,"ageNanos":0},{"prefix":"10.0.0.2/32","window":11,"samples":1,"ageNanos":0},{"prefix":"10.0.0.3/32","window":12,"samples":1,"ageNanos":0 }]}`,
-		`{"version":1,"tableVersion":9,"since":3,"entries":[{"prefix":"10.0.0.1/32","window":10,"samples":1,"ageNanos":0},{"prefix":"10.0.0.2/32","window":11,"samples":1,"ageNanos":`,
-		`{"version":2,"tableVersion":9,"since":3,"entries":[{"prefix":"10.0.0.1/32","window":10,"samples":1,"ageNanos":0}]}`,
+		`RPT`,
 	} {
 		f.Add([]byte(seed))
 	}
-	// Prefixes on both sides of the in-place IPv4 reader.
-	for _, prefix := range []string{
-		"010.0.0.1/32", "10.0.0.1/033", "10.0.0.1/33", "1.2.3.4", "1.2.3.4/", "1.2.3/24", "1.2.3.4.5/32",
-		"::ffff:1.2.3.4/128", "fe80::1%eth0/64", "256.0.0.1/32", "1.2.3.999/32", "1.2.3.4/032", "1.2.3.4/0",
-		"0.0.0.0/0", "255.255.255.255/32", "00.0.0.0/8", "1.2.3.4/32 ", "1..3.4/32", "1.2.3.4//32", "",
-	} {
-		f.Add([]byte(`{"version":1,"tableVersion":7,"since":2,"entries":[{"prefix":"` + prefix + `","window":10,"samples":1,"ageNanos":5,"modVersion":6}]}`))
-	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fast, scanned := scanDelta(data, nil)
-		if scanned {
-			var ref Delta
-			if err := json.Unmarshal(data, &ref); err != nil {
-				t.Fatalf("scanner accepted what json.Unmarshal rejects (%v): %q", err, data)
-			}
-			if !reflect.DeepEqual(fast, ref) {
-				t.Fatalf("scanner and json.Unmarshal disagree on %q:\n scanner %+v\n json    %+v", data, fast, ref)
-			}
-		}
 		d, err := DecodeDelta(data)
-		checkMergeSink(t, data, d, scanned, err)
+		checkMergeSink(t, data, d, err)
 		if err != nil {
 			return
 		}
-		if _, err := EncodeDelta(d); err != nil {
-			t.Fatalf("accepted delta does not re-encode: %v", err)
+		again, err := EncodeDelta(d)
+		if err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("accepted delta re-encodes to other bytes (%v):\n got %x\nwant %x", err, again, data)
 		}
-		// Conversion to merge form never panics, whatever the entries hold;
-		// malformed prefixes surface as invalid (the merge skips them).
-		_ = ToCore(d.Entries)
 	})
 }
 
 // checkMergeSink holds DecodeDeltaAppend to DecodeDelta's result for the
-// same bytes (d, scanned, err), over the three shapes of destination.
-func checkMergeSink(t *testing.T, data []byte, d Delta, scanned bool, err error) {
+// same bytes (d, err), over the three shapes of destination.
+func checkMergeSink(t *testing.T, data []byte, d Delta, err error) {
 	poison := []core.SnapshotEntry{
 		{Prefix: netip.MustParsePrefix("2001:db8::/32"), Window: 91, Samples: 92, Age: 93, Quarantined: true, Version: 94},
 		{Prefix: netip.MustParsePrefix("2001:db8:1::7/128"), Window: 95, Samples: 96, Age: 97, Version: 98},
@@ -149,9 +152,9 @@ func checkMergeSink(t *testing.T, data []byte, d Delta, scanned bool, err error)
 			spare[i] = poison[i%2]
 		}
 		held := len(dst)
-		got, merged, gotScanned, gotErr := DecodeDeltaAppend(dst, data)
-		if (gotErr != nil) != (err != nil) || gotScanned != scanned {
-			t.Fatalf("DecodeDeltaAppend(%d held) scanned=%v err=%v, DecodeDelta scanned=%v err=%v: %q", held, gotScanned, gotErr, scanned, err, data)
+		got, merged, gotErr := DecodeDeltaAppend(dst, data)
+		if (gotErr != nil) != (err != nil) {
+			t.Fatalf("DecodeDeltaAppend(%d held) err=%v, DecodeDelta err=%v: %q", held, gotErr, err, data)
 		}
 		for i := range merged[:held] {
 			if merged[i] != poison[i] {

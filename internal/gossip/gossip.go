@@ -21,9 +21,10 @@ import (
 	"riptide/internal/core"
 )
 
-// WireVersion is the delta wire-format version. Decoders reject anything
-// else rather than guessing at field semantics.
-const WireVersion = 1
+// WireVersion is the delta wire-format version: 2 is the binary body
+// codec.go lays out, 1 was gzipped JSON. Decoders reject anything else
+// rather than guessing at field semantics.
+const WireVersion = 2
 
 // Entry is one learned destination on the wire. It is shared with the
 // full-snapshot format (fleet.Entry is an alias), so a delta entry and a
@@ -51,21 +52,25 @@ type Entry struct {
 }
 
 // FromCore converts exported agent entries to wire entries. Serving paths
-// never build this slice: AppendEntries writes the same JSON straight from
-// the export.
+// never build this slice: they encode straight from the export.
 func FromCore(entries []core.SnapshotEntry) []Entry {
 	out := make([]Entry, 0, len(entries))
 	for _, se := range entries {
-		out = append(out, Entry{
-			Prefix:      se.Prefix.String(),
-			Window:      se.Window,
-			Samples:     se.Samples,
-			AgeNanos:    int64(se.Age),
-			Quarantined: se.Quarantined,
-			ModVersion:  se.Version,
-		})
+		out = append(out, fromCore(se))
 	}
 	return out
+}
+
+// fromCore is one exported entry in wire form.
+func fromCore(se core.SnapshotEntry) Entry {
+	return Entry{
+		Prefix:      se.Prefix.String(),
+		Window:      se.Window,
+		Samples:     se.Samples,
+		AgeNanos:    int64(se.Age),
+		Quarantined: se.Quarantined,
+		ModVersion:  se.Version,
+	}
 }
 
 // ToCore converts wire entries to the form core.Agent.MergeSnapshot
@@ -99,8 +104,12 @@ func (e Entry) toCore(p netip.Prefix) core.SnapshotEntry {
 	}
 }
 
-// digestBuckets is the width of the retired content digest.
-const digestBuckets = 64
+// digestBuckets is the width of the retired content digest, and
+// digestVersion the only version it was written at.
+const (
+	digestBuckets = 64
+	digestVersion = 1
+)
 
 // Digest is the retired content digest, a table summary of 64 XOR-folded
 // bucket hashes that pullers fetched before any entries moved.
@@ -121,8 +130,8 @@ type Digest struct {
 // Deprecated: it stays only for FuzzDecodeDigest's round trip while
 // bench/rig.go still names DecodeDigest.
 func EncodeDigest(d Digest) ([]byte, error) {
-	if d.Version != WireVersion {
-		return nil, fmt.Errorf("riptide/gossip: encode digest version %d, want %d", d.Version, WireVersion)
+	if d.Version != digestVersion {
+		return nil, fmt.Errorf("riptide/gossip: encode digest version %d, want %d", d.Version, digestVersion)
 	}
 	if len(d.Buckets) != digestBuckets {
 		return nil, fmt.Errorf("riptide/gossip: encode digest with %d buckets, want %d", len(d.Buckets), digestBuckets)
@@ -139,8 +148,8 @@ func DecodeDigest(data []byte) (Digest, error) {
 	if err := json.Unmarshal(data, &d); err != nil {
 		return Digest{}, fmt.Errorf("riptide/gossip: decode digest: %w", err)
 	}
-	if d.Version != WireVersion {
-		return Digest{}, fmt.Errorf("riptide/gossip: digest version %d, want %d", d.Version, WireVersion)
+	if d.Version != digestVersion {
+		return Digest{}, fmt.Errorf("riptide/gossip: digest version %d, want %d", d.Version, digestVersion)
 	}
 	if len(d.Buckets) != digestBuckets {
 		return Digest{}, fmt.Errorf("riptide/gossip: digest has %d buckets, want %d", len(d.Buckets), digestBuckets)
@@ -180,83 +189,28 @@ func ETag(instance string, version, markers uint64) string {
 }
 
 // Delta is the entry-bearing response: a versioned delta or a full table,
-// distinguished by Full.
+// distinguished by Full. Its wire form is binary (codec.go).
 type Delta struct {
 	// Version is the delta wire-format version (WireVersion).
-	Version int `json:"version"`
+	Version int
 	// Source identifies the producing agent; informational.
-	Source string `json:"source,omitempty"`
+	Source string
 	// Instance identifies one run of the producing agent. A restart picks a
 	// new instance, telling peers the table version counter reset and their
 	// cursors are meaningless.
-	Instance string `json:"instance,omitempty"`
+	Instance string
 	// TableVersion is the table version the payload is current through;
 	// the receiver's next `since` cursor.
-	TableVersion uint64 `json:"tableVersion"`
+	TableVersion uint64
 	// Since echoes the request cursor a versioned delta was computed
 	// against; 0 for full tables.
-	Since uint64 `json:"since,omitempty"`
+	Since uint64
 	// Full marks a complete table (the request carried no cursor, or one
 	// the table could not use).
-	Full bool `json:"full,omitempty"`
+	Full bool
 	// Entries holds the changed (or all) entries plus every current
 	// quarantine marker, sorted by prefix.
-	Entries []Entry `json:"entries"`
-}
-
-// EncodeDelta serializes a delta.
-func EncodeDelta(d Delta) ([]byte, error) {
-	if d.Version != WireVersion {
-		return nil, fmt.Errorf("riptide/gossip: encode delta version %d, want %d", d.Version, WireVersion)
-	}
-	return json.Marshal(d)
-}
-
-// DecodeDelta parses a wire delta, rejecting unknown versions. Messages in
-// the form this package writes take the scanner in codec.go; anything else
-// json.Unmarshal accepts decodes through it, exactly as before.
-func DecodeDelta(data []byte) (Delta, error) {
-	d, _, err := decodeDelta(data, nil)
-	return d, err
-}
-
-// DecodeDeltaAppend is DecodeDelta for a receiver that merges what it gets:
-// the entries are decoded straight to merge form and appended to dst — what
-// ToCore(d.Entries) would hold — and d.Entries stays nil; dst is grown once,
-// to the body's size, never from nothing by append. On error dst is returned
-// as given. scanned is false when the body was not in this package's
-// canonical form and took encoding/json.
-func DecodeDeltaAppend(dst []core.SnapshotEntry, data []byte) (d Delta, entries []core.SnapshotEntry, scanned bool, err error) {
-	d, scanned, err = decodeDelta(data, &dst)
-	return d, dst, scanned, err
-}
-
-// decodeDelta decodes into d.Entries, or with merge given into *merge as
-// DecodeDeltaAppend describes.
-func decodeDelta(data []byte, merge *[]core.SnapshotEntry) (d Delta, scanned bool, err error) {
-	var held int
-	if merge != nil {
-		held = len(*merge)
-	}
-	if d, scanned = scanDelta(data, merge); !scanned {
-		d = Delta{}
-		if err = json.Unmarshal(data, &d); err != nil {
-			err = fmt.Errorf("riptide/gossip: decode delta: %w", err)
-		}
-	}
-	if err == nil && d.Version != WireVersion {
-		err = fmt.Errorf("riptide/gossip: delta version %d, want %d", d.Version, WireVersion)
-	}
-	if merge != nil && (err != nil || !scanned) {
-		*merge = (*merge)[:held] // drop what a declined or refused scan had appended
-	}
-	if err != nil {
-		return Delta{}, scanned, err
-	}
-	if merge != nil && !scanned {
-		*merge, d.Entries = appendCore(*merge, d.Entries), nil
-	}
-	return d, scanned, nil
+	Entries []Entry
 }
 
 // TableDelta exports an agent's entries committed after the cursor as a wire

@@ -3,6 +3,8 @@ package gossip
 import (
 	"net/netip"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -90,7 +92,7 @@ func digestFixture() Digest {
 	for i := range buckets {
 		buckets[i] = uint64(i) * 0x9e3779b97f4a7c15
 	}
-	return Digest{Version: WireVersion, Source: "host-a", Instance: "inst-1", TableVersion: 42, Count: 10, Buckets: buckets}
+	return Digest{Version: digestVersion, Source: "host-a", Instance: "inst-1", TableVersion: 42, Count: 10, Buckets: buckets}
 }
 
 func TestDigestRoundTrip(t *testing.T) {
@@ -163,16 +165,32 @@ func TestDeltaRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeDeltaRejectsBadInput: what is not a delta of this wire version
+// fails, and the body of a peer on another version fails naming the versions
+// — the operator reading a peer's lastError learns that the peer needs
+// upgrading, not that its bytes were garbage.
 func TestDecodeDeltaRejectsBadInput(t *testing.T) {
-	cases := map[string]string{
-		"garbage":        `{"version": 1,`,
-		"zero version":   `{"entries": []}`,
-		"future version": `{"version": 2, "entries": []}`,
-		"wrong type":     `"delta"`,
+	good, err := EncodeDelta(Delta{Version: WireVersion, Instance: "i", TableVersion: 5, Entries: entries(3)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, data := range cases {
-		if _, err := DecodeDelta([]byte(data)); err == nil {
-			t.Errorf("%s: DecodeDelta accepted %q", name, data)
+	future := append([]byte(magic), WireVersion+1)
+	cases := map[string]struct {
+		data []byte
+		says string
+	}{
+		"JSON of wire version 1": {[]byte(`{"version":1,"tableVersion":5,"entries":[]}` + "\n"), "wire version 1"},
+		"JSON, indented":         {[]byte("\n  {\"version\": 1}"), "wire version 1"},
+		"future version":         {append(future, good[len(future):]...), "version 3, want 2"},
+		"wrong type":             {[]byte(`"delta"`), "wire version 2"},
+		"empty":                  {nil, "wire version 2"},
+		"truncated":              {good[:len(good)-1], "truncated"},
+		"trailing bytes":         {append(slices.Clone(good), '\n'), "follow"},
+	}
+	for name, tc := range cases {
+		_, err := DecodeDelta(tc.data)
+		if err == nil || !strings.Contains(err.Error(), tc.says) {
+			t.Errorf("%s: DecodeDelta(%q) = %v, want an error saying %q", name, tc.data, err, tc.says)
 		}
 	}
 }
