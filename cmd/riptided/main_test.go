@@ -78,10 +78,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // daemon at the in-memory kernel k and its log at logs.
 func config(t *testing.T, k *kernel, logs *logSink, args ...string) daemon.Config {
 	t.Helper()
-	var cfg daemon.Config
-	if err := flags(&cfg, new(time.Duration)).Parse(args); err != nil {
+	var o options
+	if err := o.parse(args); err != nil {
 		t.Fatal(err)
 	}
+	cfg := o.cfg
 	cfg.Dial = k.dial
 	cfg.Logf = logs.logf
 	return cfg
@@ -148,7 +149,7 @@ func TestRunRejectsBackendFlag(t *testing.T) {
 // TestUsageGolden pins riptided's flag surface: the -h text, captured from
 // the binary before the daemon moved to internal/daemon.
 func TestUsageGolden(t *testing.T) {
-	fs := flags(new(daemon.Config), new(time.Duration))
+	fs := new(options).flags()
 	var got bytes.Buffer
 	fs.SetOutput(&got)
 	if err := fs.Parse([]string{"-h"}); !errors.Is(err, flag.ErrHelp) {

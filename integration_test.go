@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"riptide/internal/core"
 	"riptide/internal/daemon"
 	"riptide/internal/netlink"
 )
@@ -64,10 +65,9 @@ func TestLinuxBackendEndToEnd(t *testing.T) {
 	lo := loopback(t)
 	now := time.Unix(1700000000, 0)
 	d, err := daemon.New(daemon.Config{
-		Device:   lo.Name,
-		Gateway:  "10.0.0.1",
-		TTL:      90 * time.Second,
-		Combiner: "average",
+		Agent:   core.Config{TTL: 90 * time.Second},
+		Device:  lo.Name,
+		Gateway: "10.0.0.1",
 		Dial: func(proto int) (netlink.Conn, error) {
 			if proto == netlink.ProtoSockDiag {
 				return sockDiag, nil

@@ -683,7 +683,7 @@ func sampledHost(t testing.TB, n int, load bool) (h *kernel.Host, dst netip.Addr
 // in place.
 func TestHostSamplerSteadyDoesNotAllocate(t *testing.T) {
 	h, dst := sampledHost(t, 25, false)
-	s := NewHostSampler(h)
+	s := &hostSampler{host: h}
 	var buf []core.Observation
 	var err error
 	sample := func() {
@@ -748,7 +748,7 @@ func TestHostSamplerWritesEveryField(t *testing.T) {
 	buf := make([]core.Observation, kept+n)
 	fillGarbage(t, buf)
 	prefix := slices.Clone(buf[:kept])
-	out, err := NewHostSampler(h).SampleConnections(buf[:kept])
+	out, err := (&hostSampler{host: h}).SampleConnections(buf[:kept])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -779,7 +779,7 @@ func TestHostSamplerWritesEveryField(t *testing.T) {
 // agent tick sees, into a buffer the caller reuses.
 func BenchmarkHostSampler(b *testing.B) {
 	h, _ := sampledHost(b, 25, true)
-	s := NewHostSampler(h)
+	s := &hostSampler{host: h}
 	buf, err := s.SampleConnections(nil)
 	if err != nil {
 		b.Fatal(err)

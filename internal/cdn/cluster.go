@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"riptide/internal/core"
+	"riptide/internal/daemon"
 	"riptide/internal/eventsim"
 	"riptide/internal/fleet"
 	"riptide/internal/guard"
@@ -29,10 +30,6 @@ type hostSampler struct {
 	host  *kernel.Host
 	snaps []kernel.ConnSnapshot
 }
-
-// NewHostSampler returns the sampler of a simulated machine's connection
-// table, for an agent driving that machine.
-func NewHostSampler(h *kernel.Host) core.ConnectionSampler { return &hostSampler{host: h} }
 
 // SampleConnections implements core.ConnectionSampler.
 func (s *hostSampler) SampleConnections(buf []core.Observation) ([]core.Observation, error) {
@@ -60,10 +57,6 @@ type hostRoutes struct {
 	host    *kernel.Host
 	updates []kernel.RouteUpdate
 }
-
-// NewHostRoutes returns the route programmer of a simulated machine's route
-// table, for an agent driving that machine.
-func NewHostRoutes(h *kernel.Host) core.BatchRouteProgrammer { return &hostRoutes{host: h} }
 
 // SetInitCwnd implements core.RouteProgrammer.
 func (r *hostRoutes) SetInitCwnd(prefix netip.Prefix, cwnd int) error {
@@ -113,9 +106,9 @@ type RiptideOptions struct {
 	// which a ShiftWarning warns; other agents run without one.
 	Advised []string
 	// Guard, when set, gives every host's agent a closed-loop safety
-	// governor built from this configuration (the Clock field is
-	// overridden with the simulation clock). A host reboot rebuilds the
-	// governor empty, like the rest of the agent's learned state.
+	// governor built from this configuration (the daemon sets its Clock
+	// and Metrics). A host reboot rebuilds the governor empty, like the
+	// rest of the agent's learned state.
 	Guard *guard.Config
 }
 
@@ -224,10 +217,8 @@ type Cluster struct {
 	organic []*organicSource
 	stopped bool
 
-	// sharing is the fleet exchange, nil until EnableGossipSharing;
-	// instanceSeq numbers the boot identities its servers are scoped to.
-	sharing     *sharing
-	instanceSeq int
+	// sharing is the fleet exchange, nil until EnableGossipSharing.
+	sharing *sharing
 
 	pools map[poolKey][]pooledConn
 	// poolOrder lists the keys of pools in the order they were created, the
@@ -240,19 +231,13 @@ type Cluster struct {
 	epoch       time.Duration
 }
 
-// agentSlot indirects agent access so a PoP reboot can swap in a fresh
-// agent while the per-host ticker keeps firing. gov is the agent's safety
-// governor when RiptideOptions.Guard is set (nil otherwise); serve and puller
-// are its fleet server's delta handler and its puller once gossip sharing is
-// on (nil before). All of them are rebuilt together with the agent on reboot.
-// advisor is the machine's advisor when its PoP is advised (nil otherwise):
-// it carries the orchestrator's warnings, not learned state, so the rebooted
-// agent keeps it.
+// agentSlot indirects access to a machine's Riptide daemon, so a reboot can
+// swap in a fresh one while the per-host ticker keeps firing. advisor is the
+// machine's advisor when its PoP is advised (nil otherwise): it carries the
+// orchestrator's warnings, not learned state, so the rebooted daemon keeps
+// it.
 type agentSlot struct {
-	agent   *core.Agent
-	gov     *guard.Governor
-	serve   http.Handler
-	puller  *fleet.Puller
+	d       *daemon.Daemon
 	advisor *core.LoadBalanceAdvisor
 }
 
@@ -380,51 +365,68 @@ func hostAddr(p PoP, i int) (netip.Addr, error) {
 	return netip.AddrFrom4(b), nil
 }
 
-// newAgentForHost builds a Riptide agent bound to one simulated machine,
-// returning the agent and its governor (nil when guarding is off). advisor
-// is the machine's advisor, nil when its PoP is not advised.
-func (c *Cluster) newAgentForHost(h *kernel.Host, advisor *core.LoadBalanceAdvisor) (*core.Agent, *guard.Governor, error) {
+// boot starts riptided's daemon on machine h, over h's simulated kernel and
+// the engine clock; with gossip sharing on, it pulls its peers over the wire.
+func (c *Cluster) boot(h *kernel.Host, slot *agentSlot) error {
 	r := c.cfg.Riptide
 	hist, err := core.HistoryByName(cmp.Or(r.History, "ewma"), r.Alpha)
 	if err != nil {
-		return nil, nil, fmt.Errorf("cdn: %w", err)
+		return fmt.Errorf("cdn: %w", err)
 	}
 	// A nil *LoadBalanceAdvisor must stay a nil Advisor: an agent with any
 	// Advisor visits every destination every round.
 	var adv core.Advisor
-	if advisor != nil {
-		adv = advisor
+	if slot.advisor != nil {
+		adv = slot.advisor
 	}
-	var g *guard.Governor
-	var gov core.Governor
-	if r.Guard != nil {
-		gcfg := *r.Guard
-		gcfg.Clock = c.engine.Now
-		g, err = guard.New(gcfg)
-		if err != nil {
-			return nil, nil, fmt.Errorf("cdn: guard for %v: %w", h.Addr(), err)
+	cfg := daemon.Config{
+		Agent: core.Config{
+			Sampler:        &hostSampler{host: h},
+			Routes:         &hostRoutes{host: h},
+			UpdateInterval: r.UpdateInterval,
+			TTL:            r.TTL,
+			Alpha:          r.Alpha,
+			CMax:           r.CMax,
+			CMin:           r.CMin,
+			PrefixBits:     r.PrefixBits,
+			Combiner:       r.Combiner,
+			History:        hist,
+			Advisor:        adv,
+		},
+		Guard:  r.Guard,
+		Source: h.Addr().String(),
+		Now:    func() time.Time { return time.Unix(0, 0).Add(c.engine.Now()) },
+		Logf:   func(string, ...any) {},
+	}
+	if s := c.sharing; s != nil {
+		cfg.Puller = fleet.PullerConfig{
+			Peers:    s.peers[h.Addr()],
+			Interval: s.interval,
+			Policy:   s.policy,
+			Client:   &http.Client{Transport: wire{c, h.Addr()}},
+			Jitter:   -1, // runs replay per seed
 		}
-		gov = g
 	}
-	agent, err := core.New(core.Config{
-		Guard:          gov,
-		Sampler:        NewHostSampler(h),
-		Routes:         NewHostRoutes(h),
-		Clock:          c.engine.Now,
-		UpdateInterval: r.UpdateInterval,
-		TTL:            r.TTL,
-		Alpha:          r.Alpha,
-		CMax:           r.CMax,
-		CMin:           r.CMin,
-		PrefixBits:     r.PrefixBits,
-		Combiner:       r.Combiner,
-		History:        hist,
-		Advisor:        adv,
-	})
+	d, err := daemon.New(cfg)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	return agent, g, nil
+	if err := d.Start(); err != nil {
+		return err
+	}
+	slot.d = d
+	return nil
+}
+
+// restart stops machine h's daemon and boots a fresh one in its place: empty
+// learned state, a new fleet instance, and a puller holding no cursor. The
+// retired puller's pulls stay counted in GossipStats.
+func (c *Cluster) restart(h *kernel.Host, slot *agentSlot) error {
+	if c.sharing != nil {
+		c.sharing.stats.add(slot.d.PeerHealth())
+	}
+	_ = slot.d.Stop()
+	return c.boot(h, slot)
 }
 
 func (c *Cluster) startRiptide() error {
@@ -434,24 +436,20 @@ func (c *Cluster) startRiptide() error {
 	for _, p := range c.pops {
 		advised := slices.Contains(c.cfg.Riptide.Advised, p.Name)
 		for _, h := range c.hosts[p.Name] {
-			var advisor *core.LoadBalanceAdvisor
+			slot := &agentSlot{}
 			if advised {
-				advisor = core.NewLoadBalanceAdvisor()
+				slot.advisor = core.NewLoadBalanceAdvisor()
 			}
-			agent, gov, err := c.newAgentForHost(h, advisor)
-			if err != nil {
+			if err := c.boot(h, slot); err != nil {
 				return fmt.Errorf("cdn: riptide agent for %s/%v: %w", p.Name, h.Addr(), err)
 			}
-			slot := &agentSlot{agent: agent, gov: gov, advisor: advisor}
 			c.agents[h.Addr()] = slot
-			interval := agent.Config().UpdateInterval
+			interval := slot.d.Agent.Config().UpdateInterval
 			tk, err := eventsim.NewTicker(c.engine, interval, func(time.Duration) {
 				// Route programming against the simulated kernel
 				// cannot fail; sampling likewise. Read through the
-				// slot: a reboot may have swapped the agent.
-				if slot.agent != nil {
-					_ = slot.agent.Tick()
-				}
+				// slot: a reboot may have swapped the daemon.
+				_ = slot.d.Tick()
 			})
 			if err != nil {
 				return err
@@ -502,17 +500,8 @@ func (c *Cluster) RebootHost(name string, idx int) (int, error) {
 		h.DelRoute(r.Prefix)
 	}
 	if slot, ok := c.agents[h.Addr()]; ok {
-		_ = slot.agent.Close()
-		fresh, gov, err := c.newAgentForHost(h, slot.advisor)
-		if err != nil {
+		if err := c.restart(h, slot); err != nil {
 			return closed, fmt.Errorf("cdn: restart agent for %s[%d]: %w", name, idx, err)
-		}
-		slot.agent = fresh
-		slot.gov = gov
-		if c.sharing != nil {
-			if err := c.startExchange(h.Addr()); err != nil {
-				return closed, err
-			}
 		}
 	}
 	return closed, nil
@@ -774,7 +763,7 @@ func (c *Cluster) reserveProbes(until time.Duration) {
 }
 
 // Stop cancels all periodic activity (probes, organic traffic, agents,
-// samplers, sweepers) and shuts the agents down, withdrawing their routes.
+// samplers, sweepers) and stops the daemons, withdrawing their routes.
 // Transfers already in flight still complete.
 func (c *Cluster) Stop() {
 	c.stopped = true
@@ -785,9 +774,7 @@ func (c *Cluster) Stop() {
 		o.ev.Cancel()
 	}
 	for _, slot := range c.agents {
-		if slot.agent != nil {
-			_ = slot.agent.Close()
-		}
+		_ = slot.d.Stop()
 	}
 }
 
@@ -831,7 +818,7 @@ func (c *Cluster) Agent(name string) *core.Agent {
 	if !ok {
 		return nil
 	}
-	return slot.agent
+	return slot.d.Agent
 }
 
 // AgentAt returns the Riptide agent of machine idx of the named PoP (nil
@@ -845,7 +832,7 @@ func (c *Cluster) AgentAt(name string, idx int) *core.Agent {
 	if !ok {
 		return nil
 	}
-	return slot.agent
+	return slot.d.Agent
 }
 
 // Agents returns every Riptide agent of the named PoP, in machine order.
@@ -853,8 +840,8 @@ func (c *Cluster) Agents(name string) []*core.Agent {
 	hs := c.hosts[name]
 	out := make([]*core.Agent, 0, len(hs))
 	for _, h := range hs {
-		if slot, ok := c.agents[h.Addr()]; ok && slot.agent != nil {
-			out = append(out, slot.agent)
+		if slot, ok := c.agents[h.Addr()]; ok {
+			out = append(out, slot.d.Agent)
 		}
 	}
 	return out
@@ -892,8 +879,8 @@ func (c *Cluster) TotalRoutes() int {
 	n := 0
 	for _, p := range c.pops {
 		for _, h := range c.hosts[p.Name] {
-			if slot, ok := c.agents[h.Addr()]; ok && slot.agent != nil {
-				n += slot.agent.Len()
+			if slot, ok := c.agents[h.Addr()]; ok {
+				n += slot.d.Agent.Len()
 			}
 		}
 	}
@@ -906,8 +893,10 @@ func (c *Cluster) QuarantineCount() int {
 	n := 0
 	for _, p := range c.pops {
 		for _, h := range c.hosts[p.Name] {
-			if slot, ok := c.agents[h.Addr()]; ok && slot.gov != nil {
-				n += len(slot.gov.Quarantines())
+			if slot, ok := c.agents[h.Addr()]; ok {
+				if g, ok := slot.d.Agent.Config().Guard.(*guard.Governor); ok {
+					n += len(g.Quarantines())
+				}
 			}
 		}
 	}

@@ -99,7 +99,7 @@ func TestGossipPeersPoPPullsOnlySiblings(t *testing.T) {
 				}
 			}
 			var got []string
-			for _, ph := range c.agents[h.Addr()].puller.Health() {
+			for _, ph := range c.agents[h.Addr()].d.PeerHealth() {
 				got = append(got, ph.URL)
 				if ph.Pulls != 12 || !ph.Healthy {
 					t.Errorf("%s[%d] <- %s: %+v, want 12 healthy pulls in a minute", p.Name, i, ph.URL, ph)

@@ -1,12 +1,15 @@
 package cdn
 
 import (
+	"net/http/httptest"
 	"net/netip"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"riptide/internal/core"
+	"riptide/internal/fleet"
 )
 
 func newGossipCluster(t *testing.T, mode GossipMode) *Cluster {
@@ -50,6 +53,23 @@ func TestEnableGossipSharingValidation(t *testing.T) {
 	}
 	if err := c.EnableGossipSharing(5*time.Second, core.MergePolicy{}, GossipLadder, GossipPeersAll); err == nil {
 		t.Error("second enable accepted")
+	}
+
+	// Enabling restarts every agent, so a seeded or running fleet would
+	// lose what it holds.
+	seeded := newGossipCluster(t, "")
+	defer seeded.Stop()
+	if err := seeded.SeedWarmEntries(10, core.MergePolicy{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := seeded.EnableGossipSharing(5*time.Second, core.MergePolicy{}, GossipLadder, GossipPeersAll); err == nil {
+		t.Error("gossip sharing enabled over seeded agents")
+	}
+	running := newGossipCluster(t, "")
+	defer running.Stop()
+	running.Run(time.Second)
+	if err := running.EnableGossipSharing(5*time.Second, core.MergePolicy{}, GossipLadder, GossipPeersAll); err == nil {
+		t.Error("gossip sharing enabled after Run")
 	}
 
 	noRiptide, err := NewCluster(Config{PoPs: smallTopology(), Seed: 1})
@@ -151,7 +171,10 @@ func TestGossipLadderBeatsFullOnBytes(t *testing.T) {
 // gossip within a couple of intervals, and its peers' restart detection
 // (instance change + cursor drop) keeps the edges flowing rather than
 // reading stale cursors as "converged": each peer's cursor on the old boot
-// is unusable, so it pulls the new boot's whole table.
+// is unusable, so it pulls the new boot's whole table. The reboot is the
+// daemon's stop, New and start: the kernel keeps no route of the old agent,
+// the new daemon serves a new fleet instance, and the retired puller's pulls
+// stay counted.
 func TestGossipSeedsRebootedHost(t *testing.T) {
 	c := newGossipCluster(t, GossipLadder)
 	defer c.Stop()
@@ -160,13 +183,60 @@ func TestGossipSeedsRebootedHost(t *testing.T) {
 	if got := len(c.AgentAt("lhr", 0).Entries()); got == 0 {
 		t.Fatal("no steady-state entries")
 	}
-	preFull := c.GossipStats().FullRounds
+	host, _ := c.Host("lhr")
+	url := "http://" + host.Addr().String()
+	// instance reads the boot identity the machine's fleet server scopes its
+	// ETags to: "<instance>/<version>".
+	instance := func() string {
+		rec := httptest.NewRecorder()
+		c.agents[host.Addr()].d.Handler().ServeHTTP(rec, httptest.NewRequest("GET", url+fleet.DeltaPath, nil))
+		etag := strings.Trim(rec.Header().Get("ETag"), `"`)
+		i := strings.LastIndexByte(etag, '/')
+		if rec.Code != 200 || i < 0 {
+			t.Fatalf("GET %s: %d, ETag %q", fleet.DeltaPath, rec.Code, etag)
+		}
+		return etag[:i]
+	}
+	// pullsOf sums the pulls and full pulls every peer made of the machine.
+	pullsOf := func() (pulls, full uint64, peers int) {
+		for addr, slot := range c.agents {
+			for _, h := range slot.d.PeerHealth() {
+				if h.URL == url && addr != host.Addr() {
+					pulls, full, peers = pulls+h.Pulls, full+h.FullPulls, peers+1
+				}
+			}
+		}
+		return pulls, full, peers
+	}
+	oldInstance := instance()
+	pre := c.GossipStats()
+	prePulls, preFullPulls, peers := pullsOf()
+	if peers == 0 {
+		t.Fatalf("no machine pulls %s", url)
+	}
 	if _, err := c.RebootHost("lhr", 0); err != nil {
 		t.Fatal(err)
 	}
+	if left := host.Routes(); len(left) != 0 {
+		t.Errorf("the rebooted kernel holds %d routes, want none: %+v", len(left), left)
+	}
+	if got := c.GossipStats(); got != pre {
+		t.Errorf("gossip stats %+v after the reboot, want %+v: the retired puller's pulls went uncounted", got, pre)
+	}
+	if got := instance(); got == oldInstance {
+		t.Errorf("the rebooted machine serves its old instance %q", got)
+	}
+
+	// One gossip interval: every peer pulls the new boot once, in full.
+	c.Run(5 * time.Second)
+	pulls, fullPulls, _ := pullsOf()
+	if pulls != prePulls+uint64(peers) || fullPulls != preFullPulls+uint64(peers) {
+		t.Errorf("%d peers pulled the rebooted machine %d times, %d of them full; want one full pull each",
+			peers, pulls-prePulls, fullPulls-preFullPulls)
+	}
 
 	// Two gossip intervals, well inside the 30 s probe cadence.
-	c.Run(10 * time.Second)
+	c.Run(5 * time.Second)
 	agent := c.AgentAt("lhr", 0)
 	if got := len(agent.Entries()); got == 0 {
 		t.Fatal("gossip did not seed the rebooted agent")
@@ -176,8 +246,8 @@ func TestGossipSeedsRebootedHost(t *testing.T) {
 	}
 	// The rebooted machine pulled every peer afresh, and its peers saw its
 	// instance change: both directions of each edge resynced in full.
-	if got := c.GossipStats().FullRounds; got <= preFull {
-		t.Errorf("full rounds %d -> %d: the restart did not trigger a resync", preFull, got)
+	if got := c.GossipStats().FullRounds; got <= pre.FullRounds {
+		t.Errorf("full rounds %d -> %d: the restart did not trigger a resync", pre.FullRounds, got)
 	}
 }
 
@@ -220,7 +290,7 @@ func TestGossipPartitionFailsCrossEdges(t *testing.T) {
 	var total uint64
 	edges := 0
 	for addr, slot := range c.agents {
-		for _, h := range slot.puller.Health() {
+		for _, h := range slot.d.PeerHealth() {
 			e := edge{addr, h.URL}
 			want := uint64(0)
 			if cross[e] {

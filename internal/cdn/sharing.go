@@ -73,9 +73,9 @@ func (s *GossipStats) add(health []fleet.PeerHealth) {
 	}
 }
 
-// sharing is the fleet exchange EnableGossipSharing runs: every machine
-// serves its agent through a fleet.Server and pulls its peers through a
-// fleet.Puller, over an in-process wire (wire) on simulated time.
+// sharing is the fleet exchange EnableGossipSharing runs: every machine's
+// daemon serves its agent through its fleet.Server and pulls its peers
+// through its fleet.Puller, over an in-process wire (wire) on simulated time.
 type sharing struct {
 	interval time.Duration
 	policy   core.MergePolicy
@@ -88,12 +88,14 @@ type sharing struct {
 }
 
 // EnableGossipSharing starts periodic table sync over a deterministic peer
-// topology (GossipPeers). Each machine runs riptided's own exchange: its
-// agent is served by a fleet.Server, and a fleet.Puller pulls its peers every
+// topology (GossipPeers). Each machine runs riptided's own exchange: it
+// restarts its daemon with its peers configured, so its agent is served by
+// the daemon's fleet server and pulled from by the daemon's puller every
 // interval, in topology order, over an in-process wire that crosses no
 // partitioned path. Merged entries are stamped by the receiver's own version
 // counter, so they ride its next delta to its peers: epidemic dissemination.
-// Call before Run, at most once; requires Riptide to be enabled.
+// Call at most once, before Run and before SeedWarmEntries, while the
+// restarted agents lose nothing; requires Riptide to be enabled.
 func (c *Cluster) EnableGossipSharing(interval time.Duration, policy core.MergePolicy, mode GossipMode, peers GossipPeers) error {
 	switch {
 	case interval <= 0:
@@ -106,19 +108,21 @@ func (c *Cluster) EnableGossipSharing(interval time.Duration, policy core.MergeP
 		return fmt.Errorf("cdn: unknown gossip peer set %q (want %q or %q)", peers, GossipPeersAll, GossipPeersPoP)
 	case c.sharing != nil:
 		return errors.New("cdn: gossip sharing is already enabled")
+	case c.engine.Now() > 0 || c.TotalRoutes() > 0:
+		return errors.New("cdn: gossip sharing must be enabled before the cluster runs or is seeded")
 	}
 	c.sharing = &sharing{interval: interval, policy: policy, full: mode == GossipFull, peers: c.peerURLs(peers)}
 	for _, p := range c.pops {
 		for _, h := range c.hosts[p.Name] {
-			if err := c.startExchange(h.Addr()); err != nil {
-				return err
+			if err := c.restart(h, c.agents[h.Addr()]); err != nil {
+				return fmt.Errorf("cdn: restart agent for %v: %w", h.Addr(), err)
 			}
 		}
 	}
 	tk, err := eventsim.NewTicker(c.engine, interval, func(time.Duration) {
 		for _, p := range c.pops {
 			for _, h := range c.hosts[p.Name] {
-				c.agents[h.Addr()].puller.PullOnce(context.Background())
+				c.agents[h.Addr()].d.Pull(context.Background())
 			}
 		}
 	})
@@ -126,35 +130,6 @@ func (c *Cluster) EnableGossipSharing(interval time.Duration, policy core.MergeP
 		return err
 	}
 	c.tickers = append(c.tickers, tk)
-	return nil
-}
-
-// startExchange gives a machine's current agent a fresh server, under a new
-// boot identity, and a fresh puller. Both are bound to one agent, so a reboot
-// builds them again: peers see the instance change and pull the new table in
-// full, and the new puller holds no cursor to read as "converged".
-func (c *Cluster) startExchange(addr netip.Addr) error {
-	s, slot := c.sharing, c.agents[addr]
-	if slot.puller != nil {
-		s.stats.add(slot.puller.Health())
-	}
-	now := func() time.Time { return time.Unix(0, 0).Add(c.engine.Now()) }
-	c.instanceSeq++
-	instance := fmt.Sprintf("%v#%d", addr, c.instanceSeq)
-	slot.serve = fleet.NewServer(slot.agent, addr.String(), instance, now).DeltaHandler()
-	p, err := fleet.NewPuller(fleet.PullerConfig{
-		Agent:    slot.agent,
-		Peers:    s.peers[addr],
-		Interval: s.interval,
-		Policy:   s.policy,
-		Client:   &http.Client{Transport: wire{c, addr}},
-		Now:      now,
-		Jitter:   -1, // runs replay per seed
-	})
-	if err != nil {
-		return fmt.Errorf("cdn: puller for %v: %w", addr, err)
-	}
-	slot.puller = p
 	return nil
 }
 
@@ -166,7 +141,7 @@ func (c *Cluster) GossipStats() GossipStats {
 	}
 	out := s.stats
 	for _, slot := range c.agents {
-		out.add(slot.puller.Health())
+		out.add(slot.d.PeerHealth())
 	}
 	return out
 }
@@ -198,7 +173,7 @@ func (w wire) RoundTrip(req *http.Request) (*http.Response, error) {
 		req.Header.Del("If-None-Match")
 	}
 	rec := httptest.NewRecorder()
-	c.agents[to].serve.ServeHTTP(rec, req)
+	c.agents[to].d.Handler().ServeHTTP(rec, req)
 	c.sharing.stats.BytesOnWire += int64(rec.Body.Len())
 	return rec.Result(), nil
 }
@@ -229,11 +204,7 @@ func (c *Cluster) SeedWarmEntries(n int, policy core.MergePolicy) error {
 	}
 	for _, p := range c.pops {
 		for _, h := range c.hosts[p.Name] {
-			slot, ok := c.agents[h.Addr()]
-			if !ok || slot.agent == nil {
-				continue
-			}
-			if _, err := slot.agent.MergeSnapshot(seed, policy); err != nil {
+			if _, err := c.agents[h.Addr()].d.Agent.MergeSnapshot(seed, policy); err != nil {
 				return fmt.Errorf("cdn: seed %s: %w", h.Addr(), err)
 			}
 		}

@@ -3,6 +3,7 @@ package daemon
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -12,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,6 +22,7 @@ import (
 
 	"riptide/internal/core"
 	"riptide/internal/fleet"
+	"riptide/internal/guard"
 	"riptide/internal/netlink"
 )
 
@@ -116,11 +119,9 @@ func (k *kernel) dial(proto int) (netlink.Conn, error) {
 // fast tick and millisecond route retries.
 func testConfig(k *kernel, logs *logSink) Config {
 	return Config{
-		Interval:  5 * time.Millisecond,
-		Combiner:  "average",
+		Agent:     core.Config{UpdateInterval: 5 * time.Millisecond},
+		Retry:     core.RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: time.Millisecond},
 		Reconcile: true,
-		RetryBase: time.Millisecond,
-		RetryMax:  time.Millisecond,
 		Dial:      k.dial,
 		Logf:      logs.logf,
 	}
@@ -167,7 +168,7 @@ func installed(routes []netlink.RecordedRoute) map[netip.Prefix]int {
 func TestRunIntervalZeroVerbose(t *testing.T) {
 	logs := &logSink{}
 	cfg := testConfig(newKernel(), logs)
-	cfg.Interval, cfg.TTL, cfg.Alpha, cfg.Verbose = 0, 0, 0, true
+	cfg.Agent.UpdateInterval, cfg.Agent.TTL, cfg.Agent.Alpha, cfg.Verbose = 0, 0, 0, true
 	stop := start(t, newDaemon(t, cfg))
 	logs.waitFor(t, "started:")
 	if err := stop(); err != nil {
@@ -197,7 +198,7 @@ func TestReconcileBeforeWarmStart(t *testing.T) {
 	k.route.InstalledRoutes = append(k.route.InstalledRoutes, netlink.RecordedRoute{Prefix: stale, InitCwnd: 80, Proto: rtprotStatic})
 	logs := &logSink{}
 	cfg := testConfig(k, logs)
-	cfg.Interval = time.Hour
+	cfg.Agent.UpdateInterval = time.Hour
 	cfg.SnapshotFile = path
 	cfg.SnapshotInterval = time.Hour
 	cfg.Now = func() time.Time { return saved }
@@ -275,8 +276,8 @@ func TestRunRetryFallbackClears(t *testing.T) {
 		return 0
 	}
 	cfg := testConfig(k, &logSink{})
-	cfg.RouteAttempts = 2
-	cfg.RouteFailureBudget = 3
+	cfg.Retry.MaxAttempts = 2
+	cfg.Retry.FailureBudget = 3
 	d := newDaemon(t, cfg)
 	fallbacks := func() uint64 { return d.Agent.Metrics().Snapshot().Counters["riptide_route_fallbacks"] }
 	stop := start(t, d)
@@ -285,7 +286,7 @@ func TestRunRetryFallbackClears(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Each tick tries the destination once in the route batch, then
-	// RouteAttempts times on its own; the budget counts exhausted ticks,
+	// Retry.MaxAttempts times on its own; the budget counts exhausted ticks,
 	// and the withdrawal follows the last one.
 	sets := 0
 	for _, rt := range k.route.Routes {
@@ -297,7 +298,7 @@ func TestRunRetryFallbackClears(t *testing.T) {
 		}
 		sets++
 	}
-	if want := cfg.RouteFailureBudget * (1 + cfg.RouteAttempts); sets != want {
+	if want := cfg.Retry.FailureBudget * (1 + cfg.Retry.MaxAttempts); sets != want {
 		t.Errorf("%d refused programs of %v before the fallback clear, want %d", sets, failing, want)
 	}
 	var cleared bool
@@ -405,9 +406,9 @@ func TestLifecycleRunJoinsEveryGoroutine(t *testing.T) {
 	transport := &countingTransport{}
 	cfg := testConfig(newKernel(core.Observation{Dst: dstA, Cwnd: 64}), logs)
 	cfg.StatusAddr = "127.0.0.1:0"
-	cfg.Peers = srv.URL
-	cfg.PeerInterval = 5 * time.Millisecond
-	cfg.Transport = transport
+	cfg.Puller.Peers = []string{srv.URL}
+	cfg.Puller.Interval = 5 * time.Millisecond
+	cfg.Puller.Client = &http.Client{Transport: transport}
 	d := newDaemon(t, cfg)
 	stop := start(t, d)
 	addr := regexp.MustCompile(`serving on (\S+)`).FindStringSubmatch(logs.waitFor(t, "status: serving on"))[1]
@@ -424,7 +425,7 @@ func TestLifecycleRunJoinsEveryGoroutine(t *testing.T) {
 		conn.Close()
 		t.Errorf("status port %s still accepts connections after Run returned", addr)
 	}
-	time.Sleep(10 * cfg.PeerInterval)
+	time.Sleep(10 * cfg.Puller.Interval)
 	if n := transport.total.Load(); n != sent {
 		t.Errorf("puller sent %d requests after Run returned", n-sent)
 	}
@@ -442,8 +443,8 @@ func TestStatusGolden(t *testing.T) {
 		core.Observation{Dst: netip.MustParseAddr("203.0.113.9"), Cwnd: 48, SegsOut: 100},
 	)
 	cfg := testConfig(k, &logSink{})
-	cfg.Guard = true
-	cfg.Peers = "127.0.0.1:1"
+	cfg.Guard = &guard.Config{}
+	cfg.Puller.Peers = []string{"127.0.0.1:1"}
 	cfg.Now = func() time.Time { return time.Unix(1700000000, 0) }
 	d := newDaemon(t, cfg)
 	if err := d.Agent.Tick(); err != nil {
@@ -468,5 +469,166 @@ func TestStatusGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("/status body differs from %s:\ngot  %s\nwant %s", golden, got, want)
+	}
+}
+
+// cancelConn passes every sock_diag request through and cancels a context on
+// the request numbered at, counting from one.
+type cancelConn struct {
+	netlink.Conn
+	sends, at int
+	cancel    context.CancelFunc
+}
+
+func (c *cancelConn) Send(req []byte) error {
+	if c.sends++; c.sends == c.at {
+		c.cancel()
+	}
+	return c.Conn.Send(req)
+}
+
+// TestRunMatchesSteps: Run is the wall-clock loop around the steps a caller
+// with its own clock drives. Over the same kernel, snapshot file and frozen
+// clock, Start, n Ticks and Stop leave the same route messages, the same
+// /status body, the same final snapshot file and the same log as a Run that
+// ticks n times.
+func TestRunMatchesSteps(t *testing.T) {
+	now := time.Unix(1700000000, 0)
+	seed := newDaemon(t, testConfig(newKernel(core.Observation{Dst: netip.MustParseAddr("203.0.113.9"), Cwnd: 48}), &logSink{}))
+	if err := seed.Agent.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	warm := filepath.Join(t.TempDir(), "warm.json")
+	if err := fleet.Save(warm, fleet.FromAgent(seed.Agent, "host-a", now.Add(-time.Minute))); err != nil {
+		t.Fatal(err)
+	}
+	warmBytes, err := os.ReadFile(warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type outcome struct {
+		routes []netlink.RecordedRoute
+		status []byte
+		snap   []byte
+		log    string
+	}
+	// drive runs one daemon over a fresh kernel; with run set, through Run,
+	// cancelled during the last dump of tick n, else through the steps.
+	drive := func(t *testing.T, ticks int, guarded, run bool) outcome {
+		t.Helper()
+		k := newKernel(core.Observation{Dst: dstA, Cwnd: 64, SegsOut: 100}, core.Observation{Dst: dstB, Cwnd: 30, SegsOut: 100})
+		k.route.InstalledRoutes = append(k.route.InstalledRoutes, netlink.RecordedRoute{Prefix: netip.MustParsePrefix("192.0.2.77/32"), InitCwnd: 80, Proto: rtprotStatic})
+		path := filepath.Join(t.TempDir(), "snapshot.json")
+		if err := os.WriteFile(path, warmBytes, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		logs := &logSink{}
+		cfg := testConfig(k, logs)
+		cfg.SnapshotFile = path
+		cfg.SnapshotInterval = time.Hour
+		cfg.Now = func() time.Time { return now }
+		if guarded {
+			cfg.Guard = &guard.Config{}
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		// The startup probe and every tick dump AF_INET, then AF_INET6.
+		diag := &cancelConn{Conn: &k.diag, at: 2 + 2*ticks, cancel: cancel}
+		cfg.Dial = func(proto int) (netlink.Conn, error) {
+			if proto == netlink.ProtoSockDiag {
+				return diag, nil
+			}
+			return k.dial(proto)
+		}
+		d := newDaemon(t, cfg)
+		if run {
+			if err := d.Run(ctx); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			if err := d.Start(); err != nil {
+				t.Fatal(err)
+			}
+			for range ticks {
+				if err := d.Tick(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := d.Stop(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := d.Agent.Stats().Ticks; got != uint64(ticks) {
+			t.Fatalf("run=%v ticked %d times, want %d", run, got, ticks)
+		}
+		rec := httptest.NewRecorder()
+		d.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/status", nil))
+		snap, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outcome{routes: k.route.Routes, status: rec.Body.Bytes(), snap: snap, log: logs.String()}
+	}
+
+	for _, tc := range []struct {
+		name    string
+		ticks   int
+		guarded bool
+	}{
+		{"start-stop", 0, false},
+		{"one tick", 1, false},
+		{"three ticks", 3, false},
+		{"three ticks guarded", 3, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			steps := drive(t, tc.ticks, tc.guarded, false)
+			run := drive(t, tc.ticks, tc.guarded, true)
+			if !slices.Equal(run.routes, steps.routes) {
+				t.Errorf("route messages differ:\nrun   %+v\nsteps %+v", run.routes, steps.routes)
+			}
+			if !bytes.Equal(run.status, steps.status) {
+				t.Errorf("/status differs:\nrun   %s\nsteps %s", run.status, steps.status)
+			}
+			if !bytes.Equal(run.snap, steps.snap) {
+				t.Errorf("final snapshot differs:\nrun   %s\nsteps %s", run.snap, steps.snap)
+			}
+			if run.log != steps.log {
+				t.Errorf("log differs:\nrun\n%s\nsteps\n%s", run.log, steps.log)
+			}
+			if !strings.Contains(steps.log, "reconcile: withdrew 1") || !strings.Contains(steps.log, "warm start: merged 1") {
+				t.Errorf("the start did not reconcile and warm-start:\n%s", steps.log)
+			}
+		})
+	}
+}
+
+// TestLifecycleFailedStartReleases: a start whose probe fails leaves nothing
+// to release: the retry context is cancelled and the sampler's socket, open
+// once its own probe passed, is closed.
+func TestLifecycleFailedStartReleases(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		breakKernel func(k *kernel)
+		want        string
+	}{
+		{"sampler", func(k *kernel) { k.diag.RecvErr = errors.New("no sock_diag") }, "netlink sampler probe"},
+		{"routes", func(k *kernel) { k.route.RecvErr = errors.New("no rtnetlink") }, "netlink routes probe"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := newKernel(core.Observation{Dst: dstA, Cwnd: 64})
+			tc.breakKernel(k)
+			d := newDaemon(t, testConfig(k, &logSink{}))
+			if err := d.Start(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Start = %v, want a %s error", err, tc.want)
+			}
+			if d.retryCtx.Err() == nil {
+				t.Error("the retry context outlives the failed start")
+			}
+			k.diag.RecvErr = nil
+			if err := k.diag.Send(nil); err == nil || !strings.Contains(err.Error(), "closed") {
+				t.Errorf("the sampler's socket is still open after the failed start (send: %v)", err)
+			}
+		})
 	}
 }

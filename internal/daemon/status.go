@@ -67,15 +67,21 @@ type MetricsPayload struct {
 // Handler serves the daemon's status surface: GET /status (JSON), /metrics
 // (Prometheus text), /metrics.json (full JSON snapshot), /healthz (200 once
 // ticking), and the fleet endpoints /fleet/snapshot and /fleet/delta from
-// the daemon's one response-cache server.
+// the daemon's one response-cache server. Every call returns the same
+// handler.
 func (d *Daemon) Handler() http.Handler {
+	d.handlerOnce.Do(func() { d.handler = d.newHandler() })
+	return d.handler
+}
+
+func (d *Daemon) newHandler() http.Handler {
 	agent := d.Agent
 	fleetStatus := func() *fleetPayload {
 		if d.puller == nil {
 			return nil
 		}
 		stats := d.server.Stats()
-		return &fleetPayload{Source: d.source, Peers: d.puller.Health(), Serve: &stats}
+		return &fleetPayload{Source: d.cfg.Source, Peers: d.puller.Health(), Serve: &stats}
 	}
 	guardStatus := func() *guardPayload {
 		if d.gov == nil {

@@ -1,15 +1,12 @@
 package fleet
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"time"
-
-	"riptide/internal/core"
 )
 
 // ErrNoSnapshot is returned by Load when the snapshot file does not exist —
@@ -73,60 +70,4 @@ func Load(path string, now time.Time) (Snapshot, time.Duration, error) {
 		elapsed = 0
 	}
 	return s, elapsed, nil
-}
-
-// Persister periodically saves an agent's snapshot to disk.
-type Persister struct {
-	// Path is the snapshot file; required.
-	Path string
-	// Source labels the snapshots (typically the hostname).
-	Source string
-	// Agent is the agent to snapshot; required.
-	Agent *core.Agent
-	// Interval between periodic saves. 0 means one minute.
-	Interval time.Duration
-	// Now supplies wall-clock time; nil means time.Now.
-	Now func() time.Time
-	// Logf, if set, receives save errors (periodic saves keep going).
-	Logf func(format string, args ...any)
-}
-
-func (p *Persister) now() time.Time {
-	if p.Now != nil {
-		return p.Now()
-	}
-	return time.Now()
-}
-
-func (p *Persister) interval() time.Duration {
-	if p.Interval > 0 {
-		return p.Interval
-	}
-	return time.Minute
-}
-
-// SaveNow writes one snapshot immediately.
-func (p *Persister) SaveNow() error {
-	return Save(p.Path, FromAgent(p.Agent, p.Source, p.now()))
-}
-
-// Run saves periodically until ctx is canceled, then writes one final
-// snapshot so shutdown state survives the restart. Call it before closing
-// the agent — Close wipes the learned table.
-func (p *Persister) Run(ctx context.Context) {
-	t := time.NewTicker(p.interval())
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			if err := p.SaveNow(); err != nil && p.Logf != nil {
-				p.Logf("fleet: final snapshot save: %v", err)
-			}
-			return
-		case <-t.C:
-			if err := p.SaveNow(); err != nil && p.Logf != nil {
-				p.Logf("fleet: snapshot save: %v", err)
-			}
-		}
-	}
 }

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -94,50 +93,5 @@ func TestSaveReplacesAtomically(t *testing.T) {
 	}
 	if len(loaded.Entries) != 1 || loaded.Entries[0].Prefix != "198.51.100.7/32" {
 		t.Fatalf("loaded = %+v, want only the second agent's entry", loaded)
-	}
-}
-
-func TestPersisterFinalSaveOnCancel(t *testing.T) {
-	a, _, _ := newTestAgent(t, []core.Observation{obs(t, "192.0.2.1", 40)})
-	path := filepath.Join(t.TempDir(), "snapshot.json")
-	p := &Persister{
-		Path:     path,
-		Source:   "host-a",
-		Agent:    a,
-		Interval: time.Hour, // only the final save can fire
-		Now:      func() time.Time { return time.Unix(1700000000, 0) },
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		p.Run(ctx)
-		close(done)
-	}()
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Persister.Run did not return after cancel")
-	}
-
-	loaded, _, err := Load(path, time.Unix(1700000001, 0))
-	if err != nil {
-		t.Fatalf("Load after final save: %v", err)
-	}
-	if len(loaded.Entries) != 1 || loaded.Source != "host-a" {
-		t.Fatalf("final snapshot = %+v", loaded)
-	}
-}
-
-func TestPersisterSaveNow(t *testing.T) {
-	a, _, _ := newTestAgent(t, []core.Observation{obs(t, "192.0.2.1", 40)})
-	path := filepath.Join(t.TempDir(), "snapshot.json")
-	p := &Persister{Path: path, Agent: a}
-	if err := p.SaveNow(); err != nil {
-		t.Fatalf("SaveNow: %v", err)
-	}
-	if _, _, err := Load(path, time.Now()); err != nil {
-		t.Fatalf("Load: %v", err)
 	}
 }

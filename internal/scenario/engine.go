@@ -305,17 +305,18 @@ func applyEvent(c *cdn.Cluster, ev Event, st *runState, sharingOn, gossipFull bo
 		if !sharingOn {
 			return nil
 		}
-		if p.SeedEntries > 0 {
-			if err := c.SeedWarmEntries(p.SeedEntries, core.MergePolicy{}); err != nil {
-				return err
-			}
-		}
 		mode := cdn.GossipMode(p.Mode)
 		if gossipFull {
 			mode = cdn.GossipFull
 		}
+		// Sharing restarts every agent, so the seed follows it.
 		if err := c.EnableGossipSharing(p.Interval, core.MergePolicy{}, mode, cdn.GossipPeers(p.Peers)); err != nil {
 			return err
+		}
+		if p.SeedEntries > 0 {
+			if err := c.SeedWarmEntries(p.SeedEntries, core.MergePolicy{}); err != nil {
+				return err
+			}
 		}
 		st.gossipOn = true
 		return nil

@@ -180,16 +180,17 @@ type LinuxOptions struct {
 // programming routes requires the CAP_NET_ADMIN capability (or root).
 func NewLinuxAgent(opts LinuxOptions) (*Agent, error) {
 	d, err := daemon.New(daemon.Config{
-		Device:     opts.Device,
-		Gateway:    opts.Gateway,
-		InitRwnd:   opts.SetInitRwnd,
-		Interval:   opts.UpdateInterval,
-		TTL:        opts.TTL,
-		Alpha:      opts.Alpha,
-		CMax:       opts.CMax,
-		CMin:       opts.CMin,
-		PrefixBits: opts.PrefixBits,
-		Combiner:   "average",
+		Agent: core.Config{
+			UpdateInterval: opts.UpdateInterval,
+			TTL:            opts.TTL,
+			Alpha:          opts.Alpha,
+			CMax:           opts.CMax,
+			CMin:           opts.CMin,
+			PrefixBits:     opts.PrefixBits,
+		},
+		Device:   opts.Device,
+		Gateway:  opts.Gateway,
+		InitRwnd: opts.SetInitRwnd,
 	})
 	if err != nil {
 		return nil, err
