@@ -659,7 +659,6 @@ func New(cfg Config) (*Agent, error) {
 	}
 	a := &Agent{
 		cfg:       cfg,
-		tab:       destTable{states: make(map[netip.Prefix]*destState)},
 		history:   history,
 		canDrain:  history == nil && cfg.Guard == nil && cfg.Advisor == nil,
 		buckets:   make([][]keyedObs, maxScanWorkers),
@@ -732,9 +731,9 @@ func (a *Agent) Entries() []Entry {
 	tb := &a.tab
 	tb.mu.Lock()
 	out := make([]Entry, 0, tb.installed)
-	for p, st := range tb.states {
+	tb.states.each(func(p netip.Prefix, st *destState) {
 		if !st.installed {
-			continue
+			return
 		}
 		// Converged entries carry lazily applied TTL/sample credit from
 		// stable rounds; fold it in before exposing the fields.
@@ -745,7 +744,7 @@ func (a *Agent) Entries() []Entry {
 			ExpiresAt:    st.expires,
 			Observations: st.lastObs,
 		})
-	}
+	})
 	tb.mu.Unlock()
 	sortByPrefixPooled(out, func(e *Entry) netip.Prefix { return e.Prefix })
 	return out
@@ -768,7 +767,7 @@ func (a *Agent) Lookup(dst netip.Addr) (int, bool) {
 	}
 	a.tab.mu.Lock()
 	defer a.tab.mu.Unlock()
-	if st, ok := a.tab.states[key]; ok && st.installed {
+	if st := a.tab.states.get(key); st != nil && st.installed {
 		return st.window, true
 	}
 	return 0, false
@@ -800,12 +799,12 @@ func (a *Agent) Close() error {
 	tb := &a.tab
 	tb.mu.Lock()
 	targets := make([]netip.Prefix, 0, tb.installed)
-	for dst, st := range tb.states {
+	tb.states.each(func(dst netip.Prefix, st *destState) {
 		if st.installed {
 			targets = append(targets, dst)
 		}
 		st.dead = true
-	}
+	})
 	tb.release()
 	tb.mu.Unlock()
 	sortPrefixes(targets, &a.sortKeys)

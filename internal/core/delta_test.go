@@ -408,6 +408,29 @@ func withTraffic(rounds [][]Observation) [][]Observation {
 	return rounds
 }
 
+// withOtherFamilies moves two of the schedule's IPv4 /16s into other address
+// families, keeping every socket's membership history: 10.1.x.y becomes the
+// IPv6 2001:db8:1::x:y and 10.2.x.y the 4-in-6 ::ffff:10.2.x.y, each one
+// destination at /24 granularity, which the table keys outside its packed
+// IPv4 half.
+func withOtherFamilies(rounds [][]Observation) [][]Observation {
+	for _, obs := range rounds {
+		for i := range obs {
+			o := &obs[i]
+			if !o.Dst.Is4() {
+				continue
+			}
+			switch b := o.Dst.As4(); b[1] {
+			case 1:
+				o.Dst = netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 0, 1, 13: b[2], 15: b[3]})
+			case 2:
+				o.Dst = netip.AddrFrom16(o.Dst.As16())
+			}
+		}
+	}
+	return rounds
+}
+
 // stableVsRebuild runs the membership-churn schedule, with traffic counters,
 // failing installs and withdrawals that fail (some for good, some once), under
 // the hook install puts into the Config — once taking stable rounds, once with
@@ -420,9 +443,9 @@ func stableVsRebuild(t *testing.T, install func(*Config) (status func() any)) {
 	newRoutes := func() *recordingBatchRoutes {
 		rt := &recordingBatchRoutes{}
 		failedOnce := map[netip.Prefix]bool{}
-		rt.fail = func(p netip.Prefix) bool { return p.Addr().As4()[2]%23 == 7 }
+		rt.fail = func(p netip.Prefix) bool { return p.Addr().As16()[14]%23 == 7 }
 		rt.failClear = func(p netip.Prefix) bool {
-			if p.Addr().As4()[2]%29 == 11 {
+			if p.Addr().As16()[14]%29 == 11 {
 				return true
 			}
 			first := !failedOnce[p]
@@ -431,13 +454,22 @@ func stableVsRebuild(t *testing.T, install func(*Config) (status func() any)) {
 		}
 		return rt
 	}
-	rounds := withTraffic(membershipChurnRounds(1, 48, 1600))
+	rounds := withOtherFamilies(withTraffic(membershipChurnRounds(1, 48, 1600)))
 	for _, workers := range []int{1, 2, 4, 8} {
 		label := fmt.Sprintf("workers=%d", workers)
 		var fullStatus, deltaStatus func() any
 		full := runModeScheduleOn(t, newRoutes(), func(c *Config) { fullStatus = install(c) }, workers, true, rounds)
 		if full.stats.EntriesExpired == 0 || full.stats.RouteErrors == 0 || len(full.tickErrs) == 0 {
 			t.Fatalf("%s: reference saw no expiry or no failure: %+v", label, full.stats)
+		}
+		others := 0
+		for _, e := range full.entries {
+			if !e.Prefix.Addr().Is4() {
+				others++
+			}
+		}
+		if others != 2 {
+			t.Fatalf("%s: reference holds %d IPv6 and 4-in-6 entries, want 2", label, others)
 		}
 		delta := runModeScheduleOn(t, newRoutes(), func(c *Config) { deltaStatus = install(c) }, workers, false, rounds)
 		compareModes(t, label, full, delta)

@@ -18,9 +18,9 @@ func deltaByRescan(a *Agent, since uint64) []SnapshotEntry {
 	var out []SnapshotEntry
 	tb := &a.tab
 	tb.mu.Lock()
-	for p, st := range tb.states {
+	tb.states.each(func(p netip.Prefix, st *destState) {
 		if !st.installed || st.version <= since {
-			continue
+			return
 		}
 		a.materializeLocked(st)
 		age := now - st.updated
@@ -34,7 +34,7 @@ func deltaByRescan(a *Agent, since uint64) []SnapshotEntry {
 			Age:     age + st.mergedAge,
 			Version: st.version,
 		})
-	}
+	})
 	tb.mu.Unlock()
 	slices.SortFunc(out, func(x, y SnapshotEntry) int { return comparePrefix(x.Prefix, y.Prefix) })
 	return out
@@ -69,7 +69,7 @@ func checkExportLog(t *testing.T, a *Agent, stage string, cursors ...uint64) {
 		}
 		if r := &tb.log[i]; r.live() {
 			live++
-			if !r.st.installed || r.st.dead || r.st.version != r.version || tb.states[r.key] != r.st {
+			if !r.st.installed || r.st.dead || r.st.version != r.version || tb.states.get(r.key) != r.st {
 				t.Errorf("%s: live ref %v@%d is not the installed state", stage, r.key, r.version)
 			}
 		}
@@ -185,7 +185,7 @@ func TestExportLogMatchesRescan(t *testing.T) {
 			stateOf := func(p netip.Prefix) *destState {
 				a.tab.mu.Lock()
 				defer a.tab.mu.Unlock()
-				return a.tab.states[p]
+				return a.tab.states.get(p)
 			}
 			vetoed := stateOf(key(5))
 			gov.set(key(5), GuardVeto, 0)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"encoding/binary"
 	"net/netip"
 	"slices"
 	"sync"
@@ -17,15 +16,15 @@ func comparePrefix(a, b netip.Prefix) int {
 	return cmp.Compare(a.Bits(), b.Bits())
 }
 
-// prefixIdxBits is the width of the input index a packed key carries in its
-// low bits, below the 32 address bits and 6 prefix-length bits.
+// prefixIdxBits is the width of the input index a sort key carries in its
+// low bits, below the 38 bits of the prefix's packed key (packPrefix).
 const prefixIdxBits = 26
 
 // sortByPrefix sorts s into comparePrefix order of prefix(&s[i]), stably:
 // the one prefix-order sort of the agent (route plans, withdrawal lists,
 // entries, exports, merge plans). When every prefix is IPv4 — the common
-// case — it packs each into an 8-byte key (address, then prefix length,
-// then input index), whose unsigned order is comparePrefix's with ties in
+// case — it packs each into an 8-byte sort key (the prefix's packed key, then
+// the input index), whose unsigned order is comparePrefix's with ties in
 // input order, sorts the integers, and then moves every element once into
 // place. Anything else (IPv6, 4-in-6, an invalid prefix, more elements than
 // the index holds) takes a stable comparator sort. scratch holds the key
@@ -63,20 +62,18 @@ func sortByPrefix[T any](s []T, scratch *[]uint64, prefix func(*T) netip.Prefix)
 	}
 }
 
-// packPrefixKeys appends s's packed keys to keys, or reports false at the
+// packPrefixKeys appends s's sort keys to keys, or reports false at the
 // first prefix that does not pack.
 func packPrefixKeys[T any](keys []uint64, s []T, prefix func(*T) netip.Prefix) ([]uint64, bool) {
 	if len(s) > 1<<prefixIdxBits {
 		return keys, false
 	}
 	for i := range s {
-		p := prefix(&s[i])
-		addr := p.Addr()
-		if !addr.Is4() || p.Bits() < 0 {
+		k, ok := packPrefix(prefix(&s[i]))
+		if !ok {
 			return keys, false
 		}
-		b := addr.As4()
-		keys = append(keys, uint64(binary.BigEndian.Uint32(b[:]))<<32|uint64(p.Bits())<<prefixIdxBits|uint64(i))
+		keys = append(keys, k<<prefixIdxBits|uint64(i))
 	}
 	return keys, true
 }

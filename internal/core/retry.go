@@ -280,18 +280,30 @@ func (r *RetryingRouteProgrammer) ProgramRoutes(ops []RouteOp) []error {
 	if hasBatch {
 		r.count(func(s *RetryStats) { s.Attempts++ }, "riptide_route_attempts")
 		batchErrs = bp.ProgramRoutes(ops)
+		// The batch installed every member it did not report failed: their
+		// failure budgets reset like an individual success's would, under
+		// one lock for the whole batch, and with no walk at all while no
+		// destination is failing. The batch ran before any re-drive below,
+		// so its resets come first.
+		r.mu.Lock()
+		if len(r.failures) > 0 {
+			for i, op := range ops {
+				if batchErrs == nil || batchErrs[i] == nil {
+					delete(r.failures, op.Prefix)
+				}
+			}
+		}
+		r.mu.Unlock()
+		if batchErrs == nil {
+			return nil
+		}
 	}
 	var errs []error
 	for i, op := range ops {
-		if hasBatch && (batchErrs == nil || batchErrs[i] == nil) {
-			// The batch installed this member; clear its failure budget
-			// like an individual success would.
-			r.mu.Lock()
-			delete(r.failures, op.Prefix)
-			r.mu.Unlock()
-			continue
-		}
 		if hasBatch {
+			if batchErrs[i] == nil {
+				continue
+			}
 			r.count(func(s *RetryStats) { s.BatchFallbacks++ }, "riptide_route_batch_fallbacks")
 		}
 		var err error

@@ -521,6 +521,46 @@ func TestProgramRoutesFallbackClearsPersistentMember(t *testing.T) {
 	}
 }
 
+// TestProgramRoutesBatchSuccessResetsBudget: a member the batch installs
+// resets its destination's consecutive-failure count like an individual
+// success, and a batch that does not carry the destination leaves the count
+// alone.
+func TestProgramRoutesBatchSuccessResetsBudget(t *testing.T) {
+	p := netip.MustParsePrefix("10.0.1.0/24")
+	other := []RouteOp{{Prefix: netip.MustParsePrefix("10.0.0.0/24"), Window: 40}}
+	withP := append([]RouteOp{{Prefix: p, Window: 28}}, other...)
+	for _, tc := range []struct {
+		name      string
+		batch     []RouteOp
+		wantReset bool
+	}{
+		{"batch installs P", withP, true},
+		{"batch without P", other, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inner := newBatchInner()
+			r := mustRetry(t, inner, RetryPolicy{MaxAttempts: 1, FailureBudget: 3, Sleep: func(time.Duration) {}})
+			// A failure streak of budget-1 on P, through the batch path.
+			inner.batchFail[p], inner.setFail[p] = true, true
+			for i := 0; i < 2; i++ {
+				if errs := r.ProgramRoutes(withP); errs == nil || errs[0] == nil || errors.Is(errs[0], ErrFallbackCleared) {
+					t.Fatalf("streak round %d: errs = %v, want a plain failure on P", i, errs)
+				}
+			}
+			inner.batchFail[p], inner.setFail[p] = false, false
+			if errs := r.ProgramRoutes(tc.batch); errs != nil {
+				t.Fatalf("recovery batch: errs = %v, want nil", errs)
+			}
+			// One more failure trips the budget only if the count survived.
+			inner.setFail[p] = true
+			err := r.SetInitCwnd(p, 28)
+			if reset := !errors.Is(err, ErrFallbackCleared); reset != tc.wantReset {
+				t.Errorf("after the recovery batch, one failure gave %v: reset = %v, want %v", err, reset, tc.wantReset)
+			}
+		})
+	}
+}
+
 func TestProgramRoutesWithoutInnerBatchPath(t *testing.T) {
 	inner := newFakeRoutes() // plain RouteProgrammer, no ProgramRoutes
 	r := mustRetry(t, inner, RetryPolicy{Sleep: func(time.Duration) {}})

@@ -136,7 +136,7 @@ func (a *Agent) ContentToken() (version uint64, markers uint64) {
 	defer a.tab.mu.Unlock()
 	for _, q := range quarantines {
 		key := q.Prefix.Masked()
-		if st, ok := a.tab.states[key]; !ok || !st.installed {
+		if st := a.tab.states.get(key); st == nil || !st.installed {
 			// A prefix with an installed entry is not exported as a
 			// marker: the overlap means the quarantine already recovered.
 			markers ^= prefixHash(key)
@@ -207,7 +207,7 @@ func (a *Agent) ExportDeltaAppend(buf []SnapshotEntry, since uint64) ([]Snapshot
 		tb.mu.Lock()
 		for _, q := range quarantines {
 			key := q.Prefix.Masked()
-			if st, ok := tb.states[key]; ok && st.installed {
+			if st := tb.states.get(key); st != nil && st.installed {
 				continue
 			}
 			out = append(out, SnapshotEntry{
@@ -245,7 +245,7 @@ type mergeOp struct {
 	age     time.Duration
 	expires time.Duration
 	// st is the destination's uninstalled state, nil when it has none: the
-	// plan's one map lookup, carried to the commit as programOp.st is.
+	// plan's one index lookup, carried to the commit as programOp.st is.
 	st *destState
 }
 
@@ -301,7 +301,7 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 			continue
 		}
 		key := se.Prefix.Masked()
-		st := tb.states[key]
+		st := tb.states.get(key)
 		if st != nil && st.installed {
 			stats.SkippedLocal++
 			continue
@@ -369,8 +369,14 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 	var firstErr error
 	tb.mu.Lock()
 	// A warm start seeds a whole table at once: make room in one step.
-	if len(tb.states) == 0 {
-		tb.states = make(map[netip.Prefix]*destState, len(plan))
+	if tb.states.size() == 0 {
+		v4 := 0
+		for _, op := range plan {
+			if _, ok := packPrefix(op.dst); ok {
+				v4++
+			}
+		}
+		tb.states = makeStateIndex(v4, len(plan)-v4)
 	}
 	tb.deadlines = slices.Grow(tb.deadlines, len(plan))
 	tb.log = slices.Grow(tb.log, len(plan))
@@ -385,7 +391,7 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 		st := op.st
 		if st == nil {
 			st = tb.newDestState()
-			tb.states[op.dst] = st
+			tb.states.put(op.dst, st)
 		}
 		wasInstalled := st.installed
 		if !wasInstalled {
@@ -409,7 +415,7 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 		a.smooth(st, op.dst, float64(op.window))
 		stats.Merged++
 	}
-	tb.peak = max(tb.peak, len(tb.states))
+	tb.peak = max(tb.peak, tb.states.size())
 	tb.mu.Unlock()
 	// The kept array must not pin states a later round deletes.
 	clear(plan[:cap(plan)])

@@ -329,6 +329,69 @@ func BenchmarkSnapshotMerge(b *testing.B) {
 	}
 }
 
+// BenchmarkMergeSnapshotHeld is churn-100k's merge: one round's delta of
+// 7 100 prefix-ordered entries, 6 600 of them destinations the puller
+// already holds, into a 108 900-entry table. A held entry costs the plan one
+// table lookup; the 500 others are programmed and committed. Those lapse
+// between iterations, outside the timer, so each iteration merges into the
+// same table.
+func BenchmarkMergeSnapshotHeld(b *testing.B) {
+	const table, held, fresh = 108_900, 6_600, 500
+	// The table holds the even indices, the fresh entries are odd ones.
+	prefix := func(i int) netip.Prefix {
+		return netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}), 32)
+	}
+	seed := make([]SnapshotEntry, table)
+	for i := range seed {
+		seed[i] = SnapshotEntry{Prefix: prefix(2 * i), Window: 40 + i%60, Samples: 8}
+	}
+	clock := &fakeClock{}
+	a, err := New(Config{Sampler: &fakeSampler{}, Routes: nopRoutes{}, Clock: clock.fn()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = a.Close() }()
+	if _, err := a.MergeSnapshot(seed, MergePolicy{}); err != nil {
+		b.Fatal(err)
+	}
+	// A fresh entry has a microsecond of its TTL left.
+	lapse := a.Config().TTL - time.Microsecond
+	delta := make([]SnapshotEntry, 0, held+fresh)
+	for i, added := 0, 0; i < held; i++ {
+		at := 2 * i * (table / held)
+		delta = append(delta, SnapshotEntry{Prefix: prefix(at), Window: 50, Samples: 8, Age: time.Second})
+		if i%13 == 0 && added < fresh {
+			delta = append(delta, SnapshotEntry{Prefix: prefix(at + 1), Window: 50, Samples: 8, Age: lapse})
+			added++
+		}
+	}
+	merge := func() {
+		stats, err := a.MergeSnapshot(delta, MergePolicy{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if stats.Merged != fresh || stats.SkippedLocal != held {
+			b.Fatalf("stats = %+v, want %d merged and %d held", stats, fresh, held)
+		}
+		clock.Advance(time.Microsecond)
+		if err := a.expirePass(clock.Now()); err != nil {
+			b.Fatal(err)
+		}
+		if n := a.Len(); n != table {
+			b.Fatalf("%d entries after the fresh ones lapsed, want %d", n, table)
+		}
+		b.StartTimer()
+	}
+	merge() // the first merge after the seed sizes the round's scratch
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		merge()
+	}
+}
+
 // nopRoutes accepts every programming call.
 type nopRoutes struct{}
 

@@ -11,13 +11,14 @@ import (
 
 // This file holds the agent's destination table and the plan stage that
 // runs on it. Per-destination state — the committed route entry, the
-// smoothing state, and the per-tick grouping scratch — lives in ONE map slot
-// per destination (destState), in one table behind one lock. Tick fans the
-// O(sockets) scans of the stream (compare, ingest, governor observe) out over
-// contiguous chunks, one bucket per worker; the O(changes) plan, commit,
-// export, merge and expiry run serially on the table. Collapsing entry +
-// history + group bookkeeping into a single struct means the steady-state
-// plan stage performs exactly one prefix-keyed map operation per
+// smoothing state, and the per-tick grouping scratch — lives in ONE struct
+// per destination (destState), found through one index (stateIndex, which
+// keys an IPv4 prefix by a packed integer), in one table behind one lock.
+// Tick fans the O(sockets) scans of the stream (compare, ingest, governor
+// observe) out over contiguous chunks, one bucket per worker; the O(changes)
+// plan, commit, export, merge and expiry run serially on the table.
+// Collapsing entry + history + group bookkeeping into a single struct means
+// the steady-state plan stage performs exactly one index lookup per
 // observation; everything else is pointer chasing. See the pipeline overview
 // in tick.go.
 
@@ -44,7 +45,7 @@ func (a *Agent) scanWidth() int {
 	return max(1, min(n, maxScanWorkers))
 }
 
-// destState is everything the agent knows about one destination, in one map
+// destState is everything the agent knows about one destination, in one index
 // slot: the committed route entry (valid while installed is true), the
 // inline EWMA smoothing state (used unless a caller supplied a History
 // policy), and the plan stage's grouping bookkeeping. Smoothing state
@@ -107,9 +108,10 @@ type destState struct {
 // slices are touched only under tickMu.
 type destTable struct {
 	mu     sync.Mutex
-	states map[netip.Prefix]*destState
-	// peak is the most states the map has held since it was built (tickMu):
-	// Go never shrinks a map, so its storage is sized by peak, not by len.
+	states stateIndex
+	// peak is the most states the index has held since it was built
+	// (tickMu): Go never shrinks a map, so its storage is sized by peak, not
+	// by size.
 	peak int
 	// installed counts states with a live route, maintained at every
 	// commit/withdraw site — a sizing hint for Entries and snapshots.
@@ -176,7 +178,7 @@ type destTable struct {
 // the per-round plan output. Readers of a released table see an empty one.
 // Under mu and tickMu (Close).
 func (tb *destTable) release() {
-	tb.states, tb.installed, tb.peak = nil, 0, 0
+	tb.states, tb.installed, tb.peak = stateIndex{}, 0, 0
 	tb.deadlines = nil
 	tb.log, tb.logStale = nil, 0
 	tb.slab, tb.slabOff = nil, 0
@@ -188,8 +190,8 @@ func (tb *destTable) release() {
 
 // giveBack ends a round (tickMu): every round-reused array whose length is
 // what the round used of it is given back under the retention rule (fit),
-// and a table map that fell far below its peak is rebuilt at its size, with
-// a fresh slab — the current block holds the states that drained.
+// and a table index that fell far below its peak is rebuilt at its size,
+// with a fresh slab — the current block holds the states that drained.
 func (a *Agent) giveBack() {
 	for w := range a.buckets {
 		a.buckets[w] = fit(a.buckets[w])
@@ -207,15 +209,13 @@ func (a *Agent) giveBack() {
 		tb.active = fit(tb.active)
 	}
 
-	// Only tickMu holders write the map, so its size reads without the
+	// Only tickMu holders write the index, so its size reads without the
 	// table lock; replacing it takes the lock.
-	n := len(tb.states)
+	n := tb.states.size()
 	tb.peak = max(tb.peak, n)
 	if farLess(n, tb.peak) {
-		states := make(map[netip.Prefix]*destState, n)
-		for p, st := range tb.states {
-			states[p] = st
-		}
+		states := makeStateIndex(len(tb.states.v4), len(tb.states.other))
+		tb.states.each(states.put)
 		tb.mu.Lock()
 		tb.states, tb.peak = states, n
 		tb.slab, tb.slabOff = nil, 0
@@ -466,8 +466,8 @@ func (a *Agent) smooth(st *destState, key netip.Prefix, value float64) float64 {
 // receivers age the entry out via its TTL).
 func (a *Agent) dropInstalled(dst netip.Prefix) bool {
 	tb := &a.tab
-	st, ok := tb.states[dst]
-	if !ok || !st.installed {
+	st := tb.states.get(dst)
+	if st == nil || !st.installed {
 		return false
 	}
 	tb.installed--
@@ -488,8 +488,8 @@ func (a *Agent) dropInstalled(dst netip.Prefix) bool {
 // list, where hasLast == false forces a fresh Combine.
 func (a *Agent) dropState(dst netip.Prefix) {
 	tb := &a.tab
-	st, ok := tb.states[dst]
-	if !ok {
+	st := tb.states.get(dst)
+	if st == nil {
 		return
 	}
 	if a.history != nil {
@@ -509,7 +509,7 @@ func (a *Agent) dropState(dst netip.Prefix) {
 	st.installed = false
 	st.version = 0
 	st.dead = true
-	delete(tb.states, dst)
+	tb.states.del(dst)
 }
 
 // runParallel runs fn(0..n-1), inline when n == 1. A call costs the WaitGroup
@@ -654,7 +654,7 @@ func (a *Agent) planRebuild(obs []Observation, now time.Duration) {
 	}
 	tb.refreshedAt = now
 
-	// Pass 1: resolve states (one map operation per observation), count each
+	// Pass 1: resolve states (one index lookup per observation), count each
 	// group's members and mark it uncarved.
 	seq := a.tickSeq
 	cache := a.cache[:len(obs)]
@@ -664,10 +664,10 @@ func (a *Agent) planRebuild(obs []Observation, now time.Duration) {
 		if c.invalid {
 			continue
 		}
-		st := tb.states[c.key]
+		st := tb.states.get(c.key)
 		if st == nil {
 			st = tb.newDestState()
-			tb.states[c.key] = st
+			tb.states.put(c.key, st)
 		}
 		c.st = st
 		if st.seq != seq {
@@ -803,7 +803,7 @@ func (a *Agent) expireDueLocked(now time.Duration) {
 	// A lapsed route stays queued until its clear lands — re-queued only now,
 	// or it would pop again at once.
 	for _, key := range tb.expired {
-		tb.noteExpiry(key, tb.states[key])
+		tb.noteExpiry(key, tb.states.get(key))
 	}
 	// A burst that drained (a whole table installed in one round comes due
 	// in one round) gives its array back under the retention rule.
@@ -916,10 +916,10 @@ func (a *Agent) leaveGroupLocked(key netip.Prefix, st *destState, idx int32) {
 // the rounds it sat out; a span without room moves to the tail of memberIdx.
 func (a *Agent) joinGroupLocked(key netip.Prefix, idx int32) *destState {
 	tb := &a.tab
-	st := tb.states[key]
+	st := tb.states.get(key)
 	if st == nil {
 		st = tb.newDestState()
-		tb.states[key] = st
+		tb.states.put(key, st)
 	}
 	a.cache[idx].st = st
 	if !tb.grouped(st) {

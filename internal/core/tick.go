@@ -312,7 +312,7 @@ func (a *Agent) clearTargets(targets []netip.Prefix, kind clearKind, now time.Du
 	live := targets[:0]
 	tb.mu.Lock()
 	for _, dst := range targets {
-		if st, ok := tb.states[dst]; ok && st.installed && (kind == clearKindGuard || st.expires <= now) {
+		if st := tb.states.get(dst); st != nil && st.installed && (kind == clearKindGuard || st.expires <= now) {
 			live = append(live, dst)
 		}
 	}

@@ -114,7 +114,7 @@ const warmStartDests = 20000
 // they build from counts they already hold, so each allocates within a small
 // multiple of the table it leaves: a first Tick over fresh destinations (scan
 // buckets by chunk, the plan by group count, the grouping by doubling), and a
-// merge into an empty agent (the map by the deduplicated plan, one map
+// merge into an empty agent (the index by the deduplicated plan, one index
 // lookup per entry).
 func TestWarmStartAllocs(t *testing.T) {
 	t.Run("first tick", func(t *testing.T) {

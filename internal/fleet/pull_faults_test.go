@@ -239,6 +239,36 @@ func hostEntries(net byte, n int, window int) []gossippkg.Entry {
 	return out
 }
 
+// v6Entries are n IPv6 host routes of 2001:db8:net::/48, and a 4-in-6 one
+// beside them, with ages of one to five seconds: entries the agent keys
+// outside its packed IPv4 index.
+func v6Entries(net uint16, n int, window int) []gossippkg.Entry {
+	out := make([]gossippkg.Entry, n, n+1)
+	for i := range out {
+		out[i] = gossippkg.Entry{
+			Prefix:     fmt.Sprintf("2001:db8:%x::%x/128", net, i+1),
+			Window:     window,
+			Samples:    5,
+			AgeNanos:   int64(1+i%5) * int64(time.Second),
+			ModVersion: uint64(i + 2),
+		}
+	}
+	return append(out, gossippkg.Entry{
+		Prefix: fmt.Sprintf("::ffff:10.%d.0.1/128", net), Window: window, Samples: 5, AgeNanos: int64(time.Second), ModVersion: 2,
+	})
+}
+
+// holds reports whether the agent has an entry for the prefix.
+func holds(a *core.Agent, prefix string) bool {
+	p := netip.MustParsePrefix(prefix)
+	for _, e := range a.Entries() {
+		if e.Prefix == p {
+			return true
+		}
+	}
+	return false
+}
+
 // scriptRun is what pulling once per reply against a scripted peer left.
 type scriptRun struct {
 	agent  *core.Agent
@@ -391,6 +421,33 @@ func TestPullerFaultsNeverMergeStaleScratch(t *testing.T) {
 	reboot := wireFrom("boot-2", 57, 0, true, hostEntries(6, 25, 80))
 	secondReboot := wireFrom("boot-2", 60, 0, false, secondEntries)
 
+	// A peer whose clock is skewed stamps ages no honest table holds:
+	// negative (its clock jumped back) or past MaxAge (the agent's TTL
+	// here). The entries beside them are good, IPv4 and IPv6.
+	skew := func(age time.Duration) (reply, func(*testing.T, scriptRun)) {
+		good, bad := v6Entries(8, 20, 60), append(hostEntries(7, 5, 90), v6Entries(7, 5, 90)...)
+		for i := range bad {
+			bad[i].AgeNanos = int64(age)
+		}
+		return wireDelta(58, false, append(slices.Clone(good), bad...)), func(t *testing.T, run scriptRun) {
+			for _, e := range bad {
+				if holds(run.agent, e.Prefix) {
+					t.Errorf("merged %s, %v old", e.Prefix, age)
+				}
+			}
+			for _, e := range good {
+				if !holds(run.agent, e.Prefix) {
+					t.Errorf("the good entry %s beside the skewed ones was not merged", e.Prefix)
+				}
+			}
+			if got, want := run.agent.Stats().FleetSkippedStale, uint64(len(bad)+1); got != want {
+				t.Errorf("%d entries skipped stale, want the %d skewed ones and the next round's unparsable prefix", got, want)
+			}
+		}
+	}
+	skewBack, checkBack := skew(-5 * time.Second)
+	skewAhead, checkAhead := skew(core.DefaultTTL + time.Second)
+
 	for _, tc := range []struct {
 		name   string
 		lead   *reply // the round before the fault; nil: first
@@ -398,7 +455,7 @@ func TestPullerFaultsNeverMergeStaleScratch(t *testing.T) {
 		merges *reply // what a puller that saw no fault is given in its place; nil: nothing
 		after  *reply // the round after the fault; nil: second
 		fails  string // what the failed round's error says; "": the round succeeds
-		check  func(t *testing.T, peer *scriptedPeer)
+		check  func(t *testing.T, run scriptRun)
 	}{
 		{name: "body cut mid-entry", fault: reply{body: encoded(t, wireSince(60, 50, secondEntries)), half: true}, fails: "riptide/gossip"},
 		{name: "peer hangs up mid-body", fault: reply{body: sinceFirst, half: true, hangUp: true}, fails: "EOF"},
@@ -434,8 +491,8 @@ func TestPullerFaultsNeverMergeStaleScratch(t *testing.T) {
 		// A 304 says "what you named is current"; a request that named
 		// nothing cannot be answered with one.
 		{name: "304 to a request with no validator", fault: reply{notModified: true, etag: `"boot-1/50"`}, fails: "304",
-			check: func(t *testing.T, peer *scriptedPeer) {
-				if r := peer.requests[3]; r.ifNoneMatch != "" {
+			check: func(t *testing.T, run scriptRun) {
+				if r := run.peer.requests[3]; r.ifNoneMatch != "" {
 					t.Errorf("the faulted round sent If-None-Match %q", r.ifNoneMatch)
 				}
 			}},
@@ -443,26 +500,28 @@ func TestPullerFaultsNeverMergeStaleScratch(t *testing.T) {
 		// other validator — a stale cache in the way, or a broken peer —
 		// and says nothing about the table the cursor describes.
 		{name: "304 answering a stale ETag", lead: &firstTagged, fault: reply{notModified: true, etag: `"boot-1/55"`}, fails: "304",
-			check: func(t *testing.T, peer *scriptedPeer) {
-				if r := peer.requests[3]; r.ifNoneMatch != firstTagged.etag {
+			check: func(t *testing.T, run scriptRun) {
+				if r := run.peer.requests[3]; r.ifNoneMatch != firstTagged.etag {
 					t.Errorf("the faulted round sent If-None-Match %q, want %q", r.ifNoneMatch, firstTagged.etag)
 				}
 			}},
 		// A good answer with no validator merges, and the round after it
 		// cannot be conditional.
 		{name: "200 with no ETag", lead: &firstTagged, fault: canonical, merges: &canonical,
-			check: func(t *testing.T, peer *scriptedPeer) {
-				if r := peer.requests[3]; r.ifNoneMatch != firstTagged.etag {
+			check: func(t *testing.T, run scriptRun) {
+				if r := run.peer.requests[3]; r.ifNoneMatch != firstTagged.etag {
 					t.Errorf("round after a tagged answer sent If-None-Match %q, want %q", r.ifNoneMatch, firstTagged.etag)
 				}
-				if r := peer.last(); r.ifNoneMatch != "" || r.query != "since=55&instance=boot-1" {
+				if r := run.peer.last(); r.ifNoneMatch != "" || r.query != "since=55&instance=boot-1" {
 					t.Errorf("round after an untagged answer: ?%s If-None-Match %q, want an unconditional ?since=55", r.query, r.ifNoneMatch)
 				}
 			}},
+		{name: "clock-skewed ages, negative", fault: skewBack, merges: &skewBack, check: checkBack},
+		{name: "clock-skewed ages, past MaxAge", fault: skewAhead, merges: &skewAhead, check: checkAhead},
 		// The peer rebooted: its full table is adopted, cursor and all.
 		{name: "full reply from a new instance", fault: reboot, merges: &reboot, after: &secondReboot,
-			check: func(t *testing.T, peer *scriptedPeer) {
-				if r := peer.last(); r.query != "since=57&instance=boot-2" {
+			check: func(t *testing.T, run scriptRun) {
+				if r := run.peer.last(); r.query != "since=57&instance=boot-2" {
 					t.Errorf("round after the reboot: ?%s, want a ?since= on the new instance", r.query)
 				}
 			}},
@@ -484,7 +543,7 @@ func TestPullerFaultsNeverMergeStaleScratch(t *testing.T) {
 			run := runScript(t, []reply{contact, first, lead, tc.fault, after})
 			checkFault(t, run, runScript(t, append(clean, after)), tc.fails, tc.merges == nil)
 			if tc.check != nil {
-				tc.check(t, run.peer)
+				tc.check(t, run)
 			}
 		})
 	}
@@ -513,6 +572,58 @@ func TestPullerFaultsNeverMergeStaleScratch(t *testing.T) {
 		}
 		if g, w := run.agent.Entries(), want.agent.Entries(); !reflect.DeepEqual(g, w) {
 			t.Errorf("agent holds %d entries after the cuts, %d without", len(g), len(w))
+		}
+	})
+
+	// A peer whose instance remints every round. Answering a cursor on an
+	// instance it no longer is with a delta, it fails every round on its
+	// own: nothing merged, the cursor where it was, one failed pull each.
+	// Answering with its whole table, as a server does for a cursor it
+	// cannot use, it is adopted every round, the cursor following it.
+	t.Run("peer whose instance remints every round", func(t *testing.T) {
+		const n = 3
+		script := []reply{contact, first, first}
+		for k := range n {
+			script = append(script, wireFrom(fmt.Sprintf("boot-%d", 2+k), 58+uint64(k), 0, false, v6Entries(uint16(10+k), 10, 70)))
+		}
+		var fulls []reply
+		for k := range n {
+			fulls = append(fulls, wireFrom(fmt.Sprintf("boot-%d", 2+n+k), 70+uint64(k), 0, true, v6Entries(uint16(20+k), 10+5*k, 75)))
+		}
+		run := runScript(t, append(script, fulls...))
+		want := runScript(t, append([]reply{contact, first, first}, fulls...))
+		for k, h := range run.health[3 : 3+n] {
+			if h.Healthy || h.FailedPulls != uint64(1+k) || !strings.Contains(h.LastError, "cannot answer") {
+				t.Errorf("reminted delta %d left health %+v, want failed pull %d saying %q", k, h, 1+k, "cannot answer")
+			}
+		}
+		for i, r := range run.peer.requests[3 : 3+n+1] {
+			if r != run.peer.requests[3] {
+				t.Errorf("round %d after the reminted deltas began asked ?%s, the first of them ?%s: the cursor moved", i, r.query, run.peer.requests[3].query)
+			}
+		}
+		for k, h := range run.health[3+n:] {
+			if !h.Healthy || h.Mode != ModeFull || h.FailedPulls != n {
+				t.Errorf("reminted full table %d left health %+v, want an adopted full table", k, h)
+			}
+			if k+1 < n {
+				if r, w := run.peer.requests[3+n+k+1].query, fmt.Sprintf("since=%d&instance=boot-%d", 70+k, 2+n+k); r != w {
+					t.Errorf("round after reminted full table %d asked ?%s, want ?%s", k, r, w)
+				}
+			}
+		}
+		if g, w := fleetCounts(run.agent), fleetCounts(want.agent); g != w {
+			t.Errorf("merge counts = %v after the reminted deltas, %v without", g, w)
+		}
+		if g, w := run.agent.Entries(), want.agent.Entries(); !reflect.DeepEqual(g, w) {
+			t.Errorf("agent holds %d entries after the reminted deltas, %d without", len(g), len(w))
+		}
+		for _, f := range fulls {
+			for _, e := range f.delta.Entries {
+				if !holds(run.agent, e.Prefix) {
+					t.Fatalf("%s of a reminted full table was not merged", e.Prefix)
+				}
+			}
 		}
 	})
 
