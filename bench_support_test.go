@@ -113,14 +113,45 @@ func newSyntheticBackend(n int) (ConnectionSampler, RouteProgrammer, func() time
 	return staticSampler(syntheticObservations(n)), nopRoutes{}, func() time.Duration { return 0 }
 }
 
-// newModeBackend picks the sampler matching a tick-series mode: steady state
-// (identical backing slice, the delta tick's cheapest path) or a
-// deterministic 1-in-churnFrac per-round window churn.
-func newModeBackend(n, churnFrac int) (ConnectionSampler, RouteProgrammer, func() time.Duration) {
+// busySampler is staticSampler on a busy kernel: every connection's
+// BytesAcked advances each round, so no observation equals last round's and
+// every block of the compare differs, while no window or destination moves.
+type busySampler struct {
+	base  []Observation
+	round int64
+}
+
+func (s *busySampler) SampleConnections(buf []Observation) ([]Observation, error) {
+	s.round++
+	n := len(buf)
+	buf = append(buf, s.base...)
+	for i := range buf[n:] {
+		buf[n+i].BytesAcked += s.round * 1448
+	}
+	return buf, nil
+}
+
+// newModeBackend picks the sampler matching a tick-series mode:
+//   - delta-steady: the identical backing slice every round, so the tick
+//     skips its compare (the delta tick's cheapest path);
+//   - delta-copied: the same table copied into the agent's buffer, as the
+//     netlink sampler decodes it, so every round compares and finds it equal;
+//   - delta-busy: that copy with every BytesAcked advanced each round;
+//   - delta-churn1pct: a deterministic 1-in-100 per-round window churn.
+func newModeBackend(n int, mode string) (ConnectionSampler, RouteProgrammer, func() time.Duration) {
 	base := syntheticObservations(n)
-	var sampler ConnectionSampler = fixedSampler(base)
-	if churnFrac > 0 {
-		sampler = newChurnSampler(base, churnFrac)
+	var sampler ConnectionSampler
+	switch mode {
+	case "delta-steady":
+		sampler = fixedSampler(base)
+	case "delta-copied":
+		sampler = staticSampler(base)
+	case "delta-busy":
+		sampler = &busySampler{base: base}
+	case "delta-churn1pct":
+		sampler = newChurnSampler(base, 100)
+	default:
+		panic("unknown tick-series mode " + mode)
 	}
 	return sampler, nopBatchRoutes{}, func() time.Duration { return 0 }
 }

@@ -134,9 +134,9 @@ func BenchmarkAgentTick(b *testing.B) {
 }
 
 // benchmarkAgentTickSeries is the hot-path scaling series: socket scans on
-// one processor versus fanned out over every processor, crossed with a steady state (identical
-// observation stream) and ~1% window churn — all over the batched
-// route-programming surface at a fixed observed-table size.
+// one processor versus fanned out over every processor, crossed with the
+// sampler modes of newModeBackend — all over the batched route-programming
+// surface at a fixed observed-table size.
 func benchmarkAgentTickSeries(b *testing.B, conns int) {
 	for _, sv := range []struct {
 		name  string
@@ -145,18 +145,12 @@ func benchmarkAgentTickSeries(b *testing.B, conns int) {
 		{"serial", 1},
 		{"parallel", 0},
 	} {
-		for _, mode := range []struct {
-			name      string
-			churnFrac int
-		}{
-			{"delta-steady", 0},
-			{"delta-churn1pct", 100},
-		} {
-			b.Run(sv.name+"/"+mode.name, func(b *testing.B) {
+		for _, mode := range []string{"delta-steady", "delta-copied", "delta-busy", "delta-churn1pct"} {
+			b.Run(sv.name+"/"+mode, func(b *testing.B) {
 				if sv.procs > 0 {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(sv.procs))
 				}
-				sampler, routes, clock := newModeBackend(conns, mode.churnFrac)
+				sampler, routes, clock := newModeBackend(conns, mode)
 				agent, err := New(Config{
 					Sampler: sampler,
 					Routes:  routes,
@@ -433,7 +427,7 @@ func TestParallelScanNotSlowerThanSerial(t *testing.T) {
 	tick := func(n int) testing.BenchmarkResult {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
 		return testing.Benchmark(func(b *testing.B) {
-			sampler, routes, clock := newModeBackend(conns, 100)
+			sampler, routes, clock := newModeBackend(conns, "delta-churn1pct")
 			agent, err := New(Config{Sampler: sampler, Routes: routes, Clock: clock})
 			if err != nil {
 				b.Fatal(err)

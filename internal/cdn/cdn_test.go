@@ -765,9 +765,7 @@ func TestHostSamplerWritesEveryField(t *testing.T) {
 			RTT:        c.RTT,
 			BytesAcked: c.BytesAcked,
 			Retrans:    c.Retrans,
-			Lost:       c.Lost,
 			SegsOut:    c.SegsOut,
-			LossEvents: c.LossEvents,
 		}
 		if got := out[kept+i]; got != want {
 			t.Errorf("slot %d = %+v, want %+v", i, got, want)

@@ -43,9 +43,7 @@ func (s *hostSampler) SampleConnections(buf []core.Observation) ([]core.Observat
 		o.RTT = c.RTT
 		o.BytesAcked = c.BytesAcked
 		o.Retrans = c.Retrans
-		o.Lost = c.Lost
 		o.SegsOut = c.SegsOut
-		o.LossEvents = c.LossEvents
 	}
 	return buf, nil
 }

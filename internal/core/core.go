@@ -86,16 +86,10 @@ type Observation struct {
 	// Retrans is the cumulative count of retransmitted segments (ss's
 	// `retrans:<inflight>/<total>` total).
 	Retrans int64
-	// Lost is the number of segments currently marked lost (ss's `lost:N`).
-	Lost int64
 	// SegsOut is the cumulative count of segments sent, including
 	// retransmissions (ss's `segs_out:N`). Retrans/SegsOut is the
 	// connection's lifetime loss rate.
 	SegsOut int64
-	// LossEvents is the cumulative count of loss episodes (fast-retransmit
-	// events). Real ss output does not expose this; the simulated kernel
-	// does (tcpsim.Window.LossEvents).
-	LossEvents uint64
 }
 
 // ConnectionSampler supplies the current set of open connections.
@@ -476,12 +470,11 @@ func (c *Config) applyDefaults() error {
 
 // entry is one learned destination.
 type entry struct {
-	window   int
-	expires  time.Duration
-	updated  time.Duration // when the entry was last refreshed or merged
-	lastObs  int           // observations in the most recent round that refreshed it
-	samples  uint64        // cumulative observations folded into the entry
-	programs uint64
+	window  int
+	expires time.Duration
+	updated time.Duration // when the entry was last refreshed or merged
+	lastObs int           // observations in the most recent round that refreshed it
+	samples uint64        // cumulative observations folded into the entry
 	// version is the agent table version at the entry's last commit (a
 	// program or a fleet merge). Delta exports send only entries whose
 	// version is newer than the peer's last-seen table version, so it is
@@ -647,8 +640,10 @@ type Agent struct {
 	mProgram *metrics.Histogram
 	// Rounds planned on the stable path and by a full rebuild: a daemon
 	// whose rebuild count keeps climbing has lost the O(change) tick.
-	mStable  *metrics.Counter
-	mRebuild *metrics.Counter
+	// mRebuildWhy splits the rebuilds by their reason.
+	mStable     *metrics.Counter
+	mRebuild    *metrics.Counter
+	mRebuildWhy [numRebuildReasons]*metrics.Counter
 }
 
 // New constructs an Agent.
@@ -670,6 +665,9 @@ func New(cfg Config) (*Agent, error) {
 		mProgram:  cfg.Metrics.Histogram("riptide_program_duration"),
 		mStable:   cfg.Metrics.Counter("riptide_tick_rounds_stable"),
 		mRebuild:  cfg.Metrics.Counter("riptide_tick_rounds_rebuild"),
+	}
+	for why, name := range rebuildCounters {
+		a.mRebuildWhy[why] = cfg.Metrics.Counter(name)
 	}
 	a.compareW = func(w int) { a.compareOK[w] = a.compareChunk(w, a.tickObs) }
 	a.observeW = func(w int) { a.observeChunk(w, a.tickObs) }

@@ -403,7 +403,6 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 			expires:   op.expires,
 			updated:   now,
 			samples:   op.samples,
-			programs:  1,
 			merged:    true,
 			mergedAge: op.age,
 			version:   a.bumpVersion(),

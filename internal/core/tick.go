@@ -49,6 +49,36 @@ type programOp struct {
 	st *destState
 }
 
+// rebuildReason is why a round was planned by a rebuild. Each rebuild round
+// counts under exactly one: the first of these that applies.
+type rebuildReason int
+
+const (
+	// rebuildNoPrev: there is no previous stream — the agent's first round.
+	rebuildNoPrev rebuildReason = iota
+	// rebuildEmpty: the sample is empty.
+	rebuildEmpty
+	// rebuildNoGrouping: the table holds no grouping — the last one was
+	// disbanded after a TTL with no plan round (a sampler outage).
+	rebuildNoGrouping
+	// rebuildMemberTail: relocated member spans have used up the tail room
+	// of memberIdx (past memberLimit).
+	rebuildMemberTail
+	// rebuildEditBudget: a chunk's edits exceeded their share.
+	rebuildEditBudget
+	numRebuildReasons
+)
+
+// rebuildCounters names each reason's registry counter; together they sum to
+// riptide_tick_rounds_rebuild.
+var rebuildCounters = [numRebuildReasons]string{
+	rebuildNoPrev:     "riptide_tick_rebuild_no_prev",
+	rebuildEmpty:      "riptide_tick_rebuild_empty_sample",
+	rebuildNoGrouping: "riptide_tick_rebuild_no_grouping",
+	rebuildMemberTail: "riptide_tick_rebuild_member_tail",
+	rebuildEditBudget: "riptide_tick_rebuild_edit_budget",
+}
+
 // clearKind distinguishes why a route withdrawal was planned, which decides
 // the stats it bumps and whether expiry is re-checked before clearing.
 type clearKind int
@@ -135,14 +165,27 @@ func (a *Agent) Tick() error {
 	// round's stream with tail room left, and this round's stream differs
 	// from it by a small share of positions: those are bucketed as edits and
 	// the grouping is patched. Anything else is a rebuild, which regroups
-	// from nothing (and resets the partially filled buckets). Only tickMu
-	// writes the grouping, so it is read here without the table lock.
-	stable := a.havePrev && len(obs) > 0 && tb.fullSeq != 0 && len(tb.memberIdx) <= tb.memberLimit
-	// A stream that is literally last round's slice (a sampler with a fixed
-	// set returning its own backing array) has nothing to compare.
-	if stable && !(len(obs) == len(a.obsPrev) && &obs[0] == &a.obsPrev[0]) {
+	// from nothing (and resets the partially filled buckets), counted under
+	// the first reason that applies. Only tickMu writes the grouping, so it
+	// is read here without the table lock.
+	var stable bool
+	var why rebuildReason
+	switch {
+	case !a.havePrev:
+		why = rebuildNoPrev
+	case len(obs) == 0:
+		why = rebuildEmpty
+	case tb.fullSeq == 0:
+		why = rebuildNoGrouping
+	case len(tb.memberIdx) > tb.memberLimit:
+		why = rebuildMemberTail
+	case len(obs) == len(a.obsPrev) && &obs[0] == &a.obsPrev[0]:
+		// A stream that is literally last round's slice (a sampler with a
+		// fixed set returning its own backing array) has nothing to compare.
+		stable = true
+	default:
 		runParallel(workers, a.compareW)
-		stable = !slices.Contains(a.compareOK[:workers], false)
+		stable, why = !slices.Contains(a.compareOK[:workers], false), rebuildEditBudget
 	}
 	if stable {
 		a.mStable.Inc()
@@ -151,6 +194,7 @@ func (a *Agent) Tick() error {
 		}
 	} else {
 		a.mRebuild.Inc()
+		a.mRebuildWhy[why].Inc()
 		resetBuckets()
 		runParallel(workers, a.ingestW)
 	}
@@ -282,7 +326,6 @@ func (a *Agent) programPlan(plan []programOp, now time.Duration) error {
 		st.lastObs = op.obs
 		st.merged = false
 		st.mergedAge = 0
-		st.programs++
 		st.version = a.bumpVersion()
 		tb.logStamp(op.dst, st, wasInstalled)
 		set++

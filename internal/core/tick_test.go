@@ -395,3 +395,83 @@ func TestTickRecordsDurationsInMetrics(t *testing.T) {
 		t.Errorf("program duration observations = %d, want 1", got)
 	}
 }
+
+// TestRebuildReasonsCounted drives each reason a round rebuilds, in turn, and
+// checks that every rebuild round counts under exactly one of them: the
+// reason counters move one at a time and always sum to
+// riptide_tick_rounds_rebuild.
+func TestRebuildReasonsCounted(t *testing.T) {
+	// 100 sockets on one destination bar the last; moving the last one onto
+	// the crowded destination relocates that group's full span (199 slots)
+	// past the rebuild's tail room (100 + 25 + 64).
+	const n = 100
+	spread := make([]Observation, n)
+	for i := range spread {
+		spread[i] = Observation{Dst: dst(t, "10.0.0.1"), Cwnd: 40}
+	}
+	spread[n-1].Dst = dst(t, "10.0.0.2")
+	crowded := append([]Observation(nil), spread...)
+	crowded[n-1].Dst = dst(t, "10.0.0.1")
+
+	sampler := &fakeSampler{}
+	a, _, clock := newAgent(t, Config{Sampler: sampler})
+	reg := a.Metrics()
+	counts := func() (stable, rebuild uint64, why [numRebuildReasons]uint64) {
+		for r, name := range rebuildCounters {
+			why[r] = reg.Counter(name).Value()
+		}
+		return reg.Counter("riptide_tick_rounds_stable").Value(), reg.Counter("riptide_tick_rounds_rebuild").Value(), why
+	}
+	for _, step := range []struct {
+		name   string
+		sample []Observation
+		down   bool // the round's sample fails, a TTL after the last plan round
+		want   rebuildReason
+		stable bool
+	}{
+		{name: "first round", sample: spread, want: rebuildNoPrev},
+		{name: "empty sample", sample: []Observation{}, want: rebuildEmpty},
+		{name: "every position joins", sample: spread, want: rebuildEditBudget},
+		{name: "one socket moves", sample: crowded, stable: true},
+		{name: "span tail past its limit", sample: crowded, want: rebuildMemberTail},
+		{name: "sampler down a TTL", down: true},
+		{name: "grouping disbanded", sample: crowded, want: rebuildNoGrouping},
+	} {
+		stable0, rebuild0, why0 := counts()
+		sampler.rounds, sampler.i, sampler.err = [][]Observation{step.sample}, 0, nil
+		if step.down {
+			sampler.err = errors.New("sampler down")
+			clock.Advance(a.Config().TTL)
+		}
+		clock.Advance(time.Second)
+		if err := a.Tick(); (err != nil) != step.down {
+			t.Fatalf("%s: Tick = %v", step.name, err)
+		}
+		var wantStable, wantRebuild uint64
+		switch {
+		case step.stable:
+			wantStable = 1
+		case !step.down:
+			wantRebuild = 1
+		}
+		stable, rebuild, why := counts()
+		if stable-stable0 != wantStable || rebuild-rebuild0 != wantRebuild {
+			t.Errorf("%s: %d stable and %d rebuild rounds, want %d and %d",
+				step.name, stable-stable0, rebuild-rebuild0, wantStable, wantRebuild)
+		}
+		var sum uint64
+		for r := range why {
+			sum += why[r]
+			want := uint64(0)
+			if rebuildReason(r) == step.want {
+				want = wantRebuild
+			}
+			if why[r]-why0[r] != want {
+				t.Errorf("%s: %s moved by %d, want %d", step.name, rebuildCounters[r], why[r]-why0[r], want)
+			}
+		}
+		if sum != rebuild {
+			t.Errorf("%s: reasons sum to %d, riptide_tick_rounds_rebuild is %d", step.name, sum, rebuild)
+		}
+	}
+}

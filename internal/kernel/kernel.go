@@ -49,15 +49,9 @@ type ConnSnapshot struct {
 	// Retrans is the cumulative count of retransmitted segments, matching
 	// the total in ss's `retrans:<inflight>/<total>`.
 	Retrans int64
-	// Lost is the number of segments currently marked lost (ss `lost:N`).
-	Lost int64
 	// SegsOut is the cumulative count of segments sent, including
 	// retransmissions (ss `segs_out:N`).
 	SegsOut int64
-	// LossEvents is the cumulative count of loss episodes
-	// (fast-retransmit events plus timeouts); sim-only telemetry with no
-	// direct ss equivalent.
-	LossEvents uint64
 	// Opened is the simulated time the connection was established.
 	Opened time.Duration
 }

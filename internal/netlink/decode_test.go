@@ -84,9 +84,7 @@ var poison = core.Observation{
 	RTT:        0x5a5a * time.Microsecond,
 	BytesAcked: 0x5a5a5a5a,
 	Retrans:    0x5a5a,
-	Lost:       0x5a5a,
 	SegsOut:    0x5a5a,
-	LossEvents: 0x5a5a,
 }
 
 // poisoned returns a buffer of length n and capacity c, every slot up to the

@@ -22,7 +22,7 @@ func equivalenceFixture() [][]core.Observation {
 		{Dst: netip.MustParseAddr("10.1.0.1"), Cwnd: 40, RTT: 12 * time.Millisecond, BytesAcked: 9000, SegsOut: 80},
 		{Dst: netip.MustParseAddr("10.1.0.1"), Cwnd: 20, RTT: 14 * time.Millisecond, BytesAcked: 100, SegsOut: 10},
 		{Dst: netip.MustParseAddr("10.1.0.2"), Cwnd: 64, RTT: 9 * time.Millisecond, BytesAcked: 50000, Retrans: 2, SegsOut: 400},
-		{Dst: netip.MustParseAddr("172.16.5.5"), Cwnd: 12, RTT: 180 * time.Millisecond, BytesAcked: 777, Lost: 1, SegsOut: 33},
+		{Dst: netip.MustParseAddr("172.16.5.5"), Cwnd: 12, RTT: 180 * time.Millisecond, BytesAcked: 777, SegsOut: 33},
 		{Dst: netip.MustParseAddr("::ffff:192.0.2.7"), Cwnd: 28, RTT: 45 * time.Millisecond, BytesAcked: 1234, SegsOut: 55},
 		{Dst: netip.MustParseAddr("2001:db8::9"), Cwnd: 50, RTT: 22 * time.Millisecond, BytesAcked: 31000, SegsOut: 210},
 		{Dst: netip.MustParseAddr("2001:db8::9"), Cwnd: 70, RTT: 21 * time.Millisecond, BytesAcked: 64000, Retrans: 1, SegsOut: 500},

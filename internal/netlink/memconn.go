@@ -282,7 +282,6 @@ func encodeDiagMsg(b []byte, o *core.Observation) []byte {
 		copy(msg[24:], a[:])
 	}
 	var ti [tcpInfoLen]byte
-	ne.PutUint32(ti[tcpiLostOff:], uint32(o.Lost))
 	ne.PutUint32(ti[tcpiRttOff:], uint32(o.RTT.Microseconds()))
 	ne.PutUint32(ti[tcpiSndCwndOff:], uint32(o.Cwnd))
 	ne.PutUint32(ti[tcpiTotalRetransOff:], uint32(o.Retrans))

@@ -16,13 +16,13 @@ import (
 func sampleFixture() []core.Observation {
 	return []core.Observation{
 		{Dst: netip.MustParseAddr("10.1.2.3"), Cwnd: 42, RTT: 15 * time.Millisecond,
-			BytesAcked: 123456, Retrans: 3, Lost: 1, SegsOut: 900},
+			BytesAcked: 123456, Retrans: 3, SegsOut: 900},
 		{Dst: netip.MustParseAddr("192.168.7.9"), Cwnd: 10, RTT: 200 * time.Millisecond,
 			BytesAcked: 1, SegsOut: 2},
 		{Dst: netip.MustParseAddr("::ffff:172.16.0.8"), Cwnd: 77, RTT: 30 * time.Millisecond,
 			BytesAcked: 999, Retrans: 1, SegsOut: 50},
 		{Dst: netip.MustParseAddr("2001:db8::5"), Cwnd: 33, RTT: 95 * time.Millisecond,
-			BytesAcked: 4242, Lost: 2, SegsOut: 777},
+			BytesAcked: 4242, SegsOut: 777},
 	}
 }
 
@@ -437,7 +437,7 @@ func TestApplyTCPInfoTruncated(t *testing.T) {
 		if err != nil || len(obs) != 1 {
 			t.Fatalf("cap %d: got %d observations, err %v", c, len(obs), err)
 		}
-		if obs[0] != want { // Retrans, BytesAcked, SegsOut, LossEvents all zero
+		if obs[0] != want { // Retrans, BytesAcked, SegsOut all zero
 			t.Fatalf("cap %d: stale fields survived the decode:\n got %+v\nwant %+v", c, obs[0], want)
 		}
 	}

@@ -74,7 +74,8 @@ func ssPeerAddr(s string) (netip.Addr, error) {
 }
 
 // parseSSInfoLine extracts cwnd, rtt, bytes_acked and the loss tokens
-// (retrans, lost, segs_out) from an ss TCP info line like:
+// (retrans, segs_out) from an ss TCP info line like the one below; other
+// tokens, lost:N among them, are skipped:
 //
 //	cubic wscale:7,7 rto:204 rtt:1.5/0.75 mss:1448 cwnd:42 bytes_acked:123 segs_out:90 retrans:0/3 lost:1
 //
@@ -110,10 +111,6 @@ func parseSSInfoLine(line string, o *core.Observation) {
 			if v, err := strconv.ParseInt(total, 10, 64); err == nil && v >= 0 {
 				o.Retrans = v
 			}
-		case "lost":
-			if v, err := strconv.ParseInt(val, 10, 64); err == nil && v >= 0 {
-				o.Lost = v
-			}
 		case "segs_out":
 			if v, err := strconv.ParseInt(val, 10, 64); err == nil && v >= 0 {
 				o.SegsOut = v
@@ -138,9 +135,9 @@ func RenderSS(obs []core.Observation) []byte {
 		}
 		ms := float64(o.RTT.Microseconds()) / 1000
 		fmt.Fprintf(&b, "ESTAB 0 0 10.0.0.5:44312 %s:443\n", peer)
-		fmt.Fprintf(&b, "\t cubic wscale:7,7 rto:204 mss:1448 rtt:%s/%s cwnd:%d bytes_acked:%d segs_out:%d retrans:0/%d lost:%d\n",
+		fmt.Fprintf(&b, "\t cubic wscale:7,7 rto:204 mss:1448 rtt:%s/%s cwnd:%d bytes_acked:%d segs_out:%d retrans:0/%d\n",
 			strconv.FormatFloat(ms, 'g', -1, 64), strconv.FormatFloat(ms/2, 'g', -1, 64),
-			o.Cwnd, o.BytesAcked, o.SegsOut, o.Retrans, o.Lost)
+			o.Cwnd, o.BytesAcked, o.SegsOut, o.Retrans)
 	}
 	return b.Bytes()
 }
@@ -161,9 +158,10 @@ LISTEN      0      128               0.0.0.0:22                  0.0.0.0:*
 `
 
 // lossySSFixture covers the loss-telemetry tokens a regressing path
-// produces: retrans:<inflight>/<total>, lost:N, segs_out:N — including a
-// reordered variant (loss tokens before cwnd, wrapped across lines), an
-// older-ss bare retrans count, and a socket with no loss fields at all.
+// produces: retrans:<inflight>/<total>, segs_out:N and the skipped lost:N —
+// including a reordered variant (loss tokens before cwnd, wrapped across
+// lines), an older-ss bare retrans count, and a socket with no loss fields
+// at all.
 const lossySSFixture = `State       Recv-Q Send-Q        Local Address:Port          Peer Address:Port
 ESTAB       0      0                10.0.0.5:44312            10.0.0.127:443
 	 cubic wscale:7,7 rto:204 rtt:1.5/0.75 mss:1448 cwnd:42 bytes_acked:81091 segs_out:4096 segs_in:34 retrans:2/12 lost:3 rcv_space:14480
@@ -324,15 +322,15 @@ func TestParseSSLossTelemetry(t *testing.T) {
 
 	// retrans:<inflight>/<total> — the cumulative total is the signal.
 	first := obs[0]
-	if first.Retrans != 12 || first.Lost != 3 || first.SegsOut != 4096 {
-		t.Errorf("first = retrans %d lost %d segs_out %d, want 12/3/4096",
-			first.Retrans, first.Lost, first.SegsOut)
+	if first.Retrans != 12 || first.SegsOut != 4096 {
+		t.Errorf("first = retrans %d segs_out %d, want 12/4096",
+			first.Retrans, first.SegsOut)
 	}
 
 	// Reordered and line-wrapped tokens parse the same.
 	second := obs[1]
-	if second.Cwnd != 30 || second.Retrans != 7 || second.Lost != 1 || second.SegsOut != 900 {
-		t.Errorf("reordered = %+v, want cwnd 30 retrans 7 lost 1 segs_out 900", second)
+	if second.Cwnd != 30 || second.Retrans != 7 || second.SegsOut != 900 {
+		t.Errorf("reordered = %+v, want cwnd 30 retrans 7 segs_out 900", second)
 	}
 
 	// Older ss: bare retrans count without the slash.
@@ -342,7 +340,7 @@ func TestParseSSLossTelemetry(t *testing.T) {
 
 	// Missing loss fields zero-fill.
 	fourth := obs[3]
-	if fourth.Retrans != 0 || fourth.Lost != 0 || fourth.SegsOut != 0 {
+	if fourth.Retrans != 0 || fourth.SegsOut != 0 {
 		t.Errorf("missing telemetry = %+v, want zero-filled", fourth)
 	}
 	if fourth.Cwnd != 11 {
@@ -358,7 +356,7 @@ func TestParseSSMalformedLossTokens(t *testing.T) {
 	if len(obs) != 1 {
 		t.Fatalf("parsed %d observations, want 1", len(obs))
 	}
-	if o := obs[0]; o.Retrans != 0 || o.Lost != 0 || o.SegsOut != 0 {
+	if o := obs[0]; o.Retrans != 0 || o.SegsOut != 0 {
 		t.Errorf("malformed tokens produced %+v, want zero-filled telemetry", o)
 	}
 }
@@ -366,11 +364,11 @@ func TestParseSSMalformedLossTokens(t *testing.T) {
 func TestRenderSSRoundTrip(t *testing.T) {
 	want := []core.Observation{
 		{Dst: netip.MustParseAddr("10.1.2.3"), Cwnd: 42, RTT: 15 * time.Millisecond,
-			BytesAcked: 123456, Retrans: 3, Lost: 1, SegsOut: 900},
+			BytesAcked: 123456, Retrans: 3, SegsOut: 900},
 		{Dst: netip.MustParseAddr("::ffff:172.16.0.8"), Cwnd: 77, RTT: 30 * time.Millisecond,
 			BytesAcked: 999, Retrans: 1, SegsOut: 50},
 		{Dst: netip.MustParseAddr("2001:db8::5"), Cwnd: 33, RTT: 95 * time.Millisecond,
-			BytesAcked: 4242, Lost: 2, SegsOut: 777},
+			BytesAcked: 4242, SegsOut: 777},
 	}
 	if got := ParseSS(RenderSS(want)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("render/parse round trip mismatch:\n got %+v\nwant %+v", got, want)
@@ -430,7 +428,7 @@ func FuzzParseSS(f *testing.F) {
 			if o.RTT < 0 || o.BytesAcked < 0 {
 				t.Fatalf("observation with negative metric: %+v", o)
 			}
-			if o.Retrans < 0 || o.Lost < 0 || o.SegsOut < 0 {
+			if o.Retrans < 0 || o.SegsOut < 0 {
 				t.Fatalf("observation with negative loss telemetry: %+v", o)
 			}
 		}

@@ -114,7 +114,6 @@ const (
 // Observation carries; decoding tolerates shorter (older-kernel) payloads by
 // leaving the missing fields zero.
 const (
-	tcpiLostOff         = 32  // __u32 tcpi_lost
 	tcpiRttOff          = 68  // __u32 tcpi_rtt (microseconds)
 	tcpiSndCwndOff      = 80  // __u32 tcpi_snd_cwnd
 	tcpiTotalRetransOff = 100 // __u32 tcpi_total_retrans
@@ -214,9 +213,6 @@ func appendDiagDumpReq(b []byte, family uint8, seq uint32) []byte {
 // applyTCPInfo decodes the tcp_info fields an Observation carries, tolerant
 // of truncated (older-kernel) payloads: fields beyond the payload stay zero.
 func applyTCPInfo(o *core.Observation, ti []byte) {
-	if len(ti) >= tcpiLostOff+4 {
-		o.Lost = int64(ne.Uint32(ti[tcpiLostOff:]))
-	}
 	if len(ti) >= tcpiRttOff+4 {
 		o.RTT = time.Duration(ne.Uint32(ti[tcpiRttOff:])) * time.Microsecond
 	}
@@ -241,11 +237,10 @@ func applyTCPInfo(o *core.Observation, ti []byte) {
 // parseInetDiagMsg decodes one SOCK_DIAG_BY_FAMILY message payload into *o,
 // a slot of the caller's pooled buffer that still holds the observation of
 // two rounds ago: the slot is zeroed before any field is decoded, so fields
-// beyond a truncated tcp_info (and LossEvents, which the wire does not carry)
-// read zero. Reports false when the message is rejected, possibly after a
-// partial decode — the caller must then drop the slot. Mirrors the ss text
-// parser's acceptance rules: established sockets with a positive congestion
-// window only.
+// beyond a truncated tcp_info read zero. Reports false when the message is
+// rejected, possibly after a partial decode — the caller must then drop the
+// slot. Mirrors the ss text parser's acceptance rules: established sockets
+// with a positive congestion window only.
 func parseInetDiagMsg(o *core.Observation, msg []byte) bool {
 	if len(msg) < diagMsgLen || msg[1] != tcpEstablished {
 		return false

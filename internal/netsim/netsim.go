@@ -419,9 +419,8 @@ type Conn struct {
 	// Cumulative loss telemetry surfaced through SnapshotTo, mirroring what
 	// `ss -tin` exposes on Linux (retrans totals, segs_out) so the Riptide
 	// governor sees the same signal in simulation as in production.
-	segsOut  int64 // segments sent, incl. retransmissions
-	retrans  int64 // segments retransmitted (lost and resent)
-	lastLost int64 // segments lost in the most recent round (ss lost:)
+	segsOut int64 // segments sent, incl. retransmissions
+	retrans int64 // segments retransmitted (lost and resent)
 	// lastActive is the last simulated time the connection sent or
 	// received; it drives RFC 2861 idle-restart.
 	lastActive time.Duration
@@ -531,9 +530,7 @@ func (c *Conn) SnapshotTo(s *kernel.ConnSnapshot) {
 	s.RTT = c.path.cfg.RTT
 	s.BytesAcked = c.bytesAcked
 	s.Retrans = c.retrans
-	s.Lost = c.lastLost
 	s.SegsOut = c.segsOut
-	s.LossEvents = c.win.LossEvents() + c.win.TimeoutEvents()
 	s.Opened = c.opened
 }
 
@@ -681,7 +678,6 @@ func (c *Conn) roundDone() {
 	t.retrans += lost
 	c.retrans += lost
 	c.network.retransmitted += lost
-	c.lastLost = lost
 	c.bytesAcked += delivered * int64(c.network.mss)
 	if lost > 0 {
 		c.win.Loss(now)
