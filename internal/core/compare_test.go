@@ -43,15 +43,15 @@ func compareChunkPerPosition(a *Agent, w int, obs []Observation) bool {
 	for i := lo; i < hi; i++ {
 		o, c := &obs[i], &cache[i]
 		if i < len(prev) {
-			if *o == prev[i] {
+			if a.sameInputs(o, &prev[i]) {
 				continue
 			}
 			if !c.invalid {
 				if o.Dst == prev[i].Dst && o.Cwnd > 0 {
-					*bucket = append(*bucket, keyedObs{key: c.key, st: c.st, idx: int32(i)})
+					*bucket = append(*bucket, keyedObs{st: c.st, idx: int32(i)})
 					continue
 				}
-				*bucket = append(*bucket, keyedObs{key: c.key, st: c.st, idx: int32(i), kind: obsLeave})
+				*bucket = append(*bucket, keyedObs{st: c.st, idx: int32(i), kind: obsLeave})
 			}
 		}
 		if budget--; budget < 0 {
@@ -71,7 +71,7 @@ func compareChunkPerPosition(a *Agent, w int, obs []Observation) bool {
 				return false
 			}
 			if c := &cache[i]; !c.invalid {
-				*bucket = append(*bucket, keyedObs{key: c.key, st: c.st, idx: int32(i), kind: obsLeave})
+				*bucket = append(*bucket, keyedObs{st: c.st, idx: int32(i), kind: obsLeave})
 			}
 		}
 	}
@@ -125,10 +125,12 @@ func mutate(rng *rand.Rand, o *Observation) {
 // edits fall on the first and last slot of blocks and at random; chunks
 // start off block boundaries at scan widths 2 and 4; streams shrink, grow
 // and keep their length, from shorter than one block to several chunks of
-// blocks, with edit counts on both sides of the budget.
+// blocks, with edit counts on both sides of the budget, under combiners that
+// read the window, the window and BytesAcked, and every field.
 func TestBlockCompareMatchesPerPosition(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	widths := []int{1, 2, 4}
+	combiners := []Combiner{AverageCombiner{}, TrafficWeightedCombiner{}, constCombiner{v: 20}}
 	for trial := 0; trial < 300; trial++ {
 		width := widths[trial%len(widths)]
 		nPrev := rng.Intn(600)
@@ -143,7 +145,10 @@ func TestBlockCompareMatchesPerPosition(t *testing.T) {
 		obs := compareStream(rng, n)
 		copy(obs, prev)
 
-		a, err := New(Config{Sampler: fixedSampler(prev), Routes: nopRoutes{}, Clock: func() time.Duration { return 0 }})
+		a, err := New(Config{
+			Sampler: fixedSampler(prev), Routes: nopRoutes{}, Clock: func() time.Duration { return 0 },
+			Combiner: combiners[trial/(3*len(widths))%len(combiners)], // apart from the length case
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

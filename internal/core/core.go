@@ -156,7 +156,7 @@ type AverageCombiner struct{}
 // Name implements Combiner.
 func (AverageCombiner) Name() string { return "average" }
 
-// Combine implements Combiner.
+// Combine implements Combiner. It reads only Cwnd, as readsCwndOnly records.
 func (AverageCombiner) Combine(obs []Observation) float64 {
 	sum := 0.0
 	for _, o := range obs {
@@ -172,7 +172,7 @@ type MaxCombiner struct{}
 // Name implements Combiner.
 func (MaxCombiner) Name() string { return "max" }
 
-// Combine implements Combiner.
+// Combine implements Combiner. It reads only Cwnd, as readsCwndOnly records.
 func (MaxCombiner) Combine(obs []Observation) float64 {
 	best := 0.0
 	for _, o := range obs {
@@ -203,6 +203,18 @@ func (TrafficWeightedCombiner) Combine(obs []Observation) float64 {
 		total += w
 	}
 	return weighted / total
+}
+
+// readsCwndOnly reports whether c is a shipped Combiner that reads nothing of
+// an observation but its window, so that the plan ignores a change to any
+// other field. It must list only Combiners whose Combine reads Cwnd alone;
+// any other Combiner is compared on the whole observation.
+func readsCwndOnly(c Combiner) bool {
+	switch c.(type) {
+	case AverageCombiner, MaxCombiner:
+		return true
+	}
+	return false
 }
 
 // combiners is the one table of combiner names: riptided's -combiner flag
@@ -361,7 +373,8 @@ type Config struct {
 	TTL time.Duration
 	// Alpha is the EWMA history weight (ignored when History is set).
 	Alpha float64
-	// CMax / CMin clamp the programmed window.
+	// CMax / CMin clamp the programmed window; CMax is at most
+	// math.MaxInt32.
 	CMax, CMin int
 	// PrefixBits sets destination granularity: 32 programs per-host
 	// routes, smaller values aggregate whole prefixes (the paper's
@@ -441,7 +454,7 @@ func (c *Config) applyDefaults() error {
 	if c.CMin == 0 {
 		c.CMin = DefaultCMin
 	}
-	if c.CMin < 1 || c.CMax < c.CMin {
+	if c.CMin < 1 || c.CMax < c.CMin || c.CMax > math.MaxInt32 {
 		return fmt.Errorf("riptide/core: window bounds [%d,%d] invalid", c.CMin, c.CMax)
 	}
 	if c.PrefixBits == 0 {
@@ -468,12 +481,15 @@ func (c *Config) applyDefaults() error {
 	return nil
 }
 
-// entry is one learned destination.
+// entry is one learned destination. window and lastObs are int32: every
+// window is clamped to CMax, which New bounds by math.MaxInt32 (the kernel
+// holds an initcwnd in 32 bits), and a group is at most a stream's worth of
+// sockets, which int32 sample indices already bound.
 type entry struct {
-	window  int
+	window  int32
+	lastObs int32 // observations in the most recent round that refreshed it
 	expires time.Duration
 	updated time.Duration // when the entry was last refreshed or merged
-	lastObs int           // observations in the most recent round that refreshed it
 	samples uint64        // cumulative observations folded into the entry
 	// version is the agent table version at the entry's last commit (a
 	// program or a fleet merge). Delta exports send only entries whose
@@ -483,10 +499,6 @@ type entry struct {
 	// installed carries version 0; the table's export log holds one live
 	// ref per stamped version (exportRef).
 	version uint64
-	// merged marks an entry seeded from a fleet snapshot that has not yet
-	// been confirmed by a local observation; local observations always
-	// override it.
-	merged bool
 	// mergedAge is the remote age the entry carried when it was merged.
 	// Re-exporting adds it to the local age so gossip cannot launder a
 	// stale window into a fresh-looking one by passing it between peers.
@@ -632,6 +644,9 @@ type Agent struct {
 	// may drain from the active list and be credited lazily. Hook
 	// configs visit every group every round.
 	canDrain bool
+	// cwndOnly marks a Combiner that reads only windows (readsCwndOnly): a
+	// stable round's compare then ignores changes to any other field.
+	cwndOnly bool
 
 	mTick    *metrics.Histogram
 	mSample  *metrics.Histogram
@@ -656,6 +671,7 @@ func New(cfg Config) (*Agent, error) {
 		cfg:       cfg,
 		history:   history,
 		canDrain:  history == nil && cfg.Guard == nil && cfg.Advisor == nil,
+		cwndOnly:  readsCwndOnly(cfg.Combiner),
 		buckets:   make([][]keyedObs, maxScanWorkers),
 		compareOK: make([]bool, maxScanWorkers),
 		mTick:     cfg.Metrics.Histogram("riptide_tick_duration"),
@@ -738,9 +754,9 @@ func (a *Agent) Entries() []Entry {
 		a.materializeLocked(st)
 		out = append(out, Entry{
 			Prefix:       p,
-			Window:       st.window,
+			Window:       int(st.window),
 			ExpiresAt:    st.expires,
-			Observations: st.lastObs,
+			Observations: int(st.lastObs),
 		})
 	})
 	tb.mu.Unlock()
@@ -766,7 +782,7 @@ func (a *Agent) Lookup(dst netip.Addr) (int, bool) {
 	a.tab.mu.Lock()
 	defer a.tab.mu.Unlock()
 	if st := a.tab.states.get(key); st != nil && st.installed {
-		return st.window, true
+		return int(st.window), true
 	}
 	return 0, false
 }

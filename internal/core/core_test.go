@@ -114,6 +114,7 @@ func TestNewValidation(t *testing.T) {
 		{Sampler: s, Routes: r, Clock: clk, Alpha: -0.5},         // bad alpha
 		{Sampler: s, Routes: r, Clock: clk, CMin: 50, CMax: 20},  // inverted bounds
 		{Sampler: s, Routes: r, Clock: clk, CMin: -1, CMax: 100}, // negative min
+		{Sampler: s, Routes: r, Clock: clk, CMax: 1 << 31},       // window past 32 bits
 		{Sampler: s, Routes: r, Clock: clk, PrefixBits: 200},     // bad bits
 		{Sampler: s, Routes: r, Clock: clk, PrefixBits: -4},      // bad bits
 		{Sampler: s, Routes: r, Clock: clk, TTL: -time.Second},   // bad ttl

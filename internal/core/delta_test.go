@@ -74,7 +74,7 @@ func runModeScheduleOn(t *testing.T, routes *recordingBatchRoutes, tweak func(*C
 	}
 	a.scanWorkers = workers
 	var tickErrs []string
-	for range rounds {
+	for r := range rounds {
 		now.Add(int64(30 * time.Second))
 		if rebuild {
 			forceRebuild(a)
@@ -82,6 +82,7 @@ func runModeScheduleOn(t *testing.T, routes *recordingBatchRoutes, tweak func(*C
 		if err := a.Tick(); err != nil {
 			tickErrs = append(tickErrs, err.Error())
 		}
+		checkTableInvariants(t, a, fmt.Sprintf("round %d (rebuild %v, %d workers)", r, rebuild, workers))
 	}
 	return modeResult{
 		ops: routes.recorded(), entries: a.Entries(), stats: a.Stats(), tickErrs: tickErrs,
@@ -431,6 +432,35 @@ func withOtherFamilies(rounds [][]Observation) [][]Observation {
 	return rounds
 }
 
+// withBusyCounters makes every socket busy: each round it has acknowledged
+// more bytes and sent more segments, a few of them retransmitted (0.1 %),
+// and its RTT moved, while its destination and window follow the schedule.
+// It so moves every field a window-only Combiner ignores.
+func withBusyCounters(rounds [][]Observation) [][]Observation {
+	for r, obs := range rounds {
+		for i := range obs {
+			o := &obs[i]
+			o.BytesAcked += int64(1448 * (r + 1) * (1 + i%7))
+			o.SegsOut += int64(1000 * (r + 1))
+			o.Retrans += int64(r + 1)
+			o.RTT += time.Duration((r+i)%5) * time.Millisecond
+		}
+	}
+	return rounds
+}
+
+// churnSchedule is stableVsRebuild's schedule: membership churn over IPv4,
+// IPv6 and 4-in-6 destinations, some of them with traffic counters and loss.
+func churnSchedule() [][]Observation {
+	return withOtherFamilies(withTraffic(membershipChurnRounds(1, 48, 1600)))
+}
+
+// busySchedule is churnSchedule with every socket's counters advancing every
+// round.
+func busySchedule() [][]Observation {
+	return withBusyCounters(churnSchedule())
+}
+
 // stableVsRebuild runs the membership-churn schedule, with traffic counters,
 // failing installs and withdrawals that fail (some for good, some once), under
 // the hook install puts into the Config — once taking stable rounds, once with
@@ -439,6 +469,14 @@ func withOtherFamilies(rounds [][]Observation) [][]Observation {
 // after the run) at every scan width, with the rounds really planned on the
 // stable path.
 func stableVsRebuild(t *testing.T, install func(*Config) (status func() any)) {
+	t.Helper()
+	rounds := churnSchedule()
+	stableVsRebuildOn(t, rounds, len(rounds)-6, install)
+}
+
+// stableVsRebuildOn is stableVsRebuild over the given schedule, of whose
+// rounds at least minStable must be planned on the stable path.
+func stableVsRebuildOn(t *testing.T, rounds [][]Observation, minStable int, install func(*Config) (status func() any)) {
 	t.Helper()
 	newRoutes := func() *recordingBatchRoutes {
 		rt := &recordingBatchRoutes{}
@@ -454,7 +492,6 @@ func stableVsRebuild(t *testing.T, install func(*Config) (status func() any)) {
 		}
 		return rt
 	}
-	rounds := withOtherFamilies(withTraffic(membershipChurnRounds(1, 48, 1600)))
 	for _, workers := range []int{1, 2, 4, 8} {
 		label := fmt.Sprintf("workers=%d", workers)
 		var fullStatus, deltaStatus func() any
@@ -476,9 +513,82 @@ func stableVsRebuild(t *testing.T, install func(*Config) (status func() any)) {
 		if want, got := fullStatus(), deltaStatus(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: hook status diverged:\n  delta %+v\n  full  %+v", label, got, want)
 		}
-		if least := uint64(len(rounds) - 6); delta.stable < least {
-			t.Errorf("%s: %d rounds on the stable path, want at least %d", label, delta.stable, least)
+		if delta.stable < uint64(minStable) {
+			t.Errorf("%s: %d rounds on the stable path, want at least %d", label, delta.stable, minStable)
 		}
+	}
+}
+
+// TestCounterOnlyRoundsMatchRebuild: sockets whose counters advance every
+// round but whose windows hold are no edit to a combiner that reads only
+// windows (average, max), so those rounds stay stable, and the output is the
+// rebuild's; the traffic-weighted combiner is compared on the whole
+// observation, so its busy rounds may rebuild, with the same output. TestCounterOnlyRoundsMatchRebuildGuard
+// runs the schedule under a governor.
+func TestCounterOnlyRoundsMatchRebuild(t *testing.T) {
+	rounds := busySchedule()
+	for _, tc := range []struct {
+		combiner  Combiner
+		minStable int
+	}{
+		{AverageCombiner{}, len(rounds) - 6},
+		{MaxCombiner{}, len(rounds) - 6},
+		{TrafficWeightedCombiner{}, 0},
+	} {
+		t.Run(tc.combiner.Name(), func(t *testing.T) {
+			stableVsRebuildOn(t, rounds, tc.minStable, func(c *Config) func() any {
+				c.Combiner = tc.combiner
+				return func() any { return nil }
+			})
+		})
+	}
+}
+
+// TestCounterOnlyRoundsDirtyNothing: on a host whose every socket advances
+// its counters each round while no window moves, a stable round dirties no
+// group under a combiner that reads only windows, and every group under the
+// traffic-weighted one, which is compared on the whole observation.
+func TestCounterOnlyRoundsDirtyNothing(t *testing.T) {
+	const n, groups = 600, 150
+	for _, tc := range []struct {
+		combiner Combiner
+		dirty    int
+	}{
+		{AverageCombiner{}, 0},
+		{MaxCombiner{}, 0},
+		{TrafficWeightedCombiner{}, groups},
+	} {
+		t.Run(tc.combiner.Name(), func(t *testing.T) {
+			rounds := make([][]Observation, 12)
+			for r := range rounds {
+				rounds[r] = make([]Observation, n)
+				for i := range rounds[r] {
+					rounds[r][i] = Observation{
+						Dst:  netip.AddrFrom4([4]byte{10, 5, byte(i % groups), 1}),
+						Cwnd: 10 + i%40, RTT: 20 * time.Millisecond,
+					}
+				}
+			}
+			withBusyCounters(rounds)
+			var now time.Duration
+			a, err := New(Config{Sampler: &playbackSampler{rounds: rounds}, Routes: nopRoutes{}, Combiner: tc.combiner,
+				Clock: func() time.Duration { return now }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := range rounds {
+				now += time.Second
+				if err := a.Tick(); err != nil {
+					t.Fatal(err)
+				}
+				if got := len(a.tab.dirtyList); r > 0 && got != tc.dirty {
+					t.Fatalf("round %d dirtied %d groups, want %d", r, got, tc.dirty)
+				}
+			}
+			if got := a.mStable.Value(); got != uint64(len(rounds)-1) {
+				t.Errorf("%d of %d rounds stable", got, len(rounds)-1)
+			}
+		})
 	}
 }
 
@@ -523,7 +633,7 @@ func TestStableRoundsEngageQuiescentPath(t *testing.T) {
 		}
 	}
 	// Round 0 installs; all 8 subsequent rounds are positionally stable.
-	if clean, want := a.tab.cleanRounds, uint64(8); clean != want {
+	if clean, want := a.tab.cleanRounds, uint32(8); clean != want {
 		t.Fatalf("clean-round counter is %d, want %d: stable rounds fell back to full rebuilds", clean, want)
 	}
 }
@@ -702,7 +812,7 @@ func staysOnStablePath(t *testing.T, tweak func(*Config)) (a *Agent, n, roundCou
 
 func TestMembershipChurnStaysOnStablePath(t *testing.T) {
 	a, n, roundCount := staysOnStablePath(t, nil)
-	if a.tab.cleanRounds != uint64(roundCount-1) {
+	if a.tab.cleanRounds != uint32(roundCount-1) {
 		t.Errorf("%d clean rounds, want %d", a.tab.cleanRounds, roundCount-1)
 	}
 	// Moved-away routes lapse one TTL (90 rounds) after their last refresh.

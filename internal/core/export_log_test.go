@@ -29,7 +29,7 @@ func deltaByRescan(a *Agent, since uint64) []SnapshotEntry {
 		}
 		out = append(out, SnapshotEntry{
 			Prefix:  p,
-			Window:  st.window,
+			Window:  int(st.window),
 			Samples: st.samples,
 			Age:     age + st.mergedAge,
 			Version: st.version,
@@ -62,6 +62,16 @@ func checkExportLog(t *testing.T, a *Agent, stage string, cursors ...uint64) {
 	tb := &a.tab
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
+	checkLogLocked(t, tb, stage)
+}
+
+// checkLogLocked checks the export log's own invariant under the table lock:
+// versions ascend, every live ref is an indexed, installed state stamped with
+// the ref's version, there are as many live refs as installed states, and the
+// stale count is the rest. Since versions ascend and a state carries one
+// version, the live refs are then exactly the installed states, one each.
+func checkLogLocked(t *testing.T, tb *destTable, stage string) {
+	t.Helper()
 	live := 0
 	for i := range tb.log {
 		if i > 0 && tb.log[i-1].version >= tb.log[i].version {
@@ -69,8 +79,8 @@ func checkExportLog(t *testing.T, a *Agent, stage string, cursors ...uint64) {
 		}
 		if r := &tb.log[i]; r.live() {
 			live++
-			if !r.st.installed || r.st.dead || r.st.version != r.version || tb.states.get(r.key) != r.st {
-				t.Errorf("%s: live ref %v@%d is not the installed state", stage, r.key, r.version)
+			if !r.st.installed || r.st.dead || r.st.version != r.version || tb.states.get(r.st.key) != r.st {
+				t.Errorf("%s: live ref %v@%d is not the installed state", stage, r.st.key, r.version)
 			}
 		}
 	}

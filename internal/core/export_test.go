@@ -4,5 +4,7 @@ package core
 // internal/guard imports it.
 var (
 	StableVsRebuild   = stableVsRebuild
+	StableVsRebuildOn = stableVsRebuildOn
+	BusySchedule      = busySchedule
 	StaysOnStablePath = staysOnStablePath
 )

@@ -116,6 +116,25 @@ func TestStableRoundsMatchRebuildGuard(t *testing.T) {
 	}
 }
 
+// TestCounterOnlyRoundsMatchRebuildGuard is TestCounterOnlyRoundsMatchRebuild
+// under the governor, which reads every socket's counters (ObserveSample)
+// while the plan ignores them: its status, too, must match the rebuild's, and
+// the busy rounds must stay stable.
+func TestCounterOnlyRoundsMatchRebuildGuard(t *testing.T) {
+	var last guardReport
+	rounds := core.BusySchedule()
+	core.StableVsRebuildOn(t, rounds, len(rounds)-6, func(cfg *core.Config) func() any {
+		status := installGuard(t)(cfg)
+		return func() any {
+			last = status().(guardReport)
+			return last
+		}
+	})
+	if last.Canaries == 0 || last.Throttles == 0 || last.Quarantines == 0 || last.Probes == 0 || last.Clears == 0 {
+		t.Errorf("the busy schedule left the governor idle: %+v", last)
+	}
+}
+
 func TestStableRoundsMatchRebuildAdvisor(t *testing.T) {
 	core.StableVsRebuild(t, installAdvisor)
 }

@@ -65,7 +65,7 @@ func TestStateIndexMatchesPrefixMap(t *testing.T) {
 		if st == nil {
 			return -1
 		}
-		return st.window
+		return int(st.window)
 	}
 	for step := 0; step < 2000; step++ {
 		p := pool[r.Intn(len(pool))]
@@ -73,7 +73,7 @@ func TestStateIndexMatchesPrefixMap(t *testing.T) {
 			x.del(p)
 			delete(ref, p)
 		} else {
-			x.put(p, &destState{entry: entry{window: step}})
+			x.put(p, &destState{entry: entry{window: int32(step)}})
 			ref[p] = step
 		}
 		if step%50 == 0 {
@@ -167,6 +167,7 @@ func TestMixedFamilyTable(t *testing.T) {
 			if ms.Merged == 0 || ms.SkippedLocal == 0 || ms.Merged+ms.SkippedLocal != len(merged) {
 				t.Fatalf("merge %+v: want some merged, some local, none lost", ms)
 			}
+			checkTableInvariants(t, a, "merge")
 			clock.Advance(a.Config().UpdateInterval)
 			obs[0].Cwnd = 90 // a stable round that moves one window
 			tickOnce(t, a, sampler, obs)

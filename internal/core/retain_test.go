@@ -20,7 +20,7 @@ func tableBytes(n int) int64 {
 	per := unsafe.Sizeof(destState{}) +
 		unsafe.Sizeof(netip.Prefix{}) + unsafe.Sizeof((*destState)(nil)) +
 		unsafe.Sizeof(exportRef{}) +
-		unsafe.Sizeof(plannedDest{}) + unsafe.Sizeof(int32(0)) +
+		unsafe.Sizeof((*destState)(nil)) + unsafe.Sizeof(int32(0)) +
 		unsafe.Sizeof(cachedSample{}) +
 		2*unsafe.Sizeof(Observation{})
 	return int64(n) * int64(per)

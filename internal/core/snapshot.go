@@ -114,11 +114,6 @@ func (a *Agent) TableVersion() uint64 {
 	return a.tableVer.Load()
 }
 
-// bumpVersion advances the table version and returns the new value.
-func (a *Agent) bumpVersion() uint64 {
-	return a.tableVer.Add(1)
-}
-
 // ContentToken returns a cheap revalidation token for fleet responses: the
 // table version plus an order-independent XOR fold of the current quarantine
 // markers' prefix hashes. A peer's view of this agent's export is current
@@ -189,8 +184,8 @@ func (a *Agent) ExportDeltaAppend(buf []SnapshotEntry, since uint64) ([]Snapshot
 			age = 0
 		}
 		out = append(out, SnapshotEntry{
-			Prefix:  r.key,
-			Window:  st.window,
+			Prefix:  st.key,
+			Window:  int(st.window),
 			Samples: st.samples,
 			Age:     age + st.mergedAge,
 			Version: st.version,
@@ -239,14 +234,14 @@ func (a *Agent) discountWindow(window int, age, halfLife time.Duration) int {
 
 // mergeOp is one planned snapshot seed.
 type mergeOp struct {
-	dst     netip.Prefix
-	window  int
-	samples uint64
-	age     time.Duration
-	expires time.Duration
+	dst netip.Prefix
 	// st is the destination's uninstalled state, nil when it has none: the
 	// plan's one index lookup, carried to the commit as programOp.st is.
 	st *destState
+	// src indexes the seeding entry in the merged slice, which holds its
+	// samples and age (a slice of 2^31 entries would not fit in memory).
+	src    int32
+	window int32
 }
 
 // MergeSnapshot folds remote snapshot entries into the agent: entries for
@@ -280,7 +275,8 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 	plan := a.mergePlan.Take(len(entries))
 	tb := &a.tab
 	tb.mu.Lock()
-	for _, se := range entries {
+	for i := range entries {
+		se := &entries[i]
 		if se.Quarantined {
 			// The source withdrew this destination after a loss
 			// regression; never warm-start it from a snapshot.
@@ -295,8 +291,7 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 			stats.SkippedStale++
 			continue
 		}
-		remaining := a.cfg.TTL - se.Age
-		if remaining <= 0 {
+		if se.Age >= a.cfg.TTL {
 			stats.SkippedStale++
 			continue
 		}
@@ -307,12 +302,10 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 			continue
 		}
 		plan = append(plan, mergeOp{
-			dst:     key,
-			window:  a.discountWindow(se.Window, se.Age, policy.StalenessHalfLife),
-			samples: se.Samples,
-			age:     se.Age,
-			expires: now + remaining,
-			st:      st,
+			dst:    key,
+			st:     st,
+			src:    int32(i),
+			window: int32(a.discountWindow(se.Window, se.Age, policy.StalenessHalfLife)),
 		})
 	}
 	tb.mu.Unlock()
@@ -322,14 +315,14 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 		// the governor before seeding.
 		kept := plan[:0]
 		for _, op := range plan {
-			capped, action := a.cfg.Guard.Review(op.dst, op.window)
+			capped, action := a.cfg.Guard.Review(op.dst, int(op.window))
 			switch action {
 			case GuardVeto, GuardQuarantine:
 				stats.SkippedQuarantined++
 				continue
 			case GuardCap:
-				if capped < op.window {
-					op.window = max(capped, a.cfg.CMin)
+				if capped < int(op.window) {
+					op.window = int32(max(capped, a.cfg.CMin))
 				}
 			}
 			kept = append(kept, op)
@@ -344,7 +337,7 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 	n := 0
 	for _, op := range plan {
 		if n > 0 && plan[n-1].dst == op.dst {
-			if op.age < plan[n-1].age {
+			if entries[op.src].Age < entries[plan[n-1].src].Age {
 				plan[n-1] = op
 			}
 			continue
@@ -357,7 +350,7 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 	// Stage 2: program routes outside the locks.
 	ops := a.mergeOps.Take(len(plan))
 	for _, op := range plan {
-		ops = append(ops, RouteOp{Prefix: op.dst, Window: op.window})
+		ops = append(ops, RouteOp{Prefix: op.dst, Window: int(op.window)})
 	}
 	errs := a.applyOps(ops)
 	a.mergeOps.Keep(ops, len(ops))
@@ -380,6 +373,10 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 	}
 	tb.deadlines = slices.Grow(tb.deadlines, len(plan))
 	tb.log = slices.Grow(tb.log, len(plan))
+	// The commit's versions come from a local counter, published with one
+	// add: tickMu orders every writer of the version.
+	base := a.tableVer.Load()
+	ver := base
 	for i, op := range plan {
 		if errs != nil && errs[i] != nil {
 			stats.Errors++
@@ -390,30 +387,31 @@ func (a *Agent) MergeSnapshot(entries []SnapshotEntry, policy MergePolicy) (Merg
 		}
 		st := op.st
 		if st == nil {
-			st = tb.newDestState()
-			tb.states.put(op.dst, st)
+			st = tb.newDestState(op.dst)
 		}
 		wasInstalled := st.installed
 		if !wasInstalled {
 			st.installed = true
 			tb.installed++
 		}
+		ver++
+		se := &entries[op.src]
 		st.entry = entry{
 			window:    op.window,
-			expires:   op.expires,
+			expires:   now + a.cfg.TTL - se.Age, // the TTL it had left at its source
 			updated:   now,
-			samples:   op.samples,
-			merged:    true,
-			mergedAge: op.age,
-			version:   a.bumpVersion(),
+			samples:   se.Samples,
+			mergedAge: se.Age,
+			version:   ver,
 		}
-		tb.logStamp(op.dst, st, wasInstalled)
-		tb.noteExpiry(op.dst, st)
+		tb.logStamp(st, wasInstalled)
+		tb.noteExpiry(st)
 		// Seed history so the first local observation blends with the
 		// fleet's estimate instead of starting from nothing.
-		a.smooth(st, op.dst, float64(op.window))
+		a.smooth(st, float64(op.window))
 		stats.Merged++
 	}
+	a.tableVer.Add(ver - base)
 	tb.peak = max(tb.peak, tb.states.size())
 	tb.mu.Unlock()
 	// The kept array must not pin states a later round deletes.

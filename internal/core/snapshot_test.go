@@ -15,6 +15,7 @@ func tickOnce(t *testing.T, a *Agent, s *fakeSampler, obs []Observation) {
 	if err := a.Tick(); err != nil {
 		t.Fatal(err)
 	}
+	checkTableInvariants(t, a, "tickOnce")
 }
 
 func TestExportSnapshotAges(t *testing.T) {

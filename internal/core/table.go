@@ -46,13 +46,19 @@ func (a *Agent) scanWidth() int {
 }
 
 // destState is everything the agent knows about one destination, in one index
-// slot: the committed route entry (valid while installed is true), the
-// inline EWMA smoothing state (used unless a caller supplied a History
-// policy), and the plan stage's grouping bookkeeping. Smoothing state
+// slot: its route key, the committed route entry (valid while installed is
+// true), the inline EWMA smoothing state (used unless a caller supplied a
+// History policy), and the plan stage's grouping bookkeeping. Smoothing state
 // outlives the installed route on purpose — a destination whose program
-// keeps failing still accumulates history.
+// keeps failing still accumulates history. The key is held here: the export
+// log, the deadlines, the grouping lists and the plan carry the pointer
+// alone, and only the sample cache keeps a copy beside it (cachedSample).
 type destState struct {
 	entry
+
+	// key is the destination's route key, the one it is indexed under; set
+	// when the state is carved and never changed.
+	key netip.Prefix
 
 	// Inline smoothing state for the default EWMA path (valid while
 	// hasEwma).
@@ -70,20 +76,23 @@ type destState struct {
 	// watermark for the smoothing state (replayed by forwardEWMALocked);
 	// wakeAt is the tb.cleanRounds value at which the state's next window
 	// flip is due (freezeHorizon's verdict) — until then the stable round
-	// skips it, and 0 means the horizon must be recomputed on the next visit.
+	// skips it; a state whose horizon must be recomputed on its next visit
+	// carries the current round. The three clean-round marks count modulo
+	// 2^32, as tb.cleanRounds does.
 	seq       uint64
-	prevN     int32
-	memberOff int32
-	memberCap int32
 	lastValue float64
 	dirtySeq  uint64
-	cleanSeen uint64
-	ewmaSeen  uint64
-	wakeAt    uint64
 
 	// due is the deadline of the state's live item in tb.deadlines, 0 when
 	// none is queued (table mu; see noteExpiry).
 	due time.Duration
+
+	prevN     int32
+	memberOff int32
+	memberCap int32
+	cleanSeen uint32
+	ewmaSeen  uint32
+	wakeAt    uint32
 
 	// The flags sit together so they pack into one word.
 	//
@@ -154,18 +163,18 @@ type destTable struct {
 	// every state of the grouping is active, it is empty and allActive says
 	// the first allActive states of touched stand for it, so the grouping is
 	// never held twice. cleanRounds counts stable rounds applied since the
-	// agent started; refreshedAt is the time of the latest plan round of
-	// either kind; fullSeq is the tick sequence of the last rebuild, which
-	// every state in the grouping carries in seq (0: no grouping). dirtyList
-	// and gather are per-round scratch.
-	touched     []plannedDest
+	// agent started, modulo 2^32; refreshedAt is the time of the latest plan
+	// round of either kind; fullSeq is the tick sequence of the last rebuild,
+	// which every state in the grouping carries in seq (0: no grouping).
+	// dirtyList and gather are per-round scratch.
+	touched     []*destState
 	memberIdx   []int32
 	memberLimit int
-	active      []plannedDest
+	active      []*destState
 	allActive   int
-	dirtyList   []plannedDest
+	dirtyList   []*destState
 	gather      []Observation
-	cleanRounds uint64
+	cleanRounds uint32
 	refreshedAt time.Duration
 	fullSeq     uint64
 	// creditPending marks that stable rounds ran since the covered set was
@@ -229,8 +238,8 @@ func (tb *destTable) grouped(st *destState) bool {
 	return tb.fullSeq != 0 && st.seq == tb.fullSeq
 }
 
-// newDestState carves a destState from the table's slab.
-func (tb *destTable) newDestState() *destState {
+// newDestState carves key's destState from the table's slab and indexes it.
+func (tb *destTable) newDestState(key netip.Prefix) *destState {
 	if tb.slabOff == len(tb.slab) {
 		n := 2 * len(tb.slab)
 		if n == 0 {
@@ -244,24 +253,25 @@ func (tb *destTable) newDestState() *destState {
 	}
 	st := &tb.slab[tb.slabOff]
 	tb.slabOff++
+	st.key = key
 	// A brand-new state has earned no lazy clean-round credit, and its
 	// window trajectory is unknown.
 	st.cleanSeen = tb.cleanRounds
 	st.ewmaSeen = tb.cleanRounds
-	st.wakeAt = 0
+	st.wakeAt = tb.cleanRounds
+	tb.states.put(key, st)
 	return st
 }
 
 // exportRef is one entry of the export log: the table version a commit
-// stamped on a state. Both stamp sites — programPlan and the merge commit —
-// run under tickMu, which orders the agent-wide version counter, and append
-// under the table lock, so the log ascends by version. A ref is live iff its
-// state is installed, not dead and still carries that version; every
-// installed state has exactly one live ref, so the live refs ARE the
-// exported table, oldest commit first.
+// stamped on a state, whose key it exports. Both stamp sites — programPlan
+// and the merge commit — run under tickMu, which orders the agent-wide
+// version counter, and append under the table lock, so the log ascends by
+// version. A ref is live iff its state is installed, not dead and still
+// carries that version; every installed state has exactly one live ref, so
+// the live refs ARE the exported table, oldest commit first.
 type exportRef struct {
 	version uint64
-	key     netip.Prefix
 	st      *destState
 }
 
@@ -291,11 +301,11 @@ func (tb *destTable) logAfter(v uint64) int {
 // logStamp appends the ref for the version just stamped on st, under the
 // table lock; superseded says st already had a live ref, which the new stamp
 // made stale.
-func (tb *destTable) logStamp(key netip.Prefix, st *destState, superseded bool) {
+func (tb *destTable) logStamp(st *destState, superseded bool) {
 	if superseded {
 		tb.logStaleRef()
 	}
-	tb.log = append(tb.log, exportRef{version: st.version, key: key, st: st})
+	tb.log = append(tb.log, exportRef{version: st.version, st: st})
 }
 
 // logStaleRef counts one ref gone stale and compacts the log in place once
@@ -322,7 +332,6 @@ func (tb *destTable) logStaleRef() {
 // expiryItem is one queued TTL deadline.
 type expiryItem struct {
 	due time.Duration
-	key netip.Prefix
 	st  *destState
 }
 
@@ -332,12 +341,12 @@ type expiryItem struct {
 // merge and every eager full-path refresh, and whenever a state stops being
 // refreshed as a member of the grouping. Deadlines are almost always written
 // in due order (now+TTL), so the sift is O(1).
-func (tb *destTable) noteExpiry(key netip.Prefix, st *destState) {
+func (tb *destTable) noteExpiry(st *destState) {
 	if st.due != 0 && st.due <= st.expires {
 		return
 	}
 	st.due = st.expires
-	h := append(tb.deadlines, expiryItem{due: st.expires, key: key, st: st})
+	h := append(tb.deadlines, expiryItem{due: st.expires, st: st})
 	for i := len(h) - 1; i > 0; {
 		p := (i - 1) / 2
 		if h[p].due <= h[i].due {
@@ -380,25 +389,21 @@ func (tb *destTable) popDue(now time.Duration) (expiryItem, bool) {
 // cachedSample is the sample cache entry for one observation index: the
 // route key and state the position resolved to when it was last keyed.
 // invalid marks an observation the validation pass rejected, so its twin next
-// round is rejected without re-keying.
+// round is rejected without re-keying. The key is the one copy kept beside
+// its state: the governor's per-socket walk (observeChunk) reads it for every
+// valid position, before a join's state is resolved, and reading it through
+// the state measured 1.0 → 1.6–1.9 ms per 100k sockets.
 type cachedSample struct {
 	key     netip.Prefix
 	st      *destState
 	invalid bool
 }
 
-// plannedDest is one destination observed this tick, in first-encounter
-// (original sample) order.
-type plannedDest struct {
-	key netip.Prefix
-	st  *destState
-}
-
 // keyedObs is one edit a stable round's compare scan put in its worker's
-// bucket: the observation's index in the tick's sample slice, the route key
-// and state of the group it concerns (st is nil for a join, whose state the
-// plan resolves), and whether the observation changed in place, left st's
-// group, or joins key's group.
+// bucket: the observation's index in the tick's sample slice, the state of
+// the group it concerns, and whether the observation changed in place, left
+// st's group, or joins key's group. A join names a route key and no state:
+// the plan resolves (or carves) it; the other edits leave key zero.
 type keyedObs struct {
 	key  netip.Prefix
 	st   *destState
@@ -445,9 +450,9 @@ func prefixHash(p netip.Prefix) uint64 {
 // smooth folds value into the destination's smoothing state: the inline
 // EWMA (bit-identical to EWMAHistory.Update) unless a caller-supplied
 // policy is installed.
-func (a *Agent) smooth(st *destState, key netip.Prefix, value float64) float64 {
+func (a *Agent) smooth(st *destState, value float64) float64 {
 	if a.history != nil {
-		return a.history.Update(key, value)
+		return a.history.Update(st.key, value)
 	}
 	if !st.hasEwma {
 		st.ewma = value
@@ -460,10 +465,11 @@ func (a *Agent) smooth(st *destState, key netip.Prefix, value float64) float64 {
 
 // dropInstalled removes dst's state (and any external history) after its
 // route was withdrawn, under the table lock. It reports whether a live
-// entry existed. A successful drop bumps the table version: the entry
-// vanishes from exports, so peers revalidating by version see the change even
-// though no entry carries the new version (fleet sharing has no tombstones —
-// receivers age the entry out via its TTL).
+// entry existed. Each successful drop takes a table version, which the
+// caller advances with the rest of its commit: the entry vanishes from
+// exports, so peers revalidating by version see the change even though no
+// entry carries the new version (fleet sharing has no tombstones — receivers
+// age the entry out via its TTL).
 func (a *Agent) dropInstalled(dst netip.Prefix) bool {
 	tb := &a.tab
 	st := tb.states.get(dst)
@@ -471,45 +477,41 @@ func (a *Agent) dropInstalled(dst netip.Prefix) bool {
 		return false
 	}
 	tb.installed--
-	a.dropState(dst)
+	a.dropState(st)
 	tb.logStaleRef()
-	a.bumpVersion()
 	return true
 }
 
-// dropState deletes a destination's state (and any external history) under
-// the table lock, marking the struct dead — which is all that invalidates
-// cached pointers to it. Callers maintain tb.installed themselves.
+// dropState deletes st (and any external history) under the table lock,
+// marking the struct dead — which is all that invalidates cached pointers to
+// it. Callers maintain tb.installed themselves.
 //
 // A state that still has members in the retained grouping is observed right
 // now: it would be re-created from nothing next round. It is reset in place
 // instead (an uninstalled state is invisible to every reader), so its span,
 // the sample cache and the other groups stay exact; it rejoins the active
 // list, where hasLast == false forces a fresh Combine.
-func (a *Agent) dropState(dst netip.Prefix) {
+func (a *Agent) dropState(st *destState) {
 	tb := &a.tab
-	st := tb.states.get(dst)
-	if st == nil {
-		return
-	}
 	if a.history != nil {
-		a.history.Forget(dst)
+		a.history.Forget(st.key)
 	}
 	if tb.grouped(st) {
 		*st = destState{
-			seq: st.seq, prevN: st.prevN, memberOff: st.memberOff, memberCap: st.memberCap,
-			dirtySeq: st.dirtySeq, inActive: st.inActive, cleanSeen: tb.cleanRounds, ewmaSeen: tb.cleanRounds,
+			key: st.key, seq: st.seq, prevN: st.prevN, memberOff: st.memberOff, memberCap: st.memberCap,
+			dirtySeq: st.dirtySeq, inActive: st.inActive,
+			cleanSeen: tb.cleanRounds, ewmaSeen: tb.cleanRounds, wakeAt: tb.cleanRounds,
 		}
 		if !st.inActive {
 			st.inActive = true
-			tb.active = append(tb.active, plannedDest{key: dst, st: st})
+			tb.active = append(tb.active, st)
 		}
 		return
 	}
 	st.installed = false
 	st.version = 0
 	st.dead = true
-	tb.states.del(dst)
+	tb.states.del(st.key)
 }
 
 // runParallel runs fn(0..n-1), inline when n == 1. A call costs the WaitGroup
@@ -666,8 +668,7 @@ func (a *Agent) planRebuild(obs []Observation, now time.Duration) {
 		}
 		st := tb.states.get(c.key)
 		if st == nil {
-			st = tb.newDestState()
-			tb.states.put(c.key, st)
+			st = tb.newDestState(c.key)
 		}
 		c.st = st
 		if st.seq != seq {
@@ -706,9 +707,9 @@ func (a *Agent) planRebuild(obs []Observation, now time.Duration) {
 			// so it doubles rather than reserve that: about twice its final
 			// size allocated in all, where append's 1.25× ladder allocates
 			// about five times.
-			tb.touched = append(make([]plannedDest, 0, max(2*cap(tb.touched), 1)), tb.touched...)
+			tb.touched = append(make([]*destState, 0, max(2*cap(tb.touched), 1)), tb.touched...)
 		}
-		tb.touched = append(tb.touched, plannedDest{key: c.key, st: st})
+		tb.touched = append(tb.touched, st)
 	}
 	if n := len(tb.touched); n < len(old) {
 		clear(old[n:]) // departed states would pin their slab blocks
@@ -731,11 +732,10 @@ func (a *Agent) planRebuild(obs []Observation, now time.Duration) {
 	// Pass 4: every group is new to this grouping — combine and plan it. All
 	// of them start on the active list, which the grouping stands for until
 	// the next stable round compacts it.
-	for _, td := range tb.touched {
-		st := td.st
+	for _, st := range tb.touched {
 		st.inActive = true
 		st.cleanSeen, st.ewmaSeen = tb.cleanRounds, tb.cleanRounds
-		a.recombineLocked(td, obs, now)
+		a.recombineLocked(st, obs, now)
 	}
 	clear(tb.active)
 	tb.active, tb.allActive = tb.active[:0], len(tb.touched)
@@ -748,9 +748,9 @@ func (a *Agent) planRebuild(obs []Observation, now time.Duration) {
 // nothing is credited until the next stable round.
 func (a *Agent) settleCoveredLocked() {
 	tb := &a.tab
-	for _, td := range tb.touched {
-		a.materializeLocked(td.st)
-		a.forwardEWMALocked(td.st)
+	for _, st := range tb.touched {
+		a.materializeLocked(st)
+		a.forwardEWMALocked(st)
 	}
 	tb.creditPending = false
 }
@@ -759,12 +759,12 @@ func (a *Agent) settleCoveredLocked() {
 // stamped seq no longer holds off the books: its active-list mark is cleared
 // and, if it has a route, its deadline queued — membership kept it out of
 // the queue (invariant iii).
-func (tb *destTable) queueDeparted(old []plannedDest, seq uint64) {
-	for _, td := range old {
-		if st := td.st; st.seq != seq {
+func (tb *destTable) queueDeparted(old []*destState, seq uint64) {
+	for _, st := range old {
+		if st.seq != seq {
 			st.inActive = false
 			if st.installed {
-				tb.noteExpiry(td.key, st)
+				tb.noteExpiry(st)
 			}
 		}
 	}
@@ -795,15 +795,15 @@ func (a *Agent) expireDueLocked(now time.Duration) {
 		case !st.installed:
 		case st.hasLast && !st.held && tb.grouped(st):
 		case st.expires > now:
-			tb.noteExpiry(it.key, st)
+			tb.noteExpiry(st)
 		default:
-			tb.expired = append(tb.expired, it.key)
+			tb.expired = append(tb.expired, st.key)
 		}
 	}
 	// A lapsed route stays queued until its clear lands — re-queued only now,
 	// or it would pop again at once.
 	for _, key := range tb.expired {
-		tb.noteExpiry(key, tb.states.get(key))
+		tb.noteExpiry(tb.states.get(key))
 	}
 	// A burst that drained (a whole table installed in one round comes due
 	// in one round) gives its array back under the retention rule.
@@ -821,10 +821,23 @@ func (a *Agent) materializeLocked(st *destState) {
 		st.cleanSeen = tb.cleanRounds
 		return
 	}
-	st.samples += uint64(st.lastObs) * (tb.cleanRounds - st.cleanSeen)
+	st.samples += uint64(st.lastObs) * uint64(tb.cleanRounds-st.cleanSeen)
 	st.expires = tb.refreshedAt + a.cfg.TTL
 	st.updated = tb.refreshedAt
 	st.cleanSeen = tb.cleanRounds
+}
+
+// sameInputs reports whether o gives the plan what p gave it: the same
+// destination, and the same fields for the Combiner. Under a Combiner that
+// reads only windows (readsCwndOnly), a socket that only moved its counters
+// (BytesAcked, SegsOut, Retrans advance on every busy socket every round) or
+// its RTT changes neither its validity, its group nor its group's Combine
+// value, so it is no edit.
+func (a *Agent) sameInputs(o, p *Observation) bool {
+	if a.cwndOnly {
+		return o.Dst == p.Dst && o.Cwnd == p.Cwnd
+	}
+	return *o == *p
 }
 
 // compareBlock is the number of observations compareChunk compares in one
@@ -834,7 +847,8 @@ const compareBlock = 32
 
 // compareChunk is the stable-round detector: worker w compares its chunk of
 // the sample against last round's and appends what changed to its bucket —
-// an observation that kept its destination and validity as dirty, a
+// an observation that kept its destination and validity but changed a field
+// the Combiner reads (sameInputs) as dirty, a
 // membership edit as a leave from the cached group and/or a join to the
 // re-keyed one (whose cache entry it re-primes; the plan fills in the
 // state). The chunk is compared a block at a time from its start, and only
@@ -856,15 +870,15 @@ func (a *Agent) compareChunk(w int, obs []Observation) bool {
 		for i := blk; i < end; i++ {
 			o, c := &obs[i], &cache[i]
 			if i < len(prev) {
-				if *o == prev[i] {
+				if a.sameInputs(o, &prev[i]) {
 					continue
 				}
 				if !c.invalid {
 					if o.Dst == prev[i].Dst && o.Cwnd > 0 {
-						*bucket = append(*bucket, keyedObs{key: c.key, st: c.st, idx: int32(i)})
+						*bucket = append(*bucket, keyedObs{st: c.st, idx: int32(i)})
 						continue
 					}
-					*bucket = append(*bucket, keyedObs{key: c.key, st: c.st, idx: int32(i), kind: obsLeave})
+					*bucket = append(*bucket, keyedObs{st: c.st, idx: int32(i), kind: obsLeave})
 				}
 			}
 			if budget--; budget < 0 {
@@ -885,7 +899,7 @@ func (a *Agent) compareChunk(w int, obs []Observation) bool {
 				return false
 			}
 			if c := &cache[i]; !c.invalid {
-				*bucket = append(*bucket, keyedObs{key: c.key, st: c.st, idx: int32(i), kind: obsLeave})
+				*bucket = append(*bucket, keyedObs{st: c.st, idx: int32(i), kind: obsLeave})
 			}
 		}
 	}
@@ -908,7 +922,7 @@ func (a *Agent) observeChunk(w int, obs []Observation) {
 // that empties leaves the covered set: its credit is settled through the
 // previous round and its deadline queued, exactly where a rebuild — which
 // stops visiting it — leaves it.
-func (a *Agent) leaveGroupLocked(key netip.Prefix, st *destState, idx int32) {
+func (a *Agent) leaveGroupLocked(st *destState, idx int32) {
 	tb := &a.tab
 	span := tb.memberIdx[st.memberOff : st.memberOff+st.prevN]
 	j, _ := slices.BinarySearch(span, idx)
@@ -920,7 +934,7 @@ func (a *Agent) leaveGroupLocked(key netip.Prefix, st *destState, idx int32) {
 	a.forwardEWMALocked(st)
 	st.seq = 0
 	if st.installed {
-		tb.noteExpiry(key, st)
+		tb.noteExpiry(st)
 	}
 }
 
@@ -932,15 +946,14 @@ func (a *Agent) joinGroupLocked(key netip.Prefix, idx int32) *destState {
 	tb := &a.tab
 	st := tb.states.get(key)
 	if st == nil {
-		st = tb.newDestState()
-		tb.states.put(key, st)
+		st = tb.newDestState(key)
 	}
 	a.cache[idx].st = st
 	if !tb.grouped(st) {
 		st.seq = tb.fullSeq
 		st.prevN, st.memberOff, st.memberCap = 0, 0, 0
 		st.cleanSeen, st.ewmaSeen = tb.cleanRounds, tb.cleanRounds
-		tb.touched = append(tb.touched, plannedDest{key: key, st: st})
+		tb.touched = append(tb.touched, st)
 	}
 	if st.prevN == st.memberCap {
 		off := int32(len(tb.memberIdx))
@@ -963,16 +976,16 @@ func (a *Agent) joinGroupLocked(key netip.Prefix, idx int32) *destState {
 // still pending). Both plan paths call it for every group they visit. It
 // reports whether the round was a steady refresh: the route installed and its
 // programmed window unchanged.
-func (a *Agent) planDest(key netip.Prefix, st *destState, value float64, now time.Duration) (steady bool) {
+func (a *Agent) planDest(st *destState, value float64, now time.Duration) (steady bool) {
 	tb := &a.tab
-	n := int(st.prevN)
-	final := a.clamp(a.smooth(st, key, value))
+	n := st.prevN
+	final := a.clamp(a.smooth(st, value))
 	if a.cfg.Advisor != nil {
 		// The factor damps the window the destination would be programmed
 		// with, so it applies past the c_max clamp: 0.25 of a window held at
 		// c_max is a quarter of c_max, not a quarter of a smoothed value far
 		// above it. The damped window is clamped again, to c_min.
-		if m := a.cfg.Advisor.Advise(key); isFinite(m) {
+		if m := a.cfg.Advisor.Advise(st.key); isFinite(m) {
 			final = a.clamp(float64(final) * m)
 		} else {
 			tb.delta.advisorRejects++
@@ -980,7 +993,7 @@ func (a *Agent) planDest(key netip.Prefix, st *destState, value float64, now tim
 	}
 
 	if a.cfg.Guard != nil {
-		capped, action := a.cfg.Guard.Review(key, final)
+		capped, action := a.cfg.Guard.Review(st.key, final)
 		switch action {
 		case GuardVeto, GuardQuarantine:
 			tb.delta.guardVetoed++
@@ -992,9 +1005,9 @@ func (a *Agent) planDest(key netip.Prefix, st *destState, value float64, now tim
 			// dropped once the clear succeeds, so a failed withdrawal retries
 			// next round; meanwhile its TTL runs.
 			if st.installed {
-				tb.guardClears = append(tb.guardClears, key)
+				tb.guardClears = append(tb.guardClears, st.key)
 				st.held = true
-				tb.noteExpiry(key, st)
+				tb.noteExpiry(st)
 			}
 			return false
 		case GuardCap:
@@ -1009,7 +1022,7 @@ func (a *Agent) planDest(key netip.Prefix, st *destState, value float64, now tim
 		// New destination, or its first program keeps failing: replan every
 		// round. The entry is recorded in the program stage, only once the
 		// route is actually installed.
-		tb.plan = append(tb.plan, programOp{dst: key, window: final, obs: n, st: st})
+		tb.plan = append(tb.plan, programOp{window: int32(final), obs: n, st: st})
 		return false
 	}
 	// The route is installed; fresh observations extend its life even if
@@ -1020,11 +1033,10 @@ func (a *Agent) planDest(key netip.Prefix, st *destState, value float64, now tim
 	st.updated = now
 	st.lastObs = n
 	st.samples += uint64(n)
-	st.merged = false
 	st.mergedAge = 0
 	st.held = false
-	if st.window != final {
-		tb.plan = append(tb.plan, programOp{dst: key, window: final, obs: n, st: st})
+	if int(st.window) != final {
+		tb.plan = append(tb.plan, programOp{window: int32(final), obs: n, st: st})
 		return false
 	}
 	return true
@@ -1036,10 +1048,9 @@ func (a *Agent) planDest(key netip.Prefix, st *destState, value float64, now tim
 // folding garbage into history — an EWMA never recovers from a NaN: no
 // refresh (so its deadline is queued), hasLast cleared so every later round
 // combines again, the reject counted.
-func (a *Agent) recombineLocked(td plannedDest, obs []Observation, now time.Duration) {
+func (a *Agent) recombineLocked(st *destState, obs []Observation, now time.Duration) {
 	tb := &a.tab
-	st := td.st
-	st.wakeAt = 0 // the combined value may move: horizon void
+	st.wakeAt = tb.cleanRounds // the combined value may move: horizon void
 	if cap(tb.gather) < int(st.prevN) {
 		tb.gather = make([]Observation, 0, 2*st.prevN)
 	}
@@ -1052,13 +1063,13 @@ func (a *Agent) recombineLocked(td plannedDest, obs []Observation, now time.Dura
 		st.hasLast = false
 		tb.delta.combinerRejects++
 		if st.installed {
-			tb.noteExpiry(td.key, st)
+			tb.noteExpiry(st)
 		}
 		return
 	}
 	st.lastValue = value
 	st.hasLast = true
-	a.planDest(td.key, st, value, now)
+	a.planDest(st, value, now)
 }
 
 // maxFreezeSim bounds freezeHorizon's trajectory walk. A float64 EWMA under
@@ -1081,7 +1092,7 @@ const maxFreezeSim = 8192
 // somehow exhausts maxFreezeSim without a flip or fixed point answers 1 —
 // the state is revisited every round, slower but never wrong.
 func (a *Agent) freezeHorizon(st *destState) int32 {
-	e, v, w := st.ewma, st.lastValue, st.window
+	e, v, w := st.ewma, st.lastValue, int(st.window)
 	if w == a.clamp(v) {
 		return 0
 	}
@@ -1142,7 +1153,7 @@ func (a *Agent) planStable(obs []Observation, now time.Duration) {
 			st := ko.st
 			switch ko.kind {
 			case obsLeave:
-				a.leaveGroupLocked(ko.key, st, ko.idx)
+				a.leaveGroupLocked(st, ko.idx)
 			case obsJoin:
 				st = a.joinGroupLocked(ko.key, ko.idx)
 			}
@@ -1150,7 +1161,7 @@ func (a *Agent) planStable(obs []Observation, now time.Duration) {
 				st.dirtySeq = seq
 				a.materializeLocked(st)
 				a.forwardEWMALocked(st)
-				tb.dirtyList = append(tb.dirtyList, plannedDest{key: ko.key, st: st})
+				tb.dirtyList = append(tb.dirtyList, st)
 			}
 		}
 	}
@@ -1172,14 +1183,15 @@ func (a *Agent) planStable(obs []Observation, now time.Duration) {
 		list, tb.allActive = tb.touched[:tb.allActive], 0
 	}
 	kept := tb.active[:0]
-	for _, td := range list {
-		st := td.st
+	for _, st := range list {
 		if !tb.grouped(st) {
 			st.inActive = false
 			continue
 		}
-		if st.dirtySeq == seq || st.wakeAt > tb.cleanRounds {
-			kept = append(kept, td)
+		// wakeAt is at most maxFreezeSim rounds ahead (or a round behind),
+		// so the signed distance is exact across the counter's wrap.
+		if st.dirtySeq == seq || int32(st.wakeAt-tb.cleanRounds) > 0 {
+			kept = append(kept, st)
 			continue
 		}
 		// Settle any parked span first: credit and smoothing replay cover
@@ -1197,37 +1209,36 @@ func (a *Agent) planStable(obs []Observation, now time.Duration) {
 		if !st.hasLast {
 			// The last Combine was rejected (NaN/±Inf); a rebuild would
 			// combine — and reject — such a group again every round.
-			a.recombineLocked(td, obs, now)
-			kept = append(kept, td)
+			a.recombineLocked(st, obs, now)
+			kept = append(kept, st)
 			continue
 		}
-		st.wakeAt = 0
-		if a.planDest(td.key, st, st.lastValue, now) && a.canDrain {
+		st.wakeAt = tb.cleanRounds
+		if a.planDest(st, st.lastValue, now) && a.canDrain {
 			k := a.freezeHorizon(st)
 			if k == 0 {
 				// Window frozen: drain from the active list entirely.
 				st.inActive = false
 				continue
 			}
-			st.wakeAt = tb.cleanRounds + uint64(k)
+			st.wakeAt = tb.cleanRounds + uint32(k)
 		}
-		kept = append(kept, td)
+		kept = append(kept, st)
 	}
 	tb.active = kept
 
 	// Dirty groups: re-Combine from their member sample-indices. A converged
 	// state going dirty rejoins the active list. (A group dirtied and then
 	// emptied by a later edit is no longer in the grouping.)
-	for _, td := range tb.dirtyList {
-		st := td.st
+	for _, st := range tb.dirtyList {
 		if !tb.grouped(st) {
 			continue
 		}
 		st.cleanSeen, st.ewmaSeen = tb.cleanRounds, tb.cleanRounds
-		a.recombineLocked(td, obs, now)
+		a.recombineLocked(st, obs, now)
 		if !st.inActive {
 			st.inActive = true
-			tb.active = append(tb.active, td)
+			tb.active = append(tb.active, st)
 		}
 	}
 

@@ -40,12 +40,11 @@ import (
 // programOp is one planned route installation. A destination carries at
 // most one per round.
 type programOp struct {
-	dst    netip.Prefix
-	window int
-	obs    int // group size this round, recorded on success
-	// st lets the commit stage reach the destination's state without
-	// re-resolving the prefix. Plan ops never outlive their tick, so the
-	// pointer cannot go stale.
+	window int32
+	obs    int32 // group size this round, recorded on success
+	// st is the destination's state, which holds its route key: the commit
+	// stage reaches it without re-resolving the prefix. Plan ops never
+	// outlive their tick, so the pointer cannot go stale.
 	st *destState
 }
 
@@ -216,7 +215,7 @@ func (a *Agent) Tick() error {
 	plan, guardClears, expired := tb.plan, tb.guardClears, tb.expired
 	delta := tb.delta
 	tb.delta = tickDelta{}
-	sortByPrefix(plan, &a.sortKeys, func(op *programOp) netip.Prefix { return op.dst })
+	sortByPrefix(plan, &a.sortKeys, func(op *programOp) netip.Prefix { return op.st.key })
 	sortPrefixes(guardClears, &a.sortKeys)
 	sortPrefixes(expired, &a.sortKeys)
 
@@ -270,14 +269,15 @@ func sameBacking(a, b []Observation) bool {
 
 // programPlan installs the round's route plan, in plan order — through one
 // batch call when the backend supports it — and commits each success into
-// the table.
+// the table. The commit's table versions are handed out from a local counter
+// and published with one add: tickMu orders every writer of the version.
 func (a *Agent) programPlan(plan []programOp, now time.Duration) error {
 	if len(plan) == 0 {
 		return nil
 	}
 	ops := a.opsBuf.Take(len(plan))
 	for i := range plan {
-		ops = append(ops, RouteOp{Prefix: plan[i].dst, Window: plan[i].window})
+		ops = append(ops, RouteOp{Prefix: plan[i].st.key, Window: int(plan[i].window)})
 	}
 	errs := a.applyOps(ops)
 	a.opsBuf.Keep(ops, len(ops))
@@ -291,19 +291,23 @@ func (a *Agent) programPlan(plan []programOp, now time.Duration) error {
 	// Every planned op that installs appends one export-log ref: make the
 	// room in one step, so a cold table does not double its way up.
 	tb.log = slices.Grow(tb.log, len(plan))
+	base := a.tableVer.Load()
+	ver := base
 	for i := range plan {
 		op := &plan[i]
+		st := op.st
 		if errs != nil && errs[i] != nil {
 			err := errs[i]
 			routeErrs++
 			// The retry decorator gave up and withdrew the route: drop our
 			// entry so Lookup reports the kernel default rather than a
 			// window that is no longer installed.
-			if errors.Is(err, ErrFallbackCleared) && a.dropInstalled(op.dst) {
+			if errors.Is(err, ErrFallbackCleared) && a.dropInstalled(st.key) {
 				cleared++
+				ver++
 			}
 			if firstErr == nil {
-				firstErr = fmt.Errorf("set initcwnd %v=%d: %w", op.dst, op.window, err)
+				firstErr = fmt.Errorf("set initcwnd %v=%d: %w", st.key, op.window, err)
 			}
 			continue
 		}
@@ -311,7 +315,6 @@ func (a *Agent) programPlan(plan []programOp, now time.Duration) error {
 		// and commit ends a membership, so the planned pointer is the map
 		// occupant and needs no deadline: whatever ends the membership queues
 		// one.
-		st := op.st
 		wasInstalled := st.installed
 		if !wasInstalled {
 			st.installed = true
@@ -324,12 +327,13 @@ func (a *Agent) programPlan(plan []programOp, now time.Duration) error {
 		st.expires = now + a.cfg.TTL
 		st.updated = now
 		st.lastObs = op.obs
-		st.merged = false
 		st.mergedAge = 0
-		st.version = a.bumpVersion()
-		tb.logStamp(op.dst, st, wasInstalled)
+		ver++
+		st.version = ver
+		tb.logStamp(st, wasInstalled)
 		set++
 	}
+	a.tableVer.Add(ver - base)
 	tb.mu.Unlock()
 	a.mu.Lock()
 	a.stats.RoutesSet += set
@@ -372,7 +376,7 @@ func (a *Agent) clearTargets(targets []netip.Prefix, kind clearKind, now time.Du
 	a.clearOps.Keep(ops, len(ops))
 
 	var firstErr error
-	var clearedN, routeErrs uint64
+	var clearedN, dropped, routeErrs uint64
 	tb.mu.Lock()
 	for i, dst := range live {
 		if errs != nil && errs[i] != nil {
@@ -386,9 +390,12 @@ func (a *Agent) clearTargets(targets []netip.Prefix, kind clearKind, now time.Du
 			}
 			continue
 		}
-		a.dropInstalled(dst)
+		if a.dropInstalled(dst) {
+			dropped++
+		}
 		clearedN++
 	}
+	a.tableVer.Add(dropped)
 	tb.mu.Unlock()
 	a.mu.Lock()
 	a.stats.RoutesCleared += clearedN
