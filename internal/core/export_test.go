@@ -1,10 +1,11 @@
 package core
 
-// Harnesses for hooks_test.go, which lives outside the package because
-// internal/guard imports it.
+// Harnesses for hooks_test.go and dump_test.go, which live outside the
+// package because internal/guard and internal/netlink import it.
 var (
-	StableVsRebuild   = stableVsRebuild
-	StableVsRebuildOn = stableVsRebuildOn
-	BusySchedule      = busySchedule
-	StaysOnStablePath = staysOnStablePath
+	StableVsRebuild      = stableVsRebuild
+	StableVsRebuildOn    = stableVsRebuildOn
+	BusySchedule         = busySchedule
+	StaysOnStablePath    = staysOnStablePath
+	CheckTableInvariants = checkTableInvariants
 )

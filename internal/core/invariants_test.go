@@ -17,7 +17,8 @@ import (
 //     queued until they pop): a live item's state is indexed, every indexed
 //     state with a due has exactly one live item, and every installed state
 //     the grouping does not cover (invariant iii) has one, due no later than
-//     its expiry.
+//     its expiry, as does every uninstalled state outside the grouping, due
+//     no later than the horizon at which it is deleted.
 func checkTableInvariants(t *testing.T, a *Agent, label string) {
 	t.Helper()
 	tb := &a.tab
@@ -63,14 +64,22 @@ func checkTableInvariants(t *testing.T, a *Agent, label string) {
 		if st.installed && !covered && (st.due == 0 || st.due > st.expires) {
 			t.Errorf("%s: uncovered %v (expires %v) is queued at %v", label, p, st.expires, st.due)
 		}
+		if !st.installed && !tb.grouped(st) && (st.due == 0 || st.due > st.expires) {
+			t.Errorf("%s: unobserved uninstalled %v (horizon %v) is queued at %v", label, p, st.expires, st.due)
+		}
 	})
 }
 
 // TestTableLayout pins the per-destination layout: a destState holds its
 // route key and fits in 152 bytes, and the per-round lists that name a
 // state — the export log, the deadline heap, the grouping, active and dirty
-// lists and the plan — carry its pointer, not a copy of its key.
+// lists and the plan — carry its pointer, not a copy of its key. The
+// per-socket record of the sample cache is 16 bytes: the pointer and one
+// word.
 func TestTableLayout(t *testing.T) {
+	if f, ok := reflect.TypeFor[Agent]().FieldByName("cache"); !ok || f.Type.Elem().Size() != 16 {
+		t.Errorf("a sample cache record is not 16 bytes")
+	}
 	if got := reflect.TypeFor[destState]().Size(); got > 152 {
 		t.Errorf("destState is %d bytes, want at most 152", got)
 	}

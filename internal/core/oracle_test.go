@@ -14,7 +14,8 @@ import (
 // nothing with the agent but the Observation/RouteOp/Entry types: group in
 // sample order, combine, EWMA, clamp, program what changed, refresh TTLs,
 // expire. An entry exists only after its route installed; history outlives a
-// failing install and is forgotten when the entry's withdrawal succeeds.
+// failing install and is forgotten when the entry's withdrawal succeeds, or,
+// for a destination never installed, once it has gone unobserved for a TTL.
 
 type oracleEntry struct {
 	window, lastObs int
@@ -28,6 +29,7 @@ type oracle struct {
 	ttl                    time.Duration
 	combine                func([]Observation) float64
 	hist                   map[netip.Prefix]float64
+	seen                   map[netip.Prefix]time.Duration // when each key was last observed
 	table                  map[netip.Prefix]*oracleEntry
 	set, cleared, expired  uint64
 }
@@ -68,6 +70,7 @@ func (o *oracle) round(now time.Duration, obs []Observation, fails func(RouteOp)
 	}
 	var sets, clears []RouteOp
 	for key, g := range groups {
+		o.seen[key] = now
 		v := o.combine(g)
 		if prev, ok := o.hist[key]; ok {
 			v = o.alpha*prev + (1-o.alpha)*v
@@ -116,6 +119,11 @@ func (o *oracle) round(now time.Duration, obs []Observation, fails func(RouteOp)
 			}
 			e.window = op.Window
 			o.set++
+		}
+	}
+	for key := range o.hist {
+		if o.table[key] == nil && o.seen[key]+o.ttl <= now {
+			delete(o.hist, key)
 		}
 	}
 	return log
@@ -184,7 +192,7 @@ func TestAgentMatchesAlgorithm1Oracle(t *testing.T) {
 			ref := &oracle{
 				prefixBits: cfg.PrefixBits, cmin: cfg.CMin, cmax: cfg.CMax, alpha: cfg.Alpha, ttl: cfg.TTL,
 				combine: oracleCombiner(combiner.Name()),
-				hist:    map[netip.Prefix]float64{}, table: map[netip.Prefix]*oracleEntry{},
+				hist:    map[netip.Prefix]float64{}, seen: map[netip.Prefix]time.Duration{}, table: map[netip.Prefix]*oracleEntry{},
 			}
 			for r, obs := range rounds {
 				now.Add(int64(30 * time.Second))
