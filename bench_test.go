@@ -409,6 +409,66 @@ func BenchmarkAgentTick100kHooks(b *testing.B) {
 	}
 }
 
+// ipv6Observations is syntheticObservations on a host whose peers all reach
+// it over IPv6: destination a.b.c.d becomes 2001:db8::a.b.c.d.
+func ipv6Observations(n int) []Observation {
+	obs := syntheticObservations(n)
+	for i := range obs {
+		b := obs[i].Dst.As4()
+		obs[i].Dst = netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 12: b[0], 13: b[1], 14: b[2], 15: b[3]})
+	}
+	return obs
+}
+
+// BenchmarkAgentTick100kIPv6 prices a tick over IPv6 destinations, which the
+// stable compare cannot pack into a record's one word: 100k sockets keyed
+// per host, one second per round, sampled three ways — copied unchanged into
+// the agent's buffer, with every BytesAcked advancing, and at 1% new windows
+// per round under the safety governor.
+func BenchmarkAgentTick100kIPv6(b *testing.B) {
+	for _, mode := range []string{"copied", "busy", "guard"} {
+		b.Run(mode, func(b *testing.B) {
+			base := ipv6Observations(100_000)
+			var now time.Duration
+			cfg := Config{Routes: nopBatchRoutes{}, PrefixBits: 128, Clock: func() time.Duration { return now }}
+			switch mode {
+			case "copied":
+				cfg.Sampler = staticSampler(base)
+			case "busy":
+				cfg.Sampler = &busySampler{base: base}
+			case "guard":
+				cfg.Sampler = newChurnSampler(base, 100)
+				g, err := guard.New(guard.Config{Clock: cfg.Clock})
+				if err != nil {
+					b.Fatal(err)
+				}
+				cfg.Guard = g
+			}
+			agent, err := New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Closing withdraws all 100k routes: not a tick's cost.
+			defer func() {
+				b.StopTimer()
+				_ = agent.Close()
+			}()
+			tick := func() {
+				now += time.Second
+				if err := agent.Tick(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			tick()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tick()
+			}
+		})
+	}
+}
+
 // TestParallelScanNotSlowerThanSerial is the bench-smoke gate for the
 // parallel socket scan: with real cores available, a 1%-churn round over
 // 100k sockets at GOMAXPROCS=N — whose scans fan out over min(N, 16)
