@@ -160,11 +160,7 @@ func benchmarkAgentTickSeries(b *testing.B, conns int) {
 					b.Fatal(err)
 				}
 				defer func() { _ = agent.Close() }()
-				// One warmup tick so pools and learned entries reach
-				// steady state before timing.
-				if err := agent.Tick(); err != nil {
-					b.Fatal(err)
-				}
+				warmUp(b, agent)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -172,7 +168,32 @@ func benchmarkAgentTickSeries(b *testing.B, conns int) {
 						b.Fatal(err)
 					}
 				}
+				// The deferred Close withdraws the whole table: not a tick.
+				b.StopTimer()
 			})
+		}
+	}
+}
+
+// warmUp ticks agent until its rounds are steady — three in a row that each
+// allocate less than steadyTickBytes, which is nothing on one worker and
+// what starting the scan goroutines costs on several — so that B/op times a
+// steady tick, not the first tick's table or the buffers the rounds after it
+// set up once. It gives up after 64 ticks.
+func warmUp(b *testing.B, agent *Agent) {
+	const steadyTickBytes = 1 << 10
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	for i, steady := 0, 0; i < 64 && steady < 3; i++ {
+		before := ms.TotalAlloc
+		if err := agent.Tick(); err != nil {
+			b.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		if ms.TotalAlloc-before < steadyTickBytes {
+			steady++
+		} else {
+			steady = 0
 		}
 	}
 }

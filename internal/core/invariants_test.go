@@ -18,7 +18,12 @@ import (
 //     state with a due has exactly one live item, and every installed state
 //     the grouping does not cover (invariant iii) has one, due no later than
 //     its expiry, as does every uninstalled state outside the grouping, due
-//     no later than the horizon at which it is deleted.
+//     no later than the horizon at which it is deleted;
+//   - every slot on the spare list is a deleted state's, listed once, and no
+//     holder names a free one (the first ready of them): no deadline item,
+//     no entry of the grouping, the active or dirty list or the plan, and no
+//     sample-cache record. (An export-log ref may, and is stale: a live one
+//     names an indexed state, checkLogLocked.)
 func checkTableInvariants(t *testing.T, a *Agent, label string) {
 	t.Helper()
 	tb := &a.tab
@@ -68,6 +73,38 @@ func checkTableInvariants(t *testing.T, a *Agent, label string) {
 			t.Errorf("%s: unobserved uninstalled %v (horizon %v) is queued at %v", label, p, st.expires, st.due)
 		}
 	})
+
+	free, listed := map[*destState]bool{}, map[*destState]bool{}
+	for i, st := range tb.spare {
+		if !st.dead || listed[st] {
+			t.Errorf("%s: spare slot %d (%v) is live or listed twice", label, i, st.key)
+		}
+		listed[st] = true
+		free[st] = i < tb.ready
+	}
+	names := func(holder string, st *destState) {
+		if free[st] {
+			t.Errorf("%s: %s names a free slot", label, holder)
+		}
+	}
+	for _, it := range tb.deadlines {
+		names("a deadline item", it.st)
+	}
+	for _, st := range tb.touched {
+		names("the grouping", st)
+	}
+	for _, st := range tb.active {
+		names("the active list", st)
+	}
+	for _, st := range tb.dirtyList {
+		names("the dirty list", st)
+	}
+	for _, op := range tb.plan {
+		names("the plan", op.st)
+	}
+	for _, c := range a.cache {
+		names("a sample-cache record", c.st)
+	}
 }
 
 // TestTableLayout pins the per-destination layout: a destState holds its

@@ -27,23 +27,34 @@ const prefixIdxBits = 26
 // the input index), whose unsigned order is comparePrefix's with ties in
 // input order, sorts the integers, and then moves every element once into
 // place. Anything else (IPv6, 4-in-6, an invalid prefix, more elements than
-// the index holds) takes a stable comparator sort. scratch holds the key
-// array between calls.
+// the index holds) sorts bare input indices with the comparator, ties broken
+// by index, and moves the elements the same way: the comparator reads the
+// elements in place, so no comparison copies one to the heap. scratch holds
+// the key array between calls.
 func sortByPrefix[T any](s []T, scratch *[]uint64, prefix func(*T) netip.Prefix) {
 	if len(s) < 2 {
 		return
 	}
 	keys, ok := packPrefixKeys(slices.Grow((*scratch)[:0], len(s)), s, prefix)
-	*scratch = keys
-	if !ok {
-		slices.SortStableFunc(s, func(x, y T) int { return comparePrefix(prefix(&x), prefix(&y)) })
-		return
+	mask := uint64(1<<prefixIdxBits - 1)
+	if ok {
+		slices.Sort(keys)
+	} else {
+		keys, mask = keys[:0], ^uint64(0)
+		for i := range s {
+			keys = append(keys, uint64(i))
+		}
+		slices.SortFunc(keys, func(x, y uint64) int {
+			if c := comparePrefix(prefix(&s[x]), prefix(&s[y])); c != 0 {
+				return c
+			}
+			return cmp.Compare(x, y)
+		})
 	}
-	slices.Sort(keys)
+	*scratch = keys
 	// Position j takes the element at index keys[j]&mask. Each permutation
 	// cycle is walked once; a placed position has its key's index rewritten
 	// to itself, so later starts skip it.
-	const mask = 1<<prefixIdxBits - 1
 	for i := range s {
 		if int(keys[i]&mask) == i {
 			continue

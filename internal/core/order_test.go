@@ -87,3 +87,63 @@ func TestSortByPrefixFallsBack(t *testing.T) {
 		}
 	}
 }
+
+// TestSortByPrefixFallbackOrder spells out the fallback's order on input the
+// packed keys cannot hold: an invalid prefix first, then IPv4 before IPv6
+// (4-in-6 included) by address and then mask length, equal prefixes in input
+// order.
+func TestSortByPrefixFallbackOrder(t *testing.T) {
+	p := netip.MustParsePrefix
+	in := []taggedPrefix{
+		{p("2001:db8::2/128"), 0},
+		{p("::ffff:10.0.0.1/128"), 1},
+		{p("2001:db8::1/128"), 2},
+		{p("10.0.0.1/32"), 3},
+		{p("2001:db8::/64"), 4},
+		{netip.Prefix{}, 5},
+		{p("2001:db8::1/128"), 6},
+		{p("10.0.0.0/8"), 7},
+		{p("2001:db8::2/128"), 8},
+		{p("::ffff:10.0.0.1/128"), 9},
+	}
+	want := []int{5, 7, 3, 1, 9, 4, 2, 6, 0, 8}
+	got := slices.Clone(in)
+	sortByPrefix(got, new([]uint64), func(x *taggedPrefix) netip.Prefix { return x.p })
+	var order []int
+	for _, x := range got {
+		order = append(order, x.pos)
+	}
+	if !slices.Equal(order, want) {
+		t.Errorf("sorted input positions %v, want %v", order, want)
+	}
+}
+
+// TestSortByPrefixFallbackAllocatesNothing: the fallback sorts input indices
+// and reads the elements in place, so ordering a 1 000-op plan of IPv6
+// destinations (some repeated) allocates nothing once the key array is warm,
+// and yields the stable comparePrefix order.
+func TestSortByPrefixFallbackAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	states := make([]destState, 1000)
+	plan := make([]programOp, len(states))
+	for i := range states {
+		addr := netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 14: byte(rng.Intn(4)), 15: byte(rng.Intn(256))})
+		states[i].key = netip.PrefixFrom(addr, 128)
+		plan[i] = programOp{window: int32(i), st: &states[i]}
+	}
+	key := func(op *programOp) netip.Prefix { return op.st.key }
+	want := slices.Clone(plan)
+	slices.SortStableFunc(want, func(x, y programOp) int { return comparePrefix(x.st.key, y.st.key) })
+	var scratch []uint64
+	got := slices.Clone(plan)
+	sortByPrefix(got, &scratch, key)
+	if !slices.Equal(got, want) {
+		t.Fatal("the IPv6 plan is not in stable comparePrefix order")
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		copy(got, plan)
+		sortByPrefix(got, &scratch, key)
+	}); allocs != 0 {
+		t.Errorf("sorting a %d-op IPv6 plan allocates %.0f times", len(plan), allocs)
+	}
+}

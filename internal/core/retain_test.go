@@ -103,6 +103,96 @@ func TestMassExpiryGivesBackTable(t *testing.T) {
 	runtime.KeepAlive(a)
 }
 
+// moveSampler is a host whose sockets move on: every round, moves of them
+// go to a never-seen destination and as many more report a new window.
+type moveSampler struct {
+	set   []Observation
+	moves int
+	round int
+	next  uint32 // next never-seen destination
+}
+
+func newMoveSampler(n, moves int) *moveSampler {
+	s := &moveSampler{set: make([]Observation, n), moves: moves, next: 11 << 24}
+	for i := range s.set {
+		s.set[i] = Observation{Dst: netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}), Cwnd: 10 + i%90}
+	}
+	return s
+}
+
+func (s *moveSampler) SampleConnections(buf []Observation) ([]Observation, error) {
+	s.round++
+	for j := 0; j < s.moves; j++ {
+		o := &s.set[(s.round*7919+j*104729)%len(s.set)]
+		o.Dst = netip.AddrFrom4([4]byte{byte(s.next >> 24), byte(s.next >> 16), byte(s.next >> 8), byte(s.next)})
+		s.next++
+		s.set[(s.round*31337+j*9973)%len(s.set)].Cwnd = 10 + (s.round+j)%90
+	}
+	return append(buf, s.set...), nil
+}
+
+// TestChurningTableStaysSized: a table whose destinations come and go holds
+// slots for the destinations it has, not for every one it has seen. Over 13
+// TTLs, 1 % of 8 000 sockets move to a never-seen destination every round,
+// and a pool of merged entries expires and is merged again every round: the
+// table must hold no more than live + live/8 slots, plus the uncarved rest of
+// one slab block, and the agent no more than 1.3× the bytes its table needs.
+// A table that never recarves a deleted state's slot grows by the rounds'
+// deletions instead (about 80 slots a round here).
+func TestChurningTableStaysSized(t *testing.T) {
+	const socks, moves, ttl, rounds = 8000, 80, 10 * time.Second, 130
+	const block = 4096 // the slab's largest block
+	sampler := newMoveSampler(socks, moves)
+	// 2 000 merged destinations, 200 merged each round with 6 s of their
+	// TTL spent: each expires 4 s on and is merged again 10 rounds later.
+	pool := make([]SnapshotEntry, 2000)
+	for i := range pool {
+		addr := netip.AddrFrom4([4]byte{192, 168, byte(i >> 8), byte(i)})
+		pool[i] = SnapshotEntry{Prefix: netip.PrefixFrom(addr, 32), Window: 10 + i%90, Samples: 5, Age: 6 * time.Second}
+	}
+	clock := &fakeClock{}
+	heap := allocbudget.Mark(t)
+	a, err := New(Config{Sampler: sampler, Routes: &batchNop{}, Clock: clock.fn(), TTL: ttl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := &a.tab
+	held := func() (live, slots int) {
+		live = tb.states.size()
+		return live, live + len(tb.spare) + len(tb.slab) - tb.slabOff
+	}
+	for r := 0; r < rounds; r++ {
+		clock.Advance(time.Second)
+		if err := a.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		batch := pool[r%10*200 : (r%10+1)*200]
+		if st, err := a.MergeSnapshot(batch, MergePolicy{}); err != nil || st.Merged != len(batch) && r >= 10 {
+			t.Fatalf("round %d: merge %+v, %v", r, st, err)
+		}
+		if r%26 == 25 {
+			live, slots := held()
+			t.Logf("round %d: %d live states, %d slots held", r, live, slots)
+		}
+	}
+	if s := a.Stats(); s.EntriesExpired < moves*(rounds-20) || s.FleetMerged < uint64(len(pool))*(rounds/10-1) {
+		t.Fatalf("the run did not churn: %+v", s)
+	}
+	live, slots := held()
+	if slots > live+live/8+block {
+		t.Errorf("%d live states hold %d slots: want at most live + live/8 + %d", live, slots, block)
+	}
+	kept, need := heap.Retained(), tableBytes(live)
+	ratio := float64(kept) / float64(need)
+	t.Logf("after %d rounds the agent keeps %d bytes, %.2f× the %d its %d-destination table needs", rounds, kept, ratio, need, live)
+	if ratio > 1.3 {
+		t.Errorf("a churning agent keeps %d bytes, %.2f× the %d its table needs: want at most 1.3×", kept, ratio, need)
+	}
+	runtime.KeepAlive(a)
+	runtime.KeepAlive(pool)
+	runtime.KeepAlive(sampler)
+}
+
 // shrinkRounds is one 20 000-socket round followed by rounds of 200 sockets
 // to a fixed subset of its destinations, a few of whose windows move each
 // round: a spike that subsides.

@@ -101,9 +101,10 @@ type destState struct {
 	// installed marks that a route is programmed and the embedded entry
 	// fields are live; Lookup/Entries/snapshots ignore the state otherwise.
 	installed bool
-	// dead marks a state deleted from the table (table mu). Slab slots are
-	// never recarved, so a pointer held by the sample cache or the deadline
-	// queue stays readable and is validated against this mark alone.
+	// dead marks a state deleted from the table (table mu). Its slot is
+	// recarved only once no holder names it (reclaimSlots), so until then a
+	// pointer left in the deadline queue, the grouping or the active list
+	// stays readable and is validated against this mark alone.
 	dead bool
 	// held marks an installed route the governor vetoed in the latest round:
 	// its withdrawal is pending and its TTL is not being refreshed.
@@ -143,10 +144,15 @@ type destTable struct {
 
 	// slab backs destState allocation in insertion-order blocks, so the
 	// plan stage's pointer chasing walks mostly-sequential memory. Blocks
-	// are never reallocated, keeping state pointers stable; slots of
-	// deleted states are reclaimed only when their whole block is.
+	// are never reallocated, keeping state pointers stable. spare lists the
+	// slots of deleted states: the first ready of them no holder names, and
+	// newDestState recarves those before it carves the slab; the rest died
+	// since reclaimSlots last ran. reuse is a test seam (slotReuse).
 	slab    []destState
 	slabOff int
+	spare   []*destState
+	ready   int
+	reuse   slotReuse
 
 	// Per-round plan output, reused across ticks (tickMu only).
 	plan        []programOp
@@ -192,7 +198,7 @@ func (tb *destTable) release() {
 	tb.states, tb.installed, tb.peak = stateIndex{}, 0, 0
 	tb.deadlines = nil
 	tb.log, tb.logStale = nil, 0
-	tb.slab, tb.slabOff = nil, 0
+	tb.slab, tb.slabOff, tb.spare, tb.ready = nil, 0, nil, 0
 	tb.plan, tb.guardClears, tb.expired = nil, nil, nil
 	tb.touched, tb.memberIdx, tb.memberLimit = nil, nil, 0
 	tb.active, tb.allActive, tb.dirtyList, tb.gather = nil, 0, nil, nil
@@ -202,9 +208,10 @@ func (tb *destTable) release() {
 // giveBack ends a round (tickMu): every round-reused array whose length is
 // what the round used of it is given back under the retention rule (fit),
 // and a table index that fell far below its peak is rebuilt at its size,
-// with a fresh slab — the current block holds the states that drained. The
-// scan buckets are left empty for the next round; one past this round's
-// width counts as unused.
+// with a fresh slab and no spare slots — the blocks hold the states that
+// drained. The scan buckets are left empty for the next round; one past this
+// round's width counts as unused. Last, the slots of the states the rounds
+// deleted are reclaimed (reclaimSlots).
 func (a *Agent) giveBack() {
 	for w := range a.buckets {
 		a.buckets[w] = fit(a.buckets[w])[:0]
@@ -231,9 +238,89 @@ func (a *Agent) giveBack() {
 		tb.states.each(states.put)
 		tb.mu.Lock()
 		tb.states, tb.peak = states, n
-		tb.slab, tb.slabOff = nil, 0
+		// The spare slots go with their blocks: one a holder may still
+		// name is never recarved, and is skipped by its dead mark.
+		tb.slab, tb.slabOff, tb.spare, tb.ready = nil, 0, nil, 0
 		tb.mu.Unlock()
 	}
+	a.reclaimSlots()
+}
+
+// slotReuse says when the slots of deleted states are recarved. The agent
+// reclaims them amortized; tests pin the other two, whose outputs must match.
+type slotReuse uint8
+
+const (
+	// reuseAmortized reclaims once the dead number 1/reclaimShare of the
+	// holder entries a purge walks.
+	reuseAmortized slotReuse = iota
+	// reuseEager reclaims at the end of every round that deleted a state.
+	reuseEager
+	// reuseNever recarves no slot: every state lives in a slot of its own.
+	reuseNever
+)
+
+// reclaimShare bounds a purge's walk: at most reclaimShare holder entries per
+// slot it frees.
+const reclaimShare = 32
+
+// The spare list holds at most 1/spareShare of the table's size (spareFloor
+// slots for a small one). A slot deleted past that is not listed, and is
+// never recarved: a table that shrank — a warm start's merged entries
+// expiring in the order they came — must not pin every block its departed
+// states sat in, which the collector frees once none of their slots is live
+// or listed.
+const (
+	spareShare = 8
+	spareFloor = 64
+)
+
+// reclaimSlots frees the slots of the states deleted since it last ran, at
+// the end of a round (tickMu). A slot may be recarved only once nothing can
+// name it, so every holder that may still name a deleted state drops it
+// first: the deadline heap (its items are validated by due, which a recarved
+// state may repeat), the grouping's touched list and the active list (both
+// deduplicated by flags a recarved state resets); the round's plan and dirty
+// list, read only in the round that wrote them, are emptied. The other
+// holders never name one: the sample cache names only members of the
+// grouping, which dropState resets in place rather than deletes, and is
+// cleared when the grouping is disbanded; the scan buckets end every round
+// empty (giveBack); and a stale export-log ref is told by its version, which
+// a recarved state takes afresh (exportRef). The purge walks the heap and the
+// two lists, so it waits until the dead number 1/reclaimShare of their
+// entries: a round that deleted nothing pays one comparison, and a deletion
+// at most reclaimShare entries walked. Until then newDestState carves the
+// slab.
+func (a *Agent) reclaimSlots() {
+	tb := &a.tab
+	dying := len(tb.spare) - tb.ready
+	if dying == 0 || tb.reuse == reuseAmortized && dying*reclaimShare < len(tb.deadlines)+len(tb.touched)+len(tb.active) {
+		return
+	}
+	tb.mu.Lock()
+	tb.purgeDeadlines()
+	tb.mu.Unlock()
+	tb.touched, tb.allActive = dropDead(tb.touched, tb.allActive)
+	tb.active, _ = dropDead(tb.active, 0)
+	tb.plan, tb.dirtyList = tb.plan[:0], tb.dirtyList[:0]
+	tb.ready = len(tb.spare)
+}
+
+// dropDead removes the deleted states from list in place, in order, and
+// returns what is left and how many of its first n states remain.
+func dropDead(list []*destState, n int) ([]*destState, int) {
+	kept, head := list[:0], 0
+	for i, st := range list {
+		if st.dead {
+			continue
+		}
+		if i < n {
+			head++
+		}
+		kept = append(kept, st)
+	}
+	clear(list[len(kept):])
+	return kept, head
 }
 
 // grouped reports whether st is a member of the retained grouping: observed
@@ -242,21 +329,33 @@ func (tb *destTable) grouped(st *destState) bool {
 	return tb.fullSeq != 0 && st.seq == tb.fullSeq
 }
 
-// newDestState carves key's destState from the table's slab and indexes it.
+// newDestState carves key's destState — in a reclaimed slot if there is one,
+// else from the table's slab — and indexes it.
 func (tb *destTable) newDestState(key netip.Prefix) *destState {
-	if tb.slabOff == len(tb.slab) {
-		n := 2 * len(tb.slab)
-		if n == 0 {
-			n = 64
+	var st *destState
+	if tb.ready > 0 {
+		// The slot leaves the spare list; the last dying slot takes its place.
+		tb.ready--
+		st = tb.spare[tb.ready]
+		last := len(tb.spare) - 1
+		tb.spare[tb.ready], tb.spare[last] = tb.spare[last], nil
+		tb.spare = tb.spare[:last]
+		*st = destState{}
+	} else {
+		if tb.slabOff == len(tb.slab) {
+			n := 2 * len(tb.slab)
+			if n == 0 {
+				n = 64
+			}
+			if n > 4096 {
+				n = 4096
+			}
+			tb.slab = make([]destState, n)
+			tb.slabOff = 0
 		}
-		if n > 4096 {
-			n = 4096
-		}
-		tb.slab = make([]destState, n)
-		tb.slabOff = 0
+		st = &tb.slab[tb.slabOff]
+		tb.slabOff++
 	}
-	st := &tb.slab[tb.slabOff]
-	tb.slabOff++
 	st.key = key
 	// A brand-new state has earned no lazy clean-round credit, and its
 	// window trajectory is unknown.
@@ -288,7 +387,10 @@ type exportRef struct {
 }
 
 // live needs one load: a state carries a non-zero version exactly while it is
-// installed (dropState zeroes it), and slab slots are never recarved.
+// installed (dropState zeroes it). A slot recarved after its state was
+// deleted carries 0 until it is installed, and then a version stamped after
+// every ref in the log: versions never repeat, so a ref outlives its slot's
+// state exactly.
 func (r *exportRef) live() bool {
 	return r.st.version == r.version
 }
@@ -380,22 +482,43 @@ func (tb *destTable) popDue(now time.Duration) (expiryItem, bool) {
 	n := len(h) - 1
 	h[0], h[n] = h[n], expiryItem{}
 	h = h[:n]
-	for i := 0; ; {
+	siftDown(h, 0)
+	tb.deadlines = h
+	return top, true
+}
+
+// siftDown restores the heap order below h[i].
+func siftDown(h []expiryItem, i int) {
+	for {
 		c := 2*i + 1
-		if c >= n {
-			break
+		if c >= len(h) {
+			return
 		}
-		if c+1 < n && h[c+1].due < h[c].due {
+		if c+1 < len(h) && h[c+1].due < h[c].due {
 			c++
 		}
 		if h[i].due <= h[c].due {
-			break
+			return
 		}
 		h[i], h[c] = h[c], h[i]
 		i = c
 	}
+}
+
+// purgeDeadlines drops the items of deleted states and re-forms the heap
+// (table mu): O(items).
+func (tb *destTable) purgeDeadlines() {
+	h := tb.deadlines[:0]
+	for _, it := range tb.deadlines {
+		if !it.st.dead {
+			h = append(h, it)
+		}
+	}
+	clear(tb.deadlines[len(h):])
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
 	tb.deadlines = h
-	return top, true
 }
 
 // cachedSample is the sample cache record for one stream position: the state
@@ -536,8 +659,9 @@ func (a *Agent) dropInstalled(dst netip.Prefix) bool {
 }
 
 // dropState deletes st (and any external history) under the table lock,
-// marking the struct dead — which is all that invalidates cached pointers to
-// it. Callers maintain tb.installed themselves.
+// marking the struct dead — which is all that invalidates the pointers left
+// to it — and lists its slot to be reclaimed at the end of the round
+// (reclaimSlots). Callers maintain tb.installed themselves.
 //
 // A state that still has members in the retained grouping is observed right
 // now: it would be re-created from nothing next round. It is reset in place
@@ -565,6 +689,9 @@ func (a *Agent) dropState(st *destState) {
 	st.version = 0
 	st.dead = true
 	tb.states.del(st.key)
+	if tb.reuse == reuseEager || tb.reuse == reuseAmortized && len(tb.spare) < max(tb.states.size()/spareShare, spareFloor) {
+		tb.spare = append(tb.spare, st)
+	}
 }
 
 // runParallel runs fn(0..n-1), inline when n == 1. A call costs the WaitGroup
@@ -617,8 +744,10 @@ func runParallel(n int, fn func(i int)) {
 //     record. A group that empties leaves the grouping (seq = 0) with its
 //     credit settled and its deadline queued (queueLeft); a new one joins
 //     with no back credit. A state deleted while still grouped is reset in
-//     place (dropState), so spans and cached pointers — validated by
-//     destState.dead alone, slab slots are never recarved — stay exact.
+//     place (dropState), so spans and the sample cache stay exact; a state
+//     deleted outside the grouping may still be named by the touched and
+//     active lists and the deadline heap, which skip it by destState.dead
+//     until reclaimSlots drops it from all three and frees its slot.
 //     Dirty groups re-Combine from their spans; clean ones reuse lastValue.
 //     Both paths hand each visited destination to planDest, the one place
 //     its window is decided.
@@ -821,6 +950,9 @@ func (a *Agent) expireDueLocked(now time.Duration) {
 		a.settleCoveredLocked()
 		a.queueDeparted(tb.touched, 0)
 		tb.fullSeq = 0
+		// The next round rebuilds and records every position afresh; until
+		// then no record may name the states this expiry deletes.
+		clear(a.cache)
 	}
 	for it, ok := tb.popDue(now); ok; it, ok = tb.popDue(now) {
 		st := it.st

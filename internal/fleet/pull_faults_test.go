@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
@@ -279,12 +280,95 @@ type scriptRun struct {
 	failed int
 }
 
-// runScript pulls once per reply against a scripted peer. After every round
-// it holds the agent to the merge's age invariant: an entry's age is what it
-// inherited from the wire, and no later pull makes it younger.
+// localQuarantine is what the scripted runs' own governor holds in
+// quarantine: destinations that replies after the first carry as good
+// entries (canonical's, and the full tables').
+var localQuarantine = quarantineGovernor{
+	netip.MustParsePrefix("10.4.0.3/32"): true,
+	netip.MustParsePrefix("10.6.0.5/32"): true,
+}
+
+// quarantineGovernor is a local governor that holds a fixed set of
+// destinations in quarantine and allows every other.
+type quarantineGovernor map[netip.Prefix]bool
+
+func (g quarantineGovernor) ObserveSample(netip.Prefix, core.Observation) {}
+func (g quarantineGovernor) ObserveTick(time.Duration)                    {}
+
+func (g quarantineGovernor) Review(dst netip.Prefix, window int) (int, core.GuardAction) {
+	if g[dst] {
+		return 0, core.GuardQuarantine
+	}
+	return window, core.GuardAllow
+}
+
+func (g quarantineGovernor) Quarantines() []core.Quarantine {
+	var out []core.Quarantine
+	for p := range g {
+		out = append(out, core.Quarantine{Prefix: p})
+	}
+	return out
+}
+
+// advertised is what a script's peer says of each destination: the largest
+// window a merge may install for it — the largest it sends, after the
+// staleness discount — and the destinations it only ever marks quarantined.
+// A body sent as raw bytes counts when it decodes.
+func advertised(replies []reply) (windows map[netip.Prefix]int, quarantined map[netip.Prefix]bool) {
+	windows, quarantined = map[netip.Prefix]int{}, map[netip.Prefix]bool{}
+	carried := map[netip.Prefix]bool{}
+	for _, r := range replies {
+		var entries []gossippkg.Entry
+		if r.delta != nil {
+			entries = r.delta.Entries
+		} else if d, err := gossippkg.DecodeDelta(r.body); err == nil {
+			entries = d.Entries
+		}
+		for _, e := range entries {
+			p, err := netip.ParsePrefix(e.Prefix)
+			if err != nil {
+				continue
+			}
+			p = p.Masked()
+			windows[p] = max(windows[p], discounted(e.Window, time.Duration(e.AgeNanos)))
+			if e.Quarantined {
+				quarantined[p] = true
+			} else {
+				carried[p] = true
+			}
+		}
+	}
+	for p := range carried {
+		delete(quarantined, p)
+	}
+	return windows, quarantined
+}
+
+// discounted is the window a merge installs from an advertised one under the
+// puller's default policy: the excess over CMin halves every half-life (half
+// the agent's TTL) of the entry's age, and the result is clamped.
+func discounted(window int, age time.Duration) int {
+	w := float64(window)
+	if age > 0 && window > core.DefaultCMin {
+		w = float64(core.DefaultCMin) + float64(window-core.DefaultCMin)*math.Exp2(-float64(age)/float64(core.DefaultTTL/2))
+	}
+	return min(max(int(math.Round(w)), core.DefaultCMin), core.DefaultCMax)
+}
+
+// runScript pulls once per reply against a scripted peer, into an agent whose
+// governor holds localQuarantine. After every round it holds the agent to
+// the merge's invariants: an entry's age is what it inherited from the wire,
+// and no later pull makes it younger; no installed window exceeds what the
+// peer advertised for the destination, after the staleness discount; and no
+// destination quarantined here, or only ever marked quarantined by the peer,
+// is installed.
 func runScript(t *testing.T, replies []reply) scriptRun {
 	t.Helper()
-	a, _, _ := newTestAgent(t, nil)
+	a, err := core.New(core.Config{Sampler: &stubSampler{}, Routes: newMemRoutes(), Clock: (&simClock{}).Now, Guard: localQuarantine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows, quarantined := advertised(replies)
 	peer := &scriptedPeer{t: t, replies: replies}
 	srv := httptest.NewServer(peer)
 	t.Cleanup(srv.Close)
@@ -311,6 +395,15 @@ func runScript(t *testing.T, replies []reply) scriptRun {
 				t.Fatalf("round %d: %v is %v old, %v before it: a pull laundered its age", i, e.Prefix, e.Age, was)
 			}
 			ages[e.Prefix] = e.Age
+			if e.Quarantined {
+				continue // a marker of the local governor's
+			}
+			if w, ok := windows[e.Prefix]; !ok || e.Window > w {
+				t.Fatalf("round %d: %v installed at window %d; the peer advertised at most %d after the discount (any: %v)", i, e.Prefix, e.Window, w, ok)
+			}
+			if localQuarantine[e.Prefix] || quarantined[e.Prefix] {
+				t.Fatalf("round %d: %v is installed, though quarantined (here: %v)", i, e.Prefix, localQuarantine[e.Prefix])
+			}
 		}
 	}
 	return run
@@ -371,7 +464,11 @@ func fleetCounts(a *core.Agent) [4]uint64 {
 // round.
 func TestPullerFaultsNeverMergeStaleScratch(t *testing.T) {
 	contact := wireDelta(1, true, hostEntries(1, 1, 30))
-	first := wireDelta(50, false, append(hostEntries(2, 1500, 40), gossippkg.Entry{Prefix: "10.9.9.9/32", Quarantined: true}))
+	// Its two markers: a bare one, and one that carries a window, which a
+	// merge must not take for an entry.
+	first := wireDelta(50, false, append(hostEntries(2, 1500, 40),
+		gossippkg.Entry{Prefix: "10.9.9.9/32", Quarantined: true},
+		gossippkg.Entry{Prefix: "10.9.9.6/32", Quarantined: true, Window: 90, Samples: 5, AgeNanos: int64(time.Second)}))
 	// The second good reply overlaps the first (skipped local), adds new
 	// destinations, and carries a marker and an unparsable prefix.
 	secondEntries := append(hostEntries(2, 20, 41), hostEntries(3, 30, 50)...)
