@@ -42,8 +42,8 @@ func (s staticSampler) SampleConnections(buf []Observation) ([]Observation, erro
 }
 
 // fixedSampler returns the same backing slice every round — the shape of a
-// sampler with a stable connection table and its own buffer. The delta tick
-// recognises the identical slice and skips ingest and regrouping entirely.
+// sampler with a stable connection table and its own buffer. The tick
+// compares it like any other stream; it only skips the copy into its buffer.
 type fixedSampler []Observation
 
 func (s fixedSampler) SampleConnections([]Observation) ([]Observation, error) {
@@ -132,8 +132,8 @@ func (s *busySampler) SampleConnections(buf []Observation) ([]Observation, error
 }
 
 // newModeBackend picks the sampler matching a tick-series mode:
-//   - delta-steady: the identical backing slice every round, so the tick
-//     skips its compare (the delta tick's cheapest path);
+//   - delta-steady: the identical backing slice every round, which the tick
+//     compares without a copy into its buffer;
 //   - delta-copied: the same table copied into the agent's buffer, as the
 //     netlink sampler decodes it, so every round compares and finds it equal;
 //   - delta-busy: that copy with every BytesAcked advanced each round;

@@ -7,7 +7,6 @@
 package riptide
 
 import (
-	"fmt"
 	"math/rand"
 	"net/netip"
 	"runtime"
@@ -113,7 +112,7 @@ func BenchmarkTable2PoPCensus(b *testing.B) {
 // BenchmarkAgentTick measures the cost of one Riptide poll round over a
 // synthetic 1000-connection observed table — the agent's steady-state
 // overhead on a busy production host. Kept at its historical shape
-// (default scan width, per-op route programming) so the series stays
+// (default configuration, per-op route programming) so the series stays
 // comparable across PRs.
 func BenchmarkAgentTick(b *testing.B) {
 	const conns = 1000
@@ -133,53 +132,40 @@ func BenchmarkAgentTick(b *testing.B) {
 	b.ReportMetric(float64(conns), "conns/tick")
 }
 
-// benchmarkAgentTickSeries is the hot-path scaling series: socket scans on
-// one processor versus fanned out over every processor, crossed with the
-// sampler modes of newModeBackend — all over the batched route-programming
-// surface at a fixed observed-table size.
+// benchmarkAgentTickSeries is the hot-path scaling series: the sampler modes
+// of newModeBackend over the batched route-programming surface at a fixed
+// observed-table size.
 func benchmarkAgentTickSeries(b *testing.B, conns int) {
-	for _, sv := range []struct {
-		name  string
-		procs int // GOMAXPROCS for the run, which the scan width follows; 0 leaves it
-	}{
-		{"serial", 1},
-		{"parallel", 0},
-	} {
-		for _, mode := range []string{"delta-steady", "delta-copied", "delta-busy", "delta-churn1pct"} {
-			b.Run(sv.name+"/"+mode, func(b *testing.B) {
-				if sv.procs > 0 {
-					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(sv.procs))
-				}
-				sampler, routes, clock := newModeBackend(conns, mode)
-				agent, err := New(Config{
-					Sampler: sampler,
-					Routes:  routes,
-					Clock:   clock,
-				})
-				if err != nil {
+	for _, mode := range []string{"delta-steady", "delta-copied", "delta-busy", "delta-churn1pct"} {
+		b.Run(mode, func(b *testing.B) {
+			sampler, routes, clock := newModeBackend(conns, mode)
+			agent, err := New(Config{
+				Sampler: sampler,
+				Routes:  routes,
+				Clock:   clock,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer func() { _ = agent.Close() }()
+			warmUp(b, agent)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := agent.Tick(); err != nil {
 					b.Fatal(err)
 				}
-				defer func() { _ = agent.Close() }()
-				warmUp(b, agent)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := agent.Tick(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				// The deferred Close withdraws the whole table: not a tick.
-				b.StopTimer()
-			})
-		}
+			}
+			// The deferred Close withdraws the whole table: not a tick.
+			b.StopTimer()
+		})
 	}
 }
 
 // warmUp ticks agent until its rounds are steady — three in a row that each
-// allocate less than steadyTickBytes, which is nothing on one worker and
-// what starting the scan goroutines costs on several — so that B/op times a
-// steady tick, not the first tick's table or the buffers the rounds after it
-// set up once. It gives up after 64 ticks.
+// allocate less than steadyTickBytes (a steady round allocates nothing) — so
+// that B/op times a steady tick, not the first tick's table or the buffers
+// the rounds after it set up once. It gives up after 64 ticks.
 func warmUp(b *testing.B, agent *Agent) {
 	const steadyTickBytes = 1 << 10
 	var ms runtime.MemStats
@@ -258,41 +244,35 @@ func (s *membershipChurnSampler) SampleConnections([]Observation) ([]Observation
 // above never exercised: 100k destinations with 1% new windows and 0.1% moved
 // destinations per round, on a clock that advances one second per tick, so
 // every round also expires the routes that sockets moved away from one TTL
-// earlier. The warm-up runs past that TTL. It runs on one processor and on
-// all of them, which the agent's scan width follows.
+// earlier. The warm-up runs past that TTL.
 func BenchmarkAgentTick100kMembershipChurn(b *testing.B) {
-	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(b *testing.B) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			var now time.Duration
-			agent, err := New(Config{
-				Sampler: newMembershipChurnSampler(syntheticObservations(100_000)),
-				Routes:  nopBatchRoutes{},
-				Clock:   func() time.Duration { return now },
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer func() { _ = agent.Close() }()
-			tick := func() {
-				now += time.Second
-				if err := agent.Tick(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for i := 0; i < int(DefaultTTL/time.Second)+5; i++ {
-				tick()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tick()
-			}
-			b.StopTimer()
-			if st := agent.Stats(); st.EntriesExpired == 0 {
-				b.Fatalf("no entry expired: %+v", st)
-			}
-		})
+	var now time.Duration
+	agent, err := New(Config{
+		Sampler: newMembershipChurnSampler(syntheticObservations(100_000)),
+		Routes:  nopBatchRoutes{},
+		Clock:   func() time.Duration { return now },
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = agent.Close() }()
+	tick := func() {
+		now += time.Second
+		if err := agent.Tick(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < int(DefaultTTL/time.Second)+5; i++ {
+		tick()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tick()
+	}
+	b.StopTimer()
+	if st := agent.Stats(); st.EntriesExpired == 0 {
+		b.Fatalf("no entry expired: %+v", st)
 	}
 }
 
@@ -487,49 +467,6 @@ func BenchmarkAgentTick100kIPv6(b *testing.B) {
 				tick()
 			}
 		})
-	}
-}
-
-// TestParallelScanNotSlowerThanSerial is the bench-smoke gate for the
-// parallel socket scan: with real cores available, a 1%-churn round over
-// 100k sockets at GOMAXPROCS=N — whose scans fan out over min(N, 16)
-// workers — must not lose to the same round at GOMAXPROCS=1. On fewer than 4
-// cores the comparison measures goroutine hand-off, not parallelism, so the
-// test skips.
-func TestParallelScanNotSlowerThanSerial(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
-	if procs < 4 {
-		t.Skipf("GOMAXPROCS=%d: the parallel scan needs >=4 cores to beat serial", procs)
-	}
-	if testing.Short() {
-		t.Skip("bench smoke skipped in -short mode")
-	}
-	const conns = 100_000
-	tick := func(n int) testing.BenchmarkResult {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
-		return testing.Benchmark(func(b *testing.B) {
-			sampler, routes, clock := newModeBackend(conns, "delta-churn1pct")
-			agent, err := New(Config{Sampler: sampler, Routes: routes, Clock: clock})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer func() { _ = agent.Close() }()
-			if err := agent.Tick(); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := agent.Tick(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	serial := tick(1)
-	parallel := tick(procs)
-	if parallel.NsPerOp() > serial.NsPerOp() {
-		t.Errorf("GOMAXPROCS=%d tick %v slower than GOMAXPROCS=1 %v",
-			procs, time.Duration(parallel.NsPerOp()), time.Duration(serial.NsPerOp()))
 	}
 }
 

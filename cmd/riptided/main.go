@@ -64,7 +64,7 @@ func (o *options) flags() *flag.FlagSet {
 	fs.BoolVar(&cfg.InitRwnd, "initrwnd", false, "also set initrwnd on programmed routes")
 	fs.BoolVar(&cfg.DryRun, "dry-run", false, "print route changes (as ip route commands) instead of applying them")
 	fs.StringVar(&o.combiner, "combiner", "average", "combiner: average|max|traffic-weighted")
-	fs.BoolVar(&cfg.Verbose, "v", false, "log each tick's learned entries")
+	fs.BoolVar(&cfg.Verbose, "v", false, "log the learned entries every tenth tick")
 	fs.StringVar(&cfg.StatusAddr, "status", "", "serve /status, /metrics, /metrics.json, /healthz on this address (e.g. 127.0.0.1:9090)")
 	fs.BoolVar(&cfg.Reconcile, "reconcile", true, "withdraw leftover riptide routes from a previous run at startup")
 	fs.DurationVar(&o.runFor, "run-for", 0, "exit after this long instead of waiting for a signal (diagnostics)")

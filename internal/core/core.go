@@ -392,8 +392,8 @@ type Config struct {
 	PrefixBits int
 	// Shards is ignored.
 	//
-	// Deprecated: the agent keeps one destination table; its stream scans
-	// fan out over min(GOMAXPROCS, 16) workers on their own.
+	// Deprecated: the agent keeps one destination table and runs each
+	// round, its stream scans included, on the goroutine that calls Tick.
 	Shards int
 	// Combiner reduces a destination's observations; defaults to
 	// AverageCombiner. It must not call back into the Agent.
@@ -616,23 +616,18 @@ type Agent struct {
 	// hot path allocation-free. Touched only under tickMu.
 	//
 	// obsBuf is the array the sampler appends into, last round's stream when
-	// it did. ownStream is the first observation of last round's stream when
-	// the sampler returned a slice of its own instead, which is never handed
-	// back as obsBuf; obsBuf is then nil.
-	obsBuf       []Observation
-	ownStream    *Observation
-	buckets      [][]keyedObs // one per scan worker
-	roundWorkers int          // this round's scan width
-	tickSeq      uint64       // plan-stage first-touch stamp, bumped per tick (tickMu)
-	opsBuf       Scratch[RouteOp]
-	sortKeys     []uint64 // packed keys of the prefix-order sorts under tickMu
+	// it did. ownSlice marks that the sampler returned a slice of its own
+	// instead, which is never handed back as obsBuf; obsBuf is then nil.
+	obsBuf   []Observation
+	ownSlice bool
+	edits    []keyedObs // a stable round's edits, in sample order
+	tickSeq  uint64     // plan-stage first-touch stamp, bumped per tick (tickMu)
+	opsBuf   Scratch[RouteOp]
+	sortKeys []uint64 // packed keys of the prefix-order sorts under tickMu
 	// clearOps is the withdrawal batch (guard clears, expiries). Not opsBuf:
 	// a round's withdrawals and its installs differ in size, and alternating
 	// them through one Scratch would drop it every time.
 	clearOps Scratch[RouteOp]
-	// scanWorkers pins the scan width for tests; 0 means scanWidth's
-	// default.
-	scanWorkers int
 
 	// MergeSnapshot's plan and route batch (tickMu). Not the tick's opsBuf:
 	// a merge and a tick differ in size by orders of magnitude, and
@@ -644,14 +639,8 @@ type Agent struct {
 	// position of last round's stream, as long as that stream. A rebuild
 	// writes every position; a stable round rewrites the positions that
 	// changed (see the plan-stage invariants in table.go).
-	cache     []cachedSample
-	havePrev  bool
-	compareOK []bool // per-worker stable-round verdicts, reused scratch
-	// The round's stream as the scan workers see it (tickMu): set before the
-	// scans, cleared after. The workers are bound once in New, so handing
-	// them to runParallel allocates no closure per round.
-	tickObs            []Observation
-	compareW, observeW func(w int)
+	cache    []cachedSample
+	havePrev bool
 	// canDrain is the one config predicate of the plan stage: with no hook
 	// installed (Guard, Advisor, caller-supplied History) a visit to a
 	// converged destination has no effect beyond its own entry, so the state
@@ -682,25 +671,21 @@ func New(cfg Config) (*Agent, error) {
 		return nil, err
 	}
 	a := &Agent{
-		cfg:       cfg,
-		history:   history,
-		canDrain:  history == nil && cfg.Guard == nil && cfg.Advisor == nil,
-		cwndOnly:  readsCwndOnly(cfg.Combiner),
-		buckets:   make([][]keyedObs, maxScanWorkers),
-		compareOK: make([]bool, maxScanWorkers),
-		mTick:     cfg.Metrics.Histogram("riptide_tick_duration"),
-		mSample:   cfg.Metrics.Histogram("riptide_sample_duration"),
-		mPlan:     cfg.Metrics.Histogram("riptide_plan_duration"),
-		mCommit:   cfg.Metrics.Histogram("riptide_commit_duration"),
-		mProgram:  cfg.Metrics.Histogram("riptide_program_duration"),
-		mStable:   cfg.Metrics.Counter("riptide_tick_rounds_stable"),
-		mRebuild:  cfg.Metrics.Counter("riptide_tick_rounds_rebuild"),
+		cfg:      cfg,
+		history:  history,
+		canDrain: history == nil && cfg.Guard == nil && cfg.Advisor == nil,
+		cwndOnly: readsCwndOnly(cfg.Combiner),
+		mTick:    cfg.Metrics.Histogram("riptide_tick_duration"),
+		mSample:  cfg.Metrics.Histogram("riptide_sample_duration"),
+		mPlan:    cfg.Metrics.Histogram("riptide_plan_duration"),
+		mCommit:  cfg.Metrics.Histogram("riptide_commit_duration"),
+		mProgram: cfg.Metrics.Histogram("riptide_program_duration"),
+		mStable:  cfg.Metrics.Counter("riptide_tick_rounds_stable"),
+		mRebuild: cfg.Metrics.Counter("riptide_tick_rounds_rebuild"),
 	}
 	for why, name := range rebuildCounters {
 		a.mRebuildWhy[why] = cfg.Metrics.Counter(name)
 	}
-	a.compareW = func(w int) { a.compareOK[w] = a.compareChunk(w, a.tickObs) }
-	a.observeW = func(w int) { a.observeChunk(w, a.tickObs) }
 	if history == nil {
 		// The default smoothing is the inline per-destination EWMA
 		// (bit-identical to EWMAHistory); expose a detached instance
@@ -838,8 +823,8 @@ func (a *Agent) Close() error {
 	// A closed agent may stay reachable (a server or a puller still holds
 	// it): drop every per-round buffer, since some hold state pointers that
 	// would pin the whole table. Every mutating path checks closed first.
-	a.obsBuf, a.ownStream, a.cache, a.havePrev = nil, nil, nil, false
-	a.buckets, a.compareOK, a.sortKeys = nil, nil, nil
+	a.obsBuf, a.ownSlice, a.cache, a.havePrev = nil, false, nil, false
+	a.edits, a.sortKeys = nil, nil
 	a.opsBuf, a.clearOps = Scratch[RouteOp]{}, Scratch[RouteOp]{}
 	a.mergePlan, a.mergeOps = Scratch[mergeOp]{}, Scratch[RouteOp]{}
 

@@ -17,8 +17,8 @@ import (
 // byte-identical route programs, entries, stats, and error text to one whose
 // every round is forced to rebuild.
 
-// fixedSampler returns the same backing slice every round — the shape that
-// lets a stable round skip the compare.
+// fixedSampler returns the same backing slice every round, ignoring the
+// buffer it is handed.
 type fixedSampler []Observation
 
 func (s fixedSampler) SampleConnections([]Observation) ([]Observation, error) {
@@ -48,15 +48,14 @@ func forceRebuild(a *Agent) {
 // (so TTL expiry fires for destinations that churn out) and records its
 // complete observable output. rebuild forces every round to rebuild — the
 // reference.
-func runModeSchedule(t *testing.T, workers int, rebuild bool, rounds [][]Observation) modeResult {
+func runModeSchedule(t *testing.T, rebuild bool, rounds [][]Observation) modeResult {
 	t.Helper()
-	return runModeScheduleOn(t, &recordingBatchRoutes{}, nil, workers, rebuild, rounds)
+	return runModeScheduleOn(t, &recordingBatchRoutes{}, nil, rebuild, rounds)
 }
 
 // runModeScheduleOn is runModeSchedule over caller-built routes (failure
-// injection) and, when non-nil, a caller's last word on the Config, with its
-// scans fanned out over the given number of workers.
-func runModeScheduleOn(t *testing.T, routes *recordingBatchRoutes, tweak func(*Config), workers int, rebuild bool, rounds [][]Observation) modeResult {
+// injection) and, when non-nil, a caller's last word on the Config.
+func runModeScheduleOn(t *testing.T, routes *recordingBatchRoutes, tweak func(*Config), rebuild bool, rounds [][]Observation) modeResult {
 	t.Helper()
 	var now atomic.Int64
 	cfg := Config{
@@ -72,7 +71,6 @@ func runModeScheduleOn(t *testing.T, routes *recordingBatchRoutes, tweak func(*C
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.scanWorkers = workers
 	var tickErrs []string
 	for r := range rounds {
 		now.Add(int64(30 * time.Second))
@@ -82,7 +80,7 @@ func runModeScheduleOn(t *testing.T, routes *recordingBatchRoutes, tweak func(*C
 		if err := a.Tick(); err != nil {
 			tickErrs = append(tickErrs, err.Error())
 		}
-		checkTableInvariants(t, a, fmt.Sprintf("round %d (rebuild %v, %d workers)", r, rebuild, workers))
+		checkTableInvariants(t, a, fmt.Sprintf("round %d (rebuild %v)", r, rebuild))
 	}
 	return modeResult{
 		ops: routes.recorded(), entries: a.Entries(), stats: a.Stats(), tickErrs: tickErrs,
@@ -114,18 +112,16 @@ func compareModes(t *testing.T, label string, full, delta modeResult) {
 }
 
 // TestDeltaTickMatchesRebuild drives the standard determinism schedule —
-// churn, drifting windows, invalid samples, expiry — through both modes at
-// several scan widths and demands identical output.
+// churn, drifting windows, invalid samples, expiry — through both modes and
+// demands identical output.
 func TestDeltaTickMatchesRebuild(t *testing.T) {
 	rounds := determinismRounds(6, 900)
-	for _, workers := range []int{1, 2, 4, 8} {
-		full := runModeSchedule(t, workers, true, rounds)
-		if len(full.ops) == 0 || len(full.entries) == 0 {
-			t.Fatalf("forced-rebuild reference did nothing: %d ops, %d entries", len(full.ops), len(full.entries))
-		}
-		delta := runModeSchedule(t, workers, false, rounds)
-		compareModes(t, fmt.Sprintf("workers=%d", workers), full, delta)
+	full := runModeSchedule(t, true, rounds)
+	if len(full.ops) == 0 || len(full.entries) == 0 {
+		t.Fatalf("forced-rebuild reference did nothing: %d ops, %d entries", len(full.ops), len(full.entries))
 	}
+	delta := runModeSchedule(t, false, rounds)
+	compareModes(t, "determinism schedule", full, delta)
 }
 
 // randomRounds evolves a seeded random observation stream with persistence:
@@ -166,16 +162,13 @@ func randomRounds(seed int64, roundCount, n int) [][]Observation {
 }
 
 // TestDeltaTickMatchesRebuildRandom repeats the equivalence check over
-// randomized streams and seeds; run with -race to also exercise the cache
-// backfill writes from parallel plan workers.
+// randomized streams and seeds.
 func TestDeltaTickMatchesRebuildRandom(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rounds := randomRounds(seed, 8, 1200)
-		for _, workers := range []int{1, 4} {
-			full := runModeSchedule(t, workers, true, rounds)
-			delta := runModeSchedule(t, workers, false, rounds)
-			compareModes(t, fmt.Sprintf("seed=%d/workers=%d", seed, workers), full, delta)
-		}
+		full := runModeSchedule(t, true, rounds)
+		delta := runModeSchedule(t, false, rounds)
+		compareModes(t, fmt.Sprintf("seed=%d", seed), full, delta)
 	}
 }
 
@@ -240,19 +233,17 @@ func quiescentRounds(seed int64, roundCount, n int) [][]Observation {
 // TestQuiescentTickMatchesRebuild pins the stable-round fast path to the
 // forced-rebuild reference over positionally-stable streams: byte-identical
 // route programs, entries (lazy TTL/sample credit included), stats, and
-// errors across seeds and scan widths, through mid-run rebuilds, invalid
-// injections, freeze/park drains and re-dirties.
+// errors across seeds, through mid-run rebuilds, invalid injections,
+// freeze/park drains and re-dirties.
 func TestQuiescentTickMatchesRebuild(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rounds := quiescentRounds(seed, 42, 600)
-		for _, workers := range []int{1, 4, 8} {
-			full := runModeSchedule(t, workers, true, rounds)
-			if len(full.ops) == 0 || len(full.entries) == 0 {
-				t.Fatalf("forced-rebuild reference did nothing: %d ops, %d entries", len(full.ops), len(full.entries))
-			}
-			delta := runModeSchedule(t, workers, false, rounds)
-			compareModes(t, fmt.Sprintf("seed=%d/workers=%d", seed, workers), full, delta)
+		full := runModeSchedule(t, true, rounds)
+		if len(full.ops) == 0 || len(full.entries) == 0 {
+			t.Fatalf("forced-rebuild reference did nothing: %d ops, %d entries", len(full.ops), len(full.entries))
 		}
+		delta := runModeSchedule(t, false, rounds)
+		compareModes(t, fmt.Sprintf("seed=%d", seed), full, delta)
 	}
 }
 
@@ -360,8 +351,8 @@ func membershipChurnRounds(seed int64, roundCount, n int) [][]Observation {
 // TestDeltaTickMatchesRebuildMembershipChurn pins the stable path's
 // membership edits to the forced-rebuild reference over generated churn, with
 // failing installs and failing withdrawals mixed in: byte-identical route
-// programs, entries, stats and error text at every scan width — and the
-// rounds must really have been planned on the stable path.
+// programs, entries, stats and error text — and the rounds must really have
+// been planned on the stable path.
 func TestDeltaTickMatchesRebuildMembershipChurn(t *testing.T) {
 	newRoutes := func() *recordingBatchRoutes {
 		rt := &recordingBatchRoutes{}
@@ -371,19 +362,17 @@ func TestDeltaTickMatchesRebuildMembershipChurn(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 2; seed++ {
 		rounds := membershipChurnRounds(seed, 48, 1600)
-		for _, workers := range []int{1, 2, 4, 8} {
-			label := fmt.Sprintf("seed=%d/workers=%d", seed, workers)
-			full := runModeScheduleOn(t, newRoutes(), nil, workers, true, rounds)
-			if full.stats.EntriesExpired == 0 || full.stats.RouteErrors == 0 || len(full.tickErrs) == 0 {
-				t.Fatalf("%s: reference saw no expiry or no failure: %+v", label, full.stats)
-			}
-			delta := runModeScheduleOn(t, newRoutes(), nil, workers, false, rounds)
-			compareModes(t, label, full, delta)
-			// All but the install round, the mid-run mass swap and the odd
-			// compacting rebuild.
-			if least := uint64(len(rounds) - 6); delta.stable < least {
-				t.Errorf("%s: %d rounds on the stable path, want at least %d", label, delta.stable, least)
-			}
+		label := fmt.Sprintf("seed=%d", seed)
+		full := runModeScheduleOn(t, newRoutes(), nil, true, rounds)
+		if full.stats.EntriesExpired == 0 || full.stats.RouteErrors == 0 || len(full.tickErrs) == 0 {
+			t.Fatalf("%s: reference saw no expiry or no failure: %+v", label, full.stats)
+		}
+		delta := runModeScheduleOn(t, newRoutes(), nil, false, rounds)
+		compareModes(t, label, full, delta)
+		// All but the install round, the mid-run mass swap and the odd
+		// compacting rebuild.
+		if least := uint64(len(rounds) - 6); delta.stable < least {
+			t.Errorf("%s: %d rounds on the stable path, want at least %d", label, delta.stable, least)
 		}
 	}
 }
@@ -466,8 +455,7 @@ func busySchedule() [][]Observation {
 // the hook install puts into the Config — once taking stable rounds, once with
 // every round forced to rebuild — and demands identical route programs,
 // entries, stats, error text and hook status (install's return value, probed
-// after the run) at every scan width, with the rounds really planned on the
-// stable path.
+// after the run), with the rounds really planned on the stable path.
 func stableVsRebuild(t *testing.T, install func(*Config) (status func() any)) {
 	t.Helper()
 	rounds := churnSchedule()
@@ -492,30 +480,27 @@ func stableVsRebuildOn(t *testing.T, rounds [][]Observation, minStable int, inst
 		}
 		return rt
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		label := fmt.Sprintf("workers=%d", workers)
-		var fullStatus, deltaStatus func() any
-		full := runModeScheduleOn(t, newRoutes(), func(c *Config) { fullStatus = install(c) }, workers, true, rounds)
-		if full.stats.EntriesExpired == 0 || full.stats.RouteErrors == 0 || len(full.tickErrs) == 0 {
-			t.Fatalf("%s: reference saw no expiry or no failure: %+v", label, full.stats)
+	var fullStatus, deltaStatus func() any
+	full := runModeScheduleOn(t, newRoutes(), func(c *Config) { fullStatus = install(c) }, true, rounds)
+	if full.stats.EntriesExpired == 0 || full.stats.RouteErrors == 0 || len(full.tickErrs) == 0 {
+		t.Fatalf("reference saw no expiry or no failure: %+v", full.stats)
+	}
+	others := 0
+	for _, e := range full.entries {
+		if !e.Prefix.Addr().Is4() {
+			others++
 		}
-		others := 0
-		for _, e := range full.entries {
-			if !e.Prefix.Addr().Is4() {
-				others++
-			}
-		}
-		if others != 2 {
-			t.Fatalf("%s: reference holds %d IPv6 and 4-in-6 entries, want 2", label, others)
-		}
-		delta := runModeScheduleOn(t, newRoutes(), func(c *Config) { deltaStatus = install(c) }, workers, false, rounds)
-		compareModes(t, label, full, delta)
-		if want, got := fullStatus(), deltaStatus(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: hook status diverged:\n  delta %+v\n  full  %+v", label, got, want)
-		}
-		if delta.stable < uint64(minStable) {
-			t.Errorf("%s: %d rounds on the stable path, want at least %d", label, delta.stable, minStable)
-		}
+	}
+	if others != 2 {
+		t.Fatalf("reference holds %d IPv6 and 4-in-6 entries, want 2", others)
+	}
+	delta := runModeScheduleOn(t, newRoutes(), func(c *Config) { deltaStatus = install(c) }, false, rounds)
+	compareModes(t, "stable vs rebuild", full, delta)
+	if want, got := fullStatus(), deltaStatus(); !reflect.DeepEqual(got, want) {
+		t.Errorf("hook status diverged:\n  delta %+v\n  full  %+v", got, want)
+	}
+	if delta.stable < uint64(minStable) {
+		t.Errorf("%d rounds on the stable path, want at least %d", delta.stable, minStable)
 	}
 }
 
@@ -624,7 +609,6 @@ func TestStableRoundsEngageQuiescentPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.scanWorkers = 4
 	defer func() { _ = a.Close() }()
 	for range rounds {
 		now.Add(int64(time.Second))
@@ -688,18 +672,15 @@ func TestDeltaTickMatchesRebuildGroupedDrop(t *testing.T) {
 		}
 		return rt
 	}
-	for _, workers := range []int{1, 4} {
-		label := fmt.Sprintf("workers=%d", workers)
-		nan := func(c *Config) { c.Combiner = nanOn13{} }
-		full := runModeScheduleOn(t, newRoutes(), nan, workers, true, rounds)
-		if st := full.stats; st.CombinerRejects == 0 || st.EntriesExpired == 0 || st.RoutesCleared <= st.EntriesExpired {
-			t.Fatalf("%s: reference saw no NaN expiry or no fallback clear: %+v", label, st)
-		}
-		delta := runModeScheduleOn(t, newRoutes(), nan, workers, false, rounds)
-		compareModes(t, label, full, delta)
-		if delta.stable != roundCount-1 {
-			t.Errorf("%s: %d rounds on the stable path, want %d", label, delta.stable, roundCount-1)
-		}
+	nan := func(c *Config) { c.Combiner = nanOn13{} }
+	full := runModeScheduleOn(t, newRoutes(), nan, true, rounds)
+	if st := full.stats; st.CombinerRejects == 0 || st.EntriesExpired == 0 || st.RoutesCleared <= st.EntriesExpired {
+		t.Fatalf("reference saw no NaN expiry or no fallback clear: %+v", st)
+	}
+	delta := runModeScheduleOn(t, newRoutes(), nan, false, rounds)
+	compareModes(t, "grouped drop", full, delta)
+	if delta.stable != roundCount-1 {
+		t.Errorf("%d rounds on the stable path, want %d", delta.stable, roundCount-1)
 	}
 }
 
@@ -740,15 +721,12 @@ func TestDeltaTickMatchesRebuildSamplerOutage(t *testing.T) {
 	outage := func(c *Config) {
 		c.Sampler = &outageSampler{inner: c.Sampler, down: func(r int) bool { return r == 4 || (r >= 9 && r < 16) }}
 	}
-	for _, workers := range []int{1, 4} {
-		label := fmt.Sprintf("workers=%d", workers)
-		full := runModeScheduleOn(t, &recordingBatchRoutes{}, outage, workers, true, rounds)
-		if st := full.stats; st.EntriesExpired < n/2 || st.BreakerOpens == 0 || len(full.entries) < n/2 {
-			t.Fatalf("%s: reference did not lose and regain its table: %+v", label, st)
-		}
-		delta := runModeScheduleOn(t, &recordingBatchRoutes{}, outage, workers, false, rounds)
-		compareModes(t, label, full, delta)
+	full := runModeScheduleOn(t, &recordingBatchRoutes{}, outage, true, rounds)
+	if st := full.stats; st.EntriesExpired < n/2 || st.BreakerOpens == 0 || len(full.entries) < n/2 {
+		t.Fatalf("reference did not lose and regain its table: %+v", st)
 	}
+	delta := runModeScheduleOn(t, &recordingBatchRoutes{}, outage, false, rounds)
+	compareModes(t, "sampler outage", full, delta)
 }
 
 // staysOnStablePath is the engagement guard for membership edits: 2 000
@@ -794,7 +772,6 @@ func staysOnStablePath(t *testing.T, tweak func(*Config)) (a *Agent, n, roundCou
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.scanWorkers = 4
 	t.Cleanup(func() { _ = a.Close() })
 	for range rounds {
 		now.Add(int64(time.Second))
@@ -826,12 +803,12 @@ func TestMembershipChurnStaysOnStablePath(t *testing.T) {
 	}
 }
 
-// TestIdentStreamRefreshesTTL pins the identical-slice skip path: a sampler
-// that returns its own backing slice every round lets the delta tick skip
-// ingest and regrouping, but smoothing, TTL refresh, and guard review must
-// still run — otherwise entries would expire mid-stream here.
+// TestIdentStreamRefreshesTTL: a sampler that returns its own backing slice
+// every round changes nothing its records hold, so every round after the
+// first is stable, but smoothing, TTL refresh, and guard review must still
+// run — otherwise entries would expire mid-stream here.
 func TestIdentStreamRefreshesTTL(t *testing.T) {
-	obs := make([]Observation, 300) // past parallelThreshold
+	obs := make([]Observation, 300)
 	for i := range obs {
 		obs[i] = Observation{
 			Dst:  netip.AddrFrom4([4]byte{10, 0, byte(i / 200), byte(1 + i%200)}),
@@ -849,7 +826,6 @@ func TestIdentStreamRefreshesTTL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.scanWorkers = 4
 	defer func() { _ = a.Close() }()
 	// 10 ticks spaced at half the default 90s TTL: every destination is
 	// re-observed each round, so nothing may expire.
@@ -861,6 +837,9 @@ func TestIdentStreamRefreshesTTL(t *testing.T) {
 	}
 	if got := len(a.Entries()); got != 300 {
 		t.Fatalf("entries = %d after identical-stream ticks, want 300", got)
+	}
+	if got := a.mStable.Value(); got != 9 {
+		t.Errorf("%d of 9 rounds after the first were stable", got)
 	}
 	st := a.Stats()
 	if st.EntriesExpired != 0 {

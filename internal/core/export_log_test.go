@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"net/netip"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -93,10 +94,12 @@ func checkLogLocked(t *testing.T, tb *destTable, stage string) {
 // TestExportLogMatchesRescan drives every kind of commit that stamps, restamps
 // or withdraws an entry and pins the version-ordered log walk to the full
 // rescan after each, across a forced compaction, with readers exporting
-// throughout (run under -race in CI's stress step), at scan widths 1/2/4/8.
+// throughout (run under -race in CI's stress step), at GOMAXPROCS 1/2/4/8:
+// from 2 on, the readers run beside Tick rather than between its steps.
 func TestExportLogMatchesRescan(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			const n = 320
 			var now atomic.Int64
 			sampler := &fakeSampler{}
@@ -119,7 +122,6 @@ func TestExportLogMatchesRescan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a.scanWorkers = workers
 			defer a.Close()
 
 			stream := make([]Observation, n)

@@ -164,7 +164,7 @@ func (r *oracleRoutes) ProgramRoutes(ops []RouteOp) []error {
 // TTL, tail growth and shrink — over a backend with failing installs and
 // failing withdrawals, and demands the same route ops every round, the same
 // table (prefix, window, group size, expiry, samples) and the same counters,
-// for every built-in combiner and scan width. The agent takes stable rounds
+// for every built-in combiner. The agent takes stable rounds
 // and rebuilds as the stream dictates; the oracle knows neither.
 func TestAgentMatchesAlgorithm1Oracle(t *testing.T) {
 	fails := func(op RouteOp) bool {
@@ -173,58 +173,55 @@ func TestAgentMatchesAlgorithm1Oracle(t *testing.T) {
 	}
 	for i, combiner := range []Combiner{AverageCombiner{}, MaxCombiner{}, TrafficWeightedCombiner{}} {
 		rounds := membershipChurnRounds(int64(1+i), 48, 1600)
-		for _, workers := range []int{1, 2, 4, 8} {
-			label := fmt.Sprintf("%s/workers=%d", combiner.Name(), workers)
-			var now atomic.Int64
-			routes := &oracleRoutes{fails: fails}
-			a, err := New(Config{
-				Sampler:    &playbackSampler{rounds: rounds},
-				Routes:     routes,
-				Clock:      func() time.Duration { return time.Duration(now.Load()) },
-				PrefixBits: 24,
-				Combiner:   combiner,
-			})
-			if err != nil {
-				t.Fatal(err)
+		label := combiner.Name()
+		var now atomic.Int64
+		routes := &oracleRoutes{fails: fails}
+		a, err := New(Config{
+			Sampler:    &playbackSampler{rounds: rounds},
+			Routes:     routes,
+			Clock:      func() time.Duration { return time.Duration(now.Load()) },
+			PrefixBits: 24,
+			Combiner:   combiner,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := a.Config()
+		ref := &oracle{
+			prefixBits: cfg.PrefixBits, cmin: cfg.CMin, cmax: cfg.CMax, alpha: cfg.Alpha, ttl: cfg.TTL,
+			combine: oracleCombiner(combiner.Name()),
+			hist:    map[netip.Prefix]float64{}, seen: map[netip.Prefix]time.Duration{}, table: map[netip.Prefix]*oracleEntry{},
+		}
+		for r, obs := range rounds {
+			now.Add(int64(30 * time.Second))
+			routes.log = routes.log[:0]
+			_ = a.Tick() // injected failures surface here; the op log carries them
+			want := ref.round(time.Duration(now.Load()), obs, fails)
+			if !slices.Equal(routes.log, want) {
+				t.Fatalf("%s: round %d: route ops diverged from Algorithm 1:\n  agent  %q\n  oracle %q", label, r, routes.log, want)
 			}
-			a.scanWorkers = workers
-			cfg := a.Config()
-			ref := &oracle{
-				prefixBits: cfg.PrefixBits, cmin: cfg.CMin, cmax: cfg.CMax, alpha: cfg.Alpha, ttl: cfg.TTL,
-				combine: oracleCombiner(combiner.Name()),
-				hist:    map[netip.Prefix]float64{}, seen: map[netip.Prefix]time.Duration{}, table: map[netip.Prefix]*oracleEntry{},
+			if r%5 != 4 && r != len(rounds)-1 {
+				continue // leave lazily credited entries unread most rounds
 			}
-			for r, obs := range rounds {
-				now.Add(int64(30 * time.Second))
-				routes.log = routes.log[:0]
-				_ = a.Tick() // injected failures surface here; the op log carries them
-				want := ref.round(time.Duration(now.Load()), obs, fails)
-				if !slices.Equal(routes.log, want) {
-					t.Fatalf("%s: round %d: route ops diverged from Algorithm 1:\n  agent  %q\n  oracle %q", label, r, routes.log, want)
-				}
-				if r%5 != 4 && r != len(rounds)-1 {
-					continue // leave lazily credited entries unread most rounds
-				}
-				entries := a.Entries()
-				exported, _ := a.ExportDelta(0)
-				if len(entries) != len(ref.table) || len(exported) != len(entries) {
-					t.Fatalf("%s: round %d: %d entries, %d exported, oracle has %d", label, r, len(entries), len(exported), len(ref.table))
-				}
-				for j, e := range entries {
-					w := ref.table[e.Prefix]
-					if w == nil || e.Window != w.window || e.Observations != w.lastObs || e.ExpiresAt != w.expires || exported[j].Samples != w.samples {
-						t.Fatalf("%s: round %d: entry %+v (samples %d), oracle %+v", label, r, e, exported[j].Samples, w)
-					}
+			entries := a.Entries()
+			exported, _ := a.ExportDelta(0)
+			if len(entries) != len(ref.table) || len(exported) != len(entries) {
+				t.Fatalf("%s: round %d: %d entries, %d exported, oracle has %d", label, r, len(entries), len(exported), len(ref.table))
+			}
+			for j, e := range entries {
+				w := ref.table[e.Prefix]
+				if w == nil || e.Window != w.window || e.Observations != w.lastObs || e.ExpiresAt != w.expires || exported[j].Samples != w.samples {
+					t.Fatalf("%s: round %d: entry %+v (samples %d), oracle %+v", label, r, e, exported[j].Samples, w)
 				}
 			}
-			st := a.Stats()
-			if st.RoutesSet != ref.set || st.RoutesCleared != ref.cleared || st.EntriesExpired != ref.expired || ref.expired == 0 {
-				t.Errorf("%s: set/cleared/expired = %d/%d/%d, oracle %d/%d/%d", label,
-					st.RoutesSet, st.RoutesCleared, st.EntriesExpired, ref.set, ref.cleared, ref.expired)
-			}
-			if stable := a.Metrics().Counter("riptide_tick_rounds_stable").Value(); stable < uint64(len(rounds)-6) {
-				t.Errorf("%s: only %d of %d rounds were stable", label, stable, len(rounds))
-			}
+		}
+		st := a.Stats()
+		if st.RoutesSet != ref.set || st.RoutesCleared != ref.cleared || st.EntriesExpired != ref.expired || ref.expired == 0 {
+			t.Errorf("%s: set/cleared/expired = %d/%d/%d, oracle %d/%d/%d", label,
+				st.RoutesSet, st.RoutesCleared, st.EntriesExpired, ref.set, ref.cleared, ref.expired)
+		}
+		if stable := a.Metrics().Counter("riptide_tick_rounds_stable").Value(); stable < uint64(len(rounds)-6) {
+			t.Errorf("%s: only %d of %d rounds were stable", label, stable, len(rounds))
 		}
 	}
 }

@@ -227,14 +227,12 @@ func shrinkRounds(rounds int) [][]Observation {
 // round, across the shrink.
 func TestShrinkingStreamGivesBackBuffers(t *testing.T) {
 	rounds := shrinkRounds(8)
-	for _, workers := range []int{1, 2} {
-		full := runModeSchedule(t, workers, true, rounds)
-		delta := runModeSchedule(t, workers, false, rounds)
-		if delta.stable == 0 {
-			t.Fatalf("workers=%d: no round after the shrink was stable", workers)
-		}
-		compareModes(t, fmt.Sprintf("workers=%d", workers), full, delta)
+	full := runModeSchedule(t, true, rounds)
+	delta := runModeSchedule(t, false, rounds)
+	if delta.stable == 0 {
+		t.Fatal("no round after the shrink was stable")
 	}
+	compareModes(t, "shrinking stream", full, delta)
 
 	var now time.Duration
 	a, err := New(Config{Sampler: &playbackSampler{rounds: rounds}, Routes: &batchNop{}, Clock: func() time.Duration { return now }})

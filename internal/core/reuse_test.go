@@ -31,7 +31,7 @@ type reuseRun struct {
 // grouping is disbanded and the table expires), and fleet merges every other
 // round whose entries expire and are merged again. It checks the table's
 // invariants after every step.
-func runReuseSchedule(t *testing.T, reuse slotReuse, workers int, rounds [][]Observation) reuseRun {
+func runReuseSchedule(t *testing.T, reuse slotReuse, rounds [][]Observation) reuseRun {
 	t.Helper()
 	var now time.Duration
 	round := 0
@@ -55,7 +55,6 @@ func runReuseSchedule(t *testing.T, reuse slotReuse, workers int, rounds [][]Obs
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.scanWorkers = workers
 	a.tab.reuse = reuse
 	defer a.Close()
 
@@ -93,13 +92,13 @@ func runReuseSchedule(t *testing.T, reuse slotReuse, workers int, rounds [][]Obs
 		if err := a.Tick(); err != nil {
 			run.tickErrs = append(run.tickErrs, err.Error())
 		}
-		checkTableInvariants(t, a, fmt.Sprintf("reuse %d, %d workers, round %d", reuse, workers, round))
+		checkTableInvariants(t, a, fmt.Sprintf("reuse %d, round %d", reuse, round))
 		if round%2 == 0 {
 			batch := pool[(round/2%4)*60 : (round/2%4+1)*60]
 			if _, err := a.MergeSnapshot(append(batch, pool[240:]...), MergePolicy{}); err != nil {
 				run.tickErrs = append(run.tickErrs, err.Error())
 			}
-			checkTableInvariants(t, a, fmt.Sprintf("reuse %d, %d workers, merge after round %d", reuse, workers, round))
+			checkTableInvariants(t, a, fmt.Sprintf("reuse %d, merge after round %d", reuse, round))
 		}
 		all, _ := a.ExportDeltaAppend(nil, 0)
 		delta, version := a.ExportDeltaAppend(nil, prevVersion)
@@ -126,40 +125,37 @@ func runReuseSchedule(t *testing.T, reuse slotReuse, workers int, rounds [][]Obs
 // it at once, produces exactly the outputs of one that never reuses a slot —
 // route ops, entries, stats, tick errors, every round's export and delta
 // bodies and content tokens — over churn that deletes states every way the
-// agent does, at scan widths 1 and 4. The first must really have recarved
-// slots; the second never does.
+// agent does. The first must really have recarved slots; the second never
+// does.
 func TestSlotReuseMatchesNoReuse(t *testing.T) {
 	rounds := membershipChurnRounds(3, 48, 1200)
-	for _, workers := range []int{1, 4} {
-		label := fmt.Sprintf("workers=%d", workers)
-		never := runReuseSchedule(t, reuseNever, workers, rounds)
-		eager := runReuseSchedule(t, reuseEager, workers, rounds)
-		s := never.stats
-		if s.EntriesExpired == 0 || s.GuardCleared == 0 || s.RoutesCleared <= s.EntriesExpired+s.GuardCleared || s.FleetMerged == 0 || s.DegradedTicks+s.SampleErrors == 0 {
-			t.Fatalf("%s: the schedule missed a way to delete a state: %+v", label, s)
-		}
-		if never.recarved != 0 || eager.recarved == 0 {
-			t.Fatalf("%s: %d slots recarved with reuse, %d without", label, eager.recarved, never.recarved)
-		}
-		t.Logf("%s: %d slots recarved", label, eager.recarved)
-		if !reflect.DeepEqual(eager.ops, never.ops) {
-			for i := range min(len(eager.ops), len(never.ops)) {
-				if eager.ops[i] != never.ops[i] {
-					t.Fatalf("%s: route ops diverge at %d:\n  reuse    %s\n  no reuse %s", label, i, eager.ops[i], never.ops[i])
-				}
-			}
-			t.Fatalf("%s: %d route-op batches with reuse, %d without", label, len(eager.ops), len(never.ops))
-		}
-		if !reflect.DeepEqual(eager.entries, never.entries) || eager.stats != never.stats || !reflect.DeepEqual(eager.tickErrs, never.tickErrs) {
-			t.Errorf("%s: entries, stats or errors diverge:\n  reuse    %+v %q\n  no reuse %+v %q", label, eager.stats, eager.tickErrs, never.stats, never.tickErrs)
-		}
-		for i := range never.exports {
-			if !reflect.DeepEqual(eager.exports[i], never.exports[i]) {
-				t.Errorf("%s: export %d of round %d diverges: %d entries with reuse, %d without", label, i%2, i/2, len(eager.exports[i]), len(never.exports[i]))
+	never := runReuseSchedule(t, reuseNever, rounds)
+	eager := runReuseSchedule(t, reuseEager, rounds)
+	s := never.stats
+	if s.EntriesExpired == 0 || s.GuardCleared == 0 || s.RoutesCleared <= s.EntriesExpired+s.GuardCleared || s.FleetMerged == 0 || s.DegradedTicks+s.SampleErrors == 0 {
+		t.Fatalf("the schedule missed a way to delete a state: %+v", s)
+	}
+	if never.recarved != 0 || eager.recarved == 0 {
+		t.Fatalf("%d slots recarved with reuse, %d without", eager.recarved, never.recarved)
+	}
+	t.Logf("%d slots recarved", eager.recarved)
+	if !reflect.DeepEqual(eager.ops, never.ops) {
+		for i := range min(len(eager.ops), len(never.ops)) {
+			if eager.ops[i] != never.ops[i] {
+				t.Fatalf("route ops diverge at %d:\n  reuse    %s\n  no reuse %s", i, eager.ops[i], never.ops[i])
 			}
 		}
-		if !reflect.DeepEqual(eager.tokens, never.tokens) {
-			t.Errorf("%s: content tokens diverge", label)
+		t.Fatalf("%d route-op batches with reuse, %d without", len(eager.ops), len(never.ops))
+	}
+	if !reflect.DeepEqual(eager.entries, never.entries) || eager.stats != never.stats || !reflect.DeepEqual(eager.tickErrs, never.tickErrs) {
+		t.Errorf("entries, stats or errors diverge:\n  reuse    %+v %q\n  no reuse %+v %q", eager.stats, eager.tickErrs, never.stats, never.tickErrs)
+	}
+	for i := range never.exports {
+		if !reflect.DeepEqual(eager.exports[i], never.exports[i]) {
+			t.Errorf("export %d of round %d diverges: %d entries with reuse, %d without", i%2, i/2, len(eager.exports[i]), len(never.exports[i]))
 		}
+	}
+	if !reflect.DeepEqual(eager.tokens, never.tokens) {
+		t.Errorf("content tokens diverge")
 	}
 }

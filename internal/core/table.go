@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"net/netip"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -15,37 +14,19 @@ import (
 // smoothing state, and the per-tick grouping scratch — lives in ONE struct
 // per destination (destState), found through one index (stateIndex, which
 // keys an IPv4 prefix by a packed integer), in one table behind one lock.
-// Tick fans the O(sockets) scans of a stable round's stream (compare,
-// governor observe) out over contiguous chunks, one bucket per worker; a
-// rebuild's keying and the O(changes) plan, commit, export, merge and expiry
-// run serially on the table.
+// Every stage runs on the goroutine that calls Tick: the O(sockets) scans of
+// the stream (a stable round's compare or a rebuild's keying, and the
+// governor's observe pass) and the O(changes) plan, commit, export, merge and
+// expiry.
 // Collapsing entry + history + group bookkeeping into a single struct means
 // the steady-state plan stage performs exactly one index lookup per
 // observation; everything else is pointer chasing. See the pipeline overview
 // in tick.go.
 
-// parallelThreshold is the observation count below which a tick scans its
-// stream inline: spawning the workers costs more than they save.
-const parallelThreshold = 256
-
-// maxScanWorkers caps the scan fan-out: past it a worker's chunk is too
-// small to pay for its goroutine.
-const maxScanWorkers = 16
-
 // MaxDefaultShards is kept for callers built against the lock-striped table.
 //
 // Deprecated: the agent keeps one destination table; nothing reads this.
 const MaxDefaultShards = 16
-
-// scanWidth is the number of workers a round's scans fan out over:
-// min(GOMAXPROCS, maxScanWorkers), unless a test pinned scanWorkers.
-func (a *Agent) scanWidth() int {
-	n := a.scanWorkers
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return max(1, min(n, maxScanWorkers))
-}
 
 // destState is everything the agent knows about one destination, in one index
 // slot: its route key, the committed route entry (valid while installed is
@@ -209,13 +190,10 @@ func (tb *destTable) release() {
 // what the round used of it is given back under the retention rule (fit),
 // and a table index that fell far below its peak is rebuilt at its size,
 // with a fresh slab and no spare slots — the blocks hold the states that
-// drained. The scan buckets are left empty for the next round; one past this
-// round's width counts as unused. Last, the slots of the states the rounds
-// deleted are reclaimed (reclaimSlots).
+// drained. The edit list is left empty for the next round. Last, the slots of
+// the states the rounds deleted are reclaimed (reclaimSlots).
 func (a *Agent) giveBack() {
-	for w := range a.buckets {
-		a.buckets[w] = fit(a.buckets[w])[:0]
-	}
+	a.edits = fit(a.edits)[:0]
 	tb := &a.tab
 	// The sort keys served the round's longest sort.
 	sorted := max(len(tb.plan), len(tb.guardClears), len(tb.expired))
@@ -284,7 +262,7 @@ const (
 // list, read only in the round that wrote them, are emptied. The other
 // holders never name one: the sample cache names only members of the
 // grouping, which dropState resets in place rather than deletes, and is
-// cleared when the grouping is disbanded; the scan buckets end every round
+// cleared when the grouping is disbanded; the edit list ends every round
 // empty (giveBack); and a stale export-log ref is told by its version, which
 // a recarved state takes afresh (exportRef). The purge walks the heap and the
 // two lists, so it waits until the dead number 1/reclaimShare of their
@@ -575,11 +553,11 @@ func (a *Agent) recordKey(word uint64, o *Observation, st *destState) (netip.Pre
 	return key, word != 0 && err == nil
 }
 
-// keyedObs is one edit a stable round's compare scan put in its worker's
-// bucket: the observation's index in the tick's sample slice, the state of
-// the group it concerns, and whether the observation changed in place, left
-// st's group, or joins key's group. A join names a route key and no state:
-// the plan resolves (or carves) it; the other edits leave key zero.
+// keyedObs is one edit a stable round's compare put in the round's edit list:
+// the observation's index in the tick's sample slice, the state of the group
+// it concerns, and whether the observation changed in place, left st's group,
+// or joins key's group. A join names a route key and no state: the plan
+// resolves (or carves) it; the other edits leave key zero.
 type keyedObs struct {
 	key  netip.Prefix
 	st   *destState
@@ -694,30 +672,11 @@ func (a *Agent) dropState(st *destState) {
 	}
 }
 
-// runParallel runs fn(0..n-1), inline when n == 1. A call costs the WaitGroup
-// and one closure per goroutine; passing i as a go-statement argument would
-// add a second wrapper per goroutine.
-func runParallel(n int, fn func(i int)) {
-	if n == 1 {
-		fn(0)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func() {
-			defer wg.Done()
-			fn(i)
-		}()
-	}
-	wg.Wait()
-}
-
 // Plan-stage invariants.
 //
 // The plan stage has one way to start over and one way to reuse last round's
 // work, and they produce the same route ops, entries, stats and errors for
-// every stream, every config and every scan width (TestDeltaTickMatches*,
+// every stream and every config (TestDeltaTickMatches*,
 // TestQuiescent*, TestStableRoundsMatchRebuild* pin that against an agent
 // whose every round rebuilds; oracle_test.go pins what both share against
 // Algorithm 1).
@@ -735,7 +694,7 @@ func runParallel(n int, fn func(i int)) {
 //     the slack, and when a stable round's edits exceed their share
 //     (editShareDiv); each reason is counted apart (rebuildReason).
 //
-//  (ii) A stable round (compareChunk → planStable) compares each position
+//  (ii) A stable round (compareStream → planStable) compares each position
 //     with its record: a position that kept its route key and window is no
 //     edit (under a Combiner that reads more than windows, it marks its group
 //     dirty); one that kept its route key marks its group dirty; one that did
@@ -773,14 +732,12 @@ func runParallel(n int, fn func(i int)) {
 //     advisor is consulted and the history is updated exactly as on a
 //     rebuild, and no credit is ever outstanding for them.
 //
-// The scans are the only parallel part: in a stable round each worker reads
-// its contiguous chunk of the stream and appends its edits to its own bucket,
-// and the serial plan replays the buckets in worker order — original sample
-// order — so the scan width can never change what the plan sees. A rebuild
-// records and keys the stream serially, in sample order.
+// Both paths read the stream in sample order, on the goroutine that runs
+// Tick: the compare appends a stable round's edits to one list, which the
+// plan replays in that order.
 
-// A stable round may carry membership edits up to 1/editShareDiv of each
-// worker's chunk (plus editFloor, so small streams qualify); past that the
+// A stable round may carry membership edits up to 1/editShareDiv of the
+// stream (plus editFloor, so small streams qualify); past that the
 // round is rebuilt — an edit costs a map operation and a span shift, a
 // rebuild a few linear passes. memberSlack* size the tail room a rebuild
 // leaves in memberIdx for relocated spans.
@@ -790,13 +747,6 @@ const (
 	memberSlackDiv = 4
 	memberSlackMin = 64
 )
-
-// chunkOf returns worker w's contiguous share [lo, hi) of an n-long stream.
-func (a *Agent) chunkOf(w, n int) (lo, hi int) {
-	chunk := (n + a.roundWorkers - 1) / a.roundWorkers
-	lo = min(w*chunk, n)
-	return lo, min(lo+chunk, n)
-}
 
 // planRebuild rebuilds the grouping from the scanned observations, under the
 // table lock, and plans every group: see invariant (i).
@@ -843,9 +793,9 @@ func (a *Agent) planRebuild(obs []Observation, now time.Duration) {
 	// install: on a cold table, one op for every group.
 	tb.plan = slices.Grow(tb.plan, unrouted)
 
-	// Pass 2: list the groups in first-encounter order — the sample cache is
-	// in original sample order, so that order is the same for every scan
-	// width — and carve each a span of memberIdx, packed in that order.
+	// Pass 2: list the groups in first-encounter order — the sample cache's
+	// order, which is the stream's — and carve each a span of memberIdx,
+	// packed in that order.
 	tb.touched = old[:0]
 	moff := int32(0)
 	for i := range cache {
@@ -1001,26 +951,25 @@ func (a *Agent) materializeLocked(st *destState) {
 	st.cleanSeen = tb.cleanRounds
 }
 
-// compareChunk is the stable-round detector: worker w compares its chunk of
-// the sample with the records last round left and appends what changed to
-// its bucket. A socket that kept its route key and window is no edit — under
-// a Combiner that reads only windows (readsCwndOnly) its group's Combine
-// value cannot have moved; under any other it marks the group dirty. One that
-// kept its route key but not its window (or whose window the record cannot
-// hold) marks its group dirty; any other change is a membership edit — a
-// leave from the recorded group and/or a join to the re-keyed one, whose
-// state the plan resolves. Every edit rewrites the record. A tagged record
-// and observation are compared in one word; anything else is compared
-// through the state (recordKey), so a socket that moved to another
-// destination inside the same route key keeps its group. The last worker
-// also retires the positions a shorter stream lost. It reports false —
-// rebuild the round — once the chunk's membership edits exceed their share.
-func (a *Agent) compareChunk(w int, obs []Observation) bool {
-	lo, hi := a.chunkOf(w, len(obs))
+// compareStream is the stable-round detector: it compares the sample with
+// the records last round left and appends what changed to the round's edit
+// list. A socket that kept its route key and window is no edit — under a
+// Combiner that reads only windows (readsCwndOnly) its group's Combine value
+// cannot have moved; under any other it marks the group dirty. One that kept
+// its route key but not its window (or whose window the record cannot hold)
+// marks its group dirty; any other change is a membership edit — a leave from
+// the recorded group and/or a join to the re-keyed one, whose state the plan
+// resolves. Every edit rewrites the record. A tagged record and observation
+// are compared in one word; anything else is compared through the state
+// (recordKey), so a socket that moved to another destination inside the same
+// route key keeps its group. Last, the positions a shorter stream lost leave
+// their groups. It reports false — rebuild the round — once the membership
+// edits exceed the stream's share.
+func (a *Agent) compareStream(obs []Observation) bool {
 	cache := a.cache
-	budget := (hi-lo)/editShareDiv + editFloor
-	bucket := &a.buckets[w]
-	for i := lo; i < hi; i++ {
+	budget := len(obs)/editShareDiv + editFloor
+	edits := &a.edits
+	for i := range obs {
 		o, c := &obs[i], &cache[i]
 		// sampleWord's tagged case, spelled out: it does not inline, and
 		// the call cost an unchanged socket 20–30 % more.
@@ -1029,7 +978,7 @@ func (a *Agent) compareChunk(w int, obs []Observation) bool {
 			if x := (uint64(binary.BigEndian.Uint32(b[:]))<<32 | sampleTag | uint64(o.Cwnd)) ^ c.word; x < sampleTag {
 				// The same IPv4 destination as last round.
 				if x != 0 || !a.cwndOnly {
-					*bucket = append(*bucket, keyedObs{st: c.st, idx: int32(i)})
+					*edits = append(*edits, keyedObs{st: c.st, idx: int32(i)})
 					c.word ^= x
 				}
 				continue
@@ -1041,12 +990,12 @@ func (a *Agent) compareChunk(w int, obs []Observation) bool {
 			if ok && key == st.key {
 				// The low 31 bits of a word hold its window, if it fits.
 				if !a.cwndOnly || word == wideWindow || (word^c.word)&(sampleTag-1) != 0 {
-					*bucket = append(*bucket, keyedObs{st: st, idx: int32(i)})
+					*edits = append(*edits, keyedObs{st: st, idx: int32(i)})
 				}
 				c.word = word
 				continue
 			}
-			*bucket = append(*bucket, keyedObs{st: st, idx: int32(i), kind: obsLeave})
+			*edits = append(*edits, keyedObs{st: st, idx: int32(i), kind: obsLeave})
 		} else if !ok {
 			continue // ignored last round and this one
 		}
@@ -1055,29 +1004,26 @@ func (a *Agent) compareChunk(w int, obs []Observation) bool {
 		}
 		*c = cachedSample{word: word}
 		if ok {
-			*bucket = append(*bucket, keyedObs{key: key, idx: int32(i), kind: obsJoin})
+			*edits = append(*edits, keyedObs{key: key, idx: int32(i), kind: obsJoin})
 		}
 	}
-	if w == a.roundWorkers-1 {
-		for i := len(obs); i < len(cache); i++ {
-			if st := cache[i].st; st != nil {
-				if budget--; budget < 0 {
-					return false
-				}
-				*bucket = append(*bucket, keyedObs{st: st, idx: int32(i), kind: obsLeave})
+	for i := len(obs); i < len(cache); i++ {
+		if st := cache[i].st; st != nil {
+			if budget--; budget < 0 {
+				return false
 			}
+			*edits = append(*edits, keyedObs{st: st, idx: int32(i), kind: obsLeave})
 		}
 	}
 	return true
 }
 
-// observeChunk shows the governor worker w's chunk: every valid observation
-// under its route key, from its record (recordKey), which the compare or the
-// rebuild has just brought up to date: the word's or the state's, so no
-// socket is keyed afresh.
-func (a *Agent) observeChunk(w int, obs []Observation) {
-	lo, hi := a.chunkOf(w, len(obs))
-	for i := lo; i < hi; i++ {
+// observeStream shows the governor every valid observation under its route
+// key, from its record (recordKey), which the compare or the rebuild has
+// just brought up to date: the word's or the state's, so no socket is keyed
+// afresh.
+func (a *Agent) observeStream(obs []Observation) {
+	for i := range obs {
 		if key, ok := a.recordKey(a.cache[i].word, &obs[i], a.cache[i].st); ok {
 			a.cfg.Guard.ObserveSample(key, obs[i])
 		}
@@ -1302,28 +1248,26 @@ func (a *Agent) planStable(obs []Observation, now time.Duration) {
 
 	seq := a.tickSeq
 
-	// Apply this round's edits and collect its dirty groups from the compare
-	// buckets, deduped by group, settling their outstanding lazy credit
-	// before this round's counter bump — the current round is handled eagerly
-	// below, so it must not also be credited. Bucket replay order is original
-	// sample order, but no order dependence remains here: spans are kept
-	// sorted, and the commit stage sorts the plan.
+	// Apply this round's edits and collect its dirty groups from the edit
+	// list, deduped by group, settling their outstanding lazy credit before
+	// this round's counter bump — the current round is handled eagerly below,
+	// so it must not also be credited. The list is in sample order, but no
+	// order dependence remains here: spans are kept sorted, and the commit
+	// stage sorts the plan.
 	tb.dirtyList = tb.dirtyList[:0]
-	for _, bucket := range a.buckets[:a.roundWorkers] {
-		for _, ko := range bucket {
-			st := ko.st
-			switch ko.kind {
-			case obsLeave:
-				a.leaveGroupLocked(st, ko.idx)
-			case obsJoin:
-				st = a.joinGroupLocked(ko.key, ko.idx)
-			}
-			if st.dirtySeq != seq && tb.grouped(st) {
-				st.dirtySeq = seq
-				a.materializeLocked(st)
-				a.forwardEWMALocked(st)
-				tb.dirtyList = append(tb.dirtyList, st)
-			}
+	for _, ko := range a.edits {
+		st := ko.st
+		switch ko.kind {
+		case obsLeave:
+			a.leaveGroupLocked(st, ko.idx)
+		case obsJoin:
+			st = a.joinGroupLocked(ko.key, ko.idx)
+		}
+		if st.dirtySeq != seq && tb.grouped(st) {
+			st.dirtySeq = seq
+			a.materializeLocked(st)
+			a.forwardEWMALocked(st)
+			tb.dirtyList = append(tb.dirtyList, st)
 		}
 	}
 

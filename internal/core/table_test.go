@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,10 +11,9 @@ import (
 	"time"
 )
 
-// Tests for the hot path: a round whose scans fan out over several workers
-// must produce byte-identical route programs to the one-worker serial
-// reference, and the agent's public surface must stay race-free under
-// concurrent ticks, snapshot traffic, and reads.
+// Tests for the agent's public surface: it must stay race-free under
+// concurrent ticks, snapshot traffic, and reads, and Close must withdraw
+// every route in order. The fixtures here drive the other tests' schedules.
 
 // stubGovernor is a deterministic, concurrency-safe Governor for in-package
 // tests (internal/guard cannot be imported here without a cycle).
@@ -156,7 +154,7 @@ func (s *playbackSampler) SampleConnections(buf []Observation) ([]Observation, e
 }
 
 // determinismRounds builds a deterministic multi-round observation schedule:
-// hundreds of /24 groups (past the parallel-path threshold), drifting
+// hundreds of /24 groups, drifting
 // windows, per-round membership churn so entries expire, and a sprinkle of
 // invalid samples that must be skipped identically on every path.
 func determinismRounds(rounds, n int) [][]Observation {
@@ -184,140 +182,9 @@ func determinismRounds(rounds, n int) [][]Observation {
 	return out
 }
 
-// runScanSchedule drives an agent whose scans fan out over the given number
-// of workers over the schedule, advancing the clock 30s per tick so TTL
-// expiry fires for destinations that churn out, and returns the final
-// entries and stats.
-func runScanSchedule(t *testing.T, workers int, routes RouteProgrammer, gov Governor, rounds [][]Observation) ([]Entry, Stats, []string) {
-	t.Helper()
-	var now atomic.Int64
-	cfg := Config{
-		Sampler:    &playbackSampler{rounds: rounds},
-		Routes:     routes,
-		Clock:      func() time.Duration { return time.Duration(now.Load()) },
-		PrefixBits: 24,
-	}
-	if gov != nil {
-		cfg.Guard = gov
-	}
-	a, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.scanWorkers = workers
-	if a.scanWidth() != workers {
-		t.Fatalf("scanWidth() = %d, want %d", a.scanWidth(), workers)
-	}
-	// Route-programming failures surface as Tick errors; their rendered
-	// text is part of the determinism contract, so collect rather than
-	// fail on them.
-	var tickErrs []string
-	for range rounds {
-		now.Add(int64(30 * time.Second))
-		if err := a.Tick(); err != nil {
-			tickErrs = append(tickErrs, err.Error())
-		}
-	}
-	entries := a.Entries()
-	stats := a.Stats()
-	// Leave installed routes behind so the recorded op streams end at the
-	// same point on every variant; Close ordering is covered elsewhere.
-	return entries, stats, tickErrs
-}
-
-// determinismVariant checks that every scan width produces the identical
-// route-op stream, learned table, and counters as the one-worker serial
-// reference. (The TestShardedPlanMatchesSerial* names predate the single
-// destination table; the scan width is what remains to vary.)
-func determinismVariant(t *testing.T, newRoutes func() RouteProgrammer, newGov func() Governor) {
-	t.Helper()
-	rounds := determinismRounds(6, 900)
-	type result struct {
-		ops      []string
-		entries  []Entry
-		stats    Stats
-		tickErrs []string
-	}
-	run := func(workers int) result {
-		routes := newRoutes()
-		var gov Governor
-		if newGov != nil {
-			gov = newGov()
-		}
-		entries, stats, tickErrs := runScanSchedule(t, workers, routes, gov, rounds)
-		var ops []string
-		switch r := routes.(type) {
-		case *recordingBatchRoutes:
-			ops = r.recorded()
-		case *recordingRoutes:
-			ops = r.recorded()
-		}
-		return result{ops: ops, entries: entries, stats: stats, tickErrs: tickErrs}
-	}
-	ref := run(1)
-	if len(ref.ops) == 0 || len(ref.entries) == 0 {
-		t.Fatalf("serial reference did nothing: %d ops, %d entries", len(ref.ops), len(ref.entries))
-	}
-	for _, workers := range []int{2, 4, 8} {
-		got := run(workers)
-		if !reflect.DeepEqual(got.ops, ref.ops) {
-			t.Errorf("workers=%d: route-op stream diverged from serial (got %d ops, want %d)",
-				workers, len(got.ops), len(ref.ops))
-			for i := range got.ops {
-				if i < len(ref.ops) && got.ops[i] != ref.ops[i] {
-					t.Errorf("first divergence at op %d:\n  got  %s\n  want %s", i, got.ops[i], ref.ops[i])
-					break
-				}
-			}
-		}
-		if !reflect.DeepEqual(got.entries, ref.entries) {
-			t.Errorf("workers=%d: learned table diverged (%d vs %d entries)",
-				workers, len(got.entries), len(ref.entries))
-		}
-		if got.stats != ref.stats {
-			t.Errorf("workers=%d: stats diverged:\n  got  %+v\n  want %+v", workers, got.stats, ref.stats)
-		}
-		if !reflect.DeepEqual(got.tickErrs, ref.tickErrs) {
-			t.Errorf("workers=%d: tick errors diverged:\n  got  %q\n  want %q", workers, got.tickErrs, ref.tickErrs)
-		}
-	}
-}
-
-func TestShardedPlanMatchesSerial(t *testing.T) {
-	determinismVariant(t, func() RouteProgrammer { return &recordingRoutes{} }, nil)
-}
-
-func TestShardedPlanMatchesSerialBatched(t *testing.T) {
-	determinismVariant(t, func() RouteProgrammer { return &recordingBatchRoutes{} }, nil)
-}
-
-func TestShardedPlanMatchesSerialWithFailures(t *testing.T) {
-	failer := func(p netip.Prefix) bool { return p.Addr().As4()[2]%5 == 0 }
-	t.Run("per-op", func(t *testing.T) {
-		determinismVariant(t, func() RouteProgrammer { return &recordingRoutes{fail: failer} }, nil)
-	})
-	t.Run("batch", func(t *testing.T) {
-		determinismVariant(t, func() RouteProgrammer {
-			return &recordingBatchRoutes{recordingRoutes: recordingRoutes{fail: failer}}
-		}, nil)
-	})
-}
-
-func TestShardedPlanMatchesSerialGoverned(t *testing.T) {
-	determinismVariant(t,
-		func() RouteProgrammer { return &recordingBatchRoutes{} },
-		func() Governor {
-			return &stubGovernor{
-				capAbove:   40,
-				veto:       func(p netip.Prefix) bool { return p.Addr().As4()[2]%11 == 0 },
-				quarantine: func(p netip.Prefix) bool { return p.Addr().As4()[2]%13 == 0 },
-			}
-		})
-}
-
 // TestAgentConcurrentAccess hammers the full public surface from concurrent
-// goroutines while the scans fan out over four workers; run under -race
-// (make race / CI) it proves readers need nothing beyond the table lock.
+// goroutines while Tick runs; run under -race (make race / CI) it proves
+// readers need nothing beyond the table lock.
 func TestAgentConcurrentAccess(t *testing.T) {
 	rounds := determinismRounds(8, 600)
 	gov := &stubGovernor{
@@ -335,8 +202,6 @@ func TestAgentConcurrentAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.scanWorkers = 4
-
 	remote := []SnapshotEntry{
 		{Prefix: netip.MustParsePrefix("172.16.1.0/24"), Window: 44, Samples: 9, Age: time.Second},
 		{Prefix: netip.MustParsePrefix("172.16.2.0/24"), Window: 61, Samples: 12, Age: 2 * time.Second},
@@ -395,48 +260,45 @@ func TestAgentConcurrentAccess(t *testing.T) {
 }
 
 // TestCloseClearsRoutesSorted verifies Close withdraws every installed route
-// exactly once, in sorted order, regardless of scan width.
+// exactly once, in sorted order.
 func TestCloseClearsRoutesSorted(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		routes := &recordingRoutes{}
-		rounds := determinismRounds(2, 600)
-		var now atomic.Int64
-		a, err := New(Config{
-			Sampler:    &playbackSampler{rounds: rounds},
-			Routes:     routes,
-			Clock:      func() time.Duration { return time.Duration(now.Load()) },
-			PrefixBits: 24,
-		})
-		if err != nil {
-			t.Fatal(err)
+	routes := &recordingRoutes{}
+	rounds := determinismRounds(2, 600)
+	var now atomic.Int64
+	a, err := New(Config{
+		Sampler:    &playbackSampler{rounds: rounds},
+		Routes:     routes,
+		Clock:      func() time.Duration { return time.Duration(now.Load()) },
+		PrefixBits: 24,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	installed := len(a.Entries())
+	before := len(routes.recorded())
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ops := routes.recorded()[before:]
+	if len(ops) != installed {
+		t.Fatalf("close issued %d clears for %d entries", len(ops), installed)
+	}
+	prefixes := make([]netip.Prefix, len(ops))
+	for i, op := range ops {
+		var raw string
+		if _, err := fmt.Sscanf(op, "clear %s", &raw); err != nil {
+			t.Fatalf("unexpected close op %q", op)
 		}
-		a.scanWorkers = workers
-		if err := a.Tick(); err != nil {
-			t.Fatal(err)
-		}
-		installed := len(a.Entries())
-		before := len(routes.recorded())
-		if err := a.Close(); err != nil {
-			t.Fatal(err)
-		}
-		ops := routes.recorded()[before:]
-		if len(ops) != installed {
-			t.Fatalf("workers=%d: close issued %d clears for %d entries", workers, len(ops), installed)
-		}
-		prefixes := make([]netip.Prefix, len(ops))
-		for i, op := range ops {
-			var raw string
-			if _, err := fmt.Sscanf(op, "clear %s", &raw); err != nil {
-				t.Fatalf("workers=%d: unexpected close op %q", workers, op)
-			}
-			prefixes[i] = netip.MustParsePrefix(raw)
-		}
-		for i := 1; i < len(prefixes); i++ {
-			if comparePrefix(prefixes[i-1], prefixes[i]) >= 0 {
-				t.Errorf("workers=%d: close clears not sorted at %d: %v then %v",
-					workers, i, prefixes[i-1], prefixes[i])
-				break
-			}
+		prefixes[i] = netip.MustParsePrefix(raw)
+	}
+	for i := 1; i < len(prefixes); i++ {
+		if comparePrefix(prefixes[i-1], prefixes[i]) >= 0 {
+			t.Errorf("close clears not sorted at %d: %v then %v",
+				i, prefixes[i-1], prefixes[i])
+			break
 		}
 	}
 }

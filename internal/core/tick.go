@@ -13,12 +13,12 @@ import (
 //
 //	sample  — outside any lock: run the sampler (which may block for
 //	          seconds against a wedged kernel dump) into a pooled buffer.
-//	plan    — scan the stream for what changed since last round (a stable
-//	          round) or key all of it (a rebuild), fanned out over
-//	          contiguous chunks with one bucket per worker; then, serially
-//	          under the table lock, apply the buckets to the retained
-//	          grouping, combine, smooth, clamp, review, refresh TTLs, and
-//	          emit the round's route plan (table.go).
+//	plan    — scan the stream: compare it with last round's records for
+//	          what changed (a stable round) or key all of it (a rebuild),
+//	          and show it to the governor; then, under the table lock,
+//	          apply the edits to the retained grouping, combine, smooth,
+//	          clamp, review, refresh TTLs, and emit the round's route plan
+//	          (table.go).
 //	commit  — sort the plan and the withdrawal lists by prefix for
 //	          deterministic programming order, and fold the plan's stat
 //	          deltas into Stats.
@@ -30,12 +30,13 @@ import (
 //	          recorded only after its route is actually installed, so a
 //	          failed first program leaves no phantom entry.
 //
+// Every stage runs on the goroutine that calls Tick; a round starts none.
 // tickMu serializes whole rounds (and Close) so the stages of two mutators
 // cannot interleave; the table lock is never held across a backend call, so
 // Lookup, Entries, and Stats wait at most one plan stage, even mid-round.
 // The plan is sorted by prefix before programming, so the agent's output —
-// route ops, their order, and first-error identity — is byte-identical for
-// every scan width.
+// route ops, their order, and first-error identity — does not depend on the
+// order in which the plan visited the destinations.
 
 // programOp is one planned route installation. A destination carries at
 // most one per round.
@@ -63,7 +64,7 @@ const (
 	// rebuildMemberTail: relocated member spans have used up the tail room
 	// of memberIdx (past memberLimit).
 	rebuildMemberTail
-	// rebuildEditBudget: a chunk's edits exceeded their share.
+	// rebuildEditBudget: the stream's membership edits exceeded their share.
 	rebuildEditBudget
 	numRebuildReasons
 )
@@ -143,42 +144,34 @@ func (a *Agent) Tick() error {
 	}
 	a.noteSampleSuccess()
 	// A slice longer than obsBuf is one the sampler grew past it (or its
-	// own, which ignores buf anyway) and becomes obsBuf. own is set for any
-	// other slice outside obsBuf: the sampler's own, after which it is handed
-	// none (obsBuf nil), or, with no obsBuf to tell the two apart, a first
-	// fill grown from nothing; obsBuf is then empty but not nil, so the next
-	// round replaces it, and the fill's append doubling is not kept.
-	var own *Observation
+	// own, which ignores buf anyway) and becomes obsBuf. Any other slice
+	// outside obsBuf is the sampler's own (ownSlice), after which it is
+	// handed none (obsBuf nil), or, with no obsBuf to tell the two apart, a
+	// first fill grown from nothing; obsBuf is then empty but not nil, so the
+	// next round replaces it, and the fill's append doubling is not kept.
 	switch c := cap(a.obsBuf); {
 	case c > 0 && len(obs) > c:
-		a.obsBuf = obs
+		a.obsBuf, a.ownSlice = obs, false
 	case len(obs) == 0 || c > 0 && &obs[0] == &a.obsBuf[:1][0]:
-		// Decoded into obsBuf, or empty.
-	case a.obsBuf == nil && a.ownStream == nil:
-		own, a.obsBuf = &obs[0], obs[:0:0]
+		a.ownSlice = false // decoded into obsBuf, or empty
+	case a.obsBuf == nil && !a.ownSlice:
+		a.obsBuf, a.ownSlice = obs[:0:0], true
 	default:
-		own, a.obsBuf = &obs[0], nil
+		a.obsBuf, a.ownSlice = nil, true
 	}
 
-	// Plan stage. The scans fan out over contiguous chunks of the stream;
-	// small rounds scan inline — goroutines cost more than they save.
-	workers := 1
-	if len(obs) >= parallelThreshold {
-		workers = a.scanWidth()
-	}
-	a.roundWorkers = workers
-	a.tickObs = obs
+	// Plan stage.
 	a.cache = append(a.cache, make([]cachedSample, max(len(obs)-len(a.cache), 0))...)
 	tb := &a.tab
 	tb.plan, tb.guardClears, tb.expired = tb.plan[:0], tb.guardClears[:0], tb.expired[:0]
 
 	// A round is stable when the table still holds the grouping of last
 	// round's stream with tail room left, and this round's stream differs
-	// from it by a small share of positions: those are bucketed as edits and
+	// from it by a small share of positions: those are listed as edits and
 	// the grouping is patched. Anything else is a rebuild, which regroups
-	// from nothing (leaving partially filled buckets unread), counted under
-	// the first reason that applies. Only tickMu writes the grouping, so it
-	// is read here without the table lock.
+	// from nothing (leaving a partially filled edit list unread), counted
+	// under the first reason that applies. Only tickMu writes the grouping,
+	// so it is read here without the table lock.
 	var stable bool
 	var why rebuildReason
 	switch {
@@ -190,13 +183,8 @@ func (a *Agent) Tick() error {
 		why = rebuildNoGrouping
 	case len(tb.memberIdx) > tb.memberLimit:
 		why = rebuildMemberTail
-	case own != nil && own == a.ownStream && len(obs) == prevN:
-		// A sampler with a fixed set returned its own slice again: the
-		// stream is last round's, with nothing to compare.
-		stable = true
 	default:
-		runParallel(workers, a.compareW)
-		stable, why = !slices.Contains(a.compareOK[:workers], false), rebuildEditBudget
+		stable, why = a.compareStream(obs), rebuildEditBudget
 	}
 	// A rebuild records every position afresh; planRebuild keys them.
 	if !stable {
@@ -207,10 +195,9 @@ func (a *Agent) Tick() error {
 	// The governor sees every valid sample under the key its record gives,
 	// and closes its round before any Review call.
 	if a.cfg.Guard != nil {
-		runParallel(workers, a.observeW)
+		a.observeStream(obs)
 		a.cfg.Guard.ObserveTick(now)
 	}
-	a.tickObs = nil
 	if stable {
 		a.mStable.Inc()
 		a.planStable(obs, now)
@@ -250,7 +237,6 @@ func (a *Agent) Tick() error {
 	clear(a.cache[len(obs):])
 	a.cache = fit(a.cache[:len(obs)])
 	a.havePrev = true
-	a.ownStream = own
 
 	// Program stage, outside the locks.
 	firstErr := a.programPlan(plan, now)

@@ -53,26 +53,22 @@ func (b *batchNop) ProgramRoutes(ops []RouteOp) []error {
 
 // TestStableTickAllocs: once warm, a round whose connection set is stable —
 // a few windows edited in place, or nothing changed at all — allocates
-// nothing when it scans on one worker. Its stage workers are bound once in
-// New, so no per-round closure reaches the heap. A round past the parallel
-// threshold scanning on several workers allocates only what starting
-// runParallel's goroutines costs.
+// nothing, on the default configuration. The parallel cases run 600 sockets
+// at GOMAXPROCS 4: a round starts no goroutine, so the width of the runtime
+// changes nothing it allocates.
 func TestStableTickAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name           string
-		workers, conns int
-		edits          int
-		// max is the allocation bound per round: 0 serially; with workers,
-		// the compare scan's runParallel call allocates its WaitGroup and
-		// one closure per goroutine.
-		max float64
+		name         string
+		procs, conns int
+		edits        int
 	}{
-		{"stable", 1, 200, 3, 0},
-		{"quiescent", 1, 200, 0, 0},
-		{"parallel stable", 4, 600, 3, 4 + 1},
-		{"parallel quiescent", 4, 600, 0, 4 + 1},
+		{"stable", 1, 200, 3},
+		{"quiescent", 1, 200, 0},
+		{"parallel stable", 4, 600, 3},
+		{"parallel quiescent", 4, 600, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
 			clock := &fakeClock{}
 			s := newEditSampler(tc.conns, tc.edits)
 			routes := &batchNop{}
@@ -80,7 +76,6 @@ func TestStableTickAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a.scanWorkers = tc.workers
 			tick := func() {
 				clock.Advance(time.Second)
 				if err := a.Tick(); err != nil {
@@ -98,8 +93,8 @@ func TestStableTickAllocs(t *testing.T) {
 			if tc.edits > 0 && routes.ops == programmed {
 				t.Fatalf("in-place edits programmed no route")
 			}
-			if allocs > tc.max {
-				t.Fatalf("a warm stable round allocates %.1f times, want at most %.0f", allocs, tc.max)
+			if allocs != 0 {
+				t.Fatalf("a warm stable round allocates %.1f times, want 0", allocs)
 			}
 		})
 	}
@@ -112,8 +107,8 @@ const warmStartDests = 20000
 
 // TestWarmStartAllocs: the two bulk paths of an agent's warm start size what
 // they build from counts they already hold, so each allocates within a small
-// multiple of the table it leaves: a first Tick over fresh destinations (scan
-// buckets by chunk, the plan by group count, the grouping by doubling), and a
+// multiple of the table it leaves: a first Tick over fresh destinations (the
+// plan by group count, the grouping by doubling), and a
 // merge into an empty agent (the index by the deduplicated plan, one index
 // lookup per entry).
 func TestWarmStartAllocs(t *testing.T) {

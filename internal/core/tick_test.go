@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"net/netip"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -472,6 +473,59 @@ func TestRebuildReasonsCounted(t *testing.T) {
 		}
 		if sum != rebuild {
 			t.Errorf("%s: reasons sum to %d, riptide_tick_rounds_rebuild is %d", step.name, sum, rebuild)
+		}
+	}
+}
+
+// TestEditBudgetCoversTheStream pins the edit budget at its boundary: a
+// round may carry len/editShareDiv + editFloor membership edits wherever in
+// the stream they fall. With all of them at one end of 800 sockets the round
+// stays stable; one more makes it rebuild, counted under the edit budget.
+func TestEditBudgetCoversTheStream(t *testing.T) {
+	const n = 800
+	budget := n/editShareDiv + editFloor
+	base := make([]Observation, n)
+	for i := range base {
+		base[i] = Observation{Dst: netip.AddrFrom4([4]byte{10, 1, byte(i / 250), byte(1 + i%250)}), Cwnd: 10 + i%90}
+	}
+	for _, tc := range []struct {
+		name   string
+		edits  int
+		tail   bool
+		stable bool
+	}{
+		{"head at the budget", budget, false, true},
+		{"head past the budget", budget + 1, false, false},
+		{"tail at the budget", budget, true, true},
+		{"tail past the budget", budget + 1, true, false},
+	} {
+		moved := slices.Clone(base)
+		for k := range tc.edits {
+			i := k
+			if tc.tail {
+				i = n - 1 - k
+			}
+			moved[i].Dst = netip.AddrFrom4([4]byte{10, 2, byte(i / 250), byte(1 + i%250)})
+		}
+		a, _, clock := newAgent(t, Config{Sampler: &fakeSampler{rounds: [][]Observation{base, moved}}})
+		for range 2 {
+			clock.Advance(time.Second)
+			if err := a.Tick(); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		wantStable, wantOver := uint64(0), uint64(1)
+		if tc.stable {
+			wantStable, wantOver = 1, 0
+		}
+		reg := a.Metrics()
+		stable, over := reg.Counter("riptide_tick_rounds_stable").Value(), reg.Counter(rebuildCounters[rebuildEditBudget]).Value()
+		if stable != wantStable || over != wantOver {
+			t.Errorf("%s: %d edits of %d sockets: %d stable rounds and %s %d, want %d and %d",
+				tc.name, tc.edits, n, stable, rebuildCounters[rebuildEditBudget], over, wantStable, wantOver)
+		}
+		if got := a.Len(); got != n+tc.edits {
+			t.Errorf("%s: %d routes, want %d", tc.name, got, n+tc.edits)
 		}
 	}
 }

@@ -91,11 +91,10 @@ func (tt *tokenTracker) moved(t *testing.T, stage string) {
 // TestContentTokenTracksEveryCommit drives every change that can move an
 // agent's export — tick route programs (install + window change), fleet
 // merge seeds, TTL expiry, and guard quarantine transitions (both the
-// route-clearing onset and the commit-free recovery) — with the agent's
-// socket scans fanned out over 1/2/4/8 workers (its width follows
-// GOMAXPROCS), and requires the ETag built from ContentToken to move at each,
+// route-clearing onset and the commit-free recovery) — at GOMAXPROCS
+// 1/2/4/8, and requires the ETag built from ContentToken to move at each,
 // with a concurrent reader racing the churn (run under -race in CI's
-// race-stress step). A change the ETag missed would be answered 304 and
+// race-stress step; from GOMAXPROCS 2 on, the reader runs beside Tick). A change the ETag missed would be answered 304 and
 // never reach a peer.
 func TestContentTokenTracksEveryCommit(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {

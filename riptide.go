@@ -160,9 +160,9 @@ type LinuxOptions struct {
 	SetInitRwnd bool
 
 	// UpdateInterval, TTL, Alpha, CMax, CMin and PrefixBits override the
-	// paper defaults when non-zero. The agent sizes its own concurrency:
-	// one destination table, with its per-round socket scans fanned out
-	// over min(GOMAXPROCS, 16) workers.
+	// paper defaults when non-zero. There is no concurrency to size: the
+	// agent keeps one destination table and runs each round on the
+	// goroutine that calls Tick.
 	UpdateInterval time.Duration
 	TTL            time.Duration
 	Alpha          float64
